@@ -19,9 +19,7 @@
 //!
 //! Disconnects are **errors, not panics**: [`Channel::send`] /
 //! [`Channel::recv`] return [`ChannelError::Disconnected`] so a dropped
-//! peer tears down only its own session, never a shared server. Tests and
-//! single-process examples that treat a disconnect as a bug can use the
-//! panicking [`Channel::must_send`] / [`Channel::must_recv`] wrappers.
+//! peer tears down only its own session, never a shared server.
 
 use crate::msg::Msg;
 use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -178,26 +176,6 @@ impl Channel {
         self.rx.recv().map_err(|_| ChannelError::Disconnected)
     }
 
-    /// Panicking [`Channel::send`] for tests and examples where a
-    /// disconnect is a protocol bug.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the peer disconnected.
-    pub fn must_send(&self, msg: Msg) {
-        self.send(msg).expect("peer disconnected");
-    }
-
-    /// Panicking [`Channel::recv`] for tests and examples where a
-    /// disconnect is a protocol bug.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the peer disconnected.
-    pub fn must_recv(&self) -> Msg {
-        self.recv().expect("peer disconnected")
-    }
-
     /// Total bytes sent from this endpoint.
     pub fn bytes_sent(&self) -> u64 {
         self.sent_bytes.load(Ordering::Relaxed)
@@ -326,8 +304,8 @@ mod tests {
     #[test]
     fn roundtrip_and_counting() {
         let (a, b) = local_pair();
-        a.must_send(Msg::VecU64(vec![1, 2, 3]));
-        match b.must_recv() {
+        a.send(Msg::VecU64(vec![1, 2, 3])).unwrap();
+        match b.recv().unwrap() {
             Msg::VecU64(v) => assert_eq!(v, vec![1, 2, 3]),
             other => panic!("unexpected message {other:?}"),
         }
@@ -339,16 +317,16 @@ mod tests {
     #[test]
     fn bidirectional() {
         let (a, b) = local_pair();
-        a.must_send(Msg::VecU64(vec![7]));
-        b.must_send(Msg::VecU64(vec![8, 9]));
-        assert!(matches!(a.must_recv(), Msg::VecU64(v) if v == vec![8, 9]));
-        assert!(matches!(b.must_recv(), Msg::VecU64(v) if v == vec![7]));
+        a.send(Msg::VecU64(vec![7])).unwrap();
+        b.send(Msg::VecU64(vec![8, 9])).unwrap();
+        assert!(matches!(a.recv().unwrap(), Msg::VecU64(v) if v == vec![8, 9]));
+        assert!(matches!(b.recv().unwrap(), Msg::VecU64(v) if v == vec![7]));
     }
 
     #[test]
     fn disconnect_is_an_error_not_a_panic() {
         let (a, b) = local_pair();
-        a.must_send(Msg::VecU64(vec![1]));
+        a.send(Msg::VecU64(vec![1])).unwrap();
         drop(a);
         // Queued data drains first, then the disconnect surfaces.
         assert!(matches!(b.recv(), Ok(Msg::VecU64(v)) if v == vec![1]));
@@ -363,12 +341,12 @@ mod tests {
     fn service_pair_tags_and_signals_gone() {
         let (ingress_tx, ingress_rx) = unbounded();
         let (client, server_tx) = service_pair(42, ingress_tx);
-        client.must_send(Msg::VecU64(vec![5]));
+        client.send(Msg::VecU64(vec![5])).unwrap();
         let pkt = ingress_rx.recv().unwrap();
         assert_eq!(pkt.sid, 42);
         assert!(matches!(pkt.event, ClientEvent::Msg(Msg::VecU64(ref v)) if v == &vec![5]));
         server_tx.send(Msg::VecU64(vec![6])).unwrap();
-        assert!(matches!(client.must_recv(), Msg::VecU64(v) if v == vec![6]));
+        assert!(matches!(client.recv().unwrap(), Msg::VecU64(v) if v == vec![6]));
         assert_eq!(server_tx.bytes_sent(), 8 + 8);
         drop(client);
         let pkt = ingress_rx.recv().unwrap();

@@ -22,7 +22,7 @@
 //!   Shenoy–Kumaresan correction prime); the big-int-free CRT boundary for
 //!   the RNS hot paths.
 //! * [`simd`] — lane-parallel SIMD kernels (AVX-512 and AVX2 on x86_64,
-//!   NEON on aarch64, a portable 4-lane scalar-unrolled fallback
+//!   NEON on aarch64, the same kernels at scalar `u64` lanes
 //!   elsewhere) for the Shoup/lazy hot loops and the fast-base-conversion
 //!   folds, behind runtime detection and a `PI_SIMD` toggle; the scalar
 //!   path above stays canonical and is the differential oracle.

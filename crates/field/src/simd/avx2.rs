@@ -1,70 +1,17 @@
-//! AVX2 backend: 4×u64 lanes with `vpmuludq` high-half emulation.
+//! AVX2 [`Lanes`] impl: 4×u64 in a ymm register.
 //!
 //! AVX2 has no 64×64-bit multiply, so every product is assembled from
 //! 32×32→64 `vpmuludq` cross products (`_mm256_mul_epu32` reads the low 32
-//! bits of each 64-bit lane). [`mulhi_epu64`]/[`mullo_epu64`]/
-//! [`mulfull_epu64`] give the exact high/low words; unsigned 64-bit
-//! comparisons use the sign-flip trick over `_mm256_cmpgt_epi64`. All
-//! arithmetic is the same sequence of wrapping u64 operations as the scalar
-//! engine, so outputs (including unreduced lazy representatives) are
-//! bit-for-bit identical.
-//!
-//! Every kernel is an `unsafe fn` solely because of
-//! `#[target_feature(enable = "avx2")]`: the dispatcher in `mod.rs`
-//! verifies `is_x86_feature_detected!("avx2")` before every entry, which is
-//! the entire safety obligation. Loads and stores go through
-//! `_mm256_loadu_si256` on `chunks_exact(4)` sub-slices, so the pointer
-//! accesses are in-bounds by construction.
+//! bits of each 64-bit lane), and unsigned 64-bit comparisons use the
+//! sign-flip trick over `_mm256_cmpgt_epi64`; masks are all-ones lanes.
 #![allow(unsafe_code)]
 
-use super::LANES;
+use super::lanes::{self, Lanes};
 use crate::modulus::{Modulus, ShoupMul};
 use core::arch::x86_64::*;
 
-const SIGN: u64 = 1 << 63;
-
-#[inline]
-#[target_feature(enable = "avx2")]
-unsafe fn splat(x: u64) -> __m256i {
-    _mm256_set1_epi64x(x as i64)
-}
-
-#[inline]
-#[target_feature(enable = "avx2")]
-unsafe fn load(p: &[u64]) -> __m256i {
-    debug_assert!(p.len() >= LANES);
-    _mm256_loadu_si256(p.as_ptr().cast())
-}
-
-#[inline]
-#[target_feature(enable = "avx2")]
-unsafe fn store(p: &mut [u64], v: __m256i) {
-    debug_assert!(p.len() >= LANES);
-    _mm256_storeu_si256(p.as_mut_ptr().cast(), v)
-}
-
-#[inline]
-#[target_feature(enable = "avx2")]
-unsafe fn shr32(a: __m256i) -> __m256i {
-    _mm256_srli_epi64::<32>(a)
-}
-
-/// Lanes where `a < b` as unsigned 64-bit values (all-ones mask).
-#[inline]
-#[target_feature(enable = "avx2")]
-unsafe fn cmplt_epu64(a: __m256i, b: __m256i) -> __m256i {
-    let s = splat(SIGN);
-    _mm256_cmpgt_epi64(_mm256_xor_si256(b, s), _mm256_xor_si256(a, s))
-}
-
-/// Conditional subtraction `x − (m & [x ≥ m])` — the lane form of every
-/// scalar `if x >= m { x - m }` correction.
-#[inline]
-#[target_feature(enable = "avx2")]
-unsafe fn csub(x: __m256i, m: __m256i) -> __m256i {
-    let lt = cmplt_epu64(x, m);
-    _mm256_sub_epi64(x, _mm256_andnot_si256(lt, m))
-}
+#[derive(Clone, Copy)]
+pub(super) struct Ymm(__m256i);
 
 /// One opaque `vpmuludq`: the 32×32→64 multiply of the low halves of each
 /// 64-bit lane, emitted through inline asm.
@@ -78,6 +25,10 @@ unsafe fn csub(x: __m256i, m: __m256i) -> __m256i {
 /// scalar Harvey path it was meant to beat. The asm keeps the four-
 /// `vpmuludq` emulation intact (`pure`/`nomem` still allows CSE and
 /// scheduling around it).
+///
+/// A `#[target_feature]` helper rather than part of the `#[inline(always)]`
+/// trait method: rustc accepts the `ymm_reg` class only inside a function
+/// that itself carries the feature.
 #[inline]
 #[target_feature(enable = "avx2")]
 unsafe fn mul_epu32_opaque(a: __m256i, b: __m256i) -> __m256i {
@@ -92,632 +43,104 @@ unsafe fn mul_epu32_opaque(a: __m256i, b: __m256i) -> __m256i {
     r
 }
 
-/// `floor(a·b / 2^64)` per lane.
+/// The four cross products of `a·b` with the textbook carry threading,
+/// as `(lolo, mid2, hi)`.
 ///
 /// With `a = a1·2^32 + a0`, `b = b1·2^32 + b0`:
 /// `a·b = a1b1·2^64 + (a1b0 + a0b1)·2^32 + a0b0`. Summing the middle terms
-/// directly could overflow, so carries are threaded exactly as in the
-/// textbook schoolbook: `mid = a1b0 + (a0b0 >> 32)` (≤ (2^32−1)² + 2^32−2,
-/// no overflow) and `mid2 = a0b1 + (mid mod 2^32)` (same bound), giving
-/// `hi = a1b1 + (mid >> 32) + (mid2 >> 32)` exactly.
-#[inline]
-#[target_feature(enable = "avx2")]
-unsafe fn mulhi_epu64(a: __m256i, b: __m256i) -> __m256i {
-    let a_hi = shr32(a);
-    let b_hi = shr32(b);
-    let low32 = splat(0xffff_ffff);
+/// directly could overflow, so `mid = a1b0 + (a0b0 >> 32)` (≤ (2^32−1)² +
+/// 2^32−2, no overflow) and `mid2 = a0b1 + (mid mod 2^32)` (same bound),
+/// giving `hi = a1b1 + (mid >> 32) + (mid2 >> 32)` exactly.
+#[inline(always)]
+unsafe fn cross_products(a: __m256i, b: __m256i) -> (__m256i, __m256i, __m256i) {
+    let a_hi = _mm256_srli_epi64::<32>(a);
+    let b_hi = _mm256_srli_epi64::<32>(b);
     let lolo = mul_epu32_opaque(a, b);
     let hilo = mul_epu32_opaque(a_hi, b);
     let lohi = mul_epu32_opaque(a, b_hi);
     let hihi = mul_epu32_opaque(a_hi, b_hi);
-    let mid = _mm256_add_epi64(hilo, shr32(lolo));
+    let mid = _mm256_add_epi64(hilo, _mm256_srli_epi64::<32>(lolo));
+    let low32 = _mm256_set1_epi64x(0xffff_ffff);
     let mid2 = _mm256_add_epi64(lohi, _mm256_and_si256(mid, low32));
-    _mm256_add_epi64(_mm256_add_epi64(hihi, shr32(mid)), shr32(mid2))
+    let carries = _mm256_add_epi64(_mm256_srli_epi64::<32>(mid), _mm256_srli_epi64::<32>(mid2));
+    (lolo, mid2, _mm256_add_epi64(hihi, carries))
 }
 
-/// `a·b mod 2^64` per lane (three `vpmuludq`).
-#[inline]
-#[target_feature(enable = "avx2")]
-unsafe fn mullo_epu64(a: __m256i, b: __m256i) -> __m256i {
-    let lolo = _mm256_mul_epu32(a, b);
-    let hilo = _mm256_mul_epu32(shr32(a), b);
-    let lohi = _mm256_mul_epu32(a, shr32(b));
-    let cross = _mm256_slli_epi64::<32>(_mm256_add_epi64(hilo, lohi));
-    _mm256_add_epi64(lolo, cross)
-}
+impl Lanes for Ymm {
+    const W: usize = 4;
+    type Mask = __m256i;
 
-/// Full 64×64→128 product per lane as `(hi, lo)` words (four `vpmuludq`),
-/// with the same carry threading as [`mulhi_epu64`].
-#[inline]
-#[target_feature(enable = "avx2")]
-unsafe fn mulfull_epu64(a: __m256i, b: __m256i) -> (__m256i, __m256i) {
-    let a_hi = shr32(a);
-    let b_hi = shr32(b);
-    let low32 = splat(0xffff_ffff);
-    let lolo = mul_epu32_opaque(a, b);
-    let hilo = mul_epu32_opaque(a_hi, b);
-    let lohi = mul_epu32_opaque(a, b_hi);
-    let hihi = mul_epu32_opaque(a_hi, b_hi);
-    let mid = _mm256_add_epi64(hilo, shr32(lolo));
-    let mid2 = _mm256_add_epi64(lohi, _mm256_and_si256(mid, low32));
-    let hi = _mm256_add_epi64(_mm256_add_epi64(hihi, shr32(mid)), shr32(mid2));
-    // lo = (mid2 mod 2^32)·2^32 + (a0b0 mod 2^32); cannot carry.
-    let lo = _mm256_add_epi64(_mm256_slli_epi64::<32>(mid2), _mm256_and_si256(lolo, low32));
-    (hi, lo)
-}
-
-/// Lane form of [`Modulus::mul_shoup_lazy`]: `a·w − floor(w'·a/2^64)·q`
-/// in wrapping arithmetic, result in `[0, 2q)`.
-#[inline]
-#[target_feature(enable = "avx2")]
-unsafe fn mul_shoup_lazy(a: __m256i, wv: __m256i, wq: __m256i, qv: __m256i) -> __m256i {
-    let q_est = mulhi_epu64(a, wq);
-    _mm256_sub_epi64(mullo_epu64(a, wv), mullo_epu64(q_est, qv))
-}
-
-/// Lane form of [`Modulus::reduce_u128`] on a 128-bit value `(xh, xl)`:
-/// the quotient estimate only matters modulo 2^64 (the remainder fits a
-/// word), so `mid`'s 128-bit carry count from the scalar code becomes two
-/// explicit carry masks here. Ends with the same two conditional
-/// subtractions.
-#[inline]
-#[target_feature(enable = "avx2")]
-unsafe fn barrett_reduce(
-    xh: __m256i,
-    xl: __m256i,
-    bh: __m256i,
-    bl: __m256i,
-    qv: __m256i,
-    two_q: __m256i,
-) -> __m256i {
-    let (h1, l1) = mulfull_epu64(xl, bh);
-    let (h2, l2) = mulfull_epu64(xh, bl);
-    let g = mulhi_epu64(xl, bl);
-    let s1 = _mm256_add_epi64(g, l1);
-    let c1 = cmplt_epu64(s1, g); // carry of g + l1
-    let s2 = _mm256_add_epi64(s1, l2);
-    let c2 = cmplt_epu64(s2, s1); // carry of s1 + l2
-    let mut qhat = _mm256_add_epi64(mullo_epu64(xh, bh), _mm256_add_epi64(h1, h2));
-    // A set carry mask is −1 per lane; subtracting it adds 1.
-    qhat = _mm256_sub_epi64(qhat, c1);
-    qhat = _mm256_sub_epi64(qhat, c2);
-    let r = _mm256_sub_epi64(xl, mullo_epu64(qhat, qv));
-    csub(csub(r, two_q), qv)
-}
-
-#[inline]
-#[target_feature(enable = "avx2")]
-unsafe fn forward_block(qv: __m256i, two_q: __m256i, wv: __m256i, wq: __m256i, block: &mut [u64]) {
-    let (lo, hi) = block.split_at_mut(block.len() / 2);
-    for (x4, y4) in lo.chunks_exact_mut(LANES).zip(hi.chunks_exact_mut(LANES)) {
-        let u = csub(load(x4), two_q);
-        let v = mul_shoup_lazy(load(y4), wv, wq, qv);
-        store(x4, _mm256_add_epi64(u, v));
-        store(y4, _mm256_sub_epi64(_mm256_add_epi64(u, two_q), v));
+    #[inline(always)]
+    unsafe fn splat(x: u64) -> Self {
+        Ymm(_mm256_set1_epi64x(x as i64))
+    }
+    #[inline(always)]
+    unsafe fn load(p: &[u64]) -> Self {
+        debug_assert!(p.len() >= Self::W);
+        Ymm(_mm256_loadu_si256(p.as_ptr().cast()))
+    }
+    #[inline(always)]
+    unsafe fn store(self, p: &mut [u64]) {
+        debug_assert!(p.len() >= Self::W);
+        _mm256_storeu_si256(p.as_mut_ptr().cast(), self.0)
+    }
+    #[inline(always)]
+    unsafe fn add(self, b: Self) -> Self {
+        Ymm(_mm256_add_epi64(self.0, b.0))
+    }
+    #[inline(always)]
+    unsafe fn sub(self, b: Self) -> Self {
+        Ymm(_mm256_sub_epi64(self.0, b.0))
+    }
+    /// Three `vpmuludq`: `a0b0 + ((a1b0 + a0b1) << 32)`.
+    #[inline(always)]
+    unsafe fn mullo(self, b: Self) -> Self {
+        let (a, b) = (self.0, b.0);
+        let lolo = _mm256_mul_epu32(a, b);
+        let hilo = _mm256_mul_epu32(_mm256_srli_epi64::<32>(a), b);
+        let lohi = _mm256_mul_epu32(a, _mm256_srli_epi64::<32>(b));
+        let cross = _mm256_slli_epi64::<32>(_mm256_add_epi64(hilo, lohi));
+        Ymm(_mm256_add_epi64(lolo, cross))
+    }
+    #[inline(always)]
+    unsafe fn mulhi(self, b: Self) -> Self {
+        Ymm(cross_products(self.0, b.0).2)
+    }
+    #[inline(always)]
+    unsafe fn mulfull(self, b: Self) -> (Self, Self) {
+        let (lolo, mid2, hi) = cross_products(self.0, b.0);
+        // lo = (mid2 mod 2^32)·2^32 + (a0b0 mod 2^32); cannot carry.
+        let low32 = _mm256_set1_epi64x(0xffff_ffff);
+        let lo = _mm256_add_epi64(_mm256_slli_epi64::<32>(mid2), _mm256_and_si256(lolo, low32));
+        (Ymm(hi), Ymm(lo))
+    }
+    #[inline(always)]
+    unsafe fn csub(self, m: Self) -> Self {
+        Ymm(_mm256_sub_epi64(
+            self.0,
+            _mm256_andnot_si256(self.lt(m), m.0),
+        ))
+    }
+    #[inline(always)]
+    unsafe fn lt(self, b: Self) -> __m256i {
+        let sign = _mm256_set1_epi64x(i64::MIN);
+        _mm256_cmpgt_epi64(_mm256_xor_si256(b.0, sign), _mm256_xor_si256(self.0, sign))
+    }
+    /// A set mask lane is −1; subtracting it adds 1.
+    #[inline(always)]
+    unsafe fn inc_if(self, k: __m256i) -> Self {
+        Ymm(_mm256_sub_epi64(self.0, k))
+    }
+    #[inline(always)]
+    unsafe fn add_if(self, k: __m256i, x: Self) -> Self {
+        Ymm(_mm256_add_epi64(self.0, _mm256_and_si256(k, x.0)))
+    }
+    /// No cross-lane 64-bit permute takes a runtime pattern on AVX2.
+    #[inline(always)]
+    unsafe fn permute_block(blk: &[u64], pat: u64) -> Self {
+        Self::load(&lanes::pick_lanes::<4>(blk, pat))
     }
 }
 
-#[inline]
-#[target_feature(enable = "avx2")]
-unsafe fn inverse_block(qv: __m256i, two_q: __m256i, wv: __m256i, wq: __m256i, block: &mut [u64]) {
-    let (lo, hi) = block.split_at_mut(block.len() / 2);
-    for (x4, y4) in lo.chunks_exact_mut(LANES).zip(hi.chunks_exact_mut(LANES)) {
-        let u = load(x4);
-        let v = load(y4);
-        store(x4, csub(_mm256_add_epi64(u, v), two_q));
-        let d = _mm256_sub_epi64(_mm256_add_epi64(u, two_q), v);
-        store(y4, mul_shoup_lazy(d, wv, wq, qv));
-    }
-}
-
-#[target_feature(enable = "avx2")]
-pub(super) unsafe fn forward_stage(
-    q: &Modulus,
-    w_vals: &[u64],
-    w_quots: &[u64],
-    a: &mut [u64],
-    m: usize,
-    t: usize,
-) {
-    let qv = splat(q.value());
-    let two_q = splat(q.value() << 1);
-    for i in 0..m {
-        forward_block(
-            qv,
-            two_q,
-            splat(w_vals[i]),
-            splat(w_quots[i]),
-            &mut a[2 * i * t..2 * (i + 1) * t],
-        );
-    }
-}
-
-#[target_feature(enable = "avx2")]
-pub(super) unsafe fn forward_stage_many(
-    q: &Modulus,
-    w_vals: &[u64],
-    w_quots: &[u64],
-    batch: &mut [&mut [u64]],
-    m: usize,
-    t: usize,
-) {
-    let qv = splat(q.value());
-    let two_q = splat(q.value() << 1);
-    // Twiddle-outer, column-inner: one splat pair serves every column.
-    for i in 0..m {
-        let wv = splat(w_vals[i]);
-        let wq = splat(w_quots[i]);
-        for a in batch.iter_mut() {
-            forward_block(qv, two_q, wv, wq, &mut a[2 * i * t..2 * (i + 1) * t]);
-        }
-    }
-}
-
-#[target_feature(enable = "avx2")]
-pub(super) unsafe fn inverse_stage(
-    q: &Modulus,
-    w_vals: &[u64],
-    w_quots: &[u64],
-    a: &mut [u64],
-    h: usize,
-    t: usize,
-) {
-    let qv = splat(q.value());
-    let two_q = splat(q.value() << 1);
-    for i in 0..h {
-        inverse_block(
-            qv,
-            two_q,
-            splat(w_vals[i]),
-            splat(w_quots[i]),
-            &mut a[2 * i * t..2 * (i + 1) * t],
-        );
-    }
-}
-
-#[target_feature(enable = "avx2")]
-pub(super) unsafe fn inverse_stage_many(
-    q: &Modulus,
-    w_vals: &[u64],
-    w_quots: &[u64],
-    batch: &mut [&mut [u64]],
-    h: usize,
-    t: usize,
-) {
-    let qv = splat(q.value());
-    let two_q = splat(q.value() << 1);
-    for i in 0..h {
-        let wv = splat(w_vals[i]);
-        let wq = splat(w_quots[i]);
-        for a in batch.iter_mut() {
-            inverse_block(qv, two_q, wv, wq, &mut a[2 * i * t..2 * (i + 1) * t]);
-        }
-    }
-}
-
-#[target_feature(enable = "avx2")]
-pub(super) unsafe fn inverse_last_stage(
-    q: &Modulus,
-    n_inv: ShoupMul,
-    psi_n_inv: ShoupMul,
-    a: &mut [u64],
-) {
-    let qv = splat(q.value());
-    let two_q = splat(q.value() << 1);
-    let niv = splat(n_inv.value);
-    let niq = splat(n_inv.quotient);
-    let piv = splat(psi_n_inv.value);
-    let piq = splat(psi_n_inv.quotient);
-    let half = a.len() / 2;
-    let (lo, hi) = a.split_at_mut(half);
-    for (x4, y4) in lo.chunks_exact_mut(LANES).zip(hi.chunks_exact_mut(LANES)) {
-        let u = load(x4);
-        let v = load(y4);
-        let s = _mm256_add_epi64(u, v);
-        let d = _mm256_sub_epi64(_mm256_add_epi64(u, two_q), v);
-        store(x4, csub(mul_shoup_lazy(s, niv, niq, qv), qv));
-        store(y4, csub(mul_shoup_lazy(d, piv, piq, qv), qv));
-    }
-}
-
-#[target_feature(enable = "avx2")]
-pub(super) unsafe fn reduce_4q(q: &Modulus, a: &mut [u64]) {
-    let qv = splat(q.value());
-    let two_q = splat(q.value() << 1);
-    let mut chunks = a.chunks_exact_mut(LANES);
-    for x4 in chunks.by_ref() {
-        store(x4, csub(csub(load(x4), two_q), qv));
-    }
-    for x in chunks.into_remainder() {
-        *x = q.reduce_4q(*x);
-    }
-}
-
-#[target_feature(enable = "avx2")]
-pub(super) unsafe fn dyadic_mul_shoup(
-    q: &Modulus,
-    out: &mut [u64],
-    a: &[u64],
-    vals: &[u64],
-    quots: &[u64],
-) {
-    let qv = splat(q.value());
-    let n4 = out.len() - out.len() % LANES;
-    for j in (0..n4).step_by(LANES) {
-        let r = mul_shoup_lazy(load(&a[j..]), load(&vals[j..]), load(&quots[j..]), qv);
-        store(&mut out[j..], csub(r, qv));
-    }
-    for j in n4..out.len() {
-        let w = ShoupMul {
-            value: vals[j],
-            quotient: quots[j],
-        };
-        out[j] = q.mul_shoup(a[j], w);
-    }
-}
-
-#[target_feature(enable = "avx2")]
-pub(super) unsafe fn dyadic_mul_acc_shoup(
-    q: &Modulus,
-    acc: &mut [u64],
-    a: &[u64],
-    vals: &[u64],
-    quots: &[u64],
-) {
-    let qv = splat(q.value());
-    let two_q = splat(q.value() << 1);
-    let n4 = acc.len() - acc.len() % LANES;
-    for j in (0..n4).step_by(LANES) {
-        let r = mul_shoup_lazy(load(&a[j..]), load(&vals[j..]), load(&quots[j..]), qv);
-        let s = _mm256_add_epi64(load(&acc[j..]), r);
-        store(&mut acc[j..], csub(s, two_q));
-    }
-    for j in n4..acc.len() {
-        let w = ShoupMul {
-            value: vals[j],
-            quotient: quots[j],
-        };
-        acc[j] = q.add_lazy(acc[j], q.mul_shoup_lazy(a[j], w));
-    }
-}
-
-#[target_feature(enable = "avx2")]
-pub(super) unsafe fn mul_shoup_bcast(q: &Modulus, out: &mut [u64], a: &[u64], w: ShoupMul) {
-    let qv = splat(q.value());
-    let wv = splat(w.value);
-    let wq = splat(w.quotient);
-    let n4 = out.len() - out.len() % LANES;
-    for j in (0..n4).step_by(LANES) {
-        let r = mul_shoup_lazy(load(&a[j..]), wv, wq, qv);
-        store(&mut out[j..], csub(r, qv));
-    }
-    for j in n4..out.len() {
-        out[j] = q.mul_shoup(a[j], w);
-    }
-}
-
-#[target_feature(enable = "avx2")]
-pub(super) unsafe fn mul_shoup_lazy_acc_wide(
-    q: &Modulus,
-    lo: &mut [u64],
-    hi: &mut [u64],
-    a: &[u64],
-    w: ShoupMul,
-) {
-    let qv = splat(q.value());
-    let wv = splat(w.value);
-    let wq = splat(w.quotient);
-    let n4 = lo.len() - lo.len() % LANES;
-    for j in (0..n4).step_by(LANES) {
-        let t = mul_shoup_lazy(load(&a[j..]), wv, wq, qv);
-        let s = _mm256_add_epi64(load(&lo[j..]), t);
-        let carry = cmplt_epu64(s, t); // s < t ⟺ the add wrapped
-        store(&mut lo[j..], s);
-        // The mask is −1 per carried lane; subtracting it adds 1.
-        let h = load(&hi[j..]);
-        store(&mut hi[j..], _mm256_sub_epi64(h, carry));
-    }
-    for j in n4..lo.len() {
-        let t = q.mul_shoup_lazy(a[j], w);
-        let (s, carry) = lo[j].overflowing_add(t);
-        lo[j] = s;
-        hi[j] += carry as u64;
-    }
-}
-
-#[target_feature(enable = "avx2")]
-pub(super) unsafe fn fold_finish(
-    q: &Modulus,
-    out: &mut [u64],
-    lo: &[u64],
-    hi: &[u64],
-    v: &[u64],
-    q_mod: ShoupMul,
-) {
-    let (bhi, blo) = q.barrett_parts();
-    let qv = splat(q.value());
-    let two_q = splat(q.value() << 1);
-    let bh = splat(bhi);
-    let bl = splat(blo);
-    let qmv = splat(q_mod.value);
-    let qmq = splat(q_mod.quotient);
-    let n4 = out.len() - out.len() % LANES;
-    for j in (0..n4).step_by(LANES) {
-        let r = barrett_reduce(load(&hi[j..]), load(&lo[j..]), bh, bl, qv, two_q);
-        let s = csub(mul_shoup_lazy(load(&v[j..]), qmv, qmq, qv), qv);
-        // Modular subtraction of two reduced values: add q back where r < s.
-        let d = _mm256_sub_epi64(r, s);
-        let lt = cmplt_epu64(r, s);
-        store(&mut out[j..], _mm256_add_epi64(d, _mm256_and_si256(lt, qv)));
-    }
-    for j in n4..out.len() {
-        let acc = ((hi[j] as u128) << 64) | lo[j] as u128;
-        out[j] = q.sub(q.reduce_u128(acc), q.mul_shoup(v[j], q_mod));
-    }
-}
-
-/// Gather 4 u64 lanes from 32-bit indices via `vpgatherdq`.
-///
-/// Bounds are the caller's obligation: the safe wrapper in `mod.rs` asserts
-/// every index is `< src.len()` before any gather kernel runs. Indices are
-/// sign-extended by the hardware, so they must also be `< 2^31` — implied by
-/// the bounds assert for any realistic table.
-#[inline]
-#[target_feature(enable = "avx2")]
-unsafe fn gather4(src: &[u64], idx: &[u32]) -> __m256i {
-    debug_assert!(idx.len() >= LANES);
-    let vindex = _mm_loadu_si128(idx.as_ptr().cast());
-    _mm256_i32gather_epi64::<8>(src.as_ptr().cast(), vindex)
-}
-
-#[target_feature(enable = "avx2")]
-pub(super) unsafe fn gather_u64(out: &mut [u64], src: &[u64], idx: &[u32]) {
-    let n4 = out.len() - out.len() % LANES;
-    for j in (0..n4).step_by(LANES) {
-        store(&mut out[j..], gather4(src, &idx[j..]));
-    }
-    for j in n4..out.len() {
-        out[j] = src[idx[j] as usize];
-    }
-}
-
-#[target_feature(enable = "avx2")]
-pub(super) unsafe fn gather_add_lazy(q: &Modulus, acc: &mut [u64], src: &[u64], idx: &[u32]) {
-    let two_q = splat(q.value() << 1);
-    let n4 = acc.len() - acc.len() % LANES;
-    for j in (0..n4).step_by(LANES) {
-        let s = _mm256_add_epi64(load(&acc[j..]), gather4(src, &idx[j..]));
-        store(&mut acc[j..], csub(s, two_q));
-    }
-    for j in n4..acc.len() {
-        acc[j] = q.add_lazy(acc[j], src[idx[j] as usize]);
-    }
-}
-
-#[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)]
-pub(super) unsafe fn dyadic_mul_acc_shoup_gather2(
-    q: &Modulus,
-    acc0: &mut [u64],
-    acc1: &mut [u64],
-    src: &[u64],
-    idx: &[u32],
-    vals0: &[u64],
-    quots0: &[u64],
-    vals1: &[u64],
-    quots1: &[u64],
-) {
-    let qv = splat(q.value());
-    let two_q = splat(q.value() << 1);
-    let n4 = acc0.len() - acc0.len() % LANES;
-    for j in (0..n4).step_by(LANES) {
-        let t = gather4(src, &idx[j..]);
-        let r0 = mul_shoup_lazy(t, load(&vals0[j..]), load(&quots0[j..]), qv);
-        let s0 = _mm256_add_epi64(load(&acc0[j..]), r0);
-        store(&mut acc0[j..], csub(s0, two_q));
-        let r1 = mul_shoup_lazy(t, load(&vals1[j..]), load(&quots1[j..]), qv);
-        let s1 = _mm256_add_epi64(load(&acc1[j..]), r1);
-        store(&mut acc1[j..], csub(s1, two_q));
-    }
-    for j in n4..acc0.len() {
-        let t = src[idx[j] as usize];
-        let w0 = ShoupMul {
-            value: vals0[j],
-            quotient: quots0[j],
-        };
-        let w1 = ShoupMul {
-            value: vals1[j],
-            quotient: quots1[j],
-        };
-        acc0[j] = q.add_lazy(acc0[j], q.mul_shoup_lazy(t, w0));
-        acc1[j] = q.add_lazy(acc1[j], q.mul_shoup_lazy(t, w1));
-    }
-}
-
-/// Block-permute kernels: AVX2 has no cross-lane 64-bit permute with a
-/// runtime pattern, so the data movement is a block-local scalar shuffle
-/// out of one cache line (already far cheaper than `vpgatherqq` latency);
-/// the arithmetic halves still run on the 4-lane Shoup kernels.
-#[inline]
-#[target_feature(enable = "avx2")]
-unsafe fn permute_block(src: &[u64], sb: u32, pat: u64) -> [u64; 8] {
-    let blk = &src[sb as usize * 8..sb as usize * 8 + 8];
-    let mut tmp = [0u64; 8];
-    for (t, o) in tmp.iter_mut().enumerate() {
-        *o = blk[(pat >> (8 * t)) as usize & 7];
-    }
-    tmp
-}
-
-#[target_feature(enable = "avx2")]
-pub(super) unsafe fn permute8(out: &mut [u64], src: &[u64], bsrc: &[u32], bpat: &[u64]) {
-    for (b, (&sb, &pat)) in bsrc.iter().zip(bpat).enumerate() {
-        out[b * 8..b * 8 + 8].copy_from_slice(&permute_block(src, sb, pat));
-    }
-}
-
-#[target_feature(enable = "avx2")]
-pub(super) unsafe fn permute8_add_lazy(
-    q: &Modulus,
-    acc: &mut [u64],
-    src: &[u64],
-    bsrc: &[u32],
-    bpat: &[u64],
-) {
-    let two_q = splat(q.value() << 1);
-    for (b, (&sb, &pat)) in bsrc.iter().zip(bpat).enumerate() {
-        let tmp = permute_block(src, sb, pat);
-        for h in 0..2 {
-            let j = b * 8 + h * LANES;
-            let s = _mm256_add_epi64(load(&acc[j..]), load(&tmp[h * LANES..]));
-            store(&mut acc[j..], csub(s, two_q));
-        }
-    }
-}
-
-#[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)]
-pub(super) unsafe fn permute8_mul_acc_shoup2(
-    q: &Modulus,
-    acc0: &mut [u64],
-    acc1: &mut [u64],
-    src: &[u64],
-    bsrc: &[u32],
-    bpat: &[u64],
-    vals0: &[u64],
-    quots0: &[u64],
-    vals1: &[u64],
-    quots1: &[u64],
-) {
-    let qv = splat(q.value());
-    let two_q = splat(q.value() << 1);
-    for (b, (&sb, &pat)) in bsrc.iter().zip(bpat).enumerate() {
-        let tmp = permute_block(src, sb, pat);
-        for h in 0..2 {
-            let j = b * 8 + h * LANES;
-            let t = load(&tmp[h * LANES..]);
-            let r0 = mul_shoup_lazy(t, load(&vals0[j..]), load(&quots0[j..]), qv);
-            let s0 = _mm256_add_epi64(load(&acc0[j..]), r0);
-            store(&mut acc0[j..], csub(s0, two_q));
-            let r1 = mul_shoup_lazy(t, load(&vals1[j..]), load(&quots1[j..]), qv);
-            let s1 = _mm256_add_epi64(load(&acc1[j..]), r1);
-            store(&mut acc1[j..], csub(s1, two_q));
-        }
-    }
-}
-
-#[target_feature(enable = "avx2")]
-pub(super) unsafe fn round_term_acc_wide(lo: &mut [u64], hi: &mut [u64], d: &[u64], frac: u128) {
-    let fh = splat((frac >> 64) as u64);
-    let fl = splat(frac as u64);
-    let n4 = lo.len() - lo.len() % LANES;
-    for j in (0..n4).step_by(LANES) {
-        let x = load(&d[j..]);
-        // (x·frac) >> 64 = x·frac_hi + mulhi(x, frac_lo), exact for x < q.
-        let term = _mm256_add_epi64(mullo_epu64(x, fh), mulhi_epu64(x, fl));
-        let s = _mm256_add_epi64(load(&lo[j..]), term);
-        let carry = cmplt_epu64(s, term);
-        store(&mut lo[j..], s);
-        let h = load(&hi[j..]);
-        store(&mut hi[j..], _mm256_sub_epi64(h, carry));
-    }
-    let fh_s = (frac >> 64) as u64;
-    let fl_s = frac as u64;
-    for j in n4..lo.len() {
-        let term = d[j]
-            .wrapping_mul(fh_s)
-            .wrapping_add(((d[j] as u128 * fl_s as u128) >> 64) as u64);
-        let (s, carry) = lo[j].overflowing_add(term);
-        lo[j] = s;
-        hi[j] += carry as u64;
-    }
-}
-
-#[target_feature(enable = "avx2")]
-pub(super) unsafe fn channel_finish(
-    q: &Modulus,
-    out: &mut [u64],
-    lo: &[u64],
-    hi: &[u64],
-    y: &[u64],
-    q_inv: ShoupMul,
-) {
-    let (bhi, blo) = q.barrett_parts();
-    let qv = splat(q.value());
-    let two_q = splat(q.value() << 1);
-    let bh = splat(bhi);
-    let bl = splat(blo);
-    let qiv = splat(q_inv.value);
-    let qiq = splat(q_inv.quotient);
-    let zero = _mm256_setzero_si256();
-    let n4 = out.len() - out.len() % LANES;
-    for j in (0..n4).step_by(LANES) {
-        let r = barrett_reduce(load(&hi[j..]), load(&lo[j..]), bh, bl, qv, two_q);
-        let s = barrett_reduce(zero, load(&y[j..]), bh, bl, qv, two_q);
-        let d = _mm256_sub_epi64(r, s);
-        let lt = cmplt_epu64(r, s);
-        let d = _mm256_add_epi64(d, _mm256_and_si256(lt, qv));
-        store(&mut out[j..], csub(mul_shoup_lazy(d, qiv, qiq, qv), qv));
-    }
-    for j in n4..out.len() {
-        let acc = ((hi[j] as u128) << 64) | lo[j] as u128;
-        out[j] = q.mul_shoup(q.sub(q.reduce_u128(acc), q.reduce(y[j])), q_inv);
-    }
-}
-
-#[target_feature(enable = "avx2")]
-pub(super) unsafe fn garner_step(q: &Modulus, v: &mut [u64], t: &[u64], inv: ShoupMul) {
-    let qv = splat(q.value());
-    let iv = splat(inv.value);
-    let iq = splat(inv.quotient);
-    let n4 = v.len() - v.len() % LANES;
-    for j in (0..n4).step_by(LANES) {
-        let a = csub(mul_shoup_lazy(load(&v[j..]), iv, iq, qv), qv);
-        let b = csub(mul_shoup_lazy(load(&t[j..]), iv, iq, qv), qv);
-        let d = _mm256_sub_epi64(a, b);
-        let lt = cmplt_epu64(a, b);
-        store(&mut v[j..], _mm256_add_epi64(d, _mm256_and_si256(lt, qv)));
-    }
-    for j in n4..v.len() {
-        v[j] = q.sub(q.mul_shoup(v[j], inv), q.mul_shoup(t[j], inv));
-    }
-}
-
-#[target_feature(enable = "avx2")]
-pub(super) unsafe fn dyadic_mul(q: &Modulus, out: &mut [u64], a: &[u64], b: &[u64]) {
-    let (bhi, blo) = q.barrett_parts();
-    let qv = splat(q.value());
-    let two_q = splat(q.value() << 1);
-    let bh = splat(bhi);
-    let bl = splat(blo);
-    let n4 = out.len() - out.len() % LANES;
-    for j in (0..n4).step_by(LANES) {
-        let (xh, xl) = mulfull_epu64(load(&a[j..]), load(&b[j..]));
-        store(&mut out[j..], barrett_reduce(xh, xl, bh, bl, qv, two_q));
-    }
-    for j in n4..out.len() {
-        out[j] = q.mul(a[j], b[j]);
-    }
-}
-
-#[target_feature(enable = "avx2")]
-pub(super) unsafe fn dyadic_mul_acc(q: &Modulus, acc: &mut [u64], a: &[u64], b: &[u64]) {
-    let (bhi, blo) = q.barrett_parts();
-    let qv = splat(q.value());
-    let two_q = splat(q.value() << 1);
-    let bh = splat(bhi);
-    let bl = splat(blo);
-    let n4 = acc.len() - acc.len() % LANES;
-    for j in (0..n4).step_by(LANES) {
-        let (mut xh, xl) = mulfull_epu64(load(&a[j..]), load(&b[j..]));
-        // 128-bit add of the accumulator: carry into the high word.
-        let c = load(&acc[j..]);
-        let xl = _mm256_add_epi64(xl, c);
-        let carry = cmplt_epu64(xl, c);
-        xh = _mm256_sub_epi64(xh, carry); // mask is −1 per carried lane
-        store(&mut acc[j..], barrett_reduce(xh, xl, bh, bl, qv, two_q));
-    }
-    for j in n4..acc.len() {
-        acc[j] = q.mul_add(a[j], b[j], acc[j]);
-    }
-}
+stage_entry_points!(Ymm, target_feature(enable = "avx2"));
+pointwise_entry_points!(Ymm, target_feature(enable = "avx2"));

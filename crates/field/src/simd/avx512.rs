@@ -1,71 +1,37 @@
-//! AVX-512 backend: 8×u64 lanes with native 64-bit low multiplies.
+//! AVX-512 [`Lanes`] impl (F + DQ + VL): 8×u64 in a zmm register, plus the
+//! one ISA-specific hook — the permute-based small-stride stages.
 //!
-//! Requires AVX512F + AVX512DQ + AVX512VL (all runtime-detected). Three
-//! things make this markedly cheaper per butterfly than the AVX2 backend:
+//! `vpmullq` (AVX512DQ) is a native 64×64→low-64 multiply and unsigned
+//! compares land in mask registers (`vpcmpuq`), so every conditional
+//! correction is compare + masked op. Only the high half of a product
+//! still needs the four-`vpmuludq` schoolbook emulation (there is no
+//! 64-bit `vpmulhq`), behind the same opaque-asm guard as AVX2.
 //!
-//! * `vpmullq` (AVX512DQ) is a native 64×64→low-64 multiply, replacing the
-//!   three-`vpmuludq` low-half emulation;
-//! * unsigned 64-bit compares go straight to mask registers
-//!   (`vpcmpuq`), so every conditional subtraction is two instructions
-//!   (compare + masked subtract) instead of the AVX2 sign-flip dance;
-//! * registers are twice as wide, so one iteration retires 8 lanes.
-//!
-//! Only the high half of a product still needs the four-`vpmuludq`
-//! schoolbook emulation (there is no 64-bit `vpmulhq` even in AVX-512),
-//! routed through the same opaque-asm guard as the AVX2 backend so LLVM
-//! cannot scalarize it (see `avx2::mul_epu32_opaque`).
-//!
-//! Unlike the 4-lane backends, this one also vectorizes the **small-stride
+//! Unlike the other backends, this one also vectorizes the **small-stride
 //! stages** (`t ∈ {1, 2, 4}`): 16 consecutive elements are loaded as two
-//! zmm registers, repacked into a lo/hi butterfly pair with `vpermt2q`
-//! (full two-source lane permutes), processed with per-lane twiddles
-//! (`vpermq`-replicated from the stage's twiddle array), and repacked
-//! back. The permutes move data only — the arithmetic is still the
-//! identical sequence of wrapping u64 operations, so bit-for-bit equality
-//! with the scalar oracle is preserved, unreduced lazy representatives
-//! included. Rings too small for a 16-element group (`n = 8`'s `t = 4`
-//! stage, the `n = 8` last inverse stage) delegate to the AVX2 kernels —
-//! AVX512F implies AVX2, so the call is legal whenever this backend runs.
-//! Pointwise tails shorter than 8 lanes finish scalar.
+//! zmm registers, repacked into a lo/hi butterfly pair with `vpermt2q`,
+//! processed with per-lane twiddles (`vpermq`-replicated from the stage's
+//! twiddle array), and repacked back. The permutes move data only — the
+//! butterfly is the shared generic one. Rings too small for a 16-element
+//! group (`n = 8`'s `t = 4` stage and last inverse stage) run the generic
+//! kernels at [`Ymm`] — AVX512F implies AVX2, so that is legal whenever
+//! this backend runs.
 #![allow(unsafe_code)]
 
-use super::avx2;
+use super::avx2::Ymm;
+use super::lanes::{self, Lanes};
 use crate::modulus::{Modulus, ShoupMul};
 use core::arch::x86_64::*;
 
-/// Lanes per zmm iteration.
-const W: usize = 8;
+#[derive(Clone, Copy)]
+pub(super) struct Zmm(__m512i);
 
+/// One opaque `vpmuludq` on zmm registers — the LLVM-scalarization guard of
+/// `avx2::mul_epu32_opaque`, and like it a `#[target_feature]` helper
+/// because `zmm_reg` is only accepted inside a function carrying the
+/// feature.
 #[inline]
-#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-unsafe fn splat(x: u64) -> __m512i {
-    _mm512_set1_epi64(x as i64)
-}
-
-#[inline]
-#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-unsafe fn load(p: &[u64]) -> __m512i {
-    debug_assert!(p.len() >= W);
-    _mm512_loadu_epi64(p.as_ptr().cast())
-}
-
-#[inline]
-#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-unsafe fn store(p: &mut [u64], v: __m512i) {
-    debug_assert!(p.len() >= W);
-    _mm512_storeu_epi64(p.as_mut_ptr().cast(), v)
-}
-
-#[inline]
-#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-unsafe fn shr32(a: __m512i) -> __m512i {
-    _mm512_srli_epi64::<32>(a)
-}
-
-/// One opaque `vpmuludq` on zmm registers — same LLVM-scalarization guard
-/// as [`avx2::mul_epu32_opaque`].
-#[inline]
-#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
+#[target_feature(enable = "avx512f")]
 unsafe fn mul_epu32_opaque(a: __m512i, b: __m512i) -> __m512i {
     let r: __m512i;
     core::arch::asm!(
@@ -78,72 +44,77 @@ unsafe fn mul_epu32_opaque(a: __m512i, b: __m512i) -> __m512i {
     r
 }
 
-/// Conditional subtraction `x − (m & [x ≥ m])` via one mask compare.
-#[inline]
-#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-unsafe fn csub(x: __m512i, m: __m512i) -> __m512i {
-    let k = _mm512_cmpge_epu64_mask(x, m);
-    _mm512_mask_sub_epi64(x, k, x, m)
-}
+impl Lanes for Zmm {
+    const W: usize = 8;
+    type Mask = __mmask8;
 
-/// `floor(a·b / 2^64)` per lane — the schoolbook emulation of
-/// `avx2::mulhi_epu64`, lane-widened.
-#[inline]
-#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-unsafe fn mulhi_epu64(a: __m512i, b: __m512i) -> __m512i {
-    let a_hi = shr32(a);
-    let b_hi = shr32(b);
-    let low32 = splat(0xffff_ffff);
-    let lolo = mul_epu32_opaque(a, b);
-    let hilo = mul_epu32_opaque(a_hi, b);
-    let lohi = mul_epu32_opaque(a, b_hi);
-    let hihi = mul_epu32_opaque(a_hi, b_hi);
-    let mid = _mm512_add_epi64(hilo, shr32(lolo));
-    let mid2 = _mm512_add_epi64(lohi, _mm512_and_si512(mid, low32));
-    _mm512_add_epi64(_mm512_add_epi64(hihi, shr32(mid)), shr32(mid2))
-}
-
-/// Full 64×64→128 product per lane as `(hi, lo)`; `lo` is native
-/// (`vpmullq`), `hi` shares the emulation above.
-#[inline]
-#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-unsafe fn mulfull_epu64(a: __m512i, b: __m512i) -> (__m512i, __m512i) {
-    (mulhi_epu64(a, b), _mm512_mullo_epi64(a, b))
-}
-
-/// Lane form of [`Modulus::mul_shoup_lazy`], result in `[0, 2q)`.
-#[inline]
-#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-unsafe fn mul_shoup_lazy(a: __m512i, wv: __m512i, wq: __m512i, qv: __m512i) -> __m512i {
-    let q_est = mulhi_epu64(a, wq);
-    _mm512_sub_epi64(_mm512_mullo_epi64(a, wv), _mm512_mullo_epi64(q_est, qv))
-}
-
-/// Lane form of [`Modulus::reduce_u128`]; same carry bookkeeping as the
-/// AVX2 twin, with the carries landing in mask registers.
-#[inline]
-#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-unsafe fn barrett_reduce(
-    xh: __m512i,
-    xl: __m512i,
-    bh: __m512i,
-    bl: __m512i,
-    qv: __m512i,
-    two_q: __m512i,
-    one: __m512i,
-) -> __m512i {
-    let (h1, l1) = mulfull_epu64(xl, bh);
-    let (h2, l2) = mulfull_epu64(xh, bl);
-    let g = mulhi_epu64(xl, bl);
-    let s1 = _mm512_add_epi64(g, l1);
-    let c1 = _mm512_cmplt_epu64_mask(s1, g);
-    let s2 = _mm512_add_epi64(s1, l2);
-    let c2 = _mm512_cmplt_epu64_mask(s2, s1);
-    let mut qhat = _mm512_add_epi64(_mm512_mullo_epi64(xh, bh), _mm512_add_epi64(h1, h2));
-    qhat = _mm512_mask_add_epi64(qhat, c1, qhat, one);
-    qhat = _mm512_mask_add_epi64(qhat, c2, qhat, one);
-    let r = _mm512_sub_epi64(xl, _mm512_mullo_epi64(qhat, qv));
-    csub(csub(r, two_q), qv)
+    #[inline(always)]
+    unsafe fn splat(x: u64) -> Self {
+        Zmm(_mm512_set1_epi64(x as i64))
+    }
+    #[inline(always)]
+    unsafe fn load(p: &[u64]) -> Self {
+        debug_assert!(p.len() >= Self::W);
+        Zmm(_mm512_loadu_epi64(p.as_ptr().cast()))
+    }
+    #[inline(always)]
+    unsafe fn store(self, p: &mut [u64]) {
+        debug_assert!(p.len() >= Self::W);
+        _mm512_storeu_epi64(p.as_mut_ptr().cast(), self.0)
+    }
+    #[inline(always)]
+    unsafe fn add(self, b: Self) -> Self {
+        Zmm(_mm512_add_epi64(self.0, b.0))
+    }
+    #[inline(always)]
+    unsafe fn sub(self, b: Self) -> Self {
+        Zmm(_mm512_sub_epi64(self.0, b.0))
+    }
+    #[inline(always)]
+    unsafe fn mullo(self, b: Self) -> Self {
+        Zmm(_mm512_mullo_epi64(self.0, b.0))
+    }
+    /// The schoolbook emulation of `avx2::cross_products`, lane-widened.
+    #[inline(always)]
+    unsafe fn mulhi(self, b: Self) -> Self {
+        let (a, b) = (self.0, b.0);
+        let a_hi = _mm512_srli_epi64::<32>(a);
+        let b_hi = _mm512_srli_epi64::<32>(b);
+        let lolo = mul_epu32_opaque(a, b);
+        let hilo = mul_epu32_opaque(a_hi, b);
+        let lohi = mul_epu32_opaque(a, b_hi);
+        let hihi = mul_epu32_opaque(a_hi, b_hi);
+        let mid = _mm512_add_epi64(hilo, _mm512_srli_epi64::<32>(lolo));
+        let low32 = _mm512_set1_epi64(0xffff_ffff);
+        let mid2 = _mm512_add_epi64(lohi, _mm512_and_si512(mid, low32));
+        let hi = _mm512_add_epi64(hihi, _mm512_srli_epi64::<32>(mid));
+        Zmm(_mm512_add_epi64(hi, _mm512_srli_epi64::<32>(mid2)))
+    }
+    #[inline(always)]
+    unsafe fn csub(self, m: Self) -> Self {
+        let k = _mm512_cmpge_epu64_mask(self.0, m.0);
+        Zmm(_mm512_mask_sub_epi64(self.0, k, self.0, m.0))
+    }
+    #[inline(always)]
+    unsafe fn lt(self, b: Self) -> __mmask8 {
+        _mm512_cmplt_epu64_mask(self.0, b.0)
+    }
+    #[inline(always)]
+    unsafe fn inc_if(self, k: __mmask8) -> Self {
+        self.add_if(k, Self::splat(1))
+    }
+    #[inline(always)]
+    unsafe fn add_if(self, k: __mmask8, x: Self) -> Self {
+        Zmm(_mm512_mask_add_epi64(self.0, k, self.0, x.0))
+    }
+    /// One contiguous zmm load of the block, then an in-register `vpermq`
+    /// (`_mm512_permutexvar_epi64`) steered by the packed byte pattern —
+    /// one load + one permute replaces eight gather lanes.
+    #[inline(always)]
+    unsafe fn permute_block(blk: &[u64], pat: u64) -> Self {
+        let patv = _mm512_cvtepu8_epi64(_mm_cvtsi64_si128(pat as i64));
+        Zmm(_mm512_permutexvar_epi64(patv, Self::load(blk).0))
+    }
 }
 
 /// Permute tables for the small-stride stages, indexed by `log2(t)`.
@@ -192,20 +163,19 @@ static SMALL_IDX: [SmallIdx; 3] = [
 /// `rep` (all indices < `count`).
 #[inline]
 #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-unsafe fn load_twiddles(w: &[u64], count: usize, rep: __m512i) -> __m512i {
+unsafe fn load_twiddles(w: &[u64], count: usize, rep: __m512i) -> Zmm {
     debug_assert!(w.len() >= count);
     let raw = match count {
-        8 => load(w),
+        8 => _mm512_loadu_epi64(w.as_ptr().cast()),
         4 => _mm512_castsi256_si512(_mm256_loadu_si256(w.as_ptr().cast())),
         _ => _mm512_castsi128_si512(_mm_loadu_si128(w.as_ptr().cast())),
     };
-    _mm512_permutexvar_epi64(rep, raw)
+    Zmm(_mm512_permutexvar_epi64(rep, raw))
 }
 
 /// A small-stride stage (`t ∈ {1, 2, 4}`, `a.len()` a multiple of 16):
 /// two zmm loads per group, `vpermt2q` repack into lo/hi, per-lane
-/// twiddles, repack, store. `FWD` selects the forward or inverse
-/// butterfly.
+/// twiddles, the shared butterfly, repack, store.
 #[inline]
 #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
 unsafe fn small_stage<const FWD: bool>(
@@ -217,170 +187,76 @@ unsafe fn small_stage<const FWD: bool>(
 ) {
     debug_assert!(matches!(t, 1 | 2 | 4) && a.len().is_multiple_of(16));
     let idx = &SMALL_IDX[t.trailing_zeros() as usize];
-    let lo_sel = load(&idx.lo_sel);
-    let hi_sel = load(&idx.hi_sel);
-    let a_out = load(&idx.a_out);
-    let b_out = load(&idx.b_out);
-    let rep = load(&idx.rep);
-    let per_group = W / t;
-    let qv = splat(q.value());
-    let two_q = splat(q.value() << 1);
+    let lo_sel = Zmm::load(&idx.lo_sel).0;
+    let hi_sel = Zmm::load(&idx.hi_sel).0;
+    let a_out = Zmm::load(&idx.a_out).0;
+    let b_out = Zmm::load(&idx.b_out).0;
+    let rep = Zmm::load(&idx.rep).0;
+    let per_group = Zmm::W / t;
+    let (qv, two_q) = (Zmm::splat(q.value()), Zmm::splat(q.twice()));
     let mut base = 0usize;
-    for group in a.chunks_exact_mut(2 * W) {
-        let (ga, gb) = group.split_at_mut(W);
-        let ra = load(ga);
-        let rb = load(gb);
-        let u = _mm512_permutex2var_epi64(ra, lo_sel, rb);
-        let v = _mm512_permutex2var_epi64(ra, hi_sel, rb);
+    for group in a.chunks_exact_mut(2 * Zmm::W) {
+        let (ga, gb) = group.split_at_mut(Zmm::W);
+        let (ra, rb) = (Zmm::load(ga).0, Zmm::load(gb).0);
+        let u = Zmm(_mm512_permutex2var_epi64(ra, lo_sel, rb));
+        let v = Zmm(_mm512_permutex2var_epi64(ra, hi_sel, rb));
         let wv = load_twiddles(&w_vals[base..], per_group, rep);
         let wq = load_twiddles(&w_quots[base..], per_group, rep);
-        let (x, y) = if FWD {
-            let u = csub(u, two_q);
-            let p = mul_shoup_lazy(v, wv, wq, qv);
-            (
-                _mm512_add_epi64(u, p),
-                _mm512_sub_epi64(_mm512_add_epi64(u, two_q), p),
-            )
-        } else {
-            let s = csub(_mm512_add_epi64(u, v), two_q);
-            let d = _mm512_sub_epi64(_mm512_add_epi64(u, two_q), v);
-            (s, mul_shoup_lazy(d, wv, wq, qv))
-        };
-        store(ga, _mm512_permutex2var_epi64(x, a_out, y));
-        store(gb, _mm512_permutex2var_epi64(x, b_out, y));
+        let (x, y) = lanes::butterfly::<Zmm, FWD>(u, v, wv, wq, qv, two_q);
+        Zmm(_mm512_permutex2var_epi64(x.0, a_out, y.0)).store(ga);
+        Zmm(_mm512_permutex2var_epi64(x.0, b_out, y.0)).store(gb);
         base += per_group;
     }
 }
 
-#[inline]
-#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-unsafe fn forward_block(qv: __m512i, two_q: __m512i, wv: __m512i, wq: __m512i, block: &mut [u64]) {
-    let (lo, hi) = block.split_at_mut(block.len() / 2);
-    for (x8, y8) in lo.chunks_exact_mut(W).zip(hi.chunks_exact_mut(W)) {
-        let u = csub(load(x8), two_q);
-        let v = mul_shoup_lazy(load(y8), wv, wq, qv);
-        store(x8, _mm512_add_epi64(u, v));
-        store(y8, _mm512_sub_epi64(_mm512_add_epi64(u, two_q), v));
-    }
+/// The stage entry points: whole-register strides run the generic kernel
+/// at `Zmm`, small strides the permute path, and what neither covers
+/// (`n = 8`'s `t = 4` stage: one ymm block per butterfly) the generic
+/// kernel at `Ymm`.
+macro_rules! zmm_stage_entry_points {
+    ($($name:ident, $many:ident: $fwd:literal;)*) => {$(
+        #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
+        pub(super) unsafe fn $name(
+            q: &Modulus,
+            w_vals: &[u64],
+            w_quots: &[u64],
+            a: &mut [u64],
+            m: usize,
+            t: usize,
+        ) {
+            if t.is_multiple_of(Zmm::W) {
+                lanes::stage::<Zmm, $fwd>(q, w_vals, w_quots, a, m, t)
+            } else if t < Zmm::W && a.len().is_multiple_of(2 * Zmm::W) {
+                small_stage::<$fwd>(q, w_vals, w_quots, a, t)
+            } else {
+                lanes::stage::<Ymm, $fwd>(q, w_vals, w_quots, a, m, t)
+            }
+        }
+
+        #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
+        pub(super) unsafe fn $many(
+            q: &Modulus,
+            w_vals: &[u64],
+            w_quots: &[u64],
+            batch: &mut [&mut [u64]],
+            m: usize,
+            t: usize,
+        ) {
+            if t.is_multiple_of(Zmm::W) {
+                return lanes::stage_many::<Zmm, $fwd>(q, w_vals, w_quots, batch, m, t);
+            }
+            // Small-stride permute path: per-group twiddle replication
+            // already amortizes the loads; run it per column.
+            for a in batch.iter_mut() {
+                $name(q, w_vals, w_quots, a, m, t);
+            }
+        }
+    )*};
 }
 
-#[inline]
-#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-unsafe fn inverse_block(qv: __m512i, two_q: __m512i, wv: __m512i, wq: __m512i, block: &mut [u64]) {
-    let (lo, hi) = block.split_at_mut(block.len() / 2);
-    for (x8, y8) in lo.chunks_exact_mut(W).zip(hi.chunks_exact_mut(W)) {
-        let u = load(x8);
-        let v = load(y8);
-        store(x8, csub(_mm512_add_epi64(u, v), two_q));
-        let d = _mm512_sub_epi64(_mm512_add_epi64(u, two_q), v);
-        store(y8, mul_shoup_lazy(d, wv, wq, qv));
-    }
-}
-
-#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-pub(super) unsafe fn forward_stage(
-    q: &Modulus,
-    w_vals: &[u64],
-    w_quots: &[u64],
-    a: &mut [u64],
-    m: usize,
-    t: usize,
-) {
-    if !t.is_multiple_of(W) {
-        if t < W && a.len().is_multiple_of(2 * W) {
-            return small_stage::<true>(q, w_vals, w_quots, a, t);
-        }
-        // n = 8's t = 4 stage: one ymm block per butterfly, AVX2 shape.
-        return avx2::forward_stage(q, w_vals, w_quots, a, m, t);
-    }
-    let qv = splat(q.value());
-    let two_q = splat(q.value() << 1);
-    for (block, (&wval, &wquot)) in a
-        .chunks_exact_mut(2 * t)
-        .zip(w_vals.iter().zip(w_quots).take(m))
-    {
-        forward_block(qv, two_q, splat(wval), splat(wquot), block);
-    }
-}
-
-#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-pub(super) unsafe fn forward_stage_many(
-    q: &Modulus,
-    w_vals: &[u64],
-    w_quots: &[u64],
-    batch: &mut [&mut [u64]],
-    m: usize,
-    t: usize,
-) {
-    if !t.is_multiple_of(W) {
-        // Small-stride permute path: per-group twiddle replication already
-        // amortizes the loads; run it per column.
-        for a in batch.iter_mut() {
-            forward_stage(q, w_vals, w_quots, a, m, t);
-        }
-        return;
-    }
-    let qv = splat(q.value());
-    let two_q = splat(q.value() << 1);
-    // Twiddle-outer, column-inner: one splat pair serves every column.
-    for i in 0..m {
-        let wv = splat(w_vals[i]);
-        let wq = splat(w_quots[i]);
-        for a in batch.iter_mut() {
-            forward_block(qv, two_q, wv, wq, &mut a[2 * i * t..2 * (i + 1) * t]);
-        }
-    }
-}
-
-#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-pub(super) unsafe fn inverse_stage(
-    q: &Modulus,
-    w_vals: &[u64],
-    w_quots: &[u64],
-    a: &mut [u64],
-    h: usize,
-    t: usize,
-) {
-    if !t.is_multiple_of(W) {
-        if t < W && a.len().is_multiple_of(2 * W) {
-            return small_stage::<false>(q, w_vals, w_quots, a, t);
-        }
-        return avx2::inverse_stage(q, w_vals, w_quots, a, h, t);
-    }
-    let qv = splat(q.value());
-    let two_q = splat(q.value() << 1);
-    for (block, (&wval, &wquot)) in a
-        .chunks_exact_mut(2 * t)
-        .zip(w_vals.iter().zip(w_quots).take(h))
-    {
-        inverse_block(qv, two_q, splat(wval), splat(wquot), block);
-    }
-}
-
-#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-pub(super) unsafe fn inverse_stage_many(
-    q: &Modulus,
-    w_vals: &[u64],
-    w_quots: &[u64],
-    batch: &mut [&mut [u64]],
-    h: usize,
-    t: usize,
-) {
-    if !t.is_multiple_of(W) {
-        for a in batch.iter_mut() {
-            inverse_stage(q, w_vals, w_quots, a, h, t);
-        }
-        return;
-    }
-    let qv = splat(q.value());
-    let two_q = splat(q.value() << 1);
-    for i in 0..h {
-        let wv = splat(w_vals[i]);
-        let wq = splat(w_quots[i]);
-        for a in batch.iter_mut() {
-            inverse_block(qv, two_q, wv, wq, &mut a[2 * i * t..2 * (i + 1) * t]);
-        }
-    }
+zmm_stage_entry_points! {
+    forward_stage, forward_stage_many: true;
+    inverse_stage, inverse_stage_many: false;
 }
 
 #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
@@ -390,429 +266,11 @@ pub(super) unsafe fn inverse_last_stage(
     psi_n_inv: ShoupMul,
     a: &mut [u64],
 ) {
-    let half = a.len() / 2;
-    if !half.is_multiple_of(W) {
-        return avx2::inverse_last_stage(q, n_inv, psi_n_inv, a);
-    }
-    let qv = splat(q.value());
-    let two_q = splat(q.value() << 1);
-    let niv = splat(n_inv.value);
-    let niq = splat(n_inv.quotient);
-    let piv = splat(psi_n_inv.value);
-    let piq = splat(psi_n_inv.quotient);
-    let (lo, hi) = a.split_at_mut(half);
-    for (x8, y8) in lo.chunks_exact_mut(W).zip(hi.chunks_exact_mut(W)) {
-        let u = load(x8);
-        let v = load(y8);
-        let s = _mm512_add_epi64(u, v);
-        let d = _mm512_sub_epi64(_mm512_add_epi64(u, two_q), v);
-        store(x8, csub(mul_shoup_lazy(s, niv, niq, qv), qv));
-        store(y8, csub(mul_shoup_lazy(d, piv, piq, qv), qv));
+    if (a.len() / 2).is_multiple_of(Zmm::W) {
+        lanes::inverse_last_stage::<Zmm>(q, n_inv, psi_n_inv, a)
+    } else {
+        lanes::inverse_last_stage::<Ymm>(q, n_inv, psi_n_inv, a)
     }
 }
 
-#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-pub(super) unsafe fn reduce_4q(q: &Modulus, a: &mut [u64]) {
-    let qv = splat(q.value());
-    let two_q = splat(q.value() << 1);
-    let mut chunks = a.chunks_exact_mut(W);
-    for x8 in chunks.by_ref() {
-        store(x8, csub(csub(load(x8), two_q), qv));
-    }
-    for x in chunks.into_remainder() {
-        *x = q.reduce_4q(*x);
-    }
-}
-
-#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-pub(super) unsafe fn dyadic_mul_shoup(
-    q: &Modulus,
-    out: &mut [u64],
-    a: &[u64],
-    vals: &[u64],
-    quots: &[u64],
-) {
-    let qv = splat(q.value());
-    let n8 = out.len() - out.len() % W;
-    for j in (0..n8).step_by(W) {
-        let r = mul_shoup_lazy(load(&a[j..]), load(&vals[j..]), load(&quots[j..]), qv);
-        store(&mut out[j..], csub(r, qv));
-    }
-    for j in n8..out.len() {
-        let w = ShoupMul {
-            value: vals[j],
-            quotient: quots[j],
-        };
-        out[j] = q.mul_shoup(a[j], w);
-    }
-}
-
-#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-pub(super) unsafe fn dyadic_mul_acc_shoup(
-    q: &Modulus,
-    acc: &mut [u64],
-    a: &[u64],
-    vals: &[u64],
-    quots: &[u64],
-) {
-    let qv = splat(q.value());
-    let two_q = splat(q.value() << 1);
-    let n8 = acc.len() - acc.len() % W;
-    for j in (0..n8).step_by(W) {
-        let r = mul_shoup_lazy(load(&a[j..]), load(&vals[j..]), load(&quots[j..]), qv);
-        let s = _mm512_add_epi64(load(&acc[j..]), r);
-        store(&mut acc[j..], csub(s, two_q));
-    }
-    for j in n8..acc.len() {
-        let w = ShoupMul {
-            value: vals[j],
-            quotient: quots[j],
-        };
-        acc[j] = q.add_lazy(acc[j], q.mul_shoup_lazy(a[j], w));
-    }
-}
-
-#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-pub(super) unsafe fn mul_shoup_bcast(q: &Modulus, out: &mut [u64], a: &[u64], w: ShoupMul) {
-    let qv = splat(q.value());
-    let wv = splat(w.value);
-    let wq = splat(w.quotient);
-    let n8 = out.len() - out.len() % W;
-    for j in (0..n8).step_by(W) {
-        let r = mul_shoup_lazy(load(&a[j..]), wv, wq, qv);
-        store(&mut out[j..], csub(r, qv));
-    }
-    for j in n8..out.len() {
-        out[j] = q.mul_shoup(a[j], w);
-    }
-}
-
-#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-pub(super) unsafe fn mul_shoup_lazy_acc_wide(
-    q: &Modulus,
-    lo: &mut [u64],
-    hi: &mut [u64],
-    a: &[u64],
-    w: ShoupMul,
-) {
-    let qv = splat(q.value());
-    let wv = splat(w.value);
-    let wq = splat(w.quotient);
-    let one = splat(1);
-    let n8 = lo.len() - lo.len() % W;
-    for j in (0..n8).step_by(W) {
-        let t = mul_shoup_lazy(load(&a[j..]), wv, wq, qv);
-        let s = _mm512_add_epi64(load(&lo[j..]), t);
-        let carry = _mm512_cmplt_epu64_mask(s, t); // s < t ⟺ the add wrapped
-        store(&mut lo[j..], s);
-        let h = load(&hi[j..]);
-        store(&mut hi[j..], _mm512_mask_add_epi64(h, carry, h, one));
-    }
-    for j in n8..lo.len() {
-        let t = q.mul_shoup_lazy(a[j], w);
-        let (s, carry) = lo[j].overflowing_add(t);
-        lo[j] = s;
-        hi[j] += carry as u64;
-    }
-}
-
-#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-pub(super) unsafe fn fold_finish(
-    q: &Modulus,
-    out: &mut [u64],
-    lo: &[u64],
-    hi: &[u64],
-    v: &[u64],
-    q_mod: ShoupMul,
-) {
-    let (bhi, blo) = q.barrett_parts();
-    let qv = splat(q.value());
-    let two_q = splat(q.value() << 1);
-    let bh = splat(bhi);
-    let bl = splat(blo);
-    let one = splat(1);
-    let qmv = splat(q_mod.value);
-    let qmq = splat(q_mod.quotient);
-    let n8 = out.len() - out.len() % W;
-    for j in (0..n8).step_by(W) {
-        let r = barrett_reduce(load(&hi[j..]), load(&lo[j..]), bh, bl, qv, two_q, one);
-        let s = csub(mul_shoup_lazy(load(&v[j..]), qmv, qmq, qv), qv);
-        // Modular subtraction of two reduced values: add q back where r < s.
-        let d = _mm512_sub_epi64(r, s);
-        let lt = _mm512_cmplt_epu64_mask(r, s);
-        store(&mut out[j..], _mm512_mask_add_epi64(d, lt, d, qv));
-    }
-    for j in n8..out.len() {
-        let acc = ((hi[j] as u128) << 64) | lo[j] as u128;
-        out[j] = q.sub(q.reduce_u128(acc), q.mul_shoup(v[j], q_mod));
-    }
-}
-
-#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-pub(super) unsafe fn dyadic_mul(q: &Modulus, out: &mut [u64], a: &[u64], b: &[u64]) {
-    let (bhi, blo) = q.barrett_parts();
-    let qv = splat(q.value());
-    let two_q = splat(q.value() << 1);
-    let bh = splat(bhi);
-    let bl = splat(blo);
-    let one = splat(1);
-    let n8 = out.len() - out.len() % W;
-    for j in (0..n8).step_by(W) {
-        let (xh, xl) = mulfull_epu64(load(&a[j..]), load(&b[j..]));
-        store(
-            &mut out[j..],
-            barrett_reduce(xh, xl, bh, bl, qv, two_q, one),
-        );
-    }
-    for j in n8..out.len() {
-        out[j] = q.mul(a[j], b[j]);
-    }
-}
-
-/// Gather 8 u64 lanes from 32-bit indices via `vpgatherdq`.
-///
-/// Bounds are the caller's obligation: the safe wrapper in `mod.rs` asserts
-/// every index is `< src.len()` before any gather kernel runs. The hardware
-/// sign-extends the 32-bit offsets, so indices must also be `< 2^31` —
-/// implied by the bounds assert for any realistic table.
-#[inline]
-#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-unsafe fn gather8(src: &[u64], idx: &[u32]) -> __m512i {
-    debug_assert!(idx.len() >= W);
-    let vindex = _mm256_loadu_si256(idx.as_ptr().cast());
-    _mm512_i32gather_epi64::<8>(vindex, src.as_ptr().cast())
-}
-
-#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-pub(super) unsafe fn gather_u64(out: &mut [u64], src: &[u64], idx: &[u32]) {
-    let n8 = out.len() - out.len() % W;
-    for j in (0..n8).step_by(W) {
-        store(&mut out[j..], gather8(src, &idx[j..]));
-    }
-    for j in n8..out.len() {
-        out[j] = src[idx[j] as usize];
-    }
-}
-
-#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-pub(super) unsafe fn gather_add_lazy(q: &Modulus, acc: &mut [u64], src: &[u64], idx: &[u32]) {
-    let two_q = splat(q.value() << 1);
-    let n8 = acc.len() - acc.len() % W;
-    for j in (0..n8).step_by(W) {
-        let s = _mm512_add_epi64(load(&acc[j..]), gather8(src, &idx[j..]));
-        store(&mut acc[j..], csub(s, two_q));
-    }
-    for j in n8..acc.len() {
-        acc[j] = q.add_lazy(acc[j], src[idx[j] as usize]);
-    }
-}
-
-#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-#[allow(clippy::too_many_arguments)]
-pub(super) unsafe fn dyadic_mul_acc_shoup_gather2(
-    q: &Modulus,
-    acc0: &mut [u64],
-    acc1: &mut [u64],
-    src: &[u64],
-    idx: &[u32],
-    vals0: &[u64],
-    quots0: &[u64],
-    vals1: &[u64],
-    quots1: &[u64],
-) {
-    let qv = splat(q.value());
-    let two_q = splat(q.value() << 1);
-    let n8 = acc0.len() - acc0.len() % W;
-    for j in (0..n8).step_by(W) {
-        let t = gather8(src, &idx[j..]);
-        let r0 = mul_shoup_lazy(t, load(&vals0[j..]), load(&quots0[j..]), qv);
-        let s0 = _mm512_add_epi64(load(&acc0[j..]), r0);
-        store(&mut acc0[j..], csub(s0, two_q));
-        let r1 = mul_shoup_lazy(t, load(&vals1[j..]), load(&quots1[j..]), qv);
-        let s1 = _mm512_add_epi64(load(&acc1[j..]), r1);
-        store(&mut acc1[j..], csub(s1, two_q));
-    }
-    for j in n8..acc0.len() {
-        let t = src[idx[j] as usize];
-        let w0 = ShoupMul {
-            value: vals0[j],
-            quotient: quots0[j],
-        };
-        let w1 = ShoupMul {
-            value: vals1[j],
-            quotient: quots1[j],
-        };
-        acc0[j] = q.add_lazy(acc0[j], q.mul_shoup_lazy(t, w0));
-        acc1[j] = q.add_lazy(acc1[j], q.mul_shoup_lazy(t, w1));
-    }
-}
-
-/// One 8-lane block of a blocked Galois permutation: a contiguous zmm load
-/// of source block `bsrc[b]`, then an in-register `vpermq`
-/// (`_mm512_permutexvar_epi64`) steered by the packed byte pattern
-/// `bpat[b]` (byte `t` = intra-block source lane of output lane `t`). One
-/// load + one permute replaces eight gather lanes — no `vpgatherqq`
-/// latency, no index vector load.
-#[inline]
-#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-unsafe fn permute_block(src: &[u64], sb: u32, pat: u64) -> __m512i {
-    debug_assert!(sb as usize * 8 + 8 <= src.len());
-    let v = load(&src[sb as usize * 8..]);
-    let patv = _mm512_cvtepu8_epi64(_mm_cvtsi64_si128(pat as i64));
-    _mm512_permutexvar_epi64(patv, v)
-}
-
-#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-pub(super) unsafe fn permute8(out: &mut [u64], src: &[u64], bsrc: &[u32], bpat: &[u64]) {
-    for (b, (&sb, &pat)) in bsrc.iter().zip(bpat).enumerate() {
-        store(&mut out[b * 8..], permute_block(src, sb, pat));
-    }
-}
-
-#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-pub(super) unsafe fn permute8_add_lazy(
-    q: &Modulus,
-    acc: &mut [u64],
-    src: &[u64],
-    bsrc: &[u32],
-    bpat: &[u64],
-) {
-    let two_q = splat(q.value() << 1);
-    for (b, (&sb, &pat)) in bsrc.iter().zip(bpat).enumerate() {
-        let j = b * 8;
-        let s = _mm512_add_epi64(load(&acc[j..]), permute_block(src, sb, pat));
-        store(&mut acc[j..], csub(s, two_q));
-    }
-}
-
-#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-#[allow(clippy::too_many_arguments)]
-pub(super) unsafe fn permute8_mul_acc_shoup2(
-    q: &Modulus,
-    acc0: &mut [u64],
-    acc1: &mut [u64],
-    src: &[u64],
-    bsrc: &[u32],
-    bpat: &[u64],
-    vals0: &[u64],
-    quots0: &[u64],
-    vals1: &[u64],
-    quots1: &[u64],
-) {
-    let qv = splat(q.value());
-    let two_q = splat(q.value() << 1);
-    for (b, (&sb, &pat)) in bsrc.iter().zip(bpat).enumerate() {
-        let j = b * 8;
-        let t = permute_block(src, sb, pat);
-        let r0 = mul_shoup_lazy(t, load(&vals0[j..]), load(&quots0[j..]), qv);
-        let s0 = _mm512_add_epi64(load(&acc0[j..]), r0);
-        store(&mut acc0[j..], csub(s0, two_q));
-        let r1 = mul_shoup_lazy(t, load(&vals1[j..]), load(&quots1[j..]), qv);
-        let s1 = _mm512_add_epi64(load(&acc1[j..]), r1);
-        store(&mut acc1[j..], csub(s1, two_q));
-    }
-}
-
-#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-pub(super) unsafe fn round_term_acc_wide(lo: &mut [u64], hi: &mut [u64], d: &[u64], frac: u128) {
-    let fh = splat((frac >> 64) as u64);
-    let fl = splat(frac as u64);
-    let one = splat(1);
-    let n8 = lo.len() - lo.len() % W;
-    for j in (0..n8).step_by(W) {
-        let x = load(&d[j..]);
-        // (x·frac) >> 64 = x·frac_hi + mulhi(x, frac_lo), exact for x < q.
-        let term = _mm512_add_epi64(_mm512_mullo_epi64(x, fh), mulhi_epu64(x, fl));
-        let s = _mm512_add_epi64(load(&lo[j..]), term);
-        let carry = _mm512_cmplt_epu64_mask(s, term);
-        store(&mut lo[j..], s);
-        let h = load(&hi[j..]);
-        store(&mut hi[j..], _mm512_mask_add_epi64(h, carry, h, one));
-    }
-    let fh_s = (frac >> 64) as u64;
-    let fl_s = frac as u64;
-    for j in n8..lo.len() {
-        let term = d[j]
-            .wrapping_mul(fh_s)
-            .wrapping_add(((d[j] as u128 * fl_s as u128) >> 64) as u64);
-        let (s, carry) = lo[j].overflowing_add(term);
-        lo[j] = s;
-        hi[j] += carry as u64;
-    }
-}
-
-#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-pub(super) unsafe fn channel_finish(
-    q: &Modulus,
-    out: &mut [u64],
-    lo: &[u64],
-    hi: &[u64],
-    y: &[u64],
-    q_inv: ShoupMul,
-) {
-    let (bhi, blo) = q.barrett_parts();
-    let qv = splat(q.value());
-    let two_q = splat(q.value() << 1);
-    let bh = splat(bhi);
-    let bl = splat(blo);
-    let one = splat(1);
-    let qiv = splat(q_inv.value);
-    let qiq = splat(q_inv.quotient);
-    let zero = _mm512_setzero_si512();
-    let n8 = out.len() - out.len() % W;
-    for j in (0..n8).step_by(W) {
-        let r = barrett_reduce(load(&hi[j..]), load(&lo[j..]), bh, bl, qv, two_q, one);
-        let s = barrett_reduce(zero, load(&y[j..]), bh, bl, qv, two_q, one);
-        let d = _mm512_sub_epi64(r, s);
-        let lt = _mm512_cmplt_epu64_mask(r, s);
-        let d = _mm512_mask_add_epi64(d, lt, d, qv);
-        store(&mut out[j..], csub(mul_shoup_lazy(d, qiv, qiq, qv), qv));
-    }
-    for j in n8..out.len() {
-        let acc = ((hi[j] as u128) << 64) | lo[j] as u128;
-        out[j] = q.mul_shoup(q.sub(q.reduce_u128(acc), q.reduce(y[j])), q_inv);
-    }
-}
-
-#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-pub(super) unsafe fn garner_step(q: &Modulus, v: &mut [u64], t: &[u64], inv: ShoupMul) {
-    let qv = splat(q.value());
-    let iv = splat(inv.value);
-    let iq = splat(inv.quotient);
-    let n8 = v.len() - v.len() % W;
-    for j in (0..n8).step_by(W) {
-        let a = csub(mul_shoup_lazy(load(&v[j..]), iv, iq, qv), qv);
-        let b = csub(mul_shoup_lazy(load(&t[j..]), iv, iq, qv), qv);
-        let d = _mm512_sub_epi64(a, b);
-        let lt = _mm512_cmplt_epu64_mask(a, b);
-        store(&mut v[j..], _mm512_mask_add_epi64(d, lt, d, qv));
-    }
-    for j in n8..v.len() {
-        v[j] = q.sub(q.mul_shoup(v[j], inv), q.mul_shoup(t[j], inv));
-    }
-}
-
-#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-pub(super) unsafe fn dyadic_mul_acc(q: &Modulus, acc: &mut [u64], a: &[u64], b: &[u64]) {
-    let (bhi, blo) = q.barrett_parts();
-    let qv = splat(q.value());
-    let two_q = splat(q.value() << 1);
-    let bh = splat(bhi);
-    let bl = splat(blo);
-    let one = splat(1);
-    let n8 = acc.len() - acc.len() % W;
-    for j in (0..n8).step_by(W) {
-        let (mut xh, xl) = mulfull_epu64(load(&a[j..]), load(&b[j..]));
-        let c = load(&acc[j..]);
-        let xl = _mm512_add_epi64(xl, c);
-        let carry = _mm512_cmplt_epu64_mask(xl, c);
-        xh = _mm512_mask_add_epi64(xh, carry, xh, one);
-        store(
-            &mut acc[j..],
-            barrett_reduce(xh, xl, bh, bl, qv, two_q, one),
-        );
-    }
-    for j in n8..acc.len() {
-        acc[j] = q.mul_add(a[j], b[j], acc[j]);
-    }
-}
+pointwise_entry_points!(Zmm, target_feature(enable = "avx512f,avx512dq,avx512vl"));

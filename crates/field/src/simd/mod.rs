@@ -1,89 +1,82 @@
-//! Four-lane SIMD kernels for the Shoup/lazy hot loops, behind runtime
-//! backend dispatch.
+//! Lane kernels for the Shoup/lazy hot loops, behind runtime backend
+//! dispatch — each kernel written once over a small per-ISA primitive set.
 //!
-//! # Lane width and backends
+//! # Shape
 //!
-//! Every kernel in this module processes [`LANES`] = 4 residues per block.
-//! Three implementations share one code shape (block loop over
-//! `chunks_exact(LANES)` plus a scalar tail for pointwise kernels):
-//!
-//! * [`SimdBackend::Avx512`] — x86_64 with AVX512F+DQ+VL: 8 lanes per
-//!   iteration (odd 4-lane remainders delegate to the AVX2 kernels),
-//!   native `vpmullq` 64-bit low multiplies, and mask-register compares
-//!   for the conditional subtractions. Preferred over AVX2 when detected.
-//! * [`SimdBackend::Avx2`] — x86_64 with AVX2. There is no 64×64→128
-//!   multiply in AVX2, so the high and low halves of every product are
-//!   emulated from four `vpmuludq` (32×32→64) cross products; see
-//!   `avx2::mulhi_epu64` for the exactness argument.
-//! * [`SimdBackend::Neon`] — aarch64. Same cross-product emulation built
-//!   from `umull` (`vmull_u32`) over narrowed 32-bit halves, two
-//!   `uint64x2_t` registers per 4-lane block.
-//! * [`SimdBackend::Portable`] — a 4-lane scalar-unrolled fallback with the
-//!   identical blocking shape, compiled on every platform. This is the
-//!   default wherever no vector unit is detected, so all targets exercise
-//!   the same dispatch structure and block layout.
+//! * `lanes.rs` defines the `Lanes` trait — one register of `W` u64 lanes
+//!   with wrapping arithmetic — and **every kernel exactly once** as an
+//!   `#[inline(always)]` generic function over it: `mul_shoup_lazy`, the
+//!   lane Barrett reduction, the forward/inverse butterfly, and on top of
+//!   those all the public kernels of this module.
+//! * One file per ISA supplies the primitives and nothing else: `W`,
+//!   `splat`, `load`, `store`, `add`, `sub`, `mullo`, `mulhi`, `csub`
+//!   (conditional subtract), `lt` (unsigned compare to a lane mask),
+//!   `inc_if`/`add_if` (`+1`/`+x` on a lane mask) and `permute_block` (`W`
+//!   lanes of a blocked permutation); `mulfull` and the carry-out add are
+//!   derived, and overridable where an ISA computes both product halves
+//!   from shared partial products.
+//!   - `avx512.rs` — `Zmm`, 8 lanes (AVX512F+DQ+VL): native `vpmullq` low
+//!     multiplies, mask-register compares, `vpermq` block permutes, plus
+//!     the one ISA-specific hook: permute-based butterfly stages for
+//!     strides below a register (see [`forward_stage`]).
+//!   - `avx2.rs` — `Ymm`, 4 lanes: no 64×64 multiply exists, so high and
+//!     low product halves are emulated from four `vpmuludq` (32×32→64)
+//!     cross products.
+//!   - `neon.rs` — 4 lanes as two `uint64x2_t`: the same cross-product
+//!     emulation from `umull` over narrowed 32-bit halves.
+//!   - `portable.rs` — `u64` itself, `W = 1`. This *is* the
+//!     [`SimdBackend::Portable`] backend (the default wherever no vector
+//!     unit is detected) and also the tail of every vector kernel: a
+//!     pointwise entry point runs the kernel at the ISA's lanes over the
+//!     whole registers and the same kernel at `u64` lanes over the rest.
+//! * Macro-generated `#[target_feature]` entry points instantiate the
+//!   generic kernels per ISA; the `dispatch!` macro here enters them after
+//!   checking detection. The primitives are `#[inline(always)]` and carry
+//!   no target feature themselves — they fold into the entry point (the
+//!   `memchr` `Vector` idiom).
 //!
 //! [`SimdBackend::Scalar`] is a sentinel for the canonical scalar path in
 //! `pi-poly`'s NTT engine (the differential-test oracle); when it is
 //! selected, callers run their original element-at-a-time loops and the
 //! kernels here are never entered.
 //!
-//! All four paths compute the *identical* sequence of wrapping u64
-//! operations, so results agree with the scalar engine **bit for bit**,
-//! including unreduced lazy-domain representatives — which is what the
-//! `ntt_simd_differential` umbrella suite asserts.
+//! Every backend computes the *identical* sequence of wrapping u64
+//! operations — by construction, since the sequence is written once — so
+//! results agree with the scalar engine **bit for bit**, including
+//! unreduced lazy-domain representatives; the `ntt_simd_differential`
+//! umbrella suite asserts it, and the primitive-level test in this module
+//! checks each `Lanes` impl against `u64`/`u128` arithmetic by name.
 //!
-//! # The experimental IFMA backend and its value-level contract
+//! # Safety
 //!
-//! [`SimdBackend::Ifma`] is the one exception to the bit-for-bit rule. It
-//! is **opt-in only** (`PI_SIMD=ifma`; automatic detection never selects
-//! it, and requesting it without AVX512-IFMA hardware panics loudly). When
-//! `q < 2^50` its dyadic Shoup kernels use 52-bit limbs via
-//! `vpmadd52luq`/`vpmadd52huq`, whose quotient estimate can differ by one
-//! from the 64-bit path — so an unreduced lazy representative may differ
-//! by exactly `q` (both candidates lie in `[0, 2q)` and are congruent
-//! mod `q`). Every strictly reduced output is still the unique value in
-//! `[0, q)`, so the `ifma_differential` suite asserts **value-level**
-//! equality (decrypt equality, strict-output equality, noise within one
-//! bit of the scalar oracle) instead of lazy-representative equality.
-//! Kernels whose operands are not range-bounded by `q` (raw residues,
-//! 128-bit accumulators, gathers, butterfly schedules) delegate to the
-//! AVX-512 backend unchanged.
+//! All `unsafe` lives in this module tree. The safe wrappers below are the
+//! whole safety argument: each asserts its slice geometry (equal operand
+//! lengths; for stages the stride/length relation; for the blocked
+//! permutes that every source block lies inside `src` and every pattern
+//! byte is `< 8`) and `dispatch!` verifies the CPU feature, before any
+//! generic kernel runs its unchecked register loads and stores.
 //!
-//! # Gather/permute lane contracts
+//! One rule for ISA files: an `asm!` operand of class `ymm_reg`/`zmm_reg`
+//! is accepted only inside a function that itself carries the target
+//! feature, and `#[inline(always)]` cannot be combined with
+//! `#[target_feature]`. So the opaque-`vpmuludq` guard (which stops LLVM
+//! from scalarizing the high-half emulation, see `avx2::mul_epu32_opaque`)
+//! is an `#[inline] #[target_feature]` helper *called from* the trait
+//! method, exactly as the intrinsics themselves are.
 //!
-//! The gather kernels ([`gather_u64`], [`gather_add_lazy`],
-//! [`dyadic_mul_acc_shoup_gather2`]) read `src[idx[j]]` for every output
-//! lane `j`:
+//! # Blocked permutes
 //!
-//! * **Bounds** are asserted once up front by the safe wrappers here
-//!   (`idx[j] < src.len()` for all `j`) — the backend kernels themselves
-//!   perform *unchecked* hardware gathers (`vpgatherdq` on x86_64), so the
-//!   wrapper assert is the entire safety argument. Indices are 32-bit and
-//!   sign-extended by the hardware, so tables are limited to `2^31`
-//!   elements (far above any ring dimension here).
-//! * **Aliasing**: `src` must not overlap the destination/accumulator
-//!   slices (enforced by Rust borrows at the wrapper signatures).
-//! * NEON has no arbitrary-stride gather (`tbl` only permutes in-register
-//!   bytes), so its gather kernels do scalar indexed loads feeding lane
-//!   arithmetic — still bit-for-bit identical, since data movement has no
-//!   arithmetic to diverge.
-//!
-//! The **blocked-permute** kernels ([`permute8`], [`permute8_add_lazy`],
-//! [`permute8_mul_acc_shoup2`]) are the fast path for the same data
-//! movement when the index table has the aligned-8-block structure that
-//! every Galois automorphism has in the bit-reversed slot order: each
-//! aligned 8-lane output block reads a permutation of exactly one aligned
-//! 8-lane source block, `out[8b+t] = src[8·bsrc[b] + pat_b(t)]`. Measured
-//! on this workload, hardware gathers (`vpgatherdq`) *lose* to scalar
-//! copies when no arithmetic amortizes their latency; the blocked form
-//! replaces eight gather lanes with one contiguous zmm load + one
-//! `vpermq` (`_mm512_permutexvar_epi64`) steered by the packed pattern
-//! byte `pat_b(t) = (bpat[b] >> 8t) & 7`. Backends without a cross-lane
-//! 64-bit runtime permute (AVX2, NEON, portable) shuffle block-locally out
-//! of a single cache line and keep the lane arithmetic vectorized. Safety
-//! is again entirely in the wrapper asserts: `8·bsrc[b] + 8 ≤ src.len()`
-//! and every pattern byte `< 8`. Same bit-for-bit contract as the gathers.
+//! [`permute8`], [`permute8_add_lazy`] and [`permute8_mul_acc_shoup2`]
+//! move data by the aligned-8-block structure that every Galois
+//! automorphism has in the bit-reversed slot order: each aligned 8-lane
+//! output block reads a permutation of exactly one aligned 8-lane source
+//! block, `out[8b+t] = src[8·bsrc[b] + pat_b(t)]` with
+//! `pat_b(t) = (bpat[b] >> 8t) & 7`. AVX-512 does one contiguous zmm load
+//! and one `vpermq` per block; the other ISAs pick lanes out of the block's
+//! single cache line and keep the lane arithmetic vectorized. `src` must
+//! not overlap the destination (enforced by the borrows at the wrapper
+//! signatures). Rings with `n < 8` have no blocked table; their callers in
+//! `pi-poly` run the scalar index loop.
 //!
 //! # Lazy-range invariants per kernel
 //!
@@ -100,9 +93,9 @@
 //! | [`dyadic_mul_acc_shoup`]  | acc `[0, 2q)`, `a` any    | `[0, 2q)`  |
 //! | [`dyadic_mul`]            | both `[0, q)`             | `[0, q)`   |
 //! | [`dyadic_mul_acc`]        | all `[0, q)`              | `[0, q)`   |
-//! | [`gather_u64`]            | any u64                   | unchanged  |
-//! | [`gather_add_lazy`]       | acc, src `[0, 2q)`        | `[0, 2q)`  |
-//! | [`dyadic_mul_acc_shoup_gather2`] | acc `[0, 2q)`, src any | `[0, 2q)` |
+//! | [`permute8`]              | any u64                   | unchanged  |
+//! | [`permute8_add_lazy`]     | acc, src `[0, 2q)`        | `[0, 2q)`  |
+//! | [`permute8_mul_acc_shoup2`] | acc `[0, 2q)`, src any  | `[0, 2q)`  |
 //! | [`round_term_acc_wide`]   | digits `[0, q_src)`       | 128-bit    |
 //! | [`channel_finish`]        | `(hi, lo)` 128-bit, y any | `[0, q)`   |
 //! | [`garner_step`]           | v `[0, q)`, t `[0, q)`    | `[0, q)`   |
@@ -121,42 +114,44 @@
 //! 1. a programmatic override installed with [`force_backend`] (used by the
 //!    differential tests to pin both sides of a comparison);
 //! 2. the `PI_SIMD` environment variable: `scalar`/`off`/`0` select the
-//!    scalar oracle, `portable` the 4-lane fallback, `avx2`/`avx512`/
-//!    `neon`/`ifma` demand that specific vector unit (**panicking** if it
-//!    is not compiled in or not detected — a forced-SIMD CI run fails
-//!    loudly instead of silently degrading), and `auto`/`on`/`1` the
-//!    automatic choice;
+//!    scalar oracle, `portable` the `u64`-lane backend, `avx2`/`avx512`/
+//!    `neon` demand that specific vector unit (**panicking** if it is not
+//!    compiled in or not detected — a forced-SIMD CI run fails loudly
+//!    instead of silently degrading), `auto`/`on`/`1` the automatic
+//!    choice, and anything else panics;
 //! 3. automatic detection: AVX-512 (F+DQ+VL), then AVX2, via
 //!    `is_x86_feature_detected!` on x86_64; NEON unconditionally on
-//!    aarch64 (baseline feature); otherwise the portable fallback. The
-//!    IFMA backend is never auto-selected — it trades the bit-for-bit
-//!    contract for speed, so it must be asked for by name.
+//!    aarch64 (baseline feature); otherwise the portable backend.
 //!
 //! Compiling with `--no-default-features` (disabling the `simd` cargo
-//! feature) removes the intrinsics backends entirely; resolution then picks
-//! the portable fallback, which is how the non-AVX2 code path is built and
+//! feature) removes the intrinsics impls entirely; resolution then picks
+//! the portable backend, which is how the non-AVX2 code path is built and
 //! tested on every CI run.
 //!
-//! Stage granularity: `pi-poly` routes a butterfly stage here only when the
-//! stride `t` is at least [`LANES`]; the `log2(LANES)` stages with smaller
-//! strides (twiddles change faster than a vector register fills) always run
-//! the canonical scalar butterflies, as do full transforms under the
-//! `Scalar` backend.
+//! Stage granularity: whatever the register width, a butterfly stage is
+//! routed here only when its stride `t` is at least [`LANES`] = 4 (AVX-512
+//! also takes the smaller strides through its permute hook); the remaining
+//! `log2(LANES)` stages always run the canonical scalar butterflies in
+//! `pi-poly`, as do full transforms under the `Scalar` backend.
 
 use crate::modulus::{Modulus, ShoupMul};
 use std::sync::atomic::{AtomicU8, Ordering};
+
+// First, and `#[macro_use]`: the ISA modules below invoke its entry-point
+// macros.
+#[macro_use]
+mod lanes;
 
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 mod avx2;
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 mod avx512;
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-mod ifma;
 #[cfg(all(feature = "simd", target_arch = "aarch64"))]
 mod neon;
 mod portable;
 
-/// Number of lanes processed per vector block.
+/// The stride contract every backend shares, whatever its register width:
+/// butterfly strides routed here are positive multiples of `LANES`.
 pub const LANES: usize = 4;
 
 /// The selected kernel implementation (see the module docs for the
@@ -167,7 +162,8 @@ pub enum SimdBackend {
     /// The canonical scalar path in the callers — the differential oracle.
     /// Kernels in this module are never entered under this backend.
     Scalar = 1,
-    /// The 4-lane scalar-unrolled fallback (compiled on every platform).
+    /// The generic kernels at scalar `u64` lanes (compiled on every
+    /// platform).
     Portable = 2,
     /// AVX2 `vpmuludq` high-half emulation on x86_64.
     Avx2 = 3,
@@ -176,12 +172,6 @@ pub enum SimdBackend {
     /// AVX-512 (F+DQ+VL): 8 lanes, native `vpmullq` low multiplies, mask
     /// compares. Preferred over AVX2 when detected.
     Avx512 = 5,
-    /// Experimental AVX512-IFMA backend: 52-bit-limb Shoup multiplies via
-    /// `vpmadd52*` for the dyadic kernels when `q < 2^50`, AVX-512
-    /// delegation otherwise. Opt-in only (`PI_SIMD=ifma`); **not**
-    /// bit-for-bit on unreduced lazy representatives — see the module docs
-    /// for its value-level contract.
-    Ifma = 6,
 }
 
 impl SimdBackend {
@@ -193,7 +183,6 @@ impl SimdBackend {
             SimdBackend::Avx2 => "avx2",
             SimdBackend::Neon => "neon",
             SimdBackend::Avx512 => "avx512",
-            SimdBackend::Ifma => "ifma",
         }
     }
 
@@ -230,17 +219,6 @@ impl SimdBackend {
                     false
                 }
             }
-            SimdBackend::Ifma => {
-                #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-                {
-                    SimdBackend::Avx512.available()
-                        && std::arch::is_x86_feature_detected!("avx512ifma")
-                }
-                #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-                {
-                    false
-                }
-            }
         }
     }
 
@@ -251,7 +229,6 @@ impl SimdBackend {
             3 => SimdBackend::Avx2,
             4 => SimdBackend::Neon,
             5 => SimdBackend::Avx512,
-            6 => SimdBackend::Ifma,
             _ => unreachable!("invalid backend encoding"),
         }
     }
@@ -346,18 +323,9 @@ fn resolve() -> SimdBackend {
                 );
                 SimdBackend::Neon
             }
-            "ifma" => {
-                assert!(
-                    SimdBackend::Ifma.available(),
-                    "PI_SIMD=ifma requested but AVX512-IFMA is unavailable \
-                     (not an x86_64 build with the `simd` feature, or the CPU \
-                     lacks avx512ifma on top of F+DQ+VL)"
-                );
-                SimdBackend::Ifma
-            }
             other => panic!(
                 "unknown PI_SIMD value {other:?} \
-                 (expected scalar|portable|avx2|avx512|neon|ifma|auto)"
+                 (expected scalar|portable|avx2|avx512|neon|auto)"
             ),
         },
     }
@@ -370,12 +338,6 @@ fn resolve() -> SimdBackend {
 macro_rules! dispatch {
     ($be:expr, $name:ident($($arg:expr),* $(,)?)) => {{
         match $be {
-            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-            SimdBackend::Ifma if SimdBackend::Ifma.available() => {
-                // SAFETY: AVX512F/DQ/VL + IFMA support was just verified.
-                #[allow(unsafe_code)]
-                unsafe { ifma::$name($($arg),*) }
-            }
             #[cfg(all(feature = "simd", target_arch = "x86_64"))]
             SimdBackend::Avx512 if SimdBackend::Avx512.available() => {
                 // SAFETY: AVX512F/DQ/VL support was just verified on this CPU.
@@ -394,7 +356,12 @@ macro_rules! dispatch {
                 #[allow(unsafe_code)]
                 unsafe { neon::$name($($arg),*) }
             }
-            _ => portable::$name($($arg),*),
+            _ => {
+                // SAFETY: the `u64` lanes use no ISA extension, and every
+                // caller of this macro has asserted the slice geometry.
+                #[allow(unsafe_code)]
+                unsafe { portable::$name($($arg),*) }
+            }
         }
     }};
 }
@@ -406,7 +373,7 @@ macro_rules! dispatch {
 /// # Panics
 ///
 /// Panics if `a.len() != 2·m·t`, the twiddle slices are shorter than `m`,
-/// or the stride is unsupported: the 4-lane backends require `t` to be a
+/// or the stride is unsupported: every backend requires `t` to be a
 /// positive multiple of [`LANES`], while `Avx512` additionally accepts any
 /// `t` when `a.len()` is a multiple of 16 (the permute-based small-stride
 /// path).
@@ -606,79 +573,6 @@ pub fn fold_finish(
     dispatch!(be, fold_finish(q, out, lo, hi, v, q_mod))
 }
 
-/// Bounds check shared by every gather wrapper: this assert is the entire
-/// safety argument for the unchecked hardware gathers in the backends.
-#[inline]
-fn assert_gather_idx(idx: &[u32], src_len: usize) {
-    assert!(
-        idx.iter().all(|&i| (i as usize) < src_len),
-        "gather index out of bounds (src len {src_len})"
-    );
-}
-
-/// Gather `out[j] = src[idx[j]]` — the lane form of `GaloisPerm::apply`
-/// (pure data movement, bit-for-bit on every backend, lazy inputs
-/// included).
-///
-/// # Panics
-///
-/// Panics on length mismatch or any out-of-bounds index.
-pub fn gather_u64(be: SimdBackend, out: &mut [u64], src: &[u64], idx: &[u32]) {
-    assert_eq!(out.len(), idx.len());
-    assert_gather_idx(idx, src.len());
-    dispatch!(be, gather_u64(out, src, idx))
-}
-
-/// Fused gather + lazy add over the `[0, 2q)` domain:
-/// `acc[j] ← add_lazy(acc[j], src[idx[j]])` — one pass over memory instead
-/// of gather-then-add.
-///
-/// # Panics
-///
-/// Panics on length mismatch or any out-of-bounds index.
-pub fn gather_add_lazy(be: SimdBackend, q: &Modulus, acc: &mut [u64], src: &[u64], idx: &[u32]) {
-    assert_eq!(acc.len(), idx.len());
-    assert_gather_idx(idx, src.len());
-    dispatch!(be, gather_add_lazy(q, acc, src, idx))
-}
-
-/// The fused key-switch inner loop: gather `t = src[idx[j]]` once, then
-/// `acc0[j] ← add_lazy(acc0[j], mul_shoup_lazy(t, w0[j]))` and the same
-/// for `acc1`/`w1` — the permuted digit feeds both halves of the switching
-/// key in one pass over memory (no materialized permuted buffer).
-///
-/// # Panics
-///
-/// Panics on length mismatch or any out-of-bounds index.
-#[allow(clippy::too_many_arguments)]
-pub fn dyadic_mul_acc_shoup_gather2(
-    be: SimdBackend,
-    q: &Modulus,
-    acc0: &mut [u64],
-    acc1: &mut [u64],
-    src: &[u64],
-    idx: &[u32],
-    vals0: &[u64],
-    quots0: &[u64],
-    vals1: &[u64],
-    quots1: &[u64],
-) {
-    let n = acc0.len();
-    assert!(
-        acc1.len() == n
-            && idx.len() == n
-            && vals0.len() == n
-            && quots0.len() == n
-            && vals1.len() == n
-            && quots1.len() == n
-    );
-    assert_gather_idx(idx, src.len());
-    dispatch!(
-        be,
-        dyadic_mul_acc_shoup_gather2(q, acc0, acc1, src, idx, vals0, quots0, vals1, quots1)
-    )
-}
-
 /// Bounds check shared by the blocked-permute wrappers — the entire safety
 /// argument for the unchecked loads and `vpermq` steering in the backends:
 /// every source block must lie inside `src` and every packed pattern byte
@@ -699,11 +593,10 @@ fn assert_permute8_args(out_len: usize, src_len: usize, bsrc: &[u32], bpat: &[u6
 }
 
 /// Blocked in-register permutation: `out[8b+t] = src[8·bsrc[b] + pat_b(t)]`
-/// where `pat_b(t)` is byte `t` of `bpat[b]`. This is `gather_u64` for the
-/// aligned-8-block index structure every power-of-two Galois automorphism
-/// has in the bit-reversed slot order: on AVX-512 each block is one zmm
-/// load + one `vpermq` + one store (no hardware gather); the other
-/// backends move block-locally out of a single cache line. Pure data
+/// where `pat_b(t)` is byte `t` of `bpat[b]` — the index structure every
+/// power-of-two Galois automorphism has in the bit-reversed slot order. On
+/// AVX-512 each block is one zmm load + one `vpermq` + one store; the
+/// other backends move block-locally out of a single cache line. Pure data
 /// movement — bit-for-bit on every backend, lazy inputs included.
 ///
 /// # Panics
@@ -715,7 +608,7 @@ pub fn permute8(be: SimdBackend, out: &mut [u64], src: &[u64], bsrc: &[u32], bpa
     dispatch!(be, permute8(out, src, bsrc, bpat))
 }
 
-/// Blocked-permute form of [`gather_add_lazy`]:
+/// Fused blocked permute + lazy add over the `[0, 2q)` domain:
 /// `acc[8b+t] ← add_lazy(acc[8b+t], src[8·bsrc[b] + pat_b(t)])`.
 ///
 /// # Panics
@@ -733,9 +626,11 @@ pub fn permute8_add_lazy(
     dispatch!(be, permute8_add_lazy(q, acc, src, bsrc, bpat))
 }
 
-/// Blocked-permute form of [`dyadic_mul_acc_shoup_gather2`]: the permuted
-/// lane feeds both lazy Shoup accumulations in one pass, with the gather
-/// replaced by the load + `vpermq` block schedule of [`permute8`].
+/// The fused key-switch inner loop: permute `t = src[8·bsrc[b] + pat_b(·)]`
+/// once with the block schedule of [`permute8`], then
+/// `acc0 ← add_lazy(acc0, mul_shoup_lazy(t, w0))` and the same for
+/// `acc1`/`w1` — the permuted digit feeds both halves of the switching key
+/// in one pass over memory (no materialized permuted buffer).
 ///
 /// # Panics
 ///
@@ -854,10 +749,7 @@ fn assert_stage_geometry(
     t: usize,
 ) {
     let lane_ok = t >= LANES && t.is_multiple_of(LANES);
-    // Ifma delegates its butterfly stages to the AVX-512 kernels, so it
-    // inherits the permute-based small-stride path too.
-    let small_ok =
-        matches!(be, SimdBackend::Avx512 | SimdBackend::Ifma) && a.len().is_multiple_of(16);
+    let small_ok = be == SimdBackend::Avx512 && a.len().is_multiple_of(16);
     assert!(
         t >= 1 && (lane_ok || small_ok),
         "stage stride {t} not supported by backend {}",
@@ -872,6 +764,7 @@ fn assert_stage_geometry(
 
 #[cfg(test)]
 mod tests {
+    use super::lanes::Lanes;
     use super::*;
     use crate::find_ntt_prime;
     use proptest::prelude::*;
@@ -1102,72 +995,139 @@ mod tests {
         }
     }
 
+    /// Calls `$f::<V>(…)` with `V` the `Lanes` impl behind backend `$be`.
+    macro_rules! with_lanes_of {
+        ($be:expr, $f:ident($($arg:expr),*)) => {
+            match $be {
+                SimdBackend::Portable => $f::<u64>($($arg),*),
+                #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+                SimdBackend::Avx2 => $f::<avx2::Ymm>($($arg),*),
+                #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+                SimdBackend::Avx512 => $f::<avx512::Zmm>($($arg),*),
+                #[cfg(all(feature = "simd", target_arch = "aarch64"))]
+                SimdBackend::Neon => $f::<neon::Neon>($($arg),*),
+                other => unreachable!("backend {} has no Lanes impl here", other.name()),
+            }
+        };
+    }
+
+    /// Every arithmetic primitive of `V` on the lane-wise pairs
+    /// `(a[i], b[i])` against `u64`/`u128` arithmetic; the error names the
+    /// primitive. `V` must belong to a backend in [`runnable_backends`].
+    #[allow(unsafe_code)]
+    fn check_arith_primitives<V: Lanes>(a: &[u64], b: &[u64]) -> Result<(), String> {
+        assert!(a.len() == b.len() && a.len().is_multiple_of(V::W));
+        let mut got = vec![0u64; V::W];
+        for (x, y) in a.chunks_exact(V::W).zip(b.chunks_exact(V::W)) {
+            // SAFETY: the caller picked `V` from an available backend, and
+            // every slice handed to load/store holds exactly `W` words.
+            unsafe {
+                let (va, vb, zero) = (V::load(x), V::load(y), V::splat(0));
+                let lt = va.lt(vb);
+                let (sum, carry) = va.add_carry(vb);
+                let (hi, lo) = va.mulfull(vb);
+                let wide = |a: u64, b: u64| a as u128 * b as u128;
+                type Oracle<'a> = &'a dyn Fn(u64, u64) -> u64;
+                let cases: [(&str, V, Oracle); 14] = [
+                    ("load", va, &|a, _| a),
+                    ("splat", V::splat(x[0]), &|_, _| x[0]),
+                    ("add", va.add(vb), &|a, b| a.wrapping_add(b)),
+                    ("sub", va.sub(vb), &|a, b| a.wrapping_sub(b)),
+                    ("mullo", va.mullo(vb), &|a, b| a.wrapping_mul(b)),
+                    ("mulhi", va.mulhi(vb), &|a, b| (wide(a, b) >> 64) as u64),
+                    ("mulfull.hi", hi, &|a, b| (wide(a, b) >> 64) as u64),
+                    ("mulfull.lo", lo, &|a, b| wide(a, b) as u64),
+                    ("csub", va.csub(vb), &|a, b| if a >= b { a - b } else { a }),
+                    // A mask is only observable through the masked adds, so
+                    // `lt` is read through both of them in turn.
+                    ("lt/add_if", va.add_if(lt, vb), &|a, b| {
+                        if a < b {
+                            a.wrapping_add(b)
+                        } else {
+                            a
+                        }
+                    }),
+                    ("lt/inc_if", zero.inc_if(lt), &|a, b| (a < b) as u64),
+                    ("inc_if", va.inc_if(lt), &|a, b| {
+                        a.wrapping_add((a < b) as u64)
+                    }),
+                    ("add_carry.sum", sum, &|a, b| a.wrapping_add(b)),
+                    ("add_carry.carry", zero.inc_if(carry), &|a, b| {
+                        a.overflowing_add(b).1 as u64
+                    }),
+                ];
+                for (name, v, expect) in cases {
+                    v.store(&mut got);
+                    for i in 0..V::W {
+                        let want = expect(x[i], y[i]);
+                        if got[i] != want {
+                            return Err(format!(
+                                "{name}({:#x}, {:#x}) = {:#x}, expected {want:#x}",
+                                x[i], y[i], got[i]
+                            ));
+                        }
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// `V::permute_block` at every lane offset of an 8-block.
+    #[allow(unsafe_code)]
+    fn check_permute_block<V: Lanes>(blk: &[u64; 8], pat: u64) -> Result<(), String> {
+        let mut got = vec![0u64; V::W];
+        for h in (0..8).step_by(V::W) {
+            // SAFETY: `V` is from an available backend; `blk` holds 8 words
+            // and `got` holds `W`.
+            unsafe { V::permute_block(blk, pat >> (8 * h)).store(&mut got) };
+            for (t, &g) in got.iter().enumerate() {
+                let want = blk[(pat >> (8 * (h + t))) as usize & 7];
+                if g != want {
+                    return Err(format!(
+                        "permute_block(pat {pat:#018x}) lane {}: {g:#x}, expected {want:#x}",
+                        h + t
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn lanes_primitives_match_scalar_arithmetic_on_boundary_grid() {
+        for q in boundary_moduli() {
+            // The full cross product of the boundary operands: 64 pairs.
+            let ops = boundary_operands(&q);
+            let a: Vec<u64> = ops.iter().flat_map(|&x| vec![x; ops.len()]).collect();
+            let b: Vec<u64> = ops.iter().flat_map(|_| ops.clone()).collect();
+            for be in runnable_backends() {
+                with_lanes_of!(be, check_arith_primitives(&a, &b))
+                    .unwrap_or_else(|e| panic!("{} lanes, q {q}: {e}", be.name()));
+            }
+        }
+        let blk = [10u64, 11, 12, 13, 14, 15, 16, u64::MAX];
+        for pat in [
+            0x0706_0504_0302_0100u64, // identity
+            0x0001_0203_0405_0607,    // reversal
+            0x0000_0000_0000_0000,    // broadcast lane 0
+            0x0707_0707_0707_0707,    // broadcast lane 7
+            0x0305_0107_0206_0004,    // a bijection
+            0x0303_0505_0101_0606,    // duplicates
+        ] {
+            for be in runnable_backends() {
+                with_lanes_of!(be, check_permute_block(&blk, pat))
+                    .unwrap_or_else(|e| panic!("{} lanes: {e}", be.name()));
+            }
+        }
+    }
+
     #[test]
     fn backend_resolution_reports_available_name() {
         let be = auto_backend();
         assert!(be.available());
         assert!(be.is_vector());
-        // Ifma is opt-in only: auto detection must never pick it.
         assert!(["portable", "avx2", "avx512", "neon"].contains(&be.name()));
-    }
-
-    #[test]
-    fn gather_kernels_match_scalar_bitwise() {
-        use rand::Rng;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-        for q in boundary_moduli() {
-            // 37 elements: exercises both the lane body and the scalar tail.
-            let n = 37usize;
-            let src: Vec<u64> = (0..n).map(|_| rng.gen_range(0..q.twice())).collect();
-            let mut idx: Vec<u32> = (0..n as u32).collect();
-            for i in (1..n).rev() {
-                idx.swap(i, rng.gen_range(0..=i));
-            }
-            let acc0: Vec<u64> = (0..n).map(|_| rng.gen_range(0..q.twice())).collect();
-            let w0: Vec<ShoupMul> = (0..n)
-                .map(|_| q.shoup(rng.gen_range(0..q.value())))
-                .collect();
-            let w1: Vec<ShoupMul> = (0..n)
-                .map(|_| q.shoup(rng.gen_range(0..q.value())))
-                .collect();
-            let (v0, q0): (Vec<u64>, Vec<u64>) = w0.iter().map(|s| (s.value, s.quotient)).unzip();
-            let (v1, q1): (Vec<u64>, Vec<u64>) = w1.iter().map(|s| (s.value, s.quotient)).unzip();
-
-            let expect_gather: Vec<u64> = idx.iter().map(|&i| src[i as usize]).collect();
-            let expect_add: Vec<u64> = acc0
-                .iter()
-                .zip(&idx)
-                .map(|(&a, &i)| q.add_lazy(a, src[i as usize]))
-                .collect();
-            let expect0: Vec<u64> = acc0
-                .iter()
-                .zip(idx.iter().zip(&w0))
-                .map(|(&a, (&i, &w))| q.add_lazy(a, q.mul_shoup_lazy(src[i as usize], w)))
-                .collect();
-            let expect1: Vec<u64> = acc0
-                .iter()
-                .zip(idx.iter().zip(&w1))
-                .map(|(&a, (&i, &w))| q.add_lazy(a, q.mul_shoup_lazy(src[i as usize], w)))
-                .collect();
-
-            for be in runnable_backends() {
-                let mut out = vec![0u64; n];
-                gather_u64(be, &mut out, &src, &idx);
-                assert_eq!(out, expect_gather, "gather backend {} q {}", be.name(), q);
-
-                let mut acc = acc0.clone();
-                gather_add_lazy(be, &q, &mut acc, &src, &idx);
-                assert_eq!(acc, expect_add, "gather_add backend {} q {}", be.name(), q);
-
-                let mut a0 = acc0.clone();
-                let mut a1 = acc0.clone();
-                dyadic_mul_acc_shoup_gather2(
-                    be, &q, &mut a0, &mut a1, &src, &idx, &v0, &q0, &v1, &q1,
-                );
-                assert_eq!(a0, expect0, "gather2/0 backend {} q {}", be.name(), q);
-                assert_eq!(a1, expect1, "gather2/1 backend {} q {}", be.name(), q);
-            }
-        }
     }
 
     #[test]
@@ -1338,54 +1298,25 @@ mod tests {
         }
     }
 
-    #[test]
-    fn ifma_dyadic_kernels_match_scalar_values() {
-        if !SimdBackend::Ifma.available() {
-            eprintln!("skipping: AVX512-IFMA not detected");
-            return;
-        }
-        use rand::Rng;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(13);
-        for bits in [28u32, 45, 49] {
-            // Moduli inside the 52-bit fast path's q < 2^50 window.
-            let q = Modulus::new(crate::find_ntt_prime(bits, 64));
-            let n = 37usize;
-            let a: Vec<u64> = (0..n).map(|_| rng.gen_range(0..4 * q.value())).collect();
-            let acc0: Vec<u64> = (0..n).map(|_| rng.gen_range(0..q.twice())).collect();
-            let shoups: Vec<ShoupMul> = (0..n)
-                .map(|_| q.shoup(rng.gen_range(0..q.value())))
-                .collect();
-            let vals: Vec<u64> = shoups.iter().map(|s| s.value).collect();
-            let quots: Vec<u64> = shoups.iter().map(|s| s.quotient).collect();
-
-            // Strict outputs are unique mod-q values: bitwise equality holds
-            // even though the quotient estimate differs.
-            let mut out = vec![0u64; n];
-            dyadic_mul_shoup(SimdBackend::Ifma, &q, &mut out, &a, &vals, &quots);
-            let expect: Vec<u64> = a
-                .iter()
-                .zip(&shoups)
-                .map(|(&x, &s)| q.mul_shoup(x, s))
-                .collect();
-            assert_eq!(out, expect, "ifma strict dyadic q {q}");
-
-            // Lazy outputs are only value-equal: congruent mod q, in [0, 2q).
-            let mut acc = acc0.clone();
-            dyadic_mul_acc_shoup(SimdBackend::Ifma, &q, &mut acc, &a, &vals, &quots);
-            for j in 0..n {
-                let expect = q.add_lazy(acc0[j], q.mul_shoup_lazy(a[j], shoups[j]));
-                assert!(acc[j] < q.twice(), "ifma lazy out of range");
-                assert_eq!(
-                    q.reduce_lazy(acc[j]),
-                    q.reduce_lazy(expect),
-                    "ifma lazy value mismatch at {j} (q {q})"
-                );
-            }
-        }
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
+        #[test]
+        fn lanes_primitives_match_scalar_arithmetic_random(seed in any::<u64>()) {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            // Full-width words, plus narrow ones so the 32-bit cross
+            // products see zero high halves.
+            let a: Vec<u64> = (0..64).map(|i| rng.r#gen::<u64>() >> (i % 4 * 16)).collect();
+            let b: Vec<u64> = (0..64).map(|i| rng.r#gen::<u64>() >> (i / 4 % 4 * 16)).collect();
+            let blk: [u64; 8] = std::array::from_fn(|_| rng.r#gen());
+            let pat = rng.r#gen::<u64>() & 0x0707_0707_0707_0707;
+            for be in runnable_backends() {
+                let r = with_lanes_of!(be, check_arith_primitives(&a, &b));
+                prop_assert!(r.is_ok(), "{} lanes: {}", be.name(), r.unwrap_err());
+                let r = with_lanes_of!(be, check_permute_block(&blk, pat));
+                prop_assert!(r.is_ok(), "{} lanes: {}", be.name(), r.unwrap_err());
+            }
+        }
+
         #[test]
         fn dyadic_kernels_match_scalar_random(seed in any::<u64>(), bits in 28u32..=62) {
             let q = Modulus::new(find_ntt_prime(bits, 64));

@@ -1,743 +1,132 @@
-//! NEON (aarch64) backend: 64-bit lanes from `umull` cross products.
+//! NEON (aarch64) [`Lanes`] impl: 4×u64 as two `uint64x2_t` registers,
+//! processed back to back so the block width matches [`super::LANES`].
 //!
-//! NEON has no 64×64-bit vector multiply either, so products are assembled
-//! exactly like the AVX2 backend's `vpmuludq` emulation: the 64-bit lanes
-//! are narrowed to their 32-bit halves (`vmovn_u64` for the low words,
-//! `vshrn_n_u64::<32>` — the `uzp2`-equivalent narrowing shift — for the
-//! high words) and recombined from four `umull` (`vmull_u32`) cross
-//! products with the same carry threading. A 4-lane block is two
-//! `uint64x2_t` registers, processed back to back so the dispatch
-//! granularity ([`super::LANES`] = 4) matches the other backends.
+//! NEON has no 64×64-bit vector multiply, so products are assembled like
+//! the AVX2 `vpmuludq` emulation: the 64-bit lanes are narrowed to their
+//! 32-bit halves (`vmovn_u64` for the low words, `vshrn_n_u64::<32>` for
+//! the high words) and recombined from four `umull` (`vmull_u32`) cross
+//! products with the same carry threading. Unsigned 64-bit comparison is
+//! native (`vcltq_u64`/`vcgeq_u64`); masks are all-ones lanes.
 //!
-//! Unsigned 64-bit comparison is native (`vcgeq_u64`), so the conditional
-//! subtractions need no sign-flip trick. As everywhere in this module
-//! tree, the computation is the identical sequence of wrapping u64
-//! operations as the scalar engine — bit-for-bit equal outputs.
-//!
-//! Kernels are `unsafe fn` solely for symmetry with the dispatcher's
-//! contract; NEON is a baseline feature of every aarch64 target, so the
-//! feature precondition is vacuously satisfied.
+//! NEON is a baseline feature of every aarch64 target, so the feature half
+//! of the `Lanes` safety contract is vacuously satisfied.
 #![allow(unsafe_code)]
 
-use super::LANES;
+use super::lanes::{self, Lanes};
 use crate::modulus::{Modulus, ShoupMul};
 use core::arch::aarch64::*;
 
-const LOW32: u64 = 0xffff_ffff;
+#[derive(Clone, Copy)]
+pub(super) struct Neon(uint64x2_t, uint64x2_t);
 
+/// The four cross products of `a·b` on one register with the carry
+/// threading of `avx2::cross_products`, as `(lolo, mid2, hi)`.
 #[inline(always)]
-unsafe fn load2(p: &[u64]) -> (uint64x2_t, uint64x2_t) {
-    debug_assert!(p.len() >= LANES);
-    (vld1q_u64(p.as_ptr()), vld1q_u64(p.as_ptr().add(2)))
-}
-
-#[inline(always)]
-unsafe fn store2(p: &mut [u64], v: (uint64x2_t, uint64x2_t)) {
-    debug_assert!(p.len() >= LANES);
-    vst1q_u64(p.as_mut_ptr(), v.0);
-    vst1q_u64(p.as_mut_ptr().add(2), v.1);
-}
-
-/// Conditional subtraction `x − (m & [x ≥ m])` on one register.
-#[inline(always)]
-unsafe fn csub(x: uint64x2_t, m: uint64x2_t) -> uint64x2_t {
-    vsubq_u64(x, vandq_u64(vcgeq_u64(x, m), m))
-}
-
-/// `floor(a·b / 2^64)` per lane; same carry threading as the AVX2 backend.
-#[inline(always)]
-unsafe fn mulhi_u64(a: uint64x2_t, b: uint64x2_t) -> uint64x2_t {
-    let a_lo = vmovn_u64(a);
-    let a_hi = vshrn_n_u64::<32>(a);
-    let b_lo = vmovn_u64(b);
-    let b_hi = vshrn_n_u64::<32>(b);
+unsafe fn cross_products(a: uint64x2_t, b: uint64x2_t) -> (uint64x2_t, uint64x2_t, uint64x2_t) {
+    let (a_lo, a_hi) = (vmovn_u64(a), vshrn_n_u64::<32>(a));
+    let (b_lo, b_hi) = (vmovn_u64(b), vshrn_n_u64::<32>(b));
     let lolo = vmull_u32(a_lo, b_lo);
     let hilo = vmull_u32(a_hi, b_lo);
     let lohi = vmull_u32(a_lo, b_hi);
     let hihi = vmull_u32(a_hi, b_hi);
     let mid = vaddq_u64(hilo, vshrq_n_u64::<32>(lolo));
-    let mid2 = vaddq_u64(lohi, vandq_u64(mid, vdupq_n_u64(LOW32)));
-    vaddq_u64(
-        vaddq_u64(hihi, vshrq_n_u64::<32>(mid)),
-        vshrq_n_u64::<32>(mid2),
-    )
+    let mid2 = vaddq_u64(lohi, vandq_u64(mid, vdupq_n_u64(0xffff_ffff)));
+    let carries = vaddq_u64(vshrq_n_u64::<32>(mid), vshrq_n_u64::<32>(mid2));
+    (lolo, mid2, vaddq_u64(hihi, carries))
 }
 
-/// `a·b mod 2^64` per lane.
+/// `a·b mod 2^64` on one register: `a0b0 + ((a1b0 + a0b1) << 32)`.
 #[inline(always)]
-unsafe fn mullo_u64(a: uint64x2_t, b: uint64x2_t) -> uint64x2_t {
-    let a_lo = vmovn_u64(a);
-    let a_hi = vshrn_n_u64::<32>(a);
-    let b_lo = vmovn_u64(b);
-    let b_hi = vshrn_n_u64::<32>(b);
-    let lolo = vmull_u32(a_lo, b_lo);
+unsafe fn mullo1(a: uint64x2_t, b: uint64x2_t) -> uint64x2_t {
+    let (a_lo, a_hi) = (vmovn_u64(a), vshrn_n_u64::<32>(a));
+    let (b_lo, b_hi) = (vmovn_u64(b), vshrn_n_u64::<32>(b));
     let cross = vaddq_u64(vmull_u32(a_hi, b_lo), vmull_u32(a_lo, b_hi));
-    vaddq_u64(lolo, vshlq_n_u64::<32>(cross))
+    vaddq_u64(vmull_u32(a_lo, b_lo), vshlq_n_u64::<32>(cross))
 }
 
-/// Full 64×64→128 product per lane as `(hi, lo)`.
+/// `(hi, lo)` of `a·b` on one register; `lo = (mid2 mod 2^32)·2^32 +
+/// (a0b0 mod 2^32)` cannot carry.
 #[inline(always)]
-unsafe fn mulfull_u64(a: uint64x2_t, b: uint64x2_t) -> (uint64x2_t, uint64x2_t) {
-    let a_lo = vmovn_u64(a);
-    let a_hi = vshrn_n_u64::<32>(a);
-    let b_lo = vmovn_u64(b);
-    let b_hi = vshrn_n_u64::<32>(b);
-    let lolo = vmull_u32(a_lo, b_lo);
-    let hilo = vmull_u32(a_hi, b_lo);
-    let lohi = vmull_u32(a_lo, b_hi);
-    let hihi = vmull_u32(a_hi, b_hi);
-    let low32 = vdupq_n_u64(LOW32);
-    let mid = vaddq_u64(hilo, vshrq_n_u64::<32>(lolo));
-    let mid2 = vaddq_u64(lohi, vandq_u64(mid, low32));
-    let hi = vaddq_u64(
-        vaddq_u64(hihi, vshrq_n_u64::<32>(mid)),
-        vshrq_n_u64::<32>(mid2),
+unsafe fn mulfull1(a: uint64x2_t, b: uint64x2_t) -> (uint64x2_t, uint64x2_t) {
+    let (lolo, mid2, hi) = cross_products(a, b);
+    let lo = vaddq_u64(
+        vshlq_n_u64::<32>(mid2),
+        vandq_u64(lolo, vdupq_n_u64(0xffff_ffff)),
     );
-    let lo = vaddq_u64(vshlq_n_u64::<32>(mid2), vandq_u64(lolo, low32));
     (hi, lo)
 }
 
-/// Lane form of [`Modulus::mul_shoup_lazy`], result in `[0, 2q)`.
-#[inline(always)]
-unsafe fn mul_shoup_lazy(
-    a: uint64x2_t,
-    wv: uint64x2_t,
-    wq: uint64x2_t,
-    qv: uint64x2_t,
-) -> uint64x2_t {
-    let q_est = mulhi_u64(a, wq);
-    vsubq_u64(mullo_u64(a, wv), mullo_u64(q_est, qv))
-}
+impl Lanes for Neon {
+    const W: usize = 4;
+    type Mask = (uint64x2_t, uint64x2_t);
 
-/// Lane form of [`Modulus::reduce_u128`]; see the AVX2 twin for the carry
-/// bookkeeping argument.
-#[inline(always)]
-unsafe fn barrett_reduce(
-    xh: uint64x2_t,
-    xl: uint64x2_t,
-    bh: uint64x2_t,
-    bl: uint64x2_t,
-    qv: uint64x2_t,
-    two_q: uint64x2_t,
-) -> uint64x2_t {
-    let (h1, l1) = mulfull_u64(xl, bh);
-    let (h2, l2) = mulfull_u64(xh, bl);
-    let g = mulhi_u64(xl, bl);
-    let s1 = vaddq_u64(g, l1);
-    let c1 = vcltq_u64(s1, g);
-    let s2 = vaddq_u64(s1, l2);
-    let c2 = vcltq_u64(s2, s1);
-    let mut qhat = vaddq_u64(mullo_u64(xh, bh), vaddq_u64(h1, h2));
-    qhat = vsubq_u64(qhat, c1); // mask is −1 per carried lane
-    qhat = vsubq_u64(qhat, c2);
-    let r = vsubq_u64(xl, mullo_u64(qhat, qv));
-    csub(csub(r, two_q), qv)
-}
-
-#[inline(always)]
-unsafe fn forward_block(
-    qv: uint64x2_t,
-    two_q: uint64x2_t,
-    wv: uint64x2_t,
-    wq: uint64x2_t,
-    block: &mut [u64],
-) {
-    let (lo, hi) = block.split_at_mut(block.len() / 2);
-    for (x4, y4) in lo.chunks_exact_mut(LANES).zip(hi.chunks_exact_mut(LANES)) {
-        let (u0, u1) = load2(x4);
-        let (y0, y1) = load2(y4);
-        let u0 = csub(u0, two_q);
-        let u1 = csub(u1, two_q);
-        let v0 = mul_shoup_lazy(y0, wv, wq, qv);
-        let v1 = mul_shoup_lazy(y1, wv, wq, qv);
-        store2(x4, (vaddq_u64(u0, v0), vaddq_u64(u1, v1)));
-        store2(
-            y4,
-            (
-                vsubq_u64(vaddq_u64(u0, two_q), v0),
-                vsubq_u64(vaddq_u64(u1, two_q), v1),
-            ),
-        );
+    #[inline(always)]
+    unsafe fn splat(x: u64) -> Self {
+        Neon(vdupq_n_u64(x), vdupq_n_u64(x))
     }
-}
-
-#[inline(always)]
-unsafe fn inverse_block(
-    qv: uint64x2_t,
-    two_q: uint64x2_t,
-    wv: uint64x2_t,
-    wq: uint64x2_t,
-    block: &mut [u64],
-) {
-    let (lo, hi) = block.split_at_mut(block.len() / 2);
-    for (x4, y4) in lo.chunks_exact_mut(LANES).zip(hi.chunks_exact_mut(LANES)) {
-        let (u0, u1) = load2(x4);
-        let (v0, v1) = load2(y4);
-        store2(
-            x4,
-            (
-                csub(vaddq_u64(u0, v0), two_q),
-                csub(vaddq_u64(u1, v1), two_q),
-            ),
-        );
-        let d0 = vsubq_u64(vaddq_u64(u0, two_q), v0);
-        let d1 = vsubq_u64(vaddq_u64(u1, two_q), v1);
-        store2(
-            y4,
-            (
-                mul_shoup_lazy(d0, wv, wq, qv),
-                mul_shoup_lazy(d1, wv, wq, qv),
-            ),
-        );
+    #[inline(always)]
+    unsafe fn load(p: &[u64]) -> Self {
+        debug_assert!(p.len() >= Self::W);
+        Neon(vld1q_u64(p.as_ptr()), vld1q_u64(p.as_ptr().add(2)))
+    }
+    #[inline(always)]
+    unsafe fn store(self, p: &mut [u64]) {
+        debug_assert!(p.len() >= Self::W);
+        vst1q_u64(p.as_mut_ptr(), self.0);
+        vst1q_u64(p.as_mut_ptr().add(2), self.1);
+    }
+    #[inline(always)]
+    unsafe fn add(self, b: Self) -> Self {
+        Neon(vaddq_u64(self.0, b.0), vaddq_u64(self.1, b.1))
+    }
+    #[inline(always)]
+    unsafe fn sub(self, b: Self) -> Self {
+        Neon(vsubq_u64(self.0, b.0), vsubq_u64(self.1, b.1))
+    }
+    #[inline(always)]
+    unsafe fn mullo(self, b: Self) -> Self {
+        Neon(mullo1(self.0, b.0), mullo1(self.1, b.1))
+    }
+    #[inline(always)]
+    unsafe fn mulhi(self, b: Self) -> Self {
+        Neon(cross_products(self.0, b.0).2, cross_products(self.1, b.1).2)
+    }
+    #[inline(always)]
+    unsafe fn mulfull(self, b: Self) -> (Self, Self) {
+        let (h0, l0) = mulfull1(self.0, b.0);
+        let (h1, l1) = mulfull1(self.1, b.1);
+        (Neon(h0, h1), Neon(l0, l1))
+    }
+    #[inline(always)]
+    unsafe fn csub(self, m: Self) -> Self {
+        Neon(
+            vsubq_u64(self.0, vandq_u64(vcgeq_u64(self.0, m.0), m.0)),
+            vsubq_u64(self.1, vandq_u64(vcgeq_u64(self.1, m.1), m.1)),
+        )
+    }
+    #[inline(always)]
+    unsafe fn lt(self, b: Self) -> Self::Mask {
+        (vcltq_u64(self.0, b.0), vcltq_u64(self.1, b.1))
+    }
+    /// A set mask lane is −1; subtracting it adds 1.
+    #[inline(always)]
+    unsafe fn inc_if(self, k: Self::Mask) -> Self {
+        Neon(vsubq_u64(self.0, k.0), vsubq_u64(self.1, k.1))
+    }
+    #[inline(always)]
+    unsafe fn add_if(self, k: Self::Mask, x: Self) -> Self {
+        Neon(
+            vaddq_u64(self.0, vandq_u64(k.0, x.0)),
+            vaddq_u64(self.1, vandq_u64(k.1, x.1)),
+        )
+    }
+    /// Scalar picks, as on AVX2 (a `tbl`-based form would need a 16-byte
+    /// table lookup per pair).
+    #[inline(always)]
+    unsafe fn permute_block(blk: &[u64], pat: u64) -> Self {
+        Self::load(&lanes::pick_lanes::<4>(blk, pat))
     }
 }
 
-pub(super) unsafe fn forward_stage(
-    q: &Modulus,
-    w_vals: &[u64],
-    w_quots: &[u64],
-    a: &mut [u64],
-    m: usize,
-    t: usize,
-) {
-    let qv = vdupq_n_u64(q.value());
-    let two_q = vdupq_n_u64(q.value() << 1);
-    for i in 0..m {
-        let wv = vdupq_n_u64(w_vals[i]);
-        let wq = vdupq_n_u64(w_quots[i]);
-        forward_block(qv, two_q, wv, wq, &mut a[2 * i * t..2 * (i + 1) * t]);
-    }
-}
-
-pub(super) unsafe fn forward_stage_many(
-    q: &Modulus,
-    w_vals: &[u64],
-    w_quots: &[u64],
-    batch: &mut [&mut [u64]],
-    m: usize,
-    t: usize,
-) {
-    let qv = vdupq_n_u64(q.value());
-    let two_q = vdupq_n_u64(q.value() << 1);
-    // Twiddle-outer, column-inner: one splat pair serves every column.
-    for i in 0..m {
-        let wv = vdupq_n_u64(w_vals[i]);
-        let wq = vdupq_n_u64(w_quots[i]);
-        for a in batch.iter_mut() {
-            forward_block(qv, two_q, wv, wq, &mut a[2 * i * t..2 * (i + 1) * t]);
-        }
-    }
-}
-
-pub(super) unsafe fn inverse_stage(
-    q: &Modulus,
-    w_vals: &[u64],
-    w_quots: &[u64],
-    a: &mut [u64],
-    h: usize,
-    t: usize,
-) {
-    let qv = vdupq_n_u64(q.value());
-    let two_q = vdupq_n_u64(q.value() << 1);
-    for i in 0..h {
-        let wv = vdupq_n_u64(w_vals[i]);
-        let wq = vdupq_n_u64(w_quots[i]);
-        inverse_block(qv, two_q, wv, wq, &mut a[2 * i * t..2 * (i + 1) * t]);
-    }
-}
-
-pub(super) unsafe fn inverse_stage_many(
-    q: &Modulus,
-    w_vals: &[u64],
-    w_quots: &[u64],
-    batch: &mut [&mut [u64]],
-    h: usize,
-    t: usize,
-) {
-    let qv = vdupq_n_u64(q.value());
-    let two_q = vdupq_n_u64(q.value() << 1);
-    for i in 0..h {
-        let wv = vdupq_n_u64(w_vals[i]);
-        let wq = vdupq_n_u64(w_quots[i]);
-        for a in batch.iter_mut() {
-            inverse_block(qv, two_q, wv, wq, &mut a[2 * i * t..2 * (i + 1) * t]);
-        }
-    }
-}
-
-pub(super) unsafe fn inverse_last_stage(
-    q: &Modulus,
-    n_inv: ShoupMul,
-    psi_n_inv: ShoupMul,
-    a: &mut [u64],
-) {
-    let qv = vdupq_n_u64(q.value());
-    let two_q = vdupq_n_u64(q.value() << 1);
-    let niv = vdupq_n_u64(n_inv.value);
-    let niq = vdupq_n_u64(n_inv.quotient);
-    let piv = vdupq_n_u64(psi_n_inv.value);
-    let piq = vdupq_n_u64(psi_n_inv.quotient);
-    let half = a.len() / 2;
-    let (lo, hi) = a.split_at_mut(half);
-    for (x4, y4) in lo.chunks_exact_mut(LANES).zip(hi.chunks_exact_mut(LANES)) {
-        let (u0, u1) = load2(x4);
-        let (v0, v1) = load2(y4);
-        let s0 = vaddq_u64(u0, v0);
-        let s1 = vaddq_u64(u1, v1);
-        let d0 = vsubq_u64(vaddq_u64(u0, two_q), v0);
-        let d1 = vsubq_u64(vaddq_u64(u1, two_q), v1);
-        store2(
-            x4,
-            (
-                csub(mul_shoup_lazy(s0, niv, niq, qv), qv),
-                csub(mul_shoup_lazy(s1, niv, niq, qv), qv),
-            ),
-        );
-        store2(
-            y4,
-            (
-                csub(mul_shoup_lazy(d0, piv, piq, qv), qv),
-                csub(mul_shoup_lazy(d1, piv, piq, qv), qv),
-            ),
-        );
-    }
-}
-
-pub(super) unsafe fn reduce_4q(q: &Modulus, a: &mut [u64]) {
-    let qv = vdupq_n_u64(q.value());
-    let two_q = vdupq_n_u64(q.value() << 1);
-    let mut chunks = a.chunks_exact_mut(LANES);
-    for x4 in chunks.by_ref() {
-        let (x0, x1) = load2(x4);
-        store2(x4, (csub(csub(x0, two_q), qv), csub(csub(x1, two_q), qv)));
-    }
-    for x in chunks.into_remainder() {
-        *x = q.reduce_4q(*x);
-    }
-}
-
-pub(super) unsafe fn dyadic_mul_shoup(
-    q: &Modulus,
-    out: &mut [u64],
-    a: &[u64],
-    vals: &[u64],
-    quots: &[u64],
-) {
-    let qv = vdupq_n_u64(q.value());
-    let n2 = out.len() - out.len() % 2;
-    for j in (0..n2).step_by(2) {
-        let r = mul_shoup_lazy(
-            vld1q_u64(a.as_ptr().add(j)),
-            vld1q_u64(vals.as_ptr().add(j)),
-            vld1q_u64(quots.as_ptr().add(j)),
-            qv,
-        );
-        vst1q_u64(out.as_mut_ptr().add(j), csub(r, qv));
-    }
-    for j in n2..out.len() {
-        let w = ShoupMul {
-            value: vals[j],
-            quotient: quots[j],
-        };
-        out[j] = q.mul_shoup(a[j], w);
-    }
-}
-
-pub(super) unsafe fn dyadic_mul_acc_shoup(
-    q: &Modulus,
-    acc: &mut [u64],
-    a: &[u64],
-    vals: &[u64],
-    quots: &[u64],
-) {
-    let qv = vdupq_n_u64(q.value());
-    let two_q = vdupq_n_u64(q.value() << 1);
-    let n2 = acc.len() - acc.len() % 2;
-    for j in (0..n2).step_by(2) {
-        let r = mul_shoup_lazy(
-            vld1q_u64(a.as_ptr().add(j)),
-            vld1q_u64(vals.as_ptr().add(j)),
-            vld1q_u64(quots.as_ptr().add(j)),
-            qv,
-        );
-        let s = vaddq_u64(vld1q_u64(acc.as_ptr().add(j)), r);
-        vst1q_u64(acc.as_mut_ptr().add(j), csub(s, two_q));
-    }
-    for j in n2..acc.len() {
-        let w = ShoupMul {
-            value: vals[j],
-            quotient: quots[j],
-        };
-        acc[j] = q.add_lazy(acc[j], q.mul_shoup_lazy(a[j], w));
-    }
-}
-
-pub(super) unsafe fn mul_shoup_bcast(q: &Modulus, out: &mut [u64], a: &[u64], w: ShoupMul) {
-    let qv = vdupq_n_u64(q.value());
-    let wv = vdupq_n_u64(w.value);
-    let wq = vdupq_n_u64(w.quotient);
-    let n2 = out.len() - out.len() % 2;
-    for j in (0..n2).step_by(2) {
-        let r = mul_shoup_lazy(vld1q_u64(a.as_ptr().add(j)), wv, wq, qv);
-        vst1q_u64(out.as_mut_ptr().add(j), csub(r, qv));
-    }
-    for j in n2..out.len() {
-        out[j] = q.mul_shoup(a[j], w);
-    }
-}
-
-pub(super) unsafe fn mul_shoup_lazy_acc_wide(
-    q: &Modulus,
-    lo: &mut [u64],
-    hi: &mut [u64],
-    a: &[u64],
-    w: ShoupMul,
-) {
-    let qv = vdupq_n_u64(q.value());
-    let wv = vdupq_n_u64(w.value);
-    let wq = vdupq_n_u64(w.quotient);
-    let n2 = lo.len() - lo.len() % 2;
-    for j in (0..n2).step_by(2) {
-        let t = mul_shoup_lazy(vld1q_u64(a.as_ptr().add(j)), wv, wq, qv);
-        let s = vaddq_u64(vld1q_u64(lo.as_ptr().add(j)), t);
-        let carry = vcltq_u64(s, t); // s < t ⟺ the add wrapped
-        vst1q_u64(lo.as_mut_ptr().add(j), s);
-        let h = vld1q_u64(hi.as_ptr().add(j));
-        // The mask is −1 per carried lane; subtracting it adds 1.
-        vst1q_u64(hi.as_mut_ptr().add(j), vsubq_u64(h, carry));
-    }
-    for j in n2..lo.len() {
-        let t = q.mul_shoup_lazy(a[j], w);
-        let (s, carry) = lo[j].overflowing_add(t);
-        lo[j] = s;
-        hi[j] += carry as u64;
-    }
-}
-
-pub(super) unsafe fn fold_finish(
-    q: &Modulus,
-    out: &mut [u64],
-    lo: &[u64],
-    hi: &[u64],
-    v: &[u64],
-    q_mod: ShoupMul,
-) {
-    let (bhi, blo) = q.barrett_parts();
-    let qv = vdupq_n_u64(q.value());
-    let two_q = vdupq_n_u64(q.value() << 1);
-    let bh = vdupq_n_u64(bhi);
-    let bl = vdupq_n_u64(blo);
-    let qmv = vdupq_n_u64(q_mod.value);
-    let qmq = vdupq_n_u64(q_mod.quotient);
-    let n2 = out.len() - out.len() % 2;
-    for j in (0..n2).step_by(2) {
-        let r = barrett_reduce(
-            vld1q_u64(hi.as_ptr().add(j)),
-            vld1q_u64(lo.as_ptr().add(j)),
-            bh,
-            bl,
-            qv,
-            two_q,
-        );
-        let s = csub(
-            mul_shoup_lazy(vld1q_u64(v.as_ptr().add(j)), qmv, qmq, qv),
-            qv,
-        );
-        // Modular subtraction of two reduced values: add q back where r < s.
-        let d = vsubq_u64(r, s);
-        let lt = vcltq_u64(r, s);
-        vst1q_u64(out.as_mut_ptr().add(j), vaddq_u64(d, vandq_u64(lt, qv)));
-    }
-    for j in n2..out.len() {
-        let acc = ((hi[j] as u128) << 64) | lo[j] as u128;
-        out[j] = q.sub(q.reduce_u128(acc), q.mul_shoup(v[j], q_mod));
-    }
-}
-
-/// NEON has no arbitrary-stride gather (`tbl` only permutes within
-/// registers), so indexed loads stay scalar: two element loads assemble one
-/// `uint64x2_t` and the *arithmetic* that consumes it still runs in lanes.
-/// Bounds are the caller's obligation (asserted by the `mod.rs` wrapper).
-#[inline(always)]
-unsafe fn gather2(src: &[u64], i0: u32, i1: u32) -> uint64x2_t {
-    let pair = [src[i0 as usize], src[i1 as usize]];
-    vld1q_u64(pair.as_ptr())
-}
-
-pub(super) unsafe fn gather_u64(out: &mut [u64], src: &[u64], idx: &[u32]) {
-    for (o, &s) in out.iter_mut().zip(idx) {
-        *o = src[s as usize];
-    }
-}
-
-pub(super) unsafe fn gather_add_lazy(q: &Modulus, acc: &mut [u64], src: &[u64], idx: &[u32]) {
-    let two_q = vdupq_n_u64(q.value() << 1);
-    let n2 = acc.len() - acc.len() % 2;
-    for j in (0..n2).step_by(2) {
-        let s = vaddq_u64(
-            vld1q_u64(acc.as_ptr().add(j)),
-            gather2(src, idx[j], idx[j + 1]),
-        );
-        vst1q_u64(acc.as_mut_ptr().add(j), csub(s, two_q));
-    }
-    for j in n2..acc.len() {
-        acc[j] = q.add_lazy(acc[j], src[idx[j] as usize]);
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-pub(super) unsafe fn dyadic_mul_acc_shoup_gather2(
-    q: &Modulus,
-    acc0: &mut [u64],
-    acc1: &mut [u64],
-    src: &[u64],
-    idx: &[u32],
-    vals0: &[u64],
-    quots0: &[u64],
-    vals1: &[u64],
-    quots1: &[u64],
-) {
-    let qv = vdupq_n_u64(q.value());
-    let two_q = vdupq_n_u64(q.value() << 1);
-    let n2 = acc0.len() - acc0.len() % 2;
-    for j in (0..n2).step_by(2) {
-        let t = gather2(src, idx[j], idx[j + 1]);
-        let r0 = mul_shoup_lazy(
-            t,
-            vld1q_u64(vals0.as_ptr().add(j)),
-            vld1q_u64(quots0.as_ptr().add(j)),
-            qv,
-        );
-        let s0 = vaddq_u64(vld1q_u64(acc0.as_ptr().add(j)), r0);
-        vst1q_u64(acc0.as_mut_ptr().add(j), csub(s0, two_q));
-        let r1 = mul_shoup_lazy(
-            t,
-            vld1q_u64(vals1.as_ptr().add(j)),
-            vld1q_u64(quots1.as_ptr().add(j)),
-            qv,
-        );
-        let s1 = vaddq_u64(vld1q_u64(acc1.as_ptr().add(j)), r1);
-        vst1q_u64(acc1.as_mut_ptr().add(j), csub(s1, two_q));
-    }
-    for j in n2..acc0.len() {
-        let t = src[idx[j] as usize];
-        let w0 = ShoupMul {
-            value: vals0[j],
-            quotient: quots0[j],
-        };
-        let w1 = ShoupMul {
-            value: vals1[j],
-            quotient: quots1[j],
-        };
-        acc0[j] = q.add_lazy(acc0[j], q.mul_shoup_lazy(t, w0));
-        acc1[j] = q.add_lazy(acc1[j], q.mul_shoup_lazy(t, w1));
-    }
-}
-
-/// Block-permute kernels: the source block is one contiguous 64-byte load
-/// target, so the shuffle is a block-local scalar move (a `tbl`-based form
-/// would need four 16-byte table lookups per block for no measured win);
-/// the lazy arithmetic still runs on the 2-lane Shoup kernels.
-#[inline(always)]
-unsafe fn permute_block(src: &[u64], sb: u32, pat: u64) -> [u64; 8] {
-    let blk = &src[sb as usize * 8..sb as usize * 8 + 8];
-    let mut tmp = [0u64; 8];
-    for (t, o) in tmp.iter_mut().enumerate() {
-        *o = blk[(pat >> (8 * t)) as usize & 7];
-    }
-    tmp
-}
-
-pub(super) unsafe fn permute8(out: &mut [u64], src: &[u64], bsrc: &[u32], bpat: &[u64]) {
-    for (b, (&sb, &pat)) in bsrc.iter().zip(bpat).enumerate() {
-        out[b * 8..b * 8 + 8].copy_from_slice(&permute_block(src, sb, pat));
-    }
-}
-
-pub(super) unsafe fn permute8_add_lazy(
-    q: &Modulus,
-    acc: &mut [u64],
-    src: &[u64],
-    bsrc: &[u32],
-    bpat: &[u64],
-) {
-    let two_q = vdupq_n_u64(q.value() << 1);
-    for (b, (&sb, &pat)) in bsrc.iter().zip(bpat).enumerate() {
-        let tmp = permute_block(src, sb, pat);
-        for h in 0..4 {
-            let j = b * 8 + h * 2;
-            let s = vaddq_u64(
-                vld1q_u64(acc.as_ptr().add(j)),
-                vld1q_u64(tmp.as_ptr().add(h * 2)),
-            );
-            vst1q_u64(acc.as_mut_ptr().add(j), csub(s, two_q));
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-pub(super) unsafe fn permute8_mul_acc_shoup2(
-    q: &Modulus,
-    acc0: &mut [u64],
-    acc1: &mut [u64],
-    src: &[u64],
-    bsrc: &[u32],
-    bpat: &[u64],
-    vals0: &[u64],
-    quots0: &[u64],
-    vals1: &[u64],
-    quots1: &[u64],
-) {
-    let qv = vdupq_n_u64(q.value());
-    let two_q = vdupq_n_u64(q.value() << 1);
-    for (b, (&sb, &pat)) in bsrc.iter().zip(bpat).enumerate() {
-        let tmp = permute_block(src, sb, pat);
-        for h in 0..4 {
-            let j = b * 8 + h * 2;
-            let t = vld1q_u64(tmp.as_ptr().add(h * 2));
-            let r0 = mul_shoup_lazy(
-                t,
-                vld1q_u64(vals0.as_ptr().add(j)),
-                vld1q_u64(quots0.as_ptr().add(j)),
-                qv,
-            );
-            let s0 = vaddq_u64(vld1q_u64(acc0.as_ptr().add(j)), r0);
-            vst1q_u64(acc0.as_mut_ptr().add(j), csub(s0, two_q));
-            let r1 = mul_shoup_lazy(
-                t,
-                vld1q_u64(vals1.as_ptr().add(j)),
-                vld1q_u64(quots1.as_ptr().add(j)),
-                qv,
-            );
-            let s1 = vaddq_u64(vld1q_u64(acc1.as_ptr().add(j)), r1);
-            vst1q_u64(acc1.as_mut_ptr().add(j), csub(s1, two_q));
-        }
-    }
-}
-
-pub(super) unsafe fn round_term_acc_wide(lo: &mut [u64], hi: &mut [u64], d: &[u64], frac: u128) {
-    let fh = vdupq_n_u64((frac >> 64) as u64);
-    let fl = vdupq_n_u64(frac as u64);
-    let n2 = lo.len() - lo.len() % 2;
-    for j in (0..n2).step_by(2) {
-        let x = vld1q_u64(d.as_ptr().add(j));
-        // (x·frac) >> 64 = x·frac_hi + mulhi(x, frac_lo), exact for x < q.
-        let term = vaddq_u64(mullo_u64(x, fh), mulhi_u64(x, fl));
-        let s = vaddq_u64(vld1q_u64(lo.as_ptr().add(j)), term);
-        let carry = vcltq_u64(s, term);
-        vst1q_u64(lo.as_mut_ptr().add(j), s);
-        let h = vld1q_u64(hi.as_ptr().add(j));
-        // The mask is −1 per carried lane; subtracting it adds 1.
-        vst1q_u64(hi.as_mut_ptr().add(j), vsubq_u64(h, carry));
-    }
-    let fh_s = (frac >> 64) as u64;
-    let fl_s = frac as u64;
-    for j in n2..lo.len() {
-        let term = d[j]
-            .wrapping_mul(fh_s)
-            .wrapping_add(((d[j] as u128 * fl_s as u128) >> 64) as u64);
-        let (s, carry) = lo[j].overflowing_add(term);
-        lo[j] = s;
-        hi[j] += carry as u64;
-    }
-}
-
-pub(super) unsafe fn channel_finish(
-    q: &Modulus,
-    out: &mut [u64],
-    lo: &[u64],
-    hi: &[u64],
-    y: &[u64],
-    q_inv: ShoupMul,
-) {
-    let (bhi, blo) = q.barrett_parts();
-    let qv = vdupq_n_u64(q.value());
-    let two_q = vdupq_n_u64(q.value() << 1);
-    let bh = vdupq_n_u64(bhi);
-    let bl = vdupq_n_u64(blo);
-    let qiv = vdupq_n_u64(q_inv.value);
-    let qiq = vdupq_n_u64(q_inv.quotient);
-    let zero = vdupq_n_u64(0);
-    let n2 = out.len() - out.len() % 2;
-    for j in (0..n2).step_by(2) {
-        let r = barrett_reduce(
-            vld1q_u64(hi.as_ptr().add(j)),
-            vld1q_u64(lo.as_ptr().add(j)),
-            bh,
-            bl,
-            qv,
-            two_q,
-        );
-        let s = barrett_reduce(zero, vld1q_u64(y.as_ptr().add(j)), bh, bl, qv, two_q);
-        let d = vsubq_u64(r, s);
-        let lt = vcltq_u64(r, s);
-        let d = vaddq_u64(d, vandq_u64(lt, qv));
-        vst1q_u64(
-            out.as_mut_ptr().add(j),
-            csub(mul_shoup_lazy(d, qiv, qiq, qv), qv),
-        );
-    }
-    for j in n2..out.len() {
-        let acc = ((hi[j] as u128) << 64) | lo[j] as u128;
-        out[j] = q.mul_shoup(q.sub(q.reduce_u128(acc), q.reduce(y[j])), q_inv);
-    }
-}
-
-pub(super) unsafe fn garner_step(q: &Modulus, v: &mut [u64], t: &[u64], inv: ShoupMul) {
-    let qv = vdupq_n_u64(q.value());
-    let iv = vdupq_n_u64(inv.value);
-    let iq = vdupq_n_u64(inv.quotient);
-    let n2 = v.len() - v.len() % 2;
-    for j in (0..n2).step_by(2) {
-        let a = csub(mul_shoup_lazy(vld1q_u64(v.as_ptr().add(j)), iv, iq, qv), qv);
-        let b = csub(mul_shoup_lazy(vld1q_u64(t.as_ptr().add(j)), iv, iq, qv), qv);
-        let d = vsubq_u64(a, b);
-        let lt = vcltq_u64(a, b);
-        vst1q_u64(v.as_mut_ptr().add(j), vaddq_u64(d, vandq_u64(lt, qv)));
-    }
-    for j in n2..v.len() {
-        v[j] = q.sub(q.mul_shoup(v[j], inv), q.mul_shoup(t[j], inv));
-    }
-}
-
-pub(super) unsafe fn dyadic_mul(q: &Modulus, out: &mut [u64], a: &[u64], b: &[u64]) {
-    let (bhi, blo) = q.barrett_parts();
-    let qv = vdupq_n_u64(q.value());
-    let two_q = vdupq_n_u64(q.value() << 1);
-    let bh = vdupq_n_u64(bhi);
-    let bl = vdupq_n_u64(blo);
-    let n2 = out.len() - out.len() % 2;
-    for j in (0..n2).step_by(2) {
-        let (xh, xl) = mulfull_u64(vld1q_u64(a.as_ptr().add(j)), vld1q_u64(b.as_ptr().add(j)));
-        vst1q_u64(
-            out.as_mut_ptr().add(j),
-            barrett_reduce(xh, xl, bh, bl, qv, two_q),
-        );
-    }
-    for j in n2..out.len() {
-        out[j] = q.mul(a[j], b[j]);
-    }
-}
-
-pub(super) unsafe fn dyadic_mul_acc(q: &Modulus, acc: &mut [u64], a: &[u64], b: &[u64]) {
-    let (bhi, blo) = q.barrett_parts();
-    let qv = vdupq_n_u64(q.value());
-    let two_q = vdupq_n_u64(q.value() << 1);
-    let bh = vdupq_n_u64(bhi);
-    let bl = vdupq_n_u64(blo);
-    let n2 = acc.len() - acc.len() % 2;
-    for j in (0..n2).step_by(2) {
-        let (mut xh, xl) = mulfull_u64(vld1q_u64(a.as_ptr().add(j)), vld1q_u64(b.as_ptr().add(j)));
-        let c = vld1q_u64(acc.as_ptr().add(j));
-        let xl = vaddq_u64(xl, c);
-        let carry = vcltq_u64(xl, c);
-        xh = vsubq_u64(xh, carry);
-        vst1q_u64(
-            acc.as_mut_ptr().add(j),
-            barrett_reduce(xh, xl, bh, bl, qv, two_q),
-        );
-    }
-    for j in n2..acc.len() {
-        acc[j] = q.mul_add(a[j], b[j], acc[j]);
-    }
-}
+stage_entry_points!(Neon, target_feature(enable = "neon"));
+pointwise_entry_points!(Neon, target_feature(enable = "neon"));

@@ -1,353 +1,75 @@
-//! Portable 4-lane fallback: the exact scalar formulas, block-structured
-//! like the vector backends (`chunks_exact(LANES)` plus scalar tails) so
-//! every platform compiles and tests the same dispatch shape. Results are
-//! bit-for-bit identical to both the scalar oracle and the intrinsics
-//! backends — all three compute the same sequence of wrapping u64 ops.
+//! The scalar `W = 1` [`Lanes`] impl: plain `u64` words. Instantiating the
+//! generic kernels at `u64` *is* the portable backend, compiled on every
+//! platform, and the tail path of every vector backend — so the scalar
+//! formulas exist once, as the primitives below.
+#![allow(unsafe_code)]
 
-use super::LANES;
+use super::lanes::{self, Lanes};
 use crate::modulus::{Modulus, ShoupMul};
 
-#[inline(always)]
-fn mul_shoup_lazy(q: u64, a: u64, wv: u64, wq: u64) -> u64 {
-    let q_est = ((wq as u128 * a as u128) >> 64) as u64;
-    wv.wrapping_mul(a).wrapping_sub(q_est.wrapping_mul(q))
-}
+// The methods are `unsafe fn` only to match the trait: the bodies are safe
+// code (checked indexing, no ISA extension).
+impl Lanes for u64 {
+    const W: usize = 1;
+    type Mask = bool;
 
-#[inline(always)]
-fn csub(x: u64, m: u64) -> u64 {
-    if x >= m {
-        x - m
-    } else {
+    #[inline(always)]
+    unsafe fn splat(x: u64) -> Self {
         x
     }
-}
-
-#[inline(always)]
-fn forward_block(qv: u64, two_q: u64, wv: u64, wq: u64, lo: &mut [u64], hi: &mut [u64]) {
-    for (x4, y4) in lo.chunks_exact_mut(LANES).zip(hi.chunks_exact_mut(LANES)) {
-        for (x, y) in x4.iter_mut().zip(y4.iter_mut()) {
-            let u = csub(*x, two_q);
-            let v = mul_shoup_lazy(qv, *y, wv, wq);
-            *x = u + v;
-            *y = u + two_q - v;
+    #[inline(always)]
+    unsafe fn load(p: &[u64]) -> Self {
+        p[0]
+    }
+    #[inline(always)]
+    unsafe fn store(self, p: &mut [u64]) {
+        p[0] = self;
+    }
+    #[inline(always)]
+    unsafe fn add(self, b: Self) -> Self {
+        self.wrapping_add(b)
+    }
+    #[inline(always)]
+    unsafe fn sub(self, b: Self) -> Self {
+        self.wrapping_sub(b)
+    }
+    #[inline(always)]
+    unsafe fn mullo(self, b: Self) -> Self {
+        self.wrapping_mul(b)
+    }
+    #[inline(always)]
+    unsafe fn mulhi(self, b: Self) -> Self {
+        ((self as u128 * b as u128) >> 64) as u64
+    }
+    #[inline(always)]
+    unsafe fn csub(self, m: Self) -> Self {
+        if self >= m {
+            self - m
+        } else {
+            self
         }
     }
-}
-
-#[inline(always)]
-fn inverse_block(qv: u64, two_q: u64, wv: u64, wq: u64, lo: &mut [u64], hi: &mut [u64]) {
-    for (x4, y4) in lo.chunks_exact_mut(LANES).zip(hi.chunks_exact_mut(LANES)) {
-        for (x, y) in x4.iter_mut().zip(y4.iter_mut()) {
-            let (u, v) = (*x, *y);
-            *x = csub(u + v, two_q);
-            *y = mul_shoup_lazy(qv, u + two_q - v, wv, wq);
+    #[inline(always)]
+    unsafe fn lt(self, b: Self) -> bool {
+        self < b
+    }
+    #[inline(always)]
+    unsafe fn inc_if(self, k: bool) -> Self {
+        self.wrapping_add(k as u64)
+    }
+    #[inline(always)]
+    unsafe fn add_if(self, k: bool, x: Self) -> Self {
+        if k {
+            self.wrapping_add(x)
+        } else {
+            self
         }
     }
-}
-
-pub(super) fn forward_stage(
-    q: &Modulus,
-    w_vals: &[u64],
-    w_quots: &[u64],
-    a: &mut [u64],
-    m: usize,
-    t: usize,
-) {
-    // Hard assert: a stride below the lane count would make chunks_exact
-    // silently skip elements (only the AVX-512 backend supports small
-    // strides, via permutes).
-    assert!(t >= LANES && t.is_multiple_of(LANES));
-    let qv = q.value();
-    let two_q = qv << 1;
-    for i in 0..m {
-        let (lo, hi) = a[2 * i * t..2 * (i + 1) * t].split_at_mut(t);
-        forward_block(qv, two_q, w_vals[i], w_quots[i], lo, hi);
+    #[inline(always)]
+    unsafe fn permute_block(blk: &[u64], pat: u64) -> Self {
+        blk[pat as usize & 7]
     }
 }
 
-pub(super) fn forward_stage_many(
-    q: &Modulus,
-    w_vals: &[u64],
-    w_quots: &[u64],
-    batch: &mut [&mut [u64]],
-    m: usize,
-    t: usize,
-) {
-    assert!(t >= LANES && t.is_multiple_of(LANES));
-    let qv = q.value();
-    let two_q = qv << 1;
-    // Twiddle-outer, column-inner: each (value, quotient) pair is read once
-    // per stage for the whole batch.
-    for i in 0..m {
-        let (wv, wq) = (w_vals[i], w_quots[i]);
-        for a in batch.iter_mut() {
-            let (lo, hi) = a[2 * i * t..2 * (i + 1) * t].split_at_mut(t);
-            forward_block(qv, two_q, wv, wq, lo, hi);
-        }
-    }
-}
-
-pub(super) fn inverse_stage(
-    q: &Modulus,
-    w_vals: &[u64],
-    w_quots: &[u64],
-    a: &mut [u64],
-    h: usize,
-    t: usize,
-) {
-    assert!(t >= LANES && t.is_multiple_of(LANES));
-    let qv = q.value();
-    let two_q = qv << 1;
-    for i in 0..h {
-        let (lo, hi) = a[2 * i * t..2 * (i + 1) * t].split_at_mut(t);
-        inverse_block(qv, two_q, w_vals[i], w_quots[i], lo, hi);
-    }
-}
-
-pub(super) fn inverse_stage_many(
-    q: &Modulus,
-    w_vals: &[u64],
-    w_quots: &[u64],
-    batch: &mut [&mut [u64]],
-    h: usize,
-    t: usize,
-) {
-    assert!(t >= LANES && t.is_multiple_of(LANES));
-    let qv = q.value();
-    let two_q = qv << 1;
-    for i in 0..h {
-        let (wv, wq) = (w_vals[i], w_quots[i]);
-        for a in batch.iter_mut() {
-            let (lo, hi) = a[2 * i * t..2 * (i + 1) * t].split_at_mut(t);
-            inverse_block(qv, two_q, wv, wq, lo, hi);
-        }
-    }
-}
-
-pub(super) fn inverse_last_stage(q: &Modulus, n_inv: ShoupMul, psi_n_inv: ShoupMul, a: &mut [u64]) {
-    let qv = q.value();
-    let two_q = qv << 1;
-    let half = a.len() / 2;
-    let (lo, hi) = a.split_at_mut(half);
-    for (x4, y4) in lo.chunks_exact_mut(LANES).zip(hi.chunks_exact_mut(LANES)) {
-        for (x, y) in x4.iter_mut().zip(y4.iter_mut()) {
-            let (u, v) = (*x, *y);
-            *x = csub(mul_shoup_lazy(qv, u + v, n_inv.value, n_inv.quotient), qv);
-            *y = csub(
-                mul_shoup_lazy(qv, u + two_q - v, psi_n_inv.value, psi_n_inv.quotient),
-                qv,
-            );
-        }
-    }
-}
-
-pub(super) fn reduce_4q(q: &Modulus, a: &mut [u64]) {
-    let qv = q.value();
-    let two_q = qv << 1;
-    let mut chunks = a.chunks_exact_mut(LANES);
-    for x4 in chunks.by_ref() {
-        for x in x4.iter_mut() {
-            *x = csub(csub(*x, two_q), qv);
-        }
-    }
-    for x in chunks.into_remainder() {
-        *x = csub(csub(*x, two_q), qv);
-    }
-}
-
-pub(super) fn dyadic_mul_shoup(
-    q: &Modulus,
-    out: &mut [u64],
-    a: &[u64],
-    vals: &[u64],
-    quots: &[u64],
-) {
-    let qv = q.value();
-    for (((o, &x), &wv), &wq) in out.iter_mut().zip(a).zip(vals).zip(quots) {
-        *o = csub(mul_shoup_lazy(qv, x, wv, wq), qv);
-    }
-}
-
-pub(super) fn dyadic_mul_acc_shoup(
-    q: &Modulus,
-    acc: &mut [u64],
-    a: &[u64],
-    vals: &[u64],
-    quots: &[u64],
-) {
-    let qv = q.value();
-    let two_q = qv << 1;
-    for (((o, &x), &wv), &wq) in acc.iter_mut().zip(a).zip(vals).zip(quots) {
-        *o = csub(*o + mul_shoup_lazy(qv, x, wv, wq), two_q);
-    }
-}
-
-pub(super) fn mul_shoup_bcast(q: &Modulus, out: &mut [u64], a: &[u64], w: ShoupMul) {
-    let qv = q.value();
-    for (o, &x) in out.iter_mut().zip(a) {
-        *o = csub(mul_shoup_lazy(qv, x, w.value, w.quotient), qv);
-    }
-}
-
-pub(super) fn mul_shoup_lazy_acc_wide(
-    q: &Modulus,
-    lo: &mut [u64],
-    hi: &mut [u64],
-    a: &[u64],
-    w: ShoupMul,
-) {
-    let qv = q.value();
-    for ((l, h), &x) in lo.iter_mut().zip(hi.iter_mut()).zip(a) {
-        let t = mul_shoup_lazy(qv, x, w.value, w.quotient);
-        let (s, carry) = l.overflowing_add(t);
-        *l = s;
-        *h += carry as u64;
-    }
-}
-
-pub(super) fn fold_finish(
-    q: &Modulus,
-    out: &mut [u64],
-    lo: &[u64],
-    hi: &[u64],
-    v: &[u64],
-    q_mod: ShoupMul,
-) {
-    for (((o, &l), &h), &vj) in out.iter_mut().zip(lo).zip(hi).zip(v) {
-        let acc = ((h as u128) << 64) | l as u128;
-        *o = q.sub(q.reduce_u128(acc), q.mul_shoup(vj, q_mod));
-    }
-}
-
-pub(super) fn gather_u64(out: &mut [u64], src: &[u64], idx: &[u32]) {
-    for (o, &s) in out.iter_mut().zip(idx) {
-        *o = src[s as usize];
-    }
-}
-
-pub(super) fn gather_add_lazy(q: &Modulus, acc: &mut [u64], src: &[u64], idx: &[u32]) {
-    let two_q = q.value() << 1;
-    for (a, &s) in acc.iter_mut().zip(idx) {
-        *a = csub(*a + src[s as usize], two_q);
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-pub(super) fn dyadic_mul_acc_shoup_gather2(
-    q: &Modulus,
-    acc0: &mut [u64],
-    acc1: &mut [u64],
-    src: &[u64],
-    idx: &[u32],
-    vals0: &[u64],
-    quots0: &[u64],
-    vals1: &[u64],
-    quots1: &[u64],
-) {
-    let qv = q.value();
-    let two_q = qv << 1;
-    for j in 0..acc0.len() {
-        let t = src[idx[j] as usize];
-        acc0[j] = csub(acc0[j] + mul_shoup_lazy(qv, t, vals0[j], quots0[j]), two_q);
-        acc1[j] = csub(acc1[j] + mul_shoup_lazy(qv, t, vals1[j], quots1[j]), two_q);
-    }
-}
-
-pub(super) fn permute8(out: &mut [u64], src: &[u64], bsrc: &[u32], bpat: &[u64]) {
-    for (b, (&sb, &pat)) in bsrc.iter().zip(bpat).enumerate() {
-        let blk = &src[sb as usize * 8..sb as usize * 8 + 8];
-        let o = &mut out[b * 8..b * 8 + 8];
-        for (t, oj) in o.iter_mut().enumerate() {
-            *oj = blk[(pat >> (8 * t)) as usize & 7];
-        }
-    }
-}
-
-pub(super) fn permute8_add_lazy(
-    q: &Modulus,
-    acc: &mut [u64],
-    src: &[u64],
-    bsrc: &[u32],
-    bpat: &[u64],
-) {
-    let two_q = q.value() << 1;
-    for (b, (&sb, &pat)) in bsrc.iter().zip(bpat).enumerate() {
-        let blk = &src[sb as usize * 8..sb as usize * 8 + 8];
-        let o = &mut acc[b * 8..b * 8 + 8];
-        for (t, oj) in o.iter_mut().enumerate() {
-            *oj = csub(*oj + blk[(pat >> (8 * t)) as usize & 7], two_q);
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-pub(super) fn permute8_mul_acc_shoup2(
-    q: &Modulus,
-    acc0: &mut [u64],
-    acc1: &mut [u64],
-    src: &[u64],
-    bsrc: &[u32],
-    bpat: &[u64],
-    vals0: &[u64],
-    quots0: &[u64],
-    vals1: &[u64],
-    quots1: &[u64],
-) {
-    let qv = q.value();
-    let two_q = qv << 1;
-    for (b, (&sb, &pat)) in bsrc.iter().zip(bpat).enumerate() {
-        let blk = &src[sb as usize * 8..sb as usize * 8 + 8];
-        for t in 0..8 {
-            let j = b * 8 + t;
-            let x = blk[(pat >> (8 * t)) as usize & 7];
-            acc0[j] = csub(acc0[j] + mul_shoup_lazy(qv, x, vals0[j], quots0[j]), two_q);
-            acc1[j] = csub(acc1[j] + mul_shoup_lazy(qv, x, vals1[j], quots1[j]), two_q);
-        }
-    }
-}
-
-pub(super) fn round_term_acc_wide(lo: &mut [u64], hi: &mut [u64], d: &[u64], frac: u128) {
-    let fh = (frac >> 64) as u64;
-    let fl = frac as u64;
-    for ((l, h), &x) in lo.iter_mut().zip(hi.iter_mut()).zip(d) {
-        // (x·frac) >> 64 = x·fh + mulhi(x, fl), exact and < 2^64 for x < q.
-        let term = x
-            .wrapping_mul(fh)
-            .wrapping_add(((x as u128 * fl as u128) >> 64) as u64);
-        let (s, carry) = l.overflowing_add(term);
-        *l = s;
-        *h += carry as u64;
-    }
-}
-
-pub(super) fn channel_finish(
-    q: &Modulus,
-    out: &mut [u64],
-    lo: &[u64],
-    hi: &[u64],
-    y: &[u64],
-    q_inv: ShoupMul,
-) {
-    for (((o, &l), &h), &yj) in out.iter_mut().zip(lo).zip(hi).zip(y) {
-        let acc = ((h as u128) << 64) | l as u128;
-        *o = q.mul_shoup(q.sub(q.reduce_u128(acc), q.reduce(yj)), q_inv);
-    }
-}
-
-pub(super) fn garner_step(q: &Modulus, v: &mut [u64], t: &[u64], inv: ShoupMul) {
-    for (x, &tj) in v.iter_mut().zip(t) {
-        *x = q.sub(q.mul_shoup(*x, inv), q.mul_shoup(tj, inv));
-    }
-}
-
-pub(super) fn dyadic_mul(q: &Modulus, out: &mut [u64], a: &[u64], b: &[u64]) {
-    for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
-        *o = q.mul(x, y);
-    }
-}
-
-pub(super) fn dyadic_mul_acc(q: &Modulus, acc: &mut [u64], a: &[u64], b: &[u64]) {
-    for ((o, &x), &y) in acc.iter_mut().zip(a).zip(b) {
-        *o = q.mul_add(x, y, *o);
-    }
-}
+stage_entry_points!(u64, inline);
+pointwise_entry_points!(u64, inline);

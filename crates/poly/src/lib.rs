@@ -14,7 +14,7 @@
 //!   tables ([`RnsNttTables`]), and exact centered basis extension — the
 //!   substrate for >62-bit ciphertext moduli in `pi-he`.
 //! * [`simd`] — stage-level dispatch of the Harvey butterflies and dyadic
-//!   kernels onto the four-lane SIMD backends in [`pi_field::simd`]
+//!   kernels onto the SIMD backends in [`pi_field::simd`]
 //!   (runtime AVX2/NEON detection, `PI_SIMD` toggle); the scalar
 //!   butterflies in [`ntt`] stay canonical and serve as the differential
 //!   oracle.

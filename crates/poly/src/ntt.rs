@@ -33,8 +33,8 @@
 //! # SIMD dispatch
 //!
 //! Every public transform and pointwise kernel resolves a SIMD backend once
-//! per call ([`crate::simd::backend`]: AVX-512 / AVX2 / NEON / a portable
-//! four-lane fallback, or the scalar path under `PI_SIMD=scalar`) and
+//! per call ([`crate::simd::backend`]: AVX-512 / AVX2 / NEON / the portable
+//! `u64`-lane backend, or the scalar path under `PI_SIMD=scalar`) and
 //! routes each butterfly stage with stride `t >= 4` — and the
 //! pointwise/correction passes — through the lane kernels in
 //! `pi_field::simd`; the AVX-512 backend additionally takes the small-
@@ -168,8 +168,8 @@ pub struct GaloisPerm {
 /// bits at or above `log2(n/4)` through the `rev(t)·n/4` term, and those
 /// reverse into the *low three* bits of the source index — so every aligned
 /// 8-lane output block reads a permutation of exactly one aligned 8-lane
-/// source block. This is what lets the gather kernels collapse to one
-/// contiguous load + `vpermq` per block ([`pi_field::simd::permute8`]).
+/// source block. This is what lets the permutation run as one contiguous
+/// load + `vpermq` per block ([`pi_field::simd::permute8`]).
 #[derive(Clone, Debug)]
 struct GaloisBlocks {
     /// `bsrc[b]` = source block index for output block `b`.
@@ -220,19 +220,25 @@ impl GaloisPerm {
     }
 
     /// The raw index table: `idx[j]` is the source slot for output slot `j`.
-    /// Every entry is `< n`, so the table is safe to hand to the gather
-    /// kernels in [`pi_field::simd`].
+    /// Every entry is `< n`.
     pub fn indices(&self) -> &[u32] {
         &self.idx
+    }
+
+    /// The blocked tables, if backend `be` has lane kernels to run them
+    /// on; `None` sends the caller to its scalar index loop (the scalar
+    /// backend, or a ring with `n < 8`).
+    fn lane_blocks(&self, be: simd::SimdBackend) -> Option<&GaloisBlocks> {
+        self.blocks.as_ref().filter(|_| be.is_vector())
     }
 
     /// Applies the permutation: `out[j] = input[idx[j]]`. Values are copied
     /// untouched, so the input's (lazy) range carries over to the output.
     /// On vector backends this runs as in-register permutes — one
-    /// contiguous load + `vpermq` per aligned 8-block when the blocked
-    /// tables are present ([`pi_field::simd::permute8`]), hardware gathers
-    /// ([`pi_field::simd::gather_u64`]) otherwise; the result is
-    /// bit-identical to the scalar index loop either way.
+    /// contiguous load + `vpermq` per aligned 8-block
+    /// ([`pi_field::simd::permute8`]) — whenever the blocked tables are
+    /// present (every ring with `8 | n`); otherwise, and under the scalar
+    /// backend, as the index loop. The results are bit-identical.
     ///
     /// # Panics
     ///
@@ -244,12 +250,8 @@ impl GaloisPerm {
         );
         pi_trace::incr(pi_trace::Counter::NttGather);
         let be = simd::backend();
-        if be.is_vector() {
-            if let Some(bl) = &self.blocks {
-                simd::permute8(be, out, input, &bl.bsrc, &bl.bpat);
-            } else {
-                simd::gather_u64(be, out, input, &self.idx);
-            }
+        if let Some(bl) = self.lane_blocks(be) {
+            simd::permute8(be, out, input, &bl.bsrc, &bl.bpat);
             return;
         }
         for (o, &s) in out.iter_mut().zip(&self.idx) {
@@ -666,16 +668,10 @@ impl NttTables {
         pi_trace::incr(pi_trace::Counter::NttDyadic);
         pi_trace::incr(pi_trace::Counter::NttGather);
         let be = simd::backend();
-        if be.is_vector() {
-            if let Some(bl) = &perm.blocks {
-                simd::permute8_mul_acc_shoup2(
-                    be, self.q, acc0, acc1, src, &bl.bsrc, &bl.bpat, op0, op1,
-                );
-            } else {
-                simd::dyadic_mul_acc_shoup_gather2(
-                    be, self.q, acc0, acc1, src, &perm.idx, op0, op1,
-                );
-            }
+        if let Some(bl) = perm.lane_blocks(be) {
+            simd::permute8_mul_acc_shoup2(
+                be, self.q, acc0, acc1, src, &bl.bsrc, &bl.bpat, op0, op1,
+            );
             return;
         }
         let q = &self.q;
@@ -698,12 +694,8 @@ impl NttTables {
         assert!(acc.len() == self.n && src.len() == self.n && perm.n() == self.n);
         pi_trace::incr(pi_trace::Counter::NttGather);
         let be = simd::backend();
-        if be.is_vector() {
-            if let Some(bl) = &perm.blocks {
-                simd::permute8_add_lazy(be, self.q, acc, src, &bl.bsrc, &bl.bpat);
-            } else {
-                simd::gather_add_lazy(be, self.q, acc, src, &perm.idx);
-            }
+        if let Some(bl) = perm.lane_blocks(be) {
+            simd::permute8_add_lazy(be, self.q, acc, src, &bl.bsrc, &bl.bpat);
             return;
         }
         let q = &self.q;
@@ -1007,6 +999,58 @@ mod tests {
         assert_eq!(a, b);
         t.inverse(&mut a);
         assert_eq!(a, orig);
+    }
+
+    #[test]
+    fn galois_paths_are_blocked_from_n_8_and_backend_invariant_below() {
+        use pi_field::simd::{clear_forced_backend, force_backend, SimdBackend};
+        // From n = 8 up every automorphism table has the blocked form, so
+        // the permute8 kernels are the only vector path a real ring takes.
+        for n in [8usize, 16, 64, 1024, 4096] {
+            let t = tables(n, 45);
+            let step = (n / 32).max(1) * 2;
+            for g in (1..2 * n).step_by(step).chain([n + 1, 2 * n - 1]) {
+                let perm = t.galois_permutation(g);
+                assert!(perm.blocks.is_some(), "no blocked table at n={n} g={g}");
+            }
+        }
+        // Below that there is no blocked table and no lane kernel: every
+        // vector backend must fall through to the scalar index loop.
+        // (The forced backend is process-global; concurrent tests only ever
+        // see a different bit-identical path.)
+        let vector_backends = [
+            SimdBackend::Portable,
+            SimdBackend::Avx2,
+            SimdBackend::Avx512,
+            SimdBackend::Neon,
+        ];
+        let mut rng = rand::rngs::StdRng::seed_from_u64(29);
+        for bits in [28u32, 45, 62] {
+            let t = tables(4, bits);
+            let q = t.q();
+            for g in [3usize, 5, 7] {
+                let perm = t.galois_permutation(g);
+                assert!(perm.blocks.is_none());
+                let src: Vec<u64> = (0..4).map(|_| rng.gen_range(0..q.twice())).collect();
+                let acc: Vec<u64> = (0..4).map(|_| rng.gen_range(0..q.twice())).collect();
+                let op0 = ShoupVec::new(q, &random_vec(4, q, &mut rng));
+                let op1 = ShoupVec::new(q, &random_vec(4, q, &mut rng));
+                let run = |be: SimdBackend| {
+                    force_backend(be);
+                    let mut out = vec![0u64; 4];
+                    perm.apply(&mut out, &src);
+                    let (mut a0, mut a1, mut aa) = (acc.clone(), acc.clone(), acc.clone());
+                    t.dyadic_mul_acc_shoup_gather2(&mut a0, &mut a1, &src, &perm, &op0, &op1);
+                    t.gather_add_lazy(&mut aa, &src, &perm);
+                    clear_forced_backend();
+                    (out, a0, a1, aa)
+                };
+                let expect = run(SimdBackend::Scalar);
+                for be in vector_backends.into_iter().filter(|be| be.available()) {
+                    assert_eq!(run(be), expect, "n=4 bits={bits} g={g} be={}", be.name());
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,33 +1,25 @@
 //! Stage-level SIMD dispatch for the Harvey NTT engine.
 //!
 //! This module is the bridge between [`crate::ntt::NttTables`] and the
-//! four-lane kernels in [`pi_field::simd`]: it knows the twiddle layout
+//! lane kernels in [`pi_field::simd`]: it knows the twiddle layout
 //! (bit-reversed `ψ` powers with Shoup companions in a [`ShoupVec`]) and
 //! the stage geometry, while all lane arithmetic — and all `unsafe` —
-//! lives in `pi-field`. This crate stays `#![forbid(unsafe_code)]`.
+//! lives in `pi-field` (see its module docs for the backends, the
+//! `PI_SIMD` toggle and the bit-for-bit contract). This crate stays
+//! `#![forbid(unsafe_code)]`.
 //!
-//! # Dispatch rules
-//!
-//! * The backend is resolved once per transform via [`backend`]
-//!   (re-exported from `pi_field::simd`): runtime AVX-512/AVX2 detection
-//!   on x86_64, NEON on aarch64, the portable 4-lane fallback elsewhere,
-//!   and the `PI_SIMD` environment toggle (`scalar` forces the canonical
-//!   scalar oracle for differential testing).
+//! * The backend is resolved once per transform via [`backend`].
 //! * A butterfly stage takes the vector path when its stride `t` is at
-//!   least [`LANES`]: in the `log2(LANES)` stages below that, the twiddle
-//!   changes faster than a 4-lane register fills, so on the 4-lane
-//!   backends they run the canonical scalar butterflies in `ntt.rs`; the
-//!   AVX-512 backend instead routes them through its in-register permute
-//!   path whenever the ring holds a 16-element group (see
-//!   [`stage_vectorizable`]). The same per-stage rule applies inside the
-//!   stage-major `forward_many`/`inverse_many` batching, so the whole RNS
-//!   stack inherits the vector path per residue column.
+//!   least [`LANES`]; the `log2(LANES)` stages below that run the
+//!   canonical scalar butterflies in `ntt.rs`, except on AVX-512, which
+//!   routes them through its in-register permute path whenever the ring
+//!   holds a 16-element group (see [`stage_vectorizable`]). The same
+//!   per-stage rule applies inside the stage-major
+//!   `forward_many`/`inverse_many` batching, so the whole RNS stack
+//!   inherits the vector path per residue column.
 //! * Lazy-range invariants are unchanged from the scalar engine
 //!   (forward `[0, 4q)`, inverse `[0, 2q)`, folded-`n^{-1}` last stage
-//!   reducing into `[0, q)`); every backend computes the identical
-//!   sequence of wrapping u64 operations, so outputs are bit-for-bit equal
-//!   to the scalar path — the property the `ntt_simd_differential`
-//!   umbrella suite pins down.
+//!   reducing into `[0, q)`).
 
 use crate::ntt::ShoupVec;
 use pi_field::{simd as fsimd, Modulus, ShoupMul};
@@ -35,7 +27,7 @@ use pi_field::{simd as fsimd, Modulus, ShoupMul};
 pub use pi_field::simd::{backend, SimdBackend, LANES};
 
 /// Whether a butterfly stage of stride `t` in a ring of degree `n` runs on
-/// the vector path under backend `be`. The 4-lane backends require the
+/// the vector path under backend `be`. Every backend requires the
 /// stride to reach [`LANES`]; AVX-512 also takes the small-stride stages
 /// (`t < 4`) through its permute path whenever the ring holds at least one
 /// 16-element group.
@@ -43,7 +35,7 @@ pub use pi_field::simd::{backend, SimdBackend, LANES};
 pub fn stage_vectorizable(be: SimdBackend, t: usize, n: usize) -> bool {
     match be {
         SimdBackend::Scalar => false,
-        SimdBackend::Avx512 | SimdBackend::Ifma => t >= LANES || n.is_multiple_of(16),
+        SimdBackend::Avx512 => t >= LANES || n.is_multiple_of(16),
         _ => t >= LANES,
     }
 }
@@ -174,62 +166,14 @@ pub(crate) fn dyadic_mul_acc_shoup(
     fsimd::dyadic_mul_acc_shoup(be, &q, acc, a, op.values(), op.quotients());
 }
 
-/// Permuted lazy double multiply-accumulate: the fused key-switch inner
-/// loop. For each lane `j`, reads `src[idx[j]]` once and feeds it into two
-/// lazy Shoup accumulations (against `op0` into `acc0` and `op1` into
-/// `acc1`), so the Galois permutation costs one gather instead of a
-/// materialized scratch polynomial. Bit-identical to
-/// `apply`-then-`dyadic_mul_acc_shoup` twice.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn dyadic_mul_acc_shoup_gather2(
-    be: SimdBackend,
-    q: Modulus,
-    acc0: &mut [u64],
-    acc1: &mut [u64],
-    src: &[u64],
-    idx: &[u32],
-    op0: &ShoupVec,
-    op1: &ShoupVec,
-) {
-    fsimd::dyadic_mul_acc_shoup_gather2(
-        be,
-        &q,
-        acc0,
-        acc1,
-        src,
-        idx,
-        op0.values(),
-        op0.quotients(),
-        op1.values(),
-        op1.quotients(),
-    );
-}
-
-/// Permuted lazy add: `acc[j] = add_lazy(acc[j], src[idx[j]])`, fusing a
-/// Galois permutation into a `[0, 2q)` accumulate.
-pub(crate) fn gather_add_lazy(
-    be: SimdBackend,
-    q: Modulus,
-    acc: &mut [u64],
-    src: &[u64],
-    idx: &[u32],
-) {
-    fsimd::gather_add_lazy(be, &q, acc, src, idx);
-}
-
-/// Plain permutation through the gather kernels: `out[j] = src[idx[j]]`.
-pub(crate) fn gather_u64(be: SimdBackend, out: &mut [u64], src: &[u64], idx: &[u32]) {
-    fsimd::gather_u64(be, out, src, idx);
-}
-
 /// Blocked in-register permutation (`out[8b+t] = src[8·bsrc[b] +
-/// pat_b(t)]`) — the vpermq fast path of [`gather_u64`] for Galois tables
-/// with the aligned-8-block structure.
+/// pat_b(t)]`) for Galois tables with the aligned-8-block structure.
 pub(crate) fn permute8(be: SimdBackend, out: &mut [u64], src: &[u64], bsrc: &[u32], bpat: &[u64]) {
     fsimd::permute8(be, out, src, bsrc, bpat);
 }
 
-/// Blocked-permute lazy add, the vpermq form of [`gather_add_lazy`].
+/// Blocked-permute lazy add: `acc[j] = add_lazy(acc[j], permuted src[j])`,
+/// fusing a Galois permutation into a `[0, 2q)` accumulate.
 pub(crate) fn permute8_add_lazy(
     be: SimdBackend,
     q: Modulus,
@@ -241,8 +185,11 @@ pub(crate) fn permute8_add_lazy(
     fsimd::permute8_add_lazy(be, &q, acc, src, bsrc, bpat);
 }
 
-/// Blocked-permute fused key-switch inner loop, the vpermq form of
-/// [`dyadic_mul_acc_shoup_gather2`].
+/// Blocked-permute fused key-switch inner loop: each permuted lane is read
+/// once and fed into two lazy Shoup accumulations (against `op0` into
+/// `acc0` and `op1` into `acc1`), so the Galois permutation costs no
+/// materialized scratch polynomial. Bit-identical to
+/// `apply`-then-`dyadic_mul_acc_shoup` twice.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn permute8_mul_acc_shoup2(
     be: SimdBackend,
