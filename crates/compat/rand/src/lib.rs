@@ -15,6 +15,7 @@ pub trait RngCore {
     fn next_u64(&mut self) -> u64;
 
     /// Returns the next random `u32`.
+    #[inline]
     fn next_u32(&mut self) -> u32 {
         (self.next_u64() >> 32) as u32
     }
@@ -34,12 +35,14 @@ pub trait RngCore {
 }
 
 impl<R: RngCore + ?Sized> RngCore for &mut R {
+    #[inline]
     fn next_u64(&mut self) -> u64 {
         (**self).next_u64()
     }
 }
 
 impl<R: RngCore + ?Sized> RngCore for Box<R> {
+    #[inline]
     fn next_u64(&mut self) -> u64 {
         (**self).next_u64()
     }
@@ -55,6 +58,7 @@ pub trait Standard: Sized {
 macro_rules! impl_standard_int {
     ($($t:ty),*) => {$(
         impl Standard for $t {
+            #[inline]
             fn sample_standard<R: RngCore + ?Sized>(rng: &mut R) -> Self {
                 rng.next_u64() as $t
             }
@@ -64,24 +68,28 @@ macro_rules! impl_standard_int {
 impl_standard_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
 
 impl Standard for u128 {
+    #[inline]
     fn sample_standard<R: RngCore + ?Sized>(rng: &mut R) -> Self {
         ((rng.next_u64() as u128) << 64) | rng.next_u64() as u128
     }
 }
 
 impl Standard for i128 {
+    #[inline]
     fn sample_standard<R: RngCore + ?Sized>(rng: &mut R) -> Self {
         u128::sample_standard(rng) as i128
     }
 }
 
 impl Standard for bool {
+    #[inline]
     fn sample_standard<R: RngCore + ?Sized>(rng: &mut R) -> Self {
         rng.next_u64() & 1 == 1
     }
 }
 
 impl Standard for f64 {
+    #[inline]
     fn sample_standard<R: RngCore + ?Sized>(rng: &mut R) -> Self {
         // 53 random mantissa bits in [0, 1).
         (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
@@ -89,6 +97,7 @@ impl Standard for f64 {
 }
 
 impl Standard for f32 {
+    #[inline]
     fn sample_standard<R: RngCore + ?Sized>(rng: &mut R) -> Self {
         (rng.next_u64() >> 40) as f32 * (1.0 / (1u64 << 24) as f32)
     }
@@ -109,6 +118,7 @@ pub trait SampleUniform: Copy + PartialOrd {
 macro_rules! impl_sample_uniform_int {
     ($($t:ty),*) => {$(
         impl SampleUniform for $t {
+            #[inline]
             fn sample_uniform<R: RngCore + ?Sized>(
                 lo: Self,
                 hi: Self,
@@ -125,6 +135,7 @@ macro_rules! impl_sample_uniform_int {
 impl_sample_uniform_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
 
 impl SampleUniform for u128 {
+    #[inline]
     fn sample_uniform<R: RngCore + ?Sized>(
         lo: Self,
         hi: Self,
@@ -147,6 +158,7 @@ impl SampleUniform for u128 {
 macro_rules! impl_sample_uniform_float {
     ($($t:ty),*) => {$(
         impl SampleUniform for $t {
+            #[inline]
             fn sample_uniform<R: RngCore + ?Sized>(
                 lo: Self,
                 hi: Self,
@@ -170,12 +182,14 @@ pub trait SampleRange<T> {
 }
 
 impl<T: SampleUniform> SampleRange<T> for core::ops::Range<T> {
+    #[inline]
     fn sample_from<R: RngCore + ?Sized>(self, rng: &mut R) -> T {
         T::sample_uniform(self.start, self.end, false, rng)
     }
 }
 
 impl<T: SampleUniform> SampleRange<T> for core::ops::RangeInclusive<T> {
+    #[inline]
     fn sample_from<R: RngCore + ?Sized>(self, rng: &mut R) -> T {
         T::sample_uniform(*self.start(), *self.end(), true, rng)
     }
@@ -184,21 +198,25 @@ impl<T: SampleUniform> SampleRange<T> for core::ops::RangeInclusive<T> {
 /// High-level convenience methods, blanket-implemented for every [`RngCore`].
 pub trait Rng: RngCore {
     /// Draws a value of type `T` from its full range.
+    #[inline]
     fn gen<T: Standard>(&mut self) -> T {
         T::sample_standard(self)
     }
 
     /// Draws a value uniformly from `range`.
+    #[inline]
     fn gen_range<T, Rg: SampleRange<T>>(&mut self, range: Rg) -> T {
         range.sample_from(self)
     }
 
     /// Returns `true` with probability `p`.
+    #[inline]
     fn gen_bool(&mut self, p: f64) -> bool {
         f64::sample_standard(self) < p
     }
 
     /// Fills a byte slice with random data.
+    #[inline]
     fn fill(&mut self, dest: &mut [u8]) {
         self.fill_bytes(dest)
     }
@@ -271,6 +289,7 @@ pub mod rngs {
     }
 
     impl RngCore for StdRng {
+        #[inline]
         fn next_u64(&mut self) -> u64 {
             let s = &mut self.s;
             let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
@@ -296,6 +315,7 @@ pub mod rngs {
     pub struct ThreadRng(pub(crate) StdRng);
 
     impl RngCore for ThreadRng {
+        #[inline]
         fn next_u64(&mut self) -> u64 {
             self.0.next_u64()
         }

@@ -1,10 +1,10 @@
 //! Byte-counting channels connecting the two protocol parties.
 //!
-//! Both parties run in-process and exchange typed [`Msg`](crate::msg::Msg)
-//! values over crossbeam channels. Every message knows its wire-format
-//! size, so the channel accumulates exact upload / download byte counts —
-//! the quantities the paper's communication analysis (Figure 5, Table 1,
-//! WSA) is built on.
+//! Both parties run in-process and exchange typed [`Msg`] values over
+//! crossbeam channels. Every message knows its wire-format size, so the
+//! sending half of every endpoint — one [`ChannelTx`] — accumulates exact
+//! upload / download byte counts: the quantities the paper's communication
+//! analysis (Figure 5, Table 1, WSA) is built on.
 //!
 //! Two topologies exist:
 //!
@@ -24,7 +24,6 @@
 use crate::msg::Msg;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Transport-level failure on a protocol channel.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -62,38 +61,82 @@ pub struct SessionPacket {
     pub event: ClientEvent,
 }
 
-/// Mirrors one outgoing message into the wire-level trace counters and
-/// returns its wire size. The per-channel atomics stay authoritative for
-/// the exact upload/download accounting; the trace mirror aggregates
-/// across channels and feeds the `wire.msg_bytes` histogram.
-fn account_wire(msg: &Msg) -> (u64, u64) {
-    let len = msg.byte_len() as u64;
-    let flat = msg.flat_byte_len() as u64;
-    pi_trace::add(pi_trace::Counter::WireBytes, len);
-    pi_trace::add(pi_trace::Counter::WireFlatBytes, flat);
-    pi_trace::incr(pi_trace::Counter::WireMsgs);
-    pi_trace::record(pi_trace::Hist::WireMsgBytes, len);
-    (len, flat)
-}
-
-/// The sending half of a [`Channel`]: either a dedicated peer link or a
+/// Where a [`ChannelTx`] delivers: a dedicated peer link or a
 /// session-tagged uplink into a shared ingress channel.
 #[derive(Debug)]
-enum Uplink {
-    /// Dedicated link ([`local_pair`]).
+enum Link {
+    /// Dedicated link ([`local_pair`], and every downlink).
     Direct(Sender<Msg>),
-    /// Tagged multiplexed link ([`service_pair`]); drop sends `Gone`.
+    /// Tagged multiplexed link ([`service_pair`] uplink); drop sends `Gone`.
     Tagged { tx: Sender<SessionPacket>, sid: u64 },
+}
+
+/// The counted sending half of an endpoint: every [`Channel`] contains one,
+/// and the server's session state machine writes to one by reference — a
+/// dedicated channel's, or a [`service_pair`]'s bare downlink sender.
+#[derive(Debug)]
+pub struct ChannelTx {
+    link: Link,
+    sent_bytes: AtomicU64,
+}
+
+impl ChannelTx {
+    fn new(link: Link) -> Self {
+        Self {
+            link,
+            sent_bytes: AtomicU64::new(0),
+        }
+    }
+
+    /// Sends a message, accounting its wire size in this sender's counter —
+    /// authoritative for the exact upload/download split — and in the
+    /// wire-level trace counters, which aggregate across channels.
+    ///
+    /// # Errors
+    ///
+    /// [`ChannelError::Disconnected`] if the peer endpoint was dropped; the
+    /// message is counted as sent (it left this party) but goes nowhere.
+    pub fn send(&self, msg: Msg) -> Result<(), ChannelError> {
+        let len = msg.byte_len() as u64;
+        pi_trace::add(pi_trace::Counter::WireBytes, len);
+        pi_trace::incr(pi_trace::Counter::WireMsgs);
+        pi_trace::record(pi_trace::Hist::WireMsgBytes, len);
+        self.sent_bytes.fetch_add(len, Ordering::Relaxed);
+        match &self.link {
+            Link::Direct(tx) => tx.send(msg).map_err(|_| ChannelError::Disconnected),
+            Link::Tagged { tx, sid } => tx
+                .send(SessionPacket {
+                    sid: *sid,
+                    event: ClientEvent::Msg(msg),
+                })
+                .map_err(|_| ChannelError::Disconnected),
+        }
+    }
+
+    /// Total bytes sent through this sender.
+    pub fn bytes_sent(&self) -> u64 {
+        self.sent_bytes.load(Ordering::Relaxed)
+    }
+}
+
+impl Drop for ChannelTx {
+    fn drop(&mut self) {
+        if let Link::Tagged { tx, sid } = &self.link {
+            // Best-effort: if the runtime is already gone there is nobody
+            // left to notify.
+            let _ = tx.send(SessionPacket {
+                sid: *sid,
+                event: ClientEvent::Gone,
+            });
+        }
+    }
 }
 
 /// One endpoint of a bidirectional, byte-counting message channel.
 #[derive(Debug)]
 pub struct Channel {
-    tx: Uplink,
+    tx: ChannelTx,
     rx: Receiver<Msg>,
-    sent_bytes: Arc<AtomicU64>,
-    sent_flat_bytes: Arc<AtomicU64>,
-    sent_msgs: Arc<AtomicU64>,
 }
 
 /// Creates a connected pair of endpoints. By convention the first endpoint
@@ -102,68 +145,41 @@ pub fn local_pair() -> (Channel, Channel) {
     let (tx_a, rx_b) = unbounded();
     let (tx_b, rx_a) = unbounded();
     let a = Channel {
-        tx: Uplink::Direct(tx_a),
+        tx: ChannelTx::new(Link::Direct(tx_a)),
         rx: rx_a,
-        sent_bytes: Arc::new(AtomicU64::new(0)),
-        sent_flat_bytes: Arc::new(AtomicU64::new(0)),
-        sent_msgs: Arc::new(AtomicU64::new(0)),
     };
     let b = Channel {
-        tx: Uplink::Direct(tx_b),
+        tx: ChannelTx::new(Link::Direct(tx_b)),
         rx: rx_b,
-        sent_bytes: Arc::new(AtomicU64::new(0)),
-        sent_flat_bytes: Arc::new(AtomicU64::new(0)),
-        sent_msgs: Arc::new(AtomicU64::new(0)),
     };
     (a, b)
 }
 
 /// Creates the serving-runtime endpoints for one session: the client's
 /// [`Channel`] (uplink tagged with `sid` onto `ingress`, private downlink)
-/// and the server's byte-counting [`ChannelTx`] downlink sender.
+/// and the server's downlink [`ChannelTx`] (its receive side is the
+/// runtime's shared ingress).
 ///
-/// Uplink byte accounting lives in the client channel; downlink accounting
-/// in the returned [`ChannelTx`] — together they give the same per-side
+/// Uplink byte accounting lives in the client channel's sender, downlink
+/// accounting in the returned one — together they give the same per-side
 /// upload/download split as a [`local_pair`].
 pub fn service_pair(sid: u64, ingress: Sender<SessionPacket>) -> (Channel, ChannelTx) {
     let (down_tx, down_rx) = unbounded();
     let client = Channel {
-        tx: Uplink::Tagged { tx: ingress, sid },
+        tx: ChannelTx::new(Link::Tagged { tx: ingress, sid }),
         rx: down_rx,
-        sent_bytes: Arc::new(AtomicU64::new(0)),
-        sent_flat_bytes: Arc::new(AtomicU64::new(0)),
-        sent_msgs: Arc::new(AtomicU64::new(0)),
     };
-    let server_tx = ChannelTx {
-        tx: down_tx,
-        sent_bytes: Arc::new(AtomicU64::new(0)),
-        sent_flat_bytes: Arc::new(AtomicU64::new(0)),
-        sent_msgs: Arc::new(AtomicU64::new(0)),
-    };
-    (client, server_tx)
+    (client, ChannelTx::new(Link::Direct(down_tx)))
 }
 
 impl Channel {
-    /// Sends a message, accounting its wire size.
+    /// Sends a message through this endpoint's [`ChannelTx`].
     ///
     /// # Errors
     ///
-    /// [`ChannelError::Disconnected`] if the peer endpoint was dropped; the
-    /// message is counted as sent (it left this party) but goes nowhere.
+    /// [`ChannelError::Disconnected`] if the peer endpoint was dropped.
     pub fn send(&self, msg: Msg) -> Result<(), ChannelError> {
-        let (len, flat) = account_wire(&msg);
-        self.sent_bytes.fetch_add(len, Ordering::Relaxed);
-        self.sent_flat_bytes.fetch_add(flat, Ordering::Relaxed);
-        self.sent_msgs.fetch_add(1, Ordering::Relaxed);
-        match &self.tx {
-            Uplink::Direct(tx) => tx.send(msg).map_err(|_| ChannelError::Disconnected),
-            Uplink::Tagged { tx, sid } => tx
-                .send(SessionPacket {
-                    sid: *sid,
-                    event: ClientEvent::Msg(msg),
-                })
-                .map_err(|_| ChannelError::Disconnected),
-        }
+        self.tx.send(msg)
     }
 
     /// Receives the next message (blocking).
@@ -176,124 +192,16 @@ impl Channel {
         self.rx.recv().map_err(|_| ChannelError::Disconnected)
     }
 
-    /// Total bytes sent from this endpoint.
-    pub fn bytes_sent(&self) -> u64 {
-        self.sent_bytes.load(Ordering::Relaxed)
+    /// The counted sending half (its [`ChannelTx::bytes_sent`] is this
+    /// endpoint's traffic).
+    pub fn tx(&self) -> &ChannelTx {
+        &self.tx
     }
 
-    /// Bytes this endpoint would have sent under the legacy flat-u64 HE
-    /// encoding (see [`Msg::flat_byte_len`]).
-    pub fn bytes_sent_flat(&self) -> u64 {
-        self.sent_flat_bytes.load(Ordering::Relaxed)
-    }
-
-    /// Total messages sent from this endpoint (round counting).
-    pub fn messages_sent(&self) -> u64 {
-        self.sent_msgs.load(Ordering::Relaxed)
-    }
-}
-
-impl Drop for Channel {
-    fn drop(&mut self) {
-        if let Uplink::Tagged { tx, sid } = &self.tx {
-            // Best-effort: if the runtime is already gone there is nobody
-            // left to notify.
-            let _ = tx.send(SessionPacket {
-                sid: *sid,
-                event: ClientEvent::Gone,
-            });
-        }
-    }
-}
-
-/// A byte-counting message sink — the downlink abstraction the server's
-/// session state machine writes to, implemented by both a dedicated
-/// [`Channel`] (synchronous two-thread drivers) and a [`ChannelTx`]
-/// (serving-runtime sessions), so one protocol implementation serves both
-/// deployments.
-pub trait MsgSink {
-    /// Sends a message, accounting its wire size.
-    ///
-    /// # Errors
-    ///
-    /// [`ChannelError::Disconnected`] if the peer endpoint was dropped.
-    fn send_msg(&self, msg: Msg) -> Result<(), ChannelError>;
-
-    /// Total bytes sent through this sink.
-    fn sent_bytes(&self) -> u64;
-
-    /// Bytes this sink would have sent under the legacy flat-u64 HE
-    /// encoding (see [`Msg::flat_byte_len`]).
-    fn sent_bytes_flat(&self) -> u64;
-}
-
-impl MsgSink for Channel {
-    fn send_msg(&self, msg: Msg) -> Result<(), ChannelError> {
-        self.send(msg)
-    }
-
-    fn sent_bytes(&self) -> u64 {
-        self.bytes_sent()
-    }
-
-    fn sent_bytes_flat(&self) -> u64 {
-        self.bytes_sent_flat()
-    }
-}
-
-impl MsgSink for ChannelTx {
-    fn send_msg(&self, msg: Msg) -> Result<(), ChannelError> {
-        self.send(msg)
-    }
-
-    fn sent_bytes(&self) -> u64 {
-        self.bytes_sent()
-    }
-
-    fn sent_bytes_flat(&self) -> u64 {
-        self.bytes_sent_flat()
-    }
-}
-
-/// The server-side downlink sender of a [`service_pair`] session: a
-/// byte-counting send-only handle the session state machine owns (its
-/// receive side is the runtime's shared ingress).
-#[derive(Debug)]
-pub struct ChannelTx {
-    tx: Sender<Msg>,
-    sent_bytes: Arc<AtomicU64>,
-    sent_flat_bytes: Arc<AtomicU64>,
-    sent_msgs: Arc<AtomicU64>,
-}
-
-impl ChannelTx {
-    /// Sends a message to the session's client, accounting its wire size.
-    ///
-    /// # Errors
-    ///
-    /// [`ChannelError::Disconnected`] if the client endpoint was dropped.
-    pub fn send(&self, msg: Msg) -> Result<(), ChannelError> {
-        let (len, flat) = account_wire(&msg);
-        self.sent_bytes.fetch_add(len, Ordering::Relaxed);
-        self.sent_flat_bytes.fetch_add(flat, Ordering::Relaxed);
-        self.sent_msgs.fetch_add(1, Ordering::Relaxed);
-        self.tx.send(msg).map_err(|_| ChannelError::Disconnected)
-    }
-
-    /// Total bytes sent from this endpoint.
-    pub fn bytes_sent(&self) -> u64 {
-        self.sent_bytes.load(Ordering::Relaxed)
-    }
-
-    /// Bytes this endpoint would have sent under the legacy flat-u64 HE
-    /// encoding (see [`Msg::flat_byte_len`]).
-    pub fn bytes_sent_flat(&self) -> u64 {
-        self.sent_flat_bytes.load(Ordering::Relaxed)
-    }
-
-    /// Total messages sent from this endpoint.
-    pub fn messages_sent(&self) -> u64 {
-        self.sent_msgs.load(Ordering::Relaxed)
+    /// Whether this is the client end of a [`service_pair`]: the server's
+    /// first message on such a channel is its [`Msg::KeyStatus`] preamble.
+    pub fn is_service(&self) -> bool {
+        matches!(self.tx.link, Link::Tagged { .. })
     }
 }
 
@@ -309,9 +217,8 @@ mod tests {
             Msg::VecU64(v) => assert_eq!(v, vec![1, 2, 3]),
             other => panic!("unexpected message {other:?}"),
         }
-        assert_eq!(a.bytes_sent(), 3 * 8 + 8);
-        assert_eq!(a.messages_sent(), 1);
-        assert_eq!(b.bytes_sent(), 0);
+        assert_eq!(a.tx().bytes_sent(), 3 * 8 + 8);
+        assert_eq!(b.tx().bytes_sent(), 0);
     }
 
     #[test]

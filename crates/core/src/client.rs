@@ -1,0 +1,397 @@
+//! The client of both protocols: one blocking body.
+//!
+//! The client owns its thread, so the shortest correct form of its role is
+//! a straight-line function over a blocking [`Channel`]. Both protocol
+//! kinds share the prologue (randomness, offline linear pass), the
+//! masked-input send and the share-combining epilogue; they differ only
+//! where the client acts as **garbler** (Client-Garbler, §5.1: it garbles
+//! offline and serves the server's label OT online) or as **evaluator**
+//! (Server-Garbler, §2.2: it stores the circuits, fetches its labels by
+//! offline OT and evaluates online) — with the role steps the server's
+//! state machine runs in the mirrored role (`role.rs`). Everything the
+//! server sends is checked before use: a deviating server is a
+//! [`ProtocolError`], never a panic.
+
+use crate::channel::Channel;
+use crate::common::{
+    random_field_vecs, reduced, unexpected, ModelMeta, PartyOutcome, ProtocolConfig, ProtocolKind,
+};
+use crate::error::ProtocolError;
+use crate::msg::Msg;
+use crate::role::{encode, BaseReceiver, BaseSender, Garbler, LabelRequest, PhaseTables};
+use pi_gc::Label;
+use pi_he::{BatchEncoder, BfvParams, GaloisKeys, KeySet, NoiseStage};
+use rand::Rng;
+use std::sync::Arc;
+
+/// Receives the next message, which must be the given [`Msg`] variant.
+macro_rules! recv {
+    ($chan:expr, $variant:ident) => {
+        match $chan.recv()? {
+            Msg::$variant(v) => v,
+            other => return Err(unexpected(stringify!($variant), &other)),
+        }
+    };
+}
+
+/// What the client holds between the offline and the online phase.
+enum Role {
+    /// Client-Garbler: encodings of every phase, to serve the server's
+    /// online label OT from.
+    Garbler(Garbler),
+    /// Server-Garbler: per phase, the stored tables and the client's own
+    /// input labels (`2k` per instance: share, then next randomness).
+    Evaluator(Vec<(PhaseTables, Vec<Label>)>),
+}
+
+/// The client's HE context for one inference.
+struct ClientHe<'a> {
+    params: &'a BfvParams,
+    keys: Arc<KeySet>,
+    encoder: BatchEncoder,
+}
+
+/// The client party: runs inferences against a server over a [`Channel`]
+/// — a [`crate::serve::ServeRuntime::connect`] session or one end of a
+/// [`crate::channel::local_pair`] — retaining its HE [`KeySet`] across them
+/// (the secret key never leaves the client). If the server evicted the
+/// keys, the retained set is re-uploaded, not regenerated.
+#[derive(Default)]
+pub struct ServiceClient {
+    retained: Option<Arc<KeySet>>,
+}
+
+impl ServiceClient {
+    /// Creates a client with no retained key material (the first HE request
+    /// generates and uploads fresh keys).
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Whether this client currently retains HE key material.
+    pub fn has_keys(&self) -> bool {
+        self.retained.is_some()
+    }
+
+    /// Runs one inference and returns its output and cost summary. On a
+    /// serving-runtime channel the first downlink message is the server's
+    /// [`Msg::KeyStatus`], and the key upload is skipped when the server
+    /// still caches this client's keys; on a dedicated pair the keys are
+    /// always uploaded.
+    ///
+    /// # Errors
+    ///
+    /// [`ProtocolError::Channel`] if the server vanishes,
+    /// [`ProtocolError::UnexpectedMsg`] if it deviates from the message
+    /// sequence, and [`ProtocolError::BadRequest`] if it sends a malformed
+    /// message or claims cached keys this client no longer holds (a
+    /// client-identity mix-up).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `input` does not have the model's input length, or the HE
+    /// plaintext modulus differs from the model field.
+    pub fn run<R: Rng + ?Sized>(
+        &mut self,
+        meta: &ModelMeta,
+        input: &[u64],
+        cfg: &ProtocolConfig,
+        chan: &Channel,
+        rng: &mut R,
+    ) -> Result<(Vec<u64>, PartyOutcome), ProtocolError> {
+        // A serving-runtime session opens with the server's word on whether
+        // it needs this client's HE keys; a dedicated pair always does.
+        let upload = if chan.is_service() {
+            match chan.recv()? {
+                Msg::KeyStatus { need_keys } => need_keys,
+                other => return Err(unexpected("KeyStatus", &other)),
+            }
+        } else {
+            true
+        };
+        if cfg.he().is_some() && !upload && self.retained.is_none() {
+            return Err(ProtocolError::BadRequest(
+                "server caches keys this client does not hold",
+            ));
+        }
+        assert_eq!(input.len(), meta.input_len, "input length mismatch");
+        let p = meta.p;
+        let k = meta.relu_width;
+        let mut out = PartyOutcome::default();
+        let trace_scope = pi_trace::begin_local();
+        let root_span = pi_trace::span!("client");
+
+        // ---------------- Offline ----------------
+        // Randomness per activation (the input and every garbled ReLU's
+        // output), then the linear pass on it.
+        let relu_phases = &meta.relu_phases;
+        let act_lens = std::iter::once(meta.input_len).chain(relu_phases.iter().map(|r| r.rows));
+        let r_acts = random_field_vecs(act_lens, p, rng);
+        let c_shares = {
+            let _span = pi_trace::span!("offline.he");
+            let he = match cfg.he() {
+                Some(params) => Some(self.he_context(meta, params, chan, rng, upload, &mut out)?),
+                None => None,
+            };
+            offline_linear(meta, &r_acts, he.as_ref(), chan, rng)?
+        };
+
+        let role = match cfg.kind {
+            ProtocolKind::ClientGarbler => {
+                // Base OT as the extension *sender*: the client owns the
+                // label pairs for the server's inputs.
+                let mut garbler = {
+                    let _span = pi_trace::span!("offline.ot");
+                    let setup = recv!(chan, OtBaseSetup);
+                    let (receiver, choice) = BaseReceiver::start(&setup, rng);
+                    chan.send(Msg::OtBaseChoice(choice))?;
+                    receiver.finish(&recv!(chan, OtBaseTransfer))?
+                };
+                // Garble and ship: tables + decode bits + the client's own
+                // input labels (share_a = its linear share on wires 0..k,
+                // r = next randomness on wires 2k..3k; both known offline).
+                for (idx, relu) in relu_phases.iter().enumerate() {
+                    let tables = garbler.garble(meta, relu, rng, &mut out);
+                    chan.send(Msg::GcTables(tables))?;
+                    let phase = &garbler.phases[idx];
+                    chan.send(Msg::GcDecode(
+                        phase
+                            .iter()
+                            .map(|g| g.garbled.output_decode.clone())
+                            .collect(),
+                    ))?;
+                    let (share, r_next) = (&c_shares[relu.phase], &r_acts[relu.phase + 1]);
+                    let mut labels = Vec::with_capacity(relu.rows * 2 * k);
+                    for (j, g) in phase.iter().enumerate() {
+                        labels.extend(encode(g, 0, share[j], k));
+                        labels.extend(encode(g, 2 * k, r_next[j], k));
+                    }
+                    chan.send(Msg::GcLabels(labels))?;
+                }
+                // Storage: the label pairs for the server's online inputs
+                // (k pairs + delta per element — the paper's modest
+                // garbler-side encoding cost).
+                let instances = garbler.phases.iter().map(Vec::len).sum::<usize>();
+                out.storage_bytes = instances as u64 * (2 * k as u64 + 1) * 16;
+                Role::Garbler(garbler)
+            }
+            ProtocolKind::ServerGarbler => {
+                // Base OT as the extension *receiver*: the client obtains
+                // labels.
+                let ext = {
+                    let _span = pi_trace::span!("offline.ot");
+                    let (sender, setup) = BaseSender::start(rng);
+                    chan.send(Msg::OtBaseSetup(setup))?;
+                    let (ext, transfer) = sender.finish(&recv!(chan, OtBaseChoice), rng)?;
+                    chan.send(Msg::OtBaseTransfer(transfer))?;
+                    ext
+                };
+                // Per ReLU phase: receive circuits, fetch own labels via OT
+                // (per element, share_b bits on wires k..2k, then r bits).
+                let mut phases = Vec::with_capacity(relu_phases.len());
+                for relu in relu_phases {
+                    let tables = PhaseTables::receive(meta, relu, recv!(chan, GcTables), &mut out)?;
+                    let _span = pi_trace::span!("offline.ot");
+                    let (share, r_next) = (&c_shares[relu.phase], &r_acts[relu.phase + 1]);
+                    let values = (0..relu.rows).flat_map(|j| [share[j], r_next[j]]);
+                    let (request, extend) = LabelRequest::new(&ext, values, k, rng, &mut out);
+                    chan.send(Msg::OtExtend(extend))?;
+                    let labels = request.open(&ext, &recv!(chan, OtTransfer))?;
+                    phases.push((tables, labels));
+                }
+                // Storage: garbled circuits + own labels.
+                let labels = phases.iter().map(|(_, l)| l.len()).sum::<usize>();
+                out.storage_bytes = out.gc_bytes + labels as u64 * 16;
+                Role::Evaluator(phases)
+            }
+        };
+        // Either role also stores its shares and randomness.
+        out.storage_bytes += c_shares.iter().map(|s| s.len() as u64 * 8).sum::<u64>()
+            + r_acts.iter().map(|r| r.len() as u64 * 8).sum::<u64>();
+        out.offline_sent = chan.tx().bytes_sent();
+
+        // ---------------- Online ----------------
+        let masked: Vec<u64> = input
+            .iter()
+            .zip(&r_acts[0])
+            .map(|(&x, &r)| p.sub(x, r))
+            .collect();
+        chan.send(Msg::VecU64(masked))?;
+
+        match role {
+            // Serve the server's labels via OT, one extension per ReLU
+            // phase; its input occupies wire positions [k, 2k).
+            Role::Garbler(garbler) => {
+                for idx in 0..relu_phases.len() {
+                    let _span = pi_trace::span!("online.ot");
+                    let extend = recv!(chan, OtExtend);
+                    let transfer = garbler.serve_labels(idx, k..2 * k, &extend, &mut out)?;
+                    chan.send(Msg::OtTransfer(transfer))?;
+                }
+            }
+            // Evaluate each phase on the server's labels for its share
+            // (wires 0..k); decode stays with the garbler.
+            Role::Evaluator(phases) => {
+                for (tables, mine) in &phases {
+                    let theirs = recv!(chan, GcLabels);
+                    if theirs.len() != tables.len() * k {
+                        return Err(ProtocolError::BadRequest("server label count"));
+                    }
+                    let eval_span = pi_trace::span!("online.eval");
+                    let out_labels = tables.evaluate(mine, &theirs, true, &mut out);
+                    drop(eval_span);
+                    chan.send(Msg::GcLabels(out_labels))?;
+                }
+            }
+        }
+
+        // Final phase: combine output shares.
+        let server_share = recv!(chan, VecU64);
+        let my_share = &c_shares[meta.phases.len() - 1];
+        if server_share.len() != my_share.len() || !reduced(&server_share, p) {
+            return Err(ProtocolError::BadRequest("output share"));
+        }
+        let output: Vec<u64> = server_share
+            .iter()
+            .zip(my_share)
+            .map(|(&a, &b)| p.add(a, b))
+            .collect();
+        out.total_sent = chan.tx().bytes_sent();
+        drop(root_span);
+        out.trace = trace_scope.finish();
+        Ok((output, out))
+    }
+
+    /// Readies the HE context: reuses the retained keys or generates (and
+    /// retains) the power-of-two composition keys plus the hoisted
+    /// baby-step/giant-step rotation set for every linear-layer dimension
+    /// the model metadata announces, accounts the key material, and uploads
+    /// it when `upload` — a serving-runtime session whose server still
+    /// caches the keys skips the multi-megabyte transfer entirely.
+    fn he_context<'a, R: Rng + ?Sized>(
+        &mut self,
+        meta: &ModelMeta,
+        params: &'a BfvParams,
+        chan: &Channel,
+        rng: &mut R,
+        upload: bool,
+        out: &mut PartyOutcome,
+    ) -> Result<ClientHe<'a>, ProtocolError> {
+        assert_eq!(
+            params.t().value(),
+            meta.p.value(),
+            "model field must equal the HE plaintext modulus"
+        );
+        let dims: Vec<usize> = meta.phases.iter().map(|ph| ph.padded_dim).collect();
+        let keys = self
+            .retained
+            .get_or_insert_with(|| Arc::new(KeySet::generate_for_dims(params, &dims, rng)))
+            .clone();
+        // Accounting reports the serialized frame length — the bytes that
+        // actually cross the wire — not the in-memory footprint.
+        out.galois_key_bytes = keys.galois.wire_byte_len() as u64;
+        // The per-rotation baseline for a dimension set is the UNION of the
+        // per-dim rotation sets; smaller dims' rotations {1..d−1} nest
+        // inside the largest, so the union is the max dim's set.
+        let max_dim = dims.iter().copied().max().unwrap_or(1);
+        out.galois_key_bytes_per_rotation =
+            GaloisKeys::per_rotation_set_byte_len(params, max_dim) as u64;
+        if upload {
+            chan.send(Msg::HeKeys {
+                pk: pi_he::public_key_to_bytes(&keys.public),
+                gk: pi_he::galois_keys_to_bytes(&keys.galois),
+            })?;
+        }
+        let encoder = BatchEncoder::new(params);
+        Ok(ClientHe {
+            params,
+            keys,
+            encoder,
+        })
+    }
+}
+
+/// The offline linear pass: sends `E(r_cat)` per phase (cleartext `r_cat`
+/// without an HE context — insecure, test-only) and returns the client's
+/// additive shares `W·r − s`, one vector per phase.
+fn offline_linear<R: Rng + ?Sized>(
+    meta: &ModelMeta,
+    r_acts: &[Vec<u64>],
+    he: Option<&ClientHe<'_>>,
+    chan: &Channel,
+    rng: &mut R,
+) -> Result<Vec<Vec<u64>>, ProtocolError> {
+    for ph in &meta.phases {
+        let mut r_cat: Vec<u64> = Vec::with_capacity(ph.cols);
+        for &a in &ph.inputs {
+            r_cat.extend_from_slice(&r_acts[a]);
+        }
+        let Some(he) = he else {
+            chan.send(Msg::VecU64(r_cat))?;
+            continue;
+        };
+        assert!(
+            ph.padded_dim <= he.encoder.row_size(),
+            "phase dimension {} exceeds HE slot capacity {}",
+            ph.padded_dim,
+            he.encoder.row_size()
+        );
+        r_cat.resize(ph.padded_dim, 0);
+        // Seed-expanded symmetric encryption: the frame carries packed c0
+        // plus a 32-byte seed instead of c1 — the client holds the secret
+        // key, so the cheaper symmetric form is always available here.
+        let secret = &he.keys.secret;
+        let (ct, seed) = secret.encrypt_seeded(&he.encoder.encode_periodic(&r_cat), rng);
+        // Only the client can gauge noise (it holds the secret key); no-op
+        // below PI_TRACE=full.
+        secret.gauge_noise(&ct, NoiseStage::Encrypt);
+        let frame = pi_he::ciphertext_to_bytes_seeded(&ct, &seed);
+        chan.send(Msg::HeCts(vec![frame]))?;
+    }
+    let mut shares = Vec::with_capacity(meta.phases.len());
+    for ph in &meta.phases {
+        let share = match he {
+            Some(he) => {
+                let frames = recv!(chan, HeCts);
+                let frame = frames
+                    .first()
+                    .ok_or(ProtocolError::BadRequest("empty HeCts response"))?;
+                let ct = pi_he::ciphertext_from_bytes(frame, he.params)?;
+                if ct.c0.ctx().q() != he.params.down_q() {
+                    return Err(ProtocolError::BadRequest(
+                        "response ciphertext not modulus-switched",
+                    ));
+                }
+                let pt = he.keys.secret.decrypt_switched(&ct);
+                he.encoder.decode_prefix(&pt, ph.rows)
+            }
+            None => {
+                let share = recv!(chan, VecU64);
+                if share.len() != ph.rows || !reduced(&share, meta.p) {
+                    return Err(ProtocolError::BadRequest("linear share"));
+                }
+                share
+            }
+        };
+        shares.push(share);
+    }
+    Ok(shares)
+}
+
+#[cfg(test)]
+mod tests {
+    /// The ROADMAP's grep check: nothing in the two protocol bodies can
+    /// panic on an `Option`/`Result` a peer's message decides.
+    #[test]
+    fn protocol_bodies_have_no_panicking_shortcuts() {
+        for (name, src) in [
+            ("client.rs", include_str!("client.rs")),
+            ("serve/session.rs", include_str!("serve/session.rs")),
+        ] {
+            let body = src.split("#[cfg(test)]").next().unwrap_or(src);
+            for needle in [".expect(", ".unwrap()", "unreachable!"] {
+                assert!(!body.contains(needle), "{name} contains `{needle}`");
+            }
+        }
+    }
+}

@@ -1,23 +1,18 @@
-//! Shared protocol machinery: configuration, model metadata, the HE-powered
-//! offline linear pass (client side), and OT-over-channel setup.
+//! Shared protocol vocabulary: configuration, the structure-only model view,
+//! the per-model server precomputation, and the per-party cost summary.
 //!
-//! The server side of the offline linear pass lives in
-//! [`crate::serve::session::ServerSession`] — a resumable state machine the
-//! single-inference drivers run synchronously and the serving runtime runs
-//! event-by-event, so both paths share one implementation.
+//! The protocol bodies live in [`crate::client`] (the client, blocking) and
+//! [`crate::serve::session`] (the server, a resumable state machine); the
+//! garbler / evaluator / base-OT steps both of them perform are in
+//! `role.rs`.
 
-use crate::channel::Channel;
 use crate::error::ProtocolError;
 use crate::msg::Msg;
 use pi_field::Modulus;
-use pi_gc::circuit::{from_bits, to_bits};
 use pi_he::linalg::{self, BsgsDiagonals, PlainMatrix};
-use pi_he::{BatchEncoder, BfvParams, GaloisKeys, KeySet, NoiseStage, PublicKey};
+use pi_he::{BatchEncoder, BfvParams, GaloisKeys, PublicKey};
 use pi_nn::PiModel;
-use pi_ot::base::{BaseOtReceiver, BaseOtSender};
-use pi_ot::ext::{ReceiverSetup, SenderSetup, KAPPA};
 use rand::Rng;
-use std::sync::Arc;
 
 /// Which hybrid protocol variant to run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -60,10 +55,7 @@ impl ProtocolConfig {
     pub fn server_garbler(he_params: BfvParams) -> Self {
         Self {
             kind: ProtocolKind::ServerGarbler,
-            linear: LinearMode::He,
-            he_params: Some(he_params),
-            lphe_threads: 1,
-            seeds: (1, 2),
+            ..Self::client_garbler(he_params, 1)
         }
     }
 
@@ -88,6 +80,24 @@ impl ProtocolConfig {
             seeds: (1, 2),
         }
     }
+
+    /// The BFV parameters the offline linear phase runs under, `None` in
+    /// cleartext mode — each party resolves this once, when it builds its
+    /// HE context.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration selects HE mode without parameters.
+    pub(crate) fn he(&self) -> Option<&BfvParams> {
+        match self.linear {
+            LinearMode::He => Some(
+                self.he_params
+                    .as_ref()
+                    .expect("HE mode requires parameters"),
+            ),
+            LinearMode::Clear => None,
+        }
+    }
 }
 
 /// Structure-only view of a [`PiModel`] phase (what the client knows).
@@ -95,8 +105,6 @@ impl ProtocolConfig {
 pub struct PhaseMeta {
     /// Activation indices feeding the phase.
     pub inputs: Vec<usize>,
-    /// Per-input activation lengths.
-    pub input_lens: Vec<usize>,
     /// Output length.
     pub rows: usize,
     /// Concatenated input length.
@@ -107,18 +115,29 @@ pub struct PhaseMeta {
     pub padded_dim: usize,
 }
 
+/// One garbled ReLU phase: the linear phase it follows and its shape.
+#[derive(Clone, Copy, Debug)]
+pub struct ReluPhase {
+    /// Index of the linear phase whose output it activates.
+    pub phase: usize,
+    /// Number of ReLU instances (the phase's output length).
+    pub rows: usize,
+    /// Truncation shift.
+    pub shift: u32,
+}
+
 /// Structure-only view of a model: everything the client needs without the
 /// server's proprietary weights.
 #[derive(Clone, Debug)]
 pub struct ModelMeta {
     /// The protocol field.
     pub p: Modulus,
-    /// Fractional bits.
-    pub f: u32,
     /// Network input length.
     pub input_len: usize,
     /// Phase structure.
     pub phases: Vec<PhaseMeta>,
+    /// The garbled ReLU phases, in protocol order.
+    pub relu_phases: Vec<ReluPhase>,
     /// Bit width of garbled ReLU values (`ceil(log2 p)`).
     pub relu_width: usize,
 }
@@ -126,12 +145,15 @@ pub struct ModelMeta {
 impl ModelMeta {
     /// Extracts the structure of a model.
     pub fn of(model: &PiModel) -> Self {
-        let phases = model
+        let relu = |(phase, ph): (usize, &PhaseMeta)| {
+            let (rows, shift) = (ph.rows, ph.relu_shift?);
+            Some(ReluPhase { phase, rows, shift })
+        };
+        let phases: Vec<PhaseMeta> = model
             .phases
             .iter()
             .map(|ph| PhaseMeta {
                 inputs: ph.inputs.clone(),
-                input_lens: ph.input_lens.clone(),
                 rows: ph.rows,
                 cols: ph.cols,
                 relu_shift: ph.relu_shift,
@@ -140,45 +162,29 @@ impl ModelMeta {
             .collect();
         Self {
             p: model.p,
-            f: model.f,
             input_len: model.input_len,
+            relu_phases: phases.iter().enumerate().filter_map(relu).collect(),
             phases,
             relu_width: model.p.bits() as usize,
         }
     }
-
-    /// Length of activation `a` (0 = input, `i` = output of phase `i-1`).
-    pub fn act_len(&self, a: usize) -> usize {
-        if a == 0 {
-            self.input_len
-        } else {
-            self.phases[a - 1].rows
-        }
-    }
-
-    /// Number of activations (input + one per garbled ReLU).
-    pub fn num_acts(&self) -> usize {
-        self.phases.len()
-    }
 }
 
-/// Converts a field element to `width` little-endian bits.
-pub fn field_bits(v: u64, width: usize) -> Vec<bool> {
-    to_bits(v, width)
+/// Draws one uniform field vector per length, in order.
+pub(crate) fn random_field_vecs<R: Rng + ?Sized>(
+    lens: impl Iterator<Item = usize>,
+    p: Modulus,
+    rng: &mut R,
+) -> Vec<Vec<u64>> {
+    let vec = |len| (0..len).map(|_| rng.gen_range(0..p.value())).collect();
+    lens.map(vec).collect()
 }
 
-/// Converts little-endian bits back to a field element.
-pub fn bits_field(bits: &[bool]) -> u64 {
-    from_bits(bits)
-}
-
-/// Appends a field element's `width` little-endian bits onto a packed OT
-/// choice vector — same bit order as [`field_bits`], no intermediate
-/// bool vector.
-pub fn push_field_bits(choices: &mut pi_ot::bitmat::BitVec, v: u64, width: usize) {
-    for b in 0..width {
-        choices.push((v >> b) & 1 == 1);
-    }
+/// Whether every element of a peer-supplied field vector is reduced mod
+/// `p` (the field arithmetic assumes it: a debug-build panic and
+/// release-build garbage otherwise).
+pub(crate) fn reduced(v: &[u64], p: Modulus) -> bool {
+    v.iter().all(|&x| x < p.value())
 }
 
 /// Builds the [`ProtocolError::UnexpectedMsg`] for a message that arrived
@@ -188,19 +194,6 @@ pub(crate) fn unexpected(expected: &'static str, got: &Msg) -> ProtocolError {
         expected,
         got: got.kind(),
     }
-}
-
-// ---------------------------------------------------------------------------
-// Offline linear pass, client side.
-// ---------------------------------------------------------------------------
-
-/// Client state for the HE path.
-pub struct ClientHe {
-    /// Key material (secret stays here; shared with the client's retained
-    /// key cache across serving-runtime requests).
-    pub keys: Arc<KeySet>,
-    /// Batch encoder.
-    pub encoder: BatchEncoder,
 }
 
 /// The client's upload of HE key material, as the server caches it in its
@@ -221,142 +214,6 @@ impl ClientHeKeys {
     }
 }
 
-/// Client side of the offline linear pass: sends `E(r_cat)` per phase and
-/// decrypts the returned shares `W·r − s`.
-///
-/// In HE mode the client needs the power-of-two composition keys plus the
-/// hoisted baby-step/giant-step rotation set for every linear-layer
-/// dimension the model metadata announces ([`KeySet::generate_for_dims`]).
-/// `retained` is the client's own key cache: when `Some`, the cached keys
-/// are reused (no regeneration — the serving runtime's [`Msg::KeyStatus`]
-/// handshake relies on this); when `None`, fresh keys are generated and
-/// stored back into it. The keys are uploaded only when `upload` is true —
-/// a serving-runtime session whose server still caches them skips the
-/// multi-megabyte transfer entirely.
-///
-/// Returns the client's additive shares, one vector per phase.
-///
-/// # Errors
-///
-/// [`ProtocolError::Channel`] if the server disconnects;
-/// [`ProtocolError::UnexpectedMsg`] if it violates the message sequence.
-#[allow(clippy::too_many_arguments)]
-pub fn try_client_offline_linear<R: Rng + ?Sized>(
-    meta: &ModelMeta,
-    r_acts: &[Vec<u64>],
-    cfg: &ProtocolConfig,
-    chan: &Channel,
-    rng: &mut R,
-    outcome: &mut PartyOutcome,
-    retained: &mut Option<Arc<KeySet>>,
-    upload: bool,
-) -> Result<Vec<Vec<u64>>, ProtocolError> {
-    let _span = pi_trace::span!("offline.he");
-    let he = match cfg.linear {
-        LinearMode::He => {
-            let params = cfg.he_params.as_ref().expect("HE mode requires parameters");
-            assert_eq!(
-                params.t().value(),
-                meta.p.value(),
-                "model field must equal the HE plaintext modulus"
-            );
-            let keys = match retained.take() {
-                Some(k) => k,
-                None => {
-                    let dims: Vec<usize> = meta.phases.iter().map(|ph| ph.padded_dim).collect();
-                    Arc::new(KeySet::generate_for_dims(params, &dims, rng))
-                }
-            };
-            // Accounting reports the serialized frame length — the bytes
-            // that actually cross the wire — not the in-memory footprint.
-            outcome.galois_key_bytes = keys.galois.wire_byte_len() as u64;
-            // The per-rotation baseline for a dimension set is the UNION of
-            // the per-dim rotation sets; smaller dims' rotations {1..d−1}
-            // nest inside the largest, so the union is the max dim's set.
-            let max_dim = meta
-                .phases
-                .iter()
-                .map(|ph| ph.padded_dim)
-                .max()
-                .unwrap_or(1);
-            outcome.galois_key_bytes_per_rotation =
-                GaloisKeys::per_rotation_set_byte_len(params, max_dim) as u64;
-            if upload {
-                chan.send(Msg::HeKeys {
-                    pk: pi_he::public_key_to_bytes(&keys.public),
-                    gk: pi_he::galois_keys_to_bytes(&keys.galois),
-                })?;
-            }
-            let encoder = BatchEncoder::new(params);
-            *retained = Some(keys.clone());
-            Some(ClientHe { keys, encoder })
-        }
-        LinearMode::Clear => None,
-    };
-    // Send r_cat per phase.
-    for ph in &meta.phases {
-        let mut r_cat: Vec<u64> = Vec::with_capacity(ph.cols);
-        for &a in &ph.inputs {
-            r_cat.extend_from_slice(&r_acts[a]);
-        }
-        match &he {
-            Some(ch) => {
-                assert!(
-                    ph.padded_dim <= ch.encoder.row_size(),
-                    "phase dimension {} exceeds HE slot capacity {}",
-                    ph.padded_dim,
-                    ch.encoder.row_size()
-                );
-                r_cat.resize(ph.padded_dim, 0);
-                // Seed-expanded symmetric encryption: the frame carries
-                // packed c0 plus a 32-byte seed instead of c1 — the client
-                // holds the secret key, so the cheaper symmetric form is
-                // always available here.
-                let (ct, seed) = ch
-                    .keys
-                    .secret
-                    .encrypt_seeded(&ch.encoder.encode_periodic(&r_cat), rng);
-                // Only the client can gauge noise (it holds the secret
-                // key); no-op below PI_TRACE=full.
-                ch.keys.secret.gauge_noise(&ct, NoiseStage::Encrypt);
-                chan.send(Msg::HeCts(vec![pi_he::ciphertext_to_bytes_seeded(
-                    &ct, &seed,
-                )]))?;
-            }
-            None => chan.send(Msg::VecU64(r_cat))?,
-        }
-    }
-    // Receive shares.
-    let mut shares = Vec::with_capacity(meta.phases.len());
-    for ph in &meta.phases {
-        let share = match &he {
-            Some(ch) => match chan.recv()? {
-                Msg::HeCts(frames) => {
-                    let frame = frames
-                        .first()
-                        .ok_or(ProtocolError::BadRequest("empty HeCts response"))?;
-                    let params = cfg.he_params.as_ref().expect("HE mode requires parameters");
-                    let ct = pi_he::ciphertext_from_bytes(frame, params)?;
-                    if ct.c0.ctx().q() != params.down_q() {
-                        return Err(ProtocolError::BadRequest(
-                            "response ciphertext not modulus-switched",
-                        ));
-                    }
-                    let pt = ch.keys.secret.decrypt_switched(&ct);
-                    ch.encoder.decode_prefix(&pt, ph.rows)
-                }
-                other => return Err(unexpected("HeCts", &other)),
-            },
-            None => match chan.recv()? {
-                Msg::VecU64(v) => v,
-                other => return Err(unexpected("VecU64", &other)),
-            },
-        };
-        shares.push(share);
-    }
-    Ok(shares)
-}
-
 /// Per-model server-side precomputation for the offline linear pass: the
 /// padded plaintext matrices and — in HE mode — their Halevi–Shoup
 /// diagonals pre-rotated into the baby-step/giant-step layout and encoded
@@ -364,8 +221,9 @@ pub fn try_client_offline_linear<R: Rng + ?Sized>(
 ///
 /// Depends only on the model weights and the protocol configuration, never
 /// on a client's keys, so one instance serves every inference of every
-/// client. Build it once per served model and pass it to each `run_server`
-/// call (or use [`crate::private_inference_precomputed`] /
+/// client. Build it once per served model and pass it to each
+/// [`drive_sync`](crate::serve::session::drive_sync) call (or use
+/// [`crate::private_inference_precomputed`] /
 /// [`crate::serve::ServeRuntime`], which cache it).
 #[derive(Debug)]
 pub struct ServerPrecomp {
@@ -388,19 +246,13 @@ impl ServerPrecomp {
             .iter()
             .map(|ph| PlainMatrix::new(ph.rows, ph.cols, &ph.matrix, p))
             .collect();
-        let diagonals = match cfg.linear {
-            LinearMode::He => {
-                let params = cfg.he_params.as_ref().expect("HE mode requires parameters");
-                let encoder = BatchEncoder::new(params);
-                Some(
-                    matrices
-                        .iter()
-                        .map(|w| linalg::encode_diagonals_bsgs(&encoder, w))
-                        .collect(),
-                )
-            }
-            LinearMode::Clear => None,
-        };
+        let diagonals = cfg.he().map(|params| {
+            let encoder = BatchEncoder::new(params);
+            matrices
+                .iter()
+                .map(|w| linalg::encode_diagonals_bsgs(&encoder, w))
+                .collect()
+        });
         Self {
             matrices,
             diagonals,
@@ -424,62 +276,6 @@ impl ServerPrecomp {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Base OT over the channel (client side; the server side lives in the
-// session state machine).
-// ---------------------------------------------------------------------------
-
-/// The party that will act as OT-extension *receiver* (it plays base-OT
-/// sender). Returns its extension setup.
-///
-/// # Errors
-///
-/// [`ProtocolError`] if the peer disconnects or deviates.
-pub fn try_ot_base_as_ext_receiver<R: Rng + ?Sized>(
-    chan: &Channel,
-    rng: &mut R,
-) -> Result<ReceiverSetup, ProtocolError> {
-    let _span = pi_trace::span!("offline.ot");
-    let seed_pairs: Vec<(u128, u128)> = (0..KAPPA).map(|_| (rng.gen(), rng.gen())).collect();
-    let (sender, setup) = BaseOtSender::new(rng);
-    chan.send(Msg::OtBaseSetup(setup))?;
-    let choice = match chan.recv()? {
-        Msg::OtBaseChoice(c) => c,
-        other => return Err(unexpected("OtBaseChoice", &other)),
-    };
-    let transfer = sender.transfer(&choice, &seed_pairs, rng);
-    chan.send(Msg::OtBaseTransfer(transfer))?;
-    Ok(ReceiverSetup { seed_pairs })
-}
-
-/// The party that will act as OT-extension *sender* (it plays base-OT
-/// receiver). Returns its extension setup.
-///
-/// # Errors
-///
-/// [`ProtocolError`] if the peer disconnects or deviates.
-pub fn try_ot_base_as_ext_sender<R: Rng + ?Sized>(
-    chan: &Channel,
-    rng: &mut R,
-) -> Result<SenderSetup, ProtocolError> {
-    let _span = pi_trace::span!("offline.ot");
-    let s: u128 = rng.gen();
-    let setup = match chan.recv()? {
-        Msg::OtBaseSetup(s) => s,
-        other => return Err(unexpected("OtBaseSetup", &other)),
-    };
-    // The IKNP choice string is already packed — feed it to the base OT
-    // as-is instead of round-tripping through a bool vector.
-    let (receiver, choice) = BaseOtReceiver::choose_packed(&setup, s, KAPPA, rng);
-    chan.send(Msg::OtBaseChoice(choice))?;
-    let transfer = match chan.recv()? {
-        Msg::OtBaseTransfer(t) => t,
-        other => return Err(unexpected("OtBaseTransfer", &other)),
-    };
-    let seeds = receiver.receive(&transfer);
-    Ok(SenderSetup { s, seeds })
-}
-
 /// Per-party cost summary returned by protocol party functions.
 #[derive(Clone, Debug, Default)]
 pub struct PartyOutcome {
@@ -487,13 +283,6 @@ pub struct PartyOutcome {
     pub offline_sent: u64,
     /// Total bytes this party sent.
     pub total_sent: u64,
-    /// What [`PartyOutcome::offline_sent`] would have been under the legacy
-    /// flat-u64 HE encoding (no packing, no seed expansion, no modulus
-    /// switch).
-    pub offline_sent_flat: u64,
-    /// What [`PartyOutcome::total_sent`] would have been under the legacy
-    /// flat-u64 HE encoding.
-    pub total_sent_flat: u64,
     /// This party's trace: the phase span tree rooted at `client` /
     /// `server` plus every substrate counter its thread touched. The
     /// [`crate::CostReport`] timing fields are derived from these spans.

@@ -1,11 +1,13 @@
 //! Typed protocol errors.
 //!
-//! A two-party deployment used to treat every deviation — a dropped peer,
-//! an out-of-order message — as a `panic!`, which is fatal in a process
-//! that serves one client but unacceptable in a shared server. Every
-//! driver now has a `try_` variant threading [`ProtocolError`] up to the
-//! caller, so a misbehaving or vanished client aborts exactly one session;
-//! the panicking wrappers survive for tests and single-inference tools.
+//! Everything a peer can do wrong — vanish, send a message out of order or
+//! of the wrong shape or range, send HE bytes that do not parse — is a
+//! [`ProtocolError`] returned by the party that noticed
+//! ([`crate::ServiceClient::run`], [`crate::serve::session::drive_sync`], a
+//! [`crate::serve::SessionHandle`]), never a panic: a misbehaving or
+//! vanished client aborts exactly one session of a shared server. Only the
+//! in-process wrappers ([`crate::private_inference`]) panic on a protocol
+//! failure, since both parties are then this program.
 
 use crate::channel::ChannelError;
 
@@ -22,8 +24,8 @@ pub enum ProtocolError {
         /// The [`crate::msg::Msg::kind`] actually received.
         got: &'static str,
     },
-    /// A request violated the session contract (bad lengths, missing key
-    /// material, a reused session) — the peer's fault, not the server's.
+    /// A message violated the session contract (bad lengths or shapes,
+    /// unreduced field elements, missing key material) — the peer's fault.
     BadRequest(&'static str),
     /// An HE wire frame failed to deserialize (truncated, corrupted, or
     /// under mismatched parameters) — the peer's bytes, the peer's fault.

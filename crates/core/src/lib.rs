@@ -1,15 +1,23 @@
 //! Hybrid private-inference protocols — the paper's core system.
 //!
-//! This crate implements end-to-end two-party private inference in the
-//! DELPHI family over the substrates in this workspace:
+//! End-to-end two-party private inference in the DELPHI family over the
+//! substrates in this workspace. Each party is written once and plays
+//! either [`ProtocolKind`]: **Server-Garbler**, the baseline (§2.2: the
+//! server garbles, the client stores and evaluates the ReLU circuits), or
+//! **Client-Garbler**, the paper's §5.1 optimization (roles reversed:
+//! storage and online GC evaluation move to the server, the label OT moves
+//! online). The client is [`ServiceClient`] ([`client`]: one blocking
+//! body); the server is [`serve::session::ServerSession`], a resumable
+//! state machine driven by [`serve::session::drive_sync`] or, concurrently,
+//! by [`ServeRuntime`]; the garbler / evaluator / base-OT steps both
+//! perform live in `role.rs`. Around them:
 //!
-//! * [`server_garbler`] — the baseline protocol (server garbles, client
-//!   stores and evaluates the ReLU circuits);
-//! * [`client_garbler`] — the paper's proposed §5.1 optimization (roles
-//!   reversed: storage and online GC evaluation move to the server);
 //! * layer-parallel HE (§5.2) via `ProtocolConfig::lphe_threads`;
-//! * exact communication/storage accounting on byte-counting channels,
-//!   feeding the wireless-slot-allocation analysis (§5.3) in `pi-sim`.
+//! * exact communication/storage accounting on byte-counting channels
+//!   ([`channel`]), feeding the wireless-slot-allocation analysis (§5.3)
+//!   in `pi-sim`;
+//! * typed errors ([`ProtocolError`]): nothing a peer sends — or fails to
+//!   send — panics a party.
 //!
 //! Both protocols produce outputs that are **bit-exact** with the
 //! plaintext fixed-point reference ([`pi_nn::QuantNetwork::forward_fixed`]).
@@ -38,21 +46,22 @@
 #![warn(missing_docs)]
 
 pub mod channel;
-pub mod client_garbler;
+pub mod client;
 pub mod common;
 pub mod error;
 pub mod msg;
 pub mod report;
+mod role;
 pub mod serve;
-pub mod server_garbler;
 
 pub use channel::ChannelError;
+pub use client::ServiceClient;
 pub use common::{
     LinearMode, ModelMeta, PartyOutcome, ProtocolConfig, ProtocolKind, ServerPrecomp,
 };
 pub use error::ProtocolError;
 pub use report::{merge_cost_report, CostReport, SideCosts};
-pub use serve::{ClientConn, ServeConfig, ServeRuntime, ServiceClient, SessionHandle, TableStats};
+pub use serve::{ClientConn, ServeConfig, ServeRuntime, SessionHandle, TableStats};
 
 use pi_nn::PiModel;
 use rand::SeedableRng;
@@ -91,31 +100,20 @@ pub fn private_inference_precomputed(
     let meta = ModelMeta::of(model);
     let (chan_c, chan_s) = channel::local_pair();
     let (client_seed, server_seed) = cfg.seeds;
-    let (output, client_out, server_out) = std::thread::scope(|scope| {
-        let server = scope.spawn(|| {
+    // Each party owns its channel end, so one that fails hangs up instead
+    // of leaving the other blocked on a receive.
+    let (client, server) = std::thread::scope(|scope| {
+        let server = scope.spawn(move || {
             let rng = rand::rngs::StdRng::seed_from_u64(server_seed);
-            match cfg.kind {
-                ProtocolKind::ServerGarbler => {
-                    server_garbler::run_server(model, pre, cfg, &chan_s, rng)
-                }
-                ProtocolKind::ClientGarbler => {
-                    client_garbler::run_server(model, pre, cfg, &chan_s, rng)
-                }
-            }
+            serve::session::drive_sync(model, pre, cfg, &chan_s, rng)
         });
         let mut rng = rand::rngs::StdRng::seed_from_u64(client_seed);
-        let (output, client_out) = match cfg.kind {
-            ProtocolKind::ServerGarbler => {
-                server_garbler::run_client(&meta, input, cfg, &chan_c, &mut rng)
-            }
-            ProtocolKind::ClientGarbler => {
-                client_garbler::run_client(&meta, input, cfg, &chan_c, &mut rng)
-            }
-        };
-        let server_out = server.join().expect("server thread must not panic");
-        (output, client_out, server_out)
+        let client = ServiceClient::new().run(&meta, input, cfg, &chan_c, &mut rng);
+        drop(chan_c);
+        (client, server.join().expect("server thread must not panic"))
     });
-
+    let (output, client_out) = client.expect("client-side protocol failure");
+    let server_out = server.expect("server-side protocol failure");
     (
         output,
         merge_cost_report(&client_out, &server_out, model.total_relus() as u64),

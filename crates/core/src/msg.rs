@@ -6,9 +6,10 @@
 //! sender and parsed by the receiver, so `byte_len` for those variants is
 //! the real frame length, not an analytic estimate. The remaining variants
 //! report the size they would occupy in a binary encoding (fixed-width
-//! fields, length-prefixed sequences). [`Msg::flat_byte_len`] additionally
-//! reports what each message *would have cost* under the legacy flat-`u64`
-//! encoding, which is the baseline the bandwidth figures compare against.
+//! fields, length-prefixed sequences); they have no byte codec yet. A
+//! message's contents are the peer's: its shape and ranges are checked
+//! where it is consumed ([`crate::ProtocolError::BadRequest`]), never
+//! trusted.
 
 use pi_gc::Label;
 use pi_ot::base::{ReceiverChoiceMsg, SenderSetupMsg, SenderTransferMsg};
@@ -81,20 +82,6 @@ impl Msg {
         }
     }
 
-    /// The bytes this message would have cost under the legacy flat-`u64`
-    /// HE encoding (8 bytes per coefficient, no seed expansion, no modulus
-    /// switch) — the pre-packing baseline for bandwidth comparisons.
-    /// Non-HE variants cost the same as [`Msg::byte_len`]; an HE frame the
-    /// flat model cannot parse falls back to its real length.
-    pub fn flat_byte_len(&self) -> usize {
-        let flat = |f: &Vec<u8>| pi_he::flat_frame_len(f).unwrap_or(f.len());
-        match self {
-            Msg::HeKeys { pk, gk } => 8 + flat(pk) + 8 + flat(gk),
-            Msg::HeCts(frames) => 8 + frames.iter().map(|f| 8 + flat(f)).sum::<usize>(),
-            other => other.byte_len(),
-        }
-    }
-
     /// Short stable name of the message variant, used by
     /// [`crate::error::ProtocolError::UnexpectedMsg`] to report what a
     /// misbehaving peer actually sent.
@@ -135,8 +122,6 @@ mod tests {
     fn he_frames_count_serialized_bytes() {
         let msg = Msg::HeCts(vec![vec![0u8; 100], vec![0u8; 7]]);
         assert_eq!(msg.byte_len(), 8 + (8 + 100) + (8 + 7));
-        // Unparseable frames fall back to their real length in flat mode.
-        assert_eq!(msg.flat_byte_len(), msg.byte_len());
         let keys = Msg::HeKeys {
             pk: vec![0u8; 10],
             gk: vec![0u8; 20],

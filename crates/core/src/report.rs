@@ -15,7 +15,7 @@ use crate::common::PartyOutcome;
 /// canonical accounting used by [`crate::private_inference`], shared with
 /// serving-runtime callers that collect the two outcomes themselves (a
 /// [`crate::serve::SessionHandle`] on the server side, a
-/// [`crate::serve::ServiceClient`] on the client side).
+/// [`crate::ServiceClient`] on the client side).
 pub fn merge_cost_report(
     client: &PartyOutcome,
     server: &PartyOutcome,
@@ -31,15 +31,11 @@ pub fn merge_cost_report(
         offline: SideCosts {
             upload_bytes: client.offline_sent,
             download_bytes: server.offline_sent,
-            upload_bytes_flat: client.offline_sent_flat,
-            download_bytes_flat: server.offline_sent_flat,
             ..Default::default()
         },
         online: SideCosts {
             upload_bytes: client.total_sent - client.offline_sent,
             download_bytes: server.total_sent - server.offline_sent,
-            upload_bytes_flat: client.total_sent_flat - client.offline_sent_flat,
-            download_bytes_flat: server.total_sent_flat - server.offline_sent_flat,
             ..Default::default()
         },
         client_storage_bytes: client.storage_bytes,
@@ -74,13 +70,6 @@ pub struct SideCosts {
     pub upload_bytes: u64,
     /// Bytes sent server → client during this phase.
     pub download_bytes: u64,
-    /// What `upload_bytes` would have been under the legacy flat-u64 HE
-    /// encoding — the baseline the wire-format savings are measured
-    /// against.
-    pub upload_bytes_flat: u64,
-    /// What `download_bytes` would have been under the legacy flat-u64 HE
-    /// encoding.
-    pub download_bytes_flat: u64,
     /// Wall-clock milliseconds spent in homomorphic evaluation (`None` =
     /// not measured: spans need `PI_TRACE=full`).
     pub he_ms: Option<f64>,
@@ -98,11 +87,6 @@ impl SideCosts {
     /// Total communication in bytes.
     pub fn total_bytes(&self) -> u64 {
         self.upload_bytes + self.download_bytes
-    }
-
-    /// Total communication under the legacy flat-u64 HE encoding.
-    pub fn total_bytes_flat(&self) -> u64 {
-        self.upload_bytes_flat + self.download_bytes_flat
     }
 
     /// Total accounted compute milliseconds: the sum of the measured phase
@@ -250,8 +234,6 @@ mod tests {
         let c = SideCosts {
             upload_bytes: 10,
             download_bytes: 20,
-            upload_bytes_flat: 40,
-            download_bytes_flat: 50,
             he_ms: Some(1.0),
             garble_ms: Some(2.0),
             eval_ms: Some(3.0),
@@ -259,7 +241,6 @@ mod tests {
             ss_ms: Some(5.0),
         };
         assert_eq!(c.total_bytes(), 30);
-        assert_eq!(c.total_bytes_flat(), 90);
         assert!((c.total_compute_ms().unwrap() - 15.0).abs() < 1e-12);
     }
 

@@ -1,0 +1,298 @@
+//! The garbler's, the evaluator's and the two base-OT roles' steps, each
+//! written once.
+//!
+//! Server-Garbler (§2.2) and Client-Garbler (§5.1) differ only in which
+//! party garbles, which evaluates, and whether the evaluator's label OT
+//! runs offline or online. The client body ([`crate::client`]) and the
+//! server's state machine ([`crate::serve::session`]) call these steps
+//! from whichever role the protocol kind hands them; neither keeps a copy.
+//!
+//! A step that consumes a peer's message checks its shape before the
+//! substrate call that would assert it and returns
+//! [`ProtocolError::BadRequest`]: nothing a peer sends may panic a party.
+
+use crate::common::{ModelMeta, PartyOutcome, ReluPhase};
+use crate::error::ProtocolError;
+use pi_gc::circuit::to_bits;
+use pi_gc::garble::{evaluate_many, garble_many, Garbling};
+use pi_gc::relu::relu_trunc_circuit;
+use pi_gc::{Circuit, Label};
+use pi_ot::base::{
+    BaseOtReceiver, BaseOtSender, ReceiverChoiceMsg, SenderSetupMsg, SenderTransferMsg,
+};
+use pi_ot::bitmat::BitVec;
+use pi_ot::ext::{
+    ExtendMsg, OtExtReceiver, OtExtSender, ReceiverSetup, SenderSetup, TransferMsg, KAPPA,
+};
+use rand::Rng;
+use std::ops::Range;
+
+/// Base OT played as sender — by the party that becomes the extension
+/// *receiver*, i.e. the evaluator.
+pub(crate) struct BaseSender {
+    sender: BaseOtSender,
+    seed_pairs: Vec<(u128, u128)>,
+}
+
+impl BaseSender {
+    /// Draws the seed pairs and the CDH anchor; the setup goes to the peer.
+    pub(crate) fn start<R: Rng + ?Sized>(rng: &mut R) -> (Self, SenderSetupMsg) {
+        let seed_pairs = (0..KAPPA).map(|_| (rng.gen(), rng.gen())).collect();
+        let (sender, setup) = BaseOtSender::new(rng);
+        (Self { sender, seed_pairs }, setup)
+    }
+
+    /// Answers the peer's choice: the transfer goes back, the extension
+    /// receiver stays.
+    pub(crate) fn finish<R: Rng + ?Sized>(
+        self,
+        choice: &ReceiverChoiceMsg,
+        rng: &mut R,
+    ) -> Result<(OtExtReceiver, SenderTransferMsg), ProtocolError> {
+        if choice.pk0.len() != KAPPA {
+            return Err(ProtocolError::BadRequest("base-OT choice count"));
+        }
+        let Self { sender, seed_pairs } = self;
+        let transfer = sender.transfer(choice, &seed_pairs, rng);
+        Ok((OtExtReceiver::new(ReceiverSetup { seed_pairs }), transfer))
+    }
+}
+
+/// Base OT played as receiver — by the party that becomes the extension
+/// *sender*, i.e. the garbler.
+pub(crate) struct BaseReceiver {
+    receiver: BaseOtReceiver,
+    s: u128,
+}
+
+impl BaseReceiver {
+    /// Draws the IKNP choice string and answers the peer's setup with it.
+    pub(crate) fn start<R: Rng + ?Sized>(
+        setup: &SenderSetupMsg,
+        rng: &mut R,
+    ) -> (Self, ReceiverChoiceMsg) {
+        let s: u128 = rng.gen();
+        // The choice string is already packed — feed it to the base OT
+        // as-is instead of round-tripping through a bool vector.
+        let (receiver, choice) = BaseOtReceiver::choose_packed(setup, s, KAPPA, rng);
+        (Self { receiver, s }, choice)
+    }
+
+    /// Decrypts the peer's transfer into the garbler's extension sender.
+    pub(crate) fn finish(self, transfer: &SenderTransferMsg) -> Result<Garbler, ProtocolError> {
+        if transfer.items.len() != KAPPA {
+            return Err(ProtocolError::BadRequest("base-OT transfer count"));
+        }
+        let seeds = self.receiver.receive(transfer);
+        Ok(Garbler {
+            ext: OtExtSender::new(SenderSetup { s: self.s, seeds }),
+            phases: Vec::new(),
+        })
+    }
+}
+
+/// The labels encoding `value`'s `k` bits on wires `offset..offset + k` of
+/// one garbled instance.
+pub(crate) fn encode(g: &Garbling, offset: usize, value: u64, k: usize) -> Vec<Label> {
+    g.encoding.encode_bits(offset, &to_bits(value, k))
+}
+
+/// The garbler's material: the extension sender its label OTs answer
+/// through, and every ReLU phase garbled so far.
+pub(crate) struct Garbler {
+    ext: OtExtSender,
+    pub(crate) phases: Vec<Vec<Garbling>>,
+}
+
+impl Garbler {
+    /// Garbles the next ReLU phase, accounts it, and returns the tables to
+    /// ship.
+    pub(crate) fn garble<R: Rng + ?Sized>(
+        &mut self,
+        meta: &ModelMeta,
+        relu: &ReluPhase,
+        rng: &mut R,
+        out: &mut PartyOutcome,
+    ) -> Vec<Vec<(Label, Label)>> {
+        let garble_span = pi_trace::span!("offline.garble");
+        let circuit = relu_trunc_circuit(meta.p.value(), relu.shift).0;
+        // Lockstep batch garbling: 8 circuit instances per AES call.
+        let phase = garble_many(&circuit, relu.rows, rng);
+        out.gc_and_gates += (relu.rows * circuit.and_count()) as u64;
+        pi_trace::add(pi_trace::Counter::GcRelu, relu.rows as u64);
+        drop(garble_span);
+        let tables: Vec<Vec<(Label, Label)>> =
+            phase.iter().map(|g| g.garbled.tables.clone()).collect();
+        let table_bytes = tables.iter().map(|t| t.len() as u64 * 32).sum::<u64>();
+        out.gc_bytes += table_bytes;
+        pi_trace::add(pi_trace::Counter::GcBytes, table_bytes);
+        self.phases.push(phase);
+        tables
+    }
+
+    /// Answers the evaluator's extension with the label pairs of `wires`
+    /// of every instance of garbled phase `idx`.
+    pub(crate) fn serve_labels(
+        &self,
+        idx: usize,
+        wires: Range<usize>,
+        extend: &ExtendMsg,
+        out: &mut PartyOutcome,
+    ) -> Result<TransferMsg, ProtocolError> {
+        let phase = &self.phases[idx];
+        let n = phase.len() * wires.len();
+        let words = n.div_ceil(128);
+        if extend.num_transfers != n
+            || extend.u_columns.len() != KAPPA
+            || extend.u_columns.iter().any(|c| c.len() != words)
+        {
+            return Err(ProtocolError::BadRequest("OT extension shape"));
+        }
+        let mut pairs = Vec::with_capacity(n);
+        for g in phase {
+            pairs.extend(wires.clone().map(|w| g.encoding.label_pair(w)));
+        }
+        out.ot_count += n as u64;
+        Ok(self.ext.transfer(extend, &pairs))
+    }
+}
+
+/// An evaluator's label OT in flight: the choice bits it asked with and the
+/// keys that unmask the answer.
+pub(crate) struct LabelRequest {
+    choices: BitVec,
+    t_rows: Vec<u128>,
+}
+
+impl LabelRequest {
+    /// Asks for the labels of the `k` little-endian bits of each of
+    /// `values`, in order (packed choices straight from the field bits).
+    pub(crate) fn new<R: Rng + ?Sized>(
+        ext: &OtExtReceiver,
+        values: impl IntoIterator<Item = u64>,
+        k: usize,
+        rng: &mut R,
+        out: &mut PartyOutcome,
+    ) -> (Self, ExtendMsg) {
+        let mut choices = BitVec::zeros(0);
+        for v in values {
+            for b in 0..k {
+                choices.push((v >> b) & 1 == 1);
+            }
+        }
+        out.ot_count += choices.len() as u64;
+        let (extend, t_rows) = ext.extend(&choices, rng);
+        (Self { choices, t_rows }, extend)
+    }
+
+    /// Unmasks the garbler's answer into one label per choice bit.
+    pub(crate) fn open(
+        self,
+        ext: &OtExtReceiver,
+        transfer: &TransferMsg,
+    ) -> Result<Vec<Label>, ProtocolError> {
+        if transfer.pairs.len() != self.choices.len() {
+            return Err(ProtocolError::BadRequest("OT transfer count"));
+        }
+        Ok(ext.decode(transfer, &self.choices, &self.t_rows))
+    }
+}
+
+/// One ReLU phase's garbled tables as the evaluator stores them, checked
+/// against the circuit they must garble.
+pub(crate) struct PhaseTables {
+    circuit: Circuit,
+    tables: Vec<Vec<(Label, Label)>>,
+}
+
+impl PhaseTables {
+    /// Accepts the garbler's tables for `relu` — one table set per
+    /// instance, one table per AND gate — and accounts their bytes.
+    pub(crate) fn receive(
+        meta: &ModelMeta,
+        relu: &ReluPhase,
+        tables: Vec<Vec<(Label, Label)>>,
+        out: &mut PartyOutcome,
+    ) -> Result<Self, ProtocolError> {
+        let circuit = relu_trunc_circuit(meta.p.value(), relu.shift).0;
+        let ands = circuit.and_count();
+        if tables.len() != relu.rows || tables.iter().any(|t| t.len() != ands) {
+            return Err(ProtocolError::BadRequest("garbled table shape"));
+        }
+        out.gc_bytes += (relu.rows * ands * 32) as u64;
+        Ok(Self { circuit, tables })
+    }
+
+    /// Number of ReLU instances.
+    pub(crate) fn len(&self) -> usize {
+        self.tables.len()
+    }
+
+    /// Evaluates every instance and returns the output labels, `k` per
+    /// instance. An instance's input is three `k`-label words in wire order:
+    /// garbler's share, evaluator's share, next-layer randomness. `held` has
+    /// the two the evaluator got offline (`2k` per instance, randomness
+    /// last); `fresh` (`k` per instance) arrived online and is the garbler's
+    /// share if `fresh_first`, else the evaluator's. The caller has checked
+    /// the label counts.
+    pub(crate) fn evaluate(
+        &self,
+        held: &[Label],
+        fresh: &[Label],
+        fresh_first: bool,
+        out: &mut PartyOutcome,
+    ) -> Vec<Label> {
+        let k = self.circuit.num_inputs / 3;
+        let input = |j: usize| {
+            let (share, r) = (&held[2 * j * k..][..k], &held[(2 * j + 1) * k..][..k]);
+            let fresh = &fresh[j * k..][..k];
+            let words = if fresh_first {
+                [fresh, share, r]
+            } else {
+                [share, fresh, r]
+            };
+            words.concat()
+        };
+        // Batched evaluation: 8 instances per AES call through the
+        // fixed-key hash.
+        let inputs: Vec<Vec<Label>> = (0..self.len()).map(input).collect();
+        out.gc_eval_and_gates += (self.len() * self.circuit.and_count()) as u64;
+        let mut out_labels = Vec::with_capacity(self.len() * k);
+        for labels in evaluate_many(&self.circuit, &self.tables, &inputs) {
+            out_labels.extend(labels);
+        }
+        out_labels
+    }
+}
+
+/// Decodes one phase's output labels (`k` per instance) into the next
+/// masked activation: bit `b` of element `j` is the label's permute bit
+/// XOR the garbler's decode bit, little-endian. `decode` yields one decode
+/// vector per instance.
+pub(crate) fn decode_outputs<'a>(
+    decode: impl ExactSizeIterator<Item = &'a [bool]>,
+    labels: &[Label],
+    meta: &ModelMeta,
+) -> Result<Vec<u64>, ProtocolError> {
+    let k = meta.relu_width;
+    if labels.len() != decode.len() * k {
+        return Err(ProtocolError::BadRequest("output label count"));
+    }
+    decode
+        .zip(labels.chunks(k))
+        .map(|(d, l)| {
+            let bit = |(&l, &d): (&Label, &bool)| u64::from(((l & 1) != 0) ^ d);
+            let v = l
+                .iter()
+                .zip(d)
+                .rev()
+                .fold(0, |acc, ld| (acc << 1) | bit(ld));
+            // The circuit reduces mod p; anything else is a forged label.
+            if d.len() == k && v < meta.p.value() {
+                Ok(v)
+            } else {
+                Err(ProtocolError::BadRequest("decoded activation out of range"))
+            }
+        })
+        .collect()
+}

@@ -1,20 +1,22 @@
 //! Concurrent multi-client serving runtime.
 //!
-//! The single-inference drivers dedicate one blocking thread to each
-//! session; a shared server serving many clients wants the opposite shape:
-//! a fixed worker pool advancing whichever sessions have work. This module
+//! [`session::drive_sync`] dedicates one blocking thread to one session;
+//! a shared server serving many clients wants the opposite shape: a fixed
+//! worker pool advancing whichever sessions have work. This module
 //! provides that runtime:
 //!
 //! * **Resumable sessions** — each connection owns a
 //!   [`session::ServerSession`], the server role of both protocol kinds as
-//!   an explicit state machine. A misbehaving or vanished client is a typed
-//!   [`ProtocolError`] that aborts exactly one session.
+//!   an explicit state machine. A misbehaving or vanished client — wrong
+//!   order, wrong shape, unreduced values, a disconnect — is a typed
+//!   [`ProtocolError`] that aborts exactly one session; the worker and
+//!   every neighbouring session carry on.
 //! * **Session table** — a sharded, byte-budgeted LRU ([`ShardedLru`])
 //!   caches each client's uploaded HE keys and each model's
 //!   [`ServerPrecomp`] across requests. Eviction drops only the table's
 //!   reference (in-flight sessions keep their `Arc`); an evicted client
-//!   simply re-uploads on its next request, driven by the
-//!   [`Msg::KeyStatus`](crate::msg::Msg::KeyStatus) handshake. Evicted
+//!   simply re-uploads the keys [`crate::ServiceClient`] retains on its
+//!   next request, driven by the [`Msg::KeyStatus`] handshake. Evicted
 //!   precomputations are rebuilt on demand from the weights.
 //! * **Work-stealing executor** — session pumps and batch work run on a
 //!   fixed pool; a worker that stacks follow-on work posts a steal token so
@@ -22,7 +24,7 @@
 //!   thread drains the shared client ingress and never touches session
 //!   bodies, so slow session compute cannot stall message intake.
 //! * **Cross-request batching** — sessions stalled on the offline HE
-//!   matvec enqueue their jobs with the skew-aware [`batch::Batcher`];
+//!   matvec enqueue their jobs with the skew-aware batcher (`batch.rs`);
 //!   workers drain the deepest `(model, phase)` queue first and fuse the
 //!   whole batch through one pass over the shared diagonal operands
 //!   ([`session::compute_matvec_batch`]), preserving per-client operation
@@ -39,16 +41,14 @@
 pub mod session;
 
 mod batch;
-mod client;
 mod executor;
 mod table;
 
-pub use client::ServiceClient;
 pub use executor::resolve_workers;
 pub use table::{ShardedLru, TableStats};
 
 use crate::channel::{service_pair, Channel, ChannelError, ChannelTx, ClientEvent, SessionPacket};
-use crate::common::{ClientHeKeys, LinearMode, PartyOutcome, ProtocolConfig, ServerPrecomp};
+use crate::common::{ClientHeKeys, PartyOutcome, ProtocolConfig, ServerPrecomp};
 use crate::error::ProtocolError;
 use crate::msg::Msg;
 use batch::Batcher;
@@ -163,7 +163,8 @@ pub struct ServeRuntime {
 
 /// The client half of one serving-runtime session.
 pub struct ClientConn {
-    /// The client's protocol channel (drive it with [`ServiceClient`]).
+    /// The client's protocol channel (drive it with
+    /// [`ServiceClient`](crate::ServiceClient)).
     pub chan: Channel,
     /// Handle resolving to the server-side outcome of the session.
     pub handle: SessionHandle,
@@ -241,16 +242,15 @@ impl ServeRuntime {
         let entry = inner.models.lock()[model_id].clone();
         let sid = inner.next_sid.fetch_add(1, Ordering::Relaxed);
         let (chan, tx) = service_pair(sid, inner.ingress_tx.clone());
-        let cached = match entry.cfg.linear {
-            LinearMode::He => inner.keys_table.get(&client_id),
-            LinearMode::Clear => None,
-        };
+        let cached = entry
+            .cfg
+            .he()
+            .and_then(|_| inner.keys_table.get(&client_id));
         let pre = precomp_for(inner, model_id, &entry);
         let session = ServerSession::new(
             &entry.model,
             &entry.cfg,
             StdRng::seed_from_u64(server_seed),
-            true,
             cached,
         );
         let (result_tx, result_rx) = unbounded();
@@ -287,11 +287,6 @@ impl ServeRuntime {
     /// Counters of the client-key session table.
     pub fn key_table_stats(&self) -> TableStats {
         self.inner.keys_table.stats()
-    }
-
-    /// Counters of the model-precomputation table.
-    pub fn precomp_table_stats(&self) -> TableStats {
-        self.inner.precomp_table.stats()
     }
 
     /// Bytes of client key material currently resident in the session
@@ -408,29 +403,37 @@ fn pump(inner: &Arc<Inner>, slot: &Arc<Slot>) {
 /// Applies one inbox event to the session and services the resulting
 /// [`Step`].
 fn step_event(inner: &Arc<Inner>, slot: &Arc<Slot>, body: &mut SlotBody, event: SlotEvent) {
-    let entry = body.entry.clone();
-    let pre = body.pre.clone();
-    let SlotBody { session, tx, .. } = body;
+    let SlotBody {
+        session,
+        tx,
+        entry,
+        pre,
+        ..
+    } = body;
     let ctx = SessionCtx {
         model: &entry.model,
-        pre: &pre,
-        cfg: &entry.cfg,
-        sink: &*tx,
+        pre,
+        sink: tx,
     };
     let result = match event {
-        SlotEvent::Start => session.start(&ctx),
+        SlotEvent::Start => {
+            let need_keys = session.needs_keys();
+            let sent = tx.send(Msg::KeyStatus { need_keys });
+            sent.map(|()| Step::Idle).map_err(ProtocolError::from)
+        }
         SlotEvent::Msg(m) => session.on_msg(&ctx, m),
         SlotEvent::Matvec(phase, ct) => session.on_matvec_done(&ctx, phase, ct),
         SlotEvent::Gone => Err(ProtocolError::Channel(ChannelError::Disconnected)),
     };
-    // Freshly uploaded client keys go into the session table as soon as
-    // they exist, so even a session that later fails leaves them cached.
-    if let Some(keys) = session.take_received_keys() {
-        let bytes = keys.byte_len() as u64;
-        inner.keys_table.insert(slot.client_id, keys, bytes);
-    }
-    match result {
-        Ok(Step::Idle) => {}
+    let done = match result {
+        Ok(Step::Idle) => return,
+        // Freshly uploaded client keys go into the session table as soon as
+        // they exist, so even a session that later fails leaves them cached.
+        Ok(Step::GotKeys(keys)) => {
+            let bytes = keys.byte_len() as u64;
+            inner.keys_table.insert(slot.client_id, keys, bytes);
+            return;
+        }
         Ok(Step::NeedMatvec(jobs)) => {
             inner.batcher.push(slot.model_id, slot.sid, jobs);
             let drainer = inner.clone();
@@ -438,18 +441,14 @@ fn step_event(inner: &Arc<Inner>, slot: &Arc<Slot>, body: &mut SlotBody, event: 
             if let Some(exec) = exec.as_ref() {
                 exec.spawn(Box::new(move || drain_batches(&drainer)));
             }
+            return;
         }
-        Ok(Step::Done) => {
-            body.done = Some(Ok(body.session.take_outcome()));
-            body.finished = true;
-            inner.slots.lock().remove(&slot.sid);
-        }
-        Err(e) => {
-            body.done = Some(Err(e));
-            body.finished = true;
-            inner.slots.lock().remove(&slot.sid);
-        }
-    }
+        Ok(Step::Done(out)) => Ok(out),
+        Err(e) => Err(e),
+    };
+    body.done = Some(done);
+    body.finished = true;
+    inner.slots.lock().remove(&slot.sid);
 }
 
 /// Drains the batcher: deepest `(model, phase)` queue first, one fused

@@ -3,64 +3,59 @@
 //! A single-inference deployment can afford a blocking loop per session; a
 //! shared server cannot — a worker thread must be able to advance whichever
 //! session has work and park the rest. [`ServerSession`] therefore holds
-//! the entire server role of **both** protocol kinds as explicit state:
+//! the entire server role of **both** protocol kinds — garbler under
+//! Server-Garbler, evaluator under Client-Garbler, with the role steps the
+//! client body runs in the mirrored role (`role.rs`) — as explicit state:
 //!
-//! * [`ServerSession::start`] emits the serving runtime's
-//!   [`Msg::KeyStatus`] preamble (service sessions only) and arms the
-//!   first expectation;
+//! * [`ServerSession::new`] arms the first expectation;
 //! * [`ServerSession::on_msg`] consumes exactly one client message,
 //!   advances as far as the protocol allows without further input, and
 //!   reports what it needs next ([`Step`]);
 //! * [`ServerSession::on_matvec_done`] resumes a session stalled on the
 //!   heavy HE matvec ([`Step::NeedMatvec`]), which the caller services —
-//!   inline with layer-parallel threads in the synchronous drivers, or
-//!   batched across sessions by the runtime's skew-aware batcher.
+//!   inline with layer-parallel threads in [`drive_sync`], or batched
+//!   across sessions by the runtime's skew-aware batcher.
 //!
-//! **State-machine contract.** A message arriving in any state that does
-//! not expect it is a typed [`ProtocolError::UnexpectedMsg`], never a
+//! **State-machine contract.** Every state owns what consuming its one
+//! expected message needs — the half-received phase, the OT in flight, the
+//! role material — so nothing is optional and unwrapped. A message that
+//! does not fit the state is a typed [`ProtocolError::UnexpectedMsg`], one
+//! whose shape or range is wrong a [`ProtocolError::BadRequest`], never a
 //! panic: one misbehaving client aborts one session. The machine is purely
-//! reactive — after `start` it only acts in response to `on_msg` /
-//! `on_matvec_done`, which is sufficient because the server's first
-//! protocol action in both kinds is a receive. Randomness is drawn from the
-//! session-owned [`StdRng`] in exactly the order of the retired blocking
-//! drivers (shares, then base-OT material, then per-phase garbling/OT in
-//! message order), so a session driven synchronously and one driven
+//! reactive, which suffices because the server's first protocol action in
+//! both kinds is a receive. Randomness is drawn from the session-owned
+//! [`StdRng`] in message order (shares, then base-OT material, then
+//! per-phase garbling/OT), so a session driven synchronously and one driven
 //! concurrently produce bit-identical transcripts from the same seed.
 
-use crate::channel::MsgSink;
+use crate::channel::{Channel, ChannelTx};
 use crate::common::{
-    bits_field, field_bits, push_field_bits, unexpected, ClientHeKeys, LinearMode, ModelMeta,
-    PartyOutcome, ProtocolConfig, ProtocolKind, ServerPrecomp,
+    random_field_vecs, reduced, unexpected, ClientHeKeys, ModelMeta, PartyOutcome, ProtocolConfig,
+    ProtocolKind, ServerPrecomp,
 };
 use crate::error::ProtocolError;
 use crate::msg::Msg;
-use pi_gc::garble::{evaluate_many, garble_many, Garbling};
-use pi_gc::relu::relu_trunc_circuit;
-use pi_gc::{Circuit, GarbledCircuit, Label};
+use crate::role::{
+    decode_outputs, encode, BaseReceiver, BaseSender, Garbler, LabelRequest, PhaseTables,
+};
+use pi_gc::Label;
 use pi_he::linalg::{self, BsgsDiagonals};
-use pi_he::{BatchEncoder, Ciphertext};
+use pi_he::{BatchEncoder, BfvParams, Ciphertext};
 use pi_nn::PiModel;
-use pi_ot::base::{BaseOtReceiver, BaseOtSender};
-use pi_ot::bitmat::BitVec;
-use pi_ot::ext::{OtExtReceiver, OtExtSender, ReceiverSetup, SenderSetup, KAPPA};
+use pi_ot::ext::OtExtReceiver;
 use rand::rngs::StdRng;
-use rand::Rng;
 use std::sync::Arc;
 
-/// Everything a session step borrows from its surroundings: the model
-/// weights, the shared per-model precomputation, the protocol config, and
-/// the downlink to its client. Passing these per call (instead of owning
-/// them) keeps the session `'static` and lets the runtime share one
-/// [`ServerPrecomp`] across every session of a model.
+/// Everything a session step borrows from its surroundings. Passing these
+/// per call (instead of owning them) keeps the session `'static` and lets
+/// the runtime share one [`ServerPrecomp`] across every session of a model.
 pub struct SessionCtx<'a> {
     /// The served model (weights included).
     pub model: &'a PiModel,
     /// Shared per-model offline-linear precomputation.
     pub pre: &'a ServerPrecomp,
-    /// Protocol configuration.
-    pub cfg: &'a ProtocolConfig,
     /// Downlink to this session's client.
-    pub sink: &'a dyn MsgSink,
+    pub sink: &'a ChannelTx,
 }
 
 /// One outstanding HE matrix-vector product: the session cannot proceed
@@ -78,64 +73,103 @@ pub struct MatvecJob {
 pub enum Step {
     /// Waiting for further client messages (or outstanding matvecs).
     Idle,
+    /// As [`Step::Idle`], and the client just uploaded these HE keys — the
+    /// runtime caches them in its session table.
+    GotKeys(Arc<ClientHeKeys>),
     /// The offline linear pass needs these HE products computed; resume
     /// each with [`ServerSession::on_matvec_done`].
     NeedMatvec(Vec<MatvecJob>),
-    /// The protocol completed; collect [`ServerSession::take_outcome`].
-    Done,
+    /// The protocol completed, with this cost summary (the driver fills in
+    /// the trace field).
+    Done(PartyOutcome),
 }
 
-/// HE context once the client's keys are known.
+/// The server's HE context, resolved once from the configuration.
 struct HeCtx {
-    keys: Arc<ClientHeKeys>,
+    params: BfvParams,
     encoder: BatchEncoder,
 }
 
-/// A received per-phase offline input.
-enum PhaseInput {
-    Ct(Ciphertext),
-    Clear(Vec<u64>),
-}
-
-/// Stored Client-Garbler material for one ReLU phase.
-struct CgPhaseGc {
-    tables: Vec<Vec<(Label, Label)>>,
+/// One stored Client-Garbler ReLU phase: the checked tables, the output
+/// decode bits, and the client's own-input labels (`2k` per instance:
+/// its share on wires `0..k`, then the next randomness on `2k..3k`) — the
+/// latter two empty until their message arrived.
+struct EvalPhase {
+    tables: PhaseTables,
     decode: Vec<Vec<bool>>,
-    client_labels: Vec<Label>,
+    labels: Vec<Label>,
 }
 
+/// The evaluator's material (Client-Garbler): the extension receiver its
+/// online label OTs ask through, and every phase received so far.
+struct Evaluator {
+    ext: OtExtReceiver,
+    phases: Vec<EvalPhase>,
+}
+
+/// What the server holds between the offline and the online phase.
+enum Role {
+    Garbler(Garbler),
+    Evaluator(Evaluator),
+}
+
+/// The message each state waits for, with everything received or prepared
+/// so far that consuming it needs. Masked activations `acts` are indexed
+/// like the model's: `acts[0]` the input, `acts[i + 1]` the output of
+/// phase `i` — and since every phase but the last ends in a garbled ReLU,
+/// `acts.len() - 1` is both the next linear phase and the next garbled one.
 enum State {
-    New,
-    AwaitKeys,
-    AwaitInput(usize),
-    AwaitMatvec,
-    SgAwaitBaseSetup {
-        s: u128,
+    AwaitKeys(HeCtx),
+    AwaitCts {
+        he: HeCtx,
+        keys: Arc<ClientHeKeys>,
+        cts: Vec<Ciphertext>,
     },
-    SgAwaitBaseTransfer {
-        receiver: BaseOtReceiver,
-        s: u128,
+    AwaitRCats(Vec<Vec<u64>>),
+    AwaitMatvec {
+        he: HeCtx,
+        prods: Vec<Option<Ciphertext>>,
     },
-    SgAwaitOtExtend {
-        idx: usize,
+    SgAwaitBaseSetup,
+    SgAwaitBaseTransfer(BaseReceiver),
+    SgAwaitOtExtend(Garbler),
+    CgAwaitBaseChoice(BaseSender),
+    CgAwaitTables(Evaluator),
+    CgAwaitDecode(Evaluator, EvalPhase),
+    CgAwaitLabels(Evaluator, EvalPhase),
+    AwaitMaskedInput(Role),
+    SgAwaitOutLabels {
+        garbler: Garbler,
+        acts: Vec<Vec<u64>>,
     },
-    CgAwaitBaseChoice {
-        sender: BaseOtSender,
-        seed_pairs: Vec<(u128, u128)>,
+    CgAwaitOtTransfer {
+        eval: Evaluator,
+        acts: Vec<Vec<u64>>,
+        request: LabelRequest,
     },
-    CgAwaitTables {
-        idx: usize,
-    },
-    CgAwaitDecode {
-        idx: usize,
-    },
-    CgAwaitLabels {
-        idx: usize,
-    },
-    AwaitMaskedInput,
-    SgAwaitOutLabels,
-    CgAwaitOtTransfer,
     Done,
+}
+
+impl State {
+    /// What this state waits for, as [`ProtocolError::UnexpectedMsg`]
+    /// reports it.
+    fn expects(&self) -> &'static str {
+        match self {
+            State::AwaitKeys(_) => "HeKeys",
+            State::AwaitCts { .. } => "HeCts",
+            State::AwaitRCats(_) | State::AwaitMaskedInput(_) => "VecU64",
+            State::AwaitMatvec { .. } => "no message (matvec pending)",
+            State::SgAwaitBaseSetup => "OtBaseSetup",
+            State::SgAwaitBaseTransfer(_) => "OtBaseTransfer",
+            State::SgAwaitOtExtend(_) => "OtExtend",
+            State::CgAwaitBaseChoice(_) => "OtBaseChoice",
+            State::CgAwaitTables(_) => "GcTables",
+            State::CgAwaitDecode(..) => "GcDecode",
+            State::CgAwaitLabels(..) | State::SgAwaitOutLabels { .. } => "GcLabels",
+            State::CgAwaitOtTransfer { .. } => "OtTransfer",
+            State::Done => "no message (session complete)",
+        }
+    }
 }
 
 /// The server role of one inference session, resumable at every message
@@ -143,658 +177,416 @@ enum State {
 pub struct ServerSession {
     kind: ProtocolKind,
     meta: ModelMeta,
-    service: bool,
     rng: StdRng,
-    he: Option<HeCtx>,
-    received_keys: Option<Arc<ClientHeKeys>>,
     state: State,
-    inputs: Vec<PhaseInput>,
     s_vecs: Vec<Vec<u64>>,
-    prods: Vec<Option<Ciphertext>>,
-    prods_missing: usize,
-    relu_phases: Vec<usize>,
-    // Server-Garbler material.
-    sg_garblings: Vec<Vec<Garbling>>,
-    ext_sender: Option<OtExtSender>,
-    // Client-Garbler material.
-    ext_receiver: Option<OtExtReceiver>,
-    cg_partial_tables: Option<Vec<Vec<(Label, Label)>>>,
-    cg_partial_decode: Option<Vec<Vec<bool>>>,
-    cg_gcs: Vec<CgPhaseGc>,
-    cg_circuits: Vec<Circuit>,
-    cg_pending_ot: Option<(BitVec, Vec<u128>)>,
-    // Online progress.
-    masked_acts: Vec<Vec<u64>>,
-    phase_idx: usize,
-    gc_idx: usize,
     outcome: PartyOutcome,
 }
 
 impl ServerSession {
-    /// Creates a session for one inference of `model` under `cfg`.
-    ///
-    /// `service` enables the serving-runtime [`Msg::KeyStatus`] preamble;
-    /// `cached_keys` is the client's HE key material if the server's
-    /// session table still holds it (the session then skips the upload).
+    /// Creates a session for one inference of `model` under `cfg`, armed
+    /// for its first message. `cached_keys` is the client's HE key material
+    /// if the server's session table still holds it (the session then skips
+    /// the upload).
     pub fn new(
         model: &PiModel,
         cfg: &ProtocolConfig,
         rng: StdRng,
-        service: bool,
         cached_keys: Option<Arc<ClientHeKeys>>,
     ) -> Self {
-        let meta = ModelMeta::of(model);
-        let relu_phases: Vec<usize> = (0..meta.phases.len())
-            .filter(|&i| meta.phases[i].relu_shift.is_some())
-            .collect();
-        let he = cached_keys.map(|keys| HeCtx {
-            keys,
-            encoder: BatchEncoder::new(
-                cfg.he_params
-                    .as_ref()
-                    .expect("cached keys require HE parameters"),
-            ),
+        let he = cfg.he().map(|params| HeCtx {
+            params: params.clone(),
+            encoder: BatchEncoder::new(params),
         });
+        let cts = Vec::new();
+        let state = match (he, cached_keys) {
+            (Some(he), Some(keys)) => State::AwaitCts { he, keys, cts },
+            (Some(he), None) => State::AwaitKeys(he),
+            (None, _) => State::AwaitRCats(Vec::new()),
+        };
         Self {
             kind: cfg.kind,
-            meta,
-            service,
+            meta: ModelMeta::of(model),
             rng,
-            he,
-            received_keys: None,
-            state: State::New,
-            inputs: Vec::new(),
+            state,
             s_vecs: Vec::new(),
-            prods: Vec::new(),
-            prods_missing: 0,
-            relu_phases,
-            sg_garblings: Vec::new(),
-            ext_sender: None,
-            ext_receiver: None,
-            cg_partial_tables: None,
-            cg_partial_decode: None,
-            cg_gcs: Vec::new(),
-            cg_circuits: Vec::new(),
-            cg_pending_ot: None,
-            masked_acts: Vec::new(),
-            phase_idx: 0,
-            gc_idx: 0,
             outcome: PartyOutcome::default(),
         }
     }
 
-    /// Arms the session: sends the [`Msg::KeyStatus`] preamble (service
-    /// sessions) and sets the first expectation.
-    ///
-    /// # Errors
-    ///
-    /// [`ProtocolError::Channel`] if the client already disconnected.
-    pub fn start(&mut self, ctx: &SessionCtx<'_>) -> Result<Step, ProtocolError> {
-        debug_assert!(matches!(self.state, State::New), "start called twice");
-        let need_keys = matches!(ctx.cfg.linear, LinearMode::He) && self.he.is_none();
-        if self.service {
-            ctx.sink.send_msg(Msg::KeyStatus { need_keys })?;
-        }
-        self.state = if need_keys {
-            State::AwaitKeys
-        } else {
-            State::AwaitInput(0)
-        };
-        Ok(Step::Idle)
+    /// Whether the session's first message must be the client's HE keys —
+    /// what a serving runtime's [`Msg::KeyStatus`] preamble tells the client.
+    pub fn needs_keys(&self) -> bool {
+        matches!(self.state, State::AwaitKeys(_))
     }
 
-    /// Whether the protocol has completed.
-    pub fn is_done(&self) -> bool {
-        matches!(self.state, State::Done)
-    }
-
-    /// Takes the finished cost summary (valid once [`Step::Done`] was
-    /// returned; the trace field is filled in by the driver).
-    pub fn take_outcome(&mut self) -> PartyOutcome {
-        std::mem::take(&mut self.outcome)
-    }
-
-    /// Takes the client keys received this session, if any — the runtime
-    /// inserts them into its session table after the upload.
-    pub fn take_received_keys(&mut self) -> Option<Arc<ClientHeKeys>> {
-        self.received_keys.take()
-    }
-
-    /// Consumes one client message and advances as far as possible.
+    /// Consumes one client message and advances as far as possible. After
+    /// an error the session is dead: every later message is unexpected.
     ///
     /// # Errors
     ///
     /// [`ProtocolError::UnexpectedMsg`] when the message does not fit the
     /// current state; [`ProtocolError::BadRequest`] on malformed contents;
+    /// [`ProtocolError::Wire`] on an HE frame that fails to parse;
     /// [`ProtocolError::Channel`] when the client vanished mid-reply.
     pub fn on_msg(&mut self, ctx: &SessionCtx<'_>, msg: Msg) -> Result<Step, ProtocolError> {
+        let p = self.meta.p;
+        let k = self.meta.relu_width;
         let state = std::mem::replace(&mut self.state, State::Done);
         match (state, msg) {
-            (State::AwaitKeys, Msg::HeKeys { pk, gk }) => {
+            (State::AwaitKeys(he), Msg::HeKeys { pk, gk }) => {
                 // Keys arrive as serialized seed-expanded frames; a frame
                 // that fails to parse is the client's fault and aborts only
                 // this session.
-                let params = ctx.cfg.he_params.as_ref().expect("HE mode parameters");
-                let pk = pi_he::public_key_from_bytes(&pk, params)?;
-                let gk = pi_he::galois_keys_from_bytes(&gk, params)?;
+                let pk = pi_he::public_key_from_bytes(&pk, &he.params)?;
+                let gk = pi_he::galois_keys_from_bytes(&gk, &he.params)?;
                 let keys = Arc::new(ClientHeKeys { pk, gk });
-                self.received_keys = Some(keys.clone());
-                self.he = Some(HeCtx {
-                    keys,
-                    encoder: BatchEncoder::new(
-                        ctx.cfg.he_params.as_ref().expect("HE mode parameters"),
-                    ),
-                });
-                self.state = State::AwaitInput(0);
-                Ok(Step::Idle)
-            }
-            (State::AwaitKeys, other) => Err(unexpected("HeKeys", &other)),
-            (State::AwaitInput(i), msg) => {
-                let input = match (ctx.cfg.linear, msg) {
-                    (LinearMode::He, Msg::HeCts(frames)) => {
-                        let Some(frame) = frames.first() else {
-                            return Err(ProtocolError::BadRequest("empty ciphertext batch"));
-                        };
-                        let params = ctx.cfg.he_params.as_ref().expect("HE mode parameters");
-                        let ct = pi_he::ciphertext_from_bytes(frame, params)?;
-                        if ct.c0.ctx().q() != params.q() {
-                            return Err(ProtocolError::BadRequest(
-                                "offline upload not at the full ciphertext modulus",
-                            ));
-                        }
-                        PhaseInput::Ct(ct)
-                    }
-                    (LinearMode::He, other) => return Err(unexpected("HeCts", &other)),
-                    (LinearMode::Clear, Msg::VecU64(v)) => {
-                        if v.len() < ctx.pre.matrices[i].cols() {
-                            return Err(ProtocolError::BadRequest("short offline input vector"));
-                        }
-                        PhaseInput::Clear(v)
-                    }
-                    (LinearMode::Clear, other) => return Err(unexpected("VecU64", &other)),
+                self.state = State::AwaitCts {
+                    he,
+                    keys: keys.clone(),
+                    cts: Vec::new(),
                 };
-                self.inputs.push(input);
-                if i + 1 < self.meta.phases.len() {
-                    self.state = State::AwaitInput(i + 1);
-                    Ok(Step::Idle)
-                } else {
-                    self.finish_inputs(ctx)
-                }
+                Ok(Step::GotKeys(keys))
             }
-            (State::AwaitMatvec, other) => Err(unexpected("no message (matvec pending)", &other)),
-            (State::SgAwaitBaseSetup { s }, Msg::OtBaseSetup(setup)) => {
+            (State::AwaitCts { he, keys, mut cts }, Msg::HeCts(frames)) => {
+                let Some(frame) = frames.first() else {
+                    return Err(ProtocolError::BadRequest("empty ciphertext batch"));
+                };
+                let ct = pi_he::ciphertext_from_bytes(frame, &he.params)?;
+                if ct.c0.ctx().q() != he.params.q() {
+                    return Err(ProtocolError::BadRequest(
+                        "offline upload not at the full ciphertext modulus",
+                    ));
+                }
+                cts.push(ct);
+                if cts.len() < self.meta.phases.len() {
+                    self.state = State::AwaitCts { he, keys, cts };
+                    return Ok(Step::Idle);
+                }
+                // All inputs are in: stall on the HE matvecs.
+                self.draw_shares();
+                let jobs: Vec<MatvecJob> = cts
+                    .into_iter()
+                    .enumerate()
+                    .map(|(phase, ct)| MatvecJob {
+                        phase,
+                        ct,
+                        keys: keys.clone(),
+                    })
+                    .collect();
+                let prods = jobs.iter().map(|_| None).collect();
+                self.state = State::AwaitMatvec { he, prods };
+                Ok(Step::NeedMatvec(jobs))
+            }
+            (State::AwaitRCats(mut r_cats), Msg::VecU64(v)) => {
+                if v.len() < ctx.pre.matrices[r_cats.len()].cols() || !reduced(&v, p) {
+                    return Err(ProtocolError::BadRequest("offline input vector"));
+                }
+                r_cats.push(v);
+                if r_cats.len() < self.meta.phases.len() {
+                    self.state = State::AwaitRCats(r_cats);
+                    return Ok(Step::Idle);
+                }
+                // All inputs are in: answer every phase at once.
+                self.draw_shares();
+                {
+                    let _span = pi_trace::span!("offline.he");
+                    for ((r_cat, w), s_i) in r_cats.iter().zip(&ctx.pre.matrices).zip(&self.s_vecs)
+                    {
+                        let wr = w.matvec_plain(&r_cat[..w.cols()], p);
+                        let share = wr.iter().zip(s_i).map(|(&a, &s)| p.sub(a, s)).collect();
+                        ctx.sink.send(Msg::VecU64(share))?;
+                    }
+                }
+                self.start_ot_stage(ctx)
+            }
+            (State::SgAwaitBaseSetup, Msg::OtBaseSetup(setup)) => {
                 let _span = pi_trace::span!("offline.ot");
-                let (receiver, choice) =
-                    BaseOtReceiver::choose_packed(&setup, s, KAPPA, &mut self.rng);
-                ctx.sink.send_msg(Msg::OtBaseChoice(choice))?;
-                self.state = State::SgAwaitBaseTransfer { receiver, s };
+                let (receiver, choice) = BaseReceiver::start(&setup, &mut self.rng);
+                ctx.sink.send(Msg::OtBaseChoice(choice))?;
+                self.state = State::SgAwaitBaseTransfer(receiver);
                 Ok(Step::Idle)
             }
-            (State::SgAwaitBaseSetup { .. }, other) => Err(unexpected("OtBaseSetup", &other)),
-            (State::SgAwaitBaseTransfer { receiver, s }, Msg::OtBaseTransfer(t)) => {
-                let seeds = {
+            (State::SgAwaitBaseTransfer(receiver), Msg::OtBaseTransfer(t)) => {
+                let garbler = {
                     let _span = pi_trace::span!("offline.ot");
-                    receiver.receive(&t)
+                    receiver.finish(&t)?
                 };
-                self.ext_sender = Some(OtExtSender::new(SenderSetup { s, seeds }));
-                if self.relu_phases.is_empty() {
-                    self.finish_offline(ctx);
-                } else {
-                    self.sg_garble_and_send(ctx, 0)?;
-                }
-                Ok(Step::Idle)
+                self.sg_garble_next(ctx, garbler)
             }
-            (State::SgAwaitBaseTransfer { .. }, other) => Err(unexpected("OtBaseTransfer", &other)),
-            (State::SgAwaitOtExtend { idx }, Msg::OtExtend(e)) => {
-                let k = self.meta.relu_width;
+            (State::SgAwaitOtExtend(garbler), Msg::OtExtend(e)) => {
                 {
                     let _span = pi_trace::span!("offline.ot");
-                    let phase_g = &self.sg_garblings[idx];
-                    // OT: the client's inputs occupy wire positions [k, 3k).
-                    let mut pairs = Vec::with_capacity(phase_g.len() * 2 * k);
-                    for g in phase_g {
-                        for bit in 0..2 * k {
-                            pairs.push(g.encoding.label_pair(k + bit));
-                        }
-                    }
-                    self.outcome.ot_count += pairs.len() as u64;
-                    let ext = self.ext_sender.as_ref().expect("ext sender ready");
-                    ctx.sink
-                        .send_msg(Msg::OtTransfer(ext.transfer(&e, &pairs)))?;
+                    // The client's inputs of the phase just shipped occupy
+                    // wire positions [k, 3k).
+                    let idx = garbler.phases.len() - 1;
+                    let transfer = garbler.serve_labels(idx, k..3 * k, &e, &mut self.outcome)?;
+                    ctx.sink.send(Msg::OtTransfer(transfer))?;
                 }
-                if idx + 1 < self.relu_phases.len() {
-                    self.sg_garble_and_send(ctx, idx + 1)?;
-                } else {
-                    self.finish_offline(ctx);
-                }
-                Ok(Step::Idle)
+                self.sg_garble_next(ctx, garbler)
             }
-            (State::SgAwaitOtExtend { .. }, other) => Err(unexpected("OtExtend", &other)),
-            (State::CgAwaitBaseChoice { sender, seed_pairs }, Msg::OtBaseChoice(c)) => {
-                {
+            (State::CgAwaitBaseChoice(sender), Msg::OtBaseChoice(c)) => {
+                let ext = {
                     let _span = pi_trace::span!("offline.ot");
-                    let transfer = sender.transfer(&c, &seed_pairs, &mut self.rng);
-                    ctx.sink.send_msg(Msg::OtBaseTransfer(transfer))?;
-                }
-                self.ext_receiver = Some(OtExtReceiver::new(ReceiverSetup { seed_pairs }));
-                if self.relu_phases.is_empty() {
-                    self.finish_offline(ctx);
-                } else {
-                    self.state = State::CgAwaitTables { idx: 0 };
-                }
+                    let (ext, transfer) = sender.finish(&c, &mut self.rng)?;
+                    ctx.sink.send(Msg::OtBaseTransfer(transfer))?;
+                    ext
+                };
+                let phases = Vec::with_capacity(self.meta.relu_phases.len());
+                self.cg_await_next(ctx, Evaluator { ext, phases })
+            }
+            (State::CgAwaitTables(eval), Msg::GcTables(t)) => {
+                let relu = &self.meta.relu_phases[eval.phases.len()];
+                let tables = PhaseTables::receive(&self.meta, relu, t, &mut self.outcome)?;
+                let (decode, labels) = (Vec::new(), Vec::new());
+                let phase = EvalPhase {
+                    tables,
+                    decode,
+                    labels,
+                };
+                self.state = State::CgAwaitDecode(eval, phase);
                 Ok(Step::Idle)
             }
-            (State::CgAwaitBaseChoice { .. }, other) => Err(unexpected("OtBaseChoice", &other)),
-            (State::CgAwaitTables { idx }, Msg::GcTables(t)) => {
-                let m = self.meta.phases[self.relu_phases[idx]].rows;
-                if t.len() != m {
-                    return Err(ProtocolError::BadRequest("garbled table count"));
+            (State::CgAwaitDecode(eval, mut phase), Msg::GcDecode(decode)) => {
+                if decode.len() != phase.tables.len() || decode.iter().any(|d| d.len() != k) {
+                    return Err(ProtocolError::BadRequest("decode vector shape"));
                 }
-                let table_bytes = t.iter().map(|t| t.len() as u64 * 32).sum::<u64>();
-                self.outcome.gc_bytes += table_bytes;
-                self.cg_partial_tables = Some(t);
-                self.state = State::CgAwaitDecode { idx };
+                phase.decode = decode;
+                self.state = State::CgAwaitLabels(eval, phase);
                 Ok(Step::Idle)
             }
-            (State::CgAwaitTables { .. }, other) => Err(unexpected("GcTables", &other)),
-            (State::CgAwaitDecode { idx }, Msg::GcDecode(d)) => {
-                let m = self.meta.phases[self.relu_phases[idx]].rows;
-                if d.len() != m {
-                    return Err(ProtocolError::BadRequest("decode vector count"));
-                }
-                self.cg_partial_decode = Some(d);
-                self.state = State::CgAwaitLabels { idx };
-                Ok(Step::Idle)
-            }
-            (State::CgAwaitDecode { .. }, other) => Err(unexpected("GcDecode", &other)),
-            (State::CgAwaitLabels { idx }, Msg::GcLabels(l)) => {
-                let m = self.meta.phases[self.relu_phases[idx]].rows;
-                let k = self.meta.relu_width;
-                if l.len() != m * 2 * k {
+            (State::CgAwaitLabels(mut eval, mut phase), Msg::GcLabels(labels)) => {
+                if labels.len() != phase.tables.len() * 2 * k {
                     return Err(ProtocolError::BadRequest("client label count"));
                 }
-                self.cg_gcs.push(CgPhaseGc {
-                    tables: self
-                        .cg_partial_tables
-                        .take()
-                        .expect("tables precede labels"),
-                    decode: self
-                        .cg_partial_decode
-                        .take()
-                        .expect("decode precedes labels"),
-                    client_labels: l,
-                });
-                if idx + 1 < self.relu_phases.len() {
-                    self.state = State::CgAwaitTables { idx: idx + 1 };
-                } else {
-                    self.finish_offline(ctx);
-                }
-                Ok(Step::Idle)
+                phase.labels = labels;
+                eval.phases.push(phase);
+                self.cg_await_next(ctx, eval)
             }
-            (State::CgAwaitLabels { .. }, other) => Err(unexpected("GcLabels", &other)),
-            (State::AwaitMaskedInput, Msg::VecU64(v)) => {
-                if v.len() != self.meta.input_len {
-                    return Err(ProtocolError::BadRequest("masked input length"));
+            (State::AwaitMaskedInput(role), Msg::VecU64(v)) => {
+                if v.len() != self.meta.input_len || !reduced(&v, p) {
+                    return Err(ProtocolError::BadRequest("masked input"));
                 }
-                self.masked_acts = vec![v];
-                self.phase_idx = 0;
-                self.gc_idx = 0;
-                self.advance_online(ctx)
+                self.advance_online(ctx, role, vec![v])
             }
-            (State::AwaitMaskedInput, other) => Err(unexpected("VecU64", &other)),
-            (State::SgAwaitOutLabels, Msg::GcLabels(l)) => {
-                let k = self.meta.relu_width;
-                let phase_g = &self.sg_garblings[self.gc_idx];
-                if l.len() != phase_g.len() * k {
-                    return Err(ProtocolError::BadRequest("output label count"));
-                }
-                let next_masked = {
+            (State::SgAwaitOutLabels { garbler, mut acts }, Msg::GcLabels(l)) => {
+                let next = {
                     let _span = pi_trace::span!("online.eval");
-                    let mut next = Vec::with_capacity(phase_g.len());
-                    for (j, chunk) in l.chunks(k).enumerate() {
-                        let bits = phase_g[j].garbled.decode_outputs(chunk);
-                        next.push(bits_field(&bits));
-                    }
-                    next
+                    let decode = garbler.phases[acts.len() - 1]
+                        .iter()
+                        .map(|g| &g.garbled.output_decode[..]);
+                    decode_outputs(decode, &l, &self.meta)?
                 };
-                self.masked_acts.push(next_masked);
-                self.gc_idx += 1;
-                self.phase_idx += 1;
-                self.advance_online(ctx)
+                acts.push(next);
+                self.advance_online(ctx, Role::Garbler(garbler), acts)
             }
-            (State::SgAwaitOutLabels, other) => Err(unexpected("GcLabels", &other)),
-            (State::CgAwaitOtTransfer, Msg::OtTransfer(t)) => {
-                let k = self.meta.relu_width;
-                let (choices, t_rows) = self.cg_pending_ot.take().expect("pending OT state");
-                let my_labels = {
+            (
+                State::CgAwaitOtTransfer {
+                    eval,
+                    mut acts,
+                    request,
+                },
+                Msg::OtTransfer(t),
+            ) => {
+                let mine = {
                     let _span = pi_trace::span!("online.ot");
-                    let ext = self.ext_receiver.as_ref().expect("ext receiver ready");
-                    ext.decode(&t, &choices, &t_rows)
+                    request.open(&eval.ext, &t)?
                 };
-                let m = choices.len() / k;
-                let next_masked = {
+                let next = {
                     let _span = pi_trace::span!("online.eval");
-                    let phase = &self.cg_gcs[self.gc_idx];
-                    let circuit = &self.cg_circuits[self.gc_idx];
-                    let inputs: Vec<Vec<Label>> = (0..m)
-                        .map(|j| {
-                            let mut labels = Vec::with_capacity(3 * k);
-                            // share_a (client) | share_b (server, via OT) | r (client)
-                            labels
-                                .extend_from_slice(&phase.client_labels[j * 2 * k..j * 2 * k + k]);
-                            labels.extend_from_slice(&my_labels[j * k..(j + 1) * k]);
-                            labels.extend_from_slice(
-                                &phase.client_labels[j * 2 * k + k..(j + 1) * 2 * k],
-                            );
-                            labels
-                        })
-                        .collect();
-                    let per_instance = evaluate_many(circuit, &phase.tables, &inputs);
-                    self.outcome.gc_eval_and_gates += (m * circuit.and_count()) as u64;
-                    let mut next = Vec::with_capacity(m);
-                    for (j, out_labels) in per_instance.iter().enumerate() {
-                        // decode_outputs only consults the decode bits.
-                        let garbled = GarbledCircuit {
-                            tables: Vec::new(),
-                            output_decode: phase.decode[j].clone(),
-                        };
-                        next.push(bits_field(&garbled.decode_outputs(out_labels)));
-                    }
-                    next
+                    let phase = &eval.phases[acts.len() - 1];
+                    // share_a (client) | share_b (server, via OT) | r (client)
+                    let out_labels =
+                        (phase.tables).evaluate(&phase.labels, &mine, false, &mut self.outcome);
+                    let decode = phase.decode.iter().map(Vec::as_slice);
+                    decode_outputs(decode, &out_labels, &self.meta)?
                 };
-                self.masked_acts.push(next_masked);
-                self.gc_idx += 1;
-                self.phase_idx += 1;
-                self.advance_online(ctx)
+                acts.push(next);
+                self.advance_online(ctx, Role::Evaluator(eval), acts)
             }
-            (State::CgAwaitOtTransfer, other) => Err(unexpected("OtTransfer", &other)),
-            (State::New, other) => Err(unexpected("no message (session not started)", &other)),
-            (State::Done, other) => Err(unexpected("no message (session complete)", &other)),
+            (state, other) => Err(unexpected(state.expects(), &other)),
         }
     }
 
     /// Delivers one finished HE product for `phase`. Once every outstanding
     /// product is in, the per-phase responses `E(W·r − s)` go out in phase
-    /// order (matching the retired blocking driver) and the protocol moves
-    /// on to OT setup.
+    /// order and the protocol moves on to OT setup.
     ///
     /// # Errors
     ///
-    /// [`ProtocolError::Channel`] if the client vanished.
+    /// [`ProtocolError::Channel`] if the client vanished;
+    /// [`ProtocolError::BadRequest`] if the session is not waiting for one.
     pub fn on_matvec_done(
         &mut self,
         ctx: &SessionCtx<'_>,
         phase: usize,
         prod: Ciphertext,
     ) -> Result<Step, ProtocolError> {
-        debug_assert!(matches!(self.state, State::AwaitMatvec));
-        debug_assert!(self.prods[phase].is_none(), "duplicate matvec result");
-        self.prods[phase] = Some(prod);
-        self.prods_missing -= 1;
-        if self.prods_missing > 0 {
+        let State::AwaitMatvec { he, prods } = &mut self.state else {
+            return Err(ProtocolError::BadRequest("unrequested matvec result"));
+        };
+        prods[phase] = Some(prod);
+        if prods.iter().any(Option::is_none) {
             return Ok(Step::Idle);
         }
         {
             let _span = pi_trace::span!("offline.he");
-            let he = self.he.as_ref().expect("HE context");
-            let params = ctx.cfg.he_params.as_ref().expect("HE mode parameters");
-            let prods = std::mem::take(&mut self.prods);
-            for (i, prod) in prods.into_iter().enumerate() {
-                let prod = prod.expect("all matvec products delivered");
-                let resp = linalg::sub_share(
-                    params,
-                    &he.encoder,
-                    &prod,
-                    &self.s_vecs[i],
-                    ctx.pre.matrices[i].padded_dim(),
-                );
+            for (i, prod) in prods.iter().flatten().enumerate() {
+                let dim = ctx.pre.matrices[i].padded_dim();
+                let resp = linalg::sub_share(&he.params, &he.encoder, prod, &self.s_vecs[i], dim);
                 // Every server→client response is modulus-down-switched
                 // before serialization: fewer packed bits per coefficient
                 // AND more absolute noise headroom at the GC handoff.
-                let resp = resp.mod_switch_down(params);
+                let resp = resp.mod_switch_down(&he.params);
                 ctx.sink
-                    .send_msg(Msg::HeCts(vec![pi_he::ciphertext_to_bytes(&resp)]))?;
+                    .send(Msg::HeCts(vec![pi_he::ciphertext_to_bytes(&resp)]))?;
             }
         }
-        self.start_ot_stage(ctx)?;
+        self.start_ot_stage(ctx)
+    }
+
+    /// Samples the server shares `s_i` — the first randomness the server
+    /// draws, once all offline inputs are in.
+    fn draw_shares(&mut self) {
+        let rows = self.meta.phases.iter().map(|ph| ph.rows);
+        self.s_vecs = random_field_vecs(rows, self.meta.p, &mut self.rng);
+    }
+
+    /// Linear responses are out; arm the role's base OT. The evaluator's
+    /// draws here (seed pairs, sender secret) and the garbler's on the
+    /// client's setup follow the linear-share draws.
+    fn start_ot_stage(&mut self, ctx: &SessionCtx<'_>) -> Result<Step, ProtocolError> {
+        self.state = match self.kind {
+            ProtocolKind::ServerGarbler => State::SgAwaitBaseSetup,
+            ProtocolKind::ClientGarbler => {
+                let _span = pi_trace::span!("offline.ot");
+                let (sender, setup) = BaseSender::start(&mut self.rng);
+                ctx.sink.send(Msg::OtBaseSetup(setup))?;
+                State::CgAwaitBaseChoice(sender)
+            }
+        };
         Ok(Step::Idle)
     }
 
-    /// All offline inputs are in: sample the server shares `s_i` (the first
-    /// randomness the server draws, matching the blocking drivers), then
-    /// either answer immediately (clear mode) or stall on the HE matvecs.
-    fn finish_inputs(&mut self, ctx: &SessionCtx<'_>) -> Result<Step, ProtocolError> {
-        let p = self.meta.p;
-        self.s_vecs = self
-            .meta
-            .phases
-            .iter()
-            .map(|ph| {
-                (0..ph.rows)
-                    .map(|_| self.rng.gen_range(0..p.value()))
-                    .collect()
-            })
-            .collect();
-        match ctx.cfg.linear {
-            LinearMode::Clear => {
-                let _span = pi_trace::span!("offline.he");
-                let inputs = std::mem::take(&mut self.inputs);
-                for (i, input) in inputs.iter().enumerate() {
-                    let r_cat = match input {
-                        PhaseInput::Clear(v) => v,
-                        PhaseInput::Ct(_) => unreachable!("ciphertext in clear mode"),
-                    };
-                    let w = &ctx.pre.matrices[i];
-                    let wr = w.matvec_plain(&r_cat[..w.cols()], p);
-                    let share: Vec<u64> = wr
-                        .iter()
-                        .zip(&self.s_vecs[i])
-                        .map(|(&a, &s)| p.sub(a, s))
-                        .collect();
-                    ctx.sink.send_msg(Msg::VecU64(share))?;
-                }
-                self.start_ot_stage(ctx)?;
-                Ok(Step::Idle)
-            }
-            LinearMode::He => {
-                let he = self.he.as_ref().expect("HE context");
-                let inputs = std::mem::take(&mut self.inputs);
-                let jobs: Vec<MatvecJob> = inputs
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, input)| match input {
-                        PhaseInput::Ct(ct) => MatvecJob {
-                            phase: i,
-                            ct,
-                            keys: he.keys.clone(),
-                        },
-                        PhaseInput::Clear(_) => unreachable!("cleartext in HE mode"),
-                    })
-                    .collect();
-                self.prods = (0..jobs.len()).map(|_| None).collect();
-                self.prods_missing = jobs.len();
-                self.state = State::AwaitMatvec;
-                Ok(Step::NeedMatvec(jobs))
-            }
-        }
-    }
-
-    /// Linear responses are out; arm the protocol-specific OT stage. The
-    /// RNG draws here (SG: the IKNP choice scalar; CG: base-OT seed pairs
-    /// and sender secret) follow the linear-share draws exactly as in the
-    /// blocking drivers.
-    fn start_ot_stage(&mut self, ctx: &SessionCtx<'_>) -> Result<(), ProtocolError> {
-        match self.kind {
-            ProtocolKind::ServerGarbler => {
-                let _span = pi_trace::span!("offline.ot");
-                let s: u128 = self.rng.gen();
-                self.state = State::SgAwaitBaseSetup { s };
-            }
-            ProtocolKind::ClientGarbler => {
-                let _span = pi_trace::span!("offline.ot");
-                let seed_pairs: Vec<(u128, u128)> = (0..KAPPA)
-                    .map(|_| (self.rng.gen(), self.rng.gen()))
-                    .collect();
-                let (sender, setup) = BaseOtSender::new(&mut self.rng);
-                ctx.sink.send_msg(Msg::OtBaseSetup(setup))?;
-                self.state = State::CgAwaitBaseChoice { sender, seed_pairs };
-            }
-        }
-        Ok(())
-    }
-
-    /// Garbles ReLU phase `relu_phases[idx]` and ships the tables (Server-
-    /// Garbler offline); the client answers with its OT extension.
-    fn sg_garble_and_send(
+    /// Garbles the next ReLU phase and ships its tables (the client answers
+    /// with its OT extension), or closes the offline phase after the last.
+    fn sg_garble_next(
         &mut self,
         ctx: &SessionCtx<'_>,
-        idx: usize,
-    ) -> Result<(), ProtocolError> {
-        let i = self.relu_phases[idx];
-        let ph = &self.meta.phases[i];
-        let m = ph.rows;
-        let shift = ph.relu_shift.expect("relu phase");
-        let garble_span = pi_trace::span!("offline.garble");
-        let (circuit, _) = relu_trunc_circuit(self.meta.p.value(), shift);
-        // Lockstep batch garbling: 8 circuit instances per AES call.
-        let phase_g: Vec<Garbling> = garble_many(&circuit, m, &mut self.rng);
-        self.outcome.gc_and_gates += (m * circuit.and_count()) as u64;
-        pi_trace::add(pi_trace::Counter::GcRelu, m as u64);
-        drop(garble_span);
-        let tables: Vec<Vec<(Label, Label)>> =
-            phase_g.iter().map(|g| g.garbled.tables.clone()).collect();
-        let table_bytes = tables.iter().map(|t| t.len() as u64 * 32).sum::<u64>();
-        self.outcome.gc_bytes += table_bytes;
-        pi_trace::add(pi_trace::Counter::GcBytes, table_bytes);
-        self.sg_garblings.push(phase_g);
-        ctx.sink.send_msg(Msg::GcTables(tables))?;
-        self.state = State::SgAwaitOtExtend { idx };
-        Ok(())
+        mut garbler: Garbler,
+    ) -> Result<Step, ProtocolError> {
+        match self.meta.relu_phases.get(garbler.phases.len()) {
+            Some(relu) => {
+                let tables = garbler.garble(&self.meta, relu, &mut self.rng, &mut self.outcome);
+                ctx.sink.send(Msg::GcTables(tables))?;
+                self.state = State::SgAwaitOtExtend(garbler);
+            }
+            None => self.finish_offline(ctx, Role::Garbler(garbler)),
+        }
+        Ok(Step::Idle)
+    }
+
+    /// Awaits the client's next garbled phase, or closes the offline phase
+    /// after the last.
+    fn cg_await_next(
+        &mut self,
+        ctx: &SessionCtx<'_>,
+        eval: Evaluator,
+    ) -> Result<Step, ProtocolError> {
+        if eval.phases.len() < self.meta.relu_phases.len() {
+            self.state = State::CgAwaitTables(eval);
+        } else {
+            self.finish_offline(ctx, Role::Evaluator(eval));
+        }
+        Ok(Step::Idle)
     }
 
     /// Snapshot storage and offline communication at the offline/online
     /// boundary, then await the masked input.
-    fn finish_offline(&mut self, ctx: &SessionCtx<'_>) {
+    fn finish_offline(&mut self, ctx: &SessionCtx<'_>, role: Role) {
         let k = self.meta.relu_width as u64;
-        self.outcome.storage_bytes = match self.kind {
-            ProtocolKind::ServerGarbler => {
-                // Own input encodings (k labels + delta per element),
-                // output decode bits, and the shares s_i.
-                self.sg_garblings
-                    .iter()
-                    .flatten()
-                    .map(|_| (k + 1) * 16 + k.div_ceil(8))
-                    .sum::<u64>()
-                    + self.s_vecs.iter().map(|s| s.len() as u64 * 8).sum::<u64>()
-            }
-            ProtocolKind::ClientGarbler => {
-                // Garbled circuits + the client's labels + decode bits +
-                // linear shares: the paper's storage burden after the swap.
-                self.outcome.gc_bytes
-                    + self
-                        .cg_gcs
-                        .iter()
-                        .map(|g| g.client_labels.len() as u64 * 16)
-                        .sum::<u64>()
-                    + self
-                        .cg_gcs
-                        .iter()
-                        .map(|g| {
-                            g.decode
-                                .iter()
-                                .map(|d| d.len().div_ceil(8) as u64)
-                                .sum::<u64>()
-                        })
-                        .sum::<u64>()
-                    + self.s_vecs.iter().map(|s| s.len() as u64 * 8).sum::<u64>()
-            }
-        };
-        if matches!(self.kind, ProtocolKind::ClientGarbler) {
-            self.cg_circuits = self
-                .relu_phases
-                .iter()
-                .map(|&i| {
-                    relu_trunc_circuit(
-                        self.meta.p.value(),
-                        self.meta.phases[i].relu_shift.expect("relu"),
-                    )
-                    .0
-                })
-                .collect();
-        }
-        self.outcome.offline_sent = ctx.sink.sent_bytes();
-        self.outcome.offline_sent_flat = ctx.sink.sent_bytes_flat();
-        self.state = State::AwaitMaskedInput;
+        let shares = self.s_vecs.iter().map(|s| s.len() as u64 * 8).sum::<u64>();
+        self.outcome.storage_bytes = shares
+            + match &role {
+                // Own input encodings (k labels + delta per element) and
+                // output decode bits.
+                Role::Garbler(g) => {
+                    let instances = g.phases.iter().map(Vec::len).sum::<usize>();
+                    instances as u64 * ((k + 1) * 16 + k.div_ceil(8))
+                }
+                // Garbled circuits + the client's labels + decode bits: the
+                // paper's storage burden after the swap.
+                Role::Evaluator(e) => {
+                    let extras = |ph: &EvalPhase| {
+                        let decode = ph.decode.iter().map(|d| d.len().div_ceil(8) as u64);
+                        ph.labels.len() as u64 * 16 + decode.sum::<u64>()
+                    };
+                    self.outcome.gc_bytes + e.phases.iter().map(extras).sum::<u64>()
+                }
+            };
+        self.outcome.offline_sent = ctx.sink.bytes_sent();
+        self.state = State::AwaitMaskedInput(role);
     }
 
-    /// Runs online linear phases from `phase_idx` until the next client
-    /// round trip (or completion).
-    fn advance_online(&mut self, ctx: &SessionCtx<'_>) -> Result<Step, ProtocolError> {
+    /// Runs the online linear phase the masked activations `acts` have
+    /// reached, then either opens its garbled ReLU's round trip or — after
+    /// the final phase — completes.
+    fn advance_online(
+        &mut self,
+        ctx: &SessionCtx<'_>,
+        role: Role,
+        acts: Vec<Vec<u64>>,
+    ) -> Result<Step, ProtocolError> {
         let p = self.meta.p;
         let k = self.meta.relu_width;
-        while self.phase_idx < ctx.model.phases.len() {
-            let i = self.phase_idx;
-            let ph = &ctx.model.phases[i];
-            // Server share: W (x - r) + s (+ b inside apply).
-            let ss_span = pi_trace::span!("online.ss");
-            let x_cat: Vec<u64> = ph
-                .inputs
-                .iter()
-                .flat_map(|&a| self.masked_acts[a].iter().copied())
-                .collect();
-            let mut y_s = ph.apply(&x_cat, p);
-            for (v, &s) in y_s.iter_mut().zip(&self.s_vecs[i]) {
-                *v = p.add(*v, s);
-            }
-            drop(ss_span);
-            match ph.relu_shift {
-                Some(_) => {
-                    match self.kind {
-                        ProtocolKind::ServerGarbler => {
-                            // Send labels for the server's share (wire
-                            // positions 0..k); the client evaluates.
-                            let labels = {
-                                let _span = pi_trace::span!("online.eval");
-                                let phase_g = &self.sg_garblings[self.gc_idx];
-                                let mut labels = Vec::with_capacity(y_s.len() * k);
-                                for (j, &v) in y_s.iter().enumerate() {
-                                    labels.extend(
-                                        phase_g[j].encoding.encode_bits(0, &field_bits(v, k)),
-                                    );
-                                }
-                                labels
-                            };
-                            ctx.sink.send_msg(Msg::GcLabels(labels))?;
-                            self.state = State::SgAwaitOutLabels;
-                        }
-                        ProtocolKind::ClientGarbler => {
-                            // Fetch labels for the share bits via online OT
-                            // (packed choices straight from the field bits).
-                            let _span = pi_trace::span!("online.ot");
-                            let mut choices = BitVec::zeros(0);
-                            for &v in &y_s {
-                                push_field_bits(&mut choices, v, k);
-                            }
-                            self.outcome.ot_count += choices.len() as u64;
-                            let ext = self.ext_receiver.as_ref().expect("ext receiver ready");
-                            let (extend, t_rows) = ext.extend(&choices, &mut self.rng);
-                            ctx.sink.send_msg(Msg::OtExtend(extend))?;
-                            self.cg_pending_ot = Some((choices, t_rows));
-                            self.state = State::CgAwaitOtTransfer;
-                        }
-                    }
-                    return Ok(Step::Idle);
-                }
-                None => {
-                    ctx.sink.send_msg(Msg::VecU64(y_s))?;
-                    self.phase_idx += 1;
-                }
-            }
+        let i = acts.len() - 1;
+        let ph = &ctx.model.phases[i];
+        // Server share: W (x - r) + s (+ b inside apply).
+        let ss_span = pi_trace::span!("online.ss");
+        let x_cat: Vec<u64> = ph
+            .inputs
+            .iter()
+            .flat_map(|&a| acts[a].iter().copied())
+            .collect();
+        let mut y_s = ph.apply(&x_cat, p);
+        for (v, &s) in y_s.iter_mut().zip(&self.s_vecs[i]) {
+            *v = p.add(*v, s);
         }
-        self.outcome.total_sent = ctx.sink.sent_bytes();
-        self.outcome.total_sent_flat = ctx.sink.sent_bytes_flat();
-        self.state = State::Done;
-        Ok(Step::Done)
+        drop(ss_span);
+        if ph.relu_shift.is_none() {
+            ctx.sink.send(Msg::VecU64(y_s))?;
+            self.outcome.total_sent = ctx.sink.bytes_sent();
+            self.state = State::Done;
+            return Ok(Step::Done(std::mem::take(&mut self.outcome)));
+        }
+        self.state = match role {
+            Role::Garbler(garbler) => {
+                // Send labels for the server's share (wire positions 0..k);
+                // the client evaluates.
+                let mut labels = Vec::with_capacity(y_s.len() * k);
+                {
+                    let _span = pi_trace::span!("online.eval");
+                    for (&v, g) in y_s.iter().zip(&garbler.phases[i]) {
+                        labels.extend(encode(g, 0, v, k));
+                    }
+                }
+                ctx.sink.send(Msg::GcLabels(labels))?;
+                State::SgAwaitOutLabels { garbler, acts }
+            }
+            Role::Evaluator(eval) => {
+                // Fetch labels for the share bits via online OT.
+                let _span = pi_trace::span!("online.ot");
+                let (request, extend) =
+                    LabelRequest::new(&eval.ext, y_s, k, &mut self.rng, &mut self.outcome);
+                ctx.sink.send(Msg::OtExtend(extend))?;
+                State::CgAwaitOtTransfer {
+                    eval,
+                    acts,
+                    request,
+                }
+            }
+        };
+        Ok(Step::Idle)
     }
 }
 
@@ -812,54 +604,56 @@ pub fn drive_sync(
     model: &PiModel,
     pre: &ServerPrecomp,
     cfg: &ProtocolConfig,
-    chan: &crate::channel::Channel,
+    chan: &Channel,
     rng: StdRng,
 ) -> Result<PartyOutcome, ProtocolError> {
     let trace_scope = pi_trace::begin_local();
     let root_span = pi_trace::span!("server");
-    let mut session = ServerSession::new(model, cfg, rng, false, None);
+    let mut session = ServerSession::new(model, cfg, rng, None);
     let ctx = SessionCtx {
         model,
         pre,
-        cfg,
-        sink: chan,
+        sink: chan.tx(),
     };
-    let mut step = session.start(&ctx)?;
-    loop {
-        match step {
-            Step::Done => break,
+    let mut step = Step::Idle;
+    let mut out = loop {
+        step = match step {
+            Step::Done(out) => break out,
             Step::NeedMatvec(jobs) => {
                 let prods = {
                     let _span = pi_trace::span!("offline.he");
-                    compute_matvec_jobs(&jobs, pre, cfg.lphe_threads)
+                    compute_matvec_jobs(&jobs, pre, cfg.lphe_threads)?
                 };
-                step = Step::Idle;
+                let mut step = Step::Idle;
                 for (phase, prod) in prods {
                     step = session.on_matvec_done(&ctx, phase, prod)?;
                 }
+                step
             }
-            Step::Idle => {
-                let msg = chan.recv()?;
-                step = session.on_msg(&ctx, msg)?;
-            }
-        }
-    }
+            Step::Idle | Step::GotKeys(_) => session.on_msg(&ctx, chan.recv()?)?,
+        };
+    };
     drop(root_span);
-    let mut out = session.take_outcome();
     out.trace = trace_scope.finish();
     Ok(out)
 }
 
 /// Computes the HE products for a batch of same-session jobs with
-/// `threads`-way layer parallelism (LPHE, §5.2) — the synchronous drivers'
-/// replacement for the retired in-line parallel loop. Results come back in
-/// job order.
+/// `threads`-way layer parallelism (LPHE, §5.2). Results come back in
+/// phase order.
+///
+/// # Errors
+///
+/// [`ProtocolError::BadRequest`] if `pre` was built for cleartext mode and
+/// has no diagonals to multiply by.
 pub fn compute_matvec_jobs(
     jobs: &[MatvecJob],
     pre: &ServerPrecomp,
     threads: usize,
-) -> Vec<(usize, Ciphertext)> {
-    let diagonals = pre.diagonals.as_ref().expect("HE mode requires diagonals");
+) -> Result<Vec<(usize, Ciphertext)>, ProtocolError> {
+    let Some(diagonals) = pre.diagonals.as_deref() else {
+        return Err(ProtocolError::BadRequest("no HE diagonals precomputed"));
+    };
     let work = |job: &MatvecJob| -> (usize, Ciphertext) {
         // Hoisted BSGS: ~2√d rotations, only the giant steps paying a
         // full key switch.
@@ -868,28 +662,24 @@ pub fn compute_matvec_jobs(
     };
     let threads = threads.max(1).min(jobs.len().max(1));
     if threads <= 1 {
-        return jobs.iter().map(work).collect();
+        return Ok(jobs.iter().map(work).collect());
     }
     use std::sync::atomic::{AtomicUsize, Ordering};
     let next = AtomicUsize::new(0);
-    let slots: Vec<parking_lot::Mutex<Option<(usize, Ciphertext)>>> = (0..jobs.len())
-        .map(|_| parking_lot::Mutex::new(None))
-        .collect();
+    let done = parking_lot::Mutex::new(Vec::with_capacity(jobs.len()));
     std::thread::scope(|scope| {
         for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= jobs.len() {
-                    break;
+            scope.spawn(|| {
+                while let Some(job) = jobs.get(next.fetch_add(1, Ordering::Relaxed)) {
+                    let prod = work(job);
+                    done.lock().push(prod);
                 }
-                *slots[i].lock() = Some(work(&jobs[i]));
             });
         }
     });
-    slots
-        .into_iter()
-        .map(|m| m.into_inner().expect("all jobs processed"))
-        .collect()
+    let mut done = done.into_inner();
+    done.sort_by_key(|&(phase, _)| phase);
+    Ok(done)
 }
 
 /// Batched variant for the serving runtime: every job in `batch` multiplies

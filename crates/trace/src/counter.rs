@@ -56,7 +56,6 @@ counters! {
     OtExtended => "ot.extended",
     WireBytes => "wire.bytes",
     WireMsgs => "wire.msgs",
-    WireFlatBytes => "wire.flat_bytes",
     WireSeedExpand => "wire.seed_expand",
 }
 

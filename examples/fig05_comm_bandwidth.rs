@@ -5,7 +5,9 @@
 //! `ceil(log2 q)`-bit packed coefficients, modulus-down-switched responses
 //! — against what the same transcript would have cost under the legacy
 //! flat-u64 encoding (8 bytes per coefficient, uniform halves shipped in
-//! full).
+//! full). The baseline is measured here, not carried by the protocol: a
+//! relay sits between the two parties and sums [`pi_he::flat_frame_len`]
+//! over every HE frame it forwards.
 //!
 //! Two workloads:
 //!
@@ -24,14 +26,47 @@
 //! cargo run --release --example fig05_comm_bandwidth
 //! ```
 
-use pi_core::{private_inference, CostReport, ProtocolConfig};
+use pi_core::channel::{local_pair, Channel};
+use pi_core::msg::Msg;
+use pi_core::serve::session::drive_sync;
+use pi_core::{
+    merge_cost_report, CostReport, ModelMeta, ProtocolConfig, ServerPrecomp, ServiceClient,
+};
 use pi_he::BfvParams;
 use pi_nn::{zoo, FixedConfig, NetSpec, Network, PiModel, QuantNetwork, SpecOp};
+use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-fn run_model(spec: &NetSpec, he: BfvParams) -> CostReport {
+/// What `m` would have cost with its HE frames in the flat-u64 encoding
+/// (every other message costs what it costs).
+fn flat_len(m: &Msg) -> u64 {
+    let flat = |f: &Vec<u8>| pi_he::flat_frame_len(f).expect("relayed HE frame parses");
+    let len = match m {
+        Msg::HeKeys { pk, gk } => 8 + flat(pk) + 8 + flat(gk),
+        Msg::HeCts(frames) => 8 + frames.iter().map(|f| 8 + flat(f)).sum::<usize>(),
+        other => other.byte_len(),
+    };
+    len as u64
+}
+
+/// Forwards messages from `from` to `to` until either side hangs up and
+/// returns their flat-baseline size.
+fn relay(from: &Channel, to: &Channel) -> u64 {
+    let mut flat = 0;
+    while let Ok(m) = from.recv() {
+        flat += flat_len(&m);
+        if to.send(m).is_err() {
+            break;
+        }
+    }
+    flat
+}
+
+/// Runs one inference with a relay between the parties; returns the cost
+/// report and the transcript's flat-u64 baseline in bytes.
+fn run_model(spec: &NetSpec, he: BfvParams) -> (CostReport, u64) {
     let fx = FixedConfig { p: he.t(), f: 5 };
-    let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+    let mut rng = StdRng::seed_from_u64(7);
     let net = Network::materialize(spec, &mut rng);
     let qnet = QuantNetwork::quantize(&net, fx);
     let model = PiModel::lower(&qnet);
@@ -40,18 +75,49 @@ fn run_model(spec: &NetSpec, he: BfvParams) -> CostReport {
         .collect();
     let input = fx.quantize_vec(&input_f);
     let cfg = ProtocolConfig::client_garbler(he, 1);
-    let (output, report) = private_inference(&model, &input, &cfg);
+    let pre = ServerPrecomp::new(&model, &cfg);
+    let meta = ModelMeta::of(&model);
+    let (c_chan, c_peer) = local_pair();
+    let (s_peer, s_chan) = local_pair();
+    let (client, server, flat) = std::thread::scope(|scope| {
+        let up = scope.spawn(|| relay(&c_peer, &s_peer));
+        let down = scope.spawn(|| relay(&s_peer, &c_peer));
+        // The parties own their channel ends: dropping them on completion
+        // is what ends the relays.
+        let client = scope.spawn(|| {
+            let c_chan = c_chan;
+            let mut rng = StdRng::seed_from_u64(cfg.seeds.0);
+            ServiceClient::new().run(&meta, &input, &cfg, &c_chan, &mut rng)
+        });
+        let server = scope.spawn(|| {
+            let s_chan = s_chan;
+            drive_sync(
+                &model,
+                &pre,
+                &cfg,
+                &s_chan,
+                StdRng::seed_from_u64(cfg.seeds.1),
+            )
+        });
+        let client = client.join().expect("client thread");
+        let server = server.join().expect("server thread");
+        let flat = up.join().expect("up relay") + down.join().expect("down relay");
+        (client, server, flat)
+    });
+    let (output, client_out) = client.expect("client run");
+    let server_out = server.expect("server run");
     assert_eq!(
         output,
         qnet.forward_fixed(&input),
         "private inference diverged from the fixed-point reference"
     );
-    report
+    let relus = model.total_relus() as u64;
+    (merge_cost_report(&client_out, &server_out, relus), flat)
 }
 
-fn emit(name: &str, report: &CostReport) -> f64 {
+fn emit(name: &str, (report, flat): &(CostReport, u64)) -> f64 {
     let total = report.offline.total_bytes() + report.online.total_bytes();
-    let flat = report.offline.total_bytes_flat() + report.online.total_bytes_flat();
+    let flat = *flat;
     let ratio = flat as f64 / total as f64;
     println!(
         "csv,wire_bytes,model={name},offline_up={},offline_down={},online_up={},online_down={},total={total},flat={flat},ratio={ratio:.3}",

@@ -1,8 +1,11 @@
 //! Serving-runtime integration tests: N-client concurrency bit-identity,
-//! dropped and misbehaving clients, and session-table eviction under a
-//! tiny byte budget.
+//! dropped and misbehaving clients, session-table eviction under a tiny
+//! byte budget, the pinned message transcript, and the malformed-shape
+//! sweeps (nothing a peer sends panics a party).
 
+use pi_core::channel::{local_pair, Channel};
 use pi_core::msg::Msg;
+use pi_core::serve::session::drive_sync;
 use pi_core::{
     ModelMeta, ProtocolConfig, ProtocolError, ProtocolKind, ServeConfig, ServeRuntime,
     ServiceClient,
@@ -10,6 +13,7 @@ use pi_core::{
 use pi_he::BfvParams;
 use pi_nn::{zoo, FixedConfig, Network, PiModel, QuantNetwork};
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 fn build_model(he: &BfvParams, seed: u64) -> PiModel {
     let fx = FixedConfig { p: he.t(), f: 5 };
@@ -229,53 +233,95 @@ fn key_table_hit_skips_the_upload() {
 
 /// Recomputes a message's wire size from first principles: HE variants from
 /// the lengths of the serialized frames they actually carry, everything
-/// else from the analytic binary encoding. The `flat` half replays the
-/// legacy flat-u64 baseline via [`pi_he::flat_frame_len`] — the `expect`
-/// doubles as an assertion that every HE frame crossing the wire is one the
-/// baseline scanner can parse.
-fn relayed_len(m: &Msg) -> (u64, u64) {
-    match m {
-        Msg::HeKeys { pk, gk } => {
-            let real = 8 + pk.len() + 8 + gk.len();
-            let flat = 8
-                + pi_he::flat_frame_len(pk).expect("relayed pk frame")
-                + 8
-                + pi_he::flat_frame_len(gk).expect("relayed gk frame");
-            (real as u64, flat as u64)
-        }
-        Msg::HeCts(frames) => {
-            let real = 8 + frames.iter().map(|f| 8 + f.len()).sum::<usize>();
-            let flat = 8 + frames
-                .iter()
-                .map(|f| 8 + pi_he::flat_frame_len(f).expect("relayed ct frame"))
-                .sum::<usize>();
-            (real as u64, flat as u64)
-        }
-        other => (other.byte_len() as u64, other.flat_byte_len() as u64),
-    }
+/// else from the analytic binary encoding.
+fn relayed_len(m: &Msg) -> u64 {
+    let len = match m {
+        Msg::HeKeys { pk, gk } => 8 + pk.len() + 8 + gk.len(),
+        Msg::HeCts(frames) => 8 + frames.iter().map(|f| 8 + f.len()).sum::<usize>(),
+        other => other.byte_len(),
+    };
+    len as u64
 }
 
-/// Forwards messages from `from` to `to`, summing independently recomputed
-/// (real, flat) sizes, until either side hangs up.
-fn relay(from: &pi_core::channel::Channel, to: &pi_core::channel::Channel) -> (u64, u64) {
-    let (mut real, mut flat) = (0u64, 0u64);
+/// One direction of a session as a relay saw it: `(Msg::kind(), bytes)`.
+type Transcript = Vec<(&'static str, u64)>;
+
+/// Forwards messages from `from` to `to` until either side hangs up,
+/// recording each with its independently recomputed size.
+fn relay(from: &Channel, to: &Channel) -> Transcript {
+    let mut seen = Transcript::new();
     while let Ok(m) = from.recv() {
-        let (r, f) = relayed_len(&m);
-        real += r;
-        flat += f;
+        seen.push((m.kind(), relayed_len(&m)));
         if to.send(m).is_err() {
             break;
         }
     }
-    (real, flat)
+    seen
 }
 
-/// The byte accounting is honest: a man-in-the-middle relay that re-measures
-/// every message from the serialized frames it actually carries arrives at
-/// exactly the numbers the channel atomics (and the `PartyOutcome` totals
-/// built from them) report. Before the wire layer, the analytic counters
-/// and the real frames could drift apart silently; now any divergence fails
-/// here.
+/// The `(upload, download)` transcripts of one HE inference of
+/// `build_model(small_test, 11)`, captured at the commit before the two
+/// parties were rewritten as one body per role (PR 14): the message kinds,
+/// their order and their sizes are the protocol, and no refactoring of the
+/// parties may change them.
+fn pinned_transcript(kind: ProtocolKind) -> (Transcript, Transcript) {
+    let he_up = [("HeKeys", 7_761_820), ("HeCts", 15_938), ("HeCts", 15_938)];
+    let he_down = [("HeCts", 23_074); 3];
+    let (up, down): (&[_], &[_]) = match kind {
+        ProtocolKind::ClientGarbler => (
+            &[
+                ("HeCts", 15_938),
+                ("OtBaseChoice", 16_384),
+                ("GcTables", 323_144),
+                ("GcDecode", 800),
+                ("GcLabels", 46_088),
+                ("GcTables", 71_816),
+                ("GcDecode", 184),
+                ("GcLabels", 10_248),
+                ("VecU64", 296),
+                ("OtTransfer", 46_088),
+                ("OtTransfer", 10_248),
+            ],
+            &[
+                ("OtBaseSetup", 128),
+                ("OtBaseTransfer", 36_864),
+                ("OtExtend", 23_048),
+                ("OtExtend", 5_128),
+                ("VecU64", 40),
+            ],
+        ),
+        ProtocolKind::ServerGarbler => (
+            &[
+                ("HeCts", 15_938),
+                ("OtBaseSetup", 128),
+                ("OtBaseTransfer", 36_864),
+                ("OtExtend", 46_088),
+                ("OtExtend", 10_248),
+                ("VecU64", 296),
+                ("GcLabels", 23_048),
+                ("GcLabels", 5_128),
+            ],
+            &[
+                ("OtBaseChoice", 16_384),
+                ("GcTables", 323_144),
+                ("OtTransfer", 92_168),
+                ("GcTables", 71_816),
+                ("OtTransfer", 20_488),
+                ("GcLabels", 23_048),
+                ("GcLabels", 5_128),
+                ("VecU64", 40),
+            ],
+        ),
+    };
+    ([&he_up, up].concat(), [&he_down, down].concat())
+}
+
+/// The byte accounting is honest and the transcript is pinned: a
+/// man-in-the-middle relay that re-measures every message from the
+/// serialized frames it actually carries arrives at exactly the numbers the
+/// channel atomics (and the `PartyOutcome` totals built from them) report,
+/// and sees exactly the message sequence each protocol kind had before the
+/// parties were refactored.
 #[test]
 fn channel_byte_atomics_match_relayed_frames() {
     let he = BfvParams::small_test();
@@ -288,43 +334,29 @@ fn channel_byte_atomics_match_relayed_frames() {
         };
         let pre = pi_core::ServerPrecomp::new(&model, &cfg);
         let input = random_input(&model, 99);
-        let (c_chan, c_peer) = pi_core::channel::local_pair();
-        let (s_peer, s_chan) = pi_core::channel::local_pair();
+        let (c_chan, c_peer) = local_pair();
+        let (s_peer, s_chan) = local_pair();
         let (up, down, client_side, server_side) = std::thread::scope(|scope| {
             let up = scope.spawn(|| relay(&c_peer, &s_peer));
             let down = scope.spawn(|| relay(&s_peer, &c_peer));
-            // The driver threads own their channel ends: dropping them on
+            // The party threads own their channel ends: dropping them on
             // completion is what unblocks the relays' `recv` loops.
             let client = scope.spawn({
                 let (meta, input, cfg) = (&meta, &input, &cfg);
                 move || {
                     let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-                    let (out, c_out) = match kind {
-                        ProtocolKind::ClientGarbler => {
-                            pi_core::client_garbler::run_client(meta, input, cfg, &c_chan, &mut rng)
-                        }
-                        ProtocolKind::ServerGarbler => {
-                            pi_core::server_garbler::run_client(meta, input, cfg, &c_chan, &mut rng)
-                        }
-                    };
-                    let sent = (c_chan.bytes_sent(), c_chan.bytes_sent_flat());
-                    (out, c_out, sent)
+                    let (out, c_out) = ServiceClient::new()
+                        .run(meta, input, cfg, &c_chan, &mut rng)
+                        .expect("client run");
+                    (out, c_out, c_chan.tx().bytes_sent())
                 }
             });
             let server = scope.spawn({
                 let (model, pre, cfg) = (&model, &pre, &cfg);
                 move || {
                     let rng = rand::rngs::StdRng::seed_from_u64(6);
-                    let s_out = match kind {
-                        ProtocolKind::ClientGarbler => {
-                            pi_core::client_garbler::run_server(model, pre, cfg, &s_chan, rng)
-                        }
-                        ProtocolKind::ServerGarbler => {
-                            pi_core::server_garbler::run_server(model, pre, cfg, &s_chan, rng)
-                        }
-                    };
-                    let sent = (s_chan.bytes_sent(), s_chan.bytes_sent_flat());
-                    (s_out, sent)
+                    let s_out = drive_sync(model, pre, cfg, &s_chan, rng).expect("server run");
+                    (s_out, s_chan.tx().bytes_sent())
                 }
             });
             let client_side = client.join().expect("client thread");
@@ -336,26 +368,275 @@ fn channel_byte_atomics_match_relayed_frames() {
                 server_side,
             )
         });
-        let (out, c_out, (c_sent, c_sent_flat)) = client_side;
-        let (s_out, (s_sent, s_sent_flat)) = server_side;
+        let (out, c_out, c_sent) = client_side;
+        let (s_out, s_sent) = server_side;
         assert_eq!(out, model.forward(&input), "{kind:?} output");
 
         // Channel atomics == relay-recomputed serialized sums, per direction.
-        assert_eq!((c_sent, c_sent_flat), up, "{kind:?} upload accounting");
-        assert_eq!((s_sent, s_sent_flat), down, "{kind:?} download accounting");
+        let total = |t: &Transcript| t.iter().map(|&(_, len)| len).sum::<u64>();
+        assert_eq!(c_sent, total(&up), "{kind:?} upload accounting");
+        assert_eq!(s_sent, total(&down), "{kind:?} download accounting");
         // PartyOutcome totals are built from the same atomics.
         assert_eq!(c_out.total_sent, c_sent, "{kind:?} client outcome total");
         assert_eq!(s_out.total_sent, s_sent, "{kind:?} server outcome total");
-        assert_eq!(c_out.total_sent_flat, c_sent_flat);
-        assert_eq!(s_out.total_sent_flat, s_sent_flat);
-        // HE frames genuinely shrank relative to the flat baseline.
-        assert!(
-            c_sent_flat > c_sent,
-            "{kind:?} upload flat={c_sent_flat} real={c_sent}"
-        );
-        assert!(
-            s_sent_flat > s_sent,
-            "{kind:?} download flat={s_sent_flat} real={s_sent}"
-        );
+        // No message, order or size changed.
+        let (pinned_up, pinned_down) = pinned_transcript(kind);
+        assert_eq!(up, pinned_up, "{kind:?} upload transcript");
+        assert_eq!(down, pinned_down, "{kind:?} download transcript");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Malformed-shape sweeps: an honest party runs behind a relay that corrupts
+// one message, so the peer under test is driven by real traffic into the
+// exact state the corruption targets.
+// ---------------------------------------------------------------------------
+
+/// One corruption: the `nth` relayed message of kind `target` gets `mutate`
+/// applied (`p` is the protocol field's modulus), is forwarded, and the
+/// relay stops.
+#[derive(Clone, Copy)]
+struct Tamper {
+    target: &'static str,
+    nth: usize,
+    mutate: fn(&mut Msg, u64),
+}
+
+/// A named corruption for the sweeps' case tables.
+fn case(
+    what: &'static str,
+    target: &'static str,
+    nth: usize,
+    mutate: fn(&mut Msg, u64),
+) -> (&'static str, Tamper) {
+    let tamper = Tamper {
+        target,
+        nth,
+        mutate,
+    };
+    (what, tamper)
+}
+
+/// Forwards `from` → `to` on a detached thread until either side hangs up
+/// or the tampered message went out.
+fn spawn_relay(from: Arc<Channel>, to: Arc<Channel>, tamper: Option<(Tamper, u64)>) {
+    std::thread::spawn(move || {
+        let mut seen = 0;
+        while let Ok(mut m) = from.recv() {
+            let mut last = false;
+            if let Some((t, p)) = tamper.filter(|(t, _)| t.target == m.kind()) {
+                last = seen == t.nth;
+                if last {
+                    (t.mutate)(&mut m, p);
+                }
+                seen += 1;
+            }
+            if to.send(m).is_err() || last {
+                break;
+            }
+        }
+    });
+}
+
+/// Runs `f` on a detached thread and returns its result, or panics if it
+/// takes longer than a minute (a dead worker never resolves its sessions).
+fn within_a_minute<T: Send + 'static>(what: &str, f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || tx.send(f()));
+    rx.recv_timeout(std::time::Duration::from_secs(60))
+        .unwrap_or_else(|_| panic!("{what}: no result within a minute"))
+}
+
+fn unreduced(m: &mut Msg, p: u64) {
+    if let Msg::VecU64(v) = m {
+        v[0] = p;
+    }
+}
+
+fn shorten(m: &mut Msg, _: u64) {
+    fn pop<T>(v: &mut Vec<T>) {
+        v.pop();
+    }
+    match m {
+        Msg::VecU64(v) => pop(v),
+        Msg::GcTables(t) => pop(&mut t[0]),
+        Msg::GcDecode(d) => pop(&mut d[0]),
+        Msg::OtBaseChoice(c) => pop(&mut c.pk0),
+        Msg::OtBaseTransfer(t) => t.items.clear(),
+        Msg::OtTransfer(t) => pop(&mut t.pairs),
+        Msg::OtExtend(e) => e.u_columns.iter_mut().for_each(pop),
+        other => panic!("no shortening for {}", other.kind()),
+    }
+}
+
+fn miscount(m: &mut Msg, _: u64) {
+    match m {
+        Msg::OtExtend(e) => e.num_transfers += 1,
+        other => panic!("no miscount for {}", other.kind()),
+    }
+}
+
+fn drop_column(m: &mut Msg, _: u64) {
+    match m {
+        Msg::OtExtend(e) => e.u_columns.truncate(e.u_columns.len() - 1),
+        other => panic!("no column to drop in {}", other.kind()),
+    }
+}
+
+/// Nothing a client sends panics a worker: on a **one-worker** runtime, for
+/// both protocol kinds, an honest client's traffic is corrupted at each
+/// state whose substrate call asserts a shape or a range. The session must
+/// resolve to `BadRequest` — a panicked worker would resolve neither it nor
+/// any later one — and after all of them a well-behaved client on the same
+/// runtime must still complete bit-exact: no slot is stuck.
+#[test]
+fn malformed_client_messages_are_bad_requests_and_the_worker_survives() {
+    let he = BfvParams::small_test();
+    let model = build_model(&he, 11);
+    let meta = ModelMeta::of(&model);
+    let p = model.p.value();
+    let masked_input = meta.phases.len(); // follows one r_cat per phase
+    let both = [
+        case("r_cat out of range", "VecU64", 0, unreduced),
+        case(
+            "masked input out of range",
+            "VecU64",
+            masked_input,
+            unreduced,
+        ),
+    ];
+    let sg_cases = [
+        case("empty base-OT transfer", "OtBaseTransfer", 0, shorten),
+        case("extension count off by one", "OtExtend", 0, miscount),
+        case("extension misses a column", "OtExtend", 1, drop_column),
+        case("extension columns a word short", "OtExtend", 0, shorten),
+    ];
+    let cg_cases = [
+        case("base-OT choice misses a key", "OtBaseChoice", 0, shorten),
+        case("table set misses a gate", "GcTables", 0, shorten),
+        case("decode vector misses a bit", "GcDecode", 1, shorten),
+        case("OT transfer misses a pair", "OtTransfer", 0, shorten),
+    ];
+    for (kind, own) in [
+        (ProtocolKind::ServerGarbler, &sg_cases[..]),
+        (ProtocolKind::ClientGarbler, &cg_cases[..]),
+    ] {
+        let cfg = ProtocolConfig::clear(kind);
+        let rt = ServeRuntime::new(serve_cfg(1));
+        let model_id = rt.register_model(model.clone(), cfg.clone());
+        for (c, &(what, tamper)) in both.iter().chain(own).enumerate() {
+            let what = format!("{kind:?}, {what}");
+            let input = random_input(&model, 300 + c as u64);
+            let conn = rt.connect(c as u64, model_id, 2_000 + c as u64);
+            // The honest client runs on a dedicated pair; the relays splice
+            // it onto the session (whose preamble they swallow).
+            assert!(matches!(conn.chan.recv(), Ok(Msg::KeyStatus { .. })));
+            let (c_chan, c_peer) = local_pair();
+            let (c_peer, session) = (Arc::new(c_peer), Arc::new(conn.chan));
+            spawn_relay(c_peer.clone(), session.clone(), Some((tamper, p)));
+            spawn_relay(session, c_peer, None);
+            let honest = {
+                let (meta, cfg) = (meta.clone(), cfg.clone());
+                std::thread::spawn(move || {
+                    let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+                    ServiceClient::new().run(&meta, &input, &cfg, &c_chan, &mut rng)
+                })
+            };
+            let handle = conn.handle;
+            let served = within_a_minute(&what, move || handle.wait());
+            assert!(
+                matches!(served, Err(ProtocolError::BadRequest(_))),
+                "{what}: {served:?}"
+            );
+            // The aborted session hung up on its client.
+            let ran = honest.join().expect("honest client thread");
+            assert!(
+                matches!(ran, Err(ProtocolError::Channel(_))),
+                "{what}: {ran:?}"
+            );
+        }
+        // Same runtime, same single worker, after every abort: a
+        // well-behaved client.
+        let input = random_input(&model, 400);
+        let conn = rt.connect(100, model_id, 3_000);
+        let (meta, cfg) = (meta.clone(), cfg.clone());
+        let (out, served) = within_a_minute("neighbour", move || {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(8);
+            let ran = ServiceClient::new().run(&meta, &input, &cfg, &conn.chan, &mut rng);
+            (ran.map(|(out, _)| out), conn.handle.wait().map(|_| input))
+        });
+        let input = served.unwrap_or_else(|e| panic!("{kind:?}: neighbour session {e:?}"));
+        assert_eq!(out, Ok(model.forward(&input)), "{kind:?}: neighbour output");
+    }
+}
+
+/// The mirror image: nothing a server sends panics the client. An honest
+/// `drive_sync` server's traffic is corrupted on its way down; the client
+/// must return `BadRequest`.
+#[test]
+fn malformed_server_messages_are_bad_requests_to_the_client() {
+    let he = BfvParams::small_test();
+    let model = Arc::new(build_model(&he, 11));
+    let meta = ModelMeta::of(&model);
+    let p = model.p.value();
+    let output_share = meta.phases.len(); // follows one linear share per phase
+    let both = [
+        case("linear share out of range", "VecU64", 1, unreduced),
+        case("linear share short", "VecU64", 0, shorten),
+        case(
+            "output share out of range",
+            "VecU64",
+            output_share,
+            unreduced,
+        ),
+    ];
+    let sg_cases = [
+        case("base-OT choice misses a key", "OtBaseChoice", 0, shorten),
+        case("table set misses a gate", "GcTables", 1, shorten),
+        case("OT transfer misses a pair", "OtTransfer", 0, shorten),
+    ];
+    let cg_cases = [
+        case("empty base-OT transfer", "OtBaseTransfer", 0, shorten),
+        case("extension count off by one", "OtExtend", 0, miscount),
+        case("extension columns a word short", "OtExtend", 1, shorten),
+    ];
+    for (kind, own) in [
+        (ProtocolKind::ServerGarbler, &sg_cases[..]),
+        (ProtocolKind::ClientGarbler, &cg_cases[..]),
+    ] {
+        let cfg = ProtocolConfig::clear(kind);
+        for &(what, tamper) in both.iter().chain(own) {
+            let what = format!("{kind:?}, {what}");
+            let (c_chan, c_peer) = local_pair();
+            let (s_peer, s_chan) = local_pair();
+            let (c_peer, s_peer) = (Arc::new(c_peer), Arc::new(s_peer));
+            spawn_relay(s_peer.clone(), c_peer.clone(), Some((tamper, p)));
+            spawn_relay(c_peer, s_peer, None);
+            let server = {
+                let (model, cfg) = (model.clone(), cfg.clone());
+                std::thread::spawn(move || {
+                    let pre = pi_core::ServerPrecomp::new(&model, &cfg);
+                    let rng = rand::rngs::StdRng::seed_from_u64(6);
+                    drive_sync(&model, &pre, &cfg, &s_chan, rng)
+                })
+            };
+            let input = random_input(&model, 500);
+            let (meta, cfg) = (meta.clone(), cfg.clone());
+            let ran = within_a_minute(&what, move || {
+                let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+                ServiceClient::new().run(&meta, &input, &cfg, &c_chan, &mut rng)
+            });
+            assert!(
+                matches!(ran, Err(ProtocolError::BadRequest(_))),
+                "{what}: {ran:?}"
+            );
+            // The client hung up; the server notices instead of waiting
+            // (unless the corrupted message was its last).
+            let served = server.join().expect("server thread");
+            assert!(
+                !matches!(served, Err(ProtocolError::BadRequest(_))),
+                "{what}: {served:?}"
+            );
+        }
     }
 }
