@@ -143,7 +143,7 @@ impl ServiceClient {
                 let mut garbler = {
                     let _span = pi_trace::span!("offline.ot");
                     let setup = recv!(chan, OtBaseSetup);
-                    let (receiver, choice) = BaseReceiver::start(&setup, rng);
+                    let (receiver, choice) = BaseReceiver::start(&setup, rng)?;
                     chan.send(Msg::OtBaseChoice(choice))?;
                     receiver.finish(&recv!(chan, OtBaseTransfer))?
                 };

@@ -207,10 +207,10 @@ pub struct ClientHeKeys {
 }
 
 impl ClientHeKeys {
-    /// Wire/storage footprint — the quantity the session table's byte
-    /// budget meters.
-    pub fn byte_len(&self) -> usize {
-        self.pk.byte_len() + self.gk.byte_len()
+    /// Heap bytes the key set occupies — the quantity the session table's
+    /// byte budget meters.
+    pub fn resident_byte_len(&self) -> usize {
+        self.pk.byte_len() + self.gk.resident_byte_len()
     }
 }
 

@@ -53,7 +53,7 @@ pub enum Msg {
     OtBaseSetup(SenderSetupMsg),
     /// Base-OT receiver public keys.
     OtBaseChoice(ReceiverChoiceMsg),
-    /// Base-OT encrypted payloads.
+    /// Base-OT sender's `g^r` and encrypted payloads.
     OtBaseTransfer(SenderTransferMsg),
     /// IKNP extension matrix.
     OtExtend(ExtendMsg),

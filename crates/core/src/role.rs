@@ -13,6 +13,7 @@
 
 use crate::common::{ModelMeta, PartyOutcome, ReluPhase};
 use crate::error::ProtocolError;
+use pi_field::{ModpGroup, U1024};
 use pi_gc::circuit::to_bits;
 use pi_gc::garble::{evaluate_many, garble_many, Garbling};
 use pi_gc::relu::relu_trunc_circuit;
@@ -26,6 +27,17 @@ use pi_ot::ext::{
 };
 use rand::Rng;
 use std::ops::Range;
+
+/// A peer's base-OT group element must be a reduced, non-zero residue
+/// before it reaches the arithmetic: one zero voids a whole batched
+/// inversion, and the Montgomery multiply assumes reduced operands.
+fn check_group_element(x: &U1024, what: &'static str) -> Result<(), ProtocolError> {
+    if ModpGroup::oakley2().contains(x) {
+        Ok(())
+    } else {
+        Err(ProtocolError::BadRequest(what))
+    }
+}
 
 /// Base OT played as sender — by the party that becomes the extension
 /// *receiver*, i.e. the evaluator.
@@ -52,6 +64,9 @@ impl BaseSender {
         if choice.pk0.len() != KAPPA {
             return Err(ProtocolError::BadRequest("base-OT choice count"));
         }
+        for pk0 in &choice.pk0 {
+            check_group_element(pk0, "base-OT choice key out of range")?;
+        }
         let Self { sender, seed_pairs } = self;
         let transfer = sender.transfer(choice, &seed_pairs, rng);
         Ok((OtExtReceiver::new(ReceiverSetup { seed_pairs }), transfer))
@@ -70,12 +85,13 @@ impl BaseReceiver {
     pub(crate) fn start<R: Rng + ?Sized>(
         setup: &SenderSetupMsg,
         rng: &mut R,
-    ) -> (Self, ReceiverChoiceMsg) {
+    ) -> Result<(Self, ReceiverChoiceMsg), ProtocolError> {
+        check_group_element(&setup.c, "base-OT setup element out of range")?;
         let s: u128 = rng.gen();
         // The choice string is already packed — feed it to the base OT
         // as-is instead of round-tripping through a bool vector.
         let (receiver, choice) = BaseOtReceiver::choose_packed(setup, s, KAPPA, rng);
-        (Self { receiver, s }, choice)
+        Ok((Self { receiver, s }, choice))
     }
 
     /// Decrypts the peer's transfer into the garbler's extension sender.
@@ -83,6 +99,7 @@ impl BaseReceiver {
         if transfer.items.len() != KAPPA {
             return Err(ProtocolError::BadRequest("base-OT transfer count"));
         }
+        check_group_element(&transfer.gr, "base-OT transfer element out of range")?;
         let seeds = self.receiver.receive(transfer);
         Ok(Garbler {
             ext: OtExtSender::new(SenderSetup { s: self.s, seeds }),

@@ -72,9 +72,10 @@ const SHUTDOWN_SID: u64 = u64::MAX;
 pub struct ServeConfig {
     /// Worker threads (0 = `PI_WORKERS` env or the machine's parallelism).
     pub workers: usize,
-    /// Byte budget of each session table (client keys; model precomps).
+    /// Byte budget of each session table (client keys; model precomps),
+    /// enforced across the whole table.
     pub table_budget_bytes: u64,
-    /// Shards per session table.
+    /// Lock stripes per session table.
     pub table_shards: usize,
     /// Maximum jobs fused into one cross-request matvec batch.
     pub max_batch: usize,
@@ -430,7 +431,7 @@ fn step_event(inner: &Arc<Inner>, slot: &Arc<Slot>, body: &mut SlotBody, event: 
         // Freshly uploaded client keys go into the session table as soon as
         // they exist, so even a session that later fails leaves them cached.
         Ok(Step::GotKeys(keys)) => {
-            let bytes = keys.byte_len() as u64;
+            let bytes = keys.resident_byte_len() as u64;
             inner.keys_table.insert(slot.client_id, keys, bytes);
             return;
         }

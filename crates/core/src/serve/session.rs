@@ -302,7 +302,7 @@ impl ServerSession {
             }
             (State::SgAwaitBaseSetup, Msg::OtBaseSetup(setup)) => {
                 let _span = pi_trace::span!("offline.ot");
-                let (receiver, choice) = BaseReceiver::start(&setup, &mut self.rng);
+                let (receiver, choice) = BaseReceiver::start(&setup, &mut self.rng)?;
                 ctx.sink.send(Msg::OtBaseChoice(choice))?;
                 self.state = State::SgAwaitBaseTransfer(receiver);
                 Ok(Step::Idle)

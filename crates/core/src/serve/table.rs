@@ -2,18 +2,20 @@
 //!
 //! The expensive per-client state a shared server wants to keep between
 //! requests (a client's uploaded HE keys, a model's encoded diagonals) is
-//! large: a single client's Galois keys run to megabytes. The table meters
-//! admission by **bytes, not entries**, evicting least-recently-used
-//! entries per shard once the shard's slice of the budget is exceeded.
-//! Sharding (key-hash modulo shard count) keeps the lock a worker grabs on
-//! the request path short and uncontended.
+//! large: a single client's Galois keys run to tens of megabytes. The table
+//! meters admission by **bytes, not entries**, and the budget is the whole
+//! table's: once it is exceeded, the least-recently-used entries go,
+//! whichever shard holds them. Shards (key-hash modulo shard count) are
+//! lock stripes only — they keep the lock a worker grabs on the request
+//! path short and uncontended, and own no slice of the budget, so an entry
+//! larger than `budget / shards` is an entry like any other.
 //!
 //! Values are handed out as `Arc`s: eviction drops the table's reference
 //! only, so sessions already holding an entry are never invalidated
 //! mid-protocol — an evicted client simply re-uploads on its *next*
 //! request (the [`crate::msg::Msg::KeyStatus`] handshake).
 
-use std::collections::hash_map::DefaultHasher;
+use std::collections::hash_map::{self, DefaultHasher};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -46,35 +48,31 @@ struct Entry<V> {
     last_used: u64,
 }
 
-struct Shard<K, V> {
-    entries: HashMap<K, Entry<V>>,
-    used_bytes: u64,
-    clock: u64,
-}
+type Shard<K, V> = HashMap<K, Entry<V>>;
 
 /// A sharded LRU map bounded by a total byte budget.
 pub struct ShardedLru<K, V> {
     shards: Vec<parking_lot::Mutex<Shard<K, V>>>,
-    shard_budget: u64,
+    budget: u64,
+    /// Bytes resident across all shards.
+    used_bytes: AtomicU64,
+    /// Recency clock shared by all shards, so "least recently used" is a
+    /// table-wide order.
+    clock: AtomicU64,
     stats: StatCells,
 }
 
 impl<K: Hash + Eq + Clone, V> ShardedLru<K, V> {
-    /// Creates a table with `shards` shards splitting `budget_bytes`
-    /// evenly. Budgets and shard counts are clamped to at least 1.
+    /// Creates a table of `shards` lock stripes under one budget of
+    /// `budget_bytes`. Shard counts are clamped to at least 1.
     pub fn new(shards: usize, budget_bytes: u64) -> Self {
-        let shards = shards.max(1);
         Self {
-            shard_budget: (budget_bytes / shards as u64).max(1),
-            shards: (0..shards)
-                .map(|_| {
-                    parking_lot::Mutex::new(Shard {
-                        entries: HashMap::new(),
-                        used_bytes: 0,
-                        clock: 0,
-                    })
-                })
+            shards: (0..shards.max(1))
+                .map(|_| parking_lot::Mutex::new(HashMap::new()))
                 .collect(),
+            budget: budget_bytes,
+            used_bytes: AtomicU64::new(0),
+            clock: AtomicU64::new(0),
             stats: StatCells::default(),
         }
     }
@@ -85,14 +83,16 @@ impl<K: Hash + Eq + Clone, V> ShardedLru<K, V> {
         &self.shards[(h.finish() as usize) % self.shards.len()]
     }
 
+    fn tick(&self) -> u64 {
+        self.clock.fetch_add(1, Ordering::Relaxed)
+    }
+
     /// Looks up `key`, refreshing its recency on a hit.
     pub fn get(&self, key: &K) -> Option<Arc<V>> {
         let mut shard = self.shard_of(key).lock();
-        shard.clock += 1;
-        let clock = shard.clock;
-        match shard.entries.get_mut(key) {
+        match shard.get_mut(key) {
             Some(e) => {
-                e.last_used = clock;
+                e.last_used = self.tick();
                 self.stats.hits.fetch_add(1, Ordering::Relaxed);
                 Some(e.value.clone())
             }
@@ -103,48 +103,57 @@ impl<K: Hash + Eq + Clone, V> ShardedLru<K, V> {
         }
     }
 
-    /// Inserts (or replaces) `key`, then evicts least-recently-used
-    /// entries until the shard fits its budget again. The entry just
-    /// inserted is exempt from its own eviction pass — an entry larger
-    /// than the whole budget still serves its session, it just won't
-    /// survive the next insert.
+    /// Inserts (or replaces) `key`, then evicts the table's
+    /// least-recently-used entries, whichever shard holds them, until the
+    /// table fits its budget again. The entry just inserted is exempt from
+    /// its own eviction pass — an entry larger than the whole budget still
+    /// serves its session, it just won't survive the next insert.
     pub fn insert(&self, key: K, value: Arc<V>, bytes: u64) {
-        let mut shard = self.shard_of(&key).lock();
-        shard.clock += 1;
-        let clock = shard.clock;
-        if let Some(old) = shard.entries.insert(
-            key.clone(),
-            Entry {
-                value,
-                bytes,
-                last_used: clock,
-            },
-        ) {
-            shard.used_bytes -= old.bytes;
+        let entry = Entry {
+            value,
+            bytes,
+            last_used: self.tick(),
+        };
+        {
+            // `used_bytes` moves under the lock of the shard whose entry it
+            // accounts for, so an entry is never subtracted before it was
+            // added.
+            let mut shard = self.shard_of(&key).lock();
+            let replaced = shard.insert(key.clone(), entry);
+            self.used_bytes.fetch_add(bytes, Ordering::Relaxed);
+            if let Some(old) = replaced {
+                self.used_bytes.fetch_sub(old.bytes, Ordering::Relaxed);
+            }
         }
-        shard.used_bytes += bytes;
         self.stats.inserts.fetch_add(1, Ordering::Relaxed);
-        while shard.used_bytes > self.shard_budget {
-            let victim = shard
-                .entries
-                .iter()
-                .filter(|(k, _)| **k != key)
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone());
-            match victim {
-                Some(k) => {
-                    let e = shard.entries.remove(&k).expect("victim exists");
-                    shard.used_bytes -= e.bytes;
+        // One shard lock at a time: pick the oldest entry, then take it out
+        // if a concurrent `get` has not refreshed it since.
+        while self.used_bytes.load(Ordering::Relaxed) > self.budget {
+            let oldest = (self.shards.iter())
+                .filter_map(|shard| {
+                    let shard = shard.lock();
+                    let others = shard.iter().filter(|(k, _)| **k != key);
+                    let (k, e) = others.min_by_key(|(_, e)| e.last_used)?;
+                    Some((e.last_used, k.clone()))
+                })
+                .min_by_key(|(last_used, _)| *last_used);
+            let Some((last_used, victim)) = oldest else {
+                break;
+            };
+            let mut shard = self.shard_of(&victim).lock();
+            if let hash_map::Entry::Occupied(e) = shard.entry(victim) {
+                if e.get().last_used == last_used {
+                    self.used_bytes
+                        .fetch_sub(e.remove().bytes, Ordering::Relaxed);
                     self.stats.evictions.fetch_add(1, Ordering::Relaxed);
                 }
-                None => break,
             }
         }
     }
 
     /// Total bytes currently resident across shards.
     pub fn used_bytes(&self) -> u64 {
-        self.shards.iter().map(|s| s.lock().used_bytes).sum()
+        self.used_bytes.load(Ordering::Relaxed)
     }
 
     /// Snapshot of the hit/miss/insert/eviction counters.
@@ -177,6 +186,35 @@ mod tests {
         assert_eq!(s.evictions, 1);
         assert_eq!(s.inserts, 3);
         assert!(t.used_bytes() <= 100);
+    }
+
+    #[test]
+    fn budget_holds_across_shards_for_entries_over_a_shard_slice() {
+        // 8 stripes, entries of 40 against a budget of 100: each is larger
+        // than budget / shards, and any two of them share a stripe only by
+        // chance. The table must still hold at most two, and the two most
+        // recently used.
+        let t: ShardedLru<u64, u64> = ShardedLru::new(8, 100);
+        for k in 0..20u64 {
+            t.insert(k, Arc::new(k), 40);
+            assert!(
+                t.used_bytes() <= 100,
+                "after insert {k}: {}",
+                t.used_bytes()
+            );
+        }
+        assert_eq!(t.stats().evictions, 18);
+        assert_eq!(t.used_bytes(), 80);
+        assert!((0..18).all(|k| t.get(&k).is_none()));
+        // Replacing an entry re-meters it instead of counting it twice.
+        t.insert(19, Arc::new(0), 10);
+        assert_eq!(t.used_bytes(), 50);
+        // A `get` refreshes recency table-wide: 18 survives 19.
+        assert!(t.get(&18).is_some());
+        t.insert(20, Arc::new(0), 60);
+        assert!(t.get(&19).is_none());
+        assert!(t.get(&18).is_some());
+        assert_eq!(t.used_bytes(), 100);
     }
 
     #[test]

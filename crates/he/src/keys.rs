@@ -1116,17 +1116,28 @@ impl GaloisKeys {
         &self.params
     }
 
-    /// In-memory size in bytes: two polynomials per decomposition digit per
-    /// Galois element (baby-step elements carry more digits under their
-    /// finer gadget), flat words. The serialized wire frame is roughly 4×
-    /// smaller — only the packed `k0` halves plus one 32-byte seed cross
-    /// the wire (see `pi_he::wire::galois_keys_to_bytes`).
+    /// Size of the key polynomials as flat words: two per decomposition
+    /// digit per Galois element (baby-step elements carry more digits under
+    /// their finer gadget). The serialized wire frame is roughly 4× smaller
+    /// — only the packed `k0` halves plus one 32-byte seed cross the wire
+    /// (see `pi_he::wire::galois_keys_to_bytes`) — and the key set in
+    /// memory is twice as large: [`GaloisKeys::resident_byte_len`].
     pub fn byte_len(&self) -> usize {
         self.keys
             .values()
             .flat_map(|entries| entries.iter())
             .map(|e| e.digits.len() * 2 * self.params.n() * 8)
             .sum()
+    }
+
+    /// Heap bytes this key set occupies: every key polynomial is a Shoup
+    /// operand (values **and** quotients), and every entry carries its
+    /// slot permutation.
+    pub fn resident_byte_len(&self) -> usize {
+        let perms: usize = (self.keys.values().flatten())
+            .map(|e| e.perm.byte_len())
+            .sum();
+        2 * self.byte_len() + perms
     }
 
     /// Number of Galois elements with key material.
@@ -1339,6 +1350,16 @@ mod tests {
             keys.secret.noise_budget(&out) > 5,
             "key switching must not exhaust noise"
         );
+    }
+
+    #[test]
+    fn resident_size_counts_quotients_and_permutations() {
+        let (params, keys, _) = setup();
+        let gk = &keys.galois;
+        let entries: usize = gk.keys.values().map(Vec::len).sum();
+        // idx (u32 per slot) + blocked form (u32 + u64 per 8 slots).
+        let perm = params.n() * 4 + params.n() / 8 * 12;
+        assert_eq!(gk.resident_byte_len(), 2 * gk.byte_len() + entries * perm);
     }
 
     #[test]

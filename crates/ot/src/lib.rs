@@ -8,6 +8,14 @@
 //! paper can treat OT compute as minor while still accounting for its
 //! communication.
 //!
+//! The 128 base OTs run per session, so they are pre-processing that is
+//! incurred online. [`base`] keeps them to one variable-base exponentiation
+//! per transfer: Naor and Pinkas's batched form (one sender exponent `r`
+//! and one `g^r` for all 128), every power of the generator and of `g^r`
+//! read off a fixed-base window table, and every division folded into one
+//! inversion per party — ≈1 780 modular multiplications per transfer, and
+//! `128 + 128·128 + (128 + 32·128)` = 20 736 bytes on the wire.
+//!
 //! The crate is transport-agnostic: protocol messages are plain data with
 //! `byte_len` accessors, and `pi-core` moves them over its byte-counting
 //! channels.

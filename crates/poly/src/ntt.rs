@@ -214,6 +214,12 @@ impl GaloisPerm {
         self.g
     }
 
+    /// Heap bytes the index tables occupy.
+    pub fn byte_len(&self) -> usize {
+        let blocks = self.blocks.as_ref();
+        self.idx.len() * 4 + blocks.map_or(0, |b| b.bsrc.len() * 4 + b.bpat.len() * 8)
+    }
+
     /// The ring degree (number of slots).
     pub fn n(&self) -> usize {
         self.idx.len()

@@ -10,6 +10,7 @@ use pi_core::{
     ModelMeta, ProtocolConfig, ProtocolError, ProtocolKind, ServeConfig, ServeRuntime,
     ServiceClient,
 };
+use pi_field::{ModpGroup, U1024};
 use pi_he::BfvParams;
 use pi_nn::{zoo, FixedConfig, Network, PiModel, QuantNetwork};
 use rand::{Rng, SeedableRng};
@@ -263,7 +264,8 @@ fn relay(from: &Channel, to: &Channel) -> Transcript {
 /// `build_model(small_test, 11)`, captured at the commit before the two
 /// parties were rewritten as one body per role (PR 14): the message kinds,
 /// their order and their sizes are the protocol, and no refactoring of the
-/// parties may change them.
+/// parties may change them. `OtBaseTransfer` is the one size the protocol
+/// itself has changed since: one `g^r` for the batch, 128 + 32·128 bytes.
 fn pinned_transcript(kind: ProtocolKind) -> (Transcript, Transcript) {
     let he_up = [("HeKeys", 7_761_820), ("HeCts", 15_938), ("HeCts", 15_938)];
     let he_down = [("HeCts", 23_074); 3];
@@ -284,7 +286,7 @@ fn pinned_transcript(kind: ProtocolKind) -> (Transcript, Transcript) {
             ],
             &[
                 ("OtBaseSetup", 128),
-                ("OtBaseTransfer", 36_864),
+                ("OtBaseTransfer", 4_224),
                 ("OtExtend", 23_048),
                 ("OtExtend", 5_128),
                 ("VecU64", 40),
@@ -294,7 +296,7 @@ fn pinned_transcript(kind: ProtocolKind) -> (Transcript, Transcript) {
             &[
                 ("HeCts", 15_938),
                 ("OtBaseSetup", 128),
-                ("OtBaseTransfer", 36_864),
+                ("OtBaseTransfer", 4_224),
                 ("OtExtend", 46_088),
                 ("OtExtend", 10_248),
                 ("VecU64", 296),
@@ -469,6 +471,25 @@ fn shorten(m: &mut Msg, _: u64) {
     }
 }
 
+/// The base-OT group element the sweeps corrupt: the message's only one,
+/// or one key in the middle of a choice.
+fn group_element(m: &mut Msg) -> &mut U1024 {
+    match m {
+        Msg::OtBaseSetup(s) => &mut s.c,
+        Msg::OtBaseChoice(c) => &mut c.pk0[5],
+        Msg::OtBaseTransfer(t) => &mut t.gr,
+        other => panic!("no group element in {}", other.kind()),
+    }
+}
+
+fn zero_element(m: &mut Msg, _: u64) {
+    *group_element(m) = U1024::ZERO;
+}
+
+fn unreduced_element(m: &mut Msg, _: u64) {
+    *group_element(m) = *ModpGroup::oakley2().modulus();
+}
+
 fn miscount(m: &mut Msg, _: u64) {
     match m {
         Msg::OtExtend(e) => e.num_transfers += 1,
@@ -506,13 +527,39 @@ fn malformed_client_messages_are_bad_requests_and_the_worker_survives() {
         ),
     ];
     let sg_cases = [
+        case("base-OT setup element zero", "OtBaseSetup", 0, zero_element),
+        case(
+            "base-OT setup element ≥ p",
+            "OtBaseSetup",
+            0,
+            unreduced_element,
+        ),
         case("empty base-OT transfer", "OtBaseTransfer", 0, shorten),
+        case(
+            "base-OT transfer g^r zero",
+            "OtBaseTransfer",
+            0,
+            zero_element,
+        ),
+        case(
+            "base-OT transfer g^r ≥ p",
+            "OtBaseTransfer",
+            0,
+            unreduced_element,
+        ),
         case("extension count off by one", "OtExtend", 0, miscount),
         case("extension misses a column", "OtExtend", 1, drop_column),
         case("extension columns a word short", "OtExtend", 0, shorten),
     ];
     let cg_cases = [
         case("base-OT choice misses a key", "OtBaseChoice", 0, shorten),
+        case("base-OT choice key zero", "OtBaseChoice", 0, zero_element),
+        case(
+            "base-OT choice key ≥ p",
+            "OtBaseChoice",
+            0,
+            unreduced_element,
+        ),
         case("table set misses a gate", "GcTables", 0, shorten),
         case("decode vector misses a bit", "GcDecode", 1, shorten),
         case("OT transfer misses a pair", "OtTransfer", 0, shorten),
@@ -592,11 +639,37 @@ fn malformed_server_messages_are_bad_requests_to_the_client() {
     ];
     let sg_cases = [
         case("base-OT choice misses a key", "OtBaseChoice", 0, shorten),
+        case("base-OT choice key zero", "OtBaseChoice", 0, zero_element),
+        case(
+            "base-OT choice key ≥ p",
+            "OtBaseChoice",
+            0,
+            unreduced_element,
+        ),
         case("table set misses a gate", "GcTables", 1, shorten),
         case("OT transfer misses a pair", "OtTransfer", 0, shorten),
     ];
     let cg_cases = [
+        case("base-OT setup element zero", "OtBaseSetup", 0, zero_element),
+        case(
+            "base-OT setup element ≥ p",
+            "OtBaseSetup",
+            0,
+            unreduced_element,
+        ),
         case("empty base-OT transfer", "OtBaseTransfer", 0, shorten),
+        case(
+            "base-OT transfer g^r zero",
+            "OtBaseTransfer",
+            0,
+            zero_element,
+        ),
+        case(
+            "base-OT transfer g^r ≥ p",
+            "OtBaseTransfer",
+            0,
+            unreduced_element,
+        ),
         case("extension count off by one", "OtExtend", 0, miscount),
         case("extension columns a word short", "OtExtend", 1, shorten),
     ];
