@@ -1,30 +1,24 @@
-//! RNS throughput: per-residue NTTs and the RNS-BFV multiply pipeline.
+//! RNS throughput: per-residue NTTs, the batched CRT compose, and the
+//! linear RNS-BFV operations.
 //!
-//! Extends the perf trajectory past the single-prime ceiling: `forward` here
-//! is `k` Harvey transforms (one per CRT prime), `forward_many` batches a
-//! ciphertext pair residue-major, and the BFV group reports the cost of the
-//! new capability — ciphertext×ciphertext multiplication with CRT-gadget
-//! relinearization, which no single-prime parameter set can do at all.
-//! The `rns_convert`/`rns_rescale` groups race the fast (BEHZ/HPS) CRT
-//! boundary against the exact big-integer oracle, and `multiply_exact`
-//! keeps the oracle's end-to-end cost on the scoreboard. The
-//! `ntt_simd_vs_scalar`/`bfv_simd_vs_scalar` groups pin the dispatch to
+//! `forward` here is `k` Harvey transforms (one per CRT prime),
+//! `forward_many` batches a ciphertext pair residue-major, and the BFV
+//! group reports encrypt, decrypt and plaintext multiplication over a
+//! multi-prime modulus. The `ntt_simd_vs_scalar` group pins the dispatch to
 //! the scalar oracle and to the detected vector backend in turn (also
-//! emitting `csv,simd_backend,<name>` for the CI dispatch assertion), so
-//! the SIMD speedup is measured directly on the RNS transforms and the
-//! full ct×ct multiply.
+//! emitting `csv,simd_backend,<name>` for the CI dispatch assertion), and
+//! the tail group does the same for the Garner compose at the decrypt
+//! boundary (`csv,tail_crt_compose*`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pi_field::simd::{self, SimdBackend};
-use pi_field::FastBaseConverter;
 use pi_he::rns::{RnsBfvParams, RnsKeySet};
 use pi_poly::rns::RnsContext;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
-/// Before/after of the SIMD dispatch: the same RNS transforms and the
-/// ct×ct multiply with the backend pinned to the scalar oracle vs the
-/// auto-detected vector path. Also prints `csv,simd_backend,<name>` so CI
+/// Before/after of the SIMD dispatch: the same RNS transforms with the
+/// backend pinned to the scalar oracle vs the auto-detected vector path. Also prints `csv,simd_backend,<name>` so CI
 /// can assert the runner actually dispatched a vector backend (a silent
 /// fallback to scalar fails the grep loudly).
 fn bench_ntt_simd_vs_scalar(c: &mut Criterion) {
@@ -70,29 +64,6 @@ fn bench_ntt_simd_vs_scalar(c: &mut Criterion) {
         }
     }
     group.finish();
-
-    let mut group = c.benchmark_group("bfv_simd_vs_scalar");
-    group.sample_size(10);
-    for (label, params) in [
-        ("n2048_3x45", RnsBfvParams::new(2048, 45, 3, 16)),
-        ("n4096_4x50", RnsBfvParams::default_rns()),
-    ] {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-        let keys = RnsKeySet::generate(&params, &mut rng);
-        let t = params.t().value();
-        let m1: Vec<u64> = (0..params.n()).map(|_| rng.gen_range(0..t)).collect();
-        let m2: Vec<u64> = (0..params.n()).map(|_| rng.gen_range(0..t)).collect();
-        let ct1 = keys.public.encrypt(&m1, &mut rng);
-        let ct2 = keys.public.encrypt(&m2, &mut rng);
-        for (be_label, be) in [("scalar", SimdBackend::Scalar), ("simd", auto)] {
-            simd::force_backend(be);
-            group.bench_function(format!("multiply_{be_label}/{label}"), |b| {
-                b.iter(|| ct1.multiply(&ct2, &keys.relin))
-            });
-            simd::clear_forced_backend();
-        }
-    }
-    group.finish();
 }
 
 /// Median wall time of `f` in nanoseconds over `iters` timed runs (plus
@@ -116,8 +87,7 @@ fn median_ns(mut f: impl FnMut(), iters: usize) -> f64 {
 
 /// Runs `f` once pinned to the scalar oracle and once pinned to the
 /// detected vector backend, and prints the same-run A/B as
-/// `csv,tail_<kernel>_scalar,<ns>` / `csv,tail_<kernel>,<ns>` — the
-/// per-kernel breakdown of the formerly scalar tail.
+/// `csv,tail_<kernel>_scalar,<ns>` / `csv,tail_<kernel>,<ns>`.
 fn tail_ab(kernel: &str, iters: usize, mut f: impl FnMut()) {
     let auto = simd::auto_backend();
     simd::force_backend(SimdBackend::Scalar);
@@ -129,12 +99,9 @@ fn tail_ab(kernel: &str, iters: usize, mut f: impl FnMut()) {
     println!("csv,tail_{kernel},{vector:.1}");
 }
 
-/// Kernel-level A/B of the three formerly scalar tail pieces that live at
-/// the CRT boundary: the FBC 64.64 centered rounding correction, the
-/// Shenoy–Kumaresan channel correction, and the Garner batched compose.
-/// Each is timed directly through the lane kernels (scalar pin vs
-/// detected backend) at the production shape `n = 4096`, `k = 4` 50-bit
-/// primes, emitting `csv,tail_*` lines for the CI grep.
+/// Kernel-level A/B of the batched Garner compose at the decrypt boundary
+/// (scalar pin vs detected backend) at `n = 4096`, `k = 4` 50-bit primes,
+/// emitting the `csv,tail_crt_compose*` lines for the CI grep.
 fn bench_tail_breakdown(_c: &mut Criterion) {
     let n = 4096usize;
     let count = 4usize;
@@ -147,42 +114,6 @@ fn bench_tail_breakdown(_c: &mut Criterion) {
         })
         .collect();
 
-    // FBC rounding correction: k wide fractional accumulations, the
-    // correction is the accumulator's high word.
-    let fracs: Vec<u128> = (0..count).map(|_| rng.gen()).collect();
-    let mut lo = vec![0u64; n];
-    let mut hi = vec![0u64; n];
-    tail_ab("fbc_round", 51, || {
-        let be = simd::backend();
-        lo.fill(1u64 << 63);
-        hi.fill(0);
-        for (dc, &f) in cols.iter().zip(&fracs) {
-            simd::round_term_acc_wide(be, &mut lo, &mut hi, dc, f);
-        }
-        std::hint::black_box(&hi);
-    });
-
-    // Shenoy–Kumaresan channel correction: k lazy Shoup accumulations
-    // over the channel modulus plus the fused reduce/sub/mul finish.
-    let m = ctx.modulus(0);
-    let cross: Vec<_> = (0..count)
-        .map(|_| m.shoup(rng.gen_range(0..m.value())))
-        .collect();
-    let q_inv = m.shoup(rng.gen_range(1..m.value()));
-    let y: Vec<u64> = (0..n).map(|_| rng.gen_range(0..m.value())).collect();
-    let mut beta = vec![0u64; n];
-    tail_ab("fbc_channel", 51, || {
-        let be = simd::backend();
-        lo.fill(0);
-        hi.fill(0);
-        for (dc, &w) in cols.iter().zip(&cross) {
-            simd::mul_shoup_lazy_acc_wide(be, &m, &mut lo, &mut hi, dc, w);
-        }
-        simd::channel_finish(be, &m, &mut beta, &lo, &hi, &y, q_inv);
-        std::hint::black_box(&beta);
-    });
-
-    // Batched Garner compose at the decrypt boundary.
     let basis = ctx.basis().clone();
     tail_ab("crt_compose", 21, || {
         std::hint::black_box(basis.compose_many(&cols));
@@ -256,7 +187,6 @@ fn bench_rns_bfv(c: &mut Criterion) {
         let m1: Vec<u64> = (0..params.n()).map(|_| rng.gen_range(0..t)).collect();
         let m2: Vec<u64> = (0..params.n()).map(|_| rng.gen_range(0..t)).collect();
         let ct1 = keys.public.encrypt(&m1, &mut rng);
-        let ct2 = keys.public.encrypt(&m2, &mut rng);
 
         group.bench_function(format!("encrypt/{label}"), |b| {
             b.iter(|| keys.public.encrypt(&m1, &mut rng))
@@ -268,58 +198,6 @@ fn bench_rns_bfv(c: &mut Criterion) {
         group.bench_function(format!("mul_plain/{label}"), |b| {
             b.iter(|| ct1.mul_plain(&op))
         });
-        group.bench_function(format!("multiply/{label}"), |b| {
-            b.iter(|| ct1.multiply(&ct2, &keys.relin))
-        });
-        group.bench_function(format!("multiply_exact/{label}"), |b| {
-            b.iter(|| ct1.multiply_exact(&ct2, &keys.relin))
-        });
-        group.bench_function(format!("relinearize/{label}"), |b| {
-            let raw = ct1.multiply_no_relin(&ct2, &params);
-            b.iter(|| raw.relinearize(&keys.relin))
-        });
-    }
-    group.finish();
-}
-
-fn bench_rns_boundary(c: &mut Criterion) {
-    let mut group = c.benchmark_group("rns_rescale");
-    group.sample_size(10);
-    for (label, params) in [
-        ("n2048_3x45", RnsBfvParams::new(2048, 45, 3, 16)),
-        ("n4096_4x50", RnsBfvParams::default_rns()),
-    ] {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(2);
-        let keys = RnsKeySet::generate(&params, &mut rng);
-        let t = params.t().value();
-        let m1: Vec<u64> = (0..params.n()).map(|_| rng.gen_range(0..t)).collect();
-        let m2: Vec<u64> = (0..params.n()).map(|_| rng.gen_range(0..t)).collect();
-        let ct1 = keys.public.encrypt(&m1, &mut rng);
-        let ct2 = keys.public.encrypt(&m2, &mut rng);
-
-        // Fast vs exact t/Q rescale of one tensor component, on the columns
-        // the production pipeline actually produces.
-        let tensor = ct1.tensor_ext_columns(&ct2, &params, false);
-        group.bench_function(format!("fast/{label}"), |b| {
-            b.iter(|| params.scale_round_to_base(&tensor[0]))
-        });
-        group.bench_function(format!("exact/{label}"), |b| {
-            b.iter(|| params.scale_round_to_base_exact(&tensor[0]))
-        });
-
-        // Fast vs exact centered lift of one ciphertext component into the
-        // extended basis (the other CRT crossing of the multiply).
-        let lift_conv = FastBaseConverter::new(
-            params.base().basis(),
-            &params.ext().basis().moduli()[params.basis_len()..],
-        );
-        let c0 = ct1.polys[0].clone().into_coeff();
-        group.bench_function(format!("lift_fast/{label}"), |b| {
-            b.iter(|| c0.extend_fast(params.ext(), &lift_conv))
-        });
-        group.bench_function(format!("lift_exact/{label}"), |b| {
-            b.iter(|| c0.extend_centered(params.ext()))
-        });
     }
     group.finish();
 }
@@ -329,7 +207,6 @@ criterion_group!(
     bench_ntt_simd_vs_scalar,
     bench_tail_breakdown,
     bench_rns_ntt,
-    bench_rns_bfv,
-    bench_rns_boundary
+    bench_rns_bfv
 );
 criterion_main!(benches);

@@ -5,9 +5,6 @@
 //! subsystem needs precomputed at construction:
 //!
 //! * the full product `Q = ∏ q_i` and `⌊Q/2⌋` as [`U1024`] big integers;
-//! * the punctured products `Q/q_i` and their inverses
-//!   `(Q/q_i)^{-1} mod q_i` (the classic CRT reconstruction constants, also
-//!   the RNS key-switching gadget in `pi-he`);
 //! * the pairwise inverses `q_j^{-1} mod q_i` for `j < i` driving Garner's
 //!   mixed-radix composition.
 //!
@@ -31,7 +28,7 @@ use crate::modulus::Modulus;
 use crate::prime::is_prime;
 
 /// An ordered CRT basis of distinct word-sized primes with precomputed
-/// reconstruction constants.
+/// Garner constants.
 ///
 /// # Examples
 ///
@@ -50,10 +47,6 @@ pub struct CrtBasis {
     product: U1024,
     /// floor(Q / 2), the centering threshold.
     half_product: U1024,
-    /// Q / q_i.
-    punctured: Vec<U1024>,
-    /// (Q / q_i)^{-1} mod q_i.
-    punctured_inv: Vec<u64>,
     /// garner_inv[i][j] = q_j^{-1} mod q_i for j < i.
     garner_inv: Vec<Vec<u64>>,
     /// The same constants in Shoup form, for the lane-parallel digit pass
@@ -135,19 +128,6 @@ impl CrtBasis {
         if product.bit_len() > 960 {
             return Err(CrtError::ProductTooLarge);
         }
-        // Punctured products by division (exact: remainder is zero).
-        let punctured: Vec<U1024> = primes
-            .iter()
-            .map(|&q| product.div_rem(&U1024::from_u64(q)).0)
-            .collect();
-        let punctured_inv: Vec<u64> = moduli
-            .iter()
-            .zip(&punctured)
-            .map(|(m, p)| {
-                m.inv(p.rem_u64(m.value()))
-                    .expect("punctured product is coprime to its prime")
-            })
-            .collect();
         let garner_inv: Vec<Vec<u64>> = moduli
             .iter()
             .enumerate()
@@ -168,8 +148,6 @@ impl CrtBasis {
             moduli,
             product,
             half_product,
-            punctured,
-            punctured_inv,
             garner_inv,
             garner_inv_shoup,
         })
@@ -223,16 +201,6 @@ impl CrtBasis {
     /// Total bit size of the basis product.
     pub fn product_bits(&self) -> u32 {
         self.product.bit_len()
-    }
-
-    /// The punctured product `Q/q_i`.
-    pub fn punctured(&self, i: usize) -> &U1024 {
-        &self.punctured[i]
-    }
-
-    /// The reconstruction constant `(Q/q_i)^{-1} mod q_i`.
-    pub fn punctured_inv(&self, i: usize) -> u64 {
-        self.punctured_inv[i]
     }
 
     /// Residues of an arbitrary big value: `(x mod q_0, ..., x mod q_{k-1})`.
@@ -334,30 +302,6 @@ impl CrtBasis {
             })
             .collect()
     }
-
-    /// Decomposes the *centered* value of `x ∈ [0, Q)` into residues of a
-    /// (typically larger) target basis: the integer `x̂ = x` if `x ≤ Q/2`,
-    /// else `x̂ = x − Q`, reduced modulo each target prime. This is the exact
-    /// basis extension used to lift RNS polynomials into an extended basis
-    /// before a tensor product whose true integer coefficients must not wrap.
-    ///
-    /// # Panics
-    ///
-    /// Debug-panics if `x >= Q`.
-    pub fn extend_centered(&self, x: &U1024, target: &CrtBasis) -> Vec<u64> {
-        debug_assert!(*x < self.product, "value must be reduced mod Q");
-        if *x > self.half_product {
-            // x̂ = x − Q < 0: residue is q − ((Q − x) mod q).
-            let mag = self.product.overflowing_sub(x).0;
-            target
-                .moduli
-                .iter()
-                .map(|m| m.neg(mag.rem_u64(m.value())))
-                .collect()
-        } else {
-            target.decompose(x)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -376,10 +320,6 @@ mod tests {
         assert_eq!(b.len(), 3);
         assert_eq!(b.product(), &U1024::from_u64(97 * 101 * 103));
         assert_eq!(b.half_product(), &U1024::from_u64(97 * 101 * 103 / 2));
-        assert_eq!(b.punctured(0), &U1024::from_u64(101 * 103));
-        // (Q/q_0)^{-1} mod q_0 really inverts.
-        let m = b.modulus(0);
-        assert_eq!(m.mul(m.reduce(101 * 103), b.punctured_inv(0)), 1);
     }
 
     #[test]
@@ -422,21 +362,6 @@ mod tests {
         for x in [0u64, 5, 999_999] {
             assert_eq!(b.decompose(&U1024::from_u64(x)), vec![x]);
             assert_eq!(b.compose(&[x]), U1024::from_u64(x));
-        }
-    }
-
-    #[test]
-    fn extend_centered_small_positive_and_negative() {
-        let src = CrtBasis::new(&[97, 101]).unwrap(); // Q = 9797
-        let dst = CrtBasis::new(&[97, 101, 103, 107]).unwrap();
-        // Small positive value: plain decomposition.
-        let x = U1024::from_u64(1234);
-        assert_eq!(src.extend_centered(&x, &dst), dst.decompose(&x));
-        // Value above Q/2 represents a negative: -1 ≡ Q - 1.
-        let minus_one = U1024::from_u64(9797 - 1);
-        let ext = src.extend_centered(&minus_one, &dst);
-        for (r, m) in ext.iter().zip(dst.moduli()) {
-            assert_eq!(*r, m.value() - 1, "residue of -1 must be q-1");
         }
     }
 
@@ -516,26 +441,6 @@ mod tests {
                 b.compose(&sum),
                 U1024::from_u64(x).add_u64(y)
             );
-        }
-
-        #[test]
-        fn extend_centered_preserves_value_mod_target(seed in any::<u64>()) {
-            let src = basis_3x30();
-            let dst = CrtBasis::with_ntt_primes(30, 7, 1024).unwrap();
-            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            let x = random_below_q(&src, &mut rng);
-            let ext = dst.compose(&src.extend_centered(&x, &dst));
-            // ext is the centered representative of x mod the (larger) dst
-            // product: equal to x when x <= Q/2, else x - Q + P.
-            if x <= *src.half_product() {
-                prop_assert_eq!(ext, x);
-            } else {
-                let expected = dst
-                    .product()
-                    .overflowing_sub(&src.product().overflowing_sub(&x).0)
-                    .0;
-                prop_assert_eq!(ext, expected);
-            }
         }
     }
 }

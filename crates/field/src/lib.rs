@@ -1,6 +1,6 @@
 //! Modular-arithmetic substrate for the private-inference stack.
 //!
-//! This crate provides the three arithmetic building blocks that everything
+//! This crate provides the arithmetic building blocks that everything
 //! above it (polynomial rings, BFV homomorphic encryption, secret sharing,
 //! and the Naor–Pinkas base oblivious transfer) is built on:
 //!
@@ -12,24 +12,18 @@
 //! * [`prime`] — deterministic Miller–Rabin primality testing and searching
 //!   for NTT-friendly primes (`q ≡ 1 (mod 2N)`), plus primitive-root finding
 //!   and multi-prime searches ([`find_distinct_ntt_primes`]) for CRT bases.
-//! * [`crt`] — [`CrtBasis`], an ordered set of distinct primes with
-//!   precomputed reconstruction constants (punctured products `Q/q_i`, their
-//!   inverses, Garner pairwise inverses) and big-integer compose/decompose —
-//!   the residue-number-system substrate for >62-bit ciphertext moduli.
-//! * [`fbc`] — [`FastBaseConverter`], BEHZ/HPS-style fast base conversion
-//!   between CRT bases with word-sized Shoup arithmetic only (centered
-//!   fixed-point correction, or exact conversion through a
-//!   Shenoy–Kumaresan correction prime); the big-int-free CRT boundary for
-//!   the RNS hot paths.
+//! * [`crt`] — [`CrtBasis`], an ordered set of distinct primes with the
+//!   Garner pairwise inverses precomputed and big-integer compose/decompose
+//!   — the residue-number-system substrate for >62-bit ciphertext moduli.
 //! * [`simd`] — lane-parallel SIMD kernels (AVX-512 and AVX2 on x86_64,
 //!   NEON on aarch64, the same kernels at scalar `u64` lanes
-//!   elsewhere) for the Shoup/lazy hot loops and the fast-base-conversion
-//!   folds, behind runtime detection and a `PI_SIMD` toggle; the scalar
-//!   path above stays canonical and is the differential oracle.
+//!   elsewhere) for the Shoup/lazy hot loops and the batched Garner
+//!   composition, behind runtime detection and a `PI_SIMD` toggle; the
+//!   scalar path above stays canonical and is the differential oracle.
 //! * [`bignum`] — a fixed-width 1024-bit unsigned integer with Montgomery
 //!   multiplication and modular exponentiation over the Oakley Group 2 MODP
 //!   prime, used by the base oblivious transfer in `pi-ot` and by the CRT
-//!   composition/rounding paths in the RNS layers above.
+//!   composition and decode rounding of the RNS layers above.
 //!
 //! # Examples
 //!
@@ -51,13 +45,11 @@
 
 pub mod bignum;
 pub mod crt;
-pub mod fbc;
 pub mod modulus;
 pub mod prime;
 pub mod simd;
 
 pub use bignum::{ModpGroup, U1024};
 pub use crt::{CrtBasis, CrtError};
-pub use fbc::FastBaseConverter;
 pub use modulus::{Modulus, ShoupMul};
 pub use prime::{find_distinct_ntt_primes, find_ntt_prime, is_prime, primitive_root};

@@ -121,14 +121,6 @@ unsafe fn sub_mod<V: Lanes>(a: V, b: V, q: V) -> V {
     a.sub(b).add_if(a.lt(b), q)
 }
 
-/// `(hi[j..], lo[j..]) += term` as an exact 128-bit column sum.
-#[inline(always)]
-unsafe fn acc_wide<V: Lanes>(lo: &mut [u64], hi: &mut [u64], j: usize, term: V) {
-    let (s, carry) = V::load(&lo[j..]).add_carry(term);
-    s.store(&mut lo[j..]);
-    V::load(&hi[j..]).inc_if(carry).store(&mut hi[j..]);
-}
-
 /// Splat constants of [`Modulus::reduce_u128`].
 #[derive(Clone, Copy)]
 struct Barrett<V> {
@@ -393,77 +385,6 @@ pub(super) unsafe fn mul_shoup_bcast<V: Lanes>(
 }
 
 #[inline(always)]
-pub(super) unsafe fn mul_shoup_lazy_acc_wide<V: Lanes>(
-    q: &Modulus,
-    lo: &mut [u64],
-    hi: &mut [u64],
-    a: &[u64],
-    w: ShoupMul,
-    from: usize,
-) -> usize {
-    let qv = V::splat(q.value());
-    let (wv, wq) = splat_shoup::<V>(w);
-    lane_loop!(V, j in from, lo.len() => {
-        acc_wide(lo, hi, j, mul_shoup_lazy(V::load(&a[j..]), wv, wq, qv));
-    })
-}
-
-#[inline(always)]
-pub(super) unsafe fn round_term_acc_wide<V: Lanes>(
-    lo: &mut [u64],
-    hi: &mut [u64],
-    d: &[u64],
-    frac: u128,
-    from: usize,
-) -> usize {
-    let (fh, fl) = (V::splat((frac >> 64) as u64), V::splat(frac as u64));
-    lane_loop!(V, j in from, lo.len() => {
-        // (x·frac) >> 64 = x·frac_hi + mulhi(x, frac_lo), exact for x < q.
-        let x = V::load(&d[j..]);
-        acc_wide(lo, hi, j, x.mullo(fh).add(x.mulhi(fl)));
-    })
-}
-
-#[inline(always)]
-pub(super) unsafe fn fold_finish<V: Lanes>(
-    q: &Modulus,
-    out: &mut [u64],
-    lo: &[u64],
-    hi: &[u64],
-    v: &[u64],
-    q_mod: ShoupMul,
-    from: usize,
-) -> usize {
-    let br = Barrett::<V>::new(q);
-    let (qmv, qmq) = splat_shoup::<V>(q_mod);
-    lane_loop!(V, j in from, out.len() => {
-        let r = br.reduce(V::load(&hi[j..]), V::load(&lo[j..]));
-        let s = mul_shoup(V::load(&v[j..]), qmv, qmq, br.q);
-        sub_mod(r, s, br.q).store(&mut out[j..]);
-    })
-}
-
-#[inline(always)]
-pub(super) unsafe fn channel_finish<V: Lanes>(
-    q: &Modulus,
-    out: &mut [u64],
-    lo: &[u64],
-    hi: &[u64],
-    y: &[u64],
-    q_inv: ShoupMul,
-    from: usize,
-) -> usize {
-    let br = Barrett::<V>::new(q);
-    let (qiv, qiq) = splat_shoup::<V>(q_inv);
-    let zero = V::splat(0);
-    lane_loop!(V, j in from, out.len() => {
-        let r = br.reduce(V::load(&hi[j..]), V::load(&lo[j..]));
-        let s = br.reduce(zero, V::load(&y[j..]));
-        mul_shoup(sub_mod(r, s, br.q), qiv, qiq, br.q).store(&mut out[j..]);
-    })
-}
-
-#[inline(always)]
 pub(super) unsafe fn garner_step<V: Lanes>(
     q: &Modulus,
     v: &mut [u64],
@@ -573,13 +494,6 @@ macro_rules! pointwise_entry_points {
             tail dyadic_mul_acc_shoup(
                 q: &Modulus, acc: &mut [u64], a: &[u64], vals: &[u64], quots: &[u64]);
             tail mul_shoup_bcast(q: &Modulus, out: &mut [u64], a: &[u64], w: ShoupMul);
-            tail mul_shoup_lazy_acc_wide(
-                q: &Modulus, lo: &mut [u64], hi: &mut [u64], a: &[u64], w: ShoupMul);
-            tail round_term_acc_wide(lo: &mut [u64], hi: &mut [u64], d: &[u64], frac: u128);
-            tail fold_finish(
-                q: &Modulus, out: &mut [u64], lo: &[u64], hi: &[u64], v: &[u64], q_mod: ShoupMul);
-            tail channel_finish(
-                q: &Modulus, out: &mut [u64], lo: &[u64], hi: &[u64], y: &[u64], q_inv: ShoupMul);
             tail garner_step(q: &Modulus, v: &mut [u64], t: &[u64], inv: ShoupMul);
             tail dyadic_mul(q: &Modulus, out: &mut [u64], a: &[u64], b: &[u64]);
             tail dyadic_mul_acc(q: &Modulus, acc: &mut [u64], a: &[u64], b: &[u64]);

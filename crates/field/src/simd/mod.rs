@@ -96,8 +96,6 @@
 //! | [`permute8`]              | any u64                   | unchanged  |
 //! | [`permute8_add_lazy`]     | acc, src `[0, 2q)`        | `[0, 2q)`  |
 //! | [`permute8_mul_acc_shoup2`] | acc `[0, 2q)`, src any  | `[0, 2q)`  |
-//! | [`round_term_acc_wide`]   | digits `[0, q_src)`       | 128-bit    |
-//! | [`channel_finish`]        | `(hi, lo)` 128-bit, y any | `[0, q)`   |
 //! | [`garner_step`]           | v `[0, q)`, t `[0, q)`    | `[0, q)`   |
 //!
 //! The butterfly kernels implement exactly the Harvey formulation from
@@ -519,8 +517,9 @@ pub fn dyadic_mul_acc_shoup(
 }
 
 /// Pointwise Shoup product against one broadcast multiplicand:
-/// `out[i] = a[i]·w mod q`, strictly reduced (`a` may be any u64). The
-/// digit-scaling pass of the fast base conversion.
+/// `out[i] = a[i]·w mod q`, strictly reduced (`a` may be any u64). With
+/// `w = 1` this is the residue-reduction pass of
+/// [`crate::CrtBasis::compose_many`].
 ///
 /// # Panics
 ///
@@ -528,49 +527,6 @@ pub fn dyadic_mul_acc_shoup(
 pub fn mul_shoup_bcast(be: SimdBackend, q: &Modulus, out: &mut [u64], a: &[u64], w: ShoupMul) {
     assert_eq!(a.len(), out.len());
     dispatch!(be, mul_shoup_bcast(q, out, a, w))
-}
-
-/// 128-bit-wide lazy Shoup multiply-accumulate against one broadcast
-/// multiplicand: `(hi[i], lo[i]) += mul_shoup_lazy(a[i], w)` with the pair
-/// holding an exact 128-bit sum (the lane form of the `u128` accumulator
-/// in [`crate::fbc::FastBaseConverter::fold`]). Each term is `< 2q <
-/// 2^63`, so `hi` grows by at most one per call.
-///
-/// # Panics
-///
-/// Panics on length mismatch.
-pub fn mul_shoup_lazy_acc_wide(
-    be: SimdBackend,
-    q: &Modulus,
-    lo: &mut [u64],
-    hi: &mut [u64],
-    a: &[u64],
-    w: ShoupMul,
-) {
-    assert!(hi.len() == lo.len() && a.len() == lo.len());
-    dispatch!(be, mul_shoup_lazy_acc_wide(q, lo, hi, a, w))
-}
-
-/// Finishes a fold: `out[i] = reduce_u128((hi[i], lo[i])) − v[i]·q_mod
-/// (mod q)` — the Barrett reduction of the 128-bit accumulator followed by
-/// the correction subtrahend, exactly as the scalar
-/// [`crate::fbc::FastBaseConverter::fold`].
-///
-/// # Panics
-///
-/// Panics on length mismatch.
-pub fn fold_finish(
-    be: SimdBackend,
-    q: &Modulus,
-    out: &mut [u64],
-    lo: &[u64],
-    hi: &[u64],
-    v: &[u64],
-    q_mod: ShoupMul,
-) {
-    let n = out.len();
-    assert!(lo.len() == n && hi.len() == n && v.len() == n);
-    dispatch!(be, fold_finish(q, out, lo, hi, v, q_mod))
 }
 
 /// Bounds check shared by the blocked-permute wrappers — the entire safety
@@ -662,43 +618,6 @@ pub fn permute8_mul_acc_shoup2(
         be,
         permute8_mul_acc_shoup2(q, acc0, acc1, src, bsrc, bpat, vals0, quots0, vals1, quots1)
     )
-}
-
-/// One source-prime term of the FBC 64.64 fixed-point centered correction:
-/// `(hi[i], lo[i]) += floor(d[i]·frac / 2^64)` with the pair holding an
-/// exact 128-bit sum (the lane form of the `u128` accumulator in
-/// `FastBaseConverter::round_correction`). The term is computed as
-/// `d·frac_hi + mulhi(d, frac_lo)`, which is exact and `< 2^64` for
-/// `d < q_src` — see the scalar oracle for the fraction's provenance.
-///
-/// # Panics
-///
-/// Panics on length mismatch.
-pub fn round_term_acc_wide(be: SimdBackend, lo: &mut [u64], hi: &mut [u64], d: &[u64], frac: u128) {
-    assert!(hi.len() == lo.len() && d.len() == lo.len());
-    dispatch!(be, round_term_acc_wide(lo, hi, d, frac))
-}
-
-/// Finishes the Shenoy–Kumaresan channel correction:
-/// `out[i] = (reduce_u128((hi[i], lo[i])) − y[i]) · q_inv mod q`, exactly
-/// as the scalar `FastBaseConverter::channel_correction` (the per-prime
-/// cross terms having been accumulated with [`mul_shoup_lazy_acc_wide`]).
-///
-/// # Panics
-///
-/// Panics on length mismatch.
-pub fn channel_finish(
-    be: SimdBackend,
-    q: &Modulus,
-    out: &mut [u64],
-    lo: &[u64],
-    hi: &[u64],
-    y: &[u64],
-    q_inv: ShoupMul,
-) {
-    let n = out.len();
-    assert!(lo.len() == n && hi.len() == n && y.len() == n);
-    dispatch!(be, channel_finish(q, out, lo, hi, y, q_inv))
 }
 
 /// One Garner mixed-radix elimination step over a residue column:
@@ -1213,75 +1132,12 @@ mod tests {
     }
 
     #[test]
-    fn correction_and_garner_kernels_match_scalar_bitwise() {
+    fn garner_step_matches_scalar_bitwise() {
         use rand::Rng;
         let mut rng = rand::rngs::StdRng::seed_from_u64(11);
         for q in boundary_moduli() {
             let n = 37usize;
-            // round_term_acc_wide: worst-case digits (q−1) and fractions at
-            // both ends of the 64.64 window, plus random fills. The largest
-            // fraction the converter ever builds is ⌊(2^128−1)/q⌋ (so
-            // d·frac never overflows 128 bits for d < q — the kernel's
-            // exactness precondition).
-            for frac in [
-                1u128,
-                u64::MAX as u128,
-                u128::MAX / q.value() as u128,
-                (1u128 << 64) + 12345,
-            ] {
-                let d: Vec<u64> = (0..n)
-                    .map(|i| {
-                        if i % 3 == 0 {
-                            q.value() - 1
-                        } else {
-                            rng.gen_range(0..q.value())
-                        }
-                    })
-                    .collect();
-                let lo0: Vec<u64> = (0..n).map(|_| rng.r#gen()).collect();
-                let hi0: Vec<u64> = (0..n).map(|_| rng.gen_range(0..8)).collect();
-                let mut expect_lo = lo0.clone();
-                let mut expect_hi = hi0.clone();
-                for j in 0..n {
-                    let term = ((d[j] as u128 * frac) >> 64) as u64;
-                    let (s, carry) = expect_lo[j].overflowing_add(term);
-                    expect_lo[j] = s;
-                    expect_hi[j] += carry as u64;
-                }
-                for be in runnable_backends() {
-                    let mut lo = lo0.clone();
-                    let mut hi = hi0.clone();
-                    round_term_acc_wide(be, &mut lo, &mut hi, &d, frac);
-                    assert_eq!(lo, expect_lo, "round lo backend {} q {}", be.name(), q);
-                    assert_eq!(hi, expect_hi, "round hi backend {} q {}", be.name(), q);
-                }
-            }
-
-            // channel_finish: 128-bit accumulators (incl. u64::MAX limbs)
-            // against the scalar composition of reduce/sub/mul_shoup.
-            let q_inv = q.shoup(rng.gen_range(1..q.value()));
-            let lo: Vec<u64> = (0..n)
-                .map(|i| if i % 4 == 0 { u64::MAX } else { rng.r#gen() })
-                .collect();
-            let hi: Vec<u64> = (0..n)
-                .map(|i| if i % 4 == 1 { u64::MAX } else { rng.r#gen() })
-                .collect();
-            let y: Vec<u64> = (0..n)
-                .map(|i| if i % 4 == 2 { u64::MAX } else { rng.r#gen() })
-                .collect();
-            let expect: Vec<u64> = (0..n)
-                .map(|j| {
-                    let acc = ((hi[j] as u128) << 64) | lo[j] as u128;
-                    q.mul_shoup(q.sub(q.reduce_u128(acc), q.reduce(y[j])), q_inv)
-                })
-                .collect();
-            for be in runnable_backends() {
-                let mut out = vec![0u64; n];
-                channel_finish(be, &q, &mut out, &lo, &hi, &y, q_inv);
-                assert_eq!(out, expect, "channel backend {} q {}", be.name(), q);
-            }
-
-            // garner_step: strict inputs, strict outputs.
+            // Strict inputs, strict outputs.
             let inv = q.shoup(rng.gen_range(1..q.value()));
             let v0: Vec<u64> = (0..n).map(|_| rng.gen_range(0..q.value())).collect();
             let t: Vec<u64> = (0..n).map(|_| rng.gen_range(0..q.value())).collect();

@@ -37,7 +37,7 @@
 //! output polynomials.
 
 use crate::cipher::{Ciphertext, Plaintext};
-use crate::params::BfvParams;
+use crate::params::{gadget_digits, BfvParams};
 use pi_poly::{sample, GaloisPerm, Poly, PolyForm, PolyOperand};
 use rand::Rng;
 use std::cell::RefCell;
@@ -332,24 +332,6 @@ impl HoistedCiphertext {
     pub fn num_digits(&self) -> usize {
         self.digits.len()
     }
-
-    pub(crate) fn wire_parts(&self) -> (&[u64], &[u64], &[Vec<u64>]) {
-        (&self.c0, &self.c1, &self.digits)
-    }
-
-    pub(crate) fn from_wire_parts(
-        log_base: u32,
-        c0: Vec<u64>,
-        c1: Vec<u64>,
-        digits: Vec<Vec<u64>>,
-    ) -> Self {
-        Self {
-            log_base,
-            c0,
-            c1,
-            digits,
-        }
-    }
 }
 
 /// A convenience bundle of all keys one party generates.
@@ -556,7 +538,7 @@ impl SecretKey {
             .collect();
         ordered.sort_unstable_by_key(|&(g, b)| (g, Reverse(b)));
         for (g, log_base) in ordered {
-            let num_digits = (q.bits() as usize).div_ceil(log_base as usize);
+            let num_digits = gadget_digits(q, log_base);
             let s_g = s_coeff.galois(g).into_ntt();
             let mut digit_keys = Vec::with_capacity(num_digits);
             let mut base_pow = 1u64;

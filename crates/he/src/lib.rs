@@ -13,9 +13,14 @@
 //!   rotations; everything DELPHI's offline phase (`E(w·r − s)`) needs.
 //! * [`linalg`] — Halevi–Shoup diagonal-method matrix-vector products and
 //!   im2col-based convolution over packed ciphertexts.
-//! * [`rns`] — RNS-BFV over multi-prime CRT moduli ([`RnsBfvParams`]):
-//!   ciphertext moduli beyond 100 bits, exact ciphertext–ciphertext
-//!   multiplication with CRT-gadget relinearization, and mul-depth above 1.
+//! * [`wire`] — the byte frames the protocol ships: ciphertexts, public keys
+//!   and Galois key sets, bit-packed and seed-expanded, behind readers that
+//!   return a typed [`WireError`] on anything a peer can send.
+//! * [`rns`] — the linear core of RNS-BFV over multi-prime CRT moduli
+//!   ([`RnsBfvParams`]): keys, encryption, decryption with a noise budget,
+//!   additions and plaintext products for ciphertext moduli beyond 100
+//!   bits. Nothing in the protocol runs on it yet; it is the substrate the
+//!   single-prime types above are to be ported onto.
 //!
 //! # Example
 //!
@@ -53,11 +58,9 @@ pub use keys::{
     PublicKey, SecretKey,
 };
 pub use params::BfvParams;
-pub use rns::{RnsBfvParams, RnsCiphertext, RnsKeySet, RnsPublicKey, RnsRelinKey, RnsSecretKey};
+pub use rns::{RnsBfvParams, RnsCiphertext, RnsKeySet, RnsPublicKey, RnsSecretKey};
 pub use wire::{
     ciphertext_from_bytes, ciphertext_to_bytes, ciphertext_to_bytes_seeded, flat_frame_len,
-    galois_keys_from_bytes, galois_keys_to_bytes, hoisted_from_bytes, hoisted_to_bytes,
-    plaintext_from_bytes, plaintext_to_bytes, public_key_from_bytes, public_key_to_bytes,
-    rns_ciphertext_from_bytes, rns_ciphertext_to_bytes, rns_ciphertext_to_bytes_seeded,
-    rns_relin_key_from_bytes, rns_relin_key_to_bytes, WireError,
+    galois_keys_from_bytes, galois_keys_to_bytes, public_key_from_bytes, public_key_to_bytes,
+    WireError,
 };

@@ -47,6 +47,13 @@ pub struct BfvParams {
     down_ring: Arc<RingContext>,
 }
 
+/// Length of the base-`2^log_base` gadget decomposition of a value mod
+/// `q`: what key generation emits per key, key switching shifts through,
+/// and the wire reader therefore demands of every entry.
+pub(crate) fn gadget_digits(q: Modulus, log_base: u32) -> usize {
+    q.bits().div_ceil(log_base) as usize
+}
+
 impl BfvParams {
     /// Builds a parameter set from ring degree and bit sizes.
     ///
@@ -79,9 +86,9 @@ impl BfvParams {
         };
         let delta = q.value() / t.value();
         let ks_log_base = 10;
-        let ks_digits = (q.bits() as usize).div_ceil(ks_log_base as usize);
+        let ks_digits = gadget_digits(q, ks_log_base);
         let bsgs_log_base = 2;
-        let bsgs_digits = (q.bits() as usize).div_ceil(bsgs_log_base as usize);
+        let bsgs_digits = gadget_digits(q, bsgs_log_base);
         Self {
             ring,
             t,

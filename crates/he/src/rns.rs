@@ -1,47 +1,30 @@
-//! RNS-BFV: homomorphic encryption over multi-prime CRT moduli, with
-//! ciphertext–ciphertext multiplication (mul-depth > 1).
+//! RNS-BFV, linear core: homomorphic encryption over a multi-prime CRT
+//! modulus, with the operations a DELPHI-family linear layer is made of.
 //!
 //! The single-prime BFV in [`crate::params`]/[`crate::keys`] tops out at a
-//! 61-bit ciphertext modulus — enough for one multiplicative level. This
-//! module lifts the whole scheme onto an [`RnsPoly`] substrate so the
-//! ciphertext modulus is a product `Q = ∏ q_i` of NTT-friendly primes
-//! (hundreds of bits), which is what deeper homomorphic circuits need.
+//! 62-bit ciphertext modulus. This module puts the scheme on an
+//! [`RnsPoly`] substrate so the ciphertext modulus is a product
+//! `Q = ∏ q_i` of NTT-friendly primes, each residue column running the
+//! word-sized kernels unchanged. What is here: parameters over one base
+//! context ([`RnsBfvParams`]), secret/public key generation, public-key and
+//! seed-expanded symmetric encryption, decryption with an exact noise
+//! budget, and the linear homomorphic operations — `add`, `sub`, `neg`,
+//! `add_plain` and plaintext multiplication against a precomputed
+//! [`RnsOperand`]. Ciphertext–ciphertext multiplication, rotations and key
+//! switching are not: the protocol in `pi-core` runs on the single-prime
+//! types, and this module is the substrate its port onto an RNS basis
+//! starts from (ROADMAP, "One HE stack").
 //!
-//! # Residue layout and lazy-range invariants
+//! # Residue layout
 //!
-//! * Every key and ciphertext polynomial is an [`RnsPoly`] over the **base**
-//!   context (`k` primes): one residue column per prime, normally kept in
-//!   evaluation (NTT) form, always strictly reduced per column when
-//!   observable. The lazy `[0, 2q_i)` accumulation domain appears only
-//!   inside relinearization, which chains `dyadic_mul_acc_shoup` across the
-//!   `k` gadget digits per residue and runs one `reduce_lazy` correction
-//!   pass at the end — exactly the key-switch kernel shape from PR 1, once
-//!   per residue column.
-//! * Ciphertext–ciphertext multiplication is **RNS-native**: operands are
-//!   lifted from the base basis into an **extended** basis (base primes,
-//!   `k + 1` auxiliary primes, and one Shenoy–Kumaresan **correction
-//!   prime** `m_r`) with the centered fast base conversion
-//!   ([`RnsPoly::extend_fast`]), so the integer tensor-product coefficients
-//!   (bounded by `N·(Q/2)²·(1 + 2^{-58})`) never wrap and no coefficient is
-//!   ever composed into a big integer. The `t/Q` rescale is the HPS simple
-//!   scaling ([`RnsBfvParams::scale_round_to_base`]): the centered remainder
-//!   `r ≡ t·x (mod Q)` is fast-converted into the auxiliary channels with
-//!   the plaintext modulus folded into the per-residue digit constants
-//!   `|t·(Q/q_i)^{-1}|_{q_i}`, the quotient `y = (t·x − r)/Q` is formed
-//!   per auxiliary prime, and `y` returns to the base basis through the
-//!   **exact** Shenoy–Kumaresan conversion (the `m_r` channel recovers the
-//!   FBC overshoot with modular arithmetic alone — see `pi_field::fbc`).
-//!   The only approximation in the whole pipeline is the remainder's
-//!   fixed-point centering, which can add ±1 (≤ 1 bit of noise) to a
-//!   rescaled coefficient with probability ≈ 2k/2^64 per coefficient. The
-//!   big-integer path survives as [`RnsBfvParams::scale_round_to_base_exact`]
-//!   / [`RnsCiphertext::multiply_exact`] — the differential-test oracle that
-//!   proves the fast path never changes a decrypted bit.
-//! * Relinearization uses the **CRT gadget**: `c₂ = Σ_i [c₂]_{q_i} · g_i
-//!   (mod Q)` with `g_i = (Q/q_i)·[(Q/q_i)^{-1}]_{q_i}`, so the "digits" are
-//!   the residue columns themselves — no base-`2^w` decomposition, and the
-//!   key for digit `i` is a precomputed [`RnsOperand`] `(values, quotients)`
-//!   pair per prime.
+//! Every key and ciphertext polynomial is an [`RnsPoly`] over the base
+//! context (`k` primes): one residue column per prime, normally kept in
+//! evaluation (NTT) form, always strictly reduced per column. Big integers
+//! appear only on the secret-key side, where decryption and the noise
+//! gauge CRT-compose each coefficient
+//! ([`pi_poly::RnsPoly::compose_coeffs`]) to apply the `round(t·x/Q)`
+//! decoding map. With `k = 1` every operation agrees with the single-prime
+//! path element for element.
 //!
 //! # Example
 //!
@@ -54,23 +37,25 @@
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(7);
 //! let keys = RnsKeySet::generate(&params, &mut rng);
 //!
-//! // Constant messages 3 and 5: the ring product is the constant 15.
-//! let mut m1 = vec![0u64; 1024];
-//! m1[0] = 3;
-//! let mut m2 = vec![0u64; 1024];
-//! m2[0] = 5;
-//! let c1 = keys.public.encrypt(&m1, &mut rng);
-//! let c2 = keys.public.encrypt(&m2, &mut rng);
-//! let prod = c1.multiply(&c2, &keys.relin);
-//! let dec = keys.secret.decrypt(&prod);
-//! assert_eq!(dec[0], 15);
+//! // Enc(3) · 5 + Enc(4) decrypts to the constant 19.
+//! let mut three = vec![0u64; 1024];
+//! three[0] = 3;
+//! let mut four = vec![0u64; 1024];
+//! four[0] = 4;
+//! let mut five = vec![0u64; 1024];
+//! five[0] = 5;
+//! let c3 = keys.public.encrypt(&three, &mut rng);
+//! let c4 = keys.public.encrypt(&four, &mut rng);
+//! let out = c3.mul_plain(&params.plain_operand(&five)).add(&c4);
+//! let dec = keys.secret.decrypt(&out);
+//! assert_eq!(dec[0], 19);
 //! assert!(dec[1..].iter().all(|&c| c == 0));
 //! ```
 
 use crate::keys::NoiseStage;
-use pi_field::{FastBaseConverter, Modulus, ShoupMul, U1024};
-use pi_poly::rns::{convert_columns_exact, convert_columns_fast, RnsContext, RnsOperand, RnsPoly};
-use pi_poly::{sample, PolyForm};
+use pi_field::{CrtBasis, Modulus, U1024};
+use pi_poly::rns::{RnsContext, RnsOperand, RnsPoly};
+use pi_poly::sample;
 use rand::Rng;
 use std::sync::Arc;
 
@@ -79,12 +64,6 @@ use std::sync::Arc;
 /// Invariants (checked at construction):
 /// * `n` is a power of two and every basis prime satisfies
 ///   `q_i ≡ 1 (mod 2n)` (per-residue NTT friendliness);
-/// * the extended basis holds the base primes followed by `k + 1` auxiliary
-///   primes and one Shenoy–Kumaresan correction prime, all of the same bit
-///   size, so `P > n·Q` and centered tensor-product coefficients
-///   (`≤ N·(Q/2)²`) are exactly representable mod the extended product —
-///   and `P > t·n·Q`, so the rescaled quotient `round(t·x/Q)` fits the
-///   auxiliary basis for the exact return conversion;
 /// * `t` is prime and far below `Q` (noise headroom).
 #[derive(Clone, Debug)]
 pub struct RnsBfvParams {
@@ -92,27 +71,10 @@ pub struct RnsBfvParams {
     t: Modulus,
     /// Base context: ciphertext ring over `Q = ∏ q_i`.
     base: Arc<RnsContext>,
-    /// Extended context: base primes, auxiliary primes, correction prime —
-    /// for the exact tensor product.
-    ext: Arc<RnsContext>,
     /// `Δ = ⌊Q/t⌋ mod q_i`, per base prime.
     delta_residues: Vec<u64>,
-    /// `⌊Q/2⌋` (rounding offset for the `t/Q` rescale and decoding).
-    half_q: U1024,
     /// `⌊Q/(2t)⌋`, the decryption-failure threshold.
     noise_threshold: U1024,
-    /// Centered lift base → aux ∪ {m_r} (the tensor-product extension).
-    lift_conv: FastBaseConverter,
-    /// Centered lift of `t·x mod Q` into aux ∪ {m_r} with `t` folded into
-    /// the digit constants (the rescale's remainder conversion).
-    rescale_conv: FastBaseConverter,
-    /// Exact Shenoy–Kumaresan conversion aux → base through the `m_r`
-    /// channel (the rescale's return trip).
-    back_conv: FastBaseConverter,
-    /// `|t|_{p}` in Shoup form for every auxiliary channel (aux ∪ {m_r}).
-    t_mod_aux: Vec<ShoupMul>,
-    /// `|Q^{-1}|_{p}` in Shoup form for every auxiliary channel.
-    q_inv_aux: Vec<ShoupMul>,
     /// Centered-binomial error parameter (variance k/2).
     pub error_k: u32,
 }
@@ -123,101 +85,37 @@ impl RnsBfvParams {
     ///
     /// # Panics
     ///
-    /// Panics if the prime searches cannot find `2·count + 2` distinct
-    /// NTT-friendly primes of the requested size, if the plaintext modulus
-    /// leaves fewer than 30 bits of noise headroom, or if the auxiliary
-    /// basis cannot absorb the tensor-product and rescaled-quotient
-    /// magnitudes (requires `prime_bits > log2(n) + 2` and
-    /// `P > t·n·Q`).
+    /// Panics if the prime search cannot find `count` distinct NTT-friendly
+    /// primes of the requested size, or if the plaintext modulus leaves
+    /// fewer than 30 bits of noise headroom.
     pub fn new(n: usize, prime_bits: u32, count: usize, t_bits: u32) -> Self {
         assert!(count >= 1, "need at least one base prime");
         assert!(
             t_bits + 30 <= prime_bits * count as u32,
             "plaintext modulus too close to ciphertext modulus"
         );
-        assert!(
-            prime_bits > (n as u64).ilog2() + 2,
-            "primes too small to cover the n·Q tensor growth"
-        );
-        let primes = pi_field::find_distinct_ntt_primes(prime_bits, 2 * count + 2, 2 * n as u64)
-            .unwrap_or_else(|| {
-                panic!("not enough {prime_bits}-bit NTT primes for a {count}-prime basis")
-            });
-        let base_basis =
-            Arc::new(pi_field::CrtBasis::new(&primes[..count]).expect("base basis must be valid"));
-        // Aux basis: k + 1 primes holding the rescaled quotient; the final
-        // prime is the Shenoy–Kumaresan correction channel m_r.
-        let aux_basis = pi_field::CrtBasis::new(&primes[count..2 * count + 1])
-            .expect("auxiliary basis must be valid");
-        let ext_basis =
-            Arc::new(pi_field::CrtBasis::new(&primes).expect("extended basis must be valid"));
-        // P > n·Q ⟺ bits(Q·P) ≥ 2·bits(Q) + log2(n) + 1: the k+1 auxiliary
-        // primes of the same size always clear this for prime_bits > log2(n)+2,
-        // but assert rather than assume.
-        assert!(
-            ext_basis.product_bits() > 2 * base_basis.product_bits() + (n as u64).ilog2(),
-            "auxiliary basis too small for exact tensor products"
-        );
+        let basis = CrtBasis::with_ntt_primes(prime_bits, count, n as u64)
+            .unwrap_or_else(|e| panic!("no {count}-prime basis of {prime_bits}-bit primes: {e}"));
         let t = Modulus::new(pi_field::prime::find_prime_congruent(t_bits, 2));
-        // The rescaled quotient |round(t·x/Q)| ≤ t·n·Q/4 + 1 must stay below
-        // P/2 for the Shenoy–Kumaresan return conversion to be exact.
-        assert!(
-            *aux_basis.product()
-                > base_basis.product().mul_u64(
-                    t.value()
-                        .checked_mul(2 * n as u64)
-                        .expect("t·n overflows u64")
-                ),
-            "auxiliary basis too small for the rescaled quotient (need P > t·n·Q)"
-        );
-        let q_big = *base_basis.product();
+        let q_big = *basis.product();
         let delta = q_big.div_rem(&U1024::from_u64(t.value())).0;
-        let delta_residues = base_basis
+        let delta_residues = basis
             .moduli()
             .iter()
             .map(|m| delta.rem_u64(m.value()))
             .collect();
-        let half_q = q_big.shr1();
         let noise_threshold = q_big.div_rem(&U1024::from_u64(2 * t.value())).0;
-        let aux_moduli = &ext_basis.moduli()[count..];
-        let m_r = *aux_moduli.last().expect("extended basis has aux primes");
-        let lift_conv = FastBaseConverter::new(&base_basis, aux_moduli);
-        let rescale_conv = FastBaseConverter::with_digit_factor(&base_basis, aux_moduli, t.value());
-        let back_conv = FastBaseConverter::with_channel(&aux_basis, base_basis.moduli(), m_r);
-        let t_mod_aux = aux_moduli
-            .iter()
-            .map(|m| m.shoup(m.reduce(t.value())))
-            .collect();
-        let q_inv_aux = aux_moduli
-            .iter()
-            .map(|m| {
-                m.shoup(
-                    m.inv(q_big.rem_u64(m.value()))
-                        .expect("auxiliary primes are coprime to Q"),
-                )
-            })
-            .collect();
-        let base = Arc::new(RnsContext::new(n, base_basis));
-        let ext = Arc::new(RnsContext::new(n, ext_basis));
         Self {
             t,
-            base,
-            ext,
+            base: Arc::new(RnsContext::new(n, Arc::new(basis))),
             delta_residues,
-            half_q,
             noise_threshold,
-            lift_conv,
-            rescale_conv,
-            back_conv,
-            t_mod_aux,
-            q_inv_aux,
             error_k: 8,
         }
     }
 
-    /// Default multi-level parameter set: `N = 4096`, four 50-bit primes
-    /// (200-bit `Q`), 20-bit `t` — two-plus multiplicative levels with
-    /// comfortable margin.
+    /// Default parameter set: `N = 4096`, four 50-bit primes (200-bit `Q`),
+    /// 20-bit `t`.
     pub fn default_rns() -> Self {
         Self::new(4096, 50, 4, 20)
     }
@@ -251,11 +149,6 @@ impl RnsBfvParams {
     /// The base RNS ring context.
     pub fn base(&self) -> &Arc<RnsContext> {
         &self.base
-    }
-
-    /// The extended RNS ring context used by ciphertext multiplication.
-    pub fn ext(&self) -> &Arc<RnsContext> {
-        &self.ext
     }
 
     /// Serialized size in bytes of a degree-1 ciphertext (`2·k·N` words).
@@ -297,105 +190,15 @@ impl RnsBfvParams {
     /// decoding map. Negative noise shows up as `x` just below `Q`, which
     /// rounds to `t` and wraps to `0`: no explicit centering needed.
     fn decode_coeff(&self, x: &U1024) -> u64 {
-        let num = x.mul_u64(self.t.value()).overflowing_add(&self.half_q).0;
-        let (quot, _) = num.div_rem(self.base.basis().product());
+        let basis = self.base.basis();
+        let num = x
+            .mul_u64(self.t.value())
+            .overflowing_add(basis.half_product())
+            .0;
+        let (quot, _) = num.div_rem(basis.product());
         // quot may equal t (x just below Q, i.e. small negative noise around
         // m = 0); rem_u64 folds that wrap.
         quot.rem_u64(self.t.value())
-    }
-
-    /// Rescales a polynomial given by extended-basis residue columns
-    /// (coefficient form) by `t/Q` with the RNS-native HPS simple scaling,
-    /// returning the result in the base basis without composing a single
-    /// big integer.
-    ///
-    /// Three word-sized steps per coefficient:
-    /// 1. the centered remainder `r ≡ t·x (mod Q)`, `|r| ≤ Q/2`, lands in
-    ///    every auxiliary channel through the fast base conversion whose
-    ///    digit constants `|t·(Q/q_i)^{-1}|_{q_i}` fold in the plaintext
-    ///    modulus;
-    /// 2. the quotient `y = (t·x − r)/Q = round(t·x/Q) ± ε` is formed per
-    ///    auxiliary prime as `(t·x_j − r_j)·|Q^{-1}|_{p_j}`;
-    /// 3. `y` (with `|y| ≤ t·n·Q/4 + 1 ≪ P/2`) returns to the base basis
-    ///    through the **exact** Shenoy–Kumaresan conversion, the correction
-    ///    prime `m_r` recovering the FBC overshoot with modular arithmetic.
-    ///
-    /// The only deviation from [`RnsBfvParams::scale_round_to_base_exact`]
-    /// is `ε ∈ {0, ±1}` from the remainder's fixed-point centering (and
-    /// rounding-tie conventions), i.e. at most one extra bit of noise —
-    /// verified against the exact oracle by the differential suite.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the column count differs from the extended-basis size.
-    pub fn scale_round_to_base(&self, ext_cols: &[Vec<u64>]) -> RnsPoly {
-        let k = self.base.len();
-        let ext = &self.ext;
-        assert_eq!(ext_cols.len(), ext.len(), "extended column count mismatch");
-        let n = self.n();
-        // Step 1: r = centered |t·x|_Q in every auxiliary channel, straight
-        // from the base residues.
-        let r_cols = convert_columns_fast(&self.rescale_conv, &ext_cols[..k]);
-        // Step 2: y_j = (t·x_j − r_j)·|Q^{-1}|_{p_j} on aux ∪ {m_r}.
-        let y_cols: Vec<Vec<u64>> = r_cols
-            .iter()
-            .enumerate()
-            .map(|(a, r_col)| {
-                let m = ext.modulus(k + a);
-                let t_sh = self.t_mod_aux[a];
-                let q_inv = self.q_inv_aux[a];
-                ext_cols[k + a]
-                    .iter()
-                    .zip(r_col)
-                    .map(|(&x, &r)| m.mul_shoup(m.sub(m.mul_shoup(x, t_sh), r), q_inv))
-                    .collect()
-            })
-            .collect();
-        // Step 3: exact Shenoy–Kumaresan return trip aux → base; the last
-        // auxiliary channel is the m_r correction column.
-        let (channel_col, aux_cols) = y_cols.split_last().expect("aux channels are non-empty");
-        let out = convert_columns_exact(&self.back_conv, aux_cols, channel_col);
-        debug_assert_eq!(out.len(), k);
-        debug_assert!(out.iter().all(|c| c.len() == n));
-        RnsPoly::from_residues(self.base.clone(), out, PolyForm::Coeff)
-    }
-
-    /// Rescales extended-basis residue columns (coefficient form) by `t/Q`
-    /// with exact big-integer arithmetic: every coefficient is CRT-composed,
-    /// rounded by long division, and re-decomposed. This is the slow oracle
-    /// the fast path is differentially tested against:
-    /// `c'_j = round(t·ĉ_j/Q) mod Q` where `ĉ_j` is the centered
-    /// representative mod the extended product.
-    pub fn scale_round_to_base_exact(&self, ext_cols: &[Vec<u64>]) -> RnsPoly {
-        let ext_basis = self.ext.basis();
-        let base_moduli = self.base.basis().moduli();
-        let q_big = self.base.basis().product();
-        let half_qp = ext_basis.half_product();
-        let n = self.n();
-        let mut out = vec![vec![0u64; n]; base_moduli.len()];
-        let mut residues = vec![0u64; ext_basis.len()];
-        for j in 0..n {
-            for (i, col) in ext_cols.iter().enumerate() {
-                residues[i] = col[j];
-            }
-            let y = ext_basis.compose(&residues);
-            if y <= *half_qp {
-                let num = y.mul_u64(self.t.value()).overflowing_add(&self.half_q).0;
-                let (quot, _) = num.div_rem(q_big);
-                for (i, m) in base_moduli.iter().enumerate() {
-                    out[i][j] = quot.rem_u64(m.value());
-                }
-            } else {
-                // Negative representative: round the magnitude, negate.
-                let mag = ext_basis.product().overflowing_sub(&y).0;
-                let num = mag.mul_u64(self.t.value()).overflowing_add(&self.half_q).0;
-                let (quot, _) = num.div_rem(q_big);
-                for (i, m) in base_moduli.iter().enumerate() {
-                    out[i][j] = m.neg(quot.rem_u64(m.value()));
-                }
-            }
-        }
-        RnsPoly::from_residues(self.base.clone(), out, PolyForm::Coeff)
     }
 }
 
@@ -414,19 +217,6 @@ pub struct RnsPublicKey {
     pk1: RnsPoly,
 }
 
-/// Relinearization (key-switching) key for `s²` under the CRT gadget: for
-/// each base prime `i`, an RLWE encryption of `g_i·s²` stored as precomputed
-/// Shoup operands — one `(values, quotients)` pair per residue per digit.
-#[derive(Clone, Debug)]
-pub struct RnsRelinKey {
-    params: RnsBfvParams,
-    /// `keys[i] = (k0_i, k1_i)` with `k0_i + k1_i·s = g_i·s² + e_i (mod Q)`.
-    keys: Vec<(RnsOperand, RnsOperand)>,
-    /// PRG seed all gadget `a_i` columns expand from: the wire frame ships
-    /// this instead of the `k1` halves (see [`crate::wire`]).
-    seed: [u8; 32],
-}
-
 /// A convenience bundle of RNS-BFV keys.
 #[derive(Clone, Debug)]
 pub struct RnsKeySet {
@@ -434,21 +224,14 @@ pub struct RnsKeySet {
     pub secret: RnsSecretKey,
     /// The public (encryption) key.
     pub public: RnsPublicKey,
-    /// The relinearization key for ciphertext multiplication.
-    pub relin: RnsRelinKey,
 }
 
 impl RnsKeySet {
-    /// Generates a fresh secret/public/relinearization key set.
+    /// Generates a fresh secret/public key pair.
     pub fn generate<R: Rng + ?Sized>(params: &RnsBfvParams, rng: &mut R) -> Self {
         let secret = RnsSecretKey::generate(params, rng);
         let public = secret.public_key(rng);
-        let relin = secret.relin_key(rng);
-        Self {
-            secret,
-            public,
-            relin,
-        }
+        Self { secret, public }
     }
 }
 
@@ -480,49 +263,12 @@ impl RnsSecretKey {
         }
     }
 
-    /// Generates the relinearization key: for each base prime `i`, an RLWE
-    /// pair `(-(a_i·s + e_i) + g_i·s², a_i)` with the CRT gadget constant
-    /// `g_i = (Q/q_i)·[(Q/q_i)^{-1}]_{q_i}`.
-    pub fn relin_key<R: Rng + ?Sized>(&self, rng: &mut R) -> RnsRelinKey {
-        let params = &self.params;
-        let basis = params.base().basis();
-        let s_sq = self.s.mul(&self.s);
-        let mut keys = Vec::with_capacity(basis.len());
-        // All uniform gadget columns expand from one transmitted seed; only
-        // the errors keep drawing from the caller's RNG.
-        let mut seed = [0u8; 32];
-        rng.fill(&mut seed);
-        let mut a_stream = crate::keys::expansion_rng(&seed);
-        for i in 0..basis.len() {
-            // g_i as an RNS residue vector (g_i ≡ 1 mod q_i, structured mod
-            // the others): reduce the big integer per prime.
-            let g_big = basis.punctured(i).mul_u64(basis.punctured_inv(i));
-            let g_res: Vec<u64> = basis
-                .moduli()
-                .iter()
-                .map(|m| g_big.rem_u64(m.value()))
-                .collect();
-            let a = sample::uniform_rns(params.base(), &mut a_stream).into_ntt();
-            let e = sample::centered_binomial_rns(params.base(), rng, params.error_k).into_ntt();
-            let k0 = a
-                .mul(&self.s)
-                .add(&e)
-                .neg()
-                .add(&s_sq.scale_residues(&g_res));
-            keys.push((k0.to_operand(), a.to_operand()));
-        }
-        RnsRelinKey {
-            params: params.clone(),
-            keys,
-            seed,
-        }
-    }
-
     /// Symmetric seed-expanded encryption: draws a 32-byte seed from `rng`,
     /// expands the uniform `c1 = a` from it deterministically, and returns
-    /// `(Δm + e − a·s, a)` with the seed. The wire frame ships `c0` plus the
-    /// seed — half the bytes of a full ciphertext (see
-    /// [`crate::wire::rns_ciphertext_to_bytes_seeded`]).
+    /// `(Δm + e − a·s, a)` with the seed: a receiver holding `c0` and the
+    /// seed regenerates `c1`, so a frame needs half the bytes of a full
+    /// ciphertext (the single-prime form of this is
+    /// [`crate::wire::ciphertext_to_bytes_seeded`]).
     ///
     /// # Panics
     ///
@@ -544,8 +290,8 @@ impl RnsSecretKey {
         (RnsCiphertext { polys: vec![c0, a] }, seed)
     }
 
-    /// Decrypts a ciphertext of any degree: computes `Σ c_i·sⁱ`, CRT-composes
-    /// each coefficient, and applies the `round(t·x/Q) mod t` decoding map.
+    /// Decrypts a ciphertext: computes `Σ c_i·sⁱ`, CRT-composes each
+    /// coefficient, and applies the `round(t·x/Q) mod t` decoding map.
     ///
     /// In full trace mode this also gauges the ciphertext's noise budget
     /// into the `he.noise_decrypt_bits` histogram (see
@@ -597,8 +343,7 @@ impl RnsSecretKey {
     /// Records `ct`'s noise budget (bits) into the per-`stage` trace
     /// histogram; full trace mode only (measuring costs a decrypt-sized
     /// pass). The decrypt boundary gauges automatically; call this
-    /// explicitly at encrypt/multiply/rescale boundaries where the secret
-    /// key is held.
+    /// explicitly at any other boundary where the secret key is held.
     pub fn gauge_noise(&self, ct: &RnsCiphertext, stage: NoiseStage) {
         if pi_trace::mode() == pi_trace::TraceMode::Full {
             pi_trace::record(stage.hist(), self.noise_budget(ct) as u64);
@@ -648,8 +393,7 @@ impl RnsPublicKey {
 }
 
 /// An RNS-BFV ciphertext: `d + 1` polynomials decrypting to
-/// `round(t/Q · Σ c_i·sⁱ)`. Freshly encrypted and relinearized ciphertexts
-/// have degree 1; [`RnsCiphertext::multiply_no_relin`] yields degree 2.
+/// `round(t/Q · Σ c_i·sⁱ)`. Every operation here takes and yields degree 1.
 #[derive(Clone, Debug)]
 pub struct RnsCiphertext {
     /// The component polynomials, lowest degree first.
@@ -660,22 +404,6 @@ impl RnsCiphertext {
     /// Ciphertext degree (number of components minus one).
     pub fn degree(&self) -> usize {
         self.polys.len() - 1
-    }
-
-    /// Asserts that every component polynomial lives in the ring the given
-    /// parameters describe — mixing key material or ciphertexts across
-    /// parameter sets would otherwise reduce against the wrong moduli and
-    /// silently decrypt to garbage.
-    fn assert_ring(&self, params: &RnsBfvParams) {
-        let base = params.base();
-        for p in &self.polys {
-            assert!(
-                Arc::ptr_eq(p.ctx(), base)
-                    || (p.ctx().n() == base.n()
-                        && p.ctx().basis().moduli() == base.basis().moduli()),
-                "ciphertext ring does not match the supplied parameters"
-            );
-        }
     }
 
     fn zip_with(&self, other: &Self, f: impl Fn(&RnsPoly, &RnsPoly) -> RnsPoly) -> Self {
@@ -728,240 +456,9 @@ impl RnsCiphertext {
         }
     }
 
-    /// Ciphertext–ciphertext multiplication with relinearization back to
-    /// degree 1: the RNS-native lifted tensor product (fast base conversion
-    /// and HPS rescale, no big integers) followed by the CRT-gadget key
-    /// switch. Both inputs must be degree-1 ciphertexts under the same
-    /// parameters as `rlk`.
-    pub fn multiply(&self, other: &Self, rlk: &RnsRelinKey) -> Self {
-        let raw = self.tensor(other, &rlk.params, false);
-        raw.relinearize(rlk)
-    }
-
-    /// Ciphertext–ciphertext multiplication through the exact big-integer
-    /// CRT boundary (centered composition lift + long-division rescale).
-    /// Slow oracle for the fast path: decryptions must agree, and the fast
-    /// path's noise may exceed this one's by at most one bit.
-    pub fn multiply_exact(&self, other: &Self, rlk: &RnsRelinKey) -> Self {
-        let raw = self.tensor(other, &rlk.params, true);
-        raw.relinearize(rlk)
-    }
-
-    /// Ciphertext–ciphertext multiplication *without* relinearization:
-    /// returns the degree-2 ciphertext `(c0, c1, c2)`. Useful when several
-    /// products are summed before a single key switch.
-    pub fn multiply_no_relin(&self, other: &Self, params: &RnsBfvParams) -> Self {
-        self.tensor(other, params, false)
-    }
-
-    /// Degree-2 multiplication through the exact big-integer oracle path.
-    pub fn multiply_no_relin_exact(&self, other: &Self, params: &RnsBfvParams) -> Self {
-        self.tensor(other, params, true)
-    }
-
-    /// The tensor-product residue columns of `self ⊗ other` over the
-    /// extended basis (coefficient form), *before* the `t/Q` rescale — the
-    /// exact input of [`RnsBfvParams::scale_round_to_base`] /
-    /// [`RnsBfvParams::scale_round_to_base_exact`]. `exact` selects the
-    /// big-integer lift oracle instead of the fast base conversion. Public
-    /// so benchmarks and diagnostics measure the rescale on pipeline-true
-    /// inputs rather than a hand-maintained replica.
-    pub fn tensor_ext_columns(
-        &self,
-        other: &Self,
-        params: &RnsBfvParams,
-        exact: bool,
-    ) -> [Vec<Vec<u64>>; 3] {
-        assert_eq!(self.degree(), 1, "tensor expects degree-1 ciphertexts");
-        assert_eq!(other.degree(), 1, "tensor expects degree-1 ciphertexts");
-        self.assert_ring(params);
-        other.assert_ring(params);
-        let ext = params.ext();
-        let n = params.n();
-        let ext_k = ext.len();
-
-        // Lift all four polynomials into the extended basis and batch the
-        // forward transforms residue-major.
-        let mut lifted: Vec<Vec<Vec<u64>>> = [&self.polys, &other.polys]
-            .iter()
-            .flat_map(|polys| polys.iter())
-            .map(|p| {
-                let coeff = p.clone().into_coeff();
-                if exact {
-                    coeff.extend_centered(ext).into_residues()
-                } else {
-                    coeff.extend_fast(ext, &params.lift_conv).into_residues()
-                }
-            })
-            .collect();
-        {
-            let mut refs: Vec<&mut [Vec<u64>]> =
-                lifted.iter_mut().map(|p| p.as_mut_slice()).collect();
-            ext.ntt().forward_many(&mut refs);
-        }
-        let (a0, rest) = lifted.split_first().unwrap();
-        let (a1, rest) = rest.split_first().unwrap();
-        let (b0, rest) = rest.split_first().unwrap();
-        let (b1, _) = rest.split_first().unwrap();
-
-        // Tensor per extended residue: t0 = a0·b0, t1 = a0·b1 + a1·b0,
-        // t2 = a1·b1 (the cross term accumulates with one fused reduction).
-        let mut t0 = vec![vec![0u64; n]; ext_k];
-        let mut t1 = vec![vec![0u64; n]; ext_k];
-        let mut t2 = vec![vec![0u64; n]; ext_k];
-        for r in 0..ext_k {
-            let tab = ext.ntt().table(r);
-            tab.dyadic_mul(&mut t0[r], &a0[r], &b0[r]);
-            tab.dyadic_mul(&mut t1[r], &a0[r], &b1[r]);
-            tab.dyadic_mul_acc(&mut t1[r], &a1[r], &b0[r]);
-            tab.dyadic_mul(&mut t2[r], &a1[r], &b1[r]);
-        }
-        {
-            let mut refs: Vec<&mut [Vec<u64>]> =
-                vec![t0.as_mut_slice(), t1.as_mut_slice(), t2.as_mut_slice()];
-            ext.ntt().inverse_many(&mut refs);
-        }
-        [t0, t1, t2]
-    }
-
-    /// The BFV tensor product: lift both ciphertexts into the extended basis
-    /// (centered), tensor in per-residue NTT form, rescale by `t/Q` back
-    /// into the base basis. `exact` selects the big-integer oracle for the
-    /// two CRT crossings; the fast path uses the word-sized base conversion
-    /// and HPS rescale.
-    fn tensor(&self, other: &Self, params: &RnsBfvParams, exact: bool) -> Self {
-        let components = self.tensor_ext_columns(other, params, exact);
-        let rescale = |cols: &[Vec<u64>]| {
-            if exact {
-                params.scale_round_to_base_exact(cols)
-            } else {
-                params.scale_round_to_base(cols)
-            }
-        };
-        RnsCiphertext {
-            polys: components.iter().map(|cols| rescale(cols)).collect(),
-        }
-    }
-
-    /// Key-switches a degree-2 ciphertext back to degree 1 with the CRT
-    /// gadget: the digits of `c₂` are its own residue columns, each lifted
-    /// across all primes, batch-NTT'd, and accumulated against the key
-    /// operands in the lazy `[0, 2q)` domain with one final correction.
-    pub fn relinearize(&self, rlk: &RnsRelinKey) -> Self {
-        let _span = pi_trace::span!("he.keyswitch");
-        pi_trace::incr(pi_trace::Counter::HeKeySwitch);
-        assert_eq!(
-            self.degree(),
-            2,
-            "relinearize expects a degree-2 ciphertext"
-        );
-        self.assert_ring(&rlk.params);
-        let params = &rlk.params;
-        let base = params.base();
-        let k = base.len();
-
-        // Borrow the degree-2 component when it is already in coefficient
-        // form (the tensor always leaves it there); only an NTT-form input
-        // pays for a clone + inverse transform.
-        let c2_coeff;
-        let c2 = match self.polys[2].form() {
-            PolyForm::Coeff => &self.polys[2],
-            PolyForm::Ntt => {
-                c2_coeff = self.polys[2].clone().into_coeff();
-                &c2_coeff
-            }
-        };
-        // Digit i = residue column i of c2, lifted into every base prime —
-        // coefficient form. Values are already `< q_i`, so reduction is only
-        // needed into a *smaller* target prime; otherwise copy verbatim.
-        let mut digits: Vec<Vec<Vec<u64>>> = (0..k)
-            .map(|i| {
-                let col = c2.residue(i);
-                let q_i = base.modulus(i).value();
-                (0..k)
-                    .map(|j| {
-                        let m = base.modulus(j);
-                        if q_i <= m.value() {
-                            col.to_vec()
-                        } else {
-                            col.iter().map(|&x| m.reduce(x)).collect()
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
-        {
-            let mut refs: Vec<&mut [Vec<u64>]> =
-                digits.iter_mut().map(|d| d.as_mut_slice()).collect();
-            base.ntt().forward_many(&mut refs);
-        }
-
-        let mut acc0 = self.polys[0].clone().into_ntt().into_residues();
-        let mut acc1 = self.polys[1].clone().into_ntt().into_residues();
-        for (d, (k0, k1)) in digits.iter().zip(&rlk.keys) {
-            for j in 0..k {
-                let tab = base.ntt().table(j);
-                tab.dyadic_mul_acc_shoup(&mut acc0[j], &d[j], k0.shoup(j));
-                tab.dyadic_mul_acc_shoup(&mut acc1[j], &d[j], k1.shoup(j));
-            }
-        }
-        for (j, col) in acc0.iter_mut().chain(acc1.iter_mut()).enumerate() {
-            let m = base.modulus(j % k);
-            for x in col.iter_mut() {
-                *x = m.reduce_lazy(*x);
-            }
-        }
-        RnsCiphertext {
-            polys: vec![
-                RnsPoly::from_residues(base.clone(), acc0, PolyForm::Ntt),
-                RnsPoly::from_residues(base.clone(), acc1, PolyForm::Ntt),
-            ],
-        }
-    }
-
     /// Serialized size in bytes (`(degree+1)·k·N` words).
     pub fn byte_len(&self) -> usize {
         self.polys.len() * self.polys[0].ctx().len() * self.polys[0].ctx().n() * 8
-    }
-}
-
-impl RnsRelinKey {
-    /// Parameters this key was generated for.
-    pub fn params(&self) -> &RnsBfvParams {
-        &self.params
-    }
-
-    /// Serialized size in bytes: two polynomials (`k·N` words each) per base
-    /// prime.
-    pub fn byte_len(&self) -> usize {
-        self.keys.len() * 2 * self.params.basis_len() * self.params.n() * 8
-    }
-
-    pub(crate) fn wire_parts(&self) -> (&[(RnsOperand, RnsOperand)], &[u8; 32]) {
-        (&self.keys, &self.seed)
-    }
-
-    /// Rebuilds the key from its wire frame: the `k0` halves travel packed,
-    /// every gadget `a_i` regenerates from the seed stream in key order.
-    pub(crate) fn from_wire_parts(
-        params: &RnsBfvParams,
-        seed: [u8; 32],
-        k0s: Vec<RnsPoly>,
-    ) -> Self {
-        pi_trace::incr(pi_trace::Counter::WireSeedExpand);
-        let mut a_stream = crate::keys::expansion_rng(&seed);
-        let keys = k0s
-            .into_iter()
-            .map(|k0| {
-                let a = sample::uniform_rns(params.base(), &mut a_stream).into_ntt();
-                (k0.into_ntt().to_operand(), a.to_operand())
-            })
-            .collect();
-        Self {
-            params: params.clone(),
-            keys,
-            seed,
-        }
     }
 }
 
@@ -983,7 +480,7 @@ mod tests {
     }
 
     /// Negacyclic product of two messages mod t (the plaintext-ring
-    /// semantics of ciphertext multiplication).
+    /// semantics of `mul_plain`).
     #[allow(clippy::needless_range_loop)] // i, j index a, b, and out together
     fn negacyclic_mul_mod_t(a: &[u64], b: &[u64], t: Modulus) -> Vec<u64> {
         let n = a.len();
@@ -1016,6 +513,13 @@ mod tests {
         let ct = keys.public.encrypt(&m, &mut rng);
         assert_eq!(keys.secret.decrypt(&ct), m);
         assert!(keys.secret.noise_budget(&ct) > 50);
+        // The symmetric seed-expanded form: same message, and `c1` is the
+        // seed's expansion, so `(c0, seed)` is all a receiver needs.
+        let (sct, seed) = keys.secret.encrypt_seeded(&m, &mut rng);
+        assert_eq!(keys.secret.decrypt(&sct), m);
+        let a =
+            sample::uniform_rns(params.base(), &mut crate::keys::expansion_rng(&seed)).into_ntt();
+        assert_eq!(sct.polys[1], a);
     }
 
     #[test]
@@ -1063,18 +567,23 @@ mod tests {
     }
 
     #[test]
-    fn ct_ct_multiplication_single_level() {
-        let (params, keys, mut rng) = setup();
+    fn single_prime_basis_still_works() {
+        // k = 1 degenerates to single-modulus BFV: the whole linear core
+        // must work over one residue column.
+        let params = RnsBfvParams::new(1024, 55, 1, 8);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(9);
+        let keys = RnsKeySet::generate(&params, &mut rng);
         let a = random_message(&params, &mut rng);
         let b = random_message(&params, &mut rng);
+        let t = params.t();
         let ca = keys.public.encrypt(&a, &mut rng);
         let cb = keys.public.encrypt(&b, &mut rng);
-        let prod = ca.multiply(&cb, &keys.relin);
-        assert_eq!(prod.degree(), 1);
-        assert!(
-            keys.secret.noise_budget(&prod) > 10,
-            "one multiplication must leave budget"
-        );
+        assert_eq!(keys.secret.decrypt(&ca), a);
+        let sum = keys.secret.decrypt(&ca.add(&cb));
+        for i in 0..params.n() {
+            assert_eq!(sum[i], t.add(a[i], b[i]));
+        }
+        let prod = ca.mul_plain(&params.plain_operand(&b));
         assert_eq!(
             keys.secret.decrypt(&prod),
             negacyclic_mul_mod_t(&a, &b, params.t())
@@ -1082,164 +591,18 @@ mod tests {
     }
 
     #[test]
-    fn degree_two_ciphertext_decrypts_without_relin() {
-        let (params, keys, mut rng) = setup();
-        let a = random_message(&params, &mut rng);
-        let b = random_message(&params, &mut rng);
-        let ca = keys.public.encrypt(&a, &mut rng);
-        let cb = keys.public.encrypt(&b, &mut rng);
-        let raw = ca.multiply_no_relin(&cb, &params);
-        assert_eq!(raw.degree(), 2);
-        assert_eq!(
-            keys.secret.decrypt(&raw),
-            negacyclic_mul_mod_t(&a, &b, params.t())
-        );
-    }
-
-    #[test]
-    fn depth_two_multiplication_chain() {
-        // The acceptance-criteria test: enc(a)·enc(b)·enc(c) decrypts to
-        // a·b·c under a >=3-prime, >100-bit basis.
-        let (params, keys, mut rng) = setup();
-        let a = random_message(&params, &mut rng);
-        let b = random_message(&params, &mut rng);
-        let c = random_message(&params, &mut rng);
-        let ca = keys.public.encrypt(&a, &mut rng);
-        let cb = keys.public.encrypt(&b, &mut rng);
-        let cc = keys.public.encrypt(&c, &mut rng);
-
-        let ab = ca.multiply(&cb, &keys.relin);
-        let budget_after_one = keys.secret.noise_budget(&ab);
-        let abc = ab.multiply(&cc, &keys.relin);
-        let budget_after_two = keys.secret.noise_budget(&abc);
-        assert!(
-            budget_after_two > 0,
-            "depth 2 must not exhaust the noise budget \
-             (after one mul: {budget_after_one} bits, after two: {budget_after_two})"
-        );
-        assert!(budget_after_one > budget_after_two);
-
-        let t = params.t();
-        let ab_plain = negacyclic_mul_mod_t(&a, &b, t);
-        let abc_plain = negacyclic_mul_mod_t(&ab_plain, &c, t);
-        assert_eq!(keys.secret.decrypt(&abc), abc_plain);
-    }
-
-    #[test]
-    fn fast_and_exact_multiply_decrypt_identically() {
-        let (params, keys, mut rng) = setup();
-        for _ in 0..3 {
-            let a = random_message(&params, &mut rng);
-            let b = random_message(&params, &mut rng);
-            let ca = keys.public.encrypt(&a, &mut rng);
-            let cb = keys.public.encrypt(&b, &mut rng);
-            let fast = ca.multiply(&cb, &keys.relin);
-            let exact = ca.multiply_exact(&cb, &keys.relin);
-            let expect = negacyclic_mul_mod_t(&a, &b, params.t());
-            assert_eq!(keys.secret.decrypt(&fast), expect);
-            assert_eq!(keys.secret.decrypt(&exact), expect);
-        }
-    }
-
-    #[test]
-    fn fast_rescale_costs_at_most_one_noise_bit() {
-        let (params, keys, mut rng) = setup();
-        let a = random_message(&params, &mut rng);
-        let b = random_message(&params, &mut rng);
-        let ca = keys.public.encrypt(&a, &mut rng);
-        let cb = keys.public.encrypt(&b, &mut rng);
-        let fast = keys.secret.noise_budget(&ca.multiply(&cb, &keys.relin));
-        let exact = keys
-            .secret
-            .noise_budget(&ca.multiply_exact(&cb, &keys.relin));
-        assert!(
-            fast + 1 >= exact,
-            "fast rescale lost more than one bit: fast {fast}, exact {exact}"
-        );
-    }
-
-    #[test]
-    fn fast_rescale_matches_exact_on_tensor_columns() {
-        // The rescaled polynomials themselves (not just the decryptions)
-        // may differ only by ±1 per coefficient, modulo Q.
-        let (params, keys, mut rng) = setup();
-        let a = random_message(&params, &mut rng);
-        let b = random_message(&params, &mut rng);
-        let ca = keys.public.encrypt(&a, &mut rng);
-        let cb = keys.public.encrypt(&b, &mut rng);
-        let fast = ca.multiply_no_relin(&cb, &params);
-        let exact = ca.multiply_no_relin_exact(&cb, &params);
-        let basis = params.base().basis();
-        for (pf, pe) in fast.polys.iter().zip(&exact.polys) {
-            let diff = pf.sub(pe).into_coeff();
-            for j in 0..params.n() {
-                let residues: Vec<u64> = (0..basis.len()).map(|i| diff.residue(i)[j]).collect();
-                let d = basis.compose(&residues);
-                let centered_mag = if d > *basis.half_product() {
-                    basis.product().overflowing_sub(&d).0
-                } else {
-                    d
-                };
-                assert!(
-                    centered_mag <= U1024::ONE,
-                    "rescale deviation above 1 at coefficient {j}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn multiplication_distributes_over_addition() {
-        let (params, keys, mut rng) = setup();
-        let a = random_message(&params, &mut rng);
-        let b = random_message(&params, &mut rng);
-        let c = random_message(&params, &mut rng);
-        let ca = keys.public.encrypt(&a, &mut rng);
-        let cb = keys.public.encrypt(&b, &mut rng);
-        let cc = keys.public.encrypt(&c, &mut rng);
-        let lhs = keys.secret.decrypt(&ca.add(&cb).multiply(&cc, &keys.relin));
-        let rhs = keys.secret.decrypt(
-            &ca.multiply(&cc, &keys.relin)
-                .add(&cb.multiply(&cc, &keys.relin)),
-        );
-        assert_eq!(lhs, rhs);
-    }
-
-    #[test]
-    fn single_prime_basis_still_works() {
-        // k = 1 degenerates to single-modulus BFV for everything except
-        // relinearization: the CRT-gadget digit for one prime is the full
-        // residue (≈ q bits), whose key-switch noise exceeds a single word's
-        // headroom — exactly the failure mode that motivates multi-prime
-        // bases. So exercise the degenerate lift/tensor/rescale path via
-        // multiply_no_relin and degree-2 decryption instead.
-        let params = RnsBfvParams::new(1024, 55, 1, 8);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(9);
-        let keys = RnsKeySet::generate(&params, &mut rng);
-        let a = random_message(&params, &mut rng);
-        let b = random_message(&params, &mut rng);
-        let ca = keys.public.encrypt(&a, &mut rng);
-        let cb = keys.public.encrypt(&b, &mut rng);
-        assert_eq!(keys.secret.decrypt(&ca), a);
-        let raw = ca.multiply_no_relin(&cb, &params);
-        assert_eq!(
-            keys.secret.decrypt(&raw),
-            negacyclic_mul_mod_t(&a, &b, params.t())
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "ciphertext ring does not match")]
+    #[should_panic(expected = "different rings")]
     fn mismatched_parameter_rings_rejected() {
-        // A relin key from a different parameter set (same n and prime
-        // count, different prime size) must be refused, not silently used.
+        // Ciphertexts from a different parameter set (same n and prime
+        // count, different prime size) must be refused, not silently
+        // reduced against the wrong moduli.
         let (_, keys, mut rng) = setup();
         let other_params = RnsBfvParams::new(1024, 42, 3, 16);
         let other_keys = RnsKeySet::generate(&other_params, &mut rng);
         let m = vec![1u64; 1024];
         let ca = keys.public.encrypt(&m, &mut rng);
-        let cb = keys.public.encrypt(&m, &mut rng);
-        ca.multiply(&cb, &other_keys.relin);
+        let cb = other_keys.public.encrypt(&m, &mut rng);
+        ca.add(&cb);
     }
 
     #[test]

@@ -1,7 +1,6 @@
-//! Binary wire format for every HE object that crosses a machine boundary:
-//! ciphertexts (fresh, seed-expanded, and modulus-down-switched), plaintexts,
-//! public keys, Galois key sets, hoisted-ciphertext uploads, and the RNS
-//! ciphertext/relinearization-key equivalents.
+//! Binary wire format for the three HE objects the protocol sends across a
+//! machine boundary: ciphertexts (fresh, seed-expanded, and
+//! modulus-down-switched), public keys, and Galois key sets.
 //!
 //! # Format, version 2
 //!
@@ -31,8 +30,7 @@
 //! one contiguous little-endian bitstream per polynomial
 //! ([`pi_poly::pack`]); the stream's final byte is zero-padded. A 62-bit
 //! modulus thus costs 7.75 bytes/coefficient instead of the flat 8, a
-//! 45-bit down-switched response 5.625, and a 2-bit hoisted baby digit
-//! 0.25.
+//! 45-bit down-switched response 5.625.
 //!
 //! **Seed frames:** a frame with [`FLAG_SEEDED`] set replaces every
 //! *uniform* polynomial (a ciphertext's `c1`, a key's gadget `a` columns)
@@ -49,39 +47,29 @@
 //!   components actually live under — the ciphertext modulus for uploads,
 //!   [`BfvParams::down_q`] for modulus-down-switched responses; readers
 //!   accept either and rebuild in the matching ring.
-//! * **Plaintext** (`"BFVP"`): `t: u64 LE`, packed message (at
-//!   `ceil(log2 t)` bits).
 //! * **Public key** (`"BFVK"`, always seeded): `q: u64 LE`, packed `pk0`,
 //!   32-byte seed for `pk1`.
 //! * **Galois keys** (`"BFVG"`, always seeded): `q: u64 LE`,
 //!   `num_entries: u32 LE`, `total_digits: u32 LE`, 32-byte seed, then per
 //!   entry (sorted by `(element, descending log_base)` — the seed-stream
 //!   replay order): `g: u32 LE`, `log_base: u8`, `num_digits: u32 LE`,
-//!   `num_digits` packed `k0` polynomials.
-//! * **Hoisted ciphertext** (`"BFVH"`): `q: u64 LE`, `log_base: u8`,
-//!   `num_digits: u32 LE`, packed `c0`, packed `c1`, then each gadget
-//!   digit packed at `log_base` bits (digits are decompositions, so their
-//!   coefficient-form values fit the gadget base — 2-bit babies cost 32×
-//!   less than flat words).
-//! * **RNS ciphertext** (`"BFVR"`): `k: u8` (residue count),
-//!   `num_polys: u8`, `k` moduli (`u64` LE each), then per polynomial one
-//!   packed stream per residue at `ceil(log2 q_i)` bits. Seeded frames
-//!   carry only `c0`'s residues plus the 32-byte seed (`num_polys` must
-//!   be 2).
-//! * **RNS relinearization key** (`"BFVL"`, always seeded): `k: u8`,
-//!   `num_keys: u32 LE`, `k` moduli, 32-byte seed, then per key the packed
-//!   `k0` residues.
+//!   `num_digits` packed `k0` polynomials. `g` must be an odd Galois
+//!   element below `2N` and `num_digits` must be the gadget length
+//!   `ceil(bits(q) / log_base)` — a key set with any other shape would
+//!   panic or mis-decompose on first use, so the reader refuses it.
 //!
 //! Readers never panic on malformed input: every length is checked before
-//! indexing and every failure surfaces as a typed [`WireError`].
+//! indexing, every header field is checked against what the keys it
+//! describes can be used for, a frame must end where its last field does
+//! (trailing bytes are [`WireError::Truncated`]'s "wrong length"), and
+//! every failure surfaces as a typed [`WireError`].
 
-use crate::cipher::{Ciphertext, Plaintext};
-use crate::keys::{expansion_rng, GaloisKeys, HoistedCiphertext, PublicKey};
-use crate::params::BfvParams;
-use crate::rns::{RnsBfvParams, RnsCiphertext, RnsRelinKey};
+use crate::cipher::Ciphertext;
+use crate::keys::{expansion_rng, GaloisKeys, PublicKey};
+use crate::params::{gadget_digits, BfvParams};
 use pi_field::Modulus;
 use pi_poly::pack::{pack_into, packed_len, unpack};
-use pi_poly::{sample, Poly, PolyForm, RingContext, RnsContext, RnsPoly};
+use pi_poly::{sample, Poly, RingContext};
 use std::sync::Arc;
 
 /// Current wire format version (see the module docs' versioning rule).
@@ -126,12 +114,8 @@ impl std::fmt::Display for WireError {
 impl std::error::Error for WireError {}
 
 const MAGIC_CT: u32 = 0x4246_5643; // "BFVC"
-const MAGIC_PT: u32 = 0x4246_5650; // "BFVP"
 const MAGIC_PK: u32 = 0x4246_564B; // "BFVK"
 const MAGIC_GK: u32 = 0x4246_5647; // "BFVG"
-const MAGIC_HC: u32 = 0x4246_5648; // "BFVH"
-const MAGIC_RCT: u32 = 0x4246_5652; // "BFVR"
-const MAGIC_RRK: u32 = 0x4246_564C; // "BFVL"
 
 /// Common-header length: magic + version + flags + n.
 const HEADER_LEN: usize = 10;
@@ -207,37 +191,32 @@ fn write_poly(out: &mut Vec<u8>, poly: &Poly) {
     pack_into(out, &coeffs, q.bits() as usize);
 }
 
-/// Appends raw words bit-packed at `bits`, reducing nothing (caller
-/// guarantees the range).
-fn write_words(out: &mut Vec<u8>, words: &[u64], bits: usize) {
-    pack_into(out, words, bits);
-}
-
-/// Unpacks `n` words at `bits` bits, rejecting any word `>= limit`.
-fn read_words(
-    bytes: &[u8],
-    offset: &mut usize,
-    n: usize,
-    bits: usize,
-    limit: u64,
-) -> Result<Vec<u64>, WireError> {
-    let len = packed_len(n, bits);
-    let end = offset.checked_add(len).ok_or(WireError::Truncated)?;
+/// Unpacks one polynomial of `ring`, rejecting any coefficient `>= q`.
+fn read_poly(bytes: &[u8], ring: &Arc<RingContext>, offset: &mut usize) -> Result<Poly, WireError> {
+    let q = ring.q();
+    let end = offset
+        .checked_add(poly_len(ring.n(), q))
+        .ok_or(WireError::Truncated)?;
     if bytes.len() < end {
         return Err(WireError::Truncated);
     }
-    let words = unpack(&bytes[*offset..end], n, bits).ok_or(WireError::Truncated)?;
-    if words.iter().any(|&w| w >= limit) {
+    let coeffs =
+        unpack(&bytes[*offset..end], ring.n(), q.bits() as usize).ok_or(WireError::Truncated)?;
+    if coeffs.iter().any(|&c| c >= q.value()) {
         return Err(WireError::UnreducedCoefficient);
     }
     *offset = end;
-    Ok(words)
+    Ok(Poly::from_coeffs(ring.clone(), coeffs))
 }
 
-fn read_poly(bytes: &[u8], ring: &Arc<RingContext>, offset: &mut usize) -> Result<Poly, WireError> {
-    let q = ring.q();
-    let coeffs = read_words(bytes, offset, ring.n(), q.bits() as usize, q.value())?;
-    Ok(Poly::from_coeffs(ring.clone(), coeffs))
+/// A frame ends where its last field does: bytes left over are a frame of
+/// the wrong length.
+fn expect_end(bytes: &[u8], offset: usize) -> Result<(), WireError> {
+    if offset == bytes.len() {
+        Ok(())
+    } else {
+        Err(WireError::Truncated)
+    }
 }
 
 /// Expands the uniform polynomial a 32-byte seed stands for (the scalar
@@ -319,6 +298,7 @@ pub fn ciphertext_from_bytes(bytes: &[u8], params: &BfvParams) -> Result<Ciphert
     } else {
         read_poly(bytes, ring, &mut offset)?
     };
+    expect_end(bytes, offset)?;
     Ok(Ciphertext { c0, c1 })
 }
 
@@ -335,64 +315,6 @@ pub fn ciphertext_wire_len(params: &BfvParams, seeded: bool, switched: bool) -> 
         2 * poly_len(params.n(), q)
     };
     HEADER_LEN + 8 + body
-}
-
-// ---------------------------------------------------------------------------
-// Plaintexts
-// ---------------------------------------------------------------------------
-
-/// Serializes a plaintext (coefficients `< t`, packed at `ceil(log2 t)`
-/// bits).
-///
-/// # Panics
-///
-/// Panics if a coefficient is `>= t` (a violated plaintext invariant, not a
-/// wire condition).
-pub fn plaintext_to_bytes(pt: &Plaintext, params: &BfvParams) -> Vec<u8> {
-    let n = pt.poly.ctx().n();
-    let t = params.t();
-    let coeffs = pt.poly.coeffs();
-    assert!(
-        coeffs.iter().all(|&c| c < t.value()),
-        "plaintext coefficient exceeds t"
-    );
-    let mut out = Vec::with_capacity(HEADER_LEN + 8 + poly_len(n, t));
-    write_header(&mut out, MAGIC_PT, 0, n);
-    out.extend_from_slice(&t.value().to_le_bytes());
-    write_words(&mut out, &coeffs, t.bits() as usize);
-    out
-}
-
-/// Deserializes a plaintext under the given parameters.
-///
-/// # Errors
-///
-/// Returns a [`WireError`] on any malformed input; never panics.
-pub fn plaintext_from_bytes(bytes: &[u8], params: &BfvParams) -> Result<Plaintext, WireError> {
-    let (_, n) = read_header(bytes, MAGIC_PT, 0)?;
-    if n != params.n() {
-        return Err(WireError::ParamMismatch);
-    }
-    let mut offset = HEADER_LEN;
-    let t = read_u64(bytes, &mut offset)?;
-    if t != params.t().value() {
-        return Err(WireError::ParamMismatch);
-    }
-    let coeffs = read_words(
-        bytes,
-        &mut offset,
-        n,
-        params.t().bits() as usize,
-        params.t().value(),
-    )?;
-    Ok(Plaintext {
-        poly: Poly::from_coeffs(params.ring().clone(), coeffs),
-    })
-}
-
-/// Exact length of a serialized plaintext frame.
-pub fn plaintext_wire_len(params: &BfvParams) -> usize {
-    HEADER_LEN + 8 + poly_len(params.n(), params.t())
 }
 
 // ---------------------------------------------------------------------------
@@ -431,6 +353,7 @@ pub fn public_key_from_bytes(bytes: &[u8], params: &BfvParams) -> Result<PublicK
     }
     let pk0 = read_poly(bytes, params.ring(), &mut offset)?;
     let seed = read_seed(bytes, &mut offset)?;
+    expect_end(bytes, offset)?;
     Ok(PublicKey::from_wire_parts(params, pk0, seed))
 }
 
@@ -494,7 +417,12 @@ pub fn galois_keys_from_bytes(bytes: &[u8], params: &BfvParams) -> Result<Galois
     let mut parts = Vec::with_capacity(num_entries.min(1024));
     let mut digits_seen = 0usize;
     for _ in 0..num_entries {
+        // A Galois element is an odd residue mod 2N; the slot permutation
+        // it indexes is undefined (and asserts) for anything else.
         let g = read_u32(bytes, &mut offset)? as usize;
+        if g.is_multiple_of(2) || g >= 2 * n {
+            return Err(WireError::ParamMismatch);
+        }
         if offset >= bytes.len() {
             return Err(WireError::Truncated);
         }
@@ -503,8 +431,13 @@ pub fn galois_keys_from_bytes(bytes: &[u8], params: &BfvParams) -> Result<Galois
         if log_base == 0 || log_base >= params.q().bits() {
             return Err(WireError::ParamMismatch);
         }
+        // Key switching shifts digit `d` by `d·log_base`: the digit count
+        // must be the one the gadget base implies, no more and no fewer.
         let num_digits = read_u32(bytes, &mut offset)? as usize;
-        let mut k0s = Vec::with_capacity(num_digits.min(1024));
+        if num_digits != gadget_digits(params.q(), log_base) {
+            return Err(WireError::ParamMismatch);
+        }
+        let mut k0s = Vec::with_capacity(num_digits);
         for _ in 0..num_digits {
             k0s.push(read_poly(bytes, params.ring(), &mut offset)?);
         }
@@ -514,6 +447,7 @@ pub fn galois_keys_from_bytes(bytes: &[u8], params: &BfvParams) -> Result<Galois
     if digits_seen != total_digits {
         return Err(WireError::ParamMismatch);
     }
+    expect_end(bytes, offset)?;
     Ok(GaloisKeys::from_wire_parts(params, seed, parts))
 }
 
@@ -530,321 +464,15 @@ pub fn galois_keys_wire_len(params: &BfvParams, num_entries: usize, total_digits
 }
 
 // ---------------------------------------------------------------------------
-// Hoisted ciphertexts
-// ---------------------------------------------------------------------------
-
-/// Serializes a hoisted ciphertext. The gadget digits are packed at
-/// `log_base` bits per coefficient — their coefficient-form values are
-/// decomposition digits, so a 2-bit baby gadget costs 0.25 bytes per
-/// coefficient where a flat word costs 8.
-pub fn hoisted_to_bytes(h: &HoistedCiphertext, params: &BfvParams) -> Vec<u8> {
-    let ring = params.ring();
-    let ntt = ring.ntt();
-    let (c0, c1, digits) = h.wire_parts();
-    let log_base = h.log_base() as usize;
-    let mut out = Vec::with_capacity(hoisted_wire_len(params, h.log_base(), digits.len()));
-    write_header(&mut out, MAGIC_HC, 0, ring.n());
-    out.extend_from_slice(&ring.q().value().to_le_bytes());
-    out.push(h.log_base() as u8);
-    out.extend_from_slice(&(digits.len() as u32).to_le_bytes());
-    for data in [c0, c1] {
-        let mut coeff = data.to_vec();
-        ntt.inverse(&mut coeff);
-        write_words(&mut out, &coeff, ring.q().bits() as usize);
-    }
-    for d in digits {
-        // Inverting the digit's NTT recovers the original decomposition
-        // words, all < 2^log_base.
-        let mut coeff = d.clone();
-        ntt.inverse(&mut coeff);
-        debug_assert!(coeff.iter().all(|&c| c >> log_base == 0));
-        write_words(&mut out, &coeff, log_base);
-    }
-    out
-}
-
-/// Deserializes a hoisted ciphertext, re-applying the forward NTT to every
-/// component.
-///
-/// # Errors
-///
-/// Returns a [`WireError`] on any malformed input; never panics.
-pub fn hoisted_from_bytes(
-    bytes: &[u8],
-    params: &BfvParams,
-) -> Result<HoistedCiphertext, WireError> {
-    let (_, n) = read_header(bytes, MAGIC_HC, 0)?;
-    if n != params.n() {
-        return Err(WireError::ParamMismatch);
-    }
-    let ring = params.ring();
-    let ntt = ring.ntt();
-    let q = ring.q();
-    let mut offset = HEADER_LEN;
-    if read_u64(bytes, &mut offset)? != q.value() {
-        return Err(WireError::ParamMismatch);
-    }
-    if offset >= bytes.len() {
-        return Err(WireError::Truncated);
-    }
-    let log_base = u32::from(bytes[offset]);
-    offset += 1;
-    if log_base == 0 || log_base >= q.bits() {
-        return Err(WireError::ParamMismatch);
-    }
-    let num_digits = read_u32(bytes, &mut offset)? as usize;
-    let mut read_ntt = |bits: usize| -> Result<Vec<u64>, WireError> {
-        let mut words = read_words(bytes, &mut offset, n, bits, q.value())?;
-        ntt.forward(&mut words);
-        Ok(words)
-    };
-    let c0 = read_ntt(q.bits() as usize)?;
-    let c1 = read_ntt(q.bits() as usize)?;
-    let mut digits = Vec::with_capacity(num_digits.min(1024));
-    for _ in 0..num_digits {
-        digits.push(read_ntt(log_base as usize)?);
-    }
-    Ok(HoistedCiphertext::from_wire_parts(log_base, c0, c1, digits))
-}
-
-/// Exact length of a serialized hoisted-ciphertext frame.
-pub fn hoisted_wire_len(params: &BfvParams, log_base: u32, num_digits: usize) -> usize {
-    let n = params.n();
-    HEADER_LEN
-        + 8
-        + 1
-        + 4
-        + 2 * poly_len(n, params.q())
-        + num_digits * packed_len(n, log_base as usize)
-}
-
-// ---------------------------------------------------------------------------
-// RNS ciphertexts and relinearization keys
-// ---------------------------------------------------------------------------
-
-fn write_rns_header(out: &mut Vec<u8>, magic: u32, flags: u8, ctx: &Arc<RnsContext>) {
-    write_header(out, magic, flags, ctx.n());
-    out.push(ctx.len() as u8);
-}
-
-/// Checks `k` + moduli against the context; returns the offset past them.
-fn read_rns_moduli(
-    bytes: &[u8],
-    ctx: &Arc<RnsContext>,
-    offset: &mut usize,
-) -> Result<(), WireError> {
-    for i in 0..ctx.len() {
-        if read_u64(bytes, offset)? != ctx.modulus(i).value() {
-            return Err(WireError::ParamMismatch);
-        }
-    }
-    Ok(())
-}
-
-fn write_rns_poly(out: &mut Vec<u8>, poly: &RnsPoly) {
-    let canonical = poly.clone().into_coeff();
-    for (i, col) in canonical.residues().iter().enumerate() {
-        let m = canonical.ctx().modulus(i);
-        let reduced: Vec<u64> = col.iter().map(|&c| m.reduce(c)).collect();
-        write_words(out, &reduced, m.bits() as usize);
-    }
-}
-
-fn read_rns_poly(
-    bytes: &[u8],
-    ctx: &Arc<RnsContext>,
-    offset: &mut usize,
-) -> Result<RnsPoly, WireError> {
-    let mut data = Vec::with_capacity(ctx.len());
-    for i in 0..ctx.len() {
-        let m = ctx.modulus(i);
-        data.push(read_words(
-            bytes,
-            offset,
-            ctx.n(),
-            m.bits() as usize,
-            m.value(),
-        )?);
-    }
-    Ok(RnsPoly::from_residues(ctx.clone(), data, PolyForm::Coeff))
-}
-
-/// Serializes an RNS ciphertext of any degree, one packed stream per
-/// residue per component.
-pub fn rns_ciphertext_to_bytes(ct: &RnsCiphertext) -> Vec<u8> {
-    assert!(!ct.polys.is_empty(), "empty ciphertext");
-    let ctx = ct.polys[0].ctx();
-    let mut out = Vec::with_capacity(rns_ciphertext_wire_len(ctx, ct.polys.len(), false));
-    write_rns_header(&mut out, MAGIC_RCT, 0, ctx);
-    out.push(ct.polys.len() as u8);
-    for i in 0..ctx.len() {
-        out.extend_from_slice(&ctx.modulus(i).value().to_le_bytes());
-    }
-    for poly in &ct.polys {
-        write_rns_poly(&mut out, poly);
-    }
-    out
-}
-
-/// Serializes a seed-expanded degree-1 RNS ciphertext (from
-/// [`crate::rns::RnsSecretKey::encrypt_seeded`]): `c0`'s packed residues
-/// plus the seed `c1` expands from.
-pub fn rns_ciphertext_to_bytes_seeded(ct: &RnsCiphertext, seed: &[u8; 32]) -> Vec<u8> {
-    assert_eq!(ct.polys.len(), 2, "seeded frames are degree-1");
-    let ctx = ct.polys[0].ctx();
-    let mut out = Vec::with_capacity(rns_ciphertext_wire_len(ctx, 2, true));
-    write_rns_header(&mut out, MAGIC_RCT, FLAG_SEEDED, ctx);
-    out.push(2);
-    for i in 0..ctx.len() {
-        out.extend_from_slice(&ctx.modulus(i).value().to_le_bytes());
-    }
-    write_rns_poly(&mut out, &ct.polys[0]);
-    out.extend_from_slice(seed);
-    out
-}
-
-/// Deserializes an RNS ciphertext over the given context (the base context
-/// for uploads, a single-prime context for down-switched responses).
-///
-/// # Errors
-///
-/// Returns a [`WireError`] on any malformed input; never panics.
-pub fn rns_ciphertext_from_bytes(
-    bytes: &[u8],
-    ctx: &Arc<RnsContext>,
-) -> Result<RnsCiphertext, WireError> {
-    let (flags, n) = read_header(bytes, MAGIC_RCT, FLAG_SEEDED)?;
-    if n != ctx.n() {
-        return Err(WireError::ParamMismatch);
-    }
-    let mut offset = HEADER_LEN;
-    if bytes.len() < offset + 2 {
-        return Err(WireError::Truncated);
-    }
-    let k = bytes[offset] as usize;
-    let num_polys = bytes[offset + 1] as usize;
-    offset += 2;
-    if k != ctx.len() || num_polys == 0 {
-        return Err(WireError::ParamMismatch);
-    }
-    read_rns_moduli(bytes, ctx, &mut offset)?;
-    if flags & FLAG_SEEDED != 0 {
-        if num_polys != 2 {
-            return Err(WireError::BadFlags(flags));
-        }
-        let c0 = read_rns_poly(bytes, ctx, &mut offset)?;
-        let seed = read_seed(bytes, &mut offset)?;
-        pi_trace::incr(pi_trace::Counter::WireSeedExpand);
-        let c1 = sample::uniform_rns(ctx, &mut expansion_rng(&seed)).into_ntt();
-        return Ok(RnsCiphertext {
-            polys: vec![c0, c1],
-        });
-    }
-    let mut polys = Vec::with_capacity(num_polys.min(16));
-    for _ in 0..num_polys {
-        polys.push(read_rns_poly(bytes, ctx, &mut offset)?);
-    }
-    Ok(RnsCiphertext { polys })
-}
-
-/// Exact length of a serialized RNS ciphertext frame.
-pub fn rns_ciphertext_wire_len(ctx: &Arc<RnsContext>, num_polys: usize, seeded: bool) -> usize {
-    let per_poly: usize = (0..ctx.len())
-        .map(|i| packed_len(ctx.n(), ctx.modulus(i).bits() as usize))
-        .sum();
-    let body = if seeded {
-        per_poly + SEED_LEN
-    } else {
-        num_polys * per_poly
-    };
-    HEADER_LEN + 2 + 8 * ctx.len() + body
-}
-
-/// Serializes an RNS relinearization key: packed `k0` halves plus the seed
-/// every gadget `a` expands from.
-pub fn rns_relin_key_to_bytes(rk: &RnsRelinKey) -> Vec<u8> {
-    let params = rk.params().clone();
-    let ctx = params.base();
-    let (keys, seed) = rk.wire_parts();
-    let mut out = Vec::with_capacity(rns_relin_key_wire_len(&params));
-    write_rns_header(&mut out, MAGIC_RRK, FLAG_SEEDED, ctx);
-    out.extend_from_slice(&(keys.len() as u32).to_le_bytes());
-    for i in 0..ctx.len() {
-        out.extend_from_slice(&ctx.modulus(i).value().to_le_bytes());
-    }
-    out.extend_from_slice(seed);
-    for (k0, _) in keys {
-        // Reassemble the operand's strictly-reduced NTT columns and
-        // canonicalize through the inverse transform.
-        let data: Vec<Vec<u64>> = (0..ctx.len())
-            .map(|i| k0.shoup(i).values().to_vec())
-            .collect();
-        let poly = RnsPoly::from_residues(ctx.clone(), data, PolyForm::Ntt);
-        write_rns_poly(&mut out, &poly);
-    }
-    out
-}
-
-/// Deserializes an RNS relinearization key, regenerating the gadget `a`
-/// columns from the seed stream.
-///
-/// # Errors
-///
-/// Returns a [`WireError`] on any malformed input; never panics.
-pub fn rns_relin_key_from_bytes(
-    bytes: &[u8],
-    params: &RnsBfvParams,
-) -> Result<RnsRelinKey, WireError> {
-    let ctx = params.base();
-    let (flags, n) = read_header(bytes, MAGIC_RRK, FLAG_SEEDED)?;
-    if flags & FLAG_SEEDED == 0 {
-        return Err(WireError::BadFlags(flags));
-    }
-    if n != ctx.n() {
-        return Err(WireError::ParamMismatch);
-    }
-    let mut offset = HEADER_LEN;
-    if offset >= bytes.len() {
-        return Err(WireError::Truncated);
-    }
-    let k = bytes[offset] as usize;
-    offset += 1;
-    if k != ctx.len() {
-        return Err(WireError::ParamMismatch);
-    }
-    let num_keys = read_u32(bytes, &mut offset)? as usize;
-    if num_keys != ctx.len() {
-        return Err(WireError::ParamMismatch);
-    }
-    read_rns_moduli(bytes, ctx, &mut offset)?;
-    let seed = read_seed(bytes, &mut offset)?;
-    let mut k0s = Vec::with_capacity(num_keys);
-    for _ in 0..num_keys {
-        k0s.push(read_rns_poly(bytes, ctx, &mut offset)?);
-    }
-    Ok(RnsRelinKey::from_wire_parts(params, seed, k0s))
-}
-
-/// Exact length of a serialized RNS relinearization-key frame.
-pub fn rns_relin_key_wire_len(params: &RnsBfvParams) -> usize {
-    let ctx = params.base();
-    let per_poly: usize = (0..ctx.len())
-        .map(|i| packed_len(ctx.n(), ctx.modulus(i).bits() as usize))
-        .sum();
-    HEADER_LEN + 1 + 4 + 8 * ctx.len() + SEED_LEN + ctx.len() * per_poly
-}
-
-// ---------------------------------------------------------------------------
 // Flat-baseline accounting
 // ---------------------------------------------------------------------------
 
 /// The bytes this frame would have cost under the pre-packing flat-`u64`
 /// encoding (8 bytes per coefficient, uniform components shipped in full).
 /// This is the baseline `fig05_comm_bandwidth` compares against: ciphertext
-/// and plaintext frames reproduce the legacy v1 wire sizes (`2N·8 + 10` /
-/// `N·8 + 10`), key and hoisted frames the analytic flat sizes the
-/// accounting layer previously reported. Returns `None` if the buffer is
-/// not a recognizable frame.
+/// frames reproduce the legacy v1 wire size (`2N·8 + 10`), key frames the
+/// analytic flat sizes the accounting layer previously reported. Returns
+/// `None` if the buffer is not a recognizable frame.
 pub fn flat_frame_len(frame: &[u8]) -> Option<usize> {
     if frame.len() < HEADER_LEN {
         return None;
@@ -858,24 +486,10 @@ pub fn flat_frame_len(frame: &[u8]) -> Option<usize> {
     };
     match magic {
         MAGIC_CT => Some(2 * n * 8 + 10),
-        MAGIC_PT => Some(n * 8 + 10),
         MAGIC_PK => Some(2 * n * 8),
         MAGIC_GK => {
             let total_digits = u32_at(HEADER_LEN + 8 + 4)?;
             Some(total_digits * 2 * n * 8)
-        }
-        MAGIC_HC => {
-            let num_digits = u32_at(HEADER_LEN + 8 + 1)?;
-            Some((2 + num_digits) * n * 8)
-        }
-        MAGIC_RCT => {
-            let k = *frame.get(HEADER_LEN)? as usize;
-            let num_polys = *frame.get(HEADER_LEN + 1)? as usize;
-            Some(num_polys * k * n * 8)
-        }
-        MAGIC_RRK => {
-            let k = *frame.get(HEADER_LEN)? as usize;
-            Some(k * 2 * k * n * 8)
         }
         _ => None,
     }
@@ -993,16 +607,6 @@ mod tests {
     }
 
     #[test]
-    fn plaintext_roundtrip() {
-        let (params, _, enc, _) = setup();
-        let pt = enc.encode(&[9, 8, 7]);
-        let bytes = plaintext_to_bytes(&pt, &params);
-        assert_eq!(bytes.len(), plaintext_wire_len(&params));
-        let back = plaintext_from_bytes(&bytes, &params).unwrap();
-        assert_eq!(enc.decode(&back), enc.decode(&pt));
-    }
-
-    #[test]
     fn public_key_roundtrip() {
         let (params, keys, enc, mut rng) = setup();
         let bytes = public_key_to_bytes(&keys.public);
@@ -1053,27 +657,6 @@ mod tests {
     }
 
     #[test]
-    fn hoisted_roundtrip() {
-        let (params, _, enc, mut rng) = setup();
-        let keyset = KeySet::generate_for_dims(&params, &[8], &mut rng);
-        let ct = keyset
-            .public
-            .encrypt(&enc.encode(&[1, 2, 3, 4, 5, 6, 7, 8]), &mut rng);
-        let h = keyset.galois.hoist(&ct);
-        let bytes = hoisted_to_bytes(&h, &params);
-        assert_eq!(
-            bytes.len(),
-            hoisted_wire_len(&params, h.log_base(), h.num_digits())
-        );
-        assert!(bytes.len() * 4 < flat_frame_len(&bytes).unwrap());
-        let back = hoisted_from_bytes(&bytes, &params).unwrap();
-        let a = keyset.galois.rotate_hoisted(&h, 1);
-        let b = keyset.galois.rotate_hoisted(&back, 1);
-        assert_eq!(a.c0.coeffs(), b.c0.coeffs());
-        assert_eq!(a.c1.coeffs(), b.c1.coeffs());
-    }
-
-    #[test]
     fn truncation_detected_everywhere() {
         let (params, keys, _, mut rng) = setup();
         let bytes = ciphertext_to_bytes(&keys.public.encrypt_zero(&mut rng));
@@ -1111,15 +694,9 @@ mod tests {
             Err(WireError::BadFlags(0x80))
         ));
         bytes[5] = 0;
-        // Plaintext magic fed to the ciphertext parser.
-        let pt_bytes = plaintext_to_bytes(
-            &Plaintext {
-                poly: pi_poly::Poly::zero(params.ring().clone()),
-            },
-            &params,
-        );
+        // Another frame kind's magic fed to the ciphertext parser.
         assert!(matches!(
-            ciphertext_from_bytes(&pt_bytes, &params),
+            ciphertext_from_bytes(&public_key_to_bytes(&keys.public), &params),
             Err(WireError::BadMagic)
         ));
     }
@@ -1138,46 +715,6 @@ mod tests {
             ciphertext_from_bytes(&bytes, &params),
             Err(WireError::UnreducedCoefficient)
         ));
-    }
-
-    #[test]
-    fn rns_roundtrips() {
-        use crate::rns::{RnsBfvParams, RnsKeySet};
-        let params = RnsBfvParams::small_test();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(123);
-        let keys = RnsKeySet::generate(&params, &mut rng);
-        let m: Vec<u64> = (0..params.n() as u64)
-            .map(|i| i % params.t().value())
-            .collect();
-        let ct = keys.public.encrypt(&m, &mut rng);
-
-        let bytes = rns_ciphertext_to_bytes(&ct);
-        assert_eq!(
-            bytes.len(),
-            rns_ciphertext_wire_len(params.base(), 2, false)
-        );
-        let back = rns_ciphertext_from_bytes(&bytes, params.base()).unwrap();
-        assert_eq!(keys.secret.decrypt(&back), m);
-
-        let (sct, seed) = keys.secret.encrypt_seeded(&m, &mut rng);
-        let sbytes = rns_ciphertext_to_bytes_seeded(&sct, &seed);
-        assert_eq!(
-            sbytes.len(),
-            rns_ciphertext_wire_len(params.base(), 2, true)
-        );
-        assert!(sbytes.len() * 2 < bytes.len() + 200);
-        let sback = rns_ciphertext_from_bytes(&sbytes, params.base()).unwrap();
-        assert_eq!(keys.secret.decrypt(&sback), m);
-
-        // Relin key: round-trip, then relinearize a product with it.
-        let rbytes = rns_relin_key_to_bytes(&keys.relin);
-        assert_eq!(rbytes.len(), rns_relin_key_wire_len(&params));
-        let rback = rns_relin_key_from_bytes(&rbytes, &params).unwrap();
-        let prod = ct.multiply_no_relin(&ct, &params);
-        let a = prod.relinearize(&keys.relin);
-        let b = prod.relinearize(&rback);
-        let da = keys.secret.decrypt(&a);
-        assert_eq!(da, keys.secret.decrypt(&b));
     }
 
     #[test]

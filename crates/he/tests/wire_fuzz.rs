@@ -3,26 +3,31 @@
 //!
 //! The readers in `pi_he::wire` are the trust boundary of the serving
 //! runtime — the bytes they parse come from the network peer, not from
-//! this process. Two sweeps per frame type:
+//! this process. Three sweeps per frame type:
 //!
 //! * **Truncation**: every prefix of a valid frame (dense near the header
 //!   and the tail, strided through the body) must return a typed
 //!   [`WireError`] — a short buffer is never `Ok` and never a panic.
+//! * **Padding**: a valid frame with one byte or a thousand appended is a
+//!   frame of the wrong length, never `Ok`.
 //! * **Bit flips**: single-bit corruption at strided positions must
 //!   either fail with a typed error or decode to *some* frame — flipping
 //!   a packed coefficient bit legitimately yields another valid
 //!   coefficient — but must never panic or abort.
 //!
+//! The strided walk never lands on the per-entry headers inside a Galois
+//! key frame (element, gadget base, digit count), which are exactly the
+//! fields whose values index tables and size shifts downstream; those get
+//! a structure-aware sweep of their own — every bit of every header byte,
+//! and every frame that still parses is then *used*.
+//!
 //! Deterministic by construction (fixed RNG seeds, fixed stride walk), so
 //! a failure reproduces exactly. CI runs this suite in release.
 
-use pi_he::rns::{RnsBfvParams, RnsKeySet};
 use pi_he::{
     ciphertext_from_bytes, ciphertext_to_bytes, ciphertext_to_bytes_seeded, galois_keys_from_bytes,
-    galois_keys_to_bytes, hoisted_from_bytes, hoisted_to_bytes, plaintext_from_bytes,
-    plaintext_to_bytes, public_key_from_bytes, public_key_to_bytes, rns_ciphertext_from_bytes,
-    rns_ciphertext_to_bytes, rns_ciphertext_to_bytes_seeded, rns_relin_key_from_bytes,
-    rns_relin_key_to_bytes, BatchEncoder, BfvParams, KeySet,
+    galois_keys_to_bytes, public_key_from_bytes, public_key_to_bytes, BatchEncoder, BfvParams,
+    KeySet, WireError,
 };
 use rand::{Rng, SeedableRng};
 
@@ -45,9 +50,10 @@ fn positions(len: usize) -> Vec<usize> {
     v
 }
 
-/// Asserts that `parse` never panics on any truncation or single-bit
-/// corruption of `bytes`, and that every strict prefix is an error.
-fn fuzz_frame<T>(name: &str, bytes: &[u8], parse: impl Fn(&[u8]) -> Result<T, pi_he::WireError>) {
+/// Asserts that `parse` never panics on any truncation, padding or
+/// single-bit corruption of `bytes`, and that every strict prefix and every
+/// padded frame is an error.
+fn fuzz_frame<T>(name: &str, bytes: &[u8], parse: impl Fn(&[u8]) -> Result<T, WireError>) {
     assert!(
         parse(bytes).is_ok(),
         "{name}: pristine frame failed to parse"
@@ -60,6 +66,14 @@ fn fuzz_frame<T>(name: &str, bytes: &[u8], parse: impl Fn(&[u8]) -> Result<T, pi
             parse(&bytes[..cut]).is_err(),
             "{name}: truncation to {cut}/{} bytes parsed Ok",
             bytes.len()
+        );
+    }
+    for extra in [1usize, 1000] {
+        let mut padded = bytes.to_vec();
+        padded.resize(bytes.len() + extra, 0);
+        assert!(
+            matches!(parse(&padded), Err(WireError::Truncated)),
+            "{name}: {extra} trailing byte(s) not rejected as a wrong-length frame"
         );
     }
     let mut scratch = bytes.to_vec();
@@ -109,10 +123,6 @@ fn single_prime_frames_survive_corruption() {
         |b| ciphertext_from_bytes(b, &params),
     );
 
-    fuzz_frame("plaintext", &plaintext_to_bytes(&pt, &params), |b| {
-        plaintext_from_bytes(b, &params)
-    });
-
     fuzz_frame("public key", &public_key_to_bytes(&keys.public), |b| {
         public_key_from_bytes(b, &params)
     });
@@ -120,43 +130,106 @@ fn single_prime_frames_survive_corruption() {
     fuzz_frame("galois keys", &galois_keys_to_bytes(&keys.galois), |b| {
         galois_keys_from_bytes(b, &params)
     });
+}
 
-    let h = keys.galois.hoist(&ct);
-    fuzz_frame("hoisted upload", &hoisted_to_bytes(&h, &params), |b| {
-        hoisted_from_bytes(b, &params)
-    });
+const GK_ENTRY_HEADER_LEN: usize = 4 + 1 + 4;
+
+/// Offset and digit count of every per-entry header (`g: u32`,
+/// `log_base: u8`, `num_digits: u32`) in a pristine Galois-key frame.
+fn galois_entry_headers(frame: &[u8], params: &BfvParams) -> Vec<(usize, usize)> {
+    let u32_at = |off: usize| u32::from_le_bytes(frame[off..off + 4].try_into().unwrap()) as usize;
+    let poly_len = pi_poly::pack::packed_len(params.n(), params.q().bits() as usize);
+    // Common header, q, num_entries, total_digits, seed.
+    let num_entries = u32_at(10 + 8);
+    let mut off = 10 + 8 + 4 + 4 + 32;
+    let mut out = Vec::with_capacity(num_entries);
+    for _ in 0..num_entries {
+        let num_digits = u32_at(off + 5);
+        out.push((off, num_digits));
+        off += GK_ENTRY_HEADER_LEN + num_digits * poly_len;
+    }
+    assert_eq!(off, frame.len(), "entry walk must end at the frame end");
+    out
+}
+
+/// The Galois-key fixture of the two tests below: a key frame and a
+/// ciphertext to rotate with whatever a corrupted frame still yields.
+fn galois_fixture() -> (BfvParams, Vec<u8>, pi_he::Ciphertext) {
+    let params = BfvParams::new(1024, 40, 16);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(4243);
+    let keys = KeySet::generate_for_dims(&params, &[4], &mut rng);
+    let frame = galois_keys_to_bytes(&keys.galois);
+    let ct = keys.public.encrypt_zero(&mut rng);
+    (params, frame, ct)
 }
 
 #[test]
-fn rns_frames_survive_corruption() {
-    let params = RnsBfvParams::small_test();
-    let mut rng = rand::rngs::StdRng::seed_from_u64(9001);
-    let keys = RnsKeySet::generate(&params, &mut rng);
-    let m: Vec<u64> = (0..params.n() as u64)
-        .map(|i| i % params.t().value())
-        .collect();
-
-    let ct = keys.public.encrypt(&m, &mut rng);
-    fuzz_frame("rns ciphertext", &rns_ciphertext_to_bytes(&ct), |b| {
-        rns_ciphertext_from_bytes(b, params.base())
-    });
-
-    let (sct, seed) = keys.secret.encrypt_seeded(&m, &mut rng);
-    fuzz_frame(
-        "seeded rns ciphertext",
-        &rns_ciphertext_to_bytes_seeded(&sct, &seed),
-        |b| rns_ciphertext_from_bytes(b, params.base()),
+fn galois_key_entry_headers_survive_every_bit_flip() {
+    // All eight bits of every byte of every entry header. A flip either
+    // fails with a typed error or yields a key set that can be *used*: the
+    // entry fields steer a permutation lookup and a shift width at the
+    // first rotation, long after the parse returned.
+    let (params, frame, ct) = galois_fixture();
+    let headers = galois_entry_headers(&frame, &params);
+    assert!(headers.len() >= 2, "fixture must hold several entries");
+    let mut scratch = frame.clone();
+    let (mut rejected, mut accepted) = (0usize, 0usize);
+    for &(off, _) in &headers {
+        for pos in off..off + GK_ENTRY_HEADER_LEN {
+            for bit in 0..8 {
+                scratch[pos] ^= 1 << bit;
+                match galois_keys_from_bytes(&scratch, &params) {
+                    Err(_) => rejected += 1,
+                    Ok(gk) => {
+                        accepted += 1;
+                        for g in (1..2 * params.n()).step_by(2).filter(|&g| gk.contains(g)) {
+                            gk.try_apply(&ct, g).expect("a held key must switch");
+                        }
+                        let _ = gk.try_rotate_hoisted(&gk.hoist(&ct), 1);
+                    }
+                }
+                scratch[pos] ^= 1 << bit;
+            }
+        }
+    }
+    assert_eq!(scratch, frame, "fuzz scratch buffer corrupted");
+    // Most flips break the element/gadget/digit-count relation; a few turn
+    // `g` into another odd element, which is a legitimate frame.
+    assert!(
+        rejected > accepted,
+        "{rejected} rejected, {accepted} accepted"
     );
+}
 
-    // A degree-3 product frame exercises the num_polys > 2 path.
-    let prod = ct.multiply_no_relin(&ct, &params);
-    fuzz_frame("rns product", &rns_ciphertext_to_bytes(&prod), |b| {
-        rns_ciphertext_from_bytes(b, params.base())
-    });
-
-    fuzz_frame("rns relin key", &rns_relin_key_to_bytes(&keys.relin), |b| {
-        rns_relin_key_from_bytes(b, &params)
-    });
+#[test]
+fn galois_key_entries_no_key_switch_can_use_are_rejected() {
+    let (params, frame, _) = galois_fixture();
+    let (off, num_digits) = galois_entry_headers(&frame, &params)[0];
+    let corrupt = |edit: &dyn Fn(&mut Vec<u8>)| {
+        let mut bytes = frame.clone();
+        edit(&mut bytes);
+        galois_keys_from_bytes(&bytes, &params).err()
+    };
+    // An even element has no slot permutation.
+    assert_eq!(
+        corrupt(&|b| b[off] ^= 1),
+        Some(WireError::ParamMismatch),
+        "even g"
+    );
+    // Nor has one at or above 2N.
+    assert_eq!(
+        corrupt(&|b| b[off..off + 4].copy_from_slice(&(2 * 1024u32 + 1).to_le_bytes())),
+        Some(WireError::ParamMismatch),
+        "g >= 2n"
+    );
+    // A 39-bit gadget base implies two digits under a 40-bit modulus; an
+    // entry that keeps its own count would shift past the word on use.
+    assert!(num_digits > 2);
+    assert_eq!(
+        corrupt(&|b| b[off + 4] = 39),
+        Some(WireError::ParamMismatch),
+        "log_base 39 with {num_digits} digits"
+    );
 }
 
 #[test]
@@ -175,16 +248,13 @@ fn cross_frame_confusion_is_rejected() {
     assert!(public_key_from_bytes(&ct_bytes, &params).is_err());
     assert!(public_key_from_bytes(&gk_bytes, &params).is_err());
     assert!(galois_keys_from_bytes(&ct_bytes, &params).is_err());
-    assert!(plaintext_from_bytes(&ct_bytes, &params).is_err());
-    assert!(hoisted_from_bytes(&ct_bytes, &params).is_err());
-    assert!(rns_ciphertext_from_bytes(&ct_bytes, RnsBfvParams::small_test().base()).is_err());
 
     // Random garbage of plausible length.
     let mut garbage = vec![0u8; 4096];
     rng.fill(&mut garbage[..]);
     assert!(ciphertext_from_bytes(&garbage, &params).is_err());
     assert!(galois_keys_from_bytes(&garbage, &params).is_err());
-    assert!(rns_relin_key_from_bytes(&garbage, &RnsBfvParams::small_test()).is_err());
+    assert!(public_key_from_bytes(&garbage, &params).is_err());
     assert!(pi_he::flat_frame_len(&garbage).is_none());
 }
 
@@ -247,37 +317,6 @@ mod roundtrip_props {
             let sw_bytes = ciphertext_to_bytes(&sw);
             let sw_back = ciphertext_from_bytes(&sw_bytes, &params).unwrap();
             prop_assert_eq!(&ciphertext_to_bytes(&sw_back), &sw_bytes);
-        }
-
-        /// RNS frames round-trip canonically for every residue count, and
-        /// a seeded frame regenerates `c1` bit-exactly (the full-frame
-        /// serialization of the parsed result matches the sender's).
-        #[test]
-        fn rns_frames_canonical_across_residue_counts(
-            n_exp in 9usize..=10,
-            // `RnsBfvParams::new` requires `t_bits + 30 <= prime_bits * k`;
-            // 46-bit primes satisfy it even at k = 1 with the 16-bit t.
-            prime_bits in 46u32..=58,
-            k in 1usize..=3,
-            seed in any::<u64>(),
-        ) {
-            let n = 1usize << n_exp;
-            let params = RnsBfvParams::new(n, prime_bits, k, 16);
-            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            let keys = RnsKeySet::generate(&params, &mut rng);
-            let m: Vec<u64> = (0..n as u64).map(|i| i % params.t().value()).collect();
-
-            let ct = keys.public.encrypt(&m, &mut rng);
-            let bytes = rns_ciphertext_to_bytes(&ct);
-            let back = rns_ciphertext_from_bytes(&bytes, params.base()).unwrap();
-            prop_assert_eq!(&rns_ciphertext_to_bytes(&back), &bytes);
-
-            let (sct, ct_seed) = keys.secret.encrypt_seeded(&m, &mut rng);
-            let full = rns_ciphertext_to_bytes(&sct);
-            let sback =
-                rns_ciphertext_from_bytes(&rns_ciphertext_to_bytes_seeded(&sct, &ct_seed), params.base())
-                    .unwrap();
-            prop_assert_eq!(&rns_ciphertext_to_bytes(&sback), &full);
         }
     }
 }

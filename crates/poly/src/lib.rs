@@ -11,11 +11,14 @@
 //!   for RLWE key generation and encryption.
 //! * [`rns`] — [`RnsPoly`], the residue-number-system lift of [`Poly`]: one
 //!   residue column per prime of a [`pi_field::CrtBasis`], per-residue NTT
-//!   tables ([`RnsNttTables`]), and exact centered basis extension — the
-//!   substrate for >62-bit ciphertext moduli in `pi-he`.
+//!   tables ([`RnsNttTables`]), precomputed Shoup operands ([`RnsOperand`])
+//!   and CRT composition of whole coefficients — the substrate for >62-bit
+//!   ciphertext moduli in `pi-he`.
+//! * [`pack`] — little-endian bit-packing of coefficient vectors, the body
+//!   of every `pi-he` wire frame.
 //! * [`simd`] — stage-level dispatch of the Harvey butterflies and dyadic
 //!   kernels onto the SIMD backends in [`pi_field::simd`]
-//!   (runtime AVX2/NEON detection, `PI_SIMD` toggle); the scalar
+//!   (runtime AVX-512/AVX2/NEON detection, `PI_SIMD` toggle); the scalar
 //!   butterflies in [`ntt`] stay canonical and serve as the differential
 //!   oracle.
 //!

@@ -7,15 +7,8 @@
 //! word-sized kernels, so the >62-bit modulus costs exactly `k` runs of the
 //! single-prime machinery — no big-integer arithmetic anywhere on the hot
 //! path. Big integers appear only at the CRT boundary:
-//! [`RnsPoly::compose_coeffs`] / [`RnsPoly::from_big_coeffs`] convert whole
-//! coefficients through [`pi_field::CrtBasis`], and
-//! [`RnsPoly::extend_centered`] lifts a polynomial exactly into a larger
-//! basis (for tensor products whose integer coefficients must not wrap).
-//! Even that boundary now has a word-sized fast path:
-//! [`RnsPoly::convert_basis_fast`] / [`RnsPoly::extend_fast`] run the
-//! batched BEHZ/HPS base conversion ([`convert_columns_fast`] /
-//! [`convert_columns_exact`]) over a [`pi_field::FastBaseConverter`], with
-//! the exact compose-based paths retained as the differential-test oracle.
+//! [`RnsPoly::compose_coeffs`] composes whole coefficients through
+//! [`pi_field::CrtBasis`] (the decrypt-side decode in `pi-he`).
 //!
 //! # Residue layout and lazy-range invariants
 //!
@@ -38,201 +31,9 @@
 
 use crate::ntt::{NttTables, ShoupVec};
 use crate::poly::PolyForm;
-use pi_field::simd as fsimd;
-use pi_field::{CrtBasis, FastBaseConverter, Modulus, U1024};
+use pi_field::{CrtBasis, Modulus, U1024};
 use std::fmt;
 use std::sync::Arc;
-
-/// Batched centered fast base conversion of residue-major columns: one
-/// Shoup digit-scaling pass per source prime into coefficient-major digit
-/// rows, then [`FastBaseConverter::round_correction`] and
-/// [`FastBaseConverter::fold`] per coefficient — all the arithmetic (and its
-/// correctness argument) lives in `pi_field::fbc`; this function only
-/// supplies the batched column layout. `src_cols[i][j]` is coefficient `j`
-/// modulo source prime `i`; the result has the same layout over the
-/// converter's target moduli.
-///
-/// This is the big-int-free replacement for per-coefficient
-/// `compose` + `decompose` at the CRT boundary; see the `pi_field::fbc`
-/// module docs for the exact error bound (a representative off by one
-/// multiple of the source product `Q`, only within `2k·Q/2^64` of `±Q/2`).
-///
-/// # Panics
-///
-/// Panics if the column count differs from the converter's source-prime
-/// count or the columns have unequal lengths.
-pub fn convert_columns_fast(conv: &FastBaseConverter, src_cols: &[Vec<u64>]) -> Vec<Vec<u64>> {
-    pi_trace::incr(pi_trace::Counter::FbcConvert);
-    let be = fsimd::backend();
-    if be.is_vector() {
-        return convert_columns_vector(be, conv, src_cols, None);
-    }
-    let (rows, n) = digit_rows(conv, src_cols);
-    let k = conv.src_moduli().len();
-    let corrections: Vec<u64> = rows
-        .chunks_exact(k)
-        .map(|digits| conv.round_correction(digits))
-        .collect();
-    fold_rows(conv, &rows, &corrections, n)
-}
-
-/// Batched exact signed base conversion through the converter's
-/// Shenoy–Kumaresan channel: like [`convert_columns_fast`], but the
-/// per-coefficient correction is [`FastBaseConverter::channel_correction`]
-/// from `channel_col` (the residues of the true signed values modulo the
-/// correction prime), making the conversion exact for every coefficient
-/// with `|value| <` the source product.
-///
-/// # Panics
-///
-/// Panics if the converter has no channel, the column count differs from the
-/// source-prime count, or `channel_col` has the wrong length.
-pub fn convert_columns_exact(
-    conv: &FastBaseConverter,
-    src_cols: &[Vec<u64>],
-    channel_col: &[u64],
-) -> Vec<Vec<u64>> {
-    assert_eq!(
-        channel_col.len(),
-        src_cols[0].len(),
-        "channel column length mismatch"
-    );
-    pi_trace::incr(pi_trace::Counter::FbcConvert);
-    let be = fsimd::backend();
-    if be.is_vector() {
-        return convert_columns_vector(be, conv, src_cols, Some(channel_col));
-    }
-    let (rows, n) = digit_rows(conv, src_cols);
-    let k = conv.src_moduli().len();
-    let corrections: Vec<u64> = rows
-        .chunks_exact(k)
-        .zip(channel_col)
-        .map(|(digits, &y)| conv.channel_correction(digits, y))
-        .collect();
-    fold_rows(conv, &rows, &corrections, n)
-}
-
-/// The vectorized (column-major) batched conversion: one broadcast-Shoup
-/// digit pass per source column, then the per-coefficient correction —
-/// fixed-point rounding ([`pi_field::simd::round_term_acc_wide`], `channel_col`
-/// `None`) or the Shenoy–Kumaresan channel
-/// ([`pi_field::simd::channel_finish`], `channel_col` `Some`) — computed
-/// column-at-a-time in lanes, then per target one 128-bit-wide lazy
-/// accumulate per source prime and a fused reduce/subtract pass. Every
-/// stage is the lane decomposition of the corresponding scalar `u128`
-/// accumulator, computing the identical sums term for term (the scalar
-/// path above remains the oracle; `tests/rns_differential.rs` runs under
-/// both).
-fn convert_columns_vector(
-    be: fsimd::SimdBackend,
-    conv: &FastBaseConverter,
-    src_cols: &[Vec<u64>],
-    channel_col: Option<&[u64]>,
-) -> Vec<Vec<u64>> {
-    let src = conv.src_moduli();
-    assert_eq!(src_cols.len(), src.len(), "source column count mismatch");
-    let k = src.len();
-    let n = src_cols[0].len();
-    let dcols: Vec<Vec<u64>> = src_cols
-        .iter()
-        .enumerate()
-        .map(|(i, col)| {
-            assert_eq!(col.len(), n, "source columns must have equal length");
-            let mut out = vec![0u64; n];
-            fsimd::mul_shoup_bcast(be, &src[i], &mut out, col, conv.digit_scale(i));
-            out
-        })
-        .collect();
-    let corrections: Vec<u64> = match channel_col {
-        // Centered rounding: the (lo, hi) pair is the scalar oracle's u128
-        // accumulator split in halves — seeded with the rounding bias
-        // 2^63, one exact `floor(d·frac/2^64)` term per source prime, and
-        // the correction is the accumulator's high word.
-        None => {
-            let mut lo = vec![1u64 << 63; n];
-            let mut hi = vec![0u64; n];
-            for (i, dc) in dcols.iter().enumerate() {
-                fsimd::round_term_acc_wide(be, &mut lo, &mut hi, dc, conv.frac(i));
-            }
-            hi
-        }
-        // Shenoy–Kumaresan: lazy Shoup cross terms accumulate 128-bit wide
-        // over the channel modulus, then one fused
-        // reduce/subtract/multiply finish per coefficient.
-        Some(y) => {
-            let m = conv
-                .channel_modulus()
-                .expect("converter has no correction channel");
-            let cross = conv.channel_cross_row();
-            let mut lo = vec![0u64; n];
-            let mut hi = vec![0u64; n];
-            for (i, dc) in dcols.iter().enumerate() {
-                fsimd::mul_shoup_lazy_acc_wide(be, &m, &mut lo, &mut hi, dc, cross[i]);
-            }
-            let mut beta = vec![0u64; n];
-            fsimd::channel_finish(be, &m, &mut beta, &lo, &hi, y, conv.channel_q_inv());
-            debug_assert!(
-                beta.iter().all(|&b| b <= k as u64 + 1),
-                "SK correction out of range: |y| must be below the source product"
-            );
-            beta
-        }
-    };
-    (0..conv.dst_moduli().len())
-        .map(|p| {
-            let m = conv.dst_moduli()[p];
-            let mut lo = vec![0u64; n];
-            let mut hi = vec![0u64; n];
-            for (i, dc) in dcols.iter().enumerate() {
-                fsimd::mul_shoup_lazy_acc_wide(be, &m, &mut lo, &mut hi, dc, conv.cross_row(p)[i]);
-            }
-            let mut out = vec![0u64; n];
-            fsimd::fold_finish(be, &m, &mut out, &lo, &hi, &corrections, conv.q_mod_dst(p));
-            out
-        })
-        .collect()
-}
-
-/// The FBC digits in coefficient-major rows (`rows[j·k + i]` = digit of
-/// coefficient `j` at source prime `i`): one Shoup scaling pass per source
-/// column, transposed so each coefficient's digits are contiguous for the
-/// per-coefficient correction and fold calls.
-fn digit_rows(conv: &FastBaseConverter, src_cols: &[Vec<u64>]) -> (Vec<u64>, usize) {
-    let src = conv.src_moduli();
-    assert_eq!(src_cols.len(), src.len(), "source column count mismatch");
-    let k = src.len();
-    let n = src_cols[0].len();
-    let mut rows = vec![0u64; n * k];
-    for (i, col) in src_cols.iter().enumerate() {
-        assert_eq!(col.len(), n, "source columns must have equal length");
-        let m = src[i];
-        let w = conv.digit_scale(i);
-        for (j, &x) in col.iter().enumerate() {
-            rows[j * k + i] = m.mul_shoup(x, w);
-        }
-    }
-    (rows, n)
-}
-
-/// One [`FastBaseConverter::fold`] pass per target prime over the digit rows
-/// and correction column.
-fn fold_rows(
-    conv: &FastBaseConverter,
-    rows: &[u64],
-    corrections: &[u64],
-    n: usize,
-) -> Vec<Vec<u64>> {
-    let k = conv.src_moduli().len();
-    debug_assert_eq!(rows.len(), n * k);
-    (0..conv.dst_moduli().len())
-        .map(|p| {
-            rows.chunks_exact(k)
-                .zip(corrections)
-                .map(|(digits, &v)| conv.fold(digits, v, p))
-                .collect()
-        })
-        .collect()
-}
 
 /// Per-residue NTT table set: [`NttTables`] lifted to a CRT basis, one table
 /// per prime, with batched stage-major transforms across residue columns.
@@ -512,28 +313,6 @@ impl RnsPoly {
         }
     }
 
-    /// Builds a polynomial from big-integer coefficients via CRT
-    /// decomposition (each coefficient taken mod every basis prime).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `coeffs.len() != n`.
-    pub fn from_big_coeffs(ctx: Arc<RnsContext>, coeffs: &[U1024]) -> Self {
-        assert_eq!(coeffs.len(), ctx.n, "coefficient vector must have length n");
-        let basis = ctx.basis.clone();
-        let mut data = vec![vec![0u64; ctx.n]; ctx.len()];
-        for (j, c) in coeffs.iter().enumerate() {
-            for (i, r) in basis.decompose(c).into_iter().enumerate() {
-                data[i][j] = r;
-            }
-        }
-        Self {
-            ctx,
-            form: PolyForm::Coeff,
-            data,
-        }
-    }
-
     /// Builds a polynomial directly from residue columns in the given form.
     /// All values must be strictly reduced per column.
     ///
@@ -596,102 +375,6 @@ impl RnsPoly {
             "compose requires coefficient form"
         );
         self.ctx.basis.compose_many(&self.data)
-    }
-
-    /// Exactly lifts the polynomial into a (typically larger) basis through
-    /// centered CRT composition: each coefficient is composed to `x ∈ [0, Q)`,
-    /// interpreted as the centered integer `x̂ ∈ (−Q/2, Q/2]`, and reduced
-    /// modulo every prime of the target context. Requires coefficient form.
-    ///
-    /// # Panics
-    ///
-    /// Panics if not in coefficient form or if the target degree differs.
-    pub fn extend_centered(&self, target: &Arc<RnsContext>) -> RnsPoly {
-        assert_eq!(
-            self.form,
-            PolyForm::Coeff,
-            "basis extension requires coefficient form"
-        );
-        assert_eq!(self.ctx.n, target.n, "ring degree mismatch");
-        let src_basis = &self.ctx.basis;
-        let dst_basis = &target.basis;
-        let mut data = vec![vec![0u64; target.n]; target.len()];
-        let mut residues = vec![0u64; self.ctx.len()];
-        for j in 0..self.ctx.n {
-            for (i, col) in self.data.iter().enumerate() {
-                residues[i] = col[j];
-            }
-            let x = src_basis.compose(&residues);
-            for (i, r) in src_basis
-                .extend_centered(&x, dst_basis)
-                .into_iter()
-                .enumerate()
-            {
-                data[i][j] = r;
-            }
-        }
-        RnsPoly {
-            ctx: target.clone(),
-            form: PolyForm::Coeff,
-            data,
-        }
-    }
-
-    /// Fast (big-int-free) centered base conversion of the coefficient
-    /// columns into the converter's target primes, one column per target:
-    /// the batched [`convert_columns_fast`] over this polynomial's residues.
-    /// The converter's source basis must match this polynomial's basis.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the polynomial is not in coefficient form or the converter
-    /// was built for a different source basis.
-    pub fn convert_basis_fast(&self, conv: &FastBaseConverter) -> Vec<Vec<u64>> {
-        assert_eq!(
-            self.form,
-            PolyForm::Coeff,
-            "basis conversion requires coefficient form"
-        );
-        assert_eq!(
-            conv.src_moduli(),
-            self.ctx.basis.moduli(),
-            "converter source basis mismatch"
-        );
-        convert_columns_fast(conv, &self.data)
-    }
-
-    /// Fast centered lift into a larger basis whose first primes are exactly
-    /// this polynomial's basis: the shared residue columns are copied
-    /// verbatim (the centered representative is congruent to the stored one
-    /// modulo every shared prime) and the remaining columns come from
-    /// [`RnsPoly::convert_basis_fast`]. The big-int-free replacement for
-    /// [`RnsPoly::extend_centered`] on the ciphertext-multiply hot path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if not in coefficient form, if the target's leading primes are
-    /// not this basis, or if the converter's targets are not the remaining
-    /// target primes.
-    pub fn extend_fast(&self, target: &Arc<RnsContext>, conv: &FastBaseConverter) -> RnsPoly {
-        assert_eq!(self.ctx.n, target.n, "ring degree mismatch");
-        let k = self.ctx.len();
-        assert_eq!(
-            &target.basis.moduli()[..k],
-            self.ctx.basis.moduli(),
-            "target basis must start with the source primes"
-        );
-        assert_eq!(
-            conv.dst_moduli(),
-            &target.basis.moduli()[k..],
-            "converter targets must be the remaining target primes"
-        );
-        let mut data = self.data.clone();
-        data.extend(self.convert_basis_fast(conv));
-        RnsPoly {
-            ctx: target.clone(),
-            form: PolyForm::Coeff,
-            data,
-        }
     }
 
     /// Converts into coefficient form.
@@ -993,135 +676,25 @@ mod tests {
 
     #[test]
     fn compose_and_from_big_roundtrip() {
+        // Every composed coefficient decomposes back to its residue row.
         let ctx = ctx(32, 30, 3);
         let a = random_rns(&ctx, 9);
-        let big = a.compose_coeffs();
-        assert_eq!(RnsPoly::from_big_coeffs(ctx.clone(), &big), a);
-    }
-
-    #[test]
-    fn extension_preserves_small_values() {
-        // Coefficients below every prime survive extension verbatim.
-        let small_ctx = ctx(32, 30, 2);
-        let big_ctx = ctx(32, 30, 5);
-        let coeffs: Vec<u64> = (0..32u64).collect();
-        let a = RnsPoly::from_coeffs(small_ctx.clone(), &coeffs);
-        let lifted = a.extend_centered(&big_ctx);
-        assert_eq!(lifted, RnsPoly::from_coeffs(big_ctx, &coeffs));
-    }
-
-    #[test]
-    fn extension_preserves_negatives() {
-        // -3 (encoded as Q-3) must lift to -3 in the larger basis.
-        let small_ctx = ctx(16, 30, 2);
-        let big_ctx = ctx(16, 30, 5);
-        let a = RnsPoly::from_signed(small_ctx.clone(), &[-3i64; 16]);
-        let lifted = a.extend_centered(&big_ctx);
-        assert_eq!(lifted, RnsPoly::from_signed(big_ctx, &[-3i64; 16]));
-    }
-
-    fn lift_converter(small: &Arc<RnsContext>, big: &Arc<RnsContext>) -> FastBaseConverter {
-        let k = small.len();
-        assert_eq!(big.basis().moduli()[..k], *small.basis().moduli());
-        FastBaseConverter::new(small.basis(), &big.basis().moduli()[k..])
-    }
-
-    #[test]
-    fn extend_fast_matches_extend_centered() {
-        // Shared-prime contexts: build the big basis from the small one's
-        // primes plus extras so extend_fast's copy-then-convert layout holds.
-        let n = 32;
-        let primes = pi_field::find_distinct_ntt_primes(30, 6, 2 * n as u64).unwrap();
-        let small_ctx = Arc::new(RnsContext::new(
-            n,
-            Arc::new(CrtBasis::new(&primes[..3]).unwrap()),
-        ));
-        let big_ctx = Arc::new(RnsContext::new(
-            n,
-            Arc::new(CrtBasis::new(&primes).unwrap()),
-        ));
-        let conv = lift_converter(&small_ctx, &big_ctx);
-        for seed in 0..8 {
-            let a = random_rns(&small_ctx, seed);
-            assert_eq!(a.extend_fast(&big_ctx, &conv), a.extend_centered(&big_ctx));
+        for (j, big) in a.compose_coeffs().iter().enumerate() {
+            let row: Vec<u64> = a.residues().iter().map(|col| col[j]).collect();
+            assert_eq!(ctx.basis().decompose(big), row, "coefficient {j}");
         }
-    }
-
-    #[test]
-    fn convert_columns_exact_reproduces_signed_values() {
-        // Values with known channel residues convert exactly, worst cases
-        // included: build signed coefficients, give the converter their
-        // residues over the source basis plus the correction prime.
-        let n = 16;
-        let primes = pi_field::find_distinct_ntt_primes(30, 6, 2 * n as u64).unwrap();
-        let src = CrtBasis::new(&primes[..3]).unwrap();
-        let channel = Modulus::new(primes[3]);
-        let dst = [Modulus::new(primes[4]), Modulus::new(primes[5])];
-        let conv = FastBaseConverter::with_channel(&src, &dst, channel);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-        // Signed values in (-Q/2, Q/2], including the boundary.
-        let mut values: Vec<U1024> = (0..n - 4)
-            .map(|_| {
-                let residues: Vec<u64> = src
-                    .moduli()
-                    .iter()
-                    .map(|m| rng.gen_range(0..m.value()))
-                    .collect();
-                src.compose(&residues)
-            })
-            .collect();
-        values.push(*src.half_product());
-        values.push(src.half_product().overflowing_add(&U1024::ONE).0);
-        values.push(U1024::ZERO);
-        values.push(src.product().overflowing_sub(&U1024::ONE).0);
-        let src_cols: Vec<Vec<u64>> = src
-            .moduli()
-            .iter()
-            .map(|m| values.iter().map(|x| x.rem_u64(m.value())).collect())
-            .collect();
-        let channel_col: Vec<u64> = values
-            .iter()
-            .map(|x| {
-                if x <= src.half_product() {
-                    x.rem_u64(channel.value())
-                } else {
-                    channel.neg(src.product().overflowing_sub(x).0.rem_u64(channel.value()))
-                }
-            })
-            .collect();
-        let got = convert_columns_exact(&conv, &src_cols, &channel_col);
-        for (p, m) in dst.iter().enumerate() {
-            for (j, x) in values.iter().enumerate() {
-                let expect = if x <= src.half_product() {
-                    x.rem_u64(m.value())
-                } else {
-                    m.neg(src.product().overflowing_sub(x).0.rem_u64(m.value()))
-                };
-                assert_eq!(got[p][j], expect, "dst {p}, coeff {j}");
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "coefficient form")]
-    fn convert_basis_fast_rejects_ntt_form() {
-        let n = 16;
-        let primes = pi_field::find_distinct_ntt_primes(30, 4, 2 * n as u64).unwrap();
-        let ctx = Arc::new(RnsContext::new(
-            n,
-            Arc::new(CrtBasis::new(&primes[..2]).unwrap()),
-        ));
-        let conv = FastBaseConverter::new(
-            ctx.basis(),
-            &[Modulus::new(primes[2]), Modulus::new(primes[3])],
-        );
-        random_rns(&ctx, 1).into_ntt().convert_basis_fast(&conv);
     }
 
     #[test]
     fn forward_many_matches_individual() {
         let ctx = ctx(64, 45, 3);
         let polys: Vec<RnsPoly> = (10..14).map(|s| random_rns(&ctx, s)).collect();
+        assert_batched_matches_individual(&ctx, &polys);
+    }
+
+    /// `forward_many` then `inverse_many` over `polys` against the
+    /// per-polynomial transforms.
+    fn assert_batched_matches_individual(ctx: &Arc<RnsContext>, polys: &[RnsPoly]) {
         let expect: Vec<RnsPoly> = polys.iter().map(|p| p.clone().into_ntt()).collect();
         let mut batch: Vec<Vec<Vec<u64>>> = polys.iter().map(|p| p.residues().to_vec()).collect();
         {
@@ -1130,17 +703,37 @@ mod tests {
             ctx.ntt().forward_many(&mut refs);
         }
         for (got, want) in batch.iter().zip(&expect) {
-            assert_eq!(got.as_slice(), want.residues());
+            assert_eq!(got.as_slice(), want.residues(), "batch of {}", polys.len());
         }
-        // And back.
         {
             let mut refs: Vec<&mut [Vec<u64>]> =
                 batch.iter_mut().map(|p| p.as_mut_slice()).collect();
             ctx.ntt().inverse_many(&mut refs);
         }
-        for (got, want) in batch.iter().zip(&polys) {
-            assert_eq!(got.as_slice(), want.residues());
+        for (got, want) in batch.iter().zip(polys) {
+            assert_eq!(got.as_slice(), want.residues(), "batch of {}", polys.len());
         }
+    }
+
+    #[test]
+    fn forward_many_nonpow2_and_singleton_batches_match_individual() {
+        // Batch counts 1 (a degenerate single-polynomial batch), 3 and 5
+        // (non-powers-of-two) walk different stage-major strides than the
+        // round batch above.
+        let ctx = ctx(128, 45, 3);
+        for batch_len in [1u64, 3, 5] {
+            let polys: Vec<RnsPoly> = (0..batch_len).map(|s| random_rns(&ctx, 42 + s)).collect();
+            assert_batched_matches_individual(&ctx, &polys);
+        }
+    }
+
+    #[test]
+    fn forward_many_single_column_basis_matches_individual() {
+        // A one-prime basis: the residue-outermost batching degenerates to
+        // one stage-major pass.
+        let ctx = ctx(128, 45, 1);
+        let polys: Vec<RnsPoly> = (0..3).map(|s| random_rns(&ctx, 43 + s)).collect();
+        assert_batched_matches_individual(&ctx, &polys);
     }
 
     #[test]

@@ -40,7 +40,6 @@ counters! {
     NttInverse => "ntt.inverse",
     NttDyadic => "ntt.dyadic_mul",
     NttGather => "ntt.gather",
-    FbcConvert => "fbc.base_convert",
     HeEncrypt => "he.encrypt",
     HeDecrypt => "he.decrypt",
     HeKeySwitch => "he.key_switch",

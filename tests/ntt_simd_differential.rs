@@ -207,67 +207,6 @@ fn dyadic_kernels_match_scalar_bitwise_including_lazy_accumulators() {
 }
 
 #[test]
-fn batched_base_conversion_matches_scalar_bitwise() {
-    // The column-major vectorized convert_columns_fast/exact against the
-    // coefficient-major scalar path: both fully reduce, so equality is
-    // exact. Exercised at the rescale-like shape (3 sources → 5 targets).
-    use private_inference::field::{find_distinct_ntt_primes, CrtBasis};
-    use private_inference::poly::rns::{convert_columns_exact, convert_columns_fast};
-
-    let _g = lock();
-    let n = 256;
-    let primes = find_distinct_ntt_primes(45, 9, 2 * n as u64).unwrap();
-    let src = CrtBasis::new(&primes[..3]).unwrap();
-    let channel = Modulus::new(primes[3]);
-    let dst: Vec<Modulus> = primes[4..].iter().map(|&p| Modulus::new(p)).collect();
-    let conv = private_inference::field::FastBaseConverter::with_channel(&src, &dst, channel);
-    let mut rng = rand::rngs::StdRng::seed_from_u64(17);
-    // The SK channel demands the *true* residue of the (centered) value, so
-    // build the inputs from composed integers rather than random residues.
-    let values: Vec<_> = (0..n)
-        .map(|_| {
-            let residues: Vec<u64> = src
-                .moduli()
-                .iter()
-                .map(|m| rng.gen_range(0..m.value()))
-                .collect();
-            src.compose(&residues)
-        })
-        .collect();
-    let src_cols: Vec<Vec<u64>> = src
-        .moduli()
-        .iter()
-        .map(|m| values.iter().map(|x| x.rem_u64(m.value())).collect())
-        .collect();
-    let channel_col: Vec<u64> = values
-        .iter()
-        .map(|x| {
-            if x <= src.half_product() {
-                x.rem_u64(channel.value())
-            } else {
-                channel.neg(src.product().overflowing_sub(x).0.rem_u64(channel.value()))
-            }
-        })
-        .collect();
-
-    let expect = with_backend(SimdBackend::Scalar, || {
-        (
-            convert_columns_fast(&conv, &src_cols),
-            convert_columns_exact(&conv, &src_cols, &channel_col),
-        )
-    });
-    for be in vector_backends() {
-        let got = with_backend(be, || {
-            (
-                convert_columns_fast(&conv, &src_cols),
-                convert_columns_exact(&conv, &src_cols, &channel_col),
-            )
-        });
-        assert_eq!(got, expect, "base conversion be={}", be.name());
-    }
-}
-
-#[test]
 fn galois_gather_kernels_match_scalar_bitwise_across_sizes() {
     // The Galois slot gather — plain `apply`, the fused permute + double
     // multiply-accumulate key-switch kernel, and the fused permute + lazy
@@ -320,79 +259,6 @@ fn galois_gather_kernels_match_scalar_bitwise_across_sizes() {
                 }
             }
         }
-    }
-}
-
-#[test]
-fn base_conversion_boundary_values_match_scalar_bitwise() {
-    // Correction worst cases: values at the centering boundary ±Q/2 (where
-    // the SK channel's β and the rounding correction's high word sit right
-    // at a window edge), 0, 1, Q−1, and the all-(qᵢ−1) residue row that
-    // maximizes every digit.
-    use private_inference::field::{find_distinct_ntt_primes, CrtBasis};
-    use private_inference::poly::rns::{convert_columns_exact, convert_columns_fast};
-
-    let _g = lock();
-    let primes = find_distinct_ntt_primes(45, 9, 64).unwrap();
-    let src = CrtBasis::new(&primes[..3]).unwrap();
-    let channel = Modulus::new(primes[3]);
-    let dst: Vec<Modulus> = primes[4..].iter().map(|&p| Modulus::new(p)).collect();
-    let conv = private_inference::field::FastBaseConverter::with_channel(&src, &dst, channel);
-    let product = src.product();
-    let zero = product.mul_u64(0);
-    let one = zero.add_u64(1);
-    let half = src.half_product();
-    let mut values = vec![
-        zero,
-        one,
-        half.overflowing_sub(&one).0,
-        *half,
-        half.add_u64(1),
-        product.overflowing_sub(&one).0,
-    ];
-    // All-maximal digits: residue qᵢ−1 in every source prime.
-    let max_res: Vec<u64> = src.moduli().iter().map(|m| m.value() - 1).collect();
-    values.push(src.compose(&max_res));
-    // Pad to a non-multiple-of-LANES length so every backend's tail runs.
-    let mut rng = rand::rngs::StdRng::seed_from_u64(23);
-    while values.len() < 13 {
-        let residues: Vec<u64> = src
-            .moduli()
-            .iter()
-            .map(|m| rng.gen_range(0..m.value()))
-            .collect();
-        values.push(src.compose(&residues));
-    }
-    let src_cols: Vec<Vec<u64>> = src
-        .moduli()
-        .iter()
-        .map(|m| values.iter().map(|x| x.rem_u64(m.value())).collect())
-        .collect();
-    let channel_col: Vec<u64> = values
-        .iter()
-        .map(|x| {
-            if x <= src.half_product() {
-                x.rem_u64(channel.value())
-            } else {
-                channel.neg(src.product().overflowing_sub(x).0.rem_u64(channel.value()))
-            }
-        })
-        .collect();
-
-    let expect = with_backend(SimdBackend::Scalar, || {
-        (
-            convert_columns_fast(&conv, &src_cols),
-            convert_columns_exact(&conv, &src_cols, &channel_col),
-        )
-    });
-    for be in vector_backends() {
-        let got = with_backend(be, || {
-            (
-                convert_columns_fast(&conv, &src_cols),
-                convert_columns_exact(&conv, &src_cols, &channel_col),
-            )
-        });
-        assert_eq!(got, expect, "boundary base conversion be={}", be.name());
     }
 }
 

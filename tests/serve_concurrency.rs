@@ -449,6 +449,63 @@ fn within_a_minute<T: Send + 'static>(what: &str, f: impl FnOnce() -> T + Send +
         .unwrap_or_else(|_| panic!("{what}: no result within a minute"))
 }
 
+/// One session of an honest client whose upload passes through a relay
+/// applying `tamper`: returns how the server's session resolved, having
+/// checked that the abort hung up on the client. The honest client runs on
+/// a dedicated pair; the relays splice it onto the session (whose preamble
+/// this swallows).
+fn tampered_session(
+    rt: &ServeRuntime,
+    (model_id, client_id): (usize, u64),
+    (meta, cfg): (&ModelMeta, &ProtocolConfig),
+    input: Vec<u64>,
+    (tamper, p): (Tamper, u64),
+    what: &str,
+) -> Result<pi_core::PartyOutcome, ProtocolError> {
+    let conn = rt.connect(client_id, model_id, 2_000 + client_id);
+    assert!(matches!(conn.chan.recv(), Ok(Msg::KeyStatus { .. })));
+    let (c_chan, c_peer) = local_pair();
+    let (c_peer, session) = (Arc::new(c_peer), Arc::new(conn.chan));
+    spawn_relay(c_peer.clone(), session.clone(), Some((tamper, p)));
+    spawn_relay(session, c_peer, None);
+    let honest = {
+        let (meta, cfg) = (meta.clone(), cfg.clone());
+        std::thread::spawn(move || {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+            ServiceClient::new().run(&meta, &input, &cfg, &c_chan, &mut rng)
+        })
+    };
+    let handle = conn.handle;
+    let served = within_a_minute(what, move || handle.wait());
+    let ran = honest.join().expect("honest client thread");
+    assert!(
+        matches!(ran, Err(ProtocolError::Channel(_))),
+        "{what}: {ran:?}"
+    );
+    served
+}
+
+/// A well-behaved client on `rt` completes bit-exact: after aborted
+/// sessions, the proof that no worker died and no slot is stuck.
+fn neighbour_completes(
+    rt: &ServeRuntime,
+    model_id: usize,
+    model: &PiModel,
+    (meta, cfg): (&ModelMeta, &ProtocolConfig),
+    what: &str,
+) {
+    let input = random_input(model, 400);
+    let conn = rt.connect(100, model_id, 3_000);
+    let (meta, cfg) = (meta.clone(), cfg.clone());
+    let (out, served) = within_a_minute("neighbour", move || {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(8);
+        let ran = ServiceClient::new().run(&meta, &input, &cfg, &conn.chan, &mut rng);
+        (ran.map(|(out, _)| out), conn.handle.wait().map(|_| input))
+    });
+    let input = served.unwrap_or_else(|e| panic!("{what}: neighbour session {e:?}"));
+    assert_eq!(out, Ok(model.forward(&input)), "{what}: neighbour output");
+}
+
 fn unreduced(m: &mut Msg, p: u64) {
     if let Msg::VecU64(v) = m {
         v[0] = p;
@@ -574,47 +631,68 @@ fn malformed_client_messages_are_bad_requests_and_the_worker_survives() {
         for (c, &(what, tamper)) in both.iter().chain(own).enumerate() {
             let what = format!("{kind:?}, {what}");
             let input = random_input(&model, 300 + c as u64);
-            let conn = rt.connect(c as u64, model_id, 2_000 + c as u64);
-            // The honest client runs on a dedicated pair; the relays splice
-            // it onto the session (whose preamble they swallow).
-            assert!(matches!(conn.chan.recv(), Ok(Msg::KeyStatus { .. })));
-            let (c_chan, c_peer) = local_pair();
-            let (c_peer, session) = (Arc::new(c_peer), Arc::new(conn.chan));
-            spawn_relay(c_peer.clone(), session.clone(), Some((tamper, p)));
-            spawn_relay(session, c_peer, None);
-            let honest = {
-                let (meta, cfg) = (meta.clone(), cfg.clone());
-                std::thread::spawn(move || {
-                    let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-                    ServiceClient::new().run(&meta, &input, &cfg, &c_chan, &mut rng)
-                })
-            };
-            let handle = conn.handle;
-            let served = within_a_minute(&what, move || handle.wait());
+            let served = tampered_session(
+                &rt,
+                (model_id, c as u64),
+                (&meta, &cfg),
+                input,
+                (tamper, p),
+                &what,
+            );
             assert!(
                 matches!(served, Err(ProtocolError::BadRequest(_))),
                 "{what}: {served:?}"
             );
-            // The aborted session hung up on its client.
-            let ran = honest.join().expect("honest client thread");
-            assert!(
-                matches!(ran, Err(ProtocolError::Channel(_))),
-                "{what}: {ran:?}"
-            );
         }
-        // Same runtime, same single worker, after every abort: a
-        // well-behaved client.
-        let input = random_input(&model, 400);
-        let conn = rt.connect(100, model_id, 3_000);
-        let (meta, cfg) = (meta.clone(), cfg.clone());
-        let (out, served) = within_a_minute("neighbour", move || {
-            let mut rng = rand::rngs::StdRng::seed_from_u64(8);
-            let ran = ServiceClient::new().run(&meta, &input, &cfg, &conn.chan, &mut rng);
-            (ran.map(|(out, _)| out), conn.handle.wait().map(|_| input))
-        });
-        let input = served.unwrap_or_else(|e| panic!("{kind:?}: neighbour session {e:?}"));
-        assert_eq!(out, Ok(model.forward(&input)), "{kind:?}: neighbour output");
+        // Same runtime, same single worker, after every abort.
+        neighbour_completes(&rt, model_id, &model, (&meta, &cfg), &format!("{kind:?}"));
     }
+}
+
+/// Flips the low bit of the first Galois-key entry's element `g` (it
+/// follows the common header, `q`, the two counts and the seed), making it
+/// even: an element with no slot permutation.
+fn even_galois_element(m: &mut Msg, _: u64) {
+    match m {
+        Msg::HeKeys { gk, .. } => gk[10 + 8 + 4 + 4 + 32] ^= 1,
+        other => panic!("no Galois keys in {}", other.kind()),
+    }
+}
+
+/// The key upload is parsed on the worker: a `HeKeys` whose Galois frame
+/// names an even element must come back as the reader's typed error — on a
+/// one-worker runtime a panic in the parse would leave this session and
+/// every later one unresolved — and a well-behaved client on the same
+/// runtime must then complete bit-exact under its own fresh keys.
+#[test]
+fn unusable_uploaded_galois_keys_are_a_wire_error_and_the_worker_survives() {
+    let he = BfvParams::small_test();
+    let model = build_model(&he, 11);
+    let meta = ModelMeta::of(&model);
+    let cfg = ProtocolConfig::client_garbler(he, 1);
+    let rt = ServeRuntime::new(serve_cfg(1));
+    let model_id = rt.register_model(model.clone(), cfg.clone());
+    let (what, tamper) = case("even Galois element", "HeKeys", 0, even_galois_element);
+
+    let served = tampered_session(
+        &rt,
+        (model_id, 0),
+        (&meta, &cfg),
+        random_input(&model, 300),
+        (tamper, 0),
+        what,
+    );
+    assert!(
+        matches!(
+            served,
+            Err(ProtocolError::Wire(pi_he::WireError::ParamMismatch))
+        ),
+        "{what}: {served:?}"
+    );
+    // Nothing of the refused upload was cached; the neighbour's is.
+    assert_eq!(rt.key_table_stats().inserts, 0);
+    neighbour_completes(&rt, model_id, &model, (&meta, &cfg), what);
+    assert_eq!(rt.key_table_stats().inserts, 1);
 }
 
 /// The mirror image: nothing a server sends panics the client. An honest

@@ -142,51 +142,3 @@ fn lowering_stress_many_inputs() {
         }
     }
 }
-
-/// The RNS-BFV subsystem carries a two-level homomorphic product end to end
-/// through the umbrella-crate surface: encrypt three polynomials over a
-/// 3-prime (>100-bit) CRT basis, multiply twice with relinearization, and
-/// decrypt to the exact negacyclic triple product mod t.
-#[test]
-fn rns_bfv_depth_two_interop() {
-    use pi_he::rns::{RnsBfvParams, RnsKeySet};
-
-    let params = RnsBfvParams::small_test();
-    assert!(params.q_bits() > 100 && params.basis_len() >= 3);
-    let t = params.t();
-    let mut rng = rand::rngs::StdRng::seed_from_u64(33);
-    let keys = RnsKeySet::generate(&params, &mut rng);
-
-    let msg = |rng: &mut rand::rngs::StdRng| -> Vec<u64> {
-        (0..params.n())
-            .map(|_| rng.gen_range(0..t.value()))
-            .collect()
-    };
-    let (a, b, c) = (msg(&mut rng), msg(&mut rng), msg(&mut rng));
-    let ca = keys.public.encrypt(&a, &mut rng);
-    let cb = keys.public.encrypt(&b, &mut rng);
-    let cc = keys.public.encrypt(&c, &mut rng);
-
-    let abc = ca.multiply(&cb, &keys.relin).multiply(&cc, &keys.relin);
-    assert!(keys.secret.noise_budget(&abc) > 0);
-
-    // Plaintext reference: two negacyclic convolutions mod t.
-    #[allow(clippy::needless_range_loop)] // i, j index x, y, and out together
-    let conv = |x: &[u64], y: &[u64]| -> Vec<u64> {
-        let n = x.len();
-        let mut out = vec![0u64; n];
-        for i in 0..n {
-            for j in 0..n {
-                let p = t.mul(x[i], y[j]);
-                let k = i + j;
-                if k < n {
-                    out[k] = t.add(out[k], p);
-                } else {
-                    out[k - n] = t.sub(out[k - n], p);
-                }
-            }
-        }
-        out
-    };
-    assert_eq!(keys.secret.decrypt(&abc), conv(&conv(&a, &b), &c));
-}
