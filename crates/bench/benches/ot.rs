@@ -53,13 +53,13 @@ fn bench_ot(c: &mut Criterion) {
     group.sample_size(10);
     group.throughput(Throughput::Elements(m as u64));
     group.bench_function("extend_1024_bool", |b| {
-        b.iter(|| reference::extend(&r, &choice_bits))
+        b.iter(|| reference::extend(&r, 0, &choice_bits))
     });
     group.bench_function("extend_1024_packed", |b| {
         b.iter(|| receiver.extend(&choices, &mut rng))
     });
     group.bench_function("transfer_1024_bool", |b| {
-        b.iter(|| reference::transfer(&s, &u_msg, &pairs))
+        b.iter(|| reference::transfer(&s, 0, &u_msg, &pairs))
     });
     group.bench_function("transfer_1024_packed", |b| {
         b.iter(|| sender.transfer(&u_msg, &pairs))

@@ -18,9 +18,10 @@ use crate::common::{
 };
 use crate::error::ProtocolError;
 use crate::msg::Msg;
-use crate::role::{encode, BaseReceiver, BaseSender, Garbler, LabelRequest, PhaseTables};
+use crate::role::{encode, BaseReceiver, BaseSender, Garbler, LabelRequest, OtStream, PhaseTables};
 use pi_gc::Label;
 use pi_he::{BatchEncoder, BfvParams, GaloisKeys, KeySet, NoiseStage};
+use pi_ot::ext::{OtExtReceiver, OtExtSender};
 use rand::Rng;
 use std::sync::Arc;
 
@@ -53,17 +54,55 @@ struct ClientHe<'a> {
 
 /// The client party: runs inferences against a server over a [`Channel`]
 /// — a [`crate::serve::ServeRuntime::connect`] session or one end of a
-/// [`crate::channel::local_pair`] — retaining its HE [`KeySet`] across them
-/// (the secret key never leaves the client). If the server evicted the
-/// keys, the retained set is re-uploaded, not regenerated.
+/// [`crate::channel::local_pair`] — retaining across them what is the
+/// pair's, not the request's:
+///
+/// * its HE [`KeySet`] (the secret key never leaves the client). If the
+///   server evicted the keys, the retained set is re-uploaded, not
+///   regenerated.
+/// * its half of the post-base-OT IKNP state, per extension role, with a
+///   **high-water mark**: the first PRG block no session of this client
+///   has been given. When the server still caches the other half
+///   ([`Msg::KeyStatus`]), the session skips base OT and runs in the range
+///   the server reserved for it — which the client accepts only at or
+///   above its mark, and which moves the mark past the range before
+///   anything is sent, so no block is ever expanded twice even when a
+///   session dies midway. Otherwise base OT runs, the session starts at
+///   block 0, and the fresh state replaces the retained one — on a
+///   serving-runtime channel: a dedicated pair's server keeps nothing, so
+///   neither does the client.
+///
+/// The IKNP state belongs to one client↔runtime pair, so one
+/// `ServiceClient` stands for one client id at one runtime.
 #[derive(Default)]
 pub struct ServiceClient {
     retained: Option<Arc<KeySet>>,
+    /// Client-Garbler: the client answers the server's label OTs.
+    ot_sender: Option<OtStream<OtExtSender>>,
+    /// Server-Garbler: the client asks for its labels.
+    ot_receiver: Option<OtStream<OtExtReceiver>>,
+}
+
+/// Takes the session range `[base, base + blocks)` the server reserved out
+/// of the retained stream, whose mark moves past it.
+fn claim<E>(
+    kept: &mut Option<OtStream<E>>,
+    base: u64,
+    blocks: u64,
+) -> Result<OtStream<E>, ProtocolError> {
+    let Some(kept) = kept else {
+        return Err(ProtocolError::BadRequest(
+            "server caches OT state this client does not hold",
+        ));
+    };
+    kept.split_off(base, blocks)
+        .ok_or(ProtocolError::BadRequest("OT stream range already used"))
 }
 
 impl ServiceClient {
-    /// Creates a client with no retained key material (the first HE request
-    /// generates and uploads fresh keys).
+    /// Creates a client with nothing retained (the first HE request
+    /// generates and uploads fresh keys, the first request of either
+    /// protocol kind runs base OT).
     pub fn new() -> Self {
         Self::default()
     }
@@ -75,17 +114,19 @@ impl ServiceClient {
 
     /// Runs one inference and returns its output and cost summary. On a
     /// serving-runtime channel the first downlink message is the server's
-    /// [`Msg::KeyStatus`], and the key upload is skipped when the server
-    /// still caches this client's keys; on a dedicated pair the keys are
-    /// always uploaded.
+    /// [`Msg::KeyStatus`]: the key upload is skipped when the server still
+    /// caches this client's keys, and base OT when it still caches the
+    /// pair's IKNP state. On a dedicated pair the keys are always uploaded
+    /// and base OT always runs.
     ///
     /// # Errors
     ///
     /// [`ProtocolError::Channel`] if the server vanishes,
     /// [`ProtocolError::UnexpectedMsg`] if it deviates from the message
     /// sequence, and [`ProtocolError::BadRequest`] if it sends a malformed
-    /// message or claims cached keys this client no longer holds (a
-    /// client-identity mix-up).
+    /// message, claims cached keys or OT state this client no longer holds
+    /// (a client-identity mix-up), or names an OT stream range this client
+    /// was already given.
     ///
     /// # Panics
     ///
@@ -99,20 +140,42 @@ impl ServiceClient {
         chan: &Channel,
         rng: &mut R,
     ) -> Result<(Vec<u64>, PartyOutcome), ProtocolError> {
-        // A serving-runtime session opens with the server's word on whether
-        // it needs this client's HE keys; a dedicated pair always does.
-        let upload = if chan.is_service() {
+        // A serving-runtime session opens with the server's word on what
+        // it still caches of this client: without its HE keys they are
+        // uploaded, without the pair's IKNP state base OT runs. A dedicated
+        // pair caches nothing.
+        let (upload, ot_base) = if chan.is_service() {
             match chan.recv()? {
-                Msg::KeyStatus { need_keys } => need_keys,
+                Msg::KeyStatus { flags, ot_base } => {
+                    if flags & !(Msg::NEED_KEYS | Msg::OT_CACHED) != 0 {
+                        return Err(ProtocolError::BadRequest("unknown KeyStatus flag"));
+                    }
+                    let cached = flags & Msg::OT_CACHED != 0;
+                    (flags & Msg::NEED_KEYS != 0, cached.then_some(ot_base))
+                }
                 other => return Err(unexpected("KeyStatus", &other)),
             }
         } else {
-            true
+            (true, None)
         };
         if cfg.he().is_some() && !upload && self.retained.is_none() {
             return Err(ProtocolError::BadRequest(
                 "server caches keys this client does not hold",
             ));
+        }
+        // The reserved range leaves the retained stream here, before
+        // anything is sent: whatever becomes of the session, no later one
+        // is accepted inside it.
+        let ot_blocks = meta.ot_blocks(cfg.kind);
+        let (mut cached_sender, mut cached_receiver) = (None, None);
+        match (cfg.kind, ot_base) {
+            (_, None) => {}
+            (ProtocolKind::ClientGarbler, Some(base)) => {
+                cached_sender = Some(claim(&mut self.ot_sender, base, ot_blocks)?);
+            }
+            (ProtocolKind::ServerGarbler, Some(base)) => {
+                cached_receiver = Some(claim(&mut self.ot_receiver, base, ot_blocks)?);
+            }
         }
         assert_eq!(input.len(), meta.input_len, "input length mismatch");
         let p = meta.p;
@@ -138,15 +201,24 @@ impl ServiceClient {
 
         let role = match cfg.kind {
             ProtocolKind::ClientGarbler => {
-                // Base OT as the extension *sender*: the client owns the
-                // label pairs for the server's inputs.
-                let mut garbler = {
-                    let _span = pi_trace::span!("offline.ot");
-                    let setup = recv!(chan, OtBaseSetup);
-                    let (receiver, choice) = BaseReceiver::start(&setup, rng)?;
-                    chan.send(Msg::OtBaseChoice(choice))?;
-                    receiver.finish(&recv!(chan, OtBaseTransfer))?
+                // The client owns the label pairs for the server's inputs:
+                // it is the extension *sender*, on the pair's cached state
+                // or, by base OT, on a fresh one that starts at block 0.
+                let ot = match cached_sender {
+                    Some(ot) => ot,
+                    None => {
+                        let _span = pi_trace::span!("offline.ot");
+                        let setup = recv!(chan, OtBaseSetup);
+                        let (receiver, choice) = BaseReceiver::start(&setup, rng)?;
+                        chan.send(Msg::OtBaseChoice(choice))?;
+                        let ext = receiver.finish(&recv!(chan, OtBaseTransfer))?;
+                        if chan.is_service() {
+                            self.ot_sender = Some(OtStream::at(ext.clone(), ot_blocks));
+                        }
+                        OtStream::at(ext, 0)
+                    }
                 };
+                let mut garbler = Garbler::new(ot);
                 // Garble and ship: tables + decode bits + the client's own
                 // input labels (share_a = its linear share on wires 0..k,
                 // r = next randomness on wires 2k..3k; both known offline).
@@ -176,15 +248,22 @@ impl ServiceClient {
                 Role::Garbler(garbler)
             }
             ProtocolKind::ServerGarbler => {
-                // Base OT as the extension *receiver*: the client obtains
-                // labels.
-                let ext = {
-                    let _span = pi_trace::span!("offline.ot");
-                    let (sender, setup) = BaseSender::start(rng);
-                    chan.send(Msg::OtBaseSetup(setup))?;
-                    let (ext, transfer) = sender.finish(&recv!(chan, OtBaseChoice), rng)?;
-                    chan.send(Msg::OtBaseTransfer(transfer))?;
-                    ext
+                // The client obtains labels: it is the extension
+                // *receiver*, on the pair's cached state or, by base OT, on
+                // a fresh one that starts at block 0.
+                let mut ot = match cached_receiver {
+                    Some(ot) => ot,
+                    None => {
+                        let _span = pi_trace::span!("offline.ot");
+                        let (sender, setup) = BaseSender::start(rng);
+                        chan.send(Msg::OtBaseSetup(setup))?;
+                        let (ext, transfer) = sender.finish(&recv!(chan, OtBaseChoice), rng)?;
+                        chan.send(Msg::OtBaseTransfer(transfer))?;
+                        if chan.is_service() {
+                            self.ot_receiver = Some(OtStream::at(ext.clone(), ot_blocks));
+                        }
+                        OtStream::at(ext, 0)
+                    }
                 };
                 // Per ReLU phase: receive circuits, fetch own labels via OT
                 // (per element, share_b bits on wires k..2k, then r bits).
@@ -194,9 +273,9 @@ impl ServiceClient {
                     let _span = pi_trace::span!("offline.ot");
                     let (share, r_next) = (&c_shares[relu.phase], &r_acts[relu.phase + 1]);
                     let values = (0..relu.rows).flat_map(|j| [share[j], r_next[j]]);
-                    let (request, extend) = LabelRequest::new(&ext, values, k, rng, &mut out);
+                    let (request, extend) = LabelRequest::new(&mut ot, values, k, &mut out);
                     chan.send(Msg::OtExtend(extend))?;
-                    let labels = request.open(&ext, &recv!(chan, OtTransfer))?;
+                    let labels = request.open(ot.ext(), &recv!(chan, OtTransfer))?;
                     phases.push((tables, labels));
                 }
                 // Storage: garbled circuits + own labels.
@@ -221,7 +300,7 @@ impl ServiceClient {
         match role {
             // Serve the server's labels via OT, one extension per ReLU
             // phase; its input occupies wire positions [k, 2k).
-            Role::Garbler(garbler) => {
+            Role::Garbler(mut garbler) => {
                 for idx in 0..relu_phases.len() {
                     let _span = pi_trace::span!("online.ot");
                     let extend = recv!(chan, OtExtend);

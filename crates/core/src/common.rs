@@ -8,14 +8,18 @@
 
 use crate::error::ProtocolError;
 use crate::msg::Msg;
+use crate::role::OtStream;
 use pi_field::Modulus;
 use pi_he::linalg::{self, BsgsDiagonals, PlainMatrix};
 use pi_he::{BatchEncoder, BfvParams, GaloisKeys, PublicKey};
 use pi_nn::PiModel;
+use pi_ot::ext::{self, OtExtReceiver, OtExtSender};
 use rand::Rng;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Which hybrid protocol variant to run.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ProtocolKind {
     /// DELPHI's baseline: the server garbles, the client stores and
     /// evaluates the circuits.
@@ -168,6 +172,21 @@ impl ModelMeta {
             relu_width: model.p.bits() as usize,
         }
     }
+
+    /// PRG blocks one session draws from its pair's IKNP streams
+    /// ([`pi_ot::ext`]): one extension per ReLU phase over every
+    /// instance's evaluator-held input wires — share and next randomness
+    /// (`2k`, offline) when the client evaluates, the share alone (`k`,
+    /// online) when the server does. Both parties size a session's range
+    /// with this, and their cursors then move in step through it.
+    pub fn ot_blocks(&self, kind: ProtocolKind) -> u64 {
+        let wires = match kind {
+            ProtocolKind::ServerGarbler => 2 * self.relu_width,
+            ProtocolKind::ClientGarbler => self.relu_width,
+        };
+        let phase_blocks = |relu: &ReluPhase| ext::blocks(relu.rows * wires);
+        self.relu_phases.iter().map(phase_blocks).sum()
+    }
 }
 
 /// Draws one uniform field vector per length, in order.
@@ -211,6 +230,84 @@ impl ClientHeKeys {
     /// byte budget meters.
     pub fn resident_byte_len(&self) -> usize {
         self.pk.byte_len() + self.gk.resident_byte_len()
+    }
+}
+
+/// The server's half of one client pair's post-base-OT IKNP state, as the
+/// session table caches it between that client's requests: the extension
+/// sender (the server garbles) or receiver (the server evaluates), and the
+/// first PRG block no session has been given yet. Every session of the pair
+/// reserves its range here, so no two of them — concurrent, failed or
+/// finished — ever expand the same block.
+#[derive(Debug)]
+pub struct ClientOtState {
+    half: OtHalf,
+    next: AtomicU64,
+}
+
+#[derive(Debug)]
+enum OtHalf {
+    Sender(Arc<OtExtSender>),
+    Receiver(Arc<OtExtReceiver>),
+}
+
+impl ClientOtState {
+    /// The state a Server-Garbler session leaves behind once its base OT is
+    /// done; the session itself runs in the first `used` blocks.
+    pub(crate) fn sender(ext: Arc<OtExtSender>, used: u64) -> Self {
+        let (half, next) = (OtHalf::Sender(ext), AtomicU64::new(used));
+        Self { half, next }
+    }
+
+    /// As [`Self::sender`], for a Client-Garbler session.
+    pub(crate) fn receiver(ext: Arc<OtExtReceiver>, used: u64) -> Self {
+        let (half, next) = (OtHalf::Receiver(ext), AtomicU64::new(used));
+        Self { half, next }
+    }
+
+    /// The protocol kind whose sessions run on this state: the one in
+    /// which the server plays this half's extension role.
+    pub fn kind(&self) -> ProtocolKind {
+        match self.half {
+            OtHalf::Sender(_) => ProtocolKind::ServerGarbler,
+            OtHalf::Receiver(_) => ProtocolKind::ClientGarbler,
+        }
+    }
+
+    /// Bytes the state occupies — the quantity the session table's byte
+    /// budget meters.
+    pub fn resident_byte_len(&self) -> usize {
+        std::mem::size_of::<Self>()
+            + match &self.half {
+                OtHalf::Sender(ext) => ext.resident_byte_len(),
+                OtHalf::Receiver(ext) => ext.resident_byte_len(),
+            }
+    }
+
+    /// Reserves the next `blocks` PRG blocks for one session and returns
+    /// the first. The range is gone whatever becomes of the session: an
+    /// aborted one burns it, nothing rewinds.
+    pub(crate) fn reserve(&self, blocks: u64) -> u64 {
+        // Relaxed: the counter publishes no other data, and a
+        // read-modify-write hands every caller a different range under any
+        // ordering.
+        self.next.fetch_add(blocks, Ordering::Relaxed)
+    }
+
+    /// The garbler's stream from `base` on, if this is a sender half.
+    pub(crate) fn sender_at(&self, base: u64) -> Option<OtStream<OtExtSender>> {
+        match &self.half {
+            OtHalf::Sender(ext) => Some(OtStream::at(ext.clone(), base)),
+            OtHalf::Receiver(_) => None,
+        }
+    }
+
+    /// The evaluator's stream from `base` on, if this is a receiver half.
+    pub(crate) fn receiver_at(&self, base: u64) -> Option<OtStream<OtExtReceiver>> {
+        match &self.half {
+            OtHalf::Receiver(ext) => Some(OtStream::at(ext.clone(), base)),
+            OtHalf::Sender(_) => None,
+        }
     }
 }
 

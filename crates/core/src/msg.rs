@@ -19,11 +19,20 @@ use pi_ot::ext::{ExtendMsg, TransferMsg};
 #[derive(Debug)]
 pub enum Msg {
     /// Server → client (serving runtime only, first message of a session):
-    /// whether the server needs the client's HE key material uploaded, or
-    /// still holds it in its session table from an earlier request.
+    /// what the server's session tables still hold of this client from
+    /// earlier requests, one flag byte — [`Msg::NEED_KEYS`] if the HE key
+    /// material must be (re-)uploaded, [`Msg::OT_CACHED`] if the server
+    /// kept its half of the pair's base-OT outcome — and, with the latter,
+    /// where in the pair's IKNP streams this session runs. The client
+    /// refuses any other bit, a cached claim for state it does not hold,
+    /// and a position below one it has already been given.
     KeyStatus {
-        /// `true` if the client must (re-)upload `HeKeys`.
-        need_keys: bool,
+        /// Flag bits; a bit outside the two named ones is malformed.
+        flags: u8,
+        /// First PRG block of the range the server reserved for this
+        /// session. On the wire (8 bytes) only under [`Msg::OT_CACHED`]:
+        /// without it the session runs base OT and starts at block 0.
+        ot_base: u64,
     },
     /// Client → server: HE public key and rotation keys (offline, once), as
     /// serialized seed-expanded wire frames ([`pi_he::public_key_to_bytes`]
@@ -62,11 +71,18 @@ pub enum Msg {
 }
 
 impl Msg {
+    /// [`Msg::KeyStatus`] flag: the client must upload `HeKeys`.
+    pub const NEED_KEYS: u8 = 1;
+    /// [`Msg::KeyStatus`] flag: the server holds the pair's IKNP state, the
+    /// session skips the three base-OT messages, and `ot_base` follows.
+    pub const OT_CACHED: u8 = 2;
+
     /// Wire-format size in bytes. For HE frames this is the exact length of
     /// the serialized bytes being carried (plus an 8-byte length prefix per
     /// frame); for everything else, the analytic binary-encoding size.
     pub fn byte_len(&self) -> usize {
         match self {
+            Msg::KeyStatus { flags, .. } if flags & Msg::OT_CACHED != 0 => 1 + 8,
             Msg::KeyStatus { .. } => 1,
             Msg::HeKeys { pk, gk } => 8 + pk.len() + 8 + gk.len(),
             Msg::HeCts(frames) => 8 + frames.iter().map(|f| 8 + f.len()).sum::<usize>(),
@@ -116,6 +132,15 @@ mod tests {
             8 + 2 * (8 + 96)
         );
         assert_eq!(Msg::GcDecode(vec![vec![true; 17]]).byte_len(), 8 + 8 + 3);
+    }
+
+    #[test]
+    fn key_status_carries_its_base_only_when_cached() {
+        let status = |flags| Msg::KeyStatus { flags, ot_base: 77 };
+        assert_eq!(status(0).byte_len(), 1);
+        assert_eq!(status(Msg::NEED_KEYS).byte_len(), 1);
+        assert_eq!(status(Msg::OT_CACHED).byte_len(), 9);
+        assert_eq!(status(Msg::NEED_KEYS | Msg::OT_CACHED).byte_len(), 9);
     }
 
     #[test]

@@ -23,10 +23,11 @@ use pi_ot::base::{
 };
 use pi_ot::bitmat::BitVec;
 use pi_ot::ext::{
-    ExtendMsg, OtExtReceiver, OtExtSender, ReceiverSetup, SenderSetup, TransferMsg, KAPPA,
+    self, ExtendMsg, OtExtReceiver, OtExtSender, ReceiverSetup, SenderSetup, TransferMsg, KAPPA,
 };
 use rand::Rng;
 use std::ops::Range;
+use std::sync::Arc;
 
 /// A peer's base-OT group element must be a reduced, non-zero residue
 /// before it reaches the arithmetic: one zero voids a whole batched
@@ -36,6 +37,48 @@ fn check_group_element(x: &U1024, what: &'static str) -> Result<(), ProtocolErro
         Ok(())
     } else {
         Err(ProtocolError::BadRequest(what))
+    }
+}
+
+/// One party's half of a client pair's post-base-OT IKNP state (`E` is the
+/// extension sender or receiver) with a position in the PRG streams its
+/// seeds expand to. A session's cursor starts at the base of the range the
+/// server reserved for it and moves past every extension it runs; the
+/// client's retained copy sits at its high-water mark. The other party's
+/// cursor moves in step, because both size every extension from the same
+/// [`ModelMeta`].
+pub(crate) struct OtStream<E> {
+    ext: Arc<E>,
+    next: u64,
+}
+
+impl<E> OtStream<E> {
+    /// The stream of `ext` from `block` on.
+    pub(crate) fn at(ext: Arc<E>, block: u64) -> Self {
+        Self { ext, next: block }
+    }
+
+    /// The extension state itself.
+    pub(crate) fn ext(&self) -> &E {
+        &self.ext
+    }
+
+    /// Takes the range `[base, base + blocks)` out of a retained stream:
+    /// a cursor at `base`, and this one moves past the range — or `None`,
+    /// and nothing moves, if the range starts below this cursor (some of it
+    /// was already given out) or does not fit in `u64`.
+    pub(crate) fn split_off(&mut self, base: u64, blocks: u64) -> Option<Self> {
+        let end = base.checked_add(blocks).filter(|_| base >= self.next)?;
+        self.next = end;
+        Some(Self::at(self.ext.clone(), base))
+    }
+
+    /// The block an extension of `transfers` OTs starts at; the cursor
+    /// moves past it.
+    fn advance(&mut self, transfers: usize) -> u64 {
+        let at = self.next;
+        self.next += ext::blocks(transfers);
+        at
     }
 }
 
@@ -60,7 +103,7 @@ impl BaseSender {
         self,
         choice: &ReceiverChoiceMsg,
         rng: &mut R,
-    ) -> Result<(OtExtReceiver, SenderTransferMsg), ProtocolError> {
+    ) -> Result<(Arc<OtExtReceiver>, SenderTransferMsg), ProtocolError> {
         if choice.pk0.len() != KAPPA {
             return Err(ProtocolError::BadRequest("base-OT choice count"));
         }
@@ -69,7 +112,8 @@ impl BaseSender {
         }
         let Self { sender, seed_pairs } = self;
         let transfer = sender.transfer(choice, &seed_pairs, rng);
-        Ok((OtExtReceiver::new(ReceiverSetup { seed_pairs }), transfer))
+        let ext = OtExtReceiver::new(ReceiverSetup { seed_pairs });
+        Ok((Arc::new(ext), transfer))
     }
 }
 
@@ -95,16 +139,16 @@ impl BaseReceiver {
     }
 
     /// Decrypts the peer's transfer into the garbler's extension sender.
-    pub(crate) fn finish(self, transfer: &SenderTransferMsg) -> Result<Garbler, ProtocolError> {
+    pub(crate) fn finish(
+        self,
+        transfer: &SenderTransferMsg,
+    ) -> Result<Arc<OtExtSender>, ProtocolError> {
         if transfer.items.len() != KAPPA {
             return Err(ProtocolError::BadRequest("base-OT transfer count"));
         }
         check_group_element(&transfer.gr, "base-OT transfer element out of range")?;
         let seeds = self.receiver.receive(transfer);
-        Ok(Garbler {
-            ext: OtExtSender::new(SenderSetup { s: self.s, seeds }),
-            phases: Vec::new(),
-        })
+        Ok(Arc::new(OtExtSender::new(SenderSetup { s: self.s, seeds })))
     }
 }
 
@@ -117,11 +161,18 @@ pub(crate) fn encode(g: &Garbling, offset: usize, value: u64, k: usize) -> Vec<L
 /// The garbler's material: the extension sender its label OTs answer
 /// through, and every ReLU phase garbled so far.
 pub(crate) struct Garbler {
-    ext: OtExtSender,
+    ot: OtStream<OtExtSender>,
     pub(crate) phases: Vec<Vec<Garbling>>,
 }
 
 impl Garbler {
+    /// A garbler with nothing garbled yet, answering label OTs from `ot`'s
+    /// position on.
+    pub(crate) fn new(ot: OtStream<OtExtSender>) -> Self {
+        let phases = Vec::new();
+        Self { ot, phases }
+    }
+
     /// Garbles the next ReLU phase, accounts it, and returns the tables to
     /// ship.
     pub(crate) fn garble<R: Rng + ?Sized>(
@@ -150,7 +201,7 @@ impl Garbler {
     /// Answers the evaluator's extension with the label pairs of `wires`
     /// of every instance of garbled phase `idx`.
     pub(crate) fn serve_labels(
-        &self,
+        &mut self,
         idx: usize,
         wires: Range<usize>,
         extend: &ExtendMsg,
@@ -170,7 +221,8 @@ impl Garbler {
             pairs.extend(wires.clone().map(|w| g.encoding.label_pair(w)));
         }
         out.ot_count += n as u64;
-        Ok(self.ext.transfer(extend, &pairs))
+        let at = self.ot.advance(n);
+        Ok(self.ot.ext.transfer_at(at, extend, &pairs))
     }
 }
 
@@ -183,12 +235,12 @@ pub(crate) struct LabelRequest {
 
 impl LabelRequest {
     /// Asks for the labels of the `k` little-endian bits of each of
-    /// `values`, in order (packed choices straight from the field bits).
-    pub(crate) fn new<R: Rng + ?Sized>(
-        ext: &OtExtReceiver,
+    /// `values`, in order (packed choices straight from the field bits),
+    /// with an extension at `ot`'s position.
+    pub(crate) fn new(
+        ot: &mut OtStream<OtExtReceiver>,
         values: impl IntoIterator<Item = u64>,
         k: usize,
-        rng: &mut R,
         out: &mut PartyOutcome,
     ) -> (Self, ExtendMsg) {
         let mut choices = BitVec::zeros(0);
@@ -198,7 +250,8 @@ impl LabelRequest {
             }
         }
         out.ot_count += choices.len() as u64;
-        let (extend, t_rows) = ext.extend(&choices, rng);
+        let at = ot.advance(choices.len());
+        let (extend, t_rows) = ot.ext.extend_at(at, &choices);
         (Self { choices, t_rows }, extend)
     }
 

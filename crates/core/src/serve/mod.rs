@@ -11,13 +11,26 @@
 //!   order, wrong shape, unreduced values, a disconnect — is a typed
 //!   [`ProtocolError`] that aborts exactly one session; the worker and
 //!   every neighbouring session carry on.
-//! * **Session table** — a sharded, byte-budgeted LRU ([`ShardedLru`])
-//!   caches each client's uploaded HE keys and each model's
-//!   [`ServerPrecomp`] across requests. Eviction drops only the table's
+//! * **Session tables** — sharded, byte-budgeted LRUs ([`ShardedLru`]),
+//!   one each for every client's uploaded HE keys, every client pair's
+//!   post-base-OT IKNP state ([`ClientOtState`], keyed by client and
+//!   protocol kind, i.e. by which extension role the server plays) and
+//!   every model's [`ServerPrecomp`]. Eviction drops only the table's
 //!   reference (in-flight sessions keep their `Arc`); an evicted client
-//!   simply re-uploads the keys [`crate::ServiceClient`] retains on its
-//!   next request, driven by the [`Msg::KeyStatus`] handshake. Evicted
-//!   precomputations are rebuilt on demand from the weights.
+//!   simply re-uploads the keys [`crate::ServiceClient`] retains, or runs
+//!   base OT again, on its next request, driven by the [`Msg::KeyStatus`]
+//!   handshake. Evicted precomputations are rebuilt on demand from the
+//!   weights.
+//! * **Base OT once per client pair** — `connect` looks the pair's IKNP
+//!   state up, reserves the session's range of PRG blocks in it (an atomic
+//!   cursor: concurrent sessions of one client get disjoint ranges, and an
+//!   aborted session burns its range, nothing rewinds) and announces the
+//!   base in `KeyStatus`; the session then skips the three base-OT
+//!   messages. On a miss the session runs them, starts at block 0, and its
+//!   state enters the table the moment base OT finishes. A client that
+//!   lost its half while the server still holds the other is refused
+//!   (`BadRequest` on the client) until the entry is evicted — as with HE
+//!   keys.
 //! * **Work-stealing executor** — session pumps and batch work run on a
 //!   fixed pool; a worker that stacks follow-on work posts a steal token so
 //!   idle workers take the oldest task from whoever has one. One dispatcher
@@ -48,7 +61,9 @@ pub use executor::resolve_workers;
 pub use table::{ShardedLru, TableStats};
 
 use crate::channel::{service_pair, Channel, ChannelError, ChannelTx, ClientEvent, SessionPacket};
-use crate::common::{ClientHeKeys, PartyOutcome, ProtocolConfig, ServerPrecomp};
+use crate::common::{
+    ClientHeKeys, ClientOtState, PartyOutcome, ProtocolConfig, ProtocolKind, ServerPrecomp,
+};
 use crate::error::ProtocolError;
 use crate::msg::Msg;
 use batch::Batcher;
@@ -72,8 +87,8 @@ const SHUTDOWN_SID: u64 = u64::MAX;
 pub struct ServeConfig {
     /// Worker threads (0 = `PI_WORKERS` env or the machine's parallelism).
     pub workers: usize,
-    /// Byte budget of each session table (client keys; model precomps),
-    /// enforced across the whole table.
+    /// Byte budget of each session table (client keys; client-pair OT
+    /// state; model precomps), enforced across the whole table.
     pub table_budget_bytes: u64,
     /// Lock stripes per session table.
     pub table_shards: usize,
@@ -143,6 +158,7 @@ struct Inner {
     slots: parking_lot::Mutex<HashMap<u64, Arc<Slot>>>,
     next_sid: AtomicU64,
     keys_table: ShardedLru<u64, ClientHeKeys>,
+    ot_table: ShardedLru<(u64, ProtocolKind), ClientOtState>,
     precomp_table: ShardedLru<usize, ServerPrecomp>,
     batcher: Batcher,
     agg_trace: parking_lot::Mutex<pi_trace::TraceReport>,
@@ -202,6 +218,7 @@ impl ServeRuntime {
             slots: parking_lot::Mutex::new(HashMap::new()),
             next_sid: AtomicU64::new(0),
             keys_table: ShardedLru::new(cfg.table_shards, cfg.table_budget_bytes),
+            ot_table: ShardedLru::new(cfg.table_shards, cfg.table_budget_bytes),
             precomp_table: ShardedLru::new(cfg.table_shards, cfg.table_budget_bytes),
             batcher: Batcher::new(cfg.max_batch, cfg.batch_session_cap),
             agg_trace: parking_lot::Mutex::new(pi_trace::TraceReport::default()),
@@ -233,7 +250,9 @@ impl ServeRuntime {
 
     /// Opens a session for `client_id` against `model_id`, seeding the
     /// server's session RNG with `server_seed`. If the session table still
-    /// holds the client's HE keys, the session skips the key upload.
+    /// holds the client's HE keys, the session skips the key upload; if it
+    /// still holds the pair's IKNP state, the session's range of it is
+    /// reserved here and the session skips base OT.
     ///
     /// # Panics
     ///
@@ -247,12 +266,14 @@ impl ServeRuntime {
             .cfg
             .he()
             .and_then(|_| inner.keys_table.get(&client_id));
+        let cached_ot = inner.ot_table.get(&(client_id, entry.cfg.kind));
         let pre = precomp_for(inner, model_id, &entry);
         let session = ServerSession::new(
             &entry.model,
             &entry.cfg,
             StdRng::seed_from_u64(server_seed),
             cached,
+            cached_ot,
         );
         let (result_tx, result_rx) = unbounded();
         let slot = Arc::new(Slot {
@@ -294,6 +315,17 @@ impl ServeRuntime {
     /// table.
     pub fn key_table_bytes(&self) -> u64 {
         self.inner.keys_table.used_bytes()
+    }
+
+    /// Counters of the client-pair OT-state session table.
+    pub fn ot_table_stats(&self) -> TableStats {
+        self.inner.ot_table.stats()
+    }
+
+    /// Bytes of client-pair OT state currently resident in the session
+    /// table.
+    pub fn ot_table_bytes(&self) -> u64 {
+        self.inner.ot_table.used_bytes()
     }
 
     /// Snapshot of the runtime-wide trace: every finished session's server
@@ -418,8 +450,7 @@ fn step_event(inner: &Arc<Inner>, slot: &Arc<Slot>, body: &mut SlotBody, event: 
     };
     let result = match event {
         SlotEvent::Start => {
-            let need_keys = session.needs_keys();
-            let sent = tx.send(Msg::KeyStatus { need_keys });
+            let sent = tx.send(session.key_status());
             sent.map(|()| Step::Idle).map_err(ProtocolError::from)
         }
         SlotEvent::Msg(m) => session.on_msg(&ctx, m),
@@ -433,6 +464,13 @@ fn step_event(inner: &Arc<Inner>, slot: &Arc<Slot>, body: &mut SlotBody, event: 
         Ok(Step::GotKeys(keys)) => {
             let bytes = keys.resident_byte_len() as u64;
             inner.keys_table.insert(slot.client_id, keys, bytes);
+            return;
+        }
+        // Likewise the pair's IKNP state, as soon as base OT finished.
+        Ok(Step::GotOt(ot)) => {
+            let bytes = ot.resident_byte_len() as u64;
+            let key = (slot.client_id, entry.cfg.kind);
+            inner.ot_table.insert(key, ot, bytes);
             return;
         }
         Ok(Step::NeedMatvec(jobs)) => {
@@ -490,4 +528,67 @@ fn precomp_for(inner: &Arc<Inner>, model_id: usize, entry: &ModelEntry) -> Arc<S
     let bytes = pre.approx_bytes(&entry.cfg);
     inner.precomp_table.insert(model_id, pre.clone(), bytes);
     pre
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pi_nn::{zoo, FixedConfig, Network, QuantNetwork};
+    use pi_ot::ext::{OtExtSender, SenderSetup, KAPPA};
+    use std::sync::Barrier;
+
+    /// Concurrent `connect`s of one client reserve pairwise disjoint ranges
+    /// of the pair's IKNP streams, back to back, and each session announces
+    /// the one it got.
+    #[test]
+    fn concurrent_connects_reserve_disjoint_stream_ranges() {
+        let fx = FixedConfig {
+            p: pi_he::BfvParams::small_test().t(),
+            f: 5,
+        };
+        let mut rng = StdRng::seed_from_u64(1);
+        let net = Network::materialize(&zoo::tiny_cnn(), &mut rng);
+        let model = PiModel::lower(&QuantNetwork::quantize(&net, fx));
+        let kind = ProtocolKind::ServerGarbler;
+        let blocks = crate::ModelMeta::of(&model).ot_blocks(kind);
+        assert!(blocks > 1);
+
+        let rt = ServeRuntime::new(ServeConfig {
+            workers: 2,
+            ..Default::default()
+        });
+        let model_id = rt.register_model(model, ProtocolConfig::clear(kind));
+        // The pair has been here before: its state sits in the table with
+        // the first session's range used.
+        let seeds = vec![0; KAPPA];
+        let ext = Arc::new(OtExtSender::new(SenderSetup { s: 0, seeds }));
+        let kept = Arc::new(ClientOtState::sender(ext, blocks));
+        let bytes = kept.resident_byte_len() as u64;
+        rt.inner.ot_table.insert((9, kind), kept.clone(), bytes);
+
+        let (threads, per_thread) = (4, 8);
+        let barrier = Barrier::new(threads);
+        let mut bases: Vec<u64> = std::thread::scope(|scope| {
+            let connects = |_| {
+                scope.spawn(|| {
+                    barrier.wait();
+                    let base = |_| match rt.connect(9, model_id, 0).chan.recv() {
+                        Ok(Msg::KeyStatus { flags, ot_base }) if flags == Msg::OT_CACHED => ot_base,
+                        other => panic!("expected a cached KeyStatus, got {other:?}"),
+                    };
+                    (0..per_thread).map(base).collect::<Vec<u64>>()
+                })
+            };
+            let handles: Vec<_> = (0..threads).map(connects).collect();
+            let joined = handles
+                .into_iter()
+                .map(|h| h.join().expect("connect thread"));
+            joined.flatten().collect()
+        });
+        bases.sort_unstable();
+        let sessions = (threads * per_thread) as u64;
+        let expect: Vec<u64> = (1..=sessions).map(|i| i * blocks).collect();
+        assert_eq!(bases, expect);
+        assert_eq!(kept.reserve(0), (sessions + 1) * blocks);
+    }
 }

@@ -27,16 +27,23 @@
 //! [`StdRng`] in message order (shares, then base-OT material, then
 //! per-phase garbling/OT), so a session driven synchronously and one driven
 //! concurrently produce bit-identical transcripts from the same seed.
+//!
+//! **Base OT runs once per client pair.** A session created with the
+//! pair's cached [`ClientOtState`] reserves its range of the IKNP streams
+//! there and goes from the linear responses straight to garbling; one
+//! created without runs the three base-OT messages, starts at block 0 and
+//! hands the state up ([`Step::GotOt`]) the moment it exists. From there on
+//! the two are the same code: a fresh pair is the cached path at base 0.
 
 use crate::channel::{Channel, ChannelTx};
 use crate::common::{
-    random_field_vecs, reduced, unexpected, ClientHeKeys, ModelMeta, PartyOutcome, ProtocolConfig,
-    ProtocolKind, ServerPrecomp,
+    random_field_vecs, reduced, unexpected, ClientHeKeys, ClientOtState, ModelMeta, PartyOutcome,
+    ProtocolConfig, ProtocolKind, ServerPrecomp,
 };
 use crate::error::ProtocolError;
 use crate::msg::Msg;
 use crate::role::{
-    decode_outputs, encode, BaseReceiver, BaseSender, Garbler, LabelRequest, PhaseTables,
+    decode_outputs, encode, BaseReceiver, BaseSender, Garbler, LabelRequest, OtStream, PhaseTables,
 };
 use pi_gc::Label;
 use pi_he::linalg::{self, BsgsDiagonals};
@@ -76,6 +83,9 @@ pub enum Step {
     /// As [`Step::Idle`], and the client just uploaded these HE keys — the
     /// runtime caches them in its session table.
     GotKeys(Arc<ClientHeKeys>),
+    /// As [`Step::Idle`], and base OT just finished — the runtime caches
+    /// the server's half of the pair's IKNP state in its session table.
+    GotOt(Arc<ClientOtState>),
     /// The offline linear pass needs these HE products computed; resume
     /// each with [`ServerSession::on_matvec_done`].
     NeedMatvec(Vec<MatvecJob>),
@@ -103,8 +113,17 @@ struct EvalPhase {
 /// The evaluator's material (Client-Garbler): the extension receiver its
 /// online label OTs ask through, and every phase received so far.
 struct Evaluator {
-    ext: OtExtReceiver,
+    ot: OtStream<OtExtReceiver>,
     phases: Vec<EvalPhase>,
+}
+
+impl Evaluator {
+    /// An evaluator with no phase received yet, asking its label OTs from
+    /// `ot`'s position on.
+    fn new(ot: OtStream<OtExtReceiver>) -> Self {
+        let phases = Vec::new();
+        Self { ot, phases }
+    }
 }
 
 /// What the server holds between the offline and the online phase.
@@ -179,6 +198,9 @@ pub struct ServerSession {
     meta: ModelMeta,
     rng: StdRng,
     state: State,
+    /// The pair's cached IKNP state and the base of the range reserved in
+    /// it for this session, until the OT stage takes them.
+    cached_ot: Option<(Arc<ClientOtState>, u64)>,
     s_vecs: Vec<Vec<u64>>,
     outcome: PartyOutcome,
 }
@@ -187,12 +209,15 @@ impl ServerSession {
     /// Creates a session for one inference of `model` under `cfg`, armed
     /// for its first message. `cached_keys` is the client's HE key material
     /// if the server's session table still holds it (the session then skips
-    /// the upload).
+    /// the upload); `cached_ot` likewise the pair's IKNP state (the session
+    /// reserves its stream range there, now, and skips base OT) — state of
+    /// the other protocol kind is not this session's and is ignored.
     pub fn new(
         model: &PiModel,
         cfg: &ProtocolConfig,
         rng: StdRng,
         cached_keys: Option<Arc<ClientHeKeys>>,
+        cached_ot: Option<Arc<ClientOtState>>,
     ) -> Self {
         let he = cfg.he().map(|params| HeCtx {
             params: params.clone(),
@@ -204,20 +229,34 @@ impl ServerSession {
             (Some(he), None) => State::AwaitKeys(he),
             (None, _) => State::AwaitRCats(Vec::new()),
         };
+        let meta = ModelMeta::of(model);
+        let cached_ot = cached_ot.filter(|ot| ot.kind() == cfg.kind).map(|ot| {
+            let base = ot.reserve(meta.ot_blocks(cfg.kind));
+            (ot, base)
+        });
         Self {
             kind: cfg.kind,
-            meta: ModelMeta::of(model),
+            meta,
             rng,
             state,
+            cached_ot,
             s_vecs: Vec::new(),
             outcome: PartyOutcome::default(),
         }
     }
 
-    /// Whether the session's first message must be the client's HE keys —
-    /// what a serving runtime's [`Msg::KeyStatus`] preamble tells the client.
-    pub fn needs_keys(&self) -> bool {
-        matches!(self.state, State::AwaitKeys(_))
+    /// A serving runtime's preamble: whether the session's first message
+    /// must be the client's HE keys, and whether (and from which block) it
+    /// runs on cached IKNP state instead of base OT.
+    pub fn key_status(&self) -> Msg {
+        let need_keys = matches!(self.state, State::AwaitKeys(_));
+        let mut flags = if need_keys { Msg::NEED_KEYS } else { 0 };
+        let mut ot_base = 0;
+        if let Some((_, base)) = self.cached_ot {
+            flags |= Msg::OT_CACHED;
+            ot_base = base;
+        }
+        Msg::KeyStatus { flags, ot_base }
     }
 
     /// Consumes one client message and advances as far as possible. After
@@ -308,13 +347,16 @@ impl ServerSession {
                 Ok(Step::Idle)
             }
             (State::SgAwaitBaseTransfer(receiver), Msg::OtBaseTransfer(t)) => {
-                let garbler = {
+                let ext = {
                     let _span = pi_trace::span!("offline.ot");
                     receiver.finish(&t)?
                 };
-                self.sg_garble_next(ctx, garbler)
+                let used = self.meta.ot_blocks(self.kind);
+                let kept = ClientOtState::sender(ext.clone(), used);
+                self.sg_garble_next(ctx, Garbler::new(OtStream::at(ext, 0)))?;
+                Ok(Step::GotOt(Arc::new(kept)))
             }
-            (State::SgAwaitOtExtend(garbler), Msg::OtExtend(e)) => {
+            (State::SgAwaitOtExtend(mut garbler), Msg::OtExtend(e)) => {
                 {
                     let _span = pi_trace::span!("offline.ot");
                     // The client's inputs of the phase just shipped occupy
@@ -332,8 +374,10 @@ impl ServerSession {
                     ctx.sink.send(Msg::OtBaseTransfer(transfer))?;
                     ext
                 };
-                let phases = Vec::with_capacity(self.meta.relu_phases.len());
-                self.cg_await_next(ctx, Evaluator { ext, phases })
+                let used = self.meta.ot_blocks(self.kind);
+                let kept = ClientOtState::receiver(ext.clone(), used);
+                self.cg_await_next(ctx, Evaluator::new(OtStream::at(ext, 0)))?;
+                Ok(Step::GotOt(Arc::new(kept)))
             }
             (State::CgAwaitTables(eval), Msg::GcTables(t)) => {
                 let relu = &self.meta.relu_phases[eval.phases.len()];
@@ -390,7 +434,7 @@ impl ServerSession {
             ) => {
                 let mine = {
                     let _span = pi_trace::span!("online.ot");
-                    request.open(&eval.ext, &t)?
+                    request.open(eval.ot.ext(), &t)?
                 };
                 let next = {
                     let _span = pi_trace::span!("online.eval");
@@ -452,19 +496,29 @@ impl ServerSession {
         self.s_vecs = random_field_vecs(rows, self.meta.p, &mut self.rng);
     }
 
-    /// Linear responses are out; arm the role's base OT. The evaluator's
-    /// draws here (seed pairs, sender secret) and the garbler's on the
-    /// client's setup follow the linear-share draws.
+    /// Linear responses are out; take up the role on the pair's cached
+    /// IKNP state at the reserved base, or arm the role's base OT. The
+    /// evaluator's draws there (seed pairs, sender secret) and the
+    /// garbler's on the client's setup follow the linear-share draws.
     fn start_ot_stage(&mut self, ctx: &SessionCtx<'_>) -> Result<Step, ProtocolError> {
-        self.state = match self.kind {
-            ProtocolKind::ServerGarbler => State::SgAwaitBaseSetup,
+        let cached = self.cached_ot.take();
+        match self.kind {
+            ProtocolKind::ServerGarbler => match cached.and_then(|(ot, base)| ot.sender_at(base)) {
+                Some(ot) => return self.sg_garble_next(ctx, Garbler::new(ot)),
+                None => self.state = State::SgAwaitBaseSetup,
+            },
             ProtocolKind::ClientGarbler => {
-                let _span = pi_trace::span!("offline.ot");
-                let (sender, setup) = BaseSender::start(&mut self.rng);
-                ctx.sink.send(Msg::OtBaseSetup(setup))?;
-                State::CgAwaitBaseChoice(sender)
+                match cached.and_then(|(ot, base)| ot.receiver_at(base)) {
+                    Some(ot) => return self.cg_await_next(ctx, Evaluator::new(ot)),
+                    None => {
+                        let _span = pi_trace::span!("offline.ot");
+                        let (sender, setup) = BaseSender::start(&mut self.rng);
+                        ctx.sink.send(Msg::OtBaseSetup(setup))?;
+                        self.state = State::CgAwaitBaseChoice(sender);
+                    }
+                }
             }
-        };
+        }
         Ok(Step::Idle)
     }
 
@@ -573,11 +627,10 @@ impl ServerSession {
                 ctx.sink.send(Msg::GcLabels(labels))?;
                 State::SgAwaitOutLabels { garbler, acts }
             }
-            Role::Evaluator(eval) => {
+            Role::Evaluator(mut eval) => {
                 // Fetch labels for the share bits via online OT.
                 let _span = pi_trace::span!("online.ot");
-                let (request, extend) =
-                    LabelRequest::new(&eval.ext, y_s, k, &mut self.rng, &mut self.outcome);
+                let (request, extend) = LabelRequest::new(&mut eval.ot, y_s, k, &mut self.outcome);
                 ctx.sink.send(Msg::OtExtend(extend))?;
                 State::CgAwaitOtTransfer {
                     eval,
@@ -609,7 +662,7 @@ pub fn drive_sync(
 ) -> Result<PartyOutcome, ProtocolError> {
     let trace_scope = pi_trace::begin_local();
     let root_span = pi_trace::span!("server");
-    let mut session = ServerSession::new(model, cfg, rng, None);
+    let mut session = ServerSession::new(model, cfg, rng, None, None);
     let ctx = SessionCtx {
         model,
         pre,
@@ -630,7 +683,7 @@ pub fn drive_sync(
                 }
                 step
             }
-            Step::Idle | Step::GotKeys(_) => session.on_msg(&ctx, chan.recv()?)?,
+            Step::Idle | Step::GotKeys(_) | Step::GotOt(_) => session.on_msg(&ctx, chan.recv()?)?,
         };
     };
     drop(root_span);

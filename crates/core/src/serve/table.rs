@@ -1,8 +1,9 @@
 //! Sharded, byte-budgeted LRU cache — the serving runtime's session table.
 //!
 //! The expensive per-client state a shared server wants to keep between
-//! requests (a client's uploaded HE keys, a model's encoded diagonals) is
-//! large: a single client's Galois keys run to tens of megabytes. The table
+//! requests (a client's uploaded HE keys, a client pair's post-base-OT
+//! IKNP state, a model's encoded diagonals) is large: a single client's
+//! Galois keys run to tens of megabytes. The table
 //! meters admission by **bytes, not entries**, and the budget is the whole
 //! table's: once it is exceeded, the least-recently-used entries go,
 //! whichever shard holds them. Shards (key-hash modulo shard count) are
@@ -12,8 +13,9 @@
 //!
 //! Values are handed out as `Arc`s: eviction drops the table's reference
 //! only, so sessions already holding an entry are never invalidated
-//! mid-protocol — an evicted client simply re-uploads on its *next*
-//! request (the [`crate::msg::Msg::KeyStatus`] handshake).
+//! mid-protocol — an evicted client simply re-uploads, or runs base OT
+//! again, on its *next* request (the [`crate::msg::Msg::KeyStatus`]
+//! handshake).
 
 use std::collections::hash_map::{self, DefaultHasher};
 use std::collections::HashMap;

@@ -20,7 +20,8 @@
 //! [`crate::bitmat`] for the LSB-first ordering invariant): choices are a
 //! [`BitVec`], a matrix column is `⌈m/128⌉` words, and the PRG expansion
 //! `G(seed)` writes raw AES-CTR blocks straight into column words — word
-//! `w` of a column *is* `E_seed(w)`, bit-identical to the bit-at-a-time
+//! `w` of a column built at block `b` *is* `E_seed(b + w)`, bit-identical
+//! to the bit-at-a-time
 //! [`reference::prg_bits`] stream. Column-major work (extension) is
 //! word-wide XOR; the row-major view (`t_j`/`q_j`) comes from the blocked
 //! [`crate::bitmat::transpose128`]; transfer masks are derived 8 rows per
@@ -28,6 +29,20 @@
 //! retained, bit for bit, in [`reference`] as the differential oracle —
 //! and `PI_AES=soft` additionally pins the packed path's AES to the scalar
 //! software oracle.
+//!
+//! # Stream position
+//!
+//! `G(seed)` is one AES-CTR stream per seed, and the base phase buys the
+//! right to read it for as long as both parties agree where they are in
+//! it. An extension of `m` transfers at block `b` reads blocks
+//! `b..b + blocks(m)` of every column's stream
+//! ([`OtExtReceiver::extend_at`] / [`OtExtSender::transfer_at`]; the
+//! position-less [`OtExtReceiver::extend`] / [`OtExtSender::transfer`] are
+//! block 0). **No block may be expanded twice under one setup**: two
+//! extensions over the same blocks send `u ⊕ u' = x ⊕ x'` — a two-time pad
+//! over the receiver's choice bits — and repeat the transfer pads wherever
+//! choices repeat. The callers keep the position (`pi-core`: a cursor per
+//! session inside a range the server allots per client pair).
 
 use crate::base::{BaseOtReceiver, BaseOtSender};
 use crate::bitmat::{columns_to_rows, BitVec};
@@ -37,13 +52,20 @@ use rand::Rng;
 /// Security parameter: number of base OTs / matrix columns.
 pub const KAPPA: usize = 128;
 
+/// PRG blocks (one 128-bit AES-CTR block per 128 rows of a column) an
+/// extension of `transfers` OTs reads from every seed's stream — how far it
+/// moves the stream position.
+pub fn blocks(transfers: usize) -> u64 {
+    transfers.div_ceil(128) as u64
+}
+
 /// PRG: expands a 128-bit seed into `words` packed 128-bit words (AES-CTR,
-/// counter from 0). Word `w` equals `E_seed(w)`; bit `n` of the packed
-/// stream equals bit `n` of [`reference::prg_bits`].
-fn prg_words(seed: u128, words: usize) -> Vec<u128> {
+/// counter from `block`). Word `w` equals `E_seed(block + w)`; bit `n` of
+/// the packed stream equals bit `n` of [`reference::prg_bits`].
+fn prg_words(seed: u128, block: u64, words: usize) -> Vec<u128> {
     let aes = Aes128::new(seed.to_le_bytes());
     let mut out = vec![0u128; words];
-    aes.ctr_keystream(0, &mut out);
+    aes.ctr_keystream(u128::from(block), &mut out);
     out
 }
 
@@ -148,13 +170,30 @@ impl OtExtSender {
         Self { setup }
     }
 
-    /// Produces masked pairs for `pairs.len()` transfers given the
-    /// receiver's extension message.
+    /// Heap and inline bytes this state occupies (what a cache of it
+    /// meters).
+    pub fn resident_byte_len(&self) -> usize {
+        std::mem::size_of::<Self>() + std::mem::size_of_val(&self.setup.seeds[..])
+    }
+
+    /// [`Self::transfer_at`] block 0: the only extension of a setup, or its
+    /// first.
     ///
     /// # Panics
     ///
     /// Panics if the message's transfer count differs from `pairs.len()`.
     pub fn transfer(&self, msg: &ExtendMsg, pairs: &[(u128, u128)]) -> TransferMsg {
+        self.transfer_at(0, msg, pairs)
+    }
+
+    /// Produces masked pairs for `pairs.len()` transfers given the
+    /// receiver's extension message, which it built at stream position
+    /// `block` (see the module docs: no block twice under one setup).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the message's transfer count differs from `pairs.len()`.
+    pub fn transfer_at(&self, block: u64, msg: &ExtendMsg, pairs: &[(u128, u128)]) -> TransferMsg {
         let m = pairs.len();
         assert_eq!(msg.num_transfers, m, "extension rows must match pair count");
         assert_eq!(msg.u_columns.len(), KAPPA, "need {KAPPA} u columns");
@@ -162,7 +201,7 @@ impl OtExtSender {
         // Column-major: q_i = G(k_i^{s_i}) ^ s_i * u_i, one XOR per word.
         let q_columns: Vec<Vec<u128>> = (0..KAPPA)
             .map(|i| {
-                let mut col = prg_words(self.setup.seeds[i], words);
+                let mut col = prg_words(self.setup.seeds[i], block, words);
                 if (self.setup.s >> i) & 1 == 1 {
                     assert_eq!(msg.u_columns[i].len(), words, "column {i} word count");
                     for (q, &u) in col.iter_mut().zip(&msg.u_columns[i]) {
@@ -204,14 +243,28 @@ impl OtExtReceiver {
         Self { setup }
     }
 
-    /// Builds the extension message for the given packed choice bits and
-    /// returns it together with the per-transfer decode keys `t_j` (kept
-    /// locally).
+    /// Heap and inline bytes this state occupies (what a cache of it
+    /// meters).
+    pub fn resident_byte_len(&self) -> usize {
+        std::mem::size_of::<Self>() + std::mem::size_of_val(&self.setup.seed_pairs[..])
+    }
+
+    /// [`Self::extend_at`] block 0: the only extension of a setup, or its
+    /// first. (The extension draws no randomness; `_rng` is unused.)
     pub fn extend<R: Rng + ?Sized>(
         &self,
         choices: &BitVec,
         _rng: &mut R,
     ) -> (ExtendMsg, Vec<u128>) {
+        self.extend_at(0, choices)
+    }
+
+    /// Builds the extension message for the given packed choice bits from
+    /// stream position `block` on (see the module docs: no block twice
+    /// under one setup; this call reads [`blocks`]`(choices.len())` of
+    /// them) and returns it together with the per-transfer decode keys
+    /// `t_j` (kept locally).
+    pub fn extend_at(&self, block: u64, choices: &BitVec) -> (ExtendMsg, Vec<u128>) {
         let m = choices.len();
         pi_trace::add(pi_trace::Counter::OtExtended, m as u64);
         pi_trace::record(pi_trace::Hist::OtBatchSize, m as u64);
@@ -227,8 +280,8 @@ impl OtExtReceiver {
         let mut u_columns = Vec::with_capacity(KAPPA);
         for i in 0..KAPPA {
             let (k0, k1) = self.setup.seed_pairs[i];
-            let g0 = prg_words(k0, words);
-            let mut u = prg_words(k1, words);
+            let g0 = prg_words(k0, block, words);
+            let mut u = prg_words(k1, block, words);
             for (w, uw) in u.iter_mut().enumerate() {
                 *uw ^= g0[w] ^ choices.words()[w];
             }
@@ -288,12 +341,12 @@ pub mod reference {
     use super::{ExtendMsg, ReceiverSetup, SenderSetup, TransferMsg, KAPPA};
     use pi_gc::{Aes128, GcHash};
 
-    /// Bit-at-a-time PRG: expands a 128-bit seed into `n` bits (AES-CTR,
-    /// scalar path).
-    pub fn prg_bits(seed: u128, n: usize) -> Vec<bool> {
+    /// Bit-at-a-time PRG: expands a 128-bit seed into `n` bits from stream
+    /// position `block` on (AES-CTR, scalar path).
+    pub fn prg_bits(seed: u128, block: u64, n: usize) -> Vec<bool> {
         let aes = Aes128::new(seed.to_le_bytes());
         let mut bits = Vec::with_capacity(n);
-        let mut counter = 0u128;
+        let mut counter = u128::from(block);
         while bits.len() < n {
             let block = aes.encrypt_u128(counter);
             counter += 1;
@@ -321,15 +374,15 @@ pub mod reference {
         (words[i / 128] >> (i % 128)) & 1 == 1
     }
 
-    /// Bool-path extension (receiver side).
-    pub fn extend(setup: &ReceiverSetup, choices: &[bool]) -> (ExtendMsg, Vec<u128>) {
+    /// Bool-path extension (receiver side) at stream position `block`.
+    pub fn extend(setup: &ReceiverSetup, block: u64, choices: &[bool]) -> (ExtendMsg, Vec<u128>) {
         let m = choices.len();
         let mut t_rows = vec![0u128; m];
         let mut u_columns = Vec::with_capacity(KAPPA);
         for i in 0..KAPPA {
             let (k0, k1) = setup.seed_pairs[i];
-            let g0 = prg_bits(k0, m);
-            let g1 = prg_bits(k1, m);
+            let g0 = prg_bits(k0, block, m);
+            let g1 = prg_bits(k1, block, m);
             let u: Vec<bool> = (0..m).map(|j| g0[j] ^ g1[j] ^ choices[j]).collect();
             u_columns.push(pack_column(&u));
             for (j, &g_bit) in g0.iter().enumerate() {
@@ -347,8 +400,13 @@ pub mod reference {
         )
     }
 
-    /// Bool-path transfer (sender side).
-    pub fn transfer(setup: &SenderSetup, msg: &ExtendMsg, pairs: &[(u128, u128)]) -> TransferMsg {
+    /// Bool-path transfer (sender side) at stream position `block`.
+    pub fn transfer(
+        setup: &SenderSetup,
+        block: u64,
+        msg: &ExtendMsg,
+        pairs: &[(u128, u128)],
+    ) -> TransferMsg {
         let m = pairs.len();
         assert_eq!(msg.num_transfers, m, "extension rows must match pair count");
         assert_eq!(msg.u_columns.len(), KAPPA, "need {KAPPA} u columns");
@@ -356,7 +414,7 @@ pub mod reference {
         let mut q_rows = vec![0u128; m];
         for i in 0..KAPPA {
             let s_i = (setup.s >> i) & 1 == 1;
-            let col = prg_bits(setup.seeds[i], m);
+            let col = prg_bits(setup.seeds[i], block, m);
             for (j, &g_bit) in col.iter().enumerate() {
                 let bit = g_bit ^ (s_i && unpack_bit(&msg.u_columns[i], j));
                 if bit {
@@ -432,30 +490,70 @@ mod tests {
     #[test]
     fn packed_path_matches_reference_oracle() {
         // The packed extension/transfer must reproduce the seed bool-matrix
-        // implementation bit for bit — messages, keys and decode output.
+        // implementation bit for bit — messages, keys and decode output —
+        // wherever in the stream the extension sits: the sizes run back to
+        // back from block 0, then again from a far position.
         let mut rng = rand::rngs::StdRng::seed_from_u64(0xD1FF);
         let (s_setup, r_setup) = setup_in_process(&mut rng);
         let sender = OtExtSender::new(s_setup.clone());
         let receiver = OtExtReceiver::new(r_setup.clone());
         use rand::Rng;
-        for m in [0usize, 1, 7, 64, 127, 128, 129, 500] {
-            let bools: Vec<bool> = (0..m).map(|_| rng.gen()).collect();
-            let packed = BitVec::from_bools(&bools);
-            let pairs: Vec<(u128, u128)> = (0..m).map(|_| (rng.gen(), rng.gen())).collect();
+        for start in [0u64, (1 << 40) + 3] {
+            let mut block = start;
+            for m in [0usize, 1, 7, 64, 127, 128, 129, 500] {
+                let bools: Vec<bool> = (0..m).map(|_| rng.gen()).collect();
+                let packed = BitVec::from_bools(&bools);
+                let pairs: Vec<(u128, u128)> = (0..m).map(|_| (rng.gen(), rng.gen())).collect();
 
-            let (u_fast, t_fast) = receiver.extend(&packed, &mut rng);
-            let (u_ref, t_ref) = reference::extend(&r_setup, &bools);
-            assert_eq!(u_fast, u_ref, "extend msg m={m}");
-            assert_eq!(t_fast, t_ref, "t rows m={m}");
+                let (u_fast, t_fast) = receiver.extend_at(block, &packed);
+                let (u_ref, t_ref) = reference::extend(&r_setup, block, &bools);
+                assert_eq!(u_fast, u_ref, "extend msg m={m} block={block}");
+                assert_eq!(t_fast, t_ref, "t rows m={m} block={block}");
 
-            let y_fast = sender.transfer(&u_fast, &pairs);
-            let y_ref = reference::transfer(&s_setup, &u_ref, &pairs);
-            assert_eq!(y_fast.pairs, y_ref.pairs, "transfer m={m}");
+                let y_fast = sender.transfer_at(block, &u_fast, &pairs);
+                let y_ref = reference::transfer(&s_setup, block, &u_ref, &pairs);
+                assert_eq!(y_fast.pairs, y_ref.pairs, "transfer m={m} block={block}");
 
-            let got_fast = receiver.decode(&y_fast, &packed, &t_fast);
-            let got_ref = reference::decode(&y_ref, &bools, &t_ref);
-            assert_eq!(got_fast, got_ref, "decode m={m}");
+                let got_fast = receiver.decode(&y_fast, &packed, &t_fast);
+                let got_ref = reference::decode(&y_ref, &bools, &t_ref);
+                assert_eq!(got_fast, got_ref, "decode m={m} block={block}");
+                for (j, &got) in got_fast.iter().enumerate() {
+                    let want = if bools[j] { pairs[j].1 } else { pairs[j].0 };
+                    assert_eq!(got, want, "chosen message m={m} block={block} j={j}");
+                }
+                block += blocks(m);
+            }
         }
+    }
+
+    #[test]
+    fn successive_extensions_of_one_setup_share_no_prg_block() {
+        // One session extends once per ReLU phase on the same seeds. With
+        // the PRG restarted at block 0 each time, u ⊕ u' = x ⊕ x' in every
+        // column — the receiver's choice bits under a two-time pad — and
+        // every t row repeats. At the positions a session uses (each
+        // extension starts where the last one ended) neither happens.
+        let (_, receiver, mut rng) = setup();
+        use rand::Rng;
+        let m = 384;
+        let random_choices = |rng: &mut rand::rngs::StdRng| {
+            BitVec::from_bools(&(0..m).map(|_| rng.gen()).collect::<Vec<bool>>())
+        };
+        let (x1, x2) = (random_choices(&mut rng), random_choices(&mut rng));
+        let (u1, t1) = receiver.extend_at(0, &x1);
+        let (u2, t2) = receiver.extend_at(blocks(m), &x2);
+        let xor = |a: &[u128], b: &[u128]| -> Vec<u128> {
+            a.iter().zip(b).map(|(&a, &b)| a ^ b).collect()
+        };
+        let x_xor = xor(x1.words(), x2.words());
+        for (i, (c1, c2)) in u1.u_columns.iter().zip(&u2.u_columns).enumerate() {
+            assert_ne!(xor(c1, c2), x_xor, "column {i} is a two-time pad");
+        }
+        let seen: std::collections::HashSet<u128> = t1.iter().copied().collect();
+        assert_eq!(seen.len(), m, "t rows of one extension are distinct");
+        assert!(t2.iter().all(|t| !seen.contains(t)), "a t row repeats");
+        // The position-less call is block 0.
+        assert_eq!(receiver.extend(&x1, &mut rng), (u1, t1));
     }
 
     #[test]
@@ -495,14 +593,27 @@ mod tests {
     #[test]
     fn prg_packed_matches_bit_stream() {
         for (seed, n) in [(5u128, 300usize), (6, 300), (7, 128), (8, 1)] {
-            let bits = reference::prg_bits(seed, n);
-            let words = prg_words(seed, n.div_ceil(128));
-            for (i, &b) in bits.iter().enumerate() {
-                assert_eq!((words[i / 128] >> (i % 128)) & 1 == 1, b, "bit {i}");
+            for block in [0u64, 9] {
+                let bits = reference::prg_bits(seed, block, n);
+                let words = prg_words(seed, block, n.div_ceil(128));
+                for (i, &b) in bits.iter().enumerate() {
+                    assert_eq!((words[i / 128] >> (i % 128)) & 1 == 1, b, "bit {i}");
+                }
             }
         }
-        assert_eq!(reference::prg_bits(5, 300), reference::prg_bits(5, 300));
-        assert_ne!(reference::prg_bits(5, 300), reference::prg_bits(6, 300));
+        assert_eq!(
+            reference::prg_bits(5, 0, 300),
+            reference::prg_bits(5, 0, 300)
+        );
+        assert_ne!(
+            reference::prg_bits(5, 0, 300),
+            reference::prg_bits(6, 0, 300)
+        );
+        // The stream is one stream: block 1 on is the tail of block 0 on.
+        assert_eq!(
+            reference::prg_bits(5, 1, 172),
+            reference::prg_bits(5, 0, 300)[128..]
+        );
     }
 
     #[test]

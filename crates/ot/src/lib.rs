@@ -8,13 +8,24 @@
 //! paper can treat OT compute as minor while still accounting for its
 //! communication.
 //!
-//! The 128 base OTs run per session, so they are pre-processing that is
-//! incurred online. [`base`] keeps them to one variable-base exponentiation
-//! per transfer: Naor and Pinkas's batched form (one sender exponent `r`
-//! and one `g^r` for all 128), every power of the generator and of `g^r`
-//! read off a fixed-base window table, and every division folded into one
-//! inversion per party — ≈1 780 modular multiplications per transfer, and
-//! `128 + 128·128 + (128 + 32·128)` = 20 736 bytes on the wire.
+//! The 128 base OTs run once per client pair: they only seed the
+//! extension, and the seeds serve for as long as the two parties agree on
+//! a position in the PRG streams they expand to (`pi-core` keeps both
+//! halves between a returning client's requests; only a first contact
+//! incurs them online). [`base`] keeps them to one variable-base
+//! exponentiation per transfer: Naor and Pinkas's batched form (one sender
+//! exponent `r` and one `g^r` for all 128), every power of the generator
+//! and of `g^r` read off a fixed-base window table, and every division
+//! folded into one inversion per party — ≈1 780 modular multiplications
+//! per transfer, and `128 + 128·128 + (128 + 32·128)` = 20 736 bytes on the
+//! wire.
+//!
+//! **Stream-position invariant.** Every extension names the PRG block it
+//! starts at ([`ext::OtExtReceiver::extend_at`],
+//! [`ext::OtExtSender::transfer_at`]) and reads [`ext::blocks`] of them;
+//! under one base setup no block is ever expanded twice — not by two
+//! extensions of one session, not by two sessions of one pair. Re-reading
+//! a block is a two-time pad over the receiver's choice bits (see [`ext`]).
 //!
 //! The crate is transport-agnostic: protocol messages are plain data with
 //! `byte_len` accessors, and `pi-core` moves them over its byte-counting

@@ -227,4 +227,43 @@ fn main() {
         rt.workers(),
         seq_ms / conc_ms
     );
+
+    // A returning client: the 128 base OTs ran in its first request and
+    // seeded IKNP state both parties kept, so its second request carries no
+    // public-key work at all (and no key upload). The `ot.base` counter is
+    // incremented where the base-OT sender transfers; summed over both
+    // parties' traces it reads 128 for the first request and 0 for the
+    // second.
+    pi_trace::force_mode(Some(pi_trace::TraceMode::Counters));
+    let mut returning = ServiceClient::new();
+    let mut request = |c: usize| {
+        let t0 = std::time::Instant::now();
+        let conn = rt.connect(2_000, model_id, 700 + c as u64);
+        let mut crng = rand::rngs::StdRng::seed_from_u64(800 + c as u64);
+        let (out, c_out) = returning
+            .run(&meta, &inputs[c], &cfg, &conn.chan, &mut crng)
+            .expect("returning client run");
+        let s_out = conn.handle.wait().expect("server session outcome");
+        let ms = t0.elapsed().as_secs_f64() * 1e3;
+        assert_eq!(
+            out, expected[c],
+            "served output must be bit-identical to the reference"
+        );
+        let base_ot = |t: &pi_trace::TraceReport| t.counter("ot.base").unwrap_or(0);
+        (ms, base_ot(&c_out.trace) + base_ot(&s_out.trace))
+    };
+    let (first_ms, base_ot_first) = request(0);
+    let (second_ms, base_ot_second) = request(1);
+    pi_trace::force_mode(None);
+    assert_eq!((base_ot_first, base_ot_second), (128, 0));
+    let ot = rt.ot_table_stats();
+    println!(
+        "  returning client: first request {first_ms:.0} ms ({base_ot_first} base OTs), second {second_ms:.0} ms ({base_ot_second}); OT table: {} cached, {} hits ({:.1} KB resident)",
+        ot.inserts,
+        ot.hits,
+        rt.ot_table_bytes() as f64 / 1e3
+    );
+    println!(
+        "csv,serve_returning,first_ms={first_ms:.0},second_ms={second_ms:.0},base_ot_second={base_ot_second}"
+    );
 }

@@ -192,14 +192,19 @@ fn packed_iknp_matches_bool_reference_under_every_backend() {
     let (s_setup, r_setup) = ext::setup_in_process(&mut rng);
     let sender = OtExtSender::new(s_setup.clone());
     let receiver = OtExtReceiver::new(r_setup.clone());
+    // Each size runs where the previous one ended, as the extensions of one
+    // session do: all but the first compare at a non-zero stream position.
+    let mut block = 0u64;
     for m in [0usize, 1, 7, 64, 127, 128, 129, 500, 1000] {
         let bools: Vec<bool> = (0..m).map(|_| rng.gen()).collect();
         let packed = BitVec::from_bools(&bools);
         let pairs: Vec<(u128, u128)> = (0..m).map(|_| (rng.gen(), rng.gen())).collect();
         // The oracle always runs over the scalar software AES.
-        let (u_ref, t_ref) = with_backend(AesBackend::Soft, || reference::extend(&r_setup, &bools));
+        let (u_ref, t_ref) = with_backend(AesBackend::Soft, || {
+            reference::extend(&r_setup, block, &bools)
+        });
         let y_ref = with_backend(AesBackend::Soft, || {
-            reference::transfer(&s_setup, &u_ref, &pairs)
+            reference::transfer(&s_setup, block, &u_ref, &pairs)
         });
         let got_ref = with_backend(AesBackend::Soft, || {
             reference::decode(&y_ref, &bools, &t_ref)
@@ -212,16 +217,15 @@ fn packed_iknp_matches_bool_reference_under_every_backend() {
         let mut all = vec![AesBackend::Soft];
         all.extend(batched_backends());
         for be in all {
-            let (u_fast, t_fast) = with_backend(be, || {
-                receiver.extend(&packed, &mut rand::rngs::StdRng::seed_from_u64(0))
-            });
+            let (u_fast, t_fast) = with_backend(be, || receiver.extend_at(block, &packed));
             assert_eq!(u_fast, u_ref, "extend m={m} be={}", be.name());
             assert_eq!(t_fast, t_ref, "t rows m={m} be={}", be.name());
-            let y_fast = with_backend(be, || sender.transfer(&u_fast, &pairs));
+            let y_fast = with_backend(be, || sender.transfer_at(block, &u_fast, &pairs));
             assert_eq!(y_fast.pairs, y_ref.pairs, "transfer m={m} be={}", be.name());
             let got = with_backend(be, || receiver.decode(&y_fast, &packed, &t_fast));
             assert_eq!(got, got_ref, "decode m={m} be={}", be.name());
         }
+        block += ext::blocks(m);
     }
 }
 

@@ -1,9 +1,10 @@
 //! Serving-runtime integration tests: N-client concurrency bit-identity,
 //! dropped and misbehaving clients, session-table eviction under a tiny
-//! byte budget, the pinned message transcript, and the malformed-shape
-//! sweeps (nothing a peer sends panics a party).
+//! byte budget, the pinned message transcripts of a first and of a
+//! returning client's request (base OT once per client pair), and the
+//! malformed-shape sweeps (nothing a peer sends panics a party).
 
-use pi_core::channel::{local_pair, Channel};
+use pi_core::channel::{local_pair, service_pair, Channel, ClientEvent, SessionPacket};
 use pi_core::msg::Msg;
 use pi_core::serve::session::drive_sync;
 use pi_core::{
@@ -110,7 +111,7 @@ fn dropped_client_aborts_one_session_not_the_server() {
     let dropper = rt.connect(0, model_id, 1);
     assert!(matches!(
         dropper.chan.recv(),
-        Ok(Msg::KeyStatus { need_keys: false })
+        Ok(Msg::KeyStatus { flags: 0, .. })
     ));
     drop(dropper.chan);
     assert!(matches!(
@@ -194,6 +195,11 @@ fn key_table_eviction_forces_reupload_and_stays_correct() {
     // The re-upload really happened: the offline upload is key-sized both
     // times (no regeneration, but no skip either).
     assert!(again.offline_sent > first.offline_sent / 2);
+    // The OT table is a table of its own under the same budget: client 1's
+    // state evicted client 0's, so base OT ran in all three sessions.
+    let ot = rt.ot_table_stats();
+    assert_eq!((ot.inserts, ot.hits), (3, 0), "ot stats: {ot:?}");
+    assert!(ot.evictions >= 1, "ot stats: {ot:?}");
 }
 
 #[test]
@@ -223,6 +229,11 @@ fn key_table_hit_skips_the_upload() {
     let stats = rt.key_table_stats();
     assert!(stats.hits >= 1, "stats: {stats:?}");
     assert_eq!(stats.inserts, 1);
+    // The OT state is not an entry of the key table: one insert, one hit
+    // and a few KB resident in a table of its own.
+    let ot = rt.ot_table_stats();
+    assert_eq!((ot.inserts, ot.hits, ot.misses), (1, 1, 1), "ot: {ot:?}");
+    assert!((4_096..8_192).contains(&rt.ot_table_bytes()));
     // Cached keys: the second request's upload drops by the key material.
     assert!(
         second.offline_sent < first.offline_sent / 2,
@@ -318,6 +329,19 @@ fn pinned_transcript(kind: ProtocolKind) -> (Transcript, Transcript) {
     ([&he_up, up].concat(), [&he_down, down].concat())
 }
 
+/// What [`pinned_transcript`] becomes on the serving runtime for a client
+/// that has been there before: the server opens with a 9-byte `KeyStatus`
+/// (flag byte + stream base), and the key upload and the three base-OT
+/// messages are gone. Nothing else moves.
+fn pinned_returning_transcript(kind: ProtocolKind) -> (Transcript, Transcript) {
+    let (mut up, mut down) = pinned_transcript(kind);
+    let kept = |&(name, _): &(&str, u64)| name != "HeKeys" && !name.starts_with("OtBase");
+    up.retain(kept);
+    down.retain(kept);
+    down.insert(0, ("KeyStatus", 9));
+    (up, down)
+}
+
 /// The byte accounting is honest and the transcript is pinned: a
 /// man-in-the-middle relay that re-measures every message from the
 /// serialized frames it actually carries arrives at exactly the numbers the
@@ -330,10 +354,7 @@ fn channel_byte_atomics_match_relayed_frames() {
     let model = build_model(&he, 11);
     let meta = ModelMeta::of(&model);
     for kind in [ProtocolKind::ClientGarbler, ProtocolKind::ServerGarbler] {
-        let cfg = match kind {
-            ProtocolKind::ClientGarbler => ProtocolConfig::client_garbler(he.clone(), 1),
-            ProtocolKind::ServerGarbler => ProtocolConfig::server_garbler(he.clone()),
-        };
+        let cfg = protocol_cfg(kind, Some(&he));
         let pre = pi_core::ServerPrecomp::new(&model, &cfg);
         let input = random_input(&model, 99);
         let (c_chan, c_peer) = local_pair();
@@ -419,20 +440,43 @@ fn case(
     (what, tamper)
 }
 
+/// One direction of a relay: counts the messages of the tamper's target
+/// kind, corrupts the `nth`, and records everything as it was sent.
+struct Tap {
+    tamper: Option<(Tamper, u64)>,
+    hits: usize,
+    seen: Transcript,
+}
+
+impl Tap {
+    fn new(tamper: Option<(Tamper, u64)>) -> Self {
+        let (hits, seen) = (0, Transcript::new());
+        Self { tamper, hits, seen }
+    }
+
+    /// Records `m`, then corrupts it if it is the one to corrupt: `true`
+    /// means forward it and stop relaying.
+    fn pass(&mut self, m: &mut Msg) -> bool {
+        self.seen.push((m.kind(), relayed_len(m)));
+        let Some((t, p)) = self.tamper.filter(|(t, _)| t.target == m.kind()) else {
+            return false;
+        };
+        let last = self.hits == t.nth;
+        if last {
+            (t.mutate)(m, p);
+        }
+        self.hits += 1;
+        last
+    }
+}
+
 /// Forwards `from` → `to` on a detached thread until either side hangs up
 /// or the tampered message went out.
 fn spawn_relay(from: Arc<Channel>, to: Arc<Channel>, tamper: Option<(Tamper, u64)>) {
     std::thread::spawn(move || {
-        let mut seen = 0;
+        let mut tap = Tap::new(tamper);
         while let Ok(mut m) = from.recv() {
-            let mut last = false;
-            if let Some((t, p)) = tamper.filter(|(t, _)| t.target == m.kind()) {
-                last = seen == t.nth;
-                if last {
-                    (t.mutate)(&mut m, p);
-                }
-                seen += 1;
-            }
+            let last = tap.pass(&mut m);
             if to.send(m).is_err() || last {
                 break;
             }
@@ -449,53 +493,135 @@ fn within_a_minute<T: Send + 'static>(what: &str, f: impl FnOnce() -> T + Send +
         .unwrap_or_else(|_| panic!("{what}: no result within a minute"))
 }
 
-/// One session of an honest client whose upload passes through a relay
-/// applying `tamper`: returns how the server's session resolved, having
-/// checked that the abort hung up on the client. The honest client runs on
-/// a dedicated pair; the relays splice it onto the session (whose preamble
-/// this swallows).
-fn tampered_session(
+/// One serving-runtime request as a relay between the client and its
+/// session saw it, and how both ends resolved.
+struct Relayed {
+    /// What the client sent, as it sent it.
+    up: Transcript,
+    /// What the server sent, as it sent it.
+    down: Transcript,
+    /// The server's `KeyStatus` flags and stream base.
+    status: (u8, u64),
+    ran: Result<Vec<u64>, ProtocolError>,
+    served: Result<pi_core::PartyOutcome, ProtocolError>,
+}
+
+/// Which direction of a [`relayed_request`] a [`Tamper`] sits on.
+#[derive(Clone, Copy, PartialEq)]
+enum Dir {
+    Up,
+    Down,
+}
+
+/// One request of `client` (as `client_id`) with a relay on both
+/// directions of its session: the client runs on a service channel of the
+/// relay's own, the relay forwards to and from the runtime's. With a
+/// tamper, the relay of that direction corrupts one message and stops; the
+/// other stops when its source hangs up. Everything that can block runs on
+/// detached threads, so a dead worker is a failed test, not a hung one.
+fn relayed_request(
     rt: &ServeRuntime,
     (model_id, client_id): (usize, u64),
+    mut client: ServiceClient,
     (meta, cfg): (&ModelMeta, &ProtocolConfig),
     input: Vec<u64>,
-    (tamper, p): (Tamper, u64),
+    tamper: Option<(Dir, Tamper)>,
     what: &str,
-) -> Result<pi_core::PartyOutcome, ProtocolError> {
+) -> (Relayed, ServiceClient) {
     let conn = rt.connect(client_id, model_id, 2_000 + client_id);
-    assert!(matches!(conn.chan.recv(), Ok(Msg::KeyStatus { .. })));
-    let (c_chan, c_peer) = local_pair();
-    let (c_peer, session) = (Arc::new(c_peer), Arc::new(conn.chan));
-    spawn_relay(c_peer.clone(), session.clone(), Some((tamper, p)));
-    spawn_relay(session, c_peer, None);
+    let (session, handle) = (Arc::new(conn.chan), conn.handle);
+    let (ingress_tx, ingress_rx) = crossbeam::channel::unbounded::<SessionPacket>();
+    let (c_chan, to_client) = service_pair(0, ingress_tx);
+    let p = meta.p.value();
+    let on = |dir| tamper.filter(|(d, _)| *d == dir).map(|(_, t)| (t, p));
+    let up = std::thread::spawn({
+        let (session, mut tap) = (session.clone(), Tap::new(on(Dir::Up)));
+        move || {
+            // A `Gone` packet (the client hung up) ends the loop too.
+            while let Ok(SessionPacket {
+                event: ClientEvent::Msg(mut m),
+                ..
+            }) = ingress_rx.recv()
+            {
+                let last = tap.pass(&mut m);
+                if session.send(m).is_err() || last {
+                    break;
+                }
+            }
+            tap.seen
+        }
+    });
+    let down = std::thread::spawn({
+        let mut tap = Tap::new(on(Dir::Down));
+        move || {
+            let mut status = None;
+            while let Ok(mut m) = session.recv() {
+                if let Msg::KeyStatus { flags, ot_base } = m {
+                    status = Some((flags, ot_base));
+                }
+                let last = tap.pass(&mut m);
+                if to_client.send(m).is_err() || last {
+                    break;
+                }
+            }
+            (tap.seen, status)
+        }
+    });
     let honest = {
         let (meta, cfg) = (meta.clone(), cfg.clone());
         std::thread::spawn(move || {
-            let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-            ServiceClient::new().run(&meta, &input, &cfg, &c_chan, &mut rng)
+            let mut rng = rand::rngs::StdRng::seed_from_u64(7 + client_id);
+            let ran = client.run(&meta, &input, &cfg, &c_chan, &mut rng);
+            (ran.map(|(out, _)| out), client)
         })
     };
-    let handle = conn.handle;
     let served = within_a_minute(what, move || handle.wait());
-    let ran = honest.join().expect("honest client thread");
-    assert!(
-        matches!(ran, Err(ProtocolError::Channel(_))),
-        "{what}: {ran:?}"
-    );
-    served
+    let (ran, client) = honest.join().expect("client thread");
+    let (down, status) = down.join().expect("down relay");
+    let relayed = Relayed {
+        up: up.join().expect("up relay"),
+        down,
+        status: status.unwrap_or_else(|| panic!("{what}: no KeyStatus")),
+        ran,
+        served,
+    };
+    (relayed, client)
 }
 
-/// A well-behaved client on `rt` completes bit-exact: after aborted
-/// sessions, the proof that no worker died and no slot is stuck.
+/// One session of an honest first-time client whose upload passes through
+/// a relay applying `tamper`: returns how the server's session resolved,
+/// having checked that the abort hung up on the client.
+fn tampered_session(
+    rt: &ServeRuntime,
+    ids: (usize, u64),
+    party: (&ModelMeta, &ProtocolConfig),
+    input: Vec<u64>,
+    tamper: Tamper,
+    what: &str,
+) -> Result<pi_core::PartyOutcome, ProtocolError> {
+    let tamper = Some((Dir::Up, tamper));
+    let (r, _) = relayed_request(rt, ids, ServiceClient::new(), party, input, tamper, what);
+    assert!(
+        matches!(r.ran, Err(ProtocolError::Channel(_))),
+        "{what}: {:?}",
+        r.ran
+    );
+    r.served
+}
+
+/// A well-behaved first-time client on `rt` completes bit-exact: after
+/// aborted sessions, the proof that no worker died and no slot is stuck.
+/// `client_id` must be one no earlier session of `rt` used — the server
+/// would claim cached state a fresh `ServiceClient` does not hold.
 fn neighbour_completes(
     rt: &ServeRuntime,
-    model_id: usize,
+    (model_id, client_id): (usize, u64),
     model: &PiModel,
     (meta, cfg): (&ModelMeta, &ProtocolConfig),
     what: &str,
 ) {
     let input = random_input(model, 400);
-    let conn = rt.connect(100, model_id, 3_000);
+    let conn = rt.connect(client_id, model_id, 3_000);
     let (meta, cfg) = (meta.clone(), cfg.clone());
     let (out, served) = within_a_minute("neighbour", move || {
         let mut rng = rand::rngs::StdRng::seed_from_u64(8);
@@ -572,7 +698,6 @@ fn malformed_client_messages_are_bad_requests_and_the_worker_survives() {
     let he = BfvParams::small_test();
     let model = build_model(&he, 11);
     let meta = ModelMeta::of(&model);
-    let p = model.p.value();
     let masked_input = meta.phases.len(); // follows one r_cat per phase
     let both = [
         case("r_cat out of range", "VecU64", 0, unreduced),
@@ -628,24 +753,19 @@ fn malformed_client_messages_are_bad_requests_and_the_worker_survives() {
         let cfg = ProtocolConfig::clear(kind);
         let rt = ServeRuntime::new(serve_cfg(1));
         let model_id = rt.register_model(model.clone(), cfg.clone());
+        let party = (&meta, &cfg);
         for (c, &(what, tamper)) in both.iter().chain(own).enumerate() {
             let what = format!("{kind:?}, {what}");
             let input = random_input(&model, 300 + c as u64);
-            let served = tampered_session(
-                &rt,
-                (model_id, c as u64),
-                (&meta, &cfg),
-                input,
-                (tamper, p),
-                &what,
-            );
+            let served = tampered_session(&rt, (model_id, c as u64), party, input, tamper, &what);
             assert!(
                 matches!(served, Err(ProtocolError::BadRequest(_))),
                 "{what}: {served:?}"
             );
         }
         // Same runtime, same single worker, after every abort.
-        neighbour_completes(&rt, model_id, &model, (&meta, &cfg), &format!("{kind:?}"));
+        let neighbour = (model_id, (both.len() + own.len()) as u64);
+        neighbour_completes(&rt, neighbour, &model, party, &format!("{kind:?}"));
     }
 }
 
@@ -674,14 +794,8 @@ fn unusable_uploaded_galois_keys_are_a_wire_error_and_the_worker_survives() {
     let model_id = rt.register_model(model.clone(), cfg.clone());
     let (what, tamper) = case("even Galois element", "HeKeys", 0, even_galois_element);
 
-    let served = tampered_session(
-        &rt,
-        (model_id, 0),
-        (&meta, &cfg),
-        random_input(&model, 300),
-        (tamper, 0),
-        what,
-    );
+    let input = random_input(&model, 300);
+    let served = tampered_session(&rt, (model_id, 0), (&meta, &cfg), input, tamper, what);
     assert!(
         matches!(
             served,
@@ -691,7 +805,7 @@ fn unusable_uploaded_galois_keys_are_a_wire_error_and_the_worker_survives() {
     );
     // Nothing of the refused upload was cached; the neighbour's is.
     assert_eq!(rt.key_table_stats().inserts, 0);
-    neighbour_completes(&rt, model_id, &model, (&meta, &cfg), what);
+    neighbour_completes(&rt, (model_id, 1), &model, (&meta, &cfg), what);
     assert_eq!(rt.key_table_stats().inserts, 1);
 }
 
@@ -789,5 +903,277 @@ fn malformed_server_messages_are_bad_requests_to_the_client() {
                 "{what}: {served:?}"
             );
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Base OT once per client pair: a returning client's request runs on the
+// IKNP state both parties kept, in a range of the PRG streams the server
+// reserves per session.
+// ---------------------------------------------------------------------------
+
+fn protocol_cfg(kind: ProtocolKind, he: Option<&BfvParams>) -> ProtocolConfig {
+    match (kind, he) {
+        (_, None) => ProtocolConfig::clear(kind),
+        (ProtocolKind::ClientGarbler, Some(he)) => ProtocolConfig::client_garbler(he.clone(), 1),
+        (ProtocolKind::ServerGarbler, Some(he)) => ProtocolConfig::server_garbler(he.clone()),
+    }
+}
+
+/// The second request of one `ServiceClient`, both kinds, HE and clear:
+/// bit-exact, no base-OT message in either direction, a 9-byte `KeyStatus`
+/// whose base is where the first session's range ended — and, under HE,
+/// exactly the pinned transcripts (a first request's is the dedicated
+/// pair's behind a 1-byte `KeyStatus`).
+#[test]
+fn returning_client_runs_no_base_ot() {
+    let he = BfvParams::small_test();
+    let model = build_model(&he, 11);
+    let meta = ModelMeta::of(&model);
+    for kind in [ProtocolKind::ClientGarbler, ProtocolKind::ServerGarbler] {
+        for he in [Some(&he), None] {
+            let what = format!("{kind:?}, he={}", he.is_some());
+            let cfg = protocol_cfg(kind, he);
+            let rt = ServeRuntime::new(serve_cfg(2));
+            let ids = (rt.register_model(model.clone(), cfg.clone()), 7);
+            let mut client = ServiceClient::new();
+            let mut requests = Vec::new();
+            for seed in [91, 92] {
+                let input = random_input(&model, seed);
+                let expect = model.forward(&input);
+                let (r, back) =
+                    relayed_request(&rt, ids, client, (&meta, &cfg), input, None, &what);
+                assert_eq!(r.ran, Ok(expect), "{what}: request {seed}");
+                assert!(r.served.is_ok(), "{what}: server {:?}", r.served);
+                client = back;
+                requests.push(r);
+            }
+            let (first, second) = (&requests[0], &requests[1]);
+            let need_keys = if he.is_some() { Msg::NEED_KEYS } else { 0 };
+            assert_eq!(first.status, (need_keys, 0), "{what}");
+            assert_eq!(first.down[0], ("KeyStatus", 1), "{what}");
+            assert_eq!(
+                second.status,
+                (Msg::OT_CACHED, meta.ot_blocks(kind)),
+                "{what}"
+            );
+            assert_eq!(second.down[0], ("KeyStatus", 9), "{what}");
+            let base_ot = |t: &Transcript| t.iter().filter(|m| m.0.starts_with("OtBase")).count();
+            assert_eq!((base_ot(&first.up), base_ot(&first.down)), {
+                match kind {
+                    ProtocolKind::ClientGarbler => (1, 2),
+                    ProtocolKind::ServerGarbler => (2, 1),
+                }
+            });
+            assert_eq!((base_ot(&second.up), base_ot(&second.down)), (0, 0));
+            if he.is_some() {
+                let (up, mut down) = pinned_transcript(kind);
+                down.insert(0, ("KeyStatus", 1));
+                assert_eq!((&first.up, &first.down), (&up, &down), "{what}: first");
+                let (up, down) = pinned_returning_transcript(kind);
+                assert_eq!((&second.up, &second.down), (&up, &down), "{what}: second");
+            }
+            // One base OT, one reuse; the key table reads as it always did.
+            let ot = rt.ot_table_stats();
+            assert_eq!((ot.inserts, ot.hits, ot.misses), (1, 1, 1), "{what}");
+            let keys = rt.key_table_stats();
+            let he_requests = u64::from(he.is_some());
+            assert_eq!(
+                (keys.inserts, keys.hits, keys.misses),
+                (he_requests, he_requests, he_requests),
+                "{what}"
+            );
+        }
+    }
+}
+
+/// A 1-byte table budget: every client's state evicts the other's, so base
+/// OT runs again in every session and every output stays bit-exact.
+#[test]
+fn ot_table_eviction_reruns_base_ot_and_stays_correct() {
+    let he = BfvParams::small_test();
+    let model = build_model(&he, 11);
+    let meta = ModelMeta::of(&model);
+    for kind in [ProtocolKind::ClientGarbler, ProtocolKind::ServerGarbler] {
+        let cfg = ProtocolConfig::clear(kind);
+        let rt = ServeRuntime::new(ServeConfig {
+            workers: 2,
+            table_budget_bytes: 1,
+            table_shards: 1,
+            ..Default::default()
+        });
+        let model_id = rt.register_model(model.clone(), cfg.clone());
+        let mut clients = [ServiceClient::new(), ServiceClient::new()];
+        for (request, c) in [0usize, 1, 0, 1].into_iter().enumerate() {
+            let conn = rt.connect(c as u64, model_id, request as u64);
+            let input = random_input(&model, 600 + request as u64);
+            let mut rng = rand::rngs::StdRng::seed_from_u64(request as u64);
+            let (out, _) = clients[c]
+                .run(&meta, &input, &cfg, &conn.chan, &mut rng)
+                .unwrap_or_else(|e| panic!("{kind:?} request {request}: {e:?}"));
+            assert_eq!(out, model.forward(&input), "{kind:?} request {request}");
+            conn.handle.wait().expect("server outcome");
+        }
+        let ot = rt.ot_table_stats();
+        assert_eq!((ot.inserts, ot.hits), (4, 0), "{kind:?}: {ot:?}");
+        assert_eq!(ot.evictions, 3, "{kind:?}: {ot:?}");
+    }
+}
+
+/// Three sessions of one client, the middle one aborted inside its second
+/// extension: the ranges the server announces are disjoint — the aborted
+/// session's range is burnt, not handed out again — and the session after
+/// it is bit-exact.
+#[test]
+fn sessions_of_one_client_get_disjoint_block_ranges() {
+    let he = BfvParams::small_test();
+    let model = build_model(&he, 11);
+    let meta = ModelMeta::of(&model);
+    let aborts = [
+        // The evaluator's second extension (up, offline) miscounts.
+        (
+            ProtocolKind::ServerGarbler,
+            case("abort", "OtExtend", 1, miscount).1,
+        ),
+        // The garbler's answer to the second extension (up, online) is short.
+        (
+            ProtocolKind::ClientGarbler,
+            case("abort", "OtTransfer", 1, shorten).1,
+        ),
+    ];
+    for (kind, abort) in aborts {
+        let what = format!("{kind:?}");
+        let cfg = ProtocolConfig::clear(kind);
+        let rt = ServeRuntime::new(serve_cfg(2));
+        let ids = (rt.register_model(model.clone(), cfg.clone()), 3);
+        let blocks = meta.ot_blocks(kind);
+        assert!(blocks > 0);
+        let mut client = ServiceClient::new();
+        let mut bases = Vec::new();
+        for (seed, tamper) in [(1, None), (2, Some((Dir::Up, abort))), (3, None)] {
+            let input = random_input(&model, 700 + seed);
+            let expect = model.forward(&input);
+            let (r, back) = relayed_request(&rt, ids, client, (&meta, &cfg), input, tamper, &what);
+            client = back;
+            match tamper {
+                None => assert_eq!(r.ran, Ok(expect), "{what}: session {seed}"),
+                Some(_) => {
+                    assert!(matches!(r.served, Err(ProtocolError::BadRequest(_))));
+                    assert!(matches!(r.ran, Err(ProtocolError::Channel(_))));
+                    // It got as far as its second extension.
+                    let extensions =
+                        |t: &Transcript| t.iter().filter(|m| m.0 == "OtExtend").count();
+                    assert_eq!(extensions(&r.up) + extensions(&r.down), 2, "{what}");
+                }
+            }
+            bases.push(r.status);
+        }
+        assert_eq!(
+            bases,
+            [
+                (0, 0),
+                (Msg::OT_CACHED, blocks),
+                (Msg::OT_CACHED, 2 * blocks)
+            ],
+            "{what}"
+        );
+    }
+}
+
+fn claim_cached(m: &mut Msg, _: u64) {
+    if let Msg::KeyStatus { flags, ot_base } = m {
+        (*flags, *ot_base) = (*flags | Msg::OT_CACHED, 0);
+    }
+}
+
+fn unknown_flag(m: &mut Msg, _: u64) {
+    if let Msg::KeyStatus { flags, .. } = m {
+        *flags |= 0x80;
+    }
+}
+
+fn rewind_base(m: &mut Msg, _: u64) {
+    if let Msg::KeyStatus { ot_base, .. } = m {
+        *ot_base -= 1;
+    }
+}
+
+/// Nothing in a `KeyStatus` panics the client or gets a stream block
+/// expanded twice: a "cached" claim to a client holding no state, a base
+/// below the client's mark and a flag byte with unknown bits are each a
+/// `BadRequest` before the client has sent a single message. The session
+/// they leave behind ends when the client hangs up, the refused returning
+/// client is served on its next honest request, and a neighbour on the same
+/// one-worker runtime completes.
+#[test]
+fn malformed_key_status_is_a_bad_request_before_the_client_sends() {
+    let he = BfvParams::small_test();
+    let model = build_model(&he, 11);
+    let meta = ModelMeta::of(&model);
+    for kind in [ProtocolKind::ServerGarbler, ProtocolKind::ClientGarbler] {
+        let cfg = ProtocolConfig::clear(kind);
+        let party = (&meta, &cfg);
+        let rt = ServeRuntime::new(serve_cfg(1));
+        let model_id = rt.register_model(model.clone(), cfg.clone());
+        // Client 0 has been here before; the others are new.
+        let input = random_input(&model, 800);
+        let expect = model.forward(&input);
+        let (r, returning) = relayed_request(
+            &rt,
+            (model_id, 0),
+            ServiceClient::new(),
+            party,
+            input,
+            None,
+            "first visit",
+        );
+        assert_eq!(r.ran, Ok(expect));
+        let cases = [
+            case("base below the client's mark", "KeyStatus", 0, rewind_base),
+            case(
+                "cached claim, stateless client",
+                "KeyStatus",
+                0,
+                claim_cached,
+            ),
+            case("unknown flag bits", "KeyStatus", 0, unknown_flag),
+        ];
+        let mut clients = vec![returning, ServiceClient::new(), ServiceClient::new()];
+        for (c, (what, tamper)) in cases.into_iter().enumerate() {
+            let what = format!("{kind:?}, {what}");
+            let input = random_input(&model, 801 + c as u64);
+            let tamper = Some((Dir::Down, tamper));
+            let ids = (model_id, c as u64);
+            let (r, back) =
+                relayed_request(&rt, ids, clients.remove(0), party, input, tamper, &what);
+            clients.push(back);
+            assert!(
+                matches!(r.ran, Err(ProtocolError::BadRequest(_))),
+                "{what}: {:?}",
+                r.ran
+            );
+            assert_eq!(r.up, Transcript::new(), "{what}: the client sent something");
+            assert!(
+                matches!(r.served, Err(ProtocolError::Channel(_))),
+                "{what}: {:?}",
+                r.served
+            );
+        }
+        // The refused returning client kept its mark: the range it was
+        // offered is burnt, the next one is served.
+        let input = random_input(&model, 810);
+        let expect = model.forward(&input);
+        let (r, _) = relayed_request(
+            &rt,
+            (model_id, 0),
+            clients.remove(0),
+            party,
+            input,
+            None,
+            "return visit",
+        );
+        assert_eq!(r.ran, Ok(expect), "{kind:?}: return visit");
+        assert_eq!(r.status, (Msg::OT_CACHED, 2 * meta.ot_blocks(kind)));
+        neighbour_completes(&rt, (model_id, 3), &model, party, &format!("{kind:?}"));
     }
 }
