@@ -98,11 +98,11 @@ fn bench_matvec(c: &mut Criterion) {
     let params = BfvParams::default_pi();
     let dims = [64usize, 128];
     let mut rng = rand::rngs::StdRng::seed_from_u64(42);
-    // One secret, two key sets: the power-of-two composition set drives the
-    // naive chain, the BSGS set (babies at the fine gadget) the hoisted
-    // path — each path benches under exactly the keys it ships with.
+    // Two key sets: the power-of-two composition chain drives the naive
+    // oracle, the dimensions' key plan (babies at the fine gadget) the
+    // hoisted path — each path benches under exactly the keys it ships with.
     let keys = KeySet::generate(&params, &mut rng);
-    let bsgs_gk = keys.secret.galois_keys_for_bsgs(&dims, &mut rng);
+    let bsgs = KeySet::generate_for_dims(&params, &dims, &mut rng);
     let enc = BatchEncoder::new(&params);
     let t = params.t();
 
@@ -115,18 +115,19 @@ fn bench_matvec(c: &mut Criterion) {
         let w = PlainMatrix::new(dim, dim, &data, t);
         let v: Vec<u64> = (0..dim).map(|_| rng.gen_range(0..t.value())).collect();
         let ct = encrypt_vector(&keys.public, &enc, &w, &v, &mut rng);
+        let bsgs_ct = encrypt_vector(&bsgs.public, &enc, &w, &v, &mut rng);
         let naive_diag = encode_diagonals(&enc, &w);
         let bsgs_diag = encode_diagonals_bsgs(&enc, &w);
 
         // Differential gate before timing: identical decryptions or bust.
         let naive_out = matvec_naive(&keys.galois, &naive_diag, &ct);
-        let bsgs_out = matvec_precomputed(&bsgs_gk, &bsgs_diag, &ct);
+        let bsgs_out = matvec_precomputed(&bsgs.galois, &bsgs_diag, &bsgs_ct);
         let expect = w.matvec_plain(&v, t);
-        let dec = enc.decode_prefix(&keys.secret.decrypt(&bsgs_out), dim);
+        let dec = enc.decode_prefix(&bsgs.secret.decrypt(&bsgs_out), dim);
         assert_eq!(dec, expect, "BSGS matvec decrypts wrong at d={dim}");
         assert_eq!(
             keys.secret.decrypt(&naive_out),
-            keys.secret.decrypt(&bsgs_out),
+            bsgs.secret.decrypt(&bsgs_out),
             "naive and BSGS matvec diverge at d={dim}"
         );
         println!("csv,matvec_check,d{dim},ok");
@@ -141,7 +142,7 @@ fn bench_matvec(c: &mut Criterion) {
             bch.iter(|| matvec_naive(&keys.galois, &naive_diag, &ct))
         });
         group.bench_function(format!("bsgs_d{dim}_n4096"), |bch| {
-            bch.iter(|| matvec_precomputed(&bsgs_gk, &bsgs_diag, &ct))
+            bch.iter(|| matvec_precomputed(&bsgs.galois, &bsgs_diag, &bsgs_ct))
         });
     }
     group.finish();
@@ -156,10 +157,10 @@ fn bench_matvec(c: &mut Criterion) {
     group.bench_function("rotate_cold_1", |b| {
         b.iter(|| keys.galois.rotate_rows(&ct, 1))
     });
-    group.bench_function("hoist", |b| b.iter(|| bsgs_gk.hoist(&ct)));
-    let hoisted = bsgs_gk.hoist(&ct);
+    group.bench_function("hoist", |b| b.iter(|| bsgs.galois.hoist(&ct)));
+    let hoisted = bsgs.galois.hoist(&ct);
     group.bench_function("rotate_hoisted_1", |b| {
-        b.iter(|| bsgs_gk.rotate_hoisted(&hoisted, 1))
+        b.iter(|| bsgs.galois.rotate_hoisted(&hoisted, 1))
     });
     group.finish();
 }
@@ -172,8 +173,7 @@ fn bench_matvec_simd_vs_scalar(c: &mut Criterion) {
     let params = BfvParams::default_pi();
     let dim = 128usize;
     let mut rng = rand::rngs::StdRng::seed_from_u64(43);
-    let keys = KeySet::generate(&params, &mut rng);
-    let bsgs_gk = keys.secret.galois_keys_for_bsgs(&[dim], &mut rng);
+    let keys = KeySet::generate_for_dims(&params, &[dim], &mut rng);
     let enc = BatchEncoder::new(&params);
     let t = params.t();
     let data: Vec<u64> = (0..dim * dim)
@@ -190,7 +190,7 @@ fn bench_matvec_simd_vs_scalar(c: &mut Criterion) {
     for (label, be) in [("scalar", SimdBackend::Scalar), ("simd", auto)] {
         simd::force_backend(be);
         group.bench_function(format!("bsgs_{label}_d{dim}_n4096"), |b| {
-            b.iter(|| matvec_precomputed(&bsgs_gk, &bsgs_diag, &ct))
+            b.iter(|| matvec_precomputed(&keys.galois, &bsgs_diag, &ct))
         });
         simd::clear_forced_backend();
     }

@@ -23,6 +23,7 @@ use pi_gc::Label;
 use pi_he::{BatchEncoder, BfvParams, GaloisKeys, KeySet, NoiseStage};
 use pi_ot::ext::{OtExtReceiver, OtExtSender};
 use rand::Rng;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Receives the next message, which must be the given [`Msg`] variant.
@@ -57,9 +58,11 @@ struct ClientHe<'a> {
 /// [`crate::channel::local_pair`] — retaining across them what is the
 /// pair's, not the request's:
 ///
-/// * its HE [`KeySet`] (the secret key never leaves the client). If the
-///   server evicted the keys, the retained set is re-uploaded, not
-///   regenerated.
+/// * its HE [`KeySet`]s (the secret key never leaves the client), one per
+///   key plan ([`ModelMeta::key_plan`]): the set generated for one model
+///   is reused for that model — and any other with the same plan — only.
+///   If the server evicted the rotation keys, the retained set is
+///   re-uploaded, not regenerated.
 /// * its half of the post-base-OT IKNP state, per extension role, with a
 ///   **high-water mark**: the first PRG block no session of this client
 ///   has been given. When the server still caches the other half
@@ -76,7 +79,7 @@ struct ClientHe<'a> {
 /// `ServiceClient` stands for one client id at one runtime.
 #[derive(Default)]
 pub struct ServiceClient {
-    retained: Option<Arc<KeySet>>,
+    retained: HashMap<Vec<(usize, u32)>, Arc<KeySet>>,
     /// Client-Garbler: the client answers the server's label OTs.
     ot_sender: Option<OtStream<OtExtSender>>,
     /// Server-Garbler: the client asks for its labels.
@@ -109,15 +112,15 @@ impl ServiceClient {
 
     /// Whether this client currently retains HE key material.
     pub fn has_keys(&self) -> bool {
-        self.retained.is_some()
+        !self.retained.is_empty()
     }
 
     /// Runs one inference and returns its output and cost summary. On a
     /// serving-runtime channel the first downlink message is the server's
     /// [`Msg::KeyStatus`]: the key upload is skipped when the server still
-    /// caches this client's keys, and base OT when it still caches the
-    /// pair's IKNP state. On a dedicated pair the keys are always uploaded
-    /// and base OT always runs.
+    /// caches this client's keys for the model's key plan, and base OT when
+    /// it still caches the pair's IKNP state. On a dedicated pair the keys
+    /// are always uploaded and base OT always runs.
     ///
     /// # Errors
     ///
@@ -158,11 +161,6 @@ impl ServiceClient {
         } else {
             (true, None)
         };
-        if cfg.he().is_some() && !upload && self.retained.is_none() {
-            return Err(ProtocolError::BadRequest(
-                "server caches keys this client does not hold",
-            ));
-        }
         // The reserved range leaves the retained stream here, before
         // anything is sent: whatever becomes of the session, no later one
         // is accepted inside it.
@@ -341,12 +339,14 @@ impl ServiceClient {
         Ok((output, out))
     }
 
-    /// Readies the HE context: reuses the retained keys or generates (and
-    /// retains) the power-of-two composition keys plus the hoisted
-    /// baby-step/giant-step rotation set for every linear-layer dimension
-    /// the model metadata announces, accounts the key material, and uploads
-    /// it when `upload` — a serving-runtime session whose server still
-    /// caches the keys skips the multi-megabyte transfer entirely.
+    /// Readies the HE context: reuses the keys retained for the model's
+    /// key plan or generates (and retains) exactly that plan's rotation
+    /// keys — the hoisted baby-step/giant-step set for every linear-layer
+    /// dimension the model metadata announces — accounts the key material,
+    /// and uploads the rotation-key frame when `upload`: a serving-runtime
+    /// session whose server still caches the keys skips the multi-megabyte
+    /// transfer entirely, and one that claims to cache keys this client
+    /// does not hold for the plan is refused before anything is sent.
     fn he_context<'a, R: Rng + ?Sized>(
         &mut self,
         meta: &ModelMeta,
@@ -361,10 +361,17 @@ impl ServiceClient {
             meta.p.value(),
             "model field must equal the HE plaintext modulus"
         );
+        let key_plan = meta.key_plan(params);
+        if !upload && !self.retained.contains_key(&key_plan) {
+            return Err(ProtocolError::BadRequest(
+                "server caches keys this client does not hold",
+            ));
+        }
         let dims: Vec<usize> = meta.phases.iter().map(|ph| ph.padded_dim).collect();
         let keys = self
             .retained
-            .get_or_insert_with(|| Arc::new(KeySet::generate_for_dims(params, &dims, rng)))
+            .entry(key_plan)
+            .or_insert_with(|| Arc::new(KeySet::generate_for_dims(params, &dims, rng)))
             .clone();
         // Accounting reports the serialized frame length — the bytes that
         // actually cross the wire — not the in-memory footprint.
@@ -376,10 +383,7 @@ impl ServiceClient {
         out.galois_key_bytes_per_rotation =
             GaloisKeys::per_rotation_set_byte_len(params, max_dim) as u64;
         if upload {
-            chan.send(Msg::HeKeys {
-                pk: pi_he::public_key_to_bytes(&keys.public),
-                gk: pi_he::galois_keys_to_bytes(&keys.galois),
-            })?;
+            chan.send(Msg::HeKeys(pi_he::galois_keys_to_bytes(&keys.galois)))?;
         }
         let encoder = BatchEncoder::new(params);
         Ok(ClientHe {

@@ -11,7 +11,7 @@ use crate::msg::Msg;
 use crate::role::OtStream;
 use pi_field::Modulus;
 use pi_he::linalg::{self, BsgsDiagonals, PlainMatrix};
-use pi_he::{BatchEncoder, BfvParams, GaloisKeys, PublicKey};
+use pi_he::{BatchEncoder, BfvParams, GaloisKeys};
 use pi_nn::PiModel;
 use pi_ot::ext::{self, OtExtReceiver, OtExtSender};
 use rand::Rng;
@@ -173,6 +173,14 @@ impl ModelMeta {
         }
     }
 
+    /// The rotation keys a client of this model generates and uploads, the
+    /// only set the server admits for it, and what both parties key their
+    /// key caches by: [`linalg::key_plan`] at the phases' padded dimensions.
+    pub fn key_plan(&self, params: &BfvParams) -> Vec<(usize, u32)> {
+        let dims: Vec<usize> = self.phases.iter().map(|ph| ph.padded_dim).collect();
+        linalg::key_plan(params, &dims)
+    }
+
     /// PRG blocks one session draws from its pair's IKNP streams
     /// ([`pi_ot::ext`]): one extension per ReLU phase over every
     /// instance's evaluator-held input wires — share and next randomness
@@ -215,21 +223,46 @@ pub(crate) fn unexpected(expected: &'static str, got: &Msg) -> ProtocolError {
     }
 }
 
-/// The client's upload of HE key material, as the server caches it in its
-/// session table: encryption key plus rotation keys, no secret key.
+/// A client's uploaded rotation keys, admitted for one key plan: the only
+/// way to one is [`ClientHeKeys::admit`], so a matvec job or a session-table
+/// entry never holds a set that lacks a key the model's matvecs read, or
+/// carries one they do not.
 #[derive(Debug)]
-pub struct ClientHeKeys {
-    /// Encryption key.
-    pub pk: PublicKey,
-    /// Rotation keys (BSGS babies/giants + power-of-two composition chain).
-    pub gk: GaloisKeys,
-}
+pub struct ClientHeKeys(GaloisKeys);
 
 impl ClientHeKeys {
+    /// Parses an uploaded rotation-key frame and admits it if its entries
+    /// **equal** `plan` ([`ModelMeta::key_plan`]), element for element and
+    /// base for base, in order.
+    ///
+    /// # Errors
+    ///
+    /// [`ProtocolError::Wire`] on a frame that fails to parse,
+    /// [`ProtocolError::BadRequest`] on a well-formed set that is not the
+    /// plan: an entry missing, added, repeated, or under another base.
+    pub fn admit(
+        frame: &[u8],
+        params: &BfvParams,
+        plan: &[(usize, u32)],
+    ) -> Result<Self, ProtocolError> {
+        let gk = pi_he::galois_keys_from_bytes(frame, params)?;
+        if !gk.entries().eq(plan.iter().copied()) {
+            return Err(ProtocolError::BadRequest(
+                "rotation keys are not the model's key plan",
+            ));
+        }
+        Ok(Self(gk))
+    }
+
+    /// The admitted rotation keys.
+    pub fn galois(&self) -> &GaloisKeys {
+        &self.0
+    }
+
     /// Heap bytes the key set occupies — the quantity the session table's
     /// byte budget meters.
     pub fn resident_byte_len(&self) -> usize {
-        self.pk.byte_len() + self.gk.resident_byte_len()
+        self.0.resident_byte_len()
     }
 }
 

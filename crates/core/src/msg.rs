@@ -1,6 +1,6 @@
 //! Protocol messages and their wire-format sizes.
 //!
-//! Parties exchange typed values in process. HE material — key uploads,
+//! Parties exchange typed values in process. HE material — the key upload,
 //! ciphertext vectors — travels as **actual serialized frames**
 //! ([`pi_he::wire`]): seed-expanded, bit-packed bytes produced by the
 //! sender and parsed by the receiver, so `byte_len` for those variants is
@@ -34,15 +34,12 @@ pub enum Msg {
         /// without it the session runs base OT and starts at block 0.
         ot_base: u64,
     },
-    /// Client → server: HE public key and rotation keys (offline, once), as
-    /// serialized seed-expanded wire frames ([`pi_he::public_key_to_bytes`]
-    /// / [`pi_he::galois_keys_to_bytes`]).
-    HeKeys {
-        /// Serialized encryption-key frame.
-        pk: Vec<u8>,
-        /// Serialized rotation-key frame.
-        gk: Vec<u8>,
-    },
+    /// Client → server: the rotation keys of the model's key plan
+    /// ([`crate::ModelMeta::key_plan`]), offline and once, as one serialized
+    /// seed-expanded wire frame ([`pi_he::galois_keys_to_bytes`]). The
+    /// server reads nothing else of the client's key material, so nothing
+    /// else is sent.
+    HeKeys(Vec<u8>),
     /// Encrypted vectors (client's `E(r)` per phase, or the server's
     /// mod-switched `E(W·r − s)` response), one serialized ciphertext frame
     /// each.
@@ -84,7 +81,7 @@ impl Msg {
         match self {
             Msg::KeyStatus { flags, .. } if flags & Msg::OT_CACHED != 0 => 1 + 8,
             Msg::KeyStatus { .. } => 1,
-            Msg::HeKeys { pk, gk } => 8 + pk.len() + 8 + gk.len(),
+            Msg::HeKeys(gk) => 8 + gk.len(),
             Msg::HeCts(frames) => 8 + frames.iter().map(|f| 8 + f.len()).sum::<usize>(),
             Msg::VecU64(v) => 8 + v.len() * 8,
             Msg::GcTables(circuits) => 8 + circuits.iter().map(|t| 8 + t.len() * 32).sum::<usize>(),
@@ -104,7 +101,7 @@ impl Msg {
     pub fn kind(&self) -> &'static str {
         match self {
             Msg::KeyStatus { .. } => "KeyStatus",
-            Msg::HeKeys { .. } => "HeKeys",
+            Msg::HeKeys(_) => "HeKeys",
             Msg::HeCts(_) => "HeCts",
             Msg::VecU64(_) => "VecU64",
             Msg::GcTables(_) => "GcTables",
@@ -147,10 +144,6 @@ mod tests {
     fn he_frames_count_serialized_bytes() {
         let msg = Msg::HeCts(vec![vec![0u8; 100], vec![0u8; 7]]);
         assert_eq!(msg.byte_len(), 8 + (8 + 100) + (8 + 7));
-        let keys = Msg::HeKeys {
-            pk: vec![0u8; 10],
-            gk: vec![0u8; 20],
-        };
-        assert_eq!(keys.byte_len(), 8 + 10 + 8 + 20);
+        assert_eq!(Msg::HeKeys(vec![0u8; 20]).byte_len(), 8 + 20);
     }
 }

@@ -11,14 +11,11 @@
 //! fill each other's stalls: while one worker grinds a garbling or a fused
 //! matvec batch, the rest drain every other session's inbox.
 //!
-//! Every worker binds the executor's shared [`KsScratchPool`] on startup,
-//! so hoisting scratch is pooled across the pool (bounded by worker count)
-//! instead of duplicated per thread — and the `he.ks_scratch_alloc`
-//! counter attributes growth to actual demand rather than to however many
-//! threads a stolen task happened to touch.
+//! The workers are a fixed set of threads, so `pi-he`'s thread-local
+//! key-switch scratch is one warm set per worker however sessions migrate
+//! between them.
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use pi_he::KsScratchPool;
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -76,11 +73,10 @@ pub fn resolve_workers(requested: usize) -> usize {
 }
 
 impl Executor {
-    /// Spawns `workers` threads sharing one key-switch scratch pool.
+    /// Spawns `workers` threads.
     pub(crate) fn new(workers: usize) -> Self {
         let workers = workers.max(1);
         let (tx, rx) = unbounded::<Injected>();
-        let pool = Arc::new(KsScratchPool::new(workers));
         let inner = Arc::new(ExecInner {
             id: EXEC_IDS.fetch_add(1, Ordering::Relaxed),
             tx,
@@ -93,10 +89,9 @@ impl Executor {
             .map(|w| {
                 let inner = inner.clone();
                 let rx = rx.clone();
-                let pool = pool.clone();
                 std::thread::Builder::new()
                     .name(format!("pi-serve-{w}"))
-                    .spawn(move || worker_loop(w, inner, rx, pool))
+                    .spawn(move || worker_loop(w, inner, rx))
                     .expect("spawn serve worker")
             })
             .collect();
@@ -129,9 +124,8 @@ impl Drop for Executor {
     }
 }
 
-fn worker_loop(me: usize, inner: Arc<ExecInner>, rx: Receiver<Injected>, pool: Arc<KsScratchPool>) {
+fn worker_loop(me: usize, inner: Arc<ExecInner>, rx: Receiver<Injected>) {
     WORKER.with(|c| c.set((inner.id, me)));
-    pi_he::bind_scratch_pool(Some(pool));
     loop {
         // Own work first: newest-first locality is deliberately *not* used —
         // FIFO keeps per-session event order intuitive in traces.
@@ -161,5 +155,4 @@ fn worker_loop(me: usize, inner: Arc<ExecInner>, rx: Receiver<Injected>, pool: A
             break;
         }
     }
-    pi_he::bind_scratch_pool(None);
 }

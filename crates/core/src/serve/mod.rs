@@ -12,8 +12,10 @@
 //!   [`ProtocolError`] that aborts exactly one session; the worker and
 //!   every neighbouring session carry on.
 //! * **Session tables** — sharded, byte-budgeted LRUs ([`ShardedLru`]),
-//!   one each for every client's uploaded HE keys, every client pair's
-//!   post-base-OT IKNP state ([`ClientOtState`], keyed by client and
+//!   one each for every client's uploaded rotation keys ([`ClientHeKeys`],
+//!   keyed by client and key plan — a set is only ever used for a model it
+//!   was admitted for, and models with one plan share it), every client
+//!   pair's post-base-OT IKNP state ([`ClientOtState`], keyed by client and
 //!   protocol kind, i.e. by which extension role the server plays) and
 //!   every model's [`ServerPrecomp`]. Eviction drops only the table's
 //!   reference (in-flight sessions keep their `Arc`); an evicted client
@@ -62,7 +64,8 @@ pub use table::{ShardedLru, TableStats};
 
 use crate::channel::{service_pair, Channel, ChannelError, ChannelTx, ClientEvent, SessionPacket};
 use crate::common::{
-    ClientHeKeys, ClientOtState, PartyOutcome, ProtocolConfig, ProtocolKind, ServerPrecomp,
+    ClientHeKeys, ClientOtState, ModelMeta, PartyOutcome, ProtocolConfig, ProtocolKind,
+    ServerPrecomp,
 };
 use crate::error::ProtocolError;
 use crate::msg::Msg;
@@ -111,11 +114,13 @@ impl Default for ServeConfig {
     }
 }
 
-/// A registered model: weights plus the protocol configuration it serves
-/// under.
+/// A registered model: weights, the protocol configuration it serves
+/// under, and the key plan its clients' rotation keys are cached by (empty
+/// without HE).
 struct ModelEntry {
     model: PiModel,
     cfg: ProtocolConfig,
+    key_plan: Vec<(usize, u32)>,
 }
 
 /// One event on a session slot's inbox.
@@ -157,7 +162,7 @@ struct Inner {
     models: parking_lot::Mutex<Vec<Arc<ModelEntry>>>,
     slots: parking_lot::Mutex<HashMap<u64, Arc<Slot>>>,
     next_sid: AtomicU64,
-    keys_table: ShardedLru<u64, ClientHeKeys>,
+    keys_table: ShardedLru<(u64, Vec<(usize, u32)>), ClientHeKeys>,
     ot_table: ShardedLru<(u64, ProtocolKind), ClientOtState>,
     precomp_table: ShardedLru<usize, ServerPrecomp>,
     batcher: Batcher,
@@ -243,16 +248,26 @@ impl ServeRuntime {
     /// precomputation is built lazily on first connect and cached in the
     /// session table.
     pub fn register_model(&self, model: PiModel, cfg: ProtocolConfig) -> usize {
+        let meta = ModelMeta::of(&model);
+        let key_plan = cfg
+            .he()
+            .map_or_else(Vec::new, |params| meta.key_plan(params));
+        let entry = ModelEntry {
+            model,
+            cfg,
+            key_plan,
+        };
         let mut models = self.inner.models.lock();
-        models.push(Arc::new(ModelEntry { model, cfg }));
+        models.push(Arc::new(entry));
         models.len() - 1
     }
 
     /// Opens a session for `client_id` against `model_id`, seeding the
     /// server's session RNG with `server_seed`. If the session table still
-    /// holds the client's HE keys, the session skips the key upload; if it
-    /// still holds the pair's IKNP state, the session's range of it is
-    /// reserved here and the session skips base OT.
+    /// holds the rotation keys the client uploaded for this model's key
+    /// plan, the session skips the key upload; if it still holds the pair's
+    /// IKNP state, the session's range of it is reserved here and the
+    /// session skips base OT.
     ///
     /// # Panics
     ///
@@ -262,10 +277,8 @@ impl ServeRuntime {
         let entry = inner.models.lock()[model_id].clone();
         let sid = inner.next_sid.fetch_add(1, Ordering::Relaxed);
         let (chan, tx) = service_pair(sid, inner.ingress_tx.clone());
-        let cached = entry
-            .cfg
-            .he()
-            .and_then(|_| inner.keys_table.get(&client_id));
+        let cached = (entry.cfg.he())
+            .and_then(|_| inner.keys_table.get(&(client_id, entry.key_plan.clone())));
         let cached_ot = inner.ot_table.get(&(client_id, entry.cfg.kind));
         let pre = precomp_for(inner, model_id, &entry);
         let session = ServerSession::new(
@@ -463,7 +476,8 @@ fn step_event(inner: &Arc<Inner>, slot: &Arc<Slot>, body: &mut SlotBody, event: 
         // they exist, so even a session that later fails leaves them cached.
         Ok(Step::GotKeys(keys)) => {
             let bytes = keys.resident_byte_len() as u64;
-            inner.keys_table.insert(slot.client_id, keys, bytes);
+            let key = (slot.client_id, entry.key_plan.clone());
+            inner.keys_table.insert(key, keys, bytes);
             return;
         }
         // Likewise the pair's IKNP state, as soon as base OT finished.

@@ -72,7 +72,7 @@ pub struct MatvecJob {
     pub phase: usize,
     /// The client's `E(r_cat)` for that phase.
     pub ct: Ciphertext,
-    /// The client's HE keys (rotations happen under them).
+    /// The client's rotation keys, admitted for this model's key plan.
     pub keys: Arc<ClientHeKeys>,
 }
 
@@ -94,10 +94,13 @@ pub enum Step {
     Done(PartyOutcome),
 }
 
-/// The server's HE context, resolved once from the configuration.
+/// The server's HE context, resolved once from the configuration and the
+/// model.
 struct HeCtx {
     params: BfvParams,
     encoder: BatchEncoder,
+    /// The model's key plan: what an upload must equal to be admitted.
+    plan: Vec<(usize, u32)>,
 }
 
 /// One stored Client-Garbler ReLU phase: the checked tables, the output
@@ -207,9 +210,10 @@ pub struct ServerSession {
 
 impl ServerSession {
     /// Creates a session for one inference of `model` under `cfg`, armed
-    /// for its first message. `cached_keys` is the client's HE key material
-    /// if the server's session table still holds it (the session then skips
-    /// the upload); `cached_ot` likewise the pair's IKNP state (the session
+    /// for its first message. `cached_keys` is the client's rotation keys
+    /// **as admitted for this model's key plan**, if the server's session
+    /// table still holds them (the session then skips the upload);
+    /// `cached_ot` likewise the pair's IKNP state (the session
     /// reserves its stream range there, now, and skips base OT) — state of
     /// the other protocol kind is not this session's and is ignored.
     pub fn new(
@@ -219,9 +223,11 @@ impl ServerSession {
         cached_keys: Option<Arc<ClientHeKeys>>,
         cached_ot: Option<Arc<ClientOtState>>,
     ) -> Self {
+        let meta = ModelMeta::of(model);
         let he = cfg.he().map(|params| HeCtx {
             params: params.clone(),
             encoder: BatchEncoder::new(params),
+            plan: meta.key_plan(params),
         });
         let cts = Vec::new();
         let state = match (he, cached_keys) {
@@ -229,7 +235,6 @@ impl ServerSession {
             (Some(he), None) => State::AwaitKeys(he),
             (None, _) => State::AwaitRCats(Vec::new()),
         };
-        let meta = ModelMeta::of(model);
         let cached_ot = cached_ot.filter(|ot| ot.kind() == cfg.kind).map(|ot| {
             let base = ot.reserve(meta.ot_blocks(cfg.kind));
             (ot, base)
@@ -265,7 +270,8 @@ impl ServerSession {
     /// # Errors
     ///
     /// [`ProtocolError::UnexpectedMsg`] when the message does not fit the
-    /// current state; [`ProtocolError::BadRequest`] on malformed contents;
+    /// current state; [`ProtocolError::BadRequest`] on malformed contents
+    /// (a key upload that is not the model's key plan among them);
     /// [`ProtocolError::Wire`] on an HE frame that fails to parse;
     /// [`ProtocolError::Channel`] when the client vanished mid-reply.
     pub fn on_msg(&mut self, ctx: &SessionCtx<'_>, msg: Msg) -> Result<Step, ProtocolError> {
@@ -273,13 +279,11 @@ impl ServerSession {
         let k = self.meta.relu_width;
         let state = std::mem::replace(&mut self.state, State::Done);
         match (state, msg) {
-            (State::AwaitKeys(he), Msg::HeKeys { pk, gk }) => {
-                // Keys arrive as serialized seed-expanded frames; a frame
-                // that fails to parse is the client's fault and aborts only
-                // this session.
-                let pk = pi_he::public_key_from_bytes(&pk, &he.params)?;
-                let gk = pi_he::galois_keys_from_bytes(&gk, &he.params)?;
-                let keys = Arc::new(ClientHeKeys { pk, gk });
+            (State::AwaitKeys(he), Msg::HeKeys(frame)) => {
+                // Keys arrive as a serialized seed-expanded frame; one that
+                // fails to parse, or holds anything but the model's key
+                // plan, is the client's fault and aborts only this session.
+                let keys = Arc::new(ClientHeKeys::admit(&frame, &he.params, &he.plan)?);
                 self.state = State::AwaitCts {
                     he,
                     keys: keys.clone(),
@@ -710,7 +714,7 @@ pub fn compute_matvec_jobs(
     let work = |job: &MatvecJob| -> (usize, Ciphertext) {
         // Hoisted BSGS: ~2√d rotations, only the giant steps paying a
         // full key switch.
-        let prod = linalg::matvec_precomputed(&job.keys.gk, &diagonals[job.phase], &job.ct);
+        let prod = linalg::matvec_precomputed(job.keys.galois(), &diagonals[job.phase], &job.ct);
         (job.phase, prod)
     };
     let threads = threads.max(1).min(jobs.len().max(1));
@@ -741,6 +745,6 @@ pub fn compute_matvec_jobs(
 /// results are bit-identical to [`compute_matvec_jobs`].
 pub fn compute_matvec_batch(batch: &[&MatvecJob], diagonals: &BsgsDiagonals) -> Vec<Ciphertext> {
     let pairs: Vec<(&pi_he::GaloisKeys, &Ciphertext)> =
-        batch.iter().map(|j| (&j.keys.gk, &j.ct)).collect();
+        batch.iter().map(|j| (j.keys.galois(), &j.ct)).collect();
     linalg::matvec_precomputed_many(&pairs, diagonals)
 }

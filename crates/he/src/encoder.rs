@@ -276,7 +276,7 @@ mod tests {
         let v: Vec<u64> = (0..n as u64).collect();
         let ct = keys.public.encrypt(&enc.encode(&v), &mut rng);
         for k in [1usize, 2, 5, 16] {
-            let rotated = keys.galois.rotate_rows(&ct, k);
+            let rotated = keys.galois.rotate_rows(&ct, k).expect("chain keys");
             let dec = enc.decode(&keys.secret.decrypt(&rotated));
             for j in 0..half {
                 assert_eq!(
@@ -298,7 +298,7 @@ mod tests {
         let n = params.n();
         let v: Vec<u64> = (0..n as u64).collect();
         let ct = keys.public.encrypt(&enc.encode(&v), &mut rng);
-        let swapped = keys.galois.rotate_columns(&ct);
+        let swapped = keys.galois.rotate_columns(&ct).expect("row-swap key");
         let dec = enc.decode(&keys.secret.decrypt(&swapped));
         assert_eq!(&dec[..n / 2], &v[n / 2..]);
         assert_eq!(&dec[n / 2..], &v[..n / 2]);
@@ -313,7 +313,7 @@ mod tests {
         let d = 8usize;
         let v: Vec<u64> = (0..d as u64).map(|x| x + 100).collect();
         let ct = keys.public.encrypt(&enc.encode_periodic(&v), &mut rng);
-        let rotated = keys.galois.rotate_rows(&ct, 3);
+        let rotated = keys.galois.rotate_rows(&ct, 3).expect("chain keys");
         let dec = enc.decode(&keys.secret.decrypt(&rotated));
         // Every slot i must now hold v[(i+3) mod d].
         let half = params.n() / 2;

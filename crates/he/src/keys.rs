@@ -23,47 +23,49 @@
 //! domain (`dyadic_mul_acc_shoup`) with a single `reduce_lazy` pass at the
 //! end (or none, for callers that keep accumulating).
 //!
-//! # Gadget bases
+//! # Key sets and gadget bases
 //!
-//! Every Galois element's key records its own decomposition base
-//! ([`BfvParams::ks_log_base`] for ordinary/giant rotations,
-//! [`BfvParams::bsgs_log_base`] for BSGS baby rotations — see the
-//! `bsgs_log_base` docs for the noise rationale). A hoisted ciphertext can
-//! only be rotated by keys whose gadget matches its own decomposition
-//! ([`KeyError::GadgetMismatch`] otherwise).
+//! A key set is a list of (Galois element, gadget base) entries. The one
+//! the protocol generates, uploads and admits is
+//! [`crate::linalg::key_plan`] for the model's padded dimensions
+//! ([`KeySet::generate_for_dims`]): baby rotations under the fine
+//! [`BfvParams::bsgs_log_base`] gadget (see its docs for the noise
+//! rationale), giant rotations under the ordinary
+//! [`BfvParams::ks_log_base`], an element claimed in both roles once per
+//! base — and nothing else. [`KeySet::generate`] holds the power-of-two
+//! composition chain instead: the key set of [`GaloisKeys::rotate_rows`],
+//! which only the `matvec_naive` oracle, tests and benches call. A hoisted
+//! ciphertext can only be rotated by an entry whose gadget matches its own
+//! decomposition ([`KeyError::GadgetMismatch`] otherwise).
 //!
-//! All key-switch paths (hoisted and not) draw their digit buffers from a
-//! thread-local scratch pool, so steady-state rotations allocate only their
-//! output polynomials.
+//! All key-switch paths (hoisted and not) draw their digit buffers from
+//! one thread-local scratch set, so steady-state rotations allocate only
+//! their output polynomials and a fixed worker pool retains one set per
+//! worker.
 
 use crate::cipher::{Ciphertext, Plaintext};
 use crate::params::{gadget_digits, BfvParams};
 use pi_poly::{sample, GaloisPerm, Poly, PolyForm, PolyOperand};
 use rand::Rng;
 use std::cell::RefCell;
-use std::cmp::Reverse;
-use std::collections::HashMap;
 
-/// Errors from key-dependent operations.
-///
-/// Service-style callers (a server fielding rotation requests from many
-/// clients, as in `examples/multi_client_service.rs`) should use the `try_*`
-/// variants and reject bad requests with this error instead of letting a
-/// missing key panic the worker.
+/// Errors from key-dependent operations: what a rotation returns when the
+/// key set does not hold the entry it needs. A server rejects the request
+/// with it; an oracle or a test `.expect`s at the call site.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum KeyError {
     /// No key-switching key was generated for the requested Galois element.
     MissingGaloisKey(usize),
-    /// A hoisted ciphertext's gadget decomposition does not match the
-    /// requested element's key gadget (different `log_base`), so the
-    /// hoisted digits cannot be consumed by that key.
+    /// The requested element has a key, but not under the gadget base the
+    /// operation decomposes at (a hoisted ciphertext's digits, say, cannot
+    /// be consumed by a key of a different `log_base`).
     GadgetMismatch {
         /// The requested Galois element.
         g: usize,
-        /// log2 of the key's decomposition base.
+        /// log2 of the decomposition base of the key that is held.
         key_log_base: u32,
-        /// log2 of the hoisted ciphertext's decomposition base.
-        hoisted_log_base: u32,
+        /// log2 of the decomposition base the operation needs.
+        wanted_log_base: u32,
     },
 }
 
@@ -76,11 +78,11 @@ impl std::fmt::Display for KeyError {
             KeyError::GadgetMismatch {
                 g,
                 key_log_base,
-                hoisted_log_base,
+                wanted_log_base,
             } => write!(
                 f,
                 "Galois key for element {g} uses base 2^{key_log_base} but the \
-                 hoisted ciphertext was decomposed at base 2^{hoisted_log_base}"
+                 operation decomposes at base 2^{wanted_log_base}"
             ),
         }
     }
@@ -132,95 +134,17 @@ impl KsScratch {
             }
             d.resize(n, 0);
         }
-        // Steady state is zero: a warm scratch pool never reallocates. A
-        // nonzero rate after warmup means the pool is being churned.
+        // Steady state is zero: a warm scratch set never reallocates.
         pi_trace::add(pi_trace::Counter::KsScratchAlloc, grown);
-    }
-}
-
-/// A bounded, shareable pool of key-switch scratch buffers.
-///
-/// The default scratch home is a plain thread-local, which is right for
-/// the classic one-party-per-thread deployment. A work-stealing serving
-/// runtime breaks that assumption two ways: every executor thread grows
-/// its own private scratch (workers × digits × n words of dead memory),
-/// and when a session migrates between workers the `scratch-alloc` trace
-/// counter charges one session for warming another thread's cold buffers.
-/// A runtime therefore creates **one** `KsScratchPool` bounded to its
-/// worker count, hands it through the session state, and binds it on each
-/// worker via [`bind_scratch_pool`]: all key-switch paths then draw from
-/// the shared warm pool, capping retained scratch at `cap` sets no matter
-/// how sessions migrate.
-#[derive(Debug)]
-pub struct KsScratchPool {
-    slots: std::sync::Mutex<Vec<KsScratch>>,
-    cap: usize,
-}
-
-impl std::fmt::Debug for KsScratch {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("KsScratch")
-            .field("digits", &self.digits.len())
-            .finish()
-    }
-}
-
-impl KsScratchPool {
-    /// Creates a pool retaining at most `cap` scratch sets (one per
-    /// executor worker is the natural bound).
-    pub fn new(cap: usize) -> Self {
-        Self {
-            slots: std::sync::Mutex::new(Vec::new()),
-            cap: cap.max(1),
-        }
-    }
-
-    /// Number of warm scratch sets currently parked in the pool.
-    pub fn warm(&self) -> usize {
-        self.slots.lock().expect("scratch pool poisoned").len()
-    }
-
-    fn acquire(&self) -> KsScratch {
-        self.slots
-            .lock()
-            .expect("scratch pool poisoned")
-            .pop()
-            .unwrap_or_default()
-    }
-
-    fn release(&self, scratch: KsScratch) {
-        let mut slots = self.slots.lock().expect("scratch pool poisoned");
-        if slots.len() < self.cap {
-            slots.push(scratch);
-        }
-        // Over-cap scratch is dropped: the pool is a bound, not a leak.
     }
 }
 
 thread_local! {
     static KS_SCRATCH: RefCell<KsScratch> = RefCell::new(KsScratch::default());
-    static KS_POOL: RefCell<Option<std::sync::Arc<KsScratchPool>>> = const { RefCell::new(None) };
-}
-
-/// Binds (or, with `None`, unbinds) a shared scratch pool on the current
-/// thread. While bound, every key-switch path on this thread draws its
-/// scratch from the pool instead of the thread-local set. Executor workers
-/// bind their runtime's pool once at startup.
-pub fn bind_scratch_pool(pool: Option<std::sync::Arc<KsScratchPool>>) {
-    KS_POOL.with(|p| *p.borrow_mut() = pool);
 }
 
 fn with_ks_scratch<T>(f: impl FnOnce(&mut KsScratch) -> T) -> T {
-    let pool = KS_POOL.with(|p| p.borrow().clone());
-    match pool {
-        Some(pool) => {
-            let mut scratch = pool.acquire();
-            let out = f(&mut scratch);
-            pool.release(scratch);
-            out
-        }
-        None => KS_SCRATCH.with(|s| f(&mut s.borrow_mut())),
-    }
+    KS_SCRATCH.with(|s| f(&mut s.borrow_mut()))
 }
 
 /// Writes the base-`2^log_base` digits of `coeff` into `digits`
@@ -270,12 +194,14 @@ pub(crate) fn expansion_rng(seed: &[u8; 32]) -> rand::rngs::StdRng {
     rand::rngs::StdRng::from_seed(*seed)
 }
 
-/// One Galois element's key material: the gadget base it was generated
-/// under, the per-digit Shoup-form key pairs, and the precomputed NTT-slot
-/// permutation realizing the automorphism (used by the hoisted paths).
+/// One key-set entry: the Galois element, the gadget base its key was
+/// generated under, the per-digit Shoup-form key pairs, and the precomputed
+/// NTT-slot permutation realizing the automorphism.
 #[derive(Clone, Debug)]
 pub(crate) struct GaloisKeyEntry {
-    /// log2 of this element's gadget decomposition base.
+    /// The Galois element `g` this entry switches `s(x^g)` back from.
+    pub(crate) g: usize,
+    /// log2 of this entry's gadget decomposition base.
     pub(crate) log_base: u32,
     /// `(k0_i, k1_i)` per digit, satisfying `k0_i + k1_i·s = B^i·s(x^g) + e_i`.
     pub(crate) digits: Vec<(PolyOperand, PolyOperand)>,
@@ -283,22 +209,21 @@ pub(crate) struct GaloisKeyEntry {
     perm: GaloisPerm,
 }
 
-/// Key-switching keys for a set of Galois elements, enabling slot rotations.
+/// Key-switching keys for a list of (Galois element, gadget base) entries,
+/// enabling slot rotations.
 ///
 /// Keys are stored as precomputed Shoup operands ([`PolyOperand`]): each
 /// `(k0_i, k1_i)` pair multiplies every decomposed digit of every rotated
 /// ciphertext, so the one-time quotient precomputation at generation pays
-/// for itself on the first rotation. Each entry records its gadget base and
-/// carries the NTT-slot permutation for the hoisted rotation path; an
-/// element claimed by several roles (e.g. rotation 1 as both a
-/// power-of-two composition step and a BSGS baby) holds **one entry per
-/// gadget**, so composed rotations keep the cheap coarse gadget while
-/// hoisted babies get the fine one.
+/// for itself on the first rotation. An element needed under two gadgets
+/// (a rotation that is a BSGS baby at one dimension and a giant at
+/// another) holds **one entry per base**.
 #[derive(Clone, Debug)]
 pub struct GaloisKeys {
     params: BfvParams,
-    /// Per element, one entry per generated gadget base (coarsest first).
-    keys: HashMap<usize, Vec<GaloisKeyEntry>>,
+    /// Entries in generation (= wire) order: for keys this crate generated,
+    /// ascending element, coarsest base first within one.
+    keys: Vec<GaloisKeyEntry>,
     /// PRG seed every gadget `a` column was expanded from (wire layer).
     seed: [u8; 32],
 }
@@ -363,60 +288,45 @@ fn power_of_two_elements(n: usize) -> Vec<usize> {
 
 impl KeySet {
     /// Generates a fresh key set with rotation keys for all power-of-two
-    /// row rotations (enough to compose any rotation in log steps) plus the
-    /// single-step rotations the diagonal method uses directly.
+    /// row rotations and the row swap, under the ordinary gadget: enough
+    /// for [`GaloisKeys::rotate_rows`] to compose any rotation in log
+    /// steps. This is the `matvec_naive` oracle's key set; the protocol
+    /// never generates or uploads it.
     pub fn generate<R: Rng + ?Sized>(params: &BfvParams, rng: &mut R) -> Self {
-        Self::generate_for_dims(params, &[], rng)
+        let mut chain: Vec<(usize, u32)> = power_of_two_elements(params.n())
+            .into_iter()
+            .map(|g| (g, params.ks_log_base))
+            .collect();
+        chain.sort_unstable();
+        Self::generate_with(params, &chain, rng)
     }
 
-    /// Like [`KeySet::generate`], but additionally materializes the
-    /// baby-step/giant-step rotation keys for Halevi–Shoup matvecs at each
-    /// of the given padded dimensions (see
-    /// [`SecretKey::galois_keys_for_bsgs`] for the exact element set).
-    ///
-    /// This is what a DELPHI-style client generates: the power-of-two
-    /// composition set for ad-hoc rotations plus the BSGS set for every
-    /// linear-layer dimension the model metadata announces.
+    /// Generates a fresh key set whose rotation keys are exactly
+    /// [`crate::linalg::key_plan`] for the given padded dimensions — what
+    /// [`crate::linalg::matvec_precomputed`] reads at those dimensions and
+    /// nothing more. This is what a DELPHI-style client generates for the
+    /// linear-layer dimensions the model metadata announces, and the only
+    /// set a server admits for that model.
     pub fn generate_for_dims<R: Rng + ?Sized>(
         params: &BfvParams,
         dims: &[usize],
         rng: &mut R,
     ) -> Self {
+        Self::generate_with(params, &crate::linalg::key_plan(params, dims), rng)
+    }
+
+    fn generate_with<R: Rng + ?Sized>(
+        params: &BfvParams,
+        entries: &[(usize, u32)],
+        rng: &mut R,
+    ) -> Self {
         let secret = SecretKey::generate(params, rng);
         let public = secret.public_key(rng);
-        let mut specs: HashMap<usize, std::collections::BTreeSet<u32>> = HashMap::new();
-        for g in power_of_two_elements(params.n()) {
-            specs.entry(g).or_default().insert(params.ks_log_base);
-        }
-        merge_bsgs_specs(&mut specs, params, dims);
-        let galois = secret.galois_keys_from_specs(&specs, rng);
+        let galois = secret.galois_keys(entries, rng);
         Self {
             secret,
             public,
             galois,
-        }
-    }
-}
-
-/// Merges the BSGS element→gadget requirements for each dimension into
-/// `specs`. An element claimed under several bases keeps them all: the
-/// composed-rotation paths pick the cheap coarse gadget, the hoisted paths
-/// their matching fine one.
-fn merge_bsgs_specs(
-    specs: &mut HashMap<usize, std::collections::BTreeSet<u32>>,
-    params: &BfvParams,
-    dims: &[usize],
-) {
-    let n = params.n();
-    for &dim in dims {
-        let (baby_rots, giant_rots) = crate::linalg::bsgs_rotations(dim);
-        for k in baby_rots {
-            let g = rotation_element(n, k);
-            specs.entry(g).or_default().insert(params.bsgs_log_base);
-        }
-        for k in giant_rots {
-            let g = rotation_element(n, k);
-            specs.entry(g).or_default().insert(params.ks_log_base);
         }
     }
 }
@@ -481,66 +391,25 @@ impl SecretKey {
         (Ciphertext { c0, c1: a }, seed)
     }
 
-    /// Generates key-switching keys for the given Galois elements, all under
-    /// the ordinary [`BfvParams::ks_log_base`] gadget.
-    pub fn galois_keys<R: Rng + ?Sized>(&self, elements: &[usize], rng: &mut R) -> GaloisKeys {
-        let specs: HashMap<usize, std::collections::BTreeSet<u32>> = elements
-            .iter()
-            .map(|&g| (g, [self.params.ks_log_base].into()))
-            .collect();
-        self.galois_keys_from_specs(&specs, rng)
-    }
-
-    /// Generates exactly the rotation keys the hoisted baby-step/giant-step
-    /// matvec needs at the given padded dimensions: for each `dim` with
-    /// baby count `b = ⌈√dim⌉` and giant count `g = ⌈dim/b⌉`, the baby
-    /// rotations `{1, …, b−1}` under the fine [`BfvParams::bsgs_log_base`]
-    /// gadget and the giant rotations `{b, 2b, …, (g−1)b}` under the
-    /// ordinary [`BfvParams::ks_log_base`] gadget — `b + g − 2 ≈ 2√dim`
-    /// keys instead of the `dim − 1` a per-rotation set would need (see
-    /// [`GaloisKeys::per_rotation_set_byte_len`] for the storage
-    /// comparison).
-    ///
-    /// An element claimed by several roles gets one gadget entry per role.
-    pub fn galois_keys_for_bsgs<R: Rng + ?Sized>(&self, dims: &[usize], rng: &mut R) -> GaloisKeys {
-        let mut specs = HashMap::new();
-        merge_bsgs_specs(&mut specs, &self.params, dims);
-        self.galois_keys_from_specs(&specs, rng)
-    }
-
-    /// Generates key-switching keys for `element → {log2(base), …}`
-    /// requirements (one [`GaloisKeyEntry`] per requested base).
-    fn galois_keys_from_specs<R: Rng + ?Sized>(
-        &self,
-        specs: &HashMap<usize, std::collections::BTreeSet<u32>>,
-        rng: &mut R,
-    ) -> GaloisKeys {
+    /// Generates one key-switching key per `(element, log2 base)` entry,
+    /// in the order given (which becomes the wire order).
+    fn galois_keys<R: Rng + ?Sized>(&self, entries: &[(usize, u32)], rng: &mut R) -> GaloisKeys {
         let params = &self.params;
         let q = params.q();
-        let mut keys: HashMap<usize, Vec<GaloisKeyEntry>> = HashMap::new();
         let s_coeff = self.s.clone().into_coeff();
         // All uniform gadget columns expand from one 32-byte seed, drawn in
-        // the same sorted (element, base, digit) order the loop below
-        // iterates in. The wire layer ships the seed and the k0 halves only;
-        // deserialization replays this stream (see `GaloisKeys::
-        // from_wire_parts`). Errors keep coming from the caller's RNG.
+        // entry, then digit, order. The wire layer ships the seed and the k0
+        // halves only; deserialization replays this stream (see
+        // `GaloisKeys::from_wire_parts`). Errors keep coming from the
+        // caller's RNG.
         let mut seed = [0u8; 32];
         rng.fill(&mut seed);
         let mut a_stream = expansion_rng(&seed);
-        // Generate in sorted (element, base) order so RNG consumption — and
-        // with it the exact key material and noise — is deterministic for a
-        // seeded RNG regardless of HashMap iteration order. Descending base
-        // within an element puts the coarse (cheap) gadget first, which is
-        // what the composed-rotation lookup prefers.
-        let mut ordered: Vec<(usize, u32)> = specs
-            .iter()
-            .flat_map(|(&g, bases)| bases.iter().map(move |&b| (g, b)))
-            .collect();
-        ordered.sort_unstable_by_key(|&(g, b)| (g, Reverse(b)));
-        for (g, log_base) in ordered {
+        let mut keys = Vec::with_capacity(entries.len());
+        for &(g, log_base) in entries {
             let num_digits = gadget_digits(q, log_base);
             let s_g = s_coeff.galois(g).into_ntt();
-            let mut digit_keys = Vec::with_capacity(num_digits);
+            let mut digits = Vec::with_capacity(num_digits);
             let mut base_pow = 1u64;
             for _ in 0..num_digits {
                 let a = sample::uniform(params.ring(), &mut a_stream).into_ntt();
@@ -551,12 +420,13 @@ impl SecretKey {
                     .add(&e.into_ntt())
                     .neg()
                     .add(&s_g.scale(base_pow));
-                digit_keys.push((k0.to_operand(), a.to_operand()));
+                digits.push((k0.to_operand(), a.to_operand()));
                 base_pow = q.reduce_u128(base_pow as u128 * (1u128 << log_base));
             }
-            keys.entry(g).or_default().push(GaloisKeyEntry {
+            keys.push(GaloisKeyEntry {
+                g,
                 log_base,
-                digits: digit_keys,
+                digits,
                 perm: params.ring().ntt().galois_permutation(g),
             });
         }
@@ -655,9 +525,9 @@ impl SecretKey {
     /// Records `ct`'s noise budget (bits) into the per-`stage` trace
     /// histogram. Active in full trace mode only: measuring the budget costs
     /// a decrypt-sized pass, which the `counters` overhead contract does not
-    /// allow. The decrypt boundary gauges automatically; encrypt, multiply,
-    /// and rescale boundaries need the secret key, so call this explicitly
-    /// where one is held (e.g. the client after encrypting its randomness).
+    /// allow. The decrypt boundary gauges automatically; the encrypt
+    /// boundary needs the secret key, so call this explicitly where one is
+    /// held (the client after encrypting its randomness).
     pub fn gauge_noise(&self, ct: &Ciphertext, stage: NoiseStage) {
         if pi_trace::mode() == pi_trace::TraceMode::Full {
             pi_trace::record(stage.hist(), self.noise_budget(ct) as u64);
@@ -669,12 +539,8 @@ impl SecretKey {
 /// `he.noise_*_bits` histograms the 2–4-bit-cliff parameter work consumes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum NoiseStage {
-    /// Right after public-key encryption (fresh ciphertext).
+    /// Right after encryption (fresh ciphertext).
     Encrypt,
-    /// After a homomorphic multiply (before relinearization/rescale).
-    Multiply,
-    /// After rescaling / modulus management.
-    Rescale,
     /// Right before decryption (end of the homomorphic pipeline).
     Decrypt,
 }
@@ -683,8 +549,6 @@ impl NoiseStage {
     pub(crate) fn hist(self) -> pi_trace::Hist {
         match self {
             NoiseStage::Encrypt => pi_trace::Hist::NoiseEncryptBits,
-            NoiseStage::Multiply => pi_trace::Hist::NoiseMultiplyBits,
-            NoiseStage::Rescale => pi_trace::Hist::NoiseRescaleBits,
             NoiseStage::Decrypt => pi_trace::Hist::NoiseDecryptBits,
         }
     }
@@ -743,64 +607,71 @@ impl PublicKey {
 }
 
 impl GaloisKeys {
-    /// Returns whether a key-switching key exists for Galois element `g`.
+    /// Returns whether a key-switching key exists for Galois element `g`
+    /// (under any gadget base).
     pub fn contains(&self, g: usize) -> bool {
-        self.keys.contains_key(&g)
+        self.keys.iter().any(|e| e.g == g)
+    }
+
+    /// The `(Galois element, log2 gadget base)` of every entry, in wire
+    /// order — what a server compares against [`crate::linalg::key_plan`]
+    /// before it admits an uploaded set.
+    pub fn entries(&self) -> impl Iterator<Item = (usize, u32)> + '_ {
+        self.keys.iter().map(|e| (e.g, e.log_base))
+    }
+
+    /// The entry for element `g` under gadget base `2^log_base`.
+    fn entry(&self, g: usize, log_base: u32) -> Result<&GaloisKeyEntry, KeyError> {
+        let held = || self.keys.iter().filter(move |e| e.g == g);
+        held()
+            .find(|e| e.log_base == log_base)
+            .ok_or_else(|| match held().next() {
+                Some(other) => KeyError::GadgetMismatch {
+                    g,
+                    key_log_base: other.log_base,
+                    wanted_log_base: log_base,
+                },
+                None => KeyError::MissingGaloisKey(g),
+            })
     }
 
     /// Applies Galois automorphism `g` to a ciphertext and key-switches the
     /// result back to the original secret key.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if no key-switching key for `g` was generated; use
-    /// [`GaloisKeys::try_apply`] to surface that as a [`KeyError`] instead.
-    pub fn apply(&self, ct: &Ciphertext, g: usize) -> Ciphertext {
-        self.try_apply(ct, g).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`GaloisKeys::apply`]: rejects unknown Galois elements with
-    /// [`KeyError::MissingGaloisKey`] instead of panicking.
-    pub fn try_apply(&self, ct: &Ciphertext, g: usize) -> Result<Ciphertext, KeyError> {
+    /// [`KeyError::MissingGaloisKey`] if the set holds no key for `g`.
+    pub fn apply(&self, ct: &Ciphertext, g: usize) -> Result<Ciphertext, KeyError> {
         if !self.contains(g) {
             return Err(KeyError::MissingGaloisKey(g));
         }
-        let rotated = ct.galois_raw(g);
-        self.try_switch(&rotated, g)
+        self.switch(&ct.galois_raw(g), g)
     }
 
     /// Key-switches a ciphertext whose `c1` component is keyed under
     /// `s(x^g)` back to `s`.
     ///
-    /// The cold-rotation hot path: all decomposed digits are
-    /// NTT-transformed in one batched stage-major pass
-    /// ([`pi_poly::NttTables::forward_many`]), then accumulated against the
-    /// Shoup-form keys in the lazy `[0, 2q)` domain with one final
-    /// correction — `mul_shoup + add_lazy` per slot per digit, no Barrett
-    /// reduction. Digit buffers come from the thread-local scratch pool, so
-    /// the only allocations are the two output polynomials. (For repeated
-    /// rotations of one ciphertext, [`GaloisKeys::hoist`] +
-    /// [`GaloisKeys::rotate_hoisted`] also skips all per-rotation NTTs.)
+    /// The cold-rotation path: all decomposed digits are NTT-transformed in
+    /// one batched stage-major pass ([`pi_poly::NttTables::forward_many`]),
+    /// then accumulated against the Shoup-form keys in the lazy `[0, 2q)`
+    /// domain with one final correction — `mul_shoup + add_lazy` per slot
+    /// per digit, no Barrett reduction. Digit buffers come from the
+    /// thread-local scratch set, so the only allocations are the two output
+    /// polynomials. (For repeated rotations of one ciphertext,
+    /// [`GaloisKeys::hoist`] + [`GaloisKeys::rotate_hoisted`] also skips
+    /// all per-rotation NTTs.)
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if no key-switching key for `g` was generated; use
-    /// [`GaloisKeys::try_switch`] for the fallible variant.
-    pub fn switch(&self, ct: &Ciphertext, g: usize) -> Ciphertext {
-        self.try_switch(ct, g).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`GaloisKeys::switch`]: rejects unknown Galois elements with
-    /// [`KeyError::MissingGaloisKey`] instead of panicking.
-    pub fn try_switch(&self, ct: &Ciphertext, g: usize) -> Result<Ciphertext, KeyError> {
+    /// [`KeyError::MissingGaloisKey`] if the set holds no key for `g`.
+    pub fn switch(&self, ct: &Ciphertext, g: usize) -> Result<Ciphertext, KeyError> {
         let _span = pi_trace::span!("he.keyswitch");
         pi_trace::incr(pi_trace::Counter::HeKeySwitch);
-        // Coarsest gadget first in each entry list: fewest digits, fewest
-        // NTTs — the right choice when the rotation's noise only adds.
-        let entry = self
-            .keys
-            .get(&g)
-            .and_then(|v| v.first())
+        // The first entry of an element is its coarsest gadget: fewest
+        // digits, fewest NTTs — the right choice when the rotation's noise
+        // only adds.
+        let entry = (self.keys.iter())
+            .find(|e| e.g == g)
             .ok_or(KeyError::MissingGaloisKey(g))?;
         let ring = self.params.ring();
         let ntt = ring.ntt();
@@ -893,27 +764,19 @@ impl GaloisKeys {
     /// original ciphertext.
     ///
     /// Unlike [`GaloisKeys::rotate_rows`] this does **not** compose
-    /// power-of-two keys: it requires a key for the element `3^k mod 2N`
-    /// itself, generated under the same gadget base as the hoisting (see
-    /// [`SecretKey::galois_keys_for_bsgs`]).
+    /// power-of-two keys: it requires an entry for the element
+    /// `3^k mod 2N` itself, under the same gadget base as the hoisting (a
+    /// baby rotation of [`crate::linalg::key_plan`]).
+    ///
+    /// # Errors
+    ///
+    /// [`KeyError::MissingGaloisKey`] without a direct rotation key,
+    /// [`KeyError::GadgetMismatch`] with one under another gadget base only.
     ///
     /// # Panics
     ///
-    /// Panics if `k >= N/2`, or on the [`GaloisKeys::try_rotate_hoisted`]
-    /// error conditions.
-    pub fn rotate_hoisted(&self, h: &HoistedCiphertext, k: usize) -> Ciphertext {
-        self.try_rotate_hoisted(h, k)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`GaloisKeys::rotate_hoisted`]: rejects a missing direct
-    /// rotation key ([`KeyError::MissingGaloisKey`]) or a key generated
-    /// under a different gadget base ([`KeyError::GadgetMismatch`]).
-    pub fn try_rotate_hoisted(
-        &self,
-        h: &HoistedCiphertext,
-        k: usize,
-    ) -> Result<Ciphertext, KeyError> {
+    /// Panics if `k >= N/2`.
+    pub fn rotate_hoisted(&self, h: &HoistedCiphertext, k: usize) -> Result<Ciphertext, KeyError> {
         let ring = self.params.ring();
         let q = self.params.q();
         let n = self.params.n();
@@ -948,16 +811,7 @@ impl GaloisKeys {
             out1.copy_from_slice(&h.c1);
             return Ok(());
         }
-        let g = rotation_element(n, k);
-        let entries = self.keys.get(&g).ok_or(KeyError::MissingGaloisKey(g))?;
-        let entry = entries
-            .iter()
-            .find(|e| e.log_base == h.log_base && e.digits.len() == h.digits.len())
-            .ok_or(KeyError::GadgetMismatch {
-                g,
-                key_log_base: entries.first().map_or(0, |e| e.log_base),
-                hoisted_log_base: h.log_base,
-            })?;
+        let entry = self.entry(rotation_element(n, k), h.log_base)?;
         // c0 of the rotated ciphertext starts as φ_g(c0): a pure gather
         // in the evaluation basis, still strictly reduced.
         entry.perm.apply(out0, &h.c0);
@@ -974,8 +828,9 @@ impl GaloisKeys {
     /// `[0, 2q)`) left by `k` and **accumulates** the result into
     /// `acc0`/`acc1` (also `[0, 2q)`): the fused giant-step of the BSGS
     /// matvec. One inverse NTT (of `inner1`), one gadget decomposition and
-    /// digit-batch forward NTT under the element's own base, then permuted
-    /// dyadic accumulates — the rotated ciphertext is never materialized.
+    /// digit-batch forward NTT under the ordinary
+    /// [`BfvParams::ks_log_base`] gadget, then permuted dyadic accumulates
+    /// — the rotated ciphertext is never materialized.
     ///
     /// `inner1` is consumed as scratch (left in coefficient form).
     pub(crate) fn rotate_acc_lazy(
@@ -1001,12 +856,7 @@ impl GaloisKeys {
             }
             return Ok(());
         }
-        let g = rotation_element(n, k);
-        let entry = self
-            .keys
-            .get(&g)
-            .and_then(|v| v.first())
-            .ok_or(KeyError::MissingGaloisKey(g))?;
+        let entry = self.entry(rotation_element(n, k), params.ks_log_base)?;
         with_ks_scratch(|s| {
             // Decompose φ-free: digits of inner1, permuted afterwards.
             ntt.inverse(inner1); // [0, 2q) lazy in → [0, q) coeff out
@@ -1037,30 +887,20 @@ impl GaloisKeys {
 
     /// Rotates the SIMD rows of a batch-encoded ciphertext left by `k`
     /// positions (each of the two length-`N/2` rows rotates cyclically),
-    /// composing power-of-two rotation keys.
+    /// composing the power-of-two rotation keys of [`KeySet::generate`].
+    ///
+    /// # Errors
+    ///
+    /// [`KeyError::MissingGaloisKey`] if a needed composition key is
+    /// missing.
     ///
     /// # Panics
     ///
-    /// Panics if `k >= N/2` or a needed power-of-two rotation key is missing
-    /// (see [`GaloisKeys::try_rotate_rows`]).
-    pub fn rotate_rows(&self, ct: &Ciphertext, k: usize) -> Ciphertext {
-        self.try_rotate_rows(ct, k)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`GaloisKeys::rotate_rows`]: rejects a missing composition
-    /// key with [`KeyError::MissingGaloisKey`] instead of panicking.
-    ///
-    /// # Panics
-    ///
-    /// Still panics if `k >= N/2` (an out-of-domain rotation is a caller
-    /// bug, not a key-provisioning failure).
-    pub fn try_rotate_rows(&self, ct: &Ciphertext, k: usize) -> Result<Ciphertext, KeyError> {
+    /// Panics if `k >= N/2` (an out-of-domain rotation is a caller bug, not
+    /// a key-provisioning failure).
+    pub fn rotate_rows(&self, ct: &Ciphertext, k: usize) -> Result<Ciphertext, KeyError> {
         let half = self.params.n() / 2;
         assert!(k < half, "rotation amount must be below N/2");
-        if k == 0 {
-            return Ok(ct.clone());
-        }
         let m = 2 * self.params.n();
         let mut result = ct.clone();
         let mut g = 3usize;
@@ -1068,7 +908,7 @@ impl GaloisKeys {
         let mut remaining = k;
         while remaining > 0 {
             if remaining & bit != 0 {
-                result = self.try_apply(&result, g)?;
+                result = self.apply(&result, g)?;
                 remaining -= bit;
             }
             g = (g * g) % m;
@@ -1079,18 +919,11 @@ impl GaloisKeys {
 
     /// Swaps the two SIMD rows (`x ↦ x^{2N-1}`).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the row-swap key is missing; see
-    /// [`GaloisKeys::try_rotate_columns`].
-    pub fn rotate_columns(&self, ct: &Ciphertext) -> Ciphertext {
-        self.try_rotate_columns(ct)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`GaloisKeys::rotate_columns`].
-    pub fn try_rotate_columns(&self, ct: &Ciphertext) -> Result<Ciphertext, KeyError> {
-        self.try_apply(ct, 2 * self.params.n() - 1)
+    /// [`KeyError::MissingGaloisKey`] if the row-swap key is missing.
+    pub fn rotate_columns(&self, ct: &Ciphertext) -> Result<Ciphertext, KeyError> {
+        self.apply(ct, 2 * self.params.n() - 1)
     }
 
     /// Parameters these keys were generated for.
@@ -1099,41 +932,30 @@ impl GaloisKeys {
     }
 
     /// Size of the key polynomials as flat words: two per decomposition
-    /// digit per Galois element (baby-step elements carry more digits under
-    /// their finer gadget). The serialized wire frame is roughly 4× smaller
+    /// digit per entry (baby-step entries carry more digits under their
+    /// finer gadget). The serialized wire frame is roughly 4× smaller
     /// — only the packed `k0` halves plus one 32-byte seed cross the wire
     /// (see `pi_he::wire::galois_keys_to_bytes`) — and the key set in
     /// memory is twice as large: [`GaloisKeys::resident_byte_len`].
     pub fn byte_len(&self) -> usize {
-        self.keys
-            .values()
-            .flat_map(|entries| entries.iter())
-            .map(|e| e.digits.len() * 2 * self.params.n() * 8)
-            .sum()
+        let digits: usize = self.keys.iter().map(|e| e.digits.len()).sum();
+        digits * 2 * self.params.n() * 8
     }
 
     /// Heap bytes this key set occupies: every key polynomial is a Shoup
     /// operand (values **and** quotients), and every entry carries its
     /// slot permutation.
     pub fn resident_byte_len(&self) -> usize {
-        let perms: usize = (self.keys.values().flatten())
-            .map(|e| e.perm.byte_len())
-            .sum();
+        let perms: usize = self.keys.iter().map(|e| e.perm.byte_len()).sum();
         2 * self.byte_len() + perms
-    }
-
-    /// Number of Galois elements with key material.
-    pub fn num_elements(&self) -> usize {
-        self.keys.len()
     }
 
     /// Exact length of this key set's serialized wire frame
     /// ([`crate::wire::galois_keys_to_bytes`]): packed `k0` halves plus one
     /// 32-byte seed.
     pub fn wire_byte_len(&self) -> usize {
-        let entries = self.wire_entries();
-        let total_digits: usize = entries.iter().map(|(_, e)| e.digits.len()).sum();
-        crate::wire::galois_keys_wire_len(&self.params, entries.len(), total_digits)
+        let total_digits: usize = self.keys.iter().map(|e| e.digits.len()).sum();
+        crate::wire::galois_keys_wire_len(&self.params, self.keys.len(), total_digits)
     }
 
     /// Serialized size a **per-rotation** key set would need at dimension
@@ -1153,22 +975,15 @@ impl GaloisKeys {
         &self.seed
     }
 
-    /// Entries in the deterministic wire order: sorted by
-    /// `(element, descending log_base)` — the exact order the seed stream
-    /// was consumed in at generation.
-    pub(crate) fn wire_entries(&self) -> Vec<(usize, &GaloisKeyEntry)> {
-        let mut out: Vec<(usize, &GaloisKeyEntry)> = self
-            .keys
-            .iter()
-            .flat_map(|(&g, entries)| entries.iter().map(move |e| (g, e)))
-            .collect();
-        out.sort_by_key(|&(g, e)| (g, Reverse(e.log_base)));
-        out
+    /// Entries in wire order — the exact order the seed stream was consumed
+    /// in at generation.
+    pub(crate) fn wire_entries(&self) -> &[GaloisKeyEntry] {
+        &self.keys
     }
 
     /// Rebuilds keys from wire parts: the `k0` halves (coefficient-form
     /// polys, wire order) plus the seed, replaying the `a` expansion stream
-    /// exactly as `galois_keys_from_specs` consumed it.
+    /// exactly as key generation consumed it.
     pub(crate) fn from_wire_parts(
         params: &BfvParams,
         seed: [u8; 32],
@@ -1176,14 +991,15 @@ impl GaloisKeys {
     ) -> Self {
         pi_trace::incr(pi_trace::Counter::WireSeedExpand);
         let mut a_stream = expansion_rng(&seed);
-        let mut keys: HashMap<usize, Vec<GaloisKeyEntry>> = HashMap::new();
+        let mut keys = Vec::with_capacity(parts.len());
         for (g, log_base, k0s) in parts {
             let mut digits = Vec::with_capacity(k0s.len());
             for k0 in k0s {
                 let a = sample::uniform(params.ring(), &mut a_stream).into_ntt();
                 digits.push((k0.to_operand(), a.to_operand()));
             }
-            keys.entry(g).or_default().push(GaloisKeyEntry {
+            keys.push(GaloisKeyEntry {
+                g,
                 log_base,
                 digits,
                 perm: params.ring().ntt().galois_permutation(g),
@@ -1307,7 +1123,7 @@ mod tests {
         let ct = keys.public.encrypt(&pt, &mut rng);
         // Apply g then switch; message polynomial becomes m(x^g).
         let g = 3usize;
-        let out = keys.galois.apply(&ct, g);
+        let out = keys.galois.apply(&ct, g).expect("chain key");
         let dec = keys.secret.decrypt(&out);
         let expected = pt.poly.galois(g);
         // compare mod t (galois on plaintext ring then reduce)
@@ -1338,39 +1154,30 @@ mod tests {
     fn resident_size_counts_quotients_and_permutations() {
         let (params, keys, _) = setup();
         let gk = &keys.galois;
-        let entries: usize = gk.keys.values().map(Vec::len).sum();
+        let entries = gk.keys.len();
         // idx (u32 per slot) + blocked form (u32 + u64 per 8 slots).
         let perm = params.n() * 4 + params.n() / 8 * 12;
         assert_eq!(gk.resident_byte_len(), 2 * gk.byte_len() + entries * perm);
     }
 
     #[test]
-    #[should_panic]
-    fn missing_galois_key_panics() {
-        let (_, keys, mut rng) = setup();
-        let ct = keys.public.encrypt_zero(&mut rng);
-        keys.galois.apply(&ct, 5); // 5 is not among generated elements
-    }
-
-    #[test]
     fn missing_galois_key_surfaces_error() {
         let (_, keys, mut rng) = setup();
         let ct = keys.public.encrypt_zero(&mut rng);
-        assert!(!keys.galois.contains(5));
+        assert!(!keys.galois.contains(5)); // 5 is not among generated elements
         assert_eq!(
-            keys.galois.try_apply(&ct, 5).err(),
+            keys.galois.apply(&ct, 5).err(),
             Some(KeyError::MissingGaloisKey(5))
         );
         assert_eq!(
-            keys.galois.try_switch(&ct, 5).err(),
+            keys.galois.switch(&ct, 5).err(),
             Some(KeyError::MissingGaloisKey(5))
         );
-        // The generated power-of-two composition keys still work through the
-        // fallible path.
-        assert!(keys.galois.try_rotate_rows(&ct, 3).is_ok());
-        assert!(keys.galois.try_rotate_columns(&ct).is_ok());
+        // The generated power-of-two composition keys work.
+        assert!(keys.galois.rotate_rows(&ct, 3).is_ok());
+        assert!(keys.galois.rotate_columns(&ct).is_ok());
         // A graceful service can report the failure without dying.
-        let msg = keys.galois.try_apply(&ct, 5).unwrap_err().to_string();
+        let msg = keys.galois.apply(&ct, 5).unwrap_err().to_string();
         assert!(msg.contains("no Galois key"));
     }
 }

@@ -53,10 +53,7 @@ pub mod wire;
 
 pub use cipher::{Ciphertext, PlainOperand, Plaintext};
 pub use encoder::BatchEncoder;
-pub use keys::{
-    bind_scratch_pool, GaloisKeys, HoistedCiphertext, KeyError, KeySet, KsScratchPool, NoiseStage,
-    PublicKey, SecretKey,
-};
+pub use keys::{GaloisKeys, HoistedCiphertext, KeyError, KeySet, NoiseStage, PublicKey, SecretKey};
 pub use params::BfvParams;
 pub use rns::{RnsBfvParams, RnsCiphertext, RnsKeySet, RnsPublicKey, RnsSecretKey};
 pub use wire::{

@@ -8,7 +8,8 @@
 //!
 //! # Hoisted baby-step/giant-step (the hot path)
 //!
-//! [`matvec_precomputed`] evaluates `W·v = Σ_k diag_k ⊙ rot_k(v)` with
+//! [`matvec_precomputed_many`] (and its one-job call
+//! [`matvec_precomputed`]) evaluates `W·v = Σ_k diag_k ⊙ rot_k(v)` with
 //! `k = j·b + i` split into `b = ⌈√d⌉` baby steps and `g = ⌈d/b⌉` giant
 //! steps:
 //!
@@ -25,7 +26,9 @@
 //! ([`BsgsDiagonals`], encoded once per matrix) plus a single fused
 //! key switch ([`GaloisKeys`] giant keys, ordinary gadget). Total:
 //! `b + g − 2 ≈ 2√d` rotations instead of `d − 1`, with only the `g − 1`
-//! giant ones paying NTTs.
+//! giant ones paying NTTs. The rotation keys this reads — and therefore
+//! the whole key set a client generates and a server admits — are
+//! [`key_plan`], defined here beside the split it follows.
 //!
 //! Noise shape: baby key-switch noise passes through the subsequent
 //! plaintext multiplication (amplification ≈ `√(n·d)·t`), which is why
@@ -38,16 +41,18 @@
 //!
 //! [`matvec_naive`] keeps the original rotate-after-multiply Horner
 //! formulation `W·v = Σ_k rot(v ⊙ rot⁻¹(diag_k, k), k)` (one composed
-//! rotation per diagonal, key-switch noise never amplified). It needs only
-//! the power-of-two composition keys and serves as the correctness oracle
-//! for the BSGS path in `tests/matvec_differential.rs` and as the bench
-//! baseline.
+//! rotation per diagonal, key-switch noise never amplified). It runs under
+//! the power-of-two composition keys of [`crate::KeySet::generate`] and
+//! serves as the correctness oracle for the BSGS path in
+//! `tests/matvec_differential.rs` and as the bench baseline.
 
 use crate::cipher::{Ciphertext, Plaintext};
 use crate::encoder::BatchEncoder;
-use crate::keys::GaloisKeys;
+use crate::keys::{rotation_element, GaloisKeys};
+use crate::params::BfvParams;
 use pi_field::Modulus;
 use pi_poly::Poly;
+use std::cmp::Reverse;
 
 /// A dense matrix over `Z_t`, stored row-major, padded internally to a
 /// power-of-two dimension for the diagonal method.
@@ -158,14 +163,33 @@ pub fn bsgs_plan(dim: usize) -> (usize, usize) {
     (b, dim.div_ceil(b))
 }
 
-/// The rotation amounts the BSGS matvec at `dim` needs:
-/// `(baby rotations 1..b, giant rotations b·j for j in 1..g)`. Rotation 0
-/// (identity) needs no key in either role.
-pub fn bsgs_rotations(dim: usize) -> (Vec<usize>, Vec<usize>) {
-    let (b, g) = bsgs_plan(dim);
-    let baby: Vec<usize> = (1..b.min(dim)).collect();
-    let giant: Vec<usize> = (1..g).map(|j| j * b).collect();
-    (baby, giant)
+/// The rotation-key set of a model whose linear layers have the given
+/// padded dimensions: the `(Galois element, log2 gadget base)` of every key
+/// [`matvec_precomputed_many`] reads at one of them — per dimension the
+/// baby rotations `1..b` (hoisted, so under the fine
+/// [`BfvParams::bsgs_log_base`] gadget) and the giant rotations `b·j` for
+/// `j` in `1..g` (fused key switches under the ordinary
+/// [`BfvParams::ks_log_base`]); rotation 0 needs no key. Sorted by
+/// ascending element, coarsest base first within one, each pair once: an
+/// element that is a baby at one dimension and a giant at another appears
+/// under both bases.
+///
+/// This is the one definition of the set. Key generation
+/// ([`crate::KeySet::generate_for_dims`]) emits exactly this list in this
+/// order, a server admits an upload only if its entries equal it, and both
+/// parties key their caches by it.
+pub fn key_plan(params: &BfvParams, dims: &[usize]) -> Vec<(usize, u32)> {
+    let n = params.n();
+    let mut plan = Vec::new();
+    for &dim in dims {
+        let (b, g) = bsgs_plan(dim);
+        let baby = (1..b.min(dim)).map(|i| (rotation_element(n, i), params.bsgs_log_base));
+        let giant = (1..g).map(|j| (rotation_element(n, j * b), params.ks_log_base));
+        plan.extend(baby.chain(giant));
+    }
+    plan.sort_unstable_by_key(|&(g, log_base)| (g, Reverse(log_base)));
+    plan.dedup();
+    plan
 }
 
 /// A matrix's Halevi–Shoup diagonals, encoded and precomputed as Shoup-form
@@ -273,23 +297,51 @@ pub fn encode_diagonals_bsgs(enc: &BatchEncoder, w: &PlainMatrix) -> BsgsDiagona
 }
 
 /// Computes `E(W · v)` from `E(v)` with the hoisted baby-step/giant-step
-/// algorithm — the offline-phase hot path (see the module docs for the
-/// decomposition and noise shape).
-///
-/// `v` is hoisted once; the `b − 1` baby rotations are NTT-free gathers
-/// from the hoisted digits; each of the `g − 1` giant steps is one
-/// multiply-accumulate sweep over pre-rotated diagonals plus one fused
-/// key switch accumulating straight into the result. Everything runs in
-/// the lazy `[0, 2q)` evaluation domain with a single final correction.
+/// algorithm — the offline-phase hot path, and the one-job call of
+/// [`matvec_precomputed_many`] (see the module docs for the decomposition
+/// and noise shape).
 ///
 /// # Panics
 ///
-/// Panics if the Galois keys lack a required baby or giant rotation key
-/// (generate them with [`crate::keys::SecretKey::galois_keys_for_bsgs`] or
-/// [`crate::keys::KeySet::generate_for_dims`]), or if the keys and
-/// ciphertext come from different parameter sets.
+/// Panics under the same conditions as [`matvec_precomputed_many`].
 pub fn matvec_precomputed(gk: &GaloisKeys, w: &BsgsDiagonals, ct_v: &Ciphertext) -> Ciphertext {
-    let params = gk.params();
+    let mut prods = matvec_precomputed_many(&[(gk, ct_v)], w);
+    prods.pop().expect("one job in, one product out")
+}
+
+/// Computes `E(W · vᶜ)` for a batch of independent clients sharing the same
+/// matrix with the hoisted baby-step/giant-step algorithm — one job is the
+/// plain matvec, several are the serving runtime's cross-request fusion.
+///
+/// Each job carries its own Galois keys (clients never share key material)
+/// and input ciphertext, but all jobs multiply against the **same**
+/// [`BsgsDiagonals`]: the loop nest walks each pre-rotated diagonal operand
+/// once per giant group and applies it to every client's baby rotation
+/// before moving to the next, so the large shared operands stream through
+/// cache once instead of once per request.
+///
+/// Per client: `v` is hoisted once; the `b − 1` baby rotations are NTT-free
+/// gathers from the hoisted digits, in step order; each of the `g − 1`
+/// giant steps is one in-order multiply-accumulate sweep over pre-rotated
+/// diagonals plus one fused key switch accumulating straight into the
+/// result; everything runs in the lazy `[0, 2q)` evaluation domain with a
+/// single final correction. Batching is a scheduling change, never a
+/// semantic one: a job's result is bit-identical whatever shares its batch.
+///
+/// # Panics
+///
+/// Panics if a job's Galois keys lack an entry of [`key_plan`] for
+/// `w.dim()` (a caller bug: generate them with
+/// [`crate::keys::KeySet::generate_for_dims`]; a server admits no other
+/// set), or if the keys and ciphertext come from different parameter sets.
+pub fn matvec_precomputed_many(
+    jobs: &[(&GaloisKeys, &Ciphertext)],
+    w: &BsgsDiagonals,
+) -> Vec<Ciphertext> {
+    if jobs.is_empty() {
+        return Vec::new();
+    }
+    let params = jobs[0].0.params();
     let ring = params.ring();
     let ntt = ring.ntt();
     let q = params.q();
@@ -306,104 +358,14 @@ pub fn matvec_precomputed(gk: &GaloisKeys, w: &BsgsDiagonals, ct_v: &Ciphertext)
         op_ctx.q()
     );
     if d == 1 {
-        return ct_v.mul_plain_operand(&w.ops[0]);
-    }
-    let hoisted = gk.hoist(ct_v);
-    // Baby rotations of v, kept lazy in [0, 2q) evaluation form.
-    let baby_count = b.min(d);
-    let mut babies: Vec<(Vec<u64>, Vec<u64>)> = Vec::with_capacity(baby_count);
-    for i in 0..baby_count {
-        let mut c0 = vec![0u64; n];
-        let mut c1 = vec![0u64; n];
-        gk.rotate_hoisted_lazy(&hoisted, i, &mut c0, &mut c1)
-            .unwrap_or_else(|e| panic!("{e}"));
-        babies.push((c0, c1));
-    }
-    let mut acc0 = vec![0u64; n];
-    let mut acc1 = vec![0u64; n];
-    let mut inner0 = vec![0u64; n];
-    let mut inner1 = vec![0u64; n];
-    for j in 0..w.giant {
-        let lo = j * b;
-        if lo >= d {
-            break;
-        }
-        let count = b.min(d - lo);
-        // Giant group j accumulates Σ_i p_{j,i} ⊙ rot_i(v) lazily; group 0
-        // lands directly in the result accumulator (identity rotation).
-        let (t0, t1) = if j == 0 {
-            (&mut acc0, &mut acc1)
-        } else {
-            inner0.fill(0);
-            inner1.fill(0);
-            (&mut inner0, &mut inner1)
-        };
-        for (baby, op) in babies[..count].iter().zip(&w.ops[lo..lo + count]) {
-            ntt.dyadic_mul_acc_shoup(t0, &baby.0, op.op.shoup());
-            ntt.dyadic_mul_acc_shoup(t1, &baby.1, op.op.shoup());
-        }
-        if j > 0 {
-            gk.rotate_acc_lazy(lo, &inner0, &mut inner1, &mut acc0, &mut acc1)
-                .unwrap_or_else(|e| panic!("{e}"));
-        }
-    }
-    for x in acc0.iter_mut().chain(acc1.iter_mut()) {
-        *x = q.reduce_lazy(*x);
-    }
-    Ciphertext {
-        c0: Poly::from_ntt_data(ring.clone(), acc0),
-        c1: Poly::from_ntt_data(ring.clone(), acc1),
-    }
-}
-
-/// Computes `E(W · vᶜ)` for a batch of independent clients sharing the same
-/// matrix — the serving-runtime cross-request fusion of
-/// [`matvec_precomputed`].
-///
-/// Each job carries its own Galois keys (clients never share key material)
-/// and input ciphertext, but all jobs multiply against the **same**
-/// [`BsgsDiagonals`]: the loop nest walks each pre-rotated diagonal operand
-/// once per giant group and applies it to every client's baby rotation
-/// before moving to the next, so the large shared operands stream through
-/// cache once instead of once per request.
-///
-/// Per client, the arithmetic sequence (hoist, baby gathers in step order,
-/// giant groups in order with in-order operand accumulation, one final lazy
-/// reduction) is **identical** to a standalone [`matvec_precomputed`] call:
-/// batching is a scheduling change, never a semantic one, so batched
-/// results are bit-identical to sequential ones.
-///
-/// # Panics
-///
-/// Panics under the same per-job conditions as [`matvec_precomputed`].
-pub fn matvec_precomputed_many(
-    jobs: &[(&GaloisKeys, &Ciphertext)],
-    w: &BsgsDiagonals,
-) -> Vec<Ciphertext> {
-    if jobs.is_empty() {
-        return Vec::new();
-    }
-    let params = jobs[0].0.params();
-    let ring = params.ring();
-    let ntt = ring.ntt();
-    let q = params.q();
-    let n = params.n();
-    let (d, b) = (w.dim, w.baby);
-    let op_ctx = w.ops[0].op.ctx();
-    assert!(
-        op_ctx.n() == n && op_ctx.q() == q,
-        "diagonal operands' ring (n={}, q={}) does not match the Galois keys' ring (n={n}, q={q})",
-        op_ctx.n(),
-        op_ctx.q()
-    );
-    if d == 1 {
         return jobs
             .iter()
             .map(|(_, ct)| ct.mul_plain_operand(&w.ops[0]))
             .collect();
     }
-    // Per-client hoist + baby rotations, in client order (rotations touch
-    // only that client's keys and ciphertext, so there is nothing to share).
+    // Per-client hoist + baby rotations of v, kept lazy in [0, 2q)
+    // evaluation form, in client order (rotations touch only that client's
+    // keys and ciphertext, so there is nothing to share).
     let baby_count = b.min(d);
     let babies: Vec<Vec<(Vec<u64>, Vec<u64>)>> = jobs
         .iter()
@@ -440,6 +402,8 @@ pub fn matvec_precomputed_many(
                 inner.1.fill(0);
             }
         }
+        // Giant group j accumulates Σ_i p_{j,i} ⊙ rot_i(v) lazily; group 0
+        // lands directly in the result accumulator (identity rotation).
         // Operand-outer, client-inner: the shared diagonal op streams once.
         for (i, op) in w.ops[lo..lo + count].iter().enumerate() {
             for (c, client_babies) in babies.iter().enumerate() {
@@ -479,9 +443,13 @@ pub fn matvec_precomputed_many(
 
 /// Computes `E(W · v)` from `E(v)` with the original rotate-after-multiply
 /// Horner chain — one composed rotation per diagonal. Slower than
-/// [`matvec_precomputed`] by ~`√d/2`× but needs only the power-of-two
-/// composition keys and never amplifies key-switch noise: the differential
-/// oracle and benchmark baseline for the BSGS path.
+/// [`matvec_precomputed`] by ~`√d/2`× but never amplifies key-switch noise:
+/// the differential oracle and benchmark baseline for the BSGS path.
+///
+/// # Panics
+///
+/// Panics if `gk` lacks the rotation-by-one key (an oracle `.expect`s its
+/// keys: use [`crate::KeySet::generate`]).
 pub fn matvec_naive(gk: &GaloisKeys, w: &EncodedDiagonals, ct_v: &Ciphertext) -> Ciphertext {
     // Horner-style chain over diagonals k = d-1 .. 0:
     //   acc <- rot(acc, 1) + v ⊙ p_k
@@ -491,7 +459,10 @@ pub fn matvec_naive(gk: &GaloisKeys, w: &EncodedDiagonals, ct_v: &Ciphertext) ->
         let term = ct_v.mul_plain_operand(op);
         acc = Some(match acc {
             None => term,
-            Some(prev) => gk.rotate_rows(&prev, 1).add(&term),
+            Some(prev) => {
+                let rotated = gk.rotate_rows(&prev, 1);
+                rotated.expect("oracle key set").add(&term)
+            }
         });
     }
     acc.expect("dimension is at least 1")
@@ -512,7 +483,8 @@ pub fn matvec_naive(gk: &GaloisKeys, w: &EncodedDiagonals, ct_v: &Ciphertext) ->
 ///
 /// # Panics
 ///
-/// Panics if the padded dimension exceeds the encoder row size.
+/// Panics if the padded dimension exceeds the encoder row size, or as
+/// [`matvec_naive`] does.
 pub fn matvec(
     gk: &GaloisKeys,
     enc: &BatchEncoder,
@@ -591,7 +563,7 @@ pub fn encrypt_vector<R: rand::Rng + ?Sized>(
 /// Subtracts a plaintext share vector `s` (periodic layout) from an
 /// encrypted matvec result: the DELPHI offline step `E(W·r) − s`.
 pub fn sub_share(
-    params: &crate::BfvParams,
+    params: &BfvParams,
     enc: &BatchEncoder,
     ct: &Ciphertext,
     s: &[u64],
@@ -607,7 +579,6 @@ pub fn sub_share(
 mod tests {
     use super::*;
     use crate::keys::KeySet;
-    use crate::params::BfvParams;
     use rand::{Rng, SeedableRng};
 
     fn setup(seed: u64) -> (BfvParams, KeySet, BatchEncoder, rand::rngs::StdRng) {
@@ -713,21 +684,24 @@ mod tests {
 
     #[test]
     fn bsgs_matches_naive_oracle() {
-        // The BSGS path and the Horner oracle must decrypt identically,
-        // including at non-power-of-two logical shapes and dim 1/2 edges.
+        // The BSGS path and the Horner oracle, each under the key set it
+        // runs with, must decrypt to the same plaintext, including at
+        // non-power-of-two logical shapes and dim 1/2 edges.
         let params = BfvParams::small_test();
         let mut rng = rand::rngs::StdRng::seed_from_u64(13);
+        let chain = KeySet::generate(&params, &mut rng);
         let keys = KeySet::generate_for_dims(&params, &[1, 2, 8, 16], &mut rng);
         let enc = BatchEncoder::new(&params);
         let t = params.t();
         for (rows, cols) in [(1, 1), (2, 2), (5, 7), (16, 16)] {
             let w = random_matrix(rows, cols, t.value(), t, &mut rng);
             let v: Vec<u64> = (0..cols).map(|_| rng.gen_range(0..t.value())).collect();
+            let ct = encrypt_vector(&chain.public, &enc, &w, &v, &mut rng);
+            let naive = matvec_naive(&chain.galois, &encode_diagonals(&enc, &w), &ct);
             let ct = encrypt_vector(&keys.public, &enc, &w, &v, &mut rng);
-            let naive = matvec_naive(&keys.galois, &encode_diagonals(&enc, &w), &ct);
             let bsgs = matvec_precomputed(&keys.galois, &encode_diagonals_bsgs(&enc, &w), &ct);
             assert_eq!(
-                keys.secret.decrypt(&naive),
+                chain.secret.decrypt(&naive),
                 keys.secret.decrypt(&bsgs),
                 "naive and BSGS decryptions differ at {rows}x{cols}"
             );
@@ -744,12 +718,29 @@ mod tests {
         assert_eq!(bsgs_plan(64), (8, 8));
         assert_eq!(bsgs_plan(100), (10, 10));
         assert_eq!(bsgs_plan(128), (12, 11));
-        // Rotation sets: babies 1..b, giants b·j; never rotation 0.
-        let (baby, giant) = bsgs_rotations(128);
-        assert_eq!(baby, (1..12).collect::<Vec<_>>());
-        assert_eq!(giant, (1..11).map(|j| 12 * j).collect::<Vec<_>>());
-        assert!(bsgs_rotations(1).0.is_empty() && bsgs_rotations(1).1.is_empty());
-        assert_eq!(bsgs_rotations(2), ((1..2).collect::<Vec<_>>(), vec![]));
+        // Key plan: babies 1..b at the fine gadget, giants b·j at the
+        // ordinary one; never rotation 0.
+        let params = BfvParams::small_test();
+        let (n, fine, coarse) = (params.n(), params.bsgs_log_base, params.ks_log_base);
+        let sorted = |mut plan: Vec<(usize, u32)>| {
+            plan.sort_unstable_by_key(|&(g, base)| (g, Reverse(base)));
+            plan
+        };
+        let baby = (1..12).map(|i| (rotation_element(n, i), fine));
+        let giant = (1..11).map(|j| (rotation_element(n, 12 * j), coarse));
+        assert_eq!(
+            key_plan(&params, &[128]),
+            sorted(baby.chain(giant).collect())
+        );
+        assert!(key_plan(&params, &[1]).is_empty());
+        assert_eq!(key_plan(&params, &[2]), [(3, fine)]);
+        // Rotation 4 is a giant at 16 and a baby at 128: once per base,
+        // coarse first; a dimension named twice adds nothing.
+        let mixed = key_plan(&params, &[128, 16, 16]);
+        let g4 = rotation_element(n, 4);
+        let at_g4: Vec<_> = mixed.iter().filter(|e| e.0 == g4).collect();
+        assert_eq!(at_g4, [&(g4, coarse), &(g4, fine)]);
+        assert_eq!(mixed.len(), 21 + 2); // 4 and 8 again; giant 12 is shared
     }
 
     #[test]

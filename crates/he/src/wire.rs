@@ -51,9 +51,12 @@
 //!   32-byte seed for `pk1`.
 //! * **Galois keys** (`"BFVG"`, always seeded): `q: u64 LE`,
 //!   `num_entries: u32 LE`, `total_digits: u32 LE`, 32-byte seed, then per
-//!   entry (sorted by `(element, descending log_base)` — the seed-stream
-//!   replay order): `g: u32 LE`, `log_base: u8`, `num_digits: u32 LE`,
-//!   `num_digits` packed `k0` polynomials. `g` must be an odd Galois
+//!   entry (in the seed-stream replay order; writers emit ascending
+//!   element, coarsest base first): `g: u32 LE`, `log_base: u8`,
+//!   `num_digits: u32 LE`, `num_digits` packed `k0` polynomials. Which
+//!   entries a set holds is for its user to check (the server against
+//!   [`crate::linalg::key_plan`]); the reader checks that each is usable:
+//!   `g` must be an odd Galois
 //!   element below `2N` and `num_digits` must be the gadget length
 //!   `ceil(bits(q) / log_base)` — a key set with any other shape would
 //!   panic or mis-decompose on first use, so the reader refuses it.
@@ -372,15 +375,15 @@ pub fn galois_keys_to_bytes(gk: &GaloisKeys) -> Vec<u8> {
     let params = gk.params().clone();
     let ring = params.ring();
     let entries = gk.wire_entries();
-    let total_digits: usize = entries.iter().map(|(_, e)| e.digits.len()).sum();
+    let total_digits: usize = entries.iter().map(|e| e.digits.len()).sum();
     let mut out = Vec::with_capacity(galois_keys_wire_len(&params, entries.len(), total_digits));
     write_header(&mut out, MAGIC_GK, FLAG_SEEDED, params.n());
     out.extend_from_slice(&params.q().value().to_le_bytes());
     out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
     out.extend_from_slice(&(total_digits as u32).to_le_bytes());
     out.extend_from_slice(gk.seed());
-    for (g, entry) in entries {
-        out.extend_from_slice(&(g as u32).to_le_bytes());
+    for entry in entries {
+        out.extend_from_slice(&(entry.g as u32).to_le_bytes());
         out.push(entry.log_base as u8);
         out.extend_from_slice(&(entry.digits.len() as u32).to_le_bytes());
         for (k0, _) in &entry.digits {
@@ -622,10 +625,10 @@ mod tests {
         let (params, keys, enc, mut rng) = setup();
         let bytes = galois_keys_to_bytes(&keys.galois);
         let back = galois_keys_from_bytes(&bytes, &params).unwrap();
-        assert_eq!(back.num_elements(), keys.galois.num_elements());
+        assert!(back.entries().eq(keys.galois.entries()));
         let ct = keys.public.encrypt(&enc.encode(&[1, 2, 3, 4]), &mut rng);
-        let a = keys.galois.rotate_rows(&ct, 1);
-        let b = back.rotate_rows(&ct, 1);
+        let a = keys.galois.rotate_rows(&ct, 1).expect("chain key");
+        let b = back.rotate_rows(&ct, 1).expect("chain key");
         // Regenerated `a` halves are bit-identical, so the rotations are too.
         assert_eq!(a.c0.coeffs(), b.c0.coeffs());
         assert_eq!(a.c1.coeffs(), b.c1.coeffs());
@@ -641,7 +644,7 @@ mod tests {
         let (params, keys, _, _) = setup();
         let bytes = galois_keys_to_bytes(&keys.galois);
         let entries = keys.galois.wire_entries();
-        let total_digits: usize = entries.iter().map(|(_, e)| e.digits.len()).sum();
+        let total_digits: usize = entries.iter().map(|e| e.digits.len()).sum();
         assert_eq!(
             bytes.len(),
             galois_keys_wire_len(&params, entries.len(), total_digits)

@@ -14,6 +14,8 @@ use rand::{Rng, SeedableRng};
 
 fn probe(params: &BfvParams, dim: usize, seed: u64) -> (u32, u32) {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    // Each path under the key set it runs with.
+    let chain = KeySet::generate(params, &mut rng);
     let keys = KeySet::generate_for_dims(params, &[dim], &mut rng);
     let enc = BatchEncoder::new(params);
     let t = params.t();
@@ -22,10 +24,11 @@ fn probe(params: &BfvParams, dim: usize, seed: u64) -> (u32, u32) {
         .collect();
     let w = PlainMatrix::new(dim, dim, &data, t);
     let v: Vec<u64> = (0..dim).map(|_| rng.gen_range(0..t.value())).collect();
+    let ct = encrypt_vector(&chain.public, &enc, &w, &v, &mut rng);
+    let naive = matvec_naive(&chain.galois, &encode_diagonals(&enc, &w), &ct);
     let ct = encrypt_vector(&keys.public, &enc, &w, &v, &mut rng);
-    let naive = matvec_naive(&keys.galois, &encode_diagonals(&enc, &w), &ct);
     let bsgs = matvec_precomputed(&keys.galois, &encode_diagonals_bsgs(&enc, &w), &ct);
-    let nb = keys.secret.noise_budget(&naive);
+    let nb = chain.secret.noise_budget(&naive);
     let bb = keys.secret.noise_budget(&bsgs);
     let got = enc.decode_prefix(&keys.secret.decrypt(&bsgs), dim);
     assert_eq!(got, w.matvec_plain(&v, t), "bsgs wrong at dim {dim}");
@@ -35,7 +38,7 @@ fn probe(params: &BfvParams, dim: usize, seed: u64) -> (u32, u32) {
 #[test]
 #[cfg_attr(
     debug_assertions,
-    ignore = "four keygens at n up to 4096 are release-speed work; CI runs this guard in release"
+    ignore = "keygens at n up to 4096 are release-speed work; CI runs this guard in release"
 )]
 fn noise_margins() {
     // Three independent key/error/matrix realizations per shape: the margin

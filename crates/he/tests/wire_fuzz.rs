@@ -183,9 +183,9 @@ fn galois_key_entry_headers_survive_every_bit_flip() {
                     Ok(gk) => {
                         accepted += 1;
                         for g in (1..2 * params.n()).step_by(2).filter(|&g| gk.contains(g)) {
-                            gk.try_apply(&ct, g).expect("a held key must switch");
+                            gk.apply(&ct, g).expect("a held key must switch");
                         }
-                        let _ = gk.try_rotate_hoisted(&gk.hoist(&ct), 1);
+                        let _ = gk.rotate_hoisted(&gk.hoist(&ct), 1);
                     }
                 }
                 scratch[pos] ^= 1 << bit;

@@ -31,11 +31,14 @@ pub enum Garbler {
 /// `(⌈d/⌈√d⌉⌉ − 1)` giant elements at the ordinary gadget, two ring
 /// polynomials of `n` 8-byte words per digit.
 ///
-/// An analysis-side mirror of `pi_core::CostReport::galois_key_bytes` for
-/// what-if sizing at dimensions no instantiated model has (pi-sim
-/// deliberately has no pi-he dependency, so the gadget digit counts come
-/// in as parameters and the ⌈√d⌉ split is restated here; the
-/// implementation-measured figure in `CostReport` stays authoritative).
+/// An analysis-side mirror of `pi_he::linalg::key_plan` for one dimension
+/// — the whole key set a client of a one-layer model generates and
+/// uploads; there is no composition chain on top — for what-if sizing at
+/// dimensions no instantiated model has (pi-sim deliberately has no pi-he
+/// dependency, so the gadget digit counts come in as parameters and the
+/// ⌈√d⌉ split is restated here; a multi-layer model's plan is the union
+/// over its dimensions, and the implementation-measured figure in
+/// `pi_core::CostReport::galois_key_bytes` stays authoritative).
 /// The session-key constant in [`ProtocolCosts`] (`he_keys = 50e6`)
 /// remains the paper-calibrated anchor for the modeled SEAL-style system
 /// and is intentionally not replaced by this finer model.

@@ -43,8 +43,6 @@ macro_rules! hists {
 hists! {
     WireMsgBytes => "wire.msg_bytes",
     NoiseEncryptBits => "he.noise_encrypt_bits",
-    NoiseMultiplyBits => "he.noise_multiply_bits",
-    NoiseRescaleBits => "he.noise_rescale_bits",
     NoiseDecryptBits => "he.noise_decrypt_bits",
     OtBatchSize => "ot.batch_size",
     GcBatchInstances => "gc.batch_instances",

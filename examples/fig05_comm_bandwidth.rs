@@ -42,7 +42,7 @@ use rand::{Rng, SeedableRng};
 fn flat_len(m: &Msg) -> u64 {
     let flat = |f: &Vec<u8>| pi_he::flat_frame_len(f).expect("relayed HE frame parses");
     let len = match m {
-        Msg::HeKeys { pk, gk } => 8 + flat(pk) + 8 + flat(gk),
+        Msg::HeKeys(gk) => 8 + flat(gk),
         Msg::HeCts(frames) => 8 + frames.iter().map(|f| 8 + flat(f)).sum::<usize>(),
         other => other.byte_len(),
     };

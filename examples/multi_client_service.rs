@@ -84,17 +84,17 @@ fn main() {
     println!("\nthe role swap costs each client 1.8x GC energy (§5.1) but buys the 5x");
     println!("storage reduction that makes the precompute pipeline possible at all.");
 
-    // A service worker must never die on a malformed client request. The
-    // fallible Galois-key API turns a missing rotation key into a rejected
-    // request instead of a panic.
-    println!("\nrequest validation (fallible rotation API):");
+    // A service worker must never die on a malformed client request: a
+    // rotation the key set cannot serve is an error to reject the request
+    // with, not a panic.
+    println!("\nrequest validation (rotations return `Result`):");
     let he = BfvParams::small_test();
     let mut rng = rand::rngs::StdRng::seed_from_u64(7);
     let keys = KeySet::generate(&he, &mut rng);
     let enc = BatchEncoder::new(&he);
     let ct = keys.public.encrypt(&enc.encode(&[1, 2, 3, 4]), &mut rng);
     for requested_g in [3usize, 5] {
-        match keys.galois.try_apply(&ct, requested_g) {
+        match keys.galois.apply(&ct, requested_g) {
             Ok(_) => println!("  rotation request g={requested_g}: served"),
             Err(KeyError::MissingGaloisKey(g)) => {
                 println!("  rotation request g={g}: rejected (no key provisioned), worker alive")

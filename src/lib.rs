@@ -1,8 +1,8 @@
 //! Umbrella crate re-exporting the full private-inference stack.
 //!
 //! See the individual crates for details:
-//! [`pi_field`], [`pi_poly`], [`pi_he`], [`pi_gc`], [`pi_ot`], [`pi_ss`],
-//! [`pi_nn`], [`pi_core`], [`pi_sim`].
+//! [`pi_field`], [`pi_poly`], [`pi_he`], [`pi_gc`], [`pi_ot`], [`pi_nn`],
+//! [`pi_core`], [`pi_sim`].
 
 pub use pi_core as core;
 pub use pi_field as field;
@@ -12,4 +12,3 @@ pub use pi_nn as nn;
 pub use pi_ot as ot;
 pub use pi_poly as poly;
 pub use pi_sim as sim;
-pub use pi_ss as ss;

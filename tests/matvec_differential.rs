@@ -1,7 +1,10 @@
 //! Differential suite: the hoisted baby-step/giant-step matvec
 //! ([`matvec_precomputed`]) against the naive Horner-chain oracle
 //! ([`matvec_naive`]) and the plaintext reference, bit-for-bit at the
-//! decryption level.
+//! decryption level. Each path runs under the key set it ships with — the
+//! rotation-key plan of the dimensions for BSGS, the power-of-two
+//! composition chain for the oracle — so the two never share a secret; the
+//! plaintexts they decrypt to are what must agree.
 //!
 //! Coverage:
 //! * dims {1, 2, 7, 64, 100, 128} — including non-power-of-two logical
@@ -33,6 +36,7 @@ fn check_dims(params: &BfvParams, shapes: &[(usize, usize)], seed: u64) {
         .iter()
         .map(|&(r, c)| r.max(c).next_power_of_two())
         .collect();
+    let chain = KeySet::generate(params, &mut rng);
     let keys = KeySet::generate_for_dims(params, &dims, &mut rng);
     let enc = BatchEncoder::new(params);
     let t = params.t();
@@ -42,15 +46,16 @@ fn check_dims(params: &BfvParams, shapes: &[(usize, usize)], seed: u64) {
             .collect();
         let w = PlainMatrix::new(rows, cols, &data, t);
         let v: Vec<u64> = (0..cols).map(|_| rng.gen_range(0..t.value())).collect();
-        let ct = encrypt_vector(&keys.public, &enc, &w, &v, &mut rng);
 
-        let naive = matvec_naive(&keys.galois, &encode_diagonals(&enc, &w), &ct);
+        let ct = encrypt_vector(&chain.public, &enc, &w, &v, &mut rng);
+        let naive = matvec_naive(&chain.galois, &encode_diagonals(&enc, &w), &ct);
+        let ct = encrypt_vector(&keys.public, &enc, &w, &v, &mut rng);
         let bsgs = matvec_precomputed(&keys.galois, &encode_diagonals_bsgs(&enc, &w), &ct);
 
         // Bit-for-bit identical decryptions, and both match the plaintext
         // reference with noise to spare.
         assert!(
-            keys.secret.noise_budget(&naive) > 0,
+            chain.secret.noise_budget(&naive) > 0,
             "naive noise exhausted at {rows}x{cols}"
         );
         assert!(
@@ -58,7 +63,7 @@ fn check_dims(params: &BfvParams, shapes: &[(usize, usize)], seed: u64) {
             "bsgs noise exhausted at {rows}x{cols}"
         );
         assert_eq!(
-            keys.secret.decrypt(&naive),
+            chain.secret.decrypt(&naive),
             keys.secret.decrypt(&bsgs),
             "decryption mismatch at {rows}x{cols} (n={})",
             params.n()
@@ -109,32 +114,34 @@ fn hoisted_rotation_matches_composed_rotation() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(404);
     // dim 16 → baby rotations {1, 2, 3} at the fine gadget, giants {4, 8, 12}.
     let keys = KeySet::generate_for_dims(&params, &[16], &mut rng);
+    let chain = KeySet::generate(&params, &mut rng);
     let enc = BatchEncoder::new(&params);
     let v: Vec<u64> = (0..params.n() as u64).collect();
     let ct = keys.public.encrypt(&enc.encode(&v), &mut rng);
+    let chain_ct = chain.public.encrypt(&enc.encode(&v), &mut rng);
     let hoisted = keys.galois.hoist(&ct);
     assert_eq!(hoisted.log_base(), params.bsgs_log_base);
     assert_eq!(hoisted.num_digits(), params.bsgs_digits);
     for k in [0usize, 1, 2, 3] {
-        let direct = keys.galois.rotate_hoisted(&hoisted, k);
-        let composed = keys.galois.rotate_rows(&ct, k);
-        // Different key-switch noise, same decryption.
+        let direct = keys.galois.rotate_hoisted(&hoisted, k).expect("baby key");
+        let composed = chain.galois.rotate_rows(&chain_ct, k).expect("chain keys");
+        // Different keys and key-switch noise, same decryption.
         assert_eq!(
             keys.secret.decrypt(&direct),
-            keys.secret.decrypt(&composed),
+            chain.secret.decrypt(&composed),
             "hoisted rotation by {k} diverges from composed rotation"
         );
     }
     // Giant keys exist but under the coarse gadget: the hoisted digits
     // cannot feed them, and the API must say so rather than corrupt.
     let g4 = rotation_element(params.n(), 4);
-    match keys.galois.try_rotate_hoisted(&hoisted, 4) {
+    match keys.galois.rotate_hoisted(&hoisted, 4) {
         Err(KeyError::GadgetMismatch { g, .. }) => assert_eq!(g, g4),
         other => panic!("expected GadgetMismatch for a giant key, got {other:?}"),
     }
     // And a rotation with no key at all is a MissingGaloisKey.
     assert!(matches!(
-        keys.galois.try_rotate_hoisted(&hoisted, 5),
+        keys.galois.rotate_hoisted(&hoisted, 5),
         Err(KeyError::MissingGaloisKey(_))
     ));
 }
@@ -159,16 +166,18 @@ proptest! {
         let params = BfvParams::small_test();
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let dim = rows.max(cols).next_power_of_two();
+        let chain = KeySet::generate(&params, &mut rng);
         let keys = KeySet::generate_for_dims(&params, &[dim], &mut rng);
         let enc = BatchEncoder::new(&params);
         let t = params.t();
         let data: Vec<u64> = (0..rows * cols).map(|_| rng.gen_range(0..t.value())).collect();
         let w = PlainMatrix::new(rows, cols, &data, t);
         let v: Vec<u64> = (0..cols).map(|_| rng.gen_range(0..t.value())).collect();
+        let ct = encrypt_vector(&chain.public, &enc, &w, &v, &mut rng);
+        let naive = matvec_naive(&chain.galois, &encode_diagonals(&enc, &w), &ct);
         let ct = encrypt_vector(&keys.public, &enc, &w, &v, &mut rng);
-        let naive = matvec_naive(&keys.galois, &encode_diagonals(&enc, &w), &ct);
         let bsgs = matvec_precomputed(&keys.galois, &encode_diagonals_bsgs(&enc, &w), &ct);
-        prop_assert_eq!(keys.secret.decrypt(&naive), keys.secret.decrypt(&bsgs));
+        prop_assert_eq!(chain.secret.decrypt(&naive), keys.secret.decrypt(&bsgs));
         prop_assert_eq!(
             enc.decode_prefix(&keys.secret.decrypt(&bsgs), rows),
             w.matvec_plain(&v, t)

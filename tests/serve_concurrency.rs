@@ -1,8 +1,10 @@
 //! Serving-runtime integration tests: N-client concurrency bit-identity,
 //! dropped and misbehaving clients, session-table eviction under a tiny
 //! byte budget, the pinned message transcripts of a first and of a
-//! returning client's request (base OT once per client pair), and the
-//! malformed-shape sweeps (nothing a peer sends panics a party).
+//! returning client's request (base OT once per client pair), one client
+//! alternating between two models (rotation keys cached per key plan), and
+//! the malformed-shape sweeps, the key upload's among them (nothing a peer
+//! sends panics a party).
 
 use pi_core::channel::{local_pair, service_pair, Channel, ClientEvent, SessionPacket};
 use pi_core::msg::Msg;
@@ -13,14 +15,18 @@ use pi_core::{
 };
 use pi_field::{ModpGroup, U1024};
 use pi_he::BfvParams;
-use pi_nn::{zoo, FixedConfig, Network, PiModel, QuantNetwork};
+use pi_nn::{zoo, FixedConfig, NetSpec, Network, PiModel, QuantNetwork, SpecOp};
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
 fn build_model(he: &BfvParams, seed: u64) -> PiModel {
+    build_spec(&zoo::tiny_cnn(), he, seed)
+}
+
+fn build_spec(spec: &NetSpec, he: &BfvParams, seed: u64) -> PiModel {
     let fx = FixedConfig { p: he.t(), f: 5 };
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let net = Network::materialize(&zoo::tiny_cnn(), &mut rng);
+    let net = Network::materialize(spec, &mut rng);
     PiModel::lower(&QuantNetwork::quantize(&net, fx))
 }
 
@@ -248,7 +254,7 @@ fn key_table_hit_skips_the_upload() {
 /// else from the analytic binary encoding.
 fn relayed_len(m: &Msg) -> u64 {
     let len = match m {
-        Msg::HeKeys { pk, gk } => 8 + pk.len() + 8 + gk.len(),
+        Msg::HeKeys(gk) => 8 + gk.len(),
         Msg::HeCts(frames) => 8 + frames.iter().map(|f| 8 + f.len()).sum::<usize>(),
         other => other.byte_len(),
     };
@@ -275,10 +281,12 @@ fn relay(from: &Channel, to: &Channel) -> Transcript {
 /// `build_model(small_test, 11)`, captured at the commit before the two
 /// parties were rewritten as one body per role (PR 14): the message kinds,
 /// their order and their sizes are the protocol, and no refactoring of the
-/// parties may change them. `OtBaseTransfer` is the one size the protocol
-/// itself has changed since: one `g^r` for the batch, 128 + 32·128 bytes.
+/// parties may change them. The protocol itself has changed two sizes
+/// since: `OtBaseTransfer` is one `g^r` for the batch, 128 + 32·128 bytes,
+/// and `HeKeys` is one rotation-key frame holding the model's key plan —
+/// 23 entries, 425 digits — with no composition chain and no public key.
 fn pinned_transcript(kind: ProtocolKind) -> (Transcript, Transcript) {
-    let he_up = [("HeKeys", 7_761_820), ("HeCts", 15_938), ("HeCts", 15_938)];
+    let he_up = [("HeKeys", 6_745_873), ("HeCts", 15_938), ("HeCts", 15_938)];
     let he_down = [("HeCts", 23_074); 3];
     let (up, down): (&[_], &[_]) = match kind {
         ProtocolKind::ClientGarbler => (
@@ -769,12 +777,15 @@ fn malformed_client_messages_are_bad_requests_and_the_worker_survives() {
     }
 }
 
-/// Flips the low bit of the first Galois-key entry's element `g` (it
-/// follows the common header, `q`, the two counts and the seed), making it
+/// Where a rotation-key frame's entries start: after the common header,
+/// `q`, the two counts and the seed.
+const GK_ENTRIES_AT: usize = 10 + 8 + 4 + 4 + 32;
+
+/// Flips the low bit of the first Galois-key entry's element `g`, making it
 /// even: an element with no slot permutation.
 fn even_galois_element(m: &mut Msg, _: u64) {
     match m {
-        Msg::HeKeys { gk, .. } => gk[10 + 8 + 4 + 4 + 32] ^= 1,
+        Msg::HeKeys(gk) => gk[GK_ENTRIES_AT] ^= 1,
         other => panic!("no Galois keys in {}", other.kind()),
     }
 }
@@ -809,6 +820,172 @@ fn unusable_uploaded_galois_keys_are_a_wire_error_and_the_worker_survives() {
     assert_eq!(rt.key_table_stats().inserts, 1);
 }
 
+/// Rewrites the entry list of a relayed rotation-key upload (`poly` is one
+/// packed polynomial's length) and recomputes both counts, so the frame
+/// stays one the reader accepts and only the admission check can object.
+fn edit_key_entries(m: &mut Msg, edit: impl FnOnce(&mut Vec<Vec<u8>>, usize)) {
+    let Msg::HeKeys(frame) = m else {
+        panic!("no rotation keys in {}", m.kind());
+    };
+    let le32 = |b: &[u8]| u32::from_le_bytes(b.try_into().expect("4 bytes")) as usize;
+    let q = u64::from_le_bytes(frame[10..18].try_into().expect("8 bytes"));
+    let poly = (le32(&frame[6..10]) * (64 - q.leading_zeros() as usize)).div_ceil(8);
+    // An entry: g (u32), log_base (u8), num_digits (u32), the k0 halves.
+    let digits = |entry: &[u8]| le32(&entry[5..9]);
+    let mut entries = Vec::new();
+    let mut rest = &frame[GK_ENTRIES_AT..];
+    while !rest.is_empty() {
+        let (entry, tail) = rest.split_at(9 + digits(rest) * poly);
+        entries.push(entry.to_vec());
+        rest = tail;
+    }
+    edit(&mut entries, poly);
+    let total: usize = entries.iter().map(|e| digits(e)).sum();
+    frame.truncate(GK_ENTRIES_AT);
+    frame[18..22].copy_from_slice(&(entries.len() as u32).to_le_bytes());
+    frame[22..26].copy_from_slice(&(total as u32).to_le_bytes());
+    frame.extend(entries.concat());
+}
+
+fn no_entries(m: &mut Msg, _: u64) {
+    edit_key_entries(m, |entries, _| entries.clear());
+}
+
+fn drop_entry(m: &mut Msg, _: u64) {
+    edit_key_entries(m, |entries, _| drop(entries.remove(1)));
+}
+
+/// Adds a key for the identity element `g = 1`, which no plan holds.
+fn extra_entry(m: &mut Msg, _: u64) {
+    edit_key_entries(m, |entries, _| {
+        let mut extra = entries[0].clone();
+        extra[..4].copy_from_slice(&1u32.to_le_bytes());
+        entries.insert(0, extra);
+    });
+}
+
+/// Re-labels the first entry — rotation 1, a baby of every plan — as a key
+/// under the ordinary gadget, with that gadget's digit count.
+fn baby_under_the_coarse_base(m: &mut Msg, _: u64) {
+    let he = BfvParams::small_test();
+    edit_key_entries(m, |entries, poly| {
+        let baby = &mut entries[0];
+        assert_eq!(u32::from(baby[4]), he.bsgs_log_base);
+        baby[4] = he.ks_log_base as u8;
+        baby[5..9].copy_from_slice(&(he.ks_digits as u32).to_le_bytes());
+        baby.truncate(9 + he.ks_digits * poly);
+    });
+}
+
+fn duplicate_entry(m: &mut Msg, _: u64) {
+    edit_key_entries(m, |entries, _| entries.insert(1, entries[0].clone()));
+}
+
+/// Key uploads every frame reader accepts and no model's key plan equals.
+fn off_plan_key_uploads() -> [(&'static str, Tamper); 5] {
+    [
+        case("no entries", "HeKeys", 0, no_entries),
+        case("a planned entry dropped", "HeKeys", 0, drop_entry),
+        case("an unplanned entry added", "HeKeys", 0, extra_entry),
+        case(
+            "a baby under the coarse base",
+            "HeKeys",
+            0,
+            baby_under_the_coarse_base,
+        ),
+        case("an entry sent twice", "HeKeys", 0, duplicate_entry),
+    ]
+}
+
+/// The server admits a key upload only if it **is** the model's key plan:
+/// on a one-worker runtime each off-plan upload ends its own session in
+/// `BadRequest` and is not cached, while a neighbour running at the same
+/// time — its matvec jobs are what the refused keys would have shared a
+/// fused batch with — completes bit-exact. A worker that panicked on a
+/// missing key would resolve neither.
+#[test]
+fn off_plan_key_uploads_are_bad_requests_and_the_neighbour_completes() {
+    let he = BfvParams::small_test();
+    let model = build_model(&he, 11);
+    let meta = ModelMeta::of(&model);
+    let cfg = ProtocolConfig::client_garbler(he, 1);
+    let party = (&meta, &cfg);
+    let rt = ServeRuntime::new(serve_cfg(1));
+    let model_id = rt.register_model(model.clone(), cfg.clone());
+    for (c, (what, tamper)) in off_plan_key_uploads().into_iter().enumerate() {
+        let (bad, good) = (2 * c as u64, 2 * c as u64 + 1);
+        let served = std::thread::scope(|scope| {
+            scope.spawn(|| neighbour_completes(&rt, (model_id, good), &model, party, what));
+            let input = random_input(&model, 300);
+            tampered_session(&rt, (model_id, bad), party, input, tamper, what)
+        });
+        assert!(
+            matches!(served, Err(ProtocolError::BadRequest(_))),
+            "{what}: {served:?}"
+        );
+        // Only the neighbour's keys went into the table.
+        assert_eq!(rt.key_table_stats().inserts, c as u64 + 1, "{what}");
+    }
+}
+
+/// The same sweep on a dedicated pair: `drive_sync` runs the same session,
+/// so it refuses the same uploads.
+#[test]
+fn off_plan_key_uploads_are_bad_requests_to_drive_sync() {
+    let he = BfvParams::small_test();
+    let model = Arc::new(build_model(&he, 11));
+    let cfg = ProtocolConfig::server_garbler(he);
+    for (what, tamper) in off_plan_key_uploads() {
+        let (ran, served) = tampered_sync_run(&model, &cfg, (Dir::Up, tamper), what);
+        assert!(
+            matches!(served, Err(ProtocolError::BadRequest(_))),
+            "{what}: {served:?}"
+        );
+        assert!(
+            matches!(ran, Err(ProtocolError::Channel(_))),
+            "{what}: {ran:?}"
+        );
+    }
+}
+
+/// One inference of an honest client against an honest `drive_sync` server
+/// on a dedicated pair, behind a relay that applies `tamper` to its
+/// direction: how the client and the server resolved, each within a minute.
+fn tampered_sync_run(
+    model: &Arc<PiModel>,
+    cfg: &ProtocolConfig,
+    (dir, tamper): (Dir, Tamper),
+    what: &str,
+) -> (
+    Result<Vec<u64>, ProtocolError>,
+    Result<pi_core::PartyOutcome, ProtocolError>,
+) {
+    let meta = ModelMeta::of(model);
+    let on = |d| (d == dir).then_some((tamper, model.p.value()));
+    let (c_chan, c_peer) = local_pair();
+    let (s_peer, s_chan) = local_pair();
+    let (c_peer, s_peer) = (Arc::new(c_peer), Arc::new(s_peer));
+    spawn_relay(s_peer.clone(), c_peer.clone(), on(Dir::Down));
+    spawn_relay(c_peer, s_peer, on(Dir::Up));
+    let server = {
+        let (model, cfg) = (model.clone(), cfg.clone());
+        std::thread::spawn(move || {
+            let pre = pi_core::ServerPrecomp::new(&model, &cfg);
+            let rng = rand::rngs::StdRng::seed_from_u64(6);
+            drive_sync(&model, &pre, &cfg, &s_chan, rng)
+        })
+    };
+    let input = random_input(model, 500);
+    let cfg = cfg.clone();
+    let ran = within_a_minute(what, move || {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        let ran = ServiceClient::new().run(&meta, &input, &cfg, &c_chan, &mut rng);
+        ran.map(|(out, _)| out)
+    });
+    let served = within_a_minute(what, move || server.join().expect("server thread"));
+    (ran, served)
+}
+
 /// The mirror image: nothing a server sends panics the client. An honest
 /// `drive_sync` server's traffic is corrupted on its way down; the client
 /// must return `BadRequest`.
@@ -816,9 +993,7 @@ fn unusable_uploaded_galois_keys_are_a_wire_error_and_the_worker_survives() {
 fn malformed_server_messages_are_bad_requests_to_the_client() {
     let he = BfvParams::small_test();
     let model = Arc::new(build_model(&he, 11));
-    let meta = ModelMeta::of(&model);
-    let p = model.p.value();
-    let output_share = meta.phases.len(); // follows one linear share per phase
+    let output_share = ModelMeta::of(&model).phases.len(); // follows one linear share per phase
     let both = [
         case("linear share out of range", "VecU64", 1, unreduced),
         case("linear share short", "VecU64", 0, shorten),
@@ -872,32 +1047,13 @@ fn malformed_server_messages_are_bad_requests_to_the_client() {
         let cfg = ProtocolConfig::clear(kind);
         for &(what, tamper) in both.iter().chain(own) {
             let what = format!("{kind:?}, {what}");
-            let (c_chan, c_peer) = local_pair();
-            let (s_peer, s_chan) = local_pair();
-            let (c_peer, s_peer) = (Arc::new(c_peer), Arc::new(s_peer));
-            spawn_relay(s_peer.clone(), c_peer.clone(), Some((tamper, p)));
-            spawn_relay(c_peer, s_peer, None);
-            let server = {
-                let (model, cfg) = (model.clone(), cfg.clone());
-                std::thread::spawn(move || {
-                    let pre = pi_core::ServerPrecomp::new(&model, &cfg);
-                    let rng = rand::rngs::StdRng::seed_from_u64(6);
-                    drive_sync(&model, &pre, &cfg, &s_chan, rng)
-                })
-            };
-            let input = random_input(&model, 500);
-            let (meta, cfg) = (meta.clone(), cfg.clone());
-            let ran = within_a_minute(&what, move || {
-                let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-                ServiceClient::new().run(&meta, &input, &cfg, &c_chan, &mut rng)
-            });
+            let (ran, served) = tampered_sync_run(&model, &cfg, (Dir::Down, tamper), &what);
             assert!(
                 matches!(ran, Err(ProtocolError::BadRequest(_))),
                 "{what}: {ran:?}"
             );
             // The client hung up; the server notices instead of waiting
             // (unless the corrupted message was its last).
-            let served = server.join().expect("server thread");
             assert!(
                 !matches!(served, Err(ProtocolError::BadRequest(_))),
                 "{what}: {served:?}"
@@ -1175,5 +1331,60 @@ fn malformed_key_status_is_a_bad_request_before_the_client_sends() {
         assert_eq!(r.ran, Ok(expect), "{kind:?}: return visit");
         assert_eq!(r.status, (Msg::OT_CACHED, 2 * meta.ot_blocks(kind)));
         neighbour_completes(&rt, (model_id, 3), &model, party, &format!("{kind:?}"));
+    }
+}
+
+/// A 64-wide MLP: both linear phases pad to 64, so its key plan shares
+/// elements with `tiny_cnn`'s (dims 128/128/16) and equals no part of it.
+fn mlp_spec() -> NetSpec {
+    NetSpec {
+        name: "mlp-64".into(),
+        input: [1, 8, 8],
+        ops: vec![
+            SpecOp::Flatten,
+            SpecOp::Linear { out: 40 },
+            SpecOp::Relu,
+            SpecOp::Linear { out: 4 },
+        ],
+    }
+}
+
+/// One client id alternating between two models of one runtime, A-B-A-B,
+/// both kinds under HE: rotation keys are generated, uploaded and cached
+/// per key plan, so every visit is bit-exact, the first visit to each model
+/// uploads that model's plan and the second is a key-table hit with no
+/// `HeKeys` on the wire. (Cached per client alone, model B's matvec would
+/// run under model A's keys: a missing key, a dead worker, a hung client.)
+#[test]
+fn one_client_alternating_between_two_models_is_served_both_ways() {
+    let he = BfvParams::small_test();
+    let models = [build_model(&he, 11), build_spec(&mlp_spec(), &he, 12)];
+    let metas = [ModelMeta::of(&models[0]), ModelMeta::of(&models[1])];
+    assert_ne!(metas[0].key_plan(&he), metas[1].key_plan(&he));
+    for kind in [ProtocolKind::ClientGarbler, ProtocolKind::ServerGarbler] {
+        let cfg = protocol_cfg(kind, Some(&he));
+        let rt = ServeRuntime::new(serve_cfg(2));
+        let ids = [0, 1].map(|m| rt.register_model(models[m].clone(), cfg.clone()));
+        let mut client = ServiceClient::new();
+        for (visit, m) in [0, 1, 0, 1].into_iter().enumerate() {
+            let what = format!("{kind:?}, visit {visit}");
+            let input = random_input(&models[m], 900 + visit as u64);
+            let expect = models[m].forward(&input);
+            let party = (&metas[m], &cfg);
+            let (r, back) = relayed_request(&rt, (ids[m], 5), client, party, input, None, &what);
+            client = back;
+            assert_eq!(r.ran, Ok(expect), "{what}");
+            assert!(r.served.is_ok(), "{what}: server {:?}", r.served);
+            let first_visit = visit < 2;
+            assert_eq!(r.status.0 & Msg::NEED_KEYS != 0, first_visit, "{what}");
+            let uploads = r.up.iter().filter(|m| m.0 == "HeKeys").count();
+            assert_eq!(uploads, usize::from(first_visit), "{what}");
+        }
+        let keys = rt.key_table_stats();
+        assert_eq!(
+            (keys.inserts, keys.hits, keys.misses),
+            (2, 2, 2),
+            "{kind:?}"
+        );
     }
 }
