@@ -5,14 +5,71 @@
 //! on every call (the pre-optimization behaviour); the `*_precomputed`
 //! variants reuse Shoup-form operands, which is how the offline phase
 //! actually runs (one weight matrix, many clients).
+//!
+//! The cold-key path — what a first-time client's request pays before any
+//! of that — is timed apart and printed as one
+//! `csv,coldkey,<dims>,keygen_us_per_digit,…,encode_us_per_digit,…,decode_us_per_digit,…,frame_us_per_digit,…`
+//! line in every mode, `--test` included, so CI can see it is still there.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use pi_bench::median_ns;
 use pi_he::linalg::{
-    encode_diagonals, encode_diagonals_bsgs, encrypt_vector, matvec, matvec_naive,
+    encode_diagonals, encode_diagonals_bsgs, encrypt_vector, key_plan, matvec, matvec_naive,
     matvec_precomputed, PlainMatrix,
 };
-use pi_he::{BatchEncoder, BfvParams, KeySet};
+use pi_he::{BatchEncoder, BfvParams, KeySet, SecretKey};
 use rand::{Rng, SeedableRng};
+use std::hint::black_box;
+
+/// The cold-key path at the protocol ring (`default_pi`) and `tiny_cnn`'s
+/// padded dimensions, per key digit: generating a key set as operands
+/// (the ledger's `he.keygen_ms`), encoding and decoding its frame
+/// (`he.keys_encode_ms` / `he.keys_decode_ms`), and what the protocol
+/// client runs instead of the first two — generating the frame directly.
+fn bench_cold_key(_c: &mut Criterion) {
+    let params = BfvParams::default_pi();
+    let dims = [128usize, 128, 16];
+    let plan = key_plan(&params, &dims);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(2);
+    let keygen = median_ns(
+        || {
+            drop(black_box(KeySet::generate_for_dims(
+                &params, &dims, &mut rng,
+            )))
+        },
+        3,
+    );
+    let keys = KeySet::generate_for_dims(&params, &dims, &mut rng);
+    let encode = median_ns(
+        || drop(black_box(pi_he::galois_keys_to_bytes(&keys.galois))),
+        3,
+    );
+    let frame = pi_he::galois_keys_to_bytes(&keys.galois);
+    let decode = median_ns(
+        || drop(black_box(pi_he::galois_keys_from_bytes(&frame, &params))),
+        3,
+    );
+    let secret = SecretKey::generate(&params, &mut rng);
+    let direct = median_ns(
+        || {
+            drop(black_box(pi_he::galois_keys_frame(
+                &secret, &plan, &mut rng,
+            )))
+        },
+        3,
+    );
+    // Two flat polynomials a digit.
+    let digits = keys.galois.byte_len() / (2 * params.n() * 8);
+    let us_per_digit = |ns: f64| ns / 1e3 / digits as f64;
+    println!(
+        "csv,coldkey,d128x128x16,keygen_us_per_digit,{:.1},encode_us_per_digit,{:.1},\
+         decode_us_per_digit,{:.1},frame_us_per_digit,{:.1}",
+        us_per_digit(keygen),
+        us_per_digit(encode),
+        us_per_digit(decode),
+        us_per_digit(direct)
+    );
+}
 
 fn bench_he(c: &mut Criterion) {
     let params = BfvParams::small_test();
@@ -59,5 +116,5 @@ fn bench_he(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_he);
+criterion_group!(benches, bench_he, bench_cold_key);
 criterion_main!(benches);

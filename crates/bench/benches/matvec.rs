@@ -11,6 +11,7 @@
 //! naive chain.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use pi_bench::median_ns;
 use pi_field::simd::{self, SimdBackend};
 use pi_he::linalg::{
     encode_diagonals, encode_diagonals_bsgs, encrypt_vector, matvec_naive, matvec_op_count,
@@ -20,24 +21,6 @@ use pi_he::{BatchEncoder, BfvParams, KeySet};
 use pi_poly::ntt::{NttTables, ShoupVec};
 use pi_poly::rns::RnsContext;
 use rand::{Rng, SeedableRng};
-
-/// Median wall time of `f` in nanoseconds (hand-rolled so the
-/// `csv,tail_*` lines print in every mode, including `--test` where the
-/// compat criterion skips measurement and its csv output).
-fn median_ns(mut f: impl FnMut(), iters: usize) -> f64 {
-    for _ in 0..3 {
-        f();
-    }
-    let mut samples: Vec<f64> = (0..iters)
-        .map(|_| {
-            let t = std::time::Instant::now();
-            f();
-            t.elapsed().as_nanos() as f64
-        })
-        .collect();
-    samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    samples[samples.len() / 2]
-}
 
 /// Same-run scalar-vs-vector A/B of one kernel, printed as
 /// `csv,tail_<kernel>_scalar,<ns>` / `csv,tail_<kernel>,<ns>`.

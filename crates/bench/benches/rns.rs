@@ -11,6 +11,7 @@
 //! boundary (`csv,tail_crt_compose*`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use pi_bench::median_ns;
 use pi_field::simd::{self, SimdBackend};
 use pi_he::rns::{RnsBfvParams, RnsKeySet};
 use pi_poly::rns::RnsContext;
@@ -64,25 +65,6 @@ fn bench_ntt_simd_vs_scalar(c: &mut Criterion) {
         }
     }
     group.finish();
-}
-
-/// Median wall time of `f` in nanoseconds over `iters` timed runs (plus
-/// a short warmup). Hand-rolled rather than criterion so the
-/// `csv,tail_*` lines print in every mode, including `--test` where the
-/// compat criterion skips measurement (and its own csv output) entirely.
-fn median_ns(mut f: impl FnMut(), iters: usize) -> f64 {
-    for _ in 0..3 {
-        f();
-    }
-    let mut samples: Vec<f64> = (0..iters)
-        .map(|_| {
-            let t = std::time::Instant::now();
-            f();
-            t.elapsed().as_nanos() as f64
-        })
-        .collect();
-    samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    samples[samples.len() / 2]
 }
 
 /// Runs `f` once pinned to the scalar oracle and once pinned to the

@@ -74,6 +74,25 @@ pub fn header(what: &str, paper_ref: &str) {
     println!();
 }
 
+/// Median wall time of `f` in nanoseconds over `iters` timed runs (plus a
+/// short warmup). Hand-rolled rather than criterion so the benches' `csv,…`
+/// lines print in every mode, including `--test` where the compat criterion
+/// skips measurement (and its own csv output) entirely.
+pub fn median_ns(mut f: impl FnMut(), iters: usize) -> f64 {
+    for _ in 0..3 {
+        f();
+    }
+    let mut samples: Vec<f64> = (0..iters)
+        .map(|_| {
+            let t = std::time::Instant::now();
+            f();
+            t.elapsed().as_nanos() as f64
+        })
+        .collect();
+    samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    samples[samples.len() / 2]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -20,10 +20,10 @@ use crate::error::ProtocolError;
 use crate::msg::Msg;
 use crate::role::{encode, BaseReceiver, BaseSender, Garbler, LabelRequest, OtStream, PhaseTables};
 use pi_gc::Label;
-use pi_he::{BatchEncoder, BfvParams, GaloisKeys, KeySet, NoiseStage};
+use pi_he::{BatchEncoder, BfvParams, GaloisKeys, NoiseStage, SecretKey};
 use pi_ot::ext::{OtExtReceiver, OtExtSender};
 use rand::Rng;
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::sync::Arc;
 
 /// Receives the next message, which must be the given [`Msg`] variant.
@@ -46,10 +46,19 @@ enum Role {
     Evaluator(Vec<(PhaseTables, Vec<Label>)>),
 }
 
+/// The client's key material for one key plan: the secret key, and the
+/// rotation keys as the upload frame they were generated into. The client
+/// rotates nothing, so it never holds a key operand, a Shoup quotient or a
+/// slot permutation — and encrypts symmetrically, so no public key either.
+struct ClientKeys {
+    secret: SecretKey,
+    frame: Arc<Vec<u8>>,
+}
+
 /// The client's HE context for one inference.
 struct ClientHe<'a> {
     params: &'a BfvParams,
-    keys: Arc<KeySet>,
+    keys: Arc<ClientKeys>,
     encoder: BatchEncoder,
 }
 
@@ -58,11 +67,11 @@ struct ClientHe<'a> {
 /// [`crate::channel::local_pair`] — retaining across them what is the
 /// pair's, not the request's:
 ///
-/// * its HE [`KeySet`]s (the secret key never leaves the client), one per
-///   key plan ([`ModelMeta::key_plan`]): the set generated for one model
-///   is reused for that model — and any other with the same plan — only.
-///   If the server evicted the rotation keys, the retained set is
-///   re-uploaded, not regenerated.
+/// * its HE keys, one (secret key, rotation-key upload frame) pair per key
+///   plan ([`ModelMeta::key_plan`]): the secret never leaves the client,
+///   and the pair generated for one model is reused for that model — and
+///   any other with the same plan — only. If the server evicted the
+///   rotation keys, the retained frame is re-uploaded, not regenerated.
 /// * its half of the post-base-OT IKNP state, per extension role, with a
 ///   **high-water mark**: the first PRG block no session of this client
 ///   has been given. When the server still caches the other half
@@ -79,7 +88,7 @@ struct ClientHe<'a> {
 /// `ServiceClient` stands for one client id at one runtime.
 #[derive(Default)]
 pub struct ServiceClient {
-    retained: HashMap<Vec<(usize, u32)>, Arc<KeySet>>,
+    retained: HashMap<Vec<(usize, u32)>, Arc<ClientKeys>>,
     /// Client-Garbler: the client answers the server's label OTs.
     ot_sender: Option<OtStream<OtExtSender>>,
     /// Server-Garbler: the client asks for its labels.
@@ -340,13 +349,14 @@ impl ServiceClient {
     }
 
     /// Readies the HE context: reuses the keys retained for the model's
-    /// key plan or generates (and retains) exactly that plan's rotation
-    /// keys — the hoisted baby-step/giant-step set for every linear-layer
-    /// dimension the model metadata announces — accounts the key material,
-    /// and uploads the rotation-key frame when `upload`: a serving-runtime
-    /// session whose server still caches the keys skips the multi-megabyte
-    /// transfer entirely, and one that claims to cache keys this client
-    /// does not hold for the plan is refused before anything is sent.
+    /// key plan or generates (and retains) a secret key and exactly that
+    /// plan's rotation keys — the hoisted baby-step/giant-step set for
+    /// every linear-layer dimension the model metadata announces — written
+    /// straight into their upload frame; accounts the key material, and
+    /// uploads the frame when `upload`: a serving-runtime session whose
+    /// server still caches the keys skips the multi-megabyte transfer
+    /// entirely, and one that claims to cache keys this client does not
+    /// hold for the plan is refused before anything is sent.
     fn he_context<'a, R: Rng + ?Sized>(
         &mut self,
         meta: &ModelMeta,
@@ -361,29 +371,31 @@ impl ServiceClient {
             meta.p.value(),
             "model field must equal the HE plaintext modulus"
         );
-        let key_plan = meta.key_plan(params);
-        if !upload && !self.retained.contains_key(&key_plan) {
-            return Err(ProtocolError::BadRequest(
-                "server caches keys this client does not hold",
-            ));
-        }
-        let dims: Vec<usize> = meta.phases.iter().map(|ph| ph.padded_dim).collect();
-        let keys = self
-            .retained
-            .entry(key_plan)
-            .or_insert_with(|| Arc::new(KeySet::generate_for_dims(params, &dims, rng)))
-            .clone();
+        let keys = match self.retained.entry(meta.key_plan(params)) {
+            Entry::Occupied(kept) => kept.get().clone(),
+            Entry::Vacant(_) if !upload => {
+                return Err(ProtocolError::BadRequest(
+                    "server caches keys this client does not hold",
+                ));
+            }
+            Entry::Vacant(slot) => {
+                let _span = pi_trace::span!("he.keys_generate");
+                let secret = SecretKey::generate(params, rng);
+                let frame = Arc::new(pi_he::galois_keys_frame(&secret, slot.key(), rng));
+                slot.insert(Arc::new(ClientKeys { secret, frame })).clone()
+            }
+        };
         // Accounting reports the serialized frame length — the bytes that
         // actually cross the wire — not the in-memory footprint.
-        out.galois_key_bytes = keys.galois.wire_byte_len() as u64;
+        out.galois_key_bytes = keys.frame.len() as u64;
         // The per-rotation baseline for a dimension set is the UNION of the
         // per-dim rotation sets; smaller dims' rotations {1..d−1} nest
         // inside the largest, so the union is the max dim's set.
-        let max_dim = dims.iter().copied().max().unwrap_or(1);
+        let max_dim = meta.phases.iter().map(|ph| ph.padded_dim).max();
         out.galois_key_bytes_per_rotation =
-            GaloisKeys::per_rotation_set_byte_len(params, max_dim) as u64;
+            GaloisKeys::per_rotation_set_byte_len(params, max_dim.unwrap_or(1)) as u64;
         if upload {
-            chan.send(Msg::HeKeys(pi_he::galois_keys_to_bytes(&keys.galois)))?;
+            chan.send(Msg::HeKeys(keys.frame.clone()))?;
         }
         let encoder = BatchEncoder::new(params);
         Ok(ClientHe {

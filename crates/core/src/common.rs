@@ -231,9 +231,21 @@ pub(crate) fn unexpected(expected: &'static str, got: &Msg) -> ProtocolError {
 pub struct ClientHeKeys(GaloisKeys);
 
 impl ClientHeKeys {
-    /// Parses an uploaded rotation-key frame and admits it if its entries
-    /// **equal** `plan` ([`ModelMeta::key_plan`]), element for element and
-    /// base for base, in order.
+    /// Admits an uploaded rotation-key frame if the entries its headers
+    /// announce **equal** `plan` ([`ModelMeta::key_plan`]), element for
+    /// element and base for base, in order — and only then decodes it. The
+    /// header walk ([`pi_he::galois_keys_frame_entries`]) also holds the
+    /// frame to the exact length its entries imply, which for the plan's
+    /// entries is the plan's frame length; a frame that was never going to
+    /// be admitted buys no seed expansion and no quotient, and makes nobody
+    /// make room for it.
+    ///
+    /// An on-plan frame is decoded into `retired(bytes)`, if that gives a
+    /// key set ([`pi_he::galois_keys_from_bytes_reusing`]): `bytes` is
+    /// [`ClientHeKeys::resident_byte_len`] of the set about to exist, and
+    /// the serving runtime answers with what its key table evicts to hold
+    /// that much more — the eviction the insert would do anyway, done
+    /// first, so a full table turns over in the memory it already has.
     ///
     /// # Errors
     ///
@@ -244,14 +256,16 @@ impl ClientHeKeys {
         frame: &[u8],
         params: &BfvParams,
         plan: &[(usize, u32)],
+        retired: impl FnOnce(usize) -> Option<Self>,
     ) -> Result<Self, ProtocolError> {
-        let gk = pi_he::galois_keys_from_bytes(frame, params)?;
-        if !gk.entries().eq(plan.iter().copied()) {
+        if pi_he::galois_keys_frame_entries(frame, params)? != plan {
             return Err(ProtocolError::BadRequest(
                 "rotation keys are not the model's key plan",
             ));
         }
-        Ok(Self(gk))
+        let retired = retired(GaloisKeys::resident_byte_len_of(params, plan)).map(|keys| keys.0);
+        let keys = pi_he::galois_keys_from_bytes_reusing(frame, params, retired)?;
+        Ok(Self(keys))
     }
 
     /// The admitted rotation keys.

@@ -14,6 +14,7 @@
 use pi_gc::Label;
 use pi_ot::base::{ReceiverChoiceMsg, SenderSetupMsg, SenderTransferMsg};
 use pi_ot::ext::{ExtendMsg, TransferMsg};
+use std::sync::Arc;
 
 /// A message between the client and the server.
 #[derive(Debug)]
@@ -36,10 +37,11 @@ pub enum Msg {
     },
     /// Client → server: the rotation keys of the model's key plan
     /// ([`crate::ModelMeta::key_plan`]), offline and once, as one serialized
-    /// seed-expanded wire frame ([`pi_he::galois_keys_to_bytes`]). The
-    /// server reads nothing else of the client's key material, so nothing
-    /// else is sent.
-    HeKeys(Vec<u8>),
+    /// seed-expanded wire frame ([`pi_he::galois_keys_frame`]). The server
+    /// reads nothing else of the client's key material, so nothing else is
+    /// sent. The frame is shared with the client's retained copy, not
+    /// cloned from it: an upload moves a pointer, not megabytes.
+    HeKeys(Arc<Vec<u8>>),
     /// Encrypted vectors (client's `E(r)` per phase, or the server's
     /// mod-switched `E(W·r − s)` response), one serialized ciphertext frame
     /// each.
@@ -144,6 +146,6 @@ mod tests {
     fn he_frames_count_serialized_bytes() {
         let msg = Msg::HeCts(vec![vec![0u8; 100], vec![0u8; 7]]);
         assert_eq!(msg.byte_len(), 8 + (8 + 100) + (8 + 7));
-        assert_eq!(Msg::HeKeys(vec![0u8; 20]).byte_len(), 8 + 20);
+        assert_eq!(Msg::HeKeys(Arc::new(vec![0u8; 20])).byte_len(), 8 + 20);
     }
 }

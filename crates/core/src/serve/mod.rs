@@ -22,7 +22,12 @@
 //!   simply re-uploads the keys [`crate::ServiceClient`] retains, or runs
 //!   base OT again, on its next request, driven by the [`Msg::KeyStatus`]
 //!   handshake. Evicted precomputations are rebuilt on demand from the
-//!   weights.
+//!   weights. A key upload makes its room *before* it is decoded
+//!   ([`ShardedLru::make_room`], once its headers are the model's plan),
+//!   and is decoded into the victim's memory when no session holds that
+//!   any more: a full key table turns over in place, so the memory a
+//!   churning runtime holds is its budget's, not a function of which
+//!   worker's allocator arena each set happened to be decoded in.
 //! * **Base OT once per client pair** — `connect` looks the pair's IKNP
 //!   state up, reserves the session's range of PRG blocks in it (an atomic
 //!   cursor: concurrent sessions of one client get disjoint ranges, and an
@@ -456,10 +461,17 @@ fn step_event(inner: &Arc<Inner>, slot: &Arc<Slot>, body: &mut SlotBody, event: 
         pre,
         ..
     } = body;
+    // The eviction a key upload's insert would do, done before the decode:
+    // a victim no session still holds is what the new set is built in.
+    let retired_keys = |bytes: usize| {
+        let evicted = inner.keys_table.make_room(bytes as u64);
+        evicted.into_iter().find_map(Arc::into_inner)
+    };
     let ctx = SessionCtx {
         model: &entry.model,
         pre,
         sink: tx,
+        retired_keys: &retired_keys,
     };
     let result = match event {
         SlotEvent::Start => {

@@ -63,6 +63,11 @@ pub struct SessionCtx<'a> {
     pub pre: &'a ServerPrecomp,
     /// Downlink to this session's client.
     pub sink: &'a ChannelTx,
+    /// A key set nobody uses any more, for an admitted upload of the given
+    /// resident size to be decoded into ([`ClientHeKeys::admit`]): what the
+    /// runtime's key table evicts to make that room, nothing for a lone
+    /// session.
+    pub retired_keys: &'a dyn Fn(usize) -> Option<ClientHeKeys>,
 }
 
 /// One outstanding HE matrix-vector product: the session cannot proceed
@@ -283,7 +288,13 @@ impl ServerSession {
                 // Keys arrive as a serialized seed-expanded frame; one that
                 // fails to parse, or holds anything but the model's key
                 // plan, is the client's fault and aborts only this session.
-                let keys = Arc::new(ClientHeKeys::admit(&frame, &he.params, &he.plan)?);
+                let keys = {
+                    let _phase = pi_trace::span!("offline.he");
+                    let _span = pi_trace::span!("he.keys_admit");
+                    let admitted =
+                        ClientHeKeys::admit(&frame, &he.params, &he.plan, ctx.retired_keys)?;
+                    Arc::new(admitted)
+                };
                 self.state = State::AwaitCts {
                     he,
                     keys: keys.clone(),
@@ -671,6 +682,7 @@ pub fn drive_sync(
         model,
         pre,
         sink: chan.tx(),
+        retired_keys: &|_| None,
     };
     let mut step = Step::Idle;
     let mut out = loop {

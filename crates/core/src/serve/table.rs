@@ -15,7 +15,9 @@
 //! only, so sessions already holding an entry are never invalidated
 //! mid-protocol — an evicted client simply re-uploads, or runs base OT
 //! again, on its *next* request (the [`crate::msg::Msg::KeyStatus`]
-//! handshake).
+//! handshake). An inserter whose value is large can ask for its room first
+//! ([`ShardedLru::make_room`]) and build the value in a victim nobody else
+//! holds, instead of freeing one allocation and making another like it.
 
 use std::collections::hash_map::{self, DefaultHasher};
 use std::collections::HashMap;
@@ -128,13 +130,30 @@ impl<K: Hash + Eq + Clone, V> ShardedLru<K, V> {
             }
         }
         self.stats.inserts.fetch_add(1, Ordering::Relaxed);
+        self.evict_down_to(self.budget, Some(&key));
+    }
+
+    /// Evicts least-recently-used entries until `bytes` more would fit the
+    /// budget — what the insert of an entry that size would evict — and
+    /// returns them, oldest first. An inserter that calls this *before* it
+    /// builds its value can build it in the memory of a victim nobody else
+    /// holds ([`Arc::into_inner`]), so a full table turns over in place.
+    pub fn make_room(&self, bytes: u64) -> Vec<Arc<V>> {
+        self.evict_down_to(self.budget.saturating_sub(bytes), None)
+    }
+
+    /// Takes out the table's least-recently-used entries, whichever shard
+    /// holds them and `keep` excepted, until at most `limit` bytes are
+    /// resident.
+    fn evict_down_to(&self, limit: u64, keep: Option<&K>) -> Vec<Arc<V>> {
+        let mut evicted = Vec::new();
         // One shard lock at a time: pick the oldest entry, then take it out
         // if a concurrent `get` has not refreshed it since.
-        while self.used_bytes.load(Ordering::Relaxed) > self.budget {
+        while self.used_bytes.load(Ordering::Relaxed) > limit {
             let oldest = (self.shards.iter())
                 .filter_map(|shard| {
                     let shard = shard.lock();
-                    let others = shard.iter().filter(|(k, _)| **k != key);
+                    let others = shard.iter().filter(|(k, _)| Some(*k) != keep);
                     let (k, e) = others.min_by_key(|(_, e)| e.last_used)?;
                     Some((e.last_used, k.clone()))
                 })
@@ -145,12 +164,14 @@ impl<K: Hash + Eq + Clone, V> ShardedLru<K, V> {
             let mut shard = self.shard_of(&victim).lock();
             if let hash_map::Entry::Occupied(e) = shard.entry(victim) {
                 if e.get().last_used == last_used {
-                    self.used_bytes
-                        .fetch_sub(e.remove().bytes, Ordering::Relaxed);
+                    let e = e.remove();
+                    self.used_bytes.fetch_sub(e.bytes, Ordering::Relaxed);
                     self.stats.evictions.fetch_add(1, Ordering::Relaxed);
+                    evicted.push(e.value);
                 }
             }
         }
+        evicted
     }
 
     /// Total bytes currently resident across shards.
@@ -217,6 +238,30 @@ mod tests {
         assert!(t.get(&19).is_none());
         assert!(t.get(&18).is_some());
         assert_eq!(t.used_bytes(), 100);
+    }
+
+    #[test]
+    fn make_room_evicts_what_the_insert_would_and_hands_it_over() {
+        let t: ShardedLru<u64, u64> = ShardedLru::new(4, 100);
+        for k in 0..2u64 {
+            t.insert(k, Arc::new(k), 40);
+        }
+        // 80 resident: 20 more fit, 40 more do not.
+        assert!(t.make_room(20).is_empty());
+        let held = t.get(&0).expect("resident");
+        let evicted = t.make_room(40);
+        // 1 is the least recently used now; 0 was just touched.
+        assert_eq!(evicted.iter().map(|v| **v).collect::<Vec<_>>(), [1]);
+        assert_eq!((t.used_bytes(), t.stats().evictions), (40, 1));
+        // A victim nobody else holds comes out whole; a held one does not.
+        assert_eq!(evicted.into_iter().find_map(Arc::into_inner), Some(1));
+        let evicted = t.make_room(100);
+        assert_eq!(evicted.len(), 1);
+        assert_eq!(evicted.into_iter().find_map(Arc::into_inner), None);
+        assert_eq!(*held, 0);
+        // The insert that follows finds the room made and evicts nothing.
+        t.insert(2, Arc::new(2), 100);
+        assert_eq!((t.used_bytes(), t.stats().evictions), (100, 2));
     }
 
     #[test]

@@ -61,8 +61,9 @@ pub struct Modulus {
 /// plus the precomputed quotient `w' = floor(w·2^64 / q)`.
 ///
 /// Build with [`Modulus::shoup`]; consume with [`Modulus::mul_shoup`] /
-/// [`Modulus::mul_shoup_lazy`]. Precomputing `w'` costs one 128-bit division,
-/// amortized across every later multiplication by `w`.
+/// [`Modulus::mul_shoup_lazy`]. Precomputing `w'` costs two multiplies against
+/// the modulus's Barrett constant and one exact remainder correction — no
+/// division — so building an operand costs about what using it once does.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ShoupMul {
     /// The multiplicand `w`, reduced into `[0, q)`.
@@ -192,13 +193,38 @@ impl Modulus {
     /// Debug-panics if `w >= q`. Release builds do **not** reduce or check;
     /// violating the contract silently produces wrong results, so callers
     /// must pass reduced values (every call site in this workspace does).
+    ///
+    /// # The quotient without a division
+    ///
+    /// `w' = floor(x/q)` for `x = w·2^64 < 2^126`. With the Barrett constant
+    /// `B = bh·2^64 + bl` the estimate `floor(x·B / 2^128)` is
+    /// `w·bh + floor(w·bl / 2^64)` exactly (`w·bh·2^64` is a multiple of
+    /// `2^64`), fits a word (`bh ≤ 2^64/q`, `w < q`), and by the bound in
+    /// [`Modulus::reduce_u128`] undershoots `w'` by at most 2 with a
+    /// remainder `x − est·q < 3q < 2^64` — whose low word is all of it,
+    /// since `x`'s low word is zero. Two conditional steps then make the
+    /// quotient the **true floor**, which [`Modulus::mul_shoup_lazy`]'s
+    /// range proof needs (`r0 < q`): the correction is not optional.
     #[inline]
     pub fn shoup(&self, w: u64) -> ShoupMul {
         debug_assert!(w < self.value, "Shoup operand must be reduced");
-        ShoupMul {
-            value: w,
-            quotient: (((w as u128) << 64) / self.value as u128) as u64,
+        let mut quotient = w
+            .wrapping_mul(self.barrett_hi)
+            .wrapping_add(((w as u128 * self.barrett_lo as u128) >> 64) as u64);
+        let mut r = quotient.wrapping_mul(self.value).wrapping_neg();
+        if r >= self.twice() {
+            r -= self.twice();
+            quotient += 2;
         }
+        if r >= self.value {
+            quotient += 1;
+        }
+        debug_assert_eq!(
+            quotient,
+            (((w as u128) << 64) / self.value as u128) as u64,
+            "Shoup quotient must be the true floor"
+        );
+        ShoupMul { value: w, quotient }
     }
 
     /// Shoup multiplication `a·w mod q` with the result in `[0, 2q)`.
@@ -540,6 +566,28 @@ mod tests {
                 lazy as u128 % q as u128,
                 (a as u128 * w.value as u128) % q as u128
             );
+        }
+
+        /// The division-free quotient against the division it replaced,
+        /// over the NTT primes the rings use and over arbitrary moduli
+        /// (powers of two included: the Barrett constant is one short
+        /// there).
+        #[test]
+        fn shoup_quotient_is_the_true_floor(
+            bits in 28u32..=62,
+            log_n in 10u32..=13,
+            any_q in 2u64..(1 << 62),
+            r: u64,
+        ) {
+            let prime = crate::find_ntt_prime(bits, 1 << log_n);
+            for q in [prime, any_q, 1 << (bits - 1)] {
+                let m = Modulus::new(q);
+                for w in [0, 1 % q, q - 1, r % q] {
+                    let s = m.shoup(w);
+                    prop_assert_eq!(s.value, w);
+                    prop_assert_eq!(s.quotient as u128, ((w as u128) << 64) / q as u128);
+                }
+            }
         }
 
         #[test]

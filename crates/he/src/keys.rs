@@ -38,6 +38,12 @@
 //! ciphertext can only be rotated by an entry whose gadget matches its own
 //! decomposition ([`KeyError::GadgetMismatch`] otherwise).
 //!
+//! Every key digit comes out of one generator (`KeyDigits`), in
+//! evaluation form from its first word to its last: a party that rotates
+//! builds operands from it ([`KeySet`]), a party that only uploads writes
+//! the wire frame from it ([`crate::wire::galois_keys_frame`]) and never
+//! holds an operand, a quotient or a slot permutation.
+//!
 //! All key-switch paths (hoisted and not) draw their digit buffers from
 //! one thread-local scratch set, so steady-state rotations allocate only
 //! their output polynomials and a fixed worker pool retains one set per
@@ -45,7 +51,8 @@
 
 use crate::cipher::{Ciphertext, Plaintext};
 use crate::params::{gadget_digits, BfvParams};
-use pi_poly::{sample, GaloisPerm, Poly, PolyForm, PolyOperand};
+use pi_poly::{sample, GaloisPerm, Poly, PolyForm, PolyOperand, ShoupVec};
+use rand::rngs::StdRng;
 use rand::Rng;
 use std::cell::RefCell;
 
@@ -187,11 +194,75 @@ pub struct PublicKey {
 }
 
 /// The deterministic PRG stream a 32-byte wire seed expands to. Uniform
-/// polynomial regeneration draws from this stream via the scalar
-/// `sample::uniform` path, so expansion is bit-identical on every `PI_SIMD`
-/// backend and across machines.
-pub(crate) fn expansion_rng(seed: &[u8; 32]) -> rand::rngs::StdRng {
-    rand::rngs::StdRng::from_seed(*seed)
+/// polynomials are rejection-sampled from its `next_u64` words
+/// ([`sample::uniform_into`]) and **are** evaluation-form data as drawn —
+/// no transform runs on either party — so expansion is bit-identical on
+/// every `PI_SIMD` backend and across machines.
+pub(crate) fn expansion_rng(seed: &[u8; 32]) -> StdRng {
+    StdRng::from_seed(*seed)
+}
+
+/// The one generator of key-switching digits, shared by the party that
+/// keeps its keys as operands ([`KeySet`]) and the party that only ships
+/// them ([`crate::wire::galois_keys_frame`]): digit `i` of the key for
+/// `(g, B)` is `k0 = B^i·s(x^g) − (a·s + e)` with `a` the next polynomial
+/// of the set's seed stream — drawn in evaluation form, never transformed —
+/// and `e` a fresh centered-binomial error from the caller's RNG, so
+/// `k0 + a·s = B^i·s(x^g) − e`.
+///
+/// Everything lives in evaluation form and in three buffers reused across
+/// the whole set: a digit costs two sampler passes, one forward NTT (of
+/// `e`), one fused multiply-accumulate against `s` (a Shoup operand built
+/// once) and one subtract pass; `B^i·s(x^g)` advances by one Shoup
+/// multiply per digit.
+pub(crate) struct KeyDigits<'a> {
+    secret: &'a SecretKey,
+    s_op: ShoupVec,
+    s_coeff: Poly,
+    /// The seed every `a` of the set expands from, in entry, then digit,
+    /// order — the order [`GaloisKeys::from_wire_parts`] replays.
+    pub(crate) seed: [u8; 32],
+    a_stream: StdRng,
+    /// `B^i · s(x^g)` for the digit in hand.
+    sg: Vec<u64>,
+    k0: Vec<u64>,
+    a: Vec<u64>,
+}
+
+impl KeyDigits<'_> {
+    /// Generates the key for Galois element `g` under gadget base
+    /// `2^log_base`, handing each digit's `(k0, a)` — strictly reduced
+    /// evaluation-form words, valid for the call — to `digit`, least
+    /// significant first.
+    pub(crate) fn entry<R: Rng + ?Sized>(
+        &mut self,
+        g: usize,
+        log_base: u32,
+        rng: &mut R,
+        mut digit: impl FnMut(&[u64], &[u64]),
+    ) {
+        let params = &self.secret.params;
+        let q = params.q();
+        let ntt = params.ring().ntt();
+        let base = q.shoup(q.reduce(1 << log_base));
+        self.sg = self.s_coeff.galois(g).into_ntt().into_data();
+        for i in 0..gadget_digits(q, log_base) {
+            if i > 0 {
+                for x in &mut self.sg {
+                    *x = q.mul_shoup(*x, base);
+                }
+            }
+            sample::uniform_into(q, &mut self.a, &mut self.a_stream);
+            sample::centered_binomial_into(q, &mut self.k0, rng, params.error_k);
+            ntt.forward(&mut self.k0);
+            // e + a·s in the lazy [0, 2q) domain, then out of it.
+            ntt.dyadic_mul_acc_shoup(&mut self.k0, &self.a, &self.s_op);
+            for (x, &sg) in self.k0.iter_mut().zip(&self.sg) {
+                *x = q.sub(sg, q.reduce_lazy(*x));
+            }
+            digit(&self.k0, &self.a);
+        }
+    }
 }
 
 /// One key-set entry: the Galois element, the gadget base its key was
@@ -358,7 +429,7 @@ impl SecretKey {
     pub fn public_key<R: Rng + ?Sized>(&self, rng: &mut R) -> PublicKey {
         let mut seed = [0u8; 32];
         rng.fill(&mut seed);
-        let a = sample::uniform(self.params.ring(), &mut expansion_rng(&seed)).into_ntt();
+        let a = sample::uniform(self.params.ring(), PolyForm::Ntt, &mut expansion_rng(&seed));
         let e = sample::centered_binomial(self.params.ring(), rng, self.params.error_k);
         let pk0 = a.mul(&self.s).add(&e.into_ntt()).neg();
         PublicKey {
@@ -384,7 +455,7 @@ impl SecretKey {
         let params = &self.params;
         let mut seed = [0u8; 32];
         rng.fill(&mut seed);
-        let a = sample::uniform(params.ring(), &mut expansion_rng(&seed)).into_ntt();
+        let a = sample::uniform(params.ring(), PolyForm::Ntt, &mut expansion_rng(&seed));
         let e = sample::centered_binomial(params.ring(), rng, params.error_k);
         let scaled = pt.poly.scale(params.delta());
         let c0 = scaled.into_ntt().add(&e.into_ntt()).sub(&a.mul(&self.s));
@@ -392,48 +463,50 @@ impl SecretKey {
     }
 
     /// Generates one key-switching key per `(element, log2 base)` entry,
-    /// in the order given (which becomes the wire order).
+    /// in the order given (which becomes the wire order): the operand
+    /// builder over [`KeyDigits`], for parties that will rotate with the
+    /// keys themselves (the oracle, tests, the ledger's replays). A party
+    /// that only uploads them writes the frame instead
+    /// ([`crate::wire::galois_keys_frame`]) — same digits, same bytes.
     fn galois_keys<R: Rng + ?Sized>(&self, entries: &[(usize, u32)], rng: &mut R) -> GaloisKeys {
-        let params = &self.params;
-        let q = params.q();
-        let s_coeff = self.s.clone().into_coeff();
-        // All uniform gadget columns expand from one 32-byte seed, drawn in
-        // entry, then digit, order. The wire layer ships the seed and the k0
-        // halves only; deserialization replays this stream (see
-        // `GaloisKeys::from_wire_parts`). Errors keep coming from the
-        // caller's RNG.
-        let mut seed = [0u8; 32];
-        rng.fill(&mut seed);
-        let mut a_stream = expansion_rng(&seed);
+        let ring = self.params.ring();
+        let operand = |x: &[u64]| PolyOperand::from_ntt_data(ring.clone(), x.to_vec());
+        let mut gen = self.key_digits(rng);
         let mut keys = Vec::with_capacity(entries.len());
         for &(g, log_base) in entries {
-            let num_digits = gadget_digits(q, log_base);
-            let s_g = s_coeff.galois(g).into_ntt();
-            let mut digits = Vec::with_capacity(num_digits);
-            let mut base_pow = 1u64;
-            for _ in 0..num_digits {
-                let a = sample::uniform(params.ring(), &mut a_stream).into_ntt();
-                let e = sample::centered_binomial(params.ring(), rng, params.error_k);
-                // k0 = -(a·s + e) + B^i · s(x^g)
-                let k0 = a
-                    .mul(&self.s)
-                    .add(&e.into_ntt())
-                    .neg()
-                    .add(&s_g.scale(base_pow));
-                digits.push((k0.to_operand(), a.to_operand()));
-                base_pow = q.reduce_u128(base_pow as u128 * (1u128 << log_base));
-            }
+            let mut digits = Vec::with_capacity(gadget_digits(self.params.q(), log_base));
+            gen.entry(g, log_base, rng, |k0, a| {
+                digits.push((operand(k0), operand(a)))
+            });
             keys.push(GaloisKeyEntry {
                 g,
                 log_base,
                 digits,
-                perm: params.ring().ntt().galois_permutation(g),
+                perm: ring.ntt().galois_permutation(g),
             });
         }
         GaloisKeys {
-            params: params.clone(),
+            params: self.params.clone(),
             keys,
+            seed: gen.seed,
+        }
+    }
+
+    /// Starts the digit generator of one key set, drawing the set's
+    /// 32-byte `a` seed from `rng`.
+    pub(crate) fn key_digits<R: Rng + ?Sized>(&self, rng: &mut R) -> KeyDigits<'_> {
+        let n = self.params.n();
+        let mut seed = [0u8; 32];
+        rng.fill(&mut seed);
+        KeyDigits {
+            secret: self,
+            s_op: ShoupVec::new(self.params.q(), self.s.data()),
+            s_coeff: self.s.clone().into_coeff(),
             seed,
+            a_stream: expansion_rng(&seed),
+            sg: Vec::new(),
+            k0: vec![0; n],
+            a: vec![0; n],
         }
     }
 
@@ -596,7 +669,7 @@ impl PublicKey {
     /// seed stream.
     pub(crate) fn from_wire_parts(params: &BfvParams, pk0: Poly, seed: [u8; 32]) -> Self {
         pi_trace::incr(pi_trace::Counter::WireSeedExpand);
-        let pk1 = sample::uniform(params.ring(), &mut expansion_rng(&seed)).into_ntt();
+        let pk1 = sample::uniform(params.ring(), PolyForm::Ntt, &mut expansion_rng(&seed));
         Self {
             params: params.clone(),
             pk0,
@@ -950,6 +1023,16 @@ impl GaloisKeys {
         2 * self.byte_len() + perms
     }
 
+    /// [`GaloisKeys::resident_byte_len`] of the key set with these
+    /// `(Galois element, log2 gadget base)` entries, before one exists: what
+    /// a byte-budgeted table needs to know to make room *before* a frame is
+    /// decoded.
+    pub fn resident_byte_len_of(params: &BfvParams, entries: &[(usize, u32)]) -> usize {
+        let n = params.n();
+        let digits = entries.iter().map(|&(_, b)| gadget_digits(params.q(), b));
+        digits.sum::<usize>() * 4 * n * 8 + entries.len() * GaloisPerm::byte_len_at(n)
+    }
+
     /// Exact length of this key set's serialized wire frame
     /// ([`crate::wire::galois_keys_to_bytes`]): packed `k0` halves plus one
     /// 32-byte seed.
@@ -981,28 +1064,56 @@ impl GaloisKeys {
         &self.keys
     }
 
-    /// Rebuilds keys from wire parts: the `k0` halves (coefficient-form
-    /// polys, wire order) plus the seed, replaying the `a` expansion stream
-    /// exactly as key generation consumed it.
+    /// Rebuilds keys from wire parts: the `k0` halves (strictly reduced
+    /// evaluation-form words, wire order) plus the seed, replaying the `a`
+    /// expansion stream exactly as key generation consumed it. Each
+    /// unpacked or expanded vector becomes its operand's value half as it
+    /// is; only quotients are computed. `spare` and `perms` are what a
+    /// retired key set left ([`GaloisKeys::into_vecs`], its `k0` vectors
+    /// already taken for `parts`): digit for digit in wire order the `a`
+    /// column and both quotient vectors are built in its vectors, and an
+    /// entry keeps its slot permutation where that already realizes `g`;
+    /// whatever is missing is allocated.
     pub(crate) fn from_wire_parts(
         params: &BfvParams,
         seed: [u8; 32],
-        parts: Vec<(usize, u32, Vec<Poly>)>,
+        parts: Vec<(usize, u32, Vec<Vec<u64>>)>,
+        spare: Vec<DigitVecs>,
+        perms: Vec<GaloisPerm>,
     ) -> Self {
         pi_trace::incr(pi_trace::Counter::WireSeedExpand);
+        let ring = params.ring();
+        let n = params.n();
         let mut a_stream = expansion_rng(&seed);
+        let (mut spare, mut perms) = (spare.into_iter(), perms.into_iter());
         let mut keys = Vec::with_capacity(parts.len());
         for (g, log_base, k0s) in parts {
             let mut digits = Vec::with_capacity(k0s.len());
             for k0 in k0s {
-                let a = sample::uniform(params.ring(), &mut a_stream).into_ntt();
-                digits.push((k0.to_operand(), a.to_operand()));
+                let DigitVecs {
+                    mut a,
+                    k0_quotients,
+                    a_quotients,
+                    ..
+                } = spare.next().unwrap_or_default();
+                // Whatever a reused vector holds, the expansion overwrites;
+                // a fresh one comes zeroed from the allocator, not by a pass
+                // of ours.
+                if a.len() != n {
+                    a = vec![0; n];
+                }
+                sample::uniform_into(params.q(), &mut a, &mut a_stream);
+                digits.push((
+                    PolyOperand::from_ntt_data_in(ring.clone(), k0, k0_quotients),
+                    PolyOperand::from_ntt_data_in(ring.clone(), a, a_quotients),
+                ));
             }
+            let kept = perms.next().filter(|p| p.g() == g && p.n() == n);
             keys.push(GaloisKeyEntry {
                 g,
                 log_base,
                 digits,
-                perm: params.ring().ntt().galois_permutation(g),
+                perm: kept.unwrap_or_else(|| ring.ntt().galois_permutation(g)),
             });
         }
         Self {
@@ -1011,6 +1122,37 @@ impl GaloisKeys {
             seed,
         }
     }
+
+    /// Takes a key set nobody rotates with any more apart into what the
+    /// next one can be built in: every digit's four vectors in wire order,
+    /// and the slot permutations in entry order.
+    pub(crate) fn into_vecs(self) -> (Vec<DigitVecs>, Vec<GaloisPerm>) {
+        let mut vecs = Vec::new();
+        let mut perms = Vec::with_capacity(self.keys.len());
+        for entry in self.keys {
+            for (k0, a) in entry.digits {
+                let ((k0, k0_quotients), (a, a_quotients)) = (k0.into_vecs(), a.into_vecs());
+                vecs.push(DigitVecs {
+                    k0,
+                    k0_quotients,
+                    a,
+                    a_quotients,
+                });
+            }
+            perms.push(entry.perm);
+        }
+        (vecs, perms)
+    }
+}
+
+/// The four vectors of one key digit: `k0` and `a`, values and quotients.
+/// Empty vectors where there is nothing to reuse.
+#[derive(Default)]
+pub(crate) struct DigitVecs {
+    pub(crate) k0: Vec<u64>,
+    pub(crate) k0_quotients: Vec<u64>,
+    pub(crate) a: Vec<u64>,
+    pub(crate) a_quotients: Vec<u64>,
 }
 
 #[cfg(test)]

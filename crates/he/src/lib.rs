@@ -58,6 +58,7 @@ pub use params::BfvParams;
 pub use rns::{RnsBfvParams, RnsCiphertext, RnsKeySet, RnsPublicKey, RnsSecretKey};
 pub use wire::{
     ciphertext_from_bytes, ciphertext_to_bytes, ciphertext_to_bytes_seeded, flat_frame_len,
-    galois_keys_from_bytes, galois_keys_to_bytes, public_key_from_bytes, public_key_to_bytes,
-    WireError,
+    galois_keys_frame, galois_keys_frame_entries, galois_keys_from_bytes,
+    galois_keys_from_bytes_reusing, galois_keys_to_bytes, public_key_from_bytes,
+    public_key_to_bytes, WireError,
 };

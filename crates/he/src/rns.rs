@@ -55,7 +55,7 @@
 use crate::keys::NoiseStage;
 use pi_field::{CrtBasis, Modulus, U1024};
 use pi_poly::rns::{RnsContext, RnsOperand, RnsPoly};
-use pi_poly::sample;
+use pi_poly::{sample, PolyForm};
 use rand::Rng;
 use std::sync::Arc;
 
@@ -253,7 +253,7 @@ impl RnsSecretKey {
     /// Derives the public key `(-(a·s + e), a)`.
     pub fn public_key<R: Rng + ?Sized>(&self, rng: &mut R) -> RnsPublicKey {
         let params = &self.params;
-        let a = sample::uniform_rns(params.base(), rng).into_ntt();
+        let a = sample::uniform_rns(params.base(), PolyForm::Ntt, rng);
         let e = sample::centered_binomial_rns(params.base(), rng, params.error_k).into_ntt();
         let pk0 = a.mul(&self.s).add(&e).neg();
         RnsPublicKey {
@@ -282,8 +282,11 @@ impl RnsSecretKey {
         let params = &self.params;
         let mut seed = [0u8; 32];
         rng.fill(&mut seed);
-        let a =
-            sample::uniform_rns(params.base(), &mut crate::keys::expansion_rng(&seed)).into_ntt();
+        let a = sample::uniform_rns(
+            params.base(),
+            PolyForm::Ntt,
+            &mut crate::keys::expansion_rng(&seed),
+        );
         let e = sample::centered_binomial_rns(params.base(), rng, params.error_k).into_ntt();
         let scaled = params.encode_scaled(m).into_ntt();
         let c0 = scaled.add(&e).sub(&a.mul(&self.s));
@@ -517,8 +520,11 @@ mod tests {
         // seed's expansion, so `(c0, seed)` is all a receiver needs.
         let (sct, seed) = keys.secret.encrypt_seeded(&m, &mut rng);
         assert_eq!(keys.secret.decrypt(&sct), m);
-        let a =
-            sample::uniform_rns(params.base(), &mut crate::keys::expansion_rng(&seed)).into_ntt();
+        let a = sample::uniform_rns(
+            params.base(),
+            PolyForm::Ntt,
+            &mut crate::keys::expansion_rng(&seed),
+        );
         assert_eq!(sct.polys[1], a);
     }
 

@@ -2,7 +2,7 @@
 //! machine boundary: ciphertexts (fresh, seed-expanded, and
 //! modulus-down-switched), public keys, and Galois key sets.
 //!
-//! # Format, version 2
+//! # Format, version 3
 //!
 //! Every frame starts with a 10-byte common header:
 //!
@@ -13,32 +13,49 @@
 //! | 5      | 1    | flags (bit 0 = [`FLAG_SEEDED`]; other bits must be 0) |
 //! | 6      | 4    | ring degree `N` (`u32` LE) |
 //!
-//! **Versioning rule:** any change to the byte layout bumps
-//! [`WIRE_VERSION`]; readers reject frames whose version byte differs
-//! ([`WireError::UnsupportedVersion`]) rather than guessing. Unknown flag
-//! bits are likewise rejected ([`WireError::BadFlags`]), so flags can only
-//! be added together with a version bump.
+//! **Versioning rule:** any change to the byte layout — or to what the
+//! bytes mean — bumps [`WIRE_VERSION`]; readers reject frames whose version
+//! byte differs ([`WireError::UnsupportedVersion`]) rather than guessing.
+//! Version 3 kept every length of version 2 and changed the basis of the
+//! Galois-key polynomials (below), which no reader could have told from
+//! the bytes. Unknown flag bits are likewise rejected
+//! ([`WireError::BadFlags`]), so flags can only be added together with a
+//! version bump.
 //!
-//! **Canonical polynomials:** a polynomial is always serialized in
-//! **coefficient form**, strictly reduced into `[0, q)` — never in the NTT
-//! basis (Longa–Naehrig slot order is an internal layout that need not
-//! match across backends) and never as lazy `[0, 2q)` representatives.
-//! Writers canonicalize (inverse-NTT + reduce) before packing; readers
-//! reject any unpacked word `>= q` ([`WireError::UnreducedCoefficient`]).
+//! **Canonical polynomials:** every serialized polynomial is strictly
+//! reduced into `[0, q)` — never lazy `[0, 2q)` representatives — in the
+//! one basis its frame kind fixes; readers reject any unpacked word `>= q`
+//! ([`WireError::UnreducedCoefficient`]) in either.
 //!
-//! **Bit-packing:** each coefficient is stored at `ceil(log2 q)` bits in
-//! one contiguous little-endian bitstream per polynomial
-//! ([`pi_poly::pack`]); the stream's final byte is zero-padded. A 62-bit
-//! modulus thus costs 7.75 bytes/coefficient instead of the flat 8, a
-//! 45-bit down-switched response 5.625.
+//! * Ciphertext components and the public key's `pk0` travel in
+//!   **coefficient form**: writers canonicalize (inverse-NTT + reduce)
+//!   before packing, so a ciphertext serializes to the same bytes whatever
+//!   form it is held in.
+//! * The `k0` polynomials of a Galois-key frame travel in **evaluation
+//!   form**, the form they are generated in and consumed in: neither party
+//!   transforms them. That makes the slot order of
+//!   [`pi_poly::NttTables::forward`] wire contract — slot `j` holds
+//!   `f(ψ^(2·brv(j) + 1))`, with `brv` the `log2 N`-bit reversal and
+//!   `ψ = pi_field::prime::root_of_unity(q, 2N)` (the Longa–Naehrig
+//!   order) — identical on every `PI_SIMD` backend and pinned by a
+//!   known-answer test on each (`tests/ntt_simd_differential.rs`).
+//!
+//! **Bit-packing:** each word is stored at `ceil(log2 q)` bits in one
+//! contiguous little-endian bitstream per polynomial ([`pi_poly::pack`]);
+//! the stream's final byte is zero-padded. A 62-bit modulus thus costs
+//! 7.75 bytes/coefficient instead of the flat 8, a 45-bit down-switched
+//! response 5.625.
 //!
 //! **Seed frames:** a frame with [`FLAG_SEEDED`] set replaces every
 //! *uniform* polynomial (a ciphertext's `c1`, a key's gadget `a` columns)
 //! with the 32-byte PRG seed it was expanded from; the reader regenerates
-//! them deterministically (`StdRng::from_seed` → scalar `sample::uniform`,
-//! identical on every `PI_SIMD` backend) and bumps the
-//! `wire.seed_expand` trace counter. This halves fresh-ciphertext frames
-//! and drops Galois-key frames to the `k0` halves plus 32 bytes.
+//! them deterministically (`StdRng::from_seed` → rejection sampling from
+//! `bits(q)`-bit draws, [`pi_poly::sample::uniform_into`], a function of
+//! the word stream alone) and bumps the `wire.seed_expand` trace counter.
+//! The expansion **is** evaluation-form data: a uniform ring element is
+//! uniform in either basis, so no transform runs on it on either party.
+//! This halves fresh-ciphertext frames and drops Galois-key frames to the
+//! `k0` halves plus 32 bytes.
 //!
 //! # Frame bodies (after the common header)
 //!
@@ -53,9 +70,10 @@
 //!   `num_entries: u32 LE`, `total_digits: u32 LE`, 32-byte seed, then per
 //!   entry (in the seed-stream replay order; writers emit ascending
 //!   element, coarsest base first): `g: u32 LE`, `log_base: u8`,
-//!   `num_digits: u32 LE`, `num_digits` packed `k0` polynomials. Which
-//!   entries a set holds is for its user to check (the server against
-//!   [`crate::linalg::key_plan`]); the reader checks that each is usable:
+//!   `num_digits: u32 LE`, `num_digits` packed evaluation-form `k0`
+//!   polynomials. Which entries a set holds is for its user to check (the
+//!   server against [`crate::linalg::key_plan`], from the headers alone:
+//!   [`galois_keys_frame_entries`]); the reader checks that each is usable:
 //!   `g` must be an odd Galois
 //!   element below `2N` and `num_digits` must be the gadget length
 //!   `ceil(bits(q) / log_base)` — a key set with any other shape would
@@ -68,15 +86,16 @@
 //! every failure surfaces as a typed [`WireError`].
 
 use crate::cipher::Ciphertext;
-use crate::keys::{expansion_rng, GaloisKeys, PublicKey};
+use crate::keys::{expansion_rng, GaloisKeys, PublicKey, SecretKey};
 use crate::params::{gadget_digits, BfvParams};
 use pi_field::Modulus;
-use pi_poly::pack::{pack_into, packed_len, unpack};
-use pi_poly::{sample, Poly, RingContext};
+use pi_poly::pack::{pack_into, packed_len, unpack_into};
+use pi_poly::{sample, Poly, PolyForm, RingContext};
+use rand::Rng;
 use std::sync::Arc;
 
 /// Current wire format version (see the module docs' versioning rule).
-pub const WIRE_VERSION: u8 = 2;
+pub const WIRE_VERSION: u8 = 3;
 
 /// Flag bit 0: uniform components are replaced by a 32-byte PRG seed.
 pub const FLAG_SEEDED: u8 = 0b0000_0001;
@@ -194,21 +213,33 @@ fn write_poly(out: &mut Vec<u8>, poly: &Poly) {
     pack_into(out, &coeffs, q.bits() as usize);
 }
 
-/// Unpacks one polynomial of `ring`, rejecting any coefficient `>= q`.
-fn read_poly(bytes: &[u8], ring: &Arc<RingContext>, offset: &mut usize) -> Result<Poly, WireError> {
+/// Unpacks the `n` words of one packed polynomial of `ring` into `words`
+/// (which reallocates only if it has to), rejecting any word `>= q` — in
+/// whichever basis the frame kind defines them.
+fn read_words(
+    bytes: &[u8],
+    ring: &Arc<RingContext>,
+    offset: &mut usize,
+    words: &mut Vec<u64>,
+) -> Result<(), WireError> {
     let q = ring.q();
     let end = offset
         .checked_add(poly_len(ring.n(), q))
         .ok_or(WireError::Truncated)?;
-    if bytes.len() < end {
+    if bytes.len() < end || !unpack_into(&bytes[*offset..end], ring.n(), q.bits() as usize, words) {
         return Err(WireError::Truncated);
     }
-    let coeffs =
-        unpack(&bytes[*offset..end], ring.n(), q.bits() as usize).ok_or(WireError::Truncated)?;
-    if coeffs.iter().any(|&c| c >= q.value()) {
+    if words.iter().any(|&c| c >= q.value()) {
         return Err(WireError::UnreducedCoefficient);
     }
     *offset = end;
+    Ok(())
+}
+
+/// Reads one coefficient-form polynomial of `ring`.
+fn read_poly(bytes: &[u8], ring: &Arc<RingContext>, offset: &mut usize) -> Result<Poly, WireError> {
+    let mut coeffs = Vec::new();
+    read_words(bytes, ring, offset, &mut coeffs)?;
     Ok(Poly::from_coeffs(ring.clone(), coeffs))
 }
 
@@ -222,11 +253,11 @@ fn expect_end(bytes: &[u8], offset: usize) -> Result<(), WireError> {
     }
 }
 
-/// Expands the uniform polynomial a 32-byte seed stands for (the scalar
-/// sampling path: bit-identical on every backend), in NTT form.
+/// Expands the uniform polynomial a 32-byte seed stands for: evaluation
+/// form as drawn, bit-identical on every backend.
 fn expand_poly(ring: &Arc<RingContext>, seed: &[u8; 32]) -> Poly {
     pi_trace::incr(pi_trace::Counter::WireSeedExpand);
-    sample::uniform(ring, &mut expansion_rng(seed)).into_ntt()
+    sample::uniform(ring, PolyForm::Ntt, &mut expansion_rng(seed))
 }
 
 /// Bytes a packed polynomial occupies under modulus `m`.
@@ -369,40 +400,85 @@ pub fn public_key_wire_len(params: &BfvParams) -> usize {
 // Galois keys
 // ---------------------------------------------------------------------------
 
-/// Serializes a Galois key set: per entry only the packed `k0` halves —
-/// every gadget `a` column regenerates from the one 32-byte seed.
+/// Writes a Galois-key frame up to its first entry.
+fn write_gk_preamble(
+    out: &mut Vec<u8>,
+    params: &BfvParams,
+    num_entries: usize,
+    total_digits: usize,
+    seed: &[u8; 32],
+) {
+    write_header(out, MAGIC_GK, FLAG_SEEDED, params.n());
+    out.extend_from_slice(&params.q().value().to_le_bytes());
+    out.extend_from_slice(&(num_entries as u32).to_le_bytes());
+    out.extend_from_slice(&(total_digits as u32).to_le_bytes());
+    out.extend_from_slice(seed);
+}
+
+fn write_gk_entry_header(out: &mut Vec<u8>, g: usize, log_base: u32, num_digits: usize) {
+    out.extend_from_slice(&(g as u32).to_le_bytes());
+    out.push(log_base as u8);
+    out.extend_from_slice(&(num_digits as u32).to_le_bytes());
+}
+
+/// Serializes a Galois key set: per entry only the packed `k0` halves, in
+/// the evaluation form the operands already hold them in — every gadget
+/// `a` column regenerates from the one 32-byte seed.
 pub fn galois_keys_to_bytes(gk: &GaloisKeys) -> Vec<u8> {
-    let params = gk.params().clone();
-    let ring = params.ring();
+    let params = gk.params();
+    let bits = params.q().bits() as usize;
     let entries = gk.wire_entries();
     let total_digits: usize = entries.iter().map(|e| e.digits.len()).sum();
-    let mut out = Vec::with_capacity(galois_keys_wire_len(&params, entries.len(), total_digits));
-    write_header(&mut out, MAGIC_GK, FLAG_SEEDED, params.n());
-    out.extend_from_slice(&params.q().value().to_le_bytes());
-    out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
-    out.extend_from_slice(&(total_digits as u32).to_le_bytes());
-    out.extend_from_slice(gk.seed());
+    let mut out = Vec::with_capacity(galois_keys_wire_len(params, entries.len(), total_digits));
+    write_gk_preamble(&mut out, params, entries.len(), total_digits, gk.seed());
     for entry in entries {
-        out.extend_from_slice(&(entry.g as u32).to_le_bytes());
-        out.push(entry.log_base as u8);
-        out.extend_from_slice(&(entry.digits.len() as u32).to_le_bytes());
+        write_gk_entry_header(&mut out, entry.g, entry.log_base, entry.digits.len());
         for (k0, _) in &entry.digits {
-            // Operands hold strictly-reduced NTT values; canonicalize to
-            // coefficient form through the ring's inverse transform.
-            let k0_poly = Poly::from_ntt_data(ring.clone(), k0.shoup().values().to_vec());
-            write_poly(&mut out, &k0_poly);
+            pack_into(&mut out, k0.shoup().values(), bits);
         }
     }
     out
 }
 
-/// Deserializes a Galois key set, regenerating every gadget `a` column from
-/// the seed stream in wire order.
-///
-/// # Errors
-///
-/// Returns a [`WireError`] on any malformed input; never panics.
-pub fn galois_keys_from_bytes(bytes: &[u8], params: &BfvParams) -> Result<GaloisKeys, WireError> {
+/// Generates the key-switching keys for `entries` (`(Galois element, log2
+/// gadget base)`, in wire order) straight into their wire frame: what an
+/// uploading client runs instead of building a [`GaloisKeys`] it would
+/// never rotate with. Each digit leaves the generator as packed bytes; no
+/// operand, quotient or slot permutation is ever built. From the same RNG
+/// state the bytes equal [`galois_keys_to_bytes`] of the key set
+/// [`crate::KeySet::generate_for_dims`] builds.
+pub fn galois_keys_frame<R: Rng + ?Sized>(
+    secret: &SecretKey,
+    entries: &[(usize, u32)],
+    rng: &mut R,
+) -> Vec<u8> {
+    let params = secret.params();
+    let q = params.q();
+    let bits = q.bits() as usize;
+    let total_digits: usize = entries.iter().map(|&(_, b)| gadget_digits(q, b)).sum();
+    let mut out = Vec::with_capacity(galois_keys_wire_len(params, entries.len(), total_digits));
+    let mut gen = secret.key_digits(rng);
+    write_gk_preamble(&mut out, params, entries.len(), total_digits, &gen.seed);
+    for &(g, log_base) in entries {
+        write_gk_entry_header(&mut out, g, log_base, gadget_digits(q, log_base));
+        gen.entry(g, log_base, rng, |k0, _| pack_into(&mut out, k0, bits));
+    }
+    out
+}
+
+/// What a Galois-key frame says before any polynomial is unpacked: its
+/// seed and, per entry, `(g, log_base, offset of the first packed k0)` —
+/// the digit count is the base's gadget length, checked.
+struct GkLayout {
+    seed: [u8; 32],
+    entries: Vec<(usize, u32, usize)>,
+}
+
+/// Walks a Galois-key frame's headers — common header, counts, seed, every
+/// entry header — checking each field against what a key switch can use
+/// and the frame's length against what the headers announce. Touches no
+/// packed polynomial.
+fn read_gk_layout(bytes: &[u8], params: &BfvParams) -> Result<GkLayout, WireError> {
     let (flags, n) = read_header(bytes, MAGIC_GK, FLAG_SEEDED)?;
     if flags & FLAG_SEEDED == 0 {
         return Err(WireError::BadFlags(flags));
@@ -417,7 +493,8 @@ pub fn galois_keys_from_bytes(bytes: &[u8], params: &BfvParams) -> Result<Galois
     let num_entries = read_u32(bytes, &mut offset)? as usize;
     let total_digits = read_u32(bytes, &mut offset)? as usize;
     let seed = read_seed(bytes, &mut offset)?;
-    let mut parts = Vec::with_capacity(num_entries.min(1024));
+    let poly = poly_len(n, params.q());
+    let mut entries = Vec::with_capacity(num_entries.min(1024));
     let mut digits_seen = 0usize;
     for _ in 0..num_entries {
         // A Galois element is an odd residue mod 2N; the slot permutation
@@ -426,10 +503,7 @@ pub fn galois_keys_from_bytes(bytes: &[u8], params: &BfvParams) -> Result<Galois
         if g.is_multiple_of(2) || g >= 2 * n {
             return Err(WireError::ParamMismatch);
         }
-        if offset >= bytes.len() {
-            return Err(WireError::Truncated);
-        }
-        let log_base = u32::from(bytes[offset]);
+        let log_base = u32::from(*bytes.get(offset).ok_or(WireError::Truncated)?);
         offset += 1;
         if log_base == 0 || log_base >= params.q().bits() {
             return Err(WireError::ParamMismatch);
@@ -440,18 +514,86 @@ pub fn galois_keys_from_bytes(bytes: &[u8], params: &BfvParams) -> Result<Galois
         if num_digits != gadget_digits(params.q(), log_base) {
             return Err(WireError::ParamMismatch);
         }
-        let mut k0s = Vec::with_capacity(num_digits);
-        for _ in 0..num_digits {
-            k0s.push(read_poly(bytes, params.ring(), &mut offset)?);
-        }
+        entries.push((g, log_base, offset));
+        offset = offset
+            .checked_add(num_digits * poly)
+            .filter(|&end| end <= bytes.len())
+            .ok_or(WireError::Truncated)?;
         digits_seen += num_digits;
-        parts.push((g, log_base, k0s));
     }
     if digits_seen != total_digits {
         return Err(WireError::ParamMismatch);
     }
     expect_end(bytes, offset)?;
-    Ok(GaloisKeys::from_wire_parts(params, seed, parts))
+    Ok(GkLayout { seed, entries })
+}
+
+/// The `(Galois element, log2 gadget base)` list a Galois-key frame
+/// announces, in wire order, from its headers alone: every header check of
+/// [`galois_keys_from_bytes`] and the exact-length check, with no
+/// polynomial unpacked and no seed expanded. A server compares this with
+/// the key plan it would admit **before** it pays for the decode.
+///
+/// # Errors
+///
+/// Returns a [`WireError`] on any malformed header or a frame whose length
+/// is not the one its headers announce; never panics.
+pub fn galois_keys_frame_entries(
+    bytes: &[u8],
+    params: &BfvParams,
+) -> Result<Vec<(usize, u32)>, WireError> {
+    let layout = read_gk_layout(bytes, params)?;
+    Ok(layout.entries.iter().map(|e| (e.0, e.1)).collect())
+}
+
+/// Deserializes a Galois key set, regenerating every gadget `a` column from
+/// the seed stream in wire order.
+///
+/// # Errors
+///
+/// Returns a [`WireError`] on any malformed input; never panics.
+pub fn galois_keys_from_bytes(bytes: &[u8], params: &BfvParams) -> Result<GaloisKeys, WireError> {
+    galois_keys_from_bytes_reusing(bytes, params, None)
+}
+
+/// [`galois_keys_from_bytes`] built in the memory of `retired`, a key set
+/// nobody rotates with any more (a table's eviction victim): digit for
+/// digit in wire order, the new set's four operand vectors are the retired
+/// set's, refilled, and an entry keeps the slot permutation where the
+/// Galois element is the same. Between two sets of one key plan — every
+/// client of one model — the decode allocates nothing and touches no fresh
+/// page, and a server under a byte budget stays in the memory it has
+/// instead of handing it back to whichever allocator arena it came from
+/// and drawing anew from the current thread's. Where the shapes differ,
+/// what fits is reused and the rest is allocated; the result is the same
+/// key set either way, and `retired` is dropped on error.
+///
+/// # Errors
+///
+/// As [`galois_keys_from_bytes`].
+pub fn galois_keys_from_bytes_reusing(
+    bytes: &[u8],
+    params: &BfvParams,
+    retired: Option<GaloisKeys>,
+) -> Result<GaloisKeys, WireError> {
+    let layout = read_gk_layout(bytes, params)?;
+    let (mut spare, perms) = retired.map(GaloisKeys::into_vecs).unwrap_or_default();
+    let mut digit = 0;
+    let mut parts = Vec::with_capacity(layout.entries.len());
+    for (g, log_base, mut offset) in layout.entries {
+        let k0s = (0..gadget_digits(params.q(), log_base))
+            .map(|_| {
+                let retired = spare.get_mut(digit).map(|d| std::mem::take(&mut d.k0));
+                let mut k0 = retired.unwrap_or_default();
+                digit += 1;
+                read_words(bytes, params.ring(), &mut offset, &mut k0)?;
+                Ok(k0)
+            })
+            .collect::<Result<Vec<_>, WireError>>()?;
+        parts.push((g, log_base, k0s));
+    }
+    let keys = GaloisKeys::from_wire_parts(params, layout.seed, parts, spare, perms);
+    Ok(keys)
 }
 
 /// Exact length of a serialized Galois-key frame with `num_entries` gadget
@@ -639,6 +781,28 @@ mod tests {
         );
     }
 
+    /// Between two key sets of one plan the decode stays in the retired
+    /// set's memory: every operand vector of the new set is, position for
+    /// position, a vector the old set held.
+    #[test]
+    fn a_decode_into_a_retired_set_of_the_same_plan_allocates_no_operand() {
+        let (params, keys, _, mut rng) = setup();
+        let vectors = |gk: &GaloisKeys| -> Vec<*const u64> {
+            let digits = gk.wire_entries().iter().flat_map(|e| &e.digits);
+            digits
+                .flat_map(|(k0, a)| [k0.shoup(), a.shoup()])
+                .flat_map(|op| [op.values().as_ptr(), op.quotients().as_ptr()])
+                .collect()
+        };
+        let retired = galois_keys_from_bytes(&galois_keys_to_bytes(&keys.galois), &params).unwrap();
+        let held = vectors(&retired);
+        let next = KeySet::generate(&params, &mut rng);
+        let frame = galois_keys_to_bytes(&next.galois);
+        let reused = galois_keys_from_bytes_reusing(&frame, &params, Some(retired)).unwrap();
+        assert_eq!(vectors(&reused), held);
+        assert_eq!(galois_keys_to_bytes(&reused), frame);
+    }
+
     #[test]
     fn galois_keys_frame_is_much_smaller_than_flat() {
         let (params, keys, _, _) = setup();
@@ -718,6 +882,25 @@ mod tests {
             ciphertext_from_bytes(&bytes, &params),
             Err(WireError::UnreducedCoefficient)
         ));
+    }
+
+    #[test]
+    fn unreduced_key_word_detected_after_the_headers_passed() {
+        let (params, keys, _, _) = setup();
+        let mut bytes = galois_keys_to_bytes(&keys.galois);
+        let plan: Vec<_> = keys.galois.entries().collect();
+        // First packed evaluation-form word of the first k0, all-ones.
+        let start = HEADER_LEN + 8 + 4 + 4 + SEED_LEN + 4 + 1 + 4;
+        for b in &mut bytes[start..start + 8] {
+            *b = 0xFF;
+        }
+        // The header walk reads no polynomial, so it still passes ...
+        assert_eq!(galois_keys_frame_entries(&bytes, &params), Ok(plan));
+        // ... and the decode refuses the word.
+        assert_eq!(
+            galois_keys_from_bytes(&bytes, &params).err(),
+            Some(WireError::UnreducedCoefficient)
+        );
     }
 
     #[test]

@@ -25,9 +25,9 @@
 //! a failure reproduces exactly. CI runs this suite in release.
 
 use pi_he::{
-    ciphertext_from_bytes, ciphertext_to_bytes, ciphertext_to_bytes_seeded, galois_keys_from_bytes,
-    galois_keys_to_bytes, public_key_from_bytes, public_key_to_bytes, BatchEncoder, BfvParams,
-    KeySet, WireError,
+    ciphertext_from_bytes, ciphertext_to_bytes, ciphertext_to_bytes_seeded, galois_keys_frame,
+    galois_keys_from_bytes, galois_keys_to_bytes, public_key_from_bytes, public_key_to_bytes,
+    BatchEncoder, BfvParams, KeySet, SecretKey, WireError,
 };
 use rand::{Rng, SeedableRng};
 
@@ -130,6 +130,55 @@ fn single_prime_frames_survive_corruption() {
     fuzz_frame("galois keys", &galois_keys_to_bytes(&keys.galois), |b| {
         galois_keys_from_bytes(b, &params)
     });
+}
+
+#[test]
+fn every_frame_kind_refuses_every_other_version() {
+    // The version byte names the layout, and version 3 changed what a
+    // Galois-key polynomial's words mean (evaluation form): a version-2
+    // frame decoded as version 3 would be well-formed garbage, so readers
+    // refuse by version, never by guessing.
+    let params = BfvParams::new(1024, 40, 16);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(4244);
+    let secret = SecretKey::generate(&params, &mut rng);
+    let public = secret.public_key(&mut rng);
+    let plan = pi_he::linalg::key_plan(&params, &[4]);
+    let (sct, seed) = secret.encrypt_seeded(&BatchEncoder::new(&params).encode(&[1]), &mut rng);
+    type Parse<'a> = Box<dyn Fn(&[u8]) -> Option<WireError> + 'a>;
+    let frames: [(&str, Vec<u8>, Parse); 4] = [
+        (
+            "ciphertext",
+            ciphertext_to_bytes(&public.encrypt_zero(&mut rng)),
+            Box::new(|b| ciphertext_from_bytes(b, &params).err()),
+        ),
+        (
+            "seeded ciphertext",
+            ciphertext_to_bytes_seeded(&sct, &seed),
+            Box::new(|b| ciphertext_from_bytes(b, &params).err()),
+        ),
+        (
+            "public key",
+            public_key_to_bytes(&public),
+            Box::new(|b| public_key_from_bytes(b, &params).err()),
+        ),
+        (
+            "galois keys",
+            galois_keys_frame(&secret, &plan, &mut rng),
+            Box::new(|b| galois_keys_from_bytes(b, &params).err()),
+        ),
+    ];
+    for (name, mut frame, parse) in frames {
+        assert_eq!(frame[4], 3, "{name}: writers emit version 3");
+        assert_eq!(parse(&frame), None, "{name}: pristine frame");
+        for version in (0..=u8::MAX).filter(|&v| v != 3) {
+            frame[4] = version;
+            assert_eq!(
+                parse(&frame),
+                Some(WireError::UnsupportedVersion(version)),
+                "{name} as version {version}"
+            );
+        }
+    }
 }
 
 const GK_ENTRY_HEADER_LEN: usize = 4 + 1 + 4;

@@ -68,17 +68,30 @@ pub struct ShoupVec {
 impl ShoupVec {
     /// Precomputes Shoup quotients for a slice of reduced values.
     pub fn new(q: Modulus, values: &[u64]) -> Self {
-        let mut vals = Vec::with_capacity(values.len());
-        let mut quots = Vec::with_capacity(values.len());
-        for &v in values {
-            let s = q.shoup(v);
-            vals.push(s.value);
-            quots.push(s.quotient);
-        }
-        Self {
-            values: vals,
-            quotients: quots,
-        }
+        Self::from_vec(q, values.to_vec())
+    }
+
+    /// Precomputes Shoup quotients for reduced values the caller already
+    /// owns (a freshly unpacked or sampled polynomial): the vector becomes
+    /// the operand's value half as it is.
+    pub fn from_vec(q: Modulus, values: Vec<u64>) -> Self {
+        Self::from_vec_in(q, values, Vec::new())
+    }
+
+    /// [`ShoupVec::from_vec`] with the quotients written into a vector the
+    /// caller already owns (cleared and refilled; it reallocates only if
+    /// its capacity is below `values.len()`): rebuilding an operand from
+    /// the halves of a retired one ([`ShoupVec::into_vecs`]) allocates
+    /// nothing.
+    pub fn from_vec_in(q: Modulus, values: Vec<u64>, mut quotients: Vec<u64>) -> Self {
+        quotients.clear();
+        quotients.extend(values.iter().map(|&v| q.shoup(v).quotient));
+        Self { values, quotients }
+    }
+
+    /// Takes the operand apart into its `(values, quotients)` vectors.
+    pub fn into_vecs(self) -> (Vec<u64>, Vec<u64>) {
+        (self.values, self.quotients)
     }
 
     /// Number of elements.
@@ -218,6 +231,14 @@ impl GaloisPerm {
     pub fn byte_len(&self) -> usize {
         let blocks = self.blocks.as_ref();
         self.idx.len() * 4 + blocks.map_or(0, |b| b.bsrc.len() * 4 + b.bpat.len() * 8)
+    }
+
+    /// [`GaloisPerm::byte_len`] of every permutation
+    /// [`NttTables::galois_permutation`] builds at ring degree `n`, known
+    /// before one is built: the index table plus, from `n = 8` on, the
+    /// blocked form.
+    pub fn byte_len_at(n: usize) -> usize {
+        n * 4 + if n >= 8 { n / 8 * 12 } else { 0 }
     }
 
     /// The ring degree (number of slots).
@@ -805,6 +826,33 @@ mod tests {
             }
         }
         out
+    }
+
+    #[test]
+    fn an_operand_rebuilt_in_a_retired_ones_vectors_allocates_nothing() {
+        let q = Modulus::new(find_ntt_prime(50, 64));
+        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+        let (old, new) = (random_vec(32, q, &mut rng), random_vec(32, q, &mut rng));
+        let (mut values, quotients) = ShoupVec::from_vec(q, old).into_vecs();
+        let (vp, qp) = (values.as_ptr(), quotients.as_ptr());
+        values.copy_from_slice(&new);
+        let rebuilt = ShoupVec::from_vec_in(q, values, quotients);
+        assert_eq!(rebuilt, ShoupVec::new(q, &new));
+        assert_eq!(
+            (rebuilt.values().as_ptr(), rebuilt.quotients().as_ptr()),
+            (vp, qp)
+        );
+    }
+
+    #[test]
+    fn a_permutations_size_is_known_from_the_degree() {
+        for n in [4usize, 8, 16, 1024] {
+            let t = tables(n, 30);
+            for g in [1, 3, 5, 2 * n - 1] {
+                let perm = t.galois_permutation(g);
+                assert_eq!(perm.byte_len(), GaloisPerm::byte_len_at(n), "n={n} g={g}");
+            }
+        }
     }
 
     #[test]

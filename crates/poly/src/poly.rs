@@ -75,6 +75,34 @@ pub struct PolyOperand {
 }
 
 impl PolyOperand {
+    /// Freezes strictly reduced evaluation-form data the caller owns into
+    /// an operand: only the quotients are computed, nothing is copied.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data.len() != n`; debug-panics if any value is `>= q`.
+    pub fn from_ntt_data(ctx: Arc<RingContext>, data: Vec<u64>) -> Self {
+        Self::from_ntt_data_in(ctx, data, Vec::new())
+    }
+
+    /// [`PolyOperand::from_ntt_data`] with the quotients written into a
+    /// vector the caller already owns ([`ShoupVec::from_vec_in`]).
+    ///
+    /// # Panics
+    ///
+    /// As [`PolyOperand::from_ntt_data`].
+    pub fn from_ntt_data_in(ctx: Arc<RingContext>, data: Vec<u64>, quotients: Vec<u64>) -> Self {
+        assert_eq!(data.len(), ctx.n, "evaluation vector must have length n");
+        let op = ShoupVec::from_vec_in(ctx.q, data, quotients);
+        Self { ctx, op }
+    }
+
+    /// Takes the operand apart into its `(values, quotients)` vectors, for
+    /// the next operand to be built in.
+    pub fn into_vecs(self) -> (Vec<u64>, Vec<u64>) {
+        self.op.into_vecs()
+    }
+
     /// The ring context this operand belongs to.
     pub fn ctx(&self) -> &Arc<RingContext> {
         &self.ctx
@@ -337,11 +365,7 @@ impl Poly {
     /// diagonals, key-switching keys, fixed masks).
     pub fn to_operand(&self) -> PolyOperand {
         let eval = self.clone().into_ntt();
-        let op = ShoupVec::new(self.ctx.q, &eval.data);
-        PolyOperand {
-            ctx: self.ctx.clone(),
-            op,
-        }
+        PolyOperand::from_ntt_data(eval.ctx, eval.data)
     }
 
     /// Ring multiplication by a precomputed operand: one pass of

@@ -1,8 +1,26 @@
 //! Randomness for RLWE: uniform, ternary, and centered-binomial samplers,
 //! for both single-modulus ([`Poly`]) and RNS ([`RnsPoly`]) rings.
+//!
+//! The two samplers key generation spends its time in work a generator
+//! word at a time:
+//!
+//! * **Centered binomial** is bit-sliced: a coefficient is the popcount
+//!   difference of two `k`-bit halves of one `2k`-bit draw, and a 64-bit
+//!   word is cut into `⌊64 / 2k⌋` such draws — 1 024 words for an
+//!   `N = 4096`, `k = 8` polynomial. `2k` independent fair bits per
+//!   coefficient is the definition of the distribution, so it is exact.
+//! * **Uniform** is rejection from `bits(q)`-bit draws: one word per
+//!   accepted coefficient (acceptance is above one half), exactly uniform
+//!   on `[0, q)`, no 128-bit remainder. A uniform ring element is uniform
+//!   in either basis, so the caller names the [`PolyForm`] the draw is
+//!   *labelled* with and no transform is ever run on it.
+//!
+//! Both are functions of the generator's `next_u64` stream alone, so a
+//! seed expands to the same polynomial on every `PI_SIMD` backend.
 
-use crate::poly::{Poly, RingContext};
+use crate::poly::{Poly, PolyForm, RingContext};
 use crate::rns::{RnsContext, RnsPoly};
+use pi_field::Modulus;
 use rand::Rng;
 use std::sync::Arc;
 
@@ -11,25 +29,88 @@ pub fn ternary_signed<R: Rng + ?Sized>(n: usize, rng: &mut R) -> Vec<i64> {
     (0..n).map(|_| rng.gen_range(-1i64..=1)).collect()
 }
 
-/// Samples `n` signed centered-binomial coefficients with parameter `k`
-/// (variance `k/2`, support `[-k, k]`).
-pub fn centered_binomial_signed<R: Rng + ?Sized>(n: usize, rng: &mut R, k: u32) -> Vec<i64> {
-    (0..n)
-        .map(|_| {
-            let mut acc = 0i64;
-            for _ in 0..k {
-                acc += rng.gen_range(0..=1) - rng.gen_range(0..=1i64);
-            }
-            acc
-        })
-        .collect()
+/// The bit-sliced centered-binomial core: fills `out` with `map(draw)`.
+fn centered_binomial_with<T, R: Rng + ?Sized>(
+    out: &mut [T],
+    rng: &mut R,
+    k: u32,
+    map: impl Fn(i64) -> T,
+) {
+    assert!(
+        (1..=32).contains(&k),
+        "centered-binomial parameter {k} outside 1..=32"
+    );
+    let half = u64::MAX >> (64 - k);
+    let per_word = (64 / (2 * k)) as usize;
+    for chunk in out.chunks_mut(per_word) {
+        let mut w = rng.next_u64();
+        for c in chunk {
+            let (a, b) = (w & half, (w >> k) & half);
+            *c = map(i64::from(a.count_ones()) - i64::from(b.count_ones()));
+            // `2k = 64` only with one draw a word, whose shift is unused.
+            w = w.checked_shr(2 * k).unwrap_or(0);
+        }
+    }
 }
 
-/// Samples a polynomial with coefficients uniform in `[0, q)`.
-pub fn uniform<R: Rng + ?Sized>(ctx: &Arc<RingContext>, rng: &mut R) -> Poly {
-    let q = ctx.q().value();
-    let coeffs = (0..ctx.n()).map(|_| rng.gen_range(0..q)).collect();
-    Poly::from_coeffs(ctx.clone(), coeffs)
+/// Samples `n` signed centered-binomial coefficients with parameter `k`
+/// (variance `k/2`, support `[-k, k]`).
+///
+/// # Panics
+///
+/// Panics unless `1 <= k <= 32` (a draw is `2k` bits of one word).
+pub fn centered_binomial_signed<R: Rng + ?Sized>(n: usize, rng: &mut R, k: u32) -> Vec<i64> {
+    let mut out = vec![0i64; n];
+    centered_binomial_with(&mut out, rng, k, |v| v);
+    out
+}
+
+/// Fills `out` with centered-binomial coefficients (parameter `k`) as
+/// residues in `[0, q)` — the allocation-free form key generation draws
+/// each digit's error with.
+///
+/// # Panics
+///
+/// Panics unless `1 <= k <= 32` and `k < q`.
+pub fn centered_binomial_into<R: Rng + ?Sized>(q: Modulus, out: &mut [u64], rng: &mut R, k: u32) {
+    let qv = q.value();
+    assert!(
+        u64::from(k) < qv,
+        "support [-k, k] does not fit modulus {q}"
+    );
+    centered_binomial_with(out, rng, k, |v| {
+        if v < 0 {
+            qv - v.unsigned_abs()
+        } else {
+            v as u64
+        }
+    });
+}
+
+/// Fills `out` with values uniform in `[0, q)`, by rejection from
+/// `bits(q)`-bit draws.
+pub fn uniform_into<R: Rng + ?Sized>(q: Modulus, out: &mut [u64], rng: &mut R) {
+    let (qv, shift) = (q.value(), 64 - q.bits());
+    for x in out {
+        *x = loop {
+            let w = rng.next_u64() >> shift;
+            if w < qv {
+                break w;
+            }
+        };
+    }
+}
+
+/// Samples a polynomial uniform over the ring, labelled as `form` (see the
+/// module docs: no transform relates the two labels' draws, and none is
+/// needed).
+pub fn uniform<R: Rng + ?Sized>(ctx: &Arc<RingContext>, form: PolyForm, rng: &mut R) -> Poly {
+    let mut data = vec![0u64; ctx.n()];
+    uniform_into(ctx.q(), &mut data, rng);
+    match form {
+        PolyForm::Coeff => Poly::from_coeffs(ctx.clone(), data),
+        PolyForm::Ntt => Poly::from_ntt_data(ctx.clone(), data),
+    }
 }
 
 /// Samples a ternary polynomial with coefficients in `{-1, 0, 1}`, the
@@ -44,20 +125,23 @@ pub fn ternary<R: Rng + ?Sized>(ctx: &Arc<RingContext>, rng: &mut R) -> Poly {
 /// `k = 21` approximates the discrete Gaussian with σ ≈ 3.2 that SEAL uses;
 /// centered binomial is the standard constant-time drop-in (as in Kyber).
 pub fn centered_binomial<R: Rng + ?Sized>(ctx: &Arc<RingContext>, rng: &mut R, k: u32) -> Poly {
-    Poly::from_signed(ctx.clone(), &centered_binomial_signed(ctx.n(), rng, k))
+    let mut data = vec![0u64; ctx.n()];
+    centered_binomial_into(ctx.q(), &mut data, rng, k);
+    Poly::from_coeffs(ctx.clone(), data)
 }
 
-/// Samples an RNS polynomial uniform over `Z_Q`: each residue column is
-/// sampled independently uniform in `[0, q_i)`, which by CRT bijectivity is
-/// exactly the uniform distribution modulo `Q = ∏ q_i`.
-pub fn uniform_rns<R: Rng + ?Sized>(ctx: &Arc<RnsContext>, rng: &mut R) -> RnsPoly {
+/// Samples an RNS polynomial uniform over `Z_Q`, labelled as `form`: each
+/// residue column is sampled independently uniform in `[0, q_i)`, which by
+/// CRT bijectivity is exactly the uniform distribution modulo `Q = ∏ q_i`.
+pub fn uniform_rns<R: Rng + ?Sized>(ctx: &Arc<RnsContext>, form: PolyForm, rng: &mut R) -> RnsPoly {
     let data: Vec<Vec<u64>> = (0..ctx.len())
         .map(|i| {
-            let q = ctx.modulus(i).value();
-            (0..ctx.n()).map(|_| rng.gen_range(0..q)).collect()
+            let mut col = vec![0u64; ctx.n()];
+            uniform_into(ctx.modulus(i), &mut col, rng);
+            col
         })
         .collect();
-    RnsPoly::from_residues(ctx.clone(), data, crate::poly::PolyForm::Coeff)
+    RnsPoly::from_residues(ctx.clone(), data, form)
 }
 
 /// Samples an RNS ternary polynomial (one signed draw, embedded into every
@@ -136,10 +220,119 @@ mod tests {
     }
 
     #[test]
+    fn centered_binomial_has_its_support_mean_and_variance() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+        // A length no per-word draw count (32, 4, 1, 1) divides.
+        let n = (1 << 16) + 3;
+        for k in [1u32, 8, 21, 32] {
+            let draws = centered_binomial_signed(n, &mut rng, k);
+            assert_eq!(draws.len(), n);
+            let bound = i64::from(k);
+            assert!(draws.iter().all(|v| (-bound..=bound).contains(v)), "k={k}");
+            let mean = draws.iter().sum::<i64>() as f64 / n as f64;
+            let var = draws
+                .iter()
+                .map(|&v| (v as f64 - mean).powi(2))
+                .sum::<f64>()
+                / n as f64;
+            let want = f64::from(k) / 2.0;
+            // Standard error of the mean is sqrt(k/2n) < 0.016.
+            assert!(mean.abs() < 0.08, "k={k}: mean {mean}");
+            assert!((var / want - 1.0).abs() < 0.03, "k={k}: variance {var}");
+        }
+    }
+
+    #[test]
+    fn centered_binomial_8_matches_the_exact_pmf() {
+        // X = A − B with A, B ~ Bin(8, 1/2): P(X = d) = C(16, 8 + d) / 2^16.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(4);
+        let n = 1usize << 18;
+        let mut seen = [0u64; 17];
+        for v in centered_binomial_signed(n, &mut rng, 8) {
+            seen[(v + 8) as usize] += 1;
+        }
+        let mut binom = [1f64; 17];
+        for i in 1..17 {
+            binom[i] = binom[i - 1] * (17 - i) as f64 / i as f64;
+        }
+        // Both tails beyond |d| = 5 pooled: every cell expects >= 500.
+        let cells: [&[usize]; 13] = [
+            &[0, 1, 2],
+            &[3],
+            &[4],
+            &[5],
+            &[6],
+            &[7],
+            &[8],
+            &[9],
+            &[10],
+            &[11],
+            &[12],
+            &[13],
+            &[14, 15, 16],
+        ];
+        let chi2: f64 = cells
+            .iter()
+            .map(|cell| {
+                let got: u64 = cell.iter().map(|&i| seen[i]).sum();
+                let want = cell.iter().map(|&i| binom[i]).sum::<f64>() * n as f64 / 65536.0;
+                (got as f64 - want).powi(2) / want
+            })
+            .sum();
+        // 12 degrees of freedom: 32.9 is the 0.1 % point.
+        assert!(chi2 < 32.9, "chi-squared {chi2} over {seen:?}");
+    }
+
+    #[test]
+    fn centered_binomial_into_is_the_signed_draw_mod_q() {
+        let q = Modulus::new(97);
+        let signed = centered_binomial_signed(1001, &mut rand::rngs::StdRng::seed_from_u64(5), 8);
+        let mut residues = vec![0u64; 1001];
+        centered_binomial_into(
+            q,
+            &mut residues,
+            &mut rand::rngs::StdRng::seed_from_u64(5),
+            8,
+        );
+        for (r, v) in residues.iter().zip(&signed) {
+            assert_eq!(*r, q.from_signed(*v));
+        }
+    }
+
+    #[test]
+    fn uniform_rejection_stays_below_q_and_repeats_per_seed() {
+        // Just above a power of two (every other draw is rejected) and at
+        // the top of the supported range.
+        for q in [(1u64 << 40) + 15, pi_field::find_ntt_prime(62, 4096)] {
+            let q = Modulus::new(q);
+            let draw = |seed| {
+                let mut out = vec![0u64; 4099];
+                uniform_into(q, &mut out, &mut rand::rngs::StdRng::seed_from_u64(seed));
+                out
+            };
+            let u = draw(6);
+            assert!(u.iter().all(|&x| x < q.value()));
+            assert!(u.iter().any(|&x| x < q.value() / 2));
+            assert!(u.iter().any(|&x| x >= q.value() / 2));
+            assert_eq!(u, draw(6), "same seed, same polynomial");
+            assert_ne!(u, draw(7));
+        }
+    }
+
+    #[test]
+    fn uniform_forms_are_one_draw_under_two_labels() {
+        let ctx = ctx();
+        let draw = |form| uniform(&ctx, form, &mut rand::rngs::StdRng::seed_from_u64(8));
+        let (coeff, ntt) = (draw(PolyForm::Coeff), draw(PolyForm::Ntt));
+        assert_eq!((coeff.form(), ntt.form()), (PolyForm::Coeff, PolyForm::Ntt));
+        assert_eq!(coeff.data(), ntt.data());
+    }
+
+    #[test]
     fn uniform_covers_range() {
         let ctx = ctx();
         let mut rng = rand::rngs::StdRng::seed_from_u64(2);
-        let u = uniform(&ctx, &mut rng);
+        let u = uniform(&ctx, PolyForm::Coeff, &mut rng);
         let q = ctx.q().value();
         let coeffs = u.coeffs();
         assert!(coeffs.iter().all(|&c| c < q));

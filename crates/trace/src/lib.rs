@@ -65,6 +65,8 @@
 //! | `online.ss`       | online secret-share linear arithmetic            |
 //! | `he.keyswitch`    | one Galois key switch (inside `offline.he`)      |
 //! | `he.hoist`        | one hoisted decomposition (inside `offline.he`)  |
+//! | `he.keys_generate`| client: fresh secret key + rotation-key upload frame (inside `offline.he`) |
+//! | `he.keys_admit`   | server: plan check + decode of an uploaded frame (inside `offline.he`) |
 //!
 //! `CostReport` phase timings are derived from these spans
 //! (`span_total_ms("offline.he")` etc.), replacing the hand-threaded

@@ -65,6 +65,68 @@ fn random_vec(n: usize, bound: u64, rng: &mut impl Rng) -> Vec<u64> {
     (0..n).map(|_| rng.gen_range(0..bound)).collect()
 }
 
+/// `pi_he::wire` ships key polynomials in evaluation form, so the slot
+/// order of [`NttTables::forward`] is wire contract: slot `j` holds
+/// `f(ψ^(2·brv(j) + 1))`, `brv` the `log2 n`-bit reversal and
+/// `ψ = root_of_unity(q, 2n)`. Pinned by value at `n = 8, q = 17` and at
+/// the protocol ring, and by definition at every slot of the latter, on
+/// the scalar path and every vector backend this machine runs.
+#[test]
+fn forward_slot_order_is_the_pinned_wire_contract() {
+    use private_inference::field::prime::root_of_unity;
+    let _g = lock();
+    let points = |t: &NttTables| {
+        let mut x = vec![0u64; t.n()];
+        x[1] = 1;
+        t.forward(&mut x);
+        x
+    };
+    let t8 = NttTables::new(8, Modulus::new(17));
+    let big = tables(4096, 62);
+    let (n, q) = (big.n(), big.q());
+    assert_eq!(q.value(), 4_611_686_018_427_322_369);
+    let psi = root_of_unity(q.value(), 2 * n as u64);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(41);
+    let f = random_vec(n, q.value(), &mut rng);
+    for be in std::iter::once(SimdBackend::Scalar).chain(vector_backends()) {
+        with_backend(be, || {
+            // ψ = 3: exponents 1, 9, 5, 13, 3, 11, 7, 15.
+            assert_eq!(points(&t8), [3, 14, 5, 12, 10, 7, 11, 6], "{}", be.name());
+            let mut f8: Vec<u64> = (1..=8).collect();
+            t8.forward(&mut f8);
+            assert_eq!(f8, [5, 0, 13, 8, 9, 11, 5, 8], "{}", be.name());
+
+            let at = points(&big);
+            assert_eq!(
+                at[..4],
+                [
+                    3_391_169_269_051_246_823,
+                    1_220_516_749_376_075_546,
+                    4_208_338_969_286_933_685,
+                    403_347_049_140_388_684
+                ],
+                "{}",
+                be.name()
+            );
+            for (j, &x) in at.iter().enumerate() {
+                let brv = j.reverse_bits() >> (usize::BITS - n.trailing_zeros());
+                assert_eq!(
+                    x,
+                    q.pow(psi, 2 * brv as u64 + 1),
+                    "slot {j} on {}",
+                    be.name()
+                );
+            }
+            let mut eval = f.clone();
+            big.forward(&mut eval);
+            for j in [0, 1, 2, 7, 8, 2047, 2048, 4095] {
+                let horner = f.iter().rev().fold(0, |acc, &c| q.mul_add(acc, at[j], c));
+                assert_eq!(eval[j], horner, "f at slot {j} on {}", be.name());
+            }
+        });
+    }
+}
+
 #[test]
 fn forward_matches_scalar_bitwise_across_sizes_and_primes() {
     let _g = lock();

@@ -7,6 +7,7 @@
 //! sends panics a party).
 
 use pi_core::channel::{local_pair, service_pair, Channel, ClientEvent, SessionPacket};
+use pi_core::common::ClientHeKeys;
 use pi_core::msg::Msg;
 use pi_core::serve::session::drive_sync;
 use pi_core::{
@@ -199,13 +200,54 @@ fn key_table_eviction_forces_reupload_and_stays_correct() {
     assert!(stats.evictions >= 1, "stats: {stats:?}");
     assert_eq!(stats.inserts, 3);
     // The re-upload really happened: the offline upload is key-sized both
-    // times (no regeneration, but no skip either).
+    // times — no skip — and it is the retained frame that went out again,
+    // not a regenerated one.
     assert!(again.offline_sent > first.offline_sent / 2);
+    if pi_trace::mode() == pi_trace::TraceMode::Full {
+        assert!(first.trace.span_stat("he.keys_generate").is_some());
+        assert!(again.trace.span_stat("he.keys_generate").is_none());
+    }
     // The OT table is a table of its own under the same budget: client 1's
     // state evicted client 0's, so base OT ran in all three sessions.
     let ot = rt.ot_table_stats();
     assert_eq!((ot.inserts, ot.hits), (3, 0), "ot stats: {ot:?}");
     assert!(ot.evictions >= 1, "ot stats: {ot:?}");
+}
+
+/// A full key table turns over in place: with room for two key sets and a
+/// new client every request, each upload from the third on evicts the
+/// oldest set *before* it is decoded — into that set's memory — so the
+/// table never holds more than its budget, the insert that follows finds
+/// the room made, and every output is still the plaintext model's.
+#[test]
+fn a_full_key_table_turns_over_in_place_and_stays_correct() {
+    let he = BfvParams::small_test();
+    let model = build_model(&he, 11);
+    let cfg = ProtocolConfig::client_garbler(he.clone(), 1);
+    let meta = ModelMeta::of(&model);
+    let set = pi_he::GaloisKeys::resident_byte_len_of(&he, &meta.key_plan(&he)) as u64;
+    let rt = ServeRuntime::new(ServeConfig {
+        workers: 2,
+        table_budget_bytes: 2 * set + set / 2,
+        ..Default::default()
+    });
+    let model_id = rt.register_model(model.clone(), cfg.clone());
+    for c in 0..5u64 {
+        let conn = rt.connect(c, model_id, c);
+        let input = random_input(&model, 170 + c);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(190 + c);
+        let (out, _) = ServiceClient::new()
+            .run(&meta, &input, &cfg, &conn.chan, &mut rng)
+            .expect("client run");
+        assert_eq!(out, model.forward(&input), "client {c}");
+        conn.handle.wait().expect("server outcome");
+        let stats = rt.key_table_stats();
+        assert_eq!(
+            (stats.inserts, stats.evictions, rt.key_table_bytes()),
+            (c + 1, c.saturating_sub(1), set * (c + 1).min(2)),
+            "after client {c}"
+        );
+    }
 }
 
 #[test]
@@ -785,7 +827,9 @@ const GK_ENTRIES_AT: usize = 10 + 8 + 4 + 4 + 32;
 /// even: an element with no slot permutation.
 fn even_galois_element(m: &mut Msg, _: u64) {
     match m {
-        Msg::HeKeys(gk) => gk[GK_ENTRIES_AT] ^= 1,
+        // The relayed frame is shared with the client's retained copy:
+        // the tampered one is the relay's own.
+        Msg::HeKeys(gk) => Arc::make_mut(gk)[GK_ENTRIES_AT] ^= 1,
         other => panic!("no Galois keys in {}", other.kind()),
     }
 }
@@ -827,6 +871,7 @@ fn edit_key_entries(m: &mut Msg, edit: impl FnOnce(&mut Vec<Vec<u8>>, usize)) {
     let Msg::HeKeys(frame) = m else {
         panic!("no rotation keys in {}", m.kind());
     };
+    let frame = Arc::make_mut(frame);
     let le32 = |b: &[u8]| u32::from_le_bytes(b.try_into().expect("4 bytes")) as usize;
     let q = u64::from_le_bytes(frame[10..18].try_into().expect("8 bytes"));
     let poly = (le32(&frame[6..10]) * (64 - q.leading_zeros() as usize)).div_ceil(8);
@@ -925,6 +970,64 @@ fn off_plan_key_uploads_are_bad_requests_and_the_neighbour_completes() {
         );
         // Only the neighbour's keys went into the table.
         assert_eq!(rt.key_table_stats().inserts, c as u64 + 1, "{what}");
+    }
+}
+
+/// An upload that is not the plan is refused from its headers: the sweep's
+/// frames — each one the reader would decode in full — and a frame cut one
+/// byte short all come back refused with `wire.seed_expand` unmoved and no
+/// room asked for, so a peer buys no seed expansion, no quotient and no
+/// eviction with a frame that was never going to be admitted. The
+/// untampered frame is admitted, expands, and asks once for exactly the room
+/// it takes.
+#[test]
+fn off_plan_key_uploads_are_refused_before_any_expansion() {
+    let he = BfvParams::small_test();
+    let plan = ModelMeta::of(&build_model(&he, 11)).key_plan(&he);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(17);
+    let secret = pi_he::SecretKey::generate(&he, &mut rng);
+    let frame = Arc::new(pi_he::galois_keys_frame(&secret, &plan, &mut rng));
+    let admit = |frame: &[u8]| {
+        let scope = pi_trace::begin_local();
+        let mut asked = Vec::new();
+        let admitted = ClientHeKeys::admit(frame, &he, &plan, |bytes| {
+            asked.push(bytes);
+            None
+        });
+        let expansions = scope.finish().counter("wire.seed_expand").unwrap_or(0);
+        (
+            admitted.map(|keys| keys.resident_byte_len()),
+            expansions,
+            asked,
+        )
+    };
+    for (what, tamper) in off_plan_key_uploads() {
+        let mut upload = Msg::HeKeys(frame.clone());
+        (tamper.mutate)(&mut upload, 0);
+        let Msg::HeKeys(off_plan) = upload else {
+            unreachable!("tampering keeps the message kind");
+        };
+        assert!(
+            pi_he::galois_keys_from_bytes(&off_plan, &he).is_ok(),
+            "{what}"
+        );
+        let (admitted, expansions, asked) = admit(&off_plan);
+        assert!(
+            matches!(admitted, Err(ProtocolError::BadRequest(_))),
+            "{what}: {admitted:?}"
+        );
+        assert_eq!((expansions, asked.len()), (0, 0), "{what}");
+    }
+    let (admitted, expansions, asked) = admit(&frame[..frame.len() - 1]);
+    assert!(
+        matches!(admitted, Err(ProtocolError::Wire(_))),
+        "{admitted:?}"
+    );
+    assert_eq!((expansions, asked.len()), (0, 0), "short frame");
+    let (admitted, expansions, asked) = admit(&frame);
+    assert_eq!(asked, [admitted.expect("the plan's own frame")]);
+    if pi_trace::mode() != pi_trace::TraceMode::Off {
+        assert_eq!(expansions, 1, "the plan's own frame");
     }
 }
 
