@@ -7,16 +7,20 @@
 //! Prints `csv,aes_backend,<name>` so CI can assert the hardware AES
 //! dispatch engaged.
 //!
-//! The `base_ot` group is the same-run A/B for the 1024-bit group
-//! arithmetic behind the 128 base OTs, and `setup_in_process` itself (what
-//! the ledger reports as `ot.base_ms`).
+//! The `base_ot` group times the edwards25519 arithmetic behind the 128 base
+//! OTs piece by piece, and `setup_in_process` itself (what the ledger
+//! reports as `ot.base_ms`). It ends with
+//! `csv,base_ot,setup_ms=…,var_us=…,fixed_us=…` (medians of its own timing
+//! loop, printed under `--test` too, which CI greps for).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use pi_field::{ModpGroup, U1024};
+use pi_bench::median_ns;
 use pi_gc::aes;
 use pi_ot::bitmat::BitVec;
+use pi_ot::curve::{base_table, Fe, Point, Scalar, Table};
 use pi_ot::ext::{reference, setup_in_process, OtExtReceiver, OtExtSender};
 use rand::{Rng, SeedableRng};
+use std::hint::black_box;
 
 fn bench_ot(c: &mut Criterion) {
     println!("csv,aes_backend,{}", aes::auto_backend().name());
@@ -73,49 +77,43 @@ fn bench_ot(c: &mut Criterion) {
     group.finish();
 }
 
-/// Bit-by-bit square-and-multiply through the public `mul`: the shape of
-/// exponentiation the base OT used before `pow` was windowed. `mul` takes
-/// and returns normal-form values, so each of its ≈1 536 steps is **two**
-/// Montgomery multiplications where the in-crate oracle (`bignum.rs`'s
-/// test module) spends one: read `pow_binary_via_mul` ÷ 2 against
-/// `pow_windowed` for the algorithmic ratio, and `mul` ÷ 2 for the cost of
-/// one Montgomery multiplication.
-fn pow_binary_via_mul(g: &ModpGroup, base: &U1024, exp: &U1024) -> U1024 {
-    let mut acc = U1024::ONE;
-    for i in (0..exp.bit_len()).rev() {
-        acc = g.mul(&acc, &acc);
-        if exp.bit(i) {
-            acc = g.mul(&acc, base);
-        }
-    }
-    acc
-}
-
 fn bench_base_ot(c: &mut Criterion) {
     let mut rng = rand::rngs::StdRng::seed_from_u64(4);
-    let g = ModpGroup::oakley2();
-    let (_, base) = g.random_element(&mut rng);
-    let exp = g.random_exponent(&mut rng);
-    assert_eq!(pow_binary_via_mul(g, &base, &exp), g.pow(&base, &exp));
-    let elems: Vec<U1024> = (0..128).map(|_| g.random_element(&mut rng).1).collect();
+    let mut fe = || Fe::from_bytes(&std::array::from_fn(|_| rng.gen()));
+    let (x, y) = (fe(), fe());
+    let k = Scalar::random(&mut rng);
+    let point = base_table().mul(&Scalar::random(&mut rng));
+    let table = Table::new(&point);
+    assert_eq!(point.mul(&k).encode(), table.mul(&k).encode());
+    let points: Vec<Point> = (0..128)
+        .map(|_| base_table().mul(&Scalar::random(&mut rng)))
+        .collect();
+    let encoded = point.encode();
 
     let mut group = c.benchmark_group("base_ot");
     group.sample_size(10);
-    group.bench_function("mul", |b| b.iter(|| g.mul(&base, &elems[0])));
-    group.bench_function("pow_binary_via_mul", |b| {
-        b.iter(|| pow_binary_via_mul(g, &base, &exp))
+    group.bench_function("fe_mul", |b| b.iter(|| black_box(&x).mul(black_box(&y))));
+    group.bench_function("scalar_mul_var", |b| b.iter(|| point.mul(black_box(&k))));
+    group.bench_function("scalar_mul_fixed", |b| b.iter(|| table.mul(black_box(&k))));
+    group.bench_function("fixed_table_build", |b| b.iter(|| Table::new(&point)));
+    group.bench_function("encode_128_batched", |b| {
+        b.iter(|| Point::encode_batch(&points))
     });
-    group.bench_function("pow_windowed", |b| b.iter(|| g.pow(&base, &exp)));
-    group.bench_function("pow_g_table", |b| b.iter(|| g.pow_g(&exp)));
-    group.bench_function("fixed_base_build", |b| b.iter(|| g.fixed_base(&base)));
-    group.bench_function("inv_x128", |b| {
-        b.iter(|| elems.iter().map(|a| g.inv(a)).collect::<Vec<_>>())
-    });
-    group.bench_function("batch_inv_128", |b| b.iter(|| g.batch_inv(&elems)));
+    group.bench_function("decode", |b| b.iter(|| Point::decode(black_box(&encoded))));
     group.bench_function("setup_in_process", |b| {
         b.iter(|| setup_in_process(&mut rng))
     });
     group.finish();
+
+    let setup = median_ns(|| _ = black_box(setup_in_process(&mut rng)), 5);
+    let var = median_ns(|| _ = black_box(point.mul(black_box(&k))), 50);
+    let fixed = median_ns(|| _ = black_box(table.mul(black_box(&k))), 50);
+    println!(
+        "csv,base_ot,setup_ms={:.2},var_us={:.1},fixed_us={:.1}",
+        setup / 1e6,
+        var / 1e3,
+        fixed / 1e3
+    );
 }
 
 criterion_group!(benches, bench_ot, bench_base_ot);

@@ -61,6 +61,12 @@ impl From<ChannelError> for ProtocolError {
     }
 }
 
+impl From<pi_ot::base::BaseOtError> for ProtocolError {
+    fn from(e: pi_ot::base::BaseOtError) -> Self {
+        ProtocolError::BadRequest(e.as_str())
+    }
+}
+
 impl From<pi_he::WireError> for ProtocolError {
     fn from(e: pi_he::WireError) -> Self {
         ProtocolError::Wire(e)

@@ -61,7 +61,7 @@ pub enum Msg {
     OtBaseSetup(SenderSetupMsg),
     /// Base-OT receiver public keys.
     OtBaseChoice(ReceiverChoiceMsg),
-    /// Base-OT sender's `g^r` and encrypted payloads.
+    /// Base-OT sender's `r·G` and encrypted payloads.
     OtBaseTransfer(SenderTransferMsg),
     /// IKNP extension matrix.
     OtExtend(ExtendMsg),

@@ -10,10 +10,11 @@
 //! A step that consumes a peer's message checks its shape before the
 //! substrate call that would assert it and returns
 //! [`ProtocolError::BadRequest`]: nothing a peer sends may panic a party.
+//! The base-OT substrate does its own checking — it decodes, and so
+//! validates, every peer point — and its error converts to the same.
 
 use crate::common::{ModelMeta, PartyOutcome, ReluPhase};
 use crate::error::ProtocolError;
-use pi_field::{ModpGroup, U1024};
 use pi_gc::circuit::to_bits;
 use pi_gc::garble::{evaluate_many, garble_many, Garbling};
 use pi_gc::relu::relu_trunc_circuit;
@@ -28,17 +29,6 @@ use pi_ot::ext::{
 use rand::Rng;
 use std::ops::Range;
 use std::sync::Arc;
-
-/// A peer's base-OT group element must be a reduced, non-zero residue
-/// before it reaches the arithmetic: one zero voids a whole batched
-/// inversion, and the Montgomery multiply assumes reduced operands.
-fn check_group_element(x: &U1024, what: &'static str) -> Result<(), ProtocolError> {
-    if ModpGroup::oakley2().contains(x) {
-        Ok(())
-    } else {
-        Err(ProtocolError::BadRequest(what))
-    }
-}
 
 /// One party's half of a client pair's post-base-OT IKNP state (`E` is the
 /// extension sender or receiver) with a position in the PRG streams its
@@ -104,14 +94,8 @@ impl BaseSender {
         choice: &ReceiverChoiceMsg,
         rng: &mut R,
     ) -> Result<(Arc<OtExtReceiver>, SenderTransferMsg), ProtocolError> {
-        if choice.pk0.len() != KAPPA {
-            return Err(ProtocolError::BadRequest("base-OT choice count"));
-        }
-        for pk0 in &choice.pk0 {
-            check_group_element(pk0, "base-OT choice key out of range")?;
-        }
         let Self { sender, seed_pairs } = self;
-        let transfer = sender.transfer(choice, &seed_pairs, rng);
+        let transfer = sender.transfer(choice, &seed_pairs, rng)?;
         let ext = OtExtReceiver::new(ReceiverSetup { seed_pairs });
         Ok((Arc::new(ext), transfer))
     }
@@ -130,11 +114,10 @@ impl BaseReceiver {
         setup: &SenderSetupMsg,
         rng: &mut R,
     ) -> Result<(Self, ReceiverChoiceMsg), ProtocolError> {
-        check_group_element(&setup.c, "base-OT setup element out of range")?;
         let s: u128 = rng.gen();
         // The choice string is already packed — feed it to the base OT
         // as-is instead of round-tripping through a bool vector.
-        let (receiver, choice) = BaseOtReceiver::choose_packed(setup, s, KAPPA, rng);
+        let (receiver, choice) = BaseOtReceiver::choose_packed(setup, s, KAPPA, rng)?;
         Ok((Self { receiver, s }, choice))
     }
 
@@ -143,11 +126,7 @@ impl BaseReceiver {
         self,
         transfer: &SenderTransferMsg,
     ) -> Result<Arc<OtExtSender>, ProtocolError> {
-        if transfer.items.len() != KAPPA {
-            return Err(ProtocolError::BadRequest("base-OT transfer count"));
-        }
-        check_group_element(&transfer.gr, "base-OT transfer element out of range")?;
-        let seeds = self.receiver.receive(transfer);
+        let seeds = self.receiver.receive(transfer)?;
         Ok(Arc::new(OtExtSender::new(SenderSetup { s: self.s, seeds })))
     }
 }

@@ -20,10 +20,8 @@
 //!   elsewhere) for the Shoup/lazy hot loops and the batched Garner
 //!   composition, behind runtime detection and a `PI_SIMD` toggle; the
 //!   scalar path above stays canonical and is the differential oracle.
-//! * [`bignum`] — a fixed-width 1024-bit unsigned integer with Montgomery
-//!   multiplication and modular exponentiation over the Oakley Group 2 MODP
-//!   prime, used by the base oblivious transfer in `pi-ot` and by the CRT
-//!   composition and decode rounding of the RNS layers above.
+//! * [`bignum`] — [`U1024`], the fixed-width 1024-bit unsigned integer
+//!   behind the CRT composition and decode rounding of the RNS layers above.
 //!
 //! # Examples
 //!
@@ -49,7 +47,7 @@ pub mod modulus;
 pub mod prime;
 pub mod simd;
 
-pub use bignum::{ModpGroup, U1024};
+pub use bignum::U1024;
 pub use crt::{CrtBasis, CrtError};
 pub use modulus::{Modulus, ShoupMul};
 pub use prime::{find_distinct_ntt_primes, find_ntt_prime, is_prime, primitive_root};

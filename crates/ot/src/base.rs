@@ -1,52 +1,102 @@
 //! Naor–Pinkas 1-out-of-2 base oblivious transfer, in the batched form of
-//! the original paper: one sender exponent `r` shared by every transfer.
+//! the original paper: one sender scalar `r` shared by every transfer.
 //!
-//! Protocol (semi-honest), over the group `<g>` of [`ModpGroup::oakley2`],
-//! for `n` transfers of message pairs `(m_0, m_1)_i` at once:
+//! Protocol (semi-honest), over the prime-order subgroup `<G>` of
+//! edwards25519 (`curve.rs`; written additively here — the `gr` of the
+//! field names is `r·G`), for `n` transfers of message pairs `(m_0, m_1)_i`
+//! at once:
 //!
 //! 1. **Sender** samples a random group element `C` (whose discrete log
-//!    the receiver does not know) and sends it: [`SenderSetupMsg`], 128 B.
+//!    the receiver does not know) and sends it: [`SenderSetupMsg`], 32 B.
 //! 2. **Receiver**, with choice bit `b_i` per transfer, samples `k_i`, sets
-//!    `PK_{b_i} = g^{k_i}` and `PK_{1−b_i} = C / g^{k_i}`, and sends every
-//!    `PK_0,i`: [`ReceiverChoiceMsg`], 128·n B. The `g^{k_i}` come off the
-//!    generator's window table; all `n` quotients share one inversion.
-//! 3. **Sender** samples one `r`, computes `g^r` (generator table), `C^r`
-//!    (once) and `PK_0,i^r` (one variable-base exponentiation per transfer,
+//!    `PK_{b_i} = k_i·G` and `PK_{1−b_i} = C − k_i·G`, and sends every
+//!    `PK_0,i`: [`ReceiverChoiceMsg`], 32·n B. The `k_i·G` come off the
+//!    base point's window table; all `n` encodings share one inversion.
+//! 3. **Sender** samples one `r`, computes `r·G` (base table), `r·C`
+//!    (once) and `r·PK_0,i` (one variable-base multiplication per transfer,
 //!    the only per-transfer one in the protocol), and gets every
-//!    `PK_1,i^r = C^r / PK_0,i^r` from one batched inversion. It sends
-//!    `g^r` once and, per transfer, `e_j = H(PK_j,i^r; i, j) ⊕ m_j`:
-//!    [`SenderTransferMsg`], 128 + 32·n B.
-//! 4. **Receiver** builds one window table for `g^r`, reads
-//!    `(g^r)^{k_i} = PK_{b_i}^r` off it, and recovers
-//!    `m_{b_i} = H((g^r)^{k_i}; i, b_i) ⊕ e_{b_i}`.
+//!    `r·PK_1,i = r·C − r·PK_0,i` by one point subtraction; all `2n`
+//!    encodings share one inversion. It sends `r·G` once and, per transfer,
+//!    `e_j = H(r·PK_j,i; i, j) ⊕ m_j`: [`SenderTransferMsg`], 32 + 32·n B.
+//! 4. **Receiver** builds one window table for `r·G`, reads
+//!    `k_i·(r·G) = r·PK_{b_i}` off it, and recovers
+//!    `m_{b_i} = H(k_i·(r·G); i, b_i) ⊕ e_{b_i}`.
+//!
+//! **Cost**, in field multiplications (≈20 ns each) per transfer: the
+//! sender's variable-base multiplication is 256 doublings and ≤64 additions,
+//! ≈2 700, plus ≈270 to decode `PK_0,i` (one square root); the receiver's
+//! two table reads are ≤64 additions each, ≈1 000 together. For `n` = 128:
+//! 32 + 32·128 + (32 + 32·128) = 8 256 B on the wire.
 //!
 //! **Security.** The receiver's message is a uniform group element whatever
 //! `b_i` is, so the sender learns nothing. The receiver knows the discrete
 //! log of at most one of `PK_0,i`, `PK_1,i` (both would give it `log C`),
-//! and computing `PK_{1−b_i}^r = C^r / PK_{b_i}^r` from `g^r` and `C`
+//! and computing `r·PK_{1−b_i} = r·C − r·PK_{b_i}` from `r·G` and `C`
 //! without it is the computational Diffie–Hellman problem; with `H` a
 //! random oracle the unchosen pad is then pseudorandom. Sharing `r` across
 //! the batch is Naor and Pinkas's own amortization (SODA 2001) and
 //! rests on the same CDH-in-the-ROM argument as a fresh `r` per transfer:
 //! `r`, `C` and every `k_i` are still fresh per session and full width.
+//! The group has ≈2²⁵² elements: ≈126 bits against generic discrete-log
+//! attacks, level with the 128-bit labels the OTs seed.
+//!
+//! **What a peer's point may be.** Every secret scalar is `8·k′` for a
+//! uniform 252-bit `k′`: a multiple of the curve's cofactor, so a
+//! small-order component in a peer's point vanishes from every product and
+//! every hashed point lies in the prime-order subgroup. Points are decoded —
+//! and so validated — inside the calls below, which return
+//! [`BaseOtError::BadPoint`] for a non-canonical encoding, a `y` off the
+//! curve or a point of small order; the receiver also refuses a `C`
+//! outside the prime-order subgroup (one multiplication by `ℓ` per
+//! session), because `PK_0 = C − k·G` is a sum, not a product, and would
+//! carry `C`'s torsion to the sender.
 //!
 //! **What the hash binds.** With one `r`, two transfers (or the two slots
 //! of one) may hash the same group element, so the pad of transfer `i`,
 //! slot `j` is bound to `(i, j)` through the hash's tweak, in bits the
 //! per-chunk counter cannot reach (`tweak`).
 //!
-//! The group is 1024-bit MODP (see `pi_field::bignum` for the security
-//! caveat). Messages carry `byte_len` for the communication accounting in
-//! `pi-core` / `pi-sim`; elements a peer supplies must be range-checked
-//! ([`ModpGroup::contains`]) by whoever takes them off the wire — `pi-core`
-//! does, in `role.rs`.
+//! Nothing here is constant-time. Messages carry `byte_len` for the
+//! communication accounting in `pi-core` / `pi-sim`.
 
-use pi_field::{ModpGroup, U1024};
+use crate::curve::{base_table, Point, Scalar, Table};
 use pi_gc::GcHash;
 use rand::Rng;
 
 /// Chunks of 16 bytes in a group element's encoding.
-const CHUNKS: usize = 128 / 16;
+const CHUNKS: usize = 32 / 16;
+
+/// Why a base-OT step refused its peer's message.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum BaseOtError {
+    /// A point is not the canonical encoding of a curve point of order
+    /// above 8 — or, for `C`, lies outside the prime-order subgroup.
+    BadPoint,
+    /// The message does not hold one entry per transfer.
+    CountMismatch,
+}
+
+impl BaseOtError {
+    /// The refusal in words.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            BaseOtError::BadPoint => "base-OT point does not decode",
+            BaseOtError::CountMismatch => "base-OT transfer count mismatch",
+        }
+    }
+}
+
+impl std::fmt::Display for BaseOtError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.as_str())
+    }
+}
+
+impl std::error::Error for BaseOtError {}
+
+fn decode(bytes: &[u8; 32]) -> Result<Point, BaseOtError> {
+    Point::decode(bytes).ok_or(BaseOtError::BadPoint)
+}
 
 /// The hash tweak of chunk `chunk` of the element behind slot `slot` of
 /// transfer `transfer`. The chunk counter has its own three bits, so no
@@ -56,16 +106,14 @@ fn tweak(transfer: usize, slot: bool, chunk: usize) -> u64 {
     (transfer as u64) << 4 | (slot as u64) << 3 | chunk as u64
 }
 
-/// Hashes a group element to the 128-bit pad of slot `slot` of transfer
-/// `transfer`, with the fixed-key AES hash in CBC-MAC style over the
-/// element's 16-byte chunks.
-fn hash_group_element(h: &GcHash, elem: &U1024, transfer: usize, slot: bool) -> u128 {
-    let bytes = elem.to_le_bytes();
+/// Hashes an encoded group element to the 128-bit pad of slot `slot` of
+/// transfer `transfer`, with the fixed-key AES hash in CBC-MAC style over
+/// the encoding's 16-byte chunks.
+fn hash_group_element(h: &GcHash, elem: &[u8; 32], transfer: usize, slot: bool) -> u128 {
     let mut acc = 0u128;
-    for (j, chunk) in bytes.chunks(16).enumerate() {
-        let mut block = [0u8; 16];
-        block.copy_from_slice(chunk);
-        acc = h.hash(acc ^ u128::from_le_bytes(block), tweak(transfer, slot, j));
+    for (j, chunk) in elem.chunks_exact(16).enumerate() {
+        let block = u128::from_le_bytes(chunk.try_into().expect("16-byte chunk"));
+        acc = h.hash(acc ^ block, tweak(transfer, slot, j));
     }
     acc
 }
@@ -73,36 +121,36 @@ fn hash_group_element(h: &GcHash, elem: &U1024, transfer: usize, slot: bool) -> 
 /// The sender's first message: the CDH anchor `C`.
 #[derive(Clone, Debug)]
 pub struct SenderSetupMsg {
-    /// The random group element `C`.
-    pub c: U1024,
+    /// The random group element `C`, compressed.
+    pub c: [u8; 32],
 }
 
 impl SenderSetupMsg {
     /// Serialized size in bytes.
     pub fn byte_len(&self) -> usize {
-        128
+        32
     }
 }
 
 /// The receiver's message: `PK_0` for each transfer.
 #[derive(Clone, Debug)]
 pub struct ReceiverChoiceMsg {
-    /// One `PK_0` per transfer.
-    pub pk0: Vec<U1024>,
+    /// One compressed `PK_0` per transfer.
+    pub pk0: Vec<[u8; 32]>,
 }
 
 impl ReceiverChoiceMsg {
     /// Serialized size in bytes.
     pub fn byte_len(&self) -> usize {
-        128 * self.pk0.len()
+        32 * self.pk0.len()
     }
 }
 
-/// The sender's answer: the shared `g^r` and the encrypted payloads.
+/// The sender's answer: the shared `r·G` and the encrypted payloads.
 #[derive(Clone, Debug)]
 pub struct SenderTransferMsg {
-    /// `g^r`, for the one `r` of this batch.
-    pub gr: U1024,
+    /// `r·G`, compressed, for the one `r` of this batch.
+    pub gr: [u8; 32],
     /// `(e_0, e_1)` per transfer.
     pub items: Vec<(u128, u128)>,
 }
@@ -110,81 +158,80 @@ pub struct SenderTransferMsg {
 impl SenderTransferMsg {
     /// Serialized size in bytes.
     pub fn byte_len(&self) -> usize {
-        128 + 16 * 2 * self.items.len()
+        32 + 16 * 2 * self.items.len()
     }
 }
 
 /// Base OT sender state.
 #[derive(Debug)]
 pub struct BaseOtSender {
-    group: &'static ModpGroup,
-    c: U1024,
+    c: Point,
 }
 
 impl BaseOtSender {
     /// Creates a sender and its setup message.
     pub fn new<R: Rng + ?Sized>(rng: &mut R) -> (Self, SenderSetupMsg) {
-        let group = ModpGroup::oakley2();
-        let (_, c) = group.random_element(rng);
-        let msg = SenderSetupMsg { c };
-        (Self { group, c }, msg)
+        let c = base_table().mul(&Scalar::random(rng));
+        let msg = SenderSetupMsg { c: c.encode() };
+        (Self { c }, msg)
     }
 
     /// Encrypts message pairs against the receiver's public keys, all under
-    /// one fresh `r`. Every `choice.pk0` must be a group element
-    /// ([`ModpGroup::contains`]): a zero would void the whole batch's
-    /// inversion.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pairs.len() != choice.pk0.len()`.
+    /// one fresh `r`. Fails on a `PK_0` that does not decode, or if there
+    /// is not one per pair.
     pub fn transfer<R: Rng + ?Sized>(
         &self,
         choice: &ReceiverChoiceMsg,
         pairs: &[(u128, u128)],
         rng: &mut R,
-    ) -> SenderTransferMsg {
-        assert_eq!(pairs.len(), choice.pk0.len(), "transfer count mismatch");
+    ) -> Result<SenderTransferMsg, BaseOtError> {
+        if pairs.len() != choice.pk0.len() {
+            return Err(BaseOtError::CountMismatch);
+        }
+        let pk0 = (choice.pk0.iter().map(decode)).collect::<Result<Vec<Point>, _>>()?;
         pi_trace::add(pi_trace::Counter::OtBase, pairs.len() as u64);
-        let group = self.group;
-        let (r, gr) = group.random_element(rng);
-        let cr = group.pow(&self.c, &r);
-        let pk0r: Vec<U1024> = choice.pk0.iter().map(|pk0| group.pow(pk0, &r)).collect();
-        // PK_1^r = (C / PK_0)^r = C^r · (PK_0^r)^{-1}.
-        let pk0r_inv = group.batch_inv(&pk0r);
-        let h = GcHash::new();
-        let items = pairs
-            .iter()
-            .zip(pk0r.iter().zip(&pk0r_inv))
-            .enumerate()
-            .map(|(i, (&(m0, m1), (pk0r, pk0r_inv)))| {
-                let pk1r = group.mul(&cr, pk0r_inv);
-                let k0 = hash_group_element(&h, pk0r, i, false);
-                let k1 = hash_group_element(&h, &pk1r, i, true);
-                (m0 ^ k0, m1 ^ k1)
+        let r = Scalar::random(rng);
+        let gr = base_table().mul(&r).encode();
+        let cr = self.c.mul(&r);
+        // r·PK_1 = r·(C − PK_0) = r·C − r·PK_0.
+        let shared: Vec<Point> = (pk0.iter())
+            .flat_map(|pk0| {
+                let pk0r = pk0.mul(&r);
+                [pk0r, cr.sub(&pk0r)]
             })
             .collect();
-        SenderTransferMsg { gr, items }
+        let h = GcHash::new();
+        let items = (pairs
+            .iter()
+            .zip(Point::encode_batch(&shared).chunks_exact(2)))
+        .enumerate()
+        .map(|(i, (&(m0, m1), shared))| {
+            let k0 = hash_group_element(&h, &shared[0], i, false);
+            let k1 = hash_group_element(&h, &shared[1], i, true);
+            (m0 ^ k0, m1 ^ k1)
+        })
+        .collect();
+        Ok(SenderTransferMsg { gr, items })
     }
 }
 
 /// Base OT receiver state.
 #[derive(Debug)]
 pub struct BaseOtReceiver {
-    group: &'static ModpGroup,
-    /// Per-transfer secret exponents.
-    secrets: Vec<U1024>,
+    /// Per-transfer secret scalars.
+    secrets: Vec<Scalar>,
     choices: Vec<bool>,
 }
 
 impl BaseOtReceiver {
     /// Builds the receiver's choice message for the given choice bits.
-    /// `setup.c` must be a group element ([`ModpGroup::contains`]).
+    /// Fails on a `setup.c` that does not decode into the prime-order
+    /// subgroup.
     pub fn choose<R: Rng + ?Sized>(
         setup: &SenderSetupMsg,
         choices: &[bool],
         rng: &mut R,
-    ) -> (Self, ReceiverChoiceMsg) {
+    ) -> Result<(Self, ReceiverChoiceMsg), BaseOtError> {
         Self::choose_iter(setup, choices.iter().copied(), rng)
     }
 
@@ -201,7 +248,7 @@ impl BaseOtReceiver {
         s: u128,
         n: usize,
         rng: &mut R,
-    ) -> (Self, ReceiverChoiceMsg) {
+    ) -> Result<(Self, ReceiverChoiceMsg), BaseOtError> {
         assert!(n <= 128, "at most 128 packed choices, got {n}");
         Self::choose_iter(setup, (0..n).map(|i| (s >> i) & 1 == 1), rng)
     }
@@ -210,54 +257,46 @@ impl BaseOtReceiver {
         setup: &SenderSetupMsg,
         choice_bits: impl Iterator<Item = bool>,
         rng: &mut R,
-    ) -> (Self, ReceiverChoiceMsg) {
-        let group = ModpGroup::oakley2();
+    ) -> Result<(Self, ReceiverChoiceMsg), BaseOtError> {
+        let c = decode(&setup.c)?;
+        if !c.is_torsion_free() {
+            return Err(BaseOtError::BadPoint);
+        }
         let choices: Vec<bool> = choice_bits.collect();
-        let (secrets, gk): (Vec<U1024>, Vec<U1024>) =
-            choices.iter().map(|_| group.random_element(rng)).unzip();
-        // Every C / g^k is computed, chosen or not: the work done must not
+        let secrets: Vec<Scalar> = choices.iter().map(|_| Scalar::random(rng)).collect();
+        // Every C − k·G is computed, chosen or not: the work done must not
         // depend on the choice bits.
-        let pk0 = (choices.iter().zip(&gk).zip(group.batch_inv(&gk)))
-            .map(|((&b, gk), gk_inv)| {
-                let other = group.mul(&setup.c, &gk_inv);
+        let pk0: Vec<Point> = (choices.iter().zip(&secrets))
+            .map(|(&b, k)| {
+                let gk = base_table().mul(k);
+                let other = c.sub(&gk);
                 if b {
                     other
                 } else {
-                    *gk
+                    gk
                 }
             })
             .collect();
-        (
-            Self {
-                group,
-                secrets,
-                choices,
-            },
-            ReceiverChoiceMsg { pk0 },
-        )
+        let pk0 = Point::encode_batch(&pk0);
+        Ok((Self { secrets, choices }, ReceiverChoiceMsg { pk0 }))
     }
 
-    /// Decrypts the chosen message of each transfer. `msg.gr` must be a
-    /// group element ([`ModpGroup::contains`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the transfer count differs from the choice count.
-    pub fn receive(&self, msg: &SenderTransferMsg) -> Vec<u128> {
-        assert_eq!(
-            msg.items.len(),
-            self.choices.len(),
-            "transfer count mismatch"
-        );
+    /// Decrypts the chosen message of each transfer. Fails on a `msg.gr`
+    /// that does not decode, or if there is not one item per choice.
+    pub fn receive(&self, msg: &SenderTransferMsg) -> Result<Vec<u128>, BaseOtError> {
+        if msg.items.len() != self.choices.len() {
+            return Err(BaseOtError::CountMismatch);
+        }
+        let gr = Table::new(&decode(&msg.gr)?);
+        let shared: Vec<Point> = self.secrets.iter().map(|k| gr.mul(k)).collect();
         let h = GcHash::new();
-        let gr = self.group.fixed_base(&msg.gr);
-        (msg.items.iter().zip(&self.secrets).zip(&self.choices))
+        Ok((msg.items.iter().zip(Point::encode_batch(&shared)))
+            .zip(&self.choices)
             .enumerate()
-            .map(|(i, ((&(e0, e1), k), &b))| {
-                let pad = hash_group_element(&h, &self.group.pow_fixed(&gr, k), i, b);
-                pad ^ if b { e1 } else { e0 }
+            .map(|(i, ((&(e0, e1), shared), &b))| {
+                hash_group_element(&h, &shared, i, b) ^ if b { e1 } else { e0 }
             })
-            .collect()
+            .collect())
     }
 }
 
@@ -271,10 +310,10 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(11);
         let (sender, setup) = BaseOtSender::new(&mut rng);
         let choices = vec![false, true, true, false];
-        let (receiver, choice_msg) = BaseOtReceiver::choose(&setup, &choices, &mut rng);
+        let (receiver, choice_msg) = BaseOtReceiver::choose(&setup, &choices, &mut rng).unwrap();
         let pairs: Vec<(u128, u128)> = (0..4).map(|i| (100 + i as u128, 200 + i as u128)).collect();
-        let transfer = sender.transfer(&choice_msg, &pairs, &mut rng);
-        let got = receiver.receive(&transfer);
+        let transfer = sender.transfer(&choice_msg, &pairs, &mut rng).unwrap();
+        let got = receiver.receive(&transfer).unwrap();
         assert_eq!(got, vec![100, 201, 202, 103]);
     }
 
@@ -286,40 +325,39 @@ mod tests {
             let s: u128 = rng.gen();
             let pairs: Vec<(u128, u128)> = (0..128).map(|_| (rng.gen(), rng.gen())).collect();
             let (sender, setup) = BaseOtSender::new(&mut rng);
-            let (receiver, choice_msg) = BaseOtReceiver::choose_packed(&setup, s, 128, &mut rng);
-            let transfer = sender.transfer(&choice_msg, &pairs, &mut rng);
+            let (receiver, choice_msg) =
+                BaseOtReceiver::choose_packed(&setup, s, 128, &mut rng).unwrap();
+            let transfer = sender.transfer(&choice_msg, &pairs, &mut rng).unwrap();
             let want: Vec<u128> = (pairs.iter().enumerate())
                 .map(|(i, &(m0, m1))| if (s >> i) & 1 == 1 { m1 } else { m0 })
                 .collect();
-            assert_eq!(receiver.receive(&transfer), want);
+            assert_eq!(receiver.receive(&transfer).unwrap(), want);
         }
     }
 
     #[test]
     fn unchosen_message_stays_hidden() {
-        // Everything the receiver can derive from the shared g^r and its own
+        // Everything the receiver can derive from the shared r·G and its own
         // secrets — its pad under either slot binding, or another transfer's
         // pad — fails to open the unchosen slot (sanity check of the CDH
         // structure and of the hash's (transfer, slot) binding).
         let mut rng = rand::rngs::StdRng::seed_from_u64(12);
         let (sender, setup) = BaseOtSender::new(&mut rng);
-        let (receiver, choice_msg) = BaseOtReceiver::choose(&setup, &[false, true], &mut rng);
-        let transfer = sender.transfer(&choice_msg, &[(7, 13), (7, 13)], &mut rng);
+        let (receiver, choice_msg) =
+            BaseOtReceiver::choose(&setup, &[false, true], &mut rng).unwrap();
+        let transfer = (sender.transfer(&choice_msg, &[(7, 13), (7, 13)], &mut rng)).unwrap();
         let h = GcHash::new();
-        let group = receiver.group;
-        let own: Vec<U1024> = (receiver.secrets.iter())
-            .map(|k| group.pow(&transfer.gr, k))
-            .collect();
+        let gr = decode(&transfer.gr).unwrap();
         let (_, e1) = transfer.items[0];
-        for elem in &own {
+        for elem in receiver.secrets.iter().map(|k| gr.mul(k).encode()) {
             for i in 0..2 {
                 for slot in [false, true] {
-                    assert_ne!(e1 ^ hash_group_element(&h, elem, i, slot), 13u128);
+                    assert_ne!(e1 ^ hash_group_element(&h, &elem, i, slot), 13u128);
                 }
             }
         }
         // The chosen ones decrypt fine.
-        assert_eq!(receiver.receive(&transfer), vec![7, 13]);
+        assert_eq!(receiver.receive(&transfer), Ok(vec![7, 13]));
     }
 
     #[test]
@@ -328,8 +366,10 @@ mod tests {
         // elements and the (transfer, slot) tweak, never through r.
         let mut rng = rand::rngs::StdRng::seed_from_u64(17);
         let (sender, setup) = BaseOtSender::new(&mut rng);
-        let (_, choice_msg) = BaseOtReceiver::choose(&setup, &[false; 4], &mut rng);
-        let transfer = sender.transfer(&choice_msg, &[(5, 5); 4], &mut rng);
+        let (_, choice_msg) = BaseOtReceiver::choose(&setup, &[false; 4], &mut rng).unwrap();
+        let transfer = sender
+            .transfer(&choice_msg, &[(5, 5); 4], &mut rng)
+            .unwrap();
         let mut pads: Vec<u128> = transfer.items.iter().flat_map(|&(a, b)| [a, b]).collect();
         pads.sort_unstable();
         pads.dedup();
@@ -353,17 +393,16 @@ mod tests {
         // structurally, the message must not simply echo the choice.
         let mut rng = rand::rngs::StdRng::seed_from_u64(13);
         let (_, setup) = BaseOtSender::new(&mut rng);
-        let (_, m0) = BaseOtReceiver::choose(&setup, &[false], &mut rng);
-        let (_, m1) = BaseOtReceiver::choose(&setup, &[true], &mut rng);
+        let (_, m0) = BaseOtReceiver::choose(&setup, &[false], &mut rng).unwrap();
+        let (_, m1) = BaseOtReceiver::choose(&setup, &[true], &mut rng).unwrap();
         assert_ne!(m0.pk0[0], m1.pk0[0]);
-        // Either way it is a group element, and PK_0 · PK_1 = C holds for
+        // Either way it is a group element, and PK_0 + PK_1 = C holds for
         // the pair the receiver built.
-        let group = ModpGroup::oakley2();
-        let (r, m) = BaseOtReceiver::choose(&setup, &[true, false], &mut rng);
+        let c = decode(&setup.c).unwrap();
+        let (r, m) = BaseOtReceiver::choose(&setup, &[true, false], &mut rng).unwrap();
         for (pk0, (k, &b)) in m.pk0.iter().zip(r.secrets.iter().zip(&r.choices)) {
-            assert!(group.contains(pk0));
-            let pk1 = group.mul(&setup.c, &group.inv(pk0));
-            assert_eq!(group.pow_g(k), if b { pk1 } else { *pk0 });
+            let pk1 = c.sub(&decode(pk0).unwrap()).encode();
+            assert_eq!(base_table().mul(k).encode(), if b { pk1 } else { *pk0 });
         }
     }
 
@@ -371,24 +410,32 @@ mod tests {
     fn byte_lengths() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(14);
         let (sender, setup) = BaseOtSender::new(&mut rng);
-        assert_eq!(setup.byte_len(), 128);
-        let (_, choice_msg) = BaseOtReceiver::choose(&setup, &[true; 8], &mut rng);
-        assert_eq!(choice_msg.byte_len(), 8 * 128);
-        let transfer = sender.transfer(&choice_msg, &[(0, 0); 8], &mut rng);
-        assert_eq!(transfer.byte_len(), 128 + 32 * 8);
+        assert_eq!(setup.byte_len(), 32);
+        let (_, choice_msg) = BaseOtReceiver::choose(&setup, &[true; 8], &mut rng).unwrap();
+        assert_eq!(choice_msg.byte_len(), 8 * 32);
+        let transfer = sender
+            .transfer(&choice_msg, &[(0, 0); 8], &mut rng)
+            .unwrap();
+        assert_eq!(transfer.byte_len(), 32 + 32 * 8);
         let empty = SenderTransferMsg {
             gr: transfer.gr,
             items: Vec::new(),
         };
-        assert_eq!(empty.byte_len(), 128);
+        assert_eq!(empty.byte_len(), 32);
     }
 
     #[test]
-    #[should_panic]
     fn mismatched_pair_count_rejected() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(15);
         let (sender, setup) = BaseOtSender::new(&mut rng);
-        let (_, choice_msg) = BaseOtReceiver::choose(&setup, &[true, false], &mut rng);
-        sender.transfer(&choice_msg, &[(0, 0)], &mut rng);
+        let (receiver, choice_msg) =
+            BaseOtReceiver::choose(&setup, &[true, false], &mut rng).unwrap();
+        let short = sender.transfer(&choice_msg, &[(0, 0)], &mut rng);
+        assert_eq!(short.unwrap_err(), BaseOtError::CountMismatch);
+        let mut transfer = sender
+            .transfer(&choice_msg, &[(0, 0); 2], &mut rng)
+            .unwrap();
+        transfer.items.pop();
+        assert_eq!(receiver.receive(&transfer), Err(BaseOtError::CountMismatch));
     }
 }

@@ -96,9 +96,12 @@ pub fn setup_in_process<R: Rng + ?Sized>(rng: &mut R) -> (SenderSetup, ReceiverS
 
     // Extension-sender plays base-OT receiver.
     let (base_sender, setup_msg) = BaseOtSender::new(rng);
-    let (base_receiver, choice_msg) = BaseOtReceiver::choose_packed(&setup_msg, s, KAPPA, rng);
-    let transfer = base_sender.transfer(&choice_msg, &seed_pairs, rng);
-    let seeds = base_receiver.receive(&transfer);
+    // Both parties are this function: nothing they exchange can be refused.
+    let honest = "honest base-OT peer";
+    let (base_receiver, choice_msg) =
+        BaseOtReceiver::choose_packed(&setup_msg, s, KAPPA, rng).expect(honest);
+    let transfer = (base_sender.transfer(&choice_msg, &seed_pairs, rng)).expect(honest);
+    let seeds = base_receiver.receive(&transfer).expect(honest);
 
     (SenderSetup { s, seeds }, ReceiverSetup { seed_pairs })
 }

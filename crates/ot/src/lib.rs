@@ -1,5 +1,5 @@
-//! Oblivious transfer: Naor–Pinkas base OT over a 1024-bit MODP group and
-//! the IKNP OT extension.
+//! Oblivious transfer: Naor–Pinkas base OT over edwards25519 and the IKNP
+//! OT extension.
 //!
 //! OT is the mechanism by which the garbled-circuit evaluator obtains wire
 //! labels for *its* input bits without the garbler learning those bits
@@ -12,13 +12,16 @@
 //! extension, and the seeds serve for as long as the two parties agree on
 //! a position in the PRG streams they expand to (`pi-core` keeps both
 //! halves between a returning client's requests; only a first contact
-//! incurs them online). [`base`] keeps them to one variable-base
-//! exponentiation per transfer: Naor and Pinkas's batched form (one sender
-//! exponent `r` and one `g^r` for all 128), every power of the generator
-//! and of `g^r` read off a fixed-base window table, and every division
-//! folded into one inversion per party — ≈1 780 modular multiplications
-//! per transfer, and `128 + 128·128 + (128 + 32·128)` = 20 736 bytes on the
-//! wire.
+//! incurs them online). [`base`] keeps them to one variable-base scalar
+//! multiplication per transfer: Naor and Pinkas's batched form (one sender
+//! scalar `r` and one `r·G` for all 128), every multiple of the base point
+//! and of `r·G` read off a fixed-base window table, and every encoding's
+//! division folded into one inversion per step — ≈4 000 multiplications in
+//! GF(2²⁵⁵ − 19) per transfer, both parties together, and
+//! `32 + 32·128 + (32 + 32·128)` = 8 256 bytes on the wire. The group is the
+//! prime-order subgroup of edwards25519 (≈126-bit discrete logs, level with
+//! the 128-bit labels); secret scalars are multiples of the cofactor and
+//! every peer point is validated as it is decoded (see [`base`]).
 //!
 //! **Stream-position invariant.** Every extension names the PRG block it
 //! starts at ([`ext::OtExtReceiver::extend_at`],
@@ -64,6 +67,10 @@
 
 pub mod base;
 pub mod bitmat;
+// Public for `pi-bench`'s `base_ot` group and the peer-point sweeps of
+// `tests/serve_concurrency.rs` only; the interface is `base`.
+#[doc(hidden)]
+pub mod curve;
 pub mod ext;
 
 pub use base::{BaseOtReceiver, BaseOtSender};

@@ -14,9 +14,9 @@ use pi_core::{
     ModelMeta, ProtocolConfig, ProtocolError, ProtocolKind, ServeConfig, ServeRuntime,
     ServiceClient,
 };
-use pi_field::{ModpGroup, U1024};
 use pi_he::BfvParams;
 use pi_nn::{zoo, FixedConfig, NetSpec, Network, PiModel, QuantNetwork, SpecOp};
+use pi_ot::curve::Point;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
@@ -278,10 +278,12 @@ fn key_table_hit_skips_the_upload() {
     assert!(stats.hits >= 1, "stats: {stats:?}");
     assert_eq!(stats.inserts, 1);
     // The OT state is not an entry of the key table: one insert, one hit
-    // and a few KB resident in a table of its own.
+    // and 128 seed pairs (32 B each, plus the state's 48 B inline) resident
+    // in a table of its own — seeds, not group elements, so the entry's
+    // size does not depend on the base-OT group.
     let ot = rt.ot_table_stats();
     assert_eq!((ot.inserts, ot.hits, ot.misses), (1, 1, 1), "ot: {ot:?}");
-    assert!((4_096..8_192).contains(&rt.ot_table_bytes()));
+    assert_eq!(rt.ot_table_bytes(), 4_144);
     // Cached keys: the second request's upload drops by the key material.
     assert!(
         second.offline_sent < first.offline_sent / 2,
@@ -323,9 +325,10 @@ fn relay(from: &Channel, to: &Channel) -> Transcript {
 /// `build_model(small_test, 11)`, captured at the commit before the two
 /// parties were rewritten as one body per role (PR 14): the message kinds,
 /// their order and their sizes are the protocol, and no refactoring of the
-/// parties may change them. The protocol itself has changed two sizes
-/// since: `OtBaseTransfer` is one `g^r` for the batch, 128 + 32·128 bytes,
-/// and `HeKeys` is one rotation-key frame holding the model's key plan —
+/// parties may change them. The protocol itself has changed sizes since:
+/// the base-OT messages carry 32-byte compressed edwards25519 points, one
+/// `r·G` for the whole batch (32, 32·128 and 32 + 32·128 bytes), and
+/// `HeKeys` is one rotation-key frame holding the model's key plan —
 /// 23 entries, 425 digits — with no composition chain and no public key.
 fn pinned_transcript(kind: ProtocolKind) -> (Transcript, Transcript) {
     let he_up = [("HeKeys", 6_745_873), ("HeCts", 15_938), ("HeCts", 15_938)];
@@ -334,7 +337,7 @@ fn pinned_transcript(kind: ProtocolKind) -> (Transcript, Transcript) {
         ProtocolKind::ClientGarbler => (
             &[
                 ("HeCts", 15_938),
-                ("OtBaseChoice", 16_384),
+                ("OtBaseChoice", 4_096),
                 ("GcTables", 323_144),
                 ("GcDecode", 800),
                 ("GcLabels", 46_088),
@@ -346,8 +349,8 @@ fn pinned_transcript(kind: ProtocolKind) -> (Transcript, Transcript) {
                 ("OtTransfer", 10_248),
             ],
             &[
-                ("OtBaseSetup", 128),
-                ("OtBaseTransfer", 4_224),
+                ("OtBaseSetup", 32),
+                ("OtBaseTransfer", 4_128),
                 ("OtExtend", 23_048),
                 ("OtExtend", 5_128),
                 ("VecU64", 40),
@@ -356,8 +359,8 @@ fn pinned_transcript(kind: ProtocolKind) -> (Transcript, Transcript) {
         ProtocolKind::ServerGarbler => (
             &[
                 ("HeCts", 15_938),
-                ("OtBaseSetup", 128),
-                ("OtBaseTransfer", 4_224),
+                ("OtBaseSetup", 32),
+                ("OtBaseTransfer", 4_128),
                 ("OtExtend", 46_088),
                 ("OtExtend", 10_248),
                 ("VecU64", 296),
@@ -365,7 +368,7 @@ fn pinned_transcript(kind: ProtocolKind) -> (Transcript, Transcript) {
                 ("GcLabels", 5_128),
             ],
             &[
-                ("OtBaseChoice", 16_384),
+                ("OtBaseChoice", 4_096),
                 ("GcTables", 323_144),
                 ("OtTransfer", 92_168),
                 ("GcTables", 71_816),
@@ -473,6 +476,9 @@ struct Tamper {
     target: &'static str,
     nth: usize,
     mutate: fn(&mut Msg, u64),
+    /// Keep relaying after the corrupted message: for a corruption the
+    /// session is expected to survive.
+    relay_on: bool,
 }
 
 /// A named corruption for the sweeps' case tables.
@@ -486,6 +492,7 @@ fn case(
         target,
         nth,
         mutate,
+        relay_on: false,
     };
     (what, tamper)
 }
@@ -511,12 +518,12 @@ impl Tap {
         let Some((t, p)) = self.tamper.filter(|(t, _)| t.target == m.kind()) else {
             return false;
         };
-        let last = self.hits == t.nth;
-        if last {
+        let hit = self.hits == t.nth;
+        if hit {
             (t.mutate)(m, p);
         }
         self.hits += 1;
-        last
+        hit && !t.relay_on
     }
 }
 
@@ -704,23 +711,92 @@ fn shorten(m: &mut Msg, _: u64) {
     }
 }
 
-/// The base-OT group element the sweeps corrupt: the message's only one,
-/// or one key in the middle of a choice.
-fn group_element(m: &mut Msg) -> &mut U1024 {
+/// The base-OT point the sweeps corrupt: the message's only one, or one
+/// key in the middle of a choice.
+fn point(m: &mut Msg) -> &mut [u8; 32] {
     match m {
         Msg::OtBaseSetup(s) => &mut s.c,
         Msg::OtBaseChoice(c) => &mut c.pk0[5],
         Msg::OtBaseTransfer(t) => &mut t.gr,
-        other => panic!("no group element in {}", other.kind()),
+        other => panic!("no point in {}", other.kind()),
     }
 }
 
-fn zero_element(m: &mut Msg, _: u64) {
-    *group_element(m) = U1024::ZERO;
+/// The 32-byte little-endian encoding whose low byte is `low`, every byte
+/// between `fill`, and whose top byte is `top`.
+fn encoding(low: u8, fill: u8, top: u8) -> [u8; 32] {
+    let mut enc = [fill; 32];
+    (enc[0], enc[31]) = (low, top);
+    enc
 }
 
-fn unreduced_element(m: &mut Msg, _: u64) {
-    *group_element(m) = *ModpGroup::oakley2().modulus();
+/// `p = 2²⁵⁵ − 19`.
+const P25519: [u8; 32] = [
+    0xed, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
+    0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f,
+];
+
+/// The encoding of `P + (0, −1)` from that of `P = (x, y)`, `x ≠ 0`: adding
+/// the curve's point of order 2 is `(x, y) ↦ (−x, −y)`, so `y` becomes
+/// `p − y` and the parity bit of `x` flips.
+fn plus_order_2(enc: &[u8; 32]) -> [u8; 32] {
+    let mut out = [0u8; 32];
+    let mut borrow = 0;
+    for i in 0..32 {
+        let y = i16::from(if i == 31 { enc[i] & 0x7f } else { enc[i] });
+        let d = i16::from(P25519[i]) - y - borrow;
+        (out[i], borrow) = (d.rem_euclid(256) as u8, i16::from(d < 0));
+    }
+    out[31] |= !enc[31] & 0x80;
+    out
+}
+
+/// `y = p + 3`: the `y` of a curve point, written non-canonically.
+fn noncanonical_point(m: &mut Msg, _: u64) {
+    *point(m) = encoding(0xf0, 0xff, 0x7f);
+}
+
+/// The smallest `y` above 1 that no `x` shares the curve with (nothing
+/// that small has small order, so a refusal there is "off the curve").
+fn off_curve_point(m: &mut Msg, _: u64) {
+    let off = |y: &u8| Point::decode(&encoding(*y, 0, 0)).is_none();
+    *point(m) = encoding((2..).find(off).expect("half of all y"), 0, 0);
+}
+
+/// `(0, 1)`, the neutral element.
+fn identity_point(m: &mut Msg, _: u64) {
+    *point(m) = encoding(1, 0, 0);
+}
+
+/// `(0, −1)`, the point of order 2.
+fn order_2_point(m: &mut Msg, _: u64) {
+    *point(m) = encoding(0xec, 0xff, 0x7f);
+}
+
+/// The base point plus the point of order 2: on the curve, of order `2ℓ`.
+fn mixed_order_base(m: &mut Msg, _: u64) {
+    let enc = plus_order_2(&encoding(0x58, 0x66, 0x66));
+    let decoded = Point::decode(&enc).expect("on the curve, of large order");
+    assert!(!decoded.is_torsion_free());
+    *point(m) = enc;
+}
+
+/// The honest point plus the point of order 2.
+fn mixed_order_point(m: &mut Msg, _: u64) {
+    let p = point(m);
+    *p = plus_order_2(p);
+    let decoded = Point::decode(p).expect("on the curve, of large order");
+    assert!(!decoded.is_torsion_free());
+}
+
+/// The encodings every base-OT step must refuse in a `target` message.
+fn refused_points(target: &'static str) -> [(&'static str, Tamper); 4] {
+    [
+        case("base-OT point with y ≥ p", target, 0, noncanonical_point),
+        case("base-OT point off the curve", target, 0, off_curve_point),
+        case("base-OT point is the identity", target, 0, identity_point),
+        case("base-OT point of order 2", target, 0, order_2_point),
+    ]
 }
 
 fn miscount(m: &mut Msg, _: u64) {
@@ -759,43 +835,27 @@ fn malformed_client_messages_are_bad_requests_and_the_worker_survives() {
         ),
     ];
     let sg_cases = [
-        case("base-OT setup element zero", "OtBaseSetup", 0, zero_element),
-        case(
-            "base-OT setup element ≥ p",
-            "OtBaseSetup",
-            0,
-            unreduced_element,
-        ),
-        case("empty base-OT transfer", "OtBaseTransfer", 0, shorten),
-        case(
-            "base-OT transfer g^r zero",
-            "OtBaseTransfer",
-            0,
-            zero_element,
-        ),
-        case(
-            "base-OT transfer g^r ≥ p",
-            "OtBaseTransfer",
-            0,
-            unreduced_element,
-        ),
-        case("extension count off by one", "OtExtend", 0, miscount),
-        case("extension misses a column", "OtExtend", 1, drop_column),
-        case("extension columns a word short", "OtExtend", 0, shorten),
-    ];
+        &refused_points("OtBaseSetup")[..],
+        &refused_points("OtBaseTransfer"),
+        &[
+            case("mixed-order base-OT C", "OtBaseSetup", 0, mixed_order_base),
+            case("empty base-OT transfer", "OtBaseTransfer", 0, shorten),
+            case("extension count off by one", "OtExtend", 0, miscount),
+            case("extension misses a column", "OtExtend", 1, drop_column),
+            case("extension columns a word short", "OtExtend", 0, shorten),
+        ],
+    ]
+    .concat();
     let cg_cases = [
-        case("base-OT choice misses a key", "OtBaseChoice", 0, shorten),
-        case("base-OT choice key zero", "OtBaseChoice", 0, zero_element),
-        case(
-            "base-OT choice key ≥ p",
-            "OtBaseChoice",
-            0,
-            unreduced_element,
-        ),
-        case("table set misses a gate", "GcTables", 0, shorten),
-        case("decode vector misses a bit", "GcDecode", 1, shorten),
-        case("OT transfer misses a pair", "OtTransfer", 0, shorten),
-    ];
+        &refused_points("OtBaseChoice")[..],
+        &[
+            case("base-OT choice misses a key", "OtBaseChoice", 0, shorten),
+            case("table set misses a gate", "GcTables", 0, shorten),
+            case("decode vector misses a bit", "GcDecode", 1, shorten),
+            case("OT transfer misses a pair", "OtTransfer", 0, shorten),
+        ],
+    ]
+    .concat();
     for (kind, own) in [
         (ProtocolKind::ServerGarbler, &sg_cases[..]),
         (ProtocolKind::ClientGarbler, &cg_cases[..]),
@@ -805,7 +865,7 @@ fn malformed_client_messages_are_bad_requests_and_the_worker_survives() {
         let model_id = rt.register_model(model.clone(), cfg.clone());
         let party = (&meta, &cfg);
         for (c, &(what, tamper)) in both.iter().chain(own).enumerate() {
-            let what = format!("{kind:?}, {what}");
+            let what = format!("{kind:?}, {} {what}", tamper.target);
             let input = random_input(&model, 300 + c as u64);
             let served = tampered_session(&rt, (model_id, c as u64), party, input, tamper, &what);
             assert!(
@@ -1108,48 +1168,32 @@ fn malformed_server_messages_are_bad_requests_to_the_client() {
         ),
     ];
     let sg_cases = [
-        case("base-OT choice misses a key", "OtBaseChoice", 0, shorten),
-        case("base-OT choice key zero", "OtBaseChoice", 0, zero_element),
-        case(
-            "base-OT choice key ≥ p",
-            "OtBaseChoice",
-            0,
-            unreduced_element,
-        ),
-        case("table set misses a gate", "GcTables", 1, shorten),
-        case("OT transfer misses a pair", "OtTransfer", 0, shorten),
-    ];
+        &refused_points("OtBaseChoice")[..],
+        &[
+            case("base-OT choice misses a key", "OtBaseChoice", 0, shorten),
+            case("table set misses a gate", "GcTables", 1, shorten),
+            case("OT transfer misses a pair", "OtTransfer", 0, shorten),
+        ],
+    ]
+    .concat();
     let cg_cases = [
-        case("base-OT setup element zero", "OtBaseSetup", 0, zero_element),
-        case(
-            "base-OT setup element ≥ p",
-            "OtBaseSetup",
-            0,
-            unreduced_element,
-        ),
-        case("empty base-OT transfer", "OtBaseTransfer", 0, shorten),
-        case(
-            "base-OT transfer g^r zero",
-            "OtBaseTransfer",
-            0,
-            zero_element,
-        ),
-        case(
-            "base-OT transfer g^r ≥ p",
-            "OtBaseTransfer",
-            0,
-            unreduced_element,
-        ),
-        case("extension count off by one", "OtExtend", 0, miscount),
-        case("extension columns a word short", "OtExtend", 1, shorten),
-    ];
+        &refused_points("OtBaseSetup")[..],
+        &refused_points("OtBaseTransfer"),
+        &[
+            case("mixed-order base-OT C", "OtBaseSetup", 0, mixed_order_base),
+            case("empty base-OT transfer", "OtBaseTransfer", 0, shorten),
+            case("extension count off by one", "OtExtend", 0, miscount),
+            case("extension columns a word short", "OtExtend", 1, shorten),
+        ],
+    ]
+    .concat();
     for (kind, own) in [
         (ProtocolKind::ServerGarbler, &sg_cases[..]),
         (ProtocolKind::ClientGarbler, &cg_cases[..]),
     ] {
         let cfg = ProtocolConfig::clear(kind);
         for &(what, tamper) in both.iter().chain(own) {
-            let what = format!("{kind:?}, {what}");
+            let what = format!("{kind:?}, {} {what}", tamper.target);
             let (ran, served) = tampered_sync_run(&model, &cfg, (Dir::Down, tamper), &what);
             assert!(
                 matches!(ran, Err(ProtocolError::BadRequest(_))),
@@ -1162,6 +1206,52 @@ fn malformed_server_messages_are_bad_requests_to_the_client() {
                 "{what}: {served:?}"
             );
         }
+    }
+}
+
+/// A peer's point with a small-order component — the honest one plus the
+/// point of order 2 — decodes, being on the curve and of large order, and
+/// changes nothing where it is only ever multiplied (`PK_0`, `r·G`): every
+/// secret scalar is a multiple of the cofactor. Both kinds, both parties:
+/// the relay corrupts the point, keeps relaying, and the session completes
+/// bit-exact.
+#[test]
+fn mixed_order_peer_points_change_nothing() {
+    let he = BfvParams::small_test();
+    let model = Arc::new(build_model(&he, 11));
+    let meta = ModelMeta::of(&model);
+    for kind in [ProtocolKind::ServerGarbler, ProtocolKind::ClientGarbler] {
+        let (up, down) = match kind {
+            ProtocolKind::ServerGarbler => ("OtBaseTransfer", "OtBaseChoice"),
+            ProtocolKind::ClientGarbler => ("OtBaseChoice", "OtBaseTransfer"),
+        };
+        let passing = |target| Tamper {
+            relay_on: true,
+            ..case("", target, 0, mixed_order_point).1
+        };
+        let cfg = ProtocolConfig::clear(kind);
+        let what = format!("{kind:?}, mixed-order {up}");
+        let rt = ServeRuntime::new(serve_cfg(1));
+        let ids = (rt.register_model((*model).clone(), cfg.clone()), 0);
+        let input = random_input(&model, 600);
+        let tamper = Some((Dir::Up, passing(up)));
+        let client = ServiceClient::new();
+        let (r, _) = relayed_request(
+            &rt,
+            ids,
+            client,
+            (&meta, &cfg),
+            input.clone(),
+            tamper,
+            &what,
+        );
+        assert_eq!(r.ran, Ok(model.forward(&input)), "{what}");
+        assert!(r.served.is_ok(), "{what}: {:?}", r.served);
+
+        let what = format!("{kind:?}, mixed-order {down}");
+        let (ran, served) = tampered_sync_run(&model, &cfg, (Dir::Down, passing(down)), &what);
+        assert_eq!(ran, Ok(model.forward(&random_input(&model, 500))), "{what}");
+        assert!(served.is_ok(), "{what}: {served:?}");
     }
 }
 
