@@ -1,6 +1,6 @@
-//! Ablation: each proposed optimization in isolation and cumulatively
-//! (DESIGN.md's ablation index). Reports single-inference total latency
-//! and the maximum sustainable arrival rate for ResNet-18/TinyImageNet.
+//! Ablation: each proposed optimization in isolation and cumulatively.
+//! Reports single-inference total latency and the maximum sustainable
+//! arrival rate for ResNet-18/TinyImageNet.
 
 use pi_bench::{header, paper_costs, sim_runs};
 use pi_nn::zoo::{Architecture, Dataset};
@@ -32,7 +32,7 @@ fn max_sustainable_per_min(costs: &pi_sim::ProtocolCosts, sys: &SystemConfig) ->
 fn main() {
     header(
         "Ablation of the proposed optimizations (ResNet-18/TinyImageNet)",
-        "§5.4 / DESIGN.md",
+        "§5.4",
     );
     let sg = paper_costs(
         Architecture::ResNet18,

@@ -1,9 +1,10 @@
 //! Shared harness utilities for the figure/table regenerators.
 //!
 //! Each binary in `src/bin/` regenerates one table or figure of the paper
-//! (see DESIGN.md §4 for the index). Binaries print the same rows/series
+//! (ROADMAP.md names them as the spec). Binaries print the same rows/series
 //! the paper reports, alongside the paper's published values where they
-//! exist, so EXPERIMENTS.md can record paper-vs-measured per experiment.
+//! exist; measured end-to-end numbers live in the perf ledger
+//! (`benchmark/README.md`).
 
 use pi_nn::zoo::{Architecture, Dataset};
 use pi_sim::cost::{Garbler, ProtocolCosts};
@@ -70,7 +71,7 @@ pub fn eval_pairs() -> Vec<(Architecture, Dataset)> {
 /// Prints a standard header naming the experiment and its paper anchor.
 pub fn header(what: &str, paper_ref: &str) {
     println!("=== {what} ===");
-    println!("(reproduces {paper_ref}; see EXPERIMENTS.md for paper-vs-measured)");
+    println!("(reproduces {paper_ref}; benchmark/README.md has the measured ledger)");
     println!();
 }
 

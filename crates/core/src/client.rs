@@ -448,9 +448,9 @@ fn offline_linear<R: Rng + ?Sized>(
         let share = match he {
             Some(he) => {
                 let frames = recv!(chan, HeCts);
-                let frame = frames
-                    .first()
-                    .ok_or(ProtocolError::BadRequest("empty HeCts response"))?;
+                let [frame] = &frames[..] else {
+                    return Err(ProtocolError::BadRequest("HeCts response not one frame"));
+                };
                 let ct = pi_he::ciphertext_from_bytes(frame, he.params)?;
                 if ct.c0.ctx().q() != he.params.down_q() {
                     return Err(ProtocolError::BadRequest(

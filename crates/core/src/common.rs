@@ -12,7 +12,7 @@ use crate::role::OtStream;
 use pi_field::Modulus;
 use pi_he::linalg::{self, BsgsDiagonals, PlainMatrix};
 use pi_he::{BatchEncoder, BfvParams, GaloisKeys};
-use pi_nn::PiModel;
+use pi_nn::{PiModel, PiPhase};
 use pi_ot::ext::{self, OtExtReceiver, OtExtSender};
 use rand::Rng;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -358,10 +358,11 @@ impl ClientOtState {
     }
 }
 
-/// Per-model server-side precomputation for the offline linear pass: the
-/// padded plaintext matrices and — in HE mode — their Halevi–Shoup
-/// diagonals pre-rotated into the baby-step/giant-step layout and encoded
-/// as centered Shoup-form operands ([`BsgsDiagonals`]).
+/// Per-model server-side precomputation for the offline linear pass: in HE
+/// mode, each phase matrix's Halevi–Shoup diagonals pre-rotated into the
+/// baby-step/giant-step layout and encoded as centered Shoup-form operands
+/// ([`BsgsDiagonals`]). The weights stay in the [`PiModel`], where the
+/// cleartext pass multiplies by them ([`pi_nn::PiPhase::apply_linear`]).
 ///
 /// Depends only on the model weights and the protocol configuration, never
 /// on a client's keys, so one instance serves every inference of every
@@ -371,52 +372,38 @@ impl ClientOtState {
 /// [`crate::serve::ServeRuntime`], which cache it).
 #[derive(Debug)]
 pub struct ServerPrecomp {
-    /// Padded plaintext matrix per linear phase.
-    pub matrices: Vec<PlainMatrix>,
     /// BSGS-layout Shoup-form diagonals per phase (HE mode only).
     pub diagonals: Option<Vec<BsgsDiagonals>>,
 }
 
 impl ServerPrecomp {
-    /// Precomputes the offline-linear operands for `model` under `cfg`.
+    /// Precomputes the offline-linear operands for `model` under `cfg`. A
+    /// phase's padded [`PlainMatrix`] lives only as long as its encoding
+    /// takes.
     ///
     /// # Panics
     ///
     /// Panics if `cfg` selects HE mode without parameters.
     pub fn new(model: &PiModel, cfg: &ProtocolConfig) -> Self {
-        let p = model.p;
-        let matrices: Vec<PlainMatrix> = model
-            .phases
-            .iter()
-            .map(|ph| PlainMatrix::new(ph.rows, ph.cols, &ph.matrix, p))
-            .collect();
         let diagonals = cfg.he().map(|params| {
             let encoder = BatchEncoder::new(params);
-            matrices
-                .iter()
-                .map(|w| linalg::encode_diagonals_bsgs(&encoder, w))
-                .collect()
+            let encode = |ph: &PiPhase| {
+                let w = PlainMatrix::new(ph.rows, ph.cols, &ph.matrix, model.p);
+                linalg::encode_diagonals_bsgs(&encoder, &w)
+            };
+            model.phases.iter().map(encode).collect()
         });
-        Self {
-            matrices,
-            diagonals,
-        }
+        Self { diagonals }
     }
 
-    /// Rough in-memory footprint, for the session table's byte budget: the
-    /// padded matrices (8 B/entry) plus, in HE mode, the encoded diagonal
-    /// operands (value + Shoup form, 16 B per ring coefficient).
+    /// Rough in-memory footprint, for the session table's byte budget: in
+    /// HE mode the encoded diagonal operands (value + Shoup form, 16 B per
+    /// ring coefficient), nothing otherwise.
     pub fn approx_bytes(&self, cfg: &ProtocolConfig) -> u64 {
-        let mat: u64 = self
-            .matrices
-            .iter()
-            .map(|m| (m.padded_dim() * m.padded_dim() * 8) as u64)
-            .sum();
-        let diag: u64 = match (&self.diagonals, &cfg.he_params) {
+        match (&self.diagonals, &cfg.he_params) {
             (Some(ds), Some(params)) => ds.iter().map(|d| (d.dim() * params.n() * 16) as u64).sum(),
             _ => 0,
-        };
-        mat + diag
+        }
     }
 }
 

@@ -83,10 +83,11 @@ pub fn private_inference(
 }
 
 /// Like [`private_inference`], but reuses the server's per-model
-/// precomputation ([`ServerPrecomp`]: padded matrices and Shoup-form encoded
-/// diagonals). Build the precomputation once per served model — it depends
-/// only on the weights and protocol config, not on any client's keys — and
-/// amortize it across every inference and client.
+/// precomputation ([`ServerPrecomp`]: the phase matrices' Shoup-form encoded
+/// diagonals in HE mode, nothing in cleartext mode). Build the
+/// precomputation once per served model — it depends only on the weights
+/// and protocol config, not on any client's keys — and amortize it across
+/// every inference and client.
 ///
 /// # Panics
 ///
@@ -322,5 +323,20 @@ mod tests {
             (1_000.0..20_000.0).contains(&per_relu),
             "GC bytes per ReLU = {per_relu}"
         );
+    }
+
+    /// A cleartext-mode precomputation holds no copy of the weights, so it
+    /// charges the table budget nothing (a padded copy was 2·1024²·8 B).
+    #[test]
+    fn cleartext_precomp_charges_the_table_budget_nothing() {
+        use pi_nn::SpecOp::{Flatten, Linear, Relu};
+        let spec = pi_nn::NetSpec {
+            name: "mlp1024".into(),
+            input: [1, 4, 4],
+            ops: vec![Flatten, Linear { out: 1024 }, Relu, Linear { out: 4 }],
+        };
+        let model = build_model(&spec, &BfvParams::small_test(), 3);
+        let cfg = ProtocolConfig::clear(ProtocolKind::ClientGarbler);
+        assert_eq!(ServerPrecomp::new(&model, &cfg).approx_bytes(&cfg), 0);
     }
 }

@@ -7,12 +7,12 @@
 //! spend the shared-operand pass where it amortizes over the most
 //! requests). Admission is skew-aware in two ways:
 //!
-//! * batch width is capped (`max_batch`) so one backlogged model cannot
+//! * batch width is capped ([`MAX_BATCH`]) so one backlogged model cannot
 //!   monopolize a worker for an unbounded stretch, and the fused pass's
 //!   working set (one hoisted ciphertext + baby set per admitted job)
 //!   stays within a predictable byte envelope;
 //! * within a key, admission round-robins across *sessions*
-//!   (`session_cap` jobs per session per batch), so a straggler uploading
+//!   ([`SESSION_CAP`] jobs per session per batch), so a straggler uploading
 //!   many phases cannot starve a session that just arrived with one.
 //!
 //! Leftover jobs keep their queue position; nothing is dropped.
@@ -34,21 +34,24 @@ pub(crate) struct Batch {
     pub jobs: Vec<Pending>,
 }
 
+/// Maximum jobs fused into one cross-request matvec batch: it bounds how
+/// long one backlogged model holds a worker, and the fused pass's working
+/// set (one hoisted ciphertext + baby set per admitted job). A constant and
+/// not a [`super::ServeConfig`] field because no caller, test or ledger
+/// workload ever ran another value.
+const MAX_BATCH: usize = 8;
+
+/// Maximum jobs one session contributes to a single batch, so a session
+/// that uploaded many phases cannot starve one that just arrived. A
+/// constant for the reason [`MAX_BATCH`] is.
+const SESSION_CAP: usize = 2;
+
+#[derive(Default)]
 pub(crate) struct Batcher {
     queues: parking_lot::Mutex<HashMap<(usize, usize), VecDeque<Pending>>>,
-    max_batch: usize,
-    session_cap: usize,
 }
 
 impl Batcher {
-    pub(crate) fn new(max_batch: usize, session_cap: usize) -> Self {
-        Self {
-            queues: parking_lot::Mutex::new(HashMap::new()),
-            max_batch: max_batch.max(1),
-            session_cap: session_cap.max(1),
-        }
-    }
-
     /// Enqueues one session's matvec jobs under its model.
     pub(crate) fn push(&self, model: usize, sid: u64, jobs: Vec<MatvecJob>) {
         let mut queues = self.queues.lock();
@@ -61,7 +64,7 @@ impl Batcher {
     }
 
     /// Admits the next batch: deepest `(model, phase)` queue first, at most
-    /// `max_batch` jobs, at most `session_cap` per session (skipped jobs
+    /// [`MAX_BATCH`] jobs, at most [`SESSION_CAP`] per session (skipped jobs
     /// keep their position). Returns `None` when nothing is queued.
     pub(crate) fn take_batch(&self) -> Option<Batch> {
         let mut queues = self.queues.lock();
@@ -76,7 +79,7 @@ impl Batcher {
         let mut per_sid: HashMap<u64, usize> = HashMap::new();
         while let Some(p) = q.pop_front() {
             let n = per_sid.entry(p.sid).or_insert(0);
-            if taken.len() < self.max_batch && *n < self.session_cap {
+            if taken.len() < MAX_BATCH && *n < SESSION_CAP {
                 *n += 1;
                 taken.push(p);
             } else {
@@ -108,7 +111,7 @@ mod tests {
     // batches, which needs no ciphertexts.
     #[test]
     fn empty_batcher_yields_none() {
-        let b = Batcher::new(4, 1);
+        let b = Batcher::default();
         assert!(b.take_batch().is_none());
     }
 }

@@ -100,11 +100,6 @@ pub struct ServeConfig {
     pub table_budget_bytes: u64,
     /// Lock stripes per session table.
     pub table_shards: usize,
-    /// Maximum jobs fused into one cross-request matvec batch.
-    pub max_batch: usize,
-    /// Maximum jobs one session contributes to a single batch (skew-aware
-    /// admission: a many-phase straggler cannot starve new arrivals).
-    pub batch_session_cap: usize,
 }
 
 impl Default for ServeConfig {
@@ -113,8 +108,6 @@ impl Default for ServeConfig {
             workers: 0,
             table_budget_bytes: 256 << 20,
             table_shards: 8,
-            max_batch: 8,
-            batch_session_cap: 2,
         }
     }
 }
@@ -230,7 +223,7 @@ impl ServeRuntime {
             keys_table: ShardedLru::new(cfg.table_shards, cfg.table_budget_bytes),
             ot_table: ShardedLru::new(cfg.table_shards, cfg.table_budget_bytes),
             precomp_table: ShardedLru::new(cfg.table_shards, cfg.table_budget_bytes),
-            batcher: Batcher::new(cfg.max_batch, cfg.batch_session_cap),
+            batcher: Batcher::default(),
             agg_trace: parking_lot::Mutex::new(pi_trace::TraceReport::default()),
             ingress_tx,
             exec: parking_lot::Mutex::new(Some(Executor::new(workers))),

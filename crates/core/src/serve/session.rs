@@ -303,8 +303,8 @@ impl ServerSession {
                 Ok(Step::GotKeys(keys))
             }
             (State::AwaitCts { he, keys, mut cts }, Msg::HeCts(frames)) => {
-                let Some(frame) = frames.first() else {
-                    return Err(ProtocolError::BadRequest("empty ciphertext batch"));
+                let [frame] = &frames[..] else {
+                    return Err(ProtocolError::BadRequest("ciphertext batch not one frame"));
                 };
                 let ct = pi_he::ciphertext_from_bytes(frame, &he.params)?;
                 if ct.c0.ctx().q() != he.params.q() {
@@ -333,7 +333,7 @@ impl ServerSession {
                 Ok(Step::NeedMatvec(jobs))
             }
             (State::AwaitRCats(mut r_cats), Msg::VecU64(v)) => {
-                if v.len() < ctx.pre.matrices[r_cats.len()].cols() || !reduced(&v, p) {
+                if v.len() != self.meta.phases[r_cats.len()].cols || !reduced(&v, p) {
                     return Err(ProtocolError::BadRequest("offline input vector"));
                 }
                 r_cats.push(v);
@@ -345,9 +345,9 @@ impl ServerSession {
                 self.draw_shares();
                 {
                     let _span = pi_trace::span!("offline.he");
-                    for ((r_cat, w), s_i) in r_cats.iter().zip(&ctx.pre.matrices).zip(&self.s_vecs)
+                    for ((r_cat, ph), s_i) in r_cats.iter().zip(&ctx.model.phases).zip(&self.s_vecs)
                     {
-                        let wr = w.matvec_plain(&r_cat[..w.cols()], p);
+                        let wr = ph.apply_linear(r_cat, p);
                         let share = wr.iter().zip(s_i).map(|(&a, &s)| p.sub(a, s)).collect();
                         ctx.sink.send(Msg::VecU64(share))?;
                     }
@@ -491,7 +491,7 @@ impl ServerSession {
         {
             let _span = pi_trace::span!("offline.he");
             for (i, prod) in prods.iter().flatten().enumerate() {
-                let dim = ctx.pre.matrices[i].padded_dim();
+                let dim = self.meta.phases[i].padded_dim;
                 let resp = linalg::sub_share(&he.params, &he.encoder, prod, &self.s_vecs[i], dim);
                 // Every server→client response is modulus-down-switched
                 // before serialization: fewer packed bits per coefficient

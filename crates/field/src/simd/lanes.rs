@@ -78,6 +78,7 @@ pub(super) trait Lanes: Copy {
 /// [`Lanes::permute_block`] for ISAs without a runtime cross-lane 64-bit
 /// permute: the block is one cache line, so the `W` lanes are picked out of
 /// it one by one.
+#[cfg(all(feature = "simd", any(target_arch = "x86_64", target_arch = "aarch64")))]
 #[inline(always)]
 pub(super) fn pick_lanes<const W: usize>(blk: &[u64], pat: u64) -> [u64; W] {
     std::array::from_fn(|t| blk[(pat >> (8 * t)) as usize & 7])

@@ -40,7 +40,10 @@
 //! this module was software-only and justified that with the paper's Intel
 //! Atom client device; that assumption is gone — servers garble at AES-NI
 //! rates, the Atom-class fallback is the bitsliced path, and the simulator
-//! calibrates absolute rates separately either way.
+//! calibrates absolute rates separately either way. There is no `aarch64`
+//! crypto-extension path, so every target that is not `x86_64` — `aarch64`
+//! included — resolves [`auto_backend`] to `Bitslice`: that backend is what
+//! such a build runs, not only a differential-test subject, and it stays.
 //!
 //! # Batched hashing
 //!

@@ -107,8 +107,8 @@ impl PlainMatrix {
         self.dim
     }
 
-    /// Plaintext matrix-vector product mod `t` (reference implementation and
-    /// the server's share-correction path).
+    /// Plaintext matrix-vector product mod `t`: the reference the encrypted
+    /// kernels are tested against.
     ///
     /// # Panics
     ///

@@ -4,58 +4,18 @@
 //! separated by garbled ReLUs: phase `i` is an affine map over one or more
 //! earlier activations (residual skips make a phase consume two), and the
 //! ReLU after it produces activation `i + 1`. [`PiModel`] materializes each
-//! phase as an explicit matrix over the concatenated inputs by probing the
-//! quantized ops with basis vectors — exactly the object the offline HE
-//! pass multiplies the client's randomness by.
+//! phase as an explicit matrix over the concatenated inputs — exactly the
+//! object the offline HE pass multiplies the client's randomness by — by
+//! running the phase's slice of the quantized ops through
+//! [`QuantOp::step`], the reference interpreter: its value at zero is the
+//! bias, and column `i` is its value at `eᵢ` less that.
 //!
 //! Activation indexing: `0` is the network input; `i >= 1` is the output of
 //! the `i`-th garbled ReLU. The final phase has no ReLU; its output is the
 //! network's (scale-`2f`) logits.
 
-use crate::quant::{conv2d_field, expect_chw, relu_trunc_field, QuantNetwork, QuantOp};
-use crate::spec::Shape;
+use crate::quant::{relu_trunc_field, Act, QuantNetwork, QuantOp};
 use pi_field::Modulus;
-
-/// A segment-internal op after skip resolution.
-#[derive(Clone, Debug)]
-enum SegOp {
-    Conv2d {
-        weight: Vec<u64>,
-        shape: [usize; 4],
-        bias: Vec<u64>,
-        stride: usize,
-        padding: usize,
-    },
-    Linear {
-        weight: Vec<u64>,
-        out: usize,
-        inf: usize,
-        bias: Vec<u64>,
-    },
-    SumPool2d {
-        k: usize,
-    },
-    GlobalSumPool,
-    Flatten,
-    /// Add extra input `slot` (index into the phase's extra inputs),
-    /// optionally through a 1×1 projection, scale-matched by `scale_shift`.
-    AddExtra {
-        slot: usize,
-        proj: Option<ProjWeights>,
-        scale_shift: u32,
-    },
-}
-
-#[derive(Clone, Debug)]
-struct ProjWeights {
-    weight: Vec<u64>,
-    co: usize,
-    ci: usize,
-    stride: usize,
-    bias: Vec<u64>,
-    /// Shape of the activation the projection reads.
-    in_shape: (usize, usize, usize),
-}
 
 /// One linear phase of the PI computation: an affine map over the
 /// concatenation of the referenced activations.
@@ -63,13 +23,11 @@ struct ProjWeights {
 pub struct PiPhase {
     /// Activation indices feeding this phase (main input first).
     pub inputs: Vec<usize>,
-    /// Length of each input activation.
-    pub input_lens: Vec<usize>,
-    /// Row-major matrix, `rows × cols` with `cols = Σ input_lens`.
+    /// Row-major matrix, `rows × cols`.
     pub matrix: Vec<u64>,
     /// Output length.
     pub rows: usize,
-    /// Concatenated input length.
+    /// Concatenated input length: the sum of the `inputs`' lengths.
     pub cols: usize,
     /// Bias (scale `2f`).
     pub bias: Vec<u64>,
@@ -79,23 +37,32 @@ pub struct PiPhase {
 }
 
 impl PiPhase {
-    /// Applies the affine map to concatenated inputs.
+    /// The phase's linear part `W·x` on concatenated (reduced) inputs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len() != cols`.
+    pub fn apply_linear(&self, x: &[u64], p: Modulus) -> Vec<u64> {
+        assert_eq!(x.len(), self.cols, "phase input length mismatch");
+        let row = |w: &[u64]| {
+            w.iter()
+                .zip(x)
+                .fold(0, |acc, (&w, &x)| p.mul_add(w, x, acc))
+        };
+        self.matrix.chunks_exact(self.cols).map(row).collect()
+    }
+
+    /// Applies the affine map `W·x + b` to concatenated inputs.
     ///
     /// # Panics
     ///
     /// Panics if `x.len() != cols`.
     pub fn apply(&self, x: &[u64], p: Modulus) -> Vec<u64> {
-        assert_eq!(x.len(), self.cols, "phase input length mismatch");
-        (0..self.rows)
-            .map(|r| {
-                let mut acc = self.bias[r];
-                #[allow(clippy::needless_range_loop)] // c indexes the matrix row and x together
-                for c in 0..self.cols {
-                    acc = p.add(acc, p.mul(self.matrix[r * self.cols + c], x[c]));
-                }
-                acc
-            })
-            .collect()
+        let mut y = self.apply_linear(x, p);
+        for (v, &b) in y.iter_mut().zip(&self.bias) {
+            *v = p.add(*v, b);
+        }
+        y
     }
 }
 
@@ -117,6 +84,14 @@ pub struct PiModel {
 impl PiModel {
     /// Lowers a quantized network into phase-matrix form.
     ///
+    /// A phase is the slice of `qnet.ops` between two ReLUs, and affine in
+    /// its inputs: the activation it starts from and the skips it adds,
+    /// which were saved at earlier activations. So the skip stack is
+    /// tracked across phases as (source activation, projection), the
+    /// entries a phase pops become its extra inputs in pop order, and the
+    /// phase's slice runs through [`QuantOp::step`] once at zero and once
+    /// per basis vector.
+    ///
     /// This materializes one dense matrix per phase (size
     /// `out_features × in_features`), so it is intended for the small
     /// networks used in end-to-end protocol tests; ImageNet-scale networks
@@ -129,206 +104,85 @@ impl PiModel {
     /// family).
     pub fn lower(qnet: &QuantNetwork) -> Self {
         let p = qnet.config.p;
-        // Split ops into segments at ReluTrunc boundaries, resolving skips.
-        struct Segment {
-            main_act: usize,
-            main_shape: Shape,
-            ops: Vec<SegOp>,
-            extra_acts: Vec<usize>,
-            relu_shift: Option<u32>,
-        }
-        let mut segments: Vec<Segment> = Vec::new();
-        let mut cur_act = 0usize;
-        let mut cur_shape = Shape::Chw(qnet.input[0], qnet.input[1], qnet.input[2]);
-        let mut seg_ops: Vec<SegOp> = Vec::new();
-        let mut seg_extras: Vec<usize> = Vec::new();
-        let mut seg_start_shape = cur_shape.clone();
-        // Skip stack entries: (source activation, optional projection).
-        let mut skip_stack: Vec<(usize, Option<ProjWeights>)> = Vec::new();
-        for op in &qnet.ops {
-            match op {
-                QuantOp::Conv2d {
-                    weight,
-                    shape,
-                    bias,
-                    stride,
-                    padding,
-                } => {
-                    let (_, h, w) = expect_chw(&cur_shape);
-                    let oh = (h + 2 * padding - shape[2]) / stride + 1;
-                    let ow = (w + 2 * padding - shape[3]) / stride + 1;
-                    seg_ops.push(SegOp::Conv2d {
-                        weight: weight.clone(),
-                        shape: *shape,
-                        bias: bias.clone(),
-                        stride: *stride,
-                        padding: *padding,
-                    });
-                    cur_shape = Shape::Chw(shape[0], oh, ow);
-                }
-                QuantOp::Linear {
-                    weight,
-                    out,
-                    inf,
-                    bias,
-                } => {
-                    seg_ops.push(SegOp::Linear {
-                        weight: weight.clone(),
-                        out: *out,
-                        inf: *inf,
-                        bias: bias.clone(),
-                    });
-                    cur_shape = Shape::Flat(*out);
-                }
-                QuantOp::SumPool2d { k } => {
-                    let (c, h, w) = expect_chw(&cur_shape);
-                    seg_ops.push(SegOp::SumPool2d { k: *k });
-                    cur_shape = Shape::Chw(c, h / k, w / k);
-                }
-                QuantOp::GlobalSumPool => {
-                    let (c, _, _) = expect_chw(&cur_shape);
-                    seg_ops.push(SegOp::GlobalSumPool);
-                    cur_shape = Shape::Flat(c);
-                }
-                QuantOp::Flatten => {
-                    seg_ops.push(SegOp::Flatten);
-                    cur_shape = Shape::Flat(cur_shape.volume());
-                }
-                QuantOp::SaveSkip => {
-                    assert!(
-                        seg_ops.is_empty(),
-                        "skips must be saved at activation boundaries"
-                    );
-                    skip_stack.push((cur_act, None));
-                }
-                QuantOp::SaveSkipProj {
-                    weight,
-                    co,
-                    ci,
-                    stride,
-                    bias,
-                } => {
-                    assert!(
-                        seg_ops.is_empty(),
-                        "skips must be saved at activation boundaries"
-                    );
-                    let in_shape = expect_chw(&cur_shape);
-                    skip_stack.push((
-                        cur_act,
-                        Some(ProjWeights {
-                            weight: weight.clone(),
-                            co: *co,
-                            ci: *ci,
-                            stride: *stride,
-                            bias: bias.clone(),
-                            in_shape,
-                        }),
-                    ));
-                }
-                QuantOp::AddSkip { scale_shift } => {
-                    let (src, proj) = skip_stack.pop().expect("balanced skips");
-                    let slot = seg_extras.len();
-                    seg_extras.push(src);
-                    seg_ops.push(SegOp::AddExtra {
-                        slot,
-                        proj,
-                        scale_shift: *scale_shift,
-                    });
-                }
-                QuantOp::ReluTrunc { shift } => {
-                    segments.push(Segment {
-                        main_act: cur_act,
-                        main_shape: seg_start_shape.clone(),
-                        ops: std::mem::take(&mut seg_ops),
-                        extra_acts: std::mem::take(&mut seg_extras),
-                        relu_shift: Some(*shift),
-                    });
-                    cur_act += 1;
-                    seg_start_shape = cur_shape.clone();
-                }
-            }
-        }
-        assert!(
-            !seg_ops.is_empty(),
-            "network must end with a linear phase, not a ReLU"
-        );
-        segments.push(Segment {
-            main_act: cur_act,
-            main_shape: seg_start_shape,
-            ops: seg_ops,
-            extra_acts: seg_extras,
-            relu_shift: None,
-        });
-
-        // Track activation lengths: act 0 = input; act i = output of phase i.
-        let input_len: usize = qnet.input.iter().product();
-        let mut act_lens = vec![input_len];
-        let mut phases = Vec::with_capacity(segments.len());
-        for seg in &segments {
-            let main_len = seg.main_shape.volume();
-            debug_assert_eq!(act_lens[seg.main_act], main_len);
-            let extra_lens: Vec<usize> = seg.extra_acts.iter().map(|&a| act_lens[a]).collect();
-            let extra_shapes: Vec<Option<(usize, usize, usize)>> = seg
-                .ops
-                .iter()
-                .filter_map(|o| match o {
-                    SegOp::AddExtra { proj, .. } => Some(proj.as_ref().map(|pw| pw.in_shape)),
-                    _ => None,
-                })
-                .collect();
-            let _ = extra_shapes;
-            let cols: usize = main_len + extra_lens.iter().sum::<usize>();
-            // Probe with basis vectors to build the matrix.
-            let probe = |main: &[u64], extras: &[Vec<u64>], with_bias: bool| -> Vec<u64> {
-                run_segment(&seg.ops, &seg.main_shape, main, extras, with_bias, p)
+        let is_save = |op: &QuantOp| matches!(op, QuantOp::SaveSkip | QuantOp::SaveSkipProj { .. });
+        // Shape of every activation so far; activation `i` feeds phase `i`.
+        let mut act_shapes = vec![qnet.input_shape()];
+        // Skips saved and not yet added: (source activation, projection).
+        let mut saved: Vec<(usize, Option<&QuantOp>)> = Vec::new();
+        let mut phases: Vec<PiPhase> = Vec::new();
+        for seg in (qnet.ops).split_inclusive(|op| matches!(op, QuantOp::ReluTrunc { .. })) {
+            let main = phases.len();
+            let (ops, relu_shift) = match seg.split_last() {
+                Some((QuantOp::ReluTrunc { shift }, ops)) => (ops, Some(*shift)),
+                _ => (seg, None),
             };
-            let zero_main = vec![0u64; main_len];
-            let zero_extras: Vec<Vec<u64>> = extra_lens.iter().map(|&l| vec![0u64; l]).collect();
-            let bias = probe(&zero_main, &zero_extras, true);
+            let (saves, ops) = ops.split_at(ops.iter().take_while(|op| is_save(op)).count());
+            let proj = |op| matches!(op, &QuantOp::SaveSkipProj { .. }).then_some(op);
+            saved.extend(saves.iter().map(|op| (main, proj(op))));
+            assert!(
+                !ops.iter().any(is_save),
+                "skips must be saved at activation boundaries"
+            );
+            let pops = ops
+                .iter()
+                .filter(|op| matches!(op, QuantOp::AddSkip { .. }));
+            let kept = saved.len().checked_sub(pops.count());
+            // What the phase pops become its extra inputs, in pop order.
+            let mut popped = saved.split_off(kept.expect("balanced skips"));
+            popped.reverse();
+            let extras = popped.iter().map(|&(src, _)| src);
+            let inputs: Vec<usize> = std::iter::once(main).chain(extras).collect();
+            let cols: usize = inputs.iter().map(|&a| act_shapes[a].volume()).sum();
+            // The phase at a point of its concatenated input space.
+            let at = |x_cat: &[u64]| -> Act {
+                let mut rest = x_cat;
+                let mut parts = inputs.iter().map(|&a| {
+                    let (part, tail) = rest.split_at(act_shapes[a].volume());
+                    rest = tail;
+                    Act::new(part.to_vec(), act_shapes[a].clone())
+                });
+                let mut act = parts.next().expect("a phase has its main input");
+                let skip = |(mut extra, &(_, proj)): (Act, &(usize, Option<&QuantOp>))| {
+                    let Some(proj) = proj else { return extra.x };
+                    proj.step(&mut extra, p);
+                    extra.skips.pop().expect("a projection saves its skip")
+                };
+                // `Act::skips` pops from the back.
+                act.skips = parts.zip(&popped).map(skip).collect();
+                act.skips.reverse();
+                ops.iter().for_each(|op| op.step(&mut act, p));
+                act
+            };
+            let mut probe = vec![0u64; cols];
+            let Act { x: bias, shape, .. } = at(&probe);
             let rows = bias.len();
             let mut matrix = vec![0u64; rows * cols];
-            let mut col = 0usize;
-            for input_idx in 0..=extra_lens.len() {
-                let len = if input_idx == 0 {
-                    main_len
-                } else {
-                    extra_lens[input_idx - 1]
-                };
-                for i in 0..len {
-                    let mut main = zero_main.clone();
-                    let mut extras = zero_extras.clone();
-                    if input_idx == 0 {
-                        main[i] = 1;
-                    } else {
-                        extras[input_idx - 1][i] = 1;
-                    }
-                    let out = probe(&main, &extras, false);
-                    for (r, &v) in out.iter().enumerate() {
-                        matrix[r * cols + col] = v;
-                    }
-                    col += 1;
+            for c in 0..cols {
+                probe[c] = 1;
+                for (r, (&v, &b)) in at(&probe).x.iter().zip(&bias).enumerate() {
+                    matrix[r * cols + c] = p.sub(v, b);
                 }
+                probe[c] = 0;
             }
-            let mut inputs = vec![seg.main_act];
-            inputs.extend(&seg.extra_acts);
-            let mut input_lens = vec![main_len];
-            input_lens.extend(&extra_lens);
-            act_lens.push(rows); // activation i+1 length (post-relu same len)
+            act_shapes.push(shape);
             phases.push(PiPhase {
                 inputs,
-                input_lens,
                 matrix,
                 rows,
                 cols,
                 bias,
-                relu_shift: seg.relu_shift,
+                relu_shift,
             });
         }
+        assert!(
+            phases.last().is_some_and(|ph| ph.relu_shift.is_none()),
+            "network must end with a linear phase, not a ReLU"
+        );
         Self {
             p,
             f: qnet.config.f,
             phases,
-            input_len,
+            input_len: act_shapes[0].volume(),
             name: qnet.name.clone(),
         }
     }
@@ -342,26 +196,20 @@ impl PiModel {
     pub fn forward(&self, input: &[u64]) -> Vec<u64> {
         assert_eq!(input.len(), self.input_len, "input length mismatch");
         let mut acts: Vec<Vec<u64>> = vec![input.to_vec()];
-        let mut output = Vec::new();
         for phase in &self.phases {
-            let x: Vec<u64> = phase
-                .inputs
-                .iter()
-                .flat_map(|&a| acts[a].iter().copied())
+            let x: Vec<u64> = (phase.inputs.iter())
+                .flat_map(|&a| &acts[a])
+                .copied()
                 .collect();
             let y = phase.apply(&x, self.p);
-            match phase.relu_shift {
-                Some(shift) => {
-                    acts.push(
-                        y.iter()
-                            .map(|&v| relu_trunc_field(v, shift, self.p))
-                            .collect(),
-                    );
-                }
-                None => output = y,
-            }
+            // Only the final phase has no ReLU.
+            let Some(shift) = phase.relu_shift else {
+                return y;
+            };
+            let relu = |&v| relu_trunc_field(v, shift, self.p);
+            acts.push(y.iter().map(relu).collect());
         }
-        output
+        Vec::new()
     }
 
     /// Number of garbled ReLU values across the network (the paper's
@@ -380,153 +228,12 @@ impl PiModel {
     }
 }
 
-/// Executes a segment's ops on explicit main/extra input values.
-fn run_segment(
-    ops: &[SegOp],
-    main_shape: &Shape,
-    main: &[u64],
-    extras: &[Vec<u64>],
-    with_bias: bool,
-    p: Modulus,
-) -> Vec<u64> {
-    let mut x = main.to_vec();
-    let mut shape = main_shape.clone();
-    let maybe_bias = |b: &[u64]| -> Vec<u64> {
-        if with_bias {
-            b.to_vec()
-        } else {
-            vec![0u64; b.len()]
-        }
-    };
-    for op in ops {
-        match op {
-            SegOp::Conv2d {
-                weight,
-                shape: ws,
-                bias,
-                stride,
-                padding,
-            } => {
-                let (c, h, w) = expect_chw(&shape);
-                let (out, os) = conv2d_field(
-                    &x,
-                    c,
-                    h,
-                    w,
-                    weight,
-                    *ws,
-                    &maybe_bias(bias),
-                    *stride,
-                    *padding,
-                    p,
-                );
-                x = out;
-                shape = os;
-            }
-            SegOp::Linear {
-                weight,
-                out,
-                inf,
-                bias,
-            } => {
-                assert_eq!(x.len(), *inf);
-                let b = maybe_bias(bias);
-                let mut y = vec![0u64; *out];
-                for (o, yo) in y.iter_mut().enumerate() {
-                    let mut acc = b[o];
-                    for i in 0..*inf {
-                        acc = p.add(acc, p.mul(weight[o * inf + i], x[i]));
-                    }
-                    *yo = acc;
-                }
-                x = y;
-                shape = Shape::Flat(*out);
-            }
-            SegOp::SumPool2d { k } => {
-                let (c, h, w) = expect_chw(&shape);
-                let (oh, ow) = (h / k, w / k);
-                let mut y = vec![0u64; c * oh * ow];
-                for ci in 0..c {
-                    for yy in 0..oh {
-                        for xx in 0..ow {
-                            let mut acc = 0u64;
-                            for dy in 0..*k {
-                                for dx in 0..*k {
-                                    acc = p.add(acc, x[(ci * h + yy * k + dy) * w + xx * k + dx]);
-                                }
-                            }
-                            y[(ci * oh + yy) * ow + xx] = acc;
-                        }
-                    }
-                }
-                x = y;
-                shape = Shape::Chw(c, oh, ow);
-            }
-            SegOp::GlobalSumPool => {
-                let (c, h, w) = expect_chw(&shape);
-                let mut y = vec![0u64; c];
-                for ci in 0..c {
-                    let mut acc = 0u64;
-                    for i in 0..h * w {
-                        acc = p.add(acc, x[ci * h * w + i]);
-                    }
-                    y[ci] = acc;
-                }
-                x = y;
-                shape = Shape::Flat(c);
-            }
-            SegOp::Flatten => shape = Shape::Flat(x.len()),
-            SegOp::AddExtra {
-                slot,
-                proj,
-                scale_shift,
-            } => {
-                let extra = &extras[*slot];
-                let skip: Vec<u64> = match proj {
-                    None => extra.clone(),
-                    Some(pw) => {
-                        let (c, h, w) = pw.in_shape;
-                        assert_eq!(extra.len(), c * h * w);
-                        assert_eq!(c, pw.ci);
-                        let (oh, ow) = (h.div_ceil(pw.stride), w.div_ceil(pw.stride));
-                        let b = maybe_bias(&pw.bias);
-                        let mut y = vec![0u64; pw.co * oh * ow];
-                        for o in 0..pw.co {
-                            for yy in 0..oh {
-                                for xx in 0..ow {
-                                    let mut acc = b[o];
-                                    for c_in in 0..pw.ci {
-                                        acc = p.add(
-                                            acc,
-                                            p.mul(
-                                                pw.weight[o * pw.ci + c_in],
-                                                extra[(c_in * h + yy * pw.stride) * w
-                                                    + xx * pw.stride],
-                                            ),
-                                        );
-                                    }
-                                    y[(o * oh + yy) * ow + xx] = acc;
-                                }
-                            }
-                        }
-                        y
-                    }
-                };
-                let mult = p.reduce(1u64 << *scale_shift);
-                for (a, &b) in x.iter_mut().zip(&skip) {
-                    *a = p.add(*a, p.mul(b, mult));
-                }
-            }
-        }
-    }
-    x
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::network::Network;
-    use crate::quant::{FixedConfig, QuantNetwork};
+    use crate::quant::FixedConfig;
+    use crate::spec::{NetSpec, SpecOp};
     use crate::zoo;
     use rand::{Rng, SeedableRng};
 
@@ -537,7 +244,7 @@ mod tests {
         }
     }
 
-    fn lower(spec: &crate::spec::NetSpec, seed: u64) -> (QuantNetwork, PiModel) {
+    fn lower(spec: &NetSpec, seed: u64) -> (QuantNetwork, PiModel) {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let net = Network::materialize(spec, &mut rng);
         let qnet = QuantNetwork::quantize(&net, config());
@@ -545,7 +252,7 @@ mod tests {
         (qnet, model)
     }
 
-    fn check_model_matches_fixed(spec: &crate::spec::NetSpec, seed: u64) {
+    fn check_model_matches_fixed(spec: &NetSpec, seed: u64) {
         let (qnet, model) = lower(spec, seed);
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed + 1000);
         let c = config();
@@ -605,11 +312,108 @@ mod tests {
 
     #[test]
     fn matrix_dimensions_consistent() {
-        let (_, model) = lower(&zoo::tiny_cnn(), 12);
+        let (_, model) = lower(&zoo::tiny_resnet(), 12);
+        let mut act_lens = vec![model.input_len];
         for ph in &model.phases {
             assert_eq!(ph.matrix.len(), ph.rows * ph.cols);
             assert_eq!(ph.bias.len(), ph.rows);
-            assert_eq!(ph.cols, ph.input_lens.iter().sum::<usize>());
+            let cols: usize = ph.inputs.iter().map(|&a| act_lens[a]).sum();
+            assert_eq!(ph.cols, cols);
+            act_lens.push(ph.rows);
         }
+    }
+
+    fn conv(co: usize) -> SpecOp {
+        let (k, stride, padding) = (3, 1, 1);
+        SpecOp::Conv2d {
+            co,
+            k,
+            stride,
+            padding,
+        }
+    }
+
+    fn net(name: &str, ops: Vec<SpecOp>) -> NetSpec {
+        let (name, input) = (name.into(), [1, 8, 8]);
+        NetSpec { name, input, ops }
+    }
+
+    /// FNV-1a over everything lowering produces.
+    fn fingerprint(model: &PiModel) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |v: u64| {
+            for b in v.to_le_bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        for ph in &model.phases {
+            eat(ph.inputs.len() as u64);
+            ph.inputs.iter().for_each(|&a| eat(a as u64));
+            eat(ph.rows as u64);
+            eat(ph.cols as u64);
+            ph.matrix.iter().chain(&ph.bias).for_each(|&v| eat(v));
+            eat(ph.relu_shift.map_or(u64::MAX, u64::from));
+        }
+        h
+    }
+
+    /// Lowering is pinned bit for bit: these hashes were recorded with the
+    /// lowering that walked its own copy of the op kernels (commit 0cbda2c),
+    /// over the three tiny zoo models and the ledger's 8192-ReLU MLP.
+    #[test]
+    fn lowered_models_match_golden_hashes() {
+        let mlp8192 = net(
+            "mlp8192",
+            vec![
+                SpecOp::Flatten,
+                SpecOp::Linear { out: 8192 },
+                SpecOp::Relu,
+                SpecOp::Linear { out: 10 },
+            ],
+        );
+        for (spec, seed, golden) in [
+            (zoo::tiny_cnn(), 7, 0x7702_a1d6_2714_4db6),
+            (zoo::tiny_resnet(), 8, 0x6993_0b29_d695_2f56),
+            (zoo::tiny_cnn_pool(), 9, 0x0f5f_0686_a6c4_62b0),
+            (mlp8192, 10, 0xc0cf_abea_d1fc_84e5),
+        ] {
+            let (_, model) = lower(&spec, seed);
+            assert_eq!(
+                fingerprint(&model),
+                golden,
+                "{} lowers differently",
+                spec.name
+            );
+        }
+    }
+
+    /// A skip saved two ReLUs before its add crosses a phase that does not
+    /// pop it.
+    #[test]
+    fn skip_across_a_phase_lowering_exact() {
+        let mut ops = vec![conv(2), SpecOp::Relu, SpecOp::SaveSkip];
+        ops.extend([conv(2), SpecOp::Relu, conv(2), SpecOp::Relu]);
+        ops.extend([conv(2), SpecOp::AddSkip, SpecOp::Relu]);
+        ops.extend([SpecOp::GlobalAvgPool, SpecOp::Linear { out: 3 }]);
+        let spec = net("skip-across", ops);
+        let (_, model) = lower(&spec, 13);
+        let inputs: Vec<&[usize]> = model.phases.iter().map(|ph| &ph.inputs[..]).collect();
+        assert_eq!(inputs, [&[0][..], &[1], &[2], &[3, 1], &[4]]);
+        check_model_matches_fixed(&spec, 13);
+    }
+
+    /// Two nested skips added in one phase: pop order is column order.
+    #[test]
+    fn nested_skips_lowering_exact() {
+        let (co, stride) = (2, 1);
+        let mut ops = vec![conv(2), SpecOp::Relu, SpecOp::SaveSkipProj { co, stride }];
+        ops.extend([conv(2), SpecOp::Relu, SpecOp::SaveSkip]);
+        ops.extend([conv(2), SpecOp::Relu]);
+        ops.extend([conv(2), SpecOp::AddSkip, SpecOp::AddSkip, SpecOp::Relu]);
+        ops.extend([SpecOp::GlobalAvgPool, SpecOp::Linear { out: 3 }]);
+        let spec = net("nested-skips", ops);
+        let (_, model) = lower(&spec, 14);
+        assert_eq!(model.phases[3].inputs, [3, 2, 1]);
+        check_model_matches_fixed(&spec, 14);
     }
 }

@@ -8,15 +8,18 @@
 //! becomes sum pooling with the divisor folded into the next linear layer's
 //! weights, keeping every non-GC op exactly `Z_p`-linear.
 //!
-//! [`QuantNetwork::forward_fixed`] is the bit-exact reference semantics the
-//! two-party protocols must reproduce. [`PiModel`] lowers a quantized
-//! network into DELPHI's alternating structure — one affine matrix per
-//! linear *phase* (everything between two ReLUs, with residual skips as
-//! extra phase inputs) — which is the form the HE offline pass and the
-//! protocol state machines in `pi-core` operate on.
+//! [`QuantOp::step`] defines each op over `Z_p`, once;
+//! [`QuantNetwork::forward_fixed`], a loop over it, is the bit-exact
+//! reference semantics the two-party protocols must reproduce.
+//! [`crate::PiModel`] lowers a quantized network into DELPHI's alternating
+//! structure — one affine matrix per linear *phase* (everything between two
+//! ReLUs, with residual skips as extra phase inputs), read off the same
+//! `step` — which is the form the HE offline pass and the protocol state
+//! machines in `pi-core` operate on.
 
 use crate::network::{Network, Op};
 use crate::spec::Shape;
+use crate::tensor::Tensor;
 use pi_field::Modulus;
 
 /// Fixed-point configuration: field and fractional bits.
@@ -147,6 +150,11 @@ impl QuantNetwork {
         // Scale exponents of stacked skips.
         let mut skip_scales: Vec<u32> = Vec::new();
         let q = |x: f64| config.p.from_signed(x.round() as i64);
+        // Weights at scale `f` (less a pending pool divisor), biases at `2f`.
+        let weights = |w: &Tensor, div: f64| -> Vec<u64> {
+            w.data().iter().map(|&v| q(v * scale / div)).collect()
+        };
+        let biases = |b: &[f64]| -> Vec<u64> { b.iter().map(|&v| q(v * scale2)).collect() };
         for op in &net.ops {
             match op {
                 Op::Conv2d {
@@ -155,17 +163,11 @@ impl QuantNetwork {
                     stride,
                     padding,
                 } => {
-                    let w: Vec<u64> = weight
-                        .data()
-                        .iter()
-                        .map(|&v| q(v * scale / pending_div))
-                        .collect();
-                    let b: Vec<u64> = bias.iter().map(|&v| q(v * scale2)).collect();
                     let s = weight.shape();
                     ops.push(QuantOp::Conv2d {
-                        weight: w,
+                        weight: weights(weight, pending_div),
                         shape: [s[0], s[1], s[2], s[3]],
-                        bias: b,
+                        bias: biases(bias),
                         stride: *stride,
                         padding: *padding,
                     });
@@ -173,17 +175,11 @@ impl QuantNetwork {
                     cur_scale = 2 * config.f;
                 }
                 Op::Linear { weight, bias } => {
-                    let w: Vec<u64> = weight
-                        .data()
-                        .iter()
-                        .map(|&v| q(v * scale / pending_div))
-                        .collect();
-                    let b: Vec<u64> = bias.iter().map(|&v| q(v * scale2)).collect();
                     ops.push(QuantOp::Linear {
-                        weight: w,
+                        weight: weights(weight, pending_div),
                         out: weight.shape()[0],
                         inf: weight.shape()[1],
-                        bias: b,
+                        bias: biases(bias),
                     });
                     pending_div = 1.0;
                     cur_scale = 2 * config.f;
@@ -202,17 +198,10 @@ impl QuantNetwork {
                     ops.push(QuantOp::SumPool2d { k: *k });
                 }
                 Op::GlobalAvgPool => {
-                    // Divisor depends on the spatial size at this point; the
-                    // caller's spec guarantees pools follow convs, so infer
-                    // from shape inference at materialization time instead:
-                    // we recover it during execution — fold happens via the
-                    // recorded divisor below.
+                    // The divisor is the spatial size here, which the
+                    // spec's static shapes give.
+                    pending_div *= global_pool_spatial(net, ops.len()) as f64;
                     ops.push(QuantOp::GlobalSumPool);
-                    // Spatial size is determined during forward; for weight
-                    // folding we need it now. Networks in the zoo always
-                    // have a known static shape, so compute it:
-                    let hw = global_pool_spatial(net, ops.len() - 1);
-                    pending_div *= hw as f64;
                 }
                 Op::Flatten => ops.push(QuantOp::Flatten),
                 Op::SaveSkip => {
@@ -226,15 +215,13 @@ impl QuantNetwork {
                     stride,
                 } => {
                     assert!(pending_div == 1.0, "skip across a pending pool divisor");
-                    let w: Vec<u64> = weight.data().iter().map(|&v| q(v * scale)).collect();
-                    let b: Vec<u64> = bias.iter().map(|&v| q(v * scale2)).collect();
                     skip_scales.push(cur_scale + config.f);
                     ops.push(QuantOp::SaveSkipProj {
-                        weight: w,
+                        weight: weights(weight, 1.0),
                         co: weight.shape()[0],
                         ci: weight.shape()[1],
                         stride: *stride,
-                        bias: b,
+                        bias: biases(bias),
                     });
                 }
                 Op::AddSkip => {
@@ -262,8 +249,9 @@ impl QuantNetwork {
     }
 
     /// Exact fixed-point forward pass over `Z_p` — the reference semantics
-    /// for the private protocols. Input is flattened CHW at scale `f`;
-    /// output is at scale `2f` (after the final linear layer).
+    /// for the private protocols: every op's [`QuantOp::step`], in order.
+    /// Input is flattened CHW at scale `f`; output is at scale `2f` (after
+    /// the final linear layer).
     ///
     /// # Panics
     ///
@@ -271,124 +259,118 @@ impl QuantNetwork {
     pub fn forward_fixed(&self, input: &[u64]) -> Vec<u64> {
         let expect: usize = self.input.iter().product();
         assert_eq!(input.len(), expect, "input length mismatch");
-        let p = self.config.p;
-        let mut x = input.to_vec();
-        let mut shape = Shape::Chw(self.input[0], self.input[1], self.input[2]);
-        let mut skips: Vec<Vec<u64>> = Vec::new();
+        let mut act = Act::new(input.to_vec(), self.input_shape());
         for op in &self.ops {
-            match op {
-                QuantOp::Conv2d {
-                    weight,
-                    shape: ws,
-                    bias,
-                    stride,
-                    padding,
-                } => {
-                    let (c, h, w) = expect_chw(&shape);
-                    let (out, os) =
-                        conv2d_field(&x, c, h, w, weight, *ws, bias, *stride, *padding, p);
-                    x = out;
-                    shape = os;
-                }
-                QuantOp::Linear {
-                    weight,
-                    out,
-                    inf,
-                    bias,
-                } => {
-                    assert_eq!(x.len(), *inf, "linear input mismatch");
-                    let mut y = vec![0u64; *out];
-                    for (o, yo) in y.iter_mut().enumerate() {
-                        let mut acc = bias[o];
-                        for i in 0..*inf {
-                            acc = p.add(acc, p.mul(weight[o * inf + i], x[i]));
-                        }
-                        *yo = acc;
+            op.step(&mut act, self.config.p);
+        }
+        act.x
+    }
+
+    /// Shape of the network input (activation 0).
+    pub fn input_shape(&self) -> Shape {
+        Shape::Chw(self.input[0], self.input[1], self.input[2])
+    }
+}
+
+/// An activation on its way through a [`QuantNetwork`]: what
+/// [`QuantOp::step`] reads and writes.
+#[derive(Clone, Debug)]
+pub struct Act {
+    /// The values, flattened CHW.
+    pub x: Vec<u64>,
+    /// Their shape.
+    pub shape: Shape,
+    /// Skips saved and not yet added, innermost last.
+    pub skips: Vec<Vec<u64>>,
+}
+
+impl Act {
+    /// An activation with nothing on its skip stack.
+    pub fn new(x: Vec<u64>, shape: Shape) -> Self {
+        let skips = Vec::new();
+        Self { x, shape, skips }
+    }
+}
+
+impl QuantOp {
+    /// Applies the op to `act` over `Z_p`: the one definition of every op's
+    /// field semantics. [`QuantNetwork::forward_fixed`] is a loop over it,
+    /// and [`crate::PiModel::lower`] reads each linear phase's matrix off
+    /// it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `act` does not have the shape the op reads, or an
+    /// [`QuantOp::AddSkip`] finds the skip stack empty.
+    pub fn step(&self, act: &mut Act, p: Modulus) {
+        match self {
+            QuantOp::Conv2d {
+                weight,
+                shape,
+                bias,
+                stride,
+                padding,
+            } => {
+                (act.x, act.shape) = conv2d_field(
+                    &act.x, &act.shape, weight, *shape, bias, *stride, *padding, p,
+                );
+            }
+            QuantOp::Linear {
+                weight,
+                out,
+                inf,
+                bias,
+            } => {
+                assert_eq!(act.x.len(), *inf, "linear input mismatch");
+                // Column by column, skipping zero inputs: a basis vector —
+                // what lowering feeds through here — costs one column, not
+                // the matrix.
+                let mut y = bias.clone();
+                for (i, &xi) in act.x.iter().enumerate().filter(|&(_, &xi)| xi != 0) {
+                    let column = weight[i..].iter().step_by(*inf);
+                    for (yo, &w) in y.iter_mut().zip(column) {
+                        *yo = p.add(*yo, p.mul(w, xi));
                     }
-                    x = y;
-                    shape = Shape::Flat(*out);
                 }
-                QuantOp::ReluTrunc { shift } => {
-                    for v in &mut x {
-                        *v = relu_trunc_field(*v, *shift, p);
-                    }
+                (act.x, act.shape) = (y, Shape::Flat(*out));
+            }
+            QuantOp::ReluTrunc { shift } => {
+                for v in &mut act.x {
+                    *v = relu_trunc_field(*v, *shift, p);
                 }
-                QuantOp::SumPool2d { k } => {
-                    let (c, h, w) = expect_chw(&shape);
-                    let (oh, ow) = (h / k, w / k);
-                    let mut y = vec![0u64; c * oh * ow];
-                    for ci in 0..c {
-                        for yy in 0..oh {
-                            for xx in 0..ow {
-                                let mut acc = 0u64;
-                                for dy in 0..*k {
-                                    for dx in 0..*k {
-                                        acc =
-                                            p.add(acc, x[(ci * h + yy * k + dy) * w + xx * k + dx]);
-                                    }
-                                }
-                                y[(ci * oh + yy) * ow + xx] = acc;
-                            }
-                        }
-                    }
-                    x = y;
-                    shape = Shape::Chw(c, oh, ow);
-                }
-                QuantOp::GlobalSumPool => {
-                    let (c, h, w) = expect_chw(&shape);
-                    let mut y = vec![0u64; c];
-                    for ci in 0..c {
-                        let mut acc = 0u64;
-                        for i in 0..h * w {
-                            acc = p.add(acc, x[ci * h * w + i]);
-                        }
-                        y[ci] = acc;
-                    }
-                    x = y;
-                    shape = Shape::Flat(c);
-                }
-                QuantOp::Flatten => shape = Shape::Flat(x.len()),
-                QuantOp::SaveSkip => skips.push(x.clone()),
-                QuantOp::SaveSkipProj {
-                    weight,
-                    co,
-                    ci,
-                    stride,
-                    bias,
-                } => {
-                    let (c, h, w) = expect_chw(&shape);
-                    assert_eq!(c, *ci);
-                    let (oh, ow) = (h.div_ceil(*stride), w.div_ceil(*stride));
-                    let mut y = vec![0u64; co * oh * ow];
-                    for o in 0..*co {
-                        for yy in 0..oh {
-                            for xx in 0..ow {
-                                let mut acc = bias[o];
-                                for c_in in 0..*ci {
-                                    acc = p.add(
-                                        acc,
-                                        p.mul(
-                                            weight[o * ci + c_in],
-                                            x[(c_in * h + yy * stride) * w + xx * stride],
-                                        ),
-                                    );
-                                }
-                                y[(o * oh + yy) * ow + xx] = acc;
-                            }
-                        }
-                    }
-                    skips.push(y);
-                }
-                QuantOp::AddSkip { scale_shift } => {
-                    let skip = skips.pop().expect("balanced skips");
-                    let mult = p.reduce(1u64 << *scale_shift);
-                    for (a, &b) in x.iter_mut().zip(&skip) {
-                        *a = p.add(*a, p.mul(b, mult));
-                    }
+            }
+            QuantOp::SumPool2d { k } => {
+                let (c, h, w) = expect_chw(&act.shape);
+                act.x = sum_pool(&act.x, (c, h, w), (*k, *k), p);
+                act.shape = Shape::Chw(c, h / k, w / k);
+            }
+            QuantOp::GlobalSumPool => {
+                let (c, h, w) = expect_chw(&act.shape);
+                act.x = sum_pool(&act.x, (c, h, w), (h, w), p);
+                act.shape = Shape::Flat(c);
+            }
+            QuantOp::Flatten => act.shape = Shape::Flat(act.x.len()),
+            QuantOp::SaveSkip => act.skips.push(act.x.clone()),
+            QuantOp::SaveSkipProj {
+                weight,
+                co,
+                ci,
+                stride,
+                bias,
+            } => {
+                // A 1×1 strided convolution without padding.
+                let ws = [*co, *ci, 1, 1];
+                let (skip, _) = conv2d_field(&act.x, &act.shape, weight, ws, bias, *stride, 0, p);
+                act.skips.push(skip);
+            }
+            QuantOp::AddSkip { scale_shift } => {
+                let skip = act.skips.pop().expect("balanced skips");
+                let mult = p.reduce(1u64 << *scale_shift);
+                for (a, &b) in act.x.iter_mut().zip(&skip) {
+                    *a = p.add(*a, p.mul(b, mult));
                 }
             }
         }
-        x
     }
 }
 
@@ -404,19 +386,37 @@ pub fn relu_trunc_field(v: u64, shift: u32, p: Modulus) -> u64 {
     }
 }
 
-pub(crate) fn expect_chw(s: &Shape) -> (usize, usize, usize) {
+fn expect_chw(s: &Shape) -> (usize, usize, usize) {
     match *s {
         Shape::Chw(c, h, w) => (c, h, w),
         Shape::Flat(_) => panic!("expected CHW activation"),
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn conv2d_field(
+/// Sums every `kh × kw` window (stride = window) of each channel.
+fn sum_pool(
     x: &[u64],
-    ci: usize,
-    h: usize,
-    w: usize,
+    (c, h, w): (usize, usize, usize),
+    (kh, kw): (usize, usize),
+    p: Modulus,
+) -> Vec<u64> {
+    let (oh, ow) = (h / kh, w / kw);
+    let mut y = vec![0u64; c * oh * ow];
+    for (o, yo) in y.iter_mut().enumerate() {
+        let (ci, yy, xx) = (o / (oh * ow), o / ow % oh, o % ow);
+        for dy in 0..kh {
+            for dx in 0..kw {
+                *yo = p.add(*yo, x[(ci * h + yy * kh + dy) * w + xx * kw + dx]);
+            }
+        }
+    }
+    y
+}
+
+#[allow(clippy::too_many_arguments)]
+fn conv2d_field(
+    x: &[u64],
+    shape: &Shape,
     weight: &[u64],
     ws: [usize; 4],
     bias: &[u64],
@@ -424,7 +424,7 @@ pub(crate) fn conv2d_field(
     padding: usize,
     p: Modulus,
 ) -> (Vec<u64>, Shape) {
-    let [co, wci, k, _] = ws;
+    let ((ci, h, w), [co, wci, k, _]) = (expect_chw(shape), ws);
     assert_eq!(ci, wci, "channel mismatch");
     let oh = (h + 2 * padding - k) / stride + 1;
     let ow = (w + 2 * padding - k) / stride + 1;
@@ -453,27 +453,20 @@ pub(crate) fn conv2d_field(
     (out, Shape::Chw(co, oh, ow))
 }
 
-/// Recovers the spatial size (`h·w`) at the position of a `GlobalAvgPool`
-/// in the original network via shape inference.
+/// Spatial size (`h·w`) of the activation op `op_index` reads, by the
+/// spec's shape inference.
 fn global_pool_spatial(net: &Network, op_index: usize) -> usize {
-    let shapes = net
-        .spec
-        .infer_shapes()
-        .expect("materialized networks are shape-valid");
-    if op_index == 0 {
-        return net.spec.input[1] * net.spec.input[2];
-    }
-    match shapes[op_index - 1] {
-        Shape::Chw(_, h, w) => h * w,
-        Shape::Flat(_) => panic!("global pool on flat tensor"),
-    }
+    let shapes = (net.spec.infer_shapes()).expect("materialized networks are shape-valid");
+    let [c, h, w] = net.spec.input;
+    let before = op_index.checked_sub(1).map(|i| expect_chw(&shapes[i]));
+    let (_, h, w) = before.unwrap_or((c, h, w));
+    h * w
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::spec::NetSpec;
-    use crate::tensor::Tensor;
     use crate::zoo;
     use rand::SeedableRng;
 

@@ -175,7 +175,6 @@ fn key_table_eviction_forces_reupload_and_stays_correct() {
         workers: 2,
         table_budget_bytes: 1,
         table_shards: 1,
-        ..Default::default()
     });
     let model_id = rt.register_model(model.clone(), cfg.clone());
     let meta = ModelMeta::of(&model);
@@ -711,6 +710,16 @@ fn shorten(m: &mut Msg, _: u64) {
     }
 }
 
+/// One more of what the message already carries: a zero word, or its first
+/// ciphertext frame again.
+fn lengthen(m: &mut Msg, _: u64) {
+    match m {
+        Msg::VecU64(v) => v.push(0),
+        Msg::HeCts(frames) => frames.push(frames[0].clone()),
+        other => panic!("no lengthening for {}", other.kind()),
+    }
+}
+
 /// The base-OT point the sweeps corrupt: the message's only one, or one
 /// key in the middle of a choice.
 fn point(m: &mut Msg) -> &mut [u8; 32] {
@@ -827,6 +836,7 @@ fn malformed_client_messages_are_bad_requests_and_the_worker_survives() {
     let masked_input = meta.phases.len(); // follows one r_cat per phase
     let both = [
         case("r_cat out of range", "VecU64", 0, unreduced),
+        case("r_cat a word too long", "VecU64", 1, lengthen),
         case(
             "masked input out of range",
             "VecU64",
@@ -1209,6 +1219,35 @@ fn malformed_server_messages_are_bad_requests_to_the_client() {
     }
 }
 
+/// A `HeCts` carries one ciphertext frame, in both directions: a second one
+/// is a `BadRequest` to whichever party receives it, not a frame silently
+/// dropped.
+#[test]
+fn a_second_ciphertext_frame_is_a_bad_request_to_either_party() {
+    let he = BfvParams::small_test();
+    let model = Arc::new(build_model(&he, 11));
+    let cfg = ProtocolConfig::server_garbler(he);
+    let (_, tamper) = case("a second frame", "HeCts", 1, lengthen);
+    let (ran, served) = tampered_sync_run(&model, &cfg, (Dir::Up, tamper), "upload");
+    assert!(
+        matches!(served, Err(ProtocolError::BadRequest(_))),
+        "upload: {served:?}"
+    );
+    assert!(
+        matches!(ran, Err(ProtocolError::Channel(_))),
+        "upload: {ran:?}"
+    );
+    let (ran, served) = tampered_sync_run(&model, &cfg, (Dir::Down, tamper), "response");
+    assert!(
+        matches!(ran, Err(ProtocolError::BadRequest(_))),
+        "response: {ran:?}"
+    );
+    assert!(
+        !matches!(served, Err(ProtocolError::BadRequest(_))),
+        "response: {served:?}"
+    );
+}
+
 /// A peer's point with a small-order component — the honest one plus the
 /// point of order 2 — decodes, being on the curve and of large order, and
 /// changes nothing where it is only ever multiplied (`PK_0`, `r·G`): every
@@ -1349,7 +1388,6 @@ fn ot_table_eviction_reruns_base_ot_and_stays_correct() {
             workers: 2,
             table_budget_bytes: 1,
             table_shards: 1,
-            ..Default::default()
         });
         let model_id = rt.register_model(model.clone(), cfg.clone());
         let mut clients = [ServiceClient::new(), ServiceClient::new()];
