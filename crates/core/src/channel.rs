@@ -11,11 +11,11 @@
 //! * [`local_pair`] — the classic two-thread deployment: one dedicated
 //!   channel pair per inference, each side blocking on its own receiver.
 //! * [`service_pair`] — the serving-runtime shape: the client keeps a
-//!   private downlink receiver, but its uplink is **tagged** with a session
-//!   id and multiplexed onto the runtime's shared ingress channel
-//!   ([`SessionPacket`]), so one dispatcher drains every client. Dropping
-//!   the client endpoint enqueues a [`ClientEvent::Gone`] packet, which is
-//!   how the server learns a peer disconnected mid-protocol.
+//!   private downlink receiver, but its uplink is a function of the
+//!   runtime's ([`Uplink`]) that files each [`ClientEvent`] with the
+//!   session it belongs to, on the sending thread. Dropping the client
+//!   endpoint files a [`ClientEvent::Gone`], which is how the server
+//!   learns a peer disconnected mid-protocol.
 //!
 //! Disconnects are **errors, not panics**: [`Channel::send`] /
 //! [`Channel::recv`] return [`ChannelError::Disconnected`] so a dropped
@@ -51,24 +51,26 @@ pub enum ClientEvent {
     Gone,
 }
 
-/// One tagged uplink packet on the serving runtime's shared ingress
-/// channel: which session it belongs to, and what happened.
-#[derive(Debug)]
-pub struct SessionPacket {
-    /// Session the event belongs to.
-    pub sid: u64,
-    /// The event.
-    pub event: ClientEvent,
-}
+/// The uplink of a [`service_pair`]: delivers one event of one client to
+/// its session, in call order. `Err` means the serving side is gone.
+pub type Uplink = Box<dyn Fn(ClientEvent) -> Result<(), ChannelError> + Send + Sync>;
 
-/// Where a [`ChannelTx`] delivers: a dedicated peer link or a
-/// session-tagged uplink into a shared ingress channel.
-#[derive(Debug)]
+/// Where a [`ChannelTx`] delivers: a dedicated peer link or a serving
+/// runtime's uplink.
 enum Link {
     /// Dedicated link ([`local_pair`], and every downlink).
     Direct(Sender<Msg>),
-    /// Tagged multiplexed link ([`service_pair`] uplink); drop sends `Gone`.
-    Tagged { tx: Sender<SessionPacket>, sid: u64 },
+    /// A [`service_pair`] uplink; drop files `Gone`.
+    Service(Uplink),
+}
+
+impl std::fmt::Debug for Link {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            Link::Direct(_) => "Direct",
+            Link::Service(_) => "Service",
+        })
+    }
 }
 
 /// The counted sending half of an endpoint: every [`Channel`] contains one,
@@ -104,12 +106,7 @@ impl ChannelTx {
         self.sent_bytes.fetch_add(len, Ordering::Relaxed);
         match &self.link {
             Link::Direct(tx) => tx.send(msg).map_err(|_| ChannelError::Disconnected),
-            Link::Tagged { tx, sid } => tx
-                .send(SessionPacket {
-                    sid: *sid,
-                    event: ClientEvent::Msg(msg),
-                })
-                .map_err(|_| ChannelError::Disconnected),
+            Link::Service(uplink) => uplink(ClientEvent::Msg(msg)),
         }
     }
 
@@ -121,13 +118,10 @@ impl ChannelTx {
 
 impl Drop for ChannelTx {
     fn drop(&mut self) {
-        if let Link::Tagged { tx, sid } = &self.link {
+        if let Link::Service(uplink) = &self.link {
             // Best-effort: if the runtime is already gone there is nobody
             // left to notify.
-            let _ = tx.send(SessionPacket {
-                sid: *sid,
-                event: ClientEvent::Gone,
-            });
+            let _ = uplink(ClientEvent::Gone);
         }
     }
 }
@@ -156,17 +150,17 @@ pub fn local_pair() -> (Channel, Channel) {
 }
 
 /// Creates the serving-runtime endpoints for one session: the client's
-/// [`Channel`] (uplink tagged with `sid` onto `ingress`, private downlink)
-/// and the server's downlink [`ChannelTx`] (its receive side is the
-/// runtime's shared ingress).
+/// [`Channel`] (everything it sends goes through `uplink`, private
+/// downlink) and the server's downlink [`ChannelTx`] (its receive side is
+/// whatever `uplink` feeds).
 ///
 /// Uplink byte accounting lives in the client channel's sender, downlink
 /// accounting in the returned one — together they give the same per-side
 /// upload/download split as a [`local_pair`].
-pub fn service_pair(sid: u64, ingress: Sender<SessionPacket>) -> (Channel, ChannelTx) {
+pub fn service_pair(uplink: Uplink) -> (Channel, ChannelTx) {
     let (down_tx, down_rx) = unbounded();
     let client = Channel {
-        tx: ChannelTx::new(Link::Tagged { tx: ingress, sid }),
+        tx: ChannelTx::new(Link::Service(uplink)),
         rx: down_rx,
     };
     (client, ChannelTx::new(Link::Direct(down_tx)))
@@ -201,7 +195,7 @@ impl Channel {
     /// Whether this is the client end of a [`service_pair`]: the server's
     /// first message on such a channel is its [`Msg::KeyStatus`] preamble.
     pub fn is_service(&self) -> bool {
-        matches!(self.tx.link, Link::Tagged { .. })
+        matches!(self.tx.link, Link::Service(_))
     }
 }
 
@@ -246,19 +240,20 @@ mod tests {
 
     #[test]
     fn service_pair_tags_and_signals_gone() {
-        let (ingress_tx, ingress_rx) = unbounded();
-        let (client, server_tx) = service_pair(42, ingress_tx);
+        let (events_tx, events_rx) = unbounded();
+        let (client, server_tx) = service_pair(Box::new(move |event| {
+            events_tx
+                .send(event)
+                .map_err(|_| ChannelError::Disconnected)
+        }));
         client.send(Msg::VecU64(vec![5])).unwrap();
-        let pkt = ingress_rx.recv().unwrap();
-        assert_eq!(pkt.sid, 42);
-        assert!(matches!(pkt.event, ClientEvent::Msg(Msg::VecU64(ref v)) if v == &vec![5]));
+        let event = events_rx.recv().unwrap();
+        assert!(matches!(event, ClientEvent::Msg(Msg::VecU64(ref v)) if v == &vec![5]));
         server_tx.send(Msg::VecU64(vec![6])).unwrap();
         assert!(matches!(client.recv().unwrap(), Msg::VecU64(v) if v == vec![6]));
         assert_eq!(server_tx.bytes_sent(), 8 + 8);
         drop(client);
-        let pkt = ingress_rx.recv().unwrap();
-        assert_eq!(pkt.sid, 42);
-        assert!(matches!(pkt.event, ClientEvent::Gone));
+        assert!(matches!(events_rx.recv().unwrap(), ClientEvent::Gone));
         // With the client gone, the downlink reports the disconnect.
         assert_eq!(
             server_tx.send(Msg::VecU64(vec![7])),

@@ -1,21 +1,16 @@
-//! Skew-aware cross-request batching of offline HE matvecs.
+//! Cross-request batching of offline HE matvecs.
 //!
 //! Sessions of the same model stall on the same per-phase
 //! [`BsgsDiagonals`](pi_he::linalg::BsgsDiagonals) pass, so the runtime
 //! fuses them: jobs queue per `(model, phase)` key and a batch worker
 //! drains the **deepest** queue first (the hash-join-style adaptation —
 //! spend the shared-operand pass where it amortizes over the most
-//! requests). Admission is skew-aware in two ways:
-//!
-//! * batch width is capped ([`MAX_BATCH`]) so one backlogged model cannot
-//!   monopolize a worker for an unbounded stretch, and the fused pass's
-//!   working set (one hoisted ciphertext + baby set per admitted job)
-//!   stays within a predictable byte envelope;
-//! * within a key, admission round-robins across *sessions*
-//!   ([`SESSION_CAP`] jobs per session per batch), so a straggler uploading
-//!   many phases cannot starve a session that just arrived with one.
-//!
-//! Leftover jobs keep their queue position; nothing is dropped.
+//! requests). Batch width is capped ([`MAX_BATCH`]) so one backlogged model
+//! cannot monopolize a worker for an unbounded stretch, and the fused
+//! pass's working set (one hoisted ciphertext + baby set per admitted job)
+//! stays within a predictable byte envelope. A session files one job per
+//! phase, so no queue ever holds two jobs of one session and a batch is
+//! simply the front of its queue; jobs past the cap keep their position.
 
 use super::session::MatvecJob;
 use std::collections::{HashMap, VecDeque};
@@ -41,11 +36,6 @@ pub(crate) struct Batch {
 /// workload ever ran another value.
 const MAX_BATCH: usize = 8;
 
-/// Maximum jobs one session contributes to a single batch, so a session
-/// that uploaded many phases cannot starve one that just arrived. A
-/// constant for the reason [`MAX_BATCH`] is.
-const SESSION_CAP: usize = 2;
-
 #[derive(Default)]
 pub(crate) struct Batcher {
     queues: parking_lot::Mutex<HashMap<(usize, usize), VecDeque<Pending>>>,
@@ -63,41 +53,17 @@ impl Batcher {
         }
     }
 
-    /// Admits the next batch: deepest `(model, phase)` queue first, at most
-    /// [`MAX_BATCH`] jobs, at most [`SESSION_CAP`] per session (skipped jobs
-    /// keep their position). Returns `None` when nothing is queued.
+    /// Admits the next batch: the front of the deepest `(model, phase)`
+    /// queue, at most [`MAX_BATCH`] jobs. Returns `None` when nothing is
+    /// queued.
     pub(crate) fn take_batch(&self) -> Option<Batch> {
         let mut queues = self.queues.lock();
-        let key = *queues
-            .iter()
-            .filter(|(_, q)| !q.is_empty())
-            .max_by_key(|(_, q)| q.len())?
-            .0;
-        let q = queues.get_mut(&key).expect("key just found");
-        let mut taken: Vec<Pending> = Vec::new();
-        let mut kept: VecDeque<Pending> = VecDeque::new();
-        let mut per_sid: HashMap<u64, usize> = HashMap::new();
-        while let Some(p) = q.pop_front() {
-            let n = per_sid.entry(p.sid).or_insert(0);
-            if taken.len() < MAX_BATCH && *n < SESSION_CAP {
-                *n += 1;
-                taken.push(p);
-            } else {
-                kept.push_back(p);
-            }
-        }
-        *q = kept;
+        let (&(model, phase), q) = queues.iter_mut().max_by_key(|(_, q)| q.len())?;
+        let jobs: Vec<Pending> = q.drain(..q.len().min(MAX_BATCH)).collect();
         if q.is_empty() {
-            queues.remove(&key);
+            queues.remove(&(model, phase));
         }
-        if taken.is_empty() {
-            return None;
-        }
-        Some(Batch {
-            model: key.0,
-            phase: key.1,
-            jobs: taken,
-        })
+        Some(Batch { model, phase, jobs })
     }
 }
 

@@ -1,158 +1,108 @@
-//! Work-stealing executor for the serving runtime.
+//! The serving runtime's worker pool: a fixed set of threads on one shared
+//! FIFO run queue.
 //!
-//! The pool is built from the workspace's own channel substrate (no new
-//! dependencies): a shared **injector** channel doubles as the blocking
-//! wake mechanism, and each worker owns a **local deque** it pushes
-//! follow-on work to (a session pump scheduling the matvec batch it just
-//! enqueued, say). Locality keeps a session's cache-warm follow-up on the
-//! worker that produced it; whenever a worker stacks local work, it posts
-//! a `Steal` token to the injector so an idle worker wakes and takes the
-//! oldest local task from whoever has one. Independent sessions therefore
-//! fill each other's stalls: while one worker grinds a garbling or a fused
-//! matvec batch, the rest drain every other session's inbox.
+//! Every task — a session pump, a batch drain — goes through the same
+//! channel, whoever submits it, and an idle worker blocks on that channel:
+//! while one worker grinds a garbling or a fused matvec batch, the rest
+//! drain every other session's inbox. No task ever waits on another task,
+//! so the pool is correct at any width, one worker included.
 //!
 //! The workers are a fixed set of threads, so `pi-he`'s thread-local
 //! key-switch scratch is one warm set per worker however sessions migrate
 //! between them.
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use std::cell::Cell;
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use crossbeam::channel::{unbounded, Sender};
 
 /// A unit of work.
 pub(crate) type Task = Box<dyn FnOnce() + Send + 'static>;
 
-enum Injected {
-    /// A task submitted from outside the pool.
-    Task(Task),
-    /// A worker stacked local work; wake up and steal it.
-    Steal,
-    /// Shutdown notice (one per worker).
-    Stop,
-}
-
-static EXEC_IDS: AtomicU64 = AtomicU64::new(1);
-
-thread_local! {
-    /// (executor id, worker index) when running on a pool thread.
-    static WORKER: Cell<(u64, usize)> = const { Cell::new((0, 0)) };
-}
-
-struct ExecInner {
-    id: u64,
-    tx: Sender<Injected>,
-    locals: Vec<parking_lot::Mutex<VecDeque<Task>>>,
-    stopping: AtomicBool,
-}
-
-/// The pool handle. Dropping it stops the workers after their in-flight
-/// tasks finish; queued tasks are discarded.
+/// The pool handle. Dropping it closes the run queue: the workers run what
+/// is already queued, then exit, and the drop joins them.
 pub(crate) struct Executor {
-    inner: Arc<ExecInner>,
+    // `None` only inside `drop`, which must close the queue before it joins.
+    tx: Option<Sender<Task>>,
     handles: Vec<std::thread::JoinHandle<()>>,
 }
 
 /// Resolves the worker count: an explicit non-zero request wins, then the
 /// `PI_WORKERS` environment variable, then the machine's parallelism.
-pub fn resolve_workers(requested: usize) -> usize {
+///
+/// # Panics
+///
+/// Panics if `PI_WORKERS` is set to anything but a positive integer.
+pub(super) fn resolve_workers(requested: usize) -> usize {
     if requested > 0 {
         return requested;
     }
-    if let Ok(v) = std::env::var("PI_WORKERS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
+    workers_from_env(std::env::var("PI_WORKERS").ok().as_deref())
+}
+
+/// [`resolve_workers`] below an explicit request, on the value of
+/// `PI_WORKERS` (`None` when unset).
+fn workers_from_env(value: Option<&str>) -> usize {
+    let Some(v) = value else {
+        return std::thread::available_parallelism().map_or(1, |n| n.get());
+    };
+    match v.trim().parse::<usize>() {
+        Ok(n) if n > 0 => n,
+        _ => panic!("PI_WORKERS must be a positive integer, got {v:?}"),
     }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
 }
 
 impl Executor {
     /// Spawns `workers` threads.
     pub(crate) fn new(workers: usize) -> Self {
-        let workers = workers.max(1);
-        let (tx, rx) = unbounded::<Injected>();
-        let inner = Arc::new(ExecInner {
-            id: EXEC_IDS.fetch_add(1, Ordering::Relaxed),
-            tx,
-            locals: (0..workers)
-                .map(|_| parking_lot::Mutex::new(VecDeque::new()))
-                .collect(),
-            stopping: AtomicBool::new(false),
-        });
-        let handles = (0..workers)
+        let (tx, rx) = unbounded::<Task>();
+        let handles = (0..workers.max(1))
             .map(|w| {
-                let inner = inner.clone();
                 let rx = rx.clone();
                 std::thread::Builder::new()
                     .name(format!("pi-serve-{w}"))
-                    .spawn(move || worker_loop(w, inner, rx))
+                    .spawn(move || {
+                        while let Ok(task) = rx.recv() {
+                            task();
+                        }
+                    })
                     .expect("spawn serve worker")
             })
             .collect();
-        Self { inner, handles }
+        Self {
+            tx: Some(tx),
+            handles,
+        }
     }
 
-    /// Submits a task. From a pool thread it lands on that worker's local
-    /// deque (with a steal token so an idle sibling can take it); from
-    /// outside it goes through the shared injector.
+    /// Queues a task behind everything already submitted.
     pub(crate) fn spawn(&self, task: Task) {
-        let (exec_id, w) = WORKER.with(|c| c.get());
-        if exec_id == self.inner.id {
-            self.inner.locals[w].lock().push_back(task);
-            let _ = self.inner.tx.send(Injected::Steal);
-        } else {
-            let _ = self.inner.tx.send(Injected::Task(task));
-        }
+        let tx = self.tx.as_ref().expect("queue open until drop");
+        // The workers hold the receiver for as long as `self` exists.
+        let _ = tx.send(task);
     }
 }
 
 impl Drop for Executor {
     fn drop(&mut self) {
-        self.inner.stopping.store(true, Ordering::SeqCst);
-        for _ in 0..self.handles.len() {
-            let _ = self.inner.tx.send(Injected::Stop);
-        }
+        self.tx = None;
         for h in self.handles.drain(..) {
             let _ = h.join();
         }
     }
 }
 
-fn worker_loop(me: usize, inner: Arc<ExecInner>, rx: Receiver<Injected>) {
-    WORKER.with(|c| c.set((inner.id, me)));
-    loop {
-        // Own work first: newest-first locality is deliberately *not* used —
-        // FIFO keeps per-session event order intuitive in traces.
-        let local = inner.locals[me].lock().pop_front();
-        if let Some(task) = local {
-            task();
-            continue;
-        }
-        match rx.recv() {
-            Ok(Injected::Task(task)) => task(),
-            Ok(Injected::Steal) => {
-                // Oldest-first steal from the first sibling with work,
-                // scanning from our right neighbour for spread.
-                let n = inner.locals.len();
-                for off in 1..=n {
-                    let victim = (me + off) % n;
-                    let stolen = inner.locals[victim].lock().pop_front();
-                    if let Some(task) = stolen {
-                        task();
-                        break;
-                    }
-                }
-            }
-            Ok(Injected::Stop) | Err(_) => break,
-        }
-        if inner.stopping.load(Ordering::SeqCst) {
-            break;
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn pi_workers_is_a_positive_integer_or_a_panic() {
+        assert_eq!(workers_from_env(Some("4")), 4);
+        assert_eq!(workers_from_env(Some(" 3\n")), 3);
+        assert!(workers_from_env(None) >= 1);
+        for bad in ["0", "", "four", "-1", "2.5"] {
+            let err = std::panic::catch_unwind(|| workers_from_env(Some(bad)))
+                .expect_err("a malformed PI_WORKERS must panic");
+            let msg = err.downcast_ref::<String>().expect("panic message");
+            assert!(msg.contains(&format!("{bad:?}")), "{bad:?}: {msg}");
         }
     }
 }

@@ -11,8 +11,8 @@
 //!   order, wrong shape, unreduced values, a disconnect — is a typed
 //!   [`ProtocolError`] that aborts exactly one session; the worker and
 //!   every neighbouring session carry on.
-//! * **Session tables** — sharded, byte-budgeted LRUs ([`ShardedLru`]),
-//!   one each for every client's uploaded rotation keys ([`ClientHeKeys`],
+//! * **Session tables** — byte-budgeted LRUs ([`ByteLru`]), one each for
+//!   every client's uploaded rotation keys ([`ClientHeKeys`],
 //!   keyed by client and key plan — a set is only ever used for a model it
 //!   was admitted for, and models with one plan share it), every client
 //!   pair's post-base-OT IKNP state ([`ClientOtState`], keyed by client and
@@ -23,7 +23,7 @@
 //!   base OT again, on its next request, driven by the [`Msg::KeyStatus`]
 //!   handshake. Evicted precomputations are rebuilt on demand from the
 //!   weights. A key upload makes its room *before* it is decoded
-//!   ([`ShardedLru::make_room`], once its headers are the model's plan),
+//!   ([`ByteLru::make_room`], once its headers are the model's plan),
 //!   and is decoded into the victim's memory when no session holds that
 //!   any more: a full key table turns over in place, so the memory a
 //!   churning runtime holds is its budget's, not a function of which
@@ -38,20 +38,24 @@
 //!   lost its half while the server still holds the other is refused
 //!   (`BadRequest` on the client) until the entry is evicted — as with HE
 //!   keys.
-//! * **Work-stealing executor** — session pumps and batch work run on a
-//!   fixed pool; a worker that stacks follow-on work posts a steal token so
-//!   idle workers take the oldest task from whoever has one. One dispatcher
-//!   thread drains the shared client ingress and never touches session
-//!   bodies, so slow session compute cannot stall message intake.
+//! * **One run queue** — session pumps and batch drains are tasks on a
+//!   fixed pool of workers sharing one FIFO (`executor.rs`); those workers
+//!   are the only threads the runtime owns.
+//! * **Uplinks that file their own events** — a client's send (or the drop
+//!   of its endpoint) pushes the event onto its session's inbox and
+//!   schedules the session's pump, on the client's thread. It never touches
+//!   a session body, so slow session compute cannot stall message intake,
+//!   and it holds the runtime weakly, so a dropped runtime hangs up on
+//!   every live client.
 //! * **Cross-request batching** — sessions stalled on the offline HE
-//!   matvec enqueue their jobs with the skew-aware batcher (`batch.rs`);
-//!   workers drain the deepest `(model, phase)` queue first and fuse the
-//!   whole batch through one pass over the shared diagonal operands
-//!   ([`session::compute_matvec_batch`]), preserving per-client operation
-//!   order so results stay bit-identical to sequential runs.
+//!   matvec enqueue their jobs with the batcher (`batch.rs`); workers drain
+//!   the deepest `(model, phase)` queue first and fuse the whole batch
+//!   through one pass over the shared diagonal operands
+//!   ([`pi_he::linalg::matvec_precomputed_many`]), preserving per-client
+//!   operation order so results stay bit-identical to sequential runs.
 //!
 //! Concurrency discipline per session slot: the *inbox* lock is the only
-//! one the dispatcher takes (always short); the *body* lock serializes the
+//! one an uplink takes (always short); the *body* lock serializes the
 //! actual protocol compute and is only contended when a pump is already
 //! running — which the `scheduled` flag prevents. Per-session traces cover
 //! the session-serial work; time spent in fused cross-session batches is
@@ -64,10 +68,9 @@ mod batch;
 mod executor;
 mod table;
 
-pub use executor::resolve_workers;
-pub use table::{ShardedLru, TableStats};
+pub use table::{ByteLru, TableStats};
 
-use crate::channel::{service_pair, Channel, ChannelError, ChannelTx, ClientEvent, SessionPacket};
+use crate::channel::{service_pair, Channel, ChannelError, ChannelTx, ClientEvent};
 use crate::common::{
     ClientHeKeys, ClientOtState, ModelMeta, PartyOutcome, ProtocolConfig, ProtocolKind,
     ServerPrecomp,
@@ -76,19 +79,15 @@ use crate::error::ProtocolError;
 use crate::msg::Msg;
 use batch::Batcher;
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use executor::Executor;
+use executor::{resolve_workers, Executor};
 use pi_he::Ciphertext;
 use pi_nn::PiModel;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use session::{MatvecJob, ServerSession, SessionCtx, Step};
+use session::{ServerSession, SessionCtx, Step};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Sentinel session id the runtime uses to stop its own dispatcher; real
-/// session ids count up from zero.
-const SHUTDOWN_SID: u64 = u64::MAX;
 
 /// Serving-runtime configuration.
 #[derive(Clone, Debug)]
@@ -98,8 +97,6 @@ pub struct ServeConfig {
     /// Byte budget of each session table (client keys; client-pair OT
     /// state; model precomps), enforced across the whole table.
     pub table_budget_bytes: u64,
-    /// Lock stripes per session table.
-    pub table_shards: usize,
 }
 
 impl Default for ServeConfig {
@@ -107,7 +104,6 @@ impl Default for ServeConfig {
         Self {
             workers: 0,
             table_budget_bytes: 256 << 20,
-            table_shards: 8,
         }
     }
 }
@@ -145,8 +141,8 @@ struct SlotBody {
     trace: pi_trace::TraceReport,
 }
 
-/// One live session: lock discipline is inbox ≺ body, and the dispatcher
-/// only ever takes the inbox lock.
+/// One live session: lock discipline is inbox ≺ body, and an uplink only
+/// ever takes the inbox lock.
 struct Slot {
     sid: u64,
     model_id: usize,
@@ -160,12 +156,11 @@ struct Inner {
     models: parking_lot::Mutex<Vec<Arc<ModelEntry>>>,
     slots: parking_lot::Mutex<HashMap<u64, Arc<Slot>>>,
     next_sid: AtomicU64,
-    keys_table: ShardedLru<(u64, Vec<(usize, u32)>), ClientHeKeys>,
-    ot_table: ShardedLru<(u64, ProtocolKind), ClientOtState>,
-    precomp_table: ShardedLru<usize, ServerPrecomp>,
+    keys_table: ByteLru<(u64, Vec<(usize, u32)>), ClientHeKeys>,
+    ot_table: ByteLru<(u64, ProtocolKind), ClientOtState>,
+    precomp_table: ByteLru<usize, ServerPrecomp>,
     batcher: Batcher,
     agg_trace: parking_lot::Mutex<pi_trace::TraceReport>,
-    ingress_tx: Sender<SessionPacket>,
     // Behind an Option so `Drop` can take and join the pool on the runtime
     // thread — if the executor died with the last `Arc<Inner>` inside one
     // of its own tasks, it would join itself.
@@ -175,10 +170,10 @@ struct Inner {
 
 /// The concurrent serving runtime. See the module docs for the moving
 /// parts; the lifecycle is `new` → `register_model` → any number of
-/// concurrent `connect`s → drop (stops the dispatcher and joins workers).
+/// concurrent `connect`s → drop (joins the workers and hangs up on every
+/// session still live).
 pub struct ServeRuntime {
     inner: Arc<Inner>,
-    dispatcher: Option<std::thread::JoinHandle<()>>,
 }
 
 /// The client half of one serving-runtime session.
@@ -211,35 +206,27 @@ impl SessionHandle {
 }
 
 impl ServeRuntime {
-    /// Starts the runtime: spawns the worker pool and the ingress
-    /// dispatcher.
+    /// Starts the runtime: spawns the worker pool.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.workers` is 0 and `PI_WORKERS` is set to anything
+    /// but a positive integer.
     pub fn new(cfg: ServeConfig) -> Self {
         let workers = resolve_workers(cfg.workers);
-        let (ingress_tx, ingress_rx) = unbounded::<SessionPacket>();
         let inner = Arc::new(Inner {
             models: parking_lot::Mutex::new(Vec::new()),
             slots: parking_lot::Mutex::new(HashMap::new()),
             next_sid: AtomicU64::new(0),
-            keys_table: ShardedLru::new(cfg.table_shards, cfg.table_budget_bytes),
-            ot_table: ShardedLru::new(cfg.table_shards, cfg.table_budget_bytes),
-            precomp_table: ShardedLru::new(cfg.table_shards, cfg.table_budget_bytes),
+            keys_table: ByteLru::new(cfg.table_budget_bytes),
+            ot_table: ByteLru::new(cfg.table_budget_bytes),
+            precomp_table: ByteLru::new(cfg.table_budget_bytes),
             batcher: Batcher::default(),
             agg_trace: parking_lot::Mutex::new(pi_trace::TraceReport::default()),
-            ingress_tx,
             exec: parking_lot::Mutex::new(Some(Executor::new(workers))),
             workers,
         });
-        let dispatcher = {
-            let inner = inner.clone();
-            std::thread::Builder::new()
-                .name("pi-serve-dispatch".into())
-                .spawn(move || dispatcher_loop(&inner, &ingress_rx))
-                .expect("spawn serve dispatcher")
-        };
-        Self {
-            inner,
-            dispatcher: Some(dispatcher),
-        }
+        Self { inner }
     }
 
     /// Registers a model to serve and returns its id. The offline-linear
@@ -274,7 +261,24 @@ impl ServeRuntime {
         let inner = &self.inner;
         let entry = inner.models.lock()[model_id].clone();
         let sid = inner.next_sid.fetch_add(1, Ordering::Relaxed);
-        let (chan, tx) = service_pair(sid, inner.ingress_tx.clone());
+        // The uplink holds the runtime weakly: a strong reference would keep
+        // the slot's downlink sender alive after the runtime is dropped, and
+        // the client's `recv` would wait forever.
+        let runtime = Arc::downgrade(inner);
+        let (chan, tx) = service_pair(Box::new(move |event| {
+            let inner = runtime.upgrade().ok_or(ChannelError::Disconnected)?;
+            // An event for a finished (removed) session is dropped: the
+            // slot is gone, there is nobody to misbehave against.
+            let slot = inner.slots.lock().get(&sid).cloned();
+            if let Some(slot) = slot {
+                let event = match event {
+                    ClientEvent::Msg(m) => SlotEvent::Msg(m),
+                    ClientEvent::Gone => SlotEvent::Gone,
+                };
+                enqueue(&inner, &slot, event);
+            }
+            Ok(())
+        }));
         let cached = (entry.cfg.he())
             .and_then(|_| inner.keys_table.get(&(client_id, entry.key_plan.clone())));
         let cached_ot = inner.ot_table.get(&(client_id, entry.cfg.kind));
@@ -348,34 +352,10 @@ impl ServeRuntime {
 
 impl Drop for ServeRuntime {
     fn drop(&mut self) {
-        let _ = self.inner.ingress_tx.send(SessionPacket {
-            sid: SHUTDOWN_SID,
-            event: ClientEvent::Gone,
-        });
-        if let Some(h) = self.dispatcher.take() {
-            let _ = h.join();
-        }
         // Take the pool out from under the shared state, then join it with
         // no lock held (see the field comment on `Inner::exec`).
         let exec = self.inner.exec.lock().take();
         drop(exec);
-    }
-}
-
-fn dispatcher_loop(inner: &Arc<Inner>, ingress_rx: &Receiver<SessionPacket>) {
-    while let Ok(pkt) = ingress_rx.recv() {
-        if pkt.sid == SHUTDOWN_SID {
-            break;
-        }
-        // A packet for a finished (removed) session is dropped: the slot is
-        // gone, there is nobody to misbehave against.
-        let slot = inner.slots.lock().get(&pkt.sid).cloned();
-        let Some(slot) = slot else { continue };
-        let event = match pkt.event {
-            ClientEvent::Msg(m) => SlotEvent::Msg(m),
-            ClientEvent::Gone => SlotEvent::Gone,
-        };
-        enqueue(inner, &slot, event);
     }
 }
 
@@ -403,8 +383,8 @@ fn schedule(inner: &Arc<Inner>, slot: &Arc<Slot>) {
 }
 
 /// Advances one session as far as its inbox allows. Holds the body lock for
-/// the whole pump — the dispatcher never takes it, so intake stays live
-/// while this session grinds garbling or evaluation.
+/// the whole pump — no uplink ever takes it, so intake stays live while
+/// this session grinds garbling or evaluation.
 fn pump(inner: &Arc<Inner>, slot: &Arc<Slot>) {
     let mut body = slot.body.lock();
     let trace_scope = pi_trace::begin_local();
@@ -523,8 +503,10 @@ fn drain_batches(inner: &Arc<Inner>) {
         let trace_scope = pi_trace::begin_local();
         let prods = {
             let _span = pi_trace::span!("offline.he");
-            let jobs: Vec<&MatvecJob> = batch.jobs.iter().map(|p| &p.job).collect();
-            session::compute_matvec_batch(&jobs, &diagonals[batch.phase])
+            let pairs: Vec<_> = (batch.jobs.iter())
+                .map(|p| (p.job.keys.galois(), &p.job.ct))
+                .collect();
+            pi_he::linalg::matvec_precomputed_many(&pairs, &diagonals[batch.phase])
         };
         inner.agg_trace.lock().merge(&trace_scope.finish());
         for (pending, prod) in batch.jobs.iter().zip(prods) {
@@ -556,18 +538,22 @@ mod tests {
     use pi_ot::ext::{OtExtSender, SenderSetup, KAPPA};
     use std::sync::Barrier;
 
-    /// Concurrent `connect`s of one client reserve pairwise disjoint ranges
-    /// of the pair's IKNP streams, back to back, and each session announces
-    /// the one it got.
-    #[test]
-    fn concurrent_connects_reserve_disjoint_stream_ranges() {
+    fn tiny_model() -> PiModel {
         let fx = FixedConfig {
             p: pi_he::BfvParams::small_test().t(),
             f: 5,
         };
         let mut rng = StdRng::seed_from_u64(1);
         let net = Network::materialize(&zoo::tiny_cnn(), &mut rng);
-        let model = PiModel::lower(&QuantNetwork::quantize(&net, fx));
+        PiModel::lower(&QuantNetwork::quantize(&net, fx))
+    }
+
+    /// Concurrent `connect`s of one client reserve pairwise disjoint ranges
+    /// of the pair's IKNP streams, back to back, and each session announces
+    /// the one it got.
+    #[test]
+    fn concurrent_connects_reserve_disjoint_stream_ranges() {
+        let model = tiny_model();
         let kind = ProtocolKind::ServerGarbler;
         let blocks = crate::ModelMeta::of(&model).ot_blocks(kind);
         assert!(blocks > 1);
@@ -609,5 +595,30 @@ mod tests {
         let expect: Vec<u64> = (1..=sessions).map(|i| i * blocks).collect();
         assert_eq!(bases, expect);
         assert_eq!(kept.reserve(0), (sessions + 1) * blocks);
+    }
+
+    /// A client mid-session when the runtime is dropped is hung up on, in
+    /// both directions, and its handle resolves: nothing the client holds
+    /// keeps the runtime's half of the session alive.
+    #[test]
+    fn dropping_the_runtime_hangs_up_on_a_live_session() {
+        let rt = ServeRuntime::new(ServeConfig {
+            workers: 2,
+            ..Default::default()
+        });
+        let cfg = ProtocolConfig::clear(ProtocolKind::ServerGarbler);
+        let model_id = rt.register_model(tiny_model(), cfg);
+        let ClientConn { chan, handle } = rt.connect(0, model_id, 0);
+        assert!(matches!(chan.recv(), Ok(Msg::KeyStatus { .. })));
+        drop(rt);
+        assert!(matches!(chan.recv(), Err(ChannelError::Disconnected)));
+        assert_eq!(
+            chan.send(Msg::VecU64(Vec::new())),
+            Err(ChannelError::Disconnected)
+        );
+        assert!(matches!(
+            handle.wait(),
+            Err(ProtocolError::Channel(ChannelError::Disconnected))
+        ));
     }
 }

@@ -14,7 +14,7 @@
 //! * [`ServerSession::on_matvec_done`] resumes a session stalled on the
 //!   heavy HE matvec ([`Step::NeedMatvec`]), which the caller services —
 //!   inline with layer-parallel threads in [`drive_sync`], or batched
-//!   across sessions by the runtime's skew-aware batcher.
+//!   across sessions by the runtime's batcher.
 //!
 //! **State-machine contract.** Every state owns what consuming its one
 //! expected message needs — the half-received phase, the OT in flight, the
@@ -46,7 +46,7 @@ use crate::role::{
     decode_outputs, encode, BaseReceiver, BaseSender, Garbler, LabelRequest, OtStream, PhaseTables,
 };
 use pi_gc::Label;
-use pi_he::linalg::{self, BsgsDiagonals};
+use pi_he::linalg;
 use pi_he::{BatchEncoder, BfvParams, Ciphertext};
 use pi_nn::PiModel;
 use pi_ot::ext::OtExtReceiver;
@@ -749,14 +749,4 @@ pub fn compute_matvec_jobs(
     let mut done = done.into_inner();
     done.sort_by_key(|&(phase, _)| phase);
     Ok(done)
-}
-
-/// Batched variant for the serving runtime: every job in `batch` multiplies
-/// against the same per-model diagonals for one phase, sharing a single
-/// pass over the operands ([`linalg::matvec_precomputed_many`]). Per-job
-/// results are bit-identical to [`compute_matvec_jobs`].
-pub fn compute_matvec_batch(batch: &[&MatvecJob], diagonals: &BsgsDiagonals) -> Vec<Ciphertext> {
-    let pairs: Vec<(&pi_he::GaloisKeys, &Ciphertext)> =
-        batch.iter().map(|j| (j.keys.galois(), &j.ct)).collect();
-    linalg::matvec_precomputed_many(&pairs, diagonals)
 }

@@ -1,28 +1,24 @@
-//! Sharded, byte-budgeted LRU cache — the serving runtime's session table.
+//! Byte-budgeted LRU cache — the serving runtime's session table.
 //!
 //! The expensive per-client state a shared server wants to keep between
 //! requests (a client's uploaded HE keys, a client pair's post-base-OT
 //! IKNP state, a model's encoded diagonals) is large: a single client's
-//! Galois keys run to tens of megabytes. The table
-//! meters admission by **bytes, not entries**, and the budget is the whole
-//! table's: once it is exceeded, the least-recently-used entries go,
-//! whichever shard holds them. Shards (key-hash modulo shard count) are
-//! lock stripes only — they keep the lock a worker grabs on the request
-//! path short and uncontended, and own no slice of the budget, so an entry
-//! larger than `budget / shards` is an entry like any other.
+//! Galois keys run to tens of megabytes. The table meters admission by
+//! **bytes, not entries**: once the budget is exceeded, the
+//! least-recently-used entries go. One lock guards the map, the byte count
+//! and the recency clock; a request takes it a handful of times, each for
+//! a hash lookup or — on an insert that overflows — one scan per victim.
 //!
 //! Values are handed out as `Arc`s: eviction drops the table's reference
 //! only, so sessions already holding an entry are never invalidated
 //! mid-protocol — an evicted client simply re-uploads, or runs base OT
 //! again, on its *next* request (the [`crate::msg::Msg::KeyStatus`]
 //! handshake). An inserter whose value is large can ask for its room first
-//! ([`ShardedLru::make_room`]) and build the value in a victim nobody else
+//! ([`ByteLru::make_room`]) and build the value in a victim nobody else
 //! holds, instead of freeing one allocation and making another like it.
 
-use std::collections::hash_map::{self, DefaultHasher};
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::hash::Hash;
 use std::sync::Arc;
 
 /// Monotonic counters describing table behaviour, for tests and reports.
@@ -38,99 +34,101 @@ pub struct TableStats {
     pub evictions: u64,
 }
 
-#[derive(Default)]
-struct StatCells {
-    hits: AtomicU64,
-    misses: AtomicU64,
-    inserts: AtomicU64,
-    evictions: AtomicU64,
-}
-
 struct Entry<V> {
     value: Arc<V>,
     bytes: u64,
     last_used: u64,
 }
 
-type Shard<K, V> = HashMap<K, Entry<V>>;
-
-/// A sharded LRU map bounded by a total byte budget.
-pub struct ShardedLru<K, V> {
-    shards: Vec<parking_lot::Mutex<Shard<K, V>>>,
-    budget: u64,
-    /// Bytes resident across all shards.
-    used_bytes: AtomicU64,
-    /// Recency clock shared by all shards, so "least recently used" is a
-    /// table-wide order.
-    clock: AtomicU64,
-    stats: StatCells,
+struct State<K, V> {
+    map: HashMap<K, Entry<V>>,
+    used_bytes: u64,
+    /// Recency clock: every hit and every insert takes the next tick.
+    clock: u64,
+    stats: TableStats,
 }
 
-impl<K: Hash + Eq + Clone, V> ShardedLru<K, V> {
-    /// Creates a table of `shards` lock stripes under one budget of
-    /// `budget_bytes`. Shard counts are clamped to at least 1.
-    pub fn new(shards: usize, budget_bytes: u64) -> Self {
-        Self {
-            shards: (0..shards.max(1))
-                .map(|_| parking_lot::Mutex::new(HashMap::new()))
-                .collect(),
-            budget: budget_bytes,
-            used_bytes: AtomicU64::new(0),
-            clock: AtomicU64::new(0),
-            stats: StatCells::default(),
+/// An LRU map bounded by a total byte budget.
+pub struct ByteLru<K, V> {
+    budget: u64,
+    state: parking_lot::Mutex<State<K, V>>,
+}
+
+impl<K: Hash + Eq + Clone, V> State<K, V> {
+    /// Takes out the least-recently-used entries, `keep` excepted, until at
+    /// most `limit` bytes are resident; returns them oldest first.
+    fn evict_down_to(&mut self, limit: u64, keep: Option<&K>) -> Vec<Arc<V>> {
+        let mut evicted = Vec::new();
+        while self.used_bytes > limit {
+            let others = self.map.iter().filter(|(k, _)| Some(*k) != keep);
+            let Some((victim, _)) = others.min_by_key(|(_, e)| e.last_used) else {
+                break;
+            };
+            let victim = victim.clone();
+            let e = self.map.remove(&victim).expect("just found");
+            self.used_bytes -= e.bytes;
+            self.stats.evictions += 1;
+            evicted.push(e.value);
         }
+        evicted
     }
+}
 
-    fn shard_of(&self, key: &K) -> &parking_lot::Mutex<Shard<K, V>> {
-        let mut h = DefaultHasher::new();
-        key.hash(&mut h);
-        &self.shards[(h.finish() as usize) % self.shards.len()]
-    }
-
-    fn tick(&self) -> u64 {
-        self.clock.fetch_add(1, Ordering::Relaxed)
+impl<K: Hash + Eq + Clone, V> ByteLru<K, V> {
+    /// Creates an empty table under a budget of `budget_bytes`.
+    pub fn new(budget_bytes: u64) -> Self {
+        Self {
+            budget: budget_bytes,
+            state: parking_lot::Mutex::new(State {
+                map: HashMap::new(),
+                used_bytes: 0,
+                clock: 0,
+                stats: TableStats::default(),
+            }),
+        }
     }
 
     /// Looks up `key`, refreshing its recency on a hit.
     pub fn get(&self, key: &K) -> Option<Arc<V>> {
-        let mut shard = self.shard_of(key).lock();
-        match shard.get_mut(key) {
+        let state = &mut *self.state.lock();
+        match state.map.get_mut(key) {
             Some(e) => {
-                e.last_used = self.tick();
-                self.stats.hits.fetch_add(1, Ordering::Relaxed);
+                state.clock += 1;
+                e.last_used = state.clock;
+                state.stats.hits += 1;
                 Some(e.value.clone())
             }
             None => {
-                self.stats.misses.fetch_add(1, Ordering::Relaxed);
+                state.stats.misses += 1;
                 None
             }
         }
     }
 
-    /// Inserts (or replaces) `key`, then evicts the table's
-    /// least-recently-used entries, whichever shard holds them, until the
-    /// table fits its budget again. The entry just inserted is exempt from
-    /// its own eviction pass — an entry larger than the whole budget still
-    /// serves its session, it just won't survive the next insert.
+    /// Inserts (or replaces) `key`, then evicts the least-recently-used
+    /// entries until the table fits its budget again. The entry just
+    /// inserted is exempt from its own eviction pass — an entry larger than
+    /// the whole budget still serves its session, it just won't survive the
+    /// next insert.
     pub fn insert(&self, key: K, value: Arc<V>, bytes: u64) {
+        let mut state = self.state.lock();
+        state.clock += 1;
         let entry = Entry {
             value,
             bytes,
-            last_used: self.tick(),
+            last_used: state.clock,
         };
-        {
-            // `used_bytes` moves under the lock of the shard whose entry it
-            // accounts for, so an entry is never subtracted before it was
-            // added.
-            let mut shard = self.shard_of(&key).lock();
-            let replaced = shard.insert(key.clone(), entry);
-            self.used_bytes.fetch_add(bytes, Ordering::Relaxed);
-            if let Some(old) = replaced {
-                self.used_bytes.fetch_sub(old.bytes, Ordering::Relaxed);
-            }
+        let replaced = state.map.insert(key.clone(), entry);
+        if let Some(old) = &replaced {
+            state.used_bytes -= old.bytes;
         }
-        self.stats.inserts.fetch_add(1, Ordering::Relaxed);
-        self.evict_down_to(self.budget, Some(&key));
+        state.used_bytes += bytes;
+        state.stats.inserts += 1;
+        let evicted = state.evict_down_to(self.budget, Some(&key));
+        // Whatever a replaced entry and the victims free, they free with
+        // the lock released.
+        drop(state);
+        drop((replaced, evicted));
     }
 
     /// Evicts least-recently-used entries until `bytes` more would fit the
@@ -139,54 +137,18 @@ impl<K: Hash + Eq + Clone, V> ShardedLru<K, V> {
     /// builds its value can build it in the memory of a victim nobody else
     /// holds ([`Arc::into_inner`]), so a full table turns over in place.
     pub fn make_room(&self, bytes: u64) -> Vec<Arc<V>> {
-        self.evict_down_to(self.budget.saturating_sub(bytes), None)
+        let limit = self.budget.saturating_sub(bytes);
+        self.state.lock().evict_down_to(limit, None)
     }
 
-    /// Takes out the table's least-recently-used entries, whichever shard
-    /// holds them and `keep` excepted, until at most `limit` bytes are
-    /// resident.
-    fn evict_down_to(&self, limit: u64, keep: Option<&K>) -> Vec<Arc<V>> {
-        let mut evicted = Vec::new();
-        // One shard lock at a time: pick the oldest entry, then take it out
-        // if a concurrent `get` has not refreshed it since.
-        while self.used_bytes.load(Ordering::Relaxed) > limit {
-            let oldest = (self.shards.iter())
-                .filter_map(|shard| {
-                    let shard = shard.lock();
-                    let others = shard.iter().filter(|(k, _)| Some(*k) != keep);
-                    let (k, e) = others.min_by_key(|(_, e)| e.last_used)?;
-                    Some((e.last_used, k.clone()))
-                })
-                .min_by_key(|(last_used, _)| *last_used);
-            let Some((last_used, victim)) = oldest else {
-                break;
-            };
-            let mut shard = self.shard_of(&victim).lock();
-            if let hash_map::Entry::Occupied(e) = shard.entry(victim) {
-                if e.get().last_used == last_used {
-                    let e = e.remove();
-                    self.used_bytes.fetch_sub(e.bytes, Ordering::Relaxed);
-                    self.stats.evictions.fetch_add(1, Ordering::Relaxed);
-                    evicted.push(e.value);
-                }
-            }
-        }
-        evicted
-    }
-
-    /// Total bytes currently resident across shards.
+    /// Total bytes currently resident.
     pub fn used_bytes(&self) -> u64 {
-        self.used_bytes.load(Ordering::Relaxed)
+        self.state.lock().used_bytes
     }
 
     /// Snapshot of the hit/miss/insert/eviction counters.
     pub fn stats(&self) -> TableStats {
-        TableStats {
-            hits: self.stats.hits.load(Ordering::Relaxed),
-            misses: self.stats.misses.load(Ordering::Relaxed),
-            inserts: self.stats.inserts.load(Ordering::Relaxed),
-            evictions: self.stats.evictions.load(Ordering::Relaxed),
-        }
+        self.state.lock().stats
     }
 }
 
@@ -196,7 +158,7 @@ mod tests {
 
     #[test]
     fn lru_evicts_by_bytes_not_count() {
-        let t: ShardedLru<u64, &'static str> = ShardedLru::new(1, 100);
+        let t: ByteLru<u64, &'static str> = ByteLru::new(100);
         t.insert(1, Arc::new("a"), 40);
         t.insert(2, Arc::new("b"), 40);
         assert!(t.get(&1).is_some());
@@ -213,11 +175,9 @@ mod tests {
 
     #[test]
     fn budget_holds_across_shards_for_entries_over_a_shard_slice() {
-        // 8 stripes, entries of 40 against a budget of 100: each is larger
-        // than budget / shards, and any two of them share a stripe only by
-        // chance. The table must still hold at most two, and the two most
-        // recently used.
-        let t: ShardedLru<u64, u64> = ShardedLru::new(8, 100);
+        // Entries of 40 against a budget of 100: the table holds at most
+        // two of them, and the two most recently used.
+        let t: ByteLru<u64, u64> = ByteLru::new(100);
         for k in 0..20u64 {
             t.insert(k, Arc::new(k), 40);
             assert!(
@@ -232,7 +192,7 @@ mod tests {
         // Replacing an entry re-meters it instead of counting it twice.
         t.insert(19, Arc::new(0), 10);
         assert_eq!(t.used_bytes(), 50);
-        // A `get` refreshes recency table-wide: 18 survives 19.
+        // A `get` refreshes recency: 18 survives 19.
         assert!(t.get(&18).is_some());
         t.insert(20, Arc::new(0), 60);
         assert!(t.get(&19).is_none());
@@ -242,7 +202,7 @@ mod tests {
 
     #[test]
     fn make_room_evicts_what_the_insert_would_and_hands_it_over() {
-        let t: ShardedLru<u64, u64> = ShardedLru::new(4, 100);
+        let t: ByteLru<u64, u64> = ByteLru::new(100);
         for k in 0..2u64 {
             t.insert(k, Arc::new(k), 40);
         }
@@ -266,7 +226,7 @@ mod tests {
 
     #[test]
     fn oversized_entry_still_admitted() {
-        let t: ShardedLru<u64, u8> = ShardedLru::new(1, 10);
+        let t: ByteLru<u64, u8> = ByteLru::new(10);
         t.insert(7, Arc::new(0), 1000);
         assert!(t.get(&7).is_some(), "oversized entries serve their session");
         t.insert(8, Arc::new(1), 5);

@@ -116,11 +116,10 @@ pub fn rotation_element(n: usize, k: usize) -> usize {
 
 /// Scratch buffers for the key-switch hot paths: gadget digit buffers and
 /// a coefficient-form staging buffer. Every rotation (hoisted or not)
-/// borrows these instead of allocating `digits × n` words per call. (The
-/// permutation target that used to live here is gone: rotations now fold
-/// the Galois permutation into the gather of
-/// `NttTables::dyadic_mul_acc_shoup_gather2`, so no permuted copy is ever
-/// materialized.)
+/// borrows these instead of allocating `digits × n` words per call. There
+/// is no permutation target: rotations fold the Galois permutation into
+/// the gather of `NttTables::dyadic_mul_acc_shoup_gather2`, so no permuted
+/// copy is ever materialized.
 #[derive(Default)]
 struct KsScratch {
     coeff: Vec<u64>,

@@ -11,8 +11,9 @@
 //!   via a CRT/NTT encoding, exactly the layout rotations act on.
 //! * [`Ciphertext`] — additions, plaintext multiplication, and slot
 //!   rotations; everything DELPHI's offline phase (`E(w·r − s)`) needs.
-//! * [`linalg`] — Halevi–Shoup diagonal-method matrix-vector products and
-//!   im2col-based convolution over packed ciphertexts.
+//! * [`linalg`] — Halevi–Shoup diagonal-method matrix-vector products
+//!   over packed ciphertexts (hoisted baby-step/giant-step), and the
+//!   rotation-key plan they need.
 //! * [`wire`] — the byte frames the protocol ships: ciphertexts, public keys
 //!   and Galois key sets, bit-packed and seed-expanded, behind readers that
 //!   return a typed [`WireError`] on anything a peer can send.

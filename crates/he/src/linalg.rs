@@ -1,10 +1,11 @@
 //! Encrypted linear algebra: the Gazelle/DELPHI offline workhorse.
 //!
-//! The server holds a plaintext matrix `W` (a fully-connected layer, or a
-//! convolution lowered to a matrix via im2col) and an encryption of the
-//! client's random vector `r`. It computes `E(W·r)` with the Halevi–Shoup
-//! diagonal method over SIMD slots, then subtracts its own random share `s`
-//! to produce `E(W·r − s)` — the client's additive share of the layer.
+//! The server holds a plaintext matrix `W` (one linear phase of the model,
+//! convolutions included, lowered to a dense matrix by the caller) and an
+//! encryption of the client's random vector `r`. It computes `E(W·r)` with
+//! the Halevi–Shoup diagonal method over SIMD slots, then subtracts its own
+//! random share `s` to produce `E(W·r − s)` — the client's additive share
+//! of the layer.
 //!
 //! # Hoisted baby-step/giant-step (the hot path)
 //!

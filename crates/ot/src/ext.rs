@@ -327,12 +327,6 @@ impl OtExtReceiver {
     }
 }
 
-/// Communication cost of one extended OT in bytes (the `u` column bits
-/// amortized per transfer, plus the two masked labels), used by `pi-sim`.
-pub fn bytes_per_extended_ot() -> usize {
-    KAPPA / 8 + 32
-}
-
 /// The seed bool-matrix implementation, retained bit for bit as the
 /// differential oracle for the packed hot path. Every function here
 /// produces/consumes the *same* message types as the packed path (columns

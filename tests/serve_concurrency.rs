@@ -6,7 +6,7 @@
 //! the malformed-shape sweeps, the key upload's among them (nothing a peer
 //! sends panics a party).
 
-use pi_core::channel::{local_pair, service_pair, Channel, ClientEvent, SessionPacket};
+use pi_core::channel::{local_pair, service_pair, Channel, ChannelError, ClientEvent};
 use pi_core::common::ClientHeKeys;
 use pi_core::msg::Msg;
 use pi_core::serve::session::drive_sync;
@@ -90,10 +90,15 @@ fn concurrent_clients_match_reference_clear_both_kinds() {
 fn concurrent_clients_match_reference_he_client_garbler() {
     let he = BfvParams::small_test();
     let model = build_model(&he, 11);
-    let rt = ServeRuntime::new(serve_cfg(4));
-    run_concurrent_clients(&rt, &model, &ProtocolConfig::client_garbler(he, 1), 3);
-    // Three distinct clients uploaded keys; the fused matvec batches ran.
-    assert_eq!(rt.key_table_stats().inserts, 3);
+    // One worker too: every pump and every batch drain then take turns on
+    // one thread, and a task that waited on one queued behind it would hang.
+    for workers in [1, 4] {
+        let rt = ServeRuntime::new(serve_cfg(workers));
+        let cfg = ProtocolConfig::client_garbler(he.clone(), 1);
+        run_concurrent_clients(&rt, &model, &cfg, 3);
+        // Three distinct clients uploaded keys; the fused matvec batches ran.
+        assert_eq!(rt.key_table_stats().inserts, 3, "{workers} workers");
+    }
 }
 
 #[test]
@@ -174,7 +179,6 @@ fn key_table_eviction_forces_reupload_and_stays_correct() {
     let rt = ServeRuntime::new(ServeConfig {
         workers: 2,
         table_budget_bytes: 1,
-        table_shards: 1,
     });
     let model_id = rt.register_model(model.clone(), cfg.clone());
     let meta = ModelMeta::of(&model);
@@ -228,7 +232,6 @@ fn a_full_key_table_turns_over_in_place_and_stays_correct() {
     let rt = ServeRuntime::new(ServeConfig {
         workers: 2,
         table_budget_bytes: 2 * set + set / 2,
-        ..Default::default()
     });
     let model_id = rt.register_model(model.clone(), cfg.clone());
     for c in 0..5u64 {
@@ -586,19 +589,18 @@ fn relayed_request(
 ) -> (Relayed, ServiceClient) {
     let conn = rt.connect(client_id, model_id, 2_000 + client_id);
     let (session, handle) = (Arc::new(conn.chan), conn.handle);
-    let (ingress_tx, ingress_rx) = crossbeam::channel::unbounded::<SessionPacket>();
-    let (c_chan, to_client) = service_pair(0, ingress_tx);
+    let (events_tx, events_rx) = crossbeam::channel::unbounded::<ClientEvent>();
+    let (c_chan, to_client) = service_pair(Box::new(move |event| {
+        let sent = events_tx.send(event);
+        sent.map_err(|_| ChannelError::Disconnected)
+    }));
     let p = meta.p.value();
     let on = |dir| tamper.filter(|(d, _)| *d == dir).map(|(_, t)| (t, p));
     let up = std::thread::spawn({
         let (session, mut tap) = (session.clone(), Tap::new(on(Dir::Up)));
         move || {
-            // A `Gone` packet (the client hung up) ends the loop too.
-            while let Ok(SessionPacket {
-                event: ClientEvent::Msg(mut m),
-                ..
-            }) = ingress_rx.recv()
-            {
+            // A `Gone` event (the client hung up) ends the loop too.
+            while let Ok(ClientEvent::Msg(mut m)) = events_rx.recv() {
                 let last = tap.pass(&mut m);
                 if session.send(m).is_err() || last {
                     break;
@@ -1387,7 +1389,6 @@ fn ot_table_eviction_reruns_base_ot_and_stays_correct() {
         let rt = ServeRuntime::new(ServeConfig {
             workers: 2,
             table_budget_bytes: 1,
-            table_shards: 1,
         });
         let model_id = rt.register_model(model.clone(), cfg.clone());
         let mut clients = [ServiceClient::new(), ServiceClient::new()];
