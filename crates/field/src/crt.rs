@@ -268,6 +268,9 @@ impl CrtBasis {
             assert_eq!(col.len(), n, "residue columns must have equal length");
         }
         let be = crate::simd::backend();
+        // A fork on purpose, not a `Scalar` arm behind `garner_step`: the
+        // oracle side is a different algorithm (per-coefficient `compose`,
+        // no digit columns), and both sides belong to the RNS stack.
         if !be.is_vector() {
             let mut residues = vec![0u64; k];
             return (0..n)

@@ -19,7 +19,8 @@
 //!   NEON on aarch64, the same kernels at scalar `u64` lanes
 //!   elsewhere) for the Shoup/lazy hot loops and the batched Garner
 //!   composition, behind runtime detection and a `PI_SIMD` toggle; the
-//!   scalar path above stays canonical and is the differential oracle.
+//!   element-at-a-time loops are one more backend there, written against
+//!   [`Modulus`] alone, and serve as the differential oracle.
 //! * [`bignum`] — [`U1024`], the fixed-width 1024-bit unsigned integer
 //!   behind the CRT composition and decode rounding of the RNS layers above.
 //!

@@ -13,9 +13,10 @@
 //! Every function here is `unsafe` with one shared contract: the CPU
 //! supports the instruction set of `V` (discharged by `dispatch!`, which
 //! checks detection before entering the `#[target_feature]` wrapper the
-//! kernel is inlined into), and the slice geometry asserted by the safe
+//! kernel is inlined into), and the slice geometry established by the safe
 //! wrapper in `mod.rs` holds — equal operand lengths, a stage stride that
-//! is a multiple of `V::W`. All memory accesses go through `V::load`/
+//! is a multiple of `V::W` (the wrapper's `stage_backend` sends every
+//! other stride to `scalar.rs`). All memory accesses go through `V::load`/
 //! `V::store` on sub-slices at least `V::W` long under those conditions.
 #![allow(unsafe_code)]
 

@@ -35,12 +35,15 @@
 //!   no target feature themselves — they fold into the entry point (the
 //!   `memchr` `Vector` idiom).
 //!
-//! [`SimdBackend::Scalar`] is a sentinel for the canonical scalar path in
-//! `pi-poly`'s NTT engine (the differential-test oracle); when it is
-//! selected, callers run their original element-at-a-time loops and the
-//! kernels here are never entered.
+//! [`SimdBackend::Scalar`] is the differential-test oracle, and it lives
+//! here too: `scalar.rs` holds the canonical element-at-a-time Harvey
+//! butterflies and pointwise loops, safe code written against
+//! [`Modulus`]'s word operations and never against `Lanes`, so it shares no
+//! arithmetic with the kernels it checks. `dispatch!` routes to it like to
+//! any other backend — a caller passes [`backend`]'s answer to a wrapper
+//! and never asks which one it got.
 //!
-//! Every backend computes the *identical* sequence of wrapping u64
+//! Every lane backend computes the *identical* sequence of wrapping u64
 //! operations — by construction, since the sequence is written once — so
 //! results agree with the scalar engine **bit for bit**, including
 //! unreduced lazy-domain representatives; the `ntt_simd_differential`
@@ -51,10 +54,11 @@
 //!
 //! All `unsafe` lives in this module tree. The safe wrappers below are the
 //! whole safety argument: each asserts its slice geometry (equal operand
-//! lengths; for stages the stride/length relation; for the blocked
+//! lengths; for stages `a.len() == 2·m·t` and `m` twiddles; for the blocked
 //! permutes that every source block lies inside `src` and every pattern
-//! byte is `< 8`) and `dispatch!` verifies the CPU feature, before any
-//! generic kernel runs its unchecked register loads and stores.
+//! byte is `< 8`), `stage_backend` hands a lane backend only the strides
+//! its registers divide, and `dispatch!` verifies the CPU feature, before
+//! any generic kernel runs its unchecked register loads and stores.
 //!
 //! One rule for ISA files: an `asm!` operand of class `ymm_reg`/`zmm_reg`
 //! is accepted only inside a function that itself carries the target
@@ -75,28 +79,32 @@
 //! and one `vpermq` per block; the other ISAs pick lanes out of the block's
 //! single cache line and keep the lane arithmetic vectorized. `src` must
 //! not overlap the destination (enforced by the borrows at the wrapper
-//! signatures). Rings with `n < 8` have no blocked table; their callers in
-//! `pi-poly` run the scalar index loop.
+//! signatures). Rings with `n < 8` have no blocked table, so the scalar
+//! form of these three is the caller's walk over the full index table
+//! (`pi_poly::GaloisPerm`), not a loop in `scalar.rs`; under `Scalar` the
+//! wrappers here run the block schedule at `u64` lanes.
 //!
 //! # Lazy-range invariants per kernel
 //!
 //! With `q < 2^62` every value in `[0, 4q)` fits a `u64` (see the
 //! `modulus` module docs):
 //!
-//! | kernel                    | inputs                    | outputs    |
-//! |---------------------------|---------------------------|------------|
-//! | [`forward_stage`]         | `[0, 4q)`                 | `[0, 4q)`  |
-//! | [`inverse_stage`]         | `[0, 2q)`                 | `[0, 2q)`  |
-//! | [`inverse_last_stage`]    | `[0, 2q)`                 | `[0, q)`   |
-//! | [`reduce_4q`]             | `[0, 4q)`                 | `[0, q)`   |
-//! | [`dyadic_mul_shoup`]      | `a` any u64, op reduced   | `[0, q)`   |
-//! | [`dyadic_mul_acc_shoup`]  | acc `[0, 2q)`, `a` any    | `[0, 2q)`  |
-//! | [`dyadic_mul`]            | both `[0, q)`             | `[0, q)`   |
-//! | [`dyadic_mul_acc`]        | all `[0, q)`              | `[0, q)`   |
-//! | [`permute8`]              | any u64                   | unchanged  |
-//! | [`permute8_add_lazy`]     | acc, src `[0, 2q)`        | `[0, 2q)`  |
-//! | [`permute8_mul_acc_shoup2`] | acc `[0, 2q)`, src any  | `[0, 2q)`  |
-//! | [`garner_step`]           | v `[0, q)`, t `[0, q)`    | `[0, q)`   |
+//! | kernel                    | inputs                    | outputs    | stride    |
+//! |---------------------------|---------------------------|------------|-----------|
+//! | [`forward_stage`]         | `[0, 4q)`                 | `[0, 4q)`  | `t ≥ 1`   |
+//! | [`inverse_stage`]         | `[0, 2q)`                 | `[0, 2q)`  | `t ≥ 1`   |
+//! | [`inverse_last_stage`]    | `[0, 2q)`                 | `[0, q)`   | `len/2 ≥ 1` |
+//! | [`reduce_4q`]             | `[0, 4q)`                 | `[0, q)`   |           |
+//! | [`dyadic_mul_shoup`]      | `a` any u64, op reduced   | `[0, q)`   |           |
+//! | [`dyadic_mul_acc_shoup`]  | acc `[0, 2q)`, `a` any    | `[0, 2q)`  |           |
+//! | [`dyadic_mul`]            | both `[0, q)`             | `[0, q)`   |           |
+//! | [`dyadic_mul_acc`]        | all `[0, q)`              | `[0, q)`   |           |
+//! | [`permute8`]              | any u64                   | unchanged  |           |
+//! | [`permute8_add_lazy`]     | acc, src `[0, 2q)`        | `[0, 2q)`  |           |
+//! | [`permute8_mul_acc_shoup2`] | acc `[0, 2q)`, src any  | `[0, 2q)`  |           |
+//! | [`garner_step`]           | v `[0, q)`, t `[0, q)`    | `[0, q)`   |           |
+//!
+//! The `_many` forms take the stride of their single-column kernel.
 //!
 //! The butterfly kernels implement exactly the Harvey formulation from
 //! `pi-poly`: the forward stage conditionally subtracts `2q` from the upper
@@ -126,11 +134,14 @@
 //! the portable backend, which is how the non-AVX2 code path is built and
 //! tested on every CI run.
 //!
-//! Stage granularity: whatever the register width, a butterfly stage is
-//! routed here only when its stride `t` is at least [`LANES`] = 4 (AVX-512
-//! also takes the smaller strides through its permute hook); the remaining
-//! `log2(LANES)` stages always run the canonical scalar butterflies in
-//! `pi-poly`, as do full transforms under the `Scalar` backend.
+//! Stage granularity: the stage wrappers accept every stride `t ≥ 1`, and
+//! one rule (`stage_backend`, beside `dispatch!`) decides per stage who
+//! runs it: the lane kernels when `t` is a multiple of [`LANES`] = 4,
+//! whatever the register width; on AVX-512 also `t ∈ {1, 2}` through its
+//! permute hook whenever the slice holds whole 16-element groups; and the
+//! scalar butterflies of `scalar.rs` otherwise — the last `log2(LANES)`
+//! stages of a transform on the 4-lane backends, every stage under
+//! `Scalar`.
 
 use crate::modulus::{Modulus, ShoupMul};
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -147,9 +158,11 @@ mod avx512;
 #[cfg(all(feature = "simd", target_arch = "aarch64"))]
 mod neon;
 mod portable;
+mod scalar;
 
-/// The stride contract every backend shares, whatever its register width:
-/// butterfly strides routed here are positive multiples of `LANES`.
+/// The stride contract every lane backend shares, whatever its register
+/// width: a butterfly stage whose stride is a positive multiple of `LANES`
+/// runs on the lane kernels.
 pub const LANES: usize = 4;
 
 /// The selected kernel implementation (see the module docs for the
@@ -157,8 +170,8 @@ pub const LANES: usize = 4;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(u8)]
 pub enum SimdBackend {
-    /// The canonical scalar path in the callers — the differential oracle.
-    /// Kernels in this module are never entered under this backend.
+    /// The element-at-a-time loops of `scalar.rs` — the differential
+    /// oracle.
     Scalar = 1,
     /// The generic kernels at scalar `u64` lanes (compiled on every
     /// platform).
@@ -184,8 +197,8 @@ impl SimdBackend {
         }
     }
 
-    /// Whether this backend routes through the lane kernels in this module
-    /// (everything except the scalar oracle).
+    /// Whether this backend runs the lane kernels (everything except the
+    /// scalar oracle).
     pub fn is_vector(self) -> bool {
         self != SimdBackend::Scalar
     }
@@ -329,12 +342,22 @@ fn resolve() -> SimdBackend {
     }
 }
 
-/// Routes one kernel invocation to the requested backend. An unavailable
-/// vector backend (possible only if a caller passes a stale enum value,
-/// since [`force_backend`]/[`backend`] validate) degrades to the portable
-/// fallback rather than risking an illegal-instruction fault.
+/// Routes one kernel invocation to the requested backend: the scalar
+/// oracle's safe loops, or (`@lanes`) the generic kernels at that backend's
+/// registers. The blocked permutes and the two Garner kernels have no loop
+/// in `scalar.rs` (their callers keep the oracle side, see the module docs
+/// and [`crate::CrtBasis::compose_many`]) and enter at `@lanes`. An
+/// unavailable vector backend (possible only if a caller passes a stale
+/// enum value, since [`force_backend`]/[`backend`] validate) degrades to
+/// the portable fallback rather than risking an illegal-instruction fault.
 macro_rules! dispatch {
     ($be:expr, $name:ident($($arg:expr),* $(,)?)) => {{
+        match $be {
+            SimdBackend::Scalar => scalar::$name($($arg),*),
+            be => dispatch!(@lanes be, $name($($arg),*)),
+        }
+    }};
+    (@lanes $be:expr, $name:ident($($arg:expr),* $(,)?)) => {{
         match $be {
             #[cfg(all(feature = "simd", target_arch = "x86_64"))]
             SimdBackend::Avx512 if SimdBackend::Avx512.available() => {
@@ -364,17 +387,43 @@ macro_rules! dispatch {
     }};
 }
 
+/// The one stride rule: the backend that runs a butterfly stage of stride
+/// `t ≥ 1` over `len` elements when the caller asked for `be`. A lane
+/// backend takes every multiple of [`LANES`] (its registers divide such a
+/// stride; the AVX-512 entry point steps down to its permute path or to ymm
+/// width at `t ≡ 4 mod 8`), AVX-512 also `t ∈ {1, 2}` through the permute
+/// path over whole 16-element groups. Every other stage — and every stage
+/// under `Scalar` — runs the scalar butterflies, which accept any stride.
+#[inline]
+fn stage_backend(be: SimdBackend, t: usize, len: usize) -> SimdBackend {
+    let small_ok = be == SimdBackend::Avx512 && matches!(t, 1 | 2) && len.is_multiple_of(16);
+    if t.is_multiple_of(LANES) || small_ok {
+        be
+    } else {
+        SimdBackend::Scalar
+    }
+}
+
+/// Geometry check shared by the stage wrappers — with [`stage_backend`]
+/// the safety argument for the kernels' unchecked register accesses.
+fn assert_stage_geometry(w_vals: &[u64], w_quots: &[u64], a: &[u64], m: usize, t: usize) {
+    assert!(t >= 1, "stage stride must be positive");
+    assert_eq!(a.len(), 2 * m * t, "stage slice length mismatch");
+    assert!(
+        w_vals.len() >= m && w_quots.len() >= m,
+        "twiddle slice too short"
+    );
+}
+
 /// One forward Cooley–Tukey butterfly stage: `m` blocks of stride `t`, the
 /// `i`-th block using twiddle `(w_vals[i], w_quots[i])` in Shoup form.
 /// Values stay in the `[0, 4q)` forward domain.
 ///
 /// # Panics
 ///
-/// Panics if `a.len() != 2·m·t`, the twiddle slices are shorter than `m`,
-/// or the stride is unsupported: every backend requires `t` to be a
-/// positive multiple of [`LANES`], while `Avx512` additionally accepts any
-/// `t` when `a.len()` is a multiple of 16 (the permute-based small-stride
-/// path).
+/// Panics if `t == 0`, `a.len() != 2·m·t` or the twiddle slices are
+/// shorter than `m`. Every stride `t ≥ 1` is accepted on every backend
+/// (see "Stage granularity" in the module docs for who runs it).
 pub fn forward_stage(
     be: SimdBackend,
     q: &Modulus,
@@ -384,7 +433,8 @@ pub fn forward_stage(
     m: usize,
     t: usize,
 ) {
-    assert_stage_geometry(be, w_vals, w_quots, a, m, t);
+    assert_stage_geometry(w_vals, w_quots, a, m, t);
+    let be = stage_backend(be, t, a.len());
     dispatch!(be, forward_stage(q, w_vals, w_quots, a, m, t))
 }
 
@@ -407,8 +457,9 @@ pub fn forward_stage_many(
     t: usize,
 ) {
     for a in batch.iter() {
-        assert_stage_geometry(be, w_vals, w_quots, a, m, t);
+        assert_stage_geometry(w_vals, w_quots, a, m, t);
     }
+    let be = stage_backend(be, t, 2 * m * t);
     dispatch!(be, forward_stage_many(q, w_vals, w_quots, batch, m, t))
 }
 
@@ -427,7 +478,8 @@ pub fn inverse_stage(
     h: usize,
     t: usize,
 ) {
-    assert_stage_geometry(be, w_vals, w_quots, a, h, t);
+    assert_stage_geometry(w_vals, w_quots, a, h, t);
+    let be = stage_backend(be, t, a.len());
     dispatch!(be, inverse_stage(q, w_vals, w_quots, a, h, t))
 }
 
@@ -447,8 +499,9 @@ pub fn inverse_stage_many(
     t: usize,
 ) {
     for a in batch.iter() {
-        assert_stage_geometry(be, w_vals, w_quots, a, h, t);
+        assert_stage_geometry(w_vals, w_quots, a, h, t);
     }
+    let be = stage_backend(be, t, 2 * h * t);
     dispatch!(be, inverse_stage_many(q, w_vals, w_quots, batch, h, t))
 }
 
@@ -457,8 +510,7 @@ pub fn inverse_stage_many(
 ///
 /// # Panics
 ///
-/// Panics if `a.len()` is odd or `a.len()/2` is not a positive multiple of
-/// [`LANES`].
+/// Panics if `a.len()` is odd or zero.
 pub fn inverse_last_stage(
     be: SimdBackend,
     q: &Modulus,
@@ -467,7 +519,8 @@ pub fn inverse_last_stage(
     a: &mut [u64],
 ) {
     let half = a.len() / 2;
-    assert!(a.len().is_multiple_of(2) && half >= LANES && half.is_multiple_of(LANES));
+    assert!(a.len() == 2 * half && half >= 1);
+    let be = stage_backend(be, half, a.len());
     dispatch!(be, inverse_last_stage(q, n_inv, psi_n_inv, a))
 }
 
@@ -526,7 +579,7 @@ pub fn dyadic_mul_acc_shoup(
 /// Panics on length mismatch.
 pub fn mul_shoup_bcast(be: SimdBackend, q: &Modulus, out: &mut [u64], a: &[u64], w: ShoupMul) {
     assert_eq!(a.len(), out.len());
-    dispatch!(be, mul_shoup_bcast(q, out, a, w))
+    dispatch!(@lanes be, mul_shoup_bcast(q, out, a, w))
 }
 
 /// Bounds check shared by the blocked-permute wrappers — the entire safety
@@ -561,7 +614,7 @@ fn assert_permute8_args(out_len: usize, src_len: usize, bsrc: &[u32], bpat: &[u6
 /// byte `≥ 8`.
 pub fn permute8(be: SimdBackend, out: &mut [u64], src: &[u64], bsrc: &[u32], bpat: &[u64]) {
     assert_permute8_args(out.len(), src.len(), bsrc, bpat);
-    dispatch!(be, permute8(out, src, bsrc, bpat))
+    dispatch!(@lanes be, permute8(out, src, bsrc, bpat))
 }
 
 /// Fused blocked permute + lazy add over the `[0, 2q)` domain:
@@ -579,7 +632,7 @@ pub fn permute8_add_lazy(
     bpat: &[u64],
 ) {
     assert_permute8_args(acc.len(), src.len(), bsrc, bpat);
-    dispatch!(be, permute8_add_lazy(q, acc, src, bsrc, bpat))
+    dispatch!(@lanes be, permute8_add_lazy(q, acc, src, bsrc, bpat))
 }
 
 /// The fused key-switch inner loop: permute `t = src[8·bsrc[b] + pat_b(·)]`
@@ -615,7 +668,7 @@ pub fn permute8_mul_acc_shoup2(
     );
     assert_permute8_args(n, src.len(), bsrc, bpat);
     dispatch!(
-        be,
+        @lanes be,
         permute8_mul_acc_shoup2(q, acc0, acc1, src, bsrc, bpat, vals0, quots0, vals1, quots1)
     )
 }
@@ -631,7 +684,7 @@ pub fn permute8_mul_acc_shoup2(
 /// Panics on length mismatch.
 pub fn garner_step(be: SimdBackend, q: &Modulus, v: &mut [u64], t: &[u64], inv: ShoupMul) {
     assert_eq!(v.len(), t.len());
-    dispatch!(be, garner_step(q, v, t, inv))
+    dispatch!(@lanes be, garner_step(q, v, t, inv))
 }
 
 /// Pointwise Barrett product `out[i] = a[i]·b[i] mod q` of strictly
@@ -659,28 +712,6 @@ pub fn dyadic_mul_acc(be: SimdBackend, q: &Modulus, acc: &mut [u64], a: &[u64], 
     dispatch!(be, dyadic_mul_acc(q, acc, a, b))
 }
 
-fn assert_stage_geometry(
-    be: SimdBackend,
-    w_vals: &[u64],
-    w_quots: &[u64],
-    a: &[u64],
-    m: usize,
-    t: usize,
-) {
-    let lane_ok = t >= LANES && t.is_multiple_of(LANES);
-    let small_ok = be == SimdBackend::Avx512 && a.len().is_multiple_of(16);
-    assert!(
-        t >= 1 && (lane_ok || small_ok),
-        "stage stride {t} not supported by backend {}",
-        be.name()
-    );
-    assert_eq!(a.len(), 2 * m * t, "stage slice length mismatch");
-    assert!(
-        w_vals.len() >= m && w_quots.len() >= m,
-        "twiddle slice too short"
-    );
-}
-
 #[cfg(test)]
 mod tests {
     use super::lanes::Lanes;
@@ -689,9 +720,8 @@ mod tests {
     use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
 
-    /// Backends whose kernels can run here (portable everywhere, plus any
-    /// detected vector unit). `Scalar` is excluded by construction: the
-    /// kernels are never entered under it.
+    /// Lane backends that can run here (portable everywhere, plus any
+    /// detected vector unit). `Scalar` is what they are compared against.
     fn runnable_backends() -> Vec<SimdBackend> {
         let mut v = vec![SimdBackend::Portable];
         for be in [SimdBackend::Avx2, SimdBackend::Avx512, SimdBackend::Neon] {
@@ -832,57 +862,63 @@ mod tests {
 
     #[test]
     fn butterfly_stages_boundary_values_match_scalar_bitwise() {
-        // One stage with m = 2 blocks of stride t = 4, inputs pinned at the
-        // domain boundaries, twiddles at w = q−1 (the high-half emulation's
-        // worst case) — mirrors the scalar Harvey invariants tests.
+        // One 16-element stage at each stride t ∈ {1, 2, 4} (m = 8/t
+        // blocks), inputs pinned at the domain boundaries, twiddles at
+        // w = q−1 (the high-half emulation's worst case) — mirrors the
+        // scalar Harvey invariants tests. The strides below LANES are the
+        // ones a lane backend hands to the scalar butterflies (AVX-512:
+        // to its permute path).
         for q in boundary_moduli() {
             let two_q = q.twice();
-            let w = [q.shoup(q.value() - 1), q.shoup(q.value() / 2)];
+            let w: Vec<ShoupMul> = (0..8)
+                .map(|i| q.shoup([q.value() - 1, q.value() / 2][i % 2]))
+                .collect();
             let vals: Vec<u64> = w.iter().map(|s| s.value).collect();
             let quots: Vec<u64> = w.iter().map(|s| s.quotient).collect();
-
-            // Forward stage: inputs in [0, 4q).
+            // Forward inputs in [0, 4q), inverse inputs in [0, 2q); period 5
+            // so every stride pairs different boundary values.
             let fwd_in: Vec<u64> = (0..16u64)
-                .map(|i| [0, q.value() - 1, two_q - 1, 4 * q.value() - 1][(i % 4) as usize])
+                .map(|i| [0, q.value() - 1, two_q - 1, two_q, 4 * q.value() - 1][(i % 5) as usize])
                 .collect();
-            let mut expect = fwd_in.clone();
-            #[allow(clippy::needless_range_loop)] // blk indexes both w and expect blocks
-            for blk in 0..2 {
-                for j in 0..4 {
-                    let (lo, hi) = (blk * 8 + j, blk * 8 + 4 + j);
-                    let mut u = expect[lo];
-                    if u >= two_q {
-                        u -= two_q;
-                    }
-                    let v = q.mul_shoup_lazy(expect[hi], w[blk]);
-                    expect[lo] = u + v;
-                    expect[hi] = u + two_q - v;
-                }
-            }
-            for be in runnable_backends() {
-                let mut a = fwd_in.clone();
-                forward_stage(be, &q, &vals, &quots, &mut a, 2, 4);
-                assert_eq!(a, expect, "forward backend {} q {}", be.name(), q);
-            }
-
-            // Inverse stage: inputs in [0, 2q).
             let inv_in: Vec<u64> = (0..16u64)
-                .map(|i| [0, 1, q.value() - 1, two_q - 1][(i % 4) as usize])
+                .map(|i| [0, 1, q.value() - 1, q.value(), two_q - 1][(i % 5) as usize])
                 .collect();
-            let mut expect = inv_in.clone();
-            #[allow(clippy::needless_range_loop)] // blk indexes both w and expect blocks
-            for blk in 0..2 {
-                for j in 0..4 {
-                    let (lo, hi) = (blk * 8 + j, blk * 8 + 4 + j);
-                    let (u, v) = (expect[lo], expect[hi]);
-                    expect[lo] = q.add_lazy(u, v);
-                    expect[hi] = q.mul_shoup_lazy(u + two_q - v, w[blk]);
+
+            for t in [1usize, 2, 4] {
+                let m = 8 / t;
+                let mut expect = fwd_in.clone();
+                for (blk, &s) in w.iter().enumerate().take(m) {
+                    for j in 0..t {
+                        let (lo, hi) = (2 * blk * t + j, 2 * blk * t + t + j);
+                        let mut u = expect[lo];
+                        if u >= two_q {
+                            u -= two_q;
+                        }
+                        let v = q.mul_shoup_lazy(expect[hi], s);
+                        expect[lo] = u + v;
+                        expect[hi] = u + two_q - v;
+                    }
                 }
-            }
-            for be in runnable_backends() {
-                let mut a = inv_in.clone();
-                inverse_stage(be, &q, &vals, &quots, &mut a, 2, 4);
-                assert_eq!(a, expect, "inverse backend {} q {}", be.name(), q);
+                for be in runnable_backends() {
+                    let mut a = fwd_in.clone();
+                    forward_stage(be, &q, &vals, &quots, &mut a, m, t);
+                    assert_eq!(a, expect, "forward t={t} backend {} q {}", be.name(), q);
+                }
+
+                let mut expect = inv_in.clone();
+                for (blk, &s) in w.iter().enumerate().take(m) {
+                    for j in 0..t {
+                        let (lo, hi) = (2 * blk * t + j, 2 * blk * t + t + j);
+                        let (u, v) = (expect[lo], expect[hi]);
+                        expect[lo] = q.add_lazy(u, v);
+                        expect[hi] = q.mul_shoup_lazy(u + two_q - v, s);
+                    }
+                }
+                for be in runnable_backends() {
+                    let mut a = inv_in.clone();
+                    inverse_stage(be, &q, &vals, &quots, &mut a, m, t);
+                    assert_eq!(a, expect, "inverse t={t} backend {} q {}", be.name(), q);
+                }
             }
 
             // Last inverse stage (folded n^{-1}): output strictly reduced.
@@ -910,6 +946,62 @@ mod tests {
                 let mut got = a.clone();
                 reduce_4q(be, &q, &mut got);
                 assert_eq!(got, expect, "reduce_4q backend {} q {}", be.name(), q);
+            }
+        }
+    }
+
+    #[test]
+    fn stage_wrappers_accept_every_stride_and_match_the_scalar_backend() {
+        // The one stride rule, from the caller's side: any well-formed
+        // stage runs on any backend, and whoever `stage_backend` picks
+        // agrees bit for bit with the scalar butterflies — lazy
+        // representatives included.
+        let q = Modulus::new(find_ntt_prime(62, 64));
+        let mut rng = rand::rngs::StdRng::seed_from_u64(23);
+        for t in [1usize, 2, 4, 8, 16] {
+            for len in [2 * t, 16, 32, 64] {
+                if !len.is_multiple_of(2 * t) {
+                    continue;
+                }
+                let m = len / (2 * t);
+                let w: Vec<ShoupMul> = (0..m)
+                    .map(|_| q.shoup(rng.gen_range(0..q.value())))
+                    .collect();
+                let (vals, quots): (Vec<u64>, Vec<u64>) =
+                    w.iter().map(|s| (s.value, s.quotient)).unzip();
+                let last = (w[0], q.shoup(rng.gen_range(0..q.value())));
+                let mut column = |bound: u64| -> Vec<u64> {
+                    (0..len).map(|_| rng.gen_range(0..bound)).collect()
+                };
+                let fwd_in = [column(4 * q.value()), column(4 * q.value())];
+                let inv_in = [column(q.twice()), column(q.twice())];
+                // (forward, forward_many, inverse, inverse_many, last stage)
+                let run = |be: SimdBackend| {
+                    let many = |input: &[Vec<u64>; 2], fwd: bool| {
+                        let mut cols = input.clone();
+                        let [c0, c1] = &mut cols;
+                        let batch: &mut [&mut [u64]] = &mut [c0, c1];
+                        if fwd {
+                            forward_stage_many(be, &q, &vals, &quots, batch, m, t);
+                        } else {
+                            inverse_stage_many(be, &q, &vals, &quots, batch, m, t);
+                        }
+                        cols
+                    };
+                    let mut f = fwd_in[0].clone();
+                    forward_stage(be, &q, &vals, &quots, &mut f, m, t);
+                    let mut i = inv_in[0].clone();
+                    inverse_stage(be, &q, &vals, &quots, &mut i, m, t);
+                    let mut l = inv_in[1].clone();
+                    inverse_last_stage(be, &q, last.0, last.1, &mut l);
+                    (f, many(&fwd_in, true), i, many(&inv_in, false), l)
+                };
+                let expect = run(SimdBackend::Scalar);
+                assert_eq!(expect.0, expect.1[0], "many != single, t={t} len={len}");
+                assert_eq!(expect.2, expect.3[0], "many != single, t={t} len={len}");
+                for be in runnable_backends() {
+                    assert_eq!(run(be), expect, "t={t} len={len} backend {}", be.name());
+                }
             }
         }
     }

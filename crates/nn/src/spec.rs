@@ -6,10 +6,8 @@
 //! allocating them. `pi-nn::network` materializes small specs into runnable
 //! networks for the protocol tests.
 
-use serde::{Deserialize, Serialize};
-
 /// A shape-level operation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SpecOp {
     /// 2-D convolution with square kernels; `ci` inferred from the input.
     Conv2d {
@@ -53,7 +51,7 @@ pub enum SpecOp {
 }
 
 /// A network architecture: input shape plus an op list.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct NetSpec {
     /// Human-readable name, e.g. `"resnet18-tinyimagenet"`.
     pub name: String,
@@ -84,7 +82,7 @@ impl Shape {
 
 /// Kind of a linear layer, carrying the structural parameters the
 /// Gazelle-style HE cost model needs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LinearKind {
     /// Convolution with `ci` input channels, `co` output channels, and a
     /// `k × k` kernel.
@@ -108,7 +106,7 @@ pub enum LinearKind {
 }
 
 /// Statistics of one linear (HE-evaluated) layer.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct LinearLayerStat {
     /// Descriptive name (`conv3`, `fc1`, `proj2`…).
     pub name: String,
@@ -125,7 +123,7 @@ pub struct LinearLayerStat {
 }
 
 /// Full PI-relevant statistics of a network.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct NetworkStats {
     /// Per-linear-layer stats in execution order.
     pub linear_layers: Vec<LinearLayerStat>,

@@ -16,11 +16,11 @@
 //!   ciphertext moduli in `pi-he`.
 //! * [`pack`] — little-endian bit-packing of coefficient vectors, the body
 //!   of every `pi-he` wire frame.
-//! * [`simd`] — stage-level dispatch of the Harvey butterflies and dyadic
-//!   kernels onto the SIMD backends in [`pi_field::simd`]
-//!   (runtime AVX-512/AVX2/NEON detection, `PI_SIMD` toggle); the scalar
-//!   butterflies in [`ntt`] stay canonical and serve as the differential
-//!   oracle.
+//!
+//! Every butterfly stage and pointwise pass is one call into
+//! [`pi_field::simd`] (runtime AVX-512/AVX2/NEON detection, `PI_SIMD`
+//! toggle, the scalar oracle as one more backend); nothing here asks which
+//! backend it got, except [`ntt::GaloisPerm`] for its blocked tables.
 //!
 //! # Examples
 //!
@@ -43,7 +43,6 @@ pub mod pack;
 pub mod poly;
 pub mod rns;
 pub mod sample;
-pub mod simd;
 
 pub use ntt::{GaloisPerm, NttTables, ShoupVec};
 pub use poly::{Poly, PolyForm, PolyOperand, RingContext};

@@ -32,28 +32,25 @@
 //!
 //! # SIMD dispatch
 //!
-//! Every public transform and pointwise kernel resolves a SIMD backend once
-//! per call ([`crate::simd::backend`]: AVX-512 / AVX2 / NEON / the portable
-//! `u64`-lane backend, or the scalar path under `PI_SIMD=scalar`) and
-//! routes each butterfly stage with stride `t >= 4` — and the
-//! pointwise/correction passes — through the lane kernels in
-//! `pi_field::simd`; the AVX-512 backend additionally takes the small-
-//! stride stages through an in-register permute path. Stages the backend
-//! does not cover, and entire transforms under the scalar backend, run the
-//! element-at-a-time butterflies in this file: that
-//! scalar path stays canonical and doubles as the differential oracle for
-//! the SIMD paths (`tests/ntt_simd_differential.rs` proves bit-for-bit
-//! agreement, lazy representatives included). The stage-major
-//! [`NttTables::forward_many`]/[`NttTables::inverse_many`] batching applies
-//! the same per-stage rule, so `RnsNttTables` and the whole RNS-BFV
-//! multiply inherit the vector path for every residue column.
+//! Every public transform and pointwise kernel resolves a backend once per
+//! call ([`pi_field::simd::backend`]: AVX-512 / AVX2 / NEON / the portable
+//! `u64`-lane backend, or the scalar oracle under `PI_SIMD=scalar`) and
+//! hands it, unexamined, to one [`pi_field::simd`] wrapper per butterfly
+//! stage or pointwise pass. Which strides a backend runs on its lanes and
+//! which fall to the element-at-a-time butterflies is that module's one
+//! rule; the scalar loops live there too and double as the differential
+//! oracle (`tests/ntt_simd_differential.rs` proves bit-for-bit agreement,
+//! lazy representatives included). The stage-major
+//! [`NttTables::forward_many`]/[`NttTables::inverse_many`] batching goes
+//! through the same wrappers, so `RnsNttTables` and the whole RNS-BFV
+//! stack inherit the vector path for every residue column. This crate
+//! stays `#![forbid(unsafe_code)]`.
 //!
 //! The pre-optimization Barrett transforms survive as
 //! [`NttTables::forward_reference`] / [`NttTables::inverse_reference`]; they
 //! are the differential-test oracle and the before/after benchmark baseline.
 
-use crate::simd;
-use pi_field::{prime, Modulus, ShoupMul};
+use pi_field::{prime, simd, Modulus, ShoupMul};
 
 /// A vector of fixed multiplicands in Shoup form: values plus precomputed
 /// quotients, stored as two parallel arrays for cache-friendly pointwise
@@ -254,7 +251,11 @@ impl GaloisPerm {
 
     /// The blocked tables, if backend `be` has lane kernels to run them
     /// on; `None` sends the caller to its scalar index loop (the scalar
-    /// backend, or a ring with `n < 8`).
+    /// backend, or a ring with `n < 8`). The one backend question this
+    /// crate asks, on purpose: the blocked tables exist only from `n = 8`,
+    /// so the index loop is needed whatever the backend, and as the scalar
+    /// oracle it walks the full index table — which is what checks
+    /// [`GaloisBlocks::derive`] against the table it was derived from.
     fn lane_blocks(&self, be: simd::SimdBackend) -> Option<&GaloisBlocks> {
         self.blocks.as_ref().filter(|_| be.is_vector())
     }
@@ -371,64 +372,6 @@ impl NttTables {
         GaloisPerm { g, idx, blocks }
     }
 
-    /// One forward Cooley–Tukey stage over one polynomial.
-    /// Inputs/outputs in `[0, 4q)`.
-    #[inline]
-    fn forward_stage(&self, a: &mut [u64], m: usize, t: usize) {
-        let q = &self.q;
-        let two_q = q.twice();
-        for i in 0..m {
-            let j1 = 2 * i * t;
-            let s = self.psi_rev.get(m + i);
-            let (lo, hi) = a[j1..j1 + 2 * t].split_at_mut(t);
-            for (x, y) in lo.iter_mut().zip(hi.iter_mut()) {
-                let mut u = *x;
-                if u >= two_q {
-                    u -= two_q;
-                }
-                let v = q.mul_shoup_lazy(*y, s);
-                *x = u + v;
-                *y = u + two_q - v;
-            }
-        }
-    }
-
-    /// One inverse Gentleman–Sande stage (not the last) over one polynomial.
-    /// Inputs/outputs in `[0, 2q)`.
-    #[inline]
-    fn inverse_stage(&self, a: &mut [u64], h: usize, t: usize) {
-        let q = &self.q;
-        let two_q = q.twice();
-        for i in 0..h {
-            let j1 = 2 * i * t;
-            let s = self.psi_inv_rev.get(h + i);
-            let (lo, hi) = a[j1..j1 + 2 * t].split_at_mut(t);
-            for (x, y) in lo.iter_mut().zip(hi.iter_mut()) {
-                let u = *x;
-                let v = *y;
-                *x = q.add_lazy(u, v);
-                *y = q.mul_shoup_lazy(u + two_q - v, s);
-            }
-        }
-    }
-
-    /// The last inverse stage with the `n^{-1}` scaling folded into the
-    /// twiddles; reduces exactly into `[0, q)`.
-    #[inline]
-    fn inverse_last_stage(&self, a: &mut [u64]) {
-        let q = &self.q;
-        let two_q = q.twice();
-        let half = self.n / 2;
-        let (lo, hi) = a.split_at_mut(half);
-        for (x, y) in lo.iter_mut().zip(hi.iter_mut()) {
-            let u = *x;
-            let v = *y;
-            // u + v < 4q and u + 2q − v < 4q: both valid mul_shoup operands.
-            *x = q.mul_shoup(u + v, self.n_inv);
-            *y = q.mul_shoup(u + two_q - v, self.psi_n_inv);
-        }
-    }
-
     /// In-place forward negacyclic NTT (coefficient → evaluation form).
     ///
     /// Input coefficients must be in `[0, q)`; output is in `[0, q)` (the
@@ -442,24 +385,15 @@ impl NttTables {
         assert_eq!(a.len(), self.n);
         pi_trace::incr(pi_trace::Counter::NttForward);
         let be = simd::backend();
+        let (w, wq) = (self.psi_rev.values(), self.psi_rev.quotients());
         let mut t = self.n;
         let mut m = 1;
         while m < self.n {
             t /= 2;
-            if simd::stage_vectorizable(be, t, self.n) {
-                simd::forward_stage(be, self.q, &self.psi_rev, a, m, t);
-            } else {
-                self.forward_stage(a, m, t);
-            }
+            simd::forward_stage(be, &self.q, &w[m..2 * m], &wq[m..2 * m], a, m, t);
             m *= 2;
         }
-        if be.is_vector() {
-            simd::reduce_4q(be, self.q, a);
-        } else {
-            for x in a.iter_mut() {
-                *x = self.q.reduce_4q(*x);
-            }
-        }
+        simd::reduce_4q(be, &self.q, a);
     }
 
     /// In-place inverse negacyclic NTT (evaluation → coefficient form).
@@ -475,23 +409,16 @@ impl NttTables {
         assert_eq!(a.len(), self.n);
         pi_trace::incr(pi_trace::Counter::NttInverse);
         let be = simd::backend();
+        let (w, wq) = (self.psi_inv_rev.values(), self.psi_inv_rev.quotients());
         let mut t = 1;
         let mut m = self.n;
         while m > 2 {
             let h = m / 2;
-            if simd::stage_vectorizable(be, t, self.n) {
-                simd::inverse_stage(be, self.q, &self.psi_inv_rev, a, h, t);
-            } else {
-                self.inverse_stage(a, h, t);
-            }
+            simd::inverse_stage(be, &self.q, &w[h..m], &wq[h..m], a, h, t);
             t *= 2;
             m = h;
         }
-        if simd::stage_vectorizable(be, self.n / 2, self.n) {
-            simd::inverse_last_stage(be, self.q, self.n_inv, self.psi_n_inv, a);
-        } else {
-            self.inverse_last_stage(a);
-        }
+        simd::inverse_last_stage(be, &self.q, self.n_inv, self.psi_n_inv, a);
     }
 
     /// Forward-transforms a batch of polynomials stage-by-stage, so each
@@ -514,27 +441,16 @@ impl NttTables {
         }
         pi_trace::add(pi_trace::Counter::NttForward, batch.len() as u64);
         let be = simd::backend();
+        let (w, wq) = (self.psi_rev.values(), self.psi_rev.quotients());
         let mut t = self.n;
         let mut m = 1;
         while m < self.n {
             t /= 2;
-            if simd::stage_vectorizable(be, t, self.n) {
-                simd::forward_stage_many(be, self.q, &self.psi_rev, batch, m, t);
-            } else {
-                for a in batch.iter_mut() {
-                    self.forward_stage(a, m, t);
-                }
-            }
+            simd::forward_stage_many(be, &self.q, &w[m..2 * m], &wq[m..2 * m], batch, m, t);
             m *= 2;
         }
         for a in batch.iter_mut() {
-            if be.is_vector() {
-                simd::reduce_4q(be, self.q, a);
-            } else {
-                for x in a.iter_mut() {
-                    *x = self.q.reduce_4q(*x);
-                }
-            }
+            simd::reduce_4q(be, &self.q, a);
         }
     }
 
@@ -550,26 +466,17 @@ impl NttTables {
         }
         pi_trace::add(pi_trace::Counter::NttInverse, batch.len() as u64);
         let be = simd::backend();
+        let (w, wq) = (self.psi_inv_rev.values(), self.psi_inv_rev.quotients());
         let mut t = 1;
         let mut m = self.n;
         while m > 2 {
             let h = m / 2;
-            if simd::stage_vectorizable(be, t, self.n) {
-                simd::inverse_stage_many(be, self.q, &self.psi_inv_rev, batch, h, t);
-            } else {
-                for a in batch.iter_mut() {
-                    self.inverse_stage(a, h, t);
-                }
-            }
+            simd::inverse_stage_many(be, &self.q, &w[h..m], &wq[h..m], batch, h, t);
             t *= 2;
             m = h;
         }
         for a in batch.iter_mut() {
-            if simd::stage_vectorizable(be, self.n / 2, self.n) {
-                simd::inverse_last_stage(be, self.q, self.n_inv, self.psi_n_inv, a);
-            } else {
-                self.inverse_last_stage(a);
-            }
+            simd::inverse_last_stage(be, &self.q, self.n_inv, self.psi_n_inv, a);
         }
     }
 
@@ -582,15 +489,7 @@ impl NttTables {
     pub fn dyadic_mul(&self, out: &mut [u64], a: &[u64], b: &[u64]) {
         assert!(out.len() == self.n && a.len() == self.n && b.len() == self.n);
         pi_trace::incr(pi_trace::Counter::NttDyadic);
-        let be = simd::backend();
-        if be.is_vector() {
-            simd::dyadic_mul(be, self.q, out, a, b);
-            return;
-        }
-        let q = &self.q;
-        for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
-            *o = q.mul(x, y);
-        }
+        simd::dyadic_mul(simd::backend(), &self.q, out, a, b);
     }
 
     /// Pointwise multiply-accumulate `acc[i] = (acc[i] + a[i]·b[i]) mod q`
@@ -603,15 +502,7 @@ impl NttTables {
     pub fn dyadic_mul_acc(&self, acc: &mut [u64], a: &[u64], b: &[u64]) {
         assert!(acc.len() == self.n && a.len() == self.n && b.len() == self.n);
         pi_trace::incr(pi_trace::Counter::NttDyadic);
-        let be = simd::backend();
-        if be.is_vector() {
-            simd::dyadic_mul_acc(be, self.q, acc, a, b);
-            return;
-        }
-        let q = &self.q;
-        for ((o, &x), &y) in acc.iter_mut().zip(a).zip(b) {
-            *o = q.mul_add(x, y, *o);
-        }
+        simd::dyadic_mul_acc(simd::backend(), &self.q, acc, a, b);
     }
 
     /// Pointwise Shoup product `out[i] = a[i]·op[i] mod q`, strictly reduced.
@@ -623,15 +514,8 @@ impl NttTables {
     pub fn dyadic_mul_shoup(&self, out: &mut [u64], a: &[u64], op: &ShoupVec) {
         assert!(out.len() == self.n && a.len() == self.n && op.len() == self.n);
         pi_trace::incr(pi_trace::Counter::NttDyadic);
-        let be = simd::backend();
-        if be.is_vector() {
-            simd::dyadic_mul_shoup(be, self.q, out, a, op);
-            return;
-        }
-        let q = &self.q;
-        for (i, (o, &x)) in out.iter_mut().zip(a).enumerate() {
-            *o = q.mul_shoup(x, op.get(i));
-        }
+        let (be, q) = (simd::backend(), &self.q);
+        simd::dyadic_mul_shoup(be, q, out, a, op.values(), op.quotients());
     }
 
     /// Lazy pointwise Shoup multiply-accumulate over the `[0, 2q)` domain:
@@ -649,15 +533,8 @@ impl NttTables {
     pub fn dyadic_mul_acc_shoup(&self, acc: &mut [u64], a: &[u64], op: &ShoupVec) {
         assert!(acc.len() == self.n && a.len() == self.n && op.len() == self.n);
         pi_trace::incr(pi_trace::Counter::NttDyadic);
-        let be = simd::backend();
-        if be.is_vector() {
-            simd::dyadic_mul_acc_shoup(be, self.q, acc, a, op);
-            return;
-        }
-        let q = &self.q;
-        for (i, (o, &x)) in acc.iter_mut().zip(a).enumerate() {
-            *o = q.add_lazy(*o, q.mul_shoup_lazy(x, op.get(i)));
-        }
+        let (be, q) = (simd::backend(), &self.q);
+        simd::dyadic_mul_acc_shoup(be, q, acc, a, op.values(), op.quotients());
     }
 
     /// Fused permute-and-double-accumulate: for each slot `j`, reads
@@ -694,14 +571,13 @@ impl NttTables {
         );
         pi_trace::incr(pi_trace::Counter::NttDyadic);
         pi_trace::incr(pi_trace::Counter::NttGather);
-        let be = simd::backend();
+        let (be, q) = (simd::backend(), &self.q);
         if let Some(bl) = perm.lane_blocks(be) {
-            simd::permute8_mul_acc_shoup2(
-                be, self.q, acc0, acc1, src, &bl.bsrc, &bl.bpat, op0, op1,
-            );
+            let (bs, bp) = (&bl.bsrc, &bl.bpat);
+            let (v0, q0, v1, q1) = (op0.values(), op0.quotients(), op1.values(), op1.quotients());
+            simd::permute8_mul_acc_shoup2(be, q, acc0, acc1, src, bs, bp, v0, q0, v1, q1);
             return;
         }
-        let q = &self.q;
         for (j, &s) in perm.idx.iter().enumerate() {
             let x = src[s as usize];
             acc0[j] = q.add_lazy(acc0[j], q.mul_shoup_lazy(x, op0.get(j)));
@@ -720,12 +596,11 @@ impl NttTables {
     pub fn gather_add_lazy(&self, acc: &mut [u64], src: &[u64], perm: &GaloisPerm) {
         assert!(acc.len() == self.n && src.len() == self.n && perm.n() == self.n);
         pi_trace::incr(pi_trace::Counter::NttGather);
-        let be = simd::backend();
+        let (be, q) = (simd::backend(), &self.q);
         if let Some(bl) = perm.lane_blocks(be) {
-            simd::permute8_add_lazy(be, self.q, acc, src, &bl.bsrc, &bl.bpat);
+            simd::permute8_add_lazy(be, q, acc, src, &bl.bsrc, &bl.bpat);
             return;
         }
-        let q = &self.q;
         for (j, &s) in perm.idx.iter().enumerate() {
             acc[j] = q.add_lazy(acc[j], src[s as usize]);
         }
@@ -1105,6 +980,29 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn no_caller_asks_which_backend_it_runs_on() {
+        // Source-level guard: `pi_field::simd` is the only place a backend
+        // is matched on. Outside the test modules this crate names no
+        // variant and keeps no stride rule of its own; the one `is_vector()`
+        // is `GaloisPerm::lane_blocks` (which says why it stays).
+        let mut is_vector = 0;
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/src");
+        for entry in std::fs::read_dir(dir).expect("crate source directory") {
+            let path = entry.expect("directory entry").path();
+            let src = std::fs::read_to_string(&path).expect("source file");
+            let body = src.split("#[cfg(test)]").next().unwrap_or(&src);
+            for needle in ["SimdBackend::", "stage_vectorizable"] {
+                assert!(!body.contains(needle), "{path:?} contains `{needle}`");
+            }
+            is_vector += body.matches("is_vector()").count();
+        }
+        assert_eq!(
+            is_vector, 1,
+            "`is_vector()` outside GaloisPerm::lane_blocks"
+        );
     }
 
     #[test]

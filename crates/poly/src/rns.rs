@@ -17,7 +17,7 @@
 //!   ([`RnsNttTables::forward_many`]) iterate residues outermost so each
 //!   column's twiddles are streamed once per stage for the whole batch.
 //!   Each column's stages route through the SIMD dispatch in
-//!   [`crate::simd`], so the vector butterflies (AVX2/NEON/portable) pay
+//!   [`pi_field::simd`], so the vector butterflies (AVX2/NEON/portable) pay
 //!   off `k`× per RNS transform — once per residue column — with no code
 //!   in this module aware of the backend.
 //! * Strict form: all stored values are reduced (`< q_i`). The lazy

@@ -59,6 +59,18 @@ pub fn simulate_multi_client(costs: &ProtocolCosts, cfg: &MultiClientConfig) -> 
     agg
 }
 
+/// Index of the smallest time (a free core, a ready precompute).
+fn earliest(times: &[f64]) -> Option<usize> {
+    (0..times.len()).min_by(|&a, &b| times[a].partial_cmp(&times[b]).expect("finite times"))
+}
+
+/// Removes and returns the buffered precompute that is ready first. The
+/// buffer is unordered (`swap_remove`), so the pick is by ready time, not
+/// by position.
+fn take_earliest(ready: &mut Vec<f64>) -> Option<f64> {
+    earliest(ready).map(|pos| ready.swap_remove(pos))
+}
+
 fn simulate_multi_once(costs: &ProtocolCosts, cfg: &MultiClientConfig, seed: u64) -> SimStats {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let rate_per_s = cfg.rate_per_min / 60.0;
@@ -91,12 +103,7 @@ fn simulate_multi_once(costs: &ProtocolCosts, cfg: &MultiClientConfig, seed: u64
                                                                          // Seed initial precompute production per client.
     for ready in client_ready.iter_mut() {
         for _ in 0..slots_per_client {
-            let core = core_free
-                .iter()
-                .enumerate()
-                .min_by(|a, b| a.1.partial_cmp(b.1).expect("finite"))
-                .map(|(i, _)| i)
-                .expect("at least one core");
+            let core = earliest(&core_free).expect("at least one core");
             let done = core_free[core] + offline_s;
             core_free[core] = done;
             ready.push(done);
@@ -114,15 +121,10 @@ fn simulate_multi_once(costs: &ProtocolCosts, cfg: &MultiClientConfig, seed: u64
     for &(arrival, c) in &arrivals {
         // Next precompute ready time for this client; if none buffered,
         // schedule one inline on the earliest core.
-        let ready_at = if let Some(pos) = client_ready[c].iter().position(|&r| r <= f64::INFINITY) {
-            client_ready[c].swap_remove(pos)
+        let ready_at = if let Some(ready) = take_earliest(&mut client_ready[c]) {
+            ready
         } else {
-            let core = core_free
-                .iter()
-                .enumerate()
-                .min_by(|a, b| a.1.partial_cmp(b.1).expect("finite"))
-                .map(|(i, _)| i)
-                .expect("core");
+            let core = earliest(&core_free).expect("at least one core");
             let done = core_free[core].max(arrival) + offline_s;
             core_free[core] = done;
             done
@@ -136,12 +138,7 @@ fn simulate_multi_once(costs: &ProtocolCosts, cfg: &MultiClientConfig, seed: u64
         online_free = finish;
         // Replenish this client's buffer.
         if slots_per_client > 0 {
-            let core = core_free
-                .iter()
-                .enumerate()
-                .min_by(|a, b| a.1.partial_cmp(b.1).expect("finite"))
-                .map(|(i, _)| i)
-                .expect("core");
+            let core = earliest(&core_free).expect("at least one core");
             let done = core_free[core].max(start) + offline_s;
             core_free[core] = done;
             client_ready[c].push(done);
@@ -235,6 +232,20 @@ mod tests {
             stats.saturated || stats.mean_queue_s > stats.mean_online_s,
             "64 aggressive clients must stress the shared pipeline: {stats:?}"
         );
+    }
+
+    #[test]
+    fn a_request_takes_the_precompute_that_is_ready_first() {
+        // One server core seeds three slots at T, 2T, 3T. The first request
+        // takes T and `swap_remove` leaves [3T, 2T]; a request arriving at
+        // 2.5T must get the 2T precompute and start at once, not wait for
+        // the 3T one that happens to sit at index 0.
+        let mut ready = vec![1.0, 2.0, 3.0];
+        assert_eq!(take_earliest(&mut ready), Some(1.0));
+        assert_eq!(ready, [3.0, 2.0]);
+        assert_eq!(take_earliest(&mut ready), Some(2.0));
+        assert_eq!(take_earliest(&mut ready), Some(3.0));
+        assert_eq!(take_earliest(&mut ready), None);
     }
 
     #[test]

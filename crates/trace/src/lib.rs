@@ -23,7 +23,7 @@
 //!
 //! | mode       | spans | counters/hists | cost per event                     |
 //! |------------|-------|----------------|------------------------------------|
-//! | `off`      | no    | no             | one relaxed atomic load (folds out with the `trace` feature disabled) |
+//! | `off`      | no    | no             | one relaxed atomic load            |
 //! | `counters` | no    | yes            | +1 relaxed `fetch_add` (+ a thread-local add inside a local scope) |
 //! | `full`     | yes   | yes            | counters cost, plus `Instant` + one short mutex hold per span *exit* |
 //!
@@ -45,8 +45,7 @@
 //!    box; set `PI_TRACE=counters` for the strict low-overhead profile).
 //!
 //! Unknown `PI_TRACE` values panic loudly rather than silently tracing at
-//! the wrong level. With the `trace` cargo feature disabled (the portable
-//! job), `mode()` is the constant `Off` and every call site compiles out.
+//! the wrong level.
 //!
 //! # Span naming scheme
 //!
@@ -84,7 +83,6 @@ pub use local::{begin_local, LocalScope};
 pub use report::{global_report, reset, CounterSnap, HistSnap, SpanSnap, TraceReport};
 pub use span::{span, SpanGuard, SpanStat};
 
-#[cfg(feature = "trace")]
 use std::sync::atomic::{AtomicU8, Ordering};
 
 /// How much the pipeline records. Ordered: `Off < Counters < Full`.
@@ -101,7 +99,6 @@ pub enum TraceMode {
 }
 
 impl TraceMode {
-    #[cfg(feature = "trace")]
     fn from_u8(v: u8) -> TraceMode {
         match v {
             0 => TraceMode::Off,
@@ -120,35 +117,23 @@ impl TraceMode {
     }
 }
 
-#[cfg(feature = "trace")]
 const UNSET: u8 = 0xff;
-#[cfg(feature = "trace")]
 static CACHED: AtomicU8 = AtomicU8::new(UNSET);
-#[cfg(feature = "trace")]
 static FORCED: AtomicU8 = AtomicU8::new(UNSET);
 
 /// The active trace mode (`force_mode` > `PI_TRACE` env > default `full`),
-/// cached after first resolution. Constant `Off` when the `trace` cargo
-/// feature is disabled.
+/// cached after first resolution.
 #[inline(always)]
 pub fn mode() -> TraceMode {
-    #[cfg(not(feature = "trace"))]
-    {
-        TraceMode::Off
-    }
-    #[cfg(feature = "trace")]
-    {
-        let m = CACHED.load(Ordering::Relaxed);
-        if m == UNSET {
-            resolve_mode()
-        } else {
-            TraceMode::from_u8(m)
-        }
+    let m = CACHED.load(Ordering::Relaxed);
+    if m == UNSET {
+        resolve_mode()
+    } else {
+        TraceMode::from_u8(m)
     }
 }
 
 #[cold]
-#[cfg(feature = "trace")]
 fn resolve_mode() -> TraceMode {
     let forced = FORCED.load(Ordering::Relaxed);
     let m = if forced != UNSET {
@@ -163,7 +148,6 @@ fn resolve_mode() -> TraceMode {
     m
 }
 
-#[cfg(feature = "trace")]
 fn parse_mode(v: &str) -> TraceMode {
     match v {
         "" => TraceMode::Full,
@@ -176,23 +160,18 @@ fn parse_mode(v: &str) -> TraceMode {
 
 /// Forces the trace mode programmatically (wins over `PI_TRACE`), or
 /// restores env-driven dispatch with `None`. Used by tests that must pin a
-/// mode regardless of the CI matrix. No-op without the `trace` feature.
+/// mode regardless of the CI matrix.
 pub fn force_mode(m: Option<TraceMode>) {
-    #[cfg(feature = "trace")]
-    {
-        match m {
-            Some(m) => {
-                FORCED.store(m as u8, Ordering::Relaxed);
-                CACHED.store(m as u8, Ordering::Relaxed);
-            }
-            None => {
-                FORCED.store(UNSET, Ordering::Relaxed);
-                CACHED.store(UNSET, Ordering::Relaxed);
-            }
+    match m {
+        Some(m) => {
+            FORCED.store(m as u8, Ordering::Relaxed);
+            CACHED.store(m as u8, Ordering::Relaxed);
+        }
+        None => {
+            FORCED.store(UNSET, Ordering::Relaxed);
+            CACHED.store(UNSET, Ordering::Relaxed);
         }
     }
-    #[cfg(not(feature = "trace"))]
-    let _ = m;
 }
 
 /// Enters a named span (see the module-level naming table). Expands to

@@ -155,7 +155,7 @@ fn main() {
             h.max,
             h.mean(),
         ),
-        None => println!("  fleet message sizes: no histogram (built without the `trace` feature)"),
+        None => println!("  fleet message sizes: no histogram (`PI_TRACE=off`)"),
     }
     pi_trace::force_mode(None);
 
