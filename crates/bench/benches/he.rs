@@ -8,7 +8,7 @@
 //!
 //! The cold-key path — what a first-time client's request pays before any
 //! of that — is timed apart and printed as one
-//! `csv,coldkey,<dims>,keygen_us_per_digit,…,encode_us_per_digit,…,decode_us_per_digit,…,frame_us_per_digit,…`
+//! `csv,coldkey,<dims>,keys,<n>,wire_bytes,<n>,keygen_us_per_key,…,encode_us_per_key,…,decode_us_per_key,…,frame_us_per_key,…`
 //! line in every mode, `--test` included, so CI can see it is still there.
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -22,7 +22,7 @@ use rand::{Rng, SeedableRng};
 use std::hint::black_box;
 
 /// The cold-key path at the protocol ring (`default_pi`) and `tiny_cnn`'s
-/// padded dimensions, per key digit: generating a key set as operands
+/// padded dimensions, per key: generating a key set as operands
 /// (the ledger's `he.keygen_ms`), encoding and decoding its frame
 /// (`he.keys_encode_ms` / `he.keys_decode_ms`), and what the protocol
 /// client runs instead of the first two — generating the frame directly.
@@ -58,16 +58,16 @@ fn bench_cold_key(_c: &mut Criterion) {
         },
         3,
     );
-    // Two flat polynomials a digit.
-    let digits = keys.galois.byte_len() / (2 * params.n() * 8);
-    let us_per_digit = |ns: f64| ns / 1e3 / digits as f64;
+    let us_per_key = |ns: f64| ns / 1e3 / plan.len() as f64;
     println!(
-        "csv,coldkey,d128x128x16,keygen_us_per_digit,{:.1},encode_us_per_digit,{:.1},\
-         decode_us_per_digit,{:.1},frame_us_per_digit,{:.1}",
-        us_per_digit(keygen),
-        us_per_digit(encode),
-        us_per_digit(decode),
-        us_per_digit(direct)
+        "csv,coldkey,d128x128x16,keys,{},wire_bytes,{},keygen_us_per_key,{:.1},\
+         encode_us_per_key,{:.1},decode_us_per_key,{:.1},frame_us_per_key,{:.1}",
+        plan.len(),
+        frame.len(),
+        us_per_key(keygen),
+        us_per_key(encode),
+        us_per_key(decode),
+        us_per_key(direct)
     );
 }
 

@@ -82,7 +82,7 @@ fn bench_matvec(c: &mut Criterion) {
     let dims = [64usize, 128];
     let mut rng = rand::rngs::StdRng::seed_from_u64(42);
     // Two key sets: the power-of-two composition chain drives the naive
-    // oracle, the dimensions' key plan (babies at the fine gadget) the
+    // oracle, the dimensions' key plan the
     // hoisted path — each path benches under exactly the keys it ships with.
     let keys = KeySet::generate(&params, &mut rng);
     let bsgs = KeySet::generate_for_dims(&params, &dims, &mut rng);
@@ -130,8 +130,8 @@ fn bench_matvec(c: &mut Criterion) {
     }
     group.finish();
 
-    // The primitives: a cold composed rotation (decompose + digit NTTs per
-    // call), the one-time hoist, and the per-rotation cost it buys.
+    // The primitives: a cold composed rotation (the lift's digit NTTs on
+    // every call), the one-time hoist, and the per-rotation cost it buys.
     let mut group = c.benchmark_group("keyswitch");
     group.sample_size(10);
     let ct = keys

@@ -50,8 +50,8 @@ fn bench_ntt(c: &mut Criterion) {
             })
         });
 
-        // Batched transform of a ciphertext-pair-sized batch (2 polys) and a
-        // key-switch-digit-sized batch (6 polys, matching default ks_digits).
+        // Batched transform of a ciphertext-pair-sized batch (2 polys: also
+        // a key switch's digits under one modulus) and a wider one (6).
         for batch_size in [2usize, 6] {
             group.bench_with_input(
                 BenchmarkId::new(format!("forward_many_x{batch_size}"), n),

@@ -88,7 +88,7 @@ struct ClientHe<'a> {
 /// `ServiceClient` stands for one client id at one runtime.
 #[derive(Default)]
 pub struct ServiceClient {
-    retained: HashMap<Vec<(usize, u32)>, Arc<ClientKeys>>,
+    retained: HashMap<Vec<usize>, Arc<ClientKeys>>,
     /// Client-Garbler: the client answers the server's label OTs.
     ot_sender: Option<OtStream<OtExtSender>>,
     /// Server-Garbler: the client asks for its labels.

@@ -176,7 +176,7 @@ impl ModelMeta {
     /// The rotation keys a client of this model generates and uploads, the
     /// only set the server admits for it, and what both parties key their
     /// key caches by: [`linalg::key_plan`] at the phases' padded dimensions.
-    pub fn key_plan(&self, params: &BfvParams) -> Vec<(usize, u32)> {
+    pub fn key_plan(&self, params: &BfvParams) -> Vec<usize> {
         let dims: Vec<usize> = self.phases.iter().map(|ph| ph.padded_dim).collect();
         linalg::key_plan(params, &dims)
     }
@@ -233,7 +233,7 @@ pub struct ClientHeKeys(GaloisKeys);
 impl ClientHeKeys {
     /// Admits an uploaded rotation-key frame if the entries its headers
     /// announce **equal** `plan` ([`ModelMeta::key_plan`]), element for
-    /// element and base for base, in order — and only then decodes it. The
+    /// element, in order — and only then decodes it. The
     /// header walk ([`pi_he::galois_keys_frame_entries`]) also holds the
     /// frame to the exact length its entries imply, which for the plan's
     /// entries is the plan's frame length; a frame that was never going to
@@ -251,11 +251,11 @@ impl ClientHeKeys {
     ///
     /// [`ProtocolError::Wire`] on a frame that fails to parse,
     /// [`ProtocolError::BadRequest`] on a well-formed set that is not the
-    /// plan: an entry missing, added, repeated, or under another base.
+    /// plan: an entry missing, added, repeated or out of order.
     pub fn admit(
         frame: &[u8],
         params: &BfvParams,
-        plan: &[(usize, u32)],
+        plan: &[usize],
         retired: impl FnOnce(usize) -> Option<Self>,
     ) -> Result<Self, ProtocolError> {
         if pi_he::galois_keys_frame_entries(frame, params)? != plan {
@@ -263,7 +263,8 @@ impl ClientHeKeys {
                 "rotation keys are not the model's key plan",
             ));
         }
-        let retired = retired(GaloisKeys::resident_byte_len_of(params, plan)).map(|keys| keys.0);
+        let retired =
+            retired(GaloisKeys::resident_byte_len_of(params, plan.len())).map(|keys| keys.0);
         let keys = pi_he::galois_keys_from_bytes_reusing(frame, params, retired)?;
         Ok(Self(keys))
     }

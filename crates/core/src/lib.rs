@@ -13,6 +13,10 @@
 //! perform live in `role.rs`. Around them:
 //!
 //! * layer-parallel HE (§5.2) via `ProtocolConfig::lphe_threads`;
+//! * HE rotation keys that are the model's key plan
+//!   ([`ModelMeta::key_plan`]: a sorted list of Galois elements, one
+//!   `pi-he` key over `q·P` each) and nothing else — the client uploads
+//!   that list's frame, the server admits no other, both cache by it;
 //! * exact communication/storage accounting on byte-counting channels
 //!   ([`channel`]), feeding the wireless-slot-allocation analysis (§5.3)
 //!   in `pi-sim`;
@@ -224,7 +228,7 @@ mod tests {
         // else) against the per-rotation baseline: the UNION of the
         // per-dim rotation sets, i.e. the max dim's d−1 elements — not a
         // per-dim sum, which would double-count the nested sets. For
-        // tiny_cnn (padded dims {128, 128, 16}) the saving is 2.09×.
+        // tiny_cnn (padded dims {128, 128, 16}) the saving is 6.05×.
         let he = BfvParams::small_test();
         let model = build_model(&zoo::tiny_cnn(), &he, 31);
         let input = random_input(&model, 32);
@@ -236,11 +240,13 @@ mod tests {
             report.galois_key_bytes,
             report.galois_key_bytes_per_rotation
         );
-        // 23 entries, 425 digits on the wire against 127 × 7.
-        assert_eq!(report.galois_key_bytes, 6_745_865);
-        assert_eq!(report.galois_key_bytes_per_rotation, 14_111_409);
+        // 21 keys on the wire against 127, each 4 + 2·(15 872 + 10 240)
+        // bytes at n = 2048 (two digits, 62-bit and 40-bit residues), after
+        // a 62-byte preamble.
+        assert_eq!(report.galois_key_bytes, 62 + 21 * 52_228);
+        assert_eq!(report.galois_key_bytes_per_rotation, 62 + 127 * 52_228);
         assert!(
-            report.galois_key_saving() > 2.0,
+            report.galois_key_saving() > 6.0,
             "saving = {}",
             report.galois_key_saving()
         );

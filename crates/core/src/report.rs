@@ -211,10 +211,11 @@ impl CostReport {
 
     /// Offline Galois-key storage/upload saving of the BSGS key set over a
     /// full per-rotation set (the union over the model's dimensions, i.e.
-    /// the largest dim's `d − 1` rotations). ≈ 2.2× for a single 128-wide
-    /// layer despite the finer baby gadget, ≈ 2.1× for a whole tiny-cnn
-    /// key upload (dims 128/128/16: the 16-wide layer adds two giants the
-    /// 128-wide plan does not hold); grows with the dimension. `1.0` when
+    /// the largest dim's `d − 1` rotations). Every key is one size, so this
+    /// is the ratio of the element counts: 127 / 21 ≈ 6.0× for a single
+    /// 128-wide layer and for a whole tiny-cnn key upload alike (dims
+    /// 128/128/16: the 16-wide layer's rotations are all elements the
+    /// 128-wide plan already holds); grows with the dimension. `1.0` when
     /// no HE keys were generated.
     pub fn galois_key_saving(&self) -> f64 {
         if self.galois_key_bytes == 0 {

@@ -114,7 +114,7 @@ impl Default for ServeConfig {
 struct ModelEntry {
     model: PiModel,
     cfg: ProtocolConfig,
-    key_plan: Vec<(usize, u32)>,
+    key_plan: Vec<usize>,
 }
 
 /// One event on a session slot's inbox.
@@ -156,7 +156,7 @@ struct Inner {
     models: parking_lot::Mutex<Vec<Arc<ModelEntry>>>,
     slots: parking_lot::Mutex<HashMap<u64, Arc<Slot>>>,
     next_sid: AtomicU64,
-    keys_table: ByteLru<(u64, Vec<(usize, u32)>), ClientHeKeys>,
+    keys_table: ByteLru<(u64, Vec<usize>), ClientHeKeys>,
     ot_table: ByteLru<(u64, ProtocolKind), ClientOtState>,
     precomp_table: ByteLru<usize, ServerPrecomp>,
     batcher: Batcher,

@@ -105,7 +105,7 @@ struct HeCtx {
     params: BfvParams,
     encoder: BatchEncoder,
     /// The model's key plan: what an upload must equal to be admitted.
-    plan: Vec<(usize, u32)>,
+    plan: Vec<usize>,
 }
 
 /// One stored Client-Garbler ReLU phase: the checked tables, the output

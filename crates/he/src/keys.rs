@@ -1,60 +1,76 @@
-//! Key generation, encryption, decryption, and Galois key switching — with
-//! Halevi–Shoup *hoisting* for the rotation-heavy linear algebra.
+//! Key generation, encryption, decryption, and Galois key switching over
+//! `q·P` — with Halevi–Shoup *hoisting* for the rotation-heavy linear
+//! algebra.
 //!
-//! # Hoisting invariants
+//! # One key switch
 //!
 //! A rotation by `k` applies the automorphism `φ_g` (`g = 3^k mod 2N`) and
-//! key-switches `φ_g(c1)` back to `s`. The expensive part is the gadget
-//! decomposition of `c1` plus one forward NTT per digit; the cheap part is
-//! the dyadic accumulate against the keys. Because `φ_g` acts on NTT-form
-//! data as a pure slot permutation ([`pi_poly::GaloisPerm`]) and
-//! `Σ_i φ_g(d_i)·B^i = φ_g(c1)` for **any** decomposition `Σ d_i B^i = c1`
-//! (`φ_g` is a ring homomorphism fixing scalars), the digits of `c1` can be
-//! decomposed and NTT-transformed **once** ([`GaloisKeys::hoist`] →
-//! [`HoistedCiphertext`]) and reused for every rotation: each
-//! [`GaloisKeys::rotate_hoisted`] pays one gather per digit plus the dyadic
-//! accumulates — **zero NTTs per rotation**. The permuted digits
-//! `φ_g(d_i)` have the same coefficient magnitudes as `d_i` (a signed
-//! permutation), so the usual key-switch noise bound is unchanged.
+//! key-switches `φ_g(c1)` back to `s`. Every switch in this crate — cold,
+//! hoisted, fused into a matvec's giant step, composed by the oracle
+//! chain — is the same three steps over the same key:
 //!
-//! Domains through the hoisted path: hoisted digits live in NTT form,
-//! strictly reduced `[0, q)`; the permutation is a value-preserving gather,
-//! so any lazy range survives it; accumulation runs in the `[0, 2q)` lazy
-//! domain (`dyadic_mul_acc_shoup`) with a single `reduce_lazy` pass at the
-//! end (or none, for callers that keep accumulating).
+//! 1. **Lift** (`Lifted`): `c1` in coefficient form (one inverse NTT) is
+//!    split into [`KEY_DIGITS`] digits of [`BfvParams::digit_bits`] bits.
+//!    A digit is a small non-negative integer, the same under `q` and
+//!    under the special prime `P` ([`BfvParams::special_p`]), so it is
+//!    forward-NTT'd once in each ring ([`pi_poly::NttTables::forward_many`]).
+//! 2. **Accumulate**: `Σ_i d_i·(k0_i, a_i)` in both residues, with the
+//!    lazy Shoup kernels. Key digit `i` satisfies
+//!    `k0_i + a_i·s = P·2^{wi}·s(x^g) − e_i (mod q·P)`, so the sum is a pair
+//!    `(u0, u1)` with `u0 + u1·s = P·c1·s(x^g) − Σ d_i·e_i`.
+//! 3. **Divide by `P`** (`mod_down`): `round(u/P) mod q` — inverse NTT
+//!    under `P`, the centred remainder re-embedded in `q`, one forward
+//!    NTT, `(u_q − r)·P⁻¹`. The keys' error term comes out divided by `P`,
+//!    below the rounding term the division itself adds
+//!    ([`BfvParams::key_switch_noise_bits`]).
 //!
-//! # Key sets and gadget bases
+//! # What is hoisted is the lift
 //!
-//! A key set is a list of (Galois element, gadget base) entries. The one
-//! the protocol generates, uploads and admits is
-//! [`crate::linalg::key_plan`] for the model's padded dimensions
-//! ([`KeySet::generate_for_dims`]): baby rotations under the fine
-//! [`BfvParams::bsgs_log_base`] gadget (see its docs for the noise
-//! rationale), giant rotations under the ordinary
-//! [`BfvParams::ks_log_base`], an element claimed in both roles once per
-//! base — and nothing else. [`KeySet::generate`] holds the power-of-two
-//! composition chain instead: the key set of [`GaloisKeys::rotate_rows`],
-//! which only the `matvec_naive` oracle, tests and benches call. A hoisted
-//! ciphertext can only be rotated by an entry whose gadget matches its own
-//! decomposition ([`KeyError::GadgetMismatch`] otherwise).
+//! `φ_g` acts on NTT-form data as a pure slot permutation
+//! ([`pi_poly::GaloisPerm`]) and `Σ_i φ_g(d_i)·2^{wi} = φ_g(c1)` for **any**
+//! decomposition `Σ d_i 2^{wi} = c1` (`φ_g` is a ring homomorphism fixing
+//! scalars), so step 1 runs **once** per ciphertext ([`GaloisKeys::hoist`] →
+//! [`HoistedCiphertext`]) and every rotation reuses it: each
+//! [`GaloisKeys::rotate_hoisted`] pays one gather per digit per residue,
+//! the accumulates, and its own division. The permuted digits `φ_g(d_i)`
+//! have the coefficient magnitudes of `d_i` (a signed permutation), so the
+//! noise estimate is unchanged.
+//!
+//! Domains through the extended basis: lifted digits live in NTT form,
+//! strictly reduced `[0, q)` / `[0, P)`; the permutation is a
+//! value-preserving gather, so any lazy range survives it; accumulation
+//! runs in the lazy `[0, 2q)` / `[0, 2P)` domains
+//! (`dyadic_mul_acc_shoup(_gather2)`), which is what both the inverse NTT
+//! under `P` and the final `(u_q − r)·P⁻¹` accept; `mod_down` returns
+//! strictly reduced `[0, q)` words.
+//!
+//! In the BSGS matvec ([`crate::linalg`]) a **baby** rotation divides by
+//! `P` on its own: its output is multiplied by plaintext diagonals under
+//! `q`, which have no `P` residue. **Giant** rotations only add into the
+//! result, so they accumulate in the extended basis across the whole
+//! matvec and the division — and its rounding noise — is paid once.
+//!
+//! # Key sets
+//!
+//! A key set is a list of Galois elements, one key each. The one the
+//! protocol generates, uploads and admits is [`crate::linalg::key_plan`]
+//! for the model's padded dimensions ([`KeySet::generate_for_dims`]) — and
+//! nothing else. [`KeySet::generate`] holds the power-of-two composition
+//! chain instead: the key set of [`GaloisKeys::rotate_rows`], which only
+//! the `matvec_naive` oracle, tests and benches call; it runs on the same
+//! switch.
 //!
 //! Every key digit comes out of one generator (`KeyDigits`), in
 //! evaluation form from its first word to its last: a party that rotates
 //! builds operands from it ([`KeySet`]), a party that only uploads writes
 //! the wire frame from it ([`crate::wire::galois_keys_frame`]) and never
 //! holds an operand, a quotient or a slot permutation.
-//!
-//! All key-switch paths (hoisted and not) draw their digit buffers from
-//! one thread-local scratch set, so steady-state rotations allocate only
-//! their output polynomials and a fixed worker pool retains one set per
-//! worker.
 
 use crate::cipher::{Ciphertext, Plaintext};
-use crate::params::{gadget_digits, BfvParams};
+use crate::params::{BfvParams, KEY_DIGITS};
 use pi_poly::{sample, GaloisPerm, Poly, PolyForm, PolyOperand, ShoupVec};
 use rand::rngs::StdRng;
 use rand::Rng;
-use std::cell::RefCell;
 
 /// Errors from key-dependent operations: what a rotation returns when the
 /// key set does not hold the entry it needs. A server rejects the request
@@ -63,17 +79,6 @@ use std::cell::RefCell;
 pub enum KeyError {
     /// No key-switching key was generated for the requested Galois element.
     MissingGaloisKey(usize),
-    /// The requested element has a key, but not under the gadget base the
-    /// operation decomposes at (a hoisted ciphertext's digits, say, cannot
-    /// be consumed by a key of a different `log_base`).
-    GadgetMismatch {
-        /// The requested Galois element.
-        g: usize,
-        /// log2 of the decomposition base of the key that is held.
-        key_log_base: u32,
-        /// log2 of the decomposition base the operation needs.
-        wanted_log_base: u32,
-    },
 }
 
 impl std::fmt::Display for KeyError {
@@ -82,15 +87,6 @@ impl std::fmt::Display for KeyError {
             KeyError::MissingGaloisKey(g) => {
                 write!(f, "no Galois key for element {g}")
             }
-            KeyError::GadgetMismatch {
-                g,
-                key_log_base,
-                wanted_log_base,
-            } => write!(
-                f,
-                "Galois key for element {g} uses base 2^{key_log_base} but the \
-                 operation decomposes at base 2^{wanted_log_base}"
-            ),
         }
     }
 }
@@ -114,57 +110,104 @@ pub fn rotation_element(n: usize, k: usize) -> usize {
     acc
 }
 
-/// Scratch buffers for the key-switch hot paths: gadget digit buffers and
-/// a coefficient-form staging buffer. Every rotation (hoisted or not)
-/// borrows these instead of allocating `digits × n` words per call. There
-/// is no permutation target: rotations fold the Galois permutation into
-/// the gather of `NttTables::dyadic_mul_acc_shoup_gather2`, so no permuted
-/// copy is ever materialized.
-#[derive(Default)]
-struct KsScratch {
-    coeff: Vec<u64>,
-    digits: Vec<Vec<u64>>,
+/// A `c1` lifted into the key-switch basis (step 1 of the module docs):
+/// its [`KEY_DIGITS`] digits, least significant first, in evaluation form
+/// and strictly reduced, under `q` and under `P`.
+#[derive(Clone, Debug)]
+pub(crate) struct Lifted {
+    q: [Vec<u64>; KEY_DIGITS],
+    p: [Vec<u64>; KEY_DIGITS],
 }
 
-impl KsScratch {
-    /// Makes `count` digit buffers of length `n` available (contents
-    /// unspecified — callers fully overwrite).
-    fn ensure_digits(&mut self, count: usize, n: usize) {
-        if self.digits.len() < count {
-            self.digits.resize_with(count, Vec::new);
+impl Lifted {
+    pub(crate) fn zeros(n: usize) -> Self {
+        Self {
+            q: zeros(n),
+            p: zeros(n),
         }
-        let mut grown = 0u64;
-        for d in &mut self.digits[..count] {
-            if d.capacity() < n {
-                grown += 1;
+    }
+
+    /// Lifts `c1`, given in coefficient form and strictly reduced,
+    /// overwriting whatever was lifted before.
+    fn fill(&mut self, params: &BfvParams, c1: &[u64]) {
+        let w = params.digit_bits();
+        let mask = (1u64 << w) - 1;
+        for (i, (dq, dp)) in self.q.iter_mut().zip(&mut self.p).enumerate() {
+            let shift = i as u32 * w;
+            for ((dq, dp), &c) in dq.iter_mut().zip(dp.iter_mut()).zip(c1) {
+                *dq = (c >> shift) & mask;
+                *dp = *dq;
             }
-            d.resize(n, 0);
         }
-        // Steady state is zero: a warm scratch set never reallocates.
-        pi_trace::add(pi_trace::Counter::KsScratchAlloc, grown);
+        params.ring().ntt().forward_many(&mut slices(&mut self.q));
+        params
+            .special_ring()
+            .ntt()
+            .forward_many(&mut slices(&mut self.p));
     }
 }
 
-thread_local! {
-    static KS_SCRATCH: RefCell<KsScratch> = RefCell::new(KsScratch::default());
+/// A ciphertext pair `(u0, u1)` in the extended basis `q·P`: evaluation
+/// form, lazy `[0, 2q)` / `[0, 2P)` — what a switch accumulates into
+/// (step 2) before it divides by `P`.
+pub(crate) struct ExtPair {
+    pub(crate) q: [Vec<u64>; 2],
+    pub(crate) p: [Vec<u64>; 2],
 }
 
-fn with_ks_scratch<T>(f: impl FnOnce(&mut KsScratch) -> T) -> T {
-    KS_SCRATCH.with(|s| f(&mut s.borrow_mut()))
+impl ExtPair {
+    pub(crate) fn zeros(n: usize) -> Self {
+        Self {
+            q: zeros(n),
+            p: zeros(n),
+        }
+    }
+
+    pub(crate) fn clear(&mut self) {
+        for x in self.q.iter_mut().chain(&mut self.p) {
+            x.fill(0);
+        }
+    }
+
+    /// The `q` half and the `P` half, as the slices the switch steps take.
+    fn halves(&mut self) -> ([&mut [u64]; 2], [&mut [u64]; 2]) {
+        (slices(&mut self.q), slices(&mut self.p))
+    }
 }
 
-/// Writes the base-`2^log_base` digits of `coeff` into `digits`
-/// (least-significant first), fully overwriting each buffer.
-fn decompose_into(coeff: &[u64], log_base: u32, digits: &mut [Vec<u64>]) {
-    let mask = if log_base == 64 {
-        u64::MAX
-    } else {
-        (1u64 << log_base) - 1
-    };
-    for (d, out) in digits.iter_mut().enumerate() {
-        let shift = d as u32 * log_base;
-        out.clear();
-        out.extend(coeff.iter().map(|&c| (c >> shift) & mask));
+fn zeros<const K: usize>(n: usize) -> [Vec<u64>; K] {
+    std::array::from_fn(|_| vec![0; n])
+}
+
+fn slices<const K: usize>(polys: &mut [Vec<u64>; K]) -> [&mut [u64]; K] {
+    polys.each_mut().map(|v| v.as_mut_slice())
+}
+
+/// Divides an extended-basis pair by `P` with rounding (step 3 of the
+/// module docs): on return `xq[j]` holds `round(x_j / P) mod q`, strictly
+/// reduced evaluation form, where `x_j` is the ring element whose residues
+/// came in as `xq[j]` (lazy `[0, 2q)`) and `xp[j]` (lazy `[0, 2P)`, consumed
+/// as scratch). Exactly: with `r` the remainder of `x` modulo `P` centred
+/// into `[−⌊P/2⌋, ⌊P/2⌋]`, `x − r` is a multiple of `P` and
+/// `(x − r)/P ≡ (x_q − r)·P⁻¹ (mod q)`; `P` is odd, so there are no ties.
+pub(crate) fn mod_down(params: &BfvParams, xq: [&mut [u64]; 2], mut xp: [&mut [u64]; 2]) {
+    let (q, p) = (params.q(), params.special_p());
+    params.special_ring().ntt().inverse_many(&mut xp);
+    // r ≥ 0 stays what it is; r < 0 is `x_P − P`, which is `x_P + (q − P)`
+    // modulo q.
+    let (half, lift) = (p.value() / 2, q.value() - p.value());
+    for x in xp.iter_mut().flat_map(|x| x.iter_mut()) {
+        if *x > half {
+            *x += lift;
+        }
+    }
+    params.ring().ntt().forward_many(&mut xp);
+    let (p_inv, twice) = (params.special_inv(), q.twice());
+    for (xq, r) in xq.into_iter().zip(xp) {
+        for (x, &r) in xq.iter_mut().zip(r.iter()) {
+            // x < 2q and r < q: the difference sits in (0, 4q), a word.
+            *x = q.mul_shoup(*x + twice - r, p_inv);
+        }
     }
 }
 
@@ -201,132 +244,150 @@ pub(crate) fn expansion_rng(seed: &[u8; 32]) -> StdRng {
     StdRng::from_seed(*seed)
 }
 
+/// Draws the `a` of one key digit from a key set's seed stream: uniform
+/// modulo `q`, then uniform modulo `P` — by CRT, uniform modulo `q·P` —
+/// each by rejection from its own modulus' bit width. This order, digit
+/// after digit and entry after entry, is the stream's whole layout; the
+/// generator and the frame reader both draw through here.
+fn draw_a(params: &BfvParams, a_q: &mut [u64], a_p: &mut [u64], stream: &mut StdRng) {
+    sample::uniform_into(params.q(), a_q, stream);
+    sample::uniform_into(params.special_p(), a_p, stream);
+}
+
 /// The one generator of key-switching digits, shared by the party that
 /// keeps its keys as operands ([`KeySet`]) and the party that only ships
-/// them ([`crate::wire::galois_keys_frame`]): digit `i` of the key for
-/// `(g, B)` is `k0 = B^i·s(x^g) − (a·s + e)` with `a` the next polynomial
-/// of the set's seed stream — drawn in evaluation form, never transformed —
-/// and `e` a fresh centered-binomial error from the caller's RNG, so
-/// `k0 + a·s = B^i·s(x^g) − e`.
+/// them ([`crate::wire::galois_keys_frame`]): digit `i` of the key for `g`
+/// is `k0 = P·2^{wi}·s(x^g) − (a·s + e) (mod q·P)` with `a` the next draw
+/// of the set's seed stream (`draw_a`) — evaluation form as drawn, never
+/// transformed — and `e` one fresh centered-binomial error from the
+/// caller's RNG, embedded in both residues, so
+/// `k0 + a·s = P·2^{wi}·s(x^g) − e`. Modulo `P` the first term vanishes.
 ///
-/// Everything lives in evaluation form and in three buffers reused across
-/// the whole set: a digit costs two sampler passes, one forward NTT (of
-/// `e`), one fused multiply-accumulate against `s` (a Shoup operand built
-/// once) and one subtract pass; `B^i·s(x^g)` advances by one Shoup
-/// multiply per digit.
+/// Everything lives in evaluation form and in buffers reused across the
+/// whole set: a digit costs three sampler passes, two forward NTTs (of `e`,
+/// once per residue), one fused multiply-accumulate against `s` per residue
+/// (Shoup operands built once) and one subtract pass each;
+/// `P·2^{wi}·s(x^g)` advances by one Shoup multiply per digit.
 pub(crate) struct KeyDigits<'a> {
     secret: &'a SecretKey,
-    s_op: ShoupVec,
+    s_q: ShoupVec,
+    s_p: ShoupVec,
     s_coeff: Poly,
     /// The seed every `a` of the set expands from, in entry, then digit,
     /// order — the order [`GaloisKeys::from_wire_parts`] replays.
     pub(crate) seed: [u8; 32],
     a_stream: StdRng,
-    /// `B^i · s(x^g)` for the digit in hand.
+    /// `P·2^{wi}·s(x^g) mod q` for the digit in hand.
     sg: Vec<u64>,
-    k0: Vec<u64>,
-    a: Vec<u64>,
+    k0_q: Vec<u64>,
+    a_q: Vec<u64>,
+    k0_p: Vec<u64>,
+    a_p: Vec<u64>,
 }
 
 impl KeyDigits<'_> {
-    /// Generates the key for Galois element `g` under gadget base
-    /// `2^log_base`, handing each digit's `(k0, a)` — strictly reduced
+    /// Generates the key for Galois element `g`, handing each digit's
+    /// `(k0, a)` under `q` and `(k0, a)` under `P` — strictly reduced
     /// evaluation-form words, valid for the call — to `digit`, least
     /// significant first.
     pub(crate) fn entry<R: Rng + ?Sized>(
         &mut self,
         g: usize,
-        log_base: u32,
         rng: &mut R,
-        mut digit: impl FnMut(&[u64], &[u64]),
+        mut digit: impl FnMut((&[u64], &[u64]), (&[u64], &[u64])),
     ) {
         let params = &self.secret.params;
-        let q = params.q();
-        let ntt = params.ring().ntt();
-        let base = q.shoup(q.reduce(1 << log_base));
+        let (q, p) = (params.q(), params.special_p());
+        let (ntt_q, ntt_p) = (params.ring().ntt(), params.special_ring().ntt());
+        let embed = q.value() - p.value();
         self.sg = self.s_coeff.galois(g).into_ntt().into_data();
-        for i in 0..gadget_digits(q, log_base) {
-            if i > 0 {
-                for x in &mut self.sg {
-                    *x = q.mul_shoup(*x, base);
-                }
+        for i in 0..KEY_DIGITS {
+            let step = if i == 0 {
+                q.reduce(p.value())
+            } else {
+                1 << params.digit_bits()
+            };
+            let step = q.shoup(step);
+            for x in &mut self.sg {
+                *x = q.mul_shoup(*x, step);
             }
-            sample::uniform_into(q, &mut self.a, &mut self.a_stream);
-            sample::centered_binomial_into(q, &mut self.k0, rng, params.error_k);
-            ntt.forward(&mut self.k0);
-            // e + a·s in the lazy [0, 2q) domain, then out of it.
-            ntt.dyadic_mul_acc_shoup(&mut self.k0, &self.a, &self.s_op);
-            for (x, &sg) in self.k0.iter_mut().zip(&self.sg) {
+            draw_a(params, &mut self.a_q, &mut self.a_p, &mut self.a_stream);
+            sample::centered_binomial_into(q, &mut self.k0_q, rng, params.error_k());
+            // The same small signed e under P: a negative draw is `q − |e|`.
+            for (e_p, &e_q) in self.k0_p.iter_mut().zip(&self.k0_q) {
+                *e_p = if e_q > q.value() / 2 {
+                    e_q - embed
+                } else {
+                    e_q
+                };
+            }
+            ntt_q.forward(&mut self.k0_q);
+            ntt_p.forward(&mut self.k0_p);
+            // e + a·s in the lazy domain of each residue, then out of it.
+            ntt_q.dyadic_mul_acc_shoup(&mut self.k0_q, &self.a_q, &self.s_q);
+            ntt_p.dyadic_mul_acc_shoup(&mut self.k0_p, &self.a_p, &self.s_p);
+            for (x, &sg) in self.k0_q.iter_mut().zip(&self.sg) {
                 *x = q.sub(sg, q.reduce_lazy(*x));
             }
-            digit(&self.k0, &self.a);
+            for x in &mut self.k0_p {
+                *x = p.neg(p.reduce_lazy(*x));
+            }
+            digit((&self.k0_q, &self.a_q), (&self.k0_p, &self.a_p));
         }
     }
 }
 
-/// One key-set entry: the Galois element, the gadget base its key was
-/// generated under, the per-digit Shoup-form key pairs, and the precomputed
-/// NTT-slot permutation realizing the automorphism.
+/// One digit of a key-switching key under one modulus: `(k0, a)` as Shoup
+/// operands.
+pub(crate) type KeyPair = (PolyOperand, PolyOperand);
+
+/// One key-set entry: the Galois element, its key — [`KEY_DIGITS`] digits,
+/// least significant first, each a pair under `q` and a pair under `P` —
+/// and the precomputed NTT-slot permutation realizing the automorphism
+/// (one table serves both rings: it depends on `n` and `g` alone).
 #[derive(Clone, Debug)]
 pub(crate) struct GaloisKeyEntry {
     /// The Galois element `g` this entry switches `s(x^g)` back from.
     pub(crate) g: usize,
-    /// log2 of this entry's gadget decomposition base.
-    pub(crate) log_base: u32,
-    /// `(k0_i, k1_i)` per digit, satisfying `k0_i + k1_i·s = B^i·s(x^g) + e_i`.
-    pub(crate) digits: Vec<(PolyOperand, PolyOperand)>,
+    /// The digits' pairs under `q`.
+    pub(crate) q: Vec<KeyPair>,
+    /// The digits' pairs under `P`.
+    pub(crate) p: Vec<KeyPair>,
     /// `x ↦ x^g` as an evaluation-slot permutation.
     perm: GaloisPerm,
 }
 
-/// Key-switching keys for a list of (Galois element, gadget base) entries,
-/// enabling slot rotations.
+/// Key-switching keys for a list of Galois elements, enabling slot
+/// rotations.
 ///
 /// Keys are stored as precomputed Shoup operands ([`PolyOperand`]): each
-/// `(k0_i, k1_i)` pair multiplies every decomposed digit of every rotated
+/// `(k0_i, a_i)` pair multiplies a lifted digit of every rotated
 /// ciphertext, so the one-time quotient precomputation at generation pays
-/// for itself on the first rotation. An element needed under two gadgets
-/// (a rotation that is a BSGS baby at one dimension and a giant at
-/// another) holds **one entry per base**.
+/// for itself on the first rotation. An element has **one** key, whatever
+/// role its rotation plays at whichever dimension.
 #[derive(Clone, Debug)]
 pub struct GaloisKeys {
     params: BfvParams,
-    /// Entries in generation (= wire) order: for keys this crate generated,
-    /// ascending element, coarsest base first within one.
+    /// Entries in generation (= wire) order: for keys this crate
+    /// generated, ascending element.
     keys: Vec<GaloisKeyEntry>,
-    /// PRG seed every gadget `a` column was expanded from (wire layer).
+    /// PRG seed every `a` was expanded from (wire layer).
     seed: [u8; 32],
 }
 
-/// A ciphertext decomposed once for many rotations (Halevi–Shoup
-/// hoisting): both components in evaluation form plus the gadget digits of
-/// `c1`, already forward-NTT'd, under the [`BfvParams::bsgs_log_base`]
-/// base. Build with [`GaloisKeys::hoist`]; consume with
+/// A ciphertext lifted once for many rotations (Halevi–Shoup hoisting):
+/// both components in evaluation form plus `c1` in the key-switch basis.
+/// Build with [`GaloisKeys::hoist`]; consume with
 /// [`GaloisKeys::rotate_hoisted`].
 ///
-/// All stored vectors are strictly reduced `[0, q)` NTT-form data.
+/// All stored vectors are strictly reduced NTT-form data.
 #[derive(Clone, Debug)]
 pub struct HoistedCiphertext {
-    /// log2 of the gadget base the digits were decomposed under.
-    log_base: u32,
     /// `c0` in evaluation form.
     c0: Vec<u64>,
     /// `c1` in evaluation form (used for the identity rotation).
     c1: Vec<u64>,
-    /// NTT-form gadget digits of `c1`, least significant first.
-    digits: Vec<Vec<u64>>,
-}
-
-impl HoistedCiphertext {
-    /// log2 of the gadget base the digits were decomposed under.
-    pub fn log_base(&self) -> u32 {
-        self.log_base
-    }
-
-    /// Number of gadget digits held.
-    pub fn num_digits(&self) -> usize {
-        self.digits.len()
-    }
+    lifted: Lifted,
 }
 
 /// A convenience bundle of all keys one party generates.
@@ -358,15 +419,12 @@ fn power_of_two_elements(n: usize) -> Vec<usize> {
 
 impl KeySet {
     /// Generates a fresh key set with rotation keys for all power-of-two
-    /// row rotations and the row swap, under the ordinary gadget: enough
-    /// for [`GaloisKeys::rotate_rows`] to compose any rotation in log
-    /// steps. This is the `matvec_naive` oracle's key set; the protocol
-    /// never generates or uploads it.
+    /// row rotations and the row swap: enough for
+    /// [`GaloisKeys::rotate_rows`] to compose any rotation in log steps.
+    /// This is the `matvec_naive` oracle's key set; the protocol never
+    /// generates or uploads it.
     pub fn generate<R: Rng + ?Sized>(params: &BfvParams, rng: &mut R) -> Self {
-        let mut chain: Vec<(usize, u32)> = power_of_two_elements(params.n())
-            .into_iter()
-            .map(|g| (g, params.ks_log_base))
-            .collect();
+        let mut chain = power_of_two_elements(params.n());
         chain.sort_unstable();
         Self::generate_with(params, &chain, rng)
     }
@@ -385,14 +443,10 @@ impl KeySet {
         Self::generate_with(params, &crate::linalg::key_plan(params, dims), rng)
     }
 
-    fn generate_with<R: Rng + ?Sized>(
-        params: &BfvParams,
-        entries: &[(usize, u32)],
-        rng: &mut R,
-    ) -> Self {
+    fn generate_with<R: Rng + ?Sized>(params: &BfvParams, elements: &[usize], rng: &mut R) -> Self {
         let secret = SecretKey::generate(params, rng);
         let public = secret.public_key(rng);
-        let galois = secret.galois_keys(entries, rng);
+        let galois = secret.galois_keys(elements, rng);
         Self {
             secret,
             public,
@@ -407,9 +461,7 @@ impl SecretKey {
         let s_coeff = sample::ternary(params.ring(), rng);
         // Re-embed the ternary coefficients in the down ring while the
         // coefficient form is at hand (values are {0, 1, q−1} ↦ {0, ±1}).
-        let q = params.q();
-        let signed: Vec<i64> = s_coeff.data().iter().map(|&c| q.to_signed(c)).collect();
-        let s_down = Poly::from_signed(params.down_ring().clone(), &signed).into_ntt();
+        let s_down = reembed(&s_coeff, params.down_ring()).into_ntt();
         Self {
             params: params.clone(),
             s: s_coeff.into_ntt(),
@@ -429,7 +481,7 @@ impl SecretKey {
         let mut seed = [0u8; 32];
         rng.fill(&mut seed);
         let a = sample::uniform(self.params.ring(), PolyForm::Ntt, &mut expansion_rng(&seed));
-        let e = sample::centered_binomial(self.params.ring(), rng, self.params.error_k);
+        let e = sample::centered_binomial(self.params.ring(), rng, self.params.error_k());
         let pk0 = a.mul(&self.s).add(&e.into_ntt()).neg();
         PublicKey {
             params: self.params.clone(),
@@ -455,34 +507,37 @@ impl SecretKey {
         let mut seed = [0u8; 32];
         rng.fill(&mut seed);
         let a = sample::uniform(params.ring(), PolyForm::Ntt, &mut expansion_rng(&seed));
-        let e = sample::centered_binomial(params.ring(), rng, params.error_k);
+        let e = sample::centered_binomial(params.ring(), rng, params.error_k());
         let scaled = pt.poly.scale(params.delta());
         let c0 = scaled.into_ntt().add(&e.into_ntt()).sub(&a.mul(&self.s));
         (Ciphertext { c0, c1: a }, seed)
     }
 
-    /// Generates one key-switching key per `(element, log2 base)` entry,
-    /// in the order given (which becomes the wire order): the operand
-    /// builder over [`KeyDigits`], for parties that will rotate with the
-    /// keys themselves (the oracle, tests, the ledger's replays). A party
-    /// that only uploads them writes the frame instead
+    /// Generates one key-switching key per Galois element, in the order
+    /// given (which becomes the wire order): the operand builder over
+    /// [`KeyDigits`], for parties that will rotate with the keys
+    /// themselves (the oracle, tests, the ledger's replays). A party that
+    /// only uploads them writes the frame instead
     /// ([`crate::wire::galois_keys_frame`]) — same digits, same bytes.
-    fn galois_keys<R: Rng + ?Sized>(&self, entries: &[(usize, u32)], rng: &mut R) -> GaloisKeys {
-        let ring = self.params.ring();
-        let operand = |x: &[u64]| PolyOperand::from_ntt_data(ring.clone(), x.to_vec());
+    fn galois_keys<R: Rng + ?Sized>(&self, elements: &[usize], rng: &mut R) -> GaloisKeys {
+        let (ring, special) = (self.params.ring(), self.params.special_ring());
+        let operand = |ring: &std::sync::Arc<pi_poly::RingContext>, x: &[u64]| {
+            PolyOperand::from_ntt_data(ring.clone(), x.to_vec())
+        };
         let mut gen = self.key_digits(rng);
-        let mut keys = Vec::with_capacity(entries.len());
-        for &(g, log_base) in entries {
-            let mut digits = Vec::with_capacity(gadget_digits(self.params.q(), log_base));
-            gen.entry(g, log_base, rng, |k0, a| {
-                digits.push((operand(k0), operand(a)))
-            });
-            keys.push(GaloisKeyEntry {
+        let mut keys = Vec::with_capacity(elements.len());
+        for &g in elements {
+            let mut entry = GaloisKeyEntry {
                 g,
-                log_base,
-                digits,
+                q: Vec::with_capacity(KEY_DIGITS),
+                p: Vec::with_capacity(KEY_DIGITS),
                 perm: ring.ntt().galois_permutation(g),
+            };
+            gen.entry(g, rng, |q, p| {
+                entry.q.push((operand(ring, q.0), operand(ring, q.1)));
+                entry.p.push((operand(special, p.0), operand(special, p.1)));
             });
+            keys.push(entry);
         }
         GaloisKeys {
             params: self.params.clone(),
@@ -494,18 +549,58 @@ impl SecretKey {
     /// Starts the digit generator of one key set, drawing the set's
     /// 32-byte `a` seed from `rng`.
     pub(crate) fn key_digits<R: Rng + ?Sized>(&self, rng: &mut R) -> KeyDigits<'_> {
-        let n = self.params.n();
+        let params = &self.params;
+        let n = params.n();
         let mut seed = [0u8; 32];
         rng.fill(&mut seed);
+        let s_coeff = self.s.clone().into_coeff();
+        let s_p = reembed(&s_coeff, params.special_ring()).into_ntt();
         KeyDigits {
             secret: self,
-            s_op: ShoupVec::new(self.params.q(), self.s.data()),
-            s_coeff: self.s.clone().into_coeff(),
+            s_q: ShoupVec::new(params.q(), self.s.data()),
+            s_p: ShoupVec::new(params.special_p(), s_p.data()),
+            s_coeff,
             seed,
             a_stream: expansion_rng(&seed),
             sg: Vec::new(),
-            k0: vec![0; n],
-            a: vec![0; n],
+            k0_q: vec![0; n],
+            a_q: vec![0; n],
+            k0_p: vec![0; n],
+            a_p: vec![0; n],
+        }
+    }
+
+    /// The phase `c0 + c1·s` of a ciphertext, as coefficients modulo the
+    /// modulus it is returned with — in whichever of the two rings a
+    /// ciphertext of this key can live in, the ciphertext ring or the
+    /// down-switch response ring.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a ciphertext of neither ring.
+    fn phase(&self, ct: &Ciphertext) -> (Vec<u64>, u64) {
+        let q = ct.c0.ctx().q();
+        let s = if q == self.params.q() {
+            &self.s
+        } else {
+            assert!(
+                q == self.params.down_q(),
+                "ciphertext is in neither the ciphertext ring nor the down-switch ring"
+            );
+            &self.s_down
+        };
+        (ct.c0.add(&ct.c1.mul(s)).coeffs(), q.value())
+    }
+
+    /// The rounding decode `round(t·v/q) mod t` of a phase.
+    fn decode(&self, ct: &Ciphertext) -> Plaintext {
+        let (v, q) = self.phase(ct);
+        let t = self.params.t().value();
+        let coeffs: Vec<u64> = (v.iter())
+            .map(|&c| (((c as u128 * t as u128) + q as u128 / 2) / q as u128) as u64 % t)
+            .collect();
+        Plaintext {
+            poly: Poly::from_coeffs(self.params.ring().clone(), coeffs),
         }
     }
 
@@ -517,74 +612,53 @@ impl SecretKey {
     pub fn decrypt(&self, ct: &Ciphertext) -> Plaintext {
         pi_trace::incr(pi_trace::Counter::HeDecrypt);
         self.gauge_noise(ct, NoiseStage::Decrypt);
-        let v = ct.c0.add(&ct.c1.mul(&self.s)).into_coeff();
-        let q = self.params.q().value();
-        let t = self.params.t().value();
-        let coeffs: Vec<u64> = v
-            .coeffs()
-            .iter()
-            .map(|&c| {
-                // round(t * c / q) mod t
-                let prod = c as u128 * t as u128;
-                let rounded = ((prod + q as u128 / 2) / q as u128) as u64;
-                rounded % t
-            })
-            .collect();
-        Plaintext {
-            poly: Poly::from_coeffs(self.params.ring().clone(), coeffs),
-        }
+        self.decode(ct)
     }
 
     /// Decrypts a ciphertext living in the down-switch response ring (see
-    /// [`crate::Ciphertext::mod_switch_down`]): same rounding decode as
-    /// [`SecretKey::decrypt`], but under `q' =` [`BfvParams::down_q`] with
-    /// the re-embedded secret. Accepts full-modulus ciphertexts too (the
-    /// down ring may be the ciphertext ring when headroom is tight).
+    /// [`crate::Ciphertext::mod_switch_down`]) — what the protocol's client
+    /// decrypts: same rounding decode as [`SecretKey::decrypt`], but under
+    /// `q' =` [`BfvParams::down_q`] with the re-embedded secret, and the
+    /// same full-trace-mode noise gauge. Accepts full-modulus ciphertexts
+    /// only where the down ring is the ciphertext ring (tight headroom).
+    ///
+    /// # Panics
+    ///
+    /// Panics on a ciphertext that is not in the down-switch ring.
     pub fn decrypt_switched(&self, ct: &Ciphertext) -> Plaintext {
-        pi_trace::incr(pi_trace::Counter::HeDecrypt);
         let down = self.params.down_ring();
         assert!(
             ct.c0.ctx().n() == down.n() && ct.c0.ctx().q() == down.q(),
             "ciphertext is not in the down-switch ring"
         );
-        let v = ct.c0.add(&ct.c1.mul(&self.s_down)).into_coeff();
-        let q = down.q().value();
+        self.decrypt(ct)
+    }
+
+    /// The largest noise coefficient of a ciphertext, `|v − Δ·m|` for the
+    /// phase `v` and the message `m` it decodes to, and the decryption
+    /// threshold `q/(2t)` it must stay under — both in the ring the
+    /// ciphertext lives in.
+    fn max_noise(&self, ct: &Ciphertext) -> (u64, u64) {
+        let (v, q) = self.phase(ct);
         let t = self.params.t().value();
-        let coeffs: Vec<u64> = v
-            .coeffs()
-            .iter()
-            .map(|&c| {
-                let prod = c as u128 * t as u128;
-                let rounded = ((prod + q as u128 / 2) / q as u128) as u64;
-                rounded % t
-            })
-            .collect();
-        Plaintext {
-            poly: Poly::from_coeffs(self.params.ring().clone(), coeffs),
+        let delta = q / t;
+        let mut max_noise = 0u64;
+        for &c in &v {
+            let m = (((c as u128 * t as u128) + q as u128 / 2) / q as u128) as u64 % t;
+            let centered = (c as i128 - (delta as i128 * m as i128)).rem_euclid(q as i128);
+            let noise = centered.min(q as i128 - centered) as u64;
+            max_noise = max_noise.max(noise);
         }
+        (max_noise, q / (2 * t))
     }
 
     /// Returns the invariant noise budget of a ciphertext in bits: the
     /// headroom between the current noise magnitude and the decryption
-    /// failure threshold `q/(2t)`. Zero means decryption is unreliable.
+    /// failure threshold `q/(2t)`, in the ring the ciphertext lives in (the
+    /// ciphertext ring or the down-switch response ring). Zero means
+    /// decryption is unreliable.
     pub fn noise_budget(&self, ct: &Ciphertext) -> u32 {
-        let v = ct.c0.add(&ct.c1.mul(&self.s)).into_coeff();
-        let q = self.params.q().value();
-        let t = self.params.t().value();
-        let delta = self.params.delta();
-        // noise = v - Δ·round(t v / q); measure max |noise| over coefficients.
-        let mut max_noise = 0u64;
-        for &c in v.coeffs().iter() {
-            let m = (((c as u128 * t as u128) + q as u128 / 2) / q as u128) as u64 % t;
-            let centered = (c as i128 - (delta as i128 * m as i128)).rem_euclid(q as i128);
-            let noise = if centered > q as i128 / 2 {
-                (q as i128 - centered) as u64
-            } else {
-                centered as u64
-            };
-            max_noise = max_noise.max(noise);
-        }
-        let threshold = q / (2 * t);
+        let (max_noise, threshold) = self.max_noise(ct);
         if max_noise == 0 {
             return 64 - threshold.leading_zeros();
         }
@@ -607,8 +681,16 @@ impl SecretKey {
     }
 }
 
+/// A small-coefficient polynomial of one ring (coefficient form) as the
+/// same signed coefficients in another ring of the same degree.
+fn reembed(small: &Poly, ring: &std::sync::Arc<pi_poly::RingContext>) -> Poly {
+    let q = small.ctx().q();
+    let signed: Vec<i64> = small.data().iter().map(|&c| q.to_signed(c)).collect();
+    Poly::from_signed(ring.clone(), &signed)
+}
+
 /// Which pipeline boundary a noise-budget gauge was taken at. Feeds the
-/// `he.noise_*_bits` histograms the 2–4-bit-cliff parameter work consumes.
+/// `he.noise_*_bits` histograms.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum NoiseStage {
     /// Right after encryption (fresh ciphertext).
@@ -632,8 +714,8 @@ impl PublicKey {
         pi_trace::incr(pi_trace::Counter::HeEncrypt);
         let params = &self.params;
         let u = sample::ternary(params.ring(), rng).into_ntt();
-        let e1 = sample::centered_binomial(params.ring(), rng, params.error_k);
-        let e2 = sample::centered_binomial(params.ring(), rng, params.error_k);
+        let e1 = sample::centered_binomial(params.ring(), rng, params.error_k());
+        let e2 = sample::centered_binomial(params.ring(), rng, params.error_k());
         let scaled = pt.poly.scale(params.delta());
         let c0 = self.pk0.mul(&u).add(&e1.into_ntt()).add(&scaled.into_ntt());
         let c1 = self.pk1.mul(&u).add(&e2.into_ntt());
@@ -678,33 +760,59 @@ impl PublicKey {
     }
 }
 
+/// The `(values, quotients)` halves of one retired Shoup operand, for the
+/// next one to be built in. Empty vectors where there is nothing to reuse.
+pub(crate) type OperandVecs = (Vec<u64>, Vec<u64>);
+
 impl GaloisKeys {
-    /// Returns whether a key-switching key exists for Galois element `g`
-    /// (under any gadget base).
+    /// Returns whether a key-switching key exists for Galois element `g`.
     pub fn contains(&self, g: usize) -> bool {
         self.keys.iter().any(|e| e.g == g)
     }
 
-    /// The `(Galois element, log2 gadget base)` of every entry, in wire
-    /// order — what a server compares against [`crate::linalg::key_plan`]
-    /// before it admits an uploaded set.
-    pub fn entries(&self) -> impl Iterator<Item = (usize, u32)> + '_ {
-        self.keys.iter().map(|e| (e.g, e.log_base))
+    /// The Galois element of every entry, in wire order — what a server
+    /// compares against [`crate::linalg::key_plan`] before it admits an
+    /// uploaded set.
+    pub fn elements(&self) -> impl Iterator<Item = usize> + '_ {
+        self.keys.iter().map(|e| e.g)
     }
 
-    /// The entry for element `g` under gadget base `2^log_base`.
-    fn entry(&self, g: usize, log_base: u32) -> Result<&GaloisKeyEntry, KeyError> {
-        let held = || self.keys.iter().filter(move |e| e.g == g);
-        held()
-            .find(|e| e.log_base == log_base)
-            .ok_or_else(|| match held().next() {
-                Some(other) => KeyError::GadgetMismatch {
-                    g,
-                    key_log_base: other.log_base,
-                    wanted_log_base: log_base,
-                },
-                None => KeyError::MissingGaloisKey(g),
-            })
+    /// The entry for element `g`.
+    fn entry(&self, g: usize) -> Result<&GaloisKeyEntry, KeyError> {
+        let held = self.keys.iter().find(|e| e.g == g);
+        held.ok_or(KeyError::MissingGaloisKey(g))
+    }
+
+    /// Step 2 of a switch (module docs): adds `Σ_i lifted_i · key_i` into
+    /// the extended-basis pair `(xq, xp)`, lazily, one residue after the
+    /// other. With `permuted`, the lifted digits are those of a `c1` that
+    /// `φ_g` has yet to act on, and the entry's slot permutation rides the
+    /// gather of the fused kernel — one pass over each digit, no scratch
+    /// polynomial.
+    fn accumulate(
+        &self,
+        entry: &GaloisKeyEntry,
+        lifted: &Lifted,
+        permuted: bool,
+        xq: [&mut [u64]; 2],
+        xp: [&mut [u64]; 2],
+    ) {
+        let residues = [
+            (self.params.ring(), &lifted.q, &entry.q, xq),
+            (self.params.special_ring(), &lifted.p, &entry.p, xp),
+        ];
+        for (ring, digits, keys, [acc0, acc1]) in residues {
+            let ntt = ring.ntt();
+            for (d, (k0, a)) in digits.iter().zip(keys) {
+                let (k0, a) = (k0.shoup(), a.shoup());
+                if permuted {
+                    ntt.dyadic_mul_acc_shoup_gather2(acc0, acc1, d, &entry.perm, k0, a);
+                } else {
+                    ntt.dyadic_mul_acc_shoup(acc0, d, k0);
+                    ntt.dyadic_mul_acc_shoup(acc1, d, a);
+                }
+            }
+        }
     }
 
     /// Applies Galois automorphism `g` to a ciphertext and key-switches the
@@ -721,17 +829,10 @@ impl GaloisKeys {
     }
 
     /// Key-switches a ciphertext whose `c1` component is keyed under
-    /// `s(x^g)` back to `s`.
-    ///
-    /// The cold-rotation path: all decomposed digits are NTT-transformed in
-    /// one batched stage-major pass ([`pi_poly::NttTables::forward_many`]),
-    /// then accumulated against the Shoup-form keys in the lazy `[0, 2q)`
-    /// domain with one final correction — `mul_shoup + add_lazy` per slot
-    /// per digit, no Barrett reduction. Digit buffers come from the
-    /// thread-local scratch set, so the only allocations are the two output
-    /// polynomials. (For repeated rotations of one ciphertext,
-    /// [`GaloisKeys::hoist`] + [`GaloisKeys::rotate_hoisted`] also skips
-    /// all per-rotation NTTs.)
+    /// `s(x^g)` back to `s`: the cold rotation path — lift, accumulate,
+    /// divide by `P` (module docs), every buffer allocated by the call.
+    /// (For repeated rotations of one ciphertext, [`GaloisKeys::hoist`] +
+    /// [`GaloisKeys::rotate_hoisted`] lifts once.)
     ///
     /// # Errors
     ///
@@ -739,53 +840,33 @@ impl GaloisKeys {
     pub fn switch(&self, ct: &Ciphertext, g: usize) -> Result<Ciphertext, KeyError> {
         let _span = pi_trace::span!("he.keyswitch");
         pi_trace::incr(pi_trace::Counter::HeKeySwitch);
-        // The first entry of an element is its coarsest gadget: fewest
-        // digits, fewest NTTs — the right choice when the rotation's noise
-        // only adds.
-        let entry = (self.keys.iter())
-            .find(|e| e.g == g)
-            .ok_or(KeyError::MissingGaloisKey(g))?;
-        let ring = self.params.ring();
-        let ntt = ring.ntt();
-        let q = self.params.q();
-        let n = self.params.n();
-        with_ks_scratch(|s| {
-            // c1 into coefficient form in the scratch staging buffer.
-            s.coeff.clear();
-            s.coeff.extend_from_slice(ct.c1.data());
-            if ct.c1.form() == PolyForm::Ntt {
-                ntt.inverse(&mut s.coeff);
-            }
-            let m = entry.digits.len();
-            s.ensure_digits(m, n);
-            decompose_into(&s.coeff, entry.log_base, &mut s.digits[..m]);
-            {
-                let mut batch: Vec<&mut [u64]> =
-                    s.digits[..m].iter_mut().map(|d| d.as_mut_slice()).collect();
-                ntt.forward_many(&mut batch);
-            }
-            let mut c0 = ct.c0.clone().into_ntt().into_data();
-            let mut c1 = vec![0u64; n];
-            for (d, (k0, k1)) in s.digits[..m].iter().zip(&entry.digits) {
-                ntt.dyadic_mul_acc_shoup(&mut c0, d, k0.shoup());
-                ntt.dyadic_mul_acc_shoup(&mut c1, d, k1.shoup());
-            }
-            for x in c0.iter_mut().chain(c1.iter_mut()) {
-                *x = q.reduce_lazy(*x);
-            }
-            Ok(Ciphertext {
-                c0: Poly::from_ntt_data(ring.clone(), c0),
-                c1: Poly::from_ntt_data(ring.clone(), c1),
-            })
+        let entry = self.entry(g)?;
+        let params = &self.params;
+        let ring = params.ring();
+        let q = params.q();
+        let mut lifted = Lifted::zeros(params.n());
+        lifted.fill(params, &ct.c1.coeffs());
+        let mut ext = ExtPair::zeros(params.n());
+        let (xq, xp) = ext.halves();
+        self.accumulate(entry, &lifted, false, xq, xp);
+        let (xq, xp) = ext.halves();
+        mod_down(params, xq, xp);
+        let [mut c0, c1] = ext.q;
+        for (x, &c) in c0.iter_mut().zip(ct.c0.clone().into_ntt().data()) {
+            *x = q.add(*x, q.reduce_lazy(c));
+        }
+        Ok(Ciphertext {
+            c0: Poly::from_ntt_data(ring.clone(), c0),
+            c1: Poly::from_ntt_data(ring.clone(), c1),
         })
     }
 
-    /// Decomposes a ciphertext once for many rotations (Halevi–Shoup
-    /// hoisting): `c1`'s gadget digits under the fine
-    /// [`BfvParams::bsgs_log_base`] base, forward-NTT'd in one batched
-    /// pass, plus both components in evaluation form. Each subsequent
-    /// [`GaloisKeys::rotate_hoisted`] then costs one slot gather per digit
-    /// plus the dyadic key accumulates — no NTTs and no decomposition.
+    /// Lifts a ciphertext once for many rotations (Halevi–Shoup hoisting):
+    /// `c1` into the key-switch basis — one inverse NTT, the digit split,
+    /// one batched forward NTT per ring — plus both components in
+    /// evaluation form. Each subsequent [`GaloisKeys::rotate_hoisted`] then
+    /// costs the slot gathers, the dyadic key accumulates and the division
+    /// by `P`.
     ///
     /// # Panics
     ///
@@ -796,7 +877,6 @@ impl GaloisKeys {
         let _span = pi_trace::span!("he.hoist");
         pi_trace::incr(pi_trace::Counter::HeHoist);
         let params = &self.params;
-        let ntt = params.ring().ntt();
         let n = params.n();
         let ct_ctx = ct.c0.ctx();
         assert!(
@@ -807,43 +887,27 @@ impl GaloisKeys {
             n,
             params.q()
         );
-        let log_base = params.bsgs_log_base;
-        let m = params.bsgs_digits;
-        // c1 in coefficient form (strictly reduced, as decompose requires).
-        let mut c1_coeff = ct.c1.data().to_vec();
-        if ct.c1.form() == PolyForm::Ntt {
-            ntt.inverse(&mut c1_coeff);
-        }
-        let mut digits: Vec<Vec<u64>> = vec![Vec::with_capacity(n); m];
-        decompose_into(&c1_coeff, log_base, &mut digits);
-        {
-            let mut batch: Vec<&mut [u64]> = digits.iter_mut().map(|d| d.as_mut_slice()).collect();
-            ntt.forward_many(&mut batch);
-        }
-        let c0 = ct.c0.clone().into_ntt().into_data();
-        let c1 = ct.c1.clone().into_ntt().into_data();
+        let mut lifted = Lifted::zeros(n);
+        lifted.fill(params, &ct.c1.coeffs());
         HoistedCiphertext {
-            log_base,
-            c0,
-            c1,
-            digits,
+            c0: ct.c0.clone().into_ntt().into_data(),
+            c1: ct.c1.clone().into_ntt().into_data(),
+            lifted,
         }
     }
 
-    /// Rotates the SIMD rows left by `k` from a hoisted decomposition: one
-    /// gather per digit (the automorphism in the NTT domain) plus the lazy
-    /// key accumulates — zero NTTs per rotation. `k = 0` reconstructs the
-    /// original ciphertext.
+    /// Rotates the SIMD rows left by `k` from a hoisted ciphertext: one
+    /// gather per lifted digit per residue (the automorphism in the NTT
+    /// domain), the lazy key accumulates and the division by `P`. `k = 0`
+    /// reconstructs the original ciphertext.
     ///
     /// Unlike [`GaloisKeys::rotate_rows`] this does **not** compose
     /// power-of-two keys: it requires an entry for the element
-    /// `3^k mod 2N` itself, under the same gadget base as the hoisting (a
-    /// baby rotation of [`crate::linalg::key_plan`]).
+    /// `3^k mod 2N` itself (a rotation of [`crate::linalg::key_plan`]).
     ///
     /// # Errors
     ///
-    /// [`KeyError::MissingGaloisKey`] without a direct rotation key,
-    /// [`KeyError::GadgetMismatch`] with one under another gadget base only.
+    /// [`KeyError::MissingGaloisKey`] without a direct rotation key.
     ///
     /// # Panics
     ///
@@ -854,8 +918,9 @@ impl GaloisKeys {
         let n = self.params.n();
         let mut c0 = vec![0u64; n];
         let mut c1 = vec![0u64; n];
-        self.rotate_hoisted_lazy(h, k, &mut c0, &mut c1)?;
-        for x in c0.iter_mut().chain(c1.iter_mut()) {
+        let mut scratch = [vec![0u64; n], vec![0u64; n]];
+        self.rotate_hoisted_lazy(h, k, &mut c0, &mut c1, &mut scratch)?;
+        for x in c0.iter_mut() {
             *x = q.reduce_lazy(*x);
         }
         Ok(Ciphertext {
@@ -864,97 +929,87 @@ impl GaloisKeys {
         })
     }
 
-    /// Core of the hoisted rotation: writes the rotated pair into `out0`/
-    /// `out1` in the lazy `[0, 2q)` NTT domain without the final
-    /// correction, so the BSGS inner loop can keep multiply-accumulating.
+    /// Core of the hoisted rotation: writes the rotated pair into `out0`
+    /// (lazy `[0, 2q)`) and `out1` (strictly reduced), evaluation form, so
+    /// the BSGS inner loop can keep multiply-accumulating. `scratch` is
+    /// the `P` half of the extended-basis accumulator, contents
+    /// unspecified on entry and on return.
     pub(crate) fn rotate_hoisted_lazy(
         &self,
         h: &HoistedCiphertext,
         k: usize,
         out0: &mut [u64],
         out1: &mut [u64],
+        scratch: &mut [Vec<u64>; 2],
     ) -> Result<(), KeyError> {
         let n = self.params.n();
         assert!(k < n / 2, "rotation amount must be below N/2");
         pi_trace::incr(pi_trace::Counter::HeRotation);
-        let ntt = self.params.ring().ntt();
         if k == 0 {
             out0.copy_from_slice(&h.c0);
             out1.copy_from_slice(&h.c1);
             return Ok(());
         }
-        let entry = self.entry(rotation_element(n, k), h.log_base)?;
-        // c0 of the rotated ciphertext starts as φ_g(c0): a pure gather
-        // in the evaluation basis, still strictly reduced.
-        entry.perm.apply(out0, &h.c0);
+        let entry = self.entry(rotation_element(n, k))?;
+        out0.fill(0);
         out1.fill(0);
-        for (d, (k0, k1)) in h.digits.iter().zip(&entry.digits) {
-            // The permutation rides the gather of the fused kernel: one
-            // pass over each digit, no scratch polynomial.
-            ntt.dyadic_mul_acc_shoup_gather2(out0, out1, d, &entry.perm, k0.shoup(), k1.shoup());
-        }
+        let [p0, p1] = slices(scratch);
+        p0.fill(0);
+        p1.fill(0);
+        let xq = [&mut *out0, &mut *out1];
+        self.accumulate(entry, &h.lifted, true, xq, [&mut *p0, &mut *p1]);
+        mod_down(&self.params, [&mut *out0, out1], [p0, p1]);
+        // φ_g(c0) joins as a permuted lazy addition: a pure gather in the
+        // evaluation basis.
+        let ntt = self.params.ring().ntt();
+        ntt.gather_add_lazy(out0, &h.c0, &entry.perm);
         Ok(())
     }
 
-    /// Rotates a lazy evaluation-form pair (`inner0`, `inner1`, both in
-    /// `[0, 2q)`) left by `k` and **accumulates** the result into
-    /// `acc0`/`acc1` (also `[0, 2q)`): the fused giant-step of the BSGS
-    /// matvec. One inverse NTT (of `inner1`), one gadget decomposition and
-    /// digit-batch forward NTT under the ordinary
-    /// [`BfvParams::ks_log_base`] gadget, then permuted dyadic accumulates
-    /// — the rotated ciphertext is never materialized.
-    ///
-    /// `inner1` is consumed as scratch (left in coefficient form).
+    /// The fused giant step of the BSGS matvec: rotates a lazy
+    /// evaluation-form pair (`inner0`, `inner1`, both in `[0, 2q)`) left by
+    /// `k > 0` and **accumulates** the result — `φ_g(inner0)` into `acc0`
+    /// (lazy `[0, 2q)`), the switched part into `ext`, still multiplied by
+    /// `P`: every giant step of one matvec adds into the same `ext`, and
+    /// [`GaloisKeys::settle`] divides it once. One inverse NTT (of
+    /// `inner1`, consumed as scratch and left in coefficient form), one
+    /// lift into `lifted` (overwritten), then permuted dyadic accumulates —
+    /// the rotated ciphertext is never materialized.
     pub(crate) fn rotate_acc_lazy(
         &self,
         k: usize,
         inner0: &[u64],
         inner1: &mut [u64],
         acc0: &mut [u64],
-        acc1: &mut [u64],
+        lifted: &mut Lifted,
+        ext: &mut ExtPair,
     ) -> Result<(), KeyError> {
         let params = &self.params;
         let ntt = params.ring().ntt();
-        let q = params.q();
         let n = params.n();
-        assert!(k < n / 2, "rotation amount must be below N/2");
+        assert!(0 < k && k < n / 2, "rotation amount must be in 1..N/2");
         pi_trace::incr(pi_trace::Counter::HeRotation);
-        if k == 0 {
-            for (a, &v) in acc0.iter_mut().zip(inner0.iter()) {
-                *a = q.add_lazy(*a, v);
-            }
-            for (a, &v) in acc1.iter_mut().zip(inner1.iter()) {
-                *a = q.add_lazy(*a, v);
-            }
-            return Ok(());
-        }
-        let entry = self.entry(rotation_element(n, k), params.ks_log_base)?;
-        with_ks_scratch(|s| {
-            // Decompose φ-free: digits of inner1, permuted afterwards.
-            ntt.inverse(inner1); // [0, 2q) lazy in → [0, q) coeff out
-            let m = entry.digits.len();
-            s.ensure_digits(m, n);
-            decompose_into(inner1, entry.log_base, &mut s.digits[..m]);
-            {
-                let mut batch: Vec<&mut [u64]> =
-                    s.digits[..m].iter_mut().map(|d| d.as_mut_slice()).collect();
-                ntt.forward_many(&mut batch);
-            }
-            for (d, (k0, k1)) in s.digits[..m].iter().zip(&entry.digits) {
-                ntt.dyadic_mul_acc_shoup_gather2(
-                    acc0,
-                    acc1,
-                    d,
-                    &entry.perm,
-                    k0.shoup(),
-                    k1.shoup(),
-                );
-            }
-            // φ_g(inner0) folds into acc0 as a permuted lazy addition —
-            // also a single gather pass, no scratch polynomial.
-            ntt.gather_add_lazy(acc0, inner0, &entry.perm);
-        });
+        let entry = self.entry(rotation_element(n, k))?;
+        ntt.inverse(inner1); // [0, 2q) lazy in → [0, q) coeff out
+        lifted.fill(params, inner1);
+        let (xq, xp) = ext.halves();
+        self.accumulate(entry, lifted, true, xq, xp);
+        ntt.gather_add_lazy(acc0, inner0, &entry.perm);
         Ok(())
+    }
+
+    /// Divides what a matvec's giant steps accumulated in `ext` by `P` and
+    /// adds it into the lazy `[0, 2q)` pair `(acc0, acc1)`. `ext` is left
+    /// unspecified.
+    pub(crate) fn settle(&self, ext: &mut ExtPair, acc0: &mut [u64], acc1: &mut [u64]) {
+        let q = self.params.q();
+        let (xq, xp) = ext.halves();
+        mod_down(&self.params, xq, xp);
+        for (acc, x) in [acc0, acc1].into_iter().zip(&ext.q) {
+            for (a, &x) in acc.iter_mut().zip(x) {
+                *a = q.add_lazy(*a, x);
+            }
+        }
     }
 
     /// Rotates the SIMD rows of a batch-encoded ciphertext left by `k`
@@ -1003,15 +1058,14 @@ impl GaloisKeys {
         &self.params
     }
 
-    /// Size of the key polynomials as flat words: two per decomposition
-    /// digit per entry (baby-step entries carry more digits under their
-    /// finer gadget). The serialized wire frame is roughly 4× smaller
-    /// — only the packed `k0` halves plus one 32-byte seed cross the wire
-    /// (see `pi_he::wire::galois_keys_to_bytes`) — and the key set in
-    /// memory is twice as large: [`GaloisKeys::resident_byte_len`].
+    /// Size of the key polynomials as flat words: per entry,
+    /// [`KEY_DIGITS`] digits of a `(k0, a)` pair under `q` and one under
+    /// `P`. The serialized wire frame is about 2.5× smaller — only the
+    /// packed `k0` halves plus one 32-byte seed cross the wire (see
+    /// `pi_he::wire::galois_keys_to_bytes`) — and the key set in memory is
+    /// twice as large: [`GaloisKeys::resident_byte_len`].
     pub fn byte_len(&self) -> usize {
-        let digits: usize = self.keys.iter().map(|e| e.digits.len()).sum();
-        digits * 2 * self.params.n() * 8
+        self.keys.len() * KEY_DIGITS * 4 * self.params.n() * 8
     }
 
     /// Heap bytes this key set occupies: every key polynomial is a Shoup
@@ -1022,35 +1076,31 @@ impl GaloisKeys {
         2 * self.byte_len() + perms
     }
 
-    /// [`GaloisKeys::resident_byte_len`] of the key set with these
-    /// `(Galois element, log2 gadget base)` entries, before one exists: what
-    /// a byte-budgeted table needs to know to make room *before* a frame is
-    /// decoded.
-    pub fn resident_byte_len_of(params: &BfvParams, entries: &[(usize, u32)]) -> usize {
+    /// [`GaloisKeys::resident_byte_len`] of a key set with `entries`
+    /// entries, before one exists: what a byte-budgeted table needs to know
+    /// to make room *before* a frame is decoded.
+    pub fn resident_byte_len_of(params: &BfvParams, entries: usize) -> usize {
         let n = params.n();
-        let digits = entries.iter().map(|&(_, b)| gadget_digits(params.q(), b));
-        digits.sum::<usize>() * 4 * n * 8 + entries.len() * GaloisPerm::byte_len_at(n)
+        entries * (KEY_DIGITS * 8 * n * 8 + GaloisPerm::byte_len_at(n))
     }
 
     /// Exact length of this key set's serialized wire frame
     /// ([`crate::wire::galois_keys_to_bytes`]): packed `k0` halves plus one
     /// 32-byte seed.
     pub fn wire_byte_len(&self) -> usize {
-        let total_digits: usize = self.keys.iter().map(|e| e.digits.len()).sum();
-        crate::wire::galois_keys_wire_len(&self.params, self.keys.len(), total_digits)
+        crate::wire::galois_keys_wire_len(&self.params, self.keys.len())
     }
 
     /// Serialized size a **per-rotation** key set would need at dimension
     /// `dim`, on the same wire basis as the real frames (packed `k0`
-    /// halves, seed-expanded `a` halves): one ordinary-gadget key for each
-    /// of the `dim − 1` rotation amounts a hoisted (non-composing) diagonal
-    /// matvec would otherwise demand. The BSGS set materializes only
+    /// halves, seed-expanded `a` halves): one key for each of the `dim − 1`
+    /// rotation amounts a hoisted (non-composing) diagonal matvec would
+    /// otherwise demand. The BSGS set materializes only
     /// `⌈√dim⌉ + ⌈dim/⌈√dim⌉⌉ − 2` elements; comparing the serialized
     /// Galois frame length against this figure is the offline key-storage
     /// win reported in `pi-core`'s `CostReport`.
     pub fn per_rotation_set_byte_len(params: &BfvParams, dim: usize) -> usize {
-        let elements = dim.saturating_sub(1);
-        crate::wire::galois_keys_wire_len(params, elements, elements * params.ks_digits)
+        crate::wire::galois_keys_wire_len(params, dim.saturating_sub(1))
     }
 
     pub(crate) fn seed(&self) -> &[u8; 32] {
@@ -1063,55 +1113,56 @@ impl GaloisKeys {
         &self.keys
     }
 
-    /// Rebuilds keys from wire parts: the `k0` halves (strictly reduced
-    /// evaluation-form words, wire order) plus the seed, replaying the `a`
-    /// expansion stream exactly as key generation consumed it. Each
-    /// unpacked or expanded vector becomes its operand's value half as it
-    /// is; only quotients are computed. `spare` and `perms` are what a
-    /// retired key set left ([`GaloisKeys::into_vecs`], its `k0` vectors
-    /// already taken for `parts`): digit for digit in wire order the `a`
-    /// column and both quotient vectors are built in its vectors, and an
-    /// entry keeps its slot permutation where that already realizes `g`;
-    /// whatever is missing is allocated.
+    /// Rebuilds keys from wire parts: per entry the element and, per digit,
+    /// the `k0` under `q` and the `k0` under `P` (strictly reduced
+    /// evaluation-form words, wire order), plus the seed, replaying the `a`
+    /// expansion stream exactly as key generation consumed it (`draw_a`).
+    /// Each unpacked or expanded vector becomes its operand's value half as
+    /// it is; only quotients are computed. `spare` and `perms` are what a
+    /// retired key set left ([`GaloisKeys::into_vecs`], its `k0` value
+    /// vectors already taken for `parts`): operand for operand in wire
+    /// order the `a` values and every quotient vector are built in its
+    /// vectors, and an entry keeps its slot permutation where that already
+    /// realizes `g`; whatever is missing is allocated.
     pub(crate) fn from_wire_parts(
         params: &BfvParams,
         seed: [u8; 32],
-        parts: Vec<(usize, u32, Vec<Vec<u64>>)>,
-        spare: Vec<DigitVecs>,
+        parts: Vec<(usize, Vec<[Vec<u64>; 2]>)>,
+        spare: Vec<OperandVecs>,
         perms: Vec<GaloisPerm>,
     ) -> Self {
         pi_trace::incr(pi_trace::Counter::WireSeedExpand);
-        let ring = params.ring();
+        let (ring, special) = (params.ring(), params.special_ring());
         let n = params.n();
         let mut a_stream = expansion_rng(&seed);
         let (mut spare, mut perms) = (spare.into_iter(), perms.into_iter());
+        let mut next = || spare.next().unwrap_or_default();
+        // Whatever a reused vector holds, the expansion overwrites; a fresh
+        // one comes zeroed from the allocator, not by a pass of ours.
+        let sized = |a: Vec<u64>| if a.len() == n { a } else { vec![0; n] };
         let mut keys = Vec::with_capacity(parts.len());
-        for (g, log_base, k0s) in parts {
-            let mut digits = Vec::with_capacity(k0s.len());
-            for k0 in k0s {
-                let DigitVecs {
-                    mut a,
-                    k0_quotients,
-                    a_quotients,
-                    ..
-                } = spare.next().unwrap_or_default();
-                // Whatever a reused vector holds, the expansion overwrites;
-                // a fresh one comes zeroed from the allocator, not by a pass
-                // of ours.
-                if a.len() != n {
-                    a = vec![0; n];
-                }
-                sample::uniform_into(params.q(), &mut a, &mut a_stream);
-                digits.push((
-                    PolyOperand::from_ntt_data_in(ring.clone(), k0, k0_quotients),
-                    PolyOperand::from_ntt_data_in(ring.clone(), a, a_quotients),
+        for (g, k0s) in parts {
+            let (mut q, mut p) = (Vec::with_capacity(k0s.len()), Vec::with_capacity(k0s.len()));
+            for [k0_q, k0_p] in k0s {
+                // The retired set's operands, in into_vecs order.
+                let [(_, k0_q_quot), (a_q, a_q_quot), (_, k0_p_quot), (a_p, a_p_quot)] =
+                    [next(), next(), next(), next()];
+                let (mut a_q, mut a_p) = (sized(a_q), sized(a_p));
+                draw_a(params, &mut a_q, &mut a_p, &mut a_stream);
+                q.push((
+                    PolyOperand::from_ntt_data_in(ring.clone(), k0_q, k0_q_quot),
+                    PolyOperand::from_ntt_data_in(ring.clone(), a_q, a_q_quot),
+                ));
+                p.push((
+                    PolyOperand::from_ntt_data_in(special.clone(), k0_p, k0_p_quot),
+                    PolyOperand::from_ntt_data_in(special.clone(), a_p, a_p_quot),
                 ));
             }
             let kept = perms.next().filter(|p| p.g() == g && p.n() == n);
             keys.push(GaloisKeyEntry {
                 g,
-                log_base,
-                digits,
+                q,
+                p,
                 perm: kept.unwrap_or_else(|| ring.ntt().galois_permutation(g)),
             });
         }
@@ -1123,35 +1174,20 @@ impl GaloisKeys {
     }
 
     /// Takes a key set nobody rotates with any more apart into what the
-    /// next one can be built in: every digit's four vectors in wire order,
-    /// and the slot permutations in entry order.
-    pub(crate) fn into_vecs(self) -> (Vec<DigitVecs>, Vec<GaloisPerm>) {
+    /// next one can be built in: every operand's two vectors in wire order
+    /// (per digit `k0` and `a` under `q`, then `k0` and `a` under `P`), and
+    /// the slot permutations in entry order.
+    pub(crate) fn into_vecs(self) -> (Vec<OperandVecs>, Vec<GaloisPerm>) {
         let mut vecs = Vec::new();
         let mut perms = Vec::with_capacity(self.keys.len());
         for entry in self.keys {
-            for (k0, a) in entry.digits {
-                let ((k0, k0_quotients), (a, a_quotients)) = (k0.into_vecs(), a.into_vecs());
-                vecs.push(DigitVecs {
-                    k0,
-                    k0_quotients,
-                    a,
-                    a_quotients,
-                });
+            for (q, p) in entry.q.into_iter().zip(entry.p) {
+                vecs.extend([q.0, q.1, p.0, p.1].map(PolyOperand::into_vecs));
             }
             perms.push(entry.perm);
         }
         (vecs, perms)
     }
-}
-
-/// The four vectors of one key digit: `k0` and `a`, values and quotients.
-/// Empty vectors where there is nothing to reuse.
-#[derive(Default)]
-pub(crate) struct DigitVecs {
-    pub(crate) k0: Vec<u64>,
-    pub(crate) k0_quotients: Vec<u64>,
-    pub(crate) a: Vec<u64>,
-    pub(crate) a_quotients: Vec<u64>,
 }
 
 #[cfg(test)]
@@ -1289,6 +1325,134 @@ mod tests {
             keys.secret.noise_budget(&out) > 5,
             "key switching must not exhaust noise"
         );
+    }
+
+    /// `round(x/P) mod q` of the `x` in `[0, q·P)` with residues
+    /// `(x_q, x_p)`, centred, by exact integer arithmetic.
+    fn mod_down_exact(params: &BfvParams, x_q: u64, x_p: u64) -> u64 {
+        let (q, p) = (
+            params.q().value() as u128,
+            params.special_p().value() as u128,
+        );
+        // CRT: x = x_p + P·((x_q − x_p)·P⁻¹ mod q).
+        let p_inv = params.special_inv().value as u128;
+        let lift = (q + x_q as u128 - x_p as u128 % q) % q * p_inv % q;
+        let x = x_p as u128 + p * lift;
+        assert!(x < q * p && x % q == x_q as u128 && x % p == x_p as u128);
+        let centred = x as i128 - if x > q * p / 2 { (q * p) as i128 } else { 0 };
+        // Nearest integer to centred/P (P is odd: no ties).
+        let rounded = (2 * centred + p as i128).div_euclid(2 * p as i128);
+        rounded.rem_euclid(q as i128) as u64
+    }
+
+    #[test]
+    fn mod_down_is_the_exact_rounded_division() {
+        use pi_field::simd::{clear_forced_backend, force_backend, SimdBackend};
+        use rand::Rng;
+        let params = BfvParams::small_test();
+        let (q, p) = (params.q(), params.special_p());
+        let (ntt_q, ntt_p) = (params.ring().ntt(), params.special_ring().ntt());
+        let n = params.n();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(77);
+        // Two polynomials of random residues, the first led by every pair
+        // of boundary residues.
+        let half = p.value() / 2;
+        let edges_p = [0, half, half + 1, p.value() - 1];
+        let edges_q = [0, q.value() - 1];
+        let mut coeffs_q: [Vec<u64>; 2] =
+            std::array::from_fn(|_| (0..n).map(|_| rng.gen_range(0..q.value())).collect());
+        let mut coeffs_p: [Vec<u64>; 2] =
+            std::array::from_fn(|_| (0..n).map(|_| rng.gen_range(0..p.value())).collect());
+        for (i, (&x_p, &x_q)) in (edges_p.iter())
+            .flat_map(|x_p| edges_q.iter().map(move |x_q| (x_p, x_q)))
+            .enumerate()
+        {
+            coeffs_q[0][i] = x_q;
+            coeffs_p[0][i] = x_p;
+        }
+        let want: Vec<Vec<u64>> = (coeffs_q.iter().zip(&coeffs_p))
+            .map(|(x_q, x_p)| {
+                let exact = x_q.iter().zip(x_p);
+                exact
+                    .map(|(&x_q, &x_p)| mod_down_exact(&params, x_q, x_p))
+                    .collect()
+            })
+            .collect();
+        // The boundary cases, by hand: a remainder up to ⌊P/2⌋ rounds down,
+        // one above it rounds up.
+        let q_inv_p = |x: u64| q.mul(x, params.special_inv().value);
+        assert_eq!(want[0][0], 0); // x = 0
+        assert_eq!(want[0][2], q_inv_p(q.sub(0, half))); // (0, ⌊P/2⌋): (x − r)/P, r = ⌊P/2⌋
+        assert_eq!(want[0][4], q_inv_p(half)); // (0, ⌊P/2⌋ + 1): r = −⌊P/2⌋
+        assert_eq!(want[0][6], q_inv_p(1)); // (0, P − 1): r = −1
+
+        for backend in [Some(SimdBackend::Scalar), Some(SimdBackend::Portable), None] {
+            // Process-global; concurrent tests only ever see another
+            // bit-identical path.
+            if let Some(backend) = backend {
+                force_backend(backend);
+            }
+            for lazy in [false, true] {
+                let (mut xq, mut xp) = (coeffs_q.clone(), coeffs_p.clone());
+                for (x, ntt) in xq
+                    .iter_mut()
+                    .map(|x| (x, ntt_q))
+                    .chain(xp.iter_mut().map(|x| (x, ntt_p)))
+                {
+                    ntt.forward(x);
+                    if lazy {
+                        // Every other slot as its [m, 2m) representative.
+                        let m = ntt.q().value();
+                        x.iter_mut().step_by(2).for_each(|x| *x += m);
+                    }
+                }
+                mod_down(&params, slices(&mut xq), slices(&mut xp));
+                for (got, want) in xq.iter_mut().zip(&want) {
+                    assert!(got.iter().all(|&x| x < q.value()), "strictly reduced");
+                    ntt_q.inverse(got);
+                    assert_eq!(got, want, "backend {backend:?}, lazy {lazy}");
+                }
+            }
+            clear_forced_backend();
+        }
+    }
+
+    /// The analytic estimate against the measurement: switching a fresh
+    /// seeded ciphertext (noise σ = 2, far under the switch's own) leaves a
+    /// largest noise coefficient between the estimated rms and 3 bits over
+    /// it — the maximum of `n` near-Gaussian draws sits ≈ 2 bits over
+    /// their deviation.
+    #[test]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "keygen and switches at n = 4096 are release-speed work; CI runs pi-he's unit tests in release too"
+    )]
+    fn key_switch_noise_estimate_brackets_the_measurement() {
+        for n in [2048usize, 4096] {
+            let params = BfvParams::new(n, 62, 20);
+            let estimate = params.key_switch_noise_bits();
+            let mut rng = rand::rngs::StdRng::seed_from_u64(n as u64);
+            let keys = KeySet::generate_for_dims(&params, &[16], &mut rng);
+            let enc = crate::BatchEncoder::new(&params);
+            let mut worst = 0u64;
+            for round in 0..4u64 {
+                let pt = enc.encode(&[round, 1, 2, 3]);
+                let (ct, _) = keys.secret.encrypt_seeded(&pt, &mut rng);
+                let g = rotation_element(n, 1 + round as usize % 3);
+                let switched = keys.galois.apply(&ct, g).expect("plan key");
+                let (noise, _) = keys.secret.max_noise(&switched);
+                let bits = (noise as f64).log2();
+                assert!(
+                    estimate < bits && bits < estimate + 3.0,
+                    "n = {n}: measured {bits:.2} bits against an estimate of {estimate:.2}"
+                );
+                worst = worst.max(noise);
+            }
+            println!(
+                "n = {n}: estimate {estimate:.2} bits rms, worst coefficient {:.2} bits",
+                (worst as f64).log2()
+            );
+        }
     }
 
     #[test]

@@ -4,9 +4,11 @@
 //! Gazelle build their offline linear-layer evaluation on:
 //!
 //! * [`BfvParams`] — ring degree `N`, ciphertext modulus `q`, plaintext
-//!   modulus `t ≡ 1 (mod 2N)` (prime, so plaintexts batch into SIMD slots).
-//! * [`keys`] — secret/public key generation and Galois (rotation) keys with
-//!   digit-decomposition key switching.
+//!   modulus `t ≡ 1 (mod 2N)` (prime, so plaintexts batch into SIMD slots),
+//!   and the special prime `P` rotation keys are extended by.
+//! * [`keys`] — secret/public key generation and Galois (rotation) keys:
+//!   one key an element, two wide digits over `q·P`, one key-switch path
+//!   (lift, accumulate, divide by `P`) under every rotation.
 //! * [`BatchEncoder`] — packs vectors of `Z_t` values into plaintext slots
 //!   via a CRT/NTT encoding, exactly the layout rotations act on.
 //! * [`Ciphertext`] — additions, plaintext multiplication, and slot
@@ -15,7 +17,8 @@
 //!   over packed ciphertexts (hoisted baby-step/giant-step), and the
 //!   rotation-key plan they need.
 //! * [`wire`] — the byte frames the protocol ships: ciphertexts, public keys
-//!   and Galois key sets, bit-packed and seed-expanded, behind readers that
+//!   and Galois key sets (`k0` residues under `q` and `P`), bit-packed and
+//!   seed-expanded, behind readers that
 //!   return a typed [`WireError`] on anything a peer can send.
 //! * [`rns`] — the linear core of RNS-BFV over multi-prime CRT moduli
 //!   ([`RnsBfvParams`]): keys, encryption, decryption with a noise budget,

@@ -20,23 +20,33 @@
 //! ```
 //!
 //! The `b − 1` baby rotations `rot_i(v)` all come from **one** hoisted
-//! decomposition of `v` ([`GaloisKeys::hoist`]): the gadget digits are
-//! decomposed and forward-NTT'd once and each baby rotation is a slot
-//! gather plus dyadic key accumulates — zero NTTs. Each giant step is one
-//! multiply-accumulate sweep over pre-rotated diagonal operands
-//! ([`BsgsDiagonals`], encoded once per matrix) plus a single fused
-//! key switch ([`GaloisKeys`] giant keys, ordinary gadget). Total:
-//! `b + g − 2 ≈ 2√d` rotations instead of `d − 1`, with only the `g − 1`
-//! giant ones paying NTTs. The rotation keys this reads — and therefore
-//! the whole key set a client generates and a server admits — are
-//! [`key_plan`], defined here beside the split it follows.
+//! lift of `v` ([`GaloisKeys::hoist`]): `c1` is split into its key-switch
+//! digits and forward-NTT'd once, and each baby rotation is slot gathers,
+//! dyadic key accumulates and its own division by the special prime. Each
+//! giant step is one multiply-accumulate sweep over pre-rotated diagonal
+//! operands ([`BsgsDiagonals`], encoded once per matrix) plus a single
+//! fused key switch that accumulates in the extended basis; the giants of
+//! one matvec share **one** division at the end (see [`crate::keys`] for
+//! why the two kinds differ). Total: `b + g − 2 ≈ 2√d` rotations instead
+//! of `d − 1`. The rotation keys this reads — and therefore the whole key
+//! set a client generates and a server admits — are [`key_plan`], defined
+//! here beside the split it follows.
 //!
-//! Noise shape: baby key-switch noise passes through the subsequent
-//! plaintext multiplication (amplification ≈ `√(n·d)·t`), which is why
-//! baby keys use the fine [`crate::BfvParams::bsgs_log_base`] gadget and
-//! diagonals are encoded **centered** (coefficients in `(−t/2, t/2]`,
-//! halving the amplification); giant-step noise only adds, as in the
-//! naive chain.
+//! Noise shape: whatever noise a baby rotation's output carries passes
+//! through the subsequent plaintext multiplication (amplification
+//! ≈ `√(n·d)·t`), which is why diagonals are encoded **centered**
+//! (coefficients in `(−t/2, t/2]`, halving the amplification). What the
+//! baby key switch itself adds is
+//! [`crate::BfvParams::key_switch_noise_bits`] ≈ 3.9 bits rms at
+//! `n = 4096`, nearly all of it the rounding of the division by the
+//! special prime: under the fresh-encryption term it joins when the input
+//! is a public-key encryption (`√(4 + 16n/3)`, ≈ 7.2 bits — there the
+//! hoisted path ends level with the naive chain, `tests/noise_probe.rs`),
+//! and the larger of the two when it is the protocol's seeded symmetric
+//! upload (σ = 2), where the worst `tiny_cnn` / `tiny_resnet` response
+//! keeps 8–9 bits at the client's decrypt (9–10 on the `n = 2048` test
+//! ring, which `tests/end_to_end.rs` gauges). Giant-step noise only adds,
+//! and its rounding part is paid once.
 //!
 //! # Naive chain (the differential oracle)
 //!
@@ -49,11 +59,10 @@
 
 use crate::cipher::{Ciphertext, Plaintext};
 use crate::encoder::BatchEncoder;
-use crate::keys::{rotation_element, GaloisKeys};
+use crate::keys::{rotation_element, ExtPair, GaloisKeys, Lifted};
 use crate::params::BfvParams;
 use pi_field::Modulus;
 use pi_poly::Poly;
-use std::cmp::Reverse;
 
 /// A dense matrix over `Z_t`, stored row-major, padded internally to a
 /// power-of-two dimension for the diagonal method.
@@ -165,30 +174,27 @@ pub fn bsgs_plan(dim: usize) -> (usize, usize) {
 }
 
 /// The rotation-key set of a model whose linear layers have the given
-/// padded dimensions: the `(Galois element, log2 gadget base)` of every key
+/// padded dimensions: the Galois element of every key
 /// [`matvec_precomputed_many`] reads at one of them — per dimension the
-/// baby rotations `1..b` (hoisted, so under the fine
-/// [`BfvParams::bsgs_log_base`] gadget) and the giant rotations `b·j` for
-/// `j` in `1..g` (fused key switches under the ordinary
-/// [`BfvParams::ks_log_base`]); rotation 0 needs no key. Sorted by
-/// ascending element, coarsest base first within one, each pair once: an
-/// element that is a baby at one dimension and a giant at another appears
-/// under both bases.
+/// baby rotations `1..b` and the giant rotations `b·j` for `j` in `1..g`;
+/// rotation 0 needs no key. Sorted ascending, each element once: a
+/// rotation that is a baby at one dimension and a giant at another is one
+/// element with one key.
 ///
 /// This is the one definition of the set. Key generation
 /// ([`crate::KeySet::generate_for_dims`]) emits exactly this list in this
 /// order, a server admits an upload only if its entries equal it, and both
 /// parties key their caches by it.
-pub fn key_plan(params: &BfvParams, dims: &[usize]) -> Vec<(usize, u32)> {
+pub fn key_plan(params: &BfvParams, dims: &[usize]) -> Vec<usize> {
     let n = params.n();
     let mut plan = Vec::new();
     for &dim in dims {
         let (b, g) = bsgs_plan(dim);
-        let baby = (1..b.min(dim)).map(|i| (rotation_element(n, i), params.bsgs_log_base));
-        let giant = (1..g).map(|j| (rotation_element(n, j * b), params.ks_log_base));
-        plan.extend(baby.chain(giant));
+        let baby = 1..b.min(dim);
+        let giant = (1..g).map(|j| j * b);
+        plan.extend(baby.chain(giant).map(|k| rotation_element(n, k)));
     }
-    plan.sort_unstable_by_key(|&(g, log_base)| (g, Reverse(log_base)));
+    plan.sort_unstable();
     plan.dedup();
     plan
 }
@@ -321,13 +327,14 @@ pub fn matvec_precomputed(gk: &GaloisKeys, w: &BsgsDiagonals, ct_v: &Ciphertext)
 /// before moving to the next, so the large shared operands stream through
 /// cache once instead of once per request.
 ///
-/// Per client: `v` is hoisted once; the `b − 1` baby rotations are NTT-free
-/// gathers from the hoisted digits, in step order; each of the `g − 1`
-/// giant steps is one in-order multiply-accumulate sweep over pre-rotated
-/// diagonals plus one fused key switch accumulating straight into the
-/// result; everything runs in the lazy `[0, 2q)` evaluation domain with a
-/// single final correction. Batching is a scheduling change, never a
-/// semantic one: a job's result is bit-identical whatever shares its batch.
+/// Per client: `v` is hoisted once; the `b − 1` baby rotations come from
+/// the hoisted lift, in step order; each of the `g − 1` giant steps is one
+/// in-order multiply-accumulate sweep over pre-rotated diagonals plus one
+/// fused key switch accumulating into the result and the extended-basis
+/// pair that is divided by the special prime once, after the last;
+/// everything runs in the lazy `[0, 2q)` evaluation domain with a single
+/// final correction. Batching is a scheduling change, never a semantic
+/// one: a job's result is bit-identical whatever shares its batch.
 ///
 /// # Panics
 ///
@@ -364,25 +371,36 @@ pub fn matvec_precomputed_many(
             .map(|(_, ct)| ct.mul_plain_operand(&w.ops[0]))
             .collect();
     }
+    // Per-client key-switch scratch: the extended-basis pair (its `P` half
+    // serves each baby rotation, the whole of it the giants) and the lift
+    // of each giant step's inner sum.
+    let mut scratch: Vec<(ExtPair, Lifted)> = jobs
+        .iter()
+        .map(|_| (ExtPair::zeros(n), Lifted::zeros(n)))
+        .collect();
     // Per-client hoist + baby rotations of v, kept lazy in [0, 2q)
     // evaluation form, in client order (rotations touch only that client's
     // keys and ciphertext, so there is nothing to share).
     let baby_count = b.min(d);
     let babies: Vec<Vec<(Vec<u64>, Vec<u64>)>> = jobs
         .iter()
-        .map(|(gk, ct_v)| {
+        .zip(&mut scratch)
+        .map(|((gk, ct_v), (ext, _))| {
             let hoisted = gk.hoist(ct_v);
             (0..baby_count)
                 .map(|i| {
                     let mut c0 = vec![0u64; n];
                     let mut c1 = vec![0u64; n];
-                    gk.rotate_hoisted_lazy(&hoisted, i, &mut c0, &mut c1)
+                    gk.rotate_hoisted_lazy(&hoisted, i, &mut c0, &mut c1, &mut ext.p)
                         .unwrap_or_else(|e| panic!("{e}"));
                     (c0, c1)
                 })
                 .collect()
         })
         .collect();
+    for (ext, _) in &mut scratch {
+        ext.clear();
+    }
     let mut accs: Vec<(Vec<u64>, Vec<u64>)> = jobs
         .iter()
         .map(|_| (vec![0u64; n], vec![0u64; n]))
@@ -423,14 +441,18 @@ pub fn matvec_precomputed_many(
         if j > 0 {
             for (c, (gk, _)) in jobs.iter().enumerate() {
                 let (inner0, inner1) = &mut inners[c];
-                let acc = &mut accs[c];
-                gk.rotate_acc_lazy(lo, inner0, inner1, &mut acc.0, &mut acc.1)
+                let (ext, lifted) = &mut scratch[c];
+                gk.rotate_acc_lazy(lo, inner0, inner1, &mut accs[c].0, lifted, ext)
                     .unwrap_or_else(|e| panic!("{e}"));
             }
         }
     }
     accs.into_iter()
-        .map(|(mut acc0, mut acc1)| {
+        .zip(jobs.iter().zip(&mut scratch))
+        .map(|((mut acc0, mut acc1), ((gk, _), (ext, _)))| {
+            if b < d {
+                gk.settle(ext, &mut acc0, &mut acc1);
+            }
             for x in acc0.iter_mut().chain(acc1.iter_mut()) {
                 *x = q.reduce_lazy(*x);
             }
@@ -719,29 +741,22 @@ mod tests {
         assert_eq!(bsgs_plan(64), (8, 8));
         assert_eq!(bsgs_plan(100), (10, 10));
         assert_eq!(bsgs_plan(128), (12, 11));
-        // Key plan: babies 1..b at the fine gadget, giants b·j at the
-        // ordinary one; never rotation 0.
+        // Key plan: babies 1..b and giants b·j, one key an element; never
+        // rotation 0.
         let params = BfvParams::small_test();
-        let (n, fine, coarse) = (params.n(), params.bsgs_log_base, params.ks_log_base);
-        let sorted = |mut plan: Vec<(usize, u32)>| {
-            plan.sort_unstable_by_key(|&(g, base)| (g, Reverse(base)));
+        let n = params.n();
+        let elements = |steps: &[usize]| {
+            let mut plan: Vec<usize> = steps.iter().map(|&k| rotation_element(n, k)).collect();
+            plan.sort_unstable();
             plan
         };
-        let baby = (1..12).map(|i| (rotation_element(n, i), fine));
-        let giant = (1..11).map(|j| (rotation_element(n, 12 * j), coarse));
-        assert_eq!(
-            key_plan(&params, &[128]),
-            sorted(baby.chain(giant).collect())
-        );
+        let at_128: Vec<usize> = (1..12).chain((1..11).map(|j| 12 * j)).collect();
+        assert_eq!(key_plan(&params, &[128]), elements(&at_128));
         assert!(key_plan(&params, &[1]).is_empty());
-        assert_eq!(key_plan(&params, &[2]), [(3, fine)]);
-        // Rotation 4 is a giant at 16 and a baby at 128: once per base,
-        // coarse first; a dimension named twice adds nothing.
-        let mixed = key_plan(&params, &[128, 16, 16]);
-        let g4 = rotation_element(n, 4);
-        let at_g4: Vec<_> = mixed.iter().filter(|e| e.0 == g4).collect();
-        assert_eq!(at_g4, [&(g4, coarse), &(g4, fine)]);
-        assert_eq!(mixed.len(), 21 + 2); // 4 and 8 again; giant 12 is shared
+        assert_eq!(key_plan(&params, &[2]), [3]);
+        // Rotation 4 is a giant at 16 and a baby at 128, 8 likewise, giant
+        // 12 is shared: one key each; a dimension named twice adds nothing.
+        assert_eq!(key_plan(&params, &[128, 16, 16]), elements(&at_128));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! machine boundary: ciphertexts (fresh, seed-expanded, and
 //! modulus-down-switched), public keys, and Galois key sets.
 //!
-//! # Format, version 3
+//! # Format, version 4
 //!
 //! Every frame starts with a 10-byte common header:
 //!
@@ -18,13 +18,16 @@
 //! byte differs ([`WireError::UnsupportedVersion`]) rather than guessing.
 //! Version 3 kept every length of version 2 and changed the basis of the
 //! Galois-key polynomials (below), which no reader could have told from
-//! the bytes. Unknown flag bits are likewise rejected
+//! the bytes; version 4 changed what a Galois key *is* (two wide digits
+//! over `q·P` instead of a gadget's worth over `q`) and the `BFVG` layout
+//! with it. Unknown flag bits are likewise rejected
 //! ([`WireError::BadFlags`]), so flags can only be added together with a
 //! version bump.
 //!
 //! **Canonical polynomials:** every serialized polynomial is strictly
-//! reduced into `[0, q)` — never lazy `[0, 2q)` representatives — in the
-//! one basis its frame kind fixes; readers reject any unpacked word `>= q`
+//! reduced below its modulus — never lazy `[0, 2q)` representatives — in
+//! the one basis its frame kind fixes; readers reject any unpacked word at
+//! or above the modulus it was packed under
 //! ([`WireError::UnreducedCoefficient`]) in either.
 //!
 //! * Ciphertext components and the public key's `pk0` travel in
@@ -36,22 +39,24 @@
 //!   transforms them. That makes the slot order of
 //!   [`pi_poly::NttTables::forward`] wire contract — slot `j` holds
 //!   `f(ψ^(2·brv(j) + 1))`, with `brv` the `log2 N`-bit reversal and
-//!   `ψ = pi_field::prime::root_of_unity(q, 2N)` (the Longa–Naehrig
-//!   order) — identical on every `PI_SIMD` backend and pinned by a
-//!   known-answer test on each (`tests/ntt_simd_differential.rs`).
+//!   `ψ = pi_field::prime::root_of_unity(m, 2N)` for the residue's modulus
+//!   `m` (the Longa–Naehrig order) — identical on every `PI_SIMD` backend
+//!   and pinned by a known-answer test on each
+//!   (`tests/ntt_simd_differential.rs`).
 //!
-//! **Bit-packing:** each word is stored at `ceil(log2 q)` bits in one
-//! contiguous little-endian bitstream per polynomial ([`pi_poly::pack`]);
-//! the stream's final byte is zero-padded. A 62-bit modulus thus costs
-//! 7.75 bytes/coefficient instead of the flat 8, a 45-bit down-switched
-//! response 5.625.
+//! **Bit-packing:** each word is stored at `ceil(log2 m)` bits of its
+//! modulus `m` in one contiguous little-endian bitstream per polynomial
+//! ([`pi_poly::pack`]); the stream's final byte is zero-padded. A 62-bit
+//! modulus thus costs 7.75 bytes/coefficient instead of the flat 8, a
+//! 45-bit down-switched response 5.625, a key's 40-bit `P` residue 5.
 //!
 //! **Seed frames:** a frame with [`FLAG_SEEDED`] set replaces every
-//! *uniform* polynomial (a ciphertext's `c1`, a key's gadget `a` columns)
+//! *uniform* polynomial (a ciphertext's `c1`, every `a` of a key set)
 //! with the 32-byte PRG seed it was expanded from; the reader regenerates
 //! them deterministically (`StdRng::from_seed` → rejection sampling from
-//! `bits(q)`-bit draws, [`pi_poly::sample::uniform_into`], a function of
-//! the word stream alone) and bumps the `wire.seed_expand` trace counter.
+//! draws of the modulus' bit width, [`pi_poly::sample::uniform_into`], a
+//! function of the word stream alone) and bumps the `wire.seed_expand`
+//! trace counter.
 //! The expansion **is** evaluation-form data: a uniform ring element is
 //! uniform in either basis, so no transform runs on it on either party.
 //! This halves fresh-ciphertext frames and drops Galois-key frames to the
@@ -66,18 +71,25 @@
 //!   accept either and rebuild in the matching ring.
 //! * **Public key** (`"BFVK"`, always seeded): `q: u64 LE`, packed `pk0`,
 //!   32-byte seed for `pk1`.
-//! * **Galois keys** (`"BFVG"`, always seeded): `q: u64 LE`,
-//!   `num_entries: u32 LE`, `total_digits: u32 LE`, 32-byte seed, then per
-//!   entry (in the seed-stream replay order; writers emit ascending
-//!   element, coarsest base first): `g: u32 LE`, `log_base: u8`,
-//!   `num_digits: u32 LE`, `num_digits` packed evaluation-form `k0`
-//!   polynomials. Which entries a set holds is for its user to check (the
-//!   server against [`crate::linalg::key_plan`], from the headers alone:
-//!   [`galois_keys_frame_entries`]); the reader checks that each is usable:
-//!   `g` must be an odd Galois
-//!   element below `2N` and `num_digits` must be the gadget length
-//!   `ceil(bits(q) / log_base)` — a key set with any other shape would
-//!   panic or mis-decompose on first use, so the reader refuses it.
+//! * **Galois keys** (`"BFVG"`, always seeded): `q: u64 LE`, the special
+//!   prime `P: u64 LE`, `num_entries: u32 LE`, 32-byte seed, then per entry
+//!   (in the seed-stream replay order; writers emit ascending element):
+//!
+//!   | size | field |
+//!   |------|-------|
+//!   | 4 | `g` (`u32` LE) |
+//!   | `KEY_DIGITS ×` | packed `k0 mod q` at `bits(q)` bits, then packed `k0 mod P` at `bits(P)` bits, evaluation form, least significant digit first |
+//!
+//!   Every entry has the same length, so the frame's length is a function
+//!   of `num_entries`, and a count that disagrees with the length is
+//!   refused. The seed stream holds, digit after digit in the same order,
+//!   `a mod q` then `a mod P`. Which entries a set holds is for its user
+//!   to check (the server against [`crate::linalg::key_plan`], from the
+//!   headers alone: [`galois_keys_frame_entries`]); the reader checks that
+//!   each is usable: the keys must be over this party's `q·P`
+//!   ([`WireError::ParamMismatch`] otherwise — a key under another special
+//!   prime switches to garbage) and `g` must be an odd Galois element
+//!   below `2N`, or its slot permutation is undefined.
 //!
 //! Readers never panic on malformed input: every length is checked before
 //! indexing, every header field is checked against what the keys it
@@ -87,7 +99,7 @@
 
 use crate::cipher::Ciphertext;
 use crate::keys::{expansion_rng, GaloisKeys, PublicKey, SecretKey};
-use crate::params::{gadget_digits, BfvParams};
+use crate::params::{BfvParams, KEY_DIGITS};
 use pi_field::Modulus;
 use pi_poly::pack::{pack_into, packed_len, unpack_into};
 use pi_poly::{sample, Poly, PolyForm, RingContext};
@@ -95,7 +107,7 @@ use rand::Rng;
 use std::sync::Arc;
 
 /// Current wire format version (see the module docs' versioning rule).
-pub const WIRE_VERSION: u8 = 3;
+pub const WIRE_VERSION: u8 = 4;
 
 /// Flag bit 0: uniform components are replaced by a 32-byte PRG seed.
 pub const FLAG_SEEDED: u8 = 0b0000_0001;
@@ -128,7 +140,9 @@ impl std::fmt::Display for WireError {
             }
             WireError::BadFlags(fl) => write!(f, "undefined flag bits {fl:#04x}"),
             WireError::ParamMismatch => write!(f, "header does not match parameters"),
-            WireError::UnreducedCoefficient => write!(f, "coefficient not reduced mod q"),
+            WireError::UnreducedCoefficient => {
+                write!(f, "coefficient not reduced below its modulus")
+            }
         }
     }
 }
@@ -400,84 +414,83 @@ pub fn public_key_wire_len(params: &BfvParams) -> usize {
 // Galois keys
 // ---------------------------------------------------------------------------
 
+/// Bytes of a Galois-key frame before its first entry: common header, `q`,
+/// `P`, entry count, seed.
+const GK_PREAMBLE_LEN: usize = HEADER_LEN + 8 + 8 + 4 + SEED_LEN;
+
+/// Bytes of one Galois-key entry: `g`, then per digit the packed `k0`
+/// under `q` and under `P`.
+fn gk_entry_len(params: &BfvParams) -> usize {
+    let n = params.n();
+    4 + KEY_DIGITS * (poly_len(n, params.q()) + poly_len(n, params.special_p()))
+}
+
 /// Writes a Galois-key frame up to its first entry.
-fn write_gk_preamble(
-    out: &mut Vec<u8>,
-    params: &BfvParams,
-    num_entries: usize,
-    total_digits: usize,
-    seed: &[u8; 32],
-) {
+fn write_gk_preamble(out: &mut Vec<u8>, params: &BfvParams, num_entries: usize, seed: &[u8; 32]) {
     write_header(out, MAGIC_GK, FLAG_SEEDED, params.n());
     out.extend_from_slice(&params.q().value().to_le_bytes());
+    out.extend_from_slice(&params.special_p().value().to_le_bytes());
     out.extend_from_slice(&(num_entries as u32).to_le_bytes());
-    out.extend_from_slice(&(total_digits as u32).to_le_bytes());
     out.extend_from_slice(seed);
 }
 
-fn write_gk_entry_header(out: &mut Vec<u8>, g: usize, log_base: u32, num_digits: usize) {
-    out.extend_from_slice(&(g as u32).to_le_bytes());
-    out.push(log_base as u8);
-    out.extend_from_slice(&(num_digits as u32).to_le_bytes());
+/// Appends one key digit: its `k0` under `q`, then under `P`.
+fn write_gk_digit(out: &mut Vec<u8>, params: &BfvParams, k0_q: &[u64], k0_p: &[u64]) {
+    pack_into(out, k0_q, params.q().bits() as usize);
+    pack_into(out, k0_p, params.special_p().bits() as usize);
 }
 
-/// Serializes a Galois key set: per entry only the packed `k0` halves, in
-/// the evaluation form the operands already hold them in — every gadget
-/// `a` column regenerates from the one 32-byte seed.
+/// Serializes a Galois key set: per entry only the packed `k0` residues,
+/// in the evaluation form the operands already hold them in — every `a`
+/// regenerates from the one 32-byte seed.
 pub fn galois_keys_to_bytes(gk: &GaloisKeys) -> Vec<u8> {
     let params = gk.params();
-    let bits = params.q().bits() as usize;
     let entries = gk.wire_entries();
-    let total_digits: usize = entries.iter().map(|e| e.digits.len()).sum();
-    let mut out = Vec::with_capacity(galois_keys_wire_len(params, entries.len(), total_digits));
-    write_gk_preamble(&mut out, params, entries.len(), total_digits, gk.seed());
+    let mut out = Vec::with_capacity(galois_keys_wire_len(params, entries.len()));
+    write_gk_preamble(&mut out, params, entries.len(), gk.seed());
     for entry in entries {
-        write_gk_entry_header(&mut out, entry.g, entry.log_base, entry.digits.len());
-        for (k0, _) in &entry.digits {
-            pack_into(&mut out, k0.shoup().values(), bits);
+        out.extend_from_slice(&(entry.g as u32).to_le_bytes());
+        for (q, p) in entry.q.iter().zip(&entry.p) {
+            write_gk_digit(&mut out, params, q.0.shoup().values(), p.0.shoup().values());
         }
     }
     out
 }
 
-/// Generates the key-switching keys for `entries` (`(Galois element, log2
-/// gadget base)`, in wire order) straight into their wire frame: what an
-/// uploading client runs instead of building a [`GaloisKeys`] it would
-/// never rotate with. Each digit leaves the generator as packed bytes; no
-/// operand, quotient or slot permutation is ever built. From the same RNG
-/// state the bytes equal [`galois_keys_to_bytes`] of the key set
+/// Generates the key-switching keys for `elements` (Galois elements, in
+/// wire order) straight into their wire frame: what an uploading client
+/// runs instead of building a [`GaloisKeys`] it would never rotate with.
+/// Each digit leaves the generator as packed bytes; no operand, quotient
+/// or slot permutation is ever built. From the same RNG state the bytes
+/// equal [`galois_keys_to_bytes`] of the key set
 /// [`crate::KeySet::generate_for_dims`] builds.
 pub fn galois_keys_frame<R: Rng + ?Sized>(
     secret: &SecretKey,
-    entries: &[(usize, u32)],
+    elements: &[usize],
     rng: &mut R,
 ) -> Vec<u8> {
     let params = secret.params();
-    let q = params.q();
-    let bits = q.bits() as usize;
-    let total_digits: usize = entries.iter().map(|&(_, b)| gadget_digits(q, b)).sum();
-    let mut out = Vec::with_capacity(galois_keys_wire_len(params, entries.len(), total_digits));
+    let mut out = Vec::with_capacity(galois_keys_wire_len(params, elements.len()));
     let mut gen = secret.key_digits(rng);
-    write_gk_preamble(&mut out, params, entries.len(), total_digits, &gen.seed);
-    for &(g, log_base) in entries {
-        write_gk_entry_header(&mut out, g, log_base, gadget_digits(q, log_base));
-        gen.entry(g, log_base, rng, |k0, _| pack_into(&mut out, k0, bits));
+    write_gk_preamble(&mut out, params, elements.len(), &gen.seed);
+    for &g in elements {
+        out.extend_from_slice(&(g as u32).to_le_bytes());
+        gen.entry(g, rng, |q, p| write_gk_digit(&mut out, params, q.0, p.0));
     }
     out
 }
 
 /// What a Galois-key frame says before any polynomial is unpacked: its
-/// seed and, per entry, `(g, log_base, offset of the first packed k0)` —
-/// the digit count is the base's gadget length, checked.
+/// seed and, per entry, `(g, offset of the first packed k0)`.
 struct GkLayout {
     seed: [u8; 32],
-    entries: Vec<(usize, u32, usize)>,
+    entries: Vec<(usize, usize)>,
 }
 
-/// Walks a Galois-key frame's headers — common header, counts, seed, every
-/// entry header — checking each field against what a key switch can use
-/// and the frame's length against what the headers announce. Touches no
-/// packed polynomial.
+/// Walks a Galois-key frame's headers — common header, both moduli, the
+/// entry count against the frame's length, the seed, every entry's
+/// element — checking each field against what a key switch can use.
+/// Touches no packed polynomial.
 fn read_gk_layout(bytes: &[u8], params: &BfvParams) -> Result<GkLayout, WireError> {
     let (flags, n) = read_header(bytes, MAGIC_GK, FLAG_SEEDED)?;
     if flags & FLAG_SEEDED == 0 {
@@ -487,15 +500,21 @@ fn read_gk_layout(bytes: &[u8], params: &BfvParams) -> Result<GkLayout, WireErro
         return Err(WireError::ParamMismatch);
     }
     let mut offset = HEADER_LEN;
-    if read_u64(bytes, &mut offset)? != params.q().value() {
+    if read_u64(bytes, &mut offset)? != params.q().value()
+        || read_u64(bytes, &mut offset)? != params.special_p().value()
+    {
         return Err(WireError::ParamMismatch);
     }
     let num_entries = read_u32(bytes, &mut offset)? as usize;
-    let total_digits = read_u32(bytes, &mut offset)? as usize;
     let seed = read_seed(bytes, &mut offset)?;
-    let poly = poly_len(n, params.q());
-    let mut entries = Vec::with_capacity(num_entries.min(1024));
-    let mut digits_seen = 0usize;
+    // Entries are all one length: the count fixes the frame's, to the byte,
+    // before anything is sized by it.
+    let entry_len = gk_entry_len(params);
+    if (bytes.len() - offset) / entry_len < num_entries {
+        return Err(WireError::Truncated);
+    }
+    expect_end(bytes, offset + num_entries * entry_len)?;
+    let mut entries = Vec::with_capacity(num_entries);
     for _ in 0..num_entries {
         // A Galois element is an odd residue mod 2N; the slot permutation
         // it indexes is undefined (and asserts) for anything else.
@@ -503,36 +522,17 @@ fn read_gk_layout(bytes: &[u8], params: &BfvParams) -> Result<GkLayout, WireErro
         if g.is_multiple_of(2) || g >= 2 * n {
             return Err(WireError::ParamMismatch);
         }
-        let log_base = u32::from(*bytes.get(offset).ok_or(WireError::Truncated)?);
-        offset += 1;
-        if log_base == 0 || log_base >= params.q().bits() {
-            return Err(WireError::ParamMismatch);
-        }
-        // Key switching shifts digit `d` by `d·log_base`: the digit count
-        // must be the one the gadget base implies, no more and no fewer.
-        let num_digits = read_u32(bytes, &mut offset)? as usize;
-        if num_digits != gadget_digits(params.q(), log_base) {
-            return Err(WireError::ParamMismatch);
-        }
-        entries.push((g, log_base, offset));
-        offset = offset
-            .checked_add(num_digits * poly)
-            .filter(|&end| end <= bytes.len())
-            .ok_or(WireError::Truncated)?;
-        digits_seen += num_digits;
+        entries.push((g, offset));
+        offset += entry_len - 4;
     }
-    if digits_seen != total_digits {
-        return Err(WireError::ParamMismatch);
-    }
-    expect_end(bytes, offset)?;
     Ok(GkLayout { seed, entries })
 }
 
-/// The `(Galois element, log2 gadget base)` list a Galois-key frame
-/// announces, in wire order, from its headers alone: every header check of
-/// [`galois_keys_from_bytes`] and the exact-length check, with no
-/// polynomial unpacked and no seed expanded. A server compares this with
-/// the key plan it would admit **before** it pays for the decode.
+/// The Galois elements a Galois-key frame announces, in wire order, from
+/// its headers alone: every header check of [`galois_keys_from_bytes`] and
+/// the exact-length check, with no polynomial unpacked and no seed
+/// expanded. A server compares this with the key plan it would admit
+/// **before** it pays for the decode.
 ///
 /// # Errors
 ///
@@ -541,13 +541,13 @@ fn read_gk_layout(bytes: &[u8], params: &BfvParams) -> Result<GkLayout, WireErro
 pub fn galois_keys_frame_entries(
     bytes: &[u8],
     params: &BfvParams,
-) -> Result<Vec<(usize, u32)>, WireError> {
+) -> Result<Vec<usize>, WireError> {
     let layout = read_gk_layout(bytes, params)?;
-    Ok(layout.entries.iter().map(|e| (e.0, e.1)).collect())
+    Ok(layout.entries.iter().map(|e| e.0).collect())
 }
 
-/// Deserializes a Galois key set, regenerating every gadget `a` column from
-/// the seed stream in wire order.
+/// Deserializes a Galois key set, regenerating every `a` from the seed
+/// stream in wire order.
 ///
 /// # Errors
 ///
@@ -557,16 +557,16 @@ pub fn galois_keys_from_bytes(bytes: &[u8], params: &BfvParams) -> Result<Galois
 }
 
 /// [`galois_keys_from_bytes`] built in the memory of `retired`, a key set
-/// nobody rotates with any more (a table's eviction victim): digit for
-/// digit in wire order, the new set's four operand vectors are the retired
-/// set's, refilled, and an entry keeps the slot permutation where the
-/// Galois element is the same. Between two sets of one key plan — every
-/// client of one model — the decode allocates nothing and touches no fresh
-/// page, and a server under a byte budget stays in the memory it has
-/// instead of handing it back to whichever allocator arena it came from
-/// and drawing anew from the current thread's. Where the shapes differ,
-/// what fits is reused and the rest is allocated; the result is the same
-/// key set either way, and `retired` is dropped on error.
+/// nobody rotates with any more (a table's eviction victim): operand for
+/// operand in wire order, the new set's vectors are the retired set's,
+/// refilled, and an entry keeps the slot permutation where the Galois
+/// element is the same. Between two sets of one key plan — every client of
+/// one model — the decode allocates nothing and touches no fresh page, and
+/// a server under a byte budget stays in the memory it has instead of
+/// handing it back to whichever allocator arena it came from and drawing
+/// anew from the current thread's. Where the shapes differ, what fits is
+/// reused and the rest is allocated; the result is the same key set either
+/// way, and `retired` is dropped on error.
 ///
 /// # Errors
 ///
@@ -578,34 +578,36 @@ pub fn galois_keys_from_bytes_reusing(
 ) -> Result<GaloisKeys, WireError> {
     let layout = read_gk_layout(bytes, params)?;
     let (mut spare, perms) = retired.map(GaloisKeys::into_vecs).unwrap_or_default();
-    let mut digit = 0;
+    // A digit's k0 under q and under P are the first and third of its four
+    // operands (`GaloisKeys::into_vecs`).
+    let mut operand = 0;
+    let mut k0 = |ring, offset: &mut usize| {
+        let retired = spare.get_mut(operand).map(|o| std::mem::take(&mut o.0));
+        operand += 2;
+        let mut k0 = retired.unwrap_or_default();
+        read_words(bytes, ring, offset, &mut k0)?;
+        Ok(k0)
+    };
     let mut parts = Vec::with_capacity(layout.entries.len());
-    for (g, log_base, mut offset) in layout.entries {
-        let k0s = (0..gadget_digits(params.q(), log_base))
+    for (g, mut offset) in layout.entries {
+        let k0s = (0..KEY_DIGITS)
             .map(|_| {
-                let retired = spare.get_mut(digit).map(|d| std::mem::take(&mut d.k0));
-                let mut k0 = retired.unwrap_or_default();
-                digit += 1;
-                read_words(bytes, params.ring(), &mut offset, &mut k0)?;
-                Ok(k0)
+                Ok([
+                    k0(params.ring(), &mut offset)?,
+                    k0(params.special_ring(), &mut offset)?,
+                ])
             })
             .collect::<Result<Vec<_>, WireError>>()?;
-        parts.push((g, log_base, k0s));
+        parts.push((g, k0s));
     }
     let keys = GaloisKeys::from_wire_parts(params, layout.seed, parts, spare, perms);
     Ok(keys)
 }
 
-/// Exact length of a serialized Galois-key frame with `num_entries` gadget
-/// entries holding `total_digits` digits in total.
-pub fn galois_keys_wire_len(params: &BfvParams, num_entries: usize, total_digits: usize) -> usize {
-    HEADER_LEN
-        + 8 // q
-        + 4 // num_entries
-        + 4 // total_digits
-        + SEED_LEN
-        + num_entries * (4 + 1 + 4)
-        + total_digits * poly_len(params.n(), params.q())
+/// Exact length of a serialized Galois-key frame with `num_entries`
+/// entries.
+pub fn galois_keys_wire_len(params: &BfvParams, num_entries: usize) -> usize {
+    GK_PREAMBLE_LEN + num_entries * gk_entry_len(params)
 }
 
 // ---------------------------------------------------------------------------
@@ -632,10 +634,9 @@ pub fn flat_frame_len(frame: &[u8]) -> Option<usize> {
     match magic {
         MAGIC_CT => Some(2 * n * 8 + 10),
         MAGIC_PK => Some(2 * n * 8),
-        MAGIC_GK => {
-            let total_digits = u32_at(HEADER_LEN + 8 + 4)?;
-            Some(total_digits * 2 * n * 8)
-        }
+        // Per entry, KEY_DIGITS digits of a (k0, a) pair under q and one
+        // under P: `GaloisKeys::byte_len`.
+        MAGIC_GK => Some(u32_at(HEADER_LEN + 8 + 8)? * KEY_DIGITS * 4 * n * 8),
         _ => None,
     }
 }
@@ -767,7 +768,7 @@ mod tests {
         let (params, keys, enc, mut rng) = setup();
         let bytes = galois_keys_to_bytes(&keys.galois);
         let back = galois_keys_from_bytes(&bytes, &params).unwrap();
-        assert!(back.entries().eq(keys.galois.entries()));
+        assert!(back.elements().eq(keys.galois.elements()));
         let ct = keys.public.encrypt(&enc.encode(&[1, 2, 3, 4]), &mut rng);
         let a = keys.galois.rotate_rows(&ct, 1).expect("chain key");
         let b = back.rotate_rows(&ct, 1).expect("chain key");
@@ -788,10 +789,15 @@ mod tests {
     fn a_decode_into_a_retired_set_of_the_same_plan_allocates_no_operand() {
         let (params, keys, _, mut rng) = setup();
         let vectors = |gk: &GaloisKeys| -> Vec<*const u64> {
-            let digits = gk.wire_entries().iter().flat_map(|e| &e.digits);
+            let digits = gk.wire_entries().iter().flat_map(|e| e.q.iter().zip(&e.p));
             digits
-                .flat_map(|(k0, a)| [k0.shoup(), a.shoup()])
-                .flat_map(|op| [op.values().as_ptr(), op.quotients().as_ptr()])
+                .flat_map(|(q, p)| [&q.0, &q.1, &p.0, &p.1])
+                .flat_map(|op| {
+                    [
+                        op.shoup().values().as_ptr(),
+                        op.shoup().quotients().as_ptr(),
+                    ]
+                })
                 .collect()
         };
         let retired = galois_keys_from_bytes(&galois_keys_to_bytes(&keys.galois), &params).unwrap();
@@ -807,15 +813,12 @@ mod tests {
     fn galois_keys_frame_is_much_smaller_than_flat() {
         let (params, keys, _, _) = setup();
         let bytes = galois_keys_to_bytes(&keys.galois);
-        let entries = keys.galois.wire_entries();
-        let total_digits: usize = entries.iter().map(|e| e.digits.len()).sum();
-        assert_eq!(
-            bytes.len(),
-            galois_keys_wire_len(&params, entries.len(), total_digits)
-        );
+        let entries = keys.galois.wire_entries().len();
+        assert_eq!(bytes.len(), galois_keys_wire_len(&params, entries));
         let flat = flat_frame_len(&bytes).unwrap();
         assert_eq!(flat, keys.galois.byte_len());
-        // Seed expansion halves it, packing shaves the rest: > 2×.
+        // Seed expansion halves it, packing shaves the rest (a quarter of
+        // the words are 40-bit P residues): > 2×.
         assert!(
             flat > 2 * bytes.len(),
             "flat {flat} vs wire {}",
@@ -887,20 +890,26 @@ mod tests {
     #[test]
     fn unreduced_key_word_detected_after_the_headers_passed() {
         let (params, keys, _, _) = setup();
-        let mut bytes = galois_keys_to_bytes(&keys.galois);
-        let plan: Vec<_> = keys.galois.entries().collect();
-        // First packed evaluation-form word of the first k0, all-ones.
-        let start = HEADER_LEN + 8 + 4 + 4 + SEED_LEN + 4 + 1 + 4;
-        for b in &mut bytes[start..start + 8] {
-            *b = 0xFF;
+        let pristine = galois_keys_to_bytes(&keys.galois);
+        let plan: Vec<_> = keys.galois.elements().collect();
+        // First packed evaluation-form word of the first k0 under q, then
+        // of the first k0 under P, all-ones: each is at or above its own
+        // modulus.
+        let under_q = GK_PREAMBLE_LEN + 4;
+        let under_p = under_q + poly_len(params.n(), params.q());
+        for start in [under_q, under_p] {
+            let mut bytes = pristine.clone();
+            for b in &mut bytes[start..start + 8] {
+                *b = 0xFF;
+            }
+            // The header walk reads no polynomial, so it still passes ...
+            assert_eq!(galois_keys_frame_entries(&bytes, &params), Ok(plan.clone()));
+            // ... and the decode refuses the word.
+            assert_eq!(
+                galois_keys_from_bytes(&bytes, &params).err(),
+                Some(WireError::UnreducedCoefficient)
+            );
         }
-        // The header walk reads no polynomial, so it still passes ...
-        assert_eq!(galois_keys_frame_entries(&bytes, &params), Ok(plan));
-        // ... and the decode refuses the word.
-        assert_eq!(
-            galois_keys_from_bytes(&bytes, &params).err(),
-            Some(WireError::UnreducedCoefficient)
-        );
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! The rotation-key plan is the key set: for single dimensions (including
 //! the no-rotation `d = 1` and no-giant `d = 2` edges) and for mixed sets
-//! in which dimensions repeat, nest and share elements across gadget bases,
+//! in which dimensions repeat, nest and share elements across the baby and
+//! giant roles (one key an element, whatever its roles),
 //! `KeySet::generate_for_dims` holds exactly `linalg::key_plan`'s entries in
 //! its order, the BSGS matvec runs on that set at every dimension named and
 //! decrypts to the plaintext product, and a one-job batch is the plain call
@@ -25,7 +26,12 @@ use rand::{Rng, SeedableRng};
 
 fn dim_sets() -> Vec<Vec<usize>> {
     let singles = [1usize, 2, 4, 16, 64, 128, 256].map(|d| vec![d]);
-    let mixed = [vec![128, 128, 16], vec![64, 64], vec![256, 64, 16]];
+    let mixed = [
+        vec![128, 128, 16],
+        vec![64, 64],
+        vec![256, 64, 16],
+        vec![128, 64, 16],
+    ];
     singles.into_iter().chain(mixed).collect()
 }
 
@@ -39,13 +45,13 @@ fn generated_keys_are_the_plan_and_the_matvec_runs_on_them() {
         let keys = KeySet::generate_for_dims(&params, dims, &mut rng);
         let plan = key_plan(&params, dims);
         assert!(
-            keys.galois.entries().eq(plan.iter().copied()),
+            keys.galois.elements().eq(plan.iter().copied()),
             "key set of {dims:?} is not its plan"
         );
-        let mut sorted = plan.clone();
-        sorted.sort_unstable_by_key(|&(g, base)| (g, std::cmp::Reverse(base)));
-        sorted.dedup();
-        assert_eq!(plan, sorted, "plan of {dims:?} is not sorted and unique");
+        assert!(
+            plan.windows(2).all(|w| w[0] < w[1]),
+            "plan of {dims:?} is not sorted and unique"
+        );
 
         for &dim in dims {
             let data: Vec<u64> = (0..dim * dim)
@@ -67,6 +73,41 @@ fn generated_keys_are_the_plan_and_the_matvec_runs_on_them() {
             assert_eq!(batch[0].c1.coeffs(), prod.c1.coeffs(), "c1 at d = {dim}");
         }
     }
+}
+
+/// An element has one key however many dimensions claim it, in whichever
+/// role: at `[128, 64, 16]` rotations 4 and 8 are babies at 128 and giants
+/// at 16 (8 also at 64), and 1–7, 16, 24, 48 are claimed twice or thrice —
+/// 25 keys for 41 claims.
+#[test]
+fn the_plan_holds_each_element_once_at_mixed_dims() {
+    let params = BfvParams::small_test();
+    let n = params.n();
+    let claims = |dims: &[usize]| -> Vec<usize> {
+        let per_dim = dims.iter().flat_map(|&d| {
+            let (b, g) = pi_he::linalg::bsgs_plan(d);
+            (1..b.min(d)).chain((1..g).map(move |j| j * b))
+        });
+        per_dim
+            .map(|k| pi_he::keys::rotation_element(n, k))
+            .collect()
+    };
+    let dims = [128, 64, 16];
+    let plan = key_plan(&params, &dims);
+    let mut unique = claims(&dims);
+    assert_eq!(unique.len(), 21 + 14 + 6);
+    unique.sort_unstable();
+    unique.dedup();
+    assert_eq!(plan, unique);
+    assert_eq!(plan.len(), 25);
+    // Order and repetition of the dimensions change nothing.
+    assert_eq!(key_plan(&params, &[16, 128, 64, 16, 128]), plan);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(899);
+    let keys = KeySet::generate_for_dims(&params, &dims, &mut rng);
+    assert_eq!(
+        keys.galois.resident_byte_len(),
+        GaloisKeys::resident_byte_len_of(&params, 25)
+    );
 }
 
 /// What the protocol client runs from the RNG state `KeySet::generate_*`
@@ -136,8 +177,8 @@ fn the_upload_frame_is_one_byte_string_however_it_is_made() {
 
 /// A frame decoded into a retired key set is the frame decoded: whatever
 /// the retired set was — another client's keys of the same plan, the keys
-/// of a plan with fewer or more entries, other elements and other bases, or
-/// keys over another ring — the result re-encodes to the frame, meters what
+/// of a plan with fewer or more entries and other elements, or keys over
+/// another ring — the result re-encodes to the frame, meters what
 /// the plan says it will, and the matvec over it is the matvec over the
 /// fresh decode bit for bit (so every `a` column, quotient and slot
 /// permutation is the one a fresh decode builds).
@@ -155,7 +196,7 @@ fn a_frame_decoded_into_a_retired_key_set_is_the_frame_decoded() {
         let plan = key_plan(&params, dims);
         assert_eq!(
             fresh.resident_byte_len(),
-            GaloisKeys::resident_byte_len_of(&params, &plan),
+            GaloisKeys::resident_byte_len_of(&params, plan.len()),
             "{dims:?}"
         );
 
@@ -191,7 +232,7 @@ fn a_frame_decoded_into_a_retired_key_set_is_the_frame_decoded() {
             let reused =
                 galois_keys_from_bytes_reusing(&frame, &params, Some(retired)).expect("own frame");
             assert!(
-                reused.entries().eq(plan.iter().copied()),
+                reused.elements().eq(plan.iter().copied()),
                 "{what}, {dims:?}"
             );
             assert_eq!(galois_keys_to_bytes(&reused), frame, "{what}, {dims:?}");

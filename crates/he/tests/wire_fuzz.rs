@@ -15,19 +15,20 @@
 //!   a packed coefficient bit legitimately yields another valid
 //!   coefficient — but must never panic or abort.
 //!
-//! The strided walk never lands on the per-entry headers inside a Galois
-//! key frame (element, gadget base, digit count), which are exactly the
-//! fields whose values index tables and size shifts downstream; those get
-//! a structure-aware sweep of their own — every bit of every header byte,
-//! and every frame that still parses is then *used*.
+//! The strided walk never lands on the per-entry element inside a Galois
+//! key frame, which is exactly the field whose value indexes a table
+//! downstream, and visits the frame's own header (both moduli, the entry
+//! count) only in passing; those get a structure-aware sweep of their
+//! own — every bit of every header byte, with nothing decoded before the
+//! headers pass, and every frame that still parses is then *used*.
 //!
 //! Deterministic by construction (fixed RNG seeds, fixed stride walk), so
 //! a failure reproduces exactly. CI runs this suite in release.
 
 use pi_he::{
     ciphertext_from_bytes, ciphertext_to_bytes, ciphertext_to_bytes_seeded, galois_keys_frame,
-    galois_keys_from_bytes, galois_keys_to_bytes, public_key_from_bytes, public_key_to_bytes,
-    BatchEncoder, BfvParams, KeySet, SecretKey, WireError,
+    galois_keys_frame_entries, galois_keys_from_bytes, galois_keys_to_bytes, public_key_from_bytes,
+    public_key_to_bytes, BatchEncoder, BfvParams, KeySet, SecretKey, WireError,
 };
 use rand::{Rng, SeedableRng};
 
@@ -134,10 +135,10 @@ fn single_prime_frames_survive_corruption() {
 
 #[test]
 fn every_frame_kind_refuses_every_other_version() {
-    // The version byte names the layout, and version 3 changed what a
-    // Galois-key polynomial's words mean (evaluation form): a version-2
-    // frame decoded as version 3 would be well-formed garbage, so readers
-    // refuse by version, never by guessing.
+    // The version byte names the layout, and versions 3 and 4 changed what
+    // a Galois key's words mean (evaluation form; digits over q·P): an
+    // older frame decoded as version 4 would be garbage at best, so
+    // readers refuse by version, never by guessing.
     let params = BfvParams::new(1024, 40, 16);
     let mut rng = rand::rngs::StdRng::seed_from_u64(4244);
     let secret = SecretKey::generate(&params, &mut rng);
@@ -168,9 +169,9 @@ fn every_frame_kind_refuses_every_other_version() {
         ),
     ];
     for (name, mut frame, parse) in frames {
-        assert_eq!(frame[4], 3, "{name}: writers emit version 3");
+        assert_eq!(frame[4], 4, "{name}: writers emit version 4");
         assert_eq!(parse(&frame), None, "{name}: pristine frame");
-        for version in (0..=u8::MAX).filter(|&v| v != 3) {
+        for version in (0..=u8::MAX).filter(|&v| v != 4) {
             frame[4] = version;
             assert_eq!(
                 parse(&frame),
@@ -181,27 +182,34 @@ fn every_frame_kind_refuses_every_other_version() {
     }
 }
 
-const GK_ENTRY_HEADER_LEN: usize = 4 + 1 + 4;
+/// Common header, `q`, `P`, `num_entries`, seed.
+const GK_PREAMBLE_LEN: usize = 10 + 8 + 8 + 4 + 32;
+/// Offset of `P` and of the entry count in a Galois-key frame.
+const GK_SPECIAL_AT: usize = 10 + 8;
+const GK_COUNT_AT: usize = 10 + 8 + 8;
 
-/// Offset and digit count of every per-entry header (`g: u32`,
-/// `log_base: u8`, `num_digits: u32`) in a pristine Galois-key frame.
-fn galois_entry_headers(frame: &[u8], params: &BfvParams) -> Vec<(usize, usize)> {
-    let u32_at = |off: usize| u32::from_le_bytes(frame[off..off + 4].try_into().unwrap()) as usize;
-    let poly_len = pi_poly::pack::packed_len(params.n(), params.q().bits() as usize);
-    // Common header, q, num_entries, total_digits, seed.
-    let num_entries = u32_at(10 + 8);
-    let mut off = 10 + 8 + 4 + 4 + 32;
-    let mut out = Vec::with_capacity(num_entries);
-    for _ in 0..num_entries {
-        let num_digits = u32_at(off + 5);
-        out.push((off, num_digits));
-        off += GK_ENTRY_HEADER_LEN + num_digits * poly_len;
-    }
-    assert_eq!(off, frame.len(), "entry walk must end at the frame end");
-    out
+/// Length of one Galois-key entry: `g`, then per digit (two of them) the
+/// packed `k0` under `q` and under `P`.
+fn galois_entry_len(params: &BfvParams) -> usize {
+    let packed = |bits: u32| pi_poly::pack::packed_len(params.n(), bits as usize);
+    4 + 2 * (packed(params.q().bits()) + packed(params.special_p().bits()))
 }
 
-/// The Galois-key fixture of the two tests below: a key frame and a
+/// Offset of every entry (its `g: u32`) in a pristine Galois-key frame.
+fn galois_entries(frame: &[u8], params: &BfvParams) -> Vec<usize> {
+    let count = u32::from_le_bytes(frame[GK_COUNT_AT..GK_COUNT_AT + 4].try_into().unwrap());
+    let len = galois_entry_len(params);
+    assert_eq!(
+        frame.len(),
+        GK_PREAMBLE_LEN + count as usize * len,
+        "entry walk must end at the frame end"
+    );
+    (0..count as usize)
+        .map(|i| GK_PREAMBLE_LEN + i * len)
+        .collect()
+}
+
+/// The Galois-key fixture of the tests below: a key frame and a
 /// ciphertext to rotate with whatever a corrupted frame still yields.
 fn galois_fixture() -> (BfvParams, Vec<u8>, pi_he::Ciphertext) {
     let params = BfvParams::new(1024, 40, 16);
@@ -214,36 +222,47 @@ fn galois_fixture() -> (BfvParams, Vec<u8>, pi_he::Ciphertext) {
 
 #[test]
 fn galois_key_entry_headers_survive_every_bit_flip() {
-    // All eight bits of every byte of every entry header. A flip either
-    // fails with a typed error or yields a key set that can be *used*: the
-    // entry fields steer a permutation lookup and a shift width at the
-    // first rotation, long after the parse returned.
+    // All eight bits of every byte of the frame's own header and of every
+    // entry's element. A flip either fails with a typed error — from the
+    // header walk alone, before any polynomial is unpacked — or yields a
+    // key set that can be *used*: the element steers a permutation lookup
+    // at the first rotation, long after the parse returned.
     let (params, frame, ct) = galois_fixture();
-    let headers = galois_entry_headers(&frame, &params);
-    assert!(headers.len() >= 2, "fixture must hold several entries");
+    let entries = galois_entries(&frame, &params);
+    assert!(entries.len() >= 2, "fixture must hold several entries");
+    let header = 0..GK_PREAMBLE_LEN - 32; // the seed is any 32 bytes
+    let elements = entries.iter().flat_map(|&off| off..off + 4);
     let mut scratch = frame.clone();
     let (mut rejected, mut accepted) = (0usize, 0usize);
-    for &(off, _) in &headers {
-        for pos in off..off + GK_ENTRY_HEADER_LEN {
-            for bit in 0..8 {
-                scratch[pos] ^= 1 << bit;
-                match galois_keys_from_bytes(&scratch, &params) {
-                    Err(_) => rejected += 1,
-                    Ok(gk) => {
-                        accepted += 1;
-                        for g in (1..2 * params.n()).step_by(2).filter(|&g| gk.contains(g)) {
-                            gk.apply(&ct, g).expect("a held key must switch");
-                        }
-                        let _ = gk.rotate_hoisted(&gk.hoist(&ct), 1);
-                    }
+    for pos in header.chain(elements) {
+        for bit in 0..8 {
+            scratch[pos] ^= 1 << bit;
+            let announced = galois_keys_frame_entries(&scratch, &params);
+            match galois_keys_from_bytes(&scratch, &params) {
+                Err(e) => {
+                    // Nothing but a header was touched: the header walk is
+                    // what refuses, with the same error.
+                    assert_eq!(announced, Err(e), "byte {pos} bit {bit}");
+                    rejected += 1;
                 }
-                scratch[pos] ^= 1 << bit;
+                Ok(gk) => {
+                    assert!(pos >= GK_PREAMBLE_LEN, "a header flip parsed");
+                    assert!(gk.elements().eq(announced.expect("it decoded")));
+                    accepted += 1;
+                    for g in (1..2 * params.n()).step_by(2).filter(|&g| gk.contains(g)) {
+                        gk.apply(&ct, g).expect("a held key must switch");
+                    }
+                    let _ = gk.rotate_hoisted(&gk.hoist(&ct), 1);
+                }
             }
+            scratch[pos] ^= 1 << bit;
         }
     }
     assert_eq!(scratch, frame, "fuzz scratch buffer corrupted");
-    // Most flips break the element/gadget/digit-count relation; a few turn
-    // `g` into another odd element, which is a legitimate frame.
+    // Every flip in the frame's header is refused; of an element's 32 bits
+    // the ten above bit 0 and below 2N turn `g` into another odd element,
+    // which is a legitimate frame.
+    assert_eq!(accepted, entries.len() * 10);
     assert!(
         rejected > accepted,
         "{rejected} rejected, {accepted} accepted"
@@ -253,11 +272,18 @@ fn galois_key_entry_headers_survive_every_bit_flip() {
 #[test]
 fn galois_key_entries_no_key_switch_can_use_are_rejected() {
     let (params, frame, _) = galois_fixture();
-    let (off, num_digits) = galois_entry_headers(&frame, &params)[0];
+    let off = galois_entries(&frame, &params)[0];
     let corrupt = |edit: &dyn Fn(&mut Vec<u8>)| {
         let mut bytes = frame.clone();
         edit(&mut bytes);
-        galois_keys_from_bytes(&bytes, &params).err()
+        // Refused from the headers, so refused before any decode.
+        let decoded = galois_keys_from_bytes(&bytes, &params).err();
+        assert_eq!(
+            galois_keys_frame_entries(&bytes, &params).err(),
+            decoded,
+            "the header walk and the decode disagree"
+        );
+        decoded
     };
     // An even element has no slot permutation.
     assert_eq!(
@@ -271,14 +297,52 @@ fn galois_key_entries_no_key_switch_can_use_are_rejected() {
         Some(WireError::ParamMismatch),
         "g >= 2n"
     );
-    // A 39-bit gadget base implies two digits under a 40-bit modulus; an
-    // entry that keeps its own count would shift past the word on use.
-    assert!(num_digits > 2);
+    // Keys over another special prime — here the next NTT prime down, a
+    // perfectly good P for someone else — divide by the wrong number.
+    let other = pi_field::find_distinct_ntt_primes(params.special_p().bits(), 2, 2 * 1024)
+        .expect("two primes at this width")[1];
+    assert_ne!(other, params.special_p().value());
     assert_eq!(
-        corrupt(&|b| b[off + 4] = 39),
+        corrupt(&|b| b[GK_SPECIAL_AT..GK_SPECIAL_AT + 8].copy_from_slice(&other.to_le_bytes())),
         Some(WireError::ParamMismatch),
-        "log_base 39 with {num_digits} digits"
+        "another P"
     );
+    // An entry count that disagrees with the frame's length, either way.
+    let count = galois_entries(&frame, &params).len() as u32;
+    for wrong in [count - 1, count + 1, u32::MAX] {
+        assert_eq!(
+            corrupt(&|b| b[GK_COUNT_AT..GK_COUNT_AT + 4].copy_from_slice(&wrong.to_le_bytes())),
+            Some(WireError::Truncated),
+            "{wrong} entries announced, {count} carried"
+        );
+    }
+}
+
+#[test]
+fn a_key_word_at_or_above_its_modulus_is_refused_after_the_headers_passed() {
+    // The first word of the first k0 under q, then under P, raised to all
+    // ones: the headers are untouched, so the header walk still announces
+    // the plan, and the decode refuses the word — under whichever modulus
+    // it was packed.
+    let (params, frame, _) = galois_fixture();
+    let plan = galois_keys_frame_entries(&frame, &params).expect("own frame");
+    let under_q = galois_entries(&frame, &params)[0] + 4;
+    let under_p = under_q + pi_poly::pack::packed_len(params.n(), params.q().bits() as usize);
+    for (start, bits) in [
+        (under_q, params.q().bits()),
+        (under_p, params.special_p().bits()),
+    ] {
+        let mut bytes = frame.clone();
+        // A packed word starts at bit 0 of its polynomial's stream.
+        for bit in 0..bits as usize {
+            bytes[start + bit / 8] |= 1 << (bit % 8);
+        }
+        assert_eq!(galois_keys_frame_entries(&bytes, &params), Ok(plan.clone()));
+        assert_eq!(
+            galois_keys_from_bytes(&bytes, &params).err(),
+            Some(WireError::UnreducedCoefficient)
+        );
+    }
 }
 
 #[test]

@@ -430,7 +430,8 @@ impl NttTables {
     /// per-element invariants match [`NttTables::forward`].
     ///
     /// This is the kernel behind ciphertext-pair transforms and the
-    /// key-switch digit transforms (`ks_digits` polynomials per rotation).
+    /// key-switch digit transforms (the lifted digits of a rotation, per
+    /// modulus).
     ///
     /// # Panics
     ///

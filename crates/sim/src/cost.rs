@@ -25,24 +25,31 @@ pub enum Garbler {
     Client,
 }
 
+/// Bytes of one rotation key as flat ring words, as `pi-he` holds them:
+/// two key-switch digits, each a `(k0, a)` pair under the ciphertext
+/// modulus and one under the special prime — eight polynomials of `n`
+/// 8-byte words.
+fn galois_key_bytes(n: usize) -> usize {
+    2 * 2 * 2 * n * 8
+}
+
 /// Galois key material (bytes) a client uploads for one padded layer
 /// dimension under the hoisted baby-step/giant-step key set implemented in
-/// `pi-he`: `(⌈√d⌉ − 1)` baby elements at the fine gadget plus
-/// `(⌈d/⌈√d⌉⌉ − 1)` giant elements at the ordinary gadget, two ring
-/// polynomials of `n` 8-byte words per digit.
+/// `pi-he`: `(⌈√d⌉ − 1)` baby elements plus `(⌈d/⌈√d⌉⌉ − 1)` giant
+/// elements, one key each.
 ///
 /// An analysis-side mirror of `pi_he::linalg::key_plan` for one dimension
 /// — the whole key set a client of a one-layer model generates and
 /// uploads; there is no composition chain on top — for what-if sizing at
 /// dimensions no instantiated model has (pi-sim deliberately has no pi-he
-/// dependency, so the gadget digit counts come in as parameters and the
-/// ⌈√d⌉ split is restated here; a multi-layer model's plan is the union
-/// over its dimensions, and the implementation-measured figure in
+/// dependency, so the key shape and the ⌈√d⌉ split are restated here; a
+/// multi-layer model's plan is the union over its dimensions, and the
+/// implementation-measured figure in
 /// `pi_core::CostReport::galois_key_bytes` stays authoritative).
 /// The session-key constant in [`ProtocolCosts`] (`he_keys = 50e6`)
 /// remains the paper-calibrated anchor for the modeled SEAL-style system
 /// and is intentionally not replaced by this finer model.
-pub fn galois_key_bytes_bsgs(dim: usize, n: usize, giant_digits: usize, baby_digits: usize) -> f64 {
+pub fn galois_key_bytes_bsgs(dim: usize, n: usize) -> f64 {
     if dim <= 1 {
         return 0.0;
     }
@@ -51,15 +58,13 @@ pub fn galois_key_bytes_bsgs(dim: usize, n: usize, giant_digits: usize, baby_dig
         b += 1;
     }
     let g = dim.div_ceil(b);
-    let poly_bytes = 2 * n * 8;
-    ((b.min(dim) - 1) * baby_digits * poly_bytes + (g - 1) * giant_digits * poly_bytes) as f64
+    ((b.min(dim) - 1 + g - 1) * galois_key_bytes(n)) as f64
 }
 
 /// Galois key material (bytes) of the full per-rotation set the BSGS set
-/// replaces: one ordinary-gadget key per rotation amount (`d − 1`
-/// elements).
-pub fn galois_key_bytes_per_rotation(dim: usize, n: usize, giant_digits: usize) -> f64 {
-    (dim.saturating_sub(1) * giant_digits * 2 * n * 8) as f64
+/// replaces: one key per rotation amount (`d − 1` elements).
+pub fn galois_key_bytes_per_rotation(dim: usize, n: usize) -> f64 {
+    (dim.saturating_sub(1) * galois_key_bytes(n)) as f64
 }
 
 /// HE operation count of one linear layer under the Gazelle cost model.
@@ -427,21 +432,20 @@ mod tests {
 
     #[test]
     fn bsgs_key_material_reports_storage_win() {
-        // pi-he's default gadgets: 7 ordinary digits (base 2^10 over a
-        // 62-bit q) and 31 baby digits (base 2^2). Even with the finer baby
-        // gadget, the BSGS set beats the per-rotation set by >2x at a
-        // 128-wide layer (~2.2x measured) and the win grows with the
-        // dimension (>6x at 1024).
-        let (n, giant_d, baby_d) = (4096, 7, 31);
-        let bsgs = galois_key_bytes_bsgs(128, n, giant_d, baby_d);
-        let full = galois_key_bytes_per_rotation(128, n, giant_d);
-        assert!(full / bsgs > 2.0, "win at d=128: {}", full / bsgs);
-        let bsgs_1k = galois_key_bytes_bsgs(1024, n, giant_d, baby_d);
-        let full_1k = galois_key_bytes_per_rotation(1024, n, giant_d);
-        assert!(full_1k / bsgs_1k > full / bsgs, "win must grow with d");
+        // Every key is the same size, so the saving is the element count's:
+        // 127 rotations against 11 babies + 10 giants at a 128-wide layer
+        // (6.05×), and it grows with the dimension (1023 against 31 + 31).
+        let n = 4096;
+        let bsgs = galois_key_bytes_bsgs(128, n);
+        let full = galois_key_bytes_per_rotation(128, n);
+        assert_eq!(bsgs, (21 * 8 * n * 8) as f64);
+        assert_eq!(full / bsgs, 127.0 / 21.0);
+        let bsgs_1k = galois_key_bytes_bsgs(1024, n);
+        let full_1k = galois_key_bytes_per_rotation(1024, n);
+        assert_eq!(full_1k / bsgs_1k, 1023.0 / 62.0);
         // Degenerate dims carry no rotation keys at all.
-        assert_eq!(galois_key_bytes_bsgs(1, n, giant_d, baby_d), 0.0);
-        assert_eq!(galois_key_bytes_per_rotation(1, n, giant_d), 0.0);
+        assert_eq!(galois_key_bytes_bsgs(1, n), 0.0);
+        assert_eq!(galois_key_bytes_per_rotation(1, n), 0.0);
     }
 
     #[test]

@@ -45,7 +45,6 @@ counters! {
     HeKeySwitch => "he.key_switch",
     HeHoist => "he.hoist",
     HeRotation => "he.rotation",
-    KsScratchAlloc => "he.ks_scratch_alloc",
     AesBlocks => "aes.blocks",
     GcAndGarbled => "gc.and_garbled",
     GcAndEvaluated => "gc.and_evaluated",

@@ -63,7 +63,7 @@
 //! | `online.eval`     | online GC evaluation / label decode              |
 //! | `online.ss`       | online secret-share linear arithmetic            |
 //! | `he.keyswitch`    | one Galois key switch (inside `offline.he`)      |
-//! | `he.hoist`        | one hoisted decomposition (inside `offline.he`)  |
+//! | `he.hoist`        | one hoisted key-switch lift (inside `offline.he`) |
 //! | `he.keys_generate`| client: fresh secret key + rotation-key upload frame (inside `offline.he`) |
 //! | `he.keys_admit`   | server: plan check + decode of an uploaded frame (inside `offline.he`) |
 //!

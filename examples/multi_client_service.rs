@@ -99,7 +99,6 @@ fn main() {
             Err(KeyError::MissingGaloisKey(g)) => {
                 println!("  rotation request g={g}: rejected (no key provisioned), worker alive")
             }
-            Err(e) => println!("  rotation request g={requested_g}: rejected ({e}), worker alive"),
         }
     }
 

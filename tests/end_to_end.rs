@@ -31,6 +31,21 @@ fn setup(spec: &pi_nn::NetSpec, seed: u64) -> Setup {
     }
 }
 
+/// Serializes the tests that force the process-global trace mode: one
+/// that finished would otherwise switch full tracing off under another.
+fn full_tracing() -> impl Drop {
+    struct Forced(#[allow(dead_code)] std::sync::MutexGuard<'static, ()>);
+    impl Drop for Forced {
+        fn drop(&mut self) {
+            pi_trace::force_mode(None);
+        }
+    }
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    let guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    pi_trace::force_mode(Some(pi_trace::TraceMode::Full));
+    Forced(guard)
+}
+
 fn random_input_f(len: usize, seed: u64) -> Vec<f64> {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     (0..len).map(|_| rng.gen_range(-1.0..1.0)).collect()
@@ -42,7 +57,7 @@ fn random_input_f(len: usize, seed: u64) -> Vec<f64> {
 fn he_protocols_match_reference_and_f64() {
     // Force full tracing regardless of the PI_TRACE the suite runs under:
     // the report assertions below need span-derived timings to exist.
-    pi_trace::force_mode(Some(pi_trace::TraceMode::Full));
+    let _full = full_tracing();
     let spec = zoo::tiny_cnn();
     let s = setup(&spec, 100);
     let input_f = random_input_f(s.model.input_len, 101);
@@ -82,7 +97,43 @@ fn he_protocols_match_reference_and_f64() {
             "trace ReLU counter must agree with the report"
         );
     }
-    pi_trace::force_mode(None);
+}
+
+/// The noise gauge reads where the protocol decrypts — the client's
+/// `decrypt_switched` of every down-switched response — so a real request
+/// under full tracing fills `he.noise_decrypt_bits` (histograms are
+/// process-global: whatever else this binary decrypted is in there too),
+/// at least one observation a linear phase, and the worst keeps real
+/// headroom.
+#[test]
+fn the_noise_gauge_reads_where_the_protocol_decrypts() {
+    let _full = full_tracing();
+    let gauged = || {
+        let report = pi_trace::global_report();
+        report.hist("he.noise_decrypt_bits").cloned()
+    };
+    for (spec, seed) in [(zoo::tiny_cnn(), 400), (zoo::tiny_resnet(), 410)] {
+        let s = setup(&spec, seed);
+        let input =
+            s.fx.quantize_vec(&random_input_f(s.model.input_len, seed + 1));
+        let cfg = ProtocolConfig::server_garbler(s.he.clone());
+        let before = gauged().map_or(0, |h| h.count);
+        let (out, _) = private_inference(&s.model, &input, &cfg);
+        assert_eq!(out, s.qnet.forward_fixed(&input));
+        let gauge = gauged().expect("every response decrypt gauges");
+        assert!(
+            gauge.count - before >= s.model.phases.len() as u64,
+            "{}: {} observations",
+            spec.name,
+            gauge.count - before
+        );
+        let least = pi_trace::bucket_lower_bound(gauge.buckets[0].0);
+        println!(
+            "{}: noise budget at decrypt, least {least} of {} bits",
+            spec.name, gauge.max
+        );
+        assert!(least >= 7, "{}: {least} bits of budget", spec.name);
+    }
 }
 
 /// Residual networks (two-input phases) through the full stack.

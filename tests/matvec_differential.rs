@@ -13,8 +13,8 @@
 //! * both ring sizes the protocol uses (n = 2048 test ring, n = 4096
 //!   default ring) with full-range `Z_t` entries;
 //! * the hoisted single-rotation primitive against composed
-//!   `rotate_rows`, including the identity rotation and gadget-mismatch
-//!   rejection;
+//!   `rotate_rows`, including the identity rotation, a plan element in its
+//!   other role and the rejection of an element outside the plan;
 //! * a proptest over random matrices, dimensions, and vectors.
 //!
 //! CI runs this suite in release under `PI_SIMD=scalar`, `on`, and
@@ -112,7 +112,7 @@ fn bsgs_matches_naive_rectangular() {
 fn hoisted_rotation_matches_composed_rotation() {
     let params = BfvParams::small_test();
     let mut rng = rand::rngs::StdRng::seed_from_u64(404);
-    // dim 16 → baby rotations {1, 2, 3} at the fine gadget, giants {4, 8, 12}.
+    // dim 16 → baby rotations {1, 2, 3}, giants {4, 8, 12}.
     let keys = KeySet::generate_for_dims(&params, &[16], &mut rng);
     let chain = KeySet::generate(&params, &mut rng);
     let enc = BatchEncoder::new(&params);
@@ -120,10 +120,10 @@ fn hoisted_rotation_matches_composed_rotation() {
     let ct = keys.public.encrypt(&enc.encode(&v), &mut rng);
     let chain_ct = chain.public.encrypt(&enc.encode(&v), &mut rng);
     let hoisted = keys.galois.hoist(&ct);
-    assert_eq!(hoisted.log_base(), params.bsgs_log_base);
-    assert_eq!(hoisted.num_digits(), params.bsgs_digits);
-    for k in [0usize, 1, 2, 3] {
-        let direct = keys.galois.rotate_hoisted(&hoisted, k).expect("baby key");
+    // A key is a key: the giants' elements rotate a hoisted ciphertext as
+    // the babies' do.
+    for k in [0usize, 1, 2, 3, 4, 12] {
+        let direct = keys.galois.rotate_hoisted(&hoisted, k).expect("plan key");
         let composed = chain.galois.rotate_rows(&chain_ct, k).expect("chain keys");
         // Different keys and key-switch noise, same decryption.
         assert_eq!(
@@ -132,18 +132,13 @@ fn hoisted_rotation_matches_composed_rotation() {
             "hoisted rotation by {k} diverges from composed rotation"
         );
     }
-    // Giant keys exist but under the coarse gadget: the hoisted digits
-    // cannot feed them, and the API must say so rather than corrupt.
-    let g4 = rotation_element(params.n(), 4);
-    match keys.galois.rotate_hoisted(&hoisted, 4) {
-        Err(KeyError::GadgetMismatch { g, .. }) => assert_eq!(g, g4),
-        other => panic!("expected GadgetMismatch for a giant key, got {other:?}"),
-    }
-    // And a rotation with no key at all is a MissingGaloisKey.
-    assert!(matches!(
-        keys.galois.rotate_hoisted(&hoisted, 5),
-        Err(KeyError::MissingGaloisKey(_))
-    ));
+    // A hoisted rotation by an element outside the plan is a
+    // MissingGaloisKey naming it: the API says so rather than corrupt.
+    let g5 = rotation_element(params.n(), 5);
+    assert_eq!(
+        keys.galois.rotate_hoisted(&hoisted, 5).err(),
+        Some(KeyError::MissingGaloisKey(g5))
+    );
 }
 
 #[test]

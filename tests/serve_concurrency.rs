@@ -228,7 +228,7 @@ fn a_full_key_table_turns_over_in_place_and_stays_correct() {
     let model = build_model(&he, 11);
     let cfg = ProtocolConfig::client_garbler(he.clone(), 1);
     let meta = ModelMeta::of(&model);
-    let set = pi_he::GaloisKeys::resident_byte_len_of(&he, &meta.key_plan(&he)) as u64;
+    let set = pi_he::GaloisKeys::resident_byte_len_of(&he, meta.key_plan(&he).len()) as u64;
     let rt = ServeRuntime::new(ServeConfig {
         workers: 2,
         table_budget_bytes: 2 * set + set / 2,
@@ -333,7 +333,7 @@ fn relay(from: &Channel, to: &Channel) -> Transcript {
 /// `HeKeys` is one rotation-key frame holding the model's key plan —
 /// 23 entries, 425 digits — with no composition chain and no public key.
 fn pinned_transcript(kind: ProtocolKind) -> (Transcript, Transcript) {
-    let he_up = [("HeKeys", 6_745_873), ("HeCts", 15_938), ("HeCts", 15_938)];
+    let he_up = [("HeKeys", 1_096_858), ("HeCts", 15_938), ("HeCts", 15_938)];
     let he_down = [("HeCts", 23_074); 3];
     let (up, down): (&[_], &[_]) = match kind {
         ProtocolKind::ClientGarbler => (
@@ -891,9 +891,10 @@ fn malformed_client_messages_are_bad_requests_and_the_worker_survives() {
     }
 }
 
-/// Where a rotation-key frame's entries start: after the common header,
-/// `q`, the two counts and the seed.
-const GK_ENTRIES_AT: usize = 10 + 8 + 4 + 4 + 32;
+/// Where a rotation-key frame's entry count sits — after the common
+/// header, `q` and `P` — and where its entries start, after the seed.
+const GK_COUNT_AT: usize = 10 + 8 + 8;
+const GK_ENTRIES_AT: usize = GK_COUNT_AT + 4 + 32;
 
 /// Flips the low bit of the first Galois-key entry's element `g`, making it
 /// even: an element with no slot permutation.
@@ -936,66 +937,54 @@ fn unusable_uploaded_galois_keys_are_a_wire_error_and_the_worker_survives() {
     assert_eq!(rt.key_table_stats().inserts, 1);
 }
 
-/// Rewrites the entry list of a relayed rotation-key upload (`poly` is one
-/// packed polynomial's length) and recomputes both counts, so the frame
-/// stays one the reader accepts and only the admission check can object.
-fn edit_key_entries(m: &mut Msg, edit: impl FnOnce(&mut Vec<Vec<u8>>, usize)) {
+/// Rewrites the entry list of a relayed rotation-key upload — every entry
+/// is its element `g` (`u32`) and one fixed length of packed `k0` residues —
+/// and recomputes the count, so the frame stays one the reader accepts and
+/// only the admission check can object.
+fn edit_key_entries(m: &mut Msg, edit: impl FnOnce(&mut Vec<Vec<u8>>)) {
     let Msg::HeKeys(frame) = m else {
         panic!("no rotation keys in {}", m.kind());
     };
     let frame = Arc::make_mut(frame);
-    let le32 = |b: &[u8]| u32::from_le_bytes(b.try_into().expect("4 bytes")) as usize;
-    let q = u64::from_le_bytes(frame[10..18].try_into().expect("8 bytes"));
-    let poly = (le32(&frame[6..10]) * (64 - q.leading_zeros() as usize)).div_ceil(8);
-    // An entry: g (u32), log_base (u8), num_digits (u32), the k0 halves.
-    let digits = |entry: &[u8]| le32(&entry[5..9]);
-    let mut entries = Vec::new();
-    let mut rest = &frame[GK_ENTRIES_AT..];
-    while !rest.is_empty() {
-        let (entry, tail) = rest.split_at(9 + digits(rest) * poly);
-        entries.push(entry.to_vec());
-        rest = tail;
-    }
-    edit(&mut entries, poly);
-    let total: usize = entries.iter().map(|e| digits(e)).sum();
+    let count_at = GK_COUNT_AT..GK_COUNT_AT + 4;
+    let count = u32::from_le_bytes(frame[count_at.clone()].try_into().expect("4 bytes"));
+    let entry_len = (frame.len() - GK_ENTRIES_AT) / count as usize;
+    let mut entries: Vec<Vec<u8>> = frame[GK_ENTRIES_AT..]
+        .chunks_exact(entry_len)
+        .map(<[u8]>::to_vec)
+        .collect();
+    edit(&mut entries);
     frame.truncate(GK_ENTRIES_AT);
-    frame[18..22].copy_from_slice(&(entries.len() as u32).to_le_bytes());
-    frame[22..26].copy_from_slice(&(total as u32).to_le_bytes());
+    frame[count_at].copy_from_slice(&(entries.len() as u32).to_le_bytes());
     frame.extend(entries.concat());
 }
 
 fn no_entries(m: &mut Msg, _: u64) {
-    edit_key_entries(m, |entries, _| entries.clear());
+    edit_key_entries(m, |entries| entries.clear());
 }
 
 fn drop_entry(m: &mut Msg, _: u64) {
-    edit_key_entries(m, |entries, _| drop(entries.remove(1)));
+    edit_key_entries(m, |entries| drop(entries.remove(1)));
 }
 
 /// Adds a key for the identity element `g = 1`, which no plan holds.
 fn extra_entry(m: &mut Msg, _: u64) {
-    edit_key_entries(m, |entries, _| {
+    edit_key_entries(m, |entries| {
         let mut extra = entries[0].clone();
         extra[..4].copy_from_slice(&1u32.to_le_bytes());
         entries.insert(0, extra);
     });
 }
 
-/// Re-labels the first entry — rotation 1, a baby of every plan — as a key
-/// under the ordinary gadget, with that gadget's digit count.
-fn baby_under_the_coarse_base(m: &mut Msg, _: u64) {
-    let he = BfvParams::small_test();
-    edit_key_entries(m, |entries, poly| {
-        let baby = &mut entries[0];
-        assert_eq!(u32::from(baby[4]), he.bsgs_log_base);
-        baby[4] = he.ks_log_base as u8;
-        baby[5..9].copy_from_slice(&(he.ks_digits as u32).to_le_bytes());
-        baby.truncate(9 + he.ks_digits * poly);
-    });
+/// Swaps the first two entries: every planned key once, out of the plan's
+/// order — which is also the order the seed stream is replayed in, so the
+/// keys a reader would build from it are not the keys that were generated.
+fn entries_out_of_order(m: &mut Msg, _: u64) {
+    edit_key_entries(m, |entries| entries.swap(0, 1));
 }
 
 fn duplicate_entry(m: &mut Msg, _: u64) {
-    edit_key_entries(m, |entries, _| entries.insert(1, entries[0].clone()));
+    edit_key_entries(m, |entries| entries.insert(1, entries[0].clone()));
 }
 
 /// Key uploads every frame reader accepts and no model's key plan equals.
@@ -1005,10 +994,10 @@ fn off_plan_key_uploads() -> [(&'static str, Tamper); 5] {
         case("a planned entry dropped", "HeKeys", 0, drop_entry),
         case("an unplanned entry added", "HeKeys", 0, extra_entry),
         case(
-            "a baby under the coarse base",
+            "two entries out of order",
             "HeKeys",
             0,
-            baby_under_the_coarse_base,
+            entries_out_of_order,
         ),
         case("an entry sent twice", "HeKeys", 0, duplicate_entry),
     ]
