@@ -13,13 +13,13 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use pi_bench::median_ns;
 use pi_field::simd::{self, SimdBackend};
+use pi_field::Modulus;
 use pi_he::linalg::{
     encode_diagonals, encode_diagonals_bsgs, encrypt_vector, matvec_naive, matvec_op_count,
     matvec_op_count_naive, matvec_precomputed, PlainMatrix,
 };
 use pi_he::{BatchEncoder, BfvParams, KeySet};
 use pi_poly::ntt::{NttTables, ShoupVec};
-use pi_poly::rns::RnsContext;
 use rand::{Rng, SeedableRng};
 
 /// Same-run scalar-vs-vector A/B of one kernel, printed as
@@ -41,8 +41,7 @@ fn tail_ab(kernel: &str, iters: usize, mut f: impl FnMut()) {
 /// add — each at the protocol ring degree `n = 4096`.
 fn bench_tail_breakdown(_c: &mut Criterion) {
     let n = 4096usize;
-    let ctx = RnsContext::with_ntt_primes(n, 50, 1);
-    let q = ctx.modulus(0);
+    let q = Modulus::new(pi_field::find_ntt_prime(50, n as u64));
     let ntt = NttTables::new(n, q);
     let perm = ntt.galois_permutation(3);
     let mut rng = rand::rngs::StdRng::seed_from_u64(9);

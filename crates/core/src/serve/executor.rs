@@ -53,7 +53,7 @@ impl Executor {
     /// Spawns `workers` threads.
     pub(crate) fn new(workers: usize) -> Self {
         let (tx, rx) = unbounded::<Task>();
-        let handles = (0..workers.max(1))
+        let handles = (0..workers)
             .map(|w| {
                 let rx = rx.clone();
                 std::thread::Builder::new()

@@ -1,8 +1,7 @@
 //! Modular-arithmetic substrate for the private-inference stack.
 //!
-//! This crate provides the arithmetic building blocks that everything
-//! above it (polynomial rings, BFV homomorphic encryption, secret sharing,
-//! and the Naor–Pinkas base oblivious transfer) is built on:
+//! This crate provides the arithmetic building blocks that the polynomial
+//! rings and the BFV homomorphic encryption above it are built on:
 //!
 //! * [`Modulus`] — a word-sized modulus with Barrett reduction, giving fast
 //!   `add`/`sub`/`mul`/`pow`/`inv` over `Z_q` for `q < 2^62`, plus
@@ -11,18 +10,13 @@
 //!   pointwise kernels (see the `modulus` module docs for the range table).
 //! * [`prime`] — deterministic Miller–Rabin primality testing and searching
 //!   for NTT-friendly primes (`q ≡ 1 (mod 2N)`), plus primitive-root finding
-//!   and multi-prime searches ([`find_distinct_ntt_primes`]) for CRT bases.
-//! * [`crt`] — [`CrtBasis`], an ordered set of distinct primes with the
-//!   Garner pairwise inverses precomputed and big-integer compose/decompose
-//!   — the residue-number-system substrate for >62-bit ciphertext moduli.
+//!   and multi-prime searches ([`find_distinct_ntt_primes`]).
 //! * [`simd`] — lane-parallel SIMD kernels (AVX-512 and AVX2 on x86_64,
 //!   NEON on aarch64, the same kernels at scalar `u64` lanes
-//!   elsewhere) for the Shoup/lazy hot loops and the batched Garner
-//!   composition, behind runtime detection and a `PI_SIMD` toggle; the
-//!   element-at-a-time loops are one more backend there, written against
-//!   [`Modulus`] alone, and serve as the differential oracle.
-//! * [`bignum`] — [`U1024`], the fixed-width 1024-bit unsigned integer
-//!   behind the CRT composition and decode rounding of the RNS layers above.
+//!   elsewhere) for the Shoup/lazy hot loops, behind runtime detection and
+//!   a `PI_SIMD` toggle; the element-at-a-time loops are one more backend
+//!   there, written against [`Modulus`] alone, and serve as the
+//!   differential oracle.
 //!
 //! # Examples
 //!
@@ -42,13 +36,9 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bignum;
-pub mod crt;
 pub mod modulus;
 pub mod prime;
 pub mod simd;
 
-pub use bignum::U1024;
-pub use crt::{CrtBasis, CrtError};
 pub use modulus::{Modulus, ShoupMul};
 pub use prime::{find_distinct_ntt_primes, find_ntt_prime, is_prime, primitive_root};

@@ -132,9 +132,9 @@ pub fn try_find_prime_congruent(bits: u32, step: u64) -> Option<u64> {
 }
 
 /// Finds `count` **distinct** primes below `2^bits`, each `≡ 1 (mod step)`,
-/// in descending order — the moduli of a CRT basis (`step = 2N` keeps every
-/// residue NTT-friendly, so one residue column per prime can run the Harvey
-/// transforms independently).
+/// in descending order (`step = 2N` keeps every one NTT-friendly) — the
+/// candidates a ring picks a special prime from beside moduli it already
+/// holds.
 ///
 /// Returns `None` if fewer than `count` such primes exist below `2^bits`.
 ///

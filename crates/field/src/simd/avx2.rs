@@ -131,10 +131,6 @@ impl Lanes for Ymm {
     unsafe fn inc_if(self, k: __m256i) -> Self {
         Ymm(_mm256_sub_epi64(self.0, k))
     }
-    #[inline(always)]
-    unsafe fn add_if(self, k: __m256i, x: Self) -> Self {
-        Ymm(_mm256_add_epi64(self.0, _mm256_and_si256(k, x.0)))
-    }
     /// No cross-lane 64-bit permute takes a runtime pattern on AVX2.
     #[inline(always)]
     unsafe fn permute_block(blk: &[u64], pat: u64) -> Self {

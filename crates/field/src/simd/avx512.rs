@@ -101,11 +101,8 @@ impl Lanes for Zmm {
     }
     #[inline(always)]
     unsafe fn inc_if(self, k: __mmask8) -> Self {
-        self.add_if(k, Self::splat(1))
-    }
-    #[inline(always)]
-    unsafe fn add_if(self, k: __mmask8, x: Self) -> Self {
-        Zmm(_mm512_mask_add_epi64(self.0, k, self.0, x.0))
+        let one = Self::splat(1);
+        Zmm(_mm512_mask_add_epi64(self.0, k, self.0, one.0))
     }
     /// One contiguous zmm load of the block, then an in-register `vpermq`
     /// (`_mm512_permutexvar_epi64`) steered by the packed byte pattern —

@@ -54,8 +54,6 @@ pub(super) trait Lanes: Copy {
     unsafe fn lt(self, b: Self) -> Self::Mask;
     /// `self + 1` in the lanes of `k`.
     unsafe fn inc_if(self, k: Self::Mask) -> Self;
-    /// `self + x` in the lanes of `k`.
-    unsafe fn add_if(self, k: Self::Mask, x: Self) -> Self;
     /// Lane `t` of the result is `blk[(pat >> 8t) & 7]`: `W` lanes of a
     /// blocked Galois permutation out of one aligned 8-element block.
     unsafe fn permute_block(blk: &[u64], pat: u64) -> Self;
@@ -114,13 +112,6 @@ unsafe fn mul_shoup_lazy<V: Lanes>(a: V, wv: V, wq: V, q: V) -> V {
 #[inline(always)]
 unsafe fn mul_shoup<V: Lanes>(a: V, wv: V, wq: V, q: V) -> V {
     mul_shoup_lazy(a, wv, wq, q).csub(q)
-}
-
-/// Lane form of [`Modulus::sub`] on strictly reduced operands: add `q`
-/// back where `a < b`.
-#[inline(always)]
-unsafe fn sub_mod<V: Lanes>(a: V, b: V, q: V) -> V {
-    a.sub(b).add_if(a.lt(b), q)
 }
 
 /// Splat constants of [`Modulus::reduce_u128`].
@@ -372,38 +363,6 @@ pub(super) unsafe fn dyadic_mul_acc_shoup<V: Lanes>(
 }
 
 #[inline(always)]
-pub(super) unsafe fn mul_shoup_bcast<V: Lanes>(
-    q: &Modulus,
-    out: &mut [u64],
-    a: &[u64],
-    w: ShoupMul,
-    from: usize,
-) -> usize {
-    let qv = V::splat(q.value());
-    let (wv, wq) = splat_shoup::<V>(w);
-    lane_loop!(V, j in from, out.len() => {
-        mul_shoup(V::load(&a[j..]), wv, wq, qv).store(&mut out[j..]);
-    })
-}
-
-#[inline(always)]
-pub(super) unsafe fn garner_step<V: Lanes>(
-    q: &Modulus,
-    v: &mut [u64],
-    t: &[u64],
-    inv: ShoupMul,
-    from: usize,
-) -> usize {
-    let qv = V::splat(q.value());
-    let (iv, iq) = splat_shoup::<V>(inv);
-    lane_loop!(V, j in from, v.len() => {
-        let a = mul_shoup(V::load(&v[j..]), iv, iq, qv);
-        let b = mul_shoup(V::load(&t[j..]), iv, iq, qv);
-        sub_mod(a, b, qv).store(&mut v[j..]);
-    })
-}
-
-#[inline(always)]
 pub(super) unsafe fn dyadic_mul<V: Lanes>(
     q: &Modulus,
     out: &mut [u64],
@@ -495,8 +454,6 @@ macro_rules! pointwise_entry_points {
                 q: &Modulus, out: &mut [u64], a: &[u64], vals: &[u64], quots: &[u64]);
             tail dyadic_mul_acc_shoup(
                 q: &Modulus, acc: &mut [u64], a: &[u64], vals: &[u64], quots: &[u64]);
-            tail mul_shoup_bcast(q: &Modulus, out: &mut [u64], a: &[u64], w: ShoupMul);
-            tail garner_step(q: &Modulus, v: &mut [u64], t: &[u64], inv: ShoupMul);
             tail dyadic_mul(q: &Modulus, out: &mut [u64], a: &[u64], b: &[u64]);
             tail dyadic_mul_acc(q: &Modulus, acc: &mut [u64], a: &[u64], b: &[u64]);
             whole permute8(out: &mut [u64], src: &[u64], bsrc: &[u32], bpat: &[u64]);

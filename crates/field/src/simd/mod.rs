@@ -11,8 +11,8 @@
 //! * One file per ISA supplies the primitives and nothing else: `W`,
 //!   `splat`, `load`, `store`, `add`, `sub`, `mullo`, `mulhi`, `csub`
 //!   (conditional subtract), `lt` (unsigned compare to a lane mask),
-//!   `inc_if`/`add_if` (`+1`/`+x` on a lane mask) and `permute_block` (`W`
-//!   lanes of a blocked permutation); `mulfull` and the carry-out add are
+//!   `inc_if` (`+1` on a lane mask) and `permute_block` (`W` lanes of a
+//!   blocked permutation); `mulfull` and the carry-out add are
 //!   derived, and overridable where an ISA computes both product halves
 //!   from shared partial products.
 //!   - `avx512.rs` — `Zmm`, 8 lanes (AVX512F+DQ+VL): native `vpmullq` low
@@ -102,7 +102,6 @@
 //! | [`permute8`]              | any u64                   | unchanged  |           |
 //! | [`permute8_add_lazy`]     | acc, src `[0, 2q)`        | `[0, 2q)`  |           |
 //! | [`permute8_mul_acc_shoup2`] | acc `[0, 2q)`, src any  | `[0, 2q)`  |           |
-//! | [`garner_step`]           | v `[0, q)`, t `[0, q)`    | `[0, q)`   |           |
 //!
 //! The `_many` forms take the stride of their single-column kernel.
 //!
@@ -344,9 +343,9 @@ fn resolve() -> SimdBackend {
 
 /// Routes one kernel invocation to the requested backend: the scalar
 /// oracle's safe loops, or (`@lanes`) the generic kernels at that backend's
-/// registers. The blocked permutes and the two Garner kernels have no loop
-/// in `scalar.rs` (their callers keep the oracle side, see the module docs
-/// and [`crate::CrtBasis::compose_many`]) and enter at `@lanes`. An
+/// registers. The blocked permutes have no loop in `scalar.rs` (their
+/// callers keep the oracle side, see the module docs) and enter at
+/// `@lanes`. An
 /// unavailable vector backend (possible only if a caller passes a stale
 /// enum value, since [`force_backend`]/[`backend`] validate) degrades to
 /// the portable fallback rather than risking an illegal-instruction fault.
@@ -569,19 +568,6 @@ pub fn dyadic_mul_acc_shoup(
     dispatch!(be, dyadic_mul_acc_shoup(q, acc, a, vals, quots))
 }
 
-/// Pointwise Shoup product against one broadcast multiplicand:
-/// `out[i] = a[i]·w mod q`, strictly reduced (`a` may be any u64). With
-/// `w = 1` this is the residue-reduction pass of
-/// [`crate::CrtBasis::compose_many`].
-///
-/// # Panics
-///
-/// Panics on length mismatch.
-pub fn mul_shoup_bcast(be: SimdBackend, q: &Modulus, out: &mut [u64], a: &[u64], w: ShoupMul) {
-    assert_eq!(a.len(), out.len());
-    dispatch!(@lanes be, mul_shoup_bcast(q, out, a, w))
-}
-
 /// Bounds check shared by the blocked-permute wrappers — the entire safety
 /// argument for the unchecked loads and `vpermq` steering in the backends:
 /// every source block must lie inside `src` and every packed pattern byte
@@ -671,20 +657,6 @@ pub fn permute8_mul_acc_shoup2(
         @lanes be,
         permute8_mul_acc_shoup2(q, acc0, acc1, src, bsrc, bpat, vals0, quots0, vals1, quots1)
     )
-}
-
-/// One Garner mixed-radix elimination step over a residue column:
-/// `v[i] ← (v[i] − t[i]) · inv mod q`, computed as
-/// `v·inv − t·inv (mod q)` so both products use the precomputed Shoup
-/// pair — the same unique strict value as the scalar
-/// `CrtBasis::compose` digit recurrence.
-///
-/// # Panics
-///
-/// Panics on length mismatch.
-pub fn garner_step(be: SimdBackend, q: &Modulus, v: &mut [u64], t: &[u64], inv: ShoupMul) {
-    assert_eq!(v.len(), t.len());
-    dispatch!(@lanes be, garner_step(q, v, t, inv))
 }
 
 /// Pointwise Barrett product `out[i] = a[i]·b[i] mod q` of strictly
@@ -1039,7 +1011,7 @@ mod tests {
                 let (hi, lo) = va.mulfull(vb);
                 let wide = |a: u64, b: u64| a as u128 * b as u128;
                 type Oracle<'a> = &'a dyn Fn(u64, u64) -> u64;
-                let cases: [(&str, V, Oracle); 14] = [
+                let cases: [(&str, V, Oracle); 13] = [
                     ("load", va, &|a, _| a),
                     ("splat", V::splat(x[0]), &|_, _| x[0]),
                     ("add", va.add(vb), &|a, b| a.wrapping_add(b)),
@@ -1049,15 +1021,8 @@ mod tests {
                     ("mulfull.hi", hi, &|a, b| (wide(a, b) >> 64) as u64),
                     ("mulfull.lo", lo, &|a, b| wide(a, b) as u64),
                     ("csub", va.csub(vb), &|a, b| if a >= b { a - b } else { a }),
-                    // A mask is only observable through the masked adds, so
-                    // `lt` is read through both of them in turn.
-                    ("lt/add_if", va.add_if(lt, vb), &|a, b| {
-                        if a < b {
-                            a.wrapping_add(b)
-                        } else {
-                            a
-                        }
-                    }),
+                    // A mask is only observable through the masked
+                    // increment, so `lt` is read through it.
                     ("lt/inc_if", zero.inc_if(lt), &|a, b| (a < b) as u64),
                     ("inc_if", va.inc_if(lt), &|a, b| {
                         a.wrapping_add((a < b) as u64)
@@ -1219,29 +1184,6 @@ mod tests {
                 );
                 assert_eq!(a0, expect0, "permute8_mac2/0 backend {} q {}", be.name(), q);
                 assert_eq!(a1, expect1, "permute8_mac2/1 backend {} q {}", be.name(), q);
-            }
-        }
-    }
-
-    #[test]
-    fn garner_step_matches_scalar_bitwise() {
-        use rand::Rng;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
-        for q in boundary_moduli() {
-            let n = 37usize;
-            // Strict inputs, strict outputs.
-            let inv = q.shoup(rng.gen_range(1..q.value()));
-            let v0: Vec<u64> = (0..n).map(|_| rng.gen_range(0..q.value())).collect();
-            let t: Vec<u64> = (0..n).map(|_| rng.gen_range(0..q.value())).collect();
-            let expect: Vec<u64> = v0
-                .iter()
-                .zip(&t)
-                .map(|(&x, &tj)| q.sub(q.mul_shoup(x, inv), q.mul_shoup(tj, inv)))
-                .collect();
-            for be in runnable_backends() {
-                let mut v = v0.clone();
-                garner_step(be, &q, &mut v, &t, inv);
-                assert_eq!(v, expect, "garner backend {} q {}", be.name(), q);
             }
         }
     }

@@ -113,13 +113,6 @@ impl Lanes for Neon {
     unsafe fn inc_if(self, k: Self::Mask) -> Self {
         Neon(vsubq_u64(self.0, k.0), vsubq_u64(self.1, k.1))
     }
-    #[inline(always)]
-    unsafe fn add_if(self, k: Self::Mask, x: Self) -> Self {
-        Neon(
-            vaddq_u64(self.0, vandq_u64(k.0, x.0)),
-            vaddq_u64(self.1, vandq_u64(k.1, x.1)),
-        )
-    }
     /// Scalar picks, as on AVX2 (a `tbl`-based form would need a 16-byte
     /// table lookup per pair).
     #[inline(always)]

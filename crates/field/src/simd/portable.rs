@@ -58,14 +58,6 @@ impl Lanes for u64 {
         self.wrapping_add(k as u64)
     }
     #[inline(always)]
-    unsafe fn add_if(self, k: bool, x: Self) -> Self {
-        if k {
-            self.wrapping_add(x)
-        } else {
-            self
-        }
-    }
-    #[inline(always)]
     unsafe fn permute_block(blk: &[u64], pat: u64) -> Self {
         blk[pat as usize & 7]
     }

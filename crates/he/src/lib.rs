@@ -20,11 +20,6 @@
 //!   and Galois key sets (`k0` residues under `q` and `P`), bit-packed and
 //!   seed-expanded, behind readers that
 //!   return a typed [`WireError`] on anything a peer can send.
-//! * [`rns`] — the linear core of RNS-BFV over multi-prime CRT moduli
-//!   ([`RnsBfvParams`]): keys, encryption, decryption with a noise budget,
-//!   additions and plaintext products for ciphertext moduli beyond 100
-//!   bits. Nothing in the protocol runs on it yet; it is the substrate the
-//!   single-prime types above are to be ported onto.
 //!
 //! # Example
 //!
@@ -52,14 +47,12 @@ pub mod encoder;
 pub mod keys;
 pub mod linalg;
 pub mod params;
-pub mod rns;
 pub mod wire;
 
 pub use cipher::{Ciphertext, PlainOperand, Plaintext};
 pub use encoder::BatchEncoder;
 pub use keys::{GaloisKeys, HoistedCiphertext, KeyError, KeySet, NoiseStage, PublicKey, SecretKey};
 pub use params::BfvParams;
-pub use rns::{RnsBfvParams, RnsCiphertext, RnsKeySet, RnsPublicKey, RnsSecretKey};
 pub use wire::{
     ciphertext_from_bytes, ciphertext_to_bytes, ciphertext_to_bytes_seeded, flat_frame_len,
     galois_keys_frame, galois_keys_frame_entries, galois_keys_from_bytes,

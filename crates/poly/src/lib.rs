@@ -9,11 +9,6 @@
 //!   with ring add/sub/mul and Galois automorphisms `x ↦ x^g`.
 //! * [`sample`] — uniform, ternary, and centered-binomial error samplers used
 //!   for RLWE key generation and encryption.
-//! * [`rns`] — [`RnsPoly`], the residue-number-system lift of [`Poly`]: one
-//!   residue column per prime of a [`pi_field::CrtBasis`], per-residue NTT
-//!   tables ([`RnsNttTables`]), precomputed Shoup operands ([`RnsOperand`])
-//!   and CRT composition of whole coefficients — the substrate for >62-bit
-//!   ciphertext moduli in `pi-he`.
 //! * [`pack`] — little-endian bit-packing of coefficient vectors, the body
 //!   of every `pi-he` wire frame.
 //!
@@ -41,9 +36,7 @@
 pub mod ntt;
 pub mod pack;
 pub mod poly;
-pub mod rns;
 pub mod sample;
 
 pub use ntt::{GaloisPerm, NttTables, ShoupVec};
 pub use poly::{Poly, PolyForm, PolyOperand, RingContext};
-pub use rns::{RnsContext, RnsNttTables, RnsOperand, RnsPoly};

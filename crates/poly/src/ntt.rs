@@ -42,9 +42,8 @@
 //! oracle (`tests/ntt_simd_differential.rs` proves bit-for-bit agreement,
 //! lazy representatives included). The stage-major
 //! [`NttTables::forward_many`]/[`NttTables::inverse_many`] batching goes
-//! through the same wrappers, so `RnsNttTables` and the whole RNS-BFV
-//! stack inherit the vector path for every residue column. This crate
-//! stays `#![forbid(unsafe_code)]`.
+//! through the same wrappers, so a key switch's digits under one modulus
+//! take the vector path too. This crate stays `#![forbid(unsafe_code)]`.
 //!
 //! The pre-optimization Barrett transforms survive as
 //! [`NttTables::forward_reference`] / [`NttTables::inverse_reference`]; they

@@ -1,5 +1,5 @@
-//! Randomness for RLWE: uniform, ternary, and centered-binomial samplers,
-//! for both single-modulus ([`Poly`]) and RNS ([`RnsPoly`]) rings.
+//! Randomness for RLWE: uniform, ternary, and centered-binomial samplers
+//! over [`Poly`] rings.
 //!
 //! The two samplers key generation spends its time in work a generator
 //! word at a time:
@@ -19,15 +19,9 @@
 //! seed expands to the same polynomial on every `PI_SIMD` backend.
 
 use crate::poly::{Poly, PolyForm, RingContext};
-use crate::rns::{RnsContext, RnsPoly};
 use pi_field::Modulus;
 use rand::Rng;
 use std::sync::Arc;
-
-/// Samples `n` signed ternary coefficients in `{-1, 0, 1}`.
-pub fn ternary_signed<R: Rng + ?Sized>(n: usize, rng: &mut R) -> Vec<i64> {
-    (0..n).map(|_| rng.gen_range(-1i64..=1)).collect()
-}
 
 /// The bit-sliced centered-binomial core: fills `out` with `map(draw)`.
 fn centered_binomial_with<T, R: Rng + ?Sized>(
@@ -51,18 +45,6 @@ fn centered_binomial_with<T, R: Rng + ?Sized>(
             w = w.checked_shr(2 * k).unwrap_or(0);
         }
     }
-}
-
-/// Samples `n` signed centered-binomial coefficients with parameter `k`
-/// (variance `k/2`, support `[-k, k]`).
-///
-/// # Panics
-///
-/// Panics unless `1 <= k <= 32` (a draw is `2k` bits of one word).
-pub fn centered_binomial_signed<R: Rng + ?Sized>(n: usize, rng: &mut R, k: u32) -> Vec<i64> {
-    let mut out = vec![0i64; n];
-    centered_binomial_with(&mut out, rng, k, |v| v);
-    out
 }
 
 /// Fills `out` with centered-binomial coefficients (parameter `k`) as
@@ -116,7 +98,8 @@ pub fn uniform<R: Rng + ?Sized>(ctx: &Arc<RingContext>, form: PolyForm, rng: &mu
 /// Samples a ternary polynomial with coefficients in `{-1, 0, 1}`, the
 /// standard BFV secret-key distribution.
 pub fn ternary<R: Rng + ?Sized>(ctx: &Arc<RingContext>, rng: &mut R) -> Poly {
-    Poly::from_signed(ctx.clone(), &ternary_signed(ctx.n(), rng))
+    let signed: Vec<i64> = (0..ctx.n()).map(|_| rng.gen_range(-1i64..=1)).collect();
+    Poly::from_signed(ctx.clone(), &signed)
 }
 
 /// Samples an error polynomial from a centered binomial distribution with
@@ -128,36 +111,6 @@ pub fn centered_binomial<R: Rng + ?Sized>(ctx: &Arc<RingContext>, rng: &mut R, k
     let mut data = vec![0u64; ctx.n()];
     centered_binomial_into(ctx.q(), &mut data, rng, k);
     Poly::from_coeffs(ctx.clone(), data)
-}
-
-/// Samples an RNS polynomial uniform over `Z_Q`, labelled as `form`: each
-/// residue column is sampled independently uniform in `[0, q_i)`, which by
-/// CRT bijectivity is exactly the uniform distribution modulo `Q = ∏ q_i`.
-pub fn uniform_rns<R: Rng + ?Sized>(ctx: &Arc<RnsContext>, form: PolyForm, rng: &mut R) -> RnsPoly {
-    let data: Vec<Vec<u64>> = (0..ctx.len())
-        .map(|i| {
-            let mut col = vec![0u64; ctx.n()];
-            uniform_into(ctx.modulus(i), &mut col, rng);
-            col
-        })
-        .collect();
-    RnsPoly::from_residues(ctx.clone(), data, form)
-}
-
-/// Samples an RNS ternary polynomial (one signed draw, embedded into every
-/// residue — the columns represent the *same* small integer polynomial).
-pub fn ternary_rns<R: Rng + ?Sized>(ctx: &Arc<RnsContext>, rng: &mut R) -> RnsPoly {
-    RnsPoly::from_signed(ctx.clone(), &ternary_signed(ctx.n(), rng))
-}
-
-/// Samples an RNS centered-binomial error polynomial (one signed draw,
-/// embedded into every residue).
-pub fn centered_binomial_rns<R: Rng + ?Sized>(
-    ctx: &Arc<RnsContext>,
-    rng: &mut R,
-    k: u32,
-) -> RnsPoly {
-    RnsPoly::from_signed(ctx.clone(), &centered_binomial_signed(ctx.n(), rng, k))
 }
 
 /// Default error sampler: centered binomial approximating σ ≈ 3.2.
@@ -172,6 +125,13 @@ mod tests {
 
     fn ctx() -> Arc<RingContext> {
         Arc::new(RingContext::new(1024, 30))
+    }
+
+    /// `n` signed centered-binomial draws with parameter `k`.
+    fn signed_draws(n: usize, rng: &mut impl Rng, k: u32) -> Vec<i64> {
+        let mut out = vec![0i64; n];
+        centered_binomial_with(&mut out, rng, k, |v| v);
+        out
     }
 
     #[test]
@@ -225,7 +185,7 @@ mod tests {
         // A length no per-word draw count (32, 4, 1, 1) divides.
         let n = (1 << 16) + 3;
         for k in [1u32, 8, 21, 32] {
-            let draws = centered_binomial_signed(n, &mut rng, k);
+            let draws = signed_draws(n, &mut rng, k);
             assert_eq!(draws.len(), n);
             let bound = i64::from(k);
             assert!(draws.iter().all(|v| (-bound..=bound).contains(v)), "k={k}");
@@ -248,7 +208,7 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(4);
         let n = 1usize << 18;
         let mut seen = [0u64; 17];
-        for v in centered_binomial_signed(n, &mut rng, 8) {
+        for v in signed_draws(n, &mut rng, 8) {
             seen[(v + 8) as usize] += 1;
         }
         let mut binom = [1f64; 17];
@@ -286,7 +246,7 @@ mod tests {
     #[test]
     fn centered_binomial_into_is_the_signed_draw_mod_q() {
         let q = Modulus::new(97);
-        let signed = centered_binomial_signed(1001, &mut rand::rngs::StdRng::seed_from_u64(5), 8);
+        let signed = signed_draws(1001, &mut rand::rngs::StdRng::seed_from_u64(5), 8);
         let mut residues = vec![0u64; 1001];
         centered_binomial_into(
             q,

@@ -325,43 +325,6 @@ fn galois_gather_kernels_match_scalar_bitwise_across_sizes() {
 }
 
 #[test]
-fn batched_crt_compose_matches_scalar_bitwise() {
-    // `CrtBasis::compose_many` (the lane-parallel Garner recurrence behind
-    // `RnsPoly::compose_coeffs`) against per-coefficient `compose`,
-    // including all-zero and all-maximal residue rows.
-    use private_inference::field::{find_distinct_ntt_primes, CrtBasis};
-
-    let _g = lock();
-    for k in [1usize, 2, 4] {
-        let primes = find_distinct_ntt_primes(50, k, 64).unwrap();
-        let basis = CrtBasis::new(&primes).unwrap();
-        let n = 69; // non-multiple of every lane width: tails run everywhere
-        let mut rng = rand::rngs::StdRng::seed_from_u64(k as u64);
-        let mut cols: Vec<Vec<u64>> = basis
-            .moduli()
-            .iter()
-            .map(|m| (0..n).map(|_| rng.gen_range(0..m.value())).collect())
-            .collect();
-        for (i, col) in cols.iter_mut().enumerate() {
-            col[0] = 0;
-            col[1] = basis.modulus(i).value() - 1;
-        }
-        let expect: Vec<_> = (0..n)
-            .map(|j| {
-                let residues: Vec<u64> = cols.iter().map(|c| c[j]).collect();
-                basis.compose(&residues)
-            })
-            .collect();
-        let mut backends = vec![SimdBackend::Scalar];
-        backends.extend(vector_backends());
-        for be in backends {
-            let got = with_backend(be, || basis.compose_many(&cols));
-            assert_eq!(got, expect, "compose_many k={k} be={}", be.name());
-        }
-    }
-}
-
-#[test]
 fn boundary_inputs_at_62_bits_match_scalar_bitwise() {
     // All-(q−1) inputs maximize every intermediate in the [0, 4q) domain at
     // the largest supported prime size.
