@@ -8,13 +8,18 @@
 //! `csv,aes_backend,<name>` so CI can assert the runner actually dispatched
 //! a hardware path — a silent fallback to software AES fails the grep
 //! loudly, mirroring the `csv,simd_backend` guard.
+//!
+//! The `relu_phase_8192` group is one phase of the ledger's `relu_heavy`
+//! workload: 8192 instances, the scale where a kernel's layout (not its
+//! AES) shows. Divide a time by its `thrpt` element count for ns per AND.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use pi_gc::aes::{self, AesBackend};
-use pi_gc::circuit::to_bits;
+use pi_gc::circuit::{from_bits, to_bits};
 use pi_gc::garble::{evaluate, evaluate_many, garble, garble_many};
-use pi_gc::relu::relu_trunc_circuit;
-use rand::SeedableRng;
+use pi_gc::relu::{relu_trunc_circuit, relu_trunc_reference};
+use pi_gc::Circuit;
+use rand::{Rng, SeedableRng};
 
 fn bench_gc(c: &mut Criterion) {
     let auto = aes::auto_backend();
@@ -64,11 +69,56 @@ fn bench_gc(c: &mut Criterion) {
     }
     group.finish();
 
+    relu_phase_8192(c, p, &circuit);
+
     println!(
         "garbled ReLU: {} AND gates, {} bytes/ReLU (paper measures 18.2 KB at 41-bit fields)",
         circuit.and_count(),
         circuit.garbled_size_bytes()
     );
+}
+
+/// One `relu_heavy` phase: 8192 truncating ReLUs garbled and evaluated
+/// under the detected backend. Before timing, every instance is garbled,
+/// evaluated on random shares and decoded against `relu_trunc_reference`;
+/// `csv,relu_ands,…` and `csv,relu_check,8192,ok` print even under
+/// `--test`, so CI pins the AND count and the kernel's correctness at the
+/// scale the ledger runs.
+fn relu_phase_8192(c: &mut Criterion, p: u64, circuit: &Circuit) {
+    let (m, shift) = (8192usize, 5);
+    let k = circuit.num_inputs / 3;
+    println!("csv,relu_ands,{}", circuit.and_count());
+    let mut rng = rand::rngs::StdRng::seed_from_u64(8192);
+    let garblings = garble_many(circuit, m, &mut rng);
+    let shares: Vec<[u64; 3]> = (0..m)
+        .map(|_| std::array::from_fn(|_| rng.gen_range(0..p)))
+        .collect();
+    let tables: Vec<_> = garblings.iter().map(|g| g.garbled.tables.clone()).collect();
+    let label_inputs: Vec<Vec<u128>> = garblings
+        .iter()
+        .zip(&shares)
+        .map(|(g, s)| {
+            let bits: Vec<bool> = s.iter().flat_map(|&v| to_bits(v, k)).collect();
+            g.encoding.encode_bits(0, &bits)
+        })
+        .collect();
+    let outputs = evaluate_many(circuit, &tables, &label_inputs);
+    for ((g, [a, b, r]), labels) in garblings.iter().zip(&shares).zip(&outputs) {
+        let got = from_bits(&g.garbled.decode_outputs(labels));
+        assert_eq!(got, relu_trunc_reference(p, shift, *a, *b, *r));
+    }
+    println!("csv,relu_check,{m},ok");
+
+    let mut group = c.benchmark_group("relu_phase_8192");
+    group.sample_size(10);
+    group.throughput(Throughput::Elements((m * circuit.and_count()) as u64));
+    group.bench_function(format!("garble{m}"), |b| {
+        b.iter(|| garble_many(circuit, m, &mut rng))
+    });
+    group.bench_function(format!("evaluate{m}"), |b| {
+        b.iter(|| evaluate_many(circuit, &tables, &label_inputs))
+    });
+    group.finish();
 }
 
 criterion_group!(benches, bench_gc);

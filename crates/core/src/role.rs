@@ -138,7 +138,8 @@ pub(crate) fn encode(g: &Garbling, offset: usize, value: u64, k: usize) -> Vec<L
 }
 
 /// The garbler's material: the extension sender its label OTs answer
-/// through, and every ReLU phase garbled so far.
+/// through, and every ReLU phase garbled so far (with its tables shipped
+/// and emptied).
 pub(crate) struct Garbler {
     ot: OtStream<OtExtSender>,
     pub(crate) phases: Vec<Vec<Garbling>>,
@@ -153,7 +154,8 @@ impl Garbler {
     }
 
     /// Garbles the next ReLU phase, accounts it, and returns the tables to
-    /// ship.
+    /// ship. They are moved out, not copied: the garbler keeps each
+    /// instance's input encoding and decode bits, never its tables.
     pub(crate) fn garble<R: Rng + ?Sized>(
         &mut self,
         meta: &ModelMeta,
@@ -163,13 +165,15 @@ impl Garbler {
     ) -> Vec<Vec<(Label, Label)>> {
         let garble_span = pi_trace::span!("offline.garble");
         let circuit = relu_trunc_circuit(meta.p.value(), relu.shift).0;
-        // Lockstep batch garbling: 8 circuit instances per AES call.
-        let phase = garble_many(&circuit, relu.rows, rng);
+        // Lockstep batch garbling: one AES call per gate per 8 instances.
+        let mut phase = garble_many(&circuit, relu.rows, rng);
         out.gc_and_gates += (relu.rows * circuit.and_count()) as u64;
         pi_trace::add(pi_trace::Counter::GcRelu, relu.rows as u64);
         drop(garble_span);
-        let tables: Vec<Vec<(Label, Label)>> =
-            phase.iter().map(|g| g.garbled.tables.clone()).collect();
+        let tables: Vec<Vec<(Label, Label)>> = phase
+            .iter_mut()
+            .map(|g| std::mem::take(&mut g.garbled.tables))
+            .collect();
         let table_bytes = tables.iter().map(|t| t.len() as u64 * 32).sum::<u64>();
         out.gc_bytes += table_bytes;
         pi_trace::add(pi_trace::Counter::GcBytes, table_bytes);

@@ -16,10 +16,13 @@
 //! resolved once per process and cached in an atomic):
 //!
 //! * [`AesBackend::Ni`] — x86_64 AES-NI: one `aesenc` chain per block with
-//!   up to **8 blocks in flight** so the 4-cycle instruction latency is
-//!   hidden by the pipeline. Accelerates every batch width (8, 4, 2, …).
-//!   Preferred whenever the CPU advertises the `aes` feature and the `simd`
-//!   cargo feature is compiled in.
+//!   **8 blocks in flight** so the 4-cycle instruction latency is hidden by
+//!   the pipeline. A batch of any width runs in one call: the round keys
+//!   are loaded once, the byte order is swapped in registers (`pshufb`),
+//!   and the blocks go through fixed-width unrolled groups of 8, then one
+//!   each of 4, 2 and 1 for the tail. Preferred whenever the CPU
+//!   advertises the `aes` and `ssse3` features and the `simd` cargo feature
+//!   is compiled in.
 //! * [`AesBackend::Bitslice`] — portable bitsliced fallback: 8 blocks are
 //!   transposed into 8 `u128` bit-planes (plane `b`, bit `8·i + j` = bit
 //!   `b` of state byte `i` of block `j`) and all 8 blocks move through the
@@ -47,11 +50,13 @@
 //!
 //! # Batched hashing
 //!
-//! [`GcHash::hash8`] / [`GcHash::kdf8`] hash 8 independent `(x, tweak)`
-//! lanes through one dispatched [`Aes128::encrypt8`] call; `hash4`/`hash2`
-//! cover the 4-hash garbler and 2-hash evaluator batches of a single
-//! HalfGates AND gate (NI pipelines them; bitslice defers to soft below
-//! width 8). All widths equal the scalar [`GcHash::hash`] lane-for-lane.
+//! [`GcHash::hash_many`] hashes any number of independent `(x, tweak)`
+//! lanes through one dispatched [`Aes128::encrypt_blocks`] call — the
+//! batched garbler hashes all 4×8 blocks of an AND gate's 8 instances at
+//! once, the evaluator its 2×8. `hash4`/`hash2` (the single-instance
+//! gate) and [`GcHash::kdf8`] (the OT extension's masks) are fixed-width
+//! forms of it. Bitslice runs full groups of 8 and defers the tail to
+//! soft. Every width equals the scalar [`GcHash::hash`] lane-for-lane.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -109,9 +114,11 @@ impl AesBackend {
         match self {
             AesBackend::Soft | AesBackend::Bitslice => true,
             AesBackend::Ni => {
+                // The kernel swaps byte order with `pshufb` (SSSE3).
                 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
                 {
                     std::arch::is_x86_feature_detected!("aes")
+                        && std::arch::is_x86_feature_detected!("ssse3")
                 }
                 #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
                 {
@@ -309,8 +316,9 @@ impl Aes128 {
             AesBackend::Ni => {
                 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
                 // SAFETY: `backend()` only yields `Ni` after
-                // `AesBackend::Ni.available()` verified the `aes` CPU
-                // feature (via `force_backend`, `resolve`, or detection).
+                // `AesBackend::Ni.available()` verified the `aes` and
+                // `ssse3` CPU features (via `force_backend`, `resolve`, or
+                // detection).
                 #[allow(unsafe_code)]
                 unsafe {
                     ni::encrypt_blocks(&self.round_keys, blocks)
@@ -319,13 +327,6 @@ impl Aes128 {
                 unreachable!("AES-NI backend selected without AES-NI support compiled in")
             }
         }
-    }
-
-    /// Encrypts 8 blocks in place — the native batch width of every
-    /// backend.
-    #[inline]
-    pub fn encrypt8(&self, blocks: &mut [u128; 8]) {
-        self.encrypt_blocks(blocks);
     }
 
     /// Fills `out` with the AES-CTR keystream `E(start), E(start+1), …` —
@@ -431,61 +432,51 @@ impl GcHash {
         self.hash(x, index.wrapping_mul(0x9e37_79b9_7f4a_7c15))
     }
 
-    /// 8 independent hashes through one batched AES call; lane `i` equals
-    /// `self.hash(xs[i], tweaks[i])`.
+    /// A batch of independent hashes through **one** dispatched
+    /// [`Aes128::encrypt_blocks`] call: `out[i] = self.hash(xs[i],
+    /// tweaks[i])` for every `i`, at any width, on every backend.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the three slices differ in length.
     #[inline]
-    pub fn hash8(&self, xs: [u128; 8], tweaks: [u64; 8]) -> [u128; 8] {
-        let mut inputs = [0u128; 8];
-        for i in 0..8 {
-            inputs[i] = gf_double(xs[i]) ^ tweaks[i] as u128;
+    pub fn hash_many(&self, xs: &[u128], tweaks: &[u64], out: &mut [u128]) {
+        assert!(xs.len() == out.len() && tweaks.len() == out.len());
+        let input = |x: u128, t: u64| gf_double(x) ^ t as u128;
+        for ((o, &x), &t) in out.iter_mut().zip(xs).zip(tweaks) {
+            *o = input(x, t);
         }
-        let mut blocks = inputs;
-        self.aes.encrypt8(&mut blocks);
-        for i in 0..8 {
-            blocks[i] ^= inputs[i];
+        self.aes.encrypt_blocks(out);
+        // The feed-forward recomputes the input rather than keeping a copy.
+        for ((o, &x), &t) in out.iter_mut().zip(xs).zip(tweaks) {
+            *o ^= input(x, t);
         }
-        blocks
     }
 
     /// The 4-hash garbler batch of one HalfGates AND gate.
     #[inline]
     pub fn hash4(&self, xs: [u128; 4], tweaks: [u64; 4]) -> [u128; 4] {
-        let mut inputs = [0u128; 4];
-        for i in 0..4 {
-            inputs[i] = gf_double(xs[i]) ^ tweaks[i] as u128;
-        }
-        let mut blocks = inputs;
-        self.aes.encrypt_blocks(&mut blocks);
-        for i in 0..4 {
-            blocks[i] ^= inputs[i];
-        }
-        blocks
+        let mut out = [0; 4];
+        self.hash_many(&xs, &tweaks, &mut out);
+        out
     }
 
     /// The 2-hash evaluator batch of one HalfGates AND gate.
     #[inline]
     pub fn hash2(&self, xs: [u128; 2], tweaks: [u64; 2]) -> [u128; 2] {
-        let mut inputs = [0u128; 2];
-        for i in 0..2 {
-            inputs[i] = gf_double(xs[i]) ^ tweaks[i] as u128;
-        }
-        let mut blocks = inputs;
-        self.aes.encrypt_blocks(&mut blocks);
-        for i in 0..2 {
-            blocks[i] ^= inputs[i];
-        }
-        blocks
+        let mut out = [0; 2];
+        self.hash_many(&xs, &tweaks, &mut out);
+        out
     }
 
     /// 8 independent KDF lanes; lane `i` equals `self.kdf(xs[i],
     /// indices[i])`.
     #[inline]
     pub fn kdf8(&self, xs: [u128; 8], indices: [u64; 8]) -> [u128; 8] {
-        let mut tweaks = [0u64; 8];
-        for i in 0..8 {
-            tweaks[i] = indices[i].wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        }
-        self.hash8(xs, tweaks)
+        let tweaks = indices.map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+        let mut out = [0; 8];
+        self.hash_many(&xs, &tweaks, &mut out);
+        out
     }
 }
 
@@ -633,7 +624,8 @@ mod tests {
             with_backend(be, || {
                 let xs: [u128; 8] = core::array::from_fn(|_| rng.gen());
                 let tw: [u64; 8] = core::array::from_fn(|_| rng.gen::<u128>() as u64);
-                let out = h.hash8(xs, tw);
+                let mut out = [0; 8];
+                h.hash_many(&xs, &tw, &mut out);
                 for i in 0..8 {
                     assert_eq!(out[i], h.hash(xs[i], tw[i]), "backend {}", be.name());
                 }

@@ -269,7 +269,9 @@ impl CircuitBuilder {
 
     /// Conditional subtraction of the constant `m`: returns
     /// `x - m` if `x >= m` else `x`, over `width = x.len()` bits. This is
-    /// the modular-reduction step after an addition of values `< m`.
+    /// the modular-reduction step after an addition of values `< m`; a
+    /// caller that keeps only the low bits drops the top mux in
+    /// [`CircuitBuilder::build`].
     pub fn cond_sub_const(&mut self, x: &[Bit], m: u64) -> Vec<Bit> {
         let mc = self.constant(m, x.len());
         let (diff, borrow) = self.sub(x, &mc);
@@ -298,13 +300,16 @@ impl CircuitBuilder {
 
     /// Finalizes the circuit with the given output bits.
     ///
-    /// Constant outputs are materialized through a `Not`/`Xor` of an input
-    /// wire pair if needed; in practice protocol outputs are always live
-    /// wires, so constants indicate a degenerate circuit and are rejected.
+    /// Gates no output depends on are dropped: liveness is swept back from
+    /// the outputs, and the surviving gates keep their order and are
+    /// renumbered densely after the inputs, which keep wires
+    /// `0..num_inputs`. A gadget may therefore compute bits its caller
+    /// never reads (a carry out, the top bit of a reduction) at no cost.
     ///
     /// # Panics
     ///
-    /// Panics if any output bit folded to a constant.
+    /// Panics if any output bit folded to a constant: protocol outputs are
+    /// always live wires, so a constant indicates a degenerate circuit.
     pub fn build(self, outputs: &[Bit]) -> Circuit {
         let outs: Vec<usize> = outputs
             .iter()
@@ -313,11 +318,43 @@ impl CircuitBuilder {
                 Bit::Const(_) => panic!("circuit output folded to a constant"),
             })
             .collect();
+        let mut live = vec![false; self.num_wires];
+        for &o in &outs {
+            live[o] = true;
+        }
+        // `(a, b, out)` of a gate; a `Not` reads `a` twice.
+        let wires = |g: &Gate| match *g {
+            Gate::Xor { a, b, out } | Gate::And { a, b, out } => (a, b, out),
+            Gate::Not { a, out } => (a, a, out),
+        };
+        let mut keep = vec![false; self.gates.len()];
+        for (g, k) in self.gates.iter().zip(&mut keep).rev() {
+            let (a, b, out) = wires(g);
+            if live[out] {
+                *k = true;
+                live[a] = true;
+                live[b] = true;
+            }
+        }
+        // Old wire -> new wire; inputs map to themselves, and every kept
+        // gate's operands were mapped by an earlier gate (topological order).
+        let mut wire: Vec<usize> = (0..self.num_wires).collect();
+        let mut gates = Vec::with_capacity(keep.iter().filter(|&&k| k).count());
+        for (g, _) in self.gates.iter().zip(keep).filter(|(_, k)| *k) {
+            let (a, b, out) = wires(g);
+            let (a, b, new) = (wire[a], wire[b], self.num_inputs + gates.len());
+            wire[out] = new;
+            gates.push(match g {
+                Gate::Xor { .. } => Gate::Xor { a, b, out: new },
+                Gate::And { .. } => Gate::And { a, b, out: new },
+                Gate::Not { .. } => Gate::Not { a, out: new },
+            });
+        }
         Circuit {
-            num_wires: self.num_wires,
+            num_wires: self.num_inputs + gates.len(),
             num_inputs: self.num_inputs,
-            gates: self.gates,
-            outputs: outs,
+            gates,
+            outputs: outs.iter().map(|&o| wire[o]).collect(),
         }
     }
 }
@@ -416,6 +453,40 @@ mod tests {
         let c = cb.build(&sum);
         assert_eq!(c.and_count(), 8, "ripple adder is one AND per bit");
         assert_eq!(c.garbled_size_bytes(), 8 * 32);
+    }
+
+    #[test]
+    fn build_drops_a_dead_branch_and_renumbers() {
+        let mut cb = CircuitBuilder::new();
+        let a = cb.inputs(4);
+        let b = cb.inputs(4);
+        // A whole adder nobody reads, between two live gates.
+        let x = cb.xor(a[0], b[0]);
+        let _ = cb.add(&a, &b);
+        let y = cb.and(x, a[3]);
+        let c = cb.build(&[y, x]);
+        assert_eq!(c.num_inputs, 8);
+        assert_eq!(
+            c.gates,
+            vec![
+                Gate::Xor { a: 0, b: 4, out: 8 },
+                Gate::And { a: 8, b: 3, out: 9 }
+            ]
+        );
+        assert_eq!((c.num_wires, c.outputs.clone()), (10, vec![9, 8]));
+        for v in 0..256u64 {
+            let inp = to_bits(v, 8);
+            let (x, y) = (inp[0] ^ inp[4], (inp[0] ^ inp[4]) & inp[3]);
+            assert_eq!(c.eval_plain(&inp), vec![y, x]);
+        }
+        // An output that is an input wire keeps its number; its gate-free
+        // circuit has no wires past the inputs.
+        let mut cb = CircuitBuilder::new();
+        let w = cb.inputs(2);
+        let _ = cb.and(w[0], w[1]);
+        let c = cb.build(&[w[1]]);
+        assert!(c.gates.is_empty());
+        assert_eq!((c.num_wires, c.outputs.clone()), (2, vec![1]));
     }
 
     #[test]

@@ -4,6 +4,23 @@
 //! `(W⁰, W¹ = W⁰ ⊕ Δ)` for a circuit-global `Δ` with `lsb(Δ) = 1`
 //! (point-and-permute). XOR gates are free; each AND gate produces two
 //! ciphertexts (32 bytes) and costs the evaluator two hash calls.
+//!
+//! # Batched kernels
+//!
+//! [`garble`] and [`evaluate`] run one instance and are the oracles.
+//! [`garble_many`] and [`evaluate_many`] — what the protocol runs, one
+//! instance per ReLU of a phase — produce the same bits at AES rate:
+//!
+//! * **Wire-major lanes.** A chunk of 8 instances keeps one `[Label; 8]`
+//!   per wire in one buffer, reused for every chunk. A gate operand is a
+//!   single contiguous load, and a free gate is one 8-lane XOR.
+//! * **One AES call per gate.** An AND gate hashes every block it needs for
+//!   the whole chunk — 4×8 when garbling, 2×8 when evaluating — in one
+//!   [`GcHash::hash_many`] call, which the AES backend runs as one batch.
+//! * **Tables written once.** Each instance's tables are pushed straight
+//!   into its own `Vec`, sized up front. The protocol's garbler then moves
+//!   them out of its [`Garbling`]s to send them rather than cloning them,
+//!   and keeps only the input encodings and output decode bits.
 
 use crate::aes::GcHash;
 use crate::circuit::{Circuit, Gate};
@@ -157,9 +174,37 @@ pub fn garble<R: Rng + ?Sized>(circuit: &Circuit, rng: &mut R) -> Garbling {
     }
 }
 
-/// Garbles `n` independent instances of one circuit in lockstep, batching
-/// each AND gate's hashes across up to 8 instances (4 batched-by-8 AES
-/// calls per gate instead of 4 scalar calls per gate per instance).
+/// Instances garbled or evaluated side by side: one lane each.
+const LANES: usize = 8;
+
+/// One wire's labels across the lanes of a chunk.
+type Lanes = [Label; LANES];
+
+#[inline]
+fn xor_lanes(x: &Lanes, y: &Lanes) -> Lanes {
+    core::array::from_fn(|t| x[t] ^ y[t])
+}
+
+/// All ones if `label`'s permute bit is set, else zero: a select without a
+/// branch on a bit that is random per gate and instance.
+#[inline]
+fn permute_mask(label: Label) -> Label {
+    0u128.wrapping_sub(label & 1)
+}
+
+/// Writes instance `t`'s input labels into lane `t` of the wire-major
+/// buffer, one instance per lane.
+fn load_lanes<'a>(lanes: &mut [Lanes], inputs: impl Iterator<Item = &'a [Label]>) {
+    for (t, input) in inputs.enumerate() {
+        for (wire, &l) in lanes.iter_mut().zip(input) {
+            wire[t] = l;
+        }
+    }
+}
+
+/// Garbles `n` independent instances of one circuit in lockstep, 8 at a
+/// time, wire-major (see the module docs). An AND gate's hash batch is the
+/// runs `a⁰, a¹, b⁰, b¹`, each as long as the chunk.
 ///
 /// Randomness is drawn instance-major (each instance's `Δ` then its input
 /// labels), so the result is **bit-for-bit identical** to calling
@@ -169,89 +214,74 @@ pub fn garble<R: Rng + ?Sized>(circuit: &Circuit, rng: &mut R) -> Garbling {
 pub fn garble_many<R: Rng + ?Sized>(circuit: &Circuit, n: usize, rng: &mut R) -> Vec<Garbling> {
     // Batch-boundary accounting (never per gate or per hash): half-gates
     // garbling hashes 4 AES blocks per AND instance.
-    let ands = (n * circuit.and_count()) as u64;
-    pi_trace::add(pi_trace::Counter::GcAndGarbled, ands);
-    pi_trace::add(pi_trace::Counter::AesBlocks, 4 * ands);
+    let ands = circuit.and_count();
+    pi_trace::add(pi_trace::Counter::GcAndGarbled, (n * ands) as u64);
+    pi_trace::add(pi_trace::Counter::AesBlocks, (4 * n * ands) as u64);
     pi_trace::record(pi_trace::Hist::GcBatchInstances, n as u64);
     let hash = GcHash::new();
-    let mut deltas = Vec::with_capacity(n);
-    let mut input_label0: Vec<Vec<Label>> = Vec::with_capacity(n);
-    for _ in 0..n {
-        deltas.push(rng.gen::<u128>() | 1);
-        input_label0.push((0..circuit.num_inputs).map(|_| rng.gen()).collect());
-    }
-    let mut out = Vec::with_capacity(n);
-    for chunk_start in (0..n).step_by(8) {
-        let w = (n - chunk_start).min(8);
-        let delta: Vec<Label> = (0..w).map(|t| deltas[chunk_start + t]).collect();
-        let mut label0: Vec<Vec<Label>> = (0..w)
-            .map(|t| {
-                let mut l = vec![0u128; circuit.num_wires];
-                l[..circuit.num_inputs].copy_from_slice(&input_label0[chunk_start + t]);
-                l
-            })
-            .collect();
-        let mut tables: Vec<Vec<(Label, Label)>> = (0..w)
-            .map(|_| Vec::with_capacity(circuit.and_count()))
-            .collect();
+    let mut out: Vec<Garbling> = (0..n)
+        .map(|_| {
+            let delta = rng.gen::<u128>() | 1;
+            let label0 = (0..circuit.num_inputs).map(|_| rng.gen()).collect();
+            Garbling {
+                garbled: GarbledCircuit {
+                    tables: Vec::with_capacity(ands),
+                    output_decode: Vec::new(),
+                },
+                encoding: InputEncoding { label0, delta },
+                output_label0: Vec::new(),
+            }
+        })
+        .collect();
+    let mut lanes = vec![[0; LANES]; circuit.num_wires];
+    let (mut x, mut tweak, mut h) = ([0; 4 * LANES], [0; 4 * LANES], [0; 4 * LANES]);
+    for chunk in out.chunks_mut(LANES) {
+        let w = chunk.len();
+        load_lanes(&mut lanes, chunk.iter().map(|g| &g.encoding.label0[..]));
+        // Idle lanes of a short tail chunk carry Δ = 0 and stale labels;
+        // nothing reads them.
+        let mut delta = [0; LANES];
+        for (d, g) in delta.iter_mut().zip(chunk.iter()) {
+            *d = g.encoding.delta;
+        }
         let mut gate_index = 0u64;
         for g in &circuit.gates {
             match *g {
-                Gate::Xor { a, b, out } => {
-                    for l in label0.iter_mut() {
-                        l[out] = l[a] ^ l[b];
-                    }
-                }
-                Gate::Not { a, out } => {
-                    for (t, l) in label0.iter_mut().enumerate() {
-                        l[out] = l[a] ^ delta[t];
-                    }
-                }
+                Gate::Xor { a, b, out } => lanes[out] = xor_lanes(&lanes[a], &lanes[b]),
+                Gate::Not { a, out } => lanes[out] = xor_lanes(&lanes[a], &delta),
                 Gate::And { a, b, out } => {
-                    let j0 = 2 * gate_index;
-                    let j1 = 2 * gate_index + 1;
+                    let (a0, b0) = (lanes[a], lanes[b]);
+                    for t in 0..w {
+                        x[t] = a0[t];
+                        x[w + t] = a0[t] ^ delta[t];
+                        x[2 * w + t] = b0[t];
+                        x[3 * w + t] = b0[t] ^ delta[t];
+                    }
+                    tweak[..2 * w].fill(2 * gate_index);
+                    tweak[2 * w..4 * w].fill(2 * gate_index + 1);
                     gate_index += 1;
-                    // Gather the four hash inputs of every instance in the
-                    // chunk; idle lanes of a short tail chunk hash zeros.
-                    let (mut xa0, mut xa1, mut xb0, mut xb1) =
-                        ([0u128; 8], [0u128; 8], [0u128; 8], [0u128; 8]);
-                    for (t, l) in label0.iter().enumerate() {
-                        xa0[t] = l[a];
-                        xa1[t] = l[a] ^ delta[t];
-                        xb0[t] = l[b];
-                        xb1[t] = l[b] ^ delta[t];
+                    hash.hash_many(&x[..4 * w], &tweak[..4 * w], &mut h[..4 * w]);
+                    let mut c = [0; LANES];
+                    for (t, g) in chunk.iter_mut().enumerate() {
+                        let (ha0, ha1, hb0, hb1) = (h[t], h[w + t], h[2 * w + t], h[3 * w + t]);
+                        let (pa, pb) = (permute_mask(a0[t]), permute_mask(b0[t]));
+                        // Garbler half gate: computes a & pb.
+                        let tg = ha0 ^ ha1 ^ (pb & delta[t]);
+                        let wg0 = ha0 ^ (pa & tg);
+                        // Evaluator half gate: computes a & (b ^ pb).
+                        let te = hb0 ^ hb1 ^ a0[t];
+                        let we0 = hb0 ^ (pb & (hb0 ^ hb1));
+                        c[t] = wg0 ^ we0;
+                        g.garbled.tables.push((tg, te));
                     }
-                    let ha0 = hash.hash8(xa0, [j0; 8]);
-                    let ha1 = hash.hash8(xa1, [j0; 8]);
-                    let hb0 = hash.hash8(xb0, [j1; 8]);
-                    let hb1 = hash.hash8(xb1, [j1; 8]);
-                    for (t, l) in label0.iter_mut().enumerate() {
-                        let a0 = xa0[t];
-                        let pa = a0 & 1 != 0;
-                        let pb = xb0[t] & 1 != 0;
-                        let tg = ha0[t] ^ ha1[t] ^ if pb { delta[t] } else { 0 };
-                        let wg0 = ha0[t] ^ if pa { tg } else { 0 };
-                        let te = hb0[t] ^ hb1[t] ^ a0;
-                        let we0 = hb0[t] ^ if pb { te ^ a0 } else { 0 };
-                        l[out] = wg0 ^ we0;
-                        tables[t].push((tg, te));
-                    }
+                    lanes[out] = c;
                 }
             }
         }
-        for (t, tab) in tables.into_iter().enumerate() {
-            let l = &label0[t];
-            out.push(Garbling {
-                garbled: GarbledCircuit {
-                    tables: tab,
-                    output_decode: circuit.outputs.iter().map(|&o| l[o] & 1 != 0).collect(),
-                },
-                encoding: InputEncoding {
-                    label0: l[..circuit.num_inputs].to_vec(),
-                    delta: delta[t],
-                },
-                output_label0: circuit.outputs.iter().map(|&o| l[o]).collect(),
-            });
+        for (t, g) in chunk.iter_mut().enumerate() {
+            let outputs = circuit.outputs.iter().map(|&o| lanes[o][t]);
+            g.garbled.output_decode = outputs.clone().map(|l| l & 1 != 0).collect();
+            g.output_label0 = outputs.collect();
         }
     }
     out
@@ -302,11 +332,12 @@ pub fn evaluate(circuit: &Circuit, garbled: &GarbledCircuit, input_labels: &[Lab
     circuit.outputs.iter().map(|&o| labels[o]).collect()
 }
 
-/// Evaluates many independent instances of one circuit in lockstep,
-/// batching each AND gate's two evaluator hashes across up to 8 instances.
-/// `tables[i]` is instance `i`'s ciphertext tables (the `tables` field of
-/// its [`GarbledCircuit`]); results equal per-instance [`evaluate`] calls
-/// bit for bit.
+/// Evaluates many independent instances of one circuit in lockstep, in
+/// the same wire-major chunks of 8 as [`garble_many`]: each AND gate
+/// hashes its 2 blocks for every instance of the chunk in one
+/// [`GcHash::hash_many`] call. `tables[i]` is instance `i`'s ciphertext
+/// tables (the `tables` field of its [`GarbledCircuit`]); results equal
+/// per-instance [`evaluate`] calls bit for bit.
 ///
 /// # Panics
 ///
@@ -335,56 +366,37 @@ pub fn evaluate_many(
     pi_trace::add(pi_trace::Counter::AesBlocks, 2 * ands);
     pi_trace::record(pi_trace::Hist::GcBatchInstances, n as u64);
     let mut out = Vec::with_capacity(n);
-    for chunk_start in (0..n).step_by(8) {
-        let w = (n - chunk_start).min(8);
-        let mut labels: Vec<Vec<Label>> = (0..w)
-            .map(|t| {
-                let mut l = vec![0u128; circuit.num_wires];
-                l[..circuit.num_inputs].copy_from_slice(&inputs[chunk_start + t]);
-                l
-            })
-            .collect();
+    let mut lanes = vec![[0; LANES]; circuit.num_wires];
+    let (mut x, mut tweak, mut h) = ([0; 2 * LANES], [0; 2 * LANES], [0; 2 * LANES]);
+    for (tabs, ins) in tables.chunks(LANES).zip(inputs.chunks(LANES)) {
+        let w = tabs.len();
+        load_lanes(&mut lanes, ins.iter().map(|i| &i[..]));
         let mut gate_index = 0u64;
-        let mut and_index = 0usize;
         for g in &circuit.gates {
             match *g {
-                Gate::Xor { a, b, out } => {
-                    for l in labels.iter_mut() {
-                        l[out] = l[a] ^ l[b];
-                    }
-                }
-                Gate::Not { a, out } => {
-                    for l in labels.iter_mut() {
-                        l[out] = l[a];
-                    }
-                }
+                Gate::Xor { a, b, out } => lanes[out] = xor_lanes(&lanes[a], &lanes[b]),
+                Gate::Not { a, out } => lanes[out] = lanes[a],
                 Gate::And { a, b, out } => {
-                    let j0 = 2 * gate_index;
-                    let j1 = 2 * gate_index + 1;
+                    let (la, lb) = (lanes[a], lanes[b]);
+                    x[..w].copy_from_slice(&la[..w]);
+                    x[w..2 * w].copy_from_slice(&lb[..w]);
+                    tweak[..w].fill(2 * gate_index);
+                    tweak[w..2 * w].fill(2 * gate_index + 1);
+                    hash.hash_many(&x[..2 * w], &tweak[..2 * w], &mut h[..2 * w]);
+                    let and_index = gate_index as usize;
                     gate_index += 1;
-                    let (mut xla, mut xlb) = ([0u128; 8], [0u128; 8]);
-                    for (t, l) in labels.iter().enumerate() {
-                        xla[t] = l[a];
-                        xlb[t] = l[b];
+                    let mut c = [0; LANES];
+                    for (t, tab) in tabs.iter().enumerate() {
+                        let (tg, te) = tab[and_index];
+                        let wg = h[t] ^ (permute_mask(la[t]) & tg);
+                        let we = h[w + t] ^ (permute_mask(lb[t]) & (te ^ la[t]));
+                        c[t] = wg ^ we;
                     }
-                    let hla = hash.hash8(xla, [j0; 8]);
-                    let hlb = hash.hash8(xlb, [j1; 8]);
-                    for (t, l) in labels.iter_mut().enumerate() {
-                        let (tg, te) = tables[chunk_start + t][and_index];
-                        let la = xla[t];
-                        let sa = la & 1 != 0;
-                        let sb = xlb[t] & 1 != 0;
-                        let wg = hla[t] ^ if sa { tg } else { 0 };
-                        let we = hlb[t] ^ if sb { te ^ la } else { 0 };
-                        l[out] = wg ^ we;
-                    }
-                    and_index += 1;
+                    lanes[out] = c;
                 }
             }
         }
-        for l in &labels {
-            out.push(circuit.outputs.iter().map(|&o| l[o]).collect());
-        }
+        out.extend((0..w).map(|t| circuit.outputs.iter().map(|&o| lanes[o][t]).collect()));
     }
     out
 }

@@ -114,9 +114,11 @@ pub fn relu_reference(p: u64, a: u64, b: u64, r: u64) -> u64 {
     (relu + p - r % p) % p
 }
 
-/// Number of AND gates in the ReLU circuit for field `p` — the quantity that
-/// determines per-ReLU garbled-circuit size and hence the paper's storage
-/// and communication figures.
+/// Number of AND gates in the untruncated (shift 0) ReLU circuit for field
+/// `p` — the quantity that determines per-ReLU garbled-circuit size and
+/// hence the paper's storage and communication figures. At the protocol's
+/// 20-bit field it is 138; a truncating circuit drops one zeroing mux per
+/// shifted-out bit (133 at shift 5).
 pub fn relu_and_count(p: u64) -> usize {
     relu_circuit(p).0.and_count()
 }
@@ -264,7 +266,7 @@ mod tests {
 #[cfg(test)]
 mod trunc_tests {
     use super::*;
-    use crate::circuit::{from_bits, to_bits};
+    use crate::circuit::{from_bits, to_bits, Gate};
     use crate::garble::{evaluate, garble};
     use proptest::prelude::*;
     use rand::SeedableRng;
@@ -315,6 +317,66 @@ mod trunc_tests {
     #[should_panic]
     fn full_truncation_rejected() {
         relu_trunc_circuit(65537, 17);
+    }
+
+    /// The AND audit's baseline at the protocol's 20-bit field: 3k for the
+    /// reduction (its unread top mux dropped), k for the sign test, k − s
+    /// zeroing muxes that truncation keeps, 2k for the masking subtraction
+    /// (its final carry dropped).
+    #[test]
+    fn and_count_at_the_protocol_field() {
+        let p = 1032193;
+        assert_eq!(relu_and_count(p), 138);
+        assert_eq!(relu_trunc_circuit(p, 5).0.and_count(), 133);
+        assert_eq!(relu_trunc_circuit(p, 5).0.gates.len(), 579);
+    }
+
+    #[test]
+    fn no_gate_is_dead_at_any_shift() {
+        for p in [31u64, 65537, 1032193] {
+            let k = 64 - (p - 1).leading_zeros();
+            for shift in 0..k {
+                let (c, _) = relu_trunc_circuit(p, shift);
+                let mut read = vec![false; c.num_wires];
+                for &o in &c.outputs {
+                    read[o] = true;
+                }
+                for g in &c.gates {
+                    match *g {
+                        Gate::Xor { a, b, .. } | Gate::And { a, b, .. } => {
+                            read[a] = true;
+                            read[b] = true;
+                        }
+                        Gate::Not { a, .. } => read[a] = true,
+                    }
+                }
+                let unread = (c.num_inputs..c.num_wires).filter(|&w| !read[w]).count();
+                assert_eq!(unread, 0, "p = {p}, shift = {shift}");
+                assert_eq!(c.num_wires, c.num_inputs + c.gates.len());
+            }
+        }
+    }
+
+    #[test]
+    fn exhaustive_small_field_matches_reference_at_every_shift() {
+        let p = 31u64;
+        for shift in 0..5 {
+            let (c, layout) = relu_trunc_circuit(p, shift);
+            for a in 0..p {
+                for b in 0..p {
+                    for r in 0..p {
+                        let mut inp = to_bits(a, layout.width);
+                        inp.extend(to_bits(b, layout.width));
+                        inp.extend(to_bits(r, layout.width));
+                        assert_eq!(
+                            from_bits(&c.eval_plain(&inp)),
+                            relu_trunc_reference(p, shift, a, b, r),
+                            "shift {shift}: a = {a}, b = {b}, r = {r}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     proptest! {

@@ -11,6 +11,8 @@
 //!
 //! Coverage: the DELPHI gadget circuits (ReLU, truncating ReLU, argmax) and
 //! proptest-driven random circuits through `garble_many`/`evaluate_many`;
+//! the lane kernels against one-instance `garble`/`evaluate` at every
+//! chunk boundary; the batched AES and hash entries at widths 1..=33;
 //! the packed IKNP path against the retained bool-matrix `ext::reference`
 //! for m ∈ {0, 1, 7, 64, 127, 128, 129, 500, 1000}; and cross-backend
 //! interop (garble under one backend, evaluate under another). The
@@ -21,8 +23,8 @@
 //! a mutex; each comparison re-runs both sides under its own forced
 //! backend.
 
-use private_inference::gc::aes::{self, AesBackend};
-use private_inference::gc::garble::{evaluate_many, garble, garble_many, Garbling};
+use private_inference::gc::aes::{self, AesBackend, GcHash};
+use private_inference::gc::garble::{evaluate, evaluate_many, garble, garble_many, Garbling};
 use private_inference::gc::{argmax_circuit, relu_circuit, relu_trunc_circuit, Circuit};
 use private_inference::ot::bitmat::BitVec;
 use private_inference::ot::ext::{self, reference, OtExtReceiver, OtExtSender};
@@ -147,6 +149,78 @@ fn gadget_evaluation_matches_across_backends_and_plain_truth() {
     }
 }
 
+/// Every backend this machine runs, the software oracle first.
+fn all_backends() -> Vec<AesBackend> {
+    let mut v = vec![AesBackend::Soft];
+    v.extend(batched_backends());
+    v
+}
+
+/// The lane kernels against the one-instance oracles, at the protocol's
+/// ReLU shape: empty, single, short-tail, exact, one-over and multi-chunk
+/// batches, under every backend.
+#[test]
+fn lane_kernels_match_one_instance_oracles_on_every_backend() {
+    let _g = lock();
+    let (circuit, _) = relu_trunc_circuit(1032193, 5);
+    for be in all_backends() {
+        with_backend(be, || {
+            for n in [0usize, 1, 7, 8, 9, 17, 64] {
+                let ctx = format!("be={} n={n}", be.name());
+                let mut r1 = rand::rngs::StdRng::seed_from_u64(n as u64);
+                let mut r2 = rand::rngs::StdRng::seed_from_u64(n as u64);
+                let batch = garble_many(&circuit, n, &mut r1);
+                let seq: Vec<Garbling> = (0..n).map(|_| garble(&circuit, &mut r2)).collect();
+                assert_garblings_eq(&batch, &seq, &ctx);
+                for (b, s) in batch.iter().zip(&seq) {
+                    assert_eq!(b.output_label0, s.output_label0, "{ctx}");
+                }
+                let inputs: Vec<Vec<u128>> = seq
+                    .iter()
+                    .map(|g| {
+                        let bits: Vec<bool> = (0..circuit.num_inputs).map(|_| r1.gen()).collect();
+                        g.encoding.encode_bits(0, &bits)
+                    })
+                    .collect();
+                let tables: Vec<_> = seq.iter().map(|g| g.garbled.tables.clone()).collect();
+                let got = evaluate_many(&circuit, &tables, &inputs);
+                let want: Vec<Vec<u128>> = seq
+                    .iter()
+                    .zip(&inputs)
+                    .map(|(g, i)| evaluate(&circuit, &g.garbled, i))
+                    .collect();
+                assert_eq!(got, want, "{ctx}");
+            }
+        });
+    }
+}
+
+/// The batched AES and hash entries against the scalar software oracle at
+/// every width 1..=33: whole groups of 8 and every tail, on every backend.
+#[test]
+fn batched_aes_and_hash_match_soft_oracle_at_every_width() {
+    let _g = lock();
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0x33);
+    let xs: Vec<u128> = (0..33).map(|_| rng.gen()).collect();
+    let tweaks: Vec<u64> = (0..33).map(|_| rng.gen()).collect();
+    for be in all_backends() {
+        with_backend(be, || {
+            let aes128 = aes::Aes128::new([0x5A; 16]);
+            let hash = GcHash::new();
+            for w in 1..=33 {
+                let mut blocks = xs[..w].to_vec();
+                aes128.encrypt_blocks(&mut blocks);
+                let want: Vec<u128> = xs[..w].iter().map(|&x| aes128.encrypt_u128(x)).collect();
+                assert_eq!(blocks, want, "encrypt_blocks be={} w={w}", be.name());
+                let mut out = vec![0; w];
+                hash.hash_many(&xs[..w], &tweaks[..w], &mut out);
+                let want: Vec<u128> = (0..w).map(|i| hash.hash(xs[i], tweaks[i])).collect();
+                assert_eq!(out, want, "hash_many be={} w={w}", be.name());
+            }
+        });
+    }
+}
+
 #[test]
 fn cross_backend_interop_garble_one_evaluate_another() {
     let _g = lock();
@@ -155,8 +229,7 @@ fn cross_backend_interop_garble_one_evaluate_another() {
     let bit_inputs: Vec<Vec<bool>> = (0..8)
         .map(|_| (0..circuit.num_inputs).map(|_| rng.gen()).collect())
         .collect();
-    let mut all_backends = vec![AesBackend::Soft];
-    all_backends.extend(batched_backends());
+    let all_backends = all_backends();
     for &garbler_be in &all_backends {
         let garblings = with_backend(garbler_be, || {
             let mut grng = rand::rngs::StdRng::seed_from_u64(0xF00D);
@@ -214,9 +287,7 @@ fn packed_iknp_matches_bool_reference_under_every_backend() {
             let want = if bools[j] { pairs[j].1 } else { pairs[j].0 };
             assert_eq!(got_ref[j], want, "oracle broken at m={m} j={j}");
         }
-        let mut all = vec![AesBackend::Soft];
-        all.extend(batched_backends());
-        for be in all {
+        for be in all_backends() {
             let (u_fast, t_fast) = with_backend(be, || receiver.extend_at(block, &packed));
             assert_eq!(u_fast, u_ref, "extend m={m} be={}", be.name());
             assert_eq!(t_fast, t_ref, "t rows m={m} be={}", be.name());

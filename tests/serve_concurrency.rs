@@ -332,6 +332,8 @@ fn relay(from: &Channel, to: &Channel) -> Transcript {
 /// `r·G` for the whole batch (32, 32·128 and 32 + 32·128 bytes), and
 /// `HeKeys` is one rotation-key frame holding the model's key plan —
 /// 23 entries, 425 digits — with no composition chain and no public key.
+/// A `GcTables` message is `rows · (8 + 133 · 32) + 8` bytes: 133 ANDs per
+/// truncating ReLU since `CircuitBuilder::build` drops dead gates.
 fn pinned_transcript(kind: ProtocolKind) -> (Transcript, Transcript) {
     let he_up = [("HeKeys", 1_096_858), ("HeCts", 15_938), ("HeCts", 15_938)];
     let he_down = [("HeCts", 23_074); 3];
@@ -340,10 +342,10 @@ fn pinned_transcript(kind: ProtocolKind) -> (Transcript, Transcript) {
             &[
                 ("HeCts", 15_938),
                 ("OtBaseChoice", 4_096),
-                ("GcTables", 323_144),
+                ("GcTables", 307_016),
                 ("GcDecode", 800),
                 ("GcLabels", 46_088),
-                ("GcTables", 71_816),
+                ("GcTables", 68_232),
                 ("GcDecode", 184),
                 ("GcLabels", 10_248),
                 ("VecU64", 296),
@@ -371,9 +373,9 @@ fn pinned_transcript(kind: ProtocolKind) -> (Transcript, Transcript) {
             ],
             &[
                 ("OtBaseChoice", 4_096),
-                ("GcTables", 323_144),
+                ("GcTables", 307_016),
                 ("OtTransfer", 92_168),
-                ("GcTables", 71_816),
+                ("GcTables", 68_232),
                 ("OtTransfer", 20_488),
                 ("GcLabels", 23_048),
                 ("GcLabels", 5_128),
