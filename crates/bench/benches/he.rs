@@ -14,8 +14,8 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use pi_bench::median_ns;
 use pi_he::linalg::{
-    encode_diagonals, encode_diagonals_bsgs, encrypt_vector, key_plan, matvec, matvec_naive,
-    matvec_precomputed, PlainMatrix,
+    encode_diagonals, encode_diagonals_bsgs, encode_input, encrypt_vector, key_plan, matvec,
+    matvec_naive, matvec_precomputed, PlainMatrix,
 };
 use pi_he::{BatchEncoder, BfvParams, KeySet, SecretKey};
 use rand::{Rng, SeedableRng};
@@ -106,9 +106,10 @@ fn bench_he(c: &mut Criterion) {
     group.bench_function("matvec_64x64_naive_precomputed", |b| {
         b.iter(|| matvec_naive(&keys.galois, &diagonals, &ct_v))
     });
-    // The hoisted-BSGS hot path under the key set it ships with.
+    // The replicated hot path under the key set and input layout it ships
+    // with.
     let bsgs = KeySet::generate_for_dims(&params, &[64], &mut rng);
-    let bsgs_ct = encrypt_vector(&bsgs.public, &enc, &w, &v, &mut rng);
+    let bsgs_ct = bsgs.public.encrypt(&encode_input(&enc, &v, dim), &mut rng);
     let bsgs_diagonals = encode_diagonals_bsgs(&enc, &w);
     group.bench_function("matvec_64x64_bsgs_precomputed", |b| {
         b.iter(|| matvec_precomputed(&bsgs.galois, &bsgs_diagonals, &bsgs_ct))

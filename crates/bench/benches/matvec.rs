@@ -1,22 +1,24 @@
-//! Hoisted-BSGS vs naive Halevi–Shoup matvec, and the key-switch
+//! Replicated-diagonal (hoisted BSGS inside each replica, then a
+//! rotate-and-sum) vs naive Halevi–Shoup matvec, and the key-switch
 //! primitives underneath — the offline-phase hot path this repo's PI
 //! protocols spend their HE time in.
 //!
 //! Same-run A/B pairs (`matvec/naive_*` vs `matvec/bsgs_*` under one
 //! process on one core) are the meaningful comparison; absolute numbers
-//! move with the machine. The harness asserts the two paths decrypt
-//! identically before timing anything and emits
-//! `csv,matvec_check,d<dim>,ok` lines (printed even under `--test`) so CI
-//! fails loudly if the BSGS path regresses to — or diverges from — the
-//! naive chain.
+//! move with the machine. The harness asserts the two paths decrypt to the
+//! same `N` slots before timing anything and emits
+//! `csv,matvec_check,d<dim>,ok` and
+//! `csv,matvec_rotations,d<dim>,bsgs,<rotations>,naive,<rotations>` lines
+//! (printed even under `--test`) so CI fails loudly if the replicated path
+//! diverges from the naive chain or its rotation budget moves.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pi_bench::median_ns;
 use pi_field::simd::{self, SimdBackend};
 use pi_field::Modulus;
 use pi_he::linalg::{
-    encode_diagonals, encode_diagonals_bsgs, encrypt_vector, matvec_naive, matvec_op_count,
-    matvec_op_count_naive, matvec_precomputed, PlainMatrix,
+    encode_diagonals, encode_diagonals_bsgs, encode_input, encrypt_vector, matvec_naive,
+    matvec_op_count, matvec_op_count_naive, matvec_precomputed, PlainMatrix,
 };
 use pi_he::{BatchEncoder, BfvParams, KeySet};
 use pi_poly::ntt::{NttTables, ShoupVec};
@@ -75,14 +77,14 @@ fn bench_tail_breakdown(_c: &mut Criterion) {
 }
 
 fn bench_matvec(c: &mut Criterion) {
-    // The protocol-default ring (n = 4096) at the layer dimensions the
-    // acceptance target names.
+    // The protocol-default ring (n = 4096) at the zoo models' layer
+    // dimensions (256 is tiny_resnet's widest phase).
     let params = BfvParams::default_pi();
-    let dims = [64usize, 128];
+    let dims = [64usize, 128, 256];
     let mut rng = rand::rngs::StdRng::seed_from_u64(42);
     // Two key sets: the power-of-two composition chain drives the naive
-    // oracle, the dimensions' key plan the
-    // hoisted path — each path benches under exactly the keys it ships with.
+    // oracle, the dimensions' key plan the replicated path — each path
+    // benches under exactly the keys it ships with.
     let keys = KeySet::generate(&params, &mut rng);
     let bsgs = KeySet::generate_for_dims(&params, &dims, &mut rng);
     let enc = BatchEncoder::new(&params);
@@ -97,7 +99,9 @@ fn bench_matvec(c: &mut Criterion) {
         let w = PlainMatrix::new(dim, dim, &data, t);
         let v: Vec<u64> = (0..dim).map(|_| rng.gen_range(0..t.value())).collect();
         let ct = encrypt_vector(&keys.public, &enc, &w, &v, &mut rng);
-        let bsgs_ct = encrypt_vector(&bsgs.public, &enc, &w, &v, &mut rng);
+        let (bsgs_ct, _) = bsgs
+            .secret
+            .encrypt_seeded(&encode_input(&enc, &v, dim), &mut rng);
         let naive_diag = encode_diagonals(&enc, &w);
         let bsgs_diag = encode_diagonals_bsgs(&enc, &w);
 
@@ -106,14 +110,15 @@ fn bench_matvec(c: &mut Criterion) {
         let bsgs_out = matvec_precomputed(&bsgs.galois, &bsgs_diag, &bsgs_ct);
         let expect = w.matvec_plain(&v, t);
         let dec = enc.decode_prefix(&bsgs.secret.decrypt(&bsgs_out), dim);
-        assert_eq!(dec, expect, "BSGS matvec decrypts wrong at d={dim}");
+        assert_eq!(dec, expect, "replicated matvec decrypts wrong at d={dim}");
         assert_eq!(
             keys.secret.decrypt(&naive_out),
             bsgs.secret.decrypt(&bsgs_out),
-            "naive and BSGS matvec diverge at d={dim}"
+            "naive and replicated matvec diverge at d={dim}"
         );
         println!("csv,matvec_check,d{dim},ok");
-        let (b, n) = (matvec_op_count(dim), matvec_op_count_naive(dim));
+        let b = matvec_op_count(params.n(), dim);
+        let n = matvec_op_count_naive(dim);
         println!(
             "csv,matvec_rotations,d{dim},bsgs,{},naive,{}",
             b.rotations(),
@@ -147,7 +152,7 @@ fn bench_matvec(c: &mut Criterion) {
     group.finish();
 }
 
-/// Same-run scalar-vs-vector A/B of the full hoisted-BSGS matvec at the
+/// Same-run scalar-vs-vector A/B of the full replicated matvec at the
 /// acceptance dimension `d = 128`: the whole offline-layer operation with
 /// the dispatch pinned to the scalar oracle and to the detected backend
 /// in turn, under one process on one core.
@@ -163,7 +168,9 @@ fn bench_matvec_simd_vs_scalar(c: &mut Criterion) {
         .collect();
     let w = PlainMatrix::new(dim, dim, &data, t);
     let v: Vec<u64> = (0..dim).map(|_| rng.gen_range(0..t.value())).collect();
-    let ct = encrypt_vector(&keys.public, &enc, &w, &v, &mut rng);
+    let (ct, _) = keys
+        .secret
+        .encrypt_seeded(&encode_input(&enc, &v, dim), &mut rng);
     let bsgs_diag = encode_diagonals_bsgs(&enc, &w);
 
     let auto = simd::auto_backend();

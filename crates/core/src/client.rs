@@ -20,7 +20,7 @@ use crate::error::ProtocolError;
 use crate::msg::Msg;
 use crate::role::{encode, BaseReceiver, BaseSender, Garbler, LabelRequest, OtStream, PhaseTables};
 use pi_gc::Label;
-use pi_he::{BatchEncoder, BfvParams, GaloisKeys, NoiseStage, SecretKey};
+use pi_he::{linalg, BatchEncoder, BfvParams, GaloisKeys, NoiseStage, SecretKey};
 use pi_ot::ext::{OtExtReceiver, OtExtSender};
 use rand::Rng;
 use std::collections::hash_map::{Entry, HashMap};
@@ -350,7 +350,7 @@ impl ServiceClient {
 
     /// Readies the HE context: reuses the keys retained for the model's
     /// key plan or generates (and retains) a secret key and exactly that
-    /// plan's rotation keys — the hoisted baby-step/giant-step set for
+    /// plan's rotation keys — the replicated schedule's rotations for
     /// every linear-layer dimension the model metadata announces — written
     /// straight into their upload frame; accounts the key material, and
     /// uploads the frame when `upload`: a serving-runtime session whose
@@ -431,12 +431,14 @@ fn offline_linear<R: Rng + ?Sized>(
             ph.padded_dim,
             he.encoder.row_size()
         );
-        r_cat.resize(ph.padded_dim, 0);
-        // Seed-expanded symmetric encryption: the frame carries packed c0
-        // plus a 32-byte seed instead of c1 — the client holds the secret
-        // key, so the cheaper symmetric form is always available here.
+        // Replicated layout (each slot block pre-rotated for its share of
+        // the diagonals), then seed-expanded symmetric encryption: the frame
+        // carries packed c0 plus a 32-byte seed instead of c1 — the client
+        // holds the secret key, so the cheaper symmetric form is always
+        // available here.
         let secret = &he.keys.secret;
-        let (ct, seed) = secret.encrypt_seeded(&he.encoder.encode_periodic(&r_cat), rng);
+        let input = linalg::encode_input(&he.encoder, &r_cat, ph.padded_dim);
+        let (ct, seed) = secret.encrypt_seeded(&input, rng);
         // Only the client can gauge noise (it holds the secret key); no-op
         // below PI_TRACE=full.
         secret.gauge_noise(&ct, NoiseStage::Encrypt);

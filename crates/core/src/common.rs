@@ -360,7 +360,7 @@ impl ClientOtState {
 }
 
 /// Per-model server-side precomputation for the offline linear pass: in HE
-/// mode, each phase matrix's Halevi–Shoup diagonals pre-rotated into the
+/// mode, each phase matrix's diagonals packed into the replicated
 /// baby-step/giant-step layout and encoded as centered Shoup-form operands
 /// ([`BsgsDiagonals`]). The weights stay in the [`PiModel`], where the
 /// cleartext pass multiplies by them ([`pi_nn::PiPhase::apply_linear`]).
@@ -373,7 +373,7 @@ impl ClientOtState {
 /// [`crate::serve::ServeRuntime`], which cache it).
 #[derive(Debug)]
 pub struct ServerPrecomp {
-    /// BSGS-layout Shoup-form diagonals per phase (HE mode only).
+    /// Packed Shoup-form diagonals per phase (HE mode only).
     pub diagonals: Option<Vec<BsgsDiagonals>>,
 }
 
@@ -397,14 +397,12 @@ impl ServerPrecomp {
         Self { diagonals }
     }
 
-    /// Rough in-memory footprint, for the session table's byte budget: in
-    /// HE mode the encoded diagonal operands (value + Shoup form, 16 B per
-    /// ring coefficient), nothing otherwise.
-    pub fn approx_bytes(&self, cfg: &ProtocolConfig) -> u64 {
-        match (&self.diagonals, &cfg.he_params) {
-            (Some(ds), Some(params)) => ds.iter().map(|d| (d.dim() * params.n() * 16) as u64).sum(),
-            _ => 0,
-        }
+    /// Heap bytes the precomputation holds, for the precompute table's byte
+    /// budget: in HE mode the packed diagonal operands actually encoded
+    /// ([`BsgsDiagonals::resident_byte_len`]), nothing otherwise.
+    pub fn resident_byte_len(&self) -> u64 {
+        let phases = self.diagonals.iter().flatten();
+        phases.map(|d| d.resident_byte_len() as u64).sum()
     }
 }
 
@@ -423,11 +421,11 @@ pub struct PartyOutcome {
     pub storage_bytes: u64,
     /// Garbled-circuit bytes this party transmitted or received.
     pub gc_bytes: u64,
-    /// Galois key material generated/uploaded under the BSGS key set
+    /// Galois key material generated/uploaded: the model's key plan
     /// (client side, HE mode only; zero otherwise).
     pub galois_key_bytes: u64,
     /// What a full per-rotation key set would have cost for the same layer
-    /// dimensions (the hoisting-without-BSGS baseline).
+    /// dimensions (the one-replica hoisting-without-BSGS baseline).
     pub galois_key_bytes_per_rotation: u64,
     /// AND gates this party garbled (zero for the evaluator).
     pub gc_and_gates: u64,

@@ -224,11 +224,13 @@ mod tests {
     #[test]
     fn bsgs_key_set_shrinks_offline_key_material() {
         // HE mode reports the Galois key material actually uploaded (the
-        // model's key plan: BSGS babies/giants for every dim, nothing
-        // else) against the per-rotation baseline: the UNION of the
-        // per-dim rotation sets, i.e. the max dim's d−1 elements — not a
-        // per-dim sum, which would double-count the nested sets. For
-        // tiny_cnn (padded dims {128, 128, 16}) the saving is 6.05×.
+        // model's key plan: the replicated schedule's rotations for every
+        // dim, nothing else) against the per-rotation baseline: the UNION
+        // of the per-dim rotation sets, i.e. the max dim's d−1 elements —
+        // not a per-dim sum, which would double-count the nested sets. For
+        // tiny_cnn (padded dims {128, 128, 16}) at n = 2048 the plan is
+        // babies 1, 2, giants 3, 6, sum steps 16…512 and the row swap:
+        // 11 keys, an 11.5× saving.
         let he = BfvParams::small_test();
         let model = build_model(&zoo::tiny_cnn(), &he, 31);
         let input = random_input(&model, 32);
@@ -240,13 +242,13 @@ mod tests {
             report.galois_key_bytes,
             report.galois_key_bytes_per_rotation
         );
-        // 21 keys on the wire against 127, each 4 + 2·(15 872 + 10 240)
+        // 11 keys on the wire against 127, each 4 + 2·(15 872 + 10 240)
         // bytes at n = 2048 (two digits, 62-bit and 40-bit residues), after
         // a 62-byte preamble.
-        assert_eq!(report.galois_key_bytes, 62 + 21 * 52_228);
+        assert_eq!(report.galois_key_bytes, 62 + 11 * 52_228);
         assert_eq!(report.galois_key_bytes_per_rotation, 62 + 127 * 52_228);
         assert!(
-            report.galois_key_saving() > 6.0,
+            report.galois_key_saving() > 11.0,
             "saving = {}",
             report.galois_key_saving()
         );
@@ -331,6 +333,29 @@ mod tests {
         );
     }
 
+    /// The precompute table is charged the operands a precomputation holds:
+    /// in HE mode exactly its packed diagonals — one per in-replica step,
+    /// for tiny_cnn at n = 2048 8 + 8 + 1 of them, not one per diagonal
+    /// (128 + 128 + 16) — each `n` values and `n` Shoup quotients of 8
+    /// bytes under `q`, and as much again under `P` for the 5 + 5 steps off
+    /// the identity baby.
+    #[test]
+    fn he_precomp_charges_the_table_budget_its_operands() {
+        let he = BfvParams::small_test();
+        let model = build_model(&zoo::tiny_cnn(), &he, 3);
+        let cfg = ProtocolConfig::server_garbler(he.clone());
+        let packings: Vec<_> = ModelMeta::of(&model)
+            .phases
+            .iter()
+            .map(|ph| pi_he::linalg::Packing::new(he.n(), ph.padded_dim))
+            .collect();
+        let operands: usize = packings.iter().map(|p| p.steps()).sum();
+        let off_identity: usize = packings.iter().map(|p| p.steps() - p.giant()).sum();
+        assert_eq!((operands, off_identity), (17, 10));
+        let charge = ServerPrecomp::new(&model, &cfg).resident_byte_len();
+        assert_eq!(charge, ((operands + off_identity) * he.n() * 16) as u64);
+    }
+
     /// A cleartext-mode precomputation holds no copy of the weights, so it
     /// charges the table budget nothing (a padded copy was 2·1024²·8 B).
     #[test]
@@ -343,6 +368,6 @@ mod tests {
         };
         let model = build_model(&spec, &BfvParams::small_test(), 3);
         let cfg = ProtocolConfig::clear(ProtocolKind::ClientGarbler);
-        assert_eq!(ServerPrecomp::new(&model, &cfg).approx_bytes(&cfg), 0);
+        assert_eq!(ServerPrecomp::new(&model, &cfg).resident_byte_len(), 0);
     }
 }

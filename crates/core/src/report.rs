@@ -140,13 +140,13 @@ pub struct CostReport {
     pub relu_count: u64,
     /// Total garbled-circuit material transmitted (bytes).
     pub gc_bytes: u64,
-    /// Galois (rotation) key material the client generated and uploaded
-    /// under the baby-step/giant-step key set (`≈ 2√d` elements per layer
-    /// dimension).
+    /// Galois (rotation) key material the client generated and uploaded:
+    /// the model's key plan (the replicated schedule's babies, giants and
+    /// rotate-and-sum steps per layer dimension).
     pub galois_key_bytes: u64,
     /// What a full per-rotation key set (`d − 1` elements per dimension,
-    /// the hoisting-without-BSGS baseline) would cost — the offline
-    /// key-storage figure the BSGS set replaces.
+    /// the one-replica hoisting-without-BSGS baseline) would cost — the
+    /// offline key-storage figure the key plan replaces.
     pub galois_key_bytes_per_rotation: u64,
     /// AND gates garbled across all ReLU phases.
     pub garbled_and_gates: u64,
@@ -209,14 +209,14 @@ impl CostReport {
         )
     }
 
-    /// Offline Galois-key storage/upload saving of the BSGS key set over a
+    /// Offline Galois-key storage/upload saving of the key plan over a
     /// full per-rotation set (the union over the model's dimensions, i.e.
     /// the largest dim's `d − 1` rotations). Every key is one size, so this
-    /// is the ratio of the element counts: 127 / 21 ≈ 6.0× for a single
-    /// 128-wide layer and for a whole tiny-cnn key upload alike (dims
-    /// 128/128/16: the 16-wide layer's rotations are all elements the
-    /// 128-wide plan already holds); grows with the dimension. `1.0` when
-    /// no HE keys were generated.
+    /// is the ratio of the element counts: at n = 4096, 127 / 7 ≈ 18× for a
+    /// single 128-wide layer and 127 / 10 for a whole tiny-cnn key upload
+    /// (dims 128/128/16: the 16-wide layer adds its rotate-and-sum steps
+    /// 16, 32 and 64); grows with the dimension. `1.0` when no HE keys were
+    /// generated.
     pub fn galois_key_saving(&self) -> f64 {
         if self.galois_key_bytes == 0 {
             1.0

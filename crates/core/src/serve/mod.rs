@@ -526,7 +526,7 @@ fn precomp_for(inner: &Arc<Inner>, model_id: usize, entry: &ModelEntry) -> Arc<S
         return pre;
     }
     let pre = Arc::new(ServerPrecomp::new(&entry.model, &entry.cfg));
-    let bytes = pre.approx_bytes(&entry.cfg);
+    let bytes = pre.resident_byte_len();
     inner.precomp_table.insert(model_id, pre.clone(), bytes);
     pre
 }

@@ -724,8 +724,8 @@ pub fn compute_matvec_jobs(
         return Err(ProtocolError::BadRequest("no HE diagonals precomputed"));
     };
     let work = |job: &MatvecJob| -> (usize, Ciphertext) {
-        // Hoisted BSGS: ~2√d rotations, only the giant steps paying a
-        // full key switch.
+        // Replicated diagonals: d/c plaintext products, a hoisted BSGS
+        // inside each replica and a log₂ c rotate-and-sum.
         let prod = linalg::matvec_precomputed(job.keys.galois(), &diagonals[job.phase], &job.ct);
         (job.phase, prod)
     };

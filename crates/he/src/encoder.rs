@@ -141,7 +141,17 @@ impl BatchEncoder {
     /// operands — Halevi–Shoup diagonals — never for additive encodings
     /// (`add_plain`/`sub_plain` scale by `Δ` and would wrap).
     pub fn encode_periodic_centered(&self, values: &[u64]) -> Plaintext {
-        let pt = self.encode_periodic(values);
+        self.center(self.encode_periodic(values))
+    }
+
+    /// [`BatchEncoder::encode`], re-centered as
+    /// [`BatchEncoder::encode_periodic_centered`] is: the packed diagonals'
+    /// encoding.
+    pub(crate) fn encode_centered(&self, values: &[u64]) -> Plaintext {
+        self.center(self.encode(values))
+    }
+
+    fn center(&self, pt: Plaintext) -> Plaintext {
         let t = self.params.t().value();
         let q = self.params.q().value();
         let half_t = t / 2;

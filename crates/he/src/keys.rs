@@ -44,21 +44,27 @@
 //! under `P` and the final `(u_q − r)·P⁻¹` accept; `mod_down` returns
 //! strictly reduced `[0, q)` words.
 //!
-//! In the BSGS matvec ([`crate::linalg`]) a **baby** rotation divides by
-//! `P` on its own: its output is multiplied by plaintext diagonals under
-//! `q`, which have no `P` residue. **Giant** rotations only add into the
-//! result, so they accumulate in the extended basis across the whole
-//! matvec and the division — and its rounding noise — is paid once.
+//! In the replicated matvec ([`crate::linalg`]) a **baby** rotation does
+//! not divide: it stays `P·rot(x)` in the extended basis and is multiplied
+//! there by packed diagonals that carry a `P` residue, so the division —
+//! and its rounding noise — comes after the plaintext product instead of
+//! being amplified by it. **Giant** rotations only add into the in-replica
+//! sum, so they accumulate in the extended basis across all giant steps
+//! and that division is paid once. Each **rotate-and-sum** step rotates the
+//! previous step's sum, so it divides on its own, through the same fused
+//! switch as a giant.
 //!
 //! # Key sets
 //!
 //! A key set is a list of Galois elements, one key each. The one the
 //! protocol generates, uploads and admits is [`crate::linalg::key_plan`]
-//! for the model's padded dimensions ([`KeySet::generate_for_dims`]) — and
-//! nothing else. [`KeySet::generate`] holds the power-of-two composition
-//! chain instead: the key set of [`GaloisKeys::rotate_rows`], which only
-//! the `matvec_naive` oracle, tests and benches call; it runs on the same
-//! switch.
+//! for the model's padded dimensions ([`KeySet::generate_for_dims`]) — the
+//! in-replica baby and giant rotations, the rotate-and-sum's rotations by
+//! multiples of each dimension and, where a phase's replicas span both
+//! rows, the row swap — and nothing else. [`KeySet::generate`] holds the
+//! power-of-two composition chain instead: the key set of
+//! [`GaloisKeys::rotate_rows`], which only the `matvec_naive` oracle, tests
+//! and benches call; it runs on the same switch.
 //!
 //! Every key digit comes out of one generator (`KeyDigits`), in
 //! evaluation form from its first word to its last: a party that rotates
@@ -170,7 +176,7 @@ impl ExtPair {
     }
 
     /// The `q` half and the `P` half, as the slices the switch steps take.
-    fn halves(&mut self) -> ([&mut [u64]; 2], [&mut [u64]; 2]) {
+    pub(crate) fn halves(&mut self) -> ([&mut [u64]; 2], [&mut [u64]; 2]) {
         (slices(&mut self.q), slices(&mut self.p))
     }
 }
@@ -376,17 +382,16 @@ pub struct GaloisKeys {
 }
 
 /// A ciphertext lifted once for many rotations (Halevi–Shoup hoisting):
-/// both components in evaluation form plus `c1` in the key-switch basis.
-/// Build with [`GaloisKeys::hoist`]; consume with
-/// [`GaloisKeys::rotate_hoisted`].
+/// both components times the special prime `P`, in evaluation form, plus
+/// `c1` in the key-switch basis. Build with [`GaloisKeys::hoist`]; consume
+/// with [`GaloisKeys::rotate_hoisted`].
 ///
 /// All stored vectors are strictly reduced NTT-form data.
 #[derive(Clone, Debug)]
 pub struct HoistedCiphertext {
-    /// `c0` in evaluation form.
-    c0: Vec<u64>,
-    /// `c1` in evaluation form (used for the identity rotation).
-    c1: Vec<u64>,
+    /// `P·c0` and `P·c1` modulo `q`, in evaluation form: what a rotation
+    /// adds in the extended basis, whose `P` residue is zero.
+    scaled: [Vec<u64>; 2],
     lifted: Lifted,
 }
 
@@ -683,7 +688,7 @@ impl SecretKey {
 
 /// A small-coefficient polynomial of one ring (coefficient form) as the
 /// same signed coefficients in another ring of the same degree.
-fn reembed(small: &Poly, ring: &std::sync::Arc<pi_poly::RingContext>) -> Poly {
+pub(crate) fn reembed(small: &Poly, ring: &std::sync::Arc<pi_poly::RingContext>) -> Poly {
     let q = small.ctx().q();
     let signed: Vec<i64> = small.data().iter().map(|&c| q.to_signed(c)).collect();
     Poly::from_signed(ring.clone(), &signed)
@@ -863,10 +868,11 @@ impl GaloisKeys {
 
     /// Lifts a ciphertext once for many rotations (Halevi–Shoup hoisting):
     /// `c1` into the key-switch basis — one inverse NTT, the digit split,
-    /// one batched forward NTT per ring — plus both components in
-    /// evaluation form. Each subsequent [`GaloisKeys::rotate_hoisted`] then
-    /// costs the slot gathers, the dyadic key accumulates and the division
-    /// by `P`.
+    /// one batched forward NTT per ring — plus both components times `P`,
+    /// in evaluation form. Each subsequent rotation then costs the slot
+    /// gathers and the dyadic key accumulates, plus the division by `P`
+    /// when it is wanted as a ciphertext ([`GaloisKeys::rotate_hoisted`];
+    /// the matvec keeps its baby rotations undivided).
     ///
     /// # Panics
     ///
@@ -878,20 +884,26 @@ impl GaloisKeys {
         pi_trace::incr(pi_trace::Counter::HeHoist);
         let params = &self.params;
         let n = params.n();
+        let q = params.q();
         let ct_ctx = ct.c0.ctx();
         assert!(
-            ct_ctx.n() == n && ct_ctx.q() == params.q(),
+            ct_ctx.n() == n && ct_ctx.q() == q,
             "ciphertext ring (n={}, q={}) does not match the Galois keys' ring (n={}, q={})",
             ct_ctx.n(),
             ct_ctx.q(),
             n,
-            params.q()
+            q
         );
         let mut lifted = Lifted::zeros(n);
         lifted.fill(params, &ct.c1.coeffs());
+        let p = q.shoup(q.reduce(params.special_p().value()));
+        let scaled = |c: &Poly| {
+            let mut x = c.clone().into_ntt().into_data();
+            x.iter_mut().for_each(|x| *x = q.mul_shoup(*x, p));
+            x
+        };
         HoistedCiphertext {
-            c0: ct.c0.clone().into_ntt().into_data(),
-            c1: ct.c1.clone().into_ntt().into_data(),
+            scaled: [scaled(&ct.c0), scaled(&ct.c1)],
             lifted,
         }
     }
@@ -914,70 +926,73 @@ impl GaloisKeys {
     /// Panics if `k >= N/2`.
     pub fn rotate_hoisted(&self, h: &HoistedCiphertext, k: usize) -> Result<Ciphertext, KeyError> {
         let ring = self.params.ring();
-        let q = self.params.q();
-        let n = self.params.n();
-        let mut c0 = vec![0u64; n];
-        let mut c1 = vec![0u64; n];
-        let mut scratch = [vec![0u64; n], vec![0u64; n]];
-        self.rotate_hoisted_lazy(h, k, &mut c0, &mut c1, &mut scratch)?;
-        for x in c0.iter_mut() {
-            *x = q.reduce_lazy(*x);
-        }
+        let mut ext = ExtPair::zeros(self.params.n());
+        self.rotate_hoisted_ext(h, k, &mut ext)?;
+        let (xq, xp) = ext.halves();
+        mod_down(&self.params, xq, xp);
+        let [c0, c1] = ext.q;
         Ok(Ciphertext {
             c0: Poly::from_ntt_data(ring.clone(), c0),
             c1: Poly::from_ntt_data(ring.clone(), c1),
         })
     }
 
-    /// Core of the hoisted rotation: writes the rotated pair into `out0`
-    /// (lazy `[0, 2q)`) and `out1` (strictly reduced), evaluation form, so
-    /// the BSGS inner loop can keep multiply-accumulating. `scratch` is
-    /// the `P` half of the extended-basis accumulator, contents
-    /// unspecified on entry and on return.
-    pub(crate) fn rotate_hoisted_lazy(
+    /// Core of the hoisted rotation, stopped short of the division: writes
+    /// `P·rot_k(h)` plus the keys' error term into `ext` (overwriting it),
+    /// so the matvec can multiply-accumulate in the extended basis and
+    /// divide once per sum instead of once per rotation — the rounding of
+    /// the division is then never multiplied by a plaintext.
+    /// [`mod_down`] of `ext` is exactly [`GaloisKeys::rotate_hoisted`]'s
+    /// result: `P·φ_g(c0)` has no `P` residue, so adding it before the
+    /// division adds `φ_g(c0)` after it.
+    ///
+    /// # Errors
+    ///
+    /// [`KeyError::MissingGaloisKey`] without a direct rotation key.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k >= N/2`.
+    pub(crate) fn rotate_hoisted_ext(
         &self,
         h: &HoistedCiphertext,
         k: usize,
-        out0: &mut [u64],
-        out1: &mut [u64],
-        scratch: &mut [Vec<u64>; 2],
+        ext: &mut ExtPair,
     ) -> Result<(), KeyError> {
         let n = self.params.n();
         assert!(k < n / 2, "rotation amount must be below N/2");
-        pi_trace::incr(pi_trace::Counter::HeRotation);
         if k == 0 {
-            out0.copy_from_slice(&h.c0);
-            out1.copy_from_slice(&h.c1);
+            for (x, scaled) in ext.q.iter_mut().zip(&h.scaled) {
+                x.copy_from_slice(scaled);
+            }
+            ext.p.iter_mut().for_each(|x| x.fill(0));
             return Ok(());
         }
+        pi_trace::incr(pi_trace::Counter::HeRotation);
         let entry = self.entry(rotation_element(n, k))?;
-        out0.fill(0);
-        out1.fill(0);
-        let [p0, p1] = slices(scratch);
-        p0.fill(0);
-        p1.fill(0);
-        let xq = [&mut *out0, &mut *out1];
-        self.accumulate(entry, &h.lifted, true, xq, [&mut *p0, &mut *p1]);
-        mod_down(&self.params, [&mut *out0, out1], [p0, p1]);
-        // φ_g(c0) joins as a permuted lazy addition: a pure gather in the
+        ext.clear();
+        let (xq, xp) = ext.halves();
+        self.accumulate(entry, &h.lifted, true, xq, xp);
+        // P·φ_g(c0) joins as a permuted lazy addition: a pure gather in the
         // evaluation basis.
         let ntt = self.params.ring().ntt();
-        ntt.gather_add_lazy(out0, &h.c0, &entry.perm);
+        ntt.gather_add_lazy(&mut ext.q[0], &h.scaled[0], &entry.perm);
         Ok(())
     }
 
-    /// The fused giant step of the BSGS matvec: rotates a lazy
-    /// evaluation-form pair (`inner0`, `inner1`, both in `[0, 2q)`) left by
-    /// `k > 0` and **accumulates** the result — `φ_g(inner0)` into `acc0`
-    /// (lazy `[0, 2q)`), the switched part into `ext`, still multiplied by
-    /// `P`: every giant step of one matvec adds into the same `ext`, and
+    /// The fused key switch of the matvec's giant and rotate-and-sum steps:
+    /// applies Galois element `g ≠ 1` (a row rotation or the row swap) to a
+    /// lazy evaluation-form pair (`inner0`, `inner1`, both in `[0, 2q)`) and
+    /// **accumulates** the result — `φ_g(inner0)` into `acc0` (lazy
+    /// `[0, 2q)`), the switched part into `ext`, still multiplied by `P`:
+    /// every giant step of one matvec adds into the same `ext`, and
     /// [`GaloisKeys::settle`] divides it once. One inverse NTT (of
     /// `inner1`, consumed as scratch and left in coefficient form), one
     /// lift into `lifted` (overwritten), then permuted dyadic accumulates —
     /// the rotated ciphertext is never materialized.
     pub(crate) fn rotate_acc_lazy(
         &self,
-        k: usize,
+        g: usize,
         inner0: &[u64],
         inner1: &mut [u64],
         acc0: &mut [u64],
@@ -986,10 +1001,9 @@ impl GaloisKeys {
     ) -> Result<(), KeyError> {
         let params = &self.params;
         let ntt = params.ring().ntt();
-        let n = params.n();
-        assert!(0 < k && k < n / 2, "rotation amount must be in 1..N/2");
+        assert!(g != 1, "the identity needs no key switch");
         pi_trace::incr(pi_trace::Counter::HeRotation);
-        let entry = self.entry(rotation_element(n, k))?;
+        let entry = self.entry(g)?;
         ntt.inverse(inner1); // [0, 2q) lazy in → [0, q) coeff out
         lifted.fill(params, inner1);
         let (xq, xp) = ext.halves();
@@ -1095,10 +1109,11 @@ impl GaloisKeys {
     /// `dim`, on the same wire basis as the real frames (packed `k0`
     /// halves, seed-expanded `a` halves): one key for each of the `dim − 1`
     /// rotation amounts a hoisted (non-composing) diagonal matvec would
-    /// otherwise demand. The BSGS set materializes only
-    /// `⌈√dim⌉ + ⌈dim/⌈√dim⌉⌉ − 2` elements; comparing the serialized
-    /// Galois frame length against this figure is the offline key-storage
-    /// win reported in `pi-core`'s `CostReport`.
+    /// otherwise demand. The replicated schedule's
+    /// [`crate::linalg::key_plan`] holds far fewer (7 at `d = 128`,
+    /// `n = 4096`); comparing the serialized Galois frame length against
+    /// this figure is the offline key-storage win reported in `pi-core`'s
+    /// `CostReport`.
     pub fn per_rotation_set_byte_len(params: &BfvParams, dim: usize) -> usize {
         crate::wire::galois_keys_wire_len(params, dim.saturating_sub(1))
     }
@@ -1432,7 +1447,8 @@ mod tests {
             let params = BfvParams::new(n, 62, 20);
             let estimate = params.key_switch_noise_bits();
             let mut rng = rand::rngs::StdRng::seed_from_u64(n as u64);
-            let keys = KeySet::generate_for_dims(&params, &[16], &mut rng);
+            // d = 256 holds baby rotations 1..3 at both rings.
+            let keys = KeySet::generate_for_dims(&params, &[256], &mut rng);
             let enc = crate::BatchEncoder::new(&params);
             let mut worst = 0u64;
             for round in 0..4u64 {

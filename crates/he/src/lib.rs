@@ -14,8 +14,9 @@
 //! * [`Ciphertext`] — additions, plaintext multiplication, and slot
 //!   rotations; everything DELPHI's offline phase (`E(w·r − s)`) needs.
 //! * [`linalg`] — Halevi–Shoup diagonal-method matrix-vector products
-//!   over packed ciphertexts (hoisted baby-step/giant-step), and the
-//!   rotation-key plan they need.
+//!   over packed ciphertexts (replicated diagonals: a hoisted
+//!   baby-step/giant-step inside each replica, then a rotate-and-sum), and
+//!   the rotation-key plan they need.
 //! * [`wire`] — the byte frames the protocol ships: ciphertexts, public keys
 //!   and Galois key sets (`k0` residues under `q` and `P`), bit-packed and
 //!   seed-expanded, behind readers that

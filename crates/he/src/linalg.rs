@@ -7,62 +7,112 @@
 //! random share `s` to produce `E(W·r − s)` — the client's additive share
 //! of the layer.
 //!
-//! # Hoisted baby-step/giant-step (the hot path)
+//! # Layout: replicated diagonals (the hot path)
 //!
-//! [`matvec_precomputed_many`] (and its one-job call
-//! [`matvec_precomputed`]) evaluates `W·v = Σ_k diag_k ⊙ rot_k(v)` with
-//! `k = j·b + i` split into `b = ⌈√d⌉` baby steps and `g = ⌈d/b⌉` giant
-//! steps:
+//! The `N` slots form two rows of `N/2`; a rotation by `k` moves every row
+//! left by `k`, the row swap (Galois element `2N − 1`) exchanges them. A
+//! phase of padded dimension `d` cuts the slots into `N/d` blocks of `d`.
+//! Following Gazelle's replicated packing (Juvekar et al., USENIX Security
+//! 2018), the blocks are `c` **replicas** that split the `d` diagonals
+//! between them, `m = d/c` each ([`Packing`]):
+//!
+//! * **Input** ([`encode_input`]): block `ρ` holds `r` rotated left by
+//!   `(ρ mod c)·m` — written by the client in cleartext, for free.
+//! * **In-replica steps**: `y = Σ_{k<m} P_k ⊙ rot_k(x)`, where slot `s` of
+//!   the packed diagonal `P_k` is `W[s mod d][col]` for whichever column
+//!   `col` of `r` the rotation by `k` lands in slot `s`. A row rotation
+//!   carries the head of block `ρ + 1` into the tail of block `ρ` — the
+//!   next replica's pre-rotation, not this one's — so the packed diagonals
+//!   are derived slot by slot from the input layout, never from a
+//!   per-replica formula, and a cleartext slot simulation of the whole
+//!   schedule checks them against [`PlainMatrix::matvec_plain`]. Over any
+//!   `c` consecutive blocks each column of row `s mod d` is read exactly
+//!   once.
+//! * **Rotate-and-sum**: `y += rot(y, d)`, `rot(y, 2d)`, … inside a row
+//!   while the span stays below `min(c·d, N/2)`, then `y += swap(y)` when the
+//!   replicas span both rows (`c·d > N/2`): `log₂ c` key switches. Afterwards
+//!   **every** slot `s` holds `(W·r)[s mod d]` — the periodic layout the
+//!   naive oracle produces, [`sub_share`] subtracts in and `decode_prefix`
+//!   reads.
+//!
+//! `c = min(N/d, d)`, a pure function of the ring and the dimension: once
+//! `d² ≥ N` every slot works on a different product term, and below that
+//! each replica multiplies one diagonal (`m = 1`) and the spare blocks
+//! repeat the pattern. `c = 1` only at `d = 1`. The in-replica steps run as
+//! a hoisted baby-step/giant-step over `m` ([`bsgs_plan`]): `b = ⌈√m⌉`
+//! baby steps and `g = ⌈m/b⌉` giants,
 //!
 //! ```text
-//! W·v = Σ_j rot_{jb}( Σ_i  p_{j,i} ⊙ rot_i(v) ),
-//!       p_{j,i}[s] = W[(s − jb) mod d][(s + i) mod d]
+//! y = Σ_j rot_{jb}( Σ_i  p_{j,i} ⊙ rot_i(x) ),   p_{j,i} = rot_{−jb}(P_{jb+i})
 //! ```
 //!
-//! The `b − 1` baby rotations `rot_i(v)` all come from **one** hoisted
-//! lift of `v` ([`GaloisKeys::hoist`]): `c1` is split into its key-switch
-//! digits and forward-NTT'd once, and each baby rotation is slot gathers,
-//! dyadic key accumulates and its own division by the special prime. Each
-//! giant step is one multiply-accumulate sweep over pre-rotated diagonal
-//! operands ([`BsgsDiagonals`], encoded once per matrix) plus a single
-//! fused key switch that accumulates in the extended basis; the giants of
-//! one matvec share **one** division at the end (see [`crate::keys`] for
-//! why the two kinds differ). Total: `b + g − 2 ≈ 2√d` rotations instead
-//! of `d − 1`. The rotation keys this reads — and therefore the whole key
-//! set a client generates and a server admits — are [`key_plan`], defined
-//! here beside the split it follows.
+//! The `b − 1` baby rotations all come from **one** hoisted lift of `x`
+//! ([`GaloisKeys::hoist`]; no lift at all when `b = 1`): `c1` is split into
+//! its key-switch digits and forward-NTT'd once, and each baby rotation is
+//! slot gathers and dyadic key accumulates — **no** division by the special
+//! prime `P`. A baby stays in the extended basis `q·P` as `P·rot_i(x)` plus
+//! the keys' error, and its products run there, against packed operands
+//! that carry a `P` residue ([`BsgsDiagonals`], encoded once per matrix);
+//! the identity step multiplies `x` under `q` alone. Each giant group's sum
+//! is divided by `P` once and rotated by one fused key switch that
+//! accumulates in the extended basis, where group 0's baby products already
+//! are; all of it is divided once at the end (see [`crate::keys`]). Each
+//! rotate-and-sum step is one fused key switch and its own division. At
+//! `n = 4096`, `d = 128`: 4 plaintext products and 7 rotations (1 baby,
+//! 1 giant, 4 in-row sum steps and the row swap) where the one-replica BSGS
+//! did 128 and 21 ([`matvec_op_count`]). The rotation keys this reads — and
+//! therefore the whole key set a client generates and a server admits —
+//! are [`key_plan`], defined here beside the schedule it follows.
 //!
-//! Noise shape: whatever noise a baby rotation's output carries passes
-//! through the subsequent plaintext multiplication (amplification
-//! ≈ `√(n·d)·t`), which is why diagonals are encoded **centered**
-//! (coefficients in `(−t/2, t/2]`, halving the amplification). What the
-//! baby key switch itself adds is
+//! # Noise
+//!
+//! Each in-replica term is an input's noise times a plaintext operand
+//! (amplification ≈ `√(n·m)·t`), which is why the packed diagonals are
+//! encoded **centered** (coefficients in `(−t/2, t/2]`, halving the
+//! amplification). What a key switch adds is
 //! [`crate::BfvParams::key_switch_noise_bits`] ≈ 3.9 bits rms at
-//! `n = 4096`, nearly all of it the rounding of the division by the
-//! special prime: under the fresh-encryption term it joins when the input
-//! is a public-key encryption (`√(4 + 16n/3)`, ≈ 7.2 bits — there the
-//! hoisted path ends level with the naive chain, `tests/noise_probe.rs`),
-//! and the larger of the two when it is the protocol's seeded symmetric
-//! upload (σ = 2), where the worst `tiny_cnn` / `tiny_resnet` response
-//! keeps 8–9 bits at the client's decrypt (9–10 on the `n = 2048` test
-//! ring, which `tests/end_to_end.rs` gauges). Giant-step noise only adds,
-//! and its rounding part is paid once.
+//! `n = 4096`, nearly all of it the rounding of the division by `P` — above
+//! the protocol upload's fresh noise, which is why a baby is multiplied
+//! before it is divided: its own error is the keys' error over `P`, under
+//! one unit, and the roundings are paid after the products (one per
+//! giant group, one at the end, one per sum step), never amplified. The
+//! rotate-and-sum then adds `c` rotated copies of **one** noise polynomial:
+//! at most coefficients the automorphisms scatter the terms (≈ `√c`), but
+//! at those they fix — indices divisible by a high power of two — the
+//! copies add coherently (up to `c`), so the fresh noise of the upload
+//! sets the margin. On the protocol's seeded symmetric upload the decrypt
+//! keeps 8–9 bits at every zoo dimension on `n = 4096` (the one-replica
+//! BSGS kept 8–9); a public-key encryption carries ≈ 6 more bits of fresh
+//! noise and ends 3–5 bits under the naive chain. `tests/noise_probe.rs`
+//! records the margins per dimension and ring, and `tests/end_to_end.rs`
+//! gauges the protocol's decrypt on the `n = 2048` test ring.
+//!
+//! # Why the response leaks nothing more than `W·r`
+//!
+//! A replica's `y` is a partial sum over `m` of the `d` columns; a client
+//! that knows `r` would learn weights from it. The rotate-and-sum adds all
+//! `c` replicas before anything leaves the server, so every slot of the
+//! response is a complete row product, the same in every replica — the
+//! very plaintext the one-replica layout returned. `tests/end_to_end.rs`
+//! decrypts all `N` slots of real protocol responses to check it.
 //!
 //! # Naive chain (the differential oracle)
 //!
 //! [`matvec_naive`] keeps the original rotate-after-multiply Horner
-//! formulation `W·v = Σ_k rot(v ⊙ rot⁻¹(diag_k, k), k)` (one composed
+//! formulation `W·v = Σ_k rot(v ⊙ rot⁻¹(diag_k, k), k)` over a periodic
+//! input ([`encrypt_vector`]: `v` repeated in every block; one composed
 //! rotation per diagonal, key-switch noise never amplified). It runs under
 //! the power-of-two composition keys of [`crate::KeySet::generate`] and
-//! serves as the correctness oracle for the BSGS path in
-//! `tests/matvec_differential.rs` and as the bench baseline.
+//! serves as the correctness oracle for the replicated path in
+//! `tests/matvec_differential.rs` — both paths decrypt to the same `N` slots
+//! — and as the bench baseline.
 
-use crate::cipher::{Ciphertext, Plaintext};
+use crate::cipher::{Ciphertext, PlainOperand, Plaintext};
 use crate::encoder::BatchEncoder;
-use crate::keys::{rotation_element, ExtPair, GaloisKeys, Lifted};
+use crate::keys::{mod_down, reembed, rotation_element, ExtPair, GaloisKeys, Lifted};
 use crate::params::BfvParams;
 use pi_field::Modulus;
-use pi_poly::Poly;
+use pi_poly::{Poly, PolyOperand};
 
 /// A dense matrix over `Z_t`, stored row-major, padded internally to a
 /// power-of-two dimension for the diagonal method.
@@ -141,7 +191,7 @@ impl PlainMatrix {
     }
 
     /// The `k`-th generalized diagonal, pre-rotated right by `k` so that the
-    /// encrypted kernel can rotate after multiplying:
+    /// naive kernel can rotate after multiplying:
     /// `p_k[i] = W[(i − k) mod d][i]`.
     fn shifted_diagonal(&self, k: usize) -> Vec<u64> {
         let d = self.dim;
@@ -150,68 +200,190 @@ impl PlainMatrix {
             .collect()
     }
 
-    /// The BSGS-layout diagonal for baby index `i` and giant offset `jb`:
-    /// `p[s] = W[(s − jb) mod d][(s + i) mod d]` — diagonal `jb + i`
-    /// pre-rotated right by the giant offset so the giant rotation can be
-    /// applied after the inner multiply-accumulate.
-    fn bsgs_diagonal(&self, jb: usize, i: usize) -> Vec<u64> {
+    /// The packed operand `p_{j,i}` for baby step `i` and giant offset `jb`,
+    /// all `N` slots: `P_{jb+i}` pre-rotated right by `jb`, so slot `s`
+    /// holds `W[row][col]` with `row` the output index the giant rotation
+    /// moves `s` to and `col` the input column the baby rotation by `i`
+    /// brings into `s` (module docs).
+    fn packed_diagonal(&self, packing: &Packing, jb: usize, i: usize) -> Vec<u64> {
         let d = self.dim;
-        (0..d)
-            .map(|s| self.data[((s + d - jb) % d) * d + (s + i) % d])
+        let back = packing.n / 2 - jb;
+        (0..packing.n)
+            .map(|s| {
+                let row = packing.source(s, back) % d;
+                let col = packing.input_column(packing.source(s, i));
+                self.data[row * d + col]
+            })
             .collect()
     }
 }
 
-/// The baby-step/giant-step split for a padded dimension: `b = ⌈√dim⌉`
-/// baby steps and `g = ⌈dim/b⌉` giant steps.
-pub fn bsgs_plan(dim: usize) -> (usize, usize) {
-    assert!(dim >= 1, "dimension must be positive");
-    let mut b = (dim as f64).sqrt() as usize;
-    while b * b < dim {
+/// The baby-step/giant-step split of `steps` diagonal steps: `b = ⌈√steps⌉`
+/// baby steps and `g = ⌈steps/b⌉` giant steps.
+pub fn bsgs_plan(steps: usize) -> (usize, usize) {
+    assert!(steps >= 1, "step count must be positive");
+    let mut b = (steps as f64).sqrt() as usize;
+    while b * b < steps {
         b += 1;
     }
-    (b, dim.div_ceil(b))
+    (b, steps.div_ceil(b))
+}
+
+/// How a linear phase of padded dimension `d` fills the `n` slots of one
+/// ciphertext, and the rotation schedule that follows from it (module
+/// docs): `c = min(n/d, d)` replicas of `m = d/c` diagonal steps each, a
+/// [`bsgs_plan`] over `m`, and a rotate-and-sum across the replicas. A pure
+/// function of `(n, d)`: the client's input layout, the server's packed
+/// operands and kernel, [`key_plan`] and [`matvec_op_count`] all read it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Packing {
+    n: usize,
+    dim: usize,
+    replicas: usize,
+    baby: usize,
+    giant: usize,
+}
+
+impl Packing {
+    /// The packing of a `dim`-wide phase in a ring of degree `n`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `dim` is a power of two no larger than the row size
+    /// `n/2`.
+    pub fn new(n: usize, dim: usize) -> Self {
+        assert!(
+            dim.is_power_of_two() && dim <= n / 2,
+            "matrix dimension {dim} is not a power of two within the slot row size {}",
+            n / 2
+        );
+        let replicas = (n / dim).min(dim);
+        let (baby, giant) = bsgs_plan(dim / replicas);
+        Self {
+            n,
+            dim,
+            replicas,
+            baby,
+            giant,
+        }
+    }
+
+    /// The replica count `c = min(n/d, d)`.
+    pub fn replicas(&self) -> usize {
+        self.replicas
+    }
+
+    /// The diagonal steps each replica takes, `m = d/c` — one packed
+    /// operand and one plaintext product each.
+    pub fn steps(&self) -> usize {
+        self.dim / self.replicas
+    }
+
+    /// The baby-step count `b = ⌈√m⌉`.
+    pub fn baby(&self) -> usize {
+        self.baby
+    }
+
+    /// The giant-step count `g = ⌈m/b⌉`.
+    pub fn giant(&self) -> usize {
+        self.giant
+    }
+
+    /// The in-row rotations of the rotate-and-sum, in order: `d, 2d, …`
+    /// below `min(c·d, n/2)`.
+    pub fn sum_rotations(&self) -> impl Iterator<Item = usize> {
+        let span = (self.replicas * self.dim).min(self.n / 2);
+        std::iter::successors(Some(self.dim), |&k| Some(2 * k)).take_while(move |&k| k < span)
+    }
+
+    /// Whether the replicas span both rows, so the rotate-and-sum ends with
+    /// the row swap.
+    pub fn swaps_rows(&self) -> bool {
+        self.replicas * self.dim > self.n / 2
+    }
+
+    /// The column of the input vector the client writes into `slot`: block
+    /// `ρ = slot / d` holds the input rotated left by `(ρ mod c)·m`.
+    fn input_column(&self, slot: usize) -> usize {
+        let (block, offset) = (slot / self.dim, slot % self.dim);
+        (offset + (block % self.replicas) * self.steps()) % self.dim
+    }
+
+    /// The slot a left rotation by `k` moves into `slot` (within its row).
+    fn source(&self, slot: usize, k: usize) -> usize {
+        let row = self.n / 2;
+        slot - slot % row + (slot % row + k) % row
+    }
+
+    /// The Galois elements of the rotate-and-sum, in order.
+    fn sum_elements(&self) -> impl Iterator<Item = usize> {
+        let n = self.n;
+        let swap = self.swaps_rows().then_some(2 * n - 1);
+        (self.sum_rotations().map(move |k| rotation_element(n, k))).chain(swap)
+    }
+
+    /// Every Galois element the matvec reads: babies `1..b`, giants `j·b`,
+    /// then the rotate-and-sum.
+    fn elements(&self) -> impl Iterator<Item = usize> {
+        let (n, b) = (self.n, self.baby);
+        let steps = (1..b).chain((1..self.giant).map(move |j| j * b));
+        steps
+            .map(move |k| rotation_element(n, k))
+            .chain(self.sum_elements())
+    }
 }
 
 /// The rotation-key set of a model whose linear layers have the given
 /// padded dimensions: the Galois element of every key
 /// [`matvec_precomputed_many`] reads at one of them — per dimension the
-/// baby rotations `1..b` and the giant rotations `b·j` for `j` in `1..g`;
-/// rotation 0 needs no key. Sorted ascending, each element once: a
-/// rotation that is a baby at one dimension and a giant at another is one
-/// element with one key.
+/// in-replica baby rotations `1..b` and giant rotations `b·j`, the
+/// rotate-and-sum's rotations `d, 2d, …` and, where the replicas span both
+/// rows, the row swap `2N − 1` ([`Packing`]); rotation 0 needs no key.
+/// Sorted ascending, each element once: a rotation that plays several
+/// roles, at one dimension or across several, is one element with one key.
 ///
 /// This is the one definition of the set. Key generation
 /// ([`crate::KeySet::generate_for_dims`]) emits exactly this list in this
 /// order, a server admits an upload only if its entries equal it, and both
 /// parties key their caches by it.
+///
+/// # Panics
+///
+/// Panics as [`Packing::new`] does on a dimension that is not a power of
+/// two within the row size.
 pub fn key_plan(params: &BfvParams, dims: &[usize]) -> Vec<usize> {
     let n = params.n();
-    let mut plan = Vec::new();
-    for &dim in dims {
-        let (b, g) = bsgs_plan(dim);
-        let baby = 1..b.min(dim);
-        let giant = (1..g).map(|j| j * b);
-        plan.extend(baby.chain(giant).map(|k| rotation_element(n, k)));
-    }
+    let mut plan: Vec<usize> = (dims.iter())
+        .flat_map(|&dim| Packing::new(n, dim).elements())
+        .collect();
     plan.sort_unstable();
     plan.dedup();
     plan
 }
 
-/// A matrix's Halevi–Shoup diagonals, encoded and precomputed as Shoup-form
-/// multiplication operands.
+/// Encodes a phase input for [`matvec_precomputed`] in the replicated
+/// layout of a `dim`-wide phase: `values` zero-padded to `dim`, block `ρ`
+/// rotated left by `(ρ mod c)·m`.
 ///
-/// Encoding a diagonal costs an inverse NTT (in the plaintext field) plus a
-/// forward NTT and Shoup precomputation (in the ciphertext ring); in the
-/// DELPHI offline phase the same weight matrix serves every client and every
-/// query, so this work is done once via [`encode_diagonals`] and reused by
-/// [`matvec_precomputed`].
+/// # Panics
+///
+/// Panics if `values` is longer than `dim`, or as [`Packing::new`] does.
+pub fn encode_input(enc: &BatchEncoder, values: &[u64], dim: usize) -> Plaintext {
+    assert!(values.len() <= dim, "input longer than the phase dimension");
+    let packing = Packing::new(enc.slot_count(), dim);
+    let slots: Vec<u64> = (0..enc.slot_count())
+        .map(|s| values.get(packing.input_column(s)).copied().unwrap_or(0))
+        .collect();
+    enc.encode(&slots)
+}
+
+/// A matrix's Halevi–Shoup diagonals, encoded and precomputed as Shoup-form
+/// multiplication operands for the naive oracle ([`matvec_naive`]).
 #[derive(Clone, Debug)]
 pub struct EncodedDiagonals {
     dim: usize,
     /// `ops[k]` is the encoded, pre-rotated diagonal `p_k` as an operand.
-    ops: Vec<crate::cipher::PlainOperand>,
+    ops: Vec<PlainOperand>,
 }
 
 impl EncodedDiagonals {
@@ -221,8 +393,8 @@ impl EncodedDiagonals {
     }
 }
 
-/// Encodes all shifted diagonals of `w` and precomputes their Shoup
-/// operands for [`matvec_naive`].
+/// Encodes all shifted diagonals of `w` (periodic layout) and precomputes
+/// their Shoup operands for [`matvec_naive`].
 ///
 /// # Panics
 ///
@@ -243,68 +415,75 @@ pub fn encode_diagonals(enc: &BatchEncoder, w: &PlainMatrix) -> EncodedDiagonals
     EncodedDiagonals { dim: d, ops }
 }
 
-/// A matrix's diagonals pre-rotated into the baby-step/giant-step layout
-/// (`ops[j·b + i]` holds `p_{j,i}`, centered and Shoup-precomputed) — the
-/// per-model precomputation behind [`matvec_precomputed`].
+/// One packed diagonal as Shoup operands: its `q` residue, and — for a step
+/// whose baby rotation is not the identity, whose products run in the
+/// extended basis `q·P` — its `P` residue (the same centered integer
+/// polynomial, reduced modulo `P`).
+#[derive(Clone, Debug)]
+struct PackedOperand {
+    q: PolyOperand,
+    p: Option<PolyOperand>,
+}
+
+/// A matrix's packed diagonals in the replicated baby-step/giant-step
+/// layout (`ops[j·b + i]` holds `p_{j,i}`, centered and Shoup-precomputed;
+/// `m = d/c` of them) — the per-model precomputation behind
+/// [`matvec_precomputed`].
 #[derive(Clone, Debug)]
 pub struct BsgsDiagonals {
-    dim: usize,
-    baby: usize,
-    giant: usize,
+    packing: Packing,
     /// `ops[k]` with `k = j·baby + i` is the encoded `p_{j,i}`.
-    ops: Vec<crate::cipher::PlainOperand>,
+    ops: Vec<PackedOperand>,
 }
 
 impl BsgsDiagonals {
-    /// The padded dimension (number of diagonals).
+    /// The padded dimension.
     pub fn dim(&self) -> usize {
-        self.dim
+        self.packing.dim
     }
 
-    /// The baby-step count `b = ⌈√dim⌉`.
-    pub fn baby(&self) -> usize {
-        self.baby
-    }
-
-    /// The giant-step count `g = ⌈dim/b⌉`.
-    pub fn giant(&self) -> usize {
-        self.giant
+    /// Heap bytes the operands occupy: per residue of an operand, `n`
+    /// values and `n` Shoup quotients of 8 bytes.
+    pub fn resident_byte_len(&self) -> usize {
+        let residues: usize = self
+            .ops
+            .iter()
+            .map(|op| 1 + usize::from(op.p.is_some()))
+            .sum();
+        residues * 16 * self.packing.n
     }
 }
 
-/// Encodes the diagonals of `w` in the baby-step/giant-step layout for
-/// [`matvec_precomputed`]: diagonal `j·b + i` pre-rotated right by the
-/// giant offset `j·b`, encoded centered, with Shoup operands precomputed.
-/// One encoding serves every client and every query of the same matrix.
+/// Encodes the packed diagonals of `w` for [`matvec_precomputed`]: for each
+/// in-replica step `j·b + i`, the slot-by-slot operand of the module docs
+/// pre-rotated right by the giant offset `j·b`, encoded centered, with
+/// Shoup operands precomputed — under `q`, and under `P` too where the
+/// step's baby rotation is not the identity. One encoding serves every
+/// client and every query of the same matrix.
 ///
 /// # Panics
 ///
 /// Panics if the padded dimension exceeds the encoder row size.
 pub fn encode_diagonals_bsgs(enc: &BatchEncoder, w: &PlainMatrix) -> BsgsDiagonals {
-    let d = w.dim;
-    assert!(
-        d <= enc.row_size(),
-        "matrix dimension {d} exceeds slot row size {}",
-        enc.row_size()
-    );
-    let (b, g) = bsgs_plan(d);
-    let ops = (0..d)
+    let packing = Packing::new(enc.slot_count(), w.dim);
+    let special = enc.params().special_ring();
+    let b = packing.baby;
+    let ops = (0..packing.steps())
         .map(|k| {
             let (j, i) = (k / b, k % b);
-            enc.encode_periodic_centered(&w.bsgs_diagonal(j * b, i))
-                .to_operand()
+            let pt = enc.encode_centered(&w.packed_diagonal(&packing, j * b, i));
+            let p = (i > 0).then(|| reembed(&pt.poly, special).to_operand());
+            PackedOperand {
+                q: pt.poly.to_operand(),
+                p,
+            }
         })
         .collect();
-    BsgsDiagonals {
-        dim: d,
-        baby: b,
-        giant: g,
-        ops,
-    }
+    BsgsDiagonals { packing, ops }
 }
 
-/// Computes `E(W · v)` from `E(v)` with the hoisted baby-step/giant-step
-/// algorithm — the offline-phase hot path, and the one-job call of
+/// Computes `E(W · r)` from `E(r)` in the replicated layout — the
+/// offline-phase hot path, and the one-job call of
 /// [`matvec_precomputed_many`] (see the module docs for the decomposition
 /// and noise shape).
 ///
@@ -316,32 +495,38 @@ pub fn matvec_precomputed(gk: &GaloisKeys, w: &BsgsDiagonals, ct_v: &Ciphertext)
     prods.pop().expect("one job in, one product out")
 }
 
-/// Computes `E(W · vᶜ)` for a batch of independent clients sharing the same
-/// matrix with the hoisted baby-step/giant-step algorithm — one job is the
-/// plain matvec, several are the serving runtime's cross-request fusion.
+/// Computes `E(W · rᶜ)` for a batch of independent clients sharing the same
+/// matrix — one job is the plain matvec, several are the serving runtime's
+/// cross-request fusion. Each input is a phase input in the replicated
+/// layout ([`encode_input`]); each output holds `(W·r)[s mod d]` in every
+/// slot `s`.
 ///
 /// Each job carries its own Galois keys (clients never share key material)
 /// and input ciphertext, but all jobs multiply against the **same**
-/// [`BsgsDiagonals`]: the loop nest walks each pre-rotated diagonal operand
-/// once per giant group and applies it to every client's baby rotation
-/// before moving to the next, so the large shared operands stream through
-/// cache once instead of once per request.
+/// [`BsgsDiagonals`]: the loop nest walks each packed operand once per
+/// giant group and applies it to every client's baby rotation before moving
+/// to the next, so the shared operands stream through cache once instead of
+/// once per request.
 ///
-/// Per client: `v` is hoisted once; the `b − 1` baby rotations come from
-/// the hoisted lift, in step order; each of the `g − 1` giant steps is one
-/// in-order multiply-accumulate sweep over pre-rotated diagonals plus one
-/// fused key switch accumulating into the result and the extended-basis
-/// pair that is divided by the special prime once, after the last;
-/// everything runs in the lazy `[0, 2q)` evaluation domain with a single
-/// final correction. Batching is a scheduling change, never a semantic
-/// one: a job's result is bit-identical whatever shares its batch.
+/// Per client: the input is hoisted once (only if there is a baby rotation
+/// to take) and the `b − 1` baby rotations are taken from the lift without
+/// dividing by the special prime; their products accumulate in the
+/// extended basis, the identity step's under `q` alone. Each of the `g − 1`
+/// giant groups divides its sum once and rotates it with one fused key
+/// switch that accumulates, with group 0's extended-basis sum, into one
+/// pair divided once after the last; then each rotate-and-sum step is one
+/// fused key switch and its division. Everything runs in the lazy `[0, 2q)`
+/// / `[0, 2P)` evaluation domains with a single final correction. Batching
+/// is a scheduling change, never a semantic one: a job's result is
+/// bit-identical whatever shares its batch.
 ///
 /// # Panics
 ///
 /// Panics if a job's Galois keys lack an entry of [`key_plan`] for
 /// `w.dim()` (a caller bug: generate them with
 /// [`crate::keys::KeySet::generate_for_dims`]; a server admits no other
-/// set), or if the keys and ciphertext come from different parameter sets.
+/// set), or if the keys, the ciphertext and the operands come from
+/// different rings.
 pub fn matvec_precomputed_many(
     jobs: &[(&GaloisKeys, &Ciphertext)],
     w: &BsgsDiagonals,
@@ -351,106 +536,117 @@ pub fn matvec_precomputed_many(
     }
     let params = jobs[0].0.params();
     let ring = params.ring();
-    let ntt = ring.ntt();
+    let (ntt, ntt_p) = (ring.ntt(), params.special_ring().ntt());
     let q = params.q();
     let n = params.n();
-    let (d, b) = (w.dim, w.baby);
-    // The diagonal operands must live in the keys' ring: the dyadic kernels
+    let packing = w.packing;
+    let (m, b) = (packing.steps(), packing.baby);
+    // Operands and inputs must live in the keys' ring: the dyadic kernels
     // below only length-check raw slices, so a same-degree/different-modulus
-    // precomputation would otherwise silently corrupt the result.
-    let op_ctx = w.ops[0].op.ctx();
+    // input would otherwise silently corrupt the result.
+    let op_ctx = w.ops[0].q.ctx();
     assert!(
         op_ctx.n() == n && op_ctx.q() == q,
         "diagonal operands' ring (n={}, q={}) does not match the Galois keys' ring (n={n}, q={q})",
         op_ctx.n(),
         op_ctx.q()
     );
-    if d == 1 {
-        return jobs
-            .iter()
-            .map(|(_, ct)| ct.mul_plain_operand(&w.ops[0]))
-            .collect();
+    for (gk, ct_v) in jobs {
+        let (keys, input) = (gk.params(), ct_v.c0.ctx());
+        assert!(
+            keys.n() == n && keys.q() == q && input.n() == n && input.q() == q,
+            "a job's keys or ciphertext are not in the ring (n={n}, q={q})"
+        );
     }
-    // Per-client key-switch scratch: the extended-basis pair (its `P` half
-    // serves each baby rotation, the whole of it the giants) and the lift
-    // of each giant step's inner sum.
-    let mut scratch: Vec<(ExtPair, Lifted)> = jobs
+    // Per client: the input in evaluation form (the identity step), and
+    // baby rotations 1..b in the extended basis — `P·rot_i(x)` plus the
+    // keys' error, undivided — from one hoisted lift, in client order
+    // (rotations touch only that client's keys and ciphertext, so there is
+    // nothing to share).
+    let inputs: Vec<[Vec<u64>; 2]> = jobs
         .iter()
-        .map(|_| (ExtPair::zeros(n), Lifted::zeros(n)))
+        .map(|(_, ct_v)| [&ct_v.c0, &ct_v.c1].map(|c| c.clone().into_ntt().into_data()))
         .collect();
-    // Per-client hoist + baby rotations of v, kept lazy in [0, 2q)
-    // evaluation form, in client order (rotations touch only that client's
-    // keys and ciphertext, so there is nothing to share).
-    let baby_count = b.min(d);
-    let babies: Vec<Vec<(Vec<u64>, Vec<u64>)>> = jobs
+    let babies: Vec<Vec<ExtPair>> = jobs
         .iter()
-        .zip(&mut scratch)
-        .map(|((gk, ct_v), (ext, _))| {
-            let hoisted = gk.hoist(ct_v);
-            (0..baby_count)
-                .map(|i| {
-                    let mut c0 = vec![0u64; n];
-                    let mut c1 = vec![0u64; n];
-                    gk.rotate_hoisted_lazy(&hoisted, i, &mut c0, &mut c1, &mut ext.p)
-                        .unwrap_or_else(|e| panic!("{e}"));
-                    (c0, c1)
-                })
-                .collect()
+        .map(|(gk, ct_v)| {
+            let hoisted = (b > 1).then(|| gk.hoist(ct_v));
+            let rotate = |i| {
+                let mut baby = ExtPair::zeros(n);
+                let hoisted = hoisted.as_ref().expect("hoisted when b > 1");
+                gk.rotate_hoisted_ext(hoisted, i, &mut baby)
+                    .unwrap_or_else(|e| panic!("{e}"));
+                baby
+            };
+            (1..b).map(rotate).collect()
         })
         .collect();
-    for (ext, _) in &mut scratch {
-        ext.clear();
-    }
-    let mut accs: Vec<(Vec<u64>, Vec<u64>)> = jobs
+    // Per client: the result under `q` (`acc`), what is still multiplied
+    // by `P` (`ext`: group 0's baby products and every giant's switched
+    // part), a giant group's sum (`inner`) and the lift of each fused
+    // switch's input.
+    let mut accs: Vec<[Vec<u64>; 2]> = jobs.iter().map(|_| [vec![0; n], vec![0; n]]).collect();
+    let mut scratch: Vec<(ExtPair, ExtPair, Lifted)> = jobs
         .iter()
-        .map(|_| (vec![0u64; n], vec![0u64; n]))
+        .map(|_| (ExtPair::zeros(n), ExtPair::zeros(n), Lifted::zeros(n)))
         .collect();
-    let mut inners: Vec<(Vec<u64>, Vec<u64>)> = jobs
-        .iter()
-        .map(|_| (vec![0u64; n], vec![0u64; n]))
-        .collect();
-    for j in 0..w.giant {
+    for j in 0..packing.giant {
         let lo = j * b;
-        if lo >= d {
-            break;
-        }
-        let count = b.min(d - lo);
-        if j > 0 {
-            for inner in inners.iter_mut() {
-                inner.0.fill(0);
-                inner.1.fill(0);
+        let group = &w.ops[lo..lo + b.min(m - lo)];
+        // Giant group j accumulates Σ_i p_{j,i} ⊙ rot_i(x); group 0 lands
+        // directly in the result (identity rotation). Operand-outer,
+        // client-inner: the shared operand streams once. The babies' terms
+        // first, in the extended basis ...
+        for (i, op) in group.iter().enumerate().skip(1) {
+            let op_p = op.p.as_ref().expect("a baby step has a P residue");
+            for (c, (ext, inner, _)) in scratch.iter_mut().enumerate() {
+                let sum = if j == 0 { ext } else { inner };
+                let baby = &babies[c][i - 1];
+                for (x, y) in sum.q.iter_mut().zip(&baby.q) {
+                    ntt.dyadic_mul_acc_shoup(x, y, op.q.shoup());
+                }
+                for (x, y) in sum.p.iter_mut().zip(&baby.p) {
+                    ntt_p.dyadic_mul_acc_shoup(x, y, op_p.shoup());
+                }
             }
         }
-        // Giant group j accumulates Σ_i p_{j,i} ⊙ rot_i(v) lazily; group 0
-        // lands directly in the result accumulator (identity rotation).
-        // Operand-outer, client-inner: the shared diagonal op streams once.
-        for (i, op) in w.ops[lo..lo + count].iter().enumerate() {
-            for (c, client_babies) in babies.iter().enumerate() {
-                let (t0, t1) = if j == 0 {
-                    let acc = &mut accs[c];
-                    (&mut acc.0, &mut acc.1)
-                } else {
-                    let inner = &mut inners[c];
-                    (&mut inner.0, &mut inner.1)
-                };
-                let baby = &client_babies[i];
-                ntt.dyadic_mul_acc_shoup(t0, &baby.0, op.op.shoup());
-                ntt.dyadic_mul_acc_shoup(t1, &baby.1, op.op.shoup());
+        // ... divided once per giant group, then the identity step's term.
+        for (c, (_, inner, _)) in scratch.iter_mut().enumerate() {
+            if j > 0 && group.len() > 1 {
+                let (xq, xp) = inner.halves();
+                mod_down(params, xq, xp);
+            }
+            let sum = if j == 0 { &mut accs[c] } else { &mut inner.q };
+            for (x, y) in sum.iter_mut().zip(&inputs[c]) {
+                ntt.dyadic_mul_acc_shoup(x, y, group[0].q.shoup());
             }
         }
         if j > 0 {
+            let g = rotation_element(n, lo);
             for (c, (gk, _)) in jobs.iter().enumerate() {
-                let (inner0, inner1) = &mut inners[c];
-                let (ext, lifted) = &mut scratch[c];
-                gk.rotate_acc_lazy(lo, inner0, inner1, &mut accs[c].0, lifted, ext)
+                let (ext, inner, lifted) = &mut scratch[c];
+                let [inner0, inner1] = &mut inner.q;
+                gk.rotate_acc_lazy(g, inner0, inner1, &mut accs[c][0], lifted, ext)
                     .unwrap_or_else(|e| panic!("{e}"));
+                inner.clear();
             }
         }
     }
     accs.into_iter()
         .zip(jobs.iter().zip(&mut scratch))
-        .map(|((mut acc0, mut acc1), ((gk, _), (ext, _)))| {
-            if b < d {
+        .map(|([mut acc0, mut acc1], ((gk, _), (ext, y, lifted)))| {
+            if m > 1 {
+                gk.settle(ext, &mut acc0, &mut acc1);
+            }
+            // Rotate-and-sum: acc += rot(acc), one fused switch and its own
+            // division per step (the next step rotates this one's sum).
+            let [y0, y1] = &mut y.q;
+            for g in packing.sum_elements() {
+                y0.copy_from_slice(&acc0);
+                y1.copy_from_slice(&acc1);
+                ext.clear();
+                gk.rotate_acc_lazy(g, y0, y1, &mut acc0, lifted, ext)
+                    .unwrap_or_else(|e| panic!("{e}"));
                 gk.settle(ext, &mut acc0, &mut acc1);
             }
             for x in acc0.iter_mut().chain(acc1.iter_mut()) {
@@ -465,9 +661,10 @@ pub fn matvec_precomputed_many(
 }
 
 /// Computes `E(W · v)` from `E(v)` with the original rotate-after-multiply
-/// Horner chain — one composed rotation per diagonal. Slower than
-/// [`matvec_precomputed`] by ~`√d/2`× but never amplifies key-switch noise:
-/// the differential oracle and benchmark baseline for the BSGS path.
+/// Horner chain — one composed rotation per diagonal, over the periodic
+/// layout of [`encrypt_vector`]. Far slower than [`matvec_precomputed`] but
+/// never amplifies key-switch noise: the differential oracle and benchmark
+/// baseline for the replicated path.
 ///
 /// # Panics
 ///
@@ -494,15 +691,16 @@ pub fn matvec_naive(gk: &GaloisKeys, w: &EncodedDiagonals, ct_v: &Ciphertext) ->
 /// Computes `E(W · v)` from `E(v)`.
 ///
 /// The input ciphertext must hold `v` encoded periodically with period
-/// `W.padded_dim()` (see [`BatchEncoder::encode_periodic`]); the result holds
-/// `W·v` (padded with zero rows) in the same periodic layout, so
+/// `W.padded_dim()` (see [`encrypt_vector`]); the result holds `W·v`
+/// (padded with zero rows) in the same periodic layout, so
 /// `decode_prefix(…, W.rows())` extracts the product.
 ///
 /// Encodes and precomputes the diagonals on every call, then runs the
 /// naive Horner chain — a convenience for one-shot products under a plain
 /// power-of-two key set. When the same matrix is applied repeatedly, use
-/// [`encode_diagonals_bsgs`] + [`matvec_precomputed`] (hot path) or
-/// [`encode_diagonals`] + [`matvec_naive`] (oracle).
+/// [`encode_diagonals_bsgs`] + [`matvec_precomputed`] over
+/// [`encode_input`] (hot path) or [`encode_diagonals`] + [`matvec_naive`]
+/// (oracle).
 ///
 /// # Panics
 ///
@@ -523,11 +721,12 @@ pub fn matvec(
 /// NTT batch). Feeds the cost model in `pi-sim`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MatvecOpCount {
-    /// Plaintext multiplications (one per diagonal).
+    /// Plaintext multiplications (one per packed diagonal).
     pub pt_muls: usize,
     /// Hoisted rotations: amortized against one shared decomposition.
     pub hoisted_rotations: usize,
-    /// Full key switches (cold rotations: decompose + digit NTTs).
+    /// Full key switches (giant steps and rotate-and-sum steps, and every
+    /// rotation of the naive chain).
     pub key_switches: usize,
     /// Ciphertext additions.
     pub additions: usize,
@@ -540,16 +739,19 @@ impl MatvecOpCount {
     }
 }
 
-/// Operation count of the hoisted-BSGS [`matvec_precomputed`] at a padded
-/// dimension: `⌈√d⌉ − 1` hoisted baby rotations and `⌈d/⌈√d⌉⌉ − 1` giant
-/// key switches instead of the naive `d − 1` full switches.
-pub fn matvec_op_count(dim: usize) -> MatvecOpCount {
-    let (b, g) = bsgs_plan(dim);
+/// Operation count of the replicated [`matvec_precomputed`] for a
+/// `dim`-wide phase in a ring of degree `n` ([`Packing`]): `m = d/c`
+/// plaintext products, `⌈√m⌉ − 1` hoisted baby rotations, `⌈m/⌈√m⌉⌉ − 1`
+/// giant key switches and `log₂ c` rotate-and-sum switches — exactly the
+/// `he.rotation` counter's delta around one call.
+pub fn matvec_op_count(n: usize, dim: usize) -> MatvecOpCount {
+    let packing = Packing::new(n, dim);
+    let sums = packing.sum_elements().count();
     MatvecOpCount {
-        pt_muls: dim,
-        hoisted_rotations: b.min(dim).saturating_sub(1),
-        key_switches: g.saturating_sub(1),
-        additions: dim.saturating_sub(1),
+        pt_muls: packing.steps(),
+        hoisted_rotations: packing.baby - 1,
+        key_switches: packing.giant - 1 + sums,
+        additions: packing.steps() - 1 + sums,
     }
 }
 
@@ -564,8 +766,9 @@ pub fn matvec_op_count_naive(dim: usize) -> MatvecOpCount {
     }
 }
 
-/// Encrypts a vector for [`matvec`]: encodes periodically at the matrix's
-/// padded dimension (zero-padding the tail) and encrypts.
+/// Encrypts a vector for [`matvec`] (the naive oracle): encodes
+/// periodically at the matrix's padded dimension (zero-padding the tail)
+/// and encrypts. The replicated path takes [`encode_input`] instead.
 ///
 /// # Panics
 ///
@@ -583,8 +786,9 @@ pub fn encrypt_vector<R: rand::Rng + ?Sized>(
     pk.encrypt(&enc.encode_periodic(&padded), rng)
 }
 
-/// Subtracts a plaintext share vector `s` (periodic layout) from an
-/// encrypted matvec result: the DELPHI offline step `E(W·r) − s`.
+/// Subtracts a plaintext share vector `s` (periodic layout — the layout
+/// every matvec result is in) from an encrypted matvec result: the DELPHI
+/// offline step `E(W·r) − s`.
 pub fn sub_share(
     params: &BfvParams,
     enc: &BatchEncoder,
@@ -639,6 +843,133 @@ mod tests {
         assert_eq!(w.padded_dim(), 4);
     }
 
+    /// The replicated schedule on cleartext slots: the input layout, every
+    /// packed operand, the baby and giant rotations and the rotate-and-sum
+    /// exactly as [`matvec_precomputed_many`] applies them, with slot
+    /// arithmetic mod `t` in place of ciphertexts.
+    fn simulate(packing: &Packing, w: &PlainMatrix, v: &[u64], t: Modulus) -> Vec<u64> {
+        let n = packing.n;
+        let rot =
+            |x: &[u64], k: usize| -> Vec<u64> { (0..n).map(|s| x[packing.source(s, k)]).collect() };
+        let add =
+            |x: &mut [u64], y: &[u64]| x.iter_mut().zip(y).for_each(|(x, &y)| *x = t.add(*x, y));
+        let x: Vec<u64> = (0..n)
+            .map(|s| v.get(packing.input_column(s)).copied().unwrap_or(0))
+            .collect();
+        let (m, b) = (packing.steps(), packing.baby);
+        let babies: Vec<Vec<u64>> = (0..b).map(|i| rot(&x, i)).collect();
+        let mut acc = vec![0u64; n];
+        for j in 0..packing.giant {
+            let mut inner = vec![0u64; n];
+            for (i, baby) in babies.iter().enumerate().take(m - j * b) {
+                let op = w.packed_diagonal(packing, j * b, i);
+                for ((y, &p), &x) in inner.iter_mut().zip(&op).zip(baby) {
+                    *y = t.mul_add(p, x, *y);
+                }
+            }
+            add(&mut acc, &rot(&inner, j * b));
+        }
+        for k in packing.sum_rotations() {
+            let rotated = rot(&acc, k);
+            add(&mut acc, &rotated);
+        }
+        if packing.swaps_rows() {
+            let swapped: Vec<u64> = (0..n).map(|s| acc[(s + n / 2) % n]).collect();
+            add(&mut acc, &swapped);
+        }
+        acc
+    }
+
+    /// The packed-diagonal derivation, checked without HE: at every
+    /// power-of-two dimension a row holds, on both protocol rings, every
+    /// one of the `N` simulated output slots is `(W·v)[s mod d]`.
+    #[test]
+    fn slot_simulation_of_the_replicated_schedule_is_the_plain_product() {
+        let t = BfvParams::small_test().t();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(27);
+        for n in [2048usize, 4096] {
+            for dim in (0..).map(|e| 1usize << e).take_while(|&d| d <= n / 2) {
+                let packing = Packing::new(n, dim);
+                let w = random_matrix(dim, dim, t.value(), t, &mut rng);
+                let v: Vec<u64> = (0..dim).map(|_| rng.gen_range(0..t.value())).collect();
+                let want = w.matvec_plain(&v, t);
+                let got = simulate(&packing, &w, &v, t);
+                for (s, &y) in got.iter().enumerate() {
+                    assert_eq!(y, want[s % dim], "n={n} d={dim} slot {s}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn packing_shapes() {
+        let at = |n, d| {
+            let p = Packing::new(n, d);
+            let sums: Vec<usize> = p.sum_rotations().collect();
+            (
+                p.replicas(),
+                p.steps(),
+                (p.baby(), p.giant()),
+                sums,
+                p.swaps_rows(),
+            )
+        };
+        // One replica, nothing to rotate.
+        assert_eq!(at(4096, 1), (1, 1, (1, 1), vec![], false));
+        // d² ≤ N/2: one diagonal per replica, replicas within a row.
+        assert_eq!(at(4096, 16), (16, 1, (1, 1), vec![16, 32, 64, 128], false));
+        // d² = N: the replicas fill both rows.
+        assert_eq!(
+            at(4096, 64),
+            (64, 1, (1, 1), vec![64, 128, 256, 512, 1024], true)
+        );
+        assert_eq!(
+            at(4096, 128),
+            (32, 4, (2, 2), vec![128, 256, 512, 1024], true)
+        );
+        assert_eq!(at(2048, 128), (16, 8, (3, 3), vec![128, 256, 512], true));
+        // A full row: two replicas, one per row, joined by the swap alone.
+        assert_eq!(at(4096, 2048), (2, 1024, (32, 32), vec![], true));
+        // Block ρ holds the input rotated left by (ρ mod c)·m.
+        let p = Packing::new(4096, 128);
+        assert_eq!(p.input_column(0), 0);
+        assert_eq!(p.input_column(128 + 5), 4 + 5);
+        assert_eq!(p.input_column(31 * 128 + 127), (124 + 127) % 128);
+        assert_eq!(p.input_column(2048), 16 * 4);
+    }
+
+    #[test]
+    fn bsgs_plan_shapes() {
+        assert_eq!(bsgs_plan(1), (1, 1));
+        assert_eq!(bsgs_plan(2), (2, 1));
+        assert_eq!(bsgs_plan(7), (3, 3));
+        assert_eq!(bsgs_plan(64), (8, 8));
+        assert_eq!(bsgs_plan(100), (10, 10));
+        assert_eq!(bsgs_plan(128), (12, 11));
+        // Key plan: babies 1..b and giants b·j of the in-replica steps,
+        // then the rotate-and-sum; one key an element; never rotation 0.
+        let params = BfvParams::small_test();
+        let n = params.n();
+        let elements = |steps: &[usize], swap: bool| {
+            let mut plan: Vec<usize> = steps.iter().map(|&k| rotation_element(n, k)).collect();
+            plan.extend(swap.then_some(2 * n - 1));
+            plan.sort_unstable();
+            plan
+        };
+        // d = 128 at n = 2048: m = 8 → babies 1, 2, giants 3, 6; then
+        // 128, 256, 512 and the swap.
+        let at_128 = elements(&[1, 2, 3, 6, 128, 256, 512], true);
+        assert_eq!(key_plan(&params, &[128]), at_128);
+        assert!(key_plan(&params, &[1]).is_empty());
+        assert_eq!(key_plan(&params, &[2]), [rotation_element(n, 2)]);
+        // d = 16: sixteen one-diagonal replicas, summed by 16..128; 128 is
+        // shared with d = 128, and a dimension named twice adds nothing.
+        assert_eq!(
+            key_plan(&params, &[128, 16, 16]),
+            elements(&[1, 2, 3, 6, 16, 32, 64, 128, 256, 512], true)
+        );
+    }
+
     #[test]
     fn encrypted_matvec_small_square() {
         let (params, keys, enc, mut rng) = setup(7);
@@ -687,29 +1018,34 @@ mod tests {
     fn precomputed_bsgs_matvec_matches_and_reuses() {
         let params = BfvParams::small_test();
         let mut rng = rand::rngs::StdRng::seed_from_u64(12);
-        let keys = KeySet::generate_for_dims(&params, &[16], &mut rng);
+        let keys = KeySet::generate_for_dims(&params, &[256], &mut rng);
         let enc = BatchEncoder::new(&params);
         let t = params.t();
-        let w = random_matrix(16, 16, t.value(), t, &mut rng);
+        let w = random_matrix(256, 256, t.value(), t, &mut rng);
         let diag = encode_diagonals_bsgs(&enc, &w);
-        assert_eq!(diag.dim(), 16);
-        assert_eq!((diag.baby(), diag.giant()), (4, 4));
+        assert_eq!(diag.dim(), 256);
+        // c = 8 replicas of m = 32 steps: 32 operands instead of 256, the
+        // 26 off the identity baby (b = 6, g = 6) with a P residue too.
+        assert_eq!(diag.packing.replicas(), 8);
+        assert_eq!(diag.resident_byte_len(), (32 + 26) * 16 * params.n());
         // One precomputation serves many client vectors.
-        for _ in 0..3 {
-            let v: Vec<u64> = (0..16).map(|_| rng.gen_range(0..t.value())).collect();
-            let ct = encrypt_vector(&keys.public, &enc, &w, &v, &mut rng);
+        for _ in 0..2 {
+            let v: Vec<u64> = (0..256).map(|_| rng.gen_range(0..t.value())).collect();
+            let (ct, _) = keys
+                .secret
+                .encrypt_seeded(&encode_input(&enc, &v, 256), &mut rng);
             let out = matvec_precomputed(&keys.galois, &diag, &ct);
             assert!(keys.secret.noise_budget(&out) > 0, "noise exhausted");
-            let got = enc.decode_prefix(&keys.secret.decrypt(&out), 16);
+            let got = enc.decode_prefix(&keys.secret.decrypt(&out), 256);
             assert_eq!(got, w.matvec_plain(&v, t));
         }
     }
 
     #[test]
     fn bsgs_matches_naive_oracle() {
-        // The BSGS path and the Horner oracle, each under the key set it
-        // runs with, must decrypt to the same plaintext, including at
-        // non-power-of-two logical shapes and dim 1/2 edges.
+        // The replicated path and the Horner oracle, each under the key set
+        // and input layout it runs with, must decrypt to the same N slots,
+        // including at non-power-of-two logical shapes and dim 1/2 edges.
         let params = BfvParams::small_test();
         let mut rng = rand::rngs::StdRng::seed_from_u64(13);
         let chain = KeySet::generate(&params, &mut rng);
@@ -721,42 +1057,17 @@ mod tests {
             let v: Vec<u64> = (0..cols).map(|_| rng.gen_range(0..t.value())).collect();
             let ct = encrypt_vector(&chain.public, &enc, &w, &v, &mut rng);
             let naive = matvec_naive(&chain.galois, &encode_diagonals(&enc, &w), &ct);
-            let ct = encrypt_vector(&keys.public, &enc, &w, &v, &mut rng);
-            let bsgs = matvec_precomputed(&keys.galois, &encode_diagonals_bsgs(&enc, &w), &ct);
+            let input = encode_input(&enc, &v, w.padded_dim());
+            let ct = keys.public.encrypt(&input, &mut rng);
+            let fast = matvec_precomputed(&keys.galois, &encode_diagonals_bsgs(&enc, &w), &ct);
             assert_eq!(
                 chain.secret.decrypt(&naive),
-                keys.secret.decrypt(&bsgs),
-                "naive and BSGS decryptions differ at {rows}x{cols}"
+                keys.secret.decrypt(&fast),
+                "naive and replicated decryptions differ at {rows}x{cols}"
             );
-            let got = enc.decode_prefix(&keys.secret.decrypt(&bsgs), rows);
+            let got = enc.decode_prefix(&keys.secret.decrypt(&fast), rows);
             assert_eq!(got, w.matvec_plain(&v, t));
         }
-    }
-
-    #[test]
-    fn bsgs_plan_shapes() {
-        assert_eq!(bsgs_plan(1), (1, 1));
-        assert_eq!(bsgs_plan(2), (2, 1));
-        assert_eq!(bsgs_plan(7), (3, 3));
-        assert_eq!(bsgs_plan(64), (8, 8));
-        assert_eq!(bsgs_plan(100), (10, 10));
-        assert_eq!(bsgs_plan(128), (12, 11));
-        // Key plan: babies 1..b and giants b·j, one key an element; never
-        // rotation 0.
-        let params = BfvParams::small_test();
-        let n = params.n();
-        let elements = |steps: &[usize]| {
-            let mut plan: Vec<usize> = steps.iter().map(|&k| rotation_element(n, k)).collect();
-            plan.sort_unstable();
-            plan
-        };
-        let at_128: Vec<usize> = (1..12).chain((1..11).map(|j| 12 * j)).collect();
-        assert_eq!(key_plan(&params, &[128]), elements(&at_128));
-        assert!(key_plan(&params, &[1]).is_empty());
-        assert_eq!(key_plan(&params, &[2]), [3]);
-        // Rotation 4 is a giant at 16 and a baby at 128, 8 likewise, giant
-        // 12 is shared: one key each; a dimension named twice adds nothing.
-        assert_eq!(key_plan(&params, &[128, 16, 16]), elements(&at_128));
     }
 
     #[test]
@@ -783,15 +1094,18 @@ mod tests {
 
     #[test]
     fn op_count_formula() {
-        // BSGS: 63 full switches collapse to 7 hoisted + 7 cold at d=64.
-        let c = matvec_op_count(64);
-        assert_eq!(c.pt_muls, 64);
-        assert_eq!(c.hoisted_rotations, 7);
-        assert_eq!(c.key_switches, 7);
-        assert_eq!(c.rotations(), 14);
-        assert_eq!(c.additions, 63);
-        assert_eq!(matvec_op_count(1).rotations(), 0);
-        assert_eq!(matvec_op_count(128).rotations(), 11 + 10);
+        // d = 64 at n = 4096: 64 one-diagonal replicas, 5 in-row sum
+        // steps and the swap — against the one-replica BSGS's 7 + 7.
+        let c = matvec_op_count(4096, 64);
+        assert_eq!(c.pt_muls, 1);
+        assert_eq!(c.hoisted_rotations, 0);
+        assert_eq!(c.key_switches, 6);
+        assert_eq!(c.rotations(), 6);
+        assert_eq!(c.additions, 6);
+        assert_eq!(matvec_op_count(4096, 1).rotations(), 0);
+        // d = 128: 1 baby + 1 giant over m = 4, then 4 sum steps + swap.
+        let c = matvec_op_count(4096, 128);
+        assert_eq!((c.pt_muls, c.hoisted_rotations, c.key_switches), (4, 1, 6));
         // The naive chain keeps the old shape.
         let naive = matvec_op_count_naive(64);
         assert_eq!(naive.key_switches, 63);

@@ -121,7 +121,7 @@ impl BfvParams {
     /// `N = 4096`, 62-bit `q`, 20-bit `t`. Mirrors the Gazelle/DELPHI regime
     /// (single-multiplication depth, SIMD batching, rotation support); `q`
     /// sits at the top of the `q < 2^62` lazy-arithmetic contract so the
-    /// hoisted-BSGS matvec keeps noise headroom at the largest layer
+    /// replicated matvec keeps noise headroom at the largest layer
     /// dimensions.
     pub fn default_pi() -> Self {
         Self::new(4096, 62, 20)

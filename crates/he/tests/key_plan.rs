@@ -1,9 +1,10 @@
 //! The rotation-key plan is the key set: for single dimensions (including
-//! the no-rotation `d = 1` and no-giant `d = 2` edges) and for mixed sets
-//! in which dimensions repeat, nest and share elements across the baby and
-//! giant roles (one key an element, whatever its roles),
+//! the no-rotation `d = 1` edge and the one-diagonal-per-replica `d = 2`,
+//! `4`, `16`) and for mixed sets in which dimensions repeat, nest and share
+//! elements across the baby, giant and rotate-and-sum roles (one key an
+//! element, whatever its roles),
 //! `KeySet::generate_for_dims` holds exactly `linalg::key_plan`'s entries in
-//! its order, the BSGS matvec runs on that set at every dimension named and
+//! its order, the replicated matvec runs on that set at every dimension named and
 //! decrypts to the plaintext product, and a one-job batch is the plain call
 //! bit for bit. The same dimensions pin the upload frame: the client's frame
 //! writer, the encoder of a generated key set and the re-encoding of a
@@ -14,8 +15,8 @@
 
 use pi_field::simd::{clear_forced_backend, force_backend, SimdBackend};
 use pi_he::linalg::{
-    encode_diagonals_bsgs, encrypt_vector, key_plan, matvec_precomputed, matvec_precomputed_many,
-    PlainMatrix,
+    encode_diagonals_bsgs, encode_input, key_plan, matvec_precomputed, matvec_precomputed_many,
+    Packing, PlainMatrix,
 };
 use pi_he::{
     galois_keys_frame, galois_keys_frame_entries, galois_keys_from_bytes,
@@ -59,7 +60,7 @@ fn generated_keys_are_the_plan_and_the_matvec_runs_on_them() {
                 .collect();
             let w = PlainMatrix::new(dim, dim, &data, t);
             let v: Vec<u64> = (0..dim).map(|_| rng.gen_range(0..t.value())).collect();
-            let ct = encrypt_vector(&keys.public, &enc, &w, &v, &mut rng);
+            let ct = keys.public.encrypt(&encode_input(&enc, &v, dim), &mut rng);
             let diag = encode_diagonals_bsgs(&enc, &w);
             let prod = matvec_precomputed(&keys.galois, &diag, &ct);
             assert_eq!(
@@ -76,37 +77,40 @@ fn generated_keys_are_the_plan_and_the_matvec_runs_on_them() {
 }
 
 /// An element has one key however many dimensions claim it, in whichever
-/// role: at `[128, 64, 16]` rotations 4 and 8 are babies at 128 and giants
-/// at 16 (8 also at 64), and 1–7, 16, 24, 48 are claimed twice or thrice —
-/// 25 keys for 41 claims.
+/// role: at `[128, 64, 16]` (n = 2048) rotation 1 is a baby at 128 and at
+/// 64, 64 and 128 are rotate-and-sum steps at 64 and at 16 (128, 256
+/// and 512 also at 128), and the row swap closes both 128 and 64 — 11 keys
+/// for 18 claims.
 #[test]
 fn the_plan_holds_each_element_once_at_mixed_dims() {
     let params = BfvParams::small_test();
     let n = params.n();
     let claims = |dims: &[usize]| -> Vec<usize> {
         let per_dim = dims.iter().flat_map(|&d| {
-            let (b, g) = pi_he::linalg::bsgs_plan(d);
-            (1..b.min(d)).chain((1..g).map(move |j| j * b))
+            let p = Packing::new(n, d);
+            let b = p.baby();
+            let steps = (1..b).chain((1..p.giant()).map(move |j| j * b));
+            let rotations = steps.chain(p.sum_rotations());
+            let rotations = rotations.map(|k| pi_he::keys::rotation_element(n, k));
+            rotations.chain(p.swaps_rows().then_some(2 * n - 1))
         });
-        per_dim
-            .map(|k| pi_he::keys::rotation_element(n, k))
-            .collect()
+        per_dim.collect()
     };
     let dims = [128, 64, 16];
     let plan = key_plan(&params, &dims);
     let mut unique = claims(&dims);
-    assert_eq!(unique.len(), 21 + 14 + 6);
+    assert_eq!(unique.len(), 8 + 6 + 4);
     unique.sort_unstable();
     unique.dedup();
     assert_eq!(plan, unique);
-    assert_eq!(plan.len(), 25);
+    assert_eq!(plan.len(), 11);
     // Order and repetition of the dimensions change nothing.
     assert_eq!(key_plan(&params, &[16, 128, 64, 16, 128]), plan);
     let mut rng = rand::rngs::StdRng::seed_from_u64(899);
     let keys = KeySet::generate_for_dims(&params, &dims, &mut rng);
     assert_eq!(
         keys.galois.resident_byte_len(),
-        GaloisKeys::resident_byte_len_of(&params, 25)
+        GaloisKeys::resident_byte_len_of(&params, 11)
     );
 }
 
@@ -165,7 +169,7 @@ fn the_upload_frame_is_one_byte_string_however_it_is_made() {
             .collect();
         let w = PlainMatrix::new(dim, dim, &data, t);
         let v: Vec<u64> = (0..dim).map(|_| rng.gen_range(0..t.value())).collect();
-        let ct = encrypt_vector(&keys.public, &enc, &w, &v, &mut rng);
+        let ct = keys.public.encrypt(&encode_input(&enc, &v, dim), &mut rng);
         let prod = matvec_precomputed(&decoded, &encode_diagonals_bsgs(&enc, &w), &ct);
         assert_eq!(
             enc.decode_prefix(&secret.decrypt(&prod), dim),
@@ -218,9 +222,7 @@ fn a_frame_decoded_into_a_retired_key_set_is_the_frame_decoded() {
             .collect();
         let w = PlainMatrix::new(dim, dim, &data, t);
         let v: Vec<u64> = (0..dim).map(|_| rng.gen_range(0..t.value())).collect();
-        let mut padded = v.clone();
-        padded.resize(w.padded_dim(), 0);
-        let (ct, _) = secret.encrypt_seeded(&enc.encode_periodic(&padded), &mut rng);
+        let (ct, _) = secret.encrypt_seeded(&encode_input(&enc, &v, dim), &mut rng);
         let diag = encode_diagonals_bsgs(&enc, &w);
         let want = matvec_precomputed(&fresh, &diag, &ct);
         assert_eq!(

@@ -34,15 +34,18 @@ fn galois_key_bytes(n: usize) -> usize {
 }
 
 /// Galois key material (bytes) a client uploads for one padded layer
-/// dimension under the hoisted baby-step/giant-step key set implemented in
-/// `pi-he`: `(⌈√d⌉ − 1)` baby elements plus `(⌈d/⌈√d⌉⌉ − 1)` giant
-/// elements, one key each.
+/// dimension under the replicated-diagonal key set implemented in `pi-he`:
+/// `c = min(n/d, d)` replicas of `m = d/c` diagonal steps each, so
+/// `(⌈√m⌉ − 1)` baby elements, `(⌈m/⌈√m⌉⌉ − 1)` giant elements,
+/// `log₂ min(c, n/2d)` rotate-and-sum rotations and, when the replicas span
+/// both slot rows (`c·d > n/2`), the row swap — one key each.
 ///
 /// An analysis-side mirror of `pi_he::linalg::key_plan` for one dimension
 /// — the whole key set a client of a one-layer model generates and
 /// uploads; there is no composition chain on top — for what-if sizing at
 /// dimensions no instantiated model has (pi-sim deliberately has no pi-he
-/// dependency, so the key shape and the ⌈√d⌉ split are restated here; a
+/// dependency, so the key shape, the replica count and the ⌈√m⌉ split are
+/// restated here, and `tests/cost_model.rs` holds the two equal; a
 /// multi-layer model's plan is the union over its dimensions, and the
 /// implementation-measured figure in
 /// `pi_core::CostReport::galois_key_bytes` stays authoritative).
@@ -50,15 +53,17 @@ fn galois_key_bytes(n: usize) -> usize {
 /// remains the paper-calibrated anchor for the modeled SEAL-style system
 /// and is intentionally not replaced by this finer model.
 pub fn galois_key_bytes_bsgs(dim: usize, n: usize) -> f64 {
-    if dim <= 1 {
-        return 0.0;
-    }
-    let mut b = (dim as f64).sqrt() as usize;
-    while b * b < dim {
+    let replicas = (n / dim).min(dim);
+    let steps = dim / replicas;
+    let mut b = (steps as f64).sqrt() as usize;
+    while b * b < steps {
         b += 1;
     }
-    let g = dim.div_ceil(b);
-    ((b.min(dim) - 1 + g - 1) * galois_key_bytes(n)) as f64
+    let g = steps.div_ceil(b);
+    let row = n / 2;
+    let sums = ((replicas * dim).min(row) / dim).trailing_zeros() as usize;
+    let swap = usize::from(replicas * dim > row);
+    ((b - 1 + g - 1 + sums + swap) * galois_key_bytes(n)) as f64
 }
 
 /// Galois key material (bytes) of the full per-rotation set the BSGS set
@@ -433,16 +438,17 @@ mod tests {
     #[test]
     fn bsgs_key_material_reports_storage_win() {
         // Every key is the same size, so the saving is the element count's:
-        // 127 rotations against 11 babies + 10 giants at a 128-wide layer
-        // (6.05×), and it grows with the dimension (1023 against 31 + 31).
+        // 127 rotations against 1 baby + 1 giant + 4 rotate-and-sum steps +
+        // the row swap at a 128-wide layer (18.1×), and it grows with the
+        // dimension (1023 against 15 + 15 + 1 + 1).
         let n = 4096;
         let bsgs = galois_key_bytes_bsgs(128, n);
         let full = galois_key_bytes_per_rotation(128, n);
-        assert_eq!(bsgs, (21 * 8 * n * 8) as f64);
-        assert_eq!(full / bsgs, 127.0 / 21.0);
+        assert_eq!(bsgs, (7 * 8 * n * 8) as f64);
+        assert_eq!(full / bsgs, 127.0 / 7.0);
         let bsgs_1k = galois_key_bytes_bsgs(1024, n);
         let full_1k = galois_key_bytes_per_rotation(1024, n);
-        assert_eq!(full_1k / bsgs_1k, 1023.0 / 62.0);
+        assert_eq!(full_1k / bsgs_1k, 1023.0 / 32.0);
         // Degenerate dims carry no rotation keys at all.
         assert_eq!(galois_key_bytes_bsgs(1, n), 0.0);
         assert_eq!(galois_key_bytes_per_rotation(1, n), 0.0);

@@ -27,7 +27,7 @@
 //! | `counters` | no    | yes            | +1 relaxed `fetch_add` (+ a thread-local add inside a local scope) |
 //! | `full`     | yes   | yes            | counters cost, plus `Instant` + one short mutex hold per span *exit* |
 //!
-//! Counter mode is budgeted at **<2%** on the hoisted BSGS matvec
+//! Counter mode is budgeted at **<2%** on the replicated matvec
 //! (`pi_he::linalg::matvec_precomputed` at d = 128; enforced by
 //! `tests/trace_overhead.rs`); `off` must be bit-identical to
 //! untraced behavior. Instrumentation sites honor the contract by counting

@@ -136,6 +136,79 @@ fn the_noise_gauge_reads_where_the_protocol_decrypts() {
     }
 }
 
+/// A response leaks nothing but `W·r − s`: the client half is played by
+/// hand against a real server session (`drive_sync`, both garbler kinds,
+/// `tiny_resnet`: padded dims 64 to 256, two-input phases), uploading the
+/// model's key plan and each phase's `r_cat` in the replicated layout, and
+/// every one of the `N` slots of every `E(W·r − s)` it gets back must
+/// decrypt to the complete share of its row, `(W·r − s)[i mod d]`: the
+/// same in every replica (a partial sum over some of `W`'s columns in any
+/// slot would differ from it) and zero in the padding rows. The first
+/// `rows` slots plus the server's `s` are `W·r`, as every bit-exact
+/// inference above shows.
+#[test]
+fn every_response_slot_holds_the_complete_share() {
+    use pi_core::channel::local_pair;
+    use pi_core::msg::Msg;
+    use pi_core::serve::session::drive_sync;
+    use pi_core::{ModelMeta, ServerPrecomp};
+    use pi_he::{linalg, BatchEncoder, SecretKey};
+    use std::sync::Arc;
+
+    let s = setup(&zoo::tiny_resnet(), 800);
+    let meta = ModelMeta::of(&s.model);
+    let enc = BatchEncoder::new(&s.he);
+    let p = s.model.p;
+    for kind in [ProtocolKind::ServerGarbler, ProtocolKind::ClientGarbler] {
+        let cfg = match kind {
+            ProtocolKind::ServerGarbler => ProtocolConfig::server_garbler(s.he.clone()),
+            ProtocolKind::ClientGarbler => ProtocolConfig::client_garbler(s.he.clone(), 2),
+        };
+        let pre = ServerPrecomp::new(&s.model, &cfg);
+        let (client, server) = local_pair();
+        std::thread::scope(|scope| {
+            // The server stops with a channel error once the client hangs
+            // up after the linear responses; only they are under test.
+            scope.spawn(|| {
+                let rng = rand::rngs::StdRng::seed_from_u64(801);
+                let _ = drive_sync(&s.model, &pre, &cfg, &server, rng);
+            });
+            let mut rng = rand::rngs::StdRng::seed_from_u64(802);
+            let secret = SecretKey::generate(&s.he, &mut rng);
+            let frame = pi_he::galois_keys_frame(&secret, &meta.key_plan(&s.he), &mut rng);
+            client.send(Msg::HeKeys(Arc::new(frame))).expect("upload");
+            let r_cats: Vec<Vec<u64>> = (s.model.phases.iter())
+                .map(|ph| (0..ph.cols).map(|_| rng.gen_range(0..p.value())).collect())
+                .collect();
+            for (ph, r) in meta.phases.iter().zip(&r_cats) {
+                let input = linalg::encode_input(&enc, r, ph.padded_dim);
+                let (ct, seed) = secret.encrypt_seeded(&input, &mut rng);
+                let frame = pi_he::ciphertext_to_bytes_seeded(&ct, &seed);
+                client.send(Msg::HeCts(vec![frame])).expect("upload");
+            }
+            for (ph, r) in s.model.phases.iter().zip(&r_cats) {
+                let Ok(Msg::HeCts(frames)) = client.recv() else {
+                    panic!("{kind:?}: no linear response");
+                };
+                let ct = pi_he::ciphertext_from_bytes(&frames[0], &s.he).expect("frame");
+                let slots = enc.decode(&secret.decrypt_switched(&ct));
+                let d = ph.rows.max(ph.cols).next_power_of_two();
+                let share = &slots[..ph.rows];
+                for (i, &y) in slots.iter().enumerate() {
+                    let want = share.get(i % d).copied().unwrap_or(0);
+                    assert_eq!(y, want, "{kind:?}: slot {i} of a {d}-wide phase");
+                }
+                // The share is what a client completes to W·r with s: not
+                // a constant, so the check above compared real values.
+                let w = pi_he::linalg::PlainMatrix::new(ph.rows, ph.cols, &ph.matrix, p);
+                let wr = w.matvec_plain(r, p);
+                assert_ne!(share, &wr[..], "{kind:?}: the share must be masked by s");
+            }
+            drop(client);
+        });
+    }
+}
+
 /// Residual networks (two-input phases) through the full stack.
 #[test]
 fn residual_network_he_end_to_end() {

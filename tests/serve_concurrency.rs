@@ -331,11 +331,13 @@ fn relay(from: &Channel, to: &Channel) -> Transcript {
 /// the base-OT messages carry 32-byte compressed edwards25519 points, one
 /// `r·G` for the whole batch (32, 32·128 and 32 + 32·128 bytes), and
 /// `HeKeys` is one rotation-key frame holding the model's key plan —
-/// 23 entries, 425 digits — with no composition chain and no public key.
+/// 11 entries of two digits (the replicated schedule's rotations at
+/// {128, 128, 16}, n = 2048), 8 + 62 + 11 · 52 228 bytes — with no
+/// composition chain and no public key.
 /// A `GcTables` message is `rows · (8 + 133 · 32) + 8` bytes: 133 ANDs per
 /// truncating ReLU since `CircuitBuilder::build` drops dead gates.
 fn pinned_transcript(kind: ProtocolKind) -> (Transcript, Transcript) {
-    let he_up = [("HeKeys", 1_096_858), ("HeCts", 15_938), ("HeCts", 15_938)];
+    let he_up = [("HeKeys", 574_578), ("HeCts", 15_938), ("HeCts", 15_938)];
     let he_down = [("HeCts", 23_074); 3];
     let (up, down): (&[_], &[_]) = match kind {
         ProtocolKind::ClientGarbler => (

@@ -3,7 +3,7 @@
 //! * `PI_TRACE=off` must be *bit-identical* — tracing may never perturb
 //!   protocol results, only observe them.
 //! * `counters` mode must be cheap enough to leave on in release: the
-//!   target is <2% on the hoisted BSGS matvec at d = 128 (the HE kernel
+//!   target is <2% on the replicated matvec at d = 128 (the HE kernel
 //!   the protocol spends its linear-layer time in; one call crosses the
 //!   `he.hoist`, `he.rotation`, `he.key_switch` and NTT counters and runs
 //!   for milliseconds, well above timer noise). Counting happens at batch
@@ -34,10 +34,12 @@ fn mode_lock() -> MutexGuard<'static, ()> {
         .unwrap_or_else(|e| e.into_inner())
 }
 
-/// Matvec dimension of the HE fixture: 12 baby and 11 giant rotations.
+/// Matvec dimension of the HE fixture: at n = 2048, 16 replicas of 8 steps —
+/// 2 baby and 2 giant rotations, then 3 rotate-and-sum rotations and the
+/// row swap.
 const DIM: usize = 128;
 
-/// A seeded `DIM × DIM` matvec: keys, BSGS-encoded matrix, encrypted vector.
+/// A seeded `DIM × DIM` matvec: keys, packed matrix, encrypted input.
 struct MatvecFixture {
     keys: KeySet,
     enc: BatchEncoder,
@@ -57,7 +59,9 @@ impl MatvecFixture {
         let w = PlainMatrix::new(DIM, DIM, &draw(DIM * DIM), t);
         let v = draw(DIM);
         let diags = linalg::encode_diagonals_bsgs(&enc, &w);
-        let ct = linalg::encrypt_vector(&keys.public, &enc, &w, &v, &mut rng);
+        let ct = keys
+            .public
+            .encrypt(&linalg::encode_input(&enc, &v, DIM), &mut rng);
         Self {
             keys,
             enc,
@@ -130,7 +134,7 @@ fn off_and_full_modes_are_bit_identical() {
     assert!(rep_full.trace.counter("gc.relu").unwrap_or(0) > 0);
 }
 
-/// Counters mode on the BSGS matvec. Interleaved single-call trials with
+/// Counters mode on the replicated matvec. Interleaved single-call trials with
 /// min-statistics (the minimum is the least noise-contaminated estimate of
 /// the true cost). On a shared host the two minima can sit a few percent
 /// apart after thirty trials, so sampling continues in blocks, both minima
