@@ -335,23 +335,21 @@ mod tests {
 
     /// The precompute table is charged the operands a precomputation holds:
     /// in HE mode exactly its packed diagonals — one per in-replica step,
-    /// for tiny_cnn at n = 2048 8 + 8 + 1 of them, not one per diagonal
-    /// (128 + 128 + 16) — each `n` values and `n` Shoup quotients of 8
-    /// bytes under `q`, and as much again under `P` for the 5 + 5 steps off
-    /// the identity baby.
+    /// for tiny_cnn at n = 2048 8 + 8 + 1 of them (16 replicas each), not
+    /// one per diagonal (128 + 128 + 16) — each `n` values and `n` Shoup
+    /// quotients of 8 bytes under `q`, and as much again under `P` for the
+    /// 5 + 5 steps off the identity baby (`m = 8` steps in 3 giant groups,
+    /// each led by one identity step).
     #[test]
     fn he_precomp_charges_the_table_budget_its_operands() {
         let he = BfvParams::small_test();
         let model = build_model(&zoo::tiny_cnn(), &he, 3);
         let cfg = ProtocolConfig::server_garbler(he.clone());
-        let packings: Vec<_> = ModelMeta::of(&model)
-            .phases
-            .iter()
-            .map(|ph| pi_he::linalg::Packing::new(he.n(), ph.padded_dim))
+        let dims: Vec<usize> = (ModelMeta::of(&model).phases.iter())
+            .map(|ph| ph.padded_dim)
             .collect();
-        let operands: usize = packings.iter().map(|p| p.steps()).sum();
-        let off_identity: usize = packings.iter().map(|p| p.steps() - p.giant()).sum();
-        assert_eq!((operands, off_identity), (17, 10));
+        assert_eq!(dims, [128, 128, 16]);
+        let (operands, off_identity) = (8 + 8 + 1, 5 + 5);
         let charge = ServerPrecomp::new(&model, &cfg).resident_byte_len();
         assert_eq!(charge, ((operands + off_identity) * he.n() * 16) as u64);
     }

@@ -14,7 +14,7 @@
 //! phase of padded dimension `d` cuts the slots into `N/d` blocks of `d`.
 //! Following Gazelle's replicated packing (Juvekar et al., USENIX Security
 //! 2018), the blocks are `c` **replicas** that split the `d` diagonals
-//! between them, `m = d/c` each ([`Packing`]):
+//! between them, `m = d/c` each:
 //!
 //! * **Input** ([`encode_input`]): block `ρ` holds `r` rotated left by
 //!   `(ρ mod c)·m` — written by the client in cleartext, for free.
@@ -82,9 +82,13 @@
 //! copies add coherently (up to `c`), so the fresh noise of the upload
 //! sets the margin. On the protocol's seeded symmetric upload the decrypt
 //! keeps 8–9 bits at every zoo dimension on `n = 4096` (the one-replica
-//! BSGS kept 8–9); a public-key encryption carries ≈ 6 more bits of fresh
-//! noise and ends 3–5 bits under the naive chain. `tests/noise_probe.rs`
-//! records the margins per dimension and ring, and `tests/end_to_end.rs`
+//! BSGS kept 8–9). A public-key encryption carries ≈ 6 more bits of fresh
+//! noise, so the same coherent sum leaves it 2 bits at `n = 4096` (3 at
+//! `n = 2048`), up to 5 bits under the naive chain and under the 5–9 the
+//! one-replica BSGS kept on such an input. That loss is the price of the
+//! layout and is accepted: the protocol only ever uploads seeded symmetric
+//! encryptions. `tests/noise_probe.rs` records the margins per dimension and
+//! ring and holds each at its measured floor, and `tests/end_to_end.rs`
 //! gauges the protocol's decrypt on the `n = 2048` test ring.
 //!
 //! # Why the response leaks nothing more than `W·r`
@@ -232,11 +236,12 @@ pub fn bsgs_plan(steps: usize) -> (usize, usize) {
 /// How a linear phase of padded dimension `d` fills the `n` slots of one
 /// ciphertext, and the rotation schedule that follows from it (module
 /// docs): `c = min(n/d, d)` replicas of `m = d/c` diagonal steps each, a
-/// [`bsgs_plan`] over `m`, and a rotate-and-sum across the replicas. A pure
-/// function of `(n, d)`: the client's input layout, the server's packed
-/// operands and kernel, [`key_plan`] and [`matvec_op_count`] all read it.
+/// [`bsgs_plan`] over `m` (`baby`, `giant`), and a rotate-and-sum across
+/// the replicas. A pure function of `(n, d)`: the client's input layout,
+/// the server's packed operands and kernel, [`key_plan`] and
+/// [`matvec_op_count`] all read it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Packing {
+struct Packing {
     n: usize,
     dim: usize,
     replicas: usize,
@@ -251,7 +256,7 @@ impl Packing {
     ///
     /// Panics unless `dim` is a power of two no larger than the row size
     /// `n/2`.
-    pub fn new(n: usize, dim: usize) -> Self {
+    fn new(n: usize, dim: usize) -> Self {
         assert!(
             dim.is_power_of_two() && dim <= n / 2,
             "matrix dimension {dim} is not a power of two within the slot row size {}",
@@ -268,37 +273,22 @@ impl Packing {
         }
     }
 
-    /// The replica count `c = min(n/d, d)`.
-    pub fn replicas(&self) -> usize {
-        self.replicas
-    }
-
     /// The diagonal steps each replica takes, `m = d/c` — one packed
     /// operand and one plaintext product each.
-    pub fn steps(&self) -> usize {
+    fn steps(&self) -> usize {
         self.dim / self.replicas
-    }
-
-    /// The baby-step count `b = ⌈√m⌉`.
-    pub fn baby(&self) -> usize {
-        self.baby
-    }
-
-    /// The giant-step count `g = ⌈m/b⌉`.
-    pub fn giant(&self) -> usize {
-        self.giant
     }
 
     /// The in-row rotations of the rotate-and-sum, in order: `d, 2d, …`
     /// below `min(c·d, n/2)`.
-    pub fn sum_rotations(&self) -> impl Iterator<Item = usize> {
+    fn sum_rotations(&self) -> impl Iterator<Item = usize> {
         let span = (self.replicas * self.dim).min(self.n / 2);
         std::iter::successors(Some(self.dim), |&k| Some(2 * k)).take_while(move |&k| k < span)
     }
 
     /// Whether the replicas span both rows, so the rotate-and-sum ends with
     /// the row swap.
-    pub fn swaps_rows(&self) -> bool {
+    fn swaps_rows(&self) -> bool {
         self.replicas * self.dim > self.n / 2
     }
 
@@ -338,7 +328,7 @@ impl Packing {
 /// [`matvec_precomputed_many`] reads at one of them — per dimension the
 /// in-replica baby rotations `1..b` and giant rotations `b·j`, the
 /// rotate-and-sum's rotations `d, 2d, …` and, where the replicas span both
-/// rows, the row swap `2N − 1` ([`Packing`]); rotation 0 needs no key.
+/// rows, the row swap `2N − 1` (module docs); rotation 0 needs no key.
 /// Sorted ascending, each element once: a rotation that plays several
 /// roles, at one dimension or across several, is one element with one key.
 ///
@@ -349,8 +339,8 @@ impl Packing {
 ///
 /// # Panics
 ///
-/// Panics as [`Packing::new`] does on a dimension that is not a power of
-/// two within the row size.
+/// Panics on a dimension that is not a power of two within the row size
+/// `N/2`.
 pub fn key_plan(params: &BfvParams, dims: &[usize]) -> Vec<usize> {
     let n = params.n();
     let mut plan: Vec<usize> = (dims.iter())
@@ -367,7 +357,8 @@ pub fn key_plan(params: &BfvParams, dims: &[usize]) -> Vec<usize> {
 ///
 /// # Panics
 ///
-/// Panics if `values` is longer than `dim`, or as [`Packing::new`] does.
+/// Panics if `values` is longer than `dim`, or unless `dim` is a power of
+/// two within the row size.
 pub fn encode_input(enc: &BatchEncoder, values: &[u64], dim: usize) -> Plaintext {
     assert!(values.len() <= dim, "input longer than the phase dimension");
     let packing = Packing::new(enc.slot_count(), dim);
@@ -486,6 +477,14 @@ pub fn encode_diagonals_bsgs(enc: &BatchEncoder, w: &PlainMatrix) -> BsgsDiagona
 /// offline-phase hot path, and the one-job call of
 /// [`matvec_precomputed_many`] (see the module docs for the decomposition
 /// and noise shape).
+///
+/// Only the protocol's upload — a seeded symmetric encryption
+/// ([`crate::SecretKey::encrypt_seeded`]) — keeps the ≥ 7-bit decrypt margin
+/// at every zoo dimension. A public-key encryption of the same input
+/// decrypts correctly but with less: ≥ 3 bits at `n = 2048` and ≥ 2 at
+/// `n = 4096` (up to 5 bits under the naive chain), because the
+/// rotate-and-sum grows its larger fresh noise coherently. The protocol
+/// never runs one through here.
 ///
 /// # Panics
 ///
@@ -740,7 +739,7 @@ impl MatvecOpCount {
 }
 
 /// Operation count of the replicated [`matvec_precomputed`] for a
-/// `dim`-wide phase in a ring of degree `n` ([`Packing`]): `m = d/c`
+/// `dim`-wide phase in a ring of degree `n` (module docs): `m = d/c`
 /// plaintext products, `⌈√m⌉ − 1` hoisted baby rotations, `⌈m/⌈√m⌉⌉ − 1`
 /// giant key switches and `log₂ c` rotate-and-sum switches — exactly the
 /// `he.rotation` counter's delta around one call.
@@ -907,9 +906,9 @@ mod tests {
             let p = Packing::new(n, d);
             let sums: Vec<usize> = p.sum_rotations().collect();
             (
-                p.replicas(),
+                p.replicas,
                 p.steps(),
-                (p.baby(), p.giant()),
+                (p.baby, p.giant),
                 sums,
                 p.swaps_rows(),
             )
@@ -1026,14 +1025,19 @@ mod tests {
         assert_eq!(diag.dim(), 256);
         // c = 8 replicas of m = 32 steps: 32 operands instead of 256, the
         // 26 off the identity baby (b = 6, g = 6) with a P residue too.
-        assert_eq!(diag.packing.replicas(), 8);
+        assert_eq!(diag.packing.replicas, 8);
         assert_eq!(diag.resident_byte_len(), (32 + 26) * 16 * params.n());
-        // One precomputation serves many client vectors.
-        for _ in 0..2 {
+        // One precomputation serves many client vectors: the protocol's
+        // seeded symmetric uploads and a public-key encryption, whose
+        // thinner margin (module docs) must still decrypt.
+        for round in 0..3 {
             let v: Vec<u64> = (0..256).map(|_| rng.gen_range(0..t.value())).collect();
-            let (ct, _) = keys
-                .secret
-                .encrypt_seeded(&encode_input(&enc, &v, 256), &mut rng);
+            let input = encode_input(&enc, &v, 256);
+            let ct = if round < 2 {
+                keys.secret.encrypt_seeded(&input, &mut rng).0
+            } else {
+                keys.public.encrypt(&input, &mut rng)
+            };
             let out = matvec_precomputed(&keys.galois, &diag, &ct);
             assert!(keys.secret.noise_budget(&out) > 0, "noise exhausted");
             let got = enc.decode_prefix(&keys.secret.decrypt(&out), 256);

@@ -16,7 +16,7 @@
 use pi_field::simd::{clear_forced_backend, force_backend, SimdBackend};
 use pi_he::linalg::{
     encode_diagonals_bsgs, encode_input, key_plan, matvec_precomputed, matvec_precomputed_many,
-    Packing, PlainMatrix,
+    PlainMatrix,
 };
 use pi_he::{
     galois_keys_frame, galois_keys_frame_entries, galois_keys_from_bytes,
@@ -85,24 +85,33 @@ fn generated_keys_are_the_plan_and_the_matvec_runs_on_them() {
 fn the_plan_holds_each_element_once_at_mixed_dims() {
     let params = BfvParams::small_test();
     let n = params.n();
-    let claims = |dims: &[usize]| -> Vec<usize> {
-        let per_dim = dims.iter().flat_map(|&d| {
-            let p = Packing::new(n, d);
-            let b = p.baby();
-            let steps = (1..b).chain((1..p.giant()).map(move |j| j * b));
-            let rotations = steps.chain(p.sum_rotations());
-            let rotations = rotations.map(|k| pi_he::keys::rotation_element(n, k));
-            rotations.chain(p.swaps_rows().then_some(2 * n - 1))
-        });
-        per_dim.collect()
+    let elements = |rotations: &[usize], swap: bool| {
+        let mut plan: Vec<usize> = (rotations.iter())
+            .map(|&k| pi_he::keys::rotation_element(n, k))
+            .collect();
+        plan.extend(swap.then_some(2 * n - 1));
+        plan.sort_unstable();
+        plan
     };
+    // d = 128: c = 16 replicas of m = 8 steps — babies 1, 2, giants 3, 6 —
+    // summed by 128, 256, 512 and the swap.
+    let at_128 = elements(&[1, 2, 3, 6, 128, 256, 512], true);
+    // d = 64: c = 32 replicas of m = 2 steps — baby 1 — summed by 64, 128,
+    // 256, 512 and the swap.
+    let at_64 = elements(&[1, 64, 128, 256, 512], true);
+    // d = 16: sixteen one-diagonal replicas within a row, summed by 16..128.
+    let at_16 = elements(&[16, 32, 64, 128], false);
+    assert_eq!(key_plan(&params, &[128]), at_128);
+    assert_eq!(key_plan(&params, &[64]), at_64);
+    assert_eq!(key_plan(&params, &[16]), at_16);
+    assert_eq!(at_128.len() + at_64.len() + at_16.len(), 18);
+
     let dims = [128, 64, 16];
     let plan = key_plan(&params, &dims);
-    let mut unique = claims(&dims);
-    assert_eq!(unique.len(), 8 + 6 + 4);
-    unique.sort_unstable();
-    unique.dedup();
-    assert_eq!(plan, unique);
+    assert_eq!(
+        plan,
+        elements(&[1, 2, 3, 6, 16, 32, 64, 128, 256, 512], true)
+    );
     assert_eq!(plan.len(), 11);
     // Order and repetition of the dimensions change nothing.
     assert_eq!(key_plan(&params, &[16, 128, 64, 16, 128]), plan);

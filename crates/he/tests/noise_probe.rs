@@ -26,8 +26,14 @@
 //! decrypt. A public-key encryption carries ≈ 6 more bits of fresh noise,
 //! which the coherent rotate-and-sum grows by up to `c`; the naive chain
 //! sums `d` different diagonals' terms and grows it by about `√d` — so
-//! there the replicated path ends 3–5 bits under the oracle, still
-//! decrypting. A change that eats the protocol margin (a narrower special
+//! there the replicated path ends 1–5 bits under the oracle and up to 5
+//! under what the one-replica BSGS kept on the same input (9, 7 and 5–6
+//! bits at d = 16, 64, 128). The protocol never runs a public-key encryption
+//! through the matvec, so that loss is accepted, but not left to drift:
+//! the guard holds it at its measured floor (≥ 3 bits at n = 2048, ≥ 2 at
+//! n = 4096) and at most 5 bits under the naive chain, and the naive chain
+//! itself at ≥ 5 bits up to d = 128 (4 at d = 256, where its `√d` growth
+//! is largest). A change that eats a margin (a narrower special
 //! prime, uncentered operands, a smaller `q`, a division back under a
 //! plaintext product) fails here before it corrupts end-to-end decryptions.
 //! The d = 16 shape stands for a phase with few product terms (a 3×3 conv
@@ -80,9 +86,11 @@ fn noise_margins() {
     // distribution.
     for n in [2048usize, 4096] {
         let params = BfvParams::new(n, 62, 20);
+        let public_floor = if n == 2048 { 3 } else { 2 };
         // Worst protocol-upload budget over the seeds, per dimension.
         let mut worst = [u32::MAX; 4];
         for (dim, worst) in [16usize, 64, 128, 256].into_iter().zip(&mut worst) {
+            let naive_floor = if dim <= 128 { 5 } else { 4 };
             for seed in 0..3u64 {
                 let [upload, public, naive] = probe(&params, dim, seed * 1000 + (n + dim) as u64);
                 println!(
@@ -90,7 +98,7 @@ fn noise_margins() {
                      {public} on a public-key encryption; naive {naive}"
                 );
                 assert!(
-                    naive >= 4,
+                    naive >= naive_floor,
                     "naive margin collapsed at n={n} dim={dim} seed={seed}: {naive} bits"
                 );
                 assert!(
@@ -98,9 +106,14 @@ fn noise_margins() {
                     "replicated margin collapsed at n={n} dim={dim} seed={seed}: {upload} bits"
                 );
                 assert!(
-                    public >= 1,
-                    "replicated matvec of a public-key encryption lost its margin at n={n} \
-                     dim={dim} seed={seed}"
+                    public >= public_floor,
+                    "replicated matvec of a public-key encryption fell to {public} bits at \
+                     n={n} dim={dim} seed={seed} (floor {public_floor})"
+                );
+                assert!(
+                    naive.saturating_sub(public) <= 5,
+                    "replicated margin {public} bits on a public-key encryption is more than \
+                     5 under the naive chain's {naive} at n={n} dim={dim} seed={seed}"
                 );
                 *worst = (*worst).min(upload);
             }
