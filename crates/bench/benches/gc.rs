@@ -12,14 +12,20 @@
 //! The `relu_phase_8192` group is one phase of the ledger's `relu_heavy`
 //! workload: 8192 instances, the scale where a kernel's layout (not its
 //! AES) shows. Divide a time by its `thrpt` element count for ns per AND.
+//! It then times each kernel on one thread against split across the
+//! host's cores, alternating the two (`csv,par_threads,<t>` and
+//! `csv,par_ab,…`, printed under `--test` too).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use pi_bench::one_thread_vs_split;
 use pi_gc::aes::{self, AesBackend};
 use pi_gc::circuit::{from_bits, to_bits};
 use pi_gc::garble::{evaluate, evaluate_many, garble, garble_many};
+use pi_gc::par;
 use pi_gc::relu::{relu_trunc_circuit, relu_trunc_reference};
 use pi_gc::Circuit;
 use rand::{Rng, SeedableRng};
+use std::hint::black_box;
 
 fn bench_gc(c: &mut Criterion) {
     let auto = aes::auto_backend();
@@ -119,6 +125,12 @@ fn relu_phase_8192(c: &mut Criterion, p: u64, circuit: &Circuit) {
         b.iter(|| evaluate_many(circuit, &tables, &label_inputs))
     });
     group.finish();
+
+    println!("csv,par_threads,{}", par::threads());
+    let garble = || _ = black_box(garble_many(circuit, m, &mut rng));
+    one_thread_vs_split(&format!("garble{m}"), garble, 5);
+    let evaluate = || _ = black_box(evaluate_many(circuit, &tables, &label_inputs));
+    one_thread_vs_split(&format!("evaluate{m}"), evaluate, 5);
 }
 
 criterion_group!(benches, bench_gc);

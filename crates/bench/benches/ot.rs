@@ -5,7 +5,9 @@
 //! blocked SWAR transpose, batched transfer masks) against the retained
 //! bool-matrix `ext::reference` oracle on identical setups and inputs.
 //! Prints `csv,aes_backend,<name>` so CI can assert the hardware AES
-//! dispatch engaged.
+//! dispatch engaged. At one `relu_heavy` phase's 163 840 OTs, each kernel
+//! runs on one thread and split across the host's cores
+//! (`csv,par_threads,<t>` and `csv,par_ab,…`, printed under `--test` too).
 //!
 //! The `base_ot` group times the edwards25519 arithmetic behind the 128 base
 //! OTs piece by piece, and `setup_in_process` itself (what the ledger
@@ -14,8 +16,8 @@
 //! loop, printed under `--test` too, which CI greps for).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use pi_bench::median_ns;
-use pi_gc::aes;
+use pi_bench::{median_ns, one_thread_vs_split};
+use pi_gc::{aes, par};
 use pi_ot::bitmat::BitVec;
 use pi_ot::curve::{base_table, Fe, Point, Scalar, Table};
 use pi_ot::ext::{reference, setup_in_process, OtExtReceiver, OtExtSender};
@@ -75,6 +77,22 @@ fn bench_ot(c: &mut Criterion) {
         b.iter(|| receiver.decode(&y, &choices, &keys))
     });
     group.finish();
+
+    // One relu_heavy phase's label OTs (8192 ReLUs × 20 bits), far above
+    // `ext::GRAIN`: each kernel on one thread against split across the
+    // host's cores, as an alternating same-run A/B.
+    let m = 163_840usize;
+    println!("csv,par_threads,{}", par::threads());
+    let choices = BitVec::from_bools(&(0..m).map(|_| rng.gen()).collect::<Vec<bool>>());
+    let pairs: Vec<(u128, u128)> = (0..m).map(|_| (rng.gen(), rng.gen())).collect();
+    let (u_msg, keys) = receiver.extend(&choices, &mut rng);
+    let y = sender.transfer(&u_msg, &pairs);
+    let extend = || _ = black_box(receiver.extend_at(0, &choices));
+    one_thread_vs_split(&format!("extend{m}"), extend, 7);
+    let transfer = || _ = black_box(sender.transfer(&u_msg, &pairs));
+    one_thread_vs_split(&format!("transfer{m}"), transfer, 7);
+    let decode = || _ = black_box(receiver.decode(&y, &choices, &keys));
+    one_thread_vs_split(&format!("decode{m}"), decode, 7);
 }
 
 fn bench_base_ot(c: &mut Criterion) {

@@ -94,6 +94,40 @@ pub fn median_ns(mut f: impl FnMut(), iters: usize) -> f64 {
     samples[samples.len() / 2]
 }
 
+/// Same-run A/B of a kernel that splits across cores
+/// ([`pi_gc::par`]): `f` pinned to one thread and at the helper's own
+/// width, alternating which runs first, `pairs` times after a warmup.
+/// Returns the two median wall times in milliseconds and prints them as
+/// `csv,par_ab,<name>,one_thread_ms=…,split_ms=…,threads=…` (in every
+/// mode, like [`median_ns`]).
+pub fn one_thread_vs_split(name: &str, mut f: impl FnMut(), pairs: usize) -> (f64, f64) {
+    let mut timed = |threads: usize| {
+        let t = std::time::Instant::now();
+        pi_gc::par::with_threads(threads, &mut f);
+        t.elapsed().as_secs_f64() * 1e3
+    };
+    let split = pi_gc::par::threads();
+    timed(1);
+    timed(split);
+    let (mut one, mut many) = (Vec::new(), Vec::new());
+    for i in 0..pairs {
+        if i % 2 == 0 {
+            one.push(timed(1));
+            many.push(timed(split));
+        } else {
+            many.push(timed(split));
+            one.push(timed(1));
+        }
+    }
+    let median = |mut v: Vec<f64>| {
+        v.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        v[v.len() / 2]
+    };
+    let (one, many) = (median(one), median(many));
+    println!("csv,par_ab,{name},one_thread_ms={one:.3},split_ms={many:.3},threads={split}");
+    (one, many)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

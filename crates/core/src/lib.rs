@@ -12,7 +12,10 @@
 //! by [`ServeRuntime`]; the garbler / evaluator / base-OT steps both
 //! perform live in `role.rs`. Around them:
 //!
-//! * layer-parallel HE (§5.2) via `ProtocolConfig::lphe_threads`;
+//! * layer-parallel HE (§5.2): `ProtocolConfig::lphe_threads` matvecs at
+//!   once through [`pi_gc::par::map_ranges`], the one data-parallel
+//!   helper, which also splits every large ReLU phase's garbling, GC
+//!   evaluation and OT extension across the host's cores;
 //! * HE rotation keys that are the model's key plan
 //!   ([`ModelMeta::key_plan`]: a sorted list of Galois elements, one
 //!   `pi-he` key over `q·P` each) and nothing else — the client uploads

@@ -16,7 +16,7 @@
 use crate::common::{ModelMeta, PartyOutcome, ReluPhase};
 use crate::error::ProtocolError;
 use pi_gc::circuit::to_bits;
-use pi_gc::garble::{evaluate_many, garble_many, Garbling};
+use pi_gc::garble::{evaluate_many_with, garble_many, Garbling};
 use pi_gc::relu::relu_trunc_circuit;
 use pi_gc::{Circuit, Label};
 use pi_ot::base::{
@@ -296,25 +296,21 @@ impl PhaseTables {
         out: &mut PartyOutcome,
     ) -> Vec<Label> {
         let k = self.circuit.num_inputs / 3;
+        // Read in place by whichever thread evaluates instance j.
         let input = |j: usize| {
             let (share, r) = (&held[2 * j * k..][..k], &held[(2 * j + 1) * k..][..k]);
             let fresh = &fresh[j * k..][..k];
-            let words = if fresh_first {
-                [fresh, share, r]
+            let [first, second] = if fresh_first {
+                [fresh, share]
             } else {
-                [share, fresh, r]
+                [share, fresh]
             };
-            words.concat()
+            first.iter().chain(second).chain(r).copied()
         };
         // Batched evaluation: 8 instances per AES call through the
-        // fixed-key hash.
-        let inputs: Vec<Vec<Label>> = (0..self.len()).map(input).collect();
+        // fixed-key hash, split across cores for a large phase.
         out.gc_eval_and_gates += (self.len() * self.circuit.and_count()) as u64;
-        let mut out_labels = Vec::with_capacity(self.len() * k);
-        for labels in evaluate_many(&self.circuit, &self.tables, &inputs) {
-            out_labels.extend(labels);
-        }
-        out_labels
+        evaluate_many_with(&self.circuit, &self.tables, input).concat()
     }
 }
 

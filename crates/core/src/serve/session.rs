@@ -708,8 +708,11 @@ pub fn drive_sync(
 }
 
 /// Computes the HE products for a batch of same-session jobs with
-/// `threads`-way layer parallelism (LPHE, §5.2). Results come back in
-/// phase order.
+/// `threads`-way layer parallelism (LPHE, §5.2): [`pi_gc::par::map_ranges`]
+/// over contiguous runs of jobs. Results come back in job order, which is
+/// phase order. The first run's matvecs execute on the calling thread; the
+/// others' `he.*` and `ntt.*` counts reach the global trace but not the
+/// request's own report, whose scope is the calling thread's.
 ///
 /// # Errors
 ///
@@ -729,24 +732,8 @@ pub fn compute_matvec_jobs(
         let prod = linalg::matvec_precomputed(job.keys.galois(), &diagonals[job.phase], &job.ct);
         (job.phase, prod)
     };
-    let threads = threads.max(1).min(jobs.len().max(1));
-    if threads <= 1 {
-        return Ok(jobs.iter().map(work).collect());
-    }
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    let next = AtomicUsize::new(0);
-    let done = parking_lot::Mutex::new(Vec::with_capacity(jobs.len()));
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                while let Some(job) = jobs.get(next.fetch_add(1, Ordering::Relaxed)) {
-                    let prod = work(job);
-                    done.lock().push(prod);
-                }
-            });
-        }
+    let parts = pi_gc::par::map_ranges(jobs.len(), threads, |run| {
+        jobs[run].iter().map(work).collect()
     });
-    let mut done = done.into_inner();
-    done.sort_by_key(|&(phase, _)| phase);
-    Ok(done)
+    Ok(pi_gc::par::concat(parts))
 }

@@ -331,13 +331,10 @@ impl Aes128 {
 
     /// Fills `out` with the AES-CTR keystream `E(start), E(start+1), …` —
     /// the column-expansion PRG of the IKNP extension writes this straight
-    /// into packed bit-matrix words.
+    /// into packed bit-matrix words. Like every AES entry point it counts
+    /// nothing: callers count `aes.blocks` at their batch boundary, on the
+    /// thread that holds the request's trace scope.
     pub fn ctr_keystream(&self, start: u128, out: &mut [u128]) {
-        // Counted here rather than in `encrypt_blocks`: the garbling hash
-        // already accounts for its AES work per batch in `garble_many` /
-        // `evaluate_many`, so counting the shared 8-block entry point would
-        // double-count (and sit on the per-gate hot path).
-        pi_trace::add(pi_trace::Counter::AesBlocks, out.len() as u64);
         for (j, w) in out.iter_mut().enumerate() {
             *w = start.wrapping_add(j as u128);
         }

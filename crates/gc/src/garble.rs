@@ -21,10 +21,18 @@
 //!   into its own `Vec`, sized up front. The protocol's garbler then moves
 //!   them out of its [`Garbling`]s to send them rather than cloning them,
 //!   and keeps only the input encodings and output decode bits.
+//! * **Split across cores.** A call of at least [`GRAIN`] instances is cut
+//!   by [`par::map_ranges`] into [`par::threads`] contiguous runs of whole
+//!   chunks, one per core; a smaller one runs on the calling thread. Every
+//!   instance is independent and its randomness is drawn on the calling
+//!   thread before the split, so no bit depends on the split. Trace counts
+//!   are made once per call, on the calling thread.
 
 use crate::aes::GcHash;
 use crate::circuit::{Circuit, Gate};
+use crate::par;
 use rand::Rng;
+use std::ops::Range;
 
 /// A 128-bit wire label.
 pub type Label = u128;
@@ -192,58 +200,98 @@ fn permute_mask(label: Label) -> Label {
     0u128.wrapping_sub(label & 1)
 }
 
-/// Writes instance `t`'s input labels into lane `t` of the wire-major
-/// buffer, one instance per lane.
-fn load_lanes<'a>(lanes: &mut [Lanes], inputs: impl Iterator<Item = &'a [Label]>) {
-    for (t, input) in inputs.enumerate() {
-        for (wire, &l) in lanes.iter_mut().zip(input) {
-            wire[t] = l;
-        }
+/// Writes one instance's input labels into lane `t` of the wire-major
+/// buffer.
+///
+/// # Panics
+///
+/// Panics unless `input` yields exactly one label per input wire.
+fn load_lane(
+    lanes: &mut [Lanes],
+    num_inputs: usize,
+    t: usize,
+    input: impl IntoIterator<Item = Label>,
+) {
+    let mut input = input.into_iter();
+    for wire in &mut lanes[..num_inputs] {
+        wire[t] = input.next().expect("input label count mismatch");
     }
+    assert!(input.next().is_none(), "input label count mismatch");
 }
+
+/// The instances `0..n` a range of 8-instance chunks covers: the split
+/// unit of the batched kernels, so only the last part has a short chunk.
+fn chunk_instances(chunks: Range<usize>, n: usize) -> Range<usize> {
+    chunks.start * LANES..(chunks.end * LANES).min(n)
+}
+
+/// Phases of fewer instances than this garble and evaluate on the calling
+/// thread; larger ones split across [`par::threads`] contiguous runs of
+/// 8-instance chunks (see the module docs). On a 2-vCPU host (AES-NI, the
+/// protocol's 133-AND ReLU) a two-way split garbles 128 instances 1.55×
+/// and 256 instances 1.84× faster, and evaluates them 1.42× and 1.51×
+/// faster: 256 is the smallest size measured where both gain 1.5×.
+pub const GRAIN: usize = 256;
 
 /// Garbles `n` independent instances of one circuit in lockstep, 8 at a
 /// time, wire-major (see the module docs). An AND gate's hash batch is the
 /// runs `a⁰, a¹, b⁰, b¹`, each as long as the chunk.
 ///
 /// Randomness is drawn instance-major (each instance's `Δ` then its input
-/// labels), so the result is **bit-for-bit identical** to calling
-/// [`garble`] `n` times with the same `rng` — the batched path is a
-/// drop-in replacement, and that equality is a structural differential
-/// test.
+/// labels), all of it on the calling thread before any split, so the
+/// result is **bit-for-bit identical** to calling [`garble`] `n` times
+/// with the same `rng` — the batched path is a drop-in replacement, and
+/// that equality is a structural differential test.
 pub fn garble_many<R: Rng + ?Sized>(circuit: &Circuit, n: usize, rng: &mut R) -> Vec<Garbling> {
-    // Batch-boundary accounting (never per gate or per hash): half-gates
-    // garbling hashes 4 AES blocks per AND instance.
+    // Batch-boundary accounting (never per gate or per hash, and on the
+    // calling thread): half-gates garbling hashes 4 AES blocks per AND
+    // instance.
     let ands = circuit.and_count();
     pi_trace::add(pi_trace::Counter::GcAndGarbled, (n * ands) as u64);
     pi_trace::add(pi_trace::Counter::AesBlocks, (4 * n * ands) as u64);
     pi_trace::record(pi_trace::Hist::GcBatchInstances, n as u64);
-    let hash = GcHash::new();
-    let mut out: Vec<Garbling> = (0..n)
+    let encodings: Vec<InputEncoding> = (0..n)
         .map(|_| {
             let delta = rng.gen::<u128>() | 1;
             let label0 = (0..circuit.num_inputs).map(|_| rng.gen()).collect();
-            Garbling {
-                garbled: GarbledCircuit {
-                    tables: Vec::with_capacity(ands),
-                    output_decode: Vec::new(),
-                },
-                encoding: InputEncoding { label0, delta },
-                output_label0: Vec::new(),
-            }
+            InputEncoding { label0, delta }
         })
         .collect();
+    let parts = par::map_ranges(n.div_ceil(LANES), par::width(n, GRAIN), |chunks| {
+        garble_chunks(circuit, &encodings[chunk_instances(chunks, n)])
+    });
+    let garbled = parts.into_iter().flatten();
+    (encodings.into_iter().zip(garbled))
+        .map(|(encoding, (garbled, output_label0))| Garbling {
+            garbled,
+            encoding,
+            output_label0,
+        })
+        .collect()
+}
+
+/// [`garble_many`]'s kernel over one run of instances, given their input
+/// encodings: each instance's garbled circuit and output zero-labels.
+fn garble_chunks(
+    circuit: &Circuit,
+    encodings: &[InputEncoding],
+) -> Vec<(GarbledCircuit, Vec<Label>)> {
+    let hash = GcHash::new();
+    let mut out = Vec::with_capacity(encodings.len());
     let mut lanes = vec![[0; LANES]; circuit.num_wires];
     let (mut x, mut tweak, mut h) = ([0; 4 * LANES], [0; 4 * LANES], [0; 4 * LANES]);
-    for chunk in out.chunks_mut(LANES) {
+    for chunk in encodings.chunks(LANES) {
         let w = chunk.len();
-        load_lanes(&mut lanes, chunk.iter().map(|g| &g.encoding.label0[..]));
         // Idle lanes of a short tail chunk carry Δ = 0 and stale labels;
         // nothing reads them.
         let mut delta = [0; LANES];
-        for (d, g) in delta.iter_mut().zip(chunk.iter()) {
-            *d = g.encoding.delta;
+        for (t, e) in chunk.iter().enumerate() {
+            load_lane(&mut lanes, circuit.num_inputs, t, e.label0.iter().copied());
+            delta[t] = e.delta;
         }
+        let mut tables: Vec<Vec<(Label, Label)>> = (0..w)
+            .map(|_| Vec::with_capacity(circuit.and_count()))
+            .collect();
         let mut gate_index = 0u64;
         for g in &circuit.gates {
             match *g {
@@ -262,7 +310,7 @@ pub fn garble_many<R: Rng + ?Sized>(circuit: &Circuit, n: usize, rng: &mut R) ->
                     gate_index += 1;
                     hash.hash_many(&x[..4 * w], &tweak[..4 * w], &mut h[..4 * w]);
                     let mut c = [0; LANES];
-                    for (t, g) in chunk.iter_mut().enumerate() {
+                    for (t, tab) in tables.iter_mut().enumerate() {
                         let (ha0, ha1, hb0, hb1) = (h[t], h[w + t], h[2 * w + t], h[3 * w + t]);
                         let (pa, pb) = (permute_mask(a0[t]), permute_mask(b0[t]));
                         // Garbler half gate: computes a & pb.
@@ -272,16 +320,22 @@ pub fn garble_many<R: Rng + ?Sized>(circuit: &Circuit, n: usize, rng: &mut R) ->
                         let te = hb0 ^ hb1 ^ a0[t];
                         let we0 = hb0 ^ (pb & (hb0 ^ hb1));
                         c[t] = wg0 ^ we0;
-                        g.garbled.tables.push((tg, te));
+                        tab.push((tg, te));
                     }
                     lanes[out] = c;
                 }
             }
         }
-        for (t, g) in chunk.iter_mut().enumerate() {
+        for (t, tables) in tables.into_iter().enumerate() {
             let outputs = circuit.outputs.iter().map(|&o| lanes[o][t]);
-            g.garbled.output_decode = outputs.clone().map(|l| l & 1 != 0).collect();
-            g.output_label0 = outputs.collect();
+            let output_decode = outputs.clone().map(|l| l & 1 != 0).collect();
+            out.push((
+                GarbledCircuit {
+                    tables,
+                    output_decode,
+                },
+                outputs.collect(),
+            ));
         }
     }
     out
@@ -350,27 +404,66 @@ pub fn evaluate_many(
     inputs: &[Vec<Label>],
 ) -> Vec<Vec<Label>> {
     assert_eq!(tables.len(), inputs.len(), "instance count mismatch");
-    for (tab, inp) in tables.iter().zip(inputs) {
+    for inp in inputs {
         assert_eq!(inp.len(), circuit.num_inputs, "input label count mismatch");
+    }
+    evaluate_many_with(circuit, tables, |i| inputs[i].iter().copied())
+}
+
+/// [`evaluate_many`] with instance `i`'s input labels read from `input(i)`
+/// as the kernel loads them, so a caller that assembles them from several
+/// buffers builds no per-instance vector (and assembles in parallel, on
+/// whichever thread evaluates the instance).
+///
+/// # Panics
+///
+/// Panics if any table count differs from the circuit's AND count, or any
+/// `input(i)` yields other than `circuit.num_inputs` labels.
+pub fn evaluate_many_with<I, F>(
+    circuit: &Circuit,
+    tables: &[Vec<(Label, Label)>],
+    input: F,
+) -> Vec<Vec<Label>>
+where
+    I: IntoIterator<Item = Label>,
+    F: Fn(usize) -> I + Sync,
+{
+    for tab in tables {
         assert_eq!(
             tab.len(),
             circuit.and_count(),
             "garbled table count mismatch"
         );
     }
-    let hash = GcHash::new();
     let n = tables.len();
-    // Batch-boundary accounting: evaluation hashes 2 AES blocks per AND.
+    // Batch-boundary accounting, on the calling thread: evaluation hashes
+    // 2 AES blocks per AND.
     let ands = (n * circuit.and_count()) as u64;
     pi_trace::add(pi_trace::Counter::GcAndEvaluated, ands);
     pi_trace::add(pi_trace::Counter::AesBlocks, 2 * ands);
     pi_trace::record(pi_trace::Hist::GcBatchInstances, n as u64);
-    let mut out = Vec::with_capacity(n);
+    let parts = par::map_ranges(n.div_ceil(LANES), par::width(n, GRAIN), |chunks| {
+        evaluate_chunks(circuit, tables, chunk_instances(chunks, n), &input)
+    });
+    par::concat(parts)
+}
+
+/// [`evaluate_many_with`]'s kernel over the instances in `range`.
+fn evaluate_chunks<I: IntoIterator<Item = Label>>(
+    circuit: &Circuit,
+    tables: &[Vec<(Label, Label)>],
+    range: Range<usize>,
+    input: &impl Fn(usize) -> I,
+) -> Vec<Vec<Label>> {
+    let hash = GcHash::new();
+    let mut out = Vec::with_capacity(range.len());
     let mut lanes = vec![[0; LANES]; circuit.num_wires];
     let (mut x, mut tweak, mut h) = ([0; 2 * LANES], [0; 2 * LANES], [0; 2 * LANES]);
-    for (tabs, ins) in tables.chunks(LANES).zip(inputs.chunks(LANES)) {
-        let w = tabs.len();
-        load_lanes(&mut lanes, ins.iter().map(|i| &i[..]));
+    for (chunk, tabs) in tables[range.clone()].chunks(LANES).enumerate() {
+        let (w, first) = (tabs.len(), range.start + chunk * LANES);
+        for t in 0..w {
+            load_lane(&mut lanes, circuit.num_inputs, t, input(first + t));
+        }
         let mut gate_index = 0u64;
         for g in &circuit.gates {
             match *g {

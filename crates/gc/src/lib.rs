@@ -41,13 +41,15 @@ pub mod aes;
 pub mod circuit;
 pub mod gadgets;
 pub mod garble;
+pub mod par;
 pub mod relu;
 
 pub use aes::{Aes128, AesBackend, GcHash};
 pub use circuit::{Circuit, CircuitBuilder};
 pub use gadgets::{argmax_circuit, argmax_reference, ArgmaxLayout};
 pub use garble::{
-    evaluate, evaluate_many, garble, garble_many, GarbledCircuit, Garbling, InputEncoding, Label,
+    evaluate, evaluate_many, evaluate_many_with, garble, garble_many, GarbledCircuit, Garbling,
+    InputEncoding, Label,
 };
 pub use relu::{
     garble_relus, relu_circuit, relu_reference, relu_trunc_circuit, relu_trunc_reference,

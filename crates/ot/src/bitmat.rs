@@ -107,16 +107,16 @@ pub fn transpose128(a: &mut [u128; 128]) {
     }
 }
 
-/// Transposes 128 packed columns (each `words` words long) into packed
+/// Transposes the first `words` words of 128 packed columns into packed
 /// rows: row `r`'s `u128` has bit `i` = column `i`'s bit `r`. Returns
 /// `128 * words` rows; callers truncate to the live row count.
-pub fn columns_to_rows(columns: &[Vec<u128>], words: usize) -> Vec<u128> {
+pub fn columns_to_rows<C: AsRef<[u128]>>(columns: &[C], words: usize) -> Vec<u128> {
     assert_eq!(columns.len(), 128, "need exactly 128 columns");
     let mut rows = vec![0u128; 128 * words];
     let mut block = [0u128; 128];
     for w in 0..words {
         for (i, col) in columns.iter().enumerate() {
-            block[i] = col[w];
+            block[i] = col.as_ref()[w];
         }
         transpose128(&mut block);
         rows[128 * w..128 * (w + 1)].copy_from_slice(&block);

@@ -30,6 +30,21 @@
 //! and `PI_AES=soft` additionally pins the packed path's AES to the scalar
 //! software oracle.
 //!
+//! # Split across cores
+//!
+//! [`OtExtReceiver::extend_at`], [`OtExtSender::transfer_at`] and
+//! [`OtExtReceiver::decode`] of at least [`GRAIN`] transfers cut their
+//! 128-row blocks into [`par::threads`] contiguous runs through
+//! [`par::map_ranges`]; a smaller extension runs on the calling thread.
+//! A run needs nothing from the others: it expands every column's PRG
+//! over its own words only (AES-CTR seeks to `block + w`), transposes
+//! its own 128-row blocks, and derives its rows' masks with the global
+//! row index as the tweak — 32 words at a time, so its working set is a
+//! few 64 KB buffers whatever its length. The parts' words and rows are
+//! spliced back in order, so every message and key is the one-thread
+//! kernel's, bit for bit. Trace counts (`ot.extended`, and the PRG's
+//! `aes.blocks`) are made once per call, on the calling thread.
+//!
 //! # Stream position
 //!
 //! `G(seed)` is one AES-CTR stream per seed, and the base phase buys the
@@ -46,8 +61,9 @@
 
 use crate::base::{BaseOtReceiver, BaseOtSender};
 use crate::bitmat::{columns_to_rows, BitVec};
-use pi_gc::{Aes128, GcHash};
+use pi_gc::{par, Aes128, GcHash};
 use rand::Rng;
+use std::ops::Range;
 
 /// Security parameter: number of base OTs / matrix columns.
 pub const KAPPA: usize = 128;
@@ -59,14 +75,62 @@ pub fn blocks(transfers: usize) -> u64 {
     transfers.div_ceil(128) as u64
 }
 
-/// PRG: expands a 128-bit seed into `words` packed 128-bit words (AES-CTR,
-/// counter from `block`). Word `w` equals `E_seed(block + w)`; bit `n` of
-/// the packed stream equals bit `n` of [`reference::prg_bits`].
-fn prg_words(seed: u128, block: u64, words: usize) -> Vec<u128> {
-    let aes = Aes128::new(seed.to_le_bytes());
-    let mut out = vec![0u128; words];
-    aes.ctr_keystream(u128::from(block), &mut out);
-    out
+/// A column's PRG `G(seed)`: AES-CTR under the seed.
+fn prg(seed: u128) -> Aes128 {
+    Aes128::new(seed.to_le_bytes())
+}
+
+/// Fills `out` with the PRG's packed stream from word `first` of an
+/// extension at `block` on: word `w` is `E_seed(block + w)` (AES-CTR
+/// seeks), and bit `n` of the stream is bit `n` of
+/// [`reference::prg_bits`].
+fn expand(prg: &Aes128, block: u64, first: usize, out: &mut [u128]) {
+    prg.ctr_keystream(u128::from(block) + first as u128, out);
+}
+
+/// Extensions of fewer transfers than this run on the calling thread;
+/// larger ones split across [`par::threads`] contiguous runs of 128-row
+/// blocks (see the module docs). On a 2-vCPU host (AES-NI) a two-way split
+/// at 8 192 OTs runs transfer and decode 1.2× faster but extend 0.85×; at
+/// 16 384, 1.3× and 1.5× with extend level; at 163 840, 1.4–1.7×, 1.5×
+/// and 1.15–1.25×. Extend gains least: splicing its parts' column words
+/// back into whole columns runs on the calling thread.
+pub const GRAIN: usize = 16384;
+
+/// Maps the 128-row blocks (words) of an `m`-transfer extension through
+/// `f`, split across cores from [`GRAIN`] transfers on.
+fn split_words<T: Send>(m: usize, f: impl Fn(Range<usize>) -> T + Sync) -> Vec<T> {
+    par::map_ranges(m.div_ceil(128), par::width(m, GRAIN), f)
+}
+
+/// Words a kernel expands, transposes and masks at a time: one 32-block
+/// AES batch per column, 4096 rows. A part's working set is then a few
+/// 64 KB buffers however long it is, not whole columns, which a helper
+/// thread would allocate fresh on every call (measured 8 and 64 words:
+/// 8 slows extend by a third, 64 gains nothing over 32).
+const GROUP: usize = 32;
+
+/// `words` in runs of at most [`GROUP`].
+fn groups(words: Range<usize>) -> impl Iterator<Item = Range<usize>> {
+    let end = words.end;
+    words.step_by(GROUP).map(move |g| g..(g + GROUP).min(end))
+}
+
+/// The live rows of `m` a range of 128-row blocks covers.
+fn block_rows(words: &Range<usize>, m: usize) -> Range<usize> {
+    128 * words.start..(128 * words.end).min(m)
+}
+
+/// How many of `whole` items a part's output buffer over `words` reserves:
+/// its own `own`, except the first part's, whose buffer becomes the whole
+/// output once the later parts are appended — reserved in full, so
+/// splicing copies only the later parts and never reallocates.
+fn part_capacity(words: &Range<usize>, own: usize, whole: usize) -> usize {
+    if words.start == 0 {
+        whole
+    } else {
+        own
+    }
 }
 
 /// Sender-side outcome of the base phase: the secret column-choice string
@@ -140,17 +204,19 @@ impl TransferMsg {
     }
 }
 
-/// Derives the 2·m transfer masks `H(j, x_j)` in batches of 8 rows per
-/// AES call; `rows` yields the mask input per row index.
-fn kdf_rows(h: &GcHash, m: usize, mut rows: impl FnMut(usize) -> u128) -> Vec<u128> {
-    let mut out = Vec::with_capacity(m);
-    let mut j = 0usize;
-    while j < m {
-        let w = (m - j).min(8);
+/// Derives the transfer masks `H(j, x_j)` of the rows `j` in `rows` in
+/// batches of 8 rows per AES call; `x` yields the mask input per row
+/// index. The tweak is the global row index, so a range's masks are those
+/// rows' masks in any split.
+fn kdf_rows(h: &GcHash, rows: Range<usize>, x: impl Fn(usize) -> u128) -> Vec<u128> {
+    let mut out = Vec::with_capacity(rows.len());
+    let mut j = rows.start;
+    while j < rows.end {
+        let w = (rows.end - j).min(8);
         let mut xs = [0u128; 8];
         let mut idx = [0u64; 8];
         for t in 0..w {
-            xs[t] = rows(j + t);
+            xs[t] = x(j + t);
             idx[t] = (j + t) as u64;
         }
         let ks = h.kdf8(xs, idx);
@@ -200,31 +266,47 @@ impl OtExtSender {
         let m = pairs.len();
         assert_eq!(msg.num_transfers, m, "extension rows must match pair count");
         assert_eq!(msg.u_columns.len(), KAPPA, "need {KAPPA} u columns");
-        let words = m.div_ceil(128);
-        // Column-major: q_i = G(k_i^{s_i}) ^ s_i * u_i, one XOR per word.
-        let q_columns: Vec<Vec<u128>> = (0..KAPPA)
-            .map(|i| {
-                let mut col = prg_words(self.setup.seeds[i], block, words);
-                if (self.setup.s >> i) & 1 == 1 {
-                    assert_eq!(msg.u_columns[i].len(), words, "column {i} word count");
-                    for (q, &u) in col.iter_mut().zip(&msg.u_columns[i]) {
-                        *q ^= u;
+        let (s, words) = (self.setup.s, m.div_ceil(128));
+        for (i, u) in msg.u_columns.iter().enumerate() {
+            if (s >> i) & 1 == 1 {
+                assert_eq!(u.len(), words, "column {i} word count");
+            }
+        }
+        // Batch-boundary accounting, on the calling thread: one PRG block
+        // per column per word.
+        pi_trace::add(pi_trace::Counter::AesBlocks, (KAPPA * words) as u64);
+        let prgs: Vec<Aes128> = self.setup.seeds.iter().map(|&k| prg(k)).collect();
+        let parts = split_words(m, |w| {
+            let h = GcHash::new();
+            let mut q_columns = [[0u128; GROUP]; KAPPA];
+            let mut out = Vec::with_capacity(part_capacity(&w, block_rows(&w, m).len(), m));
+            for g in groups(w) {
+                // Column-major: q_i = G(k_i^{s_i}) ^ s_i * u_i, one XOR per
+                // word.
+                for (i, (prg, q)) in prgs.iter().zip(&mut q_columns).enumerate() {
+                    let q = &mut q[..g.len()];
+                    expand(prg, block, g.start, q);
+                    if (s >> i) & 1 == 1 {
+                        for (q, &u) in q.iter_mut().zip(&msg.u_columns[i][g.clone()]) {
+                            *q ^= u;
+                        }
                     }
                 }
-                col
-            })
-            .collect();
-        // Row-major view via the blocked transpose, then batched masking.
-        let q_rows = columns_to_rows(&q_columns, words);
-        let h = GcHash::new();
-        let k0 = kdf_rows(&h, m, |j| q_rows[j]);
-        let k1 = kdf_rows(&h, m, |j| q_rows[j] ^ self.setup.s);
-        let out = pairs
-            .iter()
-            .enumerate()
-            .map(|(j, &(m0, m1))| (m0 ^ k0[j], m1 ^ k1[j]))
-            .collect();
-        TransferMsg { pairs: out }
+                // Row-major view via the blocked transpose, then batched
+                // masking.
+                let q_rows = columns_to_rows(&q_columns, g.len());
+                let rows = block_rows(&g, m);
+                let q = |j: usize| q_rows[j - rows.start];
+                let k0 = kdf_rows(&h, rows.clone(), q);
+                let k1 = kdf_rows(&h, rows.clone(), |j| q(j) ^ s);
+                let masked = pairs[rows].iter().zip(k0).zip(k1);
+                out.extend(masked.map(|((&(m0, m1), k0), k1)| (m0 ^ k0, m1 ^ k1)));
+            }
+            out
+        });
+        TransferMsg {
+            pairs: par::concat(parts),
+        }
     }
 }
 
@@ -269,9 +351,12 @@ impl OtExtReceiver {
     /// `t_j` (kept locally).
     pub fn extend_at(&self, block: u64, choices: &BitVec) -> (ExtendMsg, Vec<u128>) {
         let m = choices.len();
-        pi_trace::add(pi_trace::Counter::OtExtended, m as u64);
-        pi_trace::record(pi_trace::Hist::OtBatchSize, m as u64);
         let words = m.div_ceil(128);
+        // Batch-boundary accounting, on the calling thread: two PRG blocks
+        // per column per word.
+        pi_trace::add(pi_trace::Counter::OtExtended, m as u64);
+        pi_trace::add(pi_trace::Counter::AesBlocks, (2 * KAPPA * words) as u64);
+        pi_trace::record(pi_trace::Hist::OtBatchSize, m as u64);
         // Zero bits past m in the last word so the wire message matches the
         // reference oracle exactly (BitVec guarantees its own tail is zero).
         let tail_mask = if m.is_multiple_of(128) {
@@ -279,22 +364,44 @@ impl OtExtReceiver {
         } else {
             (1u128 << (m % 128)) - 1
         };
-        let mut t_columns = Vec::with_capacity(KAPPA);
-        let mut u_columns = Vec::with_capacity(KAPPA);
-        for i in 0..KAPPA {
-            let (k0, k1) = self.setup.seed_pairs[i];
-            let g0 = prg_words(k0, block, words);
-            let mut u = prg_words(k1, block, words);
-            for (w, uw) in u.iter_mut().enumerate() {
-                *uw ^= g0[w] ^ choices.words()[w];
+        let prgs: Vec<(Aes128, Aes128)> = (self.setup.seed_pairs.iter())
+            .map(|&(k0, k1)| (prg(k0), prg(k1)))
+            .collect();
+        let parts = split_words(m, |w| {
+            let column = || Vec::with_capacity(part_capacity(&w, w.len(), words));
+            let mut u_columns: Vec<Vec<u128>> = (0..KAPPA).map(|_| column()).collect();
+            let mut t_rows = Vec::with_capacity(part_capacity(&w, 128 * w.len(), 128 * words));
+            let (mut t_columns, mut g1) = ([[0u128; GROUP]; KAPPA], [0u128; GROUP]);
+            for g in groups(w.clone()) {
+                let x = &choices.words()[g.clone()];
+                for ((p0, p1), (u, g0)) in prgs.iter().zip(u_columns.iter_mut().zip(&mut t_columns))
+                {
+                    let (g0, g1) = (&mut g0[..g.len()], &mut g1[..g.len()]);
+                    expand(p0, block, g.start, g0);
+                    expand(p1, block, g.start, g1);
+                    u.extend(g0.iter().zip(&*g1).zip(x).map(|((g0, g1), x)| g0 ^ g1 ^ x));
+                }
+                t_rows.extend(columns_to_rows(&t_columns, g.len()));
             }
-            if let Some(last) = u.last_mut() {
-                *last &= tail_mask;
+            if w.end == words {
+                for u in &mut u_columns {
+                    if let Some(last) = u.last_mut() {
+                        *last &= tail_mask;
+                    }
+                }
             }
-            u_columns.push(u);
-            t_columns.push(g0);
+            (u_columns, t_rows)
+        });
+        // Each part holds its words of every column: splice them back into
+        // whole columns, in order.
+        let mut parts = parts.into_iter();
+        let (mut u_columns, mut t_rows) = parts.next().expect("a split has a part");
+        for (u, t) in parts {
+            for (column, segment) in u_columns.iter_mut().zip(u) {
+                column.extend(segment);
+            }
+            t_rows.extend(t);
         }
-        let mut t_rows = columns_to_rows(&t_columns, words);
         t_rows.truncate(m);
         (
             ExtendMsg {
@@ -314,16 +421,21 @@ impl OtExtReceiver {
         assert_eq!(msg.pairs.len(), choices.len(), "transfer count mismatch");
         assert_eq!(t_rows.len(), choices.len(), "key count mismatch");
         let m = choices.len();
-        let h = GcHash::new();
-        let keys = kdf_rows(&h, m, |j| t_rows[j]);
-        msg.pairs
-            .iter()
-            .enumerate()
-            .map(|(j, &(y0, y1))| {
-                let y = if choices.get(j) { y1 } else { y0 };
-                y ^ keys[j]
-            })
-            .collect()
+        let parts = split_words(m, |w| {
+            let h = GcHash::new();
+            let mut out = Vec::with_capacity(part_capacity(&w, block_rows(&w, m).len(), m));
+            for g in groups(w) {
+                let rows = block_rows(&g, m);
+                let keys = kdf_rows(&h, rows.clone(), |j| t_rows[j]);
+                out.extend(rows.zip(keys).map(|(j, key)| {
+                    let (y0, y1) = msg.pairs[j];
+                    let y = if choices.get(j) { y1 } else { y0 };
+                    y ^ key
+                }));
+            }
+            out
+        });
+        par::concat(parts)
     }
 }
 
@@ -592,7 +704,8 @@ mod tests {
         for (seed, n) in [(5u128, 300usize), (6, 300), (7, 128), (8, 1)] {
             for block in [0u64, 9] {
                 let bits = reference::prg_bits(seed, block, n);
-                let words = prg_words(seed, block, n.div_ceil(128));
+                let mut words = vec![0; n.div_ceil(128)];
+                expand(&prg(seed), block, 0, &mut words);
                 for (i, &b) in bits.iter().enumerate() {
                     assert_eq!((words[i / 128] >> (i % 128)) & 1 == 1, b, "bit {i}");
                 }
@@ -606,11 +719,16 @@ mod tests {
             reference::prg_bits(5, 0, 300),
             reference::prg_bits(6, 0, 300)
         );
-        // The stream is one stream: block 1 on is the tail of block 0 on.
+        // The stream is one stream: block 1 on is the tail of block 0 on,
+        // and a word range is those words of it.
         assert_eq!(
             reference::prg_bits(5, 1, 172),
             reference::prg_bits(5, 0, 300)[128..]
         );
+        let (mut whole, mut tail) = ([0; 5], [0; 3]);
+        expand(&prg(5), 9, 0, &mut whole);
+        expand(&prg(5), 9, 2, &mut tail);
+        assert_eq!(tail, whole[2..]);
     }
 
     #[test]

@@ -14,7 +14,9 @@
 //! the lane kernels against one-instance `garble`/`evaluate` at every
 //! chunk boundary; the batched AES and hash entries at widths 1..=33;
 //! the packed IKNP path against the retained bool-matrix `ext::reference`
-//! for m ∈ {0, 1, 7, 64, 127, 128, 129, 500, 1000}; and cross-backend
+//! for m ∈ {0, 1, 7, 64, 127, 128, 129, 500, 1000}; both batched kernel
+//! families across their split boundary (`garble::GRAIN`, `ext::GRAIN`)
+//! with the `par` helper pinned to 1, 2 and 3 threads; and cross-backend
 //! interop (garble under one backend, evaluate under another). The
 //! umbrella e2e suites run under `PI_AES=soft`/`PI_AES=ni` in CI,
 //! completing the forced-off/forced-on matrix.
@@ -24,8 +26,10 @@
 //! backend.
 
 use private_inference::gc::aes::{self, AesBackend, GcHash};
-use private_inference::gc::garble::{evaluate, evaluate_many, garble, garble_many, Garbling};
-use private_inference::gc::{argmax_circuit, relu_circuit, relu_trunc_circuit, Circuit};
+use private_inference::gc::garble::{
+    evaluate, evaluate_many, garble, garble_many, Garbling, GRAIN,
+};
+use private_inference::gc::{argmax_circuit, par, relu_circuit, relu_trunc_circuit, Circuit};
 use private_inference::ot::bitmat::BitVec;
 use private_inference::ot::ext::{self, reference, OtExtReceiver, OtExtSender};
 use proptest::prelude::*;
@@ -158,40 +162,50 @@ fn all_backends() -> Vec<AesBackend> {
 
 /// The lane kernels against the one-instance oracles, at the protocol's
 /// ReLU shape: empty, single, short-tail, exact, one-over and multi-chunk
-/// batches, under every backend.
+/// batches, under every backend; then across the split boundary — just
+/// below, at and above `garble::GRAIN`, with ragged tails — with the
+/// helper pinned to 1, 2 and 3 threads.
 #[test]
 fn lane_kernels_match_one_instance_oracles_on_every_backend() {
     let _g = lock();
     let (circuit, _) = relu_trunc_circuit(1032193, 5);
+    let check = |n: usize, threads: &[usize], ctx: &str| {
+        let mut r2 = rand::rngs::StdRng::seed_from_u64(n as u64);
+        let seq: Vec<Garbling> = (0..n).map(|_| garble(&circuit, &mut r2)).collect();
+        let inputs: Vec<Vec<u128>> = seq
+            .iter()
+            .map(|g| {
+                let bits: Vec<bool> = (0..circuit.num_inputs).map(|_| r2.gen()).collect();
+                g.encoding.encode_bits(0, &bits)
+            })
+            .collect();
+        let tables: Vec<_> = seq.iter().map(|g| g.garbled.tables.clone()).collect();
+        let want: Vec<Vec<u128>> = seq
+            .iter()
+            .zip(&inputs)
+            .map(|(g, i)| evaluate(&circuit, &g.garbled, i))
+            .collect();
+        for &t in threads {
+            let ctx = format!("{ctx} n={n} threads={t}");
+            let mut r1 = rand::rngs::StdRng::seed_from_u64(n as u64);
+            let batch = par::with_threads(t, || garble_many(&circuit, n, &mut r1));
+            assert_garblings_eq(&batch, &seq, &ctx);
+            for (b, s) in batch.iter().zip(&seq) {
+                assert_eq!(b.output_label0, s.output_label0, "{ctx}");
+            }
+            let got = par::with_threads(t, || evaluate_many(&circuit, &tables, &inputs));
+            assert_eq!(got, want, "{ctx}");
+        }
+    };
     for be in all_backends() {
         with_backend(be, || {
             for n in [0usize, 1, 7, 8, 9, 17, 64] {
-                let ctx = format!("be={} n={n}", be.name());
-                let mut r1 = rand::rngs::StdRng::seed_from_u64(n as u64);
-                let mut r2 = rand::rngs::StdRng::seed_from_u64(n as u64);
-                let batch = garble_many(&circuit, n, &mut r1);
-                let seq: Vec<Garbling> = (0..n).map(|_| garble(&circuit, &mut r2)).collect();
-                assert_garblings_eq(&batch, &seq, &ctx);
-                for (b, s) in batch.iter().zip(&seq) {
-                    assert_eq!(b.output_label0, s.output_label0, "{ctx}");
-                }
-                let inputs: Vec<Vec<u128>> = seq
-                    .iter()
-                    .map(|g| {
-                        let bits: Vec<bool> = (0..circuit.num_inputs).map(|_| r1.gen()).collect();
-                        g.encoding.encode_bits(0, &bits)
-                    })
-                    .collect();
-                let tables: Vec<_> = seq.iter().map(|g| g.garbled.tables.clone()).collect();
-                let got = evaluate_many(&circuit, &tables, &inputs);
-                let want: Vec<Vec<u128>> = seq
-                    .iter()
-                    .zip(&inputs)
-                    .map(|(g, i)| evaluate(&circuit, &g.garbled, i))
-                    .collect();
-                assert_eq!(got, want, "{ctx}");
+                check(n, &[par::threads()], &format!("be={}", be.name()));
             }
         });
+    }
+    for n in [GRAIN - 1, GRAIN, GRAIN + 13] {
+        check(n, &[1, 2, 3], "auto backend");
     }
 }
 
@@ -267,8 +281,15 @@ fn packed_iknp_matches_bool_reference_under_every_backend() {
     let receiver = OtExtReceiver::new(r_setup.clone());
     // Each size runs where the previous one ended, as the extensions of one
     // session do: all but the first compare at a non-zero stream position.
+    // The last three straddle the split boundary (`ext::GRAIN`), with
+    // ragged tails; there the packed path also runs with the helper pinned
+    // to 1, 2 and 3 threads.
     let mut block = 0u64;
-    for m in [0usize, 1, 7, 64, 127, 128, 129, 500, 1000] {
+    let split_sizes = [ext::GRAIN - 1, ext::GRAIN, ext::GRAIN + 100];
+    for m in [0usize, 1, 7, 64, 127, 128, 129, 500, 1000]
+        .into_iter()
+        .chain(split_sizes)
+    {
         let bools: Vec<bool> = (0..m).map(|_| rng.gen()).collect();
         let packed = BitVec::from_bools(&bools);
         let pairs: Vec<(u128, u128)> = (0..m).map(|_| (rng.gen(), rng.gen())).collect();
@@ -287,14 +308,28 @@ fn packed_iknp_matches_bool_reference_under_every_backend() {
             let want = if bools[j] { pairs[j].1 } else { pairs[j].0 };
             assert_eq!(got_ref[j], want, "oracle broken at m={m} j={j}");
         }
-        for be in all_backends() {
-            let (u_fast, t_fast) = with_backend(be, || receiver.extend_at(block, &packed));
-            assert_eq!(u_fast, u_ref, "extend m={m} be={}", be.name());
-            assert_eq!(t_fast, t_ref, "t rows m={m} be={}", be.name());
-            let y_fast = with_backend(be, || sender.transfer_at(block, &u_fast, &pairs));
-            assert_eq!(y_fast.pairs, y_ref.pairs, "transfer m={m} be={}", be.name());
-            let got = with_backend(be, || receiver.decode(&y_fast, &packed, &t_fast));
-            assert_eq!(got, got_ref, "decode m={m} be={}", be.name());
+        let widths: &[usize] = if split_sizes.contains(&m) {
+            &[1, 2, 3]
+        } else {
+            &[]
+        };
+        let runs = (all_backends().into_iter().map(|be| (be, par::threads())))
+            .chain(widths.iter().map(|&t| (aes::auto_backend(), t)));
+        for (be, t) in runs {
+            let ctx = format!("m={m} be={} threads={t}", be.name());
+            let (u_fast, t_fast) = with_backend(be, || {
+                par::with_threads(t, || receiver.extend_at(block, &packed))
+            });
+            assert_eq!(u_fast, u_ref, "extend {ctx}");
+            assert_eq!(t_fast, t_ref, "t rows {ctx}");
+            let y_fast = with_backend(be, || {
+                par::with_threads(t, || sender.transfer_at(block, &u_fast, &pairs))
+            });
+            assert_eq!(y_fast.pairs, y_ref.pairs, "transfer {ctx}");
+            let got = with_backend(be, || {
+                par::with_threads(t, || receiver.decode(&y_fast, &packed, &t_fast))
+            });
+            assert_eq!(got, got_ref, "decode {ctx}");
         }
         block += ext::blocks(m);
     }

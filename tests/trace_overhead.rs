@@ -134,6 +134,57 @@ fn off_and_full_modes_are_bit_identical() {
     assert!(rep_full.trace.counter("gc.relu").unwrap_or(0) > 0);
 }
 
+/// A request's trace scope is thread-local, and the GC and OT kernels of a
+/// large ReLU phase split across cores: every count must still land on the
+/// thread that holds the scope. For a Client-Garbler inference with 8192
+/// ReLUs (garbling, evaluation and 163 840 OTs all above their split grain
+/// on a multi-core host), the request's own counters equal what the
+/// process-global ones moved by.
+#[test]
+fn split_kernels_keep_every_count_in_the_request_report() {
+    use pi_trace::Counter;
+    let _l = mode_lock();
+    let spec = pi_nn::NetSpec {
+        name: "mlp8192".into(),
+        input: [1, 8, 8],
+        ops: vec![
+            pi_nn::SpecOp::Flatten,
+            pi_nn::SpecOp::Linear { out: 8192 },
+            pi_nn::SpecOp::Relu,
+            pi_nn::SpecOp::Linear { out: 10 },
+        ],
+    };
+    let fx = FixedConfig {
+        p: pi_he::BfvParams::small_test().t(),
+        f: 5,
+    };
+    let mut rng = rand::rngs::StdRng::seed_from_u64(8192);
+    let qnet = QuantNetwork::quantize(&Network::materialize(&spec, &mut rng), fx);
+    let model = PiModel::lower(&qnet);
+    let input: Vec<u64> = (0..model.input_len)
+        .map(|_| fx.p.from_signed(rng.gen_range(-16..=16)))
+        .collect();
+    let cfg = ProtocolConfig::clear(ProtocolKind::ClientGarbler);
+
+    let counters = [
+        Counter::AesBlocks,
+        Counter::OtExtended,
+        Counter::GcAndGarbled,
+        Counter::GcAndEvaluated,
+    ];
+    pi_trace::force_mode(Some(TraceMode::Counters));
+    let before = counters.map(pi_trace::global_counter);
+    let (out, report) = private_inference(&model, &input, &cfg);
+    let after = counters.map(pi_trace::global_counter);
+    pi_trace::force_mode(None);
+
+    assert_eq!(out, qnet.forward_fixed(&input));
+    assert_eq!(report.trace.counter("ot.extended"), Some(8192 * 20));
+    for ((c, b), a) in counters.iter().zip(before).zip(after) {
+        assert_eq!(report.trace.counter(c.name()), Some(a - b), "{}", c.name());
+    }
+}
+
 /// Counters mode on the replicated matvec. Interleaved single-call trials with
 /// min-statistics (the minimum is the least noise-contaminated estimate of
 /// the true cost). On a shared host the two minima can sit a few percent
