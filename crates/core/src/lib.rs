@@ -12,8 +12,9 @@
 //! by [`ServeRuntime`]; the garbler / evaluator / base-OT steps both
 //! perform live in `role.rs`. Around them:
 //!
-//! * layer-parallel HE (§5.2): `ProtocolConfig::lphe_threads` matvecs at
-//!   once through [`pi_gc::par::map_ranges`], the one data-parallel
+//! * layer-parallel HE (§5.2): each server session computes its own
+//!   offline matvecs, `ProtocolConfig::lphe_threads` at once, under either
+//!   driver. The split is [`pi_gc::par::map_ranges`], the one data-parallel
 //!   helper, which also splits every large ReLU phase's garbling, GC
 //!   evaluation and OT extension across the host's cores;
 //! * HE rotation keys that are the model's key plan

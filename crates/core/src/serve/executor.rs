@@ -1,11 +1,11 @@
 //! The serving runtime's worker pool: a fixed set of threads on one shared
 //! FIFO run queue.
 //!
-//! Every task — a session pump, a batch drain — goes through the same
-//! channel, whoever submits it, and an idle worker blocks on that channel:
-//! while one worker grinds a garbling or a fused matvec batch, the rest
-//! drain every other session's inbox. No task ever waits on another task,
-//! so the pool is correct at any width, one worker included.
+//! Every task is a session pump and goes through the same channel, whoever
+//! submits it, and an idle worker blocks on that channel: while one worker
+//! grinds a session's garbling or HE matvecs, the rest drain every other
+//! session's inbox. No task ever waits on another task, so the pool is
+//! correct at any width, one worker included.
 //!
 //! The workers are a fixed set of threads, so `pi-he`'s thread-local
 //! key-switch scratch is one warm set per worker however sessions migrate

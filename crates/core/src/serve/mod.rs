@@ -38,33 +38,33 @@
 //!   lost its half while the server still holds the other is refused
 //!   (`BadRequest` on the client) until the entry is evicted — as with HE
 //!   keys.
-//! * **One run queue** — session pumps and batch drains are tasks on a
-//!   fixed pool of workers sharing one FIFO (`executor.rs`); those workers
-//!   are the only threads the runtime owns.
+//! * **One run queue** — session pumps are tasks on a fixed pool of
+//!   workers sharing one FIFO (`executor.rs`); those workers are the only
+//!   threads the runtime owns, apart from the scoped helpers a session's
+//!   own split work borrows for the length of one step
+//!   ([`pi_gc::par::map_ranges`]: `lphe_threads`-way matvecs, large ReLU
+//!   phases).
 //! * **Uplinks that file their own events** — a client's send (or the drop
 //!   of its endpoint) pushes the event onto its session's inbox and
 //!   schedules the session's pump, on the client's thread. It never touches
 //!   a session body, so slow session compute cannot stall message intake,
 //!   and it holds the runtime weakly, so a dropped runtime hangs up on
 //!   every live client.
-//! * **Cross-request batching** — sessions stalled on the offline HE
-//!   matvec enqueue their jobs with the batcher (`batch.rs`); workers drain
-//!   the deepest `(model, phase)` queue first and fuse the whole batch
-//!   through one pass over the shared diagonal operands
-//!   ([`pi_he::linalg::matvec_precomputed_many`]), preserving per-client
-//!   operation order so results stay bit-identical to sequential runs.
+//! * **Sessions that do their own work** — the offline HE matvecs included:
+//!   a session computes its products inside the pump that delivers its last
+//!   ciphertext, exactly as under [`session::drive_sync`], so every request
+//!   owns all of its time and the matvecs of different sessions run on as
+//!   many workers as there are sessions.
 //!
 //! Concurrency discipline per session slot: the *inbox* lock is the only
 //! one an uplink takes (always short); the *body* lock serializes the
 //! actual protocol compute and is only contended when a pump is already
-//! running — which the `scheduled` flag prevents. Per-session traces cover
-//! the session-serial work; time spent in fused cross-session batches is
-//! recorded in the runtime's [`ServeRuntime::aggregate_trace`] instead
-//! (attributing a shared pass to a single session would double-count).
+//! running — which the `scheduled` flag prevents. A session's trace covers
+//! all of its work; the runtime's [`ServeRuntime::aggregate_trace`] is the
+//! merge of every finished session's.
 
 pub mod session;
 
-mod batch;
 mod executor;
 mod table;
 
@@ -77,10 +77,8 @@ use crate::common::{
 };
 use crate::error::ProtocolError;
 use crate::msg::Msg;
-use batch::Batcher;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use executor::{resolve_workers, Executor};
-use pi_he::Ciphertext;
 use pi_nn::PiModel;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -125,8 +123,6 @@ enum SlotEvent {
     Msg(Msg),
     /// The client endpoint was dropped.
     Gone,
-    /// A fused matvec batch delivered this session's product for a phase.
-    Matvec(usize, Ciphertext),
 }
 
 /// The session-serial state a pump works on (guarded by the body lock).
@@ -145,7 +141,6 @@ struct SlotBody {
 /// ever takes the inbox lock.
 struct Slot {
     sid: u64,
-    model_id: usize,
     client_id: u64,
     scheduled: AtomicBool,
     inbox: parking_lot::Mutex<VecDeque<SlotEvent>>,
@@ -159,7 +154,6 @@ struct Inner {
     keys_table: ByteLru<(u64, Vec<usize>), ClientHeKeys>,
     ot_table: ByteLru<(u64, ProtocolKind), ClientOtState>,
     precomp_table: ByteLru<usize, ServerPrecomp>,
-    batcher: Batcher,
     agg_trace: parking_lot::Mutex<pi_trace::TraceReport>,
     // Behind an Option so `Drop` can take and join the pool on the runtime
     // thread — if the executor died with the last `Arc<Inner>` inside one
@@ -221,7 +215,6 @@ impl ServeRuntime {
             keys_table: ByteLru::new(cfg.table_budget_bytes),
             ot_table: ByteLru::new(cfg.table_budget_bytes),
             precomp_table: ByteLru::new(cfg.table_budget_bytes),
-            batcher: Batcher::default(),
             agg_trace: parking_lot::Mutex::new(pi_trace::TraceReport::default()),
             exec: parking_lot::Mutex::new(Some(Executor::new(workers))),
             workers,
@@ -293,7 +286,6 @@ impl ServeRuntime {
         let (result_tx, result_rx) = unbounded();
         let slot = Arc::new(Slot {
             sid,
-            model_id,
             client_id,
             scheduled: AtomicBool::new(false),
             inbox: parking_lot::Mutex::new(VecDeque::new()),
@@ -343,8 +335,8 @@ impl ServeRuntime {
         self.inner.ot_table.used_bytes()
     }
 
-    /// Snapshot of the runtime-wide trace: every finished session's server
-    /// trace plus the fused cross-session batch work.
+    /// Snapshot of the runtime-wide trace: the merge of every finished
+    /// session's server trace.
     pub fn aggregate_trace(&self) -> pi_trace::TraceReport {
         self.inner.agg_trace.lock().clone()
     }
@@ -452,7 +444,6 @@ fn step_event(inner: &Arc<Inner>, slot: &Arc<Slot>, body: &mut SlotBody, event: 
             sent.map(|()| Step::Idle).map_err(ProtocolError::from)
         }
         SlotEvent::Msg(m) => session.on_msg(&ctx, m),
-        SlotEvent::Matvec(phase, ct) => session.on_matvec_done(&ctx, phase, ct),
         SlotEvent::Gone => Err(ProtocolError::Channel(ChannelError::Disconnected)),
     };
     let done = match result {
@@ -472,50 +463,12 @@ fn step_event(inner: &Arc<Inner>, slot: &Arc<Slot>, body: &mut SlotBody, event: 
             inner.ot_table.insert(key, ot, bytes);
             return;
         }
-        Ok(Step::NeedMatvec(jobs)) => {
-            inner.batcher.push(slot.model_id, slot.sid, jobs);
-            let drainer = inner.clone();
-            let exec = inner.exec.lock();
-            if let Some(exec) = exec.as_ref() {
-                exec.spawn(Box::new(move || drain_batches(&drainer)));
-            }
-            return;
-        }
         Ok(Step::Done(out)) => Ok(out),
         Err(e) => Err(e),
     };
     body.done = Some(done);
     body.finished = true;
     inner.slots.lock().remove(&slot.sid);
-}
-
-/// Drains the batcher: deepest `(model, phase)` queue first, one fused
-/// diagonals pass per batch, results delivered back to each session's
-/// inbox. Several drainers may run at once; each batch is taken exactly
-/// once.
-fn drain_batches(inner: &Arc<Inner>) {
-    while let Some(batch) = inner.batcher.take_batch() {
-        let entry = inner.models.lock()[batch.model].clone();
-        let pre = precomp_for(inner, batch.model, &entry);
-        let Some(diagonals) = pre.diagonals.as_ref() else {
-            continue;
-        };
-        let trace_scope = pi_trace::begin_local();
-        let prods = {
-            let _span = pi_trace::span!("offline.he");
-            let pairs: Vec<_> = (batch.jobs.iter())
-                .map(|p| (p.job.keys.galois(), &p.job.ct))
-                .collect();
-            pi_he::linalg::matvec_precomputed_many(&pairs, &diagonals[batch.phase])
-        };
-        inner.agg_trace.lock().merge(&trace_scope.finish());
-        for (pending, prod) in batch.jobs.iter().zip(prods) {
-            let slot = inner.slots.lock().get(&pending.sid).cloned();
-            if let Some(slot) = slot {
-                enqueue(inner, &slot, SlotEvent::Matvec(pending.job.phase, prod));
-            }
-        }
-    }
 }
 
 /// Fetches (or rebuilds) the cached precomputation for a model. Two

@@ -10,11 +10,13 @@
 //! * [`ServerSession::new`] arms the first expectation;
 //! * [`ServerSession::on_msg`] consumes exactly one client message,
 //!   advances as far as the protocol allows without further input, and
-//!   reports what it needs next ([`Step`]);
-//! * [`ServerSession::on_matvec_done`] resumes a session stalled on the
-//!   heavy HE matvec ([`Step::NeedMatvec`]), which the caller services —
-//!   inline with layer-parallel threads in [`drive_sync`], or batched
-//!   across sessions by the runtime's batcher.
+//!   reports what it needs next ([`Step`]).
+//!
+//! A session does all of its own work, the offline HE matvecs included:
+//! the message that completes the client's ciphertext upload runs every
+//! phase's product with `ProtocolConfig::lphe_threads`-way layer
+//! parallelism (LPHE, §5.2) and answers in phase order, whichever driver
+//! delivered it — [`drive_sync`] or the serving runtime's worker pool.
 //!
 //! **State-machine contract.** Every state owns what consuming its one
 //! expected message needs — the half-received phase, the OT in flight, the
@@ -70,20 +72,9 @@ pub struct SessionCtx<'a> {
     pub retired_keys: &'a dyn Fn(usize) -> Option<ClientHeKeys>,
 }
 
-/// One outstanding HE matrix-vector product: the session cannot proceed
-/// until `E(W_phase · r)` comes back via [`ServerSession::on_matvec_done`].
-pub struct MatvecJob {
-    /// Linear-phase index.
-    pub phase: usize,
-    /// The client's `E(r_cat)` for that phase.
-    pub ct: Ciphertext,
-    /// The client's rotation keys, admitted for this model's key plan.
-    pub keys: Arc<ClientHeKeys>,
-}
-
 /// What a session needs after a step.
 pub enum Step {
-    /// Waiting for further client messages (or outstanding matvecs).
+    /// Waiting for further client messages.
     Idle,
     /// As [`Step::Idle`], and the client just uploaded these HE keys — the
     /// runtime caches them in its session table.
@@ -91,9 +82,6 @@ pub enum Step {
     /// As [`Step::Idle`], and base OT just finished — the runtime caches
     /// the server's half of the pair's IKNP state in its session table.
     GotOt(Arc<ClientOtState>),
-    /// The offline linear pass needs these HE products computed; resume
-    /// each with [`ServerSession::on_matvec_done`].
-    NeedMatvec(Vec<MatvecJob>),
     /// The protocol completed, with this cost summary (the driver fills in
     /// the trace field).
     Done(PartyOutcome),
@@ -106,6 +94,8 @@ struct HeCtx {
     encoder: BatchEncoder,
     /// The model's key plan: what an upload must equal to be admitted.
     plan: Vec<usize>,
+    /// Threads the offline matvecs split across (`lphe_threads`).
+    threads: usize,
 }
 
 /// One stored Client-Garbler ReLU phase: the checked tables, the output
@@ -153,10 +143,6 @@ enum State {
         cts: Vec<Ciphertext>,
     },
     AwaitRCats(Vec<Vec<u64>>),
-    AwaitMatvec {
-        he: HeCtx,
-        prods: Vec<Option<Ciphertext>>,
-    },
     SgAwaitBaseSetup,
     SgAwaitBaseTransfer(BaseReceiver),
     SgAwaitOtExtend(Garbler),
@@ -185,7 +171,6 @@ impl State {
             State::AwaitKeys(_) => "HeKeys",
             State::AwaitCts { .. } => "HeCts",
             State::AwaitRCats(_) | State::AwaitMaskedInput(_) => "VecU64",
-            State::AwaitMatvec { .. } => "no message (matvec pending)",
             State::SgAwaitBaseSetup => "OtBaseSetup",
             State::SgAwaitBaseTransfer(_) => "OtBaseTransfer",
             State::SgAwaitOtExtend(_) => "OtExtend",
@@ -233,6 +218,7 @@ impl ServerSession {
             params: params.clone(),
             encoder: BatchEncoder::new(params),
             plan: meta.key_plan(params),
+            threads: cfg.lphe_threads,
         });
         let cts = Vec::new();
         let state = match (he, cached_keys) {
@@ -317,20 +303,25 @@ impl ServerSession {
                     self.state = State::AwaitCts { he, keys, cts };
                     return Ok(Step::Idle);
                 }
-                // All inputs are in: stall on the HE matvecs.
+                // All inputs are in: answer every phase at once,
+                // `E(W·r − s)` in phase order.
                 self.draw_shares();
-                let jobs: Vec<MatvecJob> = cts
-                    .into_iter()
-                    .enumerate()
-                    .map(|(phase, ct)| MatvecJob {
-                        phase,
-                        ct,
-                        keys: keys.clone(),
-                    })
-                    .collect();
-                let prods = jobs.iter().map(|_| None).collect();
-                self.state = State::AwaitMatvec { he, prods };
-                Ok(Step::NeedMatvec(jobs))
+                {
+                    let _span = pi_trace::span!("offline.he");
+                    let prods = matvecs(&cts, &keys, ctx.pre, he.threads)?;
+                    for ((prod, ph), s_i) in prods.iter().zip(&self.meta.phases).zip(&self.s_vecs) {
+                        let resp =
+                            linalg::sub_share(&he.params, &he.encoder, prod, s_i, ph.padded_dim);
+                        // Every server→client response is modulus-down-switched
+                        // before serialization: fewer packed bits per
+                        // coefficient AND more absolute noise headroom at the
+                        // GC handoff.
+                        let resp = resp.mod_switch_down(&he.params);
+                        ctx.sink
+                            .send(Msg::HeCts(vec![pi_he::ciphertext_to_bytes(&resp)]))?;
+                    }
+                }
+                self.start_ot_stage(ctx)
             }
             (State::AwaitRCats(mut r_cats), Msg::VecU64(v)) => {
                 if v.len() != self.meta.phases[r_cats.len()].cols || !reduced(&v, p) {
@@ -465,43 +456,6 @@ impl ServerSession {
             }
             (state, other) => Err(unexpected(state.expects(), &other)),
         }
-    }
-
-    /// Delivers one finished HE product for `phase`. Once every outstanding
-    /// product is in, the per-phase responses `E(W·r − s)` go out in phase
-    /// order and the protocol moves on to OT setup.
-    ///
-    /// # Errors
-    ///
-    /// [`ProtocolError::Channel`] if the client vanished;
-    /// [`ProtocolError::BadRequest`] if the session is not waiting for one.
-    pub fn on_matvec_done(
-        &mut self,
-        ctx: &SessionCtx<'_>,
-        phase: usize,
-        prod: Ciphertext,
-    ) -> Result<Step, ProtocolError> {
-        let State::AwaitMatvec { he, prods } = &mut self.state else {
-            return Err(ProtocolError::BadRequest("unrequested matvec result"));
-        };
-        prods[phase] = Some(prod);
-        if prods.iter().any(Option::is_none) {
-            return Ok(Step::Idle);
-        }
-        {
-            let _span = pi_trace::span!("offline.he");
-            for (i, prod) in prods.iter().flatten().enumerate() {
-                let dim = self.meta.phases[i].padded_dim;
-                let resp = linalg::sub_share(&he.params, &he.encoder, prod, &self.s_vecs[i], dim);
-                // Every server→client response is modulus-down-switched
-                // before serialization: fewer packed bits per coefficient
-                // AND more absolute noise headroom at the GC handoff.
-                let resp = resp.mod_switch_down(&he.params);
-                ctx.sink
-                    .send(Msg::HeCts(vec![pi_he::ciphertext_to_bytes(&resp)]))?;
-            }
-        }
-        self.start_ot_stage(ctx)
     }
 
     /// Samples the server shares `s_i` — the first randomness the server
@@ -661,8 +615,6 @@ impl ServerSession {
 /// Drives a [`ServerSession`] to completion over a blocking [`Channel`] —
 /// the classic one-thread-per-party deployment, running the *same* state
 /// machine as the serving runtime so the two paths cannot drift.
-/// [`Step::NeedMatvec`] is serviced inline with `cfg.lphe_threads`-way
-/// layer parallelism.
 ///
 /// # Errors
 ///
@@ -684,56 +636,41 @@ pub fn drive_sync(
         sink: chan.tx(),
         retired_keys: &|_| None,
     };
-    let mut step = Step::Idle;
     let mut out = loop {
-        step = match step {
-            Step::Done(out) => break out,
-            Step::NeedMatvec(jobs) => {
-                let prods = {
-                    let _span = pi_trace::span!("offline.he");
-                    compute_matvec_jobs(&jobs, pre, cfg.lphe_threads)?
-                };
-                let mut step = Step::Idle;
-                for (phase, prod) in prods {
-                    step = session.on_matvec_done(&ctx, phase, prod)?;
-                }
-                step
-            }
-            Step::Idle | Step::GotKeys(_) | Step::GotOt(_) => session.on_msg(&ctx, chan.recv()?)?,
-        };
+        if let Step::Done(out) = session.on_msg(&ctx, chan.recv()?)? {
+            break out;
+        }
     };
     drop(root_span);
     out.trace = trace_scope.finish();
     Ok(out)
 }
 
-/// Computes the HE products for a batch of same-session jobs with
-/// `threads`-way layer parallelism (LPHE, §5.2): [`pi_gc::par::map_ranges`]
-/// over contiguous runs of jobs. Results come back in job order, which is
-/// phase order. The first run's matvecs execute on the calling thread; the
-/// others' `he.*` and `ntt.*` counts reach the global trace but not the
-/// request's own report, whose scope is the calling thread's.
+/// Computes `E(W_i · r_i)` for every phase `i` with `threads`-way layer
+/// parallelism (LPHE, §5.2): [`pi_gc::par::map_ranges`] over contiguous
+/// runs of phases, products in phase order. The first run's matvecs execute
+/// on the calling thread; the others' `he.*` and `ntt.*` counts reach the
+/// global trace but not the request's own report, whose scope is the
+/// calling thread's.
 ///
 /// # Errors
 ///
 /// [`ProtocolError::BadRequest`] if `pre` was built for cleartext mode and
 /// has no diagonals to multiply by.
-pub fn compute_matvec_jobs(
-    jobs: &[MatvecJob],
+fn matvecs(
+    cts: &[Ciphertext],
+    keys: &ClientHeKeys,
     pre: &ServerPrecomp,
     threads: usize,
-) -> Result<Vec<(usize, Ciphertext)>, ProtocolError> {
+) -> Result<Vec<Ciphertext>, ProtocolError> {
     let Some(diagonals) = pre.diagonals.as_deref() else {
         return Err(ProtocolError::BadRequest("no HE diagonals precomputed"));
     };
-    let work = |job: &MatvecJob| -> (usize, Ciphertext) {
-        // Replicated diagonals: d/c plaintext products, a hoisted BSGS
-        // inside each replica and a log₂ c rotate-and-sum.
-        let prod = linalg::matvec_precomputed(job.keys.galois(), &diagonals[job.phase], &job.ct);
-        (job.phase, prod)
-    };
-    let parts = pi_gc::par::map_ranges(jobs.len(), threads, |run| {
-        jobs[run].iter().map(work).collect()
+    // Replicated diagonals: d/c plaintext products, a hoisted BSGS inside
+    // each replica and a log₂ c rotate-and-sum.
+    let parts = pi_gc::par::map_ranges(cts.len(), threads, |phases| {
+        let matvec = |i: usize| linalg::matvec_precomputed(keys.galois(), &diagonals[i], &cts[i]);
+        phases.map(matvec).collect()
     });
     Ok(pi_gc::par::concat(parts))
 }

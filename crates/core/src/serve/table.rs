@@ -174,7 +174,7 @@ mod tests {
     }
 
     #[test]
-    fn budget_holds_across_shards_for_entries_over_a_shard_slice() {
+    fn budget_holds_and_the_least_recently_used_entry_goes_first() {
         // Entries of 40 against a budget of 100: the table holds at most
         // two of them, and the two most recently used.
         let t: ByteLru<u64, u64> = ByteLru::new(100);

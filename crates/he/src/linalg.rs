@@ -325,7 +325,7 @@ impl Packing {
 
 /// The rotation-key set of a model whose linear layers have the given
 /// padded dimensions: the Galois element of every key
-/// [`matvec_precomputed_many`] reads at one of them — per dimension the
+/// [`matvec_precomputed`] reads at one of them — per dimension the
 /// in-replica baby rotations `1..b` and giant rotations `b·j`, the
 /// rotate-and-sum's rotations `d, 2d, …` and, where the replicas span both
 /// rows, the row swap `2N − 1` (module docs); rotation 0 needs no key.
@@ -474,9 +474,19 @@ pub fn encode_diagonals_bsgs(enc: &BatchEncoder, w: &PlainMatrix) -> BsgsDiagona
 }
 
 /// Computes `E(W · r)` from `E(r)` in the replicated layout — the
-/// offline-phase hot path, and the one-job call of
-/// [`matvec_precomputed_many`] (see the module docs for the decomposition
-/// and noise shape).
+/// offline-phase hot path (see the module docs for the decomposition and
+/// noise shape). The input is a phase input in the replicated layout
+/// ([`encode_input`]); the output holds `(W·r)[s mod d]` in every slot `s`.
+///
+/// The input is hoisted once (only if there is a baby rotation to take) and
+/// the `b − 1` baby rotations are taken from the lift without dividing by
+/// the special prime; their products accumulate in the extended basis, the
+/// identity step's under `q` alone. Each of the `g − 1` giant groups
+/// divides its sum once and rotates it with one fused key switch that
+/// accumulates, with group 0's extended-basis sum, into one pair divided
+/// once after the last; then each rotate-and-sum step is one fused key
+/// switch and its division. Everything runs in the lazy `[0, 2q)` /
+/// `[0, 2P)` evaluation domains with a single final correction.
 ///
 /// Only the protocol's upload — a seeded symmetric encryption
 /// ([`crate::SecretKey::encrypt_seeded`]) — keeps the ≥ 7-bit decrypt margin
@@ -488,174 +498,120 @@ pub fn encode_diagonals_bsgs(enc: &BatchEncoder, w: &PlainMatrix) -> BsgsDiagona
 ///
 /// # Panics
 ///
-/// Panics under the same conditions as [`matvec_precomputed_many`].
+/// Panics if `gk` lacks an entry of [`key_plan`] for `w.dim()` (a caller
+/// bug: generate the keys with [`crate::keys::KeySet::generate_for_dims`];
+/// a server admits no other set), or if the keys, the ciphertext and the
+/// operands come from different rings.
 pub fn matvec_precomputed(gk: &GaloisKeys, w: &BsgsDiagonals, ct_v: &Ciphertext) -> Ciphertext {
-    let mut prods = matvec_precomputed_many(&[(gk, ct_v)], w);
-    prods.pop().expect("one job in, one product out")
-}
-
-/// Computes `E(W · rᶜ)` for a batch of independent clients sharing the same
-/// matrix — one job is the plain matvec, several are the serving runtime's
-/// cross-request fusion. Each input is a phase input in the replicated
-/// layout ([`encode_input`]); each output holds `(W·r)[s mod d]` in every
-/// slot `s`.
-///
-/// Each job carries its own Galois keys (clients never share key material)
-/// and input ciphertext, but all jobs multiply against the **same**
-/// [`BsgsDiagonals`]: the loop nest walks each packed operand once per
-/// giant group and applies it to every client's baby rotation before moving
-/// to the next, so the shared operands stream through cache once instead of
-/// once per request.
-///
-/// Per client: the input is hoisted once (only if there is a baby rotation
-/// to take) and the `b − 1` baby rotations are taken from the lift without
-/// dividing by the special prime; their products accumulate in the
-/// extended basis, the identity step's under `q` alone. Each of the `g − 1`
-/// giant groups divides its sum once and rotates it with one fused key
-/// switch that accumulates, with group 0's extended-basis sum, into one
-/// pair divided once after the last; then each rotate-and-sum step is one
-/// fused key switch and its division. Everything runs in the lazy `[0, 2q)`
-/// / `[0, 2P)` evaluation domains with a single final correction. Batching
-/// is a scheduling change, never a semantic one: a job's result is
-/// bit-identical whatever shares its batch.
-///
-/// # Panics
-///
-/// Panics if a job's Galois keys lack an entry of [`key_plan`] for
-/// `w.dim()` (a caller bug: generate them with
-/// [`crate::keys::KeySet::generate_for_dims`]; a server admits no other
-/// set), or if the keys, the ciphertext and the operands come from
-/// different rings.
-pub fn matvec_precomputed_many(
-    jobs: &[(&GaloisKeys, &Ciphertext)],
-    w: &BsgsDiagonals,
-) -> Vec<Ciphertext> {
-    if jobs.is_empty() {
-        return Vec::new();
-    }
-    let params = jobs[0].0.params();
+    let params = gk.params();
     let ring = params.ring();
     let (ntt, ntt_p) = (ring.ntt(), params.special_ring().ntt());
     let q = params.q();
     let n = params.n();
     let packing = w.packing;
     let (m, b) = (packing.steps(), packing.baby);
-    // Operands and inputs must live in the keys' ring: the dyadic kernels
+    // Operands and input must live in the keys' ring: the dyadic kernels
     // below only length-check raw slices, so a same-degree/different-modulus
     // input would otherwise silently corrupt the result.
-    let op_ctx = w.ops[0].q.ctx();
+    let (op_ctx, ct_ctx) = (w.ops[0].q.ctx(), ct_v.c0.ctx());
     assert!(
         op_ctx.n() == n && op_ctx.q() == q,
         "diagonal operands' ring (n={}, q={}) does not match the Galois keys' ring (n={n}, q={q})",
         op_ctx.n(),
         op_ctx.q()
     );
-    for (gk, ct_v) in jobs {
-        let (keys, input) = (gk.params(), ct_v.c0.ctx());
-        assert!(
-            keys.n() == n && keys.q() == q && input.n() == n && input.q() == q,
-            "a job's keys or ciphertext are not in the ring (n={n}, q={q})"
-        );
-    }
-    // Per client: the input in evaluation form (the identity step), and
-    // baby rotations 1..b in the extended basis — `P·rot_i(x)` plus the
-    // keys' error, undivided — from one hoisted lift, in client order
-    // (rotations touch only that client's keys and ciphertext, so there is
-    // nothing to share).
-    let inputs: Vec<[Vec<u64>; 2]> = jobs
-        .iter()
-        .map(|(_, ct_v)| [&ct_v.c0, &ct_v.c1].map(|c| c.clone().into_ntt().into_data()))
-        .collect();
-    let babies: Vec<Vec<ExtPair>> = jobs
-        .iter()
-        .map(|(gk, ct_v)| {
-            let hoisted = (b > 1).then(|| gk.hoist(ct_v));
-            let rotate = |i| {
-                let mut baby = ExtPair::zeros(n);
-                let hoisted = hoisted.as_ref().expect("hoisted when b > 1");
-                gk.rotate_hoisted_ext(hoisted, i, &mut baby)
-                    .unwrap_or_else(|e| panic!("{e}"));
-                baby
-            };
-            (1..b).map(rotate).collect()
+    assert!(
+        ct_ctx.n() == n && ct_ctx.q() == q,
+        "the ciphertext is not in the keys' ring (n={n}, q={q})"
+    );
+    // The input in evaluation form (the identity step), and baby rotations
+    // 1..b in the extended basis — `P·rot_i(x)` plus the keys' error,
+    // undivided — from one hoisted lift.
+    let input = [&ct_v.c0, &ct_v.c1].map(|c| c.clone().into_ntt().into_data());
+    let hoisted = (b > 1).then(|| gk.hoist(ct_v));
+    let babies: Vec<ExtPair> = (1..b)
+        .map(|i| {
+            let mut baby = ExtPair::zeros(n);
+            let hoisted = hoisted.as_ref().expect("hoisted when b > 1");
+            gk.rotate_hoisted_ext(hoisted, i, &mut baby)
+                .unwrap_or_else(|e| panic!("{e}"));
+            baby
         })
         .collect();
-    // Per client: the result under `q` (`acc`), what is still multiplied
-    // by `P` (`ext`: group 0's baby products and every giant's switched
-    // part), a giant group's sum (`inner`) and the lift of each fused
-    // switch's input.
-    let mut accs: Vec<[Vec<u64>; 2]> = jobs.iter().map(|_| [vec![0; n], vec![0; n]]).collect();
-    let mut scratch: Vec<(ExtPair, ExtPair, Lifted)> = jobs
-        .iter()
-        .map(|_| (ExtPair::zeros(n), ExtPair::zeros(n), Lifted::zeros(n)))
-        .collect();
+    // The result under `q` (`acc`), what is still multiplied by `P` (`ext`:
+    // group 0's baby products and every giant's switched part), a giant
+    // group's sum (`inner`) and the lift of each fused switch's input.
+    let mut acc = [vec![0; n], vec![0; n]];
+    let (mut ext, mut inner, mut lifted) = (ExtPair::zeros(n), ExtPair::zeros(n), Lifted::zeros(n));
     for j in 0..packing.giant {
         let lo = j * b;
         let group = &w.ops[lo..lo + b.min(m - lo)];
         // Giant group j accumulates Σ_i p_{j,i} ⊙ rot_i(x); group 0 lands
-        // directly in the result (identity rotation). Operand-outer,
-        // client-inner: the shared operand streams once. The babies' terms
+        // directly in the result (identity rotation). The babies' terms
         // first, in the extended basis ...
-        for (i, op) in group.iter().enumerate().skip(1) {
+        for (op, baby) in group.iter().skip(1).zip(&babies) {
             let op_p = op.p.as_ref().expect("a baby step has a P residue");
-            for (c, (ext, inner, _)) in scratch.iter_mut().enumerate() {
-                let sum = if j == 0 { ext } else { inner };
-                let baby = &babies[c][i - 1];
-                for (x, y) in sum.q.iter_mut().zip(&baby.q) {
-                    ntt.dyadic_mul_acc_shoup(x, y, op.q.shoup());
-                }
-                for (x, y) in sum.p.iter_mut().zip(&baby.p) {
-                    ntt_p.dyadic_mul_acc_shoup(x, y, op_p.shoup());
-                }
+            let sum = if j == 0 { &mut ext } else { &mut inner };
+            for (s, y) in sum.q.iter_mut().zip(&baby.q) {
+                ntt.dyadic_mul_acc_shoup(s, y, op.q.shoup());
+            }
+            for (s, y) in sum.p.iter_mut().zip(&baby.p) {
+                ntt_p.dyadic_mul_acc_shoup(s, y, op_p.shoup());
             }
         }
         // ... divided once per giant group, then the identity step's term.
-        for (c, (_, inner, _)) in scratch.iter_mut().enumerate() {
-            if j > 0 && group.len() > 1 {
-                let (xq, xp) = inner.halves();
-                mod_down(params, xq, xp);
-            }
-            let sum = if j == 0 { &mut accs[c] } else { &mut inner.q };
-            for (x, y) in sum.iter_mut().zip(&inputs[c]) {
-                ntt.dyadic_mul_acc_shoup(x, y, group[0].q.shoup());
-            }
+        if j > 0 && group.len() > 1 {
+            let (xq, xp) = inner.halves();
+            mod_down(params, xq, xp);
+        }
+        let sum = if j == 0 { &mut acc } else { &mut inner.q };
+        for (s, y) in sum.iter_mut().zip(&input) {
+            ntt.dyadic_mul_acc_shoup(s, y, group[0].q.shoup());
         }
         if j > 0 {
             let g = rotation_element(n, lo);
-            for (c, (gk, _)) in jobs.iter().enumerate() {
-                let (ext, inner, lifted) = &mut scratch[c];
-                let [inner0, inner1] = &mut inner.q;
-                gk.rotate_acc_lazy(g, inner0, inner1, &mut accs[c][0], lifted, ext)
-                    .unwrap_or_else(|e| panic!("{e}"));
-                inner.clear();
-            }
+            let [inner0, inner1] = &mut inner.q;
+            gk.rotate_acc_lazy(g, inner0, inner1, &mut acc[0], &mut lifted, &mut ext)
+                .unwrap_or_else(|e| panic!("{e}"));
+            inner.clear();
         }
     }
-    accs.into_iter()
-        .zip(jobs.iter().zip(&mut scratch))
-        .map(|([mut acc0, mut acc1], ((gk, _), (ext, y, lifted)))| {
-            if m > 1 {
-                gk.settle(ext, &mut acc0, &mut acc1);
-            }
-            // Rotate-and-sum: acc += rot(acc), one fused switch and its own
-            // division per step (the next step rotates this one's sum).
-            let [y0, y1] = &mut y.q;
-            for g in packing.sum_elements() {
-                y0.copy_from_slice(&acc0);
-                y1.copy_from_slice(&acc1);
-                ext.clear();
-                gk.rotate_acc_lazy(g, y0, y1, &mut acc0, lifted, ext)
-                    .unwrap_or_else(|e| panic!("{e}"));
-                gk.settle(ext, &mut acc0, &mut acc1);
-            }
-            for x in acc0.iter_mut().chain(acc1.iter_mut()) {
-                *x = q.reduce_lazy(*x);
-            }
-            Ciphertext {
-                c0: Poly::from_ntt_data(ring.clone(), acc0),
-                c1: Poly::from_ntt_data(ring.clone(), acc1),
-            }
-        })
+    let [mut acc0, mut acc1] = acc;
+    if m > 1 {
+        gk.settle(&mut ext, &mut acc0, &mut acc1);
+    }
+    // Rotate-and-sum: acc += rot(acc), one fused switch and its own
+    // division per step (the next step rotates this one's sum).
+    let [y0, y1] = &mut inner.q;
+    for g in packing.sum_elements() {
+        y0.copy_from_slice(&acc0);
+        y1.copy_from_slice(&acc1);
+        ext.clear();
+        gk.rotate_acc_lazy(g, y0, y1, &mut acc0, &mut lifted, &mut ext)
+            .unwrap_or_else(|e| panic!("{e}"));
+        gk.settle(&mut ext, &mut acc0, &mut acc1);
+    }
+    for x in acc0.iter_mut().chain(acc1.iter_mut()) {
+        *x = q.reduce_lazy(*x);
+    }
+    Ciphertext {
+        c0: Poly::from_ntt_data(ring.clone(), acc0),
+        c1: Poly::from_ntt_data(ring.clone(), acc1),
+    }
+}
+
+/// [`matvec_precomputed`] once per `(keys, input)` job against one matrix,
+/// products in job order.
+///
+/// # Panics
+///
+/// Panics under the same conditions as [`matvec_precomputed`].
+pub fn matvec_precomputed_many(
+    jobs: &[(&GaloisKeys, &Ciphertext)],
+    w: &BsgsDiagonals,
+) -> Vec<Ciphertext> {
+    (jobs.iter())
+        .map(|(gk, ct_v)| matvec_precomputed(gk, w, ct_v))
         .collect()
 }
 
@@ -844,7 +800,7 @@ mod tests {
 
     /// The replicated schedule on cleartext slots: the input layout, every
     /// packed operand, the baby and giant rotations and the rotate-and-sum
-    /// exactly as [`matvec_precomputed_many`] applies them, with slot
+    /// exactly as [`matvec_precomputed`] applies them, with slot
     /// arithmetic mod `t` in place of ciphertexts.
     fn simulate(packing: &Packing, w: &PlainMatrix, v: &[u64], t: Modulus) -> Vec<u64> {
         let n = packing.n;

@@ -160,8 +160,9 @@ fn main() {
 
     // ------------------------------------------------------------------
     // The serving runtime itself: 8 clients through one shared worker
-    // pool, sessions cached in the byte-budgeted table, same-model HE
-    // matvecs fused across requests. The A/B below runs the same eight
+    // pool, sessions cached in the byte-budgeted table, each session
+    // computing its own HE matvecs (`lphe_threads` = 2) inside its pump.
+    // The A/B below runs the same eight
     // requests twice over the SAME runtime — one at a time, then all in
     // flight — so the speedup line is honest wall-clock on this machine
     // (a single-core container pins it near 1x; the concurrency win needs

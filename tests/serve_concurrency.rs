@@ -86,18 +86,25 @@ fn concurrent_clients_match_reference_clear_both_kinds() {
     }
 }
 
+/// One `ProtocolConfig` behaves the same under both drivers: each session
+/// runs its own matvecs `lphe_threads` wide inside its pump, and the
+/// outputs stay bit-exact at every width.
 #[test]
 fn concurrent_clients_match_reference_he_client_garbler() {
     let he = BfvParams::small_test();
     let model = build_model(&he, 11);
-    // One worker too: every pump and every batch drain then take turns on
-    // one thread, and a task that waited on one queued behind it would hang.
+    // One worker too: every pump then takes its turn on one thread, and a
+    // task that waited on one queued behind it would hang.
     for workers in [1, 4] {
-        let rt = ServeRuntime::new(serve_cfg(workers));
-        let cfg = ProtocolConfig::client_garbler(he.clone(), 1);
-        run_concurrent_clients(&rt, &model, &cfg, 3);
-        // Three distinct clients uploaded keys; the fused matvec batches ran.
-        assert_eq!(rt.key_table_stats().inserts, 3, "{workers} workers");
+        for lphe_threads in [1, 2] {
+            let rt = ServeRuntime::new(serve_cfg(workers));
+            let cfg = ProtocolConfig::client_garbler(he.clone(), lphe_threads);
+            run_concurrent_clients(&rt, &model, &cfg, 3);
+            // Three distinct clients uploaded keys, and every session ran
+            // its own matvecs.
+            let what = format!("{workers} workers, lphe_threads {lphe_threads}");
+            assert_eq!(rt.key_table_stats().inserts, 3, "{what}");
+        }
     }
 }
 
@@ -1010,9 +1017,9 @@ fn off_plan_key_uploads() -> [(&'static str, Tamper); 5] {
 /// The server admits a key upload only if it **is** the model's key plan:
 /// on a one-worker runtime each off-plan upload ends its own session in
 /// `BadRequest` and is not cached, while a neighbour running at the same
-/// time — its matvec jobs are what the refused keys would have shared a
-/// fused batch with — completes bit-exact. A worker that panicked on a
-/// missing key would resolve neither.
+/// time on the same worker — its pumps queued behind the refused
+/// session's — completes bit-exact. A worker that panicked on a missing key
+/// would resolve neither.
 #[test]
 fn off_plan_key_uploads_are_bad_requests_and_the_neighbour_completes() {
     let he = BfvParams::small_test();

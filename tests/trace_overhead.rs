@@ -17,7 +17,10 @@
 //! mode serialize on a local mutex (integration tests in one binary run on
 //! parallel threads).
 
-use pi_core::{private_inference, ProtocolConfig, ProtocolKind};
+use pi_core::{
+    private_inference, ModelMeta, ProtocolConfig, ProtocolKind, ServeConfig, ServeRuntime,
+    ServiceClient,
+};
 use pi_he::linalg::{self, BsgsDiagonals, PlainMatrix};
 use pi_he::{BatchEncoder, BfvParams, Ciphertext, KeySet};
 use pi_nn::{zoo, FixedConfig, Network, PiModel, QuantNetwork};
@@ -183,6 +186,51 @@ fn split_kernels_keep_every_count_in_the_request_report() {
     for ((c, b), a) in counters.iter().zip(before).zip(after) {
         assert_eq!(report.trace.counter(c.name()), Some(a - b), "{}", c.name());
     }
+}
+
+/// A serving-runtime session computes its own HE matvecs, inside its own
+/// pump, so their work lands in the request's report. For one
+/// Client-Garbler `tiny_cnn` request on a one-worker runtime, the server's
+/// `he.rotation` count is the sum of `matvec_op_count` over the model's
+/// phases, and exactly what the process-global counter moved by.
+#[test]
+fn a_served_request_reports_its_own_matvec_rotations() {
+    use pi_trace::Counter;
+    let _l = mode_lock();
+    let he = BfvParams::small_test();
+    let fx = FixedConfig { p: he.t(), f: 5 };
+    let mut rng = rand::rngs::StdRng::seed_from_u64(29);
+    let net = Network::materialize(&zoo::tiny_cnn(), &mut rng);
+    let model = PiModel::lower(&QuantNetwork::quantize(&net, fx));
+    let meta = ModelMeta::of(&model);
+    let input: Vec<u64> = (0..model.input_len)
+        .map(|_| fx.p.from_signed(rng.gen_range(-16..=16)))
+        .collect();
+    let cfg = ProtocolConfig::client_garbler(he.clone(), 1);
+    let rt = ServeRuntime::new(ServeConfig {
+        workers: 1,
+        ..Default::default()
+    });
+    let model_id = rt.register_model(model.clone(), cfg.clone());
+
+    pi_trace::force_mode(Some(TraceMode::Counters));
+    let before = pi_trace::global_counter(Counter::HeRotation);
+    let conn = rt.connect(0, model_id, 1);
+    let (out, _) = ServiceClient::new()
+        .run(&meta, &input, &cfg, &conn.chan, &mut rng)
+        .expect("client run");
+    let server = conn.handle.wait().expect("server outcome");
+    let after = pi_trace::global_counter(Counter::HeRotation);
+    pi_trace::force_mode(None);
+
+    assert_eq!(out, model.forward(&input));
+    let expect: u64 = (meta.phases.iter())
+        .map(|ph| linalg::matvec_op_count(he.n(), ph.padded_dim).rotations() as u64)
+        .sum();
+    assert!(expect > 0);
+    let reported = server.trace.counter(Counter::HeRotation.name());
+    assert_eq!(reported, Some(expect), "the session's own report");
+    assert_eq!(after - before, expect, "the global counter");
 }
 
 /// Counters mode on the replicated matvec. Interleaved single-call trials with
