@@ -32,7 +32,7 @@ fn bench_sim(c: &mut Criterion) {
         let mut seed = 0u64;
         b.iter(|| {
             seed += 1;
-            simulate_once(&profile, &wl, seed)
+            simulate_once(&profile, &wl, 1, seed)
         })
     });
     group.finish();

@@ -11,8 +11,11 @@
 //! * [`link`] — the TDD wireless model and the closed-form WSA optimum.
 //! * [`cost`] — per-inference cost profiles (compute seconds, bytes,
 //!   storage) for Server-Garbler and Client-Garbler on any zoo network.
-//! * [`engine`] — Poisson arrivals into a FIFO system with a
-//!   storage-bounded precompute buffer (LPHE or RLP offline scheduling).
+//! * [`energy`] — the client's GC energy per inference and per battery
+//!   under either garbler role (§5.1).
+//! * [`engine`] — Poisson arrivals from one or many clients into a FIFO
+//!   server, each client with a storage-bounded precompute buffer
+//!   (sequential, LPHE or RLP offline scheduling).
 //! * [`future`] — the §6 accumulating-optimizations waterfall.
 //!
 //! # Example
@@ -50,12 +53,10 @@ pub mod energy;
 pub mod engine;
 pub mod future;
 pub mod link;
-pub mod multi_client;
 
 pub use cost::{Garbler, ProtocolCosts};
 pub use devices::DeviceProfile;
 pub use energy::ClientEnergy;
-pub use engine::{simulate, OfflineScheduling, SimStats, SystemConfig, Workload};
+pub use engine::{simulate, simulate_clients, OfflineScheduling, SimStats, SystemConfig, Workload};
 pub use future::{scenario_breakdown, FutureScenario, LatencyBreakdown};
 pub use link::{optimal_upload_fraction, Link};
-pub use multi_client::{simulate_multi_client, MultiClientConfig};

@@ -3,8 +3,10 @@
 //! §5.2 of the paper observes that with `n` clients the *aggregate* client
 //! storage scales with `n`, so the server can run request-level
 //! parallelism across clients even though each client only buffers a
-//! single precompute. This example sweeps the client count and shows how
-//! the shared 32-core server absorbs load until the online pipeline
+//! single precompute. This example sweeps the client count through
+//! `pi_sim::engine::simulate_clients` (each client with its own arrival
+//! stream and 16 GB buffer, RLP offline work on the shared 32-core server)
+//! and shows how the server absorbs load until the online pipeline
 //! saturates — and what the GC role swap costs each client in energy.
 //!
 //! ```text
@@ -21,8 +23,7 @@ use pi_nn::{zoo, FixedConfig, Network, PiModel, QuantNetwork};
 use pi_sim::cost::{Garbler, ProtocolCosts};
 use pi_sim::devices::DeviceProfile;
 use pi_sim::energy::ClientEnergy;
-use pi_sim::engine::{OfflineScheduling, SystemConfig};
-use pi_sim::multi_client::{simulate_multi_client, MultiClientConfig};
+use pi_sim::engine::{simulate_clients, OfflineScheduling, SystemConfig, Workload};
 use rand::{Rng, SeedableRng};
 
 fn main() {
@@ -44,20 +45,19 @@ fn main() {
         "{:>8} {:>14} {:>10} {:>10} {:>12} {:>6}",
         "clients", "mean (min)", "queue", "offline", "served/24h", "sat?"
     );
+    let sys = SystemConfig {
+        scheduling: OfflineScheduling::Rlp,
+        link: costs.wsa_link(1e9),
+        client_storage_bytes: 16e9,
+    };
+    let wl = Workload {
+        rate_per_min: 1.0 / 20.0,
+        duration_s: 24.0 * 3600.0,
+        runs: 6,
+        seed: 23,
+    };
     for clients in [1usize, 2, 4, 8, 16, 32, 64] {
-        let cfg = MultiClientConfig {
-            clients,
-            per_client: SystemConfig {
-                scheduling: OfflineScheduling::Rlp,
-                link: costs.wsa_link(1e9),
-                client_storage_bytes: 16e9,
-            },
-            rate_per_min: 1.0 / 20.0,
-            duration_s: 24.0 * 3600.0,
-            runs: 6,
-            seed: 23,
-        };
-        let s = simulate_multi_client(&costs, &cfg);
+        let s = simulate_clients(&costs, &sys, &wl, clients);
         println!(
             "{:>8} {:>14.1} {:>10.1} {:>10.1} {:>12.0} {:>6}",
             clients,
