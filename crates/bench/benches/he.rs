@@ -14,8 +14,8 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use pi_bench::median_ns;
 use pi_he::linalg::{
-    encode_diagonals, encode_diagonals_bsgs, encode_input, encrypt_vector, key_plan, matvec,
-    matvec_naive, matvec_precomputed, PlainMatrix,
+    encode_diagonals, encode_diagonals_bsgs, encode_input, key_plan, matvec_naive,
+    matvec_precomputed, PlainMatrix,
 };
 use pi_he::{BatchEncoder, BfvParams, KeySet, SecretKey};
 use rand::{Rng, SeedableRng};
@@ -82,8 +82,10 @@ fn bench_he(c: &mut Criterion) {
     group.sample_size(10);
 
     let pt = enc.encode(&vec![42u64; params.n()]);
-    group.bench_function("encrypt", |b| b.iter(|| keys.public.encrypt(&pt, &mut rng)));
-    let ct = keys.public.encrypt(&pt, &mut rng);
+    group.bench_function("encrypt", |b| {
+        b.iter(|| keys.secret.encrypt_seeded(&pt, &mut rng))
+    });
+    let (ct, _) = keys.secret.encrypt_seeded(&pt, &mut rng);
     group.bench_function("decrypt", |b| b.iter(|| keys.secret.decrypt(&ct)));
     group.bench_function("mul_plain", |b| b.iter(|| ct.mul_plain(&pt)));
     let pt_op = pt.to_operand();
@@ -98,9 +100,12 @@ fn bench_he(c: &mut Criterion) {
         .collect();
     let w = PlainMatrix::new(dim, dim, &data, t);
     let v: Vec<u64> = (0..dim).map(|_| rng.gen_range(0..t.value())).collect();
-    let ct_v = encrypt_vector(&keys.public, &enc, &w, &v, &mut rng);
+    // The naive oracle's input: `v` periodic (dim divides the row).
+    let (ct_v, _) = keys
+        .secret
+        .encrypt_seeded(&enc.encode_periodic(&v), &mut rng);
     group.bench_function("matvec_64x64", |b| {
-        b.iter(|| matvec(&keys.galois, &enc, &w, &ct_v))
+        b.iter(|| matvec_naive(&keys.galois, &encode_diagonals(&enc, &w), &ct_v))
     });
     let diagonals = encode_diagonals(&enc, &w);
     group.bench_function("matvec_64x64_naive_precomputed", |b| {
@@ -109,7 +114,9 @@ fn bench_he(c: &mut Criterion) {
     // The replicated hot path under the key set and input layout it ships
     // with.
     let bsgs = KeySet::generate_for_dims(&params, &[64], &mut rng);
-    let bsgs_ct = bsgs.public.encrypt(&encode_input(&enc, &v, dim), &mut rng);
+    let (bsgs_ct, _) = bsgs
+        .secret
+        .encrypt_seeded(&encode_input(&enc, &v, dim), &mut rng);
     let bsgs_diagonals = encode_diagonals_bsgs(&enc, &w);
     group.bench_function("matvec_64x64_bsgs_precomputed", |b| {
         b.iter(|| matvec_precomputed(&bsgs.galois, &bsgs_diagonals, &bsgs_ct))

@@ -17,8 +17,8 @@ use pi_bench::median_ns;
 use pi_field::simd::{self, SimdBackend};
 use pi_field::Modulus;
 use pi_he::linalg::{
-    encode_diagonals, encode_diagonals_bsgs, encode_input, encrypt_vector, matvec_naive,
-    matvec_op_count, matvec_op_count_naive, matvec_precomputed, PlainMatrix,
+    encode_diagonals, encode_diagonals_bsgs, encode_input, matvec_naive, matvec_op_count,
+    matvec_op_count_naive, matvec_precomputed, PlainMatrix,
 };
 use pi_he::{BatchEncoder, BfvParams, KeySet};
 use pi_poly::ntt::{NttTables, ShoupVec};
@@ -98,7 +98,9 @@ fn bench_matvec(c: &mut Criterion) {
             .collect();
         let w = PlainMatrix::new(dim, dim, &data, t);
         let v: Vec<u64> = (0..dim).map(|_| rng.gen_range(0..t.value())).collect();
-        let ct = encrypt_vector(&keys.public, &enc, &w, &v, &mut rng);
+        let (ct, _) = keys
+            .secret
+            .encrypt_seeded(&enc.encode_periodic(&v), &mut rng);
         let (bsgs_ct, _) = bsgs
             .secret
             .encrypt_seeded(&encode_input(&enc, &v, dim), &mut rng);
@@ -138,9 +140,9 @@ fn bench_matvec(c: &mut Criterion) {
     // every call), the one-time hoist, and the per-rotation cost it buys.
     let mut group = c.benchmark_group("keyswitch");
     group.sample_size(10);
-    let ct = keys
-        .public
-        .encrypt(&enc.encode(&vec![7u64; params.n()]), &mut rng);
+    let (ct, _) = keys
+        .secret
+        .encrypt_seeded(&enc.encode(&vec![7u64; params.n()]), &mut rng);
     group.bench_function("rotate_cold_1", |b| {
         b.iter(|| keys.galois.rotate_rows(&ct, 1))
     });

@@ -324,7 +324,7 @@ impl ServiceClient {
                         return Err(ProtocolError::BadRequest("server label count"));
                     }
                     let eval_span = pi_trace::span!("online.eval");
-                    let out_labels = tables.evaluate(mine, &theirs, true, &mut out);
+                    let out_labels = tables.evaluate(mine, &theirs, true);
                     drop(eval_span);
                     chan.send(Msg::GcLabels(out_labels))?;
                 }

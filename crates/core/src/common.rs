@@ -427,10 +427,6 @@ pub struct PartyOutcome {
     /// What a full per-rotation key set would have cost for the same layer
     /// dimensions (the one-replica hoisting-without-BSGS baseline).
     pub galois_key_bytes_per_rotation: u64,
-    /// AND gates this party garbled (zero for the evaluator).
-    pub gc_and_gates: u64,
-    /// AND gates this party evaluated (zero for the garbler).
-    pub gc_eval_and_gates: u64,
     /// Extended OTs this party took part in.
     pub ot_count: u64,
 }

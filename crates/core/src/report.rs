@@ -44,10 +44,8 @@ pub fn merge_cost_report(
         gc_bytes: client.gc_bytes.max(server.gc_bytes),
         galois_key_bytes: client.galois_key_bytes,
         galois_key_bytes_per_rotation: client.galois_key_bytes_per_rotation,
-        // Exactly one party garbles / evaluates; both parties count the
-        // same OTs, so take the max rather than double-count.
-        garbled_and_gates: client.gc_and_gates + server.gc_and_gates,
-        evaluated_and_gates: client.gc_eval_and_gates + server.gc_eval_and_gates,
+        // Both parties count the same OTs, so take the max rather than
+        // double-count.
         ot_count: client.ot_count.max(server.ot_count),
         trace,
     };
@@ -148,10 +146,6 @@ pub struct CostReport {
     /// the one-replica hoisting-without-BSGS baseline) would cost — the
     /// offline key-storage figure the key plan replaces.
     pub galois_key_bytes_per_rotation: u64,
-    /// AND gates garbled across all ReLU phases.
-    pub garbled_and_gates: u64,
-    /// AND gates evaluated across all ReLU phases.
-    pub evaluated_and_gates: u64,
     /// Extended OTs executed (one per evaluator input bit served).
     pub ot_count: u64,
     /// Merged client+server trace of the inference: phase spans, substrate
@@ -182,20 +176,28 @@ impl CostReport {
         }
     }
 
-    /// Measured garbling throughput in AND gates per second (offline +
-    /// online garble time; `None` if garble time was not measured). Feeds
-    /// the fig07/fig12 online-phase rate columns.
+    /// A counter of [`CostReport::trace`], zero where the trace holds none
+    /// (tracing off, or nothing counted).
+    fn counted(&self, counter: pi_trace::Counter) -> u64 {
+        self.trace.counter(counter.name()).unwrap_or(0)
+    }
+
+    /// Measured garbling throughput in AND gates per second: the trace's
+    /// `gc.and_garbled` over offline + online garble time (`None` if garble
+    /// time was not measured). Feeds the fig07/fig12 online-phase rate
+    /// columns.
     pub fn garble_gates_per_sec(&self) -> Option<f64> {
         rate(
-            self.garbled_and_gates,
+            self.counted(pi_trace::Counter::GcAndGarbled),
             Self::opt_sum(self.offline.garble_ms, self.online.garble_ms),
         )
     }
 
-    /// Measured GC evaluation throughput in AND gates per second.
+    /// Measured GC evaluation throughput in AND gates per second: the
+    /// trace's `gc.and_evaluated` over offline + online evaluation time.
     pub fn eval_gates_per_sec(&self) -> Option<f64> {
         rate(
-            self.evaluated_and_gates,
+            self.counted(pi_trace::Counter::GcAndEvaluated),
             Self::opt_sum(self.offline.eval_ms, self.online.eval_ms),
         )
     }
@@ -271,10 +273,18 @@ mod tests {
         assert_eq!(r.garble_gates_per_sec(), None);
         assert_eq!(r.eval_gates_per_sec(), None);
         assert_eq!(r.ot_per_sec(), None);
-        r.garbled_and_gates = 1000;
+        // Gate counts come from the trace's counters.
+        let count = |c: pi_trace::Counter, value| pi_trace::CounterSnap {
+            name: c.name(),
+            value,
+        };
+        r.trace.counters = vec![
+            count(pi_trace::Counter::GcAndGarbled, 1000),
+            count(pi_trace::Counter::GcAndEvaluated, 300),
+        ];
+        assert_eq!(r.garble_gates_per_sec(), None, "counted, not timed");
         r.offline.garble_ms = Some(500.0);
         assert!((r.garble_gates_per_sec().unwrap() - 2000.0).abs() < 1e-9);
-        r.evaluated_and_gates = 300;
         r.online.eval_ms = Some(100.0);
         assert!((r.eval_gates_per_sec().unwrap() - 3000.0).abs() < 1e-9);
         r.ot_count = 640;

@@ -167,7 +167,6 @@ impl Garbler {
         let circuit = relu_trunc_circuit(meta.p.value(), relu.shift).0;
         // Lockstep batch garbling: one AES call per gate per 8 instances.
         let mut phase = garble_many(&circuit, relu.rows, rng);
-        out.gc_and_gates += (relu.rows * circuit.and_count()) as u64;
         pi_trace::add(pi_trace::Counter::GcRelu, relu.rows as u64);
         drop(garble_span);
         let tables: Vec<Vec<(Label, Label)>> = phase
@@ -293,7 +292,6 @@ impl PhaseTables {
         held: &[Label],
         fresh: &[Label],
         fresh_first: bool,
-        out: &mut PartyOutcome,
     ) -> Vec<Label> {
         let k = self.circuit.num_inputs / 3;
         // Read in place by whichever thread evaluates instance j.
@@ -309,7 +307,6 @@ impl PhaseTables {
         };
         // Batched evaluation: 8 instances per AES call through the
         // fixed-key hash, split across cores for a large phase.
-        out.gc_eval_and_gates += (self.len() * self.circuit.and_count()) as u64;
         evaluate_many_with(&self.circuit, &self.tables, input).concat()
     }
 }

@@ -446,8 +446,7 @@ impl ServerSession {
                     let _span = pi_trace::span!("online.eval");
                     let phase = &eval.phases[acts.len() - 1];
                     // share_a (client) | share_b (server, via OT) | r (client)
-                    let out_labels =
-                        (phase.tables).evaluate(&phase.labels, &mine, false, &mut self.outcome);
+                    let out_labels = (phase.tables).evaluate(&phase.labels, &mine, false);
                     let decode = phase.decode.iter().map(Vec::as_slice);
                     decode_outputs(decode, &out_labels, &self.meta)?
                 };

@@ -1,6 +1,7 @@
 //! Garbled circuits for private inference: FreeXOR + HalfGates over a
-//! fixed-key AES hash, a constant-folding circuit builder with mod-p
-//! arithmetic gadgets, and the DELPHI garbled-ReLU circuit.
+//! fixed-key AES hash, a constant-folding circuit builder with the mod-p
+//! arithmetic the ReLU needs, and the DELPHI garbled ReLU with truncation —
+//! the one circuit the protocols garble.
 //!
 //! # Role in the system
 //!
@@ -39,19 +40,14 @@
 
 pub mod aes;
 pub mod circuit;
-pub mod gadgets;
 pub mod garble;
 pub mod par;
 pub mod relu;
 
 pub use aes::{Aes128, AesBackend, GcHash};
 pub use circuit::{Circuit, CircuitBuilder};
-pub use gadgets::{argmax_circuit, argmax_reference, ArgmaxLayout};
 pub use garble::{
     evaluate, evaluate_many, evaluate_many_with, garble, garble_many, GarbledCircuit, Garbling,
     InputEncoding, Label,
 };
-pub use relu::{
-    garble_relus, relu_circuit, relu_reference, relu_trunc_circuit, relu_trunc_reference,
-    ReluLayout,
-};
+pub use relu::{garble_relus, relu_trunc_circuit, relu_trunc_reference, ReluLayout};

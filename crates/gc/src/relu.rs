@@ -14,7 +14,7 @@
 
 use crate::circuit::{Circuit, CircuitBuilder};
 
-/// Description of the input layout of a [`relu_circuit`].
+/// Description of the input layout of a [`relu_trunc_circuit`].
 ///
 /// Input wires are ordered: garbler-share bits, evaluator-share bits, then
 /// next-layer randomness bits (each `k` bits, little-endian). Which physical
@@ -47,20 +47,10 @@ impl ReluLayout {
     }
 }
 
-/// Builds the DELPHI ReLU circuit over `Z_p`:
-/// `out = (ReLU(a + b mod p) − r) mod p`, all values `k`-bit little-endian
-/// with `k = ceil(log2 p)`.
-///
-/// # Panics
-///
-/// Panics if `p < 3` or `p >= 2^40` (wider fields need multi-word gadgets
-/// that this reproduction does not require).
-pub fn relu_circuit(p: u64) -> (Circuit, ReluLayout) {
-    relu_trunc_circuit(p, 0)
-}
-
-/// Builds the fixed-point variant used by DELPHI-style protocols:
-/// `out = (ReLU(a + b mod p) >> shift) − r  (mod p)`.
+/// Builds the DELPHI ReLU circuit over `Z_p` in the fixed-point form the
+/// protocols garble: `out = (ReLU(a + b mod p) >> shift) − r  (mod p)`, all
+/// values `k`-bit little-endian with `k = ceil(log2 p)`; `shift = 0` is the
+/// plain ReLU.
 ///
 /// The truncation is exact because post-ReLU values are non-negative, so
 /// dropping `shift` low bits is plain integer division by `2^shift` — this
@@ -69,7 +59,8 @@ pub fn relu_circuit(p: u64) -> (Circuit, ReluLayout) {
 ///
 /// # Panics
 ///
-/// Panics if `p < 3`, `p >= 2^40`, or `shift >= ceil(log2 p)`.
+/// Panics if `p < 3`, `p >= 2^40` (wider fields need multi-word gadgets
+/// that this reproduction does not require), or `shift >= ceil(log2 p)`.
 pub fn relu_trunc_circuit(p: u64, shift: u32) -> (Circuit, ReluLayout) {
     assert!(p >= 3, "field too small for signed semantics");
     assert!(p < (1 << 40), "field width beyond supported gadget range");
@@ -99,19 +90,12 @@ pub fn relu_trunc_circuit(p: u64, shift: u32) -> (Circuit, ReluLayout) {
     (cb.build(&out), layout)
 }
 
-/// Reference semantics of [`relu_trunc_circuit`].
+/// Reference (cleartext) semantics of [`relu_trunc_circuit`]: what the
+/// circuit must compute.
 pub fn relu_trunc_reference(p: u64, shift: u32, a: u64, b: u64, r: u64) -> u64 {
     let y = (a + b) % p;
     let relu = if y > p / 2 { 0 } else { y };
     ((relu >> shift) + p - r % p) % p
-}
-
-/// Reference (cleartext) semantics of the garbled ReLU: what the circuit
-/// must compute. Used by tests and by the protocol's correctness checks.
-pub fn relu_reference(p: u64, a: u64, b: u64, r: u64) -> u64 {
-    let y = (a + b) % p;
-    let relu = if y > p / 2 { 0 } else { y };
-    (relu + p - r % p) % p
 }
 
 /// Number of AND gates in the untruncated (shift 0) ReLU circuit for field
@@ -120,7 +104,7 @@ pub fn relu_reference(p: u64, a: u64, b: u64, r: u64) -> u64 {
 /// 20-bit field it is 138; a truncating circuit drops one zeroing mux per
 /// shifted-out bit (133 at shift 5).
 pub fn relu_and_count(p: u64) -> usize {
-    relu_circuit(p).0.and_count()
+    relu_trunc_circuit(p, 0).0.and_count()
 }
 
 /// Garbles `m` independent ReLU-with-truncation comparators through the
@@ -151,7 +135,7 @@ mod tests {
     const P: u64 = 65537; // 17-bit Fermat prime for quick tests
 
     fn run_plain(p: u64, a: u64, b: u64, r: u64) -> u64 {
-        let (c, layout) = relu_circuit(p);
+        let (c, layout) = relu_trunc_circuit(p, 0);
         let mut inp = to_bits(a, layout.width);
         inp.extend(to_bits(b, layout.width));
         inp.extend(to_bits(r, layout.width));
@@ -160,7 +144,7 @@ mod tests {
 
     #[test]
     fn layout_shape() {
-        let (c, layout) = relu_circuit(P);
+        let (c, layout) = relu_trunc_circuit(P, 0);
         assert_eq!(layout.width, 17);
         assert_eq!(layout.total_inputs, 51);
         assert_eq!(c.num_inputs, 51);
@@ -206,7 +190,7 @@ mod tests {
 
     #[test]
     fn garbled_relu_matches_reference() {
-        let (c, layout) = relu_circuit(P);
+        let (c, layout) = relu_trunc_circuit(P, 0);
         let mut rng = rand::rngs::StdRng::seed_from_u64(31337);
         use rand::Rng;
         for _ in 0..20 {
@@ -219,7 +203,7 @@ mod tests {
             let g = garble(&c, &mut rng);
             let labels = g.encoding.encode_bits(0, &inp);
             let out = g.garbled.decode_outputs(&evaluate(&c, &g.garbled, &labels));
-            assert_eq!(from_bits(&out), relu_reference(P, a, b, r));
+            assert_eq!(from_bits(&out), relu_trunc_reference(P, 0, a, b, r));
         }
     }
 
@@ -240,21 +224,21 @@ mod tests {
     #[test]
     #[should_panic]
     fn oversized_field_rejected() {
-        relu_circuit(1 << 41);
+        relu_trunc_circuit(1 << 41, 0);
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
         #[test]
         fn plain_circuit_matches_reference(a in 0..P, b in 0..P, r in 0..P) {
-            prop_assert_eq!(run_plain(P, a, b, r), relu_reference(P, a, b, r));
+            prop_assert_eq!(run_plain(P, a, b, r), relu_trunc_reference(P, 0, a, b, r));
         }
 
         #[test]
         fn reference_relu_identity_on_shares(x in 0..P, r1 in 0..P, r2 in 0..P) {
             // Splitting x into shares never changes the result.
             let a = (x + P - r1) % P;
-            let out = relu_reference(P, a, r1, r2);
+            let out = relu_trunc_reference(P, 0, a, r1, r2);
             let direct = {
                 let relu = if x > P / 2 { 0 } else { x };
                 (relu + P - r2) % P

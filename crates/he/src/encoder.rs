@@ -284,7 +284,7 @@ mod tests {
         let n = params.n();
         let half = n / 2;
         let v: Vec<u64> = (0..n as u64).collect();
-        let ct = keys.public.encrypt(&enc.encode(&v), &mut rng);
+        let ct = keys.secret.encrypt_seeded(&enc.encode(&v), &mut rng).0;
         for k in [1usize, 2, 5, 16] {
             let rotated = keys.galois.rotate_rows(&ct, k).expect("chain keys");
             let dec = enc.decode(&keys.secret.decrypt(&rotated));
@@ -307,7 +307,7 @@ mod tests {
         let keys = KeySet::generate(&params, &mut rng);
         let n = params.n();
         let v: Vec<u64> = (0..n as u64).collect();
-        let ct = keys.public.encrypt(&enc.encode(&v), &mut rng);
+        let ct = keys.secret.encrypt_seeded(&enc.encode(&v), &mut rng).0;
         let swapped = keys.galois.rotate_columns(&ct).expect("row-swap key");
         let dec = enc.decode(&keys.secret.decrypt(&swapped));
         assert_eq!(&dec[..n / 2], &v[n / 2..]);
@@ -322,7 +322,10 @@ mod tests {
         let keys = KeySet::generate(&params, &mut rng);
         let d = 8usize;
         let v: Vec<u64> = (0..d as u64).map(|x| x + 100).collect();
-        let ct = keys.public.encrypt(&enc.encode_periodic(&v), &mut rng);
+        let ct = keys
+            .secret
+            .encrypt_seeded(&enc.encode_periodic(&v), &mut rng)
+            .0;
         let rotated = keys.galois.rotate_rows(&ct, 3).expect("chain keys");
         let dec = enc.decode(&keys.secret.decrypt(&rotated));
         // Every slot i must now hold v[(i+3) mod d].

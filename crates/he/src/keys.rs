@@ -230,14 +230,18 @@ pub struct SecretKey {
 }
 
 /// The BFV public key: an RLWE sample `(pk0, pk1) = (-(a·s + e), a)`, where
-/// `a` is expanded from a 32-byte PRG seed. The wire layer transmits
-/// `(pk0, seed)` and regenerates `a` on the far side.
+/// `pk1 = a` is expanded from a 32-byte PRG seed; the key is held, and
+/// framed, as `(pk0, seed)`.
+///
+/// Nothing encrypts under it: the protocol's client encrypts symmetrically
+/// ([`SecretKey::encrypt_seeded`]). It is kept, with its `BFVK` frame, for
+/// the ledger only (`benchmark/` still encodes and decodes that frame);
+/// ROADMAP.md item 0 drops that use, and then the key goes.
 #[derive(Clone, Debug)]
 pub struct PublicKey {
     params: BfvParams,
     pk0: Poly,
-    pk1: Poly,
-    /// PRG seed `pk1` was expanded from.
+    /// PRG seed `pk1` expands from.
     seed: [u8; 32],
 }
 
@@ -398,9 +402,11 @@ pub struct HoistedCiphertext {
 /// A convenience bundle of all keys one party generates.
 #[derive(Clone, Debug)]
 pub struct KeySet {
-    /// The secret (decryption) key — stays with the client.
+    /// The secret key — stays with the client, and the only key anything
+    /// encrypts under ([`SecretKey::encrypt_seeded`]).
     pub secret: SecretKey,
-    /// The public (encryption) key — shared with the server.
+    /// The public key, which nothing encrypts under: the ledger's `BFVK`
+    /// frame replay is its one reader (see [`PublicKey`]; ROADMAP.md item 0).
     pub public: PublicKey,
     /// Rotation keys — shared with the server.
     pub galois: GaloisKeys,
@@ -481,7 +487,8 @@ impl SecretKey {
 
     /// Derives the public key `(-(a·s + e), a)` with `a` expanded from a
     /// fresh 32-byte seed (drawn from `rng`), so the wire layer can ship
-    /// the seed instead of the uniform polynomial.
+    /// the seed instead of the uniform polynomial. Kept for the ledger only
+    /// (see [`PublicKey`]).
     pub fn public_key<R: Rng + ?Sized>(&self, rng: &mut R) -> PublicKey {
         let mut seed = [0u8; 32];
         rng.fill(&mut seed);
@@ -491,17 +498,18 @@ impl SecretKey {
         PublicKey {
             params: self.params.clone(),
             pk0,
-            pk1: a,
             seed,
         }
     }
 
     /// Symmetric (secret-key) encryption with a seed-expanded mask:
     /// `c1 = a` is drawn from a fresh 32-byte PRG seed and
-    /// `c0 = Δm + e − a·s`, so `c0 + c1·s = Δm + e` exactly as for
-    /// public-key ciphertexts. Returns the ciphertext together with the
+    /// `c0 = Δm + e − a·s`, so `c0 + c1·s = Δm + e`. This is the crate's
+    /// one encryption: the protocol's upload, and the input of every
+    /// oracle, test and bench. Returns the ciphertext together with the
     /// seed; the wire layer transmits `(c0, seed)` — half the bytes of a
-    /// two-polynomial frame — and the receiver regenerates `c1`.
+    /// two-polynomial frame — and the receiver regenerates `c1`; a caller
+    /// that wants the unseeded frame drops the seed.
     pub fn encrypt_seeded<R: Rng + ?Sized>(
         &self,
         pt: &Plaintext,
@@ -714,52 +722,20 @@ impl NoiseStage {
 }
 
 impl PublicKey {
-    /// Encrypts a plaintext: `(pk0·u + e1 + Δm, pk1·u + e2)`.
-    pub fn encrypt<R: Rng + ?Sized>(&self, pt: &Plaintext, rng: &mut R) -> Ciphertext {
-        pi_trace::incr(pi_trace::Counter::HeEncrypt);
-        let params = &self.params;
-        let u = sample::ternary(params.ring(), rng).into_ntt();
-        let e1 = sample::centered_binomial(params.ring(), rng, params.error_k());
-        let e2 = sample::centered_binomial(params.ring(), rng, params.error_k());
-        let scaled = pt.poly.scale(params.delta());
-        let c0 = self.pk0.mul(&u).add(&e1.into_ntt()).add(&scaled.into_ntt());
-        let c1 = self.pk1.mul(&u).add(&e2.into_ntt());
-        Ciphertext { c0, c1 }
-    }
-
-    /// Encrypts the all-zero plaintext (used to re-randomize shares).
-    pub fn encrypt_zero<R: Rng + ?Sized>(&self, rng: &mut R) -> Ciphertext {
-        let zero = Plaintext {
-            poly: Poly::zero(self.params.ring().clone()),
-        };
-        self.encrypt(&zero, rng)
-    }
-
     /// Parameters this key was generated for.
     pub fn params(&self) -> &BfvParams {
         &self.params
-    }
-
-    /// In-memory size in bytes (two ring polynomials, flat words). The
-    /// serialized wire frame is smaller — packed `pk0` plus a 32-byte seed
-    /// (see `pi_he::wire`).
-    pub fn byte_len(&self) -> usize {
-        2 * self.params.n() * 8
     }
 
     pub(crate) fn wire_parts(&self) -> (&Poly, &[u8; 32]) {
         (&self.pk0, &self.seed)
     }
 
-    /// Rebuilds the key from its wire parts, regenerating `pk1` from the
-    /// seed stream.
+    /// Rebuilds the key from its wire parts.
     pub(crate) fn from_wire_parts(params: &BfvParams, pk0: Poly, seed: [u8; 32]) -> Self {
-        pi_trace::incr(pi_trace::Counter::WireSeedExpand);
-        let pk1 = sample::uniform(params.ring(), PolyForm::Ntt, &mut expansion_rng(&seed));
         Self {
             params: params.clone(),
             pk0,
-            pk1,
             seed,
         }
     }
@@ -1217,6 +1193,12 @@ mod tests {
         (params, keys, rng)
     }
 
+    fn zero(params: &BfvParams) -> Plaintext {
+        Plaintext {
+            poly: Poly::zero(params.ring().clone()),
+        }
+    }
+
     #[test]
     fn encrypt_decrypt_roundtrip() {
         let (params, keys, mut rng) = setup();
@@ -1226,7 +1208,7 @@ mod tests {
         let pt = Plaintext {
             poly: Poly::from_coeffs(params.ring().clone(), coeffs.clone()),
         };
-        let ct = keys.public.encrypt(&pt, &mut rng);
+        let ct = keys.secret.encrypt_seeded(&pt, &mut rng).0;
         let dec = keys.secret.decrypt(&ct);
         assert_eq!(dec.poly.coeffs(), coeffs);
         assert!(keys.secret.noise_budget(&ct) > 20);
@@ -1242,8 +1224,8 @@ mod tests {
         let b = Plaintext {
             poly: Poly::constant(params.ring().clone(), t.value() - 2),
         };
-        let ca = keys.public.encrypt(&a, &mut rng);
-        let cb = keys.public.encrypt(&b, &mut rng);
+        let ca = keys.secret.encrypt_seeded(&a, &mut rng).0;
+        let cb = keys.secret.encrypt_seeded(&b, &mut rng).0;
         let sum = keys.secret.decrypt(&ca.add(&cb));
         assert_eq!(sum.poly.coeffs()[0], 3); // 5 + (-2) mod t
         let diff = keys.secret.decrypt(&ca.sub(&cb));
@@ -1259,7 +1241,7 @@ mod tests {
         let b = Plaintext {
             poly: Poly::constant(params.ring().clone(), 30),
         };
-        let ca = keys.public.encrypt(&a, &mut rng);
+        let ca = keys.secret.encrypt_seeded(&a, &mut rng).0;
         assert_eq!(
             keys.secret
                 .decrypt(&ca.add_plain(&b, &params))
@@ -1285,7 +1267,7 @@ mod tests {
         let b = Plaintext {
             poly: Poly::constant(params.ring().clone(), 7),
         };
-        let ca = keys.public.encrypt(&a, &mut rng);
+        let ca = keys.secret.encrypt_seeded(&a, &mut rng).0;
         let prod = keys.secret.decrypt(&ca.mul_plain(&b));
         assert_eq!(prod.poly.coeffs()[0], 63);
         assert!(keys.secret.noise_budget(&ca.mul_plain(&b)) > 5);
@@ -1297,8 +1279,9 @@ mod tests {
         let a = Plaintext {
             poly: Poly::constant(params.ring().clone(), 42),
         };
-        let ca = keys.public.encrypt(&a, &mut rng);
-        let masked = ca.add(&keys.public.encrypt_zero(&mut rng));
+        let ca = keys.secret.encrypt_seeded(&a, &mut rng).0;
+        let (zero, _) = keys.secret.encrypt_seeded(&zero(&params), &mut rng);
+        let masked = ca.add(&zero);
         assert_eq!(keys.secret.decrypt(&masked).poly.coeffs()[0], 42);
         assert_ne!(masked.c0.coeffs(), ca.c0.coeffs());
     }
@@ -1312,7 +1295,7 @@ mod tests {
         let pt = Plaintext {
             poly: Poly::from_coeffs(params.ring().clone(), coeffs.clone()),
         };
-        let ct = keys.public.encrypt(&pt, &mut rng);
+        let ct = keys.secret.encrypt_seeded(&pt, &mut rng).0;
         // Apply g then switch; message polynomial becomes m(x^g).
         let g = 3usize;
         let out = keys.galois.apply(&ct, g).expect("chain key");
@@ -1483,8 +1466,8 @@ mod tests {
 
     #[test]
     fn missing_galois_key_surfaces_error() {
-        let (_, keys, mut rng) = setup();
-        let ct = keys.public.encrypt_zero(&mut rng);
+        let (params, keys, mut rng) = setup();
+        let (ct, _) = keys.secret.encrypt_seeded(&zero(&params), &mut rng);
         assert!(!keys.galois.contains(5)); // 5 is not among generated elements
         assert_eq!(
             keys.galois.apply(&ct, 5).err(),

@@ -6,9 +6,13 @@
 //! * [`BfvParams`] — ring degree `N`, ciphertext modulus `q`, plaintext
 //!   modulus `t ≡ 1 (mod 2N)` (prime, so plaintexts batch into SIMD slots),
 //!   and the special prime `P` rotation keys are extended by.
-//! * [`keys`] — secret/public key generation and Galois (rotation) keys:
-//!   one key an element, two wide digits over `q·P`, one key-switch path
-//!   (lift, accumulate, divide by `P`) under every rotation.
+//! * [`keys`] — the secret key, its one encryption (symmetric, with a
+//!   seed-expanded mask: [`SecretKey::encrypt_seeded`], what the protocol's
+//!   client uploads) and Galois (rotation) keys: one key an element, two
+//!   wide digits over `q·P`, one key-switch path (lift, accumulate, divide
+//!   by `P`) under every rotation. A [`PublicKey`] can still be generated
+//!   and framed, but nothing encrypts under it; the ledger is its one
+//!   reader.
 //! * [`BatchEncoder`] — packs vectors of `Z_t` values into plaintext slots
 //!   via a CRT/NTT encoding, exactly the layout rotations act on.
 //! * [`Ciphertext`] — additions, plaintext multiplication, and slot
@@ -17,10 +21,11 @@
 //!   over packed ciphertexts (replicated diagonals: a hoisted
 //!   baby-step/giant-step inside each replica, then a rotate-and-sum), and
 //!   the rotation-key plan they need.
-//! * [`wire`] — the byte frames the protocol ships: ciphertexts, public keys
-//!   and Galois key sets (`k0` residues under `q` and `P`), bit-packed and
-//!   seed-expanded, behind readers that
-//!   return a typed [`WireError`] on anything a peer can send.
+//! * [`wire`] — the byte frames the protocol ships: ciphertexts (seeded
+//!   uploads, mod-switched responses) and Galois key sets (`k0` residues
+//!   under `q` and `P`), bit-packed and seed-expanded, behind readers that
+//!   return a typed [`WireError`] on anything a peer can send — plus the
+//!   public-key frame the ledger still replays.
 //!
 //! # Example
 //!
@@ -35,7 +40,7 @@
 //!
 //! let v: Vec<u64> = (0..enc.slot_count() as u64).collect();
 //! let pt = enc.encode(&v);
-//! let ct = keys.public.encrypt(&pt, &mut rng);
+//! let (ct, _seed) = keys.secret.encrypt_seeded(&pt, &mut rng);
 //! let dec = enc.decode(&keys.secret.decrypt(&ct));
 //! assert_eq!(dec, v);
 //! ```

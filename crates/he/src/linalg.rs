@@ -104,8 +104,10 @@
 //!
 //! [`matvec_naive`] keeps the original rotate-after-multiply Horner
 //! formulation `W·v = Σ_k rot(v ⊙ rot⁻¹(diag_k, k), k)` over a periodic
-//! input ([`encrypt_vector`]: `v` repeated in every block; one composed
-//! rotation per diagonal, key-switch noise never amplified). It runs under
+//! input (`v` zero-padded to `d` and repeated in every block by
+//! [`BatchEncoder::encode_periodic`], then encrypted as the client encrypts,
+//! [`crate::SecretKey::encrypt_seeded`]; one composed rotation per diagonal,
+//! key-switch noise never amplified). It runs under
 //! the power-of-two composition keys of [`crate::KeySet::generate`] and
 //! serves as the correctness oracle for the replicated path in
 //! `tests/matvec_differential.rs` — both paths decrypt to the same `N` slots
@@ -488,13 +490,9 @@ pub fn encode_diagonals_bsgs(enc: &BatchEncoder, w: &PlainMatrix) -> BsgsDiagona
 /// switch and its division. Everything runs in the lazy `[0, 2q)` /
 /// `[0, 2P)` evaluation domains with a single final correction.
 ///
-/// Only the protocol's upload — a seeded symmetric encryption
-/// ([`crate::SecretKey::encrypt_seeded`]) — keeps the ≥ 7-bit decrypt margin
-/// at every zoo dimension. A public-key encryption of the same input
-/// decrypts correctly but with less: ≥ 3 bits at `n = 2048` and ≥ 2 at
-/// `n = 4096` (up to 5 bits under the naive chain), because the
-/// rotate-and-sum grows its larger fresh noise coherently. The protocol
-/// never runs one through here.
+/// The input is the protocol's upload, a seeded symmetric encryption
+/// ([`crate::SecretKey::encrypt_seeded`]), which keeps a ≥ 7-bit decrypt
+/// margin at every zoo dimension (module docs).
 ///
 /// # Panics
 ///
@@ -601,7 +599,9 @@ pub fn matvec_precomputed(gk: &GaloisKeys, w: &BsgsDiagonals, ct_v: &Ciphertext)
 }
 
 /// [`matvec_precomputed`] once per `(keys, input)` job against one matrix,
-/// products in job order.
+/// products in job order. Kept for the ledger only: `benchmark/` times it
+/// as `he.matvec_batch_ms`, and ROADMAP.md item 0 drops that metric, after
+/// which this goes.
 ///
 /// # Panics
 ///
@@ -616,10 +616,10 @@ pub fn matvec_precomputed_many(
 }
 
 /// Computes `E(W · v)` from `E(v)` with the original rotate-after-multiply
-/// Horner chain — one composed rotation per diagonal, over the periodic
-/// layout of [`encrypt_vector`]. Far slower than [`matvec_precomputed`] but
-/// never amplifies key-switch noise: the differential oracle and benchmark
-/// baseline for the replicated path.
+/// Horner chain — one composed rotation per diagonal, over a periodic input
+/// (`v` zero-padded to `w.dim()`, [`BatchEncoder::encode_periodic`]). Far
+/// slower than [`matvec_precomputed`] but never amplifies key-switch noise:
+/// the differential oracle and benchmark baseline for the replicated path.
 ///
 /// # Panics
 ///
@@ -641,33 +641,6 @@ pub fn matvec_naive(gk: &GaloisKeys, w: &EncodedDiagonals, ct_v: &Ciphertext) ->
         });
     }
     acc.expect("dimension is at least 1")
-}
-
-/// Computes `E(W · v)` from `E(v)`.
-///
-/// The input ciphertext must hold `v` encoded periodically with period
-/// `W.padded_dim()` (see [`encrypt_vector`]); the result holds `W·v`
-/// (padded with zero rows) in the same periodic layout, so
-/// `decode_prefix(…, W.rows())` extracts the product.
-///
-/// Encodes and precomputes the diagonals on every call, then runs the
-/// naive Horner chain — a convenience for one-shot products under a plain
-/// power-of-two key set. When the same matrix is applied repeatedly, use
-/// [`encode_diagonals_bsgs`] + [`matvec_precomputed`] over
-/// [`encode_input`] (hot path) or [`encode_diagonals`] + [`matvec_naive`]
-/// (oracle).
-///
-/// # Panics
-///
-/// Panics if the padded dimension exceeds the encoder row size, or as
-/// [`matvec_naive`] does.
-pub fn matvec(
-    gk: &GaloisKeys,
-    enc: &BatchEncoder,
-    w: &PlainMatrix,
-    ct_v: &Ciphertext,
-) -> Ciphertext {
-    matvec_naive(gk, &encode_diagonals(enc, w), ct_v)
 }
 
 /// Counts the homomorphic operations a `dim × dim` diagonal matvec
@@ -721,26 +694,6 @@ pub fn matvec_op_count_naive(dim: usize) -> MatvecOpCount {
     }
 }
 
-/// Encrypts a vector for [`matvec`] (the naive oracle): encodes
-/// periodically at the matrix's padded dimension (zero-padding the tail)
-/// and encrypts. The replicated path takes [`encode_input`] instead.
-///
-/// # Panics
-///
-/// Panics if `v.len() > w.cols()`.
-pub fn encrypt_vector<R: rand::Rng + ?Sized>(
-    pk: &crate::keys::PublicKey,
-    enc: &BatchEncoder,
-    w: &PlainMatrix,
-    v: &[u64],
-    rng: &mut R,
-) -> Ciphertext {
-    assert!(v.len() <= w.cols(), "vector longer than matrix columns");
-    let mut padded = v.to_vec();
-    padded.resize(w.padded_dim(), 0);
-    pk.encrypt(&enc.encode_periodic(&padded), rng)
-}
-
 /// Subtracts a plaintext share vector `s` (periodic layout — the layout
 /// every matvec result is in) from an encrypted matvec result: the DELPHI
 /// offline step `E(W·r) − s`.
@@ -780,6 +733,24 @@ mod tests {
     ) -> PlainMatrix {
         let data: Vec<u64> = (0..rows * cols).map(|_| rng.gen_range(0..max)).collect();
         PlainMatrix::new(rows, cols, &data, t)
+    }
+
+    /// `W·v` through the naive oracle under `keys`: `v` zero-padded to the
+    /// padded dimension, encoded periodically and encrypted as the client
+    /// encrypts, then the Horner chain.
+    fn naive_product(
+        keys: &KeySet,
+        enc: &BatchEncoder,
+        w: &PlainMatrix,
+        v: &[u64],
+        rng: &mut impl Rng,
+    ) -> Ciphertext {
+        let mut padded = v.to_vec();
+        padded.resize(w.padded_dim(), 0);
+        let (ct, _) = keys
+            .secret
+            .encrypt_seeded(&enc.encode_periodic(&padded), rng);
+        matvec_naive(&keys.galois, &encode_diagonals(enc, w), &ct)
     }
 
     #[test]
@@ -933,8 +904,7 @@ mod tests {
         let v: Vec<u64> = (0..8).map(|_| rng.gen_range(0..256)).collect();
         let expect = w.matvec_plain(&v, t);
 
-        let ct = encrypt_vector(&keys.public, &enc, &w, &v, &mut rng);
-        let out = matvec(&keys.galois, &enc, &w, &ct);
+        let out = naive_product(&keys, &enc, &w, &v, &mut rng);
         assert!(keys.secret.noise_budget(&out) > 0, "noise exhausted");
         let got = enc.decode_prefix(&keys.secret.decrypt(&out), 8);
         assert_eq!(got, expect);
@@ -948,8 +918,7 @@ mod tests {
         assert_eq!(w.padded_dim(), 16);
         let v: Vec<u64> = (0..12).map(|_| rng.gen_range(0..64)).collect();
         let expect = w.matvec_plain(&v, t);
-        let ct = encrypt_vector(&keys.public, &enc, &w, &v, &mut rng);
-        let out = matvec(&keys.galois, &enc, &w, &ct);
+        let out = naive_product(&keys, &enc, &w, &v, &mut rng);
         let got = enc.decode_prefix(&keys.secret.decrypt(&out), 5);
         assert_eq!(got, expect);
     }
@@ -962,8 +931,7 @@ mod tests {
         let w = random_matrix(64, 64, t.value(), t, &mut rng);
         let v: Vec<u64> = (0..64).map(|_| rng.gen_range(0..t.value())).collect();
         let expect = w.matvec_plain(&v, t);
-        let ct = encrypt_vector(&keys.public, &enc, &w, &v, &mut rng);
-        let out = matvec(&keys.galois, &enc, &w, &ct);
+        let out = naive_product(&keys, &enc, &w, &v, &mut rng);
         assert!(keys.secret.noise_budget(&out) > 0);
         let got = enc.decode_prefix(&keys.secret.decrypt(&out), 64);
         assert_eq!(got, expect);
@@ -983,17 +951,11 @@ mod tests {
         // 26 off the identity baby (b = 6, g = 6) with a P residue too.
         assert_eq!(diag.packing.replicas, 8);
         assert_eq!(diag.resident_byte_len(), (32 + 26) * 16 * params.n());
-        // One precomputation serves many client vectors: the protocol's
-        // seeded symmetric uploads and a public-key encryption, whose
-        // thinner margin (module docs) must still decrypt.
-        for round in 0..3 {
+        // One precomputation serves many client vectors.
+        for _ in 0..3 {
             let v: Vec<u64> = (0..256).map(|_| rng.gen_range(0..t.value())).collect();
             let input = encode_input(&enc, &v, 256);
-            let ct = if round < 2 {
-                keys.secret.encrypt_seeded(&input, &mut rng).0
-            } else {
-                keys.public.encrypt(&input, &mut rng)
-            };
+            let (ct, _) = keys.secret.encrypt_seeded(&input, &mut rng);
             let out = matvec_precomputed(&keys.galois, &diag, &ct);
             assert!(keys.secret.noise_budget(&out) > 0, "noise exhausted");
             let got = enc.decode_prefix(&keys.secret.decrypt(&out), 256);
@@ -1015,10 +977,9 @@ mod tests {
         for (rows, cols) in [(1, 1), (2, 2), (5, 7), (16, 16)] {
             let w = random_matrix(rows, cols, t.value(), t, &mut rng);
             let v: Vec<u64> = (0..cols).map(|_| rng.gen_range(0..t.value())).collect();
-            let ct = encrypt_vector(&chain.public, &enc, &w, &v, &mut rng);
-            let naive = matvec_naive(&chain.galois, &encode_diagonals(&enc, &w), &ct);
+            let naive = naive_product(&chain, &enc, &w, &v, &mut rng);
             let input = encode_input(&enc, &v, w.padded_dim());
-            let ct = keys.public.encrypt(&input, &mut rng);
+            let (ct, _) = keys.secret.encrypt_seeded(&input, &mut rng);
             let fast = matvec_precomputed(&keys.galois, &encode_diagonals_bsgs(&enc, &w), &ct);
             assert_eq!(
                 chain.secret.decrypt(&naive),
@@ -1040,8 +1001,7 @@ mod tests {
         let r: Vec<u64> = (0..16).map(|_| rng.gen_range(0..t.value())).collect();
         let s: Vec<u64> = (0..16).map(|_| rng.gen_range(0..t.value())).collect();
 
-        let ct_r = encrypt_vector(&keys.public, &enc, &w, &r, &mut rng);
-        let ct_wr = matvec(&keys.galois, &enc, &w, &ct_r);
+        let ct_wr = naive_product(&keys, &enc, &w, &r, &mut rng);
         let ct_share = sub_share(&params, &enc, &ct_wr, &s, w.padded_dim());
         let client_share = enc.decode_prefix(&keys.secret.decrypt(&ct_share), 16);
 
@@ -1076,11 +1036,10 @@ mod tests {
     #[test]
     #[should_panic]
     fn oversized_matrix_rejected() {
-        let (params, keys, enc, mut rng) = setup(11);
+        let (params, _, enc, _) = setup(11);
         let t = params.t();
         let d = enc.row_size() * 2;
         let w = PlainMatrix::new(d, d, &vec![0u64; d * d], t);
-        let ct = keys.public.encrypt_zero(&mut rng);
-        matvec(&keys.galois, &enc, &w, &ct);
+        encode_diagonals(&enc, &w);
     }
 }

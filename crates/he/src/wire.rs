@@ -1,6 +1,7 @@
-//! Binary wire format for the three HE objects the protocol sends across a
-//! machine boundary: ciphertexts (fresh, seed-expanded, and
-//! modulus-down-switched), public keys, and Galois key sets.
+//! Binary wire format for the two HE objects the protocol sends across a
+//! machine boundary — ciphertexts (fresh, seed-expanded, and
+//! modulus-down-switched) and Galois key sets — and for public keys, whose
+//! frame only the ledger still encodes (see [`crate::PublicKey`]).
 //!
 //! # Format, version 4
 //!
@@ -70,7 +71,8 @@
 //!   [`BfvParams::down_q`] for modulus-down-switched responses; readers
 //!   accept either and rebuild in the matching ring.
 //! * **Public key** (`"BFVK"`, always seeded): `q: u64 LE`, packed `pk0`,
-//!   32-byte seed for `pk1`.
+//!   32-byte seed for `pk1`. The reader keeps the seed and expands
+//!   nothing: no encryption runs under a public key.
 //! * **Galois keys** (`"BFVG"`, always seeded): `q: u64 LE`, the special
 //!   prime `P: u64 LE`, `num_entries: u32 LE`, 32-byte seed, then per entry
 //!   (in the seed-stream replay order; writers emit ascending element):
@@ -370,7 +372,7 @@ pub fn ciphertext_wire_len(params: &BfvParams, seeded: bool, switched: bool) -> 
 // ---------------------------------------------------------------------------
 
 /// Serializes a public key: packed `pk0` plus the 32-byte seed `pk1`
-/// expands from.
+/// expands from. Kept for the ledger only (see [`crate::PublicKey`]).
 pub fn public_key_to_bytes(pk: &PublicKey) -> Vec<u8> {
     let params = pk.params().clone();
     let (pk0, seed) = pk.wire_parts();
@@ -382,7 +384,9 @@ pub fn public_key_to_bytes(pk: &PublicKey) -> Vec<u8> {
     out
 }
 
-/// Deserializes a public key, regenerating `pk1` from the seed.
+/// Deserializes a public key into its `(pk0, seed)` form; nothing
+/// encrypts under it, so `pk1` is never expanded. Kept for the ledger only
+/// (see [`crate::PublicKey`]).
 ///
 /// # Errors
 ///
@@ -656,11 +660,20 @@ mod tests {
         (params, keys, enc, rng)
     }
 
+    /// A fresh encryption of zero, as the client encrypts.
+    fn zero(keys: &KeySet, rng: &mut rand::rngs::StdRng) -> Ciphertext {
+        let ring = keys.secret.params().ring().clone();
+        let pt = crate::Plaintext {
+            poly: Poly::zero(ring),
+        };
+        keys.secret.encrypt_seeded(&pt, rng).0
+    }
+
     #[test]
     fn ciphertext_roundtrip_preserves_decryption() {
         let (params, keys, enc, mut rng) = setup();
         let pt = enc.encode(&[1, 2, 3, 4, 5]);
-        let ct = keys.public.encrypt(&pt, &mut rng);
+        let ct = keys.secret.encrypt_seeded(&pt, &mut rng).0;
         let bytes = ciphertext_to_bytes(&ct);
         assert_eq!(bytes.len(), ciphertext_wire_len(&params, false, false));
         let back = ciphertext_from_bytes(&bytes, &params).unwrap();
@@ -692,7 +705,7 @@ mod tests {
     fn switched_ciphertext_roundtrip() {
         let (params, keys, enc, mut rng) = setup();
         let pt = enc.encode(&[7, 8, 9]);
-        let ct = keys.public.encrypt(&pt, &mut rng);
+        let ct = keys.secret.encrypt_seeded(&pt, &mut rng).0;
         let switched = ct.mod_switch_down(&params);
         let bytes = ciphertext_to_bytes(&switched);
         assert_eq!(bytes.len(), ciphertext_wire_len(&params, false, true));
@@ -711,7 +724,7 @@ mod tests {
         // everywhere else in the workspace — must serialize to the same
         // canonical bytes as its reduced twin.
         let (params, keys, _, mut rng) = setup();
-        let ct = keys.public.encrypt_zero(&mut rng);
+        let ct = zero(&keys, &mut rng);
         let q = params.q();
         let reduced = ct.c0.clone().into_ntt();
         let lazy_data: Vec<u64> = reduced
@@ -740,7 +753,7 @@ mod tests {
     #[test]
     fn ntt_and_coeff_forms_serialize_identically() {
         let (_, keys, _, mut rng) = setup();
-        let ct = keys.public.encrypt_zero(&mut rng);
+        let ct = zero(&keys, &mut rng);
         let ntt_ct = Ciphertext {
             c0: ct.c0.clone().into_ntt(),
             c1: ct.c1.clone().into_ntt(),
@@ -754,13 +767,18 @@ mod tests {
 
     #[test]
     fn public_key_roundtrip() {
-        let (params, keys, enc, mut rng) = setup();
+        let (params, keys, _, _) = setup();
         let bytes = public_key_to_bytes(&keys.public);
         assert_eq!(bytes.len(), public_key_wire_len(&params));
         let back = public_key_from_bytes(&bytes, &params).unwrap();
-        // The rebuilt key encrypts; the original secret decrypts.
-        let ct = back.encrypt(&enc.encode(&[5, 6]), &mut rng);
-        assert_eq!(&enc.decode(&keys.secret.decrypt(&ct))[..2], &[5, 6]);
+        // The rebuilt key is the key: same pk0, same seed, so the same
+        // frame.
+        assert_eq!(
+            back.wire_parts().0.coeffs(),
+            keys.public.wire_parts().0.coeffs()
+        );
+        assert_eq!(back.wire_parts().1, keys.public.wire_parts().1);
+        assert_eq!(public_key_to_bytes(&back), bytes);
     }
 
     #[test]
@@ -769,7 +787,10 @@ mod tests {
         let bytes = galois_keys_to_bytes(&keys.galois);
         let back = galois_keys_from_bytes(&bytes, &params).unwrap();
         assert!(back.elements().eq(keys.galois.elements()));
-        let ct = keys.public.encrypt(&enc.encode(&[1, 2, 3, 4]), &mut rng);
+        let ct = keys
+            .secret
+            .encrypt_seeded(&enc.encode(&[1, 2, 3, 4]), &mut rng)
+            .0;
         let a = keys.galois.rotate_rows(&ct, 1).expect("chain key");
         let b = back.rotate_rows(&ct, 1).expect("chain key");
         // Regenerated `a` halves are bit-identical, so the rotations are too.
@@ -829,7 +850,7 @@ mod tests {
     #[test]
     fn truncation_detected_everywhere() {
         let (params, keys, _, mut rng) = setup();
-        let bytes = ciphertext_to_bytes(&keys.public.encrypt_zero(&mut rng));
+        let bytes = ciphertext_to_bytes(&zero(&keys, &mut rng));
         assert!(matches!(
             ciphertext_from_bytes(&bytes[..bytes.len() - 1], &params),
             Err(WireError::Truncated)
@@ -845,7 +866,7 @@ mod tests {
     #[test]
     fn wrong_magic_version_flags_detected() {
         let (params, keys, _, mut rng) = setup();
-        let mut bytes = ciphertext_to_bytes(&keys.public.encrypt_zero(&mut rng));
+        let mut bytes = ciphertext_to_bytes(&zero(&keys, &mut rng));
         bytes[0] ^= 0xFF;
         assert!(matches!(
             ciphertext_from_bytes(&bytes, &params),
@@ -874,7 +895,7 @@ mod tests {
     #[test]
     fn unreduced_coefficient_detected() {
         let (params, keys, _, mut rng) = setup();
-        let mut bytes = ciphertext_to_bytes(&keys.public.encrypt_zero(&mut rng));
+        let mut bytes = ciphertext_to_bytes(&zero(&keys, &mut rng));
         // Force the first packed coefficient to all-ones (≥ q for a 62-bit
         // prime below 2^62).
         let start = HEADER_LEN + 8;
@@ -915,7 +936,7 @@ mod tests {
     #[test]
     fn flat_baseline_matches_legacy_sizes() {
         let (params, keys, enc, mut rng) = setup();
-        let ct = keys.public.encrypt(&enc.encode(&[1]), &mut rng);
+        let ct = keys.secret.encrypt_seeded(&enc.encode(&[1]), &mut rng).0;
         let bytes = ciphertext_to_bytes(&ct);
         assert_eq!(
             flat_frame_len(&bytes).unwrap(),
@@ -924,7 +945,8 @@ mod tests {
         // Packed beats flat even without seeding (62-bit packing alone).
         assert!(flat_frame_len(&bytes).unwrap() > bytes.len());
         let pk = public_key_to_bytes(&keys.public);
-        assert_eq!(flat_frame_len(&pk).unwrap(), keys.public.byte_len());
+        // A public key flat: two polynomials of flat words.
+        assert_eq!(flat_frame_len(&pk).unwrap(), 2 * params.n() * 8);
         assert!(flat_frame_len(b"short").is_none());
         assert!(flat_frame_len(&[0u8; 32]).is_none());
     }

@@ -60,7 +60,10 @@ fn generated_keys_are_the_plan_and_the_matvec_runs_on_them() {
                 .collect();
             let w = PlainMatrix::new(dim, dim, &data, t);
             let v: Vec<u64> = (0..dim).map(|_| rng.gen_range(0..t.value())).collect();
-            let ct = keys.public.encrypt(&encode_input(&enc, &v, dim), &mut rng);
+            let ct = keys
+                .secret
+                .encrypt_seeded(&encode_input(&enc, &v, dim), &mut rng)
+                .0;
             let diag = encode_diagonals_bsgs(&enc, &w);
             let prod = matvec_precomputed(&keys.galois, &diag, &ct);
             assert_eq!(
@@ -178,7 +181,10 @@ fn the_upload_frame_is_one_byte_string_however_it_is_made() {
             .collect();
         let w = PlainMatrix::new(dim, dim, &data, t);
         let v: Vec<u64> = (0..dim).map(|_| rng.gen_range(0..t.value())).collect();
-        let ct = keys.public.encrypt(&encode_input(&enc, &v, dim), &mut rng);
+        let ct = keys
+            .secret
+            .encrypt_seeded(&encode_input(&enc, &v, dim), &mut rng)
+            .0;
         let prod = matvec_precomputed(&decoded, &encode_diagonals_bsgs(&enc, &w), &ct);
         assert_eq!(
             enc.decode_prefix(&secret.decrypt(&prod), dim),

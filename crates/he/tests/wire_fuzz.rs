@@ -32,6 +32,15 @@ use pi_he::{
 };
 use rand::{Rng, SeedableRng};
 
+/// A fresh encryption of zero, as the client encrypts.
+fn zero_upload(secret: &SecretKey, rng: &mut impl Rng) -> pi_he::Ciphertext {
+    let ring = secret.params().ring().clone();
+    let zero = pi_he::Plaintext {
+        poly: pi_poly::Poly::zero(ring),
+    };
+    secret.encrypt_seeded(&zero, rng).0
+}
+
 /// The positions a sweep visits: every byte in the first and last 48
 /// (headers, trailing seeds, final packed words), plus at most ~120
 /// strided samples through the body. The stride is odd, so strided bit
@@ -105,15 +114,16 @@ fn single_prime_frames_survive_corruption() {
         .collect();
     let pt = enc.encode(&msg);
 
-    let ct = keys.public.encrypt(&pt, &mut rng);
+    // The client's upload, seeded and as the same ciphertext unseeded, and
+    // the server's down-switched response.
+    let (ct, seed) = keys.secret.encrypt_seeded(&pt, &mut rng);
     fuzz_frame("ciphertext", &ciphertext_to_bytes(&ct), |b| {
         ciphertext_from_bytes(b, &params)
     });
 
-    let (sct, seed) = keys.secret.encrypt_seeded(&pt, &mut rng);
     fuzz_frame(
         "seeded ciphertext",
-        &ciphertext_to_bytes_seeded(&sct, &seed),
+        &ciphertext_to_bytes_seeded(&ct, &seed),
         |b| ciphertext_from_bytes(b, &params),
     );
 
@@ -149,7 +159,7 @@ fn every_frame_kind_refuses_every_other_version() {
     let frames: [(&str, Vec<u8>, Parse); 4] = [
         (
             "ciphertext",
-            ciphertext_to_bytes(&public.encrypt_zero(&mut rng)),
+            ciphertext_to_bytes(&sct),
             Box::new(|b| ciphertext_from_bytes(b, &params).err()),
         ),
         (
@@ -216,7 +226,7 @@ fn galois_fixture() -> (BfvParams, Vec<u8>, pi_he::Ciphertext) {
     let mut rng = rand::rngs::StdRng::seed_from_u64(4243);
     let keys = KeySet::generate_for_dims(&params, &[4], &mut rng);
     let frame = galois_keys_to_bytes(&keys.galois);
-    let ct = keys.public.encrypt_zero(&mut rng);
+    let ct = zero_upload(&keys.secret, &mut rng);
     (params, frame, ct)
 }
 
@@ -352,7 +362,7 @@ fn cross_frame_confusion_is_rejected() {
     let params = BfvParams::new(1024, 40, 16);
     let mut rng = rand::rngs::StdRng::seed_from_u64(5);
     let keys = KeySet::generate_for_dims(&params, &[4], &mut rng);
-    let ct_bytes = ciphertext_to_bytes(&keys.public.encrypt_zero(&mut rng));
+    let ct_bytes = ciphertext_to_bytes(&zero_upload(&keys.secret, &mut rng));
     let pk_bytes = public_key_to_bytes(&keys.public);
     let gk_bytes = galois_keys_to_bytes(&keys.galois);
 
@@ -395,8 +405,8 @@ mod roundtrip_props {
             let n = 1usize << n_exp;
             let params = BfvParams::new(n, q_bits, 16);
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            let keys = KeySet::generate(&params, &mut rng);
-            let ct = keys.public.encrypt_zero(&mut rng);
+            let secret = SecretKey::generate(&params, &mut rng);
+            let ct = zero_upload(&secret, &mut rng);
 
             let shaped = if ntt_form {
                 Ciphertext { c0: ct.c0.clone().into_ntt(), c1: ct.c1.clone().into_ntt() }

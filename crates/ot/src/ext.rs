@@ -26,7 +26,7 @@
 //! word-wide XOR; the row-major view (`t_j`/`q_j`) comes from the blocked
 //! [`crate::bitmat::transpose128`]; transfer masks are derived 8 rows per
 //! batched [`GcHash::kdf8`] call. The seed bool-matrix implementation is
-//! retained, bit for bit, in [`reference`] as the differential oracle —
+//! retained, bit for bit, in [`reference`](mod@reference) as the differential oracle —
 //! and `PI_AES=soft` additionally pins the packed path's AES to the scalar
 //! software oracle.
 //!

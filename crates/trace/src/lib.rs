@@ -5,7 +5,7 @@
 //! provides three primitives, all offline-first (no crates.io, only the
 //! `parking_lot` stand-in from `crates/compat/`):
 //!
-//! 1. **Phase spans** — RAII guards ([`span!`]/[`span`]) that time a region
+//! 1. **Phase spans** — RAII guards ([`span!`]/[`span()`]) that time a region
 //!    of wall clock on the current thread. Spans nest; a guard records its
 //!    full slash-joined path (`client/offline.he/he.keyswitch`) into a
 //!    global, thread-safe aggregate and — when a [`begin_local`] scope is
@@ -175,7 +175,7 @@ pub fn force_mode(m: Option<TraceMode>) {
 }
 
 /// Enters a named span (see the module-level naming table). Expands to
-/// [`span`]; bind the guard (`let _g = span!("offline.he");`) so it lives
+/// [`span()`]; bind the guard (`let _g = span!("offline.he");`) so it lives
 /// for the region being timed.
 #[macro_export]
 macro_rules! span {

@@ -92,7 +92,10 @@ fn main() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(7);
     let keys = KeySet::generate(&he, &mut rng);
     let enc = BatchEncoder::new(&he);
-    let ct = keys.public.encrypt(&enc.encode(&[1, 2, 3, 4]), &mut rng);
+    let ct = keys
+        .secret
+        .encrypt_seeded(&enc.encode(&[1, 2, 3, 4]), &mut rng)
+        .0;
     for requested_g in [3usize, 5] {
         match keys.galois.apply(&ct, requested_g) {
             Ok(_) => println!("  rotation request g={requested_g}: served"),

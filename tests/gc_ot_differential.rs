@@ -9,7 +9,8 @@
 //! and OT messages — the comparison is exact equality of the raw words,
 //! not semantic agreement.
 //!
-//! Coverage: the DELPHI gadget circuits (ReLU, truncating ReLU, argmax) and
+//! Coverage: the DELPHI gadget circuit (the truncating ReLU, at the
+//! protocol's field and shift and at shift 0) and
 //! proptest-driven random circuits through `garble_many`/`evaluate_many`;
 //! the lane kernels against one-instance `garble`/`evaluate` at every
 //! chunk boundary; the batched AES and hash entries at widths 1..=33;
@@ -29,7 +30,7 @@ use private_inference::gc::aes::{self, AesBackend, GcHash};
 use private_inference::gc::garble::{
     evaluate, evaluate_many, garble, garble_many, Garbling, GRAIN,
 };
-use private_inference::gc::{argmax_circuit, par, relu_circuit, relu_trunc_circuit, Circuit};
+use private_inference::gc::{par, relu_trunc_circuit, Circuit};
 use private_inference::ot::bitmat::BitVec;
 use private_inference::ot::ext::{self, reference, OtExtReceiver, OtExtSender};
 use proptest::prelude::*;
@@ -67,12 +68,14 @@ fn batched_backends() -> Vec<AesBackend> {
     v
 }
 
-/// The gadget circuits the protocols actually garble.
+/// The gadget circuits the protocols actually garble: the truncating ReLU
+/// at the protocol's field and shift, and at two other fields and shifts
+/// (shift 0 being the plain ReLU).
 fn gadget_circuits() -> Vec<(&'static str, Circuit)> {
     vec![
         ("relu_trunc", relu_trunc_circuit(65537, 4).0),
-        ("relu", relu_circuit(12289).0),
-        ("argmax", argmax_circuit(769, 3).0),
+        ("relu", relu_trunc_circuit(12289, 0).0),
+        ("relu_protocol", relu_trunc_circuit(1032193, 5).0),
     ]
 }
 

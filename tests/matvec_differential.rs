@@ -1,7 +1,7 @@
 //! Differential suite: the replicated-diagonal matvec
 //! ([`matvec_precomputed`] over [`encode_input`]) against the naive
-//! Horner-chain oracle ([`matvec_naive`] over the periodic
-//! [`encrypt_vector`]) and the plaintext reference, bit-for-bit at the
+//! Horner-chain oracle ([`matvec_naive`] over a periodic input) and the
+//! plaintext reference, bit-for-bit at the
 //! decryption level: the **full N-slot** plaintexts must be equal, so every
 //! replica of the replicated result holds the complete `W·v` (a partial sum
 //! left in any slot would differ from the oracle's periodic product). Each
@@ -30,12 +30,28 @@
 
 use private_inference::he::keys::rotation_element;
 use private_inference::he::linalg::{
-    bsgs_plan, encode_diagonals, encode_diagonals_bsgs, encode_input, encrypt_vector, matvec_naive,
+    bsgs_plan, encode_diagonals, encode_diagonals_bsgs, encode_input, matvec_naive,
     matvec_precomputed, PlainMatrix,
 };
-use private_inference::he::{BatchEncoder, BfvParams, KeyError, KeySet};
+use private_inference::he::{BatchEncoder, BfvParams, Ciphertext, KeyError, KeySet};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
+
+/// The naive oracle's input: `v` zero-padded to `w`'s padded dimension,
+/// repeated in every block, and encrypted as the client encrypts.
+fn periodic_upload(
+    keys: &KeySet,
+    enc: &BatchEncoder,
+    w: &PlainMatrix,
+    v: &[u64],
+    rng: &mut impl Rng,
+) -> Ciphertext {
+    let mut padded = v.to_vec();
+    padded.resize(w.padded_dim(), 0);
+    keys.secret
+        .encrypt_seeded(&enc.encode_periodic(&padded), rng)
+        .0
+}
 
 fn check_dims(params: &BfvParams, shapes: &[(usize, usize)], seed: u64) {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -54,10 +70,11 @@ fn check_dims(params: &BfvParams, shapes: &[(usize, usize)], seed: u64) {
         let w = PlainMatrix::new(rows, cols, &data, t);
         let v: Vec<u64> = (0..cols).map(|_| rng.gen_range(0..t.value())).collect();
 
-        let ct = encrypt_vector(&chain.public, &enc, &w, &v, &mut rng);
+        // Both paths on the client's seeded symmetric encryption: of the
+        // periodic layout for the oracle, of the replicated one for the
+        // protocol's path.
+        let ct = periodic_upload(&chain, &enc, &w, &v, &mut rng);
         let naive = matvec_naive(&chain.galois, &encode_diagonals(&enc, &w), &ct);
-        // The replicated path on the protocol's upload: the client's seeded
-        // symmetric encryption of the replicated layout.
         let input = encode_input(&enc, &v, w.padded_dim());
         let (ct, _) = keys.secret.encrypt_seeded(&input, &mut rng);
         let bsgs = matvec_precomputed(&keys.galois, &encode_diagonals_bsgs(&enc, &w), &ct);
@@ -142,8 +159,8 @@ fn hoisted_rotation_matches_composed_rotation() {
     let chain = KeySet::generate(&params, &mut rng);
     let enc = BatchEncoder::new(&params);
     let v: Vec<u64> = (0..params.n() as u64).collect();
-    let ct = keys.public.encrypt(&enc.encode(&v), &mut rng);
-    let chain_ct = chain.public.encrypt(&enc.encode(&v), &mut rng);
+    let (ct, _) = keys.secret.encrypt_seeded(&enc.encode(&v), &mut rng);
+    let (chain_ct, _) = chain.secret.encrypt_seeded(&enc.encode(&v), &mut rng);
     let hoisted = keys.galois.hoist(&ct);
     // A key is a key: the giants' and the rotate-and-sum's elements rotate a
     // hoisted ciphertext as the babies' do.
@@ -193,7 +210,7 @@ proptest! {
         let data: Vec<u64> = (0..rows * cols).map(|_| rng.gen_range(0..t.value())).collect();
         let w = PlainMatrix::new(rows, cols, &data, t);
         let v: Vec<u64> = (0..cols).map(|_| rng.gen_range(0..t.value())).collect();
-        let ct = encrypt_vector(&chain.public, &enc, &w, &v, &mut rng);
+        let ct = periodic_upload(&chain, &enc, &w, &v, &mut rng);
         let naive = matvec_naive(&chain.galois, &encode_diagonals(&enc, &w), &ct);
         let (ct, _) = keys.secret.encrypt_seeded(&encode_input(&enc, &v, dim), &mut rng);
         let bsgs = matvec_precomputed(&keys.galois, &encode_diagonals_bsgs(&enc, &w), &ct);

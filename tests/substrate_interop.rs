@@ -5,7 +5,7 @@
 use pi_gc::circuit::{from_bits, to_bits};
 use pi_gc::garble::{evaluate, garble};
 use pi_gc::relu::relu_trunc_circuit;
-use pi_he::linalg::{encrypt_vector, matvec, sub_share, PlainMatrix};
+use pi_he::linalg::{encode_diagonals, matvec_naive, sub_share, PlainMatrix};
 use pi_he::{BatchEncoder, BfvParams, KeySet};
 use pi_nn::quant::relu_trunc_field;
 use pi_nn::{zoo, FixedConfig, Network, PiModel, QuantNetwork};
@@ -30,8 +30,13 @@ fn he_matvec_on_real_phase_matrices() {
         let w = PlainMatrix::new(ph.rows, ph.cols, &ph.matrix, p);
         let r: Vec<u64> = (0..ph.cols).map(|_| rng.gen_range(0..p.value())).collect();
         let s: Vec<u64> = (0..ph.rows).map(|_| rng.gen_range(0..p.value())).collect();
-        let ct = encrypt_vector(&keys.public, &enc, &w, &r, &mut rng);
-        let wr_ct = matvec(&keys.galois, &enc, &w, &ct);
+        // r zero-padded and periodic, encrypted as the client encrypts.
+        let mut padded = r.clone();
+        padded.resize(w.padded_dim(), 0);
+        let (ct, _) = keys
+            .secret
+            .encrypt_seeded(&enc.encode_periodic(&padded), &mut rng);
+        let wr_ct = matvec_naive(&keys.galois, &encode_diagonals(&enc, &w), &ct);
         let resp = sub_share(&he, &enc, &wr_ct, &s, w.padded_dim());
         assert!(
             keys.secret.noise_budget(&resp) > 0,

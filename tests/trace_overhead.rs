@@ -62,9 +62,9 @@ impl MatvecFixture {
         let w = PlainMatrix::new(DIM, DIM, &draw(DIM * DIM), t);
         let v = draw(DIM);
         let diags = linalg::encode_diagonals_bsgs(&enc, &w);
-        let ct = keys
-            .public
-            .encrypt(&linalg::encode_input(&enc, &v, DIM), &mut rng);
+        let (ct, _) = keys
+            .secret
+            .encrypt_seeded(&linalg::encode_input(&enc, &v, DIM), &mut rng);
         Self {
             keys,
             enc,
@@ -135,6 +135,57 @@ fn off_and_full_modes_are_bit_identical() {
         "off mode must record nothing"
     );
     assert!(rep_full.trace.counter("gc.relu").unwrap_or(0) > 0);
+}
+
+/// `CostReport`'s gate rates read the gate counts the GC kernels put in the
+/// trace: under full tracing, a Client-Garbler `tiny_cnn` report's garble
+/// rate is `gc.and_garbled` over `offline.garble_ms`; below full nothing is
+/// timed and there is no rate.
+#[test]
+fn gate_rates_are_the_trace_counters_over_the_phase_spans() {
+    use pi_trace::Counter;
+    let _l = mode_lock();
+    let fx = FixedConfig {
+        p: pi_he::BfvParams::small_test().t(),
+        f: 5,
+    };
+    let mut rng = rand::rngs::StdRng::seed_from_u64(43);
+    let net = Network::materialize(&zoo::tiny_cnn(), &mut rng);
+    let model = PiModel::lower(&QuantNetwork::quantize(&net, fx));
+    let input: Vec<u64> = (0..model.input_len)
+        .map(|_| fx.p.from_signed(rng.gen_range(-16..=16)))
+        .collect();
+    let cfg = ProtocolConfig::clear(ProtocolKind::ClientGarbler);
+
+    pi_trace::force_mode(Some(TraceMode::Counters));
+    let (_, counted) = private_inference(&model, &input, &cfg);
+    pi_trace::force_mode(Some(TraceMode::Full));
+    let (_, full) = private_inference(&model, &input, &cfg);
+    pi_trace::force_mode(None);
+
+    assert!(counted
+        .trace
+        .counter(Counter::GcAndGarbled.name())
+        .is_some());
+    assert_eq!(counted.garble_gates_per_sec(), None);
+    assert_eq!(counted.eval_gates_per_sec(), None);
+    let garbled = full.trace.counter(Counter::GcAndGarbled.name());
+    let and_gates: u64 = (model.phases.iter())
+        .filter_map(|ph| ph.relu_shift.map(|shift| (ph.rows, shift)))
+        .map(|(rows, shift)| {
+            let ands = pi_gc::relu::relu_trunc_circuit(fx.p.value(), shift)
+                .0
+                .and_count();
+            (rows * ands) as u64
+        })
+        .sum();
+    assert_eq!(garbled, Some(and_gates), "one count per garbled AND");
+    let ms = full
+        .offline
+        .garble_ms
+        .expect("garbling is timed under full");
+    let rate = full.garble_gates_per_sec().expect("a measured rate");
+    assert_eq!(rate, and_gates as f64 / (ms / 1e3));
 }
 
 /// A request's trace scope is thread-local, and the GC and OT kernels of a
