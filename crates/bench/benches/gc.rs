@@ -21,9 +21,9 @@ use pi_bench::one_thread_vs_split;
 use pi_gc::aes::{self, AesBackend};
 use pi_gc::circuit::{from_bits, to_bits};
 use pi_gc::garble::{evaluate, evaluate_many, garble, garble_many};
-use pi_gc::par;
 use pi_gc::relu::{relu_trunc_circuit, relu_trunc_reference};
 use pi_gc::Circuit;
+use pi_trace::par;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
 

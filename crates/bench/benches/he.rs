@@ -10,9 +10,14 @@
 //! of that — is timed apart and printed as one
 //! `csv,coldkey,<dims>,keys,<n>,wire_bytes,<n>,keygen_us_per_key,…,encode_us_per_key,…,decode_us_per_key,…,frame_us_per_key,…`
 //! line in every mode, `--test` included, so CI can see it is still there.
+//! Then, for the key plans of `tiny_cnn` and `tiny_resnet` at the protocol
+//! ring, the client's frame generation and the server's admission (a
+//! fresh decode) each run on one thread and split across the host's cores
+//! (`csv,par_ab,keygen_<plan>,…` and `csv,par_ab,admit_<plan>,…`, printed
+//! under `--test` too).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use pi_bench::median_ns;
+use pi_bench::{median_ns, one_thread_vs_split};
 use pi_he::linalg::{
     encode_diagonals, encode_diagonals_bsgs, encode_input, key_plan, matvec_naive,
     matvec_precomputed, PlainMatrix,
@@ -71,6 +76,46 @@ fn bench_cold_key(_c: &mut Criterion) {
     );
 }
 
+/// The protocol ring's key plan of a zoo model, as `ModelMeta` derives it
+/// from the lowered model's padded dimensions.
+fn zoo_plan(params: &BfvParams, spec: &pi_nn::NetSpec) -> Vec<usize> {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+    let fx = pi_nn::FixedConfig {
+        p: params.t(),
+        f: 5,
+    };
+    let net = pi_nn::Network::materialize(spec, &mut rng);
+    let model = pi_nn::PiModel::lower(&pi_nn::QuantNetwork::quantize(&net, fx));
+    pi_core::ModelMeta::of(&model).key_plan(params)
+}
+
+/// Key generation (the client's frame) and admission (the server's
+/// decode) of two zoo plans: one thread vs split across cores.
+fn bench_cold_key_split(_c: &mut Criterion) {
+    let params = BfvParams::default_pi();
+    let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+    let secret = SecretKey::generate(&params, &mut rng);
+    for spec in [pi_nn::zoo::tiny_cnn(), pi_nn::zoo::tiny_resnet()] {
+        let plan = zoo_plan(&params, &spec);
+        println!("csv,coldkey_plan,{},keys,{}", spec.name, plan.len());
+        let keygen = || {
+            drop(black_box(pi_he::galois_keys_frame(
+                &secret,
+                &plan,
+                &mut rng.clone(),
+            )))
+        };
+        one_thread_vs_split(
+            &format!("keygen_{}", spec.name.replace('-', "_")),
+            keygen,
+            5,
+        );
+        let frame = pi_he::galois_keys_frame(&secret, &plan, &mut rng);
+        let admit = || drop(black_box(pi_he::galois_keys_from_bytes(&frame, &params)));
+        one_thread_vs_split(&format!("admit_{}", spec.name.replace('-', "_")), admit, 5);
+    }
+}
+
 fn bench_he(c: &mut Criterion) {
     let params = BfvParams::small_test();
     let mut rng = rand::rngs::StdRng::seed_from_u64(1);
@@ -124,5 +169,5 @@ fn bench_he(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_he, bench_cold_key);
+criterion_group!(benches, bench_he, bench_cold_key, bench_cold_key_split);
 criterion_main!(benches);

@@ -11,16 +11,21 @@
 //!
 //! The `base_ot` group times the edwards25519 arithmetic behind the 128 base
 //! OTs piece by piece, and `setup_in_process` itself (what the ledger
-//! reports as `ot.base_ms`). It ends with
+//! reports as `ot.base_ms`). Each of the three per-transfer loops of one
+//! 128-transfer base OT (the sender's transfer, the receiver's choice and
+//! its receive) then runs on one thread and split across the host's cores
+//! (`csv,par_ab,base_ot_{transfer,choose,receive}128,…`). It ends with
 //! `csv,base_ot,setup_ms=…,var_us=…,fixed_us=…` (medians of its own timing
 //! loop, printed under `--test` too, which CI greps for).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use pi_bench::{median_ns, one_thread_vs_split};
-use pi_gc::{aes, par};
+use pi_gc::aes;
+use pi_ot::base::{BaseOtReceiver, BaseOtSender};
 use pi_ot::bitmat::BitVec;
 use pi_ot::curve::{base_table, Fe, Point, Scalar, Table};
 use pi_ot::ext::{reference, setup_in_process, OtExtReceiver, OtExtSender};
+use pi_trace::par;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
 
@@ -122,6 +127,24 @@ fn bench_base_ot(c: &mut Criterion) {
         b.iter(|| setup_in_process(&mut rng))
     });
     group.finish();
+
+    // The IKNP setup's base OT, loop by loop: one thread vs split.
+    let s: u128 = rng.gen();
+    let pairs: Vec<(u128, u128)> = (0..128).map(|_| (rng.gen(), rng.gen())).collect();
+    let (sender, setup_msg) = BaseOtSender::new(&mut rng);
+    let choose = |rng: &mut rand::rngs::StdRng| {
+        BaseOtReceiver::choose_packed(&setup_msg, s, 128, rng).expect("honest setup")
+    };
+    let (receiver, choice) = choose(&mut rng);
+    let transfer = sender
+        .transfer(&choice, &pairs, &mut rng)
+        .expect("honest choice");
+    let mut r1 = rng.clone();
+    one_thread_vs_split("base_ot_choose128", || _ = black_box(choose(&mut r1)), 9);
+    let transfer128 = || _ = black_box(sender.transfer(&choice, &pairs, &mut r1.clone()));
+    one_thread_vs_split("base_ot_transfer128", transfer128, 9);
+    let receive128 = || _ = black_box(receiver.receive(&transfer));
+    one_thread_vs_split("base_ot_receive128", receive128, 9);
 
     let setup = median_ns(|| _ = black_box(setup_in_process(&mut rng)), 5);
     let var = median_ns(|| _ = black_box(point.mul(black_box(&k))), 50);

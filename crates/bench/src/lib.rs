@@ -95,7 +95,7 @@ pub fn median_ns(mut f: impl FnMut(), iters: usize) -> f64 {
 }
 
 /// Same-run A/B of a kernel that splits across cores
-/// ([`pi_gc::par`]): `f` pinned to one thread and at the helper's own
+/// ([`pi_trace::par`]): `f` pinned to one thread and at the helper's own
 /// width, alternating which runs first, `pairs` times after a warmup.
 /// Returns the two median wall times in milliseconds and prints them as
 /// `csv,par_ab,<name>,one_thread_ms=…,split_ms=…,threads=…` (in every
@@ -103,10 +103,10 @@ pub fn median_ns(mut f: impl FnMut(), iters: usize) -> f64 {
 pub fn one_thread_vs_split(name: &str, mut f: impl FnMut(), pairs: usize) -> (f64, f64) {
     let mut timed = |threads: usize| {
         let t = std::time::Instant::now();
-        pi_gc::par::with_threads(threads, &mut f);
+        pi_trace::par::with_threads(threads, &mut f);
         t.elapsed().as_secs_f64() * 1e3
     };
-    let split = pi_gc::par::threads();
+    let split = pi_trace::par::threads();
     timed(1);
     timed(split);
     let (mut one, mut many) = (Vec::new(), Vec::new());

@@ -14,9 +14,11 @@
 //!
 //! * layer-parallel HE (§5.2): each server session computes its own
 //!   offline matvecs, `ProtocolConfig::lphe_threads` at once, under either
-//!   driver. The split is [`pi_gc::par::map_ranges`], the one data-parallel
-//!   helper, which also splits every large ReLU phase's garbling, GC
-//!   evaluation and OT extension across the host's cores;
+//!   driver. The split is [`pi_trace::par::map_ranges`], the one
+//!   data-parallel helper, which also puts a cold request's base OT,
+//!   rotation-key generation and key admission, and every large ReLU
+//!   phase's garbling, GC evaluation and OT extension, on the host's
+//!   cores; every count a split makes reaches the request's report;
 //! * HE rotation keys that are the model's key plan
 //!   ([`ModelMeta::key_plan`]: a sorted list of Galois elements, one
 //!   `pi-he` key over `q·P` each) and nothing else — the client uploads

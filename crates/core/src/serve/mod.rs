@@ -42,8 +42,8 @@
 //!   workers sharing one FIFO (`executor.rs`); those workers are the only
 //!   threads the runtime owns, apart from the scoped helpers a session's
 //!   own split work borrows for the length of one step
-//!   ([`pi_gc::par::map_ranges`]: `lphe_threads`-way matvecs, large ReLU
-//!   phases).
+//!   ([`pi_trace::par::map_ranges`]: `lphe_threads`-way matvecs, base
+//!   OT, key generation and admission, large ReLU phases).
 //! * **Uplinks that file their own events** — a client's send (or the drop
 //!   of its endpoint) pushes the event onto its session's inbox and
 //!   schedules the session's pump, on the client's thread. It never touches

@@ -646,11 +646,10 @@ pub fn drive_sync(
 }
 
 /// Computes `E(W_i · r_i)` for every phase `i` with `threads`-way layer
-/// parallelism (LPHE, §5.2): [`pi_gc::par::map_ranges`] over contiguous
+/// parallelism (LPHE, §5.2): [`pi_trace::par::map_ranges`] over contiguous
 /// runs of phases, products in phase order. The first run's matvecs execute
-/// on the calling thread; the others' `he.*` and `ntt.*` counts reach the
-/// global trace but not the request's own report, whose scope is the
-/// calling thread's.
+/// on the calling thread; the helper runs' `he.*` and `ntt.*` counts reach
+/// the request's report through the split's scope merge.
 ///
 /// # Errors
 ///
@@ -667,9 +666,9 @@ fn matvecs(
     };
     // Replicated diagonals: d/c plaintext products, a hoisted BSGS inside
     // each replica and a log₂ c rotate-and-sum.
-    let parts = pi_gc::par::map_ranges(cts.len(), threads, |phases| {
+    let parts = pi_trace::par::map_ranges(cts.len(), threads, |phases| {
         let matvec = |i: usize| linalg::matvec_precomputed(keys.galois(), &diagonals[i], &cts[i]);
         phases.map(matvec).collect()
     });
-    Ok(pi_gc::par::concat(parts))
+    Ok(pi_trace::par::concat(parts))
 }

@@ -25,12 +25,14 @@
 //!   by [`par::map_ranges`] into [`par::threads`] contiguous runs of whole
 //!   chunks, one per core; a smaller one runs on the calling thread. Every
 //!   instance is independent and its randomness is drawn on the calling
-//!   thread before the split, so no bit depends on the split. Trace counts
-//!   are made once per call, on the calling thread.
+//!   thread before the split, so no bit depends on the split. Gate counts
+//!   are made once per call, on the calling thread; `aes.blocks` by each
+//!   run, on the thread that hashes (the split carries the request's
+//!   trace scope to it).
 
 use crate::aes::GcHash;
 use crate::circuit::{Circuit, Gate};
-use crate::par;
+use pi_trace::par;
 use rand::Rng;
 use std::ops::Range;
 
@@ -243,12 +245,11 @@ pub const GRAIN: usize = 256;
 /// with the same `rng` — the batched path is a drop-in replacement, and
 /// that equality is a structural differential test.
 pub fn garble_many<R: Rng + ?Sized>(circuit: &Circuit, n: usize, rng: &mut R) -> Vec<Garbling> {
-    // Batch-boundary accounting (never per gate or per hash, and on the
-    // calling thread): half-gates garbling hashes 4 AES blocks per AND
-    // instance.
-    let ands = circuit.and_count();
-    pi_trace::add(pi_trace::Counter::GcAndGarbled, (n * ands) as u64);
-    pi_trace::add(pi_trace::Counter::AesBlocks, (4 * n * ands) as u64);
+    // Batch-boundary accounting, never per gate or per hash.
+    pi_trace::add(
+        pi_trace::Counter::GcAndGarbled,
+        (n * circuit.and_count()) as u64,
+    );
     pi_trace::record(pi_trace::Hist::GcBatchInstances, n as u64);
     let encodings: Vec<InputEncoding> = (0..n)
         .map(|_| {
@@ -276,6 +277,9 @@ fn garble_chunks(
     circuit: &Circuit,
     encodings: &[InputEncoding],
 ) -> Vec<(GarbledCircuit, Vec<Label>)> {
+    // Half-gates garbling hashes 4 AES blocks per AND instance.
+    let blocks = 4 * encodings.len() * circuit.and_count();
+    pi_trace::add(pi_trace::Counter::AesBlocks, blocks as u64);
     let hash = GcHash::new();
     let mut out = Vec::with_capacity(encodings.len());
     let mut lanes = vec![[0; LANES]; circuit.num_wires];
@@ -436,11 +440,9 @@ where
         );
     }
     let n = tables.len();
-    // Batch-boundary accounting, on the calling thread: evaluation hashes
-    // 2 AES blocks per AND.
+    // Batch-boundary accounting.
     let ands = (n * circuit.and_count()) as u64;
     pi_trace::add(pi_trace::Counter::GcAndEvaluated, ands);
-    pi_trace::add(pi_trace::Counter::AesBlocks, 2 * ands);
     pi_trace::record(pi_trace::Hist::GcBatchInstances, n as u64);
     let parts = par::map_ranges(n.div_ceil(LANES), par::width(n, GRAIN), |chunks| {
         evaluate_chunks(circuit, tables, chunk_instances(chunks, n), &input)
@@ -455,6 +457,9 @@ fn evaluate_chunks<I: IntoIterator<Item = Label>>(
     range: Range<usize>,
     input: &impl Fn(usize) -> I,
 ) -> Vec<Vec<Label>> {
+    // Evaluation hashes 2 AES blocks per AND.
+    let blocks = 2 * range.len() * circuit.and_count();
+    pi_trace::add(pi_trace::Counter::AesBlocks, blocks as u64);
     let hash = GcHash::new();
     let mut out = Vec::with_capacity(range.len());
     let mut lanes = vec![[0; LANES]; circuit.num_wires];

@@ -41,7 +41,6 @@
 pub mod aes;
 pub mod circuit;
 pub mod garble;
-pub mod par;
 pub mod relu;
 
 pub use aes::{Aes128, AesBackend, GcHash};

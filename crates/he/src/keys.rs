@@ -71,12 +71,19 @@
 //! builds operands from it ([`KeySet`]), a party that only uploads writes
 //! the wire frame from it ([`crate::wire::galois_keys_frame`]) and never
 //! holds an operand, a quotient or a slot permutation.
+//!
+//! Generation and admission are per-key loops with every draw and every
+//! stream read made first, on the calling thread; the keys themselves then
+//! split across cores ([`pi_trace::par`], from [`GRAIN`] keys on), and the
+//! bytes and operands are the one-thread ones at every width.
 
 use crate::cipher::{Ciphertext, Plaintext};
 use crate::params::{BfvParams, KEY_DIGITS};
-use pi_poly::{sample, GaloisPerm, Poly, PolyForm, PolyOperand, ShoupVec};
+use pi_poly::{sample, GaloisPerm, Poly, PolyForm, PolyOperand, RingContext, ShoupVec};
+use pi_trace::par;
 use rand::rngs::StdRng;
 use rand::Rng;
+use std::sync::Arc;
 
 /// Errors from key-dependent operations: what a rotation returns when the
 /// key set does not hold the entry it needs. A server rejects the request
@@ -264,6 +271,36 @@ fn draw_a(params: &BfvParams, a_q: &mut [u64], a_p: &mut [u64], stream: &mut Std
     sample::uniform_into(params.special_p(), a_p, stream);
 }
 
+/// The seed stream where the next digit's `a` starts, and `stream`
+/// advanced past that `a` as [`draw_a`] would, with nothing written: how
+/// a party hands each digit's `a` to whichever thread expands it.
+fn skip_a(params: &BfvParams, stream: &mut StdRng) -> StdRng {
+    let start = stream.clone();
+    sample::uniform_skip(params.q(), params.n(), stream);
+    sample::uniform_skip(params.special_p(), params.n(), stream);
+    start
+}
+
+/// Key sets of fewer entries than this generate and admit on the calling
+/// thread; larger ones split their entries across [`par::threads`]
+/// contiguous runs (see `KeyDigits` and [`GaloisKeys`]' wire
+/// admission). A key is a few hundred microseconds of work at n = 4096,
+/// and what stays on the calling thread is small: every error draw and the
+/// rejection tests that find where each `a` starts. On a 2-vCPU host a
+/// two-way split generates 2 keys 1.25× and 4 keys 1.4× faster and admits
+/// them 1.4× and 1.5× faster (3 keys split 2 + 1 and gain 1.1×); a
+/// `tiny_cnn` plan's ten keys, 1.6× and 2.0× (`pi-bench`'s `he` bench,
+/// `csv,par_ab,{keygen,admit}_*`).
+pub const GRAIN: usize = 2;
+
+/// One key digit's randomness, drawn on the calling thread before any
+/// split: where its `a` starts in the set's seed stream ([`skip_a`]) and
+/// its error `e` from the caller's RNG, one signed byte a coefficient.
+struct DigitDraws {
+    a: StdRng,
+    e: Vec<i8>,
+}
+
 /// The one generator of key-switching digits, shared by the party that
 /// keeps its keys as operands ([`KeySet`]) and the party that only ships
 /// them ([`crate::wire::galois_keys_frame`]): digit `i` of the key for `g`
@@ -273,11 +310,19 @@ fn draw_a(params: &BfvParams, a_q: &mut [u64], a_p: &mut [u64], stream: &mut Std
 /// caller's RNG, embedded in both residues, so
 /// `k0 + a·s = P·2^{wi}·s(x^g) − e`. Modulo `P` the first term vanishes.
 ///
-/// Everything lives in evaluation form and in buffers reused across the
-/// whole set: a digit costs three sampler passes, two forward NTTs (of `e`,
-/// once per residue), one fused multiply-accumulate against `s` per residue
-/// (Shoup operands built once) and one subtract pass each;
-/// `P·2^{wi}·s(x^g)` advances by one Shoup multiply per digit.
+/// Every draw is made up front, on the calling thread, in the order one
+/// pass over the set would make them: per entry, per digit, `e` from the
+/// caller's RNG and the seed stream's state where `a` starts, the stream
+/// advanced past it by the rejection tests alone
+/// ([`SecretKey::key_digits`]). Nothing an entry computes then depends on
+/// another entry, so the entries split across cores (`width` wide) and
+/// every byte is the one-thread one. An entry costs its `a` expansions,
+/// one automorphism of `s`, one forward NTT of it, and per digit two
+/// forward NTTs (of `e`, once per residue), one fused multiply-accumulate
+/// against `s` per residue (Shoup operands built once per set) and one
+/// subtract pass each; `P·2^{wi}·s(x^g)` advances by one Shoup multiply per
+/// digit. Everything lives in evaluation form, in scratch each run of
+/// entries reuses.
 pub(crate) struct KeyDigits<'a> {
     secret: &'a SecretKey,
     s_q: ShoupVec,
@@ -286,63 +331,98 @@ pub(crate) struct KeyDigits<'a> {
     /// The seed every `a` of the set expands from, in entry, then digit,
     /// order — the order [`GaloisKeys::from_wire_parts`] replays.
     pub(crate) seed: [u8; 32],
-    a_stream: StdRng,
-    /// `P·2^{wi}·s(x^g) mod q` for the digit in hand.
-    sg: Vec<u64>,
+    /// Per entry, in wire order: its Galois element and its digits'
+    /// draws, least significant first.
+    draws: Vec<(usize, Vec<DigitDraws>)>,
+}
+
+/// Scratch one run of entries reuses: a digit's `k0` and `a` under `q`
+/// and `P`.
+pub(crate) struct DigitScratch {
     k0_q: Vec<u64>,
-    a_q: Vec<u64>,
     k0_p: Vec<u64>,
+    a_q: Vec<u64>,
     a_p: Vec<u64>,
 }
 
 impl KeyDigits<'_> {
-    /// Generates the key for Galois element `g`, handing each digit's
-    /// `(k0, a)` under `q` and `(k0, a)` under `P` — strictly reduced
-    /// evaluation-form words, valid for the call — to `digit`, least
-    /// significant first.
-    pub(crate) fn entry<R: Rng + ?Sized>(
-        &mut self,
-        g: usize,
-        rng: &mut R,
+    /// The split width of this set's entries: [`par::threads`], or 1
+    /// below [`GRAIN`] entries.
+    pub(crate) fn width(&self) -> usize {
+        par::width(self.draws.len(), GRAIN)
+    }
+
+    /// Scratch for one run of entries.
+    pub(crate) fn scratch(&self) -> DigitScratch {
+        let n = self.secret.params.n();
+        DigitScratch {
+            k0_q: vec![0; n],
+            k0_p: vec![0; n],
+            a_q: vec![0; n],
+            a_p: vec![0; n],
+        }
+    }
+
+    /// Generates entry `i` (the key for its Galois element), handing each
+    /// digit's `(k0, a)` under `q` and `(k0, a)` under `P` — strictly
+    /// reduced evaluation-form words, valid for the call — to `digit`,
+    /// least significant first.
+    pub(crate) fn entry(
+        &self,
+        i: usize,
+        scratch: &mut DigitScratch,
         mut digit: impl FnMut((&[u64], &[u64]), (&[u64], &[u64])),
     ) {
         let params = &self.secret.params;
         let (q, p) = (params.q(), params.special_p());
         let (ntt_q, ntt_p) = (params.ring().ntt(), params.special_ring().ntt());
-        let embed = q.value() - p.value();
-        self.sg = self.s_coeff.galois(g).into_ntt().into_data();
-        for i in 0..KEY_DIGITS {
+        let (g, draws) = &self.draws[i];
+        let DigitScratch {
+            k0_q,
+            k0_p,
+            a_q,
+            a_p,
+        } = scratch;
+        // `P·2^{wi}·s(x^g) mod q` for the digit in hand.
+        let mut sg = self.s_coeff.galois(*g).into_ntt().into_data();
+        for (i, draw) in draws.iter().enumerate() {
             let step = if i == 0 {
                 q.reduce(p.value())
             } else {
                 1 << params.digit_bits()
             };
             let step = q.shoup(step);
-            for x in &mut self.sg {
+            for x in &mut sg {
                 *x = q.mul_shoup(*x, step);
             }
-            draw_a(params, &mut self.a_q, &mut self.a_p, &mut self.a_stream);
-            sample::centered_binomial_into(q, &mut self.k0_q, rng, params.error_k());
-            // The same small signed e under P: a negative draw is `q − |e|`.
-            for (e_p, &e_q) in self.k0_p.iter_mut().zip(&self.k0_q) {
-                *e_p = if e_q > q.value() / 2 {
-                    e_q - embed
+            // The same small signed e in both residues: a negative draw
+            // is `m − |e|`.
+            for ((e_q, e_p), &e) in k0_q.iter_mut().zip(k0_p.iter_mut()).zip(&draw.e) {
+                let (magnitude, negative) = (u64::from(e.unsigned_abs()), e < 0);
+                *e_q = if negative {
+                    q.value() - magnitude
                 } else {
-                    e_q
+                    magnitude
+                };
+                *e_p = if negative {
+                    p.value() - magnitude
+                } else {
+                    magnitude
                 };
             }
-            ntt_q.forward(&mut self.k0_q);
-            ntt_p.forward(&mut self.k0_p);
+            ntt_q.forward(k0_q);
+            ntt_p.forward(k0_p);
+            draw_a(params, a_q, a_p, &mut draw.a.clone());
             // e + a·s in the lazy domain of each residue, then out of it.
-            ntt_q.dyadic_mul_acc_shoup(&mut self.k0_q, &self.a_q, &self.s_q);
-            ntt_p.dyadic_mul_acc_shoup(&mut self.k0_p, &self.a_p, &self.s_p);
-            for (x, &sg) in self.k0_q.iter_mut().zip(&self.sg) {
+            ntt_q.dyadic_mul_acc_shoup(k0_q, a_q, &self.s_q);
+            ntt_p.dyadic_mul_acc_shoup(k0_p, a_p, &self.s_p);
+            for (x, &sg) in k0_q.iter_mut().zip(&sg) {
                 *x = q.sub(sg, q.reduce_lazy(*x));
             }
-            for x in &mut self.k0_p {
+            for x in k0_p.iter_mut() {
                 *x = p.neg(p.reduce_lazy(*x));
             }
-            digit((&self.k0_q, &self.a_q), (&self.k0_p, &self.a_p));
+            digit((k0_q, a_q), (k0_p, a_p));
         }
     }
 }
@@ -534,38 +614,59 @@ impl SecretKey {
     /// ([`crate::wire::galois_keys_frame`]) — same digits, same bytes.
     fn galois_keys<R: Rng + ?Sized>(&self, elements: &[usize], rng: &mut R) -> GaloisKeys {
         let (ring, special) = (self.params.ring(), self.params.special_ring());
-        let operand = |ring: &std::sync::Arc<pi_poly::RingContext>, x: &[u64]| {
+        let operand = |ring: &Arc<RingContext>, x: &[u64]| {
             PolyOperand::from_ntt_data(ring.clone(), x.to_vec())
         };
-        let mut gen = self.key_digits(rng);
-        let mut keys = Vec::with_capacity(elements.len());
-        for &g in elements {
-            let mut entry = GaloisKeyEntry {
-                g,
-                q: Vec::with_capacity(KEY_DIGITS),
-                p: Vec::with_capacity(KEY_DIGITS),
-                perm: ring.ntt().galois_permutation(g),
-            };
-            gen.entry(g, rng, |q, p| {
-                entry.q.push((operand(ring, q.0), operand(ring, q.1)));
-                entry.p.push((operand(special, p.0), operand(special, p.1)));
-            });
-            keys.push(entry);
-        }
+        let gen = self.key_digits(elements, rng);
+        let parts = par::map_ranges(elements.len(), gen.width(), |run| {
+            let mut scratch = gen.scratch();
+            run.map(|i| {
+                let g = elements[i];
+                let mut entry = GaloisKeyEntry {
+                    g,
+                    q: Vec::with_capacity(KEY_DIGITS),
+                    p: Vec::with_capacity(KEY_DIGITS),
+                    perm: ring.ntt().galois_permutation(g),
+                };
+                gen.entry(i, &mut scratch, |q, p| {
+                    entry.q.push((operand(ring, q.0), operand(ring, q.1)));
+                    entry.p.push((operand(special, p.0), operand(special, p.1)));
+                });
+                entry
+            })
+            .collect()
+        });
         GaloisKeys {
             params: self.params.clone(),
-            keys,
+            keys: par::concat(parts),
             seed: gen.seed,
         }
     }
 
-    /// Starts the digit generator of one key set, drawing the set's
-    /// 32-byte `a` seed from `rng`.
-    pub(crate) fn key_digits<R: Rng + ?Sized>(&self, rng: &mut R) -> KeyDigits<'_> {
+    /// Starts the digit generator of the key set for `elements` (in wire
+    /// order), drawing from `rng` the set's 32-byte `a` seed and then every
+    /// digit's error, and reading the seed's stream to where every digit's
+    /// `a` starts: the draws one pass over the set makes, made before any
+    /// split.
+    pub(crate) fn key_digits<R: Rng + ?Sized>(
+        &self,
+        elements: &[usize],
+        rng: &mut R,
+    ) -> KeyDigits<'_> {
         let params = &self.params;
         let n = params.n();
         let mut seed = [0u8; 32];
         rng.fill(&mut seed);
+        let mut a_stream = expansion_rng(&seed);
+        let mut digit = || {
+            let a = skip_a(params, &mut a_stream);
+            let mut e = vec![0; n];
+            sample::centered_binomial_small_into(&mut e, rng, params.error_k());
+            DigitDraws { a, e }
+        };
+        let draws = (elements.iter())
+            .map(|&g| (g, (0..KEY_DIGITS).map(|_| digit()).collect()))
+            .collect();
         let s_coeff = self.s.clone().into_coeff();
         let s_p = reembed(&s_coeff, params.special_ring()).into_ntt();
         KeyDigits {
@@ -574,12 +675,7 @@ impl SecretKey {
             s_p: ShoupVec::new(params.special_p(), s_p.data()),
             s_coeff,
             seed,
-            a_stream: expansion_rng(&seed),
-            sg: Vec::new(),
-            k0_q: vec![0; n],
-            a_q: vec![0; n],
-            k0_p: vec![0; n],
-            a_p: vec![0; n],
+            draws,
         }
     }
 
@@ -696,7 +792,7 @@ impl SecretKey {
 
 /// A small-coefficient polynomial of one ring (coefficient form) as the
 /// same signed coefficients in another ring of the same degree.
-pub(crate) fn reembed(small: &Poly, ring: &std::sync::Arc<pi_poly::RingContext>) -> Poly {
+pub(crate) fn reembed(small: &Poly, ring: &Arc<RingContext>) -> Poly {
     let q = small.ctx().q();
     let signed: Vec<i64> = small.data().iter().map(|&c| q.to_signed(c)).collect();
     Poly::from_signed(ring.clone(), &signed)
@@ -1104,64 +1200,92 @@ impl GaloisKeys {
         &self.keys
     }
 
-    /// Rebuilds keys from wire parts: per entry the element and, per digit,
-    /// the `k0` under `q` and the `k0` under `P` (strictly reduced
-    /// evaluation-form words, wire order), plus the seed, replaying the `a`
-    /// expansion stream exactly as key generation consumed it (`draw_a`).
-    /// Each unpacked or expanded vector becomes its operand's value half as
-    /// it is; only quotients are computed. `spare` and `perms` are what a
-    /// retired key set left ([`GaloisKeys::into_vecs`], its `k0` value
-    /// vectors already taken for `parts`): operand for operand in wire
-    /// order the `a` values and every quotient vector are built in its
-    /// vectors, and an entry keeps its slot permutation where that already
-    /// realizes `g`; whatever is missing is allocated.
-    pub(crate) fn from_wire_parts(
+    /// Rebuilds keys from wire parts: the entries' elements in wire order,
+    /// `k0`, which fills digit `d` of entry `i`'s `k0` under `q` and under
+    /// `P` (strictly reduced evaluation-form words, in vectors it may
+    /// resize), and the seed, replaying the `a` expansion stream exactly as
+    /// key generation consumed it (`draw_a`). Each unpacked or expanded
+    /// vector becomes its operand's value half as it is; only quotients are
+    /// computed. A `retired` key set ([`GaloisKeys::into_vecs`]) lends its
+    /// memory: operand for operand in wire order every value and quotient
+    /// vector is built in its vectors, and an entry keeps its slot
+    /// permutation where that already realizes `g`; whatever is missing is
+    /// allocated.
+    ///
+    /// The calling thread reads the seed stream to where each digit's `a`
+    /// starts, in wire order; then the entries — their `k0`, their `a`
+    /// expansions, quotients and slot permutations — split across cores
+    /// from [`GRAIN`] entries on. The first error `k0` returns, in wire
+    /// order, is the result.
+    pub(crate) fn from_wire_parts<E: Send>(
         params: &BfvParams,
         seed: [u8; 32],
-        parts: Vec<(usize, Vec<[Vec<u64>; 2]>)>,
-        spare: Vec<OperandVecs>,
-        perms: Vec<GaloisPerm>,
-    ) -> Self {
+        elements: &[usize],
+        retired: Option<GaloisKeys>,
+        k0: impl Fn(usize, usize, &mut Vec<u64>, &mut Vec<u64>) -> Result<(), E> + Sync,
+    ) -> Result<Self, E> {
         pi_trace::incr(pi_trace::Counter::WireSeedExpand);
         let (ring, special) = (params.ring(), params.special_ring());
         let n = params.n();
         let mut a_stream = expansion_rng(&seed);
+        let (spare, perms) = retired.map(GaloisKeys::into_vecs).unwrap_or_default();
         let (mut spare, mut perms) = (spare.into_iter(), perms.into_iter());
         let mut next = || spare.next().unwrap_or_default();
+        // On the calling thread, in wire order: where every `a` starts, the
+        // retired vectors each operand is built in, and which slot
+        // permutations are kept.
+        let entries: Vec<_> = (elements.iter())
+            .map(|&g| {
+                let digits: Vec<(StdRng, [OperandVecs; 4])> = (0..KEY_DIGITS)
+                    .map(|_| {
+                        (
+                            skip_a(params, &mut a_stream),
+                            [next(), next(), next(), next()],
+                        )
+                    })
+                    .collect();
+                let kept = perms.next().filter(|p| p.g() == g && p.n() == n);
+                (g, digits, kept)
+            })
+            .collect();
         // Whatever a reused vector holds, the expansion overwrites; a fresh
         // one comes zeroed from the allocator, not by a pass of ours.
         let sized = |a: Vec<u64>| if a.len() == n { a } else { vec![0; n] };
-        let mut keys = Vec::with_capacity(parts.len());
-        for (g, k0s) in parts {
-            let (mut q, mut p) = (Vec::with_capacity(k0s.len()), Vec::with_capacity(k0s.len()));
-            for [k0_q, k0_p] in k0s {
-                // The retired set's operands, in into_vecs order.
-                let [(_, k0_q_quot), (a_q, a_q_quot), (_, k0_p_quot), (a_p, a_p_quot)] =
-                    [next(), next(), next(), next()];
-                let (mut a_q, mut a_p) = (sized(a_q), sized(a_p));
-                draw_a(params, &mut a_q, &mut a_p, &mut a_stream);
-                q.push((
-                    PolyOperand::from_ntt_data_in(ring.clone(), k0_q, k0_q_quot),
-                    PolyOperand::from_ntt_data_in(ring.clone(), a_q, a_q_quot),
-                ));
-                p.push((
-                    PolyOperand::from_ntt_data_in(special.clone(), k0_p, k0_p_quot),
-                    PolyOperand::from_ntt_data_in(special.clone(), a_p, a_p_quot),
-                ));
-            }
-            let kept = perms.next().filter(|p| p.g() == g && p.n() == n);
-            keys.push(GaloisKeyEntry {
-                g,
-                q,
-                p,
-                perm: kept.unwrap_or_else(|| ring.ntt().galois_permutation(g)),
-            });
-        }
-        Self {
+        let operand = |ring: &Arc<RingContext>, (values, quotients): OperandVecs| {
+            PolyOperand::from_ntt_data_in(ring.clone(), values, quotients)
+        };
+        let width = par::width(entries.len(), GRAIN);
+        let parts = par::map_runs(entries, width, |run, entries| {
+            (run.zip(entries))
+                .map(|(i, (g, digits, kept))| {
+                    let (mut q, mut p) = (Vec::with_capacity(KEY_DIGITS), Vec::with_capacity(KEY_DIGITS));
+                    for (d, (mut a, vecs)) in digits.into_iter().enumerate() {
+                        // The retired set's operands, in into_vecs order.
+                        let [(mut k0_q, k0_q_quot), (a_q, a_q_quot), (mut k0_p, k0_p_quot), (a_p, a_p_quot)] =
+                            vecs;
+                        k0(i, d, &mut k0_q, &mut k0_p)?;
+                        let (mut a_q, mut a_p) = (sized(a_q), sized(a_p));
+                        draw_a(params, &mut a_q, &mut a_p, &mut a);
+                        q.push((operand(ring, (k0_q, k0_q_quot)), operand(ring, (a_q, a_q_quot))));
+                        p.push((
+                            operand(special, (k0_p, k0_p_quot)),
+                            operand(special, (a_p, a_p_quot)),
+                        ));
+                    }
+                    Ok(GaloisKeyEntry {
+                        g,
+                        q,
+                        p,
+                        perm: kept.unwrap_or_else(|| ring.ntt().galois_permutation(g)),
+                    })
+                })
+                .collect::<Result<Vec<_>, E>>()
+        });
+        Ok(Self {
             params: params.clone(),
-            keys,
+            keys: par::concat(parts.into_iter().collect::<Result<_, _>>()?),
             seed,
-        }
+        })
     }
 
     /// Takes a key set nobody rotates with any more apart into what the
@@ -1196,6 +1320,68 @@ mod tests {
     fn zero(params: &BfvParams) -> Plaintext {
         Plaintext {
             poly: Poly::zero(params.ring().clone()),
+        }
+    }
+
+    /// Every entry's element, every operand's values and quotients and
+    /// every slot permutation, in wire order: a key set operand for
+    /// operand.
+    fn operands(keys: &GaloisKeys) -> Vec<(usize, Vec<Vec<u64>>, Vec<u32>)> {
+        fn halves(op: &PolyOperand) -> [Vec<u64>; 2] {
+            [
+                op.shoup().values().to_vec(),
+                op.shoup().quotients().to_vec(),
+            ]
+        }
+        (keys.keys.iter())
+            .map(|e| {
+                let pairs = e.q.iter().chain(&e.p).flat_map(|(k0, a)| [k0, a]);
+                let vecs = pairs.flat_map(halves).collect();
+                (e.g, vecs, e.perm.indices().to_vec())
+            })
+            .collect()
+    }
+
+    /// Generation and admission split their entries across cores: at
+    /// widths 1, 2 and 3 the generated set of either zoo plan at the
+    /// protocol ring is one set, and so is the set admitted from its frame,
+    /// fresh or built in the vectors of the other plan's retired set.
+    #[test]
+    fn key_generation_and_admission_are_one_set_at_every_split_width() {
+        use crate::wire::{
+            galois_keys_from_bytes, galois_keys_from_bytes_reusing, galois_keys_to_bytes,
+        };
+        let params = BfvParams::default_pi();
+        let plans = [&[128, 128, 16][..], &[128, 128, 256, 128, 256, 64]]
+            .map(|dims| crate::linalg::key_plan(&params, dims));
+        let secret = SecretKey::generate(&params, &mut rand::rngs::StdRng::seed_from_u64(5));
+        let generate = |plan: &[usize], threads| {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(6);
+            par::with_threads(threads, || secret.galois_keys(plan, &mut rng))
+        };
+        for (i, plan) in plans.iter().enumerate() {
+            let other = &plans[1 - i];
+            let want = generate(plan, 1);
+            let frame = galois_keys_to_bytes(&want);
+            for threads in [1, 2, 3] {
+                let got = generate(plan, threads);
+                assert_eq!(
+                    operands(&got),
+                    operands(&want),
+                    "generated, width {threads}"
+                );
+                let fresh = par::with_threads(threads, || galois_keys_from_bytes(&frame, &params));
+                let fresh = fresh.expect("own frame");
+                let retired = generate(other, 1);
+                let reused = par::with_threads(threads, || {
+                    galois_keys_from_bytes_reusing(&frame, &params, Some(retired))
+                });
+                let reused = reused.expect("own frame");
+                for (what, keys) in [("fresh", &fresh), ("reused", &reused)] {
+                    assert_eq!(operands(keys), operands(&want), "{what}, width {threads}");
+                    assert_eq!(keys.seed, want.seed, "{what}, width {threads}");
+                }
+            }
         }
     }
 

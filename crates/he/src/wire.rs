@@ -84,7 +84,9 @@
 //!
 //!   Every entry has the same length, so the frame's length is a function
 //!   of `num_entries`, and a count that disagrees with the length is
-//!   refused. The seed stream holds, digit after digit in the same order,
+//!   refused; it also puts every entry at a fixed offset, so a writer that
+//!   generates entries on several cores packs each into its own slice of
+//!   the frame. The seed stream holds, digit after digit in the same order,
 //!   `a mod q` then `a mod P`. Which entries a set holds is for its user
 //!   to check (the server against [`crate::linalg::key_plan`], from the
 //!   headers alone: [`galois_keys_frame_entries`]); the reader checks that
@@ -103,8 +105,9 @@ use crate::cipher::Ciphertext;
 use crate::keys::{expansion_rng, GaloisKeys, PublicKey, SecretKey};
 use crate::params::{BfvParams, KEY_DIGITS};
 use pi_field::Modulus;
-use pi_poly::pack::{pack_into, packed_len, unpack_into};
+use pi_poly::pack::{pack_into, pack_slice, packed_len, unpack_into};
 use pi_poly::{sample, Poly, PolyForm, RingContext};
+use pi_trace::par;
 use rand::Rng;
 use std::sync::Arc;
 
@@ -438,10 +441,31 @@ fn write_gk_preamble(out: &mut Vec<u8>, params: &BfvParams, num_entries: usize, 
     out.extend_from_slice(seed);
 }
 
-/// Appends one key digit: its `k0` under `q`, then under `P`.
-fn write_gk_digit(out: &mut Vec<u8>, params: &BfvParams, k0_q: &[u64], k0_p: &[u64]) {
-    pack_into(out, k0_q, params.q().bits() as usize);
-    pack_into(out, k0_p, params.special_p().bits() as usize);
+/// A Galois-key frame of `num_entries` entries, its preamble written and
+/// every entry's bytes still zero, and the entries' slices in wire order.
+fn gk_frame(
+    params: &BfvParams,
+    num_entries: usize,
+    seed: &[u8; 32],
+    entries: impl FnOnce(Vec<&mut [u8]>),
+) -> Vec<u8> {
+    let len = galois_keys_wire_len(params, num_entries);
+    let mut out = Vec::with_capacity(len);
+    write_gk_preamble(&mut out, params, num_entries, seed);
+    out.resize(len, 0);
+    entries(
+        out[GK_PREAMBLE_LEN..]
+            .chunks_mut(gk_entry_len(params))
+            .collect(),
+    );
+    out
+}
+
+/// Writes one key digit at the front of `dst` — its `k0` under `q`, then
+/// under `P` — and returns the bytes written.
+fn write_gk_digit(dst: &mut [u8], params: &BfvParams, k0_q: &[u64], k0_p: &[u64]) -> usize {
+    let at = pack_slice(dst, k0_q, params.q().bits() as usize);
+    at + pack_slice(&mut dst[at..], k0_p, params.special_p().bits() as usize)
 }
 
 /// Serializes a Galois key set: per entry only the packed `k0` residues,
@@ -450,15 +474,16 @@ fn write_gk_digit(out: &mut Vec<u8>, params: &BfvParams, k0_q: &[u64], k0_p: &[u
 pub fn galois_keys_to_bytes(gk: &GaloisKeys) -> Vec<u8> {
     let params = gk.params();
     let entries = gk.wire_entries();
-    let mut out = Vec::with_capacity(galois_keys_wire_len(params, entries.len()));
-    write_gk_preamble(&mut out, params, entries.len(), gk.seed());
-    for entry in entries {
-        out.extend_from_slice(&(entry.g as u32).to_le_bytes());
-        for (q, p) in entry.q.iter().zip(&entry.p) {
-            write_gk_digit(&mut out, params, q.0.shoup().values(), p.0.shoup().values());
+    gk_frame(params, entries.len(), gk.seed(), |slots| {
+        for (entry, slot) in entries.iter().zip(slots) {
+            slot[..4].copy_from_slice(&(entry.g as u32).to_le_bytes());
+            let mut at = 4;
+            for (q, p) in entry.q.iter().zip(&entry.p) {
+                let (k0_q, k0_p) = (q.0.shoup().values(), p.0.shoup().values());
+                at += write_gk_digit(&mut slot[at..], params, k0_q, k0_p);
+            }
         }
-    }
-    out
+    })
 }
 
 /// Generates the key-switching keys for `elements` (Galois elements, in
@@ -468,20 +493,30 @@ pub fn galois_keys_to_bytes(gk: &GaloisKeys) -> Vec<u8> {
 /// or slot permutation is ever built. From the same RNG state the bytes
 /// equal [`galois_keys_to_bytes`] of the key set
 /// [`crate::KeySet::generate_for_dims`] builds.
+///
+/// Every draw is made on the calling thread first; then the entries split
+/// across cores from [`crate::keys::GRAIN`] keys on, each generating its
+/// key and packing it into its own fixed-offset slice of the frame (every
+/// entry has one length), so the bytes are the one-thread ones.
 pub fn galois_keys_frame<R: Rng + ?Sized>(
     secret: &SecretKey,
     elements: &[usize],
     rng: &mut R,
 ) -> Vec<u8> {
     let params = secret.params();
-    let mut out = Vec::with_capacity(galois_keys_wire_len(params, elements.len()));
-    let mut gen = secret.key_digits(rng);
-    write_gk_preamble(&mut out, params, elements.len(), &gen.seed);
-    for &g in elements {
-        out.extend_from_slice(&(g as u32).to_le_bytes());
-        gen.entry(g, rng, |q, p| write_gk_digit(&mut out, params, q.0, p.0));
-    }
-    out
+    let gen = secret.key_digits(elements, rng);
+    gk_frame(params, elements.len(), &gen.seed, |slots| {
+        par::map_runs(slots, gen.width(), |run, slots| {
+            let mut scratch = gen.scratch();
+            for (i, slot) in run.zip(slots) {
+                slot[..4].copy_from_slice(&(elements[i] as u32).to_le_bytes());
+                let mut at = 4;
+                gen.entry(i, &mut scratch, |q, p| {
+                    at += write_gk_digit(&mut slot[at..], params, q.0, p.0);
+                });
+            }
+        });
+    })
 }
 
 /// What a Galois-key frame says before any polynomial is unpacked: its
@@ -572,6 +607,13 @@ pub fn galois_keys_from_bytes(bytes: &[u8], params: &BfvParams) -> Result<Galois
 /// reused and the rest is allocated; the result is the same key set either
 /// way, and `retired` is dropped on error.
 ///
+/// The calling thread walks the layout and reads the seed stream to where
+/// each digit's `a` starts, in wire order; then the entries — their `k0`
+/// unpacked and their `a` expanded into the destination vectors, their
+/// Shoup quotients and slot permutations — split across cores from
+/// [`crate::keys::GRAIN`] keys on. A frame with an unreduced `k0` word is
+/// refused with the same error at every width.
+///
 /// # Errors
 ///
 /// As [`galois_keys_from_bytes`].
@@ -581,31 +623,19 @@ pub fn galois_keys_from_bytes_reusing(
     retired: Option<GaloisKeys>,
 ) -> Result<GaloisKeys, WireError> {
     let layout = read_gk_layout(bytes, params)?;
-    let (mut spare, perms) = retired.map(GaloisKeys::into_vecs).unwrap_or_default();
-    // A digit's k0 under q and under P are the first and third of its four
-    // operands (`GaloisKeys::into_vecs`).
-    let mut operand = 0;
-    let mut k0 = |ring, offset: &mut usize| {
-        let retired = spare.get_mut(operand).map(|o| std::mem::take(&mut o.0));
-        operand += 2;
-        let mut k0 = retired.unwrap_or_default();
-        read_words(bytes, ring, offset, &mut k0)?;
-        Ok(k0)
-    };
-    let mut parts = Vec::with_capacity(layout.entries.len());
-    for (g, mut offset) in layout.entries {
-        let k0s = (0..KEY_DIGITS)
-            .map(|_| {
-                Ok([
-                    k0(params.ring(), &mut offset)?,
-                    k0(params.special_ring(), &mut offset)?,
-                ])
-            })
-            .collect::<Result<Vec<_>, WireError>>()?;
-        parts.push((g, k0s));
-    }
-    let keys = GaloisKeys::from_wire_parts(params, layout.seed, parts, spare, perms);
-    Ok(keys)
+    let elements: Vec<usize> = layout.entries.iter().map(|e| e.0).collect();
+    let digit_len = poly_len(params.n(), params.q()) + poly_len(params.n(), params.special_p());
+    GaloisKeys::from_wire_parts(
+        params,
+        layout.seed,
+        &elements,
+        retired,
+        |entry, digit, k0_q, k0_p| {
+            let mut offset = layout.entries[entry].1 + digit * digit_len;
+            read_words(bytes, params.ring(), &mut offset, k0_q)?;
+            read_words(bytes, params.special_ring(), &mut offset, k0_p)
+        },
+    )
 }
 
 /// Exact length of a serialized Galois-key frame with `num_entries`

@@ -264,3 +264,32 @@ fn a_frame_decoded_into_a_retired_key_set_is_the_frame_decoded() {
         }
     }
 }
+
+/// The padded dimensions of the two zoo models the ledger serves
+/// (`tiny_cnn`, `tiny_resnet`), whose plans at n = 4096 hold 10 and 12
+/// keys: above the key split's grain at every width from 2 on.
+const ZOO_DIMS: [&[usize]; 2] = [&[128, 128, 16], &[128, 128, 256, 128, 256, 64]];
+
+/// Key generation splits its entries across cores with every draw made
+/// first: the client's upload frame of either zoo plan at the protocol
+/// ring is one byte string at widths 1, 2 and 3, and so is the RNG state
+/// it leaves.
+#[test]
+fn the_upload_frame_is_one_byte_string_at_every_split_width() {
+    let params = BfvParams::default_pi();
+    for (dims, keys) in ZOO_DIMS.iter().zip([10, 12]) {
+        assert_eq!(key_plan(&params, dims).len(), keys, "{dims:?}");
+        let at = |threads| {
+            pi_trace::par::with_threads(threads, || {
+                let mut rng = rand::rngs::StdRng::seed_from_u64(41);
+                let secret = SecretKey::generate(&params, &mut rng);
+                let frame = galois_keys_frame(&secret, &key_plan(&params, dims), &mut rng);
+                (frame, rng.gen::<u64>())
+            })
+        };
+        let one = at(1);
+        for threads in [2, 3] {
+            assert!(at(threads) == one, "width {threads}, {dims:?}");
+        }
+    }
+}

@@ -42,8 +42,9 @@
 //! row index as the tweak — 32 words at a time, so its working set is a
 //! few 64 KB buffers whatever its length. The parts' words and rows are
 //! spliced back in order, so every message and key is the one-thread
-//! kernel's, bit for bit. Trace counts (`ot.extended`, and the PRG's
-//! `aes.blocks`) are made once per call, on the calling thread.
+//! kernel's, bit for bit. `ot.extended` is counted once per call, on the
+//! calling thread; the PRG's `aes.blocks` by each run, on the thread that
+//! expands (the split carries the request's trace scope to it).
 //!
 //! # Stream position
 //!
@@ -61,7 +62,8 @@
 
 use crate::base::{BaseOtReceiver, BaseOtSender};
 use crate::bitmat::{columns_to_rows, BitVec};
-use pi_gc::{par, Aes128, GcHash};
+use pi_gc::{Aes128, GcHash};
+use pi_trace::par;
 use rand::Rng;
 use std::ops::Range;
 
@@ -272,11 +274,10 @@ impl OtExtSender {
                 assert_eq!(u.len(), words, "column {i} word count");
             }
         }
-        // Batch-boundary accounting, on the calling thread: one PRG block
-        // per column per word.
-        pi_trace::add(pi_trace::Counter::AesBlocks, (KAPPA * words) as u64);
         let prgs: Vec<Aes128> = self.setup.seeds.iter().map(|&k| prg(k)).collect();
         let parts = split_words(m, |w| {
+            // One PRG block per column per word.
+            pi_trace::add(pi_trace::Counter::AesBlocks, (KAPPA * w.len()) as u64);
             let h = GcHash::new();
             let mut q_columns = [[0u128; GROUP]; KAPPA];
             let mut out = Vec::with_capacity(part_capacity(&w, block_rows(&w, m).len(), m));
@@ -352,10 +353,8 @@ impl OtExtReceiver {
     pub fn extend_at(&self, block: u64, choices: &BitVec) -> (ExtendMsg, Vec<u128>) {
         let m = choices.len();
         let words = m.div_ceil(128);
-        // Batch-boundary accounting, on the calling thread: two PRG blocks
-        // per column per word.
+        // Batch-boundary accounting.
         pi_trace::add(pi_trace::Counter::OtExtended, m as u64);
-        pi_trace::add(pi_trace::Counter::AesBlocks, (2 * KAPPA * words) as u64);
         pi_trace::record(pi_trace::Hist::OtBatchSize, m as u64);
         // Zero bits past m in the last word so the wire message matches the
         // reference oracle exactly (BitVec guarantees its own tail is zero).
@@ -368,6 +367,8 @@ impl OtExtReceiver {
             .map(|&(k0, k1)| (prg(k0), prg(k1)))
             .collect();
         let parts = split_words(m, |w| {
+            // Two PRG blocks per column per word.
+            pi_trace::add(pi_trace::Counter::AesBlocks, (2 * KAPPA * w.len()) as u64);
             let column = || Vec::with_capacity(part_capacity(&w, w.len(), words));
             let mut u_columns: Vec<Vec<u128>> = (0..KAPPA).map(|_| column()).collect();
             let mut t_rows = Vec::with_capacity(part_capacity(&w, 128 * w.len(), 128 * words));

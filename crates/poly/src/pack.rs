@@ -24,11 +24,23 @@ fn mask(bits: usize) -> u64 {
 /// is assembled in a 128-bit staging register and leaves it eight bytes at
 /// a time.
 pub fn pack_into(out: &mut Vec<u8>, words: &[u64], bits: usize) {
-    assert!((1..=64).contains(&bits), "bit width {bits} out of range");
-    let mask = mask(bits);
     let start = out.len();
     out.resize(start + packed_len(words.len(), bits), 0);
-    let dst = &mut out[start..];
+    pack_slice(&mut out[start..], words, bits);
+}
+
+/// [`pack_into`] at the front of a slice the caller sized (a fixed-offset
+/// field of a preallocated frame): writes exactly
+/// [`packed_len`]`(words.len(), bits)` bytes and returns that count.
+///
+/// # Panics
+///
+/// Panics if `dst` is shorter than that.
+pub fn pack_slice(dst: &mut [u8], words: &[u64], bits: usize) -> usize {
+    assert!((1..=64).contains(&bits), "bit width {bits} out of range");
+    let mask = mask(bits);
+    let len = packed_len(words.len(), bits);
+    let dst = &mut dst[..len];
     // `acc_bits < 64` at the top of every iteration, so a 64-bit word never
     // overflows the register.
     let mut acc: u128 = 0;
@@ -47,6 +59,7 @@ pub fn pack_into(out: &mut Vec<u8>, words: &[u64], bits: usize) {
     }
     let tail = acc_bits.div_ceil(8);
     dst[pos..pos + tail].copy_from_slice(&(acc as u64).to_le_bytes()[..tail]);
+    len
 }
 
 /// Unpack `n` words of `bits` bits each from the front of `bytes`.

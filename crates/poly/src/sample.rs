@@ -48,8 +48,7 @@ fn centered_binomial_with<T, R: Rng + ?Sized>(
 }
 
 /// Fills `out` with centered-binomial coefficients (parameter `k`) as
-/// residues in `[0, q)` — the allocation-free form key generation draws
-/// each digit's error with.
+/// residues in `[0, q)`.
 ///
 /// # Panics
 ///
@@ -69,6 +68,18 @@ pub fn centered_binomial_into<R: Rng + ?Sized>(q: Modulus, out: &mut [u64], rng:
     });
 }
 
+/// Fills `out` with centered-binomial coefficients (parameter `k`) as
+/// signed bytes — the compact form key generation draws every digit's
+/// error in before it splits, from the same generator words
+/// [`centered_binomial_into`] reads.
+///
+/// # Panics
+///
+/// Panics unless `1 <= k <= 32`.
+pub fn centered_binomial_small_into<R: Rng + ?Sized>(out: &mut [i8], rng: &mut R, k: u32) {
+    centered_binomial_with(out, rng, k, |v| v as i8);
+}
+
 /// Fills `out` with values uniform in `[0, q)`, by rejection from
 /// `bits(q)`-bit draws.
 pub fn uniform_into<R: Rng + ?Sized>(q: Modulus, out: &mut [u64], rng: &mut R) {
@@ -80,6 +91,18 @@ pub fn uniform_into<R: Rng + ?Sized>(q: Modulus, out: &mut [u64], rng: &mut R) {
                 break w;
             }
         };
+    }
+}
+
+/// Advances `rng` exactly as [`uniform_into`] of `n` values would, without
+/// writing them: the rejection tests alone find where the next draw
+/// starts, so a caller can hand each of several draws of one stream to
+/// another thread as the stream's state at its start.
+pub fn uniform_skip<R: Rng + ?Sized>(q: Modulus, n: usize, rng: &mut R) {
+    let (qv, shift) = (q.value(), 64 - q.bits());
+    let mut accepted = 0;
+    while accepted < n {
+        accepted += usize::from(rng.next_u64() >> shift < qv);
     }
 }
 
@@ -257,6 +280,9 @@ mod tests {
         for (r, v) in residues.iter().zip(&signed) {
             assert_eq!(*r, q.from_signed(*v));
         }
+        let mut small = vec![0i8; 1001];
+        centered_binomial_small_into(&mut small, &mut rand::rngs::StdRng::seed_from_u64(5), 8);
+        assert!(small.iter().zip(&signed).all(|(&s, &v)| i64::from(s) == v));
     }
 
     #[test]
@@ -276,6 +302,16 @@ mod tests {
             assert!(u.iter().any(|&x| x >= q.value() / 2));
             assert_eq!(u, draw(6), "same seed, same polynomial");
             assert_ne!(u, draw(7));
+            let mut skipped = rand::rngs::StdRng::seed_from_u64(6);
+            uniform_skip(q, 4099, &mut skipped);
+            let mut drawn = rand::rngs::StdRng::seed_from_u64(6);
+            uniform_into(q, &mut vec![0; 4099], &mut drawn);
+            let next = |r: &mut rand::rngs::StdRng| r.gen::<u64>();
+            assert_eq!(
+                next(&mut skipped),
+                next(&mut drawn),
+                "skip ends where the draw does"
+            );
         }
     }
 

@@ -19,6 +19,9 @@
 //!    repo's `csv,<name>,<value>` bench convention
 //!    ([`TraceReport::csv_lines`]).
 //!
+//! It also holds the one data-parallel helper ([`par`]), because a split
+//! must carry the request's collection scope across the threads it uses.
+//!
 //! # Overhead contract
 //!
 //! | mode       | spans | counters/hists | cost per event                     |
@@ -74,6 +77,7 @@
 mod counter;
 mod hist;
 mod local;
+pub mod par;
 mod report;
 mod span;
 

@@ -6,6 +6,10 @@
 //! is isolated from concurrent requests (each party runs on its own
 //! thread). The global aggregate keeps accumulating regardless — local
 //! scopes are a view, not a redirect.
+//!
+//! A split ([`crate::par::map_ranges`]) carries the scope across threads:
+//! each helper part records into a scope of its own ([`run_part`]) and the
+//! caller folds what it recorded into its scope ([`merge_part`]).
 
 use crate::span::SpanStat;
 use crate::{mode, Counter, TraceMode, TraceReport};
@@ -13,16 +17,61 @@ use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::marker::PhantomData;
 
-struct LocalBuf {
+/// What one scope recorded: counter values by slot, spans by path.
+pub(crate) struct LocalBuf {
     counters: [u64; Counter::COUNT],
     spans: HashMap<String, SpanStat>,
 }
 
+impl LocalBuf {
+    fn new() -> Self {
+        LocalBuf {
+            counters: [0; Counter::COUNT],
+            spans: HashMap::new(),
+        }
+    }
+}
+
 thread_local! {
     static ACTIVE: Cell<bool> = const { Cell::new(false) };
-    static BUF: RefCell<LocalBuf> = RefCell::new(LocalBuf {
-        counters: [0; Counter::COUNT],
-        spans: HashMap::new(),
+    static BUF: RefCell<LocalBuf> = RefCell::new(LocalBuf::new());
+}
+
+/// Whether a scope is collecting on this thread.
+pub(crate) fn active() -> bool {
+    ACTIVE.get()
+}
+
+/// Runs one helper part of a split under a scope of its own on this
+/// thread (a scoped thread of the split, which holds none) and returns
+/// its result with everything the scope recorded.
+pub(crate) fn run_part<T>(f: impl FnOnce() -> T) -> (T, LocalBuf) {
+    let scope = begin_local();
+    let out = f();
+    drop(scope);
+    (
+        out,
+        BUF.with(|b| std::mem::replace(&mut *b.borrow_mut(), LocalBuf::new())),
+    )
+}
+
+/// Folds a helper part's records into this thread's scope, if one is
+/// active: counters add, spans merge by path.
+pub(crate) fn merge_part(part: LocalBuf) {
+    if !ACTIVE.get() {
+        return;
+    }
+    BUF.with(|b| {
+        let mut b = b.borrow_mut();
+        for (total, n) in b.counters.iter_mut().zip(part.counters) {
+            *total += n;
+        }
+        for (path, stat) in part.spans {
+            b.spans
+                .entry(path)
+                .and_modify(|total| total.merge(&stat))
+                .or_insert(stat);
+        }
     });
 }
 

@@ -60,6 +60,18 @@ thread_local! {
     static STACK: RefCell<Vec<&'static str>> = const { RefCell::new(Vec::new()) };
 }
 
+/// This thread's open span names, outermost first: what a split's helper
+/// parts open their own spans under ([`set_stack`]).
+pub(crate) fn stack() -> Vec<&'static str> {
+    STACK.with(|s| s.borrow().clone())
+}
+
+/// Makes `stack` this thread's open span names, so a helper part's spans
+/// record under the path of the caller that split.
+pub(crate) fn set_stack(stack: Vec<&'static str>) {
+    STACK.with(|s| *s.borrow_mut() = stack);
+}
+
 fn global_spans() -> &'static Mutex<HashMap<String, SpanStat>> {
     static SPANS: OnceLock<Mutex<HashMap<String, SpanStat>>> = OnceLock::new();
     SPANS.get_or_init(|| Mutex::new(HashMap::new()))

@@ -26,11 +26,12 @@
 //! a mutex; each comparison re-runs both sides under its own forced
 //! backend.
 
+use pi_trace::par;
 use private_inference::gc::aes::{self, AesBackend, GcHash};
 use private_inference::gc::garble::{
     evaluate, evaluate_many, garble, garble_many, Garbling, GRAIN,
 };
-use private_inference::gc::{par, relu_trunc_circuit, Circuit};
+use private_inference::gc::{relu_trunc_circuit, Circuit};
 use private_inference::ot::bitmat::BitVec;
 use private_inference::ot::ext::{self, reference, OtExtReceiver, OtExtSender};
 use proptest::prelude::*;

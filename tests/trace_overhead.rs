@@ -17,14 +17,15 @@
 //! mode serialize on a local mutex (integration tests in one binary run on
 //! parallel threads).
 
+use pi_core::serve::session::drive_sync;
 use pi_core::{
-    private_inference, ModelMeta, ProtocolConfig, ProtocolKind, ServeConfig, ServeRuntime,
-    ServiceClient,
+    private_inference, ModelMeta, PartyOutcome, ProtocolConfig, ProtocolKind, ServeConfig,
+    ServeRuntime, ServerPrecomp, ServiceClient,
 };
 use pi_he::linalg::{self, BsgsDiagonals, PlainMatrix};
 use pi_he::{BatchEncoder, BfvParams, Ciphertext, KeySet};
 use pi_nn::{zoo, FixedConfig, Network, PiModel, QuantNetwork};
-use pi_trace::TraceMode;
+use pi_trace::{par, TraceMode};
 use rand::{Rng, SeedableRng};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
@@ -188,12 +189,58 @@ fn gate_rates_are_the_trace_counters_over_the_phase_spans() {
     assert_eq!(rate, and_gates as f64 / (ms / 1e3));
 }
 
+/// One inference with both parties in process, one thread each as
+/// `private_inference_precomputed` runs them, with every split of either
+/// party pinned to `threads` wide: the output and each party's outcome.
+fn pinned_inference(
+    model: &PiModel,
+    pre: &ServerPrecomp,
+    input: &[u64],
+    cfg: &ProtocolConfig,
+    threads: usize,
+) -> (Vec<u64>, PartyOutcome, PartyOutcome) {
+    let meta = ModelMeta::of(model);
+    let (chan_c, chan_s) = pi_core::channel::local_pair();
+    let (client, server) = std::thread::scope(|scope| {
+        let server = scope.spawn(|| {
+            let rng = rand::rngs::StdRng::seed_from_u64(cfg.seeds.1);
+            par::with_threads(threads, || drive_sync(model, pre, cfg, &chan_s, rng))
+        });
+        let mut rng = rand::rngs::StdRng::seed_from_u64(cfg.seeds.0);
+        let client = par::with_threads(threads, || {
+            ServiceClient::new().run(&meta, input, cfg, &chan_c, &mut rng)
+        });
+        drop(chan_c);
+        (client, server.join().expect("server thread"))
+    });
+    let (out, client) = client.expect("client run");
+    (out, client, server.expect("server run"))
+}
+
+/// Asserts that the two parties' reports together hold exactly what the
+/// process-global counters moved by (`before` → now), for each counter.
+fn assert_reports_hold_the_global_deltas(
+    counters: &[pi_trace::Counter],
+    before: &[u64],
+    parties: [&PartyOutcome; 2],
+    what: &str,
+) {
+    for (&c, &b) in counters.iter().zip(before) {
+        let reported: u64 = (parties.iter())
+            .map(|p| p.trace.counter(c.name()).unwrap_or(0))
+            .sum();
+        let delta = pi_trace::global_counter(c) - b;
+        assert!(delta > 0, "{what}: no {} counted", c.name());
+        assert_eq!(reported, delta, "{what}: {}", c.name());
+    }
+}
+
 /// A request's trace scope is thread-local, and the GC and OT kernels of a
-/// large ReLU phase split across cores: every count must still land on the
-/// thread that holds the scope. For a Client-Garbler inference with 8192
-/// ReLUs (garbling, evaluation and 163 840 OTs all above their split grain
-/// on a multi-core host), the request's own counters equal what the
-/// process-global ones moved by.
+/// large ReLU phase split across cores: every count a helper thread makes
+/// must still reach the request's report. For a Client-Garbler inference
+/// with 8192 ReLUs (garbling, evaluation and 163 840 OTs all above their
+/// split grain), at widths 1, 2 and 3, the parties' own counters equal what
+/// the process-global ones moved by.
 #[test]
 fn split_kernels_keep_every_count_in_the_request_report() {
     use pi_trace::Counter;
@@ -219,6 +266,7 @@ fn split_kernels_keep_every_count_in_the_request_report() {
         .map(|_| fx.p.from_signed(rng.gen_range(-16..=16)))
         .collect();
     let cfg = ProtocolConfig::clear(ProtocolKind::ClientGarbler);
+    let pre = ServerPrecomp::new(&model, &cfg);
 
     let counters = [
         Counter::AesBlocks,
@@ -227,23 +275,67 @@ fn split_kernels_keep_every_count_in_the_request_report() {
         Counter::GcAndEvaluated,
     ];
     pi_trace::force_mode(Some(TraceMode::Counters));
-    let before = counters.map(pi_trace::global_counter);
-    let (out, report) = private_inference(&model, &input, &cfg);
-    let after = counters.map(pi_trace::global_counter);
-    pi_trace::force_mode(None);
-
-    assert_eq!(out, qnet.forward_fixed(&input));
-    assert_eq!(report.trace.counter("ot.extended"), Some(8192 * 20));
-    for ((c, b), a) in counters.iter().zip(before).zip(after) {
-        assert_eq!(report.trace.counter(c.name()), Some(a - b), "{}", c.name());
+    for threads in 1..=3 {
+        let before = counters.map(pi_trace::global_counter);
+        let (out, client, server) = pinned_inference(&model, &pre, &input, &cfg, threads);
+        let what = format!("width {threads}");
+        assert_eq!(out, qnet.forward_fixed(&input), "{what}");
+        let extended = [&client, &server].map(|p| p.trace.counter("ot.extended").unwrap_or(0));
+        assert_eq!(extended.iter().sum::<u64>(), 8192 * 20, "{what}");
+        assert_reports_hold_the_global_deltas(&counters, &before, [&client, &server], &what);
     }
+    pi_trace::force_mode(None);
+}
+
+/// A fresh client's cold path splits too: base OT per transfer, key
+/// generation and admission per key. For a served Client-Garbler
+/// `tiny_cnn` request whose client has no keys and no OT state, at widths
+/// 1, 2 and 3 (both parties pinned), the two reports' `ot.base`,
+/// `ntt.forward` and `wire.seed_expand` equal what the process-global
+/// counters moved by — as do the `aes.blocks` its OT extension counts on
+/// the threads that expand.
+#[test]
+fn a_fresh_clients_cold_path_reports_every_count_at_every_width() {
+    use pi_trace::Counter;
+    let _l = mode_lock();
+    let he = BfvParams::small_test();
+    let fx = FixedConfig { p: he.t(), f: 5 };
+    let mut rng = rand::rngs::StdRng::seed_from_u64(33);
+    let net = Network::materialize(&zoo::tiny_cnn(), &mut rng);
+    let model = PiModel::lower(&QuantNetwork::quantize(&net, fx));
+    let input: Vec<u64> = (0..model.input_len)
+        .map(|_| fx.p.from_signed(rng.gen_range(-16..=16)))
+        .collect();
+    let cfg = ProtocolConfig::client_garbler(he, 1);
+    let pre = ServerPrecomp::new(&model, &cfg);
+
+    let counters = [
+        Counter::OtBase,
+        Counter::NttForward,
+        Counter::WireSeedExpand,
+        Counter::AesBlocks,
+    ];
+    pi_trace::force_mode(Some(TraceMode::Counters));
+    for threads in 1..=3 {
+        let before = counters.map(pi_trace::global_counter);
+        let (out, client, server) = pinned_inference(&model, &pre, &input, &cfg, threads);
+        let what = format!("width {threads}");
+        assert_eq!(out, model.forward(&input), "{what}");
+        let base = [&client, &server].map(|p| p.trace.counter(Counter::OtBase.name()));
+        assert_eq!(base, [None, Some(128)], "{what}: the base-OT sender counts");
+        assert_reports_hold_the_global_deltas(&counters, &before, [&client, &server], &what);
+    }
+    pi_trace::force_mode(None);
 }
 
 /// A serving-runtime session computes its own HE matvecs, inside its own
-/// pump, so their work lands in the request's report. For one
-/// Client-Garbler `tiny_cnn` request on a one-worker runtime, the server's
-/// `he.rotation` count is the sum of `matvec_op_count` over the model's
-/// phases, and exactly what the process-global counter moved by.
+/// pump, so their work lands in the request's report — also the matvecs
+/// LPHE runs on helper threads. For one Client-Garbler `tiny_cnn` request
+/// on a one-worker runtime, with `lphe_threads` 1 and 2 and the client's
+/// splits at widths 1, 2 and 3 (the session's run at the host's width),
+/// the server's `he.rotation` count is the sum of `matvec_op_count` over
+/// the model's phases, and exactly what the process-global counter moved
+/// by.
 #[test]
 fn a_served_request_reports_its_own_matvec_rotations() {
     use pi_trace::Counter;
@@ -257,31 +349,38 @@ fn a_served_request_reports_its_own_matvec_rotations() {
     let input: Vec<u64> = (0..model.input_len)
         .map(|_| fx.p.from_signed(rng.gen_range(-16..=16)))
         .collect();
-    let cfg = ProtocolConfig::client_garbler(he.clone(), 1);
-    let rt = ServeRuntime::new(ServeConfig {
-        workers: 1,
-        ..Default::default()
-    });
-    let model_id = rt.register_model(model.clone(), cfg.clone());
-
-    pi_trace::force_mode(Some(TraceMode::Counters));
-    let before = pi_trace::global_counter(Counter::HeRotation);
-    let conn = rt.connect(0, model_id, 1);
-    let (out, _) = ServiceClient::new()
-        .run(&meta, &input, &cfg, &conn.chan, &mut rng)
-        .expect("client run");
-    let server = conn.handle.wait().expect("server outcome");
-    let after = pi_trace::global_counter(Counter::HeRotation);
-    pi_trace::force_mode(None);
-
-    assert_eq!(out, model.forward(&input));
     let expect: u64 = (meta.phases.iter())
         .map(|ph| linalg::matvec_op_count(he.n(), ph.padded_dim).rotations() as u64)
         .sum();
     assert!(expect > 0);
-    let reported = server.trace.counter(Counter::HeRotation.name());
-    assert_eq!(reported, Some(expect), "the session's own report");
-    assert_eq!(after - before, expect, "the global counter");
+    let rt = ServeRuntime::new(ServeConfig {
+        workers: 1,
+        ..Default::default()
+    });
+
+    pi_trace::force_mode(Some(TraceMode::Counters));
+    let mut client_id = 0;
+    for lphe in [1, 2] {
+        let cfg = ProtocolConfig::client_garbler(he.clone(), lphe);
+        let model_id = rt.register_model(model.clone(), cfg.clone());
+        for threads in 1..=3 {
+            let what = format!("lphe {lphe}, width {threads}");
+            let before = pi_trace::global_counter(Counter::HeRotation);
+            client_id += 1;
+            let conn = rt.connect(client_id, model_id, 1);
+            let (out, _) = par::with_threads(threads, || {
+                ServiceClient::new().run(&meta, &input, &cfg, &conn.chan, &mut rng)
+            })
+            .expect("client run");
+            let server = conn.handle.wait().expect("server outcome");
+            let after = pi_trace::global_counter(Counter::HeRotation);
+            assert_eq!(out, model.forward(&input), "{what}");
+            let reported = server.trace.counter(Counter::HeRotation.name());
+            assert_eq!(reported, Some(expect), "{what}: the session's own report");
+            assert_eq!(after - before, expect, "{what}: the global counter");
+        }
+    }
+    pi_trace::force_mode(None);
 }
 
 /// Counters mode on the replicated matvec. Interleaved single-call trials with
