@@ -9,15 +9,13 @@
 //! a hardware path — a silent fallback to software AES fails the grep
 //! loudly, mirroring the `csv,simd_backend` guard.
 //!
-//! The `relu_phase_8192` group is one phase of the ledger's `relu_heavy`
-//! workload: 8192 instances, the scale where a kernel's layout (not its
-//! AES) shows. Divide a time by its `thrpt` element count for ns per AND.
-//! It then times each kernel on one thread against split across the
-//! host's cores, alternating the two (`csv,par_threads,<t>` and
-//! `csv,par_ab,…`, printed under `--test` too).
+//! Then one phase of the ledger's `relu_heavy` workload: 8192 instances,
+//! the scale where a kernel's layout (not its AES) shows. Each kernel is
+//! timed on one thread against split across the host's cores, alternating
+//! the two (`csv,par_threads,<t>` and `csv,par_ab,…`); the split side is
+//! what the ledger runs.
 
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use pi_bench::one_thread_vs_split;
+use pi_bench::{kernel, one_thread_vs_split};
 use pi_gc::aes::{self, AesBackend};
 use pi_gc::circuit::{from_bits, to_bits};
 use pi_gc::garble::{evaluate, evaluate_many, garble, garble_many};
@@ -27,7 +25,7 @@ use pi_trace::par;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
 
-fn bench_gc(c: &mut Criterion) {
+fn main() {
     let auto = aes::auto_backend();
     println!("csv,aes_backend,{}", auto.name());
 
@@ -36,31 +34,24 @@ fn bench_gc(c: &mut Criterion) {
     let mut rng = rand::rngs::StdRng::seed_from_u64(2);
 
     // Single-instance path (scalar hash, the seed numbers' continuity).
-    let mut group = c.benchmark_group("garbled_relu");
-    group.sample_size(20);
-    group.throughput(Throughput::Elements(1));
-    group.bench_function("garble", |b| b.iter(|| garble(&circuit, &mut rng)));
+    kernel("garbled_relu/garble", 20, || garble(&circuit, &mut rng));
 
     let g = garble(&circuit, &mut rng);
     let mut inputs = to_bits(12345 % p, layout.width);
     inputs.extend(to_bits(54321 % p, layout.width));
     inputs.extend(to_bits(777 % p, layout.width));
     let labels = g.encoding.encode_bits(0, &inputs);
-    group.bench_function("evaluate", |b| {
-        b.iter(|| evaluate(&circuit, &g.garbled, &labels))
+    kernel("garbled_relu/evaluate", 20, || {
+        evaluate(&circuit, &g.garbled, &labels)
     });
-    group.finish();
 
     // Same-run A/B: a batch of 64 ReLU instances through `garble_many` /
     // `evaluate_many` under the software oracle and the batched backend.
     let m = 64usize;
-    let mut group = c.benchmark_group("relu_aes_vs_soft");
-    group.sample_size(20);
-    group.throughput(Throughput::Elements((m * circuit.and_count()) as u64));
     for (label, be) in [("soft", AesBackend::Soft), (auto.name(), auto)] {
         aes::force_backend(be);
-        group.bench_function(format!("garble{m}_{label}"), |b| {
-            b.iter(|| garble_many(&circuit, m, &mut rng))
+        kernel(&format!("relu_aes_vs_soft/garble{m}_{label}"), 20, || {
+            garble_many(&circuit, m, &mut rng)
         });
         let garblings = garble_many(&circuit, m, &mut rng);
         let tables: Vec<_> = garblings.iter().map(|g| g.garbled.tables.clone()).collect();
@@ -68,14 +59,13 @@ fn bench_gc(c: &mut Criterion) {
             .iter()
             .map(|g| g.encoding.encode_bits(0, &inputs))
             .collect();
-        group.bench_function(format!("evaluate{m}_{label}"), |b| {
-            b.iter(|| evaluate_many(&circuit, &tables, &label_inputs))
+        kernel(&format!("relu_aes_vs_soft/evaluate{m}_{label}"), 20, || {
+            evaluate_many(&circuit, &tables, &label_inputs)
         });
         aes::clear_forced_backend();
     }
-    group.finish();
 
-    relu_phase_8192(c, p, &circuit);
+    relu_phase_8192(p, &circuit);
 
     println!(
         "garbled ReLU: {} AND gates, {} bytes/ReLU (paper measures 18.2 KB at 41-bit fields)",
@@ -87,10 +77,9 @@ fn bench_gc(c: &mut Criterion) {
 /// One `relu_heavy` phase: 8192 truncating ReLUs garbled and evaluated
 /// under the detected backend. Before timing, every instance is garbled,
 /// evaluated on random shares and decoded against `relu_trunc_reference`;
-/// `csv,relu_ands,…` and `csv,relu_check,8192,ok` print even under
-/// `--test`, so CI pins the AND count and the kernel's correctness at the
-/// scale the ledger runs.
-fn relu_phase_8192(c: &mut Criterion, p: u64, circuit: &Circuit) {
+/// `csv,relu_ands,…` and `csv,relu_check,8192,ok` print, so CI pins the
+/// AND count and the kernel's correctness at the scale the ledger runs.
+fn relu_phase_8192(p: u64, circuit: &Circuit) {
     let (m, shift) = (8192usize, 5);
     let k = circuit.num_inputs / 3;
     println!("csv,relu_ands,{}", circuit.and_count());
@@ -115,23 +104,9 @@ fn relu_phase_8192(c: &mut Criterion, p: u64, circuit: &Circuit) {
     }
     println!("csv,relu_check,{m},ok");
 
-    let mut group = c.benchmark_group("relu_phase_8192");
-    group.sample_size(10);
-    group.throughput(Throughput::Elements((m * circuit.and_count()) as u64));
-    group.bench_function(format!("garble{m}"), |b| {
-        b.iter(|| garble_many(circuit, m, &mut rng))
-    });
-    group.bench_function(format!("evaluate{m}"), |b| {
-        b.iter(|| evaluate_many(circuit, &tables, &label_inputs))
-    });
-    group.finish();
-
     println!("csv,par_threads,{}", par::threads());
     let garble = || _ = black_box(garble_many(circuit, m, &mut rng));
     one_thread_vs_split(&format!("garble{m}"), garble, 5);
     let evaluate = || _ = black_box(evaluate_many(circuit, &tables, &label_inputs));
     one_thread_vs_split(&format!("evaluate{m}"), evaluate, 5);
 }
-
-criterion_group!(benches, bench_gc);
-criterion_main!(benches);

@@ -9,15 +9,13 @@
 //! The cold-key path — what a first-time client's request pays before any
 //! of that — is timed apart and printed as one
 //! `csv,coldkey,<dims>,keys,<n>,wire_bytes,<n>,keygen_us_per_key,…,encode_us_per_key,…,decode_us_per_key,…,frame_us_per_key,…`
-//! line in every mode, `--test` included, so CI can see it is still there.
-//! Then, for the key plans of `tiny_cnn` and `tiny_resnet` at the protocol
-//! ring, the client's frame generation and the server's admission (a
-//! fresh decode) each run on one thread and split across the host's cores
-//! (`csv,par_ab,keygen_<plan>,…` and `csv,par_ab,admit_<plan>,…`, printed
-//! under `--test` too).
+//! line, so CI can see it is still there. Then, for the key plans of
+//! `tiny_cnn` and `tiny_resnet` at the protocol ring, the client's frame
+//! generation and the server's admission (a fresh decode) each run on one
+//! thread and split across the host's cores (`csv,par_ab,keygen_<plan>,…`
+//! and `csv,par_ab,admit_<plan>,…`).
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use pi_bench::{median_ns, one_thread_vs_split};
+use pi_bench::{kernel, median_ns, one_thread_vs_split};
 use pi_he::linalg::{
     encode_diagonals, encode_diagonals_bsgs, encode_input, key_plan, matvec_naive,
     matvec_precomputed, PlainMatrix,
@@ -31,38 +29,18 @@ use std::hint::black_box;
 /// (the ledger's `he.keygen_ms`), encoding and decoding its frame
 /// (`he.keys_encode_ms` / `he.keys_decode_ms`), and what the protocol
 /// client runs instead of the first two — generating the frame directly.
-fn bench_cold_key(_c: &mut Criterion) {
+fn bench_cold_key() {
     let params = BfvParams::default_pi();
     let dims = [128usize, 128, 16];
     let plan = key_plan(&params, &dims);
     let mut rng = rand::rngs::StdRng::seed_from_u64(2);
-    let keygen = median_ns(
-        || {
-            drop(black_box(KeySet::generate_for_dims(
-                &params, &dims, &mut rng,
-            )))
-        },
-        3,
-    );
+    let keygen = median_ns(3, || KeySet::generate_for_dims(&params, &dims, &mut rng));
     let keys = KeySet::generate_for_dims(&params, &dims, &mut rng);
-    let encode = median_ns(
-        || drop(black_box(pi_he::galois_keys_to_bytes(&keys.galois))),
-        3,
-    );
+    let encode = median_ns(3, || pi_he::galois_keys_to_bytes(&keys.galois));
     let frame = pi_he::galois_keys_to_bytes(&keys.galois);
-    let decode = median_ns(
-        || drop(black_box(pi_he::galois_keys_from_bytes(&frame, &params))),
-        3,
-    );
+    let decode = median_ns(3, || pi_he::galois_keys_from_bytes(&frame, &params));
     let secret = SecretKey::generate(&params, &mut rng);
-    let direct = median_ns(
-        || {
-            drop(black_box(pi_he::galois_keys_frame(
-                &secret, &plan, &mut rng,
-            )))
-        },
-        3,
-    );
+    let direct = median_ns(3, || pi_he::galois_keys_frame(&secret, &plan, &mut rng));
     let us_per_key = |ns: f64| ns / 1e3 / plan.len() as f64;
     println!(
         "csv,coldkey,d128x128x16,keys,{},wire_bytes,{},keygen_us_per_key,{:.1},\
@@ -91,7 +69,7 @@ fn zoo_plan(params: &BfvParams, spec: &pi_nn::NetSpec) -> Vec<usize> {
 
 /// Key generation (the client's frame) and admission (the server's
 /// decode) of two zoo plans: one thread vs split across cores.
-fn bench_cold_key_split(_c: &mut Criterion) {
+fn bench_cold_key_split() {
     let params = BfvParams::default_pi();
     let mut rng = rand::rngs::StdRng::seed_from_u64(3);
     let secret = SecretKey::generate(&params, &mut rng);
@@ -116,28 +94,26 @@ fn bench_cold_key_split(_c: &mut Criterion) {
     }
 }
 
-fn bench_he(c: &mut Criterion) {
+fn bench_he() {
     let params = BfvParams::small_test();
     let mut rng = rand::rngs::StdRng::seed_from_u64(1);
     let keys = KeySet::generate(&params, &mut rng);
     let enc = BatchEncoder::new(&params);
     let t = params.t();
-
-    let mut group = c.benchmark_group("bfv");
-    group.sample_size(10);
+    let samples = 10;
 
     let pt = enc.encode(&vec![42u64; params.n()]);
-    group.bench_function("encrypt", |b| {
-        b.iter(|| keys.secret.encrypt_seeded(&pt, &mut rng))
+    kernel("bfv/encrypt", samples, || {
+        keys.secret.encrypt_seeded(&pt, &mut rng)
     });
     let (ct, _) = keys.secret.encrypt_seeded(&pt, &mut rng);
-    group.bench_function("decrypt", |b| b.iter(|| keys.secret.decrypt(&ct)));
-    group.bench_function("mul_plain", |b| b.iter(|| ct.mul_plain(&pt)));
+    kernel("bfv/decrypt", samples, || keys.secret.decrypt(&ct));
+    kernel("bfv/mul_plain", samples, || ct.mul_plain(&pt));
     let pt_op = pt.to_operand();
-    group.bench_function("mul_plain_precomputed", |b| {
-        b.iter(|| ct.mul_plain_operand(&pt_op))
+    kernel("bfv/mul_plain_precomputed", samples, || {
+        ct.mul_plain_operand(&pt_op)
     });
-    group.bench_function("rotate_1", |b| b.iter(|| keys.galois.rotate_rows(&ct, 1)));
+    kernel("bfv/rotate_1", samples, || keys.galois.rotate_rows(&ct, 1));
 
     let dim = 64usize;
     let data: Vec<u64> = (0..dim * dim)
@@ -149,12 +125,12 @@ fn bench_he(c: &mut Criterion) {
     let (ct_v, _) = keys
         .secret
         .encrypt_seeded(&enc.encode_periodic(&v), &mut rng);
-    group.bench_function("matvec_64x64", |b| {
-        b.iter(|| matvec_naive(&keys.galois, &encode_diagonals(&enc, &w), &ct_v))
+    kernel("bfv/matvec_64x64", samples, || {
+        matvec_naive(&keys.galois, &encode_diagonals(&enc, &w), &ct_v)
     });
     let diagonals = encode_diagonals(&enc, &w);
-    group.bench_function("matvec_64x64_naive_precomputed", |b| {
-        b.iter(|| matvec_naive(&keys.galois, &diagonals, &ct_v))
+    kernel("bfv/matvec_64x64_naive_precomputed", samples, || {
+        matvec_naive(&keys.galois, &diagonals, &ct_v)
     });
     // The replicated hot path under the key set and input layout it ships
     // with.
@@ -163,11 +139,13 @@ fn bench_he(c: &mut Criterion) {
         .secret
         .encrypt_seeded(&encode_input(&enc, &v, dim), &mut rng);
     let bsgs_diagonals = encode_diagonals_bsgs(&enc, &w);
-    group.bench_function("matvec_64x64_bsgs_precomputed", |b| {
-        b.iter(|| matvec_precomputed(&bsgs.galois, &bsgs_diagonals, &bsgs_ct))
+    kernel("bfv/matvec_64x64_bsgs_precomputed", samples, || {
+        matvec_precomputed(&bsgs.galois, &bsgs_diagonals, &bsgs_ct)
     });
-    group.finish();
 }
 
-criterion_group!(benches, bench_he, bench_cold_key, bench_cold_key_split);
-criterion_main!(benches);
+fn main() {
+    bench_he();
+    bench_cold_key();
+    bench_cold_key_split();
+}

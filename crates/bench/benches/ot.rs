@@ -1,4 +1,4 @@
-//! IKNP OT-extension throughput (labels per second).
+//! IKNP OT extension and the base OT under it, kernel by kernel.
 //!
 //! The `ot_packed_vs_bool` group is the same-run A/B for the extension hot
 //! path: the packed bit-matrix pipeline (AES-CTR PRG into `u128` words,
@@ -7,7 +7,7 @@
 //! Prints `csv,aes_backend,<name>` so CI can assert the hardware AES
 //! dispatch engaged. At one `relu_heavy` phase's 163 840 OTs, each kernel
 //! runs on one thread and split across the host's cores
-//! (`csv,par_threads,<t>` and `csv,par_ab,…`, printed under `--test` too).
+//! (`csv,par_threads,<t>` and `csv,par_ab,…`).
 //!
 //! The `base_ot` group times the edwards25519 arithmetic behind the 128 base
 //! OTs piece by piece, and `setup_in_process` itself (what the ledger
@@ -15,11 +15,11 @@
 //! 128-transfer base OT (the sender's transfer, the receiver's choice and
 //! its receive) then runs on one thread and split across the host's cores
 //! (`csv,par_ab,base_ot_{transfer,choose,receive}128,…`). It ends with
-//! `csv,base_ot,setup_ms=…,var_us=…,fixed_us=…` (medians of its own timing
-//! loop, printed under `--test` too, which CI greps for).
+//! `csv,base_ot,setup_ms=…,var_us=…,fixed_us=…`, which CI greps for: the
+//! group's own `setup_in_process`, `scalar_mul_var` and `scalar_mul_fixed`
+//! medians in those units.
 
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use pi_bench::{median_ns, one_thread_vs_split};
+use pi_bench::{kernel, one_thread_vs_split};
 use pi_gc::aes;
 use pi_ot::base::{BaseOtReceiver, BaseOtSender};
 use pi_ot::bitmat::BitVec;
@@ -29,7 +29,7 @@ use pi_trace::par;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
 
-fn bench_ot(c: &mut Criterion) {
+fn bench_ot() {
     println!("csv,aes_backend,{}", aes::auto_backend().name());
 
     let mut rng = rand::rngs::StdRng::seed_from_u64(3);
@@ -41,47 +41,30 @@ fn bench_ot(c: &mut Criterion) {
     let choices = BitVec::from_bools(&choice_bits);
     let pairs: Vec<(u128, u128)> = (0..m).map(|_| (rng.gen(), rng.gen())).collect();
 
-    let mut group = c.benchmark_group("ot_extension");
-    group.sample_size(20);
-    group.throughput(Throughput::Elements(m as u64));
-    group.bench_function("extend_1024", |b| {
-        b.iter(|| receiver.extend(&choices, &mut rng))
-    });
-    let (u_msg, keys) = receiver.extend(&choices, &mut rng);
-    group.bench_function("transfer_1024", |b| {
-        b.iter(|| sender.transfer(&u_msg, &pairs))
-    });
-    let y = sender.transfer(&u_msg, &pairs);
-    group.bench_function("decode_1024", |b| {
-        b.iter(|| receiver.decode(&y, &choices, &keys))
-    });
-    group.finish();
-
     // Same-run A/B: the packed pipeline against the seed bool-matrix path
     // on the same setups — both produce bit-identical messages, so this is
     // a pure representation/batching comparison.
-    let mut group = c.benchmark_group("ot_packed_vs_bool");
-    group.sample_size(10);
-    group.throughput(Throughput::Elements(m as u64));
-    group.bench_function("extend_1024_bool", |b| {
-        b.iter(|| reference::extend(&r, 0, &choice_bits))
+    let (u_msg, keys) = receiver.extend(&choices, &mut rng);
+    let y = sender.transfer(&u_msg, &pairs);
+    let samples = 10;
+    kernel("ot_packed_vs_bool/extend_1024_bool", samples, || {
+        reference::extend(&r, 0, &choice_bits)
     });
-    group.bench_function("extend_1024_packed", |b| {
-        b.iter(|| receiver.extend(&choices, &mut rng))
+    kernel("ot_packed_vs_bool/extend_1024_packed", samples, || {
+        receiver.extend(&choices, &mut rng)
     });
-    group.bench_function("transfer_1024_bool", |b| {
-        b.iter(|| reference::transfer(&s, 0, &u_msg, &pairs))
+    kernel("ot_packed_vs_bool/transfer_1024_bool", samples, || {
+        reference::transfer(&s, 0, &u_msg, &pairs)
     });
-    group.bench_function("transfer_1024_packed", |b| {
-        b.iter(|| sender.transfer(&u_msg, &pairs))
+    kernel("ot_packed_vs_bool/transfer_1024_packed", samples, || {
+        sender.transfer(&u_msg, &pairs)
     });
-    group.bench_function("decode_1024_bool", |b| {
-        b.iter(|| reference::decode(&y, &choice_bits, &keys))
+    kernel("ot_packed_vs_bool/decode_1024_bool", samples, || {
+        reference::decode(&y, &choice_bits, &keys)
     });
-    group.bench_function("decode_1024_packed", |b| {
-        b.iter(|| receiver.decode(&y, &choices, &keys))
+    kernel("ot_packed_vs_bool/decode_1024_packed", samples, || {
+        receiver.decode(&y, &choices, &keys)
     });
-    group.finish();
 
     // One relu_heavy phase's label OTs (8192 ReLUs × 20 bits), far above
     // `ext::GRAIN`: each kernel on one thread against split across the
@@ -100,7 +83,7 @@ fn bench_ot(c: &mut Criterion) {
     one_thread_vs_split(&format!("decode{m}"), decode, 7);
 }
 
-fn bench_base_ot(c: &mut Criterion) {
+fn bench_base_ot() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(4);
     let mut fe = || Fe::from_bytes(&std::array::from_fn(|_| rng.gen()));
     let (x, y) = (fe(), fe());
@@ -113,20 +96,26 @@ fn bench_base_ot(c: &mut Criterion) {
         .collect();
     let encoded = point.encode();
 
-    let mut group = c.benchmark_group("base_ot");
-    group.sample_size(10);
-    group.bench_function("fe_mul", |b| b.iter(|| black_box(&x).mul(black_box(&y))));
-    group.bench_function("scalar_mul_var", |b| b.iter(|| point.mul(black_box(&k))));
-    group.bench_function("scalar_mul_fixed", |b| b.iter(|| table.mul(black_box(&k))));
-    group.bench_function("fixed_table_build", |b| b.iter(|| Table::new(&point)));
-    group.bench_function("encode_128_batched", |b| {
-        b.iter(|| Point::encode_batch(&points))
+    let samples = 10;
+    kernel("base_ot/fe_mul", samples, || {
+        black_box(&x).mul(black_box(&y))
     });
-    group.bench_function("decode", |b| b.iter(|| Point::decode(black_box(&encoded))));
-    group.bench_function("setup_in_process", |b| {
-        b.iter(|| setup_in_process(&mut rng))
+    let var = kernel("base_ot/scalar_mul_var", samples, || {
+        point.mul(black_box(&k))
     });
-    group.finish();
+    let fixed = kernel("base_ot/scalar_mul_fixed", samples, || {
+        table.mul(black_box(&k))
+    });
+    kernel("base_ot/fixed_table_build", samples, || Table::new(&point));
+    kernel("base_ot/encode_128_batched", samples, || {
+        Point::encode_batch(&points)
+    });
+    kernel("base_ot/decode", samples, || {
+        Point::decode(black_box(&encoded))
+    });
+    let setup = kernel("base_ot/setup_in_process", samples, || {
+        setup_in_process(&mut rng)
+    });
 
     // The IKNP setup's base OT, loop by loop: one thread vs split.
     let s: u128 = rng.gen();
@@ -146,9 +135,6 @@ fn bench_base_ot(c: &mut Criterion) {
     let receive128 = || _ = black_box(receiver.receive(&transfer));
     one_thread_vs_split("base_ot_receive128", receive128, 9);
 
-    let setup = median_ns(|| _ = black_box(setup_in_process(&mut rng)), 5);
-    let var = median_ns(|| _ = black_box(point.mul(black_box(&k))), 50);
-    let fixed = median_ns(|| _ = black_box(table.mul(black_box(&k))), 50);
     println!(
         "csv,base_ot,setup_ms={:.2},var_us={:.1},fixed_us={:.1}",
         setup / 1e6,
@@ -157,5 +143,7 @@ fn bench_base_ot(c: &mut Criterion) {
     );
 }
 
-criterion_group!(benches, bench_ot, bench_base_ot);
-criterion_main!(benches);
+fn main() {
+    bench_ot();
+    bench_base_ot();
+}

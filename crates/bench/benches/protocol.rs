@@ -1,7 +1,7 @@
 //! End-to-end protocol benchmarks on a tiny CNN (cleartext linear mode so
 //! the GC/OT paths dominate, as a per-ReLU protocol cost probe).
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use pi_bench::kernel;
 use pi_core::{private_inference, ProtocolConfig, ProtocolKind};
 use pi_he::BfvParams;
 use pi_nn::{zoo, FixedConfig, Network, PiModel, QuantNetwork};
@@ -15,31 +15,15 @@ fn model() -> PiModel {
     PiModel::lower(&QuantNetwork::quantize(&net, fx))
 }
 
-fn bench_protocol(c: &mut Criterion) {
+fn main() {
     let model = model();
     let input = vec![0u64; model.input_len];
-    let mut group = c.benchmark_group("protocol_tiny_cnn");
-    group.sample_size(10);
-    group.bench_function("server_garbler_clear", |b| {
-        b.iter(|| {
-            private_inference(
-                &model,
-                &input,
-                &ProtocolConfig::clear(ProtocolKind::ServerGarbler),
-            )
-        })
-    });
-    group.bench_function("client_garbler_clear", |b| {
-        b.iter(|| {
-            private_inference(
-                &model,
-                &input,
-                &ProtocolConfig::clear(ProtocolKind::ClientGarbler),
-            )
-        })
-    });
-    group.finish();
+    for (name, kind) in [
+        ("server_garbler_clear", ProtocolKind::ServerGarbler),
+        ("client_garbler_clear", ProtocolKind::ClientGarbler),
+    ] {
+        kernel(&format!("protocol_tiny_cnn/{name}"), 10, || {
+            private_inference(&model, &input, &ProtocolConfig::clear(kind))
+        });
+    }
 }
-
-criterion_group!(benches, bench_protocol);
-criterion_main!(benches);

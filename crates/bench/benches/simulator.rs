@@ -1,12 +1,12 @@
 //! Simulator step rate: how fast a 24-hour workload run executes.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use pi_bench::kernel;
 use pi_nn::zoo::{Architecture, Dataset};
 use pi_sim::cost::{Garbler, ProtocolCosts};
 use pi_sim::devices::DeviceProfile;
 use pi_sim::engine::{simulate_once, OfflineScheduling, ServiceProfile, SystemConfig, Workload};
 
-fn bench_sim(c: &mut Criterion) {
+fn main() {
     let costs = ProtocolCosts::new(
         Architecture::ResNet18,
         Dataset::TinyImageNet,
@@ -26,17 +26,9 @@ fn bench_sim(c: &mut Criterion) {
         runs: 1,
         seed: 5,
     };
-    let mut group = c.benchmark_group("simulator");
-    group.sample_size(20);
-    group.bench_function("one_24h_run", |b| {
-        let mut seed = 0u64;
-        b.iter(|| {
-            seed += 1;
-            simulate_once(&profile, &wl, 1, seed)
-        })
+    let mut seed = 0u64;
+    kernel("simulator/one_24h_run", 20, || {
+        seed += 1;
+        simulate_once(&profile, &wl, 1, seed)
     });
-    group.finish();
 }
-
-criterion_group!(benches, bench_sim);
-criterion_main!(benches);

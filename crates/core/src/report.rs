@@ -86,22 +86,6 @@ impl SideCosts {
     pub fn total_bytes(&self) -> u64 {
         self.upload_bytes + self.download_bytes
     }
-
-    /// Total accounted compute milliseconds: the sum of the measured phase
-    /// timings, or `None` if none of them was measured.
-    pub fn total_compute_ms(&self) -> Option<f64> {
-        let parts = [
-            self.he_ms,
-            self.garble_ms,
-            self.eval_ms,
-            self.ot_ms,
-            self.ss_ms,
-        ];
-        if parts.iter().all(Option::is_none) {
-            return None;
-        }
-        Some(parts.iter().flatten().sum())
-    }
 }
 
 /// Events per second from a count and an optional millisecond duration.
@@ -157,16 +141,6 @@ pub struct CostReport {
 }
 
 impl CostReport {
-    /// Client storage per ReLU in bytes (compare with the paper's
-    /// 18.2 KB/ReLU for Server-Garbler).
-    pub fn client_storage_per_relu(&self) -> f64 {
-        if self.relu_count == 0 {
-            0.0
-        } else {
-            self.client_storage_bytes as f64 / self.relu_count as f64
-        }
-    }
-
     /// Sum of two optional durations: `None` only when *both* are
     /// unmeasured (a phase that only one party timed is still measured).
     fn opt_sum(a: Option<f64>, b: Option<f64>) -> Option<f64> {
@@ -237,33 +211,9 @@ mod tests {
         let c = SideCosts {
             upload_bytes: 10,
             download_bytes: 20,
-            he_ms: Some(1.0),
-            garble_ms: Some(2.0),
-            eval_ms: Some(3.0),
-            ot_ms: Some(4.0),
-            ss_ms: Some(5.0),
-        };
-        assert_eq!(c.total_bytes(), 30);
-        assert!((c.total_compute_ms().unwrap() - 15.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn total_compute_distinguishes_unmeasured() {
-        // Nothing measured: None, not 0.0.
-        assert_eq!(SideCosts::default().total_compute_ms(), None);
-        // Partially measured: sum of what exists.
-        let c = SideCosts {
-            he_ms: Some(2.0),
-            ss_ms: Some(1.0),
             ..Default::default()
         };
-        assert!((c.total_compute_ms().unwrap() - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn per_relu_guard() {
-        let r = CostReport::default();
-        assert_eq!(r.client_storage_per_relu(), 0.0);
+        assert_eq!(c.total_bytes(), 30);
     }
 
     #[test]

@@ -250,7 +250,6 @@ pub fn garble_many<R: Rng + ?Sized>(circuit: &Circuit, n: usize, rng: &mut R) ->
         pi_trace::Counter::GcAndGarbled,
         (n * circuit.and_count()) as u64,
     );
-    pi_trace::record(pi_trace::Hist::GcBatchInstances, n as u64);
     let encodings: Vec<InputEncoding> = (0..n)
         .map(|_| {
             let delta = rng.gen::<u128>() | 1;
@@ -443,7 +442,6 @@ where
     // Batch-boundary accounting.
     let ands = (n * circuit.and_count()) as u64;
     pi_trace::add(pi_trace::Counter::GcAndEvaluated, ands);
-    pi_trace::record(pi_trace::Hist::GcBatchInstances, n as u64);
     let parts = par::map_ranges(n.div_ceil(LANES), par::width(n, GRAIN), |chunks| {
         evaluate_chunks(circuit, tables, chunk_instances(chunks, n), &input)
     });

@@ -355,7 +355,6 @@ impl OtExtReceiver {
         let words = m.div_ceil(128);
         // Batch-boundary accounting.
         pi_trace::add(pi_trace::Counter::OtExtended, m as u64);
-        pi_trace::record(pi_trace::Hist::OtBatchSize, m as u64);
         // Zero bits past m in the last word so the wire message matches the
         // reference oracle exactly (BitVec guarantees its own tail is zero).
         let tail_mask = if m.is_multiple_of(128) {

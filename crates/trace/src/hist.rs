@@ -44,8 +44,6 @@ hists! {
     WireMsgBytes => "wire.msg_bytes",
     NoiseEncryptBits => "he.noise_encrypt_bits",
     NoiseDecryptBits => "he.noise_decrypt_bits",
-    OtBatchSize => "ot.batch_size",
-    GcBatchInstances => "gc.batch_instances",
 }
 
 /// Bucket index for a value (log-linear, monotone in `v`).
@@ -218,9 +216,9 @@ mod tests {
         crate::force_mode(Some(TraceMode::Counters));
         crate::reset();
         for v in [1u64, 1, 5, 100, 1_000_000] {
-            record(Hist::OtBatchSize, v);
+            record(Hist::WireMsgBytes, v);
         }
-        let (count, sum, max, buckets) = snapshot(Hist::OtBatchSize);
+        let (count, sum, max, buckets) = snapshot(Hist::WireMsgBytes);
         assert_eq!(count, 5);
         assert_eq!(sum, 1_000_107);
         assert_eq!(max, 1_000_000);

@@ -14,10 +14,8 @@
 //!    primitives ([`Counter`], [`Hist`]) cheap enough to stay enabled in
 //!    release builds (one relaxed `fetch_add` per event on the global array
 //!    plus a thread-local add when a local scope is active).
-//! 3. **Export** — [`TraceReport`] snapshots render as a human table
-//!    (`Display`), machine-readable JSON ([`TraceReport::to_json`]), and the
-//!    repo's `csv,<name>,<value>` bench convention
-//!    ([`TraceReport::csv_lines`]).
+//! 3. **Export** — [`TraceReport`] snapshots export as machine-readable
+//!    JSON ([`TraceReport::to_json`]).
 //!
 //! It also holds the one data-parallel helper ([`par`]), because a split
 //! must carry the request's collection scope across the threads it uses.

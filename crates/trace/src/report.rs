@@ -1,9 +1,8 @@
-//! Snapshots and export: JSON, `csv,<name>,<value>` lines, human table.
+//! Snapshots and their one export, JSON.
 
 use crate::span::SpanStat;
 use crate::{counter, hist, span, Counter, Hist, TraceMode};
 use std::collections::HashMap;
-use std::fmt;
 
 /// One counter in a report (zero-valued counters are omitted).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -89,8 +88,8 @@ impl HistSnap {
 
 /// A snapshot of counters, spans, and histograms — either the global
 /// aggregate ([`global_report`]) or one request's local view
-/// ([`crate::LocalScope::finish`]). Exports as JSON, csv lines, or a human
-/// table (`Display`).
+/// ([`crate::LocalScope::finish`]). Exports as JSON
+/// ([`TraceReport::to_json`]).
 #[derive(Clone, Debug, Default)]
 pub struct TraceReport {
     /// Mode active when the snapshot was taken.
@@ -245,78 +244,10 @@ impl TraceReport {
         out.push_str("]}");
         out
     }
-
-    /// Export in the repo's bench convention, one `csv,<name>,<value>` line
-    /// per metric (counters as counts, spans as total milliseconds).
-    pub fn csv_lines(&self) -> Vec<String> {
-        let mut out = Vec::with_capacity(self.counters.len() + self.spans.len());
-        for c in &self.counters {
-            out.push(format!("csv,trace.{},{}", c.name, c.value));
-        }
-        for s in &self.spans {
-            out.push(format!(
-                "csv,trace.span.{},{:.3}",
-                s.path.replace('/', "."),
-                s.stat.total_ns as f64 / 1e6
-            ));
-        }
-        for h in &self.hists {
-            out.push(format!("csv,trace.hist.{}.count,{}", h.name, h.count));
-            out.push(format!(
-                "csv,trace.hist.{}.p50,{}",
-                h.name,
-                h.percentile(0.5)
-            ));
-        }
-        out
-    }
 }
 
 fn escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-impl fmt::Display for TraceReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "pi-trace report (mode={})", self.mode.name())?;
-        if !self.spans.is_empty() {
-            writeln!(f, "  spans:")?;
-            for s in &self.spans {
-                writeln!(
-                    f,
-                    "    {:<40} count {:>6}  total {:>10.3} ms  min {:>8.3} ms  max {:>8.3} ms",
-                    s.path,
-                    s.stat.count,
-                    s.stat.total_ns as f64 / 1e6,
-                    s.stat.min_ns as f64 / 1e6,
-                    s.stat.max_ns as f64 / 1e6
-                )?;
-            }
-        }
-        if !self.counters.is_empty() {
-            writeln!(f, "  counters:")?;
-            for c in &self.counters {
-                writeln!(f, "    {:<40} {:>12}", c.name, c.value)?;
-            }
-        }
-        if !self.hists.is_empty() {
-            writeln!(f, "  histograms:")?;
-            for h in &self.hists {
-                writeln!(
-                    f,
-                    "    {:<40} count {:>6}  mean {:>10.1}  p50 {:>8}  p90 {:>8}  p99 {:>8}  max {:>8}",
-                    h.name,
-                    h.count,
-                    h.mean(),
-                    h.percentile(0.5),
-                    h.percentile(0.9),
-                    h.percentile(0.99),
-                    h.max
-                )?;
-            }
-        }
-        Ok(())
-    }
 }
 
 /// Snapshot of the process-wide aggregate (all threads, since start or the
@@ -394,16 +325,6 @@ mod tests {
     }
 
     #[test]
-    fn csv_convention() {
-        let lines = sample().csv_lines();
-        assert!(lines.contains(&"csv,trace.ntt.forward,12".to_string()));
-        assert!(lines
-            .iter()
-            .any(|l| l.starts_with("csv,trace.span.client.offline.he,")));
-        assert!(lines.iter().all(|l| l.starts_with("csv,")));
-    }
-
-    #[test]
     fn span_lookup_by_leaf_and_path() {
         let r = sample();
         assert_eq!(r.span_stat("offline.he").unwrap().count, 2);
@@ -470,9 +391,6 @@ mod tests {
         assert_eq!(r.counter("he.encrypt"), Some(3));
         assert_eq!(r.hist("wire.msg_bytes").unwrap().count, 1);
         assert_eq!(r.span_stat("unit.phase").unwrap().count, 1);
-        let table = r.to_string();
-        assert!(table.contains("unit.phase"));
-        assert!(table.contains("he.encrypt"));
         force_mode(None);
         reset();
     }
