@@ -1,12 +1,13 @@
-//! Replicated-diagonal (hoisted BSGS inside each replica, then a
-//! rotate-and-sum) vs naive Halevi–Shoup matvec, and the key-switch
+//! Replicated-diagonal (hoisted BSGS inside each replica, the replicas
+//! folded by the client) vs naive Halevi–Shoup matvec, and the key-switch
 //! primitives underneath — the offline-phase hot path this repo's PI
 //! protocols spend their HE time in.
 //!
 //! Same-run A/B pairs (`matvec/naive_*` vs `matvec/bsgs_*` under one
 //! process on one core) are the meaningful comparison; absolute numbers
-//! move with the machine. The harness asserts the two paths decrypt to the
-//! same `N` slots before timing anything and emits
+//! move with the machine. The harness asserts, before timing anything,
+//! that the fold of the replicated product is the naive chain's product
+//! on every output row, and emits
 //! `csv,matvec_check,d<dim>,ok` and
 //! `csv,matvec_rotations,d<dim>,bsgs,<rotations>,naive,<rotations>` lines
 //! so CI fails loudly if the replicated path diverges from the naive chain
@@ -16,8 +17,8 @@ use pi_bench::kernel;
 use pi_field::simd::{self, SimdBackend};
 use pi_field::Modulus;
 use pi_he::linalg::{
-    encode_diagonals, encode_diagonals_bsgs, encode_input, matvec_naive, matvec_op_count,
-    matvec_op_count_naive, matvec_precomputed, PlainMatrix,
+    encode_diagonals, encode_diagonals_bsgs, encode_input, fold_replicas, matvec_naive,
+    matvec_op_count, matvec_op_count_naive, matvec_precomputed, PlainMatrix,
 };
 use pi_he::{BatchEncoder, BfvParams, KeySet};
 use pi_poly::ntt::{NttTables, ShoupVec};
@@ -102,15 +103,20 @@ fn bench_matvec() {
         let naive_diag = encode_diagonals(&enc, &w);
         let bsgs_diag = encode_diagonals_bsgs(&enc, &w);
 
-        // Differential gate before timing: identical decryptions or bust.
+        // Differential gate before timing: the folded replicated product
+        // is the naive product on every row, or bust.
         let naive_out = matvec_naive(&keys.galois, &naive_diag, &ct);
         let bsgs_out = matvec_precomputed(&bsgs.galois, &bsgs_diag, &bsgs_ct);
         let expect = w.matvec_plain(&v, t);
-        let dec = enc.decode_prefix(&bsgs.secret.decrypt(&bsgs_out), dim);
-        assert_eq!(dec, expect, "replicated matvec decrypts wrong at d={dim}");
+        let slots = enc.decode(&bsgs.secret.decrypt(&bsgs_out));
+        let folded = fold_replicas(&slots, dim, dim, t);
         assert_eq!(
-            keys.secret.decrypt(&naive_out),
-            bsgs.secret.decrypt(&bsgs_out),
+            folded, expect,
+            "replicated matvec decrypts wrong at d={dim}"
+        );
+        assert_eq!(
+            enc.decode_prefix(&keys.secret.decrypt(&naive_out), dim),
+            folded,
             "naive and replicated matvec diverge at d={dim}"
         );
         println!("csv,matvec_check,d{dim},ok");

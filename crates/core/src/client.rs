@@ -408,7 +408,8 @@ impl ServiceClient {
 
 /// The offline linear pass: sends `E(r_cat)` per phase (cleartext `r_cat`
 /// without an HE context — insecure, test-only) and returns the client's
-/// additive shares `W·r − s`, one vector per phase.
+/// additive shares `W·r − s`, one vector per phase (under HE, the fold of
+/// each response's masked replica blocks).
 fn offline_linear<R: Rng + ?Sized>(
     meta: &ModelMeta,
     r_acts: &[Vec<u64>],
@@ -460,7 +461,8 @@ fn offline_linear<R: Rng + ?Sized>(
                     ));
                 }
                 let pt = he.keys.secret.decrypt_switched(&ct);
-                he.encoder.decode_prefix(&pt, ph.rows)
+                let slots = he.encoder.decode(&pt);
+                linalg::fold_replicas(&slots, ph.padded_dim, ph.rows, meta.p)
             }
             None => {
                 let share = recv!(chan, VecU64);

@@ -32,7 +32,8 @@ pub enum ProtocolKind {
 /// How the offline linear phase exchanges the client's randomness.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LinearMode {
-    /// Real BFV homomorphic evaluation (`E(W·r − s)`).
+    /// Real BFV homomorphic evaluation (masked replica blocks that the
+    /// client folds to `W·r − s`).
     He,
     /// Cleartext exchange — **insecure**, test-only: exercises the full
     /// GC/OT/SS paths on larger networks without HE cost.

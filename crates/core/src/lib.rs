@@ -235,8 +235,9 @@ mod tests {
         // of the per-dim rotation sets, i.e. the max dim's d−1 elements —
         // not a per-dim sum, which would double-count the nested sets. For
         // tiny_cnn (padded dims {128, 128, 16}) at n = 2048 the plan is
-        // babies 1, 2, giants 3, 6, sum steps 16…512 and the row swap:
-        // 11 keys, an 11.5× saving.
+        // d = 128's babies 1, 2 and giants 3, 6 (the 16-wide layer takes
+        // one diagonal per replica and no rotation): 4 keys, a 31.7×
+        // saving.
         let he = BfvParams::small_test();
         let model = build_model(&zoo::tiny_cnn(), &he, 31);
         let input = random_input(&model, 32);
@@ -248,13 +249,13 @@ mod tests {
             report.galois_key_bytes,
             report.galois_key_bytes_per_rotation
         );
-        // 11 keys on the wire against 127, each 4 + 2·(15 872 + 10 240)
+        // 4 keys on the wire against 127, each 4 + 2·(15 872 + 10 240)
         // bytes at n = 2048 (two digits, 62-bit and 40-bit residues), after
         // a 62-byte preamble.
-        assert_eq!(report.galois_key_bytes, 62 + 11 * 52_228);
+        assert_eq!(report.galois_key_bytes, 62 + 4 * 52_228);
         assert_eq!(report.galois_key_bytes_per_rotation, 62 + 127 * 52_228);
         assert!(
-            report.galois_key_saving() > 11.0,
+            report.galois_key_saving() > 31.0,
             "saving = {}",
             report.galois_key_saving()
         );

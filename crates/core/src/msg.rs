@@ -43,8 +43,8 @@ pub enum Msg {
     /// cloned from it: an upload moves a pointer, not megabytes.
     HeKeys(Arc<Vec<u8>>),
     /// Encrypted vectors (client's `E(r)` per phase, or the server's
-    /// mod-switched `E(W·r − s)` response), one serialized ciphertext frame
-    /// each.
+    /// mod-switched response: masked replica blocks that fold to
+    /// `W·r − s`), one serialized ciphertext frame each.
     HeCts(Vec<Vec<u8>>),
     /// Cleartext field vector: masked activations, output shares, or — in
     /// the insecure test-only `LinearMode::Clear` — the raw randomness.

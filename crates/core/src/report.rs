@@ -123,8 +123,8 @@ pub struct CostReport {
     /// Total garbled-circuit material transmitted (bytes).
     pub gc_bytes: u64,
     /// Galois (rotation) key material the client generated and uploaded:
-    /// the model's key plan (the replicated schedule's babies, giants and
-    /// rotate-and-sum steps per layer dimension).
+    /// the model's key plan (the replicated schedule's babies and giants
+    /// per layer dimension).
     pub galois_key_bytes: u64,
     /// What a full per-rotation key set (`d − 1` elements per dimension,
     /// the one-replica hoisting-without-BSGS baseline) would cost — the
@@ -188,11 +188,10 @@ impl CostReport {
     /// Offline Galois-key storage/upload saving of the key plan over a
     /// full per-rotation set (the union over the model's dimensions, i.e.
     /// the largest dim's `d − 1` rotations). Every key is one size, so this
-    /// is the ratio of the element counts: at n = 4096, 127 / 7 ≈ 18× for a
-    /// single 128-wide layer and 127 / 10 for a whole tiny-cnn key upload
-    /// (dims 128/128/16: the 16-wide layer adds its rotate-and-sum steps
-    /// 16, 32 and 64); grows with the dimension. `1.0` when no HE keys were
-    /// generated.
+    /// is the ratio of the element counts: at n = 4096, 127 / 2 for a
+    /// single 128-wide layer and for a whole tiny-cnn key upload (dims
+    /// 128/128/16: the 16-wide layer needs no rotation); grows with the
+    /// dimension. `1.0` when no HE keys were generated.
     pub fn galois_key_saving(&self) -> f64 {
         if self.galois_key_bytes == 0 {
             1.0

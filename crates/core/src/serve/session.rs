@@ -26,9 +26,10 @@
 //! panic: one misbehaving client aborts one session. The machine is purely
 //! reactive, which suffices because the server's first protocol action in
 //! both kinds is a receive. Randomness is drawn from the session-owned
-//! [`StdRng`] in message order (shares, then base-OT material, then
-//! per-phase garbling/OT), so a session driven synchronously and one driven
-//! concurrently produce bit-identical transcripts from the same seed.
+//! [`StdRng`] in message order (shares or response masks, then base-OT
+//! material, then per-phase garbling/OT), so a session driven synchronously
+//! and one driven concurrently produce bit-identical transcripts from the
+//! same seed.
 //!
 //! **Base OT runs once per client pair.** A session created with the
 //! pair's cached [`ClientOtState`] reserves its range of the IKNP streams
@@ -49,7 +50,7 @@ use crate::role::{
 };
 use pi_gc::Label;
 use pi_he::linalg;
-use pi_he::{BatchEncoder, BfvParams, Ciphertext};
+use pi_he::{BatchEncoder, BfvParams, Ciphertext, Plaintext};
 use pi_nn::PiModel;
 use pi_ot::ext::OtExtReceiver;
 use rand::rngs::StdRng;
@@ -303,20 +304,24 @@ impl ServerSession {
                     self.state = State::AwaitCts { he, keys, cts };
                     return Ok(Step::Idle);
                 }
-                // All inputs are in: answer every phase at once,
-                // `E(W·r − s)` in phase order.
-                self.draw_shares();
+                // All inputs are in: answer every phase at once, in phase
+                // order, each product's replica blocks under a fresh mask
+                // that the client's fold turns into `W·r − s`.
                 {
                     let _span = pi_trace::span!("offline.he");
+                    let (masks, s_vecs): (Vec<Plaintext>, _) = (self.meta.phases.iter())
+                        .map(|ph| {
+                            linalg::replica_mask(&he.encoder, ph.padded_dim, ph.rows, &mut self.rng)
+                        })
+                        .unzip();
+                    self.s_vecs = s_vecs;
                     let prods = matvecs(&cts, &keys, ctx.pre, he.threads)?;
-                    for ((prod, ph), s_i) in prods.iter().zip(&self.meta.phases).zip(&self.s_vecs) {
-                        let resp =
-                            linalg::sub_share(&he.params, &he.encoder, prod, s_i, ph.padded_dim);
+                    for (prod, mask) in prods.iter().zip(&masks) {
                         // Every server→client response is modulus-down-switched
                         // before serialization: fewer packed bits per
                         // coefficient AND more absolute noise headroom at the
                         // GC handoff.
-                        let resp = resp.mod_switch_down(&he.params);
+                        let resp = prod.add_plain(mask, &he.params).mod_switch_down(&he.params);
                         ctx.sink
                             .send(Msg::HeCts(vec![pi_he::ciphertext_to_bytes(&resp)]))?;
                     }
@@ -457,8 +462,10 @@ impl ServerSession {
         }
     }
 
-    /// Samples the server shares `s_i` — the first randomness the server
-    /// draws, once all offline inputs are in.
+    /// Samples the server shares `s_i` of a cleartext-mode session — the
+    /// first randomness the server draws, once all offline inputs are in
+    /// (an HE session draws its response masks there instead, and takes
+    /// each `s_i` from its mask).
     fn draw_shares(&mut self) {
         let rows = self.meta.phases.iter().map(|ph| ph.rows);
         self.s_vecs = random_field_vecs(rows, self.meta.p, &mut self.rng);
@@ -645,11 +652,14 @@ pub fn drive_sync(
     Ok(out)
 }
 
-/// Computes `E(W_i · r_i)` for every phase `i` with `threads`-way layer
-/// parallelism (LPHE, §5.2): [`pi_trace::par::map_ranges`] over contiguous
-/// runs of phases, products in phase order. The first run's matvecs execute
-/// on the calling thread; the helper runs' `he.*` and `ntt.*` counts reach
-/// the request's report through the split's scope merge.
+/// Computes every phase `i`'s replicated product of `W_i` and `E(r_i)` —
+/// replica `ρ`'s partial row products in slot block `ρ`, unmasked, so the
+/// caller adds a [`linalg::replica_mask`] to each before it leaves — with
+/// `threads`-way layer parallelism (LPHE, §5.2):
+/// [`pi_trace::par::map_ranges`] over contiguous runs of phases, products
+/// in phase order. The first run's matvecs execute on the calling thread;
+/// the helper runs' `he.*` and `ntt.*` counts reach the request's report
+/// through the split's scope merge.
 ///
 /// # Errors
 ///
@@ -664,8 +674,8 @@ fn matvecs(
     let Some(diagonals) = pre.diagonals.as_deref() else {
         return Err(ProtocolError::BadRequest("no HE diagonals precomputed"));
     };
-    // Replicated diagonals: d/c plaintext products, a hoisted BSGS inside
-    // each replica and a log₂ c rotate-and-sum.
+    // Replicated diagonals: d/c plaintext products and a hoisted BSGS
+    // inside each replica; the client folds the replicas.
     let parts = pi_trace::par::map_ranges(cts.len(), threads, |phases| {
         let matvec = |i: usize| linalg::matvec_precomputed(keys.galois(), &diagonals[i], &cts[i]);
         phases.map(matvec).collect()

@@ -50,21 +50,20 @@
 //! and its rounding noise — comes after the plaintext product instead of
 //! being amplified by it. **Giant** rotations only add into the in-replica
 //! sum, so they accumulate in the extended basis across all giant steps
-//! and that division is paid once. Each **rotate-and-sum** step rotates the
-//! previous step's sum, so it divides on its own, through the same fused
-//! switch as a giant.
+//! and that division is paid once. Nothing rotates the sum after that: the
+//! replicas stay in their slot blocks, and the client folds them after
+//! decryption.
 //!
 //! # Key sets
 //!
 //! A key set is a list of Galois elements, one key each. The one the
 //! protocol generates, uploads and admits is [`crate::linalg::key_plan`]
 //! for the model's padded dimensions ([`KeySet::generate_for_dims`]) — the
-//! in-replica baby and giant rotations, the rotate-and-sum's rotations by
-//! multiples of each dimension and, where a phase's replicas span both
-//! rows, the row swap — and nothing else. [`KeySet::generate`] holds the
-//! power-of-two composition chain instead: the key set of
-//! [`GaloisKeys::rotate_rows`], which only the `matvec_naive` oracle, tests
-//! and benches call; it runs on the same switch.
+//! in-replica baby and giant rotations — and nothing else.
+//! [`KeySet::generate`] holds the power-of-two composition chain instead:
+//! the key set of [`GaloisKeys::rotate_rows`], which only the
+//! `matvec_naive` oracle, tests and benches call; it runs on the same
+//! switch.
 //!
 //! Every key digit comes out of one generator (`KeyDigits`), in
 //! evaluation form from its first word to its last: a party that rotates
@@ -289,7 +288,7 @@ fn skip_a(params: &BfvParams, stream: &mut StdRng) -> StdRng {
 /// rejection tests that find where each `a` starts. On a 2-vCPU host a
 /// two-way split generates 2 keys 1.25× and 4 keys 1.4× faster and admits
 /// them 1.4× and 1.5× faster (3 keys split 2 + 1 and gain 1.1×); a
-/// `tiny_cnn` plan's ten keys, 1.6× and 2.0× (`pi-bench`'s `he` bench,
+/// ten-key plan, 1.6× and 2.0× (`pi-bench`'s `he` bench,
 /// `csv,par_ab,{keygen,admit}_*`).
 pub const GRAIN: usize = 2;
 
@@ -1052,8 +1051,8 @@ impl GaloisKeys {
         Ok(())
     }
 
-    /// The fused key switch of the matvec's giant and rotate-and-sum steps:
-    /// applies Galois element `g ≠ 1` (a row rotation or the row swap) to a
+    /// The fused key switch of the matvec's giant steps: applies Galois
+    /// element `g ≠ 1` (a row rotation or the row swap) to a
     /// lazy evaluation-form pair (`inner0`, `inner1`, both in `[0, 2q)`) and
     /// **accumulates** the result — `φ_g(inner0)` into `acc0` (lazy
     /// `[0, 2q)`), the switched part into `ext`, still multiplied by `P`:

@@ -19,8 +19,9 @@
 //!   rotations; everything DELPHI's offline phase (`E(w·r − s)`) needs.
 //! * [`linalg`] — Halevi–Shoup diagonal-method matrix-vector products
 //!   over packed ciphertexts (replicated diagonals: a hoisted
-//!   baby-step/giant-step inside each replica, then a rotate-and-sum), and
-//!   the rotation-key plan they need.
+//!   baby-step/giant-step inside each replica, every slot masked by the
+//!   server and the replicas folded by the client), and the rotation-key
+//!   plan they need.
 //! * [`wire`] — the byte frames the protocol ships: ciphertexts (seeded
 //!   uploads, mod-switched responses) and Galois key sets (`k0` residues
 //!   under `q` and `P`), bit-packed and seed-expanded, behind readers that

@@ -2,19 +2,20 @@
 //!
 //! The server holds a plaintext matrix `W` (one linear phase of the model,
 //! convolutions included, lowered to a dense matrix by the caller) and an
-//! encryption of the client's random vector `r`. It computes `E(W·r)` with
-//! the Halevi–Shoup diagonal method over SIMD slots, then subtracts its own
-//! random share `s` to produce `E(W·r − s)` — the client's additive share
-//! of the layer.
+//! encryption of the client's random vector `r`. It computes `W`'s row
+//! products with `r` by the Halevi–Shoup diagonal method over SIMD slots,
+//! split across slot blocks, and masks every slot with its own random word
+//! ([`replica_mask`]); the client decrypts and sums the blocks
+//! ([`fold_replicas`]) to its additive share of the layer, `W·r − s`, and
+//! the server keeps `s`.
 //!
 //! # Layout: replicated diagonals (the hot path)
 //!
 //! The `N` slots form two rows of `N/2`; a rotation by `k` moves every row
-//! left by `k`, the row swap (Galois element `2N − 1`) exchanges them. A
-//! phase of padded dimension `d` cuts the slots into `N/d` blocks of `d`.
-//! Following Gazelle's replicated packing (Juvekar et al., USENIX Security
-//! 2018), the blocks are `c` **replicas** that split the `d` diagonals
-//! between them, `m = d/c` each:
+//! left by `k`. A phase of padded dimension `d` cuts the slots into `N/d`
+//! blocks of `d`. Following Gazelle's replicated packing (Juvekar et al.,
+//! USENIX Security 2018), the first `c` blocks are **replicas** that split
+//! the `d` diagonals between them, `m = d/c` each:
 //!
 //! * **Input** ([`encode_input`]): block `ρ` holds `r` rotated left by
 //!   `(ρ mod c)·m` — written by the client in cleartext, for free.
@@ -25,22 +26,20 @@
 //!   next replica's pre-rotation, not this one's — so the packed diagonals
 //!   are derived slot by slot from the input layout, never from a
 //!   per-replica formula, and a cleartext slot simulation of the whole
-//!   schedule checks them against [`PlainMatrix::matvec_plain`]. Over any
-//!   `c` consecutive blocks each column of row `s mod d` is read exactly
-//!   once.
-//! * **Rotate-and-sum**: `y += rot(y, d)`, `rot(y, 2d)`, … inside a row
-//!   while the span stays below `min(c·d, N/2)`, then `y += swap(y)` when the
-//!   replicas span both rows (`c·d > N/2`): `log₂ c` key switches. Afterwards
-//!   **every** slot `s` holds `(W·r)[s mod d]` — the periodic layout the
-//!   naive oracle produces, [`sub_share`] subtracts in and `decode_prefix`
-//!   reads.
+//!   schedule checks them against [`PlainMatrix::matvec_plain`].
+//! * **Fold, at the client**: the server stops there. Slot `ρ·d + i` of
+//!   block `ρ < c` holds replica `ρ`'s partial product of row `i`, over the
+//!   columns it read, and over blocks `0..c` each column of row `i` is read
+//!   exactly once: summing the `c` blocks slot by slot ([`fold_replicas`])
+//!   is `W·r`. The blocks `ρ ≥ c` (there are `N/d − c`, when `d² < N`)
+//!   repeat the pattern and are never read.
 //!
 //! `c = min(N/d, d)`, a pure function of the ring and the dimension: once
 //! `d² ≥ N` every slot works on a different product term, and below that
-//! each replica multiplies one diagonal (`m = 1`) and the spare blocks
-//! repeat the pattern. `c = 1` only at `d = 1`. The in-replica steps run as
-//! a hoisted baby-step/giant-step over `m` ([`bsgs_plan`]): `b = ⌈√m⌉`
-//! baby steps and `g = ⌈m/b⌉` giants,
+//! each replica multiplies one diagonal (`m = 1`, no rotation at all).
+//! `c = 1` only at `d = 1`. The in-replica steps run as a hoisted
+//! baby-step/giant-step over `m` ([`bsgs_plan`]): `b = ⌈√m⌉` baby steps and
+//! `g = ⌈m/b⌉` giants,
 //!
 //! ```text
 //! y = Σ_j rot_{jb}( Σ_i  p_{j,i} ⊙ rot_i(x) ),   p_{j,i} = rot_{−jb}(P_{jb+i})
@@ -56,13 +55,12 @@
 //! the identity step multiplies `x` under `q` alone. Each giant group's sum
 //! is divided by `P` once and rotated by one fused key switch that
 //! accumulates in the extended basis, where group 0's baby products already
-//! are; all of it is divided once at the end (see [`crate::keys`]). Each
-//! rotate-and-sum step is one fused key switch and its own division. At
-//! `n = 4096`, `d = 128`: 4 plaintext products and 7 rotations (1 baby,
-//! 1 giant, 4 in-row sum steps and the row swap) where the one-replica BSGS
-//! did 128 and 21 ([`matvec_op_count`]). The rotation keys this reads — and
-//! therefore the whole key set a client generates and a server admits —
-//! are [`key_plan`], defined here beside the schedule it follows.
+//! are; all of it is divided once at the end (see [`crate::keys`]). At
+//! `n = 4096`, `d = 128`: 4 plaintext products and 2 rotations (1 baby,
+//! 1 giant) where the one-replica BSGS did 128 and 21
+//! ([`matvec_op_count`]). The rotation keys this reads — and therefore the
+//! whole key set a client generates and a server admits — are
+//! [`key_plan`], defined here beside the schedule it follows.
 //!
 //! # Noise
 //!
@@ -74,31 +72,29 @@
 //! `n = 4096`, nearly all of it the rounding of the division by `P` — above
 //! the protocol upload's fresh noise, which is why a baby is multiplied
 //! before it is divided: its own error is the keys' error over `P`, under
-//! one unit, and the roundings are paid after the products (one per
-//! giant group, one at the end, one per sum step), never amplified. The
-//! rotate-and-sum then adds `c` rotated copies of **one** noise polynomial:
-//! at most coefficients the automorphisms scatter the terms (≈ `√c`), but
-//! at those they fix — indices divisible by a high power of two — the
-//! copies add coherently (up to `c`), so the fresh noise of the upload
-//! sets the margin. On the protocol's seeded symmetric upload the decrypt
-//! keeps 8–9 bits at every zoo dimension on `n = 4096` (the one-replica
-//! BSGS kept 8–9). A public-key encryption carries ≈ 6 more bits of fresh
-//! noise, so the same coherent sum leaves it 2 bits at `n = 4096` (3 at
-//! `n = 2048`), up to 5 bits under the naive chain and under the 5–9 the
-//! one-replica BSGS kept on such an input. That loss is the price of the
-//! layout and is accepted: the protocol only ever uploads seeded symmetric
-//! encryptions. `tests/noise_probe.rs` records the margins per dimension and
-//! ring and holds each at its measured floor, and `tests/end_to_end.rs`
-//! gauges the protocol's decrypt on the `n = 2048` test ring.
+//! one unit, and the roundings are paid after the products (one per giant
+//! group, one at the end), never amplified. Nothing rotates the sum
+//! afterwards: the response carries one replica's `m` terms' noise, the
+//! mask is one plaintext addition, and the `c` blocks are added in
+//! cleartext, after decryption. On the protocol's seeded symmetric upload
+//! the decrypt keeps 11 bits or more at every zoo dimension on both rings,
+//! within 1 bit of the naive chain. `tests/noise_probe.rs` records the
+//! margins per dimension and ring and holds each at its measured floor,
+//! and `tests/end_to_end.rs` gauges the protocol's decrypt on the
+//! `n = 2048` test ring.
 //!
-//! # Why the response leaks nothing more than `W·r`
+//! # Why the response leaks nothing more than `W·r − s`
 //!
-//! A replica's `y` is a partial sum over `m` of the `d` columns; a client
-//! that knows `r` would learn weights from it. The rotate-and-sum adds all
-//! `c` replicas before anything leaves the server, so every slot of the
-//! response is a complete row product, the same in every replica — the
-//! very plaintext the one-replica layout returned. `tests/end_to_end.rs`
-//! decrypts all `N` slots of real protocol responses to check it.
+//! A replica's block is a partial sum over `m` of the `d` columns; a client
+//! that knows `r` would learn weights from it. So before anything leaves
+//! the server every slot gets its own uniform `Z_t` word ([`replica_mask`]),
+//! and the share `s` is minus the fold of the mask: the `c` replica blocks'
+//! words sum to `−s` on every output row. Each slot of the response is
+//! uniform on its own — padding rows and spare blocks included — and the
+//! only relation among them the client can compute is the fold, `W·r − s`:
+//! exactly the share the client learns under any DELPHI-style layout, with
+//! `s` fresh for every request. `tests/end_to_end.rs` decrypts all `N`
+//! slots of real protocol responses to check it.
 //!
 //! # Naive chain (the differential oracle)
 //!
@@ -107,11 +103,12 @@
 //! input (`v` zero-padded to `d` and repeated in every block by
 //! [`BatchEncoder::encode_periodic`], then encrypted as the client encrypts,
 //! [`crate::SecretKey::encrypt_seeded`]; one composed rotation per diagonal,
-//! key-switch noise never amplified). It runs under
-//! the power-of-two composition keys of [`crate::KeySet::generate`] and
-//! serves as the correctness oracle for the replicated path in
-//! `tests/matvec_differential.rs` — both paths decrypt to the same `N` slots
-//! — and as the bench baseline.
+//! key-switch noise never amplified). Every slot `s` of its result holds
+//! `(W·v)[s mod d]`. It runs under the power-of-two composition keys of
+//! [`crate::KeySet::generate`] and serves as the correctness oracle for
+//! the replicated path in `tests/matvec_differential.rs` — the fold of the
+//! replicated product is the oracle's product on every output row — and as
+//! the bench baseline.
 
 use crate::cipher::{Ciphertext, PlainOperand, Plaintext};
 use crate::encoder::BatchEncoder;
@@ -119,6 +116,7 @@ use crate::keys::{mod_down, reembed, rotation_element, ExtPair, GaloisKeys, Lift
 use crate::params::BfvParams;
 use pi_field::Modulus;
 use pi_poly::{Poly, PolyOperand};
+use rand::Rng;
 
 /// A dense matrix over `Z_t`, stored row-major, padded internally to a
 /// power-of-two dimension for the diagonal method.
@@ -237,11 +235,10 @@ pub fn bsgs_plan(steps: usize) -> (usize, usize) {
 
 /// How a linear phase of padded dimension `d` fills the `n` slots of one
 /// ciphertext, and the rotation schedule that follows from it (module
-/// docs): `c = min(n/d, d)` replicas of `m = d/c` diagonal steps each, a
-/// [`bsgs_plan`] over `m` (`baby`, `giant`), and a rotate-and-sum across
-/// the replicas. A pure function of `(n, d)`: the client's input layout,
-/// the server's packed operands and kernel, [`key_plan`] and
-/// [`matvec_op_count`] all read it.
+/// docs): `c = min(n/d, d)` replicas of `m = d/c` diagonal steps each and a
+/// [`bsgs_plan`] over `m` (`baby`, `giant`). A pure function of `(n, d)`:
+/// the client's input layout and fold, the server's packed operands,
+/// kernel and mask, [`key_plan`] and [`matvec_op_count`] all read it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Packing {
     n: usize,
@@ -281,19 +278,6 @@ impl Packing {
         self.dim / self.replicas
     }
 
-    /// The in-row rotations of the rotate-and-sum, in order: `d, 2d, …`
-    /// below `min(c·d, n/2)`.
-    fn sum_rotations(&self) -> impl Iterator<Item = usize> {
-        let span = (self.replicas * self.dim).min(self.n / 2);
-        std::iter::successors(Some(self.dim), |&k| Some(2 * k)).take_while(move |&k| k < span)
-    }
-
-    /// Whether the replicas span both rows, so the rotate-and-sum ends with
-    /// the row swap.
-    fn swaps_rows(&self) -> bool {
-        self.replicas * self.dim > self.n / 2
-    }
-
     /// The column of the input vector the client writes into `slot`: block
     /// `ρ = slot / d` holds the input rotated left by `(ρ mod c)·m`.
     fn input_column(&self, slot: usize) -> usize {
@@ -307,30 +291,61 @@ impl Packing {
         slot - slot % row + (slot % row + k) % row
     }
 
-    /// The Galois elements of the rotate-and-sum, in order.
-    fn sum_elements(&self) -> impl Iterator<Item = usize> {
-        let n = self.n;
-        let swap = self.swaps_rows().then_some(2 * n - 1);
-        (self.sum_rotations().map(move |k| rotation_element(n, k))).chain(swap)
-    }
-
-    /// Every Galois element the matvec reads: babies `1..b`, giants `j·b`,
-    /// then the rotate-and-sum.
+    /// Every Galois element the matvec reads: babies `1..b`, then giants
+    /// `j·b`.
     fn elements(&self) -> impl Iterator<Item = usize> {
         let (n, b) = (self.n, self.baby);
         let steps = (1..b).chain((1..self.giant).map(move |j| j * b));
-        steps
-            .map(move |k| rotation_element(n, k))
-            .chain(self.sum_elements())
+        steps.map(move |k| rotation_element(n, k))
     }
+}
+
+/// The server's mask for one response of a `dim`-wide phase (module docs):
+/// one uniform `Z_t` word per slot, encoded, and the share `s` it hides —
+/// minus the fold of the mask over the `c` replica blocks, on output rows
+/// `0..rows`. Padding slots and spare blocks get words of their own that no
+/// fold reads.
+///
+/// # Panics
+///
+/// Panics if `rows > dim`, or unless `dim` is a power of two within the
+/// row size.
+pub fn replica_mask<R: Rng + ?Sized>(
+    enc: &BatchEncoder,
+    dim: usize,
+    rows: usize,
+    rng: &mut R,
+) -> (Plaintext, Vec<u64>) {
+    let t = enc.params().t();
+    let mask: Vec<u64> = (0..enc.slot_count())
+        .map(|_| rng.gen_range(0..t.value()))
+        .collect();
+    let s = fold_replicas(&mask, dim, rows, t);
+    (enc.encode(&mask), s.into_iter().map(|x| t.neg(x)).collect())
+}
+
+/// The client's fold of a decoded response of a `dim`-wide phase (module
+/// docs): output row `i < rows` is the sum mod `t` of slot `ρ·dim + i` over
+/// the `c` replica blocks `ρ`. On an unmasked [`matvec_precomputed`] product
+/// this is `W·r`; on a masked response, `W·r − s`.
+///
+/// # Panics
+///
+/// Panics if `rows > dim`, or unless `dim` is a power of two within half
+/// of `slots.len()`.
+pub fn fold_replicas(slots: &[u64], dim: usize, rows: usize, t: Modulus) -> Vec<u64> {
+    assert!(rows <= dim, "more output rows than the phase dimension");
+    let replicas = Packing::new(slots.len(), dim).replicas;
+    (0..rows)
+        .map(|i| (0..replicas).fold(0, |y, rho| t.add(y, slots[rho * dim + i])))
+        .collect()
 }
 
 /// The rotation-key set of a model whose linear layers have the given
 /// padded dimensions: the Galois element of every key
 /// [`matvec_precomputed`] reads at one of them — per dimension the
-/// in-replica baby rotations `1..b` and giant rotations `b·j`, the
-/// rotate-and-sum's rotations `d, 2d, …` and, where the replicas span both
-/// rows, the row swap `2N − 1` (module docs); rotation 0 needs no key.
+/// in-replica baby rotations `1..b` and giant rotations `b·j` (module
+/// docs); rotation 0 needs no key.
 /// Sorted ascending, each element once: a rotation that plays several
 /// roles, at one dimension or across several, is one element with one key.
 ///
@@ -475,10 +490,12 @@ pub fn encode_diagonals_bsgs(enc: &BatchEncoder, w: &PlainMatrix) -> BsgsDiagona
     BsgsDiagonals { packing, ops }
 }
 
-/// Computes `E(W · r)` from `E(r)` in the replicated layout — the
-/// offline-phase hot path (see the module docs for the decomposition and
-/// noise shape). The input is a phase input in the replicated layout
-/// ([`encode_input`]); the output holds `(W·r)[s mod d]` in every slot `s`.
+/// Computes the replicas' partial products of `W · r` from `E(r)` in the
+/// replicated layout — the offline-phase hot path (see the module docs for
+/// the decomposition and noise shape). The input is a phase input in the
+/// replicated layout ([`encode_input`]); in the output, block `ρ` holds
+/// replica `ρ`'s partial row products, which [`fold_replicas`] sums to
+/// `W·r` after decryption. A response masks them first ([`replica_mask`]).
 ///
 /// The input is hoisted once (only if there is a baby rotation to take) and
 /// the `b − 1` baby rotations are taken from the lift without dividing by
@@ -486,12 +503,11 @@ pub fn encode_diagonals_bsgs(enc: &BatchEncoder, w: &PlainMatrix) -> BsgsDiagona
 /// identity step's under `q` alone. Each of the `g − 1` giant groups
 /// divides its sum once and rotates it with one fused key switch that
 /// accumulates, with group 0's extended-basis sum, into one pair divided
-/// once after the last; then each rotate-and-sum step is one fused key
-/// switch and its division. Everything runs in the lazy `[0, 2q)` /
-/// `[0, 2P)` evaluation domains with a single final correction.
+/// once after the last. Everything runs in the lazy `[0, 2q)` / `[0, 2P)`
+/// evaluation domains with a single final correction.
 ///
 /// The input is the protocol's upload, a seeded symmetric encryption
-/// ([`crate::SecretKey::encrypt_seeded`]), which keeps a ≥ 7-bit decrypt
+/// ([`crate::SecretKey::encrypt_seeded`]), which keeps a ≥ 11-bit decrypt
 /// margin at every zoo dimension (module docs).
 ///
 /// # Panics
@@ -578,17 +594,6 @@ pub fn matvec_precomputed(gk: &GaloisKeys, w: &BsgsDiagonals, ct_v: &Ciphertext)
     if m > 1 {
         gk.settle(&mut ext, &mut acc0, &mut acc1);
     }
-    // Rotate-and-sum: acc += rot(acc), one fused switch and its own
-    // division per step (the next step rotates this one's sum).
-    let [y0, y1] = &mut inner.q;
-    for g in packing.sum_elements() {
-        y0.copy_from_slice(&acc0);
-        y1.copy_from_slice(&acc1);
-        ext.clear();
-        gk.rotate_acc_lazy(g, y0, y1, &mut acc0, &mut lifted, &mut ext)
-            .unwrap_or_else(|e| panic!("{e}"));
-        gk.settle(&mut ext, &mut acc0, &mut acc1);
-    }
     for x in acc0.iter_mut().chain(acc1.iter_mut()) {
         *x = q.reduce_lazy(*x);
     }
@@ -653,8 +658,8 @@ pub struct MatvecOpCount {
     pub pt_muls: usize,
     /// Hoisted rotations: amortized against one shared decomposition.
     pub hoisted_rotations: usize,
-    /// Full key switches (giant steps and rotate-and-sum steps, and every
-    /// rotation of the naive chain).
+    /// Full key switches (giant steps, and every rotation of the naive
+    /// chain).
     pub key_switches: usize,
     /// Ciphertext additions.
     pub additions: usize,
@@ -669,17 +674,16 @@ impl MatvecOpCount {
 
 /// Operation count of the replicated [`matvec_precomputed`] for a
 /// `dim`-wide phase in a ring of degree `n` (module docs): `m = d/c`
-/// plaintext products, `⌈√m⌉ − 1` hoisted baby rotations, `⌈m/⌈√m⌉⌉ − 1`
-/// giant key switches and `log₂ c` rotate-and-sum switches — exactly the
-/// `he.rotation` counter's delta around one call.
+/// plaintext products, `⌈√m⌉ − 1` hoisted baby rotations and
+/// `⌈m/⌈√m⌉⌉ − 1` giant key switches — exactly the `he.rotation` counter's
+/// delta around one call.
 pub fn matvec_op_count(n: usize, dim: usize) -> MatvecOpCount {
     let packing = Packing::new(n, dim);
-    let sums = packing.sum_elements().count();
     MatvecOpCount {
         pt_muls: packing.steps(),
         hoisted_rotations: packing.baby - 1,
-        key_switches: packing.giant - 1 + sums,
-        additions: packing.steps() - 1 + sums,
+        key_switches: packing.giant - 1,
+        additions: packing.steps() - 1,
     }
 }
 
@@ -692,22 +696,6 @@ pub fn matvec_op_count_naive(dim: usize) -> MatvecOpCount {
         key_switches: dim.saturating_sub(1),
         additions: dim.saturating_sub(1),
     }
-}
-
-/// Subtracts a plaintext share vector `s` (periodic layout — the layout
-/// every matvec result is in) from an encrypted matvec result: the DELPHI
-/// offline step `E(W·r) − s`.
-pub fn sub_share(
-    params: &BfvParams,
-    enc: &BatchEncoder,
-    ct: &Ciphertext,
-    s: &[u64],
-    dim: usize,
-) -> Ciphertext {
-    let mut padded = s.to_vec();
-    padded.resize(dim, 0);
-    let pt: Plaintext = enc.encode_periodic(&padded);
-    ct.sub_plain(&pt, params)
 }
 
 #[cfg(test)]
@@ -770,9 +758,9 @@ mod tests {
     }
 
     /// The replicated schedule on cleartext slots: the input layout, every
-    /// packed operand, the baby and giant rotations and the rotate-and-sum
-    /// exactly as [`matvec_precomputed`] applies them, with slot
-    /// arithmetic mod `t` in place of ciphertexts.
+    /// packed operand and the baby and giant rotations exactly as
+    /// [`matvec_precomputed`] applies them, with slot arithmetic mod `t` in
+    /// place of ciphertexts.
     fn simulate(packing: &Packing, w: &PlainMatrix, v: &[u64], t: Modulus) -> Vec<u64> {
         let n = packing.n;
         let rot =
@@ -795,20 +783,12 @@ mod tests {
             }
             add(&mut acc, &rot(&inner, j * b));
         }
-        for k in packing.sum_rotations() {
-            let rotated = rot(&acc, k);
-            add(&mut acc, &rotated);
-        }
-        if packing.swaps_rows() {
-            let swapped: Vec<u64> = (0..n).map(|s| acc[(s + n / 2) % n]).collect();
-            add(&mut acc, &swapped);
-        }
         acc
     }
 
     /// The packed-diagonal derivation, checked without HE: at every
-    /// power-of-two dimension a row holds, on both protocol rings, every
-    /// one of the `N` simulated output slots is `(W·v)[s mod d]`.
+    /// power-of-two dimension a row holds, on both protocol rings, the fold
+    /// of the simulated replica blocks is `W·v` on every row.
     #[test]
     fn slot_simulation_of_the_replicated_schedule_is_the_plain_product() {
         let t = BfvParams::small_test().t();
@@ -819,10 +799,8 @@ mod tests {
                 let w = random_matrix(dim, dim, t.value(), t, &mut rng);
                 let v: Vec<u64> = (0..dim).map(|_| rng.gen_range(0..t.value())).collect();
                 let want = w.matvec_plain(&v, t);
-                let got = simulate(&packing, &w, &v, t);
-                for (s, &y) in got.iter().enumerate() {
-                    assert_eq!(y, want[s % dim], "n={n} d={dim} slot {s}");
-                }
+                let got = fold_replicas(&simulate(&packing, &w, &v, t), dim, dim, t);
+                assert_eq!(got, want, "n={n} d={dim}");
             }
         }
     }
@@ -831,31 +809,18 @@ mod tests {
     fn packing_shapes() {
         let at = |n, d| {
             let p = Packing::new(n, d);
-            let sums: Vec<usize> = p.sum_rotations().collect();
-            (
-                p.replicas,
-                p.steps(),
-                (p.baby, p.giant),
-                sums,
-                p.swaps_rows(),
-            )
+            (p.replicas, p.steps(), (p.baby, p.giant))
         };
         // One replica, nothing to rotate.
-        assert_eq!(at(4096, 1), (1, 1, (1, 1), vec![], false));
-        // d² ≤ N/2: one diagonal per replica, replicas within a row.
-        assert_eq!(at(4096, 16), (16, 1, (1, 1), vec![16, 32, 64, 128], false));
-        // d² = N: the replicas fill both rows.
-        assert_eq!(
-            at(4096, 64),
-            (64, 1, (1, 1), vec![64, 128, 256, 512, 1024], true)
-        );
-        assert_eq!(
-            at(4096, 128),
-            (32, 4, (2, 2), vec![128, 256, 512, 1024], true)
-        );
-        assert_eq!(at(2048, 128), (16, 8, (3, 3), vec![128, 256, 512], true));
-        // A full row: two replicas, one per row, joined by the swap alone.
-        assert_eq!(at(4096, 2048), (2, 1024, (32, 32), vec![], true));
+        assert_eq!(at(4096, 1), (1, 1, (1, 1)));
+        // d² ≤ N/2: one diagonal per replica, spare blocks after them.
+        assert_eq!(at(4096, 16), (16, 1, (1, 1)));
+        // d² = N: the replicas fill both rows, still one diagonal each.
+        assert_eq!(at(4096, 64), (64, 1, (1, 1)));
+        assert_eq!(at(4096, 128), (32, 4, (2, 2)));
+        assert_eq!(at(2048, 128), (16, 8, (3, 3)));
+        // A full row: two replicas, one per row.
+        assert_eq!(at(4096, 2048), (2, 1024, (32, 32)));
         // Block ρ holds the input rotated left by (ρ mod c)·m.
         let p = Packing::new(4096, 128);
         assert_eq!(p.input_column(0), 0);
@@ -872,27 +837,28 @@ mod tests {
         assert_eq!(bsgs_plan(64), (8, 8));
         assert_eq!(bsgs_plan(100), (10, 10));
         assert_eq!(bsgs_plan(128), (12, 11));
-        // Key plan: babies 1..b and giants b·j of the in-replica steps,
-        // then the rotate-and-sum; one key an element; never rotation 0.
+        // Key plan: babies 1..b and giants b·j of the in-replica steps;
+        // one key an element; never rotation 0.
         let params = BfvParams::small_test();
         let n = params.n();
-        let elements = |steps: &[usize], swap: bool| {
+        let elements = |steps: &[usize]| {
             let mut plan: Vec<usize> = steps.iter().map(|&k| rotation_element(n, k)).collect();
-            plan.extend(swap.then_some(2 * n - 1));
             plan.sort_unstable();
             plan
         };
-        // d = 128 at n = 2048: m = 8 → babies 1, 2, giants 3, 6; then
-        // 128, 256, 512 and the swap.
-        let at_128 = elements(&[1, 2, 3, 6, 128, 256, 512], true);
+        // d = 128 at n = 2048: m = 8 → babies 1, 2, giants 3, 6.
+        let at_128 = elements(&[1, 2, 3, 6]);
         assert_eq!(key_plan(&params, &[128]), at_128);
-        assert!(key_plan(&params, &[1]).is_empty());
-        assert_eq!(key_plan(&params, &[2]), [rotation_element(n, 2)]);
-        // d = 16: sixteen one-diagonal replicas, summed by 16..128; 128 is
-        // shared with d = 128, and a dimension named twice adds nothing.
+        // d ≤ 32: one diagonal per replica, no rotation at all.
+        for dim in [1, 2, 16, 32] {
+            assert!(key_plan(&params, &[dim]).is_empty(), "d = {dim}");
+        }
+        // d = 256: m = 32 → babies 1..5, giants 6, 12, …, 30; 1, 2 and 6
+        // are shared with d = 128, and a dimension named twice adds
+        // nothing.
         assert_eq!(
-            key_plan(&params, &[128, 16, 16]),
-            elements(&[1, 2, 3, 6, 16, 32, 64, 128, 256, 512], true)
+            key_plan(&params, &[128, 256, 16, 256]),
+            elements(&[1, 2, 3, 4, 5, 6, 12, 18, 24, 30])
         );
     }
 
@@ -958,7 +924,7 @@ mod tests {
             let (ct, _) = keys.secret.encrypt_seeded(&input, &mut rng);
             let out = matvec_precomputed(&keys.galois, &diag, &ct);
             assert!(keys.secret.noise_budget(&out) > 0, "noise exhausted");
-            let got = enc.decode_prefix(&keys.secret.decrypt(&out), 256);
+            let got = fold_replicas(&enc.decode(&keys.secret.decrypt(&out)), 256, 256, t);
             assert_eq!(got, w.matvec_plain(&v, t));
         }
     }
@@ -966,8 +932,9 @@ mod tests {
     #[test]
     fn bsgs_matches_naive_oracle() {
         // The replicated path and the Horner oracle, each under the key set
-        // and input layout it runs with, must decrypt to the same N slots,
-        // including at non-power-of-two logical shapes and dim 1/2 edges.
+        // and input layout it runs with: the fold of the one is the other
+        // on every output row, including at non-power-of-two logical shapes
+        // and dim 1/2 edges.
         let params = BfvParams::small_test();
         let mut rng = rand::rngs::StdRng::seed_from_u64(13);
         let chain = KeySet::generate(&params, &mut rng);
@@ -981,51 +948,72 @@ mod tests {
             let input = encode_input(&enc, &v, w.padded_dim());
             let (ct, _) = keys.secret.encrypt_seeded(&input, &mut rng);
             let fast = matvec_precomputed(&keys.galois, &encode_diagonals_bsgs(&enc, &w), &ct);
+            let slots = enc.decode(&keys.secret.decrypt(&fast));
+            let got = fold_replicas(&slots, w.padded_dim(), rows, t);
             assert_eq!(
-                chain.secret.decrypt(&naive),
-                keys.secret.decrypt(&fast),
-                "naive and replicated decryptions differ at {rows}x{cols}"
+                got,
+                enc.decode_prefix(&chain.secret.decrypt(&naive), rows),
+                "naive and folded replicated products differ at {rows}x{cols}"
             );
-            let got = enc.decode_prefix(&keys.secret.decrypt(&fast), rows);
             assert_eq!(got, w.matvec_plain(&v, t));
         }
     }
 
     #[test]
     fn delphi_offline_share_correctness() {
-        // The actual DELPHI offline identity: client decrypts E(W·r − s) and
-        // client_share + server-online computation reconstructs W·x.
-        let (params, keys, enc, mut rng) = setup(10);
+        // The actual DELPHI offline identity: the client folds the masked
+        // response to its share, and client_share + s reconstructs W·r —
+        // at a one-diagonal packing with spare blocks (d = 16) and a
+        // rotating one over both rows (d = 128), with padding rows.
+        let params = BfvParams::small_test();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(10);
+        let keys = KeySet::generate_for_dims(&params, &[16, 128], &mut rng);
+        let enc = BatchEncoder::new(&params);
         let t = params.t();
-        let w = random_matrix(16, 16, t.value(), t, &mut rng);
-        let r: Vec<u64> = (0..16).map(|_| rng.gen_range(0..t.value())).collect();
-        let s: Vec<u64> = (0..16).map(|_| rng.gen_range(0..t.value())).collect();
+        for (rows, cols) in [(13, 16), (100, 128)] {
+            let w = random_matrix(rows, cols, t.value(), t, &mut rng);
+            let r: Vec<u64> = (0..cols).map(|_| rng.gen_range(0..t.value())).collect();
+            let dim = w.padded_dim();
+            let (ct, _) = keys
+                .secret
+                .encrypt_seeded(&encode_input(&enc, &r, dim), &mut rng);
+            let prod = matvec_precomputed(&keys.galois, &encode_diagonals_bsgs(&enc, &w), &ct);
+            let (mask, s) = replica_mask(&enc, dim, rows, &mut rng);
+            assert_eq!(s.len(), rows);
+            let resp = prod.add_plain(&mask, &params).mod_switch_down(&params);
+            let slots = enc.decode(&keys.secret.decrypt_switched(&resp));
+            let client_share = fold_replicas(&slots, dim, rows, t);
 
-        let ct_wr = naive_product(&keys, &enc, &w, &r, &mut rng);
-        let ct_share = sub_share(&params, &enc, &ct_wr, &s, w.padded_dim());
-        let client_share = enc.decode_prefix(&keys.secret.decrypt(&ct_share), 16);
-
-        // client_share + s == W·r
-        let wr = w.matvec_plain(&r, t);
-        for i in 0..16 {
-            assert_eq!(t.add(client_share[i], s[i]), wr[i]);
+            // client_share + s == W·r
+            let wr = w.matvec_plain(&r, t);
+            for i in 0..rows {
+                assert_eq!(t.add(client_share[i], s[i]), wr[i], "row {i} at d = {dim}");
+            }
+            // The mask itself: N words that fold to −s.
+            let words = enc.decode(&mask);
+            assert_eq!(words.len(), params.n());
+            let folded = fold_replicas(&words, dim, rows, t);
+            assert!(folded.iter().zip(&s).all(|(&m, &s)| t.add(m, s) == 0));
         }
     }
 
     #[test]
     fn op_count_formula() {
-        // d = 64 at n = 4096: 64 one-diagonal replicas, 5 in-row sum
-        // steps and the swap — against the one-replica BSGS's 7 + 7.
+        // d = 64 at n = 4096: 64 one-diagonal replicas, one product and no
+        // rotation — against the one-replica BSGS's 7 + 7.
         let c = matvec_op_count(4096, 64);
         assert_eq!(c.pt_muls, 1);
         assert_eq!(c.hoisted_rotations, 0);
-        assert_eq!(c.key_switches, 6);
-        assert_eq!(c.rotations(), 6);
-        assert_eq!(c.additions, 6);
+        assert_eq!(c.key_switches, 0);
+        assert_eq!(c.rotations(), 0);
+        assert_eq!(c.additions, 0);
         assert_eq!(matvec_op_count(4096, 1).rotations(), 0);
-        // d = 128: 1 baby + 1 giant over m = 4, then 4 sum steps + swap.
+        // d = 128: 1 baby + 1 giant over m = 4.
         let c = matvec_op_count(4096, 128);
-        assert_eq!((c.pt_muls, c.hoisted_rotations, c.key_switches), (4, 1, 6));
+        assert_eq!((c.pt_muls, c.hoisted_rotations, c.key_switches), (4, 1, 1));
+        assert_eq!(c.additions, 3);
+        // d = 256: m = 16, 3 babies + 3 giants.
+        assert_eq!(matvec_op_count(4096, 256).rotations(), 6);
         // The naive chain keeps the old shape.
         let naive = matvec_op_count_naive(64);
         assert_eq!(naive.key_switches, 63);

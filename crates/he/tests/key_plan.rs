@@ -1,22 +1,23 @@
 //! The rotation-key plan is the key set: for single dimensions (including
 //! the no-rotation `d = 1` edge and the one-diagonal-per-replica `d = 2`,
-//! `4`, `16`) and for mixed sets in which dimensions repeat, nest and share
-//! elements across the baby, giant and rotate-and-sum roles (one key an
-//! element, whatever its roles),
+//! `4`, `16`, whose plans are empty) and for mixed sets in which dimensions
+//! repeat, nest and share elements across the baby and giant roles (one
+//! key an element, whatever its roles),
 //! `KeySet::generate_for_dims` holds exactly `linalg::key_plan`'s entries in
-//! its order, the replicated matvec runs on that set at every dimension named and
-//! decrypts to the plaintext product, and a one-job batch is the plain call
-//! bit for bit. The same dimensions pin the upload frame: the client's frame
-//! writer, the encoder of a generated key set and the re-encoding of a
-//! decoded frame are one byte string, on every lane backend, and the keys
+//! its order, the replicated matvec runs on that set at every dimension
+//! named and its fold decrypts to the plaintext product, and a one-job
+//! batch is the plain call bit for bit. The same dimensions pin the upload
+//! frame: the client's frame writer, the encoder of a generated key set and
+//! the re-encoding of a decoded frame are one byte string, on every lane
+//! backend, and the keys
 //! decoded from it are keys the matvec runs on — the same keys, operand for
 //! operand, when they are decoded into a retired set's memory, whatever
 //! plan or ring that set was for.
 
 use pi_field::simd::{clear_forced_backend, force_backend, SimdBackend};
 use pi_he::linalg::{
-    encode_diagonals_bsgs, encode_input, key_plan, matvec_precomputed, matvec_precomputed_many,
-    PlainMatrix,
+    encode_diagonals_bsgs, encode_input, fold_replicas, key_plan, matvec_precomputed,
+    matvec_precomputed_many, PlainMatrix,
 };
 use pi_he::{
     galois_keys_frame, galois_keys_frame_entries, galois_keys_from_bytes,
@@ -24,6 +25,18 @@ use pi_he::{
     KeySet, SecretKey,
 };
 use rand::{Rng, SeedableRng};
+
+/// The client's share of a replicated product: all `N` slots decrypted,
+/// then folded over the replica blocks, on every row of a square `dim`.
+fn folded(
+    enc: &BatchEncoder,
+    secret: &SecretKey,
+    prod: &pi_he::Ciphertext,
+    dim: usize,
+) -> Vec<u64> {
+    let slots = enc.decode(&secret.decrypt(prod));
+    fold_replicas(&slots, dim, dim, enc.params().t())
+}
 
 fn dim_sets() -> Vec<Vec<usize>> {
     let singles = [1usize, 2, 4, 16, 64, 128, 256].map(|d| vec![d]);
@@ -67,7 +80,7 @@ fn generated_keys_are_the_plan_and_the_matvec_runs_on_them() {
             let diag = encode_diagonals_bsgs(&enc, &w);
             let prod = matvec_precomputed(&keys.galois, &diag, &ct);
             assert_eq!(
-                enc.decode_prefix(&keys.secret.decrypt(&prod), dim),
+                folded(&enc, &keys.secret, &prod, dim),
                 w.matvec_plain(&v, t),
                 "d = {dim} under the keys of {dims:?}"
             );
@@ -80,49 +93,49 @@ fn generated_keys_are_the_plan_and_the_matvec_runs_on_them() {
 }
 
 /// An element has one key however many dimensions claim it, in whichever
-/// role: at `[128, 64, 16]` (n = 2048) rotation 1 is a baby at 128 and at
-/// 64, 64 and 128 are rotate-and-sum steps at 64 and at 16 (128, 256
-/// and 512 also at 128), and the row swap closes both 128 and 64 — 11 keys
-/// for 18 claims.
+/// role: at `[256, 128, 64, 16]` (n = 2048) rotation 1 is a baby at 256,
+/// 128 and 64, rotation 2 a baby at 256 and 128, and rotation 6 a giant at
+/// both 256 and 128 — 10 keys for 15 claims. Each dimension's role table:
+///
+/// | d | c | m | babies | giants |
+/// |---|---|---|---|---|
+/// | 256 | 8 | 32 | 1–5 | 6, 12, 18, 24, 30 |
+/// | 128 | 16 | 8 | 1, 2 | 3, 6 |
+/// | 64 | 32 | 2 | 1 | — |
+/// | 16 | 16 | 1 | — | — |
 #[test]
 fn the_plan_holds_each_element_once_at_mixed_dims() {
     let params = BfvParams::small_test();
     let n = params.n();
-    let elements = |rotations: &[usize], swap: bool| {
+    let elements = |rotations: &[usize]| {
         let mut plan: Vec<usize> = (rotations.iter())
             .map(|&k| pi_he::keys::rotation_element(n, k))
             .collect();
-        plan.extend(swap.then_some(2 * n - 1));
         plan.sort_unstable();
         plan
     };
-    // d = 128: c = 16 replicas of m = 8 steps — babies 1, 2, giants 3, 6 —
-    // summed by 128, 256, 512 and the swap.
-    let at_128 = elements(&[1, 2, 3, 6, 128, 256, 512], true);
-    // d = 64: c = 32 replicas of m = 2 steps — baby 1 — summed by 64, 128,
-    // 256, 512 and the swap.
-    let at_64 = elements(&[1, 64, 128, 256, 512], true);
-    // d = 16: sixteen one-diagonal replicas within a row, summed by 16..128.
-    let at_16 = elements(&[16, 32, 64, 128], false);
+    let at_256 = elements(&[1, 2, 3, 4, 5, 6, 12, 18, 24, 30]);
+    let at_128 = elements(&[1, 2, 3, 6]);
+    let at_64 = elements(&[1]);
+    assert_eq!(key_plan(&params, &[256]), at_256);
     assert_eq!(key_plan(&params, &[128]), at_128);
     assert_eq!(key_plan(&params, &[64]), at_64);
-    assert_eq!(key_plan(&params, &[16]), at_16);
-    assert_eq!(at_128.len() + at_64.len() + at_16.len(), 18);
+    assert!(key_plan(&params, &[16]).is_empty());
+    assert_eq!(at_256.len() + at_128.len() + at_64.len(), 15);
 
-    let dims = [128, 64, 16];
+    let dims = [256, 128, 64, 16];
     let plan = key_plan(&params, &dims);
-    assert_eq!(
-        plan,
-        elements(&[1, 2, 3, 6, 16, 32, 64, 128, 256, 512], true)
-    );
-    assert_eq!(plan.len(), 11);
+    assert_eq!(plan, at_256);
+    assert_eq!(plan.len(), 10);
+    // The test model's dimensions, {128, 128, 16}: d = 128's four keys.
+    assert_eq!(key_plan(&params, &[128, 128, 16]), at_128);
     // Order and repetition of the dimensions change nothing.
-    assert_eq!(key_plan(&params, &[16, 128, 64, 16, 128]), plan);
+    assert_eq!(key_plan(&params, &[16, 128, 256, 64, 16, 128]), plan);
     let mut rng = rand::rngs::StdRng::seed_from_u64(899);
     let keys = KeySet::generate_for_dims(&params, &dims, &mut rng);
     assert_eq!(
         keys.galois.resident_byte_len(),
-        GaloisKeys::resident_byte_len_of(&params, 11)
+        GaloisKeys::resident_byte_len_of(&params, 10)
     );
 }
 
@@ -187,7 +200,7 @@ fn the_upload_frame_is_one_byte_string_however_it_is_made() {
             .0;
         let prod = matvec_precomputed(&decoded, &encode_diagonals_bsgs(&enc, &w), &ct);
         assert_eq!(
-            enc.decode_prefix(&secret.decrypt(&prod), dim),
+            folded(&enc, &secret, &prod, dim),
             w.matvec_plain(&v, t),
             "d = {dim} under the decoded frame of {dims:?}"
         );
@@ -240,10 +253,7 @@ fn a_frame_decoded_into_a_retired_key_set_is_the_frame_decoded() {
         let (ct, _) = secret.encrypt_seeded(&encode_input(&enc, &v, dim), &mut rng);
         let diag = encode_diagonals_bsgs(&enc, &w);
         let want = matvec_precomputed(&fresh, &diag, &ct);
-        assert_eq!(
-            enc.decode_prefix(&secret.decrypt(&want), dim),
-            w.matvec_plain(&v, t)
-        );
+        assert_eq!(folded(&enc, &secret, &want, dim), w.matvec_plain(&v, t));
 
         for (what, retired) in retired {
             let reused =
@@ -266,8 +276,8 @@ fn a_frame_decoded_into_a_retired_key_set_is_the_frame_decoded() {
 }
 
 /// The padded dimensions of the two zoo models the ledger serves
-/// (`tiny_cnn`, `tiny_resnet`), whose plans at n = 4096 hold 10 and 12
-/// keys: above the key split's grain at every width from 2 on.
+/// (`tiny_cnn`, `tiny_resnet`), whose plans at n = 4096 hold 2 and 6 keys:
+/// one grain of the key split, and three.
 const ZOO_DIMS: [&[usize]; 2] = [&[128, 128, 16], &[128, 128, 256, 128, 256, 64]];
 
 /// Key generation splits its entries across cores with every draw made
@@ -277,7 +287,7 @@ const ZOO_DIMS: [&[usize]; 2] = [&[128, 128, 16], &[128, 128, 256, 128, 256, 64]
 #[test]
 fn the_upload_frame_is_one_byte_string_at_every_split_width() {
     let params = BfvParams::default_pi();
-    for (dims, keys) in ZOO_DIMS.iter().zip([10, 12]) {
+    for (dims, keys) in ZOO_DIMS.iter().zip([2, 6]) {
         assert_eq!(key_plan(&params, dims).len(), keys, "{dims:?}");
         let at = |threads| {
             pi_trace::par::with_threads(threads, || {

@@ -107,7 +107,7 @@ fn single_prime_frames_survive_corruption() {
     // corrupted buffer, and nothing in the format depends on n or q size.
     let params = BfvParams::new(1024, 40, 16);
     let mut rng = rand::rngs::StdRng::seed_from_u64(4242);
-    let keys = KeySet::generate_for_dims(&params, &[4], &mut rng);
+    let keys = KeySet::generate_for_dims(&params, &[64], &mut rng);
     let enc = BatchEncoder::new(&params);
     let msg: Vec<u64> = (0..32)
         .map(|_| rng.gen_range(0..params.t().value()))
@@ -153,7 +153,7 @@ fn every_frame_kind_refuses_every_other_version() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(4244);
     let secret = SecretKey::generate(&params, &mut rng);
     let public = secret.public_key(&mut rng);
-    let plan = pi_he::linalg::key_plan(&params, &[4]);
+    let plan = pi_he::linalg::key_plan(&params, &[64]);
     let (sct, seed) = secret.encrypt_seeded(&BatchEncoder::new(&params).encode(&[1]), &mut rng);
     type Parse<'a> = Box<dyn Fn(&[u8]) -> Option<WireError> + 'a>;
     let frames: [(&str, Vec<u8>, Parse); 4] = [
@@ -224,7 +224,7 @@ fn galois_entries(frame: &[u8], params: &BfvParams) -> Vec<usize> {
 fn galois_fixture() -> (BfvParams, Vec<u8>, pi_he::Ciphertext) {
     let params = BfvParams::new(1024, 40, 16);
     let mut rng = rand::rngs::StdRng::seed_from_u64(4243);
-    let keys = KeySet::generate_for_dims(&params, &[4], &mut rng);
+    let keys = KeySet::generate_for_dims(&params, &[64], &mut rng);
     let frame = galois_keys_to_bytes(&keys.galois);
     let ct = zero_upload(&keys.secret, &mut rng);
     (params, frame, ct)
@@ -361,7 +361,7 @@ fn cross_frame_confusion_is_rejected() {
     // BadMagic (or a downstream typed error), never panic or mis-decode.
     let params = BfvParams::new(1024, 40, 16);
     let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-    let keys = KeySet::generate_for_dims(&params, &[4], &mut rng);
+    let keys = KeySet::generate_for_dims(&params, &[64], &mut rng);
     let ct_bytes = ciphertext_to_bytes(&zero_upload(&keys.secret, &mut rng));
     let pk_bytes = public_key_to_bytes(&keys.public);
     let gk_bytes = galois_keys_to_bytes(&keys.galois);

@@ -36,9 +36,9 @@ fn galois_key_bytes(n: usize) -> usize {
 /// Galois key material (bytes) a client uploads for one padded layer
 /// dimension under the replicated-diagonal key set implemented in `pi-he`:
 /// `c = min(n/d, d)` replicas of `m = d/c` diagonal steps each, so
-/// `(⌈√m⌉ − 1)` baby elements, `(⌈m/⌈√m⌉⌉ − 1)` giant elements,
-/// `log₂ min(c, n/2d)` rotate-and-sum rotations and, when the replicas span
-/// both slot rows (`c·d > n/2`), the row swap — one key each.
+/// `(⌈√m⌉ − 1)` baby elements and `(⌈m/⌈√m⌉⌉ − 1)` giant elements, one key
+/// each. The replicas are never rotated into one another — the client
+/// folds them after decryption — so that is the whole set.
 ///
 /// An analysis-side mirror of `pi_he::linalg::key_plan` for one dimension
 /// — the whole key set a client of a one-layer model generates and
@@ -60,10 +60,7 @@ pub fn galois_key_bytes_bsgs(dim: usize, n: usize) -> f64 {
         b += 1;
     }
     let g = steps.div_ceil(b);
-    let row = n / 2;
-    let sums = ((replicas * dim).min(row) / dim).trailing_zeros() as usize;
-    let swap = usize::from(replicas * dim > row);
-    ((b - 1 + g - 1 + sums + swap) * galois_key_bytes(n)) as f64
+    ((b - 1 + g - 1) * galois_key_bytes(n)) as f64
 }
 
 /// Galois key material (bytes) of the full per-rotation set the BSGS set
@@ -438,17 +435,18 @@ mod tests {
     #[test]
     fn bsgs_key_material_reports_storage_win() {
         // Every key is the same size, so the saving is the element count's:
-        // 127 rotations against 1 baby + 1 giant + 4 rotate-and-sum steps +
-        // the row swap at a 128-wide layer (18.1×), and it grows with the
-        // dimension (1023 against 15 + 15 + 1 + 1).
+        // 127 rotations against 1 baby + 1 giant at a 128-wide layer
+        // (63.5×), and 1023 against 15 + 15 at a 1024-wide one.
         let n = 4096;
         let bsgs = galois_key_bytes_bsgs(128, n);
         let full = galois_key_bytes_per_rotation(128, n);
-        assert_eq!(bsgs, (7 * 8 * n * 8) as f64);
-        assert_eq!(full / bsgs, 127.0 / 7.0);
+        assert_eq!(bsgs, (2 * 8 * n * 8) as f64);
+        assert_eq!(full / bsgs, 127.0 / 2.0);
         let bsgs_1k = galois_key_bytes_bsgs(1024, n);
         let full_1k = galois_key_bytes_per_rotation(1024, n);
-        assert_eq!(full_1k / bsgs_1k, 1023.0 / 32.0);
+        assert_eq!(full_1k / bsgs_1k, 1023.0 / 30.0);
+        // One diagonal per replica (d² ≤ n): no key at all.
+        assert_eq!(galois_key_bytes_bsgs(64, n), 0.0);
         // Degenerate dims carry no rotation keys at all.
         assert_eq!(galois_key_bytes_bsgs(1, n), 0.0);
         assert_eq!(galois_key_bytes_per_rotation(1, n), 0.0);

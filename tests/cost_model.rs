@@ -5,7 +5,8 @@
 //! `key_plan`'s length times one key.
 
 use pi_he::linalg::{
-    encode_diagonals_bsgs, encode_input, key_plan, matvec_op_count, matvec_precomputed, PlainMatrix,
+    encode_diagonals_bsgs, encode_input, fold_replicas, key_plan, matvec_op_count,
+    matvec_precomputed, PlainMatrix,
 };
 use pi_he::{BatchEncoder, BfvParams, KeySet};
 use pi_sim::cost::galois_key_bytes_bsgs;
@@ -41,8 +42,9 @@ fn op_count_rotations_are_the_kernels_rotations() {
             matvec_op_count(params.n(), dim).rotations() as u64,
             "d = {dim}"
         );
-        // Every output slot is the row sum of an all-ones matrix.
-        let got = enc.decode(&keys.secret.decrypt(&prod));
+        // Every folded output row is the row sum of an all-ones matrix.
+        let slots = enc.decode(&keys.secret.decrypt(&prod));
+        let got = fold_replicas(&slots, dim, dim, params.t());
         assert!(got.iter().all(|&y| y == dim as u64), "d = {dim}");
     }
     pi_trace::force_mode(None);
@@ -52,10 +54,13 @@ fn op_count_rotations_are_the_kernels_rotations() {
 fn simulated_key_bytes_are_the_key_plan() {
     let params = BfvParams::default_pi();
     let mut rng = rand::rngs::StdRng::seed_from_u64(28);
-    // One key's flat words, as pi-he holds it and pi-sim prices it.
-    let per_key = KeySet::generate_for_dims(&params, &[2], &mut rng)
+    // One key's flat words, as pi-he holds it and pi-sim prices it: d = 128
+    // takes two (one baby, one giant).
+    let per_key = KeySet::generate_for_dims(&params, &[128], &mut rng)
         .galois
-        .byte_len();
+        .byte_len()
+        / 2;
+    assert_eq!(key_plan(&params, &[128]).len(), 2);
     for dim in dims(&params) {
         let keys = key_plan(&params, &[dim]).len();
         assert_eq!(

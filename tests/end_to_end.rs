@@ -136,76 +136,140 @@ fn the_noise_gauge_reads_where_the_protocol_decrypts() {
     }
 }
 
-/// A response leaks nothing but `W·r − s`: the client half is played by
-/// hand against a real server session (`drive_sync`, both garbler kinds,
-/// `tiny_resnet`: padded dims 64 to 256, two-input phases), uploading the
-/// model's key plan and each phase's `r_cat` in the replicated layout, and
-/// every one of the `N` slots of every `E(W·r − s)` it gets back must
-/// decrypt to the complete share of its row, `(W·r − s)[i mod d]`: the
-/// same in every replica (a partial sum over some of `W`'s columns in any
-/// slot would differ from it) and zero in the padding rows. The first
-/// `rows` slots plus the server's `s` are `W·r`, as every bit-exact
-/// inference above shows.
-#[test]
-fn every_response_slot_holds_the_complete_share() {
-    use pi_core::channel::local_pair;
+/// Plays the client's half of the offline linear pass by hand against one
+/// real server session (`drive_sync`, server RNG seeded with
+/// `server_seed`): uploads the key frame and the phases' ciphertext
+/// frames, and returns every phase's response decrypted to all `N` slots.
+fn linear_responses(
+    s: &Setup,
+    cfg: &ProtocolConfig,
+    pre: &pi_core::ServerPrecomp,
+    secret: &pi_he::SecretKey,
+    (keys, uploads): (&std::sync::Arc<Vec<u8>>, &[Vec<u8>]),
+    server_seed: u64,
+) -> Vec<Vec<u64>> {
     use pi_core::msg::Msg;
-    use pi_core::serve::session::drive_sync;
-    use pi_core::{ModelMeta, ServerPrecomp};
-    use pi_he::{linalg, BatchEncoder, SecretKey};
-    use std::sync::Arc;
-
-    let s = setup(&zoo::tiny_resnet(), 800);
-    let meta = ModelMeta::of(&s.model);
-    let enc = BatchEncoder::new(&s.he);
-    let p = s.model.p;
-    for kind in [ProtocolKind::ServerGarbler, ProtocolKind::ClientGarbler] {
-        let cfg = match kind {
-            ProtocolKind::ServerGarbler => ProtocolConfig::server_garbler(s.he.clone()),
-            ProtocolKind::ClientGarbler => ProtocolConfig::client_garbler(s.he.clone(), 2),
-        };
-        let pre = ServerPrecomp::new(&s.model, &cfg);
-        let (client, server) = local_pair();
-        std::thread::scope(|scope| {
-            // The server stops with a channel error once the client hangs
-            // up after the linear responses; only they are under test.
-            scope.spawn(|| {
-                let rng = rand::rngs::StdRng::seed_from_u64(801);
-                let _ = drive_sync(&s.model, &pre, &cfg, &server, rng);
-            });
-            let mut rng = rand::rngs::StdRng::seed_from_u64(802);
-            let secret = SecretKey::generate(&s.he, &mut rng);
-            let frame = pi_he::galois_keys_frame(&secret, &meta.key_plan(&s.he), &mut rng);
-            client.send(Msg::HeKeys(Arc::new(frame))).expect("upload");
-            let r_cats: Vec<Vec<u64>> = (s.model.phases.iter())
-                .map(|ph| (0..ph.cols).map(|_| rng.gen_range(0..p.value())).collect())
-                .collect();
-            for (ph, r) in meta.phases.iter().zip(&r_cats) {
-                let input = linalg::encode_input(&enc, r, ph.padded_dim);
-                let (ct, seed) = secret.encrypt_seeded(&input, &mut rng);
-                let frame = pi_he::ciphertext_to_bytes_seeded(&ct, &seed);
-                client.send(Msg::HeCts(vec![frame])).expect("upload");
-            }
-            for (ph, r) in s.model.phases.iter().zip(&r_cats) {
+    let enc = pi_he::BatchEncoder::new(&s.he);
+    let (client, server) = pi_core::channel::local_pair();
+    std::thread::scope(|scope| {
+        // The server stops with a channel error once the client hangs up
+        // after the linear responses; only they are under test.
+        scope.spawn(|| {
+            let rng = rand::rngs::StdRng::seed_from_u64(server_seed);
+            let _ = pi_core::serve::session::drive_sync(&s.model, pre, cfg, &server, rng);
+        });
+        client.send(Msg::HeKeys(keys.clone())).expect("upload");
+        for frame in uploads {
+            let upload = Msg::HeCts(vec![frame.clone()]);
+            client.send(upload).expect("upload");
+        }
+        let responses = (s.model.phases.iter())
+            .map(|_| {
                 let Ok(Msg::HeCts(frames)) = client.recv() else {
-                    panic!("{kind:?}: no linear response");
+                    panic!("no linear response");
                 };
                 let ct = pi_he::ciphertext_from_bytes(&frames[0], &s.he).expect("frame");
-                let slots = enc.decode(&secret.decrypt_switched(&ct));
-                let d = ph.rows.max(ph.cols).next_power_of_two();
-                let share = &slots[..ph.rows];
-                for (i, &y) in slots.iter().enumerate() {
-                    let want = share.get(i % d).copied().unwrap_or(0);
-                    assert_eq!(y, want, "{kind:?}: slot {i} of a {d}-wide phase");
+                enc.decode(&secret.decrypt_switched(&ct))
+            })
+            .collect();
+        drop(client);
+        responses
+    })
+}
+
+/// A response leaks nothing but `W·r − s`: against real server sessions
+/// (both garbler kinds; `tiny_resnet`: padded dims 64 to 256, two-input
+/// phases, every block a replica; `tiny_cnn`, whose 16-wide phase has 16
+/// replica blocks and 112 spare ones) the client uploads the model's key
+/// plan and each phase's `r_cat` in the replicated layout, and decrypts all
+/// `N` slots of every response. The unmasked product is recomputed with
+/// `matvec_precomputed` on the same upload, keys and diagonals, and per
+/// phase:
+///
+/// * the fold of the response's `c` replica blocks is the client's share,
+///   and the share is not `W·r`;
+/// * response minus unmasked product is non-zero on the output rows of
+///   every replica block and in every spare block;
+/// * that difference, the mask, folds to exactly what the share differs
+///   from `W·r` by;
+/// * a second request with the same upload gets a different mask.
+#[test]
+fn every_replica_block_of_a_response_is_masked() {
+    use pi_core::{ModelMeta, ServerPrecomp};
+    use pi_he::linalg::{encode_input, fold_replicas, matvec_precomputed, PlainMatrix};
+    use pi_he::{BatchEncoder, SecretKey};
+
+    for spec in [zoo::tiny_resnet(), zoo::tiny_cnn()] {
+        let s = setup(&spec, 800);
+        let meta = ModelMeta::of(&s.model);
+        let enc = BatchEncoder::new(&s.he);
+        let (p, n) = (s.model.p, s.he.n());
+        let sub = |a: &[u64], b: &[u64]| -> Vec<u64> {
+            a.iter().zip(b).map(|(&a, &b)| p.sub(a, b)).collect()
+        };
+        let mut rng = rand::rngs::StdRng::seed_from_u64(802);
+        let secret = SecretKey::generate(&s.he, &mut rng);
+        let plan = meta.key_plan(&s.he);
+        let keys = std::sync::Arc::new(pi_he::galois_keys_frame(&secret, &plan, &mut rng));
+        let galois = pi_he::galois_keys_from_bytes(&keys, &s.he).expect("own frame");
+        let r_cats: Vec<Vec<u64>> = (meta.phases.iter())
+            .map(|ph| (0..ph.cols).map(|_| rng.gen_range(0..p.value())).collect())
+            .collect();
+        let uploads: Vec<Vec<u8>> = (meta.phases.iter().zip(&r_cats))
+            .map(|(ph, r)| {
+                let input = encode_input(&enc, r, ph.padded_dim);
+                let (ct, seed) = secret.encrypt_seeded(&input, &mut rng);
+                pi_he::ciphertext_to_bytes_seeded(&ct, &seed)
+            })
+            .collect();
+        for kind in [ProtocolKind::ServerGarbler, ProtocolKind::ClientGarbler] {
+            let cfg = match kind {
+                ProtocolKind::ServerGarbler => ProtocolConfig::server_garbler(s.he.clone()),
+                ProtocolKind::ClientGarbler => ProtocolConfig::client_garbler(s.he.clone(), 2),
+            };
+            let pre = ServerPrecomp::new(&s.model, &cfg);
+            let diagonals = pre.diagonals.as_ref().expect("HE mode has diagonals");
+            let unmasked: Vec<Vec<u64>> = (uploads.iter().zip(diagonals))
+                .map(|(upload, w)| {
+                    let ct = pi_he::ciphertext_from_bytes(upload, &s.he).expect("own frame");
+                    enc.decode(&secret.decrypt(&matvec_precomputed(&galois, w, &ct)))
+                })
+                .collect();
+            let masks = [801, 803].map(|server_seed| {
+                let frames = (&keys, &uploads[..]);
+                let responses = linear_responses(&s, &cfg, &pre, &secret, frames, server_seed);
+                let mut masks = Vec::new();
+                for (i, ph) in meta.phases.iter().enumerate() {
+                    let (d, rows) = (ph.padded_dim, ph.rows);
+                    let c = (n / d).min(d);
+                    let at = format!("{}, {kind:?}, phase {i} (d = {d}, c = {c})", spec.name);
+                    let share = fold_replicas(&responses[i], d, rows, p);
+                    let w = PlainMatrix::new(rows, ph.cols, &s.model.phases[i].matrix, p);
+                    let wr = w.matvec_plain(&r_cats[i], p);
+                    assert_ne!(share, wr, "{at}: the share must be masked");
+                    let mask = sub(&responses[i], &unmasked[i]);
+                    for block in 0..n / d {
+                        // A replica block's output rows, or a whole spare block.
+                        let covered = if block < c { rows } else { d };
+                        let words = &mask[block * d..block * d + covered];
+                        assert!(
+                            words.iter().any(|&x| x != 0),
+                            "{at}: block {block} unmasked"
+                        );
+                    }
+                    assert_eq!(
+                        fold_replicas(&mask, d, rows, p),
+                        sub(&share, &wr),
+                        "{at}: the mask's fold is not what the share differs from W·r by"
+                    );
+                    masks.push(mask);
                 }
-                // The share is what a client completes to W·r with s: not
-                // a constant, so the check above compared real values.
-                let w = pi_he::linalg::PlainMatrix::new(ph.rows, ph.cols, &ph.matrix, p);
-                let wr = w.matvec_plain(r, p);
-                assert_ne!(share, &wr[..], "{kind:?}: the share must be masked by s");
+                masks
+            });
+            for (i, (a, b)) in masks[0].iter().zip(&masks[1]).enumerate() {
+                assert_ne!(a, b, "{kind:?}: phase {i} reused its mask across requests");
             }
-            drop(client);
-        });
+        }
     }
 }
 

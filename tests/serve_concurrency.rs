@@ -293,9 +293,12 @@ fn key_table_hit_skips_the_upload() {
     let ot = rt.ot_table_stats();
     assert_eq!((ot.inserts, ot.hits, ot.misses), (1, 1, 1), "ot: {ot:?}");
     assert_eq!(rt.ot_table_bytes(), 4_144);
-    // Cached keys: the second request's upload drops by the key material.
-    assert!(
-        second.offline_sent < first.offline_sent / 2,
+    // Cached keys and OT state: the second request's upload drops by
+    // exactly the key upload and the base-OT choice of
+    // `pinned_transcript`, nothing else.
+    assert_eq!(
+        first.offline_sent - second.offline_sent,
+        208_982 + 4_096,
         "first={} second={}",
         first.offline_sent,
         second.offline_sent
@@ -338,13 +341,13 @@ fn relay(from: &Channel, to: &Channel) -> Transcript {
 /// the base-OT messages carry 32-byte compressed edwards25519 points, one
 /// `r·G` for the whole batch (32, 32·128 and 32 + 32·128 bytes), and
 /// `HeKeys` is one rotation-key frame holding the model's key plan —
-/// 11 entries of two digits (the replicated schedule's rotations at
-/// {128, 128, 16}, n = 2048), 8 + 62 + 11 · 52 228 bytes — with no
+/// 4 entries of two digits (the replicated schedule's babies and giants at
+/// {128, 128, 16}, n = 2048), 8 + 62 + 4 · 52 228 bytes — with no
 /// composition chain and no public key.
 /// A `GcTables` message is `rows · (8 + 133 · 32) + 8` bytes: 133 ANDs per
 /// truncating ReLU since `CircuitBuilder::build` drops dead gates.
 fn pinned_transcript(kind: ProtocolKind) -> (Transcript, Transcript) {
-    let he_up = [("HeKeys", 574_578), ("HeCts", 15_938), ("HeCts", 15_938)];
+    let he_up = [("HeKeys", 208_982), ("HeCts", 15_938), ("HeCts", 15_938)];
     let he_down = [("HeCts", 23_074); 3];
     let (up, down): (&[_], &[_]) = match kind {
         ProtocolKind::ClientGarbler => (

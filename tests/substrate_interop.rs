@@ -5,7 +5,10 @@
 use pi_gc::circuit::{from_bits, to_bits};
 use pi_gc::garble::{evaluate, garble};
 use pi_gc::relu::relu_trunc_circuit;
-use pi_he::linalg::{encode_diagonals, matvec_naive, sub_share, PlainMatrix};
+use pi_he::linalg::{
+    encode_diagonals_bsgs, encode_input, fold_replicas, matvec_precomputed, replica_mask,
+    PlainMatrix,
+};
 use pi_he::{BatchEncoder, BfvParams, KeySet};
 use pi_nn::quant::relu_trunc_field;
 use pi_nn::{zoo, FixedConfig, Network, PiModel, QuantNetwork};
@@ -14,7 +17,8 @@ use pi_ot::ext::{setup_in_process, OtExtReceiver, OtExtSender};
 use rand::{Rng, SeedableRng};
 
 /// The HE diagonal matvec computes real network phase matrices correctly:
-/// encrypt r, evaluate E(W·r − s), decrypt, add s, compare to plain W·r.
+/// encrypt r in the replicated layout, evaluate the replicated product,
+/// mask it, decrypt, fold the replicas, add s, compare to plain W·r.
 #[test]
 fn he_matvec_on_real_phase_matrices() {
     let he = BfvParams::small_test();
@@ -23,26 +27,29 @@ fn he_matvec_on_real_phase_matrices() {
     let net = Network::materialize(&zoo::tiny_cnn(), &mut rng);
     let model = PiModel::lower(&QuantNetwork::quantize(&net, fx));
 
-    let keys = KeySet::generate(&he, &mut rng);
+    let dims: Vec<usize> = (model.phases.iter())
+        .map(|ph| ph.rows.max(ph.cols).next_power_of_two())
+        .collect();
+    let keys = KeySet::generate_for_dims(&he, &dims, &mut rng);
     let enc = BatchEncoder::new(&he);
     let p = he.t();
     for (i, ph) in model.phases.iter().enumerate() {
         let w = PlainMatrix::new(ph.rows, ph.cols, &ph.matrix, p);
+        let dim = w.padded_dim();
         let r: Vec<u64> = (0..ph.cols).map(|_| rng.gen_range(0..p.value())).collect();
-        let s: Vec<u64> = (0..ph.rows).map(|_| rng.gen_range(0..p.value())).collect();
-        // r zero-padded and periodic, encrypted as the client encrypts.
-        let mut padded = r.clone();
-        padded.resize(w.padded_dim(), 0);
+        // r in the replicated layout, encrypted as the client encrypts.
         let (ct, _) = keys
             .secret
-            .encrypt_seeded(&enc.encode_periodic(&padded), &mut rng);
-        let wr_ct = matvec_naive(&keys.galois, &encode_diagonals(&enc, &w), &ct);
-        let resp = sub_share(&he, &enc, &wr_ct, &s, w.padded_dim());
+            .encrypt_seeded(&encode_input(&enc, &r, dim), &mut rng);
+        let prod = matvec_precomputed(&keys.galois, &encode_diagonals_bsgs(&enc, &w), &ct);
+        let (mask, s) = replica_mask(&enc, dim, ph.rows, &mut rng);
+        let resp = prod.add_plain(&mask, &he);
         assert!(
             keys.secret.noise_budget(&resp) > 0,
             "phase {i}: noise exhausted"
         );
-        let share = enc.decode_prefix(&keys.secret.decrypt(&resp), ph.rows);
+        let slots = enc.decode(&keys.secret.decrypt(&resp));
+        let share = fold_replicas(&slots, dim, ph.rows, p);
         let expect = w.matvec_plain(&r, p);
         for j in 0..ph.rows {
             assert_eq!(p.add(share[j], s[j]), expect[j], "phase {i} row {j}");

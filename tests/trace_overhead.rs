@@ -39,8 +39,7 @@ fn mode_lock() -> MutexGuard<'static, ()> {
 }
 
 /// Matvec dimension of the HE fixture: at n = 2048, 16 replicas of 8 steps —
-/// 2 baby and 2 giant rotations, then 3 rotate-and-sum rotations and the
-/// row swap.
+/// 2 baby and 2 giant rotations.
 const DIM: usize = 128;
 
 /// A seeded `DIM × DIM` matvec: keys, packed matrix, encrypted input.
@@ -78,10 +77,10 @@ impl MatvecFixture {
         linalg::matvec_precomputed(&self.keys.galois, &self.diags, &self.ct)
     }
 
-    /// The decrypted, decoded product.
+    /// The decrypted, decoded product: all `N` slots, every replica block.
     fn output(&self) -> Vec<u64> {
         let pt = self.keys.secret.decrypt(&self.run());
-        self.enc.decode_prefix(&pt, DIM)
+        self.enc.decode(&pt)
     }
 
     fn time(&self) -> Duration {
