@@ -1,5 +1,7 @@
-//! End-to-end protocol benchmarks on a tiny CNN (cleartext linear mode so
-//! the GC/OT paths dominate, as a per-ReLU protocol cost probe).
+//! End-to-end protocol benchmarks on a tiny CNN: both garblers in
+//! cleartext linear mode, so the GC/OT paths dominate (a per-ReLU protocol
+//! cost probe), and Server-Garbler over HE, where the client's base-OT
+//! transfer runs beside the server's HE pass.
 
 use pi_bench::kernel;
 use pi_core::{private_inference, ProtocolConfig, ProtocolKind};
@@ -18,12 +20,22 @@ fn model() -> PiModel {
 fn main() {
     let model = model();
     let input = vec![0u64; model.input_len];
-    for (name, kind) in [
-        ("server_garbler_clear", ProtocolKind::ServerGarbler),
-        ("client_garbler_clear", ProtocolKind::ClientGarbler),
+    for (name, cfg) in [
+        (
+            "server_garbler_clear",
+            ProtocolConfig::clear(ProtocolKind::ServerGarbler),
+        ),
+        (
+            "client_garbler_clear",
+            ProtocolConfig::clear(ProtocolKind::ClientGarbler),
+        ),
+        (
+            "server_garbler_he",
+            ProtocolConfig::server_garbler(BfvParams::small_test()),
+        ),
     ] {
         kernel(&format!("protocol_tiny_cnn/{name}"), 10, || {
-            private_inference(&model, &input, &ProtocolConfig::clear(kind))
+            private_inference(&model, &input, &cfg)
         });
     }
 }

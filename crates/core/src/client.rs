@@ -11,6 +11,17 @@
 //! state machine runs in the mirrored role (`role.rs`). Everything the
 //! server sends is checked before use: a deviating server is a
 //! [`ProtocolError`], never a panic.
+//!
+//! **Message order.** The offline linear upload (`HeKeys` when the server
+//! needs them, then one `HeCts` or `VecU64` per phase) goes out whole
+//! before the client reads a linear response. Client-Garbler then runs the
+//! base OT the server opens, garbles and ships. A Server-Garbler session
+//! without cached OT state opens with the client's `OtBaseSetup` instead,
+//! and the client reads the server's `OtBaseChoice` and sends its
+//! `OtBaseTransfer` between its upload and the responses: the transfer's
+//! 128 variable-base multiplications run while the server computes the HE
+//! pass. Either kind on the pair's cached OT state skips base OT and
+//! otherwise keeps its order.
 
 use crate::channel::Channel;
 use crate::common::{
@@ -44,6 +55,25 @@ enum Role {
     /// Server-Garbler: per phase, the stored tables and the client's own
     /// input labels (`2k` per instance: share, then next randomness).
     Evaluator(Vec<(PhaseTables, Vec<Label>)>),
+}
+
+/// The OT extension state the client's role takes up.
+enum ClientOt {
+    /// Client-Garbler: the extension sender on the pair's retained state,
+    /// or `None` — a fresh one by the base OT the server opens after its
+    /// linear responses.
+    Garbler(Option<OtStream<OtExtSender>>),
+    /// Server-Garbler: the extension receiver.
+    Evaluator(EvaluatorOt),
+}
+
+/// Where a Server-Garbler client's extension receiver comes from.
+enum EvaluatorOt {
+    /// The pair's retained state, in the range the server reserved.
+    Cached(OtStream<OtExtReceiver>),
+    /// The base OT this client opened the session with: its transfer
+    /// answers the server's choice.
+    Opened(BaseSender),
 }
 
 /// The client's key material for one key plan: the secret key, and the
@@ -131,6 +161,15 @@ impl ServiceClient {
     /// it still caches the pair's IKNP state. On a dedicated pair the keys
     /// are always uploaded and base OT always runs.
     ///
+    /// The client's messages, in order: under Server-Garbler with base OT,
+    /// `OtBaseSetup`; the linear upload (`HeKeys` if needed, one `HeCts` or
+    /// `VecU64` per phase); under Server-Garbler with base OT, the
+    /// `OtBaseTransfer` answering the server's choice; after the linear
+    /// responses, the offline GC stage (Client-Garbler: base OT if needed,
+    /// then per phase `GcTables`, `GcDecode`, `GcLabels`; Server-Garbler:
+    /// per phase `OtExtend` for the received `GcTables`); the masked input;
+    /// the online exchanges per ReLU phase.
+    ///
     /// # Errors
     ///
     /// [`ProtocolError::Channel`] if the server vanishes,
@@ -170,20 +209,6 @@ impl ServiceClient {
         } else {
             (true, None)
         };
-        // The reserved range leaves the retained stream here, before
-        // anything is sent: whatever becomes of the session, no later one
-        // is accepted inside it.
-        let ot_blocks = meta.ot_blocks(cfg.kind);
-        let (mut cached_sender, mut cached_receiver) = (None, None);
-        match (cfg.kind, ot_base) {
-            (_, None) => {}
-            (ProtocolKind::ClientGarbler, Some(base)) => {
-                cached_sender = Some(claim(&mut self.ot_sender, base, ot_blocks)?);
-            }
-            (ProtocolKind::ServerGarbler, Some(base)) => {
-                cached_receiver = Some(claim(&mut self.ot_receiver, base, ot_blocks)?);
-            }
-        }
         assert_eq!(input.len(), meta.input_len, "input length mismatch");
         let p = meta.p;
         let k = meta.relu_width;
@@ -191,27 +216,53 @@ impl ServiceClient {
         let trace_scope = pi_trace::begin_local();
         let root_span = pi_trace::span!("client");
 
+        // The reserved range leaves the retained stream here, before
+        // anything is sent: whatever becomes of the session, no later one
+        // is accepted inside it. A Server-Garbler session without one opens
+        // with the client's base-OT setup.
+        let ot_blocks = meta.ot_blocks(cfg.kind);
+        let ot = match (cfg.kind, ot_base) {
+            (ProtocolKind::ClientGarbler, None) => ClientOt::Garbler(None),
+            (ProtocolKind::ClientGarbler, Some(base)) => {
+                ClientOt::Garbler(Some(claim(&mut self.ot_sender, base, ot_blocks)?))
+            }
+            (ProtocolKind::ServerGarbler, Some(base)) => {
+                let ot = claim(&mut self.ot_receiver, base, ot_blocks)?;
+                ClientOt::Evaluator(EvaluatorOt::Cached(ot))
+            }
+            (ProtocolKind::ServerGarbler, None) => {
+                let _span = pi_trace::span!("offline.ot");
+                let (sender, setup) = BaseSender::start(rng);
+                chan.send(Msg::OtBaseSetup(setup))?;
+                ClientOt::Evaluator(EvaluatorOt::Opened(sender))
+            }
+        };
+
         // ---------------- Offline ----------------
         // Randomness per activation (the input and every garbled ReLU's
-        // output), then the linear pass on it.
+        // output), then the linear pass on it: the whole upload now, the
+        // responses once the role is ready for them.
         let relu_phases = &meta.relu_phases;
         let act_lens = std::iter::once(meta.input_len).chain(relu_phases.iter().map(|r| r.rows));
         let r_acts = random_field_vecs(act_lens, p, rng);
-        let c_shares = {
+        let he = {
             let _span = pi_trace::span!("offline.he");
             let he = match cfg.he() {
                 Some(params) => Some(self.he_context(meta, params, chan, rng, upload, &mut out)?),
                 None => None,
             };
-            offline_linear(meta, &r_acts, he.as_ref(), chan, rng)?
+            upload_linear(meta, &r_acts, he.as_ref(), chan, rng)?;
+            he
         };
 
-        let role = match cfg.kind {
-            ProtocolKind::ClientGarbler => {
+        let (role, c_shares) = match ot {
+            ClientOt::Garbler(cached) => {
+                let c_shares = linear_shares(meta, he.as_ref(), chan)?;
                 // The client owns the label pairs for the server's inputs:
                 // it is the extension *sender*, on the pair's cached state
-                // or, by base OT, on a fresh one that starts at block 0.
-                let ot = match cached_sender {
+                // or, by the base OT the server opens now, on a fresh one
+                // that starts at block 0.
+                let ot = match cached {
                     Some(ot) => ot,
                     None => {
                         let _span = pi_trace::span!("offline.ot");
@@ -252,18 +303,18 @@ impl ServiceClient {
                 // garbler-side encoding cost).
                 let instances = garbler.phases.iter().map(Vec::len).sum::<usize>();
                 out.storage_bytes = instances as u64 * (2 * k as u64 + 1) * 16;
-                Role::Garbler(garbler)
+                (Role::Garbler(garbler), c_shares)
             }
-            ProtocolKind::ServerGarbler => {
+            ClientOt::Evaluator(start) => {
                 // The client obtains labels: it is the extension
-                // *receiver*, on the pair's cached state or, by base OT, on
-                // a fresh one that starts at block 0.
-                let mut ot = match cached_receiver {
-                    Some(ot) => ot,
-                    None => {
+                // *receiver*, on the pair's cached state or on a fresh one
+                // that starts at block 0. Its base-OT transfer goes out
+                // before it reads the linear responses, so it is computed
+                // while the server runs its HE pass.
+                let mut ot = match start {
+                    EvaluatorOt::Cached(ot) => ot,
+                    EvaluatorOt::Opened(sender) => {
                         let _span = pi_trace::span!("offline.ot");
-                        let (sender, setup) = BaseSender::start(rng);
-                        chan.send(Msg::OtBaseSetup(setup))?;
                         let (ext, transfer) = sender.finish(&recv!(chan, OtBaseChoice), rng)?;
                         chan.send(Msg::OtBaseTransfer(transfer))?;
                         if chan.is_service() {
@@ -272,6 +323,7 @@ impl ServiceClient {
                         OtStream::at(ext, 0)
                     }
                 };
+                let c_shares = linear_shares(meta, he.as_ref(), chan)?;
                 // Per ReLU phase: receive circuits, fetch own labels via OT
                 // (per element, share_b bits on wires k..2k, then r bits).
                 let mut phases = Vec::with_capacity(relu_phases.len());
@@ -288,7 +340,7 @@ impl ServiceClient {
                 // Storage: garbled circuits + own labels.
                 let labels = phases.iter().map(|(_, l)| l.len()).sum::<usize>();
                 out.storage_bytes = out.gc_bytes + labels as u64 * 16;
-                Role::Evaluator(phases)
+                (Role::Evaluator(phases), c_shares)
             }
         };
         // Either role also stores its shares and randomness.
@@ -406,17 +458,15 @@ impl ServiceClient {
     }
 }
 
-/// The offline linear pass: sends `E(r_cat)` per phase (cleartext `r_cat`
-/// without an HE context — insecure, test-only) and returns the client's
-/// additive shares `W·r − s`, one vector per phase (under HE, the fold of
-/// each response's masked replica blocks).
-fn offline_linear<R: Rng + ?Sized>(
+/// The offline linear upload: sends `E(r_cat)` per phase (cleartext
+/// `r_cat` without an HE context — insecure, test-only).
+fn upload_linear<R: Rng + ?Sized>(
     meta: &ModelMeta,
     r_acts: &[Vec<u64>],
     he: Option<&ClientHe<'_>>,
     chan: &Channel,
     rng: &mut R,
-) -> Result<Vec<Vec<u64>>, ProtocolError> {
+) -> Result<(), ProtocolError> {
     for ph in &meta.phases {
         let mut r_cat: Vec<u64> = Vec::with_capacity(ph.cols);
         for &a in &ph.inputs {
@@ -446,6 +496,18 @@ fn offline_linear<R: Rng + ?Sized>(
         let frame = pi_he::ciphertext_to_bytes_seeded(&ct, &seed);
         chan.send(Msg::HeCts(vec![frame]))?;
     }
+    Ok(())
+}
+
+/// The offline linear responses: the client's additive shares `W·r − s`,
+/// one vector per phase (under HE, the fold of each response's masked
+/// replica blocks).
+fn linear_shares(
+    meta: &ModelMeta,
+    he: Option<&ClientHe<'_>>,
+    chan: &Channel,
+) -> Result<Vec<Vec<u64>>, ProtocolError> {
+    let _span = pi_trace::span!("offline.he");
     let mut shares = Vec::with_capacity(meta.phases.len());
     for ph in &meta.phases {
         let share = match he {

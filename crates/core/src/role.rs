@@ -48,6 +48,11 @@ impl<E> OtStream<E> {
         Self { ext, next: block }
     }
 
+    /// The block the next extension starts at.
+    pub(crate) fn block(&self) -> u64 {
+        self.next
+    }
+
     /// The extension state itself.
     pub(crate) fn ext(&self) -> &E {
         &self.ext

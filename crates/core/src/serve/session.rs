@@ -26,10 +26,12 @@
 //! panic: one misbehaving client aborts one session. The machine is purely
 //! reactive, which suffices because the server's first protocol action in
 //! both kinds is a receive. Randomness is drawn from the session-owned
-//! [`StdRng`] in message order (shares or response masks, then base-OT
-//! material, then per-phase garbling/OT), so a session driven synchronously
-//! and one driven concurrently produce bit-identical transcripts from the
-//! same seed.
+//! [`StdRng`] in message order, so a session driven synchronously and one
+//! driven concurrently produce bit-identical transcripts from the same
+//! seed. Under Client-Garbler that is the response masks (or cleartext
+//! shares), then base-OT material, then per-phase OT; under Server-Garbler
+//! base-OT material comes first — the client opens the session with its
+//! setup — then the masks or shares, then per-phase garbling.
 //!
 //! **Base OT runs once per client pair.** A session created with the
 //! pair's cached [`ClientOtState`] reserves its range of the IKNP streams
@@ -37,6 +39,11 @@
 //! created without runs the three base-OT messages, starts at block 0 and
 //! hands the state up ([`Step::GotOt`]) the moment it exists. From there on
 //! the two are the same code: a fresh pair is the cached path at base 0.
+//! Client-Garbler's base OT follows the linear responses. Server-Garbler's
+//! straddles the linear pass: the server answers the client's opening
+//! setup with its choice at once, and the client sends its transfer after
+//! its upload — computed while the server runs the HE pass, on the core
+//! that pass leaves idle — which the server reads after its responses.
 
 use crate::channel::{Channel, ChannelTx};
 use crate::common::{
@@ -52,7 +59,7 @@ use pi_gc::Label;
 use pi_he::linalg;
 use pi_he::{BatchEncoder, BfvParams, Ciphertext, Plaintext};
 use pi_nn::PiModel;
-use pi_ot::ext::OtExtReceiver;
+use pi_ot::ext::{OtExtReceiver, OtExtSender};
 use rand::rngs::StdRng;
 use std::sync::Arc;
 
@@ -131,20 +138,41 @@ enum Role {
     Evaluator(Evaluator),
 }
 
+/// The offline linear pass, by the upload it awaits: the client's rotation
+/// keys, its ciphertexts (under the admitted keys, those received so far
+/// alongside), or its cleartext `r_cat`s (test-only).
+enum Linear {
+    Keys(HeCtx),
+    Cts {
+        he: HeCtx,
+        keys: Arc<ClientHeKeys>,
+        cts: Vec<Ciphertext>,
+    },
+    RCats(Vec<Vec<u64>>),
+}
+
+/// How the OT stage begins once the linear responses are out.
+enum OtStart {
+    /// Server-Garbler on the pair's cached IKNP state, from this session's
+    /// reserved block.
+    SgCached(OtStream<OtExtSender>),
+    /// Server-Garbler by the base OT the client opened the session with:
+    /// the receiver awaits the client's transfer.
+    SgTransfer(BaseReceiver),
+    /// Client-Garbler on the pair's cached IKNP state, likewise.
+    CgCached(OtStream<OtExtReceiver>),
+    /// Client-Garbler by base OT, which the server opens.
+    CgOpen,
+}
+
 /// The message each state waits for, with everything received or prepared
 /// so far that consuming it needs. Masked activations `acts` are indexed
 /// like the model's: `acts[0]` the input, `acts[i + 1]` the output of
 /// phase `i` — and since every phase but the last ends in a garbled ReLU,
 /// `acts.len() - 1` is both the next linear phase and the next garbled one.
 enum State {
-    AwaitKeys(HeCtx),
-    AwaitCts {
-        he: HeCtx,
-        keys: Arc<ClientHeKeys>,
-        cts: Vec<Ciphertext>,
-    },
-    AwaitRCats(Vec<Vec<u64>>),
-    SgAwaitBaseSetup,
+    SgAwaitBaseSetup(Linear),
+    Linear(Linear, OtStart),
     SgAwaitBaseTransfer(BaseReceiver),
     SgAwaitOtExtend(Garbler),
     CgAwaitBaseChoice(BaseSender),
@@ -169,10 +197,10 @@ impl State {
     /// reports it.
     fn expects(&self) -> &'static str {
         match self {
-            State::AwaitKeys(_) => "HeKeys",
-            State::AwaitCts { .. } => "HeCts",
-            State::AwaitRCats(_) | State::AwaitMaskedInput(_) => "VecU64",
-            State::SgAwaitBaseSetup => "OtBaseSetup",
+            State::SgAwaitBaseSetup(_) => "OtBaseSetup",
+            State::Linear(Linear::Keys(_), _) => "HeKeys",
+            State::Linear(Linear::Cts { .. }, _) => "HeCts",
+            State::Linear(Linear::RCats(_), _) | State::AwaitMaskedInput(_) => "VecU64",
             State::SgAwaitBaseTransfer(_) => "OtBaseTransfer",
             State::SgAwaitOtExtend(_) => "OtExtend",
             State::CgAwaitBaseChoice(_) => "OtBaseChoice",
@@ -192,9 +220,6 @@ pub struct ServerSession {
     meta: ModelMeta,
     rng: StdRng,
     state: State,
-    /// The pair's cached IKNP state and the base of the range reserved in
-    /// it for this session, until the OT stage takes them.
-    cached_ot: Option<(Arc<ClientOtState>, u64)>,
     s_vecs: Vec<Vec<u64>>,
     outcome: PartyOutcome,
 }
@@ -222,21 +247,30 @@ impl ServerSession {
             threads: cfg.lphe_threads,
         });
         let cts = Vec::new();
-        let state = match (he, cached_keys) {
-            (Some(he), Some(keys)) => State::AwaitCts { he, keys, cts },
-            (Some(he), None) => State::AwaitKeys(he),
-            (None, _) => State::AwaitRCats(Vec::new()),
+        let linear = match (he, cached_keys) {
+            (Some(he), Some(keys)) => Linear::Cts { he, keys, cts },
+            (Some(he), None) => Linear::Keys(he),
+            (None, _) => Linear::RCats(Vec::new()),
         };
-        let cached_ot = cached_ot.filter(|ot| ot.kind() == cfg.kind).map(|ot| {
-            let base = ot.reserve(meta.ot_blocks(cfg.kind));
-            (ot, base)
-        });
+        let cached = cached_ot.filter(|ot| ot.kind() == cfg.kind);
+        let base = |ot: &ClientOtState| ot.reserve(meta.ot_blocks(cfg.kind));
+        let state = match cfg.kind {
+            // Without cached state, the client opens the session with its
+            // base-OT setup.
+            ProtocolKind::ServerGarbler => match cached.and_then(|ot| ot.sender_at(base(&ot))) {
+                Some(ot) => State::Linear(linear, OtStart::SgCached(ot)),
+                None => State::SgAwaitBaseSetup(linear),
+            },
+            ProtocolKind::ClientGarbler => match cached.and_then(|ot| ot.receiver_at(base(&ot))) {
+                Some(ot) => State::Linear(linear, OtStart::CgCached(ot)),
+                None => State::Linear(linear, OtStart::CgOpen),
+            },
+        };
         Self {
             kind: cfg.kind,
             meta,
             rng,
             state,
-            cached_ot,
             s_vecs: Vec::new(),
             outcome: PartyOutcome::default(),
         }
@@ -246,13 +280,16 @@ impl ServerSession {
     /// must be the client's HE keys, and whether (and from which block) it
     /// runs on cached IKNP state instead of base OT.
     pub fn key_status(&self) -> Msg {
-        let need_keys = matches!(self.state, State::AwaitKeys(_));
-        let mut flags = if need_keys { Msg::NEED_KEYS } else { 0 };
-        let mut ot_base = 0;
-        if let Some((_, base)) = self.cached_ot {
-            flags |= Msg::OT_CACHED;
-            ot_base = base;
-        }
+        let need_keys = matches!(
+            self.state,
+            State::SgAwaitBaseSetup(Linear::Keys(_)) | State::Linear(Linear::Keys(_), _)
+        );
+        let (ot_cached, ot_base) = match &self.state {
+            State::Linear(_, OtStart::SgCached(ot)) => (Msg::OT_CACHED, ot.block()),
+            State::Linear(_, OtStart::CgCached(ot)) => (Msg::OT_CACHED, ot.block()),
+            _ => (0, 0),
+        };
+        let flags = if need_keys { Msg::NEED_KEYS } else { 0 } | ot_cached;
         Msg::KeyStatus { flags, ot_base }
     }
 
@@ -271,7 +308,14 @@ impl ServerSession {
         let k = self.meta.relu_width;
         let state = std::mem::replace(&mut self.state, State::Done);
         match (state, msg) {
-            (State::AwaitKeys(he), Msg::HeKeys(frame)) => {
+            (State::SgAwaitBaseSetup(linear), Msg::OtBaseSetup(setup)) => {
+                let _span = pi_trace::span!("offline.ot");
+                let (receiver, choice) = BaseReceiver::start(&setup, &mut self.rng)?;
+                ctx.sink.send(Msg::OtBaseChoice(choice))?;
+                self.state = State::Linear(linear, OtStart::SgTransfer(receiver));
+                Ok(Step::Idle)
+            }
+            (State::Linear(Linear::Keys(he), ot), Msg::HeKeys(frame)) => {
                 // Keys arrive as a serialized seed-expanded frame; one that
                 // fails to parse, or holds anything but the model's key
                 // plan, is the client's fault and aborts only this session.
@@ -282,14 +326,15 @@ impl ServerSession {
                         ClientHeKeys::admit(&frame, &he.params, &he.plan, ctx.retired_keys)?;
                     Arc::new(admitted)
                 };
-                self.state = State::AwaitCts {
+                let linear = Linear::Cts {
                     he,
                     keys: keys.clone(),
                     cts: Vec::new(),
                 };
+                self.state = State::Linear(linear, ot);
                 Ok(Step::GotKeys(keys))
             }
-            (State::AwaitCts { he, keys, mut cts }, Msg::HeCts(frames)) => {
+            (State::Linear(Linear::Cts { he, keys, mut cts }, ot), Msg::HeCts(frames)) => {
                 let [frame] = &frames[..] else {
                     return Err(ProtocolError::BadRequest("ciphertext batch not one frame"));
                 };
@@ -301,7 +346,7 @@ impl ServerSession {
                 }
                 cts.push(ct);
                 if cts.len() < self.meta.phases.len() {
-                    self.state = State::AwaitCts { he, keys, cts };
+                    self.state = State::Linear(Linear::Cts { he, keys, cts }, ot);
                     return Ok(Step::Idle);
                 }
                 // All inputs are in: answer every phase at once, in phase
@@ -326,15 +371,15 @@ impl ServerSession {
                             .send(Msg::HeCts(vec![pi_he::ciphertext_to_bytes(&resp)]))?;
                     }
                 }
-                self.start_ot_stage(ctx)
+                self.start_ot_stage(ctx, ot)
             }
-            (State::AwaitRCats(mut r_cats), Msg::VecU64(v)) => {
+            (State::Linear(Linear::RCats(mut r_cats), ot), Msg::VecU64(v)) => {
                 if v.len() != self.meta.phases[r_cats.len()].cols || !reduced(&v, p) {
                     return Err(ProtocolError::BadRequest("offline input vector"));
                 }
                 r_cats.push(v);
                 if r_cats.len() < self.meta.phases.len() {
-                    self.state = State::AwaitRCats(r_cats);
+                    self.state = State::Linear(Linear::RCats(r_cats), ot);
                     return Ok(Step::Idle);
                 }
                 // All inputs are in: answer every phase at once.
@@ -348,14 +393,7 @@ impl ServerSession {
                         ctx.sink.send(Msg::VecU64(share))?;
                     }
                 }
-                self.start_ot_stage(ctx)
-            }
-            (State::SgAwaitBaseSetup, Msg::OtBaseSetup(setup)) => {
-                let _span = pi_trace::span!("offline.ot");
-                let (receiver, choice) = BaseReceiver::start(&setup, &mut self.rng)?;
-                ctx.sink.send(Msg::OtBaseChoice(choice))?;
-                self.state = State::SgAwaitBaseTransfer(receiver);
-                Ok(Step::Idle)
+                self.start_ot_stage(ctx, ot)
             }
             (State::SgAwaitBaseTransfer(receiver), Msg::OtBaseTransfer(t)) => {
                 let ext = {
@@ -472,26 +510,20 @@ impl ServerSession {
     }
 
     /// Linear responses are out; take up the role on the pair's cached
-    /// IKNP state at the reserved base, or arm the role's base OT. The
-    /// evaluator's draws there (seed pairs, sender secret) and the
-    /// garbler's on the client's setup follow the linear-share draws.
-    fn start_ot_stage(&mut self, ctx: &SessionCtx<'_>) -> Result<Step, ProtocolError> {
-        let cached = self.cached_ot.take();
-        match self.kind {
-            ProtocolKind::ServerGarbler => match cached.and_then(|(ot, base)| ot.sender_at(base)) {
-                Some(ot) => return self.sg_garble_next(ctx, Garbler::new(ot)),
-                None => self.state = State::SgAwaitBaseSetup,
-            },
-            ProtocolKind::ClientGarbler => {
-                match cached.and_then(|(ot, base)| ot.receiver_at(base)) {
-                    Some(ot) => return self.cg_await_next(ctx, Evaluator::new(ot)),
-                    None => {
-                        let _span = pi_trace::span!("offline.ot");
-                        let (sender, setup) = BaseSender::start(&mut self.rng);
-                        ctx.sink.send(Msg::OtBaseSetup(setup))?;
-                        self.state = State::CgAwaitBaseChoice(sender);
-                    }
-                }
+    /// IKNP state at the reserved base, await the client's base-OT
+    /// transfer (Server-Garbler), or open base OT (Client-Garbler: the
+    /// evaluator's draws there, seed pairs and sender secret, follow the
+    /// linear-share draws).
+    fn start_ot_stage(&mut self, ctx: &SessionCtx<'_>, ot: OtStart) -> Result<Step, ProtocolError> {
+        match ot {
+            OtStart::SgCached(ot) => return self.sg_garble_next(ctx, Garbler::new(ot)),
+            OtStart::SgTransfer(receiver) => self.state = State::SgAwaitBaseTransfer(receiver),
+            OtStart::CgCached(ot) => return self.cg_await_next(ctx, Evaluator::new(ot)),
+            OtStart::CgOpen => {
+                let _span = pi_trace::span!("offline.ot");
+                let (sender, setup) = BaseSender::start(&mut self.rng);
+                ctx.sink.send(Msg::OtBaseSetup(setup))?;
+                self.state = State::CgAwaitBaseChoice(sender);
             }
         }
         Ok(Step::Idle)

@@ -78,15 +78,6 @@ impl Ciphertext {
         }
     }
 
-    /// Subtracts a plaintext.
-    pub fn sub_plain(&self, pt: &Plaintext, params: &BfvParams) -> Self {
-        let scaled = pt.poly.scale(params.delta());
-        Self {
-            c0: self.c0.sub(&scaled),
-            c1: self.c1.clone(),
-        }
-    }
-
     /// Multiplies by a plaintext polynomial (slot-wise product when both are
     /// batch-encoded). The plaintext is *not* scaled: `Enc(Δm)·p` decrypts to
     /// `m·p` with noise grown by roughly `‖p‖`.

@@ -139,7 +139,7 @@ impl BatchEncoder {
     /// noise amplification of `mul_plain` (uniform on `(−t/2, t/2]` has
     /// variance `t²/12` vs `t²/3` for `[0, t)`). Use for multiplication
     /// operands — Halevi–Shoup diagonals — never for additive encodings
-    /// (`add_plain`/`sub_plain` scale by `Δ` and would wrap).
+    /// (`add_plain` scales by `Δ` and would wrap).
     pub fn encode_periodic_centered(&self, values: &[u64]) -> Plaintext {
         self.center(self.encode_periodic(values))
     }

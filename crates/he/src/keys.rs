@@ -1434,13 +1434,6 @@ mod tests {
                 .coeffs()[0],
             130
         );
-        assert_eq!(
-            keys.secret
-                .decrypt(&ca.sub_plain(&b, &params))
-                .poly
-                .coeffs()[0],
-            70
-        );
     }
 
     #[test]

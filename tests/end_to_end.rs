@@ -99,6 +99,28 @@ fn he_protocols_match_reference_and_f64() {
     }
 }
 
+/// A Server-Garbler client's base OT runs between its linear upload and
+/// the responses, yet its span stays a sibling of the HE pass's directly
+/// under `client`, where the phase breakdown reads both.
+#[test]
+fn base_ot_and_the_he_pass_are_sibling_client_spans() {
+    let _full = full_tracing();
+    let s = setup(&zoo::tiny_cnn(), 100);
+    let input = s.fx.quantize_vec(&random_input_f(s.model.input_len, 102));
+    let cfg = ProtocolConfig::server_garbler(s.he.clone());
+    let (out, report) = private_inference(&s.model, &input, &cfg);
+    assert_eq!(out, s.qnet.forward_fixed(&input));
+    for path in ["client/offline.ot", "client/offline.he"] {
+        assert!(report.trace.span_stat(path).is_some(), "no {path} span");
+    }
+    for path in [
+        "client/offline.he/offline.ot",
+        "client/offline.ot/offline.he",
+    ] {
+        assert!(report.trace.span_stat(path).is_none(), "nested {path} span");
+    }
+}
+
 /// The noise gauge reads where the protocol decrypts — the client's
 /// `decrypt_switched` of every down-switched response — so a real request
 /// under full tracing fills `he.noise_decrypt_bits` (histograms are
@@ -140,6 +162,8 @@ fn the_noise_gauge_reads_where_the_protocol_decrypts() {
 /// real server session (`drive_sync`, server RNG seeded with
 /// `server_seed`): uploads the key frame and the phases' ciphertext
 /// frames, and returns every phase's response decrypted to all `N` slots.
+/// A Server-Garbler session opens with the client's base-OT setup and
+/// answers it before the linear pass, so that exchange comes first there.
 fn linear_responses(
     s: &Setup,
     cfg: &ProtocolConfig,
@@ -158,6 +182,14 @@ fn linear_responses(
             let rng = rand::rngs::StdRng::seed_from_u64(server_seed);
             let _ = pi_core::serve::session::drive_sync(&s.model, pre, cfg, &server, rng);
         });
+        if cfg.kind == ProtocolKind::ServerGarbler {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(server_seed + 1);
+            let (_, setup) = pi_ot::BaseOtSender::new(&mut rng);
+            client.send(Msg::OtBaseSetup(setup)).expect("base-OT setup");
+            let Ok(Msg::OtBaseChoice(_)) = client.recv() else {
+                panic!("no base-OT choice");
+            };
+        }
         client.send(Msg::HeKeys(keys.clone())).expect("upload");
         for frame in uploads {
             let upload = Msg::HeCts(vec![frame.clone()]);

@@ -166,11 +166,12 @@ fn misbehaving_client_gets_a_typed_error_not_a_panic() {
 
     let conn = rt.connect(0, model_id, 1);
     assert!(matches!(conn.chan.recv(), Ok(Msg::KeyStatus { .. })));
-    // Clear mode expects a VecU64 offline input; send garbage labels.
+    // A first Server-Garbler session expects the client's base-OT setup;
+    // send garbage labels.
     conn.chan.send(Msg::GcLabels(Vec::new())).unwrap();
     match conn.handle.wait() {
         Err(ProtocolError::UnexpectedMsg { expected, got }) => {
-            assert_eq!(expected, "VecU64");
+            assert_eq!(expected, "OtBaseSetup");
             assert_eq!(got, "GcLabels");
         }
         other => panic!("expected UnexpectedMsg, got {other:?}"),
@@ -346,9 +347,17 @@ fn relay(from: &Channel, to: &Channel) -> Transcript {
 /// composition chain and no public key.
 /// A `GcTables` message is `rows · (8 + 133 · 32) + 8` bytes: 133 ANDs per
 /// truncating ReLU since `CircuitBuilder::build` drops dead gates.
+/// Server-Garbler's base OT has since moved ahead of the linear pass, every
+/// size unchanged: the client opens with its setup and sends its transfer
+/// after its upload, so the server answers with its choice before its
+/// linear responses.
 fn pinned_transcript(kind: ProtocolKind) -> (Transcript, Transcript) {
     let he_up = [("HeKeys", 208_982), ("HeCts", 15_938), ("HeCts", 15_938)];
     let he_down = [("HeCts", 23_074); 3];
+    let (open_up, open_down): (&[_], &[_]) = match kind {
+        ProtocolKind::ClientGarbler => (&[], &[]),
+        ProtocolKind::ServerGarbler => (&[("OtBaseSetup", 32)], &[("OtBaseChoice", 4_096)]),
+    };
     let (up, down): (&[_], &[_]) = match kind {
         ProtocolKind::ClientGarbler => (
             &[
@@ -375,7 +384,6 @@ fn pinned_transcript(kind: ProtocolKind) -> (Transcript, Transcript) {
         ProtocolKind::ServerGarbler => (
             &[
                 ("HeCts", 15_938),
-                ("OtBaseSetup", 32),
                 ("OtBaseTransfer", 4_128),
                 ("OtExtend", 46_088),
                 ("OtExtend", 10_248),
@@ -384,7 +392,6 @@ fn pinned_transcript(kind: ProtocolKind) -> (Transcript, Transcript) {
                 ("GcLabels", 5_128),
             ],
             &[
-                ("OtBaseChoice", 4_096),
                 ("GcTables", 307_016),
                 ("OtTransfer", 92_168),
                 ("GcTables", 68_232),
@@ -395,7 +402,10 @@ fn pinned_transcript(kind: ProtocolKind) -> (Transcript, Transcript) {
             ],
         ),
     };
-    ([&he_up, up].concat(), [&he_down, down].concat())
+    (
+        [open_up, &he_up, up].concat(),
+        [open_down, &he_down, down].concat(),
+    )
 }
 
 /// What [`pinned_transcript`] becomes on the serving runtime for a client
@@ -1566,6 +1576,147 @@ fn malformed_key_status_is_a_bad_request_before_the_client_sends() {
         assert_eq!(r.ran, Ok(expect), "{kind:?}: return visit");
         assert_eq!(r.status, (Msg::OT_CACHED, 2 * meta.ot_blocks(kind)));
         neighbour_completes(&rt, (model_id, 3), &model, party, &format!("{kind:?}"));
+    }
+}
+
+/// Replaces the relayed message with a well-formed base-OT setup.
+fn base_ot_setup(m: &mut Msg, _: u64) {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0);
+    *m = Msg::OtBaseSetup(pi_ot::BaseOtSender::new(&mut rng).1);
+}
+
+/// A Server-Garbler session takes the client's base-OT setup as its first
+/// message and at no other point: a setup where the first linear message
+/// belongs (a second one), one after the first linear message, and one to
+/// a session running on cached OT state are each `UnexpectedMsg` — under
+/// the runtime and under `drive_sync` (which caches nothing, so the third
+/// has no `drive_sync` form), in both linear modes — and a neighbour
+/// completes bit-exact after them.
+#[test]
+fn a_base_ot_setup_out_of_its_place_is_unexpected() {
+    let he = BfvParams::small_test();
+    let model = Arc::new(build_model(&he, 11));
+    let meta = ModelMeta::of(&model);
+    for he in [Some(&he), None] {
+        let cfg = protocol_cfg(ProtocolKind::ServerGarbler, he);
+        let party = (&meta, &cfg);
+        // The uplink message a setup replaces — `(kind, nth)` — which is
+        // also what the session expected: the first linear message, the
+        // one after it, and a returning session's first.
+        let (first, second, returning) = match he {
+            Some(_) => (("HeKeys", 0), ("HeCts", 0), ("HeCts", 0)),
+            None => (("VecU64", 0), ("VecU64", 1), ("VecU64", 0)),
+        };
+        let unexpected =
+            |served: &Result<pi_core::PartyOutcome, ProtocolError>, expected: &str, what: &str| {
+                let got = match served {
+                    Err(ProtocolError::UnexpectedMsg { expected, got }) => Some((*expected, *got)),
+                    _ => None,
+                };
+                assert_eq!(got, Some((expected, "OtBaseSetup")), "{what}: {served:?}");
+            };
+        let rt = ServeRuntime::new(serve_cfg(1));
+        let model_id = rt.register_model((*model).clone(), cfg.clone());
+        let cases = [
+            ("a second setup", first),
+            ("a setup after the first linear message", second),
+        ];
+        for (c, (what, (target, nth))) in cases.into_iter().enumerate() {
+            let what = format!("he={}, {what}", he.is_some());
+            let (_, tamper) = case("", target, nth, base_ot_setup);
+            let input = random_input(&model, 1_000 + c as u64);
+            let ids = (model_id, c as u64);
+            let served = tampered_session(&rt, ids, party, input, tamper, &what);
+            unexpected(&served, target, &format!("runtime, {what}"));
+            let (ran, served) = tampered_sync_run(&model, &cfg, (Dir::Up, tamper), &what);
+            unexpected(&served, target, &format!("drive_sync, {what}"));
+            assert!(
+                matches!(ran, Err(ProtocolError::Channel(_))),
+                "{what}: {ran:?}"
+            );
+        }
+        // A returning client: its second session runs on cached OT state.
+        let what = format!("he={}, a setup on cached OT state", he.is_some());
+        let (ids, client) = ((model_id, 2), ServiceClient::new());
+        let input = random_input(&model, 1_010);
+        let expect = model.forward(&input);
+        let (r, client) = relayed_request(&rt, ids, client, party, input, None, &what);
+        assert_eq!(r.ran, Ok(expect), "{what}: first visit");
+        let (target, nth) = returning;
+        let tamper = Some((Dir::Up, case("", target, nth, base_ot_setup).1));
+        let input = random_input(&model, 1_011);
+        let (r, _) = relayed_request(&rt, ids, client, party, input, tamper, &what);
+        assert_eq!(r.status.0 & Msg::OT_CACHED, Msg::OT_CACHED, "{what}");
+        unexpected(&r.served, target, &what);
+        assert!(
+            matches!(r.ran, Err(ProtocolError::Channel(_))),
+            "{what}: {:?}",
+            r.ran
+        );
+        let what = format!("he={}", he.is_some());
+        neighbour_completes(&rt, (model_id, 3), &model, party, &what);
+        let input = random_input(&model, 1_012);
+        let (out, _) = pi_core::private_inference(&model, &input, &cfg);
+        assert_eq!(out, model.forward(&input), "{what}: drive_sync neighbour");
+    }
+}
+
+/// `KeyStatus` says exactly what the server caches, in all four
+/// combinations of rotation keys and OT state, under both garbler kinds —
+/// and every combination completes bit-exact. One client id visits
+/// `tiny_cnn`, again, a model of another key plan (keys missed, OT state
+/// hit), and `tiny_cnn` under the other garbler kind (keys hit, the OT
+/// state the other kind's). A Server-Garbler session without cached OT
+/// state, and only that, opens with the client's base-OT setup.
+#[test]
+fn key_status_flags_what_the_server_caches() {
+    let he = BfvParams::small_test();
+    let models = [build_model(&he, 11), build_spec(&mlp_spec(), &he, 12)];
+    let metas = [ModelMeta::of(&models[0]), ModelMeta::of(&models[1])];
+    let (keys, ot) = (Msg::NEED_KEYS, Msg::OT_CACHED);
+    for kind in [ProtocolKind::ClientGarbler, ProtocolKind::ServerGarbler] {
+        let other = match kind {
+            ProtocolKind::ClientGarbler => ProtocolKind::ServerGarbler,
+            ProtocolKind::ServerGarbler => ProtocolKind::ClientGarbler,
+        };
+        let rt = ServeRuntime::new(serve_cfg(2));
+        let cfgs = [
+            protocol_cfg(kind, Some(&he)),
+            protocol_cfg(other, Some(&he)),
+        ];
+        let ids = [
+            rt.register_model(models[0].clone(), cfgs[0].clone()),
+            rt.register_model(models[1].clone(), cfgs[0].clone()),
+            rt.register_model(models[0].clone(), cfgs[1].clone()),
+        ];
+        // (registered model, model, config, expected flags)
+        let visits = [
+            (0, 0, 0, keys),
+            (0, 0, 0, ot),
+            (1, 1, 0, keys | ot),
+            (2, 0, 1, 0),
+        ];
+        let mut client = ServiceClient::new();
+        for (visit, (id, m, c, flags)) in visits.into_iter().enumerate() {
+            let what = format!("{kind:?}, visit {visit}");
+            let input = random_input(&models[m], 1_100 + visit as u64);
+            let expect = models[m].forward(&input);
+            let party = (&metas[m], &cfgs[c]);
+            let (r, back) = relayed_request(&rt, (ids[id], 9), client, party, input, None, &what);
+            client = back;
+            assert_eq!(r.status.0, flags, "{what}");
+            assert_eq!(r.ran, Ok(expect), "{what}");
+            assert!(r.served.is_ok(), "{what}: server {:?}", r.served);
+            let opens_base_ot = cfgs[c].kind == ProtocolKind::ServerGarbler && flags & ot == 0;
+            assert_eq!(
+                r.up[0].0 == "OtBaseSetup",
+                opens_base_ot,
+                "{what}: {:?}",
+                r.up
+            );
+            let uploads = r.up.iter().filter(|m| m.0 == "HeKeys").count();
+            assert_eq!(uploads, usize::from(flags & keys != 0), "{what}");
+        }
     }
 }
 

@@ -287,12 +287,13 @@ fn split_kernels_keep_every_count_in_the_request_report() {
 }
 
 /// A fresh client's cold path splits too: base OT per transfer, key
-/// generation and admission per key. For a served Client-Garbler
-/// `tiny_cnn` request whose client has no keys and no OT state, at widths
-/// 1, 2 and 3 (both parties pinned), the two reports' `ot.base`,
-/// `ntt.forward` and `wire.seed_expand` equal what the process-global
-/// counters moved by — as do the `aes.blocks` its OT extension counts on
-/// the threads that expand.
+/// generation and admission per key. For a `tiny_cnn` request of either
+/// garbler kind whose client has no keys and no OT state, at widths 1, 2
+/// and 3 (both parties pinned), the output is bit-exact and the two
+/// reports' `ot.base`, `ntt.forward` and `wire.seed_expand` equal what the
+/// process-global counters moved by — as do the `aes.blocks` its OT
+/// extension counts on the threads that expand. Under Server-Garbler the
+/// client's base-OT transfer runs while the server computes its HE pass.
 #[test]
 fn a_fresh_clients_cold_path_reports_every_count_at_every_width() {
     use pi_trace::Counter;
@@ -305,9 +306,6 @@ fn a_fresh_clients_cold_path_reports_every_count_at_every_width() {
     let input: Vec<u64> = (0..model.input_len)
         .map(|_| fx.p.from_signed(rng.gen_range(-16..=16)))
         .collect();
-    let cfg = ProtocolConfig::client_garbler(he, 1);
-    let pre = ServerPrecomp::new(&model, &cfg);
-
     let counters = [
         Counter::OtBase,
         Counter::NttForward,
@@ -315,14 +313,23 @@ fn a_fresh_clients_cold_path_reports_every_count_at_every_width() {
         Counter::AesBlocks,
     ];
     pi_trace::force_mode(Some(TraceMode::Counters));
-    for threads in 1..=3 {
-        let before = counters.map(pi_trace::global_counter);
-        let (out, client, server) = pinned_inference(&model, &pre, &input, &cfg, threads);
-        let what = format!("width {threads}");
-        assert_eq!(out, model.forward(&input), "{what}");
-        let base = [&client, &server].map(|p| p.trace.counter(Counter::OtBase.name()));
-        assert_eq!(base, [None, Some(128)], "{what}: the base-OT sender counts");
-        assert_reports_hold_the_global_deltas(&counters, &before, [&client, &server], &what);
+    for (cfg, sender) in [
+        (
+            ProtocolConfig::client_garbler(he.clone(), 1),
+            [None, Some(128)],
+        ),
+        (ProtocolConfig::server_garbler(he), [Some(128), None]),
+    ] {
+        let pre = ServerPrecomp::new(&model, &cfg);
+        for threads in 1..=3 {
+            let before = counters.map(pi_trace::global_counter);
+            let (out, client, server) = pinned_inference(&model, &pre, &input, &cfg, threads);
+            let what = format!("{:?}, width {threads}", cfg.kind);
+            assert_eq!(out, model.forward(&input), "{what}");
+            let base = [&client, &server].map(|p| p.trace.counter(Counter::OtBase.name()));
+            assert_eq!(base, sender, "{what}: the base-OT sender counts");
+            assert_reports_hold_the_global_deltas(&counters, &before, [&client, &server], &what);
+        }
     }
     pi_trace::force_mode(None);
 }
