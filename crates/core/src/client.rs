@@ -31,7 +31,7 @@ use crate::error::ProtocolError;
 use crate::msg::Msg;
 use crate::role::{encode, BaseReceiver, BaseSender, Garbler, LabelRequest, OtStream, PhaseTables};
 use pi_gc::Label;
-use pi_he::{linalg, BatchEncoder, BfvParams, GaloisKeys, NoiseStage, SecretKey};
+use pi_he::{linalg, BatchEncoder, BfvParams, NoiseStage, SecretKey};
 use pi_ot::ext::{OtExtReceiver, OtExtSender};
 use rand::Rng;
 use std::collections::hash_map::{Entry, HashMap};
@@ -406,9 +406,10 @@ impl ServiceClient {
     /// every linear-layer dimension the model metadata announces — written
     /// straight into their upload frame; accounts the key material, and
     /// uploads the frame when `upload`: a serving-runtime session whose
-    /// server still caches the keys skips the multi-megabyte transfer
-    /// entirely, and one that claims to cache keys this client does not
-    /// hold for the plan is refused before anything is sent.
+    /// server still caches the keys skips the upload (a `tiny_cnn` plan
+    /// at n = 4096 is two keys, ≈0.2 MB on the wire), and one that claims
+    /// to cache keys this client does not hold for the plan is refused
+    /// before anything is sent.
     fn he_context<'a, R: Rng + ?Sized>(
         &mut self,
         meta: &ModelMeta,
@@ -440,12 +441,6 @@ impl ServiceClient {
         // Accounting reports the serialized frame length — the bytes that
         // actually cross the wire — not the in-memory footprint.
         out.galois_key_bytes = keys.frame.len() as u64;
-        // The per-rotation baseline for a dimension set is the UNION of the
-        // per-dim rotation sets; smaller dims' rotations {1..d−1} nest
-        // inside the largest, so the union is the max dim's set.
-        let max_dim = meta.phases.iter().map(|ph| ph.padded_dim).max();
-        out.galois_key_bytes_per_rotation =
-            GaloisKeys::per_rotation_set_byte_len(params, max_dim.unwrap_or(1)) as u64;
         if upload {
             chan.send(Msg::HeKeys(keys.frame.clone()))?;
         }
@@ -494,7 +489,7 @@ fn upload_linear<R: Rng + ?Sized>(
         // below PI_TRACE=full.
         secret.gauge_noise(&ct, NoiseStage::Encrypt);
         let frame = pi_he::ciphertext_to_bytes_seeded(&ct, &seed);
-        chan.send(Msg::HeCts(vec![frame]))?;
+        chan.send(Msg::HeCts(frame))?;
     }
     Ok(())
 }
@@ -512,11 +507,8 @@ fn linear_shares(
     for ph in &meta.phases {
         let share = match he {
             Some(he) => {
-                let frames = recv!(chan, HeCts);
-                let [frame] = &frames[..] else {
-                    return Err(ProtocolError::BadRequest("HeCts response not one frame"));
-                };
-                let ct = pi_he::ciphertext_from_bytes(frame, he.params)?;
+                let frame = recv!(chan, HeCts);
+                let ct = pi_he::ciphertext_from_bytes(&frame, he.params)?;
                 if ct.c0.ctx().q() != he.params.down_q() {
                     return Err(ProtocolError::BadRequest(
                         "response ciphertext not modulus-switched",

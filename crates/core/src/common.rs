@@ -425,9 +425,6 @@ pub struct PartyOutcome {
     /// Galois key material generated/uploaded: the model's key plan
     /// (client side, HE mode only; zero otherwise).
     pub galois_key_bytes: u64,
-    /// What a full per-rotation key set would have cost for the same layer
-    /// dimensions (the one-replica hoisting-without-BSGS baseline).
-    pub galois_key_bytes_per_rotation: u64,
     /// Extended OTs this party took part in.
     pub ot_count: u64,
 }

@@ -40,12 +40,13 @@ pub enum Msg {
     /// seed-expanded wire frame ([`pi_he::galois_keys_frame`]). The server
     /// reads nothing else of the client's key material, so nothing else is
     /// sent. The frame is shared with the client's retained copy, not
-    /// cloned from it: an upload moves a pointer, not megabytes.
+    /// cloned from it: an upload moves a pointer, not the frame (a
+    /// `tiny_cnn` plan at n = 4096 is two keys, ≈0.2 MB).
     HeKeys(Arc<Vec<u8>>),
-    /// Encrypted vectors (client's `E(r)` per phase, or the server's
-    /// mod-switched response: masked replica blocks that fold to
-    /// `W·r − s`), one serialized ciphertext frame each.
-    HeCts(Vec<Vec<u8>>),
+    /// One phase's serialized ciphertext frame: the client's seeded
+    /// `E(r)` up, or the server's mod-switched response down (masked
+    /// replica blocks that fold to `W·r − s`).
+    HeCts(Vec<u8>),
     /// Cleartext field vector: masked activations, output shares, or — in
     /// the insecure test-only `LinearMode::Clear` — the raw randomness.
     VecU64(Vec<u64>),
@@ -77,14 +78,14 @@ impl Msg {
     pub const OT_CACHED: u8 = 2;
 
     /// Wire-format size in bytes. For HE frames this is the exact length of
-    /// the serialized bytes being carried (plus an 8-byte length prefix per
-    /// frame); for everything else, the analytic binary-encoding size.
+    /// the serialized bytes being carried plus an 8-byte length prefix; for
+    /// everything else, the analytic binary-encoding size.
     pub fn byte_len(&self) -> usize {
         match self {
             Msg::KeyStatus { flags, .. } if flags & Msg::OT_CACHED != 0 => 1 + 8,
             Msg::KeyStatus { .. } => 1,
             Msg::HeKeys(gk) => 8 + gk.len(),
-            Msg::HeCts(frames) => 8 + frames.iter().map(|f| 8 + f.len()).sum::<usize>(),
+            Msg::HeCts(frame) => 8 + frame.len(),
             Msg::VecU64(v) => 8 + v.len() * 8,
             Msg::GcTables(circuits) => 8 + circuits.iter().map(|t| 8 + t.len() * 32).sum::<usize>(),
             Msg::GcDecode(bits) => 8 + bits.iter().map(|b| 8 + b.len().div_ceil(8)).sum::<usize>(),
@@ -144,8 +145,7 @@ mod tests {
 
     #[test]
     fn he_frames_count_serialized_bytes() {
-        let msg = Msg::HeCts(vec![vec![0u8; 100], vec![0u8; 7]]);
-        assert_eq!(msg.byte_len(), 8 + (8 + 100) + (8 + 7));
+        assert_eq!(Msg::HeCts(vec![0u8; 100]).byte_len(), 8 + 100);
         assert_eq!(Msg::HeKeys(Arc::new(vec![0u8; 20])).byte_len(), 8 + 20);
     }
 }

@@ -43,7 +43,6 @@ pub fn merge_cost_report(
         relu_count,
         gc_bytes: client.gc_bytes.max(server.gc_bytes),
         galois_key_bytes: client.galois_key_bytes,
-        galois_key_bytes_per_rotation: client.galois_key_bytes_per_rotation,
         // Both parties count the same OTs, so take the max rather than
         // double-count.
         ot_count: client.ot_count.max(server.ot_count),
@@ -126,10 +125,6 @@ pub struct CostReport {
     /// the model's key plan (the replicated schedule's babies and giants
     /// per layer dimension).
     pub galois_key_bytes: u64,
-    /// What a full per-rotation key set (`d − 1` elements per dimension,
-    /// the one-replica hoisting-without-BSGS baseline) would cost — the
-    /// offline key-storage figure the key plan replaces.
-    pub galois_key_bytes_per_rotation: u64,
     /// Extended OTs executed (one per evaluator input bit served).
     pub ot_count: u64,
     /// Merged client+server trace of the inference: phase spans, substrate
@@ -183,21 +178,6 @@ impl CostReport {
             self.ot_count,
             Self::opt_sum(self.offline.ot_ms, self.online.ot_ms),
         )
-    }
-
-    /// Offline Galois-key storage/upload saving of the key plan over a
-    /// full per-rotation set (the union over the model's dimensions, i.e.
-    /// the largest dim's `d − 1` rotations). Every key is one size, so this
-    /// is the ratio of the element counts: at n = 4096, 127 / 2 for a
-    /// single 128-wide layer and for a whole tiny-cnn key upload (dims
-    /// 128/128/16: the 16-wide layer needs no rotation); grows with the
-    /// dimension. `1.0` when no HE keys were generated.
-    pub fn galois_key_saving(&self) -> f64 {
-        if self.galois_key_bytes == 0 {
-            1.0
-        } else {
-            self.galois_key_bytes_per_rotation as f64 / self.galois_key_bytes as f64
-        }
     }
 }
 

@@ -334,11 +334,8 @@ impl ServerSession {
                 self.state = State::Linear(linear, ot);
                 Ok(Step::GotKeys(keys))
             }
-            (State::Linear(Linear::Cts { he, keys, mut cts }, ot), Msg::HeCts(frames)) => {
-                let [frame] = &frames[..] else {
-                    return Err(ProtocolError::BadRequest("ciphertext batch not one frame"));
-                };
-                let ct = pi_he::ciphertext_from_bytes(frame, &he.params)?;
+            (State::Linear(Linear::Cts { he, keys, mut cts }, ot), Msg::HeCts(frame)) => {
+                let ct = pi_he::ciphertext_from_bytes(&frame, &he.params)?;
                 if ct.c0.ctx().q() != he.params.q() {
                     return Err(ProtocolError::BadRequest(
                         "offline upload not at the full ciphertext modulus",
@@ -368,7 +365,7 @@ impl ServerSession {
                         // GC handoff.
                         let resp = prod.add_plain(mask, &he.params).mod_switch_down(&he.params);
                         ctx.sink
-                            .send(Msg::HeCts(vec![pi_he::ciphertext_to_bytes(&resp)]))?;
+                            .send(Msg::HeCts(pi_he::ciphertext_to_bytes(&resp)))?;
                     }
                 }
                 self.start_ot_stage(ctx, ot)

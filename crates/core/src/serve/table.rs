@@ -3,11 +3,12 @@
 //! The expensive per-client state a shared server wants to keep between
 //! requests (a client's uploaded HE keys, a client pair's post-base-OT
 //! IKNP state, a model's encoded diagonals) is large: a single client's
-//! Galois keys run to tens of megabytes. The table meters admission by
-//! **bytes, not entries**: once the budget is exceeded, the
-//! least-recently-used entries go. One lock guards the map, the byte count
-//! and the recency clock; a request takes it a handful of times, each for
-//! a hash lookup or — on an insert that overflows — one scan per victim.
+//! `tiny_cnn` key set at n = 4096 is two keys, ≈1.1 MB resident (≈0.2 MB
+//! on the wire). The table meters admission by **bytes, not entries**:
+//! once the budget is exceeded, the least-recently-used entries go. One
+//! lock guards the map, the byte count and the recency clock; a request
+//! takes it a handful of times, each for a hash lookup or — on an insert
+//! that overflows — one scan per victim.
 //!
 //! Values are handed out as `Arc`s: eviction drops the table's reference
 //! only, so sessions already holding an entry are never invalidated

@@ -88,32 +88,13 @@ pub fn find_ntt_prime(bits: u32, n: u64) -> u64 {
     find_prime_congruent(bits, 2 * n)
 }
 
-/// Fallible variant of [`find_ntt_prime`]: returns `None` when no prime
-/// `q < 2^bits` with `q ≡ 1 (mod 2n)` exists, instead of panicking.
-///
-/// # Panics
-///
-/// Still panics on malformed *inputs* (`bits` outside `4..=62`, `n` not a
-/// power of two, or `2n >= 2^bits`): those are caller bugs, not search
-/// failures.
-///
-/// # Examples
-///
-/// ```
-/// assert!(pi_field::prime::try_find_ntt_prime(20, 1024).is_some());
-/// ```
-pub fn try_find_ntt_prime(bits: u32, n: u64) -> Option<u64> {
-    assert!(n.is_power_of_two(), "n must be a power of two");
-    try_find_prime_congruent(bits, 2 * n)
-}
-
 /// Fallible variant of [`find_prime_congruent`]: `None` when no prime of the
 /// requested shape exists below `2^bits`.
 ///
 /// # Panics
 ///
-/// Panics if `bits` is outside `4..=62` or `step >= 2^bits` (input-contract
-/// violations, as in [`try_find_ntt_prime`]). The cap of 62 matches the
+/// Panics if `bits` is outside `4..=62` or `step >= 2^bits`: those are
+/// caller bugs, not search failures. The cap of 62 matches the
 /// [`crate::Modulus`] contract `q < 2^62` (which keeps the lazy `[0, 4q)`
 /// domain inside a `u64`).
 pub fn try_find_prime_congruent(bits: u32, step: u64) -> Option<u64> {
@@ -306,7 +287,10 @@ mod tests {
 
     #[test]
     fn try_variants_agree_with_panicking_search() {
-        assert_eq!(try_find_ntt_prime(20, 1024), Some(find_ntt_prime(20, 1024)));
+        assert_eq!(
+            try_find_prime_congruent(20, 2 * 1024),
+            Some(find_ntt_prime(20, 1024))
+        );
         assert_eq!(
             try_find_prime_congruent(40, 4096 * 13),
             Some(find_prime_congruent(40, 4096 * 13))

@@ -166,13 +166,6 @@ impl BatchEncoder {
         }
     }
 
-    /// Encodes signed values (balanced representation mod `t`).
-    pub fn encode_signed(&self, values: &[i64]) -> Plaintext {
-        let t = self.params.t();
-        let mapped: Vec<u64> = values.iter().map(|&v| t.from_signed(v)).collect();
-        self.encode(&mapped)
-    }
-
     /// Decodes a plaintext into its `N` slot values.
     pub fn decode(&self, pt: &Plaintext) -> Vec<u64> {
         let mut evals = pt.poly.coeffs();
@@ -261,14 +254,6 @@ mod tests {
     }
 
     #[test]
-    fn signed_encoding() {
-        let (params, enc) = setup();
-        let pt = enc.encode_signed(&[-1, 2, -3]);
-        let t = params.t().value();
-        assert_eq!(&enc.decode(&pt)[..3], &[t - 1, 2, t - 3]);
-    }
-
-    #[test]
     #[should_panic]
     fn periodic_rejects_non_divisor() {
         let (_, enc) = setup();
@@ -308,7 +293,7 @@ mod tests {
         let n = params.n();
         let v: Vec<u64> = (0..n as u64).collect();
         let ct = keys.secret.encrypt_seeded(&enc.encode(&v), &mut rng).0;
-        let swapped = keys.galois.rotate_columns(&ct).expect("row-swap key");
+        let swapped = keys.galois.apply(&ct, 2 * n - 1).expect("row-swap key");
         let dec = enc.decode(&keys.secret.decrypt(&swapped));
         assert_eq!(&dec[..n / 2], &v[n / 2..]);
         assert_eq!(&dec[n / 2..], &v[..n / 2]);

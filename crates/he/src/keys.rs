@@ -1129,15 +1129,6 @@ impl GaloisKeys {
         Ok(result)
     }
 
-    /// Swaps the two SIMD rows (`x ↦ x^{2N-1}`).
-    ///
-    /// # Errors
-    ///
-    /// [`KeyError::MissingGaloisKey`] if the row-swap key is missing.
-    pub fn rotate_columns(&self, ct: &Ciphertext) -> Result<Ciphertext, KeyError> {
-        self.apply(ct, 2 * self.params.n() - 1)
-    }
-
     /// Parameters these keys were generated for.
     pub fn params(&self) -> &BfvParams {
         &self.params
@@ -1167,26 +1158,6 @@ impl GaloisKeys {
     pub fn resident_byte_len_of(params: &BfvParams, entries: usize) -> usize {
         let n = params.n();
         entries * (KEY_DIGITS * 8 * n * 8 + GaloisPerm::byte_len_at(n))
-    }
-
-    /// Exact length of this key set's serialized wire frame
-    /// ([`crate::wire::galois_keys_to_bytes`]): packed `k0` halves plus one
-    /// 32-byte seed.
-    pub fn wire_byte_len(&self) -> usize {
-        crate::wire::galois_keys_wire_len(&self.params, self.keys.len())
-    }
-
-    /// Serialized size a **per-rotation** key set would need at dimension
-    /// `dim`, on the same wire basis as the real frames (packed `k0`
-    /// halves, seed-expanded `a` halves): one key for each of the `dim − 1`
-    /// rotation amounts a hoisted (non-composing) diagonal matvec would
-    /// otherwise demand. The replicated schedule's
-    /// [`crate::linalg::key_plan`] holds far fewer (7 at `d = 128`,
-    /// `n = 4096`); comparing the serialized Galois frame length against
-    /// this figure is the offline key-storage win reported in `pi-core`'s
-    /// `CostReport`.
-    pub fn per_rotation_set_byte_len(params: &BfvParams, dim: usize) -> usize {
-        crate::wire::galois_keys_wire_len(params, dim.saturating_sub(1))
     }
 
     pub(crate) fn seed(&self) -> &[u8; 32] {
@@ -1657,7 +1628,7 @@ mod tests {
         );
         // The generated power-of-two composition keys work.
         assert!(keys.galois.rotate_rows(&ct, 3).is_ok());
-        assert!(keys.galois.rotate_columns(&ct).is_ok());
+        assert!(keys.galois.apply(&ct, 2 * params.n() - 1).is_ok());
         // A graceful service can report the failure without dying.
         let msg = keys.galois.apply(&ct, 5).unwrap_err().to_string();
         assert!(msg.contains("no Galois key"));

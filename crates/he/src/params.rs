@@ -221,12 +221,6 @@ impl BfvParams {
     pub fn slot_count(&self) -> usize {
         self.ring.n()
     }
-
-    /// Size in bytes of a serialized ciphertext (two polynomials of `N`
-    /// 8-byte words). Used for communication accounting.
-    pub fn ciphertext_bytes(&self) -> usize {
-        2 * self.ring.n() * 8
-    }
 }
 
 #[cfg(test)]
@@ -243,7 +237,6 @@ mod tests {
         assert_eq!(p.q().value() % (2 * 4096), 1);
         assert_eq!(p.t().value() % (2 * 4096), 1);
         assert!(p.delta() > (1 << 38));
-        assert_eq!(p.ciphertext_bytes(), 2 * 4096 * 8);
         // The special prime: NTT-friendly, its own prime, and with q inside
         // the 128-bit security row for a ternary secret at n = 4096.
         let special = p.special_p();

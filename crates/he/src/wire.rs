@@ -968,10 +968,8 @@ mod tests {
         let (params, keys, enc, mut rng) = setup();
         let ct = keys.secret.encrypt_seeded(&enc.encode(&[1]), &mut rng).0;
         let bytes = ciphertext_to_bytes(&ct);
-        assert_eq!(
-            flat_frame_len(&bytes).unwrap(),
-            params.ciphertext_bytes() + 10
-        );
+        // Two polynomials of `N` flat words after the 10-byte header.
+        assert_eq!(flat_frame_len(&bytes).unwrap(), 2 * params.n() * 8 + 10);
         // Packed beats flat even without seeding (62-bit packing alone).
         assert!(flat_frame_len(&bytes).unwrap() > bytes.len());
         let pk = public_key_to_bytes(&keys.public);

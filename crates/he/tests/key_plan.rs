@@ -165,7 +165,10 @@ fn the_upload_frame_is_one_byte_string_however_it_is_made() {
             galois_keys_to_bytes(&keys.galois),
             "writer vs encoder, {dims:?}"
         );
-        assert_eq!(frame.len(), keys.galois.wire_byte_len());
+        assert_eq!(
+            frame.len(),
+            pi_he::wire::galois_keys_wire_len(&params, key_plan(&params, dims).len())
+        );
         assert_eq!(
             galois_keys_frame_entries(&frame, &params).expect("own frame"),
             key_plan(&params, dims)

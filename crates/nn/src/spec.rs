@@ -321,19 +321,6 @@ impl NetSpec {
             relu_layers,
         })
     }
-
-    /// Number of linear (HE) layers — what layer-parallel HE fans out over.
-    pub fn linear_layer_count(&self) -> usize {
-        self.ops
-            .iter()
-            .filter(|o| {
-                matches!(
-                    o,
-                    SpecOp::Conv2d { .. } | SpecOp::Linear { .. } | SpecOp::SaveSkipProj { .. }
-                )
-            })
-            .count()
-    }
 }
 
 #[cfg(test)]
@@ -429,7 +416,6 @@ mod tests {
                 SpecOp::Relu,
             ],
         };
-        assert_eq!(spec.linear_layer_count(), 3);
         let stats = spec.stats().unwrap();
         assert_eq!(stats.linear_layers.len(), 3);
         assert_eq!(stats.linear_layers[0].name, "proj1");

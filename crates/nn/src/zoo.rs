@@ -327,7 +327,8 @@ mod tests {
             .filter(|o| matches!(o, SpecOp::Conv2d { .. } | SpecOp::Linear { .. }))
             .count();
         assert_eq!(main_layers, 18); // 17 convs + classifier
-        assert_eq!(spec.linear_layer_count(), 21); // + 3 projection convs
+        let linear = spec.stats().unwrap().linear_layers.len();
+        assert_eq!(linear, 21); // + 3 projection convs
     }
 
     #[test]

@@ -260,21 +260,10 @@ pub struct BaseOtReceiver {
 }
 
 impl BaseOtReceiver {
-    /// Builds the receiver's choice message for the given choice bits.
-    /// Fails on a `setup.c` that does not decode into the prime-order
-    /// subgroup.
-    pub fn choose<R: Rng + ?Sized>(
-        setup: &SenderSetupMsg,
-        choices: &[bool],
-        rng: &mut R,
-    ) -> Result<(Self, ReceiverChoiceMsg), BaseOtError> {
-        Self::choose_iter(setup, choices.iter().copied(), rng)
-    }
-
-    /// Like [`BaseOtReceiver::choose`], but for `n ≤ 128` choice bits packed
-    /// into `s` (bit `i` of `s` is transfer `i`'s choice). The IKNP setup
-    /// feeds its secret column-choice string through here directly, with no
-    /// bool-vector round trip.
+    /// Builds the receiver's choice message for `n ≤ 128` choice bits
+    /// packed into `s` (bit `i` of `s` is transfer `i`'s choice): the IKNP
+    /// setup's secret column-choice string. Fails on a `setup.c` that does
+    /// not decode into the prime-order subgroup.
     ///
     /// # Panics
     ///
@@ -286,19 +275,11 @@ impl BaseOtReceiver {
         rng: &mut R,
     ) -> Result<(Self, ReceiverChoiceMsg), BaseOtError> {
         assert!(n <= 128, "at most 128 packed choices, got {n}");
-        Self::choose_iter(setup, (0..n).map(|i| (s >> i) & 1 == 1), rng)
-    }
-
-    fn choose_iter<R: Rng + ?Sized>(
-        setup: &SenderSetupMsg,
-        choice_bits: impl Iterator<Item = bool>,
-        rng: &mut R,
-    ) -> Result<(Self, ReceiverChoiceMsg), BaseOtError> {
         let c = decode(&setup.c)?;
         if !c.is_torsion_free() {
             return Err(BaseOtError::BadPoint);
         }
-        let choices: Vec<bool> = choice_bits.collect();
+        let choices: Vec<bool> = (0..n).map(|i| (s >> i) & 1 == 1).collect();
         let secrets: Vec<Scalar> = choices.iter().map(|_| Scalar::random(rng)).collect();
         let parts = split_transfers(choices.len(), |run| {
             // Every C − k·G is computed, chosen or not: the work done must
@@ -354,8 +335,8 @@ mod tests {
     fn correct_message_received() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(11);
         let (sender, setup) = BaseOtSender::new(&mut rng);
-        let choices = vec![false, true, true, false];
-        let (receiver, choice_msg) = BaseOtReceiver::choose(&setup, &choices, &mut rng).unwrap();
+        let (receiver, choice_msg) =
+            BaseOtReceiver::choose_packed(&setup, 0b0110, 4, &mut rng).unwrap();
         let pairs: Vec<(u128, u128)> = (0..4).map(|i| (100 + i as u128, 200 + i as u128)).collect();
         let transfer = sender.transfer(&choice_msg, &pairs, &mut rng).unwrap();
         let got = receiver.receive(&transfer).unwrap();
@@ -427,7 +408,7 @@ mod tests {
     fn every_run_of_a_split_checks_its_points() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(19);
         let (sender, setup) = BaseOtSender::new(&mut rng);
-        let (_, choice) = BaseOtReceiver::choose(&setup, &[true; 128], &mut rng).unwrap();
+        let (_, choice) = BaseOtReceiver::choose_packed(&setup, u128::MAX, 128, &mut rng).unwrap();
         let identity = {
             let mut enc = [0u8; 32];
             enc[0] = 1;
@@ -444,8 +425,8 @@ mod tests {
                     let got = sender.transfer(&tampered, &[(0, 0); 128], &mut rng);
                     assert_eq!(got.unwrap_err(), BaseOtError::BadPoint, "width {t}");
                 }
-                let refused =
-                    BaseOtReceiver::choose(&SenderSetupMsg { c: mixed_c }, &[true; 128], &mut rng);
+                let mixed = SenderSetupMsg { c: mixed_c };
+                let refused = BaseOtReceiver::choose_packed(&mixed, u128::MAX, 128, &mut rng);
                 assert_eq!(refused.unwrap_err(), BaseOtError::BadPoint, "width {t}");
             });
         }
@@ -460,7 +441,7 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(12);
         let (sender, setup) = BaseOtSender::new(&mut rng);
         let (receiver, choice_msg) =
-            BaseOtReceiver::choose(&setup, &[false, true], &mut rng).unwrap();
+            BaseOtReceiver::choose_packed(&setup, 0b10, 2, &mut rng).unwrap();
         let transfer = (sender.transfer(&choice_msg, &[(7, 13), (7, 13)], &mut rng)).unwrap();
         let h = GcHash::new();
         let gr = decode(&transfer.gr).unwrap();
@@ -482,7 +463,7 @@ mod tests {
         // elements and the (transfer, slot) tweak, never through r.
         let mut rng = rand::rngs::StdRng::seed_from_u64(17);
         let (sender, setup) = BaseOtSender::new(&mut rng);
-        let (_, choice_msg) = BaseOtReceiver::choose(&setup, &[false; 4], &mut rng).unwrap();
+        let (_, choice_msg) = BaseOtReceiver::choose_packed(&setup, 0, 4, &mut rng).unwrap();
         let transfer = sender
             .transfer(&choice_msg, &[(5, 5); 4], &mut rng)
             .unwrap();
@@ -509,13 +490,13 @@ mod tests {
         // structurally, the message must not simply echo the choice.
         let mut rng = rand::rngs::StdRng::seed_from_u64(13);
         let (_, setup) = BaseOtSender::new(&mut rng);
-        let (_, m0) = BaseOtReceiver::choose(&setup, &[false], &mut rng).unwrap();
-        let (_, m1) = BaseOtReceiver::choose(&setup, &[true], &mut rng).unwrap();
+        let (_, m0) = BaseOtReceiver::choose_packed(&setup, 0, 1, &mut rng).unwrap();
+        let (_, m1) = BaseOtReceiver::choose_packed(&setup, 1, 1, &mut rng).unwrap();
         assert_ne!(m0.pk0[0], m1.pk0[0]);
         // Either way it is a group element, and PK_0 + PK_1 = C holds for
         // the pair the receiver built.
         let c = decode(&setup.c).unwrap();
-        let (r, m) = BaseOtReceiver::choose(&setup, &[true, false], &mut rng).unwrap();
+        let (r, m) = BaseOtReceiver::choose_packed(&setup, 0b01, 2, &mut rng).unwrap();
         for (pk0, (k, &b)) in m.pk0.iter().zip(r.secrets.iter().zip(&r.choices)) {
             let pk1 = c.sub(&decode(pk0).unwrap()).encode();
             assert_eq!(base_table().mul(k).encode(), if b { pk1 } else { *pk0 });
@@ -527,7 +508,7 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(14);
         let (sender, setup) = BaseOtSender::new(&mut rng);
         assert_eq!(setup.byte_len(), 32);
-        let (_, choice_msg) = BaseOtReceiver::choose(&setup, &[true; 8], &mut rng).unwrap();
+        let (_, choice_msg) = BaseOtReceiver::choose_packed(&setup, 0xff, 8, &mut rng).unwrap();
         assert_eq!(choice_msg.byte_len(), 8 * 32);
         let transfer = sender
             .transfer(&choice_msg, &[(0, 0); 8], &mut rng)
@@ -545,7 +526,7 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(15);
         let (sender, setup) = BaseOtSender::new(&mut rng);
         let (receiver, choice_msg) =
-            BaseOtReceiver::choose(&setup, &[true, false], &mut rng).unwrap();
+            BaseOtReceiver::choose_packed(&setup, 0b01, 2, &mut rng).unwrap();
         let short = sender.transfer(&choice_msg, &[(0, 0)], &mut rng);
         assert_eq!(short.unwrap_err(), BaseOtError::CountMismatch);
         let mut transfer = sender

@@ -81,11 +81,6 @@ impl BitVec {
     pub fn words(&self) -> &[u128] {
         &self.words
     }
-
-    /// Unpacks into bools (for interop with the reference oracle path).
-    pub fn to_bools(&self) -> Vec<bool> {
-        (0..self.len).map(|i| self.get(i)).collect()
-    }
 }
 
 /// In-place 128×128 bit-matrix transpose: `out[k]` bit `b` = `in[b]` bit
@@ -136,7 +131,7 @@ mod tests {
             let bits: Vec<bool> = (0..n).map(|_| rng.gen()).collect();
             let v = BitVec::from_bools(&bits);
             assert_eq!(v.len(), n);
-            assert_eq!(v.to_bools(), bits);
+            assert_eq!((0..n).map(|i| v.get(i)).collect::<Vec<_>>(), bits);
             let mut pushed = BitVec::default();
             for &b in &bits {
                 pushed.push(b);

@@ -62,17 +62,9 @@ pub fn pack_slice(dst: &mut [u8], words: &[u64], bits: usize) -> usize {
     len
 }
 
-/// Unpack `n` words of `bits` bits each from the front of `bytes`.
-///
-/// Returns `None` if `bytes` is shorter than [`packed_len`]`(n, bits)`.
-pub fn unpack(bytes: &[u8], n: usize, bits: usize) -> Option<Vec<u64>> {
-    let mut words = Vec::new();
-    unpack_into(bytes, n, bits, &mut words).then_some(words)
-}
-
-/// [`unpack`] into a vector the caller already owns: `words` is resized to
-/// `n` and every word overwritten, so it reallocates only if its capacity
-/// is below `n`.
+/// Unpack `n` words of `bits` bits each from the front of `bytes` into a
+/// vector the caller already owns: `words` is resized to `n` and every
+/// word overwritten, so it reallocates only if its capacity is below `n`.
 ///
 /// Returns `false`, with `words` left empty, if `bytes` is shorter than
 /// [`packed_len`]`(n, bits)`. Trailing pad bits in the final byte are
@@ -126,6 +118,12 @@ pub fn unpack_into(bytes: &[u8], n: usize, bits: usize, words: &mut Vec<u64>) ->
 mod tests {
     use super::*;
     use rand::{Rng, SeedableRng};
+
+    /// [`unpack_into`] into a fresh vector, `None` where it refuses.
+    fn unpack(bytes: &[u8], n: usize, bits: usize) -> Option<Vec<u64>> {
+        let mut words = Vec::new();
+        unpack_into(bytes, n, bits, &mut words).then_some(words)
+    }
 
     #[test]
     fn packed_len_matches_output() {

@@ -459,38 +459,6 @@ impl Poly {
             data,
         }
     }
-
-    /// Decomposes the polynomial into digits base `2^log_base`, least
-    /// significant digit first. Works on (and returns) coefficient-form
-    /// polynomials. Used for key switching in BFV.
-    ///
-    /// The sum over digits `d_i * base^i` reconstructs the polynomial.
-    pub fn decompose(&self, log_base: u32, num_digits: usize) -> Vec<Self> {
-        let src = self.clone().into_coeff();
-        let mask = (1u64 << log_base) - 1;
-        let n = self.ctx.n;
-        let mut digits = Vec::with_capacity(num_digits);
-        for d in 0..num_digits {
-            let shift = d as u32 * log_base;
-            let data: Vec<u64> = (0..n).map(|i| (src.data[i] >> shift) & mask).collect();
-            digits.push(Self {
-                ctx: self.ctx.clone(),
-                form: PolyForm::Coeff,
-                data,
-            });
-        }
-        digits
-    }
-
-    /// Infinity norm in the balanced representation `(-q/2, q/2]`.
-    pub fn inf_norm(&self) -> u64 {
-        let q = self.ctx.q;
-        self.coeffs()
-            .iter()
-            .map(|&c| q.to_signed(c).unsigned_abs())
-            .max()
-            .unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -647,42 +615,6 @@ mod tests {
         let m = Modulus::new(2 * n as u64);
         let g_inv = m.inv(g as u64).unwrap() as usize;
         assert_eq!(a.galois(g).galois(g_inv), a);
-    }
-
-    #[test]
-    fn decompose_reconstructs() {
-        let ctx = ctx(64);
-        let a = random_poly(&ctx, 11);
-        let log_base = 8;
-        let digits_needed = (ctx.q().bits() as usize).div_ceil(log_base as usize);
-        let digits = a.decompose(log_base, digits_needed);
-        let mut acc = Poly::zero(ctx.clone());
-        let mut base_pow = 1u64;
-        for d in &digits {
-            acc = acc.add(&d.scale(base_pow));
-            base_pow = base_pow.wrapping_mul(1 << log_base);
-            base_pow = ctx.q().reduce(base_pow);
-        }
-        assert_eq!(acc, a);
-    }
-
-    #[test]
-    fn decompose_digits_are_small() {
-        let ctx = ctx(64);
-        let a = random_poly(&ctx, 12);
-        for d in a.decompose(8, 4) {
-            assert!(d.coeffs().iter().all(|&c| c < 256));
-        }
-    }
-
-    #[test]
-    fn inf_norm_balanced() {
-        let ctx = ctx(8);
-        let q = ctx.q().value();
-        let a = Poly::from_coeffs(ctx.clone(), vec![q - 2, 3, 0, 0, 0, 0, 0, 0]);
-        assert_eq!(a.inf_norm(), 3);
-        let b = Poly::from_coeffs(ctx, vec![q - 5, 3, 0, 0, 0, 0, 0, 0]);
-        assert_eq!(b.inf_norm(), 5);
     }
 
     #[test]

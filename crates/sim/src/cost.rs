@@ -1,12 +1,15 @@
 //! The protocol cost model: maps a network + protocol + devices to
-//! per-phase compute seconds, bytes, and storage.
+//! per-phase compute seconds, bytes, and storage of the paper's system.
 //!
 //! Compute rates come from [`crate::calib`] (the paper's measured anchors);
 //! HE per-layer times use a Gazelle-style operation count
 //! (`⌈in/slots⌉ × co × k²` rotations+multiplications per convolution)
 //! calibrated so that sequential ResNet-18/TinyImageNet HE equals the
 //! paper's 17.76 minutes. Communication is assembled structurally from
-//! per-ReLU garbled-circuit, label, and OT message sizes.
+//! per-ReLU garbled-circuit, label, and OT message sizes, one ciphertext
+//! per slot block each way per linear layer, and the paper's
+//! once-per-session key upload (50 MB). Nothing here models this stack's
+//! own key set: what it sends is measured, in `pi_core::CostReport`.
 
 use crate::calib::{self, CalibSource, Calibration};
 use crate::devices::DeviceProfile;
@@ -23,50 +26,6 @@ pub enum Garbler {
     Server,
     /// Proposed: client garbles, server stores + evaluates.
     Client,
-}
-
-/// Bytes of one rotation key as flat ring words, as `pi-he` holds them:
-/// two key-switch digits, each a `(k0, a)` pair under the ciphertext
-/// modulus and one under the special prime — eight polynomials of `n`
-/// 8-byte words.
-fn galois_key_bytes(n: usize) -> usize {
-    2 * 2 * 2 * n * 8
-}
-
-/// Galois key material (bytes) a client uploads for one padded layer
-/// dimension under the replicated-diagonal key set implemented in `pi-he`:
-/// `c = min(n/d, d)` replicas of `m = d/c` diagonal steps each, so
-/// `(⌈√m⌉ − 1)` baby elements and `(⌈m/⌈√m⌉⌉ − 1)` giant elements, one key
-/// each. The replicas are never rotated into one another — the client
-/// folds them after decryption — so that is the whole set.
-///
-/// An analysis-side mirror of `pi_he::linalg::key_plan` for one dimension
-/// — the whole key set a client of a one-layer model generates and
-/// uploads; there is no composition chain on top — for what-if sizing at
-/// dimensions no instantiated model has (pi-sim deliberately has no pi-he
-/// dependency, so the key shape, the replica count and the ⌈√m⌉ split are
-/// restated here, and `tests/cost_model.rs` holds the two equal; a
-/// multi-layer model's plan is the union over its dimensions, and the
-/// implementation-measured figure in
-/// `pi_core::CostReport::galois_key_bytes` stays authoritative).
-/// The session-key constant in [`ProtocolCosts`] (`he_keys = 50e6`)
-/// remains the paper-calibrated anchor for the modeled SEAL-style system
-/// and is intentionally not replaced by this finer model.
-pub fn galois_key_bytes_bsgs(dim: usize, n: usize) -> f64 {
-    let replicas = (n / dim).min(dim);
-    let steps = dim / replicas;
-    let mut b = (steps as f64).sqrt() as usize;
-    while b * b < steps {
-        b += 1;
-    }
-    let g = steps.div_ceil(b);
-    ((b - 1 + g - 1) * galois_key_bytes(n)) as f64
-}
-
-/// Galois key material (bytes) of the full per-rotation set the BSGS set
-/// replaces: one key per rotation amount (`d − 1` elements).
-pub fn galois_key_bytes_per_rotation(dim: usize, n: usize) -> f64 {
-    (dim.saturating_sub(1) * galois_key_bytes(n)) as f64
 }
 
 /// HE operation count of one linear layer under the Gazelle cost model.
@@ -430,26 +389,6 @@ mod tests {
         let cg = r18_tiny(Garbler::Client);
         let ratio = cg.client_energy_j / sg.client_energy_j;
         assert!((1.7..2.0).contains(&ratio), "energy ratio = {ratio}");
-    }
-
-    #[test]
-    fn bsgs_key_material_reports_storage_win() {
-        // Every key is the same size, so the saving is the element count's:
-        // 127 rotations against 1 baby + 1 giant at a 128-wide layer
-        // (63.5×), and 1023 against 15 + 15 at a 1024-wide one.
-        let n = 4096;
-        let bsgs = galois_key_bytes_bsgs(128, n);
-        let full = galois_key_bytes_per_rotation(128, n);
-        assert_eq!(bsgs, (2 * 8 * n * 8) as f64);
-        assert_eq!(full / bsgs, 127.0 / 2.0);
-        let bsgs_1k = galois_key_bytes_bsgs(1024, n);
-        let full_1k = galois_key_bytes_per_rotation(1024, n);
-        assert_eq!(full_1k / bsgs_1k, 1023.0 / 30.0);
-        // One diagonal per replica (d² ≤ n): no key at all.
-        assert_eq!(galois_key_bytes_bsgs(64, n), 0.0);
-        // Degenerate dims carry no rotation keys at all.
-        assert_eq!(galois_key_bytes_bsgs(1, n), 0.0);
-        assert_eq!(galois_key_bytes_per_rotation(1, n), 0.0);
     }
 
     #[test]

@@ -43,7 +43,7 @@ fn flat_len(m: &Msg) -> u64 {
     let flat = |f: &Vec<u8>| pi_he::flat_frame_len(f).expect("relayed HE frame parses");
     let len = match m {
         Msg::HeKeys(gk) => 8 + flat(gk),
-        Msg::HeCts(frames) => 8 + frames.iter().map(|f| 8 + flat(f)).sum::<usize>(),
+        Msg::HeCts(frame) => 8 + flat(frame),
         other => other.byte_len(),
     };
     len as u64
@@ -127,11 +127,10 @@ fn emit(name: &str, (report, flat): &(CostReport, u64)) -> f64 {
         report.online.download_bytes,
     );
     println!(
-        "  {name}: {:.1} KB on the wire vs {:.1} KB flat ({ratio:.2}x), galois keys {:.1} KB (per-rotation baseline {:.1} KB)",
+        "  {name}: {:.1} KB on the wire vs {:.1} KB flat ({ratio:.2}x), galois keys {:.1} KB",
         total as f64 / 1e3,
         flat as f64 / 1e3,
         report.galois_key_bytes as f64 / 1e3,
-        report.galois_key_bytes_per_rotation as f64 / 1e3,
     );
     ratio
 }

@@ -1,15 +1,13 @@
 //! The cost model is the kernel: at every power-of-two dimension a row of
 //! the `n = 4096` ring holds, `linalg::matvec_op_count` names exactly the
 //! rotations one `matvec_precomputed` takes (the `he.rotation` counter's
-//! delta around the call), and `pi-sim`'s restated key-set size is exactly
-//! `key_plan`'s length times one key.
+//! delta around the call).
 
 use pi_he::linalg::{
-    encode_diagonals_bsgs, encode_input, fold_replicas, key_plan, matvec_op_count,
-    matvec_precomputed, PlainMatrix,
+    encode_diagonals_bsgs, encode_input, fold_replicas, matvec_op_count, matvec_precomputed,
+    PlainMatrix,
 };
 use pi_he::{BatchEncoder, BfvParams, KeySet};
-use pi_sim::cost::galois_key_bytes_bsgs;
 use pi_trace::TraceMode;
 use rand::SeedableRng;
 
@@ -48,25 +46,4 @@ fn op_count_rotations_are_the_kernels_rotations() {
         assert!(got.iter().all(|&y| y == dim as u64), "d = {dim}");
     }
     pi_trace::force_mode(None);
-}
-
-#[test]
-fn simulated_key_bytes_are_the_key_plan() {
-    let params = BfvParams::default_pi();
-    let mut rng = rand::rngs::StdRng::seed_from_u64(28);
-    // One key's flat words, as pi-he holds it and pi-sim prices it: d = 128
-    // takes two (one baby, one giant).
-    let per_key = KeySet::generate_for_dims(&params, &[128], &mut rng)
-        .galois
-        .byte_len()
-        / 2;
-    assert_eq!(key_plan(&params, &[128]).len(), 2);
-    for dim in dims(&params) {
-        let keys = key_plan(&params, &[dim]).len();
-        assert_eq!(
-            galois_key_bytes_bsgs(dim, params.n()),
-            (keys * per_key) as f64,
-            "d = {dim}"
-        );
-    }
 }

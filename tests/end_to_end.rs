@@ -192,15 +192,14 @@ fn linear_responses(
         }
         client.send(Msg::HeKeys(keys.clone())).expect("upload");
         for frame in uploads {
-            let upload = Msg::HeCts(vec![frame.clone()]);
-            client.send(upload).expect("upload");
+            client.send(Msg::HeCts(frame.clone())).expect("upload");
         }
         let responses = (s.model.phases.iter())
             .map(|_| {
-                let Ok(Msg::HeCts(frames)) = client.recv() else {
+                let Ok(Msg::HeCts(frame)) = client.recv() else {
                     panic!("no linear response");
                 };
-                let ct = pi_he::ciphertext_from_bytes(&frames[0], &s.he).expect("frame");
+                let ct = pi_he::ciphertext_from_bytes(&frame, &s.he).expect("frame");
                 enc.decode(&secret.decrypt_switched(&ct))
             })
             .collect();

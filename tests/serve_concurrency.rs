@@ -312,7 +312,7 @@ fn key_table_hit_skips_the_upload() {
 fn relayed_len(m: &Msg) -> u64 {
     let len = match m {
         Msg::HeKeys(gk) => 8 + gk.len(),
-        Msg::HeCts(frames) => 8 + frames.iter().map(|f| 8 + f.len()).sum::<usize>(),
+        Msg::HeCts(frame) => 8 + frame.len(),
         other => other.byte_len(),
     };
     len as u64
@@ -344,7 +344,9 @@ fn relay(from: &Channel, to: &Channel) -> Transcript {
 /// `HeKeys` is one rotation-key frame holding the model's key plan —
 /// 4 entries of two digits (the replicated schedule's babies and giants at
 /// {128, 128, 16}, n = 2048), 8 + 62 + 4 · 52 228 bytes — with no
-/// composition chain and no public key.
+/// composition chain and no public key. A `HeCts` is one frame behind one
+/// 8-byte length, with no batch envelope around it (15 922 B up, 23 058 B
+/// down).
 /// A `GcTables` message is `rows · (8 + 133 · 32) + 8` bytes: 133 ANDs per
 /// truncating ReLU since `CircuitBuilder::build` drops dead gates.
 /// Server-Garbler's base OT has since moved ahead of the linear pass, every
@@ -352,8 +354,8 @@ fn relay(from: &Channel, to: &Channel) -> Transcript {
 /// after its upload, so the server answers with its choice before its
 /// linear responses.
 fn pinned_transcript(kind: ProtocolKind) -> (Transcript, Transcript) {
-    let he_up = [("HeKeys", 208_982), ("HeCts", 15_938), ("HeCts", 15_938)];
-    let he_down = [("HeCts", 23_074); 3];
+    let he_up = [("HeKeys", 208_982), ("HeCts", 15_930), ("HeCts", 15_930)];
+    let he_down = [("HeCts", 23_066); 3];
     let (open_up, open_down): (&[_], &[_]) = match kind {
         ProtocolKind::ClientGarbler => (&[], &[]),
         ProtocolKind::ServerGarbler => (&[("OtBaseSetup", 32)], &[("OtBaseChoice", 4_096)]),
@@ -361,7 +363,7 @@ fn pinned_transcript(kind: ProtocolKind) -> (Transcript, Transcript) {
     let (up, down): (&[_], &[_]) = match kind {
         ProtocolKind::ClientGarbler => (
             &[
-                ("HeCts", 15_938),
+                ("HeCts", 15_930),
                 ("OtBaseChoice", 4_096),
                 ("GcTables", 307_016),
                 ("GcDecode", 800),
@@ -383,7 +385,7 @@ fn pinned_transcript(kind: ProtocolKind) -> (Transcript, Transcript) {
         ),
         ProtocolKind::ServerGarbler => (
             &[
-                ("HeCts", 15_938),
+                ("HeCts", 15_930),
                 ("OtBaseTransfer", 4_128),
                 ("OtExtend", 46_088),
                 ("OtExtend", 10_248),
@@ -736,12 +738,10 @@ fn shorten(m: &mut Msg, _: u64) {
     }
 }
 
-/// One more of what the message already carries: a zero word, or its first
-/// ciphertext frame again.
+/// One more word than the vector should carry.
 fn lengthen(m: &mut Msg, _: u64) {
     match m {
         Msg::VecU64(v) => v.push(0),
-        Msg::HeCts(frames) => frames.push(frames[0].clone()),
         other => panic!("no lengthening for {}", other.kind()),
     }
 }
@@ -1234,33 +1234,73 @@ fn malformed_server_messages_are_bad_requests_to_the_client() {
     }
 }
 
-/// A `HeCts` carries one ciphertext frame, in both directions: a second one
-/// is a `BadRequest` to whichever party receives it, not a frame silently
-/// dropped.
+/// Cuts the last byte off a ciphertext frame.
+fn truncate_frame(m: &mut Msg, _: u64) {
+    match m {
+        Msg::HeCts(frame) => drop(frame.pop()),
+        other => panic!("no ciphertext frame in {}", other.kind()),
+    }
+}
+
+/// A `HeCts` frame a byte short is the frame reader's typed error to
+/// whichever party receives it, upload or response, both garbler kinds,
+/// under `drive_sync` and on a one-worker runtime; the party that sent it
+/// sees the hang-up, and a neighbour on the same runtime then completes
+/// bit-exact.
 #[test]
-fn a_second_ciphertext_frame_is_a_bad_request_to_either_party() {
+fn a_truncated_ciphertext_frame_is_a_wire_error_to_either_party() {
     let he = BfvParams::small_test();
     let model = Arc::new(build_model(&he, 11));
-    let cfg = ProtocolConfig::server_garbler(he);
-    let (_, tamper) = case("a second frame", "HeCts", 1, lengthen);
-    let (ran, served) = tampered_sync_run(&model, &cfg, (Dir::Up, tamper), "upload");
-    assert!(
-        matches!(served, Err(ProtocolError::BadRequest(_))),
-        "upload: {served:?}"
-    );
-    assert!(
-        matches!(ran, Err(ProtocolError::Channel(_))),
-        "upload: {ran:?}"
-    );
-    let (ran, served) = tampered_sync_run(&model, &cfg, (Dir::Down, tamper), "response");
-    assert!(
-        matches!(ran, Err(ProtocolError::BadRequest(_))),
-        "response: {ran:?}"
-    );
-    assert!(
-        !matches!(served, Err(ProtocolError::BadRequest(_))),
-        "response: {served:?}"
-    );
+    let meta = ModelMeta::of(&model);
+    let tamper = case("", "HeCts", 0, truncate_frame).1;
+    for cfg in [
+        ProtocolConfig::server_garbler(he.clone()),
+        ProtocolConfig::client_garbler(he.clone(), 1),
+    ] {
+        let rt = ServeRuntime::new(serve_cfg(1));
+        let model_id = rt.register_model((*model).clone(), cfg.clone());
+        for (c, dir) in [Dir::Up, Dir::Down].into_iter().enumerate() {
+            let what = match dir {
+                Dir::Up => format!("{:?}, truncated upload", cfg.kind),
+                Dir::Down => format!("{:?}, truncated response", cfg.kind),
+            };
+            let (ran, served) = tampered_sync_run(&model, &cfg, (dir, tamper), &what);
+            let input = random_input(&model, 900 + c as u64);
+            let ids = (model_id, c as u64);
+            let tap = Some((dir, tamper));
+            let (r, _) = relayed_request(
+                &rt,
+                ids,
+                ServiceClient::new(),
+                (&meta, &cfg),
+                input,
+                tap,
+                &what,
+            );
+            for (via, ran, served) in [
+                ("drive_sync", ran.map(drop), served.map(drop)),
+                ("runtime", r.ran.map(drop), r.served.map(drop)),
+            ] {
+                let (receiver, sender) = match dir {
+                    Dir::Up => (served, ran),
+                    Dir::Down => (ran, served),
+                };
+                assert!(
+                    matches!(
+                        receiver,
+                        Err(ProtocolError::Wire(pi_he::WireError::Truncated))
+                    ),
+                    "{what}, {via}: receiver {receiver:?}"
+                );
+                assert!(
+                    matches!(sender, Err(ProtocolError::Channel(_))),
+                    "{what}, {via}: sender {sender:?}"
+                );
+            }
+        }
+        let what = format!("{:?}", cfg.kind);
+        neighbour_completes(&rt, (model_id, 2), &model, (&meta, &cfg), &what);
+    }
 }
 
 /// A peer's point with a small-order component — the honest one plus the
