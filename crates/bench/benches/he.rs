@@ -4,7 +4,9 @@
 //! `mul_plain` / `matvec_64x64` re-encode or re-transform plaintext operands
 //! on every call (the pre-optimization behaviour); the `*_precomputed`
 //! variants reuse Shoup-form operands, which is how the offline phase
-//! actually runs (one weight matrix, many clients).
+//! actually runs (one weight matrix, many clients). `encoder_new_n4096`
+//! is the batch encoder's construction at the protocol ring, which the
+//! client pays on every HE request and the server once per model.
 //!
 //! The cold-key path — what a first-time client's request pays before any
 //! of that — is timed apart and printed as one
@@ -141,6 +143,11 @@ fn bench_he() {
     let bsgs_diagonals = encode_diagonals_bsgs(&enc, &w);
     kernel("bfv/matvec_64x64_bsgs_precomputed", samples, || {
         matvec_precomputed(&bsgs.galois, &bsgs_diagonals, &bsgs_ct)
+    });
+    // The encoder the client builds on every HE request.
+    let default_pi = BfvParams::default_pi();
+    kernel("bfv/encoder_new_n4096", samples, || {
+        BatchEncoder::new(&default_pi)
     });
 }
 

@@ -2,9 +2,9 @@
 //!
 //! Wraps `std::sync::Mutex` with parking_lot's panic-free-looking API
 //! (`lock()` returns the guard directly, `into_inner()` returns the value).
-//! Lock poisoning — which parking_lot does not have — is translated into a
-//! panic, matching how this workspace uses the lock (worker panics already
-//! abort the computation).
+//! Lock poisoning — which parking_lot does not have — is ignored: `lock()`
+//! and `into_inner()` recover the guard or value from a poisoned lock, as
+//! parking_lot would hand it over after a panic while it was held.
 
 use std::fmt;
 use std::sync::{Mutex as StdMutex, MutexGuard as StdMutexGuard};

@@ -454,7 +454,7 @@ impl ServiceClient {
 }
 
 /// The offline linear upload: sends `E(r_cat)` per phase (cleartext
-/// `r_cat` without an HE context — insecure, test-only).
+/// `r_cat` without an HE context — insecure, `LinearMode::Clear`).
 fn upload_linear<R: Rng + ?Sized>(
     meta: &ModelMeta,
     r_acts: &[Vec<u64>],

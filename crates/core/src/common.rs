@@ -35,8 +35,9 @@ pub enum LinearMode {
     /// Real BFV homomorphic evaluation (masked replica blocks that the
     /// client folds to `W·r − s`).
     He,
-    /// Cleartext exchange — **insecure**, test-only: exercises the full
-    /// GC/OT/SS paths on larger networks without HE cost.
+    /// Cleartext exchange — **insecure**: exercises the full GC/OT/SS
+    /// paths without HE cost, in tests and in the ledger's `relu_heavy`
+    /// workload.
     Clear,
 }
 
@@ -363,19 +364,31 @@ impl ClientOtState {
 /// Per-model server-side precomputation for the offline linear pass: in HE
 /// mode, each phase matrix's diagonals packed into the replicated
 /// baby-step/giant-step layout and encoded as centered Shoup-form operands
-/// ([`BsgsDiagonals`]). The weights stay in the [`PiModel`], where the
+/// ([`BsgsDiagonals`]), beside the encoder they were encoded with and the
+/// model's key plan. The weights stay in the [`PiModel`], where the
 /// cleartext pass multiplies by them ([`pi_nn::PiPhase::apply_linear`]).
 ///
 /// Depends only on the model weights and the protocol configuration, never
 /// on a client's keys, so one instance serves every inference of every
-/// client. Build it once per served model and pass it to each
-/// [`drive_sync`](crate::serve::session::drive_sync) call (or use
-/// [`crate::private_inference_precomputed`] /
-/// [`crate::serve::ServeRuntime`], which cache it).
+/// client. The serving runtime builds it once, when a model is registered
+/// ([`crate::serve::ServeRuntime::register_model`]), and keeps it with the
+/// model; elsewhere build it once per served model and pass it to each
+/// [`drive_sync`](crate::serve::session::drive_sync) or
+/// [`crate::private_inference_precomputed`] call.
 #[derive(Debug)]
 pub struct ServerPrecomp {
     /// Packed Shoup-form diagonals per phase (HE mode only).
     pub diagonals: Option<Vec<BsgsDiagonals>>,
+    he: Option<ModelHe>,
+}
+
+/// The server's per-model HE context (HE mode only).
+#[derive(Debug)]
+pub(crate) struct ModelHe {
+    /// The encoder of the diagonals and of the response masks.
+    pub(crate) encoder: BatchEncoder,
+    /// The model's key plan: what an upload must equal to be admitted.
+    pub(crate) plan: Vec<usize>,
 }
 
 impl ServerPrecomp {
@@ -387,23 +400,36 @@ impl ServerPrecomp {
     ///
     /// Panics if `cfg` selects HE mode without parameters.
     pub fn new(model: &PiModel, cfg: &ProtocolConfig) -> Self {
-        let diagonals = cfg.he().map(|params| {
+        let he = cfg.he().map(|params| {
             let encoder = BatchEncoder::new(params);
             let encode = |ph: &PiPhase| {
                 let w = PlainMatrix::new(ph.rows, ph.cols, &ph.matrix, model.p);
                 linalg::encode_diagonals_bsgs(&encoder, &w)
             };
-            model.phases.iter().map(encode).collect()
+            let diagonals = model.phases.iter().map(encode).collect();
+            let plan = ModelMeta::of(model).key_plan(params);
+            (diagonals, ModelHe { encoder, plan })
         });
-        Self { diagonals }
+        let (diagonals, he) = he.unzip();
+        Self { diagonals, he }
     }
 
-    /// Heap bytes the precomputation holds, for the precompute table's byte
-    /// budget: in HE mode the packed diagonal operands actually encoded
-    /// ([`BsgsDiagonals::resident_byte_len`]), nothing otherwise.
-    pub fn resident_byte_len(&self) -> u64 {
-        let phases = self.diagonals.iter().flatten();
-        phases.map(|d| d.resident_byte_len() as u64).sum()
+    /// The HE context and the diagonals an HE session works with.
+    ///
+    /// # Errors
+    ///
+    /// [`ProtocolError::BadRequest`] if this precomputation was built for
+    /// cleartext mode.
+    pub(crate) fn he(&self) -> Result<(&ModelHe, &[BsgsDiagonals]), ProtocolError> {
+        match (&self.he, &self.diagonals) {
+            (Some(he), Some(diagonals)) => Ok((he, diagonals)),
+            _ => Err(ProtocolError::BadRequest("no HE context precomputed")),
+        }
+    }
+
+    /// The model's key plan, `None` in cleartext mode.
+    pub(crate) fn key_plan(&self) -> Option<&[usize]> {
+        self.he.as_ref().map(|he| &he.plan[..])
     }
 }
 

@@ -93,8 +93,9 @@ pub fn private_inference(
 }
 
 /// Like [`private_inference`], but reuses the server's per-model
-/// precomputation ([`ServerPrecomp`]: the phase matrices' Shoup-form encoded
-/// diagonals in HE mode, nothing in cleartext mode). Build the
+/// precomputation ([`ServerPrecomp`]: in HE mode the phase matrices'
+/// Shoup-form encoded diagonals, their encoder and the key plan; nothing in
+/// cleartext mode). Build the
 /// precomputation once per served model — it depends only on the weights
 /// and protocol config, not on any client's keys — and amortize it across
 /// every inference and client.
@@ -321,41 +322,5 @@ mod tests {
             (1_000.0..20_000.0).contains(&per_relu),
             "GC bytes per ReLU = {per_relu}"
         );
-    }
-
-    /// The precompute table is charged the operands a precomputation holds:
-    /// in HE mode exactly its packed diagonals — one per in-replica step,
-    /// for tiny_cnn at n = 2048 8 + 8 + 1 of them (16 replicas each), not
-    /// one per diagonal (128 + 128 + 16) — each `n` values and `n` Shoup
-    /// quotients of 8 bytes under `q`, and as much again under `P` for the
-    /// 5 + 5 steps off the identity baby (`m = 8` steps in 3 giant groups,
-    /// each led by one identity step).
-    #[test]
-    fn he_precomp_charges_the_table_budget_its_operands() {
-        let he = BfvParams::small_test();
-        let model = build_model(&zoo::tiny_cnn(), &he, 3);
-        let cfg = ProtocolConfig::server_garbler(he.clone());
-        let dims: Vec<usize> = (ModelMeta::of(&model).phases.iter())
-            .map(|ph| ph.padded_dim)
-            .collect();
-        assert_eq!(dims, [128, 128, 16]);
-        let (operands, off_identity) = (8 + 8 + 1, 5 + 5);
-        let charge = ServerPrecomp::new(&model, &cfg).resident_byte_len();
-        assert_eq!(charge, ((operands + off_identity) * he.n() * 16) as u64);
-    }
-
-    /// A cleartext-mode precomputation holds no copy of the weights, so it
-    /// charges the table budget nothing (a padded copy was 2·1024²·8 B).
-    #[test]
-    fn cleartext_precomp_charges_the_table_budget_nothing() {
-        use pi_nn::SpecOp::{Flatten, Linear, Relu};
-        let spec = pi_nn::NetSpec {
-            name: "mlp1024".into(),
-            input: [1, 4, 4],
-            ops: vec![Flatten, Linear { out: 1024 }, Relu, Linear { out: 4 }],
-        };
-        let model = build_model(&spec, &BfvParams::small_test(), 3);
-        let cfg = ProtocolConfig::clear(ProtocolKind::ClientGarbler);
-        assert_eq!(ServerPrecomp::new(&model, &cfg).resident_byte_len(), 0);
     }
 }

@@ -48,7 +48,7 @@ pub enum Msg {
     /// replica blocks that fold to `W·r − s`).
     HeCts(Vec<u8>),
     /// Cleartext field vector: masked activations, output shares, or — in
-    /// the insecure test-only `LinearMode::Clear` — the raw randomness.
+    /// the insecure cleartext `LinearMode::Clear` — the raw randomness.
     VecU64(Vec<u64>),
     /// Garbled ReLU tables for one phase: one table set per activation
     /// element (each `(T_G, T_E)` pair is 32 bytes).

@@ -11,18 +11,21 @@
 //!   order, wrong shape, unreduced values, a disconnect — is a typed
 //!   [`ProtocolError`] that aborts exactly one session; the worker and
 //!   every neighbouring session carry on.
-//! * **Session tables** — byte-budgeted LRUs ([`ByteLru`]), one each for
+//! * **Per-model state, built once** — `register_model` builds the
+//!   model's [`ServerPrecomp`] (its encoded diagonals, and in HE mode the
+//!   encoder and the key plan) and keeps it with the model for the
+//!   runtime's lifetime; every session of the model reads it.
+//! * **Two session tables** — byte-budgeted LRUs ([`ByteLru`]), one for
 //!   every client's uploaded rotation keys ([`ClientHeKeys`],
 //!   keyed by client and key plan — a set is only ever used for a model it
-//!   was admitted for, and models with one plan share it), every client
-//!   pair's post-base-OT IKNP state ([`ClientOtState`], keyed by client and
-//!   protocol kind, i.e. by which extension role the server plays) and
-//!   every model's [`ServerPrecomp`]. Eviction drops only the table's
+//!   was admitted for, and models with one plan share it), one for every
+//!   client pair's post-base-OT IKNP state ([`ClientOtState`], keyed by
+//!   client and protocol kind, i.e. by which extension role the server
+//!   plays). Eviction drops only the table's
 //!   reference (in-flight sessions keep their `Arc`); an evicted client
 //!   simply re-uploads the keys [`crate::ServiceClient`] retains, or runs
 //!   base OT again, on its next request, driven by the [`Msg::KeyStatus`]
-//!   handshake. Evicted precomputations are rebuilt on demand from the
-//!   weights. A key upload makes its room *before* it is decoded
+//!   handshake. A key upload makes its room *before* it is decoded
 //!   ([`ByteLru::make_room`], once its headers are the model's plan),
 //!   and is decoded into the victim's memory when no session holds that
 //!   any more: a full key table turns over in place, so the memory a
@@ -72,8 +75,7 @@ pub use table::{ByteLru, TableStats};
 
 use crate::channel::{service_pair, Channel, ChannelError, ChannelTx, ClientEvent};
 use crate::common::{
-    ClientHeKeys, ClientOtState, ModelMeta, PartyOutcome, ProtocolConfig, ProtocolKind,
-    ServerPrecomp,
+    ClientHeKeys, ClientOtState, PartyOutcome, ProtocolConfig, ProtocolKind, ServerPrecomp,
 };
 use crate::error::ProtocolError;
 use crate::msg::Msg;
@@ -92,8 +94,8 @@ use std::sync::Arc;
 pub struct ServeConfig {
     /// Worker threads (0 = `PI_WORKERS` env or the machine's parallelism).
     pub workers: usize,
-    /// Byte budget of each session table (client keys; client-pair OT
-    /// state; model precomps), enforced across the whole table.
+    /// Byte budget of each of the two session tables (client keys;
+    /// client-pair OT state), enforced across the whole table.
     pub table_budget_bytes: u64,
 }
 
@@ -107,12 +109,12 @@ impl Default for ServeConfig {
 }
 
 /// A registered model: weights, the protocol configuration it serves
-/// under, and the key plan its clients' rotation keys are cached by (empty
-/// without HE).
+/// under, and its precomputation (in HE mode holding the key plan its
+/// clients' rotation keys are cached by).
 struct ModelEntry {
     model: PiModel,
     cfg: ProtocolConfig,
-    key_plan: Vec<usize>,
+    pre: ServerPrecomp,
 }
 
 /// One event on a session slot's inbox.
@@ -129,7 +131,6 @@ enum SlotEvent {
 struct SlotBody {
     session: ServerSession,
     tx: ChannelTx,
-    pre: Arc<ServerPrecomp>,
     entry: Arc<ModelEntry>,
     result_tx: Sender<Result<PartyOutcome, ProtocolError>>,
     finished: bool,
@@ -153,7 +154,6 @@ struct Inner {
     next_sid: AtomicU64,
     keys_table: ByteLru<(u64, Vec<usize>), ClientHeKeys>,
     ot_table: ByteLru<(u64, ProtocolKind), ClientOtState>,
-    precomp_table: ByteLru<usize, ServerPrecomp>,
     agg_trace: parking_lot::Mutex<pi_trace::TraceReport>,
     // Behind an Option so `Drop` can take and join the pool on the runtime
     // thread — if the executor died with the last `Arc<Inner>` inside one
@@ -214,7 +214,6 @@ impl ServeRuntime {
             next_sid: AtomicU64::new(0),
             keys_table: ByteLru::new(cfg.table_budget_bytes),
             ot_table: ByteLru::new(cfg.table_budget_bytes),
-            precomp_table: ByteLru::new(cfg.table_budget_bytes),
             agg_trace: parking_lot::Mutex::new(pi_trace::TraceReport::default()),
             exec: parking_lot::Mutex::new(Some(Executor::new(workers))),
             workers,
@@ -223,18 +222,15 @@ impl ServeRuntime {
     }
 
     /// Registers a model to serve and returns its id. The offline-linear
-    /// precomputation is built lazily on first connect and cached in the
-    /// session table.
+    /// precomputation ([`ServerPrecomp`]) is built here, once, and kept
+    /// with the model.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg` selects HE mode without parameters.
     pub fn register_model(&self, model: PiModel, cfg: ProtocolConfig) -> usize {
-        let meta = ModelMeta::of(&model);
-        let key_plan = cfg
-            .he()
-            .map_or_else(Vec::new, |params| meta.key_plan(params));
-        let entry = ModelEntry {
-            model,
-            cfg,
-            key_plan,
-        };
+        let pre = ServerPrecomp::new(&model, &cfg);
+        let entry = ModelEntry { model, cfg, pre };
         let mut models = self.inner.models.lock();
         models.push(Arc::new(entry));
         models.len() - 1
@@ -272,10 +268,9 @@ impl ServeRuntime {
             }
             Ok(())
         }));
-        let cached = (entry.cfg.he())
-            .and_then(|_| inner.keys_table.get(&(client_id, entry.key_plan.clone())));
+        let cached = (entry.pre.key_plan())
+            .and_then(|plan| inner.keys_table.get(&(client_id, plan.to_vec())));
         let cached_ot = inner.ot_table.get(&(client_id, entry.cfg.kind));
-        let pre = precomp_for(inner, model_id, &entry);
         let session = ServerSession::new(
             &entry.model,
             &entry.cfg,
@@ -292,7 +287,6 @@ impl ServeRuntime {
             body: parking_lot::Mutex::new(SlotBody {
                 session,
                 tx,
-                pre,
                 entry,
                 result_tx,
                 finished: false,
@@ -420,11 +414,7 @@ fn pump(inner: &Arc<Inner>, slot: &Arc<Slot>) {
 /// [`Step`].
 fn step_event(inner: &Arc<Inner>, slot: &Arc<Slot>, body: &mut SlotBody, event: SlotEvent) {
     let SlotBody {
-        session,
-        tx,
-        entry,
-        pre,
-        ..
+        session, tx, entry, ..
     } = body;
     // The eviction a key upload's insert would do, done before the decode:
     // a victim no session still holds is what the new set is built in.
@@ -434,7 +424,7 @@ fn step_event(inner: &Arc<Inner>, slot: &Arc<Slot>, body: &mut SlotBody, event: 
     };
     let ctx = SessionCtx {
         model: &entry.model,
-        pre,
+        pre: &entry.pre,
         sink: tx,
         retired_keys: &retired_keys,
     };
@@ -451,9 +441,12 @@ fn step_event(inner: &Arc<Inner>, slot: &Arc<Slot>, body: &mut SlotBody, event: 
         // Freshly uploaded client keys go into the session table as soon as
         // they exist, so even a session that later fails leaves them cached.
         Ok(Step::GotKeys(keys)) => {
-            let bytes = keys.resident_byte_len() as u64;
-            let key = (slot.client_id, entry.key_plan.clone());
-            inner.keys_table.insert(key, keys, bytes);
+            if let Some(plan) = entry.pre.key_plan() {
+                let bytes = keys.resident_byte_len() as u64;
+                inner
+                    .keys_table
+                    .insert((slot.client_id, plan.to_vec()), keys, bytes);
+            }
             return;
         }
         // Likewise the pair's IKNP state, as soon as base OT finished.
@@ -469,19 +462,6 @@ fn step_event(inner: &Arc<Inner>, slot: &Arc<Slot>, body: &mut SlotBody, event: 
     body.done = Some(done);
     body.finished = true;
     inner.slots.lock().remove(&slot.sid);
-}
-
-/// Fetches (or rebuilds) the cached precomputation for a model. Two
-/// threads racing a rebuild both produce correct (deterministic) operands;
-/// one insert wins the table.
-fn precomp_for(inner: &Arc<Inner>, model_id: usize, entry: &ModelEntry) -> Arc<ServerPrecomp> {
-    if let Some(pre) = inner.precomp_table.get(&model_id) {
-        return pre;
-    }
-    let pre = Arc::new(ServerPrecomp::new(&entry.model, &entry.cfg));
-    let bytes = pre.resident_byte_len();
-    inner.precomp_table.insert(model_id, pre.clone(), bytes);
-    pre
 }
 
 #[cfg(test)]

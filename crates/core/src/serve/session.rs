@@ -56,8 +56,8 @@ use crate::role::{
     decode_outputs, encode, BaseReceiver, BaseSender, Garbler, LabelRequest, OtStream, PhaseTables,
 };
 use pi_gc::Label;
-use pi_he::linalg;
-use pi_he::{BatchEncoder, BfvParams, Ciphertext, Plaintext};
+use pi_he::linalg::{self, BsgsDiagonals};
+use pi_he::{Ciphertext, Plaintext};
 use pi_nn::PiModel;
 use pi_ot::ext::{OtExtReceiver, OtExtSender};
 use rand::rngs::StdRng;
@@ -69,7 +69,9 @@ use std::sync::Arc;
 pub struct SessionCtx<'a> {
     /// The served model (weights included).
     pub model: &'a PiModel,
-    /// Shared per-model offline-linear precomputation.
+    /// Shared per-model offline-linear precomputation: the encoded
+    /// diagonals and, in HE mode, the encoder and key plan the HE arms
+    /// read.
     pub pre: &'a ServerPrecomp,
     /// Downlink to this session's client.
     pub sink: &'a ChannelTx,
@@ -93,17 +95,6 @@ pub enum Step {
     /// The protocol completed, with this cost summary (the driver fills in
     /// the trace field).
     Done(PartyOutcome),
-}
-
-/// The server's HE context, resolved once from the configuration and the
-/// model.
-struct HeCtx {
-    params: BfvParams,
-    encoder: BatchEncoder,
-    /// The model's key plan: what an upload must equal to be admitted.
-    plan: Vec<usize>,
-    /// Threads the offline matvecs split across (`lphe_threads`).
-    threads: usize,
 }
 
 /// One stored Client-Garbler ReLU phase: the checked tables, the output
@@ -140,11 +131,11 @@ enum Role {
 
 /// The offline linear pass, by the upload it awaits: the client's rotation
 /// keys, its ciphertexts (under the admitted keys, those received so far
-/// alongside), or its cleartext `r_cat`s (test-only).
+/// alongside), or its cleartext `r_cat`s. The HE arms read the model's HE
+/// context from [`SessionCtx::pre`].
 enum Linear {
-    Keys(HeCtx),
+    Keys,
     Cts {
-        he: HeCtx,
         keys: Arc<ClientHeKeys>,
         cts: Vec<Ciphertext>,
     },
@@ -198,7 +189,7 @@ impl State {
     fn expects(&self) -> &'static str {
         match self {
             State::SgAwaitBaseSetup(_) => "OtBaseSetup",
-            State::Linear(Linear::Keys(_), _) => "HeKeys",
+            State::Linear(Linear::Keys, _) => "HeKeys",
             State::Linear(Linear::Cts { .. }, _) => "HeCts",
             State::Linear(Linear::RCats(_), _) | State::AwaitMaskedInput(_) => "VecU64",
             State::SgAwaitBaseTransfer(_) => "OtBaseTransfer",
@@ -218,6 +209,8 @@ impl State {
 pub struct ServerSession {
     kind: ProtocolKind,
     meta: ModelMeta,
+    /// Threads the offline matvecs split across (`lphe_threads`).
+    lphe_threads: usize,
     rng: StdRng,
     state: State,
     s_vecs: Vec<Vec<u64>>,
@@ -240,16 +233,12 @@ impl ServerSession {
         cached_ot: Option<Arc<ClientOtState>>,
     ) -> Self {
         let meta = ModelMeta::of(model);
-        let he = cfg.he().map(|params| HeCtx {
-            params: params.clone(),
-            encoder: BatchEncoder::new(params),
-            plan: meta.key_plan(params),
-            threads: cfg.lphe_threads,
-        });
-        let cts = Vec::new();
-        let linear = match (he, cached_keys) {
-            (Some(he), Some(keys)) => Linear::Cts { he, keys, cts },
-            (Some(he), None) => Linear::Keys(he),
+        let linear = match (cfg.he(), cached_keys) {
+            (Some(_), Some(keys)) => Linear::Cts {
+                keys,
+                cts: Vec::new(),
+            },
+            (Some(_), None) => Linear::Keys,
             (None, _) => Linear::RCats(Vec::new()),
         };
         let cached = cached_ot.filter(|ot| ot.kind() == cfg.kind);
@@ -269,6 +258,7 @@ impl ServerSession {
         Self {
             kind: cfg.kind,
             meta,
+            lphe_threads: cfg.lphe_threads,
             rng,
             state,
             s_vecs: Vec::new(),
@@ -282,7 +272,7 @@ impl ServerSession {
     pub fn key_status(&self) -> Msg {
         let need_keys = matches!(
             self.state,
-            State::SgAwaitBaseSetup(Linear::Keys(_)) | State::Linear(Linear::Keys(_), _)
+            State::SgAwaitBaseSetup(Linear::Keys) | State::Linear(Linear::Keys, _)
         );
         let (ot_cached, ot_base) = match &self.state {
             State::Linear(_, OtStart::SgCached(ot)) => (Msg::OT_CACHED, ot.block()),
@@ -300,7 +290,8 @@ impl ServerSession {
     ///
     /// [`ProtocolError::UnexpectedMsg`] when the message does not fit the
     /// current state; [`ProtocolError::BadRequest`] on malformed contents
-    /// (a key upload that is not the model's key plan among them);
+    /// (a key upload that is not the model's key plan among them) and on
+    /// an HE upload to a session whose precomputation has no HE context;
     /// [`ProtocolError::Wire`] on an HE frame that fails to parse;
     /// [`ProtocolError::Channel`] when the client vanished mid-reply.
     pub fn on_msg(&mut self, ctx: &SessionCtx<'_>, msg: Msg) -> Result<Step, ProtocolError> {
@@ -315,35 +306,37 @@ impl ServerSession {
                 self.state = State::Linear(linear, OtStart::SgTransfer(receiver));
                 Ok(Step::Idle)
             }
-            (State::Linear(Linear::Keys(he), ot), Msg::HeKeys(frame)) => {
+            (State::Linear(Linear::Keys, ot), Msg::HeKeys(frame)) => {
+                let (he, _) = ctx.pre.he()?;
                 // Keys arrive as a serialized seed-expanded frame; one that
                 // fails to parse, or holds anything but the model's key
                 // plan, is the client's fault and aborts only this session.
                 let keys = {
                     let _phase = pi_trace::span!("offline.he");
                     let _span = pi_trace::span!("he.keys_admit");
-                    let admitted =
-                        ClientHeKeys::admit(&frame, &he.params, &he.plan, ctx.retired_keys)?;
+                    let params = he.encoder.params();
+                    let admitted = ClientHeKeys::admit(&frame, params, &he.plan, ctx.retired_keys)?;
                     Arc::new(admitted)
                 };
                 let linear = Linear::Cts {
-                    he,
                     keys: keys.clone(),
                     cts: Vec::new(),
                 };
                 self.state = State::Linear(linear, ot);
                 Ok(Step::GotKeys(keys))
             }
-            (State::Linear(Linear::Cts { he, keys, mut cts }, ot), Msg::HeCts(frame)) => {
-                let ct = pi_he::ciphertext_from_bytes(&frame, &he.params)?;
-                if ct.c0.ctx().q() != he.params.q() {
+            (State::Linear(Linear::Cts { keys, mut cts }, ot), Msg::HeCts(frame)) => {
+                let (he, diagonals) = ctx.pre.he()?;
+                let params = he.encoder.params();
+                let ct = pi_he::ciphertext_from_bytes(&frame, params)?;
+                if ct.c0.ctx().q() != params.q() {
                     return Err(ProtocolError::BadRequest(
                         "offline upload not at the full ciphertext modulus",
                     ));
                 }
                 cts.push(ct);
                 if cts.len() < self.meta.phases.len() {
-                    self.state = State::Linear(Linear::Cts { he, keys, cts }, ot);
+                    self.state = State::Linear(Linear::Cts { keys, cts }, ot);
                     return Ok(Step::Idle);
                 }
                 // All inputs are in: answer every phase at once, in phase
@@ -357,13 +350,13 @@ impl ServerSession {
                         })
                         .unzip();
                     self.s_vecs = s_vecs;
-                    let prods = matvecs(&cts, &keys, ctx.pre, he.threads)?;
+                    let prods = matvecs(&cts, &keys, diagonals, self.lphe_threads);
                     for (prod, mask) in prods.iter().zip(&masks) {
                         // Every server→client response is modulus-down-switched
                         // before serialization: fewer packed bits per
                         // coefficient AND more absolute noise headroom at the
                         // GC handoff.
-                        let resp = prod.add_plain(mask, &he.params).mod_switch_down(&he.params);
+                        let resp = prod.add_plain(mask, params).mod_switch_down(params);
                         ctx.sink
                             .send(Msg::HeCts(pi_he::ciphertext_to_bytes(&resp)))?;
                     }
@@ -689,25 +682,17 @@ pub fn drive_sync(
 /// in phase order. The first run's matvecs execute on the calling thread;
 /// the helper runs' `he.*` and `ntt.*` counts reach the request's report
 /// through the split's scope merge.
-///
-/// # Errors
-///
-/// [`ProtocolError::BadRequest`] if `pre` was built for cleartext mode and
-/// has no diagonals to multiply by.
 fn matvecs(
     cts: &[Ciphertext],
     keys: &ClientHeKeys,
-    pre: &ServerPrecomp,
+    diagonals: &[BsgsDiagonals],
     threads: usize,
-) -> Result<Vec<Ciphertext>, ProtocolError> {
-    let Some(diagonals) = pre.diagonals.as_deref() else {
-        return Err(ProtocolError::BadRequest("no HE diagonals precomputed"));
-    };
+) -> Vec<Ciphertext> {
     // Replicated diagonals: d/c plaintext products and a hoisted BSGS
     // inside each replica; the client folds the replicas.
     let parts = pi_trace::par::map_ranges(cts.len(), threads, |phases| {
         let matvec = |i: usize| linalg::matvec_precomputed(keys.galois(), &diagonals[i], &cts[i]);
         phases.map(matvec).collect()
     });
-    Ok(pi_trace::par::concat(parts))
+    pi_trace::par::concat(parts)
 }

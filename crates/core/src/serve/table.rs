@@ -2,7 +2,7 @@
 //!
 //! The expensive per-client state a shared server wants to keep between
 //! requests (a client's uploaded HE keys, a client pair's post-base-OT
-//! IKNP state, a model's encoded diagonals) is large: a single client's
+//! IKNP state) is large: a single client's
 //! `tiny_cnn` key set at n = 4096 is two keys, ≈1.1 MB resident (≈0.2 MB
 //! on the wire). The table meters admission by **bytes, not entries**:
 //! once the budget is exceeded, the least-recently-used entries go. One

@@ -6,12 +6,16 @@
 //! the extension is `(Z/2N)^* = <3> × <-1>`, so slots arrange into 2 rows of
 //! `N/2`: the automorphism `x ↦ x^{3^k}` rotates both rows left by `k` and
 //! `x ↦ x^{-1}` swaps the rows.
+//!
+//! **Slot order.** With `ψ = pi_field::prime::root_of_unity(t, 2N)`, slot
+//! `j < N/2` holds `f(ψ^{3^j})` and slot `N/2 + j` holds `f(ψ^{-3^j})`
+//! (exponents mod `2N`). Where such a value sits in the plaintext NTT's
+//! output is [`NttTables::eval_index`], the one definition of the
+//! evaluation order; the encoder only reads it.
 
 use crate::cipher::Plaintext;
 use crate::params::BfvParams;
-use pi_field::Modulus;
 use pi_poly::{NttTables, Poly};
-use std::collections::HashMap;
 
 /// Encoder/decoder between `Z_t` slot vectors and plaintext polynomials.
 #[derive(Debug)]
@@ -28,56 +32,20 @@ impl BatchEncoder {
     /// Builds the encoder for a parameter set.
     pub fn new(params: &BfvParams) -> Self {
         let n = params.n();
-        let t = params.t();
-        let t_ntt = NttTables::new(n, t);
-        // Evaluate f(x) = x with the NTT: output[i] is the evaluation point
-        // value psi^{sigma(i)} itself, giving us the point at each index.
-        let mut probe = vec![0u64; n];
-        probe[1] = 1;
-        t_ntt.forward(&mut probe);
-        let mut point_to_index = HashMap::with_capacity(n);
-        for (i, &alpha) in probe.iter().enumerate() {
-            point_to_index.insert(alpha, i);
-        }
-        // psi = value at the index holding exponent 1: recover psi as any
-        // evaluation point of odd order 2N; simplest is to compute all odd
-        // powers of some point and match. We instead find psi directly:
-        // points are psi^e for odd e, and psi itself is among them; identify
-        // it as the point whose powers enumerate all others.
-        let psi = Self::find_psi(t, &probe);
-        let m = 2 * n as u64;
+        let t_ntt = NttTables::new(n, params.t());
+        let m = 2 * n;
         let mut slot_to_eval = vec![0usize; n];
-        let mut e = 1u64; // 3^0
+        let mut e = 1; // 3^j mod 2N
         for j in 0..n / 2 {
-            let p_pos = t.pow(psi, e);
-            let p_neg = t.pow(psi, m - e);
-            slot_to_eval[j] = *point_to_index
-                .get(&p_pos)
-                .expect("evaluation point for positive slot must exist");
-            slot_to_eval[n / 2 + j] = *point_to_index
-                .get(&p_neg)
-                .expect("evaluation point for negative slot must exist");
-            e = (e * 3) % m;
+            slot_to_eval[j] = t_ntt.eval_index(e);
+            slot_to_eval[n / 2 + j] = t_ntt.eval_index(m - e);
+            e = e * 3 % m;
         }
         Self {
             params: params.clone(),
             t_ntt,
             slot_to_eval,
         }
-    }
-
-    /// Identifies a primitive 2N-th root psi among the evaluation points such
-    /// that every point is an odd power of it (any point works; they are all
-    /// primitive since 2N is a power of two and the points have exact order
-    /// 2N).
-    fn find_psi(t: Modulus, points: &[u64]) -> u64 {
-        let n = points.len() as u64;
-        for &p in points {
-            if t.pow(p, n) == t.value() - 1 {
-                return p;
-            }
-        }
-        unreachable!("negacyclic evaluation points always have order 2N")
     }
 
     /// Number of slots (`N`).
@@ -209,6 +177,45 @@ mod tests {
         let t = params.t().value();
         let v: Vec<u64> = (0..params.n()).map(|_| rng.gen_range(0..t)).collect();
         assert_eq!(enc.decode(&enc.encode(&v)), v);
+    }
+
+    /// The slot order from first principles: the plaintext of a random
+    /// vector, evaluated mod `t` by Horner's rule at `ψ^{±3^j}` with the
+    /// field's own `ψ`, gives back slot `j` of each row.
+    #[test]
+    fn slots_are_evaluations_at_plus_minus_powers_of_three() {
+        for (n, all) in [(8usize, true), (64, true), (2048, false), (4096, false)] {
+            let params = BfvParams::new(n, 62, 20);
+            let enc = BatchEncoder::new(&params);
+            let t = params.t();
+            let psi = pi_field::prime::root_of_unity(t.value(), 2 * n as u64);
+            let mut rng = rand::rngs::StdRng::seed_from_u64(n as u64);
+            let v: Vec<u64> = (0..n).map(|_| rng.gen_range(0..t.value())).collect();
+            let coeffs: Vec<u64> = enc
+                .encode(&v)
+                .poly
+                .coeffs()
+                .iter()
+                .map(|&c| t.reduce(c))
+                .collect();
+            let eval = |x: u64| {
+                coeffs
+                    .iter()
+                    .rev()
+                    .fold(0, |acc, &c| t.add(t.mul(acc, x), c))
+            };
+            let (half, m) = (n / 2, 2 * n as u64);
+            let js: Vec<usize> = if all {
+                (0..half).collect()
+            } else {
+                vec![0, 1, 2, n / 4, half - 1]
+            };
+            for j in js {
+                let e = (0..j).fold(1u64, |e, _| e * 3 % m);
+                assert_eq!(v[j], eval(t.pow(psi, e)), "n={n} row 0 slot {j}");
+                assert_eq!(v[half + j], eval(t.pow(psi, m - e)), "n={n} row 1 slot {j}");
+            }
+        }
     }
 
     #[test]

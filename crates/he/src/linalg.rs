@@ -449,17 +449,6 @@ impl BsgsDiagonals {
     pub fn dim(&self) -> usize {
         self.packing.dim
     }
-
-    /// Heap bytes the operands occupy: per residue of an operand, `n`
-    /// values and `n` Shoup quotients of 8 bytes.
-    pub fn resident_byte_len(&self) -> usize {
-        let residues: usize = self
-            .ops
-            .iter()
-            .map(|op| 1 + usize::from(op.p.is_some()))
-            .sum();
-        residues * 16 * self.packing.n
-    }
 }
 
 /// Encodes the packed diagonals of `w` for [`matvec_precomputed`]: for each
@@ -916,7 +905,8 @@ mod tests {
         // c = 8 replicas of m = 32 steps: 32 operands instead of 256, the
         // 26 off the identity baby (b = 6, g = 6) with a P residue too.
         assert_eq!(diag.packing.replicas, 8);
-        assert_eq!(diag.resident_byte_len(), (32 + 26) * 16 * params.n());
+        let extended = diag.ops.iter().filter(|op| op.p.is_some()).count();
+        assert_eq!((diag.ops.len(), extended), (32, 26));
         // One precomputation serves many client vectors.
         for _ in 0..3 {
             let v: Vec<u64> = (0..256).map(|_| rng.gen_range(0..t.value())).collect();

@@ -151,7 +151,8 @@ fn bit_reverse(x: usize, bits: u32) -> usize {
 ///
 /// In this engine's (Longa–Naehrig) ordering, output slot `j` of
 /// [`NttTables::forward`] holds `f(ψ^{e_j})` with `e_j = 2·rev(j) + 1`
-/// (`rev` = bit reversal over `log2 n` bits). Since
+/// (`rev` = bit reversal over `log2 n` bits; [`NttTables::eval_index`] is
+/// the inverse map). Since
 /// `(φ_g f)(ψ^{e}) = f(ψ^{g·e mod 2n})` and odd exponents are closed under
 /// multiplication by odd `g`, the automorphism acts on evaluation vectors as
 /// the pure index permutation `out[j] = in[idx[j]]` with
@@ -346,6 +347,21 @@ impl NttTables {
         self.q
     }
 
+    /// The evaluation index that holds `f(ψ^e)` after [`NttTables::forward`],
+    /// for odd `e < 2n`: `rev((e − 1)/2)`. This is the one definition of
+    /// the engine's slot order; `ψ` is `prime::root_of_unity(q, 2n)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `e` is even or `e >= 2n`.
+    pub fn eval_index(&self, e: usize) -> usize {
+        assert!(
+            e % 2 == 1 && e < 2 * self.n,
+            "exponent must be odd and < 2n"
+        );
+        bit_reverse(e >> 1, self.n.trailing_zeros())
+    }
+
     /// Builds the evaluation-slot permutation realizing the Galois
     /// automorphism `x ↦ x^g` directly on NTT-form data (see [`GaloisPerm`]).
     ///
@@ -363,8 +379,7 @@ impl NttTables {
         let idx = (0..n)
             .map(|j| {
                 let e = 2 * bit_reverse(j, bits) + 1;
-                let src_e = (g * e) & mask;
-                bit_reverse((src_e - 1) >> 1, bits) as u32
+                self.eval_index((g * e) & mask) as u32
             })
             .collect::<Vec<u32>>();
         let blocks = GaloisBlocks::derive(&idx);
@@ -726,6 +741,24 @@ mod tests {
             for g in [1, 3, 5, 2 * n - 1] {
                 let perm = t.galois_permutation(g);
                 assert_eq!(perm.byte_len(), GaloisPerm::byte_len_at(n), "n={n} g={g}");
+            }
+        }
+    }
+
+    /// The probe oracle for [`NttTables::eval_index`]: the transform of
+    /// `f(x) = x` is the evaluation points themselves, so index
+    /// `eval_index(e)` must hold `ψ^e` for every odd `e < 2n`.
+    #[test]
+    fn eval_index_holds_the_evaluation_point_it_names() {
+        for n in [4usize, 64, 4096] {
+            let t = tables(n, 30);
+            let q = t.q();
+            let psi = prime::root_of_unity(q.value(), 2 * n as u64);
+            let mut probe = vec![0u64; n];
+            probe[1] = 1;
+            t.forward(&mut probe);
+            for e in (1..2 * n).step_by(2) {
+                assert_eq!(probe[t.eval_index(e)], q.pow(psi, e as u64), "n={n} e={e}");
             }
         }
     }

@@ -1136,6 +1136,45 @@ fn off_plan_key_uploads_are_bad_requests_to_drive_sync() {
     }
 }
 
+/// A precomputation built for cleartext mode has no HE context: an HE
+/// session over it refuses the client's first HE upload with `BadRequest`
+/// and hangs up, and the client sees the hang-up — under both garbler
+/// kinds, with no party panicking.
+#[test]
+fn an_he_session_on_a_cleartext_precomputation_is_a_bad_request() {
+    let he = BfvParams::small_test();
+    let model = build_model(&he, 11);
+    let meta = ModelMeta::of(&model);
+    let input = random_input(&model, 510);
+    for kind in [ProtocolKind::ServerGarbler, ProtocolKind::ClientGarbler] {
+        let cfg = ProtocolConfig {
+            kind,
+            ..ProtocolConfig::client_garbler(he.clone(), 1)
+        };
+        let pre = pi_core::ServerPrecomp::new(&model, &ProtocolConfig::clear(kind));
+        let (c_chan, s_chan) = local_pair();
+        let (ran, served) = std::thread::scope(|scope| {
+            let (model, pre, cfg) = (&model, &pre, &cfg);
+            let server = scope.spawn(move || {
+                let rng = rand::rngs::StdRng::seed_from_u64(6);
+                drive_sync(model, pre, cfg, &s_chan, rng)
+            });
+            let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+            let ran = ServiceClient::new().run(&meta, &input, cfg, &c_chan, &mut rng);
+            (ran, server.join().expect("the server must not panic"))
+        });
+        assert!(
+            matches!(served, Err(ProtocolError::BadRequest(_))),
+            "{kind:?}: {served:?}"
+        );
+        assert!(
+            matches!(ran, Err(ProtocolError::Channel(_))),
+            "{kind:?}: {:?}",
+            ran.map(|(out, _)| out)
+        );
+    }
+}
+
 /// One inference of an honest client against an honest `drive_sync` server
 /// on a dedicated pair, behind a relay that applies `tamper` to its
 /// direction: how the client and the server resolved, each within a minute.
