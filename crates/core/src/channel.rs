@@ -74,8 +74,8 @@ impl std::fmt::Debug for Link {
 }
 
 /// The counted sending half of an endpoint: every [`Channel`] contains one,
-/// and the server's session state machine writes to one by reference — a
-/// dedicated channel's, or a [`service_pair`]'s bare downlink sender.
+/// and the server's session body writes to one by reference — a dedicated
+/// channel's, or a [`service_pair`]'s bare downlink sender.
 #[derive(Debug)]
 pub struct ChannelTx {
     link: Link,

@@ -8,7 +8,8 @@
 //! offline and serves the server's label OT online) or as **evaluator**
 //! (Server-Garbler, §2.2: it stores the circuits, fetches its labels by
 //! offline OT and evaluates online) — with the role steps the server's
-//! state machine runs in the mirrored role (`role.rs`). Everything the
+//! body ([`crate::serve::session`], the same message order written as an
+//! `async` body) runs in the mirrored role (`role.rs`). Everything the
 //! server sends is checked before use: a deviating server is a
 //! [`ProtocolError`], never a panic.
 //!
@@ -533,13 +534,17 @@ fn linear_shares(
 
 #[cfg(test)]
 mod tests {
-    /// The ROADMAP's grep check: nothing in the two protocol bodies can
-    /// panic on an `Option`/`Result` a peer's message decides.
+    /// The ROADMAP's grep check: nothing in the two protocol bodies, the
+    /// role steps they share, or the runtime that receives for and caches
+    /// from the server's can panic on an `Option`/`Result` a peer's message
+    /// decides.
     #[test]
     fn protocol_bodies_have_no_panicking_shortcuts() {
         for (name, src) in [
             ("client.rs", include_str!("client.rs")),
             ("serve/session.rs", include_str!("serve/session.rs")),
+            ("serve/mod.rs", include_str!("serve/mod.rs")),
+            ("role.rs", include_str!("role.rs")),
         ] {
             let body = src.split("#[cfg(test)]").next().unwrap_or(src);
             for needle in [".expect(", ".unwrap()", "unreachable!"] {

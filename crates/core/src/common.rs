@@ -2,9 +2,9 @@
 //! the per-model server precomputation, and the per-party cost summary.
 //!
 //! The protocol bodies live in [`crate::client`] (the client, blocking) and
-//! [`crate::serve::session`] (the server, a resumable state machine); the
-//! garbler / evaluator / base-OT steps both of them perform are in
-//! `role.rs`.
+//! [`crate::serve::session`] (the server, `async`: it suspends between
+//! messages); the garbler / evaluator / base-OT steps both of them perform
+//! are in `role.rs`.
 
 use crate::error::ProtocolError;
 use crate::msg::Msg;

@@ -16,10 +16,10 @@ use crate::channel::ChannelError;
 pub enum ProtocolError {
     /// The transport failed (peer dropped mid-protocol).
     Channel(ChannelError),
-    /// The peer sent a message the protocol state machine cannot accept in
-    /// its current state.
+    /// The peer sent a message of another kind than the one the protocol
+    /// body was waiting for.
     UnexpectedMsg {
-        /// What the state machine was waiting for.
+        /// The [`crate::msg::Msg`] variant the body was waiting for.
         expected: &'static str,
         /// The [`crate::msg::Msg::kind`] actually received.
         got: &'static str,

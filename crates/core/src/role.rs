@@ -4,8 +4,8 @@
 //! Server-Garbler (§2.2) and Client-Garbler (§5.1) differ only in which
 //! party garbles, which evaluates, and whether the evaluator's label OT
 //! runs offline or online. The client body ([`crate::client`]) and the
-//! server's state machine ([`crate::serve::session`]) call these steps
-//! from whichever role the protocol kind hands them; neither keeps a copy.
+//! server's body ([`crate::serve::session`]) call these steps from
+//! whichever role the protocol kind hands them; neither keeps a copy.
 //!
 //! A step that consumes a peer's message checks its shape before the
 //! substrate call that would assert it and returns

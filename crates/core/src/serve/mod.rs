@@ -5,12 +5,14 @@
 //! worker pool advancing whichever sessions have work. This module
 //! provides that runtime:
 //!
-//! * **Resumable sessions** — each connection owns a
-//!   [`session::ServerSession`], the server role of both protocol kinds as
-//!   an explicit state machine. A misbehaving or vanished client — wrong
-//!   order, wrong shape, unreduced values, a disconnect — is a typed
-//!   [`ProtocolError`] that aborts exactly one session; the worker and
-//!   every neighbouring session carry on.
+//! * **Suspendable sessions** — each connection owns the future of a
+//!   [`session::ServerSession::run`], the server role of both protocol
+//!   kinds as one `async` body whose receives read the session's inbox: it
+//!   suspends when the inbox is empty and gives its worker back. A
+//!   misbehaving or vanished client — wrong order, wrong shape, unreduced
+//!   values, a disconnect — is a typed [`ProtocolError`] that aborts
+//!   exactly one session; the worker and every neighbouring session carry
+//!   on.
 //! * **Per-model state, built once** — `register_model` builds the
 //!   model's [`ServerPrecomp`] (its encoded diagonals, and in HE mode the
 //!   encoder and the key plan) and keeps it with the model for the
@@ -24,8 +26,8 @@
 //!   plays). Eviction drops only the table's
 //!   reference (in-flight sessions keep their `Arc`); an evicted client
 //!   simply re-uploads the keys [`crate::ServiceClient`] retains, or runs
-//!   base OT again, on its next request, driven by the [`Msg::KeyStatus`]
-//!   handshake. A key upload makes its room *before* it is decoded
+//!   base OT again, on its next request, driven by the
+//!   [`KeyStatus`](crate::msg::Msg::KeyStatus) handshake. A key upload makes its room *before* it is decoded
 //!   ([`ByteLru::make_room`], once its headers are the model's plan),
 //!   and is decoded into the victim's memory when no session holds that
 //!   any more: a full key table turns over in place, so the memory a
@@ -52,18 +54,20 @@
 //!   schedules the session's pump, on the client's thread. It never touches
 //!   a session body, so slow session compute cannot stall message intake,
 //!   and it holds the runtime weakly, so a dropped runtime hangs up on
-//!   every live client.
-//! * **Sessions that do their own work** — the offline HE matvecs included:
-//!   a session computes its products inside the pump that delivers its last
-//!   ciphertext, exactly as under [`session::drive_sync`], so every request
-//!   owns all of its time and the matvecs of different sessions run on as
-//!   many workers as there are sessions.
+//!   every live client. Since every push schedules a pump, a suspended
+//!   session needs no waker: the pump polls it again.
+//! * **Every session's work in its own polls** — the offline HE matvecs
+//!   included: a session computes its products in the poll that receives
+//!   its last ciphertext, exactly as under [`session::drive_sync`], so
+//!   every request owns all of its time and the matvecs of different
+//!   sessions run on as many workers as there are sessions.
 //!
 //! Concurrency discipline per session slot: the *inbox* lock is the only
-//! one an uplink takes (always short); the *body* lock serializes the
-//! actual protocol compute and is only contended when a pump is already
-//! running — which the `scheduled` flag prevents. A session's trace covers
-//! all of its work; the runtime's [`ServeRuntime::aggregate_trace`] is the
+//! one an uplink takes (always short); the *body* lock serializes the polls
+//! and is only contended when a pump is already running — which the
+//! `scheduled` flag prevents. The session future holds the runtime weakly
+//! and shares only its inbox, never its slot. A session's trace covers all
+//! of its work; the runtime's [`ServeRuntime::aggregate_trace`] is the
 //! merge of every finished session's.
 
 pub mod session;
@@ -78,16 +82,18 @@ use crate::common::{
     ClientHeKeys, ClientOtState, PartyOutcome, ProtocolConfig, ProtocolKind, ServerPrecomp,
 };
 use crate::error::ProtocolError;
-use crate::msg::Msg;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use executor::{resolve_workers, Executor};
 use pi_nn::PiModel;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use session::{ServerSession, SessionCtx, Step};
+use session::{ServerSession, SessionCtx};
 use std::collections::{HashMap, VecDeque};
+use std::future::Future;
+use std::pin::Pin;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
+use std::task::{Context, Poll, Waker};
 
 /// Serving-runtime configuration.
 #[derive(Clone, Debug)]
@@ -117,24 +123,18 @@ struct ModelEntry {
     pre: ServerPrecomp,
 }
 
-/// One event on a session slot's inbox.
-enum SlotEvent {
-    /// Arm the session (send the `KeyStatus` preamble).
-    Start,
-    /// A client protocol message.
-    Msg(Msg),
-    /// The client endpoint was dropped.
-    Gone,
-}
+/// A session's uplink events, in arrival order: the uplink pushes, the
+/// session's receive pops.
+type Inbox = Arc<parking_lot::Mutex<VecDeque<ClientEvent>>>;
+
+/// A session as the runtime polls it.
+type SessionFuture = Pin<Box<dyn Future<Output = Result<PartyOutcome, ProtocolError>> + Send>>;
 
 /// The session-serial state a pump works on (guarded by the body lock).
 struct SlotBody {
-    session: ServerSession,
-    tx: ChannelTx,
-    entry: Arc<ModelEntry>,
+    /// The session, `None` once it resolved.
+    session: Option<SessionFuture>,
     result_tx: Sender<Result<PartyOutcome, ProtocolError>>,
-    finished: bool,
-    done: Option<Result<PartyOutcome, ProtocolError>>,
     trace: pi_trace::TraceReport,
 }
 
@@ -142,9 +142,8 @@ struct SlotBody {
 /// ever takes the inbox lock.
 struct Slot {
     sid: u64,
-    client_id: u64,
     scheduled: AtomicBool,
-    inbox: parking_lot::Mutex<VecDeque<SlotEvent>>,
+    inbox: Inbox,
     body: parking_lot::Mutex<SlotBody>,
 }
 
@@ -260,11 +259,8 @@ impl ServeRuntime {
             // slot is gone, there is nobody to misbehave against.
             let slot = inner.slots.lock().get(&sid).cloned();
             if let Some(slot) = slot {
-                let event = match event {
-                    ClientEvent::Msg(m) => SlotEvent::Msg(m),
-                    ClientEvent::Gone => SlotEvent::Gone,
-                };
-                enqueue(&inner, &slot, event);
+                slot.inbox.lock().push_back(event);
+                schedule(&inner, &slot);
             }
             Ok(())
         }));
@@ -278,24 +274,22 @@ impl ServeRuntime {
             cached,
             cached_ot,
         );
+        let inbox = Inbox::default();
+        let runtime = Arc::downgrade(inner);
+        let session = serve(session, entry, tx, inbox.clone(), runtime, client_id);
         let (result_tx, result_rx) = unbounded();
         let slot = Arc::new(Slot {
             sid,
-            client_id,
             scheduled: AtomicBool::new(false),
-            inbox: parking_lot::Mutex::new(VecDeque::new()),
+            inbox,
             body: parking_lot::Mutex::new(SlotBody {
-                session,
-                tx,
-                entry,
+                session: Some(Box::pin(session)),
                 result_tx,
-                finished: false,
-                done: None,
                 trace: pi_trace::TraceReport::default(),
             }),
         });
         inner.slots.lock().insert(sid, slot.clone());
-        enqueue(inner, &slot, SlotEvent::Start);
+        schedule(inner, &slot);
         ClientConn {
             chan,
             handle: SessionHandle { rx: result_rx },
@@ -345,9 +339,57 @@ impl Drop for ServeRuntime {
     }
 }
 
-fn enqueue(inner: &Arc<Inner>, slot: &Arc<Slot>, event: SlotEvent) {
-    slot.inbox.lock().push_back(event);
-    schedule(inner, slot);
+/// One session as the runtime runs it: the `KeyStatus` preamble, then the
+/// session body on the slot's inbox, with the keys and the IKNP state it
+/// yields cached in the runtime's tables under `client_id`. Holds the
+/// runtime weakly: a strong reference, kept in the runtime's own slot,
+/// would keep the downlink alive after the runtime is dropped.
+async fn serve(
+    session: ServerSession,
+    entry: Arc<ModelEntry>,
+    tx: ChannelTx,
+    inbox: Inbox,
+    runtime: Weak<Inner>,
+    client_id: u64,
+) -> Result<PartyOutcome, ProtocolError> {
+    tx.send(session.key_status())?;
+    let recv = || {
+        let event = inbox.lock().pop_front()?;
+        Some(match event {
+            ClientEvent::Msg(m) => Ok(m),
+            ClientEvent::Gone => Err(ProtocolError::Channel(ChannelError::Disconnected)),
+        })
+    };
+    // The eviction a key upload's insert would do, done before the decode:
+    // a victim no session still holds is what the new set is built in.
+    let retired_keys = |bytes: usize| {
+        let evicted = runtime.upgrade()?.keys_table.make_room(bytes as u64);
+        evicted.into_iter().find_map(Arc::into_inner)
+    };
+    let got_keys = |keys: Arc<ClientHeKeys>| {
+        if let (Some(inner), Some(plan)) = (runtime.upgrade(), entry.pre.key_plan()) {
+            let bytes = keys.resident_byte_len() as u64;
+            let key = (client_id, plan.to_vec());
+            inner.keys_table.insert(key, keys, bytes);
+        }
+    };
+    let got_ot = |ot: Arc<ClientOtState>| {
+        if let Some(inner) = runtime.upgrade() {
+            let bytes = ot.resident_byte_len() as u64;
+            let key = (client_id, entry.cfg.kind);
+            inner.ot_table.insert(key, ot, bytes);
+        }
+    };
+    let ctx = SessionCtx {
+        model: &entry.model,
+        pre: &entry.pre,
+        sink: &tx,
+        recv: &recv,
+        retired_keys: &retired_keys,
+        got_keys: &got_keys,
+        got_ot: &got_ot,
+    };
+    session.run(ctx).await
 }
 
 /// Schedules a pump for `slot` unless one is already scheduled or running.
@@ -368,105 +410,45 @@ fn schedule(inner: &Arc<Inner>, slot: &Arc<Slot>) {
     }
 }
 
-/// Advances one session as far as its inbox allows. Holds the body lock for
-/// the whole pump — no uplink ever takes it, so intake stays live while
-/// this session grinds garbling or evaluation.
+/// Polls one session until it suspends on an empty inbox or resolves.
+/// Holds the body lock for the whole pump — no uplink ever takes it, so
+/// intake stays live while this session grinds garbling or evaluation.
 fn pump(inner: &Arc<Inner>, slot: &Arc<Slot>) {
     let mut body = slot.body.lock();
     let trace_scope = pi_trace::begin_local();
     let root_span = pi_trace::span!("server");
-    loop {
-        let events: Vec<SlotEvent> = {
-            let mut inbox = slot.inbox.lock();
-            inbox.drain(..).collect()
-        };
-        if events.is_empty() {
-            slot.scheduled.store(false, Ordering::SeqCst);
-            // Lost-wakeup check: an event may have slipped in between the
-            // drain and the flag clear. Reclaim the flag and go again —
-            // unless someone else already scheduled a fresh pump.
-            if slot.inbox.lock().is_empty() || slot.scheduled.swap(true, Ordering::SeqCst) {
-                break;
-            }
-            continue;
+    let mut cx = Context::from_waker(Waker::noop());
+    let mut done = None;
+    while let Some(session) = body.session.as_mut() {
+        if let Poll::Ready(res) = session.as_mut().poll(&mut cx) {
+            body.session = None;
+            done = Some(res);
+            break;
         }
-        for event in events {
-            if body.finished {
-                break;
-            }
-            step_event(inner, slot, &mut body, event);
+        slot.scheduled.store(false, Ordering::SeqCst);
+        // Lost-wakeup check: an event may have slipped in between the
+        // session's empty receive and the flag clear. Reclaim the flag and
+        // poll again — unless someone else already scheduled a fresh pump.
+        if slot.inbox.lock().is_empty() || slot.scheduled.swap(true, Ordering::SeqCst) {
+            break;
         }
     }
     drop(root_span);
     body.trace.merge(&trace_scope.finish());
-    if body.finished {
-        if let Some(mut res) = body.done.take() {
-            inner.agg_trace.lock().merge(&body.trace);
-            if let Ok(out) = &mut res {
-                out.trace = std::mem::take(&mut body.trace);
-            }
-            let _ = body.result_tx.send(res);
+    if let Some(mut res) = done {
+        inner.slots.lock().remove(&slot.sid);
+        inner.agg_trace.lock().merge(&body.trace);
+        if let Ok(out) = &mut res {
+            out.trace = std::mem::take(&mut body.trace);
         }
+        let _ = body.result_tx.send(res);
     }
-}
-
-/// Applies one inbox event to the session and services the resulting
-/// [`Step`].
-fn step_event(inner: &Arc<Inner>, slot: &Arc<Slot>, body: &mut SlotBody, event: SlotEvent) {
-    let SlotBody {
-        session, tx, entry, ..
-    } = body;
-    // The eviction a key upload's insert would do, done before the decode:
-    // a victim no session still holds is what the new set is built in.
-    let retired_keys = |bytes: usize| {
-        let evicted = inner.keys_table.make_room(bytes as u64);
-        evicted.into_iter().find_map(Arc::into_inner)
-    };
-    let ctx = SessionCtx {
-        model: &entry.model,
-        pre: &entry.pre,
-        sink: tx,
-        retired_keys: &retired_keys,
-    };
-    let result = match event {
-        SlotEvent::Start => {
-            let sent = tx.send(session.key_status());
-            sent.map(|()| Step::Idle).map_err(ProtocolError::from)
-        }
-        SlotEvent::Msg(m) => session.on_msg(&ctx, m),
-        SlotEvent::Gone => Err(ProtocolError::Channel(ChannelError::Disconnected)),
-    };
-    let done = match result {
-        Ok(Step::Idle) => return,
-        // Freshly uploaded client keys go into the session table as soon as
-        // they exist, so even a session that later fails leaves them cached.
-        Ok(Step::GotKeys(keys)) => {
-            if let Some(plan) = entry.pre.key_plan() {
-                let bytes = keys.resident_byte_len() as u64;
-                inner
-                    .keys_table
-                    .insert((slot.client_id, plan.to_vec()), keys, bytes);
-            }
-            return;
-        }
-        // Likewise the pair's IKNP state, as soon as base OT finished.
-        Ok(Step::GotOt(ot)) => {
-            let bytes = ot.resident_byte_len() as u64;
-            let key = (slot.client_id, entry.cfg.kind);
-            inner.ot_table.insert(key, ot, bytes);
-            return;
-        }
-        Ok(Step::Done(out)) => Ok(out),
-        Err(e) => Err(e),
-    };
-    body.done = Some(done);
-    body.finished = true;
-    inner.slots.lock().remove(&slot.sid);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::msg::Msg;
     use pi_nn::{zoo, FixedConfig, Network, QuantNetwork};
     use pi_ot::ext::{OtExtSender, SenderSetup, KAPPA};
     use std::sync::Barrier;

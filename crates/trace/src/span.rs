@@ -78,6 +78,31 @@ fn global_spans() -> &'static Mutex<HashMap<String, SpanStat>> {
 }
 
 /// RAII guard for one span; records on drop. Inert outside `Full` mode.
+///
+/// The guard is not `Send`: its span lives on this thread's stack of open
+/// spans. So an `async` block that holds one across an `.await` is not a
+/// `Send` future, and a runtime that moves suspended futures between
+/// threads refuses it — a span never straddles a suspension:
+///
+/// ```compile_fail
+/// fn f<T: Send>(_: T) {}
+/// f(async {
+///     let span = pi_trace::span("offline.he");
+///     std::future::ready(()).await;
+///     drop(span);
+/// });
+/// ```
+///
+/// Dropping the guard before the `.await` is fine:
+///
+/// ```
+/// fn f<T: Send>(_: T) {}
+/// f(async {
+///     let span = pi_trace::span("offline.he");
+///     drop(span);
+///     std::future::ready(()).await;
+/// });
+/// ```
 #[must_use = "bind the span guard or the region is timed as empty"]
 pub struct SpanGuard {
     start: Option<Instant>,

@@ -1388,6 +1388,84 @@ fn mixed_order_peer_points_change_nothing() {
     }
 }
 
+/// A session waiting for its client's next message gives its worker back.
+/// On a one-worker runtime, under both garbler kinds, a relay holds client
+/// A's uplink after its first linear message, so A's session is suspended
+/// mid-upload; client B runs a whole inference on the same worker
+/// meanwhile, bit-exact, and once the relay lets go A completes bit-exact
+/// too. A receive that blocked the worker would leave B without one.
+#[test]
+fn a_suspended_session_gives_its_only_worker_back() {
+    let he = BfvParams::small_test();
+    let model = build_model(&he, 11);
+    let meta = ModelMeta::of(&model);
+    for kind in [ProtocolKind::ServerGarbler, ProtocolKind::ClientGarbler] {
+        let what = format!("{kind:?}");
+        let cfg = protocol_cfg(kind, Some(&he));
+        let rt = ServeRuntime::new(serve_cfg(1));
+        let model_id = rt.register_model(model.clone(), cfg.clone());
+        let a = rt.connect(0, model_id, 10);
+        let session = Arc::new(a.chan);
+        let (events_tx, events_rx) = crossbeam::channel::unbounded::<ClientEvent>();
+        let (a_chan, to_a) = service_pair(Box::new(move |event| {
+            let sent = events_tx.send(event);
+            sent.map_err(|_| ChannelError::Disconnected)
+        }));
+        let (held_tx, held_rx) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        let up = std::thread::spawn({
+            let session = session.clone();
+            move || {
+                let mut hold = Some((held_tx, release_rx));
+                while let Ok(ClientEvent::Msg(m)) = events_rx.recv() {
+                    let linear = matches!(m, Msg::HeKeys(_) | Msg::HeCts(_) | Msg::VecU64(_));
+                    if session.send(m).is_err() {
+                        break;
+                    }
+                    if let Some((held, release)) = hold.take_if(|_| linear) {
+                        let _ = held.send(());
+                        let _ = release.recv();
+                    }
+                }
+            }
+        });
+        let down = std::thread::spawn(move || {
+            while let Ok(m) = session.recv() {
+                if to_a.send(m).is_err() {
+                    break;
+                }
+            }
+        });
+        let input = random_input(&model, 70);
+        let expect = model.forward(&input);
+        let a_run = {
+            let (meta, cfg) = (meta.clone(), cfg.clone());
+            std::thread::spawn(move || {
+                let mut rng = rand::rngs::StdRng::seed_from_u64(71);
+                let ran = ServiceClient::new().run(&meta, &input, &cfg, &a_chan, &mut rng);
+                ran.map(|(out, _)| out)
+            })
+        };
+        held_rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .unwrap_or_else(|_| panic!("{what}: A sent no linear message"));
+        // A is released whatever became of B: a worker stuck in A's
+        // session fails the test instead of hanging the runtime's drop.
+        let b = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            neighbour_completes(&rt, (model_id, 1), &model, (&meta, &cfg), &what)
+        }));
+        release_tx.send(()).expect("relay waiting");
+        if let Err(panic) = b {
+            std::panic::resume_unwind(panic);
+        }
+        let served = within_a_minute(&what, move || a.handle.wait());
+        assert!(served.is_ok(), "{what}: A's session {served:?}");
+        assert_eq!(a_run.join().expect("client A"), Ok(expect), "{what}: A");
+        up.join().expect("up relay");
+        down.join().expect("down relay");
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Base OT once per client pair: a returning client's request runs on the
 // IKNP state both parties kept, in a range of the PRG streams the server
