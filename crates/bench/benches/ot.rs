@@ -11,7 +11,10 @@
 //!
 //! The `base_ot` group times the edwards25519 arithmetic behind the 128 base
 //! OTs piece by piece, and `setup_in_process` itself (what the ledger
-//! reports as `ot.base_ms`). Each of the three per-transfer loops of one
+//! reports as `ot.base_ms`). `scalar_mul_var_x8` is eight of
+//! `scalar_mul_var`'s products under one scalar, as the sender's transfer
+//! takes them: on the AVX-512 IFMA lanes where they run
+//! (`csv,curve_lanes,<ifma|scalar>`). Each of the three per-transfer loops of one
 //! 128-transfer base OT (the sender's transfer, the receiver's choice and
 //! its receive) then runs on one thread and split across the host's cores
 //! (`csv,par_ab,base_ot_{transfer,choose,receive}128,…`). It ends with
@@ -23,7 +26,7 @@ use pi_bench::{kernel, one_thread_vs_split};
 use pi_gc::aes;
 use pi_ot::base::{BaseOtReceiver, BaseOtSender};
 use pi_ot::bitmat::BitVec;
-use pi_ot::curve::{base_table, Fe, Point, Scalar, Table};
+use pi_ot::curve::{base_table, lanes_active, Fe, Point, Scalar, Table};
 use pi_ot::ext::{reference, setup_in_process, OtExtReceiver, OtExtSender};
 use pi_trace::par;
 use rand::{Rng, SeedableRng};
@@ -102,6 +105,16 @@ fn bench_base_ot() {
     });
     let var = kernel("base_ot/scalar_mul_var", samples, || {
         point.mul(black_box(&k))
+    });
+    // Eight products under one scalar, as the sender's transfer takes
+    // them: through the IFMA lanes where they run, else eight `mul`s.
+    println!(
+        "csv,curve_lanes,{}",
+        if lanes_active() { "ifma" } else { "scalar" }
+    );
+    let eight = &points[..8];
+    kernel("base_ot/scalar_mul_var_x8", samples, || {
+        Point::mul_shared(black_box(eight), black_box(&k))
     });
     let fixed = kernel("base_ot/scalar_mul_fixed", samples, || {
         table.mul(black_box(&k))

@@ -216,11 +216,6 @@ impl BfvParams {
         let (keys, rounding) = self.key_switch_noise_terms();
         keys.hypot(rounding).log2()
     }
-
-    /// Number of SIMD slots (= `N`, arranged as 2 rows of `N/2`).
-    pub fn slot_count(&self) -> usize {
-        self.ring.n()
-    }
 }
 
 #[cfg(test)]

@@ -25,8 +25,14 @@
 //! **Cost**, in field multiplications (≈20 ns each) per transfer: the
 //! sender's variable-base multiplication is 256 doublings and ≤64 additions,
 //! ≈2 700, plus ≈270 to decode `PK_0,i` (one square root); the receiver's
-//! two table reads are ≤64 additions each, ≈1 000 together. For `n` = 128:
-//! 32 + 32·128 + (32 + 32·128) = 8 256 B on the wire.
+//! two table reads are ≤64 additions each, ≈1 000 together. Every `r·PK_0,i`
+//! is under the same `r`, so the sender takes them through
+//! [`Point::mul_shared`]: eight at a time on the curve's AVX-512 IFMA lanes
+//! where they run, the same points byte for byte. On a 2-vCPU host with
+//! IFMA (`pi-bench`'s `ot` bench) eight products take ≈90–110 µs against
+//! ≈100–120 µs for one [`Point::mul`], and the sender's transfer of 128 on
+//! one thread 15.3 → 3.1 ms, a third of it now the decodes of `PK_0,i`.
+//! For `n` = 128: 32 + 32·128 + (32 + 32·128) = 8 256 B on the wire.
 //!
 //! **Split across cores.** Each of the three per-transfer loops — the
 //! sender's decode of `PK_0,i`, `r·PK_0,i` and `r·C − r·PK_0,i`; the
@@ -37,10 +43,11 @@
 //! global transfer index. Every scalar (`r`, each `k_i`) is drawn on the
 //! calling thread before the split, and `r·G`, `r·C` and the receiver's
 //! table for `r·G` are built there, so every message and every received
-//! seed is the one-thread one, bit for bit. At `n` = 128, one thread vs a
-//! two-way split on a 2-vCPU host (`pi-bench`'s `ot` bench,
-//! `csv,par_ab,base_ot_*`): transfer 13.1 → 6.8 ms, choose 2.6 → 1.5 ms,
-//! receive 2.9 → 1.8 ms.
+//! seed is the one-thread one, bit for bit. A run of the sender's loop
+//! takes its products through the lanes eight at a time and its remainder
+//! through [`Point::mul`]. At `n` = 128, one thread vs a two-way split on a
+//! 2-vCPU host with IFMA (`pi-bench`'s `ot` bench, `csv,par_ab,base_ot_*`):
+//! transfer 3.05 → 1.69 ms, choose 3.09 → 1.70 ms, receive 3.45 → 2.19 ms.
 //!
 //! **Security.** The receiver's message is a uniform group element whatever
 //! `b_i` is, so the sender learns nothing. The receiver knows the discrete
@@ -75,7 +82,7 @@
 //! Nothing here is constant-time. Messages carry `byte_len` for the
 //! communication accounting in `pi-core` / `pi-sim`.
 
-use crate::curve::{base_table, Point, Scalar, Table};
+use crate::curve::{self, base_table, Point, Scalar, Table};
 use pi_gc::GcHash;
 use pi_trace::par;
 use rand::Rng;
@@ -114,11 +121,13 @@ impl std::error::Error for BaseOtError {}
 
 /// Batches of fewer transfers than this run on the calling thread; larger
 /// ones split their per-transfer work across [`par::threads`] contiguous
-/// runs (see the module docs). The protocol's batch is always 128. On a
-/// 2-vCPU host a two-way split of the sender's transfer gains from 8
-/// transfers on (1.3× at 8, 1.4× at 16, 1.8× at 32), but the receiver's
-/// two loops, whose per-transfer work is a fifth of the sender's, lose
-/// below 16 and gain or tie from 32 on.
+/// runs (see the module docs). The protocol's batch is always 128. On the
+/// IFMA lanes the sender's per-transfer work is about the receiver's. On a
+/// 2-vCPU host with IFMA a two-way split gains in all three loops at 32
+/// (transfer 1.5×, choose 1.6×, receive 1.2×). Below 32 the receive loop
+/// ties, and the sender loses wherever a run falls short of whole groups of
+/// eight: at 8 each run's four products take [`Point::mul`] (0.47×), at 24
+/// four of each run's twelve do (0.68×).
 pub const GRAIN: usize = 32;
 
 /// Maps the transfers `0..n` through `f`, split across cores from
@@ -218,6 +227,18 @@ impl BaseOtSender {
         pairs: &[(u128, u128)],
         rng: &mut R,
     ) -> Result<SenderTransferMsg, BaseOtError> {
+        self.transfer_on(choice, pairs, rng, curve::lanes_active())
+    }
+
+    /// [`BaseOtSender::transfer`], its `r·PK_0,i` through the curve lanes
+    /// or not ([`Point::mul_shared`]).
+    fn transfer_on<R: Rng + ?Sized>(
+        &self,
+        choice: &ReceiverChoiceMsg,
+        pairs: &[(u128, u128)],
+        rng: &mut R,
+        lanes: bool,
+    ) -> Result<SenderTransferMsg, BaseOtError> {
         if pairs.len() != choice.pk0.len() {
             return Err(BaseOtError::CountMismatch);
         }
@@ -228,11 +249,8 @@ impl BaseOtSender {
             let pk0 =
                 (choice.pk0[run.clone()].iter().map(decode)).collect::<Result<Vec<Point>, _>>()?;
             // r·PK_1 = r·(C − PK_0) = r·C − r·PK_0.
-            let shared: Vec<Point> = (pk0.iter())
-                .flat_map(|pk0| {
-                    let pk0r = pk0.mul(&r);
-                    [pk0r, cr.sub(&pk0r)]
-                })
+            let shared: Vec<Point> = (Point::mul_shared_on(&pk0, &r, lanes).into_iter())
+                .flat_map(|pk0r| [pk0r, cr.sub(&pk0r)])
                 .collect();
             let h = GcHash::new();
             let pads = (run.zip(Point::encode_batch(&shared).chunks_exact(2)))
@@ -393,6 +411,43 @@ mod tests {
                 "width {t}"
             );
             assert_eq!((s, n), (seeds.clone(), next), "width {t}");
+        }
+    }
+
+    #[test]
+    fn the_curve_lanes_change_no_transfer_message() {
+        if !crate::curve::lanes_detected() {
+            println!("skip the_curve_lanes_change_no_transfer_message: no AVX-512 IFMA");
+            return;
+        }
+        // Width 3 leaves runs whose length is no multiple of 8, so every
+        // run ends on products through `Point::mul`.
+        for n in [1, 7, 8, 9, 63, 128] {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(41 + n as u64);
+            let pairs: Vec<(u128, u128)> = (0..n).map(|_| (rng.gen(), rng.gen())).collect();
+            let (sender, setup) = BaseOtSender::new(&mut rng);
+            let (receiver, choice) =
+                BaseOtReceiver::choose_packed(&setup, rng.gen(), n, &mut rng).unwrap();
+            let seed: u64 = rng.gen();
+            let at = |t: usize, lanes: bool| {
+                par::with_threads(t, || {
+                    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+                    sender
+                        .transfer_on(&choice, &pairs, &mut rng, lanes)
+                        .unwrap()
+                })
+            };
+            let scalar = at(1, false);
+            let seeds = receiver.receive(&scalar).unwrap();
+            for t in [1, 2, 3] {
+                let lanes = at(t, true);
+                assert_eq!(
+                    (lanes.gr, &lanes.items),
+                    (scalar.gr, &scalar.items),
+                    "n {n}, width {t}"
+                );
+                assert_eq!(receiver.receive(&lanes).unwrap(), seeds, "n {n}, width {t}");
+            }
         }
     }
 

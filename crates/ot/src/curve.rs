@@ -24,6 +24,19 @@
 //! [`Point::is_torsion_free`] is the full `ℓ·P = O` test for the one point
 //! that is added to rather than multiplied.
 //!
+//! **Eight lanes.** [`Point::mul_shared`] multiplies many points by one
+//! scalar, as the base-OT sender does with its `r`. Where [`lanes_active`],
+//! it takes them eight at a time through `curve::lanes`: the same formulas
+//! and windows as [`Point::mul`] in eight 64-bit lanes on AVX-512 IFMA. The
+//! rest, and every product on a host without them, runs [`Point::mul`],
+//! which stays the portable path and the oracle the lanes are tested
+//! against.
+//!
+//! **Unsafe code.** `curve::lanes` is the crate's only `unsafe` code. It is
+//! compiled only with the `simd` feature on x86_64, carries the one scoped
+//! `allow(unsafe_code)` under the crate's `deny`, and its module doc states
+//! its safety contract. Everything else here is safe.
+//!
 //! Nothing here is constant-time: scalar multiplication skips zero digits
 //! and decoding branches on its input.
 //!
@@ -31,8 +44,12 @@
 //! `base_ot` bench group can time its pieces and the integration sweeps can
 //! build the points they inject; the protocol's interface is [`crate::base`].
 
+use pi_field::simd::{self, SimdBackend};
 use rand::Rng;
 use std::sync::OnceLock;
+
+#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+mod lanes;
 
 const MASK: u64 = (1 << 51) - 1;
 
@@ -274,6 +291,23 @@ impl Scalar {
 /// 4-bit windows in a 256-bit scalar.
 const WINDOWS: usize = 64;
 
+/// Whether [`Point::mul_shared`] runs the eight-lane kernel: where
+/// [`pi_field::simd::backend`] resolved to AVX-512 and the CPU has AVX-512
+/// IFMA, in a build with the `simd` feature. Resolved once per process, so
+/// `PI_SIMD=scalar` keeps the curve on [`Point::mul`] with everything else.
+pub fn lanes_active() -> bool {
+    static ACTIVE: OnceLock<bool> = OnceLock::new();
+    *ACTIVE.get_or_init(|| simd::backend() == SimdBackend::Avx512 && lanes_detected())
+}
+
+/// Whether this build and CPU can run the eight-lane kernel at all.
+pub(crate) fn lanes_detected() -> bool {
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    return lanes::detected();
+    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
+    false
+}
+
 /// A point of the curve, in extended coordinates.
 #[derive(Clone, Copy, Debug)]
 pub struct Point {
@@ -499,6 +533,31 @@ impl Point {
         }
         acc
     }
+
+    /// `k·P` for every `P` in `points`, under one shared scalar: eight at a
+    /// time through the lanes where they run ([`lanes_active`]), the
+    /// remainder and everything elsewhere through [`Point::mul`]. The same
+    /// points either way.
+    pub fn mul_shared(points: &[Point], k: &Scalar) -> Vec<Point> {
+        Point::mul_shared_on(points, k, lanes_active())
+    }
+
+    /// [`Point::mul_shared`], with the lanes asked for or not; they run
+    /// only where the CPU has them.
+    pub(crate) fn mul_shared_on(points: &[Point], k: &Scalar, lanes: bool) -> Vec<Point> {
+        let eights = if lanes && lanes_detected() {
+            points.len() / 8 * 8
+        } else {
+            0
+        };
+        let mut out = Vec::with_capacity(points.len());
+        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        for eight in points[..eights].chunks_exact(8) {
+            out.extend(lanes::mul(eight.try_into().expect("eight points"), k));
+        }
+        out.extend(points[eights..].iter().map(|p| p.mul(k)));
+        out
+    }
 }
 
 /// Every multiple `d·16^w·P` of one point, for digits `d ∈ [1, 16)` and
@@ -603,7 +662,7 @@ mod tests {
     /// Field inputs as (element, the integer it stands for): the boundary
     /// values, random ones, and each of them eight-fold as a sum of sums —
     /// limbs up to 2⁵⁴ − 8, the widest any operation is ever handed.
-    fn field_inputs(rng: &mut impl Rng) -> Vec<(Fe, [u64; 4])> {
+    pub(super) fn field_inputs(rng: &mut impl Rng) -> Vec<(Fe, [u64; 4])> {
         let mut p_minus_1 = P;
         p_minus_1[0] -= 1;
         // The last is 2²⁵⁵ − 1: non-canonical, every limb all ones.
@@ -743,6 +802,63 @@ mod tests {
                 assert_eq!(table.mul(&k).encode(), want, "table {k:x?}");
             }
         }
+    }
+
+    /// Every product of `points` by `k`, lanes against [`Point::mul`]: the
+    /// same encodings.
+    fn assert_lanes_match(points: &[Point], k: &Scalar, what: &str) {
+        let want: Vec<[u8; 32]> = points.iter().map(|p| p.mul(k).encode()).collect();
+        let lanes = Point::encode_batch(&Point::mul_shared_on(points, k, true));
+        assert_eq!(lanes, want, "{what}, {k:x?}");
+    }
+
+    #[test]
+    fn lanes_match_the_windowed_product() {
+        if !lanes_detected() {
+            println!("skip lanes_match_the_windowed_product: no AVX-512 IFMA");
+            return;
+        }
+        let mut rng = rand::rngs::StdRng::seed_from_u64(52);
+        let random: Vec<Point> = (0..19)
+            .map(|_| base_table().mul(&Scalar::random(&mut rng)))
+            .collect();
+        // The widest coordinates a point may have (the formulas add two
+        // of them before multiplying, and `Fe` takes limbs below 2⁵⁴):
+        // canonical, then four-fold — the same projective point — with
+        // limbs up to 2⁵³ − 4, past the 52 bits IFMA reads.
+        let wide: Vec<Point> = (random.iter())
+            .map(|p| {
+                let fourfold = |fe: &Fe| {
+                    let c = Fe::from_bytes(&fe.to_bytes());
+                    let c2 = c.add(&c);
+                    c2.add(&c2)
+                };
+                Point {
+                    x: fourfold(&p.x),
+                    y: fourfold(&p.y),
+                    z: fourfold(&p.z),
+                    t: fourfold(&p.t),
+                }
+            })
+            .collect();
+        assert!(wide.iter().any(|p| p.y.0.iter().any(|&l| l >= 1 << 52)));
+        // The identity and small-order points among ordinary ones.
+        let mut mixed = random[..8].to_vec();
+        mixed[2] = Point::IDENTITY;
+        mixed[5] = small_order_points()[3];
+        mixed[6] = random[6].add(&small_order_points()[5].cached());
+        let mut ks = scalars(&mut rng, 3);
+        // Long runs of zero digits.
+        ks.push(Scalar([1, 0, 0, 1 << 60]));
+        ks.push(Scalar([0, 0, 0x10, 0]));
+        for k in &ks {
+            assert_lanes_match(&random, k, "random");
+            assert_lanes_match(&wide, k, "wide limbs");
+            assert_lanes_match(&mixed, k, "identity and torsion");
+        }
+        // ℓ·P = O through the lanes.
+        let torsion_free = Point::mul_shared_on(&random[..16], &Scalar::ORDER, true);
+        assert!(torsion_free.iter().all(Point::is_identity));
     }
 
     #[test]

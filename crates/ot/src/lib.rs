@@ -17,7 +17,8 @@
 //! scalar `r` and one `r·G` for all 128), every multiple of the base point
 //! and of `r·G` read off a fixed-base window table, and every encoding's
 //! division folded into one inversion per step — ≈4 000 multiplications in
-//! GF(2²⁵⁵ − 19) per transfer, both parties together, and
+//! GF(2²⁵⁵ − 19) per transfer, both parties together (the sender's share
+//! eight to a register where the CPU has AVX-512 IFMA), and
 //! `32 + 32·128 + (32 + 32·128)` = 8 256 bytes on the wire. The group is the
 //! prime-order subgroup of edwards25519 (≈126-bit discrete logs, level with
 //! the 128-bit labels); secret scalars are multiples of the cofactor and
@@ -29,6 +30,13 @@
 //! under one base setup no block is ever expanded twice — not by two
 //! extensions of one session, not by two sessions of one pair. Re-reading
 //! a block is a two-time pad over the receiver's choice bits (see [`ext`]).
+//!
+//! **Unsafe code.** The crate is `deny(unsafe_code)`. The one exception is
+//! the eight-lane edwards25519 kernel behind the base-OT sender (`curve`'s
+//! `lanes` module, AVX-512 IFMA intrinsics): it is built only with the
+//! `simd` feature on x86_64, carries a scoped `allow`, and states its safety
+//! contract. It runs where `pi_field::simd` resolved to AVX-512 and the CPU
+//! has IFMA, so `PI_SIMD=scalar` turns it off with every other lane kernel.
 //!
 //! The crate is transport-agnostic: protocol messages are plain data with
 //! `byte_len` accessors, and `pi-core` moves them over its byte-counting
@@ -62,7 +70,10 @@
 //! assert_eq!(got, vec![2, 3, 6]);
 //! ```
 
-#![forbid(unsafe_code)]
+// `deny` rather than `forbid`: the curve's eight-lane kernel
+// (`curve::lanes`) carries the one scoped `#![allow(unsafe_code)]` for its
+// intrinsics, as `pi_gc::aes::ni` does.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod base;

@@ -437,28 +437,6 @@ impl Poly {
             data,
         }
     }
-
-    /// Applies the Galois automorphism `x ↦ x^g` directly in the evaluation
-    /// basis via the slot permutation `perm` (see
-    /// [`NttTables::galois_permutation`]). Semantically identical to
-    /// [`Poly::galois`], but costs one gather instead of an inverse NTT,
-    /// a coefficient permutation, and (for NTT-form consumers) a forward
-    /// NTT — the primitive behind hoisted rotations in `pi-he`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `perm` was built for a different ring degree.
-    pub fn galois_ntt(&self, perm: &crate::ntt::GaloisPerm) -> Self {
-        assert_eq!(perm.n(), self.ctx.n, "permutation from a different ring");
-        let src = self.clone().into_ntt();
-        let mut data = vec![0u64; self.ctx.n];
-        perm.apply(&mut data, src.data());
-        Self {
-            ctx: self.ctx.clone(),
-            form: PolyForm::Ntt,
-            data,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -565,18 +543,23 @@ mod tests {
     #[test]
     fn galois_ntt_matches_coefficient_galois() {
         // The NTT-domain permutation must agree with the coefficient-domain
-        // automorphism for every odd g, including the row-swap element 2n−1.
+        // automorphism for every odd g, including the row-swap element 2n−1:
+        // `forward(galois(a)) == perm.apply(forward(a))`, the identity every
+        // key switch in `pi-he` rotates by.
         for n in [8usize, 32, 256] {
             let ctx = Arc::new(RingContext::new(n, 30));
             let a = random_poly(&ctx, n as u64);
+            let a_ntt = a.clone().into_ntt();
             for g in [1usize, 3, 5, 9, 27, 2 * n - 1] {
                 let perm = ctx.ntt().galois_permutation(g);
                 assert_eq!(perm.g(), g);
                 assert_eq!(perm.n(), n);
+                let mut permuted = vec![0u64; n];
+                perm.apply(&mut permuted, a_ntt.data());
                 assert_eq!(
-                    a.galois_ntt(&perm),
-                    a.galois(g),
-                    "galois_ntt mismatch at n={n}, g={g}"
+                    permuted,
+                    a.galois(g).into_ntt().data(),
+                    "slot permutation mismatch at n={n}, g={g}"
                 );
             }
         }

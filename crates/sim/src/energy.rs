@@ -27,11 +27,6 @@ impl ClientEnergy {
         Self { gc_joules }
     }
 
-    /// Average client power draw (W) at a given inference rate.
-    pub fn average_power_w(&self, inferences_per_hour: f64) -> f64 {
-        self.gc_joules * inferences_per_hour / 3600.0
-    }
-
     /// Inferences a battery of `watt_hours` sustains on GC work alone.
     pub fn inferences_per_battery(&self, watt_hours: f64) -> f64 {
         watt_hours * 3600.0 / self.gc_joules
@@ -67,7 +62,5 @@ mod tests {
         // A ~12 Wh phone battery sustains on the order of 10^2 garbles.
         let n = e.inferences_per_battery(12.0);
         assert!((50.0..500.0).contains(&n), "{n}");
-        let p = e.average_power_w(60.0); // one per minute
-        assert!(p > 0.0);
     }
 }

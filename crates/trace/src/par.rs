@@ -37,7 +37,7 @@
 //! |--------|------|-------|----------|
 //! | `pi_gc::garble::garble_many`, `evaluate_many` | instance | 256 (`pi_gc::garble::GRAIN`) | garble 1.84×, evaluate 1.51× at 256 |
 //! | `pi_ot::ext` extend, transfer, decode | OT | 16 384 (`pi_ot::ext::GRAIN`) | 1.0×, 1.3×, 1.5× at 16 384 |
-//! | `pi_ot::base` transfer, choose, receive | transfer | 32 (`pi_ot::base::GRAIN`) | 1.8×, 1.0×, 1.1× at 32; 1.9×, 1.8×, 1.6× at the protocol's 128 |
+//! | `pi_ot::base` transfer, choose, receive | transfer | 32 (`pi_ot::base::GRAIN`) | 1.5×, 1.6×, 1.2× at 32; 1.8×, 1.8×, 1.6× at the protocol's 128 (the sender's products on the IFMA lanes) |
 //! | `pi_he` key generation (`KeySet`, `galois_keys_frame`) | key | 2 (`pi_he::keys::GRAIN`) | 1.25× at 2; 1.6× at a 10-key plan |
 //! | `pi_he` key admission (`galois_keys_from_bytes_reusing`) | key | 2 (`pi_he::keys::GRAIN`) | 1.4× at 2; 2.0× at a 10-key plan |
 //! | `pi_core` LPHE matvecs | phase | none: `lphe_threads` wide | |
