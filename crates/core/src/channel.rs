@@ -1,10 +1,10 @@
 //! Byte-counting channels connecting the two protocol parties.
 //!
 //! Both parties run in-process and exchange typed [`Msg`] values over
-//! crossbeam channels. Every message knows its wire-format size, so the
-//! sending half of every endpoint — one [`ChannelTx`] — accumulates exact
-//! upload / download byte counts: the quantities the paper's communication
-//! analysis (Figure 5, Table 1, WSA) is built on.
+//! `std::sync::mpsc` channels. Every message knows its wire-format size, so
+//! the sending half of every endpoint — one [`ChannelTx`] — accumulates
+//! exact upload / download byte counts: the quantities the paper's
+//! communication analysis (Figure 5, Table 1, WSA) is built on.
 //!
 //! Two topologies exist:
 //!
@@ -20,10 +20,18 @@
 //! Disconnects are **errors, not panics**: [`Channel::send`] /
 //! [`Channel::recv`] return [`ChannelError::Disconnected`] so a dropped
 //! peer tears down only its own session, never a shared server.
+//!
+//! Either party's protocol body sees its link as one [`Peer`]. Behind its
+//! receive hook, a blocking [`Channel::recv`] never suspends the body;
+//! [`Channel::try_recv`] or a serving runtime's inbox suspends it until it
+//! is polled again.
 
+use crate::error::ProtocolError;
 use crate::msg::Msg;
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use std::future::Future;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
+use std::task::{Context, Poll, Waker};
 
 /// Transport-level failure on a protocol channel.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -114,6 +122,13 @@ impl ChannelTx {
     pub fn bytes_sent(&self) -> u64 {
         self.sent_bytes.load(Ordering::Relaxed)
     }
+
+    /// Whether this is the client's uplink of a [`service_pair`]: the
+    /// server's first message on such a link is its [`Msg::KeyStatus`]
+    /// preamble.
+    pub(crate) fn is_service(&self) -> bool {
+        matches!(self.link, Link::Service(_))
+    }
 }
 
 impl Drop for ChannelTx {
@@ -130,22 +145,18 @@ impl Drop for ChannelTx {
 #[derive(Debug)]
 pub struct Channel {
     tx: ChannelTx,
-    rx: Receiver<Msg>,
+    // A std `Receiver` is not `Sync`; the lock makes the endpoint shareable
+    // (one thread receives while others send).
+    rx: parking_lot::Mutex<Receiver<Msg>>,
 }
 
 /// Creates a connected pair of endpoints. By convention the first endpoint
 /// goes to the client and the second to the server.
 pub fn local_pair() -> (Channel, Channel) {
-    let (tx_a, rx_b) = unbounded();
-    let (tx_b, rx_a) = unbounded();
-    let a = Channel {
-        tx: ChannelTx::new(Link::Direct(tx_a)),
-        rx: rx_a,
-    };
-    let b = Channel {
-        tx: ChannelTx::new(Link::Direct(tx_b)),
-        rx: rx_b,
-    };
+    let (tx_a, rx_b) = channel();
+    let (tx_b, rx_a) = channel();
+    let a = Channel::new(Link::Direct(tx_a), rx_a);
+    let b = Channel::new(Link::Direct(tx_b), rx_b);
     (a, b)
 }
 
@@ -158,15 +169,19 @@ pub fn local_pair() -> (Channel, Channel) {
 /// accounting in the returned one — together they give the same per-side
 /// upload/download split as a [`local_pair`].
 pub fn service_pair(uplink: Uplink) -> (Channel, ChannelTx) {
-    let (down_tx, down_rx) = unbounded();
-    let client = Channel {
-        tx: ChannelTx::new(Link::Service(uplink)),
-        rx: down_rx,
-    };
+    let (down_tx, down_rx) = channel();
+    let client = Channel::new(Link::Service(uplink), down_rx);
     (client, ChannelTx::new(Link::Direct(down_tx)))
 }
 
 impl Channel {
+    fn new(link: Link, rx: Receiver<Msg>) -> Self {
+        Self {
+            tx: ChannelTx::new(link),
+            rx: parking_lot::Mutex::new(rx),
+        }
+    }
+
     /// Sends a message through this endpoint's [`ChannelTx`].
     ///
     /// # Errors
@@ -183,7 +198,22 @@ impl Channel {
     /// [`ChannelError::Disconnected`] if the peer endpoint was dropped and
     /// the queue is drained.
     pub fn recv(&self) -> Result<Msg, ChannelError> {
-        self.rx.recv().map_err(|_| ChannelError::Disconnected)
+        self.rx
+            .lock()
+            .recv()
+            .map_err(|_| ChannelError::Disconnected)
+    }
+
+    /// Receives the next message if one is queued: `None` while the queue
+    /// is empty, [`ChannelError::Disconnected`] once it is drained and the
+    /// peer endpoint was dropped. The receive hook of a [`Peer`] whose body
+    /// a thread polls alongside others.
+    pub fn try_recv(&self) -> Option<Result<Msg, ChannelError>> {
+        match self.rx.lock().try_recv() {
+            Ok(msg) => Some(Ok(msg)),
+            Err(TryRecvError::Empty) => None,
+            Err(TryRecvError::Disconnected) => Some(Err(ChannelError::Disconnected)),
+        }
     }
 
     /// The counted sending half (its [`ChannelTx::bytes_sent`] is this
@@ -191,11 +221,48 @@ impl Channel {
     pub fn tx(&self) -> &ChannelTx {
         &self.tx
     }
+}
 
-    /// Whether this is the client end of a [`service_pair`]: the server's
-    /// first message on such a channel is its [`Msg::KeyStatus`] preamble.
-    pub fn is_service(&self) -> bool {
-        matches!(self.tx.link, Link::Service(_))
+/// A protocol body's link to the other party: where it sends, and how it
+/// receives. Both parties' bodies take one, so they receive the same way.
+#[derive(Clone, Copy)]
+pub struct Peer<'a> {
+    /// The counted sending half.
+    pub sink: &'a ChannelTx,
+    /// The peer's next message: `None` while none is queued (the body then
+    /// suspends until it is polled again), an error once the peer is gone.
+    pub recv: &'a (dyn Fn() -> Option<Result<Msg, ProtocolError>> + Sync),
+}
+
+impl Peer<'_> {
+    /// The peer's next message, awaited through [`Peer::recv`].
+    pub fn next(&self) -> impl Future<Output = Result<Msg, ProtocolError>> + '_ {
+        std::future::poll_fn(|_| (self.recv)().map_or(Poll::Pending, Poll::Ready))
+    }
+}
+
+/// Awaits the peer's next message, which must be the given [`Msg`]
+/// variant: any other is [`ProtocolError::UnexpectedMsg`] naming the one
+/// awaited.
+macro_rules! recv {
+    ($peer:expr, $variant:ident) => {
+        match $peer.next().await? {
+            $crate::msg::Msg::$variant(v) => v,
+            other => return Err($crate::common::unexpected(stringify!($variant), &other)),
+        }
+    };
+}
+pub(crate) use recv;
+
+/// Polls `body` to completion on this thread. Over a [`Peer`] whose
+/// receive blocks the body never suspends, so the first poll returns.
+pub(crate) fn block_on<F: Future>(body: F) -> F::Output {
+    let mut body = std::pin::pin!(body);
+    let mut cx = Context::from_waker(Waker::noop());
+    loop {
+        if let Poll::Ready(out) = body.as_mut().poll(&mut cx) {
+            return out;
+        }
     }
 }
 
@@ -240,7 +307,7 @@ mod tests {
 
     #[test]
     fn service_pair_tags_and_signals_gone() {
-        let (events_tx, events_rx) = unbounded();
+        let (events_tx, events_rx) = channel();
         let (client, server_tx) = service_pair(Box::new(move |event| {
             events_tx
                 .send(event)
@@ -259,5 +326,64 @@ mod tests {
             server_tx.send(Msg::VecU64(vec![7])),
             Err(ChannelError::Disconnected)
         );
+    }
+
+    #[test]
+    fn send_recv_in_order() {
+        let (a, b) = local_pair();
+        for v in 0..4 {
+            a.send(Msg::VecU64(vec![v])).unwrap();
+        }
+        assert!(matches!(b.recv(), Ok(Msg::VecU64(v)) if v == vec![0]));
+        assert!(matches!(b.try_recv(), Some(Ok(Msg::VecU64(v))) if v == vec![1]));
+        assert!(matches!(b.recv(), Ok(Msg::VecU64(v)) if v == vec![2]));
+        assert!(matches!(b.try_recv(), Some(Ok(Msg::VecU64(v))) if v == vec![3]));
+    }
+
+    /// A thread blocked in `recv` holds the endpoint's receive lock; a
+    /// send through the same endpoint meanwhile does not wait for it, and
+    /// the blocked receive wakes on the peer's answer.
+    #[test]
+    fn recv_blocks_until_send() {
+        let (a, b) = local_pair();
+        let a = std::sync::Arc::new(a);
+        let waiter = std::thread::spawn({
+            let a = a.clone();
+            move || a.recv()
+        });
+        a.send(Msg::VecU64(vec![1])).unwrap();
+        assert!(matches!(b.recv(), Ok(Msg::VecU64(v)) if v == vec![1]));
+        b.send(Msg::VecU64(vec![2])).unwrap();
+        let got = waiter.join().unwrap();
+        assert!(matches!(got, Ok(Msg::VecU64(v)) if v == vec![2]));
+    }
+
+    #[test]
+    fn try_recv_states() {
+        let (a, b) = local_pair();
+        assert!(b.try_recv().is_none());
+        a.send(Msg::VecU64(vec![5])).unwrap();
+        assert!(matches!(b.try_recv(), Some(Ok(Msg::VecU64(v))) if v == vec![5]));
+        assert!(b.try_recv().is_none());
+        drop(a);
+        assert!(matches!(
+            b.try_recv(),
+            Some(Err(ChannelError::Disconnected))
+        ));
+    }
+
+    /// The client end of a `service_pair` sees the server's downlink sender
+    /// go: queued messages first, then the disconnect.
+    #[test]
+    fn disconnect_on_sender_drop() {
+        let (client, server_tx) = service_pair(Box::new(|_| Ok(())));
+        server_tx.send(Msg::VecU64(vec![3])).unwrap();
+        drop(server_tx);
+        assert!(matches!(client.try_recv(), Some(Ok(Msg::VecU64(v))) if v == vec![3]));
+        assert!(matches!(client.recv(), Err(ChannelError::Disconnected)));
+        assert!(matches!(
+            client.try_recv(),
+            Some(Err(ChannelError::Disconnected))
+        ));
     }
 }

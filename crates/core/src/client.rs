@@ -1,17 +1,20 @@
-//! The client of both protocols: one blocking body.
+//! The client of both protocols as one straight-line `async` body.
 //!
-//! The client owns its thread, so the shortest correct form of its role is
-//! a straight-line function over a blocking [`Channel`]. Both protocol
+//! [`ServiceClient::session`] is the entire client role, written top to
+//! bottom, and every receive is an `.await` on its [`Peer`] — the receive
+//! seam the server's body awaits too. [`ServiceClient::run`] polls it over
+//! a blocking [`Channel`], so it never suspends and one poll runs it
+//! whole; over [`Channel::try_recv`] it suspends while its next message is
+//! not there, so one thread can hold several requests. Both protocol
 //! kinds share the prologue (randomness, offline linear pass), the
 //! masked-input send and the share-combining epilogue; they differ only
 //! where the client acts as **garbler** (Client-Garbler, §5.1: it garbles
 //! offline and serves the server's label OT online) or as **evaluator**
 //! (Server-Garbler, §2.2: it stores the circuits, fetches its labels by
 //! offline OT and evaluates online) — with the role steps the server's
-//! body ([`crate::serve::session`], the same message order written as an
-//! `async` body) runs in the mirrored role (`role.rs`). Everything the
-//! server sends is checked before use: a deviating server is a
-//! [`ProtocolError`], never a panic.
+//! body ([`crate::serve::session`], the same message order) runs in the
+//! mirrored role (`role.rs`). Everything the server sends is checked
+//! before use: a deviating server is a [`ProtocolError`], never a panic.
 //!
 //! **Message order.** The offline linear upload (`HeKeys` when the server
 //! needs them, then one `HeCts` or `VecU64` per phase) goes out whole
@@ -24,7 +27,7 @@
 //! pass. Either kind on the pair's cached OT state skips base OT and
 //! otherwise keeps its order.
 
-use crate::channel::Channel;
+use crate::channel::{block_on, recv, Channel, ChannelTx, Peer};
 use crate::common::{
     random_field_vecs, reduced, unexpected, ModelMeta, PartyOutcome, ProtocolConfig, ProtocolKind,
 };
@@ -37,16 +40,6 @@ use pi_ot::ext::{OtExtReceiver, OtExtSender};
 use rand::Rng;
 use std::collections::hash_map::{Entry, HashMap};
 use std::sync::Arc;
-
-/// Receives the next message, which must be the given [`Msg`] variant.
-macro_rules! recv {
-    ($chan:expr, $variant:ident) => {
-        match $chan.recv()? {
-            Msg::$variant(v) => v,
-            other => return Err(unexpected(stringify!($variant), &other)),
-        }
-    };
-}
 
 /// What the client holds between the offline and the online phase.
 enum Role {
@@ -192,12 +185,43 @@ impl ServiceClient {
         chan: &Channel,
         rng: &mut R,
     ) -> Result<(Vec<u64>, PartyOutcome), ProtocolError> {
+        let recv = || Some(chan.recv().map_err(ProtocolError::from));
+        let peer = Peer {
+            sink: chan.tx(),
+            recv: &recv,
+        };
+        block_on(self.session(meta, input, cfg, peer, rng))
+    }
+
+    /// The body of [`ServiceClient::run`] over any [`Peer`]: the same
+    /// messages, randomness, checks, errors and panics, but each receive is
+    /// an `.await`. Over [`Channel::try_recv`] the body suspends while its
+    /// next message is not there, so one thread can poll several clients'
+    /// bodies (each on a `ServiceClient` of its own).
+    ///
+    /// The request's trace is per thread ([`pi_trace::begin_local`]), and
+    /// its phase spans stay open across receives, so they time the waits
+    /// too (the future is not `Send`). A thread that interleaves several
+    /// bodies gets no per-request client trace: each body's `begin_local`
+    /// clears what the others collected, and their spans nest.
+    ///
+    /// # Errors
+    ///
+    /// As [`ServiceClient::run`].
+    pub async fn session<R: Rng + ?Sized>(
+        &mut self,
+        meta: &ModelMeta,
+        input: &[u64],
+        cfg: &ProtocolConfig,
+        peer: Peer<'_>,
+        rng: &mut R,
+    ) -> Result<(Vec<u64>, PartyOutcome), ProtocolError> {
         // A serving-runtime session opens with the server's word on what
         // it still caches of this client: without its HE keys they are
         // uploaded, without the pair's IKNP state base OT runs. A dedicated
         // pair caches nothing.
-        let (upload, ot_base) = if chan.is_service() {
-            match chan.recv()? {
+        let (upload, ot_base) = if peer.sink.is_service() {
+            match peer.next().await? {
                 Msg::KeyStatus { flags, ot_base } => {
                     if flags & !(Msg::NEED_KEYS | Msg::OT_CACHED) != 0 {
                         return Err(ProtocolError::BadRequest("unknown KeyStatus flag"));
@@ -234,7 +258,7 @@ impl ServiceClient {
             (ProtocolKind::ServerGarbler, None) => {
                 let _span = pi_trace::span!("offline.ot");
                 let (sender, setup) = BaseSender::start(rng);
-                chan.send(Msg::OtBaseSetup(setup))?;
+                peer.sink.send(Msg::OtBaseSetup(setup))?;
                 ClientOt::Evaluator(EvaluatorOt::Opened(sender))
             }
         };
@@ -249,16 +273,18 @@ impl ServiceClient {
         let he = {
             let _span = pi_trace::span!("offline.he");
             let he = match cfg.he() {
-                Some(params) => Some(self.he_context(meta, params, chan, rng, upload, &mut out)?),
+                Some(params) => {
+                    Some(self.he_context(meta, params, peer.sink, rng, upload, &mut out)?)
+                }
                 None => None,
             };
-            upload_linear(meta, &r_acts, he.as_ref(), chan, rng)?;
+            upload_linear(meta, &r_acts, he.as_ref(), peer.sink, rng)?;
             he
         };
 
         let (role, c_shares) = match ot {
             ClientOt::Garbler(cached) => {
-                let c_shares = linear_shares(meta, he.as_ref(), chan)?;
+                let c_shares = linear_shares(meta, he.as_ref(), peer).await?;
                 // The client owns the label pairs for the server's inputs:
                 // it is the extension *sender*, on the pair's cached state
                 // or, by the base OT the server opens now, on a fresh one
@@ -267,11 +293,11 @@ impl ServiceClient {
                     Some(ot) => ot,
                     None => {
                         let _span = pi_trace::span!("offline.ot");
-                        let setup = recv!(chan, OtBaseSetup);
+                        let setup = recv!(peer, OtBaseSetup);
                         let (receiver, choice) = BaseReceiver::start(&setup, rng)?;
-                        chan.send(Msg::OtBaseChoice(choice))?;
-                        let ext = receiver.finish(&recv!(chan, OtBaseTransfer))?;
-                        if chan.is_service() {
+                        peer.sink.send(Msg::OtBaseChoice(choice))?;
+                        let ext = receiver.finish(&recv!(peer, OtBaseTransfer))?;
+                        if peer.sink.is_service() {
                             self.ot_sender = Some(OtStream::at(ext.clone(), ot_blocks));
                         }
                         OtStream::at(ext, 0)
@@ -283,9 +309,9 @@ impl ServiceClient {
                 // r = next randomness on wires 2k..3k; both known offline).
                 for (idx, relu) in relu_phases.iter().enumerate() {
                     let tables = garbler.garble(meta, relu, rng, &mut out);
-                    chan.send(Msg::GcTables(tables))?;
+                    peer.sink.send(Msg::GcTables(tables))?;
                     let phase = &garbler.phases[idx];
-                    chan.send(Msg::GcDecode(
+                    peer.sink.send(Msg::GcDecode(
                         phase
                             .iter()
                             .map(|g| g.garbled.output_decode.clone())
@@ -297,7 +323,7 @@ impl ServiceClient {
                         labels.extend(encode(g, 0, share[j], k));
                         labels.extend(encode(g, 2 * k, r_next[j], k));
                     }
-                    chan.send(Msg::GcLabels(labels))?;
+                    peer.sink.send(Msg::GcLabels(labels))?;
                 }
                 // Storage: the label pairs for the server's online inputs
                 // (k pairs + delta per element — the paper's modest
@@ -316,26 +342,26 @@ impl ServiceClient {
                     EvaluatorOt::Cached(ot) => ot,
                     EvaluatorOt::Opened(sender) => {
                         let _span = pi_trace::span!("offline.ot");
-                        let (ext, transfer) = sender.finish(&recv!(chan, OtBaseChoice), rng)?;
-                        chan.send(Msg::OtBaseTransfer(transfer))?;
-                        if chan.is_service() {
+                        let (ext, transfer) = sender.finish(&recv!(peer, OtBaseChoice), rng)?;
+                        peer.sink.send(Msg::OtBaseTransfer(transfer))?;
+                        if peer.sink.is_service() {
                             self.ot_receiver = Some(OtStream::at(ext.clone(), ot_blocks));
                         }
                         OtStream::at(ext, 0)
                     }
                 };
-                let c_shares = linear_shares(meta, he.as_ref(), chan)?;
+                let c_shares = linear_shares(meta, he.as_ref(), peer).await?;
                 // Per ReLU phase: receive circuits, fetch own labels via OT
                 // (per element, share_b bits on wires k..2k, then r bits).
                 let mut phases = Vec::with_capacity(relu_phases.len());
                 for relu in relu_phases {
-                    let tables = PhaseTables::receive(meta, relu, recv!(chan, GcTables), &mut out)?;
+                    let tables = PhaseTables::receive(meta, relu, recv!(peer, GcTables), &mut out)?;
                     let _span = pi_trace::span!("offline.ot");
                     let (share, r_next) = (&c_shares[relu.phase], &r_acts[relu.phase + 1]);
                     let values = (0..relu.rows).flat_map(|j| [share[j], r_next[j]]);
                     let (request, extend) = LabelRequest::new(&mut ot, values, k, &mut out);
-                    chan.send(Msg::OtExtend(extend))?;
-                    let labels = request.open(ot.ext(), &recv!(chan, OtTransfer))?;
+                    peer.sink.send(Msg::OtExtend(extend))?;
+                    let labels = request.open(ot.ext(), &recv!(peer, OtTransfer))?;
                     phases.push((tables, labels));
                 }
                 // Storage: garbled circuits + own labels.
@@ -347,7 +373,7 @@ impl ServiceClient {
         // Either role also stores its shares and randomness.
         out.storage_bytes += c_shares.iter().map(|s| s.len() as u64 * 8).sum::<u64>()
             + r_acts.iter().map(|r| r.len() as u64 * 8).sum::<u64>();
-        out.offline_sent = chan.tx().bytes_sent();
+        out.offline_sent = peer.sink.bytes_sent();
 
         // ---------------- Online ----------------
         let masked: Vec<u64> = input
@@ -355,7 +381,7 @@ impl ServiceClient {
             .zip(&r_acts[0])
             .map(|(&x, &r)| p.sub(x, r))
             .collect();
-        chan.send(Msg::VecU64(masked))?;
+        peer.sink.send(Msg::VecU64(masked))?;
 
         match role {
             // Serve the server's labels via OT, one extension per ReLU
@@ -363,29 +389,29 @@ impl ServiceClient {
             Role::Garbler(mut garbler) => {
                 for idx in 0..relu_phases.len() {
                     let _span = pi_trace::span!("online.ot");
-                    let extend = recv!(chan, OtExtend);
+                    let extend = recv!(peer, OtExtend);
                     let transfer = garbler.serve_labels(idx, k..2 * k, &extend, &mut out)?;
-                    chan.send(Msg::OtTransfer(transfer))?;
+                    peer.sink.send(Msg::OtTransfer(transfer))?;
                 }
             }
             // Evaluate each phase on the server's labels for its share
             // (wires 0..k); decode stays with the garbler.
             Role::Evaluator(phases) => {
                 for (tables, mine) in &phases {
-                    let theirs = recv!(chan, GcLabels);
+                    let theirs = recv!(peer, GcLabels);
                     if theirs.len() != tables.len() * k {
                         return Err(ProtocolError::BadRequest("server label count"));
                     }
                     let eval_span = pi_trace::span!("online.eval");
                     let out_labels = tables.evaluate(mine, &theirs, true);
                     drop(eval_span);
-                    chan.send(Msg::GcLabels(out_labels))?;
+                    peer.sink.send(Msg::GcLabels(out_labels))?;
                 }
             }
         }
 
         // Final phase: combine output shares.
-        let server_share = recv!(chan, VecU64);
+        let server_share = recv!(peer, VecU64);
         let my_share = &c_shares[meta.phases.len() - 1];
         if server_share.len() != my_share.len() || !reduced(&server_share, p) {
             return Err(ProtocolError::BadRequest("output share"));
@@ -395,7 +421,7 @@ impl ServiceClient {
             .zip(my_share)
             .map(|(&a, &b)| p.add(a, b))
             .collect();
-        out.total_sent = chan.tx().bytes_sent();
+        out.total_sent = peer.sink.bytes_sent();
         drop(root_span);
         out.trace = trace_scope.finish();
         Ok((output, out))
@@ -415,7 +441,7 @@ impl ServiceClient {
         &mut self,
         meta: &ModelMeta,
         params: &'a BfvParams,
-        chan: &Channel,
+        sink: &ChannelTx,
         rng: &mut R,
         upload: bool,
         out: &mut PartyOutcome,
@@ -443,7 +469,7 @@ impl ServiceClient {
         // actually cross the wire — not the in-memory footprint.
         out.galois_key_bytes = keys.frame.len() as u64;
         if upload {
-            chan.send(Msg::HeKeys(keys.frame.clone()))?;
+            sink.send(Msg::HeKeys(keys.frame.clone()))?;
         }
         let encoder = BatchEncoder::new(params);
         Ok(ClientHe {
@@ -460,7 +486,7 @@ fn upload_linear<R: Rng + ?Sized>(
     meta: &ModelMeta,
     r_acts: &[Vec<u64>],
     he: Option<&ClientHe<'_>>,
-    chan: &Channel,
+    sink: &ChannelTx,
     rng: &mut R,
 ) -> Result<(), ProtocolError> {
     for ph in &meta.phases {
@@ -469,7 +495,7 @@ fn upload_linear<R: Rng + ?Sized>(
             r_cat.extend_from_slice(&r_acts[a]);
         }
         let Some(he) = he else {
-            chan.send(Msg::VecU64(r_cat))?;
+            sink.send(Msg::VecU64(r_cat))?;
             continue;
         };
         assert!(
@@ -490,7 +516,7 @@ fn upload_linear<R: Rng + ?Sized>(
         // below PI_TRACE=full.
         secret.gauge_noise(&ct, NoiseStage::Encrypt);
         let frame = pi_he::ciphertext_to_bytes_seeded(&ct, &seed);
-        chan.send(Msg::HeCts(frame))?;
+        sink.send(Msg::HeCts(frame))?;
     }
     Ok(())
 }
@@ -498,17 +524,17 @@ fn upload_linear<R: Rng + ?Sized>(
 /// The offline linear responses: the client's additive shares `W·r − s`,
 /// one vector per phase (under HE, the fold of each response's masked
 /// replica blocks).
-fn linear_shares(
+async fn linear_shares(
     meta: &ModelMeta,
     he: Option<&ClientHe<'_>>,
-    chan: &Channel,
+    peer: Peer<'_>,
 ) -> Result<Vec<Vec<u64>>, ProtocolError> {
     let _span = pi_trace::span!("offline.he");
     let mut shares = Vec::with_capacity(meta.phases.len());
     for ph in &meta.phases {
         let share = match he {
             Some(he) => {
-                let frame = recv!(chan, HeCts);
+                let frame = recv!(peer, HeCts);
                 let ct = pi_he::ciphertext_from_bytes(&frame, he.params)?;
                 if ct.c0.ctx().q() != he.params.down_q() {
                     return Err(ProtocolError::BadRequest(
@@ -520,7 +546,7 @@ fn linear_shares(
                 linalg::fold_replicas(&slots, ph.padded_dim, ph.rows, meta.p)
             }
             None => {
-                let share = recv!(chan, VecU64);
+                let share = recv!(peer, VecU64);
                 if share.len() != ph.rows || !reduced(&share, meta.p) {
                     return Err(ProtocolError::BadRequest("linear share"));
                 }

@@ -290,7 +290,7 @@ impl ClientHeKeys {
 /// reserves its range here, so no two of them — concurrent, failed or
 /// finished — ever expand the same block.
 #[derive(Debug)]
-pub struct ClientOtState {
+pub(crate) struct ClientOtState {
     half: OtHalf,
     next: AtomicU64,
 }
@@ -317,7 +317,7 @@ impl ClientOtState {
 
     /// The protocol kind whose sessions run on this state: the one in
     /// which the server plays this half's extension role.
-    pub fn kind(&self) -> ProtocolKind {
+    pub(crate) fn kind(&self) -> ProtocolKind {
         match self.half {
             OtHalf::Sender(_) => ProtocolKind::ServerGarbler,
             OtHalf::Receiver(_) => ProtocolKind::ClientGarbler,
@@ -326,7 +326,7 @@ impl ClientOtState {
 
     /// Bytes the state occupies — the quantity the session table's byte
     /// budget meters.
-    pub fn resident_byte_len(&self) -> usize {
+    pub(crate) fn resident_byte_len(&self) -> usize {
         std::mem::size_of::<Self>()
             + match &self.half {
                 OtHalf::Sender(ext) => ext.resident_byte_len(),

@@ -6,12 +6,13 @@
 //! server garbles, the client stores and evaluates the ReLU circuits), or
 //! **Client-Garbler**, the paper's §5.1 optimization (roles reversed:
 //! storage and online GC evaluation move to the server, the label OT moves
-//! online). The client is [`ServiceClient`] ([`client`]: one blocking
-//! body); the server is [`serve::session::ServerSession::run`], one
-//! `async` body that [`serve::session::drive_sync`] runs over a blocking
-//! channel and [`ServeRuntime`] polls, concurrently, from a session's
-//! inbox; the garbler / evaluator / base-OT steps both perform live in
-//! `role.rs`. Around them:
+//! online). Each party is one `async` body that receives through a
+//! [`channel::Peer`]. The client's is [`ServiceClient::session`], which
+//! [`ServiceClient::run`] polls over a blocking channel; the server's
+//! ([`serve::session`]) is what [`serve::session::drive_sync`] polls over
+//! a blocking channel and [`ServeRuntime`] polls, concurrently, from a
+//! session's inbox. The garbler / evaluator / base-OT steps both perform
+//! live in `role.rs`. Around them:
 //!
 //! * layer-parallel HE (§5.2): each server session computes its own
 //!   offline matvecs, `ProtocolConfig::lphe_threads` at once, under either

@@ -11,7 +11,8 @@
 //! key-switch scratch is one warm set per worker however sessions migrate
 //! between them.
 
-use crossbeam::channel::{unbounded, Sender};
+use std::sync::mpsc::{channel, Sender};
+use std::sync::Arc;
 
 /// A unit of work.
 pub(crate) type Task = Box<dyn FnOnce() + Send + 'static>;
@@ -52,15 +53,20 @@ fn workers_from_env(value: Option<&str>) -> usize {
 impl Executor {
     /// Spawns `workers` threads.
     pub(crate) fn new(workers: usize) -> Self {
-        let (tx, rx) = unbounded::<Task>();
+        let (tx, rx) = channel::<Task>();
+        let rx = Arc::new(parking_lot::Mutex::new(rx));
         let handles = (0..workers)
             .map(|w| {
                 let rx = rx.clone();
                 std::thread::Builder::new()
                     .name(format!("pi-serve-{w}"))
-                    .spawn(move || {
-                        while let Ok(task) = rx.recv() {
-                            task();
+                    .spawn(move || loop {
+                        // Its own statement: the guard must be gone before
+                        // the task runs, or one worker runs at a time.
+                        let task = rx.lock().recv();
+                        match task {
+                            Ok(task) => task(),
+                            Err(_) => break,
                         }
                     })
                     .expect("spawn serve worker")

@@ -6,7 +6,7 @@
 //! provides that runtime:
 //!
 //! * **Suspendable sessions** — each connection owns the future of a
-//!   [`session::ServerSession::run`], the server role of both protocol
+//!   `ServerSession::run` ([`session`]), the server role of both protocol
 //!   kinds as one `async` body whose receives read the session's inbox: it
 //!   suspends when the inbox is empty and gives its worker back. A
 //!   misbehaving or vanished client — wrong order, wrong shape, unreduced
@@ -17,18 +17,18 @@
 //!   model's [`ServerPrecomp`] (its encoded diagonals, and in HE mode the
 //!   encoder and the key plan) and keeps it with the model for the
 //!   runtime's lifetime; every session of the model reads it.
-//! * **Two session tables** — byte-budgeted LRUs ([`ByteLru`]), one for
-//!   every client's uploaded rotation keys ([`ClientHeKeys`],
+//! * **Two session tables** — byte-budgeted LRUs (`ByteLru`, `table.rs`),
+//!   one for every client's uploaded rotation keys ([`ClientHeKeys`],
 //!   keyed by client and key plan — a set is only ever used for a model it
 //!   was admitted for, and models with one plan share it), one for every
-//!   client pair's post-base-OT IKNP state ([`ClientOtState`], keyed by
+//!   client pair's post-base-OT IKNP state (`ClientOtState`, keyed by
 //!   client and protocol kind, i.e. by which extension role the server
 //!   plays). Eviction drops only the table's
 //!   reference (in-flight sessions keep their `Arc`); an evicted client
 //!   simply re-uploads the keys [`crate::ServiceClient`] retains, or runs
 //!   base OT again, on its next request, driven by the
 //!   [`KeyStatus`](crate::msg::Msg::KeyStatus) handshake. A key upload makes its room *before* it is decoded
-//!   ([`ByteLru::make_room`], once its headers are the model's plan),
+//!   (`ByteLru::make_room`, once its headers are the model's plan),
 //!   and is decoded into the victim's memory when no session holds that
 //!   any more: a full key table turns over in place, so the memory a
 //!   churning runtime holds is its budget's, not a function of which
@@ -75,14 +75,13 @@ pub mod session;
 mod executor;
 mod table;
 
-pub use table::{ByteLru, TableStats};
+pub use table::TableStats;
 
-use crate::channel::{service_pair, Channel, ChannelError, ChannelTx, ClientEvent};
+use crate::channel::{service_pair, Channel, ChannelError, ChannelTx, ClientEvent, Peer};
 use crate::common::{
     ClientHeKeys, ClientOtState, PartyOutcome, ProtocolConfig, ProtocolKind, ServerPrecomp,
 };
 use crate::error::ProtocolError;
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use executor::{resolve_workers, Executor};
 use pi_nn::PiModel;
 use rand::rngs::StdRng;
@@ -92,8 +91,10 @@ use std::collections::{HashMap, VecDeque};
 use std::future::Future;
 use std::pin::Pin;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Weak};
 use std::task::{Context, Poll, Waker};
+use table::ByteLru;
 
 /// Serving-runtime configuration.
 #[derive(Clone, Debug)]
@@ -277,7 +278,7 @@ impl ServeRuntime {
         let inbox = Inbox::default();
         let runtime = Arc::downgrade(inner);
         let session = serve(session, entry, tx, inbox.clone(), runtime, client_id);
-        let (result_tx, result_rx) = unbounded();
+        let (result_tx, result_rx) = channel();
         let slot = Arc::new(Slot {
             sid,
             scheduled: AtomicBool::new(false),
@@ -383,13 +384,15 @@ async fn serve(
     let ctx = SessionCtx {
         model: &entry.model,
         pre: &entry.pre,
-        sink: &tx,
-        recv: &recv,
         retired_keys: &retired_keys,
         got_keys: &got_keys,
         got_ot: &got_ot,
     };
-    session.run(ctx).await
+    let peer = Peer {
+        sink: &tx,
+        recv: &recv,
+    };
+    session.run(ctx, peer).await
 }
 
 /// Schedules a pump for `slot` unless one is already scheduled or running.

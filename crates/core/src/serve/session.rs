@@ -2,12 +2,12 @@
 //!
 //! A single-inference deployment can afford a blocking loop per session; a
 //! shared server cannot — a worker thread must be able to advance whichever
-//! session has work and park the rest. [`ServerSession::run`] is therefore
+//! session has work and park the rest. `ServerSession::run` is therefore
 //! the entire server role of **both** protocol kinds — garbler under
 //! Server-Garbler, evaluator under Client-Garbler, with the role steps the
 //! client body runs in the mirrored role (`role.rs`) — written top to
-//! bottom like the client's, and every receive is an `.await` on
-//! [`SessionCtx::next`]:
+//! bottom like the client's ([`crate::ServiceClient::session`]), and every
+//! receive is an `.await` on its [`Peer`], as the client's is:
 //!
 //! * [`drive_sync`] receives by blocking on its channel, so the session
 //!   never suspends and one poll runs it whole;
@@ -36,10 +36,10 @@
 //! then per-phase garbling.
 //!
 //! **Base OT runs once per client pair.** A session created with the
-//! pair's cached [`ClientOtState`] reserves its range of the IKNP streams
+//! pair's cached `ClientOtState` reserves its range of the IKNP streams
 //! there and goes from the linear responses straight to garbling; one
 //! created without runs the three base-OT messages, starts at block 0 and
-//! hands the state up ([`SessionCtx::got_ot`]) the moment it exists. From
+//! hands the state up (`SessionCtx::got_ot`) the moment it exists. From
 //! there on the two are the same code: a fresh pair is the cached path at
 //! base 0. Client-Garbler's base OT follows the linear responses.
 //! Server-Garbler's straddles the linear pass: the server answers the
@@ -48,9 +48,9 @@
 //! on the core that pass leaves idle — which the server reads after its
 //! responses.
 
-use crate::channel::{Channel, ChannelTx};
+use crate::channel::{block_on, recv, Channel, Peer};
 use crate::common::{
-    random_field_vecs, reduced, unexpected, ClientHeKeys, ClientOtState, ModelMeta, PartyOutcome,
+    random_field_vecs, reduced, ClientHeKeys, ClientOtState, ModelMeta, PartyOutcome,
     ProtocolConfig, ProtocolKind, ServerPrecomp,
 };
 use crate::error::ProtocolError;
@@ -64,37 +64,19 @@ use pi_he::{Ciphertext, Plaintext};
 use pi_nn::PiModel;
 use pi_ot::ext::{OtExtReceiver, OtExtSender};
 use rand::rngs::StdRng;
-use std::future::Future;
 use std::sync::Arc;
-use std::task::{Context, Poll, Waker};
 
-/// Awaits the client's next message, which must be the given [`Msg`]
-/// variant.
-macro_rules! recv {
-    ($ctx:expr, $variant:ident) => {
-        match $ctx.next().await? {
-            Msg::$variant(v) => v,
-            other => return Err(unexpected(stringify!($variant), &other)),
-        }
-    };
-}
-
-/// Everything a session borrows from its surroundings. Borrowing these
-/// (instead of owning them) keeps the session `'static` and lets the
-/// runtime share one [`ServerPrecomp`] across every session of a model.
-pub struct SessionCtx<'a> {
+/// Everything a session borrows from its surroundings but its [`Peer`].
+/// Borrowing these (instead of owning them) keeps the session `'static`
+/// and lets the runtime share one [`ServerPrecomp`] across every session of
+/// a model.
+pub(crate) struct SessionCtx<'a> {
     /// The served model (weights included).
     pub model: &'a PiModel,
     /// Shared per-model offline-linear precomputation: the encoded
     /// diagonals and, in HE mode, the encoder and key plan the HE pass
     /// reads.
     pub pre: &'a ServerPrecomp,
-    /// Downlink to this session's client.
-    pub sink: &'a ChannelTx,
-    /// The client's next message: `None` while none is queued (the session
-    /// then suspends until it is polled again), an error once the client
-    /// is gone.
-    pub recv: &'a (dyn Fn() -> Option<Result<Msg, ProtocolError>> + Sync),
     /// A key set nobody uses any more, for an admitted upload of the given
     /// resident size to be decoded into ([`ClientHeKeys::admit`]): what the
     /// runtime's key table evicts to make that room, nothing for a lone
@@ -107,13 +89,6 @@ pub struct SessionCtx<'a> {
     /// Takes the server's half of the pair's IKNP state the moment base OT
     /// finishes, likewise.
     pub got_ot: &'a (dyn Fn(Arc<ClientOtState>) + Sync),
-}
-
-impl SessionCtx<'_> {
-    /// The client's next message, awaited through [`SessionCtx::recv`].
-    pub fn next(&self) -> impl Future<Output = Result<Msg, ProtocolError>> + '_ {
-        std::future::poll_fn(|_| (self.recv)().map_or(Poll::Pending, Poll::Ready))
-    }
 }
 
 /// The offline linear pass, by what it starts from.
@@ -151,7 +126,7 @@ enum Role {
 
 /// The server role of one inference session. See the module docs for the
 /// contract.
-pub struct ServerSession {
+pub(crate) struct ServerSession {
     kind: ProtocolKind,
     meta: ModelMeta,
     /// Threads the offline matvecs split across (`lphe_threads`).
@@ -171,7 +146,7 @@ impl ServerSession {
     /// IKNP state (the session reserves its stream range there, now, and
     /// skips base OT) — state of the other protocol kind is not this
     /// session's and is ignored.
-    pub fn new(
+    pub(crate) fn new(
         model: &PiModel,
         cfg: &ProtocolConfig,
         rng: StdRng,
@@ -204,7 +179,7 @@ impl ServerSession {
     /// A serving runtime's preamble: whether the session's first message
     /// must be the client's HE keys, and whether (and from which block) it
     /// runs on cached IKNP state instead of base OT.
-    pub fn key_status(&self) -> Msg {
+    pub(crate) fn key_status(&self) -> Msg {
         let need_keys = matches!(self.linear, Linear::He(None));
         let (ot_cached, ot_base) = match &self.ot {
             Some(OtStart::Sender(ot)) => (Msg::OT_CACHED, ot.block()),
@@ -229,7 +204,11 @@ impl ServerSession {
     /// upload to a session whose precomputation has no HE context;
     /// [`ProtocolError::Wire`] on an HE frame that fails to parse;
     /// [`ProtocolError::Channel`] when the client vanished.
-    pub async fn run(self, ctx: SessionCtx<'_>) -> Result<PartyOutcome, ProtocolError> {
+    pub(crate) async fn run(
+        self,
+        ctx: SessionCtx<'_>,
+        peer: Peer<'_>,
+    ) -> Result<PartyOutcome, ProtocolError> {
         let Self {
             kind,
             meta,
@@ -245,10 +224,10 @@ impl ServerSession {
         // session with its base-OT setup, answered at once.
         let opened = match (kind, &ot) {
             (ProtocolKind::ServerGarbler, None) => {
-                let setup = recv!(ctx, OtBaseSetup);
+                let setup = recv!(peer, OtBaseSetup);
                 let _span = pi_trace::span!("offline.ot");
                 let (receiver, choice) = BaseReceiver::start(&setup, &mut rng)?;
-                ctx.sink.send(Msg::OtBaseChoice(choice))?;
+                peer.sink.send(Msg::OtBaseChoice(choice))?;
                 Some(receiver)
             }
             _ => None,
@@ -266,7 +245,7 @@ impl ServerSession {
                     // key plan, is the client's fault and aborts only this
                     // session.
                     None => {
-                        let frame = recv!(ctx, HeKeys);
+                        let frame = recv!(peer, HeKeys);
                         let (he, _) = ctx.pre.he()?;
                         let keys = {
                             let _phase = pi_trace::span!("offline.he");
@@ -282,7 +261,7 @@ impl ServerSession {
                 };
                 let mut cts = Vec::with_capacity(meta.phases.len());
                 for _ in &meta.phases {
-                    let frame = recv!(ctx, HeCts);
+                    let frame = recv!(peer, HeCts);
                     let params = ctx.pre.he()?.0.encoder.params();
                     let ct = pi_he::ciphertext_from_bytes(&frame, params)?;
                     if ct.c0.ctx().q() != params.q() {
@@ -307,7 +286,7 @@ impl ServerSession {
                     // coefficient AND more absolute noise headroom at the
                     // GC handoff.
                     let resp = prod.add_plain(mask, params).mod_switch_down(params);
-                    ctx.sink
+                    peer.sink
                         .send(Msg::HeCts(pi_he::ciphertext_to_bytes(&resp)))?;
                 }
                 s_vecs
@@ -315,7 +294,7 @@ impl ServerSession {
             Linear::Clear => {
                 let mut r_cats = Vec::with_capacity(meta.phases.len());
                 for ph in &meta.phases {
-                    let r_cat = recv!(ctx, VecU64);
+                    let r_cat = recv!(peer, VecU64);
                     if r_cat.len() != ph.cols || !reduced(&r_cat, p) {
                         return Err(ProtocolError::BadRequest("offline input vector"));
                     }
@@ -329,7 +308,7 @@ impl ServerSession {
                 for ((r_cat, ph), s_i) in r_cats.iter().zip(&ctx.model.phases).zip(&s_vecs) {
                     let wr = ph.apply_linear(r_cat, p);
                     let share = wr.iter().zip(s_i).map(|(&a, &s)| p.sub(a, s)).collect();
-                    ctx.sink.send(Msg::VecU64(share))?;
+                    peer.sink.send(Msg::VecU64(share))?;
                 }
                 s_vecs
             }
@@ -344,7 +323,7 @@ impl ServerSession {
             // Server-Garbler: the client's transfer, computed while the
             // linear pass ran.
             (None, Some(receiver)) => {
-                let transfer = recv!(ctx, OtBaseTransfer);
+                let transfer = recv!(peer, OtBaseTransfer);
                 let ext = {
                     let _span = pi_trace::span!("offline.ot");
                     receiver.finish(&transfer)?
@@ -359,14 +338,14 @@ impl ServerSession {
                 let sender = {
                     let _span = pi_trace::span!("offline.ot");
                     let (sender, setup) = BaseSender::start(&mut rng);
-                    ctx.sink.send(Msg::OtBaseSetup(setup))?;
+                    peer.sink.send(Msg::OtBaseSetup(setup))?;
                     sender
                 };
-                let choice = recv!(ctx, OtBaseChoice);
+                let choice = recv!(peer, OtBaseChoice);
                 let ext = {
                     let _span = pi_trace::span!("offline.ot");
                     let (ext, transfer) = sender.finish(&choice, &mut rng)?;
-                    ctx.sink.send(Msg::OtBaseTransfer(transfer))?;
+                    peer.sink.send(Msg::OtBaseTransfer(transfer))?;
                     ext
                 };
                 (ctx.got_ot)(Arc::new(ClientOtState::receiver(ext.clone(), used)));
@@ -380,11 +359,11 @@ impl ServerSession {
                 let mut garbler = Garbler::new(ot);
                 for (idx, relu) in meta.relu_phases.iter().enumerate() {
                     let tables = garbler.garble(&meta, relu, &mut rng, &mut out);
-                    ctx.sink.send(Msg::GcTables(tables))?;
-                    let extend = recv!(ctx, OtExtend);
+                    peer.sink.send(Msg::GcTables(tables))?;
+                    let extend = recv!(peer, OtExtend);
                     let _span = pi_trace::span!("offline.ot");
                     let transfer = garbler.serve_labels(idx, k..3 * k, &extend, &mut out)?;
-                    ctx.sink.send(Msg::OtTransfer(transfer))?;
+                    peer.sink.send(Msg::OtTransfer(transfer))?;
                 }
                 Role::Garbler(garbler)
             }
@@ -392,13 +371,13 @@ impl ServerSession {
             OtStart::Receiver(ot) => {
                 let mut phases = Vec::with_capacity(meta.relu_phases.len());
                 for relu in &meta.relu_phases {
-                    let tables = recv!(ctx, GcTables);
+                    let tables = recv!(peer, GcTables);
                     let tables = PhaseTables::receive(&meta, relu, tables, &mut out)?;
-                    let decode = recv!(ctx, GcDecode);
+                    let decode = recv!(peer, GcDecode);
                     if decode.len() != tables.len() || decode.iter().any(|d| d.len() != k) {
                         return Err(ProtocolError::BadRequest("decode vector shape"));
                     }
-                    let labels = recv!(ctx, GcLabels);
+                    let labels = recv!(peer, GcLabels);
                     if labels.len() != tables.len() * 2 * k {
                         return Err(ProtocolError::BadRequest("client label count"));
                     }
@@ -434,10 +413,10 @@ impl ServerSession {
                     out.gc_bytes + phases.iter().map(extras).sum::<u64>()
                 }
             };
-        out.offline_sent = ctx.sink.bytes_sent();
+        out.offline_sent = peer.sink.bytes_sent();
 
         // ---------------- Online ----------------
-        let masked = recv!(ctx, VecU64);
+        let masked = recv!(peer, VecU64);
         if masked.len() != meta.input_len || !reduced(&masked, p) {
             return Err(ProtocolError::BadRequest("masked input"));
         }
@@ -456,7 +435,7 @@ impl ServerSession {
                 y_s
             };
             if ph.relu_shift.is_none() {
-                ctx.sink.send(Msg::VecU64(y_s))?;
+                peer.sink.send(Msg::VecU64(y_s))?;
                 break;
             }
             let next = match &mut role {
@@ -470,8 +449,8 @@ impl ServerSession {
                             labels.extend(encode(g, 0, v, k));
                         }
                     }
-                    ctx.sink.send(Msg::GcLabels(labels))?;
-                    let theirs = recv!(ctx, GcLabels);
+                    peer.sink.send(Msg::GcLabels(labels))?;
+                    let theirs = recv!(peer, GcLabels);
                     let _span = pi_trace::span!("online.eval");
                     let decode = garbler.phases[i]
                         .iter()
@@ -484,10 +463,10 @@ impl ServerSession {
                     let request = {
                         let _span = pi_trace::span!("online.ot");
                         let (request, extend) = LabelRequest::new(ot, y_s, k, &mut out);
-                        ctx.sink.send(Msg::OtExtend(extend))?;
+                        peer.sink.send(Msg::OtExtend(extend))?;
                         request
                     };
-                    let transfer = recv!(ctx, OtTransfer);
+                    let transfer = recv!(peer, OtTransfer);
                     let mine = {
                         let _span = pi_trace::span!("online.ot");
                         request.open(ot.ext(), &transfer)?
@@ -502,12 +481,12 @@ impl ServerSession {
             };
             acts.push(next);
         }
-        out.total_sent = ctx.sink.bytes_sent();
+        out.total_sent = peer.sink.bytes_sent();
         Ok(out)
     }
 }
 
-/// Runs a [`ServerSession`] to completion over a blocking [`Channel`] —
+/// Runs a server session to completion over a blocking [`Channel`] —
 /// the classic one-thread-per-party deployment, running the *same* body as
 /// the serving runtime so the two paths cannot drift. Its receive blocks
 /// instead of suspending, so the first poll returns the outcome.
@@ -526,23 +505,19 @@ pub fn drive_sync(
     let trace_scope = pi_trace::begin_local();
     let root_span = pi_trace::span!("server");
     let recv = || Some(chan.recv().map_err(ProtocolError::from));
+    let peer = Peer {
+        sink: chan.tx(),
+        recv: &recv,
+    };
     let ctx = SessionCtx {
         model,
         pre,
-        sink: chan.tx(),
-        recv: &recv,
         retired_keys: &|_| None,
         got_keys: &|_| {},
         got_ot: &|_| {},
     };
-    let session = ServerSession::new(model, cfg, rng, None, None).run(ctx);
-    let mut session = std::pin::pin!(session);
-    let mut cx = Context::from_waker(Waker::noop());
-    let mut out = loop {
-        if let Poll::Ready(out) = session.as_mut().poll(&mut cx) {
-            break out?;
-        }
-    };
+    let session = ServerSession::new(model, cfg, rng, None, None);
+    let mut out = block_on(session.run(ctx, peer))?;
     drop(root_span);
     out.trace = trace_scope.finish();
     Ok(out)

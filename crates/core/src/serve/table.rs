@@ -50,7 +50,7 @@ struct State<K, V> {
 }
 
 /// An LRU map bounded by a total byte budget.
-pub struct ByteLru<K, V> {
+pub(crate) struct ByteLru<K, V> {
     budget: u64,
     state: parking_lot::Mutex<State<K, V>>,
 }
@@ -77,7 +77,7 @@ impl<K: Hash + Eq + Clone, V> State<K, V> {
 
 impl<K: Hash + Eq + Clone, V> ByteLru<K, V> {
     /// Creates an empty table under a budget of `budget_bytes`.
-    pub fn new(budget_bytes: u64) -> Self {
+    pub(crate) fn new(budget_bytes: u64) -> Self {
         Self {
             budget: budget_bytes,
             state: parking_lot::Mutex::new(State {
@@ -90,7 +90,7 @@ impl<K: Hash + Eq + Clone, V> ByteLru<K, V> {
     }
 
     /// Looks up `key`, refreshing its recency on a hit.
-    pub fn get(&self, key: &K) -> Option<Arc<V>> {
+    pub(crate) fn get(&self, key: &K) -> Option<Arc<V>> {
         let state = &mut *self.state.lock();
         match state.map.get_mut(key) {
             Some(e) => {
@@ -111,7 +111,7 @@ impl<K: Hash + Eq + Clone, V> ByteLru<K, V> {
     /// inserted is exempt from its own eviction pass — an entry larger than
     /// the whole budget still serves its session, it just won't survive the
     /// next insert.
-    pub fn insert(&self, key: K, value: Arc<V>, bytes: u64) {
+    pub(crate) fn insert(&self, key: K, value: Arc<V>, bytes: u64) {
         let mut state = self.state.lock();
         state.clock += 1;
         let entry = Entry {
@@ -137,18 +137,18 @@ impl<K: Hash + Eq + Clone, V> ByteLru<K, V> {
     /// returns them, oldest first. An inserter that calls this *before* it
     /// builds its value can build it in the memory of a victim nobody else
     /// holds ([`Arc::into_inner`]), so a full table turns over in place.
-    pub fn make_room(&self, bytes: u64) -> Vec<Arc<V>> {
+    pub(crate) fn make_room(&self, bytes: u64) -> Vec<Arc<V>> {
         let limit = self.budget.saturating_sub(bytes);
         self.state.lock().evict_down_to(limit, None)
     }
 
     /// Total bytes currently resident.
-    pub fn used_bytes(&self) -> u64 {
+    pub(crate) fn used_bytes(&self) -> u64 {
         self.state.lock().used_bytes
     }
 
     /// Snapshot of the hit/miss/insert/eviction counters.
-    pub fn stats(&self) -> TableStats {
+    pub(crate) fn stats(&self) -> TableStats {
         self.state.lock().stats
     }
 }

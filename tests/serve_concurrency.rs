@@ -1,12 +1,13 @@
-//! Serving-runtime integration tests: N-client concurrency bit-identity,
-//! dropped and misbehaving clients, session-table eviction under a tiny
+//! Serving-runtime integration tests: N-client concurrency bit-identity
+//! (four client bodies on one thread among them), dropped and misbehaving
+//! peers, session-table eviction under a tiny
 //! byte budget, the pinned message transcripts of a first and of a
 //! returning client's request (base OT once per client pair), one client
 //! alternating between two models (rotation keys cached per key plan), and
 //! the malformed-shape sweeps, the key upload's among them (nothing a peer
 //! sends panics a party).
 
-use pi_core::channel::{local_pair, service_pair, Channel, ChannelError, ClientEvent};
+use pi_core::channel::{local_pair, service_pair, Channel, ChannelError, ClientEvent, Peer};
 use pi_core::common::ClientHeKeys;
 use pi_core::msg::Msg;
 use pi_core::serve::session::drive_sync;
@@ -18,7 +19,10 @@ use pi_he::BfvParams;
 use pi_nn::{zoo, FixedConfig, NetSpec, Network, PiModel, QuantNetwork, SpecOp};
 use pi_ot::curve::Point;
 use rand::{Rng, SeedableRng};
+use std::future::Future;
 use std::sync::Arc;
+use std::task::{Context, Poll, Waker};
+use std::time::{Duration, Instant};
 
 fn build_model(he: &BfvParams, seed: u64) -> PiModel {
     build_spec(&zoo::tiny_cnn(), he, seed)
@@ -114,6 +118,71 @@ fn concurrent_clients_match_reference_he_server_garbler() {
     let model = build_model(&he, 11);
     let rt = ServeRuntime::new(serve_cfg(2));
     run_concurrent_clients(&rt, &model, &ProtocolConfig::server_garbler(he), 2);
+}
+
+/// Four client bodies on the test thread: each `ServiceClient::session`
+/// awaits its own runtime connection through `Channel::try_recv`, so it
+/// suspends while its next message is not there, and one loop polls all
+/// four in turn against a one-worker runtime until every one resolves —
+/// bit-exact, both garbler kinds, HE and clear.
+#[test]
+fn four_client_bodies_share_one_thread() {
+    let he = BfvParams::small_test();
+    let model = build_model(&he, 11);
+    let meta = ModelMeta::of(&model);
+    for kind in [ProtocolKind::ServerGarbler, ProtocolKind::ClientGarbler] {
+        for he in [Some(&he), None] {
+            let what = format!("{kind:?}, he={}", he.is_some());
+            let cfg = protocol_cfg(kind, he);
+            let rt = ServeRuntime::new(serve_cfg(1));
+            let model_id = rt.register_model(model.clone(), cfg.clone());
+            let conns: Vec<_> = (0..4).map(|c| rt.connect(c, model_id, 4_000 + c)).collect();
+            let inputs: Vec<_> = (0..4).map(|c| random_input(&model, 90 + c)).collect();
+            let chans: Vec<&Channel> = conns.iter().map(|conn| &conn.chan).collect();
+            let recvs: Vec<_> = (chans.iter())
+                .map(|chan| move || chan.try_recv().map(|m| m.map_err(ProtocolError::from)))
+                .collect();
+            let mut clients: Vec<_> = (0..4).map(|_| ServiceClient::new()).collect();
+            let mut rngs: Vec<_> = (0..4)
+                .map(|c| rand::rngs::StdRng::seed_from_u64(95 + c))
+                .collect();
+            let mut bodies: Vec<_> = (clients.iter_mut().zip(&mut rngs))
+                .zip(chans.iter().zip(&recvs).zip(&inputs))
+                .map(|((client, rng), ((chan, recv), input))| {
+                    let peer = Peer {
+                        sink: chan.tx(),
+                        recv,
+                    };
+                    Box::pin(client.session(&meta, input, &cfg, peer, rng))
+                })
+                .collect();
+            let mut ran: Vec<_> = (0..4).map(|_| None).collect();
+            let mut cx = Context::from_waker(Waker::noop());
+            let deadline = Instant::now() + Duration::from_secs(60);
+            while ran.iter().any(Option::is_none) {
+                assert!(
+                    Instant::now() < deadline,
+                    "{what}: not done within a minute"
+                );
+                // A body that resolved is never polled again.
+                for (body, ran) in bodies.iter_mut().zip(&mut ran) {
+                    if ran.is_none() {
+                        if let Poll::Ready(out) = body.as_mut().poll(&mut cx) {
+                            *ran = Some(out);
+                        }
+                    }
+                }
+            }
+            drop(bodies);
+            for (c, (ran, input)) in ran.into_iter().zip(&inputs).enumerate() {
+                let ran = ran.map(|r| r.map(|(out, _)| out));
+                assert_eq!(ran, Some(Ok(model.forward(input))), "{what}: client {c}");
+            }
+            for conn in conns {
+                conn.handle.wait().expect("server session");
+            }
+        }
+    }
 }
 
 #[test]
@@ -615,7 +684,7 @@ fn relayed_request(
 ) -> (Relayed, ServiceClient) {
     let conn = rt.connect(client_id, model_id, 2_000 + client_id);
     let (session, handle) = (Arc::new(conn.chan), conn.handle);
-    let (events_tx, events_rx) = crossbeam::channel::unbounded::<ClientEvent>();
+    let (events_tx, events_rx) = std::sync::mpsc::channel::<ClientEvent>();
     let (c_chan, to_client) = service_pair(Box::new(move |event| {
         let sent = events_tx.send(event);
         sent.map_err(|_| ChannelError::Disconnected)
@@ -1273,6 +1342,76 @@ fn malformed_server_messages_are_bad_requests_to_the_client() {
     }
 }
 
+/// Replaces the relayed message with an empty `VecU64`.
+fn vec_u64(m: &mut Msg, _: u64) {
+    *m = Msg::VecU64(Vec::new());
+}
+
+/// Replaces the relayed message with a well-formed base-OT choice.
+fn base_ot_choice(m: &mut Msg, _: u64) {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0);
+    let (_, setup) = pi_ot::BaseOtSender::new(&mut rng);
+    let choice = pi_ot::BaseOtReceiver::choose_packed(&setup, 0, 128, &mut rng);
+    *m = Msg::OtBaseChoice(choice.expect("an honest setup").1);
+}
+
+/// A server message of the wrong kind is the client's `UnexpectedMsg`
+/// naming the one it awaited, never a panic, under both garbler kinds:
+/// through `drive_sync` a table set, a linear share, an extension and
+/// each kind's base-OT message replaced by one of another kind, and on
+/// the runtime the `KeyStatus` preamble replaced. The server sees the
+/// client hang up, and a neighbour on the runtime then completes.
+#[test]
+fn wrong_kind_server_messages_are_unexpected_to_the_client() {
+    let he = BfvParams::small_test();
+    let model = Arc::new(build_model(&he, 11));
+    let meta = ModelMeta::of(&model);
+    let is_unexpected = |ran: &Result<Vec<u64>, ProtocolError>, want, what: &str| {
+        let got = match ran {
+            Err(ProtocolError::UnexpectedMsg { expected, got }) => Some((*expected, *got)),
+            _ => None,
+        };
+        assert_eq!(got, Some(want), "{what}: {ran:?}");
+    };
+    let hung_up = |served: &Result<pi_core::PartyOutcome, ProtocolError>, what: &str| {
+        let hung_up = matches!(served, Err(ProtocolError::Channel(_)));
+        assert!(hung_up, "{what}: {served:?}");
+    };
+    let sg_cases = [
+        (case("", "GcTables", 0, vec_u64), "VecU64"),
+        (case("", "OtBaseChoice", 0, base_ot_setup), "OtBaseSetup"),
+    ];
+    let cg_cases = [
+        (case("", "VecU64", 0, base_ot_setup), "OtBaseSetup"),
+        (case("", "OtBaseSetup", 0, base_ot_choice), "OtBaseChoice"),
+        (case("", "OtExtend", 0, vec_u64), "VecU64"),
+    ];
+    for (kind, cases) in [
+        (ProtocolKind::ServerGarbler, &sg_cases[..]),
+        (ProtocolKind::ClientGarbler, &cg_cases[..]),
+    ] {
+        let cfg = ProtocolConfig::clear(kind);
+        for &((_, tamper), got) in cases {
+            let what = format!("{kind:?}, {} as {got}", tamper.target);
+            let (ran, served) = tampered_sync_run(&model, &cfg, (Dir::Down, tamper), &what);
+            is_unexpected(&ran, (tamper.target, got), &what);
+            hung_up(&served, &what);
+        }
+        let what = format!("{kind:?}, KeyStatus as VecU64");
+        let rt = ServeRuntime::new(serve_cfg(1));
+        let model_id = rt.register_model((*model).clone(), cfg.clone());
+        let tamper = Some((Dir::Down, case("", "KeyStatus", 0, vec_u64).1));
+        let input = random_input(&model, 900);
+        let party = (&meta, &cfg);
+        let client = ServiceClient::new();
+        let (r, _) = relayed_request(&rt, (model_id, 0), client, party, input, tamper, &what);
+        is_unexpected(&r.ran, ("KeyStatus", "VecU64"), &what);
+        assert_eq!(r.up, Transcript::new(), "{what}: the client sent something");
+        hung_up(&r.served, &what);
+        neighbour_completes(&rt, (model_id, 1), &model, party, &what);
+    }
+}
+
 /// Cuts the last byte off a ciphertext frame.
 fn truncate_frame(m: &mut Msg, _: u64) {
     match m {
@@ -1406,7 +1545,7 @@ fn a_suspended_session_gives_its_only_worker_back() {
         let model_id = rt.register_model(model.clone(), cfg.clone());
         let a = rt.connect(0, model_id, 10);
         let session = Arc::new(a.chan);
-        let (events_tx, events_rx) = crossbeam::channel::unbounded::<ClientEvent>();
+        let (events_tx, events_rx) = std::sync::mpsc::channel::<ClientEvent>();
         let (a_chan, to_a) = service_pair(Box::new(move |event| {
             let sent = events_tx.send(event);
             sent.map_err(|_| ChannelError::Disconnected)
