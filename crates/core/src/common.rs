@@ -1,10 +1,10 @@
 //! Shared protocol vocabulary: configuration, the structure-only model view,
 //! the per-model server precomputation, and the per-party cost summary.
 //!
-//! The protocol bodies live in [`crate::client`] (the client, blocking) and
-//! [`crate::serve::session`] (the server, `async`: it suspends between
-//! messages); the garbler / evaluator / base-OT steps both of them perform
-//! are in `role.rs`.
+//! The protocol bodies live in [`crate::client`] (the client) and
+//! [`crate::serve::session`] (the server): each an `async fn` over a
+//! [`crate::channel::Peer`] that suspends between messages. The garbler /
+//! evaluator / base-OT steps both of them perform are in `role.rs`.
 
 use crate::error::ProtocolError;
 use crate::msg::Msg;

@@ -41,4 +41,4 @@ pub mod prime;
 pub mod simd;
 
 pub use modulus::{Modulus, ShoupMul};
-pub use prime::{find_distinct_ntt_primes, find_ntt_prime, is_prime, primitive_root};
+pub use prime::{find_distinct_ntt_primes, find_ntt_prime, is_prime};

@@ -23,9 +23,8 @@
 //! | [`Modulus::mul_shoup`]       | any `u64` × Shoup  | `[0, q)`   |
 //! | [`Modulus::mul_shoup_lazy`]  | any `u64` × Shoup  | `[0, 2q)`  |
 //! | [`Modulus::add_lazy`]        | `[0, 2q)`          | `[0, 2q)`  |
-//! | [`Modulus::sub_lazy`]        | `[0, 2q)`          | `[0, 2q)`  |
 //! | [`Modulus::reduce_lazy`]     | `[0, 2q)`          | `[0, q)`   |
-//! | [`Modulus::reduce_4q`]       | `[0, 4q)`          | `[0, q)`   |
+//! | `Modulus::reduce_4q`         | `[0, 4q)`          | `[0, q)`   |
 //!
 //! Because `q < 2^62`, every value in `[0, 4q)` fits a `u64` with headroom,
 //! which is exactly what the Harvey NTT butterflies in `pi-poly` exploit.
@@ -270,21 +269,6 @@ impl Modulus {
         }
     }
 
-    /// Lazy subtraction over the `[0, 2q)` domain: computes
-    /// `a − b (mod 2q)`-style as `a + 2q − b` with one conditional
-    /// subtraction, keeping the result in `[0, 2q)`. The result is congruent
-    /// to `a − b (mod q)` because `2q ≡ 0 (mod q)`.
-    #[inline]
-    pub fn sub_lazy(&self, a: u64, b: u64) -> u64 {
-        debug_assert!(a < self.twice() && b < self.twice());
-        let d = a + self.twice() - b;
-        if d >= self.twice() {
-            d - self.twice()
-        } else {
-            d
-        }
-    }
-
     /// Final correction from the lazy `[0, 2q)` domain into `[0, q)`.
     #[inline]
     pub fn reduce_lazy(&self, a: u64) -> u64 {
@@ -299,7 +283,7 @@ impl Modulus {
     /// Final correction from the forward-NTT `[0, 4q)` domain into `[0, q)`:
     /// two conditional subtractions.
     #[inline]
-    pub fn reduce_4q(&self, a: u64) -> u64 {
+    pub(crate) fn reduce_4q(&self, a: u64) -> u64 {
         debug_assert!(a < 4 * self.value);
         let a = if a >= self.twice() {
             a - self.twice()
@@ -505,9 +489,6 @@ mod tests {
                 let s = q.add_lazy(a, b);
                 assert!(s < two_q);
                 assert_eq!(s % 97, (a + b) % 97);
-                let d = q.sub_lazy(a, b);
-                assert!(d < two_q);
-                assert_eq!(d % 97, (a + 2 * 97 - b) % 97);
             }
             assert_eq!(q.reduce_lazy(a), a % 97);
         }
@@ -598,12 +579,6 @@ mod tests {
             let s = m.add_lazy(a, b);
             prop_assert!(s < m.twice());
             prop_assert_eq!(s % q, ((a as u128 + b as u128) % q as u128) as u64);
-            let d = m.sub_lazy(a, b);
-            prop_assert!(d < m.twice());
-            prop_assert_eq!(
-                d % q,
-                ((a as u128 + 2 * q as u128 - b as u128) % q as u128) as u64
-            );
             prop_assert_eq!(m.reduce_lazy(a), a % q);
         }
 

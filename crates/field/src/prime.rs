@@ -97,7 +97,7 @@ pub fn find_ntt_prime(bits: u32, n: u64) -> u64 {
 /// caller bugs, not search failures. The cap of 62 matches the
 /// [`crate::Modulus`] contract `q < 2^62` (which keeps the lazy `[0, 4q)`
 /// domain inside a `u64`).
-pub fn try_find_prime_congruent(bits: u32, step: u64) -> Option<u64> {
+pub(crate) fn try_find_prime_congruent(bits: u32, step: u64) -> Option<u64> {
     assert!((4..=62).contains(&bits), "bits must be in 4..=62");
     let top = 1u64 << bits;
     assert!(step < top, "congruence step must be below 2^bits");
@@ -121,7 +121,7 @@ pub fn try_find_prime_congruent(bits: u32, step: u64) -> Option<u64> {
 ///
 /// # Panics
 ///
-/// Panics on input-contract violations as in [`try_find_prime_congruent`],
+/// Panics on input-contract violations as in `try_find_prime_congruent`,
 /// or if `count` is zero.
 ///
 /// # Examples
@@ -176,7 +176,7 @@ pub fn find_prime_congruent(bits: u32, step: u64) -> u64 {
 /// # Panics
 ///
 /// Panics if `q` is not prime.
-pub fn primitive_root(q: u64) -> u64 {
+pub(crate) fn primitive_root(q: u64) -> u64 {
     assert!(is_prime(q), "q must be prime");
     if q == 2 {
         return 1;

@@ -77,7 +77,7 @@ pub(super) trait Lanes: Copy {
 /// [`Lanes::permute_block`] for ISAs without a runtime cross-lane 64-bit
 /// permute: the block is one cache line, so the `W` lanes are picked out of
 /// it one by one.
-#[cfg(all(feature = "simd", any(target_arch = "x86_64", target_arch = "aarch64")))]
+#[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
 #[inline(always)]
 pub(super) fn pick_lanes<const W: usize>(blk: &[u64], pat: u64) -> [u64; W] {
     std::array::from_fn(|t| blk[(pat >> (8 * t)) as usize & 7])
@@ -377,23 +377,6 @@ pub(super) unsafe fn dyadic_mul<V: Lanes>(
     })
 }
 
-#[inline(always)]
-pub(super) unsafe fn dyadic_mul_acc<V: Lanes>(
-    q: &Modulus,
-    acc: &mut [u64],
-    a: &[u64],
-    b: &[u64],
-    from: usize,
-) -> usize {
-    let br = Barrett::<V>::new(q);
-    lane_loop!(V, j in from, acc.len() => {
-        let (xh, xl) = V::load(&a[j..]).mulfull(V::load(&b[j..]));
-        // 128-bit add of the accumulator: carry into the high word.
-        let (xl, carry) = xl.add_carry(V::load(&acc[j..]));
-        br.reduce(xh.inc_if(carry), xl).store(&mut acc[j..]);
-    })
-}
-
 /// Generates the five butterfly-stage entry points `dispatch!` calls for
 /// the `Lanes` impl `$V`, each carrying `#[$attr]` (the ISA's
 /// `#[target_feature]`) and instantiating the generic kernel.
@@ -455,7 +438,6 @@ macro_rules! pointwise_entry_points {
             tail dyadic_mul_acc_shoup(
                 q: &Modulus, acc: &mut [u64], a: &[u64], vals: &[u64], quots: &[u64]);
             tail dyadic_mul(q: &Modulus, out: &mut [u64], a: &[u64], b: &[u64]);
-            tail dyadic_mul_acc(q: &Modulus, acc: &mut [u64], a: &[u64], b: &[u64]);
             whole permute8(out: &mut [u64], src: &[u64], bsrc: &[u32], bpat: &[u64]);
             whole permute8_add_lazy(
                 q: &Modulus, acc: &mut [u64], src: &[u64], bsrc: &[u32], bpat: &[u64]);

@@ -98,7 +98,6 @@
 //! | [`dyadic_mul_shoup`]      | `a` any u64, op reduced   | `[0, q)`   |           |
 //! | [`dyadic_mul_acc_shoup`]  | acc `[0, 2q)`, `a` any    | `[0, 2q)`  |           |
 //! | [`dyadic_mul`]            | both `[0, q)`             | `[0, q)`   |           |
-//! | [`dyadic_mul_acc`]        | all `[0, q)`              | `[0, q)`   |           |
 //! | [`permute8`]              | any u64                   | unchanged  |           |
 //! | [`permute8_add_lazy`]     | acc, src `[0, 2q)`        | `[0, 2q)`  |           |
 //! | [`permute8_mul_acc_shoup2`] | acc `[0, 2q)`, src any  | `[0, 2q)`  |           |
@@ -120,18 +119,18 @@
 //!    differential tests to pin both sides of a comparison);
 //! 2. the `PI_SIMD` environment variable: `scalar`/`off`/`0` select the
 //!    scalar oracle, `portable` the `u64`-lane backend, `avx2`/`avx512`/
-//!    `neon` demand that specific vector unit (**panicking** if it is not
-//!    compiled in or not detected — a forced-SIMD CI run fails loudly
-//!    instead of silently degrading), `auto`/`on`/`1` the automatic
-//!    choice, and anything else panics;
+//!    `neon` demand that specific vector unit (**panicking** if this is
+//!    not that architecture or the CPU lacks it — a forced-SIMD CI run
+//!    fails loudly instead of silently degrading), `auto`/`on`/`1` the
+//!    automatic choice, and anything else panics;
 //! 3. automatic detection: AVX-512 (F+DQ+VL), then AVX2, via
 //!    `is_x86_feature_detected!` on x86_64; NEON unconditionally on
 //!    aarch64 (baseline feature); otherwise the portable backend.
 //!
-//! Compiling with `--no-default-features` (disabling the `simd` cargo
-//! feature) removes the intrinsics impls entirely; resolution then picks
-//! the portable backend, which is how the non-AVX2 code path is built and
-//! tested on every CI run.
+//! There is no build-time switch: every intrinsics backend of the target
+//! architecture is compiled, and only detection (or the override and
+//! `PI_SIMD`) decides which one runs. The portable and scalar paths are
+//! tested on a vector-capable host by forcing them at run time.
 //!
 //! Stage granularity: the stage wrappers accept every stride `t ≥ 1`, and
 //! one rule (`stage_backend`, beside `dispatch!`) decides per stage who
@@ -150,11 +149,11 @@ use std::sync::atomic::{AtomicU8, Ordering};
 #[macro_use]
 mod lanes;
 
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 mod avx2;
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 mod avx512;
-#[cfg(all(feature = "simd", target_arch = "aarch64"))]
+#[cfg(target_arch = "aarch64")]
 mod neon;
 mod portable;
 mod scalar;
@@ -207,24 +206,24 @@ impl SimdBackend {
         match self {
             SimdBackend::Scalar | SimdBackend::Portable => true,
             SimdBackend::Avx2 => {
-                #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+                #[cfg(target_arch = "x86_64")]
                 {
                     std::arch::is_x86_feature_detected!("avx2")
                 }
-                #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
+                #[cfg(not(target_arch = "x86_64"))]
                 {
                     false
                 }
             }
-            SimdBackend::Neon => cfg!(all(feature = "simd", target_arch = "aarch64")),
+            SimdBackend::Neon => cfg!(target_arch = "aarch64"),
             SimdBackend::Avx512 => {
-                #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+                #[cfg(target_arch = "x86_64")]
                 {
                     std::arch::is_x86_feature_detected!("avx512f")
                         && std::arch::is_x86_feature_detected!("avx512dq")
                         && std::arch::is_x86_feature_detected!("avx512vl")
                 }
-                #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
+                #[cfg(not(target_arch = "x86_64"))]
                 {
                     false
                 }
@@ -265,7 +264,7 @@ pub fn backend() -> SimdBackend {
 /// The backend automatic detection would pick on this build and CPU,
 /// ignoring any override or environment setting.
 pub fn auto_backend() -> SimdBackend {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     {
         if SimdBackend::Avx512.available() {
             return SimdBackend::Avx512;
@@ -274,7 +273,7 @@ pub fn auto_backend() -> SimdBackend {
             return SimdBackend::Avx2;
         }
     }
-    #[cfg(all(feature = "simd", target_arch = "aarch64"))]
+    #[cfg(target_arch = "aarch64")]
     return SimdBackend::Neon;
     #[allow(unreachable_code)]
     SimdBackend::Portable
@@ -313,7 +312,7 @@ fn resolve() -> SimdBackend {
                 assert!(
                     SimdBackend::Avx2.available(),
                     "PI_SIMD=avx2 requested but AVX2 is unavailable \
-                     (not an x86_64 build with the `simd` feature, or the CPU lacks it)"
+                     (not an x86_64 build, or the CPU lacks it)"
                 );
                 SimdBackend::Avx2
             }
@@ -321,7 +320,7 @@ fn resolve() -> SimdBackend {
                 assert!(
                     SimdBackend::Avx512.available(),
                     "PI_SIMD=avx512 requested but AVX-512 (F+DQ+VL) is unavailable \
-                     (not an x86_64 build with the `simd` feature, or the CPU lacks it)"
+                     (not an x86_64 build, or the CPU lacks it)"
                 );
                 SimdBackend::Avx512
             }
@@ -329,7 +328,7 @@ fn resolve() -> SimdBackend {
                 assert!(
                     SimdBackend::Neon.available(),
                     "PI_SIMD=neon requested but NEON is unavailable \
-                     (not an aarch64 build with the `simd` feature)"
+                     (not an aarch64 build)"
                 );
                 SimdBackend::Neon
             }
@@ -358,19 +357,19 @@ macro_rules! dispatch {
     }};
     (@lanes $be:expr, $name:ident($($arg:expr),* $(,)?)) => {{
         match $be {
-            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+            #[cfg(target_arch = "x86_64")]
             SimdBackend::Avx512 if SimdBackend::Avx512.available() => {
                 // SAFETY: AVX512F/DQ/VL support was just verified on this CPU.
                 #[allow(unsafe_code)]
                 unsafe { avx512::$name($($arg),*) }
             }
-            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+            #[cfg(target_arch = "x86_64")]
             SimdBackend::Avx2 if std::arch::is_x86_feature_detected!("avx2") => {
                 // SAFETY: AVX2 support was just verified on this CPU.
                 #[allow(unsafe_code)]
                 unsafe { avx2::$name($($arg),*) }
             }
-            #[cfg(all(feature = "simd", target_arch = "aarch64"))]
+            #[cfg(target_arch = "aarch64")]
             SimdBackend::Neon => {
                 // SAFETY: NEON is a baseline feature of every aarch64 target.
                 #[allow(unsafe_code)]
@@ -671,19 +670,6 @@ pub fn dyadic_mul(be: SimdBackend, q: &Modulus, out: &mut [u64], a: &[u64], b: &
     dispatch!(be, dyadic_mul(q, out, a, b))
 }
 
-/// Pointwise Barrett multiply-accumulate
-/// `acc[i] = (acc[i] + a[i]·b[i]) mod q` for strictly reduced inputs —
-/// one fused reduction per slot, like [`Modulus::mul_add`].
-///
-/// # Panics
-///
-/// Panics on length mismatch.
-pub fn dyadic_mul_acc(be: SimdBackend, q: &Modulus, acc: &mut [u64], a: &[u64], b: &[u64]) {
-    let n = acc.len();
-    assert!(a.len() == n && b.len() == n);
-    dispatch!(be, dyadic_mul_acc(q, acc, a, b))
-}
-
 #[cfg(test)]
 mod tests {
     use super::lanes::Lanes;
@@ -814,20 +800,11 @@ mod tests {
                 q.value() - 3,
                 q.value() - 2,
             ];
-            let acc0 = vec![q.value() - 1; a.len()];
             let expect_mul: Vec<u64> = a.iter().zip(&b).map(|(&x, &y)| q.mul(x, y)).collect();
-            let expect_acc: Vec<u64> = acc0
-                .iter()
-                .zip(a.iter().zip(&b))
-                .map(|(&c, (&x, &y))| q.mul_add(x, y, c))
-                .collect();
             for be in runnable_backends() {
                 let mut out = vec![0u64; a.len()];
                 dyadic_mul(be, &q, &mut out, &a, &b);
                 assert_eq!(out, expect_mul, "mul backend {} q {}", be.name(), q);
-                let mut acc = acc0.clone();
-                dyadic_mul_acc(be, &q, &mut acc, &a, &b);
-                assert_eq!(acc, expect_acc, "mul_acc backend {} q {}", be.name(), q);
             }
         }
     }
@@ -983,11 +960,11 @@ mod tests {
         ($be:expr, $f:ident($($arg:expr),*)) => {
             match $be {
                 SimdBackend::Portable => $f::<u64>($($arg),*),
-                #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+                #[cfg(target_arch = "x86_64")]
                 SimdBackend::Avx2 => $f::<avx2::Ymm>($($arg),*),
-                #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+                #[cfg(target_arch = "x86_64")]
                 SimdBackend::Avx512 => $f::<avx512::Zmm>($($arg),*),
-                #[cfg(all(feature = "simd", target_arch = "aarch64"))]
+                #[cfg(target_arch = "aarch64")]
                 SimdBackend::Neon => $f::<neon::Neon>($($arg),*),
                 other => unreachable!("backend {} has no Lanes impl here", other.name()),
             }
@@ -1225,12 +1202,6 @@ mod tests {
                 dyadic_mul(be, &q, &mut out, &a, &b);
                 let expect: Vec<u64> = a.iter().zip(&b).map(|(&x, &y)| q.mul(x, y)).collect();
                 prop_assert_eq!(&out, &expect);
-
-                let mut acc = a.clone();
-                dyadic_mul_acc(be, &q, &mut acc, &a, &b);
-                let expect: Vec<u64> =
-                    a.iter().zip(a.iter().zip(&b)).map(|(&c, (&x, &y))| q.mul_add(x, y, c)).collect();
-                prop_assert_eq!(&acc, &expect);
 
                 let mut out = vec![0u64; n];
                 dyadic_mul_shoup(be, &q, &mut out, &lazy_a, &vals, &quots);

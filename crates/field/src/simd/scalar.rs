@@ -115,12 +115,6 @@ pub(super) fn dyadic_mul(q: &Modulus, out: &mut [u64], a: &[u64], b: &[u64]) {
     }
 }
 
-pub(super) fn dyadic_mul_acc(q: &Modulus, acc: &mut [u64], a: &[u64], b: &[u64]) {
-    for ((o, &x), &y) in acc.iter_mut().zip(a).zip(b) {
-        *o = q.mul_add(x, y, *o);
-    }
-}
-
 pub(super) fn dyadic_mul_shoup(
     q: &Modulus,
     out: &mut [u64],

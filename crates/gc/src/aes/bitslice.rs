@@ -91,7 +91,7 @@ fn from_planes(planes: &[u128; 8]) -> [u128; 8] {
 
 /// Expands a byte key schedule into broadcast bit-planes (the same 11
 /// round keys apply to every block of a batch).
-pub fn expand_round_keys(round_keys: &[[u8; 16]; 11]) -> [[u128; 8]; 11] {
+pub(crate) fn expand_round_keys(round_keys: &[[u8; 16]; 11]) -> [[u128; 8]; 11] {
     let mut out = [[0u128; 8]; 11];
     for (r, rk) in round_keys.iter().enumerate() {
         for (i, &byte) in rk.iter().enumerate() {
@@ -320,7 +320,7 @@ fn sub_bytes_planes(planes: &mut [u128; 8]) {
 
 /// Encrypts 8 blocks in place under precomputed broadcast round-key
 /// planes. Bit-identical to eight soft `encrypt_u128` calls.
-pub fn encrypt8(round_keys: &[[u128; 8]; 11], blocks: &mut [u128; 8]) {
+pub(crate) fn encrypt8(round_keys: &[[u128; 8]; 11], blocks: &mut [u128; 8]) {
     let mut planes = to_planes(blocks);
     for b in 0..8 {
         planes[b] ^= round_keys[0][b];

@@ -20,9 +20,8 @@
 //!   the pipeline. A batch of any width runs in one call: the round keys
 //!   are loaded once, the byte order is swapped in registers (`pshufb`),
 //!   and the blocks go through fixed-width unrolled groups of 8, then one
-//!   each of 4, 2 and 1 for the tail. Preferred whenever the CPU
-//!   advertises the `aes` and `ssse3` features and the `simd` cargo feature
-//!   is compiled in.
+//!   each of 4, 2 and 1 for the tail. Compiled on every x86_64 target and
+//!   preferred whenever the CPU advertises the `aes` and `ssse3` features.
 //! * [`AesBackend::Bitslice`] — portable bitsliced fallback: 8 blocks are
 //!   transposed into 8 `u128` bit-planes (plane `b`, bit `8·i + j` = bit
 //!   `b` of state byte `i` of block `j`) and all 8 blocks move through the
@@ -33,11 +32,11 @@
 //!   bitslice batch is slower than table lookups).
 //! * [`AesBackend::Soft`] — the original portable table-based AES, retained
 //!   unchanged as the differential-test **oracle**. Single-block
-//!   [`Aes128::encrypt_block`] / [`Aes128::encrypt_u128`] always run this
-//!   path regardless of backend, so scalar callers are bit-stable.
+//!   [`Aes128::encrypt_u128`] always runs this path regardless of backend,
+//!   so scalar callers are bit-stable.
 //!
 //! `PI_AES` accepts `soft`/`off`/`0` (oracle), `bitslice`, `ni`/`aesni`
-//! (**panicking** if AES-NI is not compiled in or not detected — a forced
+//! (**panicking** off x86_64 or where the CPU lacks it — a forced
 //! CI run fails loudly instead of silently degrading), and `auto`/`on`/
 //! `1`/empty for detection (NI, else bitslice). The earlier revision of
 //! this module was software-only and justified that with the paper's Intel
@@ -61,7 +60,7 @@
 use std::sync::atomic::{AtomicU8, Ordering};
 
 mod bitslice;
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 mod ni;
 
 /// AES S-box.
@@ -115,12 +114,12 @@ impl AesBackend {
             AesBackend::Soft | AesBackend::Bitslice => true,
             AesBackend::Ni => {
                 // The kernel swaps byte order with `pshufb` (SSSE3).
-                #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+                #[cfg(target_arch = "x86_64")]
                 {
                     std::arch::is_x86_feature_detected!("aes")
                         && std::arch::is_x86_feature_detected!("ssse3")
                 }
-                #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
+                #[cfg(not(target_arch = "x86_64"))]
                 {
                     false
                 }
@@ -202,7 +201,7 @@ fn resolve() -> AesBackend {
                 assert!(
                     AesBackend::Ni.available(),
                     "PI_AES=ni requested but AES-NI is unavailable \
-                     (not an x86_64 build with the `simd` feature, or the CPU lacks it)"
+                     (not an x86_64 build, or the CPU lacks it)"
                 );
                 AesBackend::Ni
             }
@@ -261,7 +260,7 @@ impl Aes128 {
 
     /// Encrypts one 16-byte block in place. Always runs the software
     /// oracle path, independent of the dispatched backend.
-    pub fn encrypt_block(&self, block: &mut [u8; 16]) {
+    pub(crate) fn encrypt_block(&self, block: &mut [u8; 16]) {
         add_round_key(block, &self.round_keys[0]);
         for r in 1..10 {
             sub_bytes(block);
@@ -274,8 +273,8 @@ impl Aes128 {
         add_round_key(block, &self.round_keys[10]);
     }
 
-    /// Encrypts a `u128` (big-endian byte interpretation). Software oracle
-    /// path, like [`Aes128::encrypt_block`].
+    /// Encrypts a `u128` (big-endian byte interpretation). Always runs the
+    /// software oracle path, independent of the dispatched backend.
     pub fn encrypt_u128(&self, x: u128) -> u128 {
         let mut b = x.to_be_bytes();
         self.encrypt_block(&mut b);
@@ -314,7 +313,7 @@ impl Aes128 {
                 }
             }
             AesBackend::Ni => {
-                #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+                #[cfg(target_arch = "x86_64")]
                 // SAFETY: `backend()` only yields `Ni` after
                 // `AesBackend::Ni.available()` verified the `aes` and
                 // `ssse3` CPU features (via `force_backend`, `resolve`, or
@@ -323,8 +322,8 @@ impl Aes128 {
                 unsafe {
                     ni::encrypt_blocks(&self.round_keys, blocks)
                 }
-                #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-                unreachable!("AES-NI backend selected without AES-NI support compiled in")
+                #[cfg(not(target_arch = "x86_64"))]
+                unreachable!("AES-NI backend selected off x86_64")
             }
         }
     }
@@ -452,7 +451,7 @@ impl GcHash {
 
     /// The 4-hash garbler batch of one HalfGates AND gate.
     #[inline]
-    pub fn hash4(&self, xs: [u128; 4], tweaks: [u64; 4]) -> [u128; 4] {
+    pub(crate) fn hash4(&self, xs: [u128; 4], tweaks: [u64; 4]) -> [u128; 4] {
         let mut out = [0; 4];
         self.hash_many(&xs, &tweaks, &mut out);
         out
@@ -460,7 +459,7 @@ impl GcHash {
 
     /// The 2-hash evaluator batch of one HalfGates AND gate.
     #[inline]
-    pub fn hash2(&self, xs: [u128; 2], tweaks: [u64; 2]) -> [u128; 2] {
+    pub(crate) fn hash2(&self, xs: [u128; 2], tweaks: [u64; 2]) -> [u128; 2] {
         let mut out = [0; 2];
         self.hash_many(&xs, &tweaks, &mut out);
         out

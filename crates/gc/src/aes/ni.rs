@@ -37,7 +37,7 @@ struct Keys {
 /// The caller must have verified that the CPU supports the `aes` and
 /// `ssse3` features (the dispatcher in `aes::backend` does).
 #[target_feature(enable = "aes,ssse3")]
-pub unsafe fn encrypt_blocks(round_keys: &[[u8; 16]; 11], blocks: &mut [u128]) {
+pub(crate) unsafe fn encrypt_blocks(round_keys: &[[u8; 16]; 11], blocks: &mut [u128]) {
     let mut round = [_mm_setzero_si128(); 11];
     for (k, bytes) in round.iter_mut().zip(round_keys) {
         *k = _mm_loadu_si128(bytes.as_ptr().cast());

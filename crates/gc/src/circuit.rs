@@ -182,7 +182,7 @@ impl CircuitBuilder {
     }
 
     /// 2:1 multiplexer: `sel ? a : b` (one AND).
-    pub fn mux(&mut self, sel: Bit, a: Bit, b: Bit) -> Bit {
+    pub(crate) fn mux(&mut self, sel: Bit, a: Bit, b: Bit) -> Bit {
         // b ^ sel & (a ^ b)
         let d = self.xor(a, b);
         let sd = self.and(sel, d);
@@ -194,7 +194,7 @@ impl CircuitBuilder {
     /// # Panics
     ///
     /// Panics if widths differ.
-    pub fn mux_word(&mut self, sel: Bit, a: &[Bit], b: &[Bit]) -> Vec<Bit> {
+    pub(crate) fn mux_word(&mut self, sel: Bit, a: &[Bit], b: &[Bit]) -> Vec<Bit> {
         assert_eq!(a.len(), b.len(), "mux operands must have equal width");
         a.iter()
             .zip(b)
@@ -211,7 +211,7 @@ impl CircuitBuilder {
     /// # Panics
     ///
     /// Panics if widths differ.
-    pub fn add(&mut self, a: &[Bit], b: &[Bit]) -> Vec<Bit> {
+    pub(crate) fn add(&mut self, a: &[Bit], b: &[Bit]) -> Vec<Bit> {
         assert_eq!(a.len(), b.len(), "adder operands must have equal width");
         let mut out = Vec::with_capacity(a.len() + 1);
         let mut carry = Bit::Const(false);
@@ -230,7 +230,7 @@ impl CircuitBuilder {
     /// Subtraction `a - b` over little-endian words of equal width,
     /// returning `(difference, borrow)`. The difference is the low
     /// `width` bits of `a - b` mod `2^width`; `borrow` is true iff `a < b`.
-    pub fn sub(&mut self, a: &[Bit], b: &[Bit]) -> (Vec<Bit>, Bit) {
+    pub(crate) fn sub(&mut self, a: &[Bit], b: &[Bit]) -> (Vec<Bit>, Bit) {
         assert_eq!(
             a.len(),
             b.len(),
@@ -255,14 +255,14 @@ impl CircuitBuilder {
     }
 
     /// Encodes a constant as `width` little-endian constant bits.
-    pub fn constant(&self, value: u64, width: usize) -> Vec<Bit> {
+    pub(crate) fn constant(&self, value: u64, width: usize) -> Vec<Bit> {
         (0..width)
             .map(|i| Bit::Const((value >> i) & 1 == 1))
             .collect()
     }
 
     /// `a >= b` over equal-width words (true iff no borrow in `a - b`).
-    pub fn geq(&mut self, a: &[Bit], b: &[Bit]) -> Bit {
+    pub(crate) fn geq(&mut self, a: &[Bit], b: &[Bit]) -> Bit {
         let (_, borrow) = self.sub(a, b);
         self.not(borrow)
     }
@@ -272,7 +272,7 @@ impl CircuitBuilder {
     /// the modular-reduction step after an addition of values `< m`; a
     /// caller that keeps only the low bits drops the top mux in
     /// [`CircuitBuilder::build`].
-    pub fn cond_sub_const(&mut self, x: &[Bit], m: u64) -> Vec<Bit> {
+    pub(crate) fn cond_sub_const(&mut self, x: &[Bit], m: u64) -> Vec<Bit> {
         let mc = self.constant(m, x.len());
         let (diff, borrow) = self.sub(x, &mc);
         let ge = self.not(borrow);
@@ -281,14 +281,14 @@ impl CircuitBuilder {
 
     /// Modular addition `(a + b) mod m` for `a, b < m`, over `k` bits where
     /// `k = a.len() = b.len()` and `m < 2^k`.
-    pub fn add_mod(&mut self, a: &[Bit], b: &[Bit], m: u64) -> Vec<Bit> {
+    pub(crate) fn add_mod(&mut self, a: &[Bit], b: &[Bit], m: u64) -> Vec<Bit> {
         let sum = self.add(a, b); // k+1 bits, < 2m
         let reduced = self.cond_sub_const(&sum, m);
         reduced[..a.len()].to_vec()
     }
 
     /// Modular subtraction `(a - b) mod m` for `a, b < m`.
-    pub fn sub_mod(&mut self, a: &[Bit], b: &[Bit], m: u64) -> Vec<Bit> {
+    pub(crate) fn sub_mod(&mut self, a: &[Bit], b: &[Bit], m: u64) -> Vec<Bit> {
         let (diff, borrow) = self.sub(a, b);
         // If borrowed, add m back.
         let mc = self.constant(m, a.len());

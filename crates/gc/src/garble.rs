@@ -68,12 +68,6 @@ impl InputEncoding {
     pub fn label_pair(&self, i: usize) -> (Label, Label) {
         (self.label0[i], self.label0[i] ^ self.delta)
     }
-
-    /// Serialized size in bytes (for storage accounting: the garbler keeps
-    /// this to encode online inputs — the paper's 3.5 KB/ReLU figure).
-    pub fn byte_len(&self) -> usize {
-        16 * (self.label0.len() + 1)
-    }
 }
 
 /// The transmitted garbled circuit: one 32-byte table per AND gate plus one
@@ -87,11 +81,6 @@ pub struct GarbledCircuit {
 }
 
 impl GarbledCircuit {
-    /// Size in bytes when transmitted (tables + decode bits).
-    pub fn byte_len(&self) -> usize {
-        self.tables.len() * 32 + self.output_decode.len().div_ceil(8)
-    }
-
     /// Decodes output labels into cleartext bits.
     ///
     /// # Panics
@@ -604,8 +593,6 @@ mod tests {
         let mut r = rng();
         let g = garble(&c, &mut r);
         assert_eq!(g.garbled.tables.len(), c.and_count());
-        assert_eq!(g.garbled.byte_len(), c.and_count() * 32 + 2); // 9 outputs -> 2 bytes
-        assert_eq!(g.encoding.byte_len(), 16 * 17);
     }
 
     #[test]

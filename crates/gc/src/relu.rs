@@ -36,7 +36,7 @@ pub struct ReluLayout {
 
 impl ReluLayout {
     /// Computes the layout for bit width `k`.
-    pub fn new(width: usize) -> Self {
+    pub(crate) fn new(width: usize) -> Self {
         Self {
             width,
             share_a: 0,

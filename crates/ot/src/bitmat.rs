@@ -60,7 +60,7 @@ impl BitVec {
     ///
     /// Panics if `i >= len()`.
     #[inline]
-    pub fn get(&self, i: usize) -> bool {
+    pub(crate) fn get(&self, i: usize) -> bool {
         assert!(i < self.len, "bit index {i} out of range {}", self.len);
         (self.words[i / 128] >> (i % 128)) & 1 == 1
     }
@@ -78,7 +78,7 @@ impl BitVec {
 
     /// The packed words (`⌈len/128⌉` of them; bits past `len` in the last
     /// word are zero).
-    pub fn words(&self) -> &[u128] {
+    pub(crate) fn words(&self) -> &[u128] {
         &self.words
     }
 }
@@ -86,7 +86,7 @@ impl BitVec {
 /// In-place 128×128 bit-matrix transpose: `out[k]` bit `b` = `in[b]` bit
 /// `k` (LSB-first in both views). Seven delta-swap levels over `u128`
 /// words — the Hacker's Delight blocked transpose widened to 128.
-pub fn transpose128(a: &mut [u128; 128]) {
+pub(crate) fn transpose128(a: &mut [u128; 128]) {
     let mut j = 64usize;
     let mut m: u128 = u128::MAX >> 64;
     while j != 0 {
@@ -105,7 +105,7 @@ pub fn transpose128(a: &mut [u128; 128]) {
 /// Transposes the first `words` words of 128 packed columns into packed
 /// rows: row `r`'s `u128` has bit `i` = column `i`'s bit `r`. Returns
 /// `128 * words` rows; callers truncate to the live row count.
-pub fn columns_to_rows<C: AsRef<[u128]>>(columns: &[C], words: usize) -> Vec<u128> {
+pub(crate) fn columns_to_rows<C: AsRef<[u128]>>(columns: &[C], words: usize) -> Vec<u128> {
     assert_eq!(columns.len(), 128, "need exactly 128 columns");
     let mut rows = vec![0u128; 128 * words];
     let mut block = [0u128; 128];

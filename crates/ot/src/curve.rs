@@ -33,9 +33,9 @@
 //! against.
 //!
 //! **Unsafe code.** `curve::lanes` is the crate's only `unsafe` code. It is
-//! compiled only with the `simd` feature on x86_64, carries the one scoped
-//! `allow(unsafe_code)` under the crate's `deny`, and its module doc states
-//! its safety contract. Everything else here is safe.
+//! compiled on x86_64 only, runs only where detection found AVX-512 IFMA,
+//! carries the one scoped `allow(unsafe_code)` under the crate's `deny`, and
+//! its module doc states its safety contract. Everything else here is safe.
 //!
 //! Nothing here is constant-time: scalar multiplication skips zero digits
 //! and decoding branches on its input.
@@ -48,20 +48,20 @@ use pi_field::simd::{self, SimdBackend};
 use rand::Rng;
 use std::sync::OnceLock;
 
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 mod lanes;
 
 const MASK: u64 = (1 << 51) - 1;
 
 /// An element of GF(2²⁵⁵ − 19): five 51-bit limbs, little-endian, not
 /// necessarily canonical. Every operation accepts limbs below 2⁵⁴;
-/// [`Fe::mul`], [`Fe::square`], [`Fe::sub`] and [`Fe::neg`] return limbs
-/// below 2⁵¹ + 2¹⁸, and [`Fe::add`] the plain limb sums — so a sum of two
+/// [`Fe::mul`], `Fe::square`, `Fe::sub` and `Fe::neg` return limbs
+/// below 2⁵¹ + 2¹⁸, and `Fe::add` the plain limb sums — so a sum of two
 /// products may be multiplied again, a sum of two sums may not.
 #[derive(Clone, Copy, Debug)]
 pub struct Fe([u64; 5]);
 
-/// `16·p`, limb by limb: what [`Fe::sub`] adds so that no limb underflows.
+/// `16·p`, limb by limb: what `Fe::sub` adds so that no limb underflows.
 const P16: [u64; 5] = [16 * (MASK - 18), 16 * MASK, 16 * MASK, 16 * MASK, 16 * MASK];
 
 impl Fe {
@@ -108,17 +108,17 @@ impl Fe {
     }
 
     /// `self + rhs`, limb-wise and unreduced.
-    pub fn add(&self, rhs: &Fe) -> Fe {
+    pub(crate) fn add(&self, rhs: &Fe) -> Fe {
         Fe(std::array::from_fn(|i| self.0[i] + rhs.0[i]))
     }
 
     /// `self − rhs`.
-    pub fn sub(&self, rhs: &Fe) -> Fe {
+    pub(crate) fn sub(&self, rhs: &Fe) -> Fe {
         Fe::carry(std::array::from_fn(|i| self.0[i] + P16[i] - rhs.0[i]))
     }
 
     /// `−self`.
-    pub fn neg(&self) -> Fe {
+    pub(crate) fn neg(&self) -> Fe {
         Fe::ZERO.sub(self)
     }
 
@@ -138,7 +138,7 @@ impl Fe {
     }
 
     /// `self²`: [`Fe::mul`] with the symmetric products taken once.
-    pub fn square(&self) -> Fe {
+    pub(crate) fn square(&self) -> Fe {
         let a = &self.0;
         let m = |x: u64, y: u64| x as u128 * y as u128;
         let (a3, a4) = (a[3] * 19, a[4] * 19);
@@ -173,7 +173,7 @@ impl Fe {
     }
 
     /// `self^(p − 2)`: the inverse, or zero for zero.
-    pub fn invert(&self) -> Fe {
+    pub(crate) fn invert(&self) -> Fe {
         let (e250, x11) = self.pow_2_250_1();
         e250.square_times(5).mul(&x11)
     }
@@ -185,7 +185,7 @@ impl Fe {
 
     /// Inverts every element in place for one [`Fe::invert`] and three
     /// multiplications each. All must be non-zero.
-    pub fn batch_invert(elems: &mut [Fe]) {
+    pub(crate) fn batch_invert(elems: &mut [Fe]) {
         let mut prefix = Vec::with_capacity(elems.len());
         let mut acc = Fe::ONE;
         for e in elems.iter() {
@@ -202,7 +202,7 @@ impl Fe {
 
     /// The canonical encoding: the representative below `p`, little-endian,
     /// top bit clear.
-    pub fn to_bytes(&self) -> [u8; 32] {
+    pub(crate) fn to_bytes(self) -> [u8; 32] {
         // After one carry the value is below 2p.
         let mut l = Fe::carry(self.0).0;
         // q = 1 iff the value is ≥ p, i.e. iff value + 19 reaches 2²⁵⁵.
@@ -293,18 +293,19 @@ const WINDOWS: usize = 64;
 
 /// Whether [`Point::mul_shared`] runs the eight-lane kernel: where
 /// [`pi_field::simd::backend`] resolved to AVX-512 and the CPU has AVX-512
-/// IFMA, in a build with the `simd` feature. Resolved once per process, so
-/// `PI_SIMD=scalar` keeps the curve on [`Point::mul`] with everything else.
+/// IFMA. Resolved once per process, so `PI_SIMD=scalar` keeps the curve on
+/// [`Point::mul`] with everything else.
 pub fn lanes_active() -> bool {
     static ACTIVE: OnceLock<bool> = OnceLock::new();
     *ACTIVE.get_or_init(|| simd::backend() == SimdBackend::Avx512 && lanes_detected())
 }
 
-/// Whether this build and CPU can run the eight-lane kernel at all.
+/// Whether this CPU can run the eight-lane kernel at all (never off
+/// x86_64).
 pub(crate) fn lanes_detected() -> bool {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     return lanes::detected();
-    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
+    #[cfg(not(target_arch = "x86_64"))]
     false
 }
 
@@ -317,7 +318,7 @@ pub struct Point {
     t: Fe,
 }
 
-/// A point readied as the right-hand operand of [`Point::add`]:
+/// A point readied as the right-hand operand of `Point::add`:
 /// `(Y + X, Y − X, Z, 2d·T)`.
 #[derive(Clone, Copy, Debug)]
 pub struct Cached {
@@ -443,7 +444,7 @@ impl Point {
     }
 
     /// Whether this is the neutral element.
-    pub fn is_identity(&self) -> bool {
+    pub(crate) fn is_identity(&self) -> bool {
         self.x.is_zero() && self.y == self.z
     }
 
@@ -453,7 +454,7 @@ impl Point {
     }
 
     /// `−self`.
-    pub fn neg(&self) -> Point {
+    pub(crate) fn neg(&self) -> Point {
         Point {
             x: self.x.neg(),
             t: self.t.neg(),
@@ -462,7 +463,7 @@ impl Point {
     }
 
     /// This point as an addend.
-    pub fn cached(&self) -> Cached {
+    pub(crate) fn cached(&self) -> Cached {
         self.cached_with(&curve().d2)
     }
 
@@ -476,7 +477,7 @@ impl Point {
     }
 
     /// `self + rhs` by the unified (complete) law, 8 multiplications.
-    pub fn add(&self, rhs: &Cached) -> Point {
+    pub(crate) fn add(&self, rhs: &Cached) -> Point {
         let a = self.y.sub(&self.x).mul(&rhs.y_minus_x);
         let b = self.y.add(&self.x).mul(&rhs.y_plus_x);
         let c = self.t.mul(&rhs.t2d);
@@ -492,12 +493,12 @@ impl Point {
     }
 
     /// `self − rhs`.
-    pub fn sub(&self, rhs: &Point) -> Point {
+    pub(crate) fn sub(&self, rhs: &Point) -> Point {
         self.add(&rhs.neg().cached())
     }
 
     /// `2·self`, 4 squarings and 4 multiplications.
-    pub fn double(&self) -> Point {
+    pub(crate) fn double(&self) -> Point {
         let a = self.x.square();
         let b = self.y.square();
         let zz = self.z.square();
@@ -551,7 +552,7 @@ impl Point {
             0
         };
         let mut out = Vec::with_capacity(points.len());
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        #[cfg(target_arch = "x86_64")]
         for eight in points[..eights].chunks_exact(8) {
             out.extend(lanes::mul(eight.try_into().expect("eight points"), k));
         }
@@ -814,6 +815,12 @@ mod tests {
 
     #[test]
     fn lanes_match_the_windowed_product() {
+        // Detection alone decides: there is no build switch.
+        #[cfg(target_arch = "x86_64")]
+        assert_eq!(
+            lanes_detected(),
+            is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512ifma")
+        );
         if !lanes_detected() {
             println!("skip lanes_match_the_windowed_product: no AVX-512 IFMA");
             return;

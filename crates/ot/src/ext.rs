@@ -22,9 +22,9 @@
 //! `G(seed)` writes raw AES-CTR blocks straight into column words — word
 //! `w` of a column built at block `b` *is* `E_seed(b + w)`, bit-identical
 //! to the bit-at-a-time
-//! [`reference::prg_bits`] stream. Column-major work (extension) is
+//! `reference::prg_bits` stream. Column-major work (extension) is
 //! word-wide XOR; the row-major view (`t_j`/`q_j`) comes from the blocked
-//! [`crate::bitmat::transpose128`]; transfer masks are derived 8 rows per
+//! `crate::bitmat::transpose128`; transfer masks are derived 8 rows per
 //! batched [`GcHash::kdf8`] call. The seed bool-matrix implementation is
 //! retained, bit for bit, in [`reference`](mod@reference) as the differential oracle —
 //! and `PI_AES=soft` additionally pins the packed path's AES to the scalar
@@ -85,7 +85,7 @@ fn prg(seed: u128) -> Aes128 {
 /// Fills `out` with the PRG's packed stream from word `first` of an
 /// extension at `block` on: word `w` is `E_seed(block + w)` (AES-CTR
 /// seeks), and bit `n` of the stream is bit `n` of
-/// [`reference::prg_bits`].
+/// `reference::prg_bits`.
 fn expand(prg: &Aes128, block: u64, first: usize, out: &mut [u128]) {
     prg.ctr_keystream(u128::from(block) + first as u128, out);
 }
@@ -452,7 +452,7 @@ pub mod reference {
 
     /// Bit-at-a-time PRG: expands a 128-bit seed into `n` bits from stream
     /// position `block` on (AES-CTR, scalar path).
-    pub fn prg_bits(seed: u128, block: u64, n: usize) -> Vec<bool> {
+    pub(crate) fn prg_bits(seed: u128, block: u64, n: usize) -> Vec<bool> {
         let aes = Aes128::new(seed.to_le_bytes());
         let mut bits = Vec::with_capacity(n);
         let mut counter = u128::from(block);

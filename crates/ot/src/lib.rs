@@ -33,10 +33,10 @@
 //!
 //! **Unsafe code.** The crate is `deny(unsafe_code)`. The one exception is
 //! the eight-lane edwards25519 kernel behind the base-OT sender (`curve`'s
-//! `lanes` module, AVX-512 IFMA intrinsics): it is built only with the
-//! `simd` feature on x86_64, carries a scoped `allow`, and states its safety
-//! contract. It runs where `pi_field::simd` resolved to AVX-512 and the CPU
-//! has IFMA, so `PI_SIMD=scalar` turns it off with every other lane kernel.
+//! `lanes` module, AVX-512 IFMA intrinsics): it is built on every x86_64
+//! target, carries a scoped `allow`, and states its safety contract. It
+//! runs where `pi_field::simd` resolved to AVX-512 and the CPU has IFMA, so
+//! `PI_SIMD=scalar` turns it off with every other lane kernel.
 //!
 //! The crate is transport-agnostic: protocol messages are plain data with
 //! `byte_len` accessors, and `pi-core` moves them over its byte-counting

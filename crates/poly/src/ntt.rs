@@ -70,7 +70,7 @@ impl ShoupVec {
     /// Precomputes Shoup quotients for reduced values the caller already
     /// owns (a freshly unpacked or sampled polynomial): the vector becomes
     /// the operand's value half as it is.
-    pub fn from_vec(q: Modulus, values: Vec<u64>) -> Self {
+    pub(crate) fn from_vec(q: Modulus, values: Vec<u64>) -> Self {
         Self::from_vec_in(q, values, Vec::new())
     }
 
@@ -79,25 +79,20 @@ impl ShoupVec {
     /// its capacity is below `values.len()`): rebuilding an operand from
     /// the halves of a retired one ([`ShoupVec::into_vecs`]) allocates
     /// nothing.
-    pub fn from_vec_in(q: Modulus, values: Vec<u64>, mut quotients: Vec<u64>) -> Self {
+    pub(crate) fn from_vec_in(q: Modulus, values: Vec<u64>, mut quotients: Vec<u64>) -> Self {
         quotients.clear();
         quotients.extend(values.iter().map(|&v| q.shoup(v).quotient));
         Self { values, quotients }
     }
 
     /// Takes the operand apart into its `(values, quotients)` vectors.
-    pub fn into_vecs(self) -> (Vec<u64>, Vec<u64>) {
+    pub(crate) fn into_vecs(self) -> (Vec<u64>, Vec<u64>) {
         (self.values, self.quotients)
     }
 
     /// Number of elements.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.values.len()
-    }
-
-    /// Whether the vector is empty.
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
     }
 
     /// The raw (reduced) values.
@@ -113,7 +108,7 @@ impl ShoupVec {
 
     /// The `i`-th element as a [`ShoupMul`].
     #[inline]
-    pub fn get(&self, i: usize) -> ShoupMul {
+    pub(crate) fn get(&self, i: usize) -> ShoupMul {
         ShoupMul {
             value: self.values[i],
             quotient: self.quotients[i],
@@ -507,19 +502,6 @@ impl NttTables {
         simd::dyadic_mul(simd::backend(), &self.q, out, a, b);
     }
 
-    /// Pointwise multiply-accumulate `acc[i] = (acc[i] + a[i]·b[i]) mod q`
-    /// for strictly reduced inputs — one fused Barrett reduction per slot
-    /// instead of separate `mul` + `add`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on length mismatch.
-    pub fn dyadic_mul_acc(&self, acc: &mut [u64], a: &[u64], b: &[u64]) {
-        assert!(acc.len() == self.n && a.len() == self.n && b.len() == self.n);
-        pi_trace::incr(pi_trace::Counter::NttDyadic);
-        simd::dyadic_mul_acc(simd::backend(), &self.q, acc, a, b);
-    }
-
     /// Pointwise Shoup product `out[i] = a[i]·op[i] mod q`, strictly reduced.
     /// `a` may be in the lazy range `[0, 2q)`.
     ///
@@ -865,12 +847,6 @@ mod tests {
             assert_eq!(out[i], q.mul(a[i], b[i]));
         }
 
-        let mut acc = acc0.clone();
-        t.dyadic_mul_acc(&mut acc, &a, &b);
-        for i in 0..n {
-            assert_eq!(acc[i], q.add(acc0[i], q.mul(a[i], b[i])));
-        }
-
         let op = ShoupVec::new(q, &b);
         let mut out_s = vec![0u64; n];
         t.dyadic_mul_shoup(&mut out_s, &a, &op);
@@ -880,7 +856,7 @@ mod tests {
         t.dyadic_mul_acc_shoup(&mut lazy, &a, &op);
         for i in 0..n {
             assert!(lazy[i] < q.twice());
-            assert_eq!(q.reduce_lazy(lazy[i]), acc[i]);
+            assert_eq!(q.reduce_lazy(lazy[i]), q.mul_add(a[i], b[i], acc0[i]));
         }
     }
 
@@ -903,9 +879,9 @@ mod tests {
         t.dyadic_mul_acc_shoup(&mut acc, &a2, &ShoupVec::new(q, &b2));
         t.inverse(&mut acc);
 
-        let mut expect = vec![0u64; n];
-        t.dyadic_mul_acc(&mut expect, &a1, &b1);
-        t.dyadic_mul_acc(&mut expect, &a2, &b2);
+        let mut expect: Vec<u64> = (0..n)
+            .map(|i| q.mul_add(a2[i], b2[i], q.mul(a1[i], b1[i])))
+            .collect();
         t.inverse(&mut expect);
         assert_eq!(acc, expect);
     }

@@ -86,7 +86,7 @@ impl PolyOperand {
     }
 
     /// [`PolyOperand::from_ntt_data`] with the quotients written into a
-    /// vector the caller already owns ([`ShoupVec::from_vec_in`]).
+    /// vector the caller already owns (`ShoupVec::from_vec_in`).
     ///
     /// # Panics
     ///
@@ -206,19 +206,14 @@ impl Poly {
         &self.ctx
     }
 
-    /// Returns the current basis.
-    pub fn form(&self) -> PolyForm {
-        self.form
-    }
-
     /// Returns the raw data in the current basis.
     pub fn data(&self) -> &[u64] {
         &self.data
     }
 
     /// Consumes the polynomial, returning its raw data in the current basis.
-    /// Pair with [`Poly::form`] (or [`Poly::into_ntt`]/[`Poly::into_coeff`]
-    /// first) and rebuild with [`Poly::from_ntt_data`] /
+    /// Fix the basis first with [`Poly::into_ntt`]/[`Poly::into_coeff`]
+    /// and rebuild with [`Poly::from_ntt_data`] /
     /// [`Poly::from_coeffs`]. Used by kernels that accumulate over raw
     /// slices (batched NTTs, lazy dyadic chains).
     pub fn into_data(self) -> Vec<u64> {

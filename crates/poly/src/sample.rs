@@ -53,7 +53,12 @@ fn centered_binomial_with<T, R: Rng + ?Sized>(
 /// # Panics
 ///
 /// Panics unless `1 <= k <= 32` and `k < q`.
-pub fn centered_binomial_into<R: Rng + ?Sized>(q: Modulus, out: &mut [u64], rng: &mut R, k: u32) {
+pub(crate) fn centered_binomial_into<R: Rng + ?Sized>(
+    q: Modulus,
+    out: &mut [u64],
+    rng: &mut R,
+    k: u32,
+) {
     let qv = q.value();
     assert!(
         u64::from(k) < qv,
@@ -71,7 +76,7 @@ pub fn centered_binomial_into<R: Rng + ?Sized>(q: Modulus, out: &mut [u64], rng:
 /// Fills `out` with centered-binomial coefficients (parameter `k`) as
 /// signed bytes — the compact form key generation draws every digit's
 /// error in before it splits, from the same generator words
-/// [`centered_binomial_into`] reads.
+/// `centered_binomial_into` reads.
 ///
 /// # Panics
 ///
@@ -136,11 +141,6 @@ pub fn centered_binomial<R: Rng + ?Sized>(ctx: &Arc<RingContext>, rng: &mut R, k
     Poly::from_coeffs(ctx.clone(), data)
 }
 
-/// Default error sampler: centered binomial approximating σ ≈ 3.2.
-pub fn error<R: Rng + ?Sized>(ctx: &Arc<RingContext>, rng: &mut R) -> Poly {
-    centered_binomial(ctx, rng, 21)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -182,7 +182,7 @@ mod tests {
         let ctx = ctx();
         let q = ctx.q();
         let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-        let e = error(&ctx, &mut rng);
+        let e = centered_binomial(&ctx, &mut rng, 21);
         let signed: Vec<i64> = e.coeffs().iter().map(|&c| q.to_signed(c)).collect();
         assert!(signed.iter().all(|&v| v.abs() <= 21));
         let mean: f64 = signed.iter().map(|&v| v as f64).sum::<f64>() / signed.len() as f64;
@@ -320,7 +320,9 @@ mod tests {
         let ctx = ctx();
         let draw = |form| uniform(&ctx, form, &mut rand::rngs::StdRng::seed_from_u64(8));
         let (coeff, ntt) = (draw(PolyForm::Coeff), draw(PolyForm::Ntt));
-        assert_eq!((coeff.form(), ntt.form()), (PolyForm::Coeff, PolyForm::Ntt));
+        // The labels differ: only the Coeff one reads its data as is.
+        assert_eq!(coeff.coeffs(), coeff.data());
+        assert_ne!(ntt.coeffs(), ntt.data());
         assert_eq!(coeff.data(), ntt.data());
     }
 

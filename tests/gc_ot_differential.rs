@@ -62,6 +62,12 @@ fn batched_backends() -> Vec<AesBackend> {
     if AesBackend::Ni.available() {
         v.push(AesBackend::Ni);
     }
+    // Detection alone decides: there is no build switch.
+    #[cfg(target_arch = "x86_64")]
+    assert_eq!(
+        AesBackend::Ni.available(),
+        is_x86_feature_detected!("aes") && is_x86_feature_detected!("ssse3")
+    );
     assert!(
         v.contains(&aes::auto_backend()) || aes::auto_backend() == AesBackend::Soft,
         "auto pick must be one of the runnable backends"

@@ -53,6 +53,20 @@ fn vector_backends() -> Vec<SimdBackend> {
             v.push(be);
         }
     }
+    // Detection alone decides: there is no build switch.
+    #[cfg(target_arch = "x86_64")]
+    {
+        assert_eq!(
+            SimdBackend::Avx2.available(),
+            is_x86_feature_detected!("avx2")
+        );
+        assert_eq!(
+            SimdBackend::Avx512.available(),
+            is_x86_feature_detected!("avx512f")
+                && is_x86_feature_detected!("avx512dq")
+                && is_x86_feature_detected!("avx512vl")
+        );
+    }
     assert!(v.contains(&simd::auto_backend()));
     v
 }
@@ -250,18 +264,16 @@ fn dyadic_kernels_match_scalar_bitwise_including_lazy_accumulators() {
         let run = |()| {
             let mut mul = vec![0u64; n_full];
             t.dyadic_mul(&mut mul, &a, &b);
-            let mut acc = a.clone();
-            t.dyadic_mul_acc(&mut acc, &a, &b);
             let mut shoup = vec![0u64; n_full];
             t.dyadic_mul_shoup(&mut shoup, &lazy_a, &op);
             let mut lazy = acc0.clone();
             t.dyadic_mul_acc_shoup(&mut lazy, &lazy_a, &op);
-            (mul, acc, shoup, lazy)
+            (mul, shoup, lazy)
         };
         let expect = with_backend(SimdBackend::Scalar, || run(()));
         for be in vector_backends() {
             let got = with_backend(be, || run(()));
-            // Raw-word equality: the lazy accumulator (`.3`) is compared on
+            // Raw-word equality: the lazy accumulator (`.2`) is compared on
             // its unreduced [0, 2q) representatives.
             assert_eq!(got, expect, "dyadic kernels bits={bits} be={}", be.name());
         }
