@@ -10,12 +10,13 @@
 //!
 //! * [`local_pair`] — the classic two-thread deployment: one dedicated
 //!   channel pair per inference, each side blocking on its own receiver.
-//! * [`service_pair`] — the serving-runtime shape: the client keeps a
+//! * `service_pair` — the serving-runtime shape
+//!   ([`crate::serve::ServeRuntime::connect`] makes it): the client keeps a
 //!   private downlink receiver, but its uplink is a function of the
-//!   runtime's ([`Uplink`]) that files each [`ClientEvent`] with the
-//!   session it belongs to, on the sending thread. Dropping the client
-//!   endpoint files a [`ClientEvent::Gone`], which is how the server
-//!   learns a peer disconnected mid-protocol.
+//!   runtime's (`Uplink`) that files each `ClientEvent` with the session it
+//!   belongs to, on the sending thread. Dropping the client endpoint files
+//!   a `ClientEvent::Gone`, which is how the server learns a peer
+//!   disconnected mid-protocol.
 //!
 //! Disconnects are **errors, not panics**: [`Channel::send`] /
 //! [`Channel::recv`] return [`ChannelError::Disconnected`] so a dropped
@@ -52,7 +53,7 @@ impl std::error::Error for ChannelError {}
 
 /// An uplink event from one serving-runtime client.
 #[derive(Debug)]
-pub enum ClientEvent {
+pub(crate) enum ClientEvent {
     /// A protocol message.
     Msg(Msg),
     /// The client endpoint was dropped (cleanly or mid-protocol).
@@ -61,7 +62,7 @@ pub enum ClientEvent {
 
 /// The uplink of a [`service_pair`]: delivers one event of one client to
 /// its session, in call order. `Err` means the serving side is gone.
-pub type Uplink = Box<dyn Fn(ClientEvent) -> Result<(), ChannelError> + Send + Sync>;
+pub(crate) type Uplink = Box<dyn Fn(ClientEvent) -> Result<(), ChannelError> + Send + Sync>;
 
 /// Where a [`ChannelTx`] delivers: a dedicated peer link or a serving
 /// runtime's uplink.
@@ -83,7 +84,7 @@ impl std::fmt::Debug for Link {
 
 /// The counted sending half of an endpoint: every [`Channel`] contains one,
 /// and the server's session body writes to one by reference — a dedicated
-/// channel's, or a [`service_pair`]'s bare downlink sender.
+/// channel's, or a serving-runtime session's bare downlink sender.
 #[derive(Debug)]
 pub struct ChannelTx {
     link: Link,
@@ -121,13 +122,6 @@ impl ChannelTx {
     /// Total bytes sent through this sender.
     pub fn bytes_sent(&self) -> u64 {
         self.sent_bytes.load(Ordering::Relaxed)
-    }
-
-    /// Whether this is the client's uplink of a [`service_pair`]: the
-    /// server's first message on such a link is its [`Msg::KeyStatus`]
-    /// preamble.
-    pub(crate) fn is_service(&self) -> bool {
-        matches!(self.link, Link::Service(_))
     }
 }
 
@@ -168,7 +162,7 @@ pub fn local_pair() -> (Channel, Channel) {
 /// Uplink byte accounting lives in the client channel's sender, downlink
 /// accounting in the returned one — together they give the same per-side
 /// upload/download split as a [`local_pair`].
-pub fn service_pair(uplink: Uplink) -> (Channel, ChannelTx) {
+pub(crate) fn service_pair(uplink: Uplink) -> (Channel, ChannelTx) {
     let (down_tx, down_rx) = channel();
     let client = Channel::new(Link::Service(uplink), down_rx);
     (client, ChannelTx::new(Link::Direct(down_tx)))

@@ -16,10 +16,12 @@
 //! mirrored role (`role.rs`). Everything the server sends is checked
 //! before use: a deviating server is a [`ProtocolError`], never a panic.
 //!
-//! **Message order.** The offline linear upload (`HeKeys` when the server
-//! needs them, then one `HeCts` or `VecU64` per phase) goes out whole
-//! before the client reads a linear response. Client-Garbler then runs the
-//! base OT the server opens, garbles and ships. A Server-Garbler session
+//! **Message order.** Every session opens with the server's
+//! [`Msg::KeyStatus`], on a serving runtime and on a dedicated pair alike:
+//! one transcript whatever the link. The offline linear upload (`HeKeys`
+//! when the server needs them, then one `HeCts` or `VecU64` per phase) goes
+//! out whole before the client reads a linear response. Client-Garbler
+//! then runs the base OT the server opens, garbles and ships. A Server-Garbler session
 //! without cached OT state opens with the client's `OtBaseSetup` instead,
 //! and the client reads the server's `OtBaseChoice` and sends its
 //! `OtBaseTransfer` between its upload and the responses: the transfer's
@@ -104,12 +106,12 @@ struct ClientHe<'a> {
 ///   above its mark, and which moves the mark past the range before
 ///   anything is sent, so no block is ever expanded twice even when a
 ///   session dies midway. Otherwise base OT runs, the session starts at
-///   block 0, and the fresh state replaces the retained one — on a
-///   serving-runtime channel: a dedicated pair's server keeps nothing, so
-///   neither does the client.
+///   block 0, and the fresh state replaces the retained one. A dedicated
+///   pair's server keeps nothing and never claims it, so there the
+///   retained state only costs memory.
 ///
-/// The IKNP state belongs to one client↔runtime pair, so one
-/// `ServiceClient` stands for one client id at one runtime.
+/// The IKNP state belongs to one client↔server pair, so one
+/// `ServiceClient` stands for one client id at one server.
 #[derive(Default)]
 pub struct ServiceClient {
     retained: HashMap<Vec<usize>, Arc<ClientKeys>>,
@@ -148,12 +150,12 @@ impl ServiceClient {
         !self.retained.is_empty()
     }
 
-    /// Runs one inference and returns its output and cost summary. On a
-    /// serving-runtime channel the first downlink message is the server's
-    /// [`Msg::KeyStatus`]: the key upload is skipped when the server still
-    /// caches this client's keys for the model's key plan, and base OT when
-    /// it still caches the pair's IKNP state. On a dedicated pair the keys
-    /// are always uploaded and base OT always runs.
+    /// Runs one inference and returns its output and cost summary. The
+    /// first downlink message is the server's [`Msg::KeyStatus`]: the key
+    /// upload is skipped when the server still caches this client's keys
+    /// for the model's key plan, and base OT when it still caches the
+    /// pair's IKNP state. A dedicated pair's server caches nothing, so there
+    /// the keys are always uploaded and base OT always runs.
     ///
     /// The client's messages, in order: under Server-Garbler with base OT,
     /// `OtBaseSetup`; the linear upload (`HeKeys` if needed, one `HeCts` or
@@ -194,8 +196,9 @@ impl ServiceClient {
     }
 
     /// The body of [`ServiceClient::run`] over any [`Peer`]: the same
-    /// messages, randomness, checks, errors and panics, but each receive is
-    /// an `.await`. Over [`Channel::try_recv`] the body suspends while its
+    /// messages (the server's `KeyStatus` first, whatever the link),
+    /// randomness, checks, errors and panics, but each receive is an
+    /// `.await`. Over [`Channel::try_recv`] the body suspends while its
     /// next message is not there, so one thread can poll several clients'
     /// bodies (each on a `ServiceClient` of its own).
     ///
@@ -216,23 +219,18 @@ impl ServiceClient {
         peer: Peer<'_>,
         rng: &mut R,
     ) -> Result<(Vec<u64>, PartyOutcome), ProtocolError> {
-        // A serving-runtime session opens with the server's word on what
-        // it still caches of this client: without its HE keys they are
-        // uploaded, without the pair's IKNP state base OT runs. A dedicated
-        // pair caches nothing.
-        let (upload, ot_base) = if peer.sink.is_service() {
-            match peer.next().await? {
-                Msg::KeyStatus { flags, ot_base } => {
-                    if flags & !(Msg::NEED_KEYS | Msg::OT_CACHED) != 0 {
-                        return Err(ProtocolError::BadRequest("unknown KeyStatus flag"));
-                    }
-                    let cached = flags & Msg::OT_CACHED != 0;
-                    (flags & Msg::NEED_KEYS != 0, cached.then_some(ot_base))
+        // Every session opens with the server's word on what it still
+        // caches of this client: without its HE keys they are uploaded,
+        // without the pair's IKNP state base OT runs.
+        let (upload, ot_base) = match peer.next().await? {
+            Msg::KeyStatus { flags, ot_base } => {
+                if flags & !(Msg::NEED_KEYS | Msg::OT_CACHED) != 0 {
+                    return Err(ProtocolError::BadRequest("unknown KeyStatus flag"));
                 }
-                other => return Err(unexpected("KeyStatus", &other)),
+                let cached = flags & Msg::OT_CACHED != 0;
+                (flags & Msg::NEED_KEYS != 0, cached.then_some(ot_base))
             }
-        } else {
-            (true, None)
+            other => return Err(unexpected("KeyStatus", &other)),
         };
         assert_eq!(input.len(), meta.input_len, "input length mismatch");
         let p = meta.p;
@@ -297,9 +295,7 @@ impl ServiceClient {
                         let (receiver, choice) = BaseReceiver::start(&setup, rng)?;
                         peer.sink.send(Msg::OtBaseChoice(choice))?;
                         let ext = receiver.finish(&recv!(peer, OtBaseTransfer))?;
-                        if peer.sink.is_service() {
-                            self.ot_sender = Some(OtStream::at(ext.clone(), ot_blocks));
-                        }
+                        self.ot_sender = Some(OtStream::at(ext.clone(), ot_blocks));
                         OtStream::at(ext, 0)
                     }
                 };
@@ -344,9 +340,7 @@ impl ServiceClient {
                         let _span = pi_trace::span!("offline.ot");
                         let (ext, transfer) = sender.finish(&recv!(peer, OtBaseChoice), rng)?;
                         peer.sink.send(Msg::OtBaseTransfer(transfer))?;
-                        if peer.sink.is_service() {
-                            self.ot_receiver = Some(OtStream::at(ext.clone(), ot_blocks));
-                        }
+                        self.ot_receiver = Some(OtStream::at(ext.clone(), ot_blocks));
                         OtStream::at(ext, 0)
                     }
                 };
@@ -432,9 +426,9 @@ impl ServiceClient {
     /// plan's rotation keys — the replicated schedule's rotations for
     /// every linear-layer dimension the model metadata announces — written
     /// straight into their upload frame; accounts the key material, and
-    /// uploads the frame when `upload`: a serving-runtime session whose
-    /// server still caches the keys skips the upload (a `tiny_cnn` plan
-    /// at n = 4096 is two keys, ≈0.2 MB on the wire), and one that claims
+    /// uploads the frame when `upload`: a session whose server still
+    /// caches the keys skips the upload (a `tiny_cnn` plan at n = 4096 is
+    /// two keys, ≈0.2 MB on the wire), and one that claims
     /// to cache keys this client does not hold for the plan is refused
     /// before anything is sent.
     fn he_context<'a, R: Rng + ?Sized>(

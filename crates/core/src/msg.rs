@@ -19,12 +19,13 @@ use std::sync::Arc;
 /// A message between the client and the server.
 #[derive(Debug)]
 pub enum Msg {
-    /// Server → client (serving runtime only, first message of a session):
-    /// what the server's session tables still hold of this client from
-    /// earlier requests, one flag byte — [`Msg::NEED_KEYS`] if the HE key
-    /// material must be (re-)uploaded, [`Msg::OT_CACHED`] if the server
-    /// kept its half of the pair's base-OT outcome — and, with the latter,
-    /// where in the pair's IKNP streams this session runs. The client
+    /// Server → client, the first message of every session: what the
+    /// server still holds of this client from earlier requests (a
+    /// dedicated pair's server holds nothing), one flag byte —
+    /// [`Msg::NEED_KEYS`] if the HE key material must be (re-)uploaded,
+    /// [`Msg::OT_CACHED`] if the server kept its half of the pair's base-OT
+    /// outcome — and, with the latter, where in the pair's IKNP streams
+    /// this session runs. The client
     /// refuses any other bit, a cached claim for state it does not hold,
     /// and a position below one it has already been given.
     KeyStatus {

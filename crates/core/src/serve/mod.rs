@@ -340,11 +340,11 @@ impl Drop for ServeRuntime {
     }
 }
 
-/// One session as the runtime runs it: the `KeyStatus` preamble, then the
-/// session body on the slot's inbox, with the keys and the IKNP state it
-/// yields cached in the runtime's tables under `client_id`. Holds the
-/// runtime weakly: a strong reference, kept in the runtime's own slot,
-/// would keep the downlink alive after the runtime is dropped.
+/// One session as the runtime runs it: the session body on the slot's
+/// inbox, with the keys and the IKNP state it yields cached in the
+/// runtime's tables under `client_id`. Holds the runtime weakly: a strong
+/// reference, kept in the runtime's own slot, would keep the downlink alive
+/// after the runtime is dropped.
 async fn serve(
     session: ServerSession,
     entry: Arc<ModelEntry>,
@@ -353,7 +353,6 @@ async fn serve(
     runtime: Weak<Inner>,
     client_id: u64,
 ) -> Result<PartyOutcome, ProtocolError> {
-    tx.send(session.key_status())?;
     let recv = || {
         let event = inbox.lock().pop_front()?;
         Some(match event {

@@ -7,7 +7,10 @@
 //! Server-Garbler, evaluator under Client-Garbler, with the role steps the
 //! client body runs in the mirrored role (`role.rs`) — written top to
 //! bottom like the client's ([`crate::ServiceClient::session`]), and every
-//! receive is an `.await` on its [`Peer`], as the client's is:
+//! receive is an `.await` on its [`Peer`], as the client's is. The body
+//! opens every session with [`Msg::KeyStatus`] — what the server holds of
+//! this client, nothing for a lone session — so both drivers put one
+//! transcript on the wire:
 //!
 //! * [`drive_sync`] receives by blocking on its channel, so the session
 //!   never suspends and one poll runs it whole;
@@ -176,20 +179,6 @@ impl ServerSession {
         }
     }
 
-    /// A serving runtime's preamble: whether the session's first message
-    /// must be the client's HE keys, and whether (and from which block) it
-    /// runs on cached IKNP state instead of base OT.
-    pub(crate) fn key_status(&self) -> Msg {
-        let need_keys = matches!(self.linear, Linear::He(None));
-        let (ot_cached, ot_base) = match &self.ot {
-            Some(OtStart::Sender(ot)) => (Msg::OT_CACHED, ot.block()),
-            Some(OtStart::Receiver(ot)) => (Msg::OT_CACHED, ot.block()),
-            None => (0, 0),
-        };
-        let flags = if need_keys { Msg::NEED_KEYS } else { 0 } | ot_cached;
-        Msg::KeyStatus { flags, ot_base }
-    }
-
     /// Runs the session to completion: every `.await` is a receive.
     /// Masked activations `acts` are indexed like the model's: `acts[0]`
     /// the input, `acts[i + 1]` the output of phase `i` — and since every
@@ -217,6 +206,17 @@ impl ServerSession {
             linear,
             ot,
         } = self;
+        // Every session opens with what the server holds of this client:
+        // whether its HE keys must be uploaded, and whether (and from which
+        // block) the session runs on cached IKNP state instead of base OT.
+        let need_keys = matches!(linear, Linear::He(None));
+        let (ot_cached, ot_base) = match &ot {
+            Some(OtStart::Sender(ot)) => (Msg::OT_CACHED, ot.block()),
+            Some(OtStart::Receiver(ot)) => (Msg::OT_CACHED, ot.block()),
+            None => (0, 0),
+        };
+        let flags = if need_keys { Msg::NEED_KEYS } else { 0 } | ot_cached;
+        peer.sink.send(Msg::KeyStatus { flags, ot_base })?;
         let (p, k) = (meta.p, meta.relu_width);
         let mut out = PartyOutcome::default();
 

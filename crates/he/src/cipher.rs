@@ -103,7 +103,7 @@ impl Ciphertext {
     ///
     /// The result decrypts under the permuted secret `s(x^g)`; callers must
     /// key-switch back with [`crate::GaloisKeys::switch`].
-    pub fn galois_raw(&self, g: usize) -> Self {
+    pub(crate) fn galois_raw(&self, g: usize) -> Self {
         Self {
             c0: self.c0.galois(g),
             c1: self.c1.galois(g),

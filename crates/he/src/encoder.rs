@@ -108,7 +108,7 @@ impl BatchEncoder {
     /// variance `t²/12` vs `t²/3` for `[0, t)`). Use for multiplication
     /// operands — Halevi–Shoup diagonals — never for additive encodings
     /// (`add_plain` scales by `Δ` and would wrap).
-    pub fn encode_periodic_centered(&self, values: &[u64]) -> Plaintext {
+    pub(crate) fn encode_periodic_centered(&self, values: &[u64]) -> Plaintext {
         self.center(self.encode_periodic(values))
     }
 

@@ -169,7 +169,7 @@ impl BfvParams {
     }
 
     /// Ring of the key-switch special prime `P` (see the module docs).
-    pub fn special_ring(&self) -> &Arc<RingContext> {
+    pub(crate) fn special_ring(&self) -> &Arc<RingContext> {
         &self.special_ring
     }
 
@@ -189,7 +189,7 @@ impl BfvParams {
     }
 
     /// Centered-binomial error parameter `k` (variance `k/2`).
-    pub fn error_k(&self) -> u32 {
+    pub(crate) fn error_k(&self) -> u32 {
         self.error_k
     }
 

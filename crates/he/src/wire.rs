@@ -413,7 +413,7 @@ pub fn public_key_from_bytes(bytes: &[u8], params: &BfvParams) -> Result<PublicK
 }
 
 /// Exact length of a serialized public-key frame.
-pub fn public_key_wire_len(params: &BfvParams) -> usize {
+pub(crate) fn public_key_wire_len(params: &BfvParams) -> usize {
     HEADER_LEN + 8 + poly_len(params.n(), params.q()) + SEED_LEN
 }
 

@@ -211,7 +211,13 @@ impl Network {
 }
 
 /// Reference 2-D convolution (CHW, square kernel).
-pub fn conv2d(x: &Tensor, weight: &Tensor, bias: &[f64], stride: usize, padding: usize) -> Tensor {
+pub(crate) fn conv2d(
+    x: &Tensor,
+    weight: &Tensor,
+    bias: &[f64],
+    stride: usize,
+    padding: usize,
+) -> Tensor {
     let (ci, h, w) = (x.shape()[0], x.shape()[1], x.shape()[2]);
     let (co, wci, k) = (weight.shape()[0], weight.shape()[1], weight.shape()[2]);
     assert_eq!(ci, wci, "channel mismatch");

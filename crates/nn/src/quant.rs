@@ -267,7 +267,7 @@ impl QuantNetwork {
     }
 
     /// Shape of the network input (activation 0).
-    pub fn input_shape(&self) -> Shape {
+    pub(crate) fn input_shape(&self) -> Shape {
         Shape::Chw(self.input[0], self.input[1], self.input[2])
     }
 }

@@ -72,7 +72,7 @@ pub enum Shape {
 
 impl Shape {
     /// Number of elements.
-    pub fn volume(&self) -> usize {
+    pub(crate) fn volume(&self) -> usize {
         match *self {
             Shape::Chw(c, h, w) => c * h * w,
             Shape::Flat(n) => n,
@@ -171,7 +171,7 @@ impl NetSpec {
     ///
     /// Returns [`SpecError`] if any op is applied to an incompatible shape
     /// or the skip stack is unbalanced.
-    pub fn infer_shapes(&self) -> Result<Vec<Shape>, SpecError> {
+    pub(crate) fn infer_shapes(&self) -> Result<Vec<Shape>, SpecError> {
         let mut shape = Shape::Chw(self.input[0], self.input[1], self.input[2]);
         let mut skips: Vec<Shape> = Vec::new();
         let mut out = Vec::with_capacity(self.ops.len());

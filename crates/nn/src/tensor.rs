@@ -68,27 +68,27 @@ impl Tensor {
     }
 
     /// Mutable data view.
-    pub fn data_mut(&mut self) -> &mut [f64] {
+    pub(crate) fn data_mut(&mut self) -> &mut [f64] {
         &mut self.data
     }
 
     /// Index into a CHW tensor.
     #[inline]
-    pub fn at3(&self, c: usize, h: usize, w: usize) -> f64 {
+    pub(crate) fn at3(&self, c: usize, h: usize, w: usize) -> f64 {
         let (_, hh, ww) = (self.shape[0], self.shape[1], self.shape[2]);
         self.data[(c * hh + h) * ww + w]
     }
 
     /// Mutable index into a CHW tensor.
     #[inline]
-    pub fn at3_mut(&mut self, c: usize, h: usize, w: usize) -> &mut f64 {
+    pub(crate) fn at3_mut(&mut self, c: usize, h: usize, w: usize) -> &mut f64 {
         let (_, hh, ww) = (self.shape[0], self.shape[1], self.shape[2]);
         &mut self.data[(c * hh + h) * ww + w]
     }
 
     /// Index into a 4-D (e.g. `[co, ci, kh, kw]`) tensor.
     #[inline]
-    pub fn at4(&self, a: usize, b: usize, c: usize, d: usize) -> f64 {
+    pub(crate) fn at4(&self, a: usize, b: usize, c: usize, d: usize) -> f64 {
         let (_, s1, s2, s3) = (self.shape[0], self.shape[1], self.shape[2], self.shape[3]);
         self.data[((a * s1 + b) * s2 + c) * s3 + d]
     }
@@ -98,7 +98,7 @@ impl Tensor {
     /// # Panics
     ///
     /// Panics if the new shape has a different volume.
-    pub fn reshape(&mut self, shape: &[usize]) {
+    pub(crate) fn reshape(&mut self, shape: &[usize]) {
         assert_eq!(
             shape.iter().product::<usize>(),
             self.data.len(),

@@ -31,7 +31,7 @@ impl Dataset {
     }
 
     /// Number of classes.
-    pub fn classes(&self) -> usize {
+    pub(crate) fn classes(&self) -> usize {
         match self {
             Dataset::Cifar100 => 100,
             Dataset::TinyImageNet => 200,

@@ -29,7 +29,7 @@ pub enum Garbler {
 }
 
 /// HE operation count of one linear layer under the Gazelle cost model.
-pub fn he_ops(layer: &pi_nn::spec::LinearLayerStat) -> f64 {
+pub(crate) fn he_ops(layer: &pi_nn::spec::LinearLayerStat) -> f64 {
     let in_cts = (layer.in_features as f64 / calib::HE_SLOTS).ceil();
     match layer.kind {
         LinearKind::Conv { co, k, .. } => in_cts * co as f64 * (k * k) as f64,
@@ -43,7 +43,7 @@ pub fn he_ops(layer: &pi_nn::spec::LinearLayerStat) -> f64 {
 
 /// Seconds per HE operation on the baseline EPYC server, calibrated from
 /// the paper's sequential ResNet-18/TinyImageNet measurement.
-pub fn he_s_per_op() -> f64 {
+pub(crate) fn he_s_per_op() -> f64 {
     static CONST: OnceLock<f64> = OnceLock::new();
     *CONST.get_or_init(|| {
         let stats = Architecture::ResNet18
@@ -112,7 +112,7 @@ impl ProtocolCosts {
     }
 
     /// Builds the cost profile from precomputed network statistics.
-    pub fn from_stats(
+    pub(crate) fn from_stats(
         stats: &NetworkStats,
         garbler: Garbler,
         client: &DeviceProfile,

@@ -72,24 +72,24 @@ impl DeviceProfile {
     }
 
     /// Seconds to garble `relus` ReLUs on this device as a *client*.
-    pub fn client_garble_s(&self, relus: f64) -> f64 {
+    pub(crate) fn client_garble_s(&self, relus: f64) -> f64 {
         calib::ATOM_GARBLE_S_PER_RELU * relus / self.speed
     }
 
     /// Seconds to evaluate `relus` garbled ReLUs on this device as a
     /// *client*.
-    pub fn client_eval_s(&self, relus: f64) -> f64 {
+    pub(crate) fn client_eval_s(&self, relus: f64) -> f64 {
         calib::ATOM_EVAL_S_PER_RELU * relus / self.speed
     }
 
     /// Seconds to garble `relus` ReLUs on this device as a *server*.
-    pub fn server_garble_s(&self, relus: f64) -> f64 {
+    pub(crate) fn server_garble_s(&self, relus: f64) -> f64 {
         calib::SERVER_GARBLE_S_PER_RELU * relus / self.speed
     }
 
     /// Seconds to evaluate `relus` garbled ReLUs on this device as a
     /// *server*.
-    pub fn server_eval_s(&self, relus: f64) -> f64 {
+    pub(crate) fn server_eval_s(&self, relus: f64) -> f64 {
         calib::SERVER_EVAL_S_PER_RELU * relus / self.speed
     }
 }

@@ -31,7 +31,7 @@ impl Link {
     }
 
     /// A link with the WSA-optimal split for the given byte profile.
-    pub fn wsa_optimal(total_bps: f64, upload_bytes: f64, download_bytes: f64) -> Self {
+    pub(crate) fn wsa_optimal(total_bps: f64, upload_bytes: f64, download_bytes: f64) -> Self {
         Self {
             total_bps,
             upload_fraction: optimal_upload_fraction(upload_bytes, download_bytes),
@@ -39,12 +39,12 @@ impl Link {
     }
 
     /// Upload throughput in bits per second.
-    pub fn upload_bps(&self) -> f64 {
+    pub(crate) fn upload_bps(&self) -> f64 {
         self.total_bps * self.upload_fraction
     }
 
     /// Download throughput in bits per second.
-    pub fn download_bps(&self) -> f64 {
+    pub(crate) fn download_bps(&self) -> f64 {
         self.total_bps * (1.0 - self.upload_fraction)
     }
 

@@ -182,6 +182,9 @@ fn linear_responses(
             let rng = rand::rngs::StdRng::seed_from_u64(server_seed);
             let _ = pi_core::serve::session::drive_sync(&s.model, pre, cfg, &server, rng);
         });
+        let Ok(Msg::KeyStatus { .. }) = client.recv() else {
+            panic!("no KeyStatus");
+        };
         if cfg.kind == ProtocolKind::ServerGarbler {
             let mut rng = rand::rngs::StdRng::seed_from_u64(server_seed + 1);
             let (_, setup) = pi_ot::BaseOtSender::new(&mut rng);

@@ -7,7 +7,7 @@
 //! the malformed-shape sweeps, the key upload's among them (nothing a peer
 //! sends panics a party).
 
-use pi_core::channel::{local_pair, service_pair, Channel, ChannelError, ClientEvent, Peer};
+use pi_core::channel::{local_pair, Channel, Peer};
 use pi_core::common::ClientHeKeys;
 use pi_core::msg::Msg;
 use pi_core::serve::session::drive_sync;
@@ -421,13 +421,19 @@ fn relay(from: &Channel, to: &Channel) -> Transcript {
 /// Server-Garbler's base OT has since moved ahead of the linear pass, every
 /// size unchanged: the client opens with its setup and sends its transfer
 /// after its upload, so the server answers with its choice before its
-/// linear responses.
+/// linear responses. The download opens with the server's 1-byte
+/// `KeyStatus` (nothing cached), on a dedicated pair as on the serving
+/// runtime, so a fresh client's first request has this transcript on
+/// either.
 fn pinned_transcript(kind: ProtocolKind) -> (Transcript, Transcript) {
     let he_up = [("HeKeys", 208_982), ("HeCts", 15_930), ("HeCts", 15_930)];
     let he_down = [("HeCts", 23_066); 3];
     let (open_up, open_down): (&[_], &[_]) = match kind {
-        ProtocolKind::ClientGarbler => (&[], &[]),
-        ProtocolKind::ServerGarbler => (&[("OtBaseSetup", 32)], &[("OtBaseChoice", 4_096)]),
+        ProtocolKind::ClientGarbler => (&[], &[("KeyStatus", 1)]),
+        ProtocolKind::ServerGarbler => (
+            &[("OtBaseSetup", 32)],
+            &[("KeyStatus", 1), ("OtBaseChoice", 4_096)],
+        ),
     };
     let (up, down): (&[_], &[_]) = match kind {
         ProtocolKind::ClientGarbler => (
@@ -480,15 +486,15 @@ fn pinned_transcript(kind: ProtocolKind) -> (Transcript, Transcript) {
 }
 
 /// What [`pinned_transcript`] becomes on the serving runtime for a client
-/// that has been there before: the server opens with a 9-byte `KeyStatus`
-/// (flag byte + stream base), and the key upload and the three base-OT
-/// messages are gone. Nothing else moves.
+/// that has been there before: the server's `KeyStatus` is 9 bytes (flag
+/// byte + stream base), and the key upload and the three base-OT messages
+/// are gone. Nothing else moves.
 fn pinned_returning_transcript(kind: ProtocolKind) -> (Transcript, Transcript) {
     let (mut up, mut down) = pinned_transcript(kind);
     let kept = |&(name, _): &(&str, u64)| name != "HeKeys" && !name.starts_with("OtBase");
     up.retain(kept);
     down.retain(kept);
-    down.insert(0, ("KeyStatus", 9));
+    down[0] = ("KeyStatus", 9);
     (up, down)
 }
 
@@ -668,8 +674,8 @@ enum Dir {
 }
 
 /// One request of `client` (as `client_id`) with a relay on both
-/// directions of its session: the client runs on a service channel of the
-/// relay's own, the relay forwards to and from the runtime's. With a
+/// directions of its session: the client runs on a dedicated pair with the
+/// relay, the relay forwards to and from the runtime's channel. With a
 /// tamper, the relay of that direction corrupts one message and stops; the
 /// other stops when its source hangs up. Everything that can block runs on
 /// detached threads, so a dead worker is a failed test, not a hung one.
@@ -684,18 +690,16 @@ fn relayed_request(
 ) -> (Relayed, ServiceClient) {
     let conn = rt.connect(client_id, model_id, 2_000 + client_id);
     let (session, handle) = (Arc::new(conn.chan), conn.handle);
-    let (events_tx, events_rx) = std::sync::mpsc::channel::<ClientEvent>();
-    let (c_chan, to_client) = service_pair(Box::new(move |event| {
-        let sent = events_tx.send(event);
-        sent.map_err(|_| ChannelError::Disconnected)
-    }));
+    let (c_chan, to_client) = local_pair();
+    let to_client = Arc::new(to_client);
     let p = meta.p.value();
     let on = |dir| tamper.filter(|(d, _)| *d == dir).map(|(_, t)| (t, p));
     let up = std::thread::spawn({
-        let (session, mut tap) = (session.clone(), Tap::new(on(Dir::Up)));
+        let (session, from_client) = (session.clone(), to_client.clone());
+        let mut tap = Tap::new(on(Dir::Up));
         move || {
-            // A `Gone` event (the client hung up) ends the loop too.
-            while let Ok(ClientEvent::Msg(mut m)) = events_rx.recv() {
+            // The client hanging up ends the loop too.
+            while let Ok(mut m) = from_client.recv() {
                 let last = tap.pass(&mut m);
                 if session.send(m).is_err() || last {
                     break;
@@ -720,16 +724,13 @@ fn relayed_request(
             (tap.seen, status)
         }
     });
-    let honest = {
-        let (meta, cfg) = (meta.clone(), cfg.clone());
-        std::thread::spawn(move || {
-            let mut rng = rand::rngs::StdRng::seed_from_u64(7 + client_id);
-            let ran = client.run(&meta, &input, &cfg, &c_chan, &mut rng);
-            (ran.map(|(out, _)| out), client)
-        })
-    };
+    let (meta, cfg) = (meta.clone(), cfg.clone());
+    let (ran, client) = within_a_minute(what, move || {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7 + client_id);
+        let ran = client.run(&meta, &input, &cfg, &c_chan, &mut rng);
+        (ran.map(|(out, _)| out), client)
+    });
     let served = within_a_minute(what, move || handle.wait());
-    let (ran, client) = honest.join().expect("client thread");
     let (down, status) = down.join().expect("down relay");
     let relayed = Relayed {
         up: up.join().expect("up relay"),
@@ -1357,10 +1358,10 @@ fn base_ot_choice(m: &mut Msg, _: u64) {
 
 /// A server message of the wrong kind is the client's `UnexpectedMsg`
 /// naming the one it awaited, never a panic, under both garbler kinds:
-/// through `drive_sync` a table set, a linear share, an extension and
-/// each kind's base-OT message replaced by one of another kind, and on
-/// the runtime the `KeyStatus` preamble replaced. The server sees the
-/// client hang up, and a neighbour on the runtime then completes.
+/// through `drive_sync` the opening `KeyStatus`, a table set, a linear
+/// share, an extension and each kind's base-OT message replaced by one of
+/// another kind, and on the runtime the `KeyStatus` replaced. The server
+/// sees the client hang up, and a neighbour on the runtime then completes.
 #[test]
 fn wrong_kind_server_messages_are_unexpected_to_the_client() {
     let he = BfvParams::small_test();
@@ -1378,10 +1379,12 @@ fn wrong_kind_server_messages_are_unexpected_to_the_client() {
         assert!(hung_up, "{what}: {served:?}");
     };
     let sg_cases = [
+        (case("", "KeyStatus", 0, vec_u64), "VecU64"),
         (case("", "GcTables", 0, vec_u64), "VecU64"),
         (case("", "OtBaseChoice", 0, base_ot_setup), "OtBaseSetup"),
     ];
     let cg_cases = [
+        (case("", "KeyStatus", 0, vec_u64), "VecU64"),
         (case("", "VecU64", 0, base_ot_setup), "OtBaseSetup"),
         (case("", "OtBaseSetup", 0, base_ot_choice), "OtBaseChoice"),
         (case("", "OtExtend", 0, vec_u64), "VecU64"),
@@ -1545,18 +1548,15 @@ fn a_suspended_session_gives_its_only_worker_back() {
         let model_id = rt.register_model(model.clone(), cfg.clone());
         let a = rt.connect(0, model_id, 10);
         let session = Arc::new(a.chan);
-        let (events_tx, events_rx) = std::sync::mpsc::channel::<ClientEvent>();
-        let (a_chan, to_a) = service_pair(Box::new(move |event| {
-            let sent = events_tx.send(event);
-            sent.map_err(|_| ChannelError::Disconnected)
-        }));
+        let (a_chan, to_a) = local_pair();
+        let to_a = Arc::new(to_a);
         let (held_tx, held_rx) = std::sync::mpsc::channel();
         let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
         let up = std::thread::spawn({
-            let session = session.clone();
+            let (session, from_a) = (session.clone(), to_a.clone());
             move || {
                 let mut hold = Some((held_tx, release_rx));
-                while let Ok(ClientEvent::Msg(m)) = events_rx.recv() {
+                while let Ok(m) = from_a.recv() {
                     let linear = matches!(m, Msg::HeKeys(_) | Msg::HeCts(_) | Msg::VecU64(_));
                     if session.send(m).is_err() {
                         break;
@@ -1623,7 +1623,7 @@ fn protocol_cfg(kind: ProtocolKind, he: Option<&BfvParams>) -> ProtocolConfig {
 /// bit-exact, no base-OT message in either direction, a 9-byte `KeyStatus`
 /// whose base is where the first session's range ended — and, under HE,
 /// exactly the pinned transcripts (a first request's is the dedicated
-/// pair's behind a 1-byte `KeyStatus`).
+/// pair's, message for message).
 #[test]
 fn returning_client_runs_no_base_ot() {
     let he = BfvParams::small_test();
@@ -1666,8 +1666,7 @@ fn returning_client_runs_no_base_ot() {
             });
             assert_eq!((base_ot(&second.up), base_ot(&second.down)), (0, 0));
             if he.is_some() {
-                let (up, mut down) = pinned_transcript(kind);
-                down.insert(0, ("KeyStatus", 1));
+                let (up, down) = pinned_transcript(kind);
                 assert_eq!((&first.up, &first.down), (&up, &down), "{what}: first");
                 let (up, down) = pinned_returning_transcript(kind);
                 assert_eq!((&second.up, &second.down), (&up, &down), "{what}: second");
@@ -1801,17 +1800,19 @@ fn rewind_base(m: &mut Msg, _: u64) {
 /// `BadRequest` before the client has sent a single message. The session
 /// they leave behind ends when the client hangs up, the refused returning
 /// client is served on its next honest request, and a neighbour on the same
-/// one-worker runtime completes.
+/// one-worker runtime completes. The cached claim and the unknown bits are
+/// refused on a dedicated pair too, whose `drive_sync` server then sees the
+/// client hang up.
 #[test]
 fn malformed_key_status_is_a_bad_request_before_the_client_sends() {
     let he = BfvParams::small_test();
-    let model = build_model(&he, 11);
+    let model = Arc::new(build_model(&he, 11));
     let meta = ModelMeta::of(&model);
     for kind in [ProtocolKind::ServerGarbler, ProtocolKind::ClientGarbler] {
         let cfg = ProtocolConfig::clear(kind);
         let party = (&meta, &cfg);
         let rt = ServeRuntime::new(serve_cfg(1));
-        let model_id = rt.register_model(model.clone(), cfg.clone());
+        let model_id = rt.register_model((*model).clone(), cfg.clone());
         // Client 0 has been here before; the others are new.
         let input = random_input(&model, 800);
         let expect = model.forward(&input);
@@ -1855,6 +1856,15 @@ fn malformed_key_status_is_a_bad_request_before_the_client_sends() {
                 "{what}: {:?}",
                 r.served
             );
+        }
+        // Not the rewound base: a fresh session's base is 0.
+        for &(what, tamper) in &cases[1..] {
+            let what = format!("{kind:?}, dedicated pair, {what}");
+            let (ran, served) = tampered_sync_run(&model, &cfg, (Dir::Down, tamper), &what);
+            let refused = matches!(ran, Err(ProtocolError::BadRequest(_)));
+            assert!(refused, "{what}: {ran:?}");
+            let hung_up = matches!(served, Err(ProtocolError::Channel(_)));
+            assert!(hung_up, "{what}: {served:?}");
         }
         // The refused returning client kept its mark: the range it was
         // offered is burnt, the next one is served.
