@@ -43,12 +43,13 @@
 //!   lost its half while the server still holds the other is refused
 //!   (`BadRequest` on the client) until the entry is evicted — as with HE
 //!   keys.
-//! * **One run queue** — session pumps are tasks on a fixed pool of
-//!   workers sharing one FIFO (`executor.rs`); those workers are the only
-//!   threads the runtime owns, apart from the scoped helpers a session's
-//!   own split work borrows for the length of one step
-//!   ([`pi_trace::par::map_ranges`]: `lphe_threads`-way matvecs, base
-//!   OT, key generation and admission, large ReLU phases).
+//! * **One run queue** — session pumps are tasks on the runtime's
+//!   [`pi_trace::par::Pool`], `workers` threads on one FIFO, and so are
+//!   the helper parts of a session's own split work
+//!   ([`pi_trace::par::map_ranges`]: `lphe_threads`-way matvecs, base OT,
+//!   key generation and admission, large ReLU phases). Those workers are
+//!   the only threads the runtime owns: a split spreads over the workers
+//!   no other session holds, and runs inline when every one is busy.
 //! * **Uplinks that file their own events** — a client's send (or the drop
 //!   of its endpoint) pushes the event onto its session's inbox and
 //!   schedules the session's pump, on the client's thread. It never touches
@@ -72,7 +73,6 @@
 
 pub mod session;
 
-mod executor;
 mod table;
 
 pub use table::TableStats;
@@ -82,8 +82,8 @@ use crate::common::{
     ClientHeKeys, ClientOtState, PartyOutcome, ProtocolConfig, ProtocolKind, ServerPrecomp,
 };
 use crate::error::ProtocolError;
-use executor::{resolve_workers, Executor};
 use pi_nn::PiModel;
+use pi_trace::par::Pool;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use session::{ServerSession, SessionCtx};
@@ -156,9 +156,9 @@ struct Inner {
     ot_table: ByteLru<(u64, ProtocolKind), ClientOtState>,
     agg_trace: parking_lot::Mutex<pi_trace::TraceReport>,
     // Behind an Option so `Drop` can take and join the pool on the runtime
-    // thread — if the executor died with the last `Arc<Inner>` inside one
-    // of its own tasks, it would join itself.
-    exec: parking_lot::Mutex<Option<Executor>>,
+    // thread — if the pool died with the last `Arc<Inner>` inside one of
+    // its own tasks, it would join itself.
+    pool: parking_lot::Mutex<Option<Pool>>,
     workers: usize,
 }
 
@@ -215,7 +215,7 @@ impl ServeRuntime {
             keys_table: ByteLru::new(cfg.table_budget_bytes),
             ot_table: ByteLru::new(cfg.table_budget_bytes),
             agg_trace: parking_lot::Mutex::new(pi_trace::TraceReport::default()),
-            exec: parking_lot::Mutex::new(Some(Executor::new(workers))),
+            pool: parking_lot::Mutex::new(Some(Pool::new(workers))),
             workers,
         });
         Self { inner }
@@ -334,9 +334,34 @@ impl ServeRuntime {
 impl Drop for ServeRuntime {
     fn drop(&mut self) {
         // Take the pool out from under the shared state, then join it with
-        // no lock held (see the field comment on `Inner::exec`).
-        let exec = self.inner.exec.lock().take();
-        drop(exec);
+        // no lock held (see the field comment on `Inner::pool`).
+        let pool = self.inner.pool.lock().take();
+        drop(pool);
+    }
+}
+
+/// Resolves the worker count: an explicit non-zero request wins, then the
+/// `PI_WORKERS` environment variable, then the machine's parallelism.
+///
+/// # Panics
+///
+/// Panics if `PI_WORKERS` is set to anything but a positive integer.
+fn resolve_workers(requested: usize) -> usize {
+    if requested > 0 {
+        return requested;
+    }
+    workers_from_env(std::env::var("PI_WORKERS").ok().as_deref())
+}
+
+/// [`resolve_workers`] below an explicit request, on the value of
+/// `PI_WORKERS` (`None` when unset).
+fn workers_from_env(value: Option<&str>) -> usize {
+    let Some(v) = value else {
+        return std::thread::available_parallelism().map_or(1, |n| n.get());
+    };
+    match v.trim().parse::<usize>() {
+        Ok(n) if n > 0 => n,
+        _ => panic!("PI_WORKERS must be a positive integer, got {v:?}"),
     }
 }
 
@@ -399,12 +424,12 @@ async fn serve(
 /// is ever stranded.
 fn schedule(inner: &Arc<Inner>, slot: &Arc<Slot>) {
     if !slot.scheduled.swap(true, Ordering::SeqCst) {
-        let exec = inner.exec.lock();
-        match exec.as_ref() {
-            Some(exec) => {
+        let pool = inner.pool.lock();
+        match pool.as_ref() {
+            Some(pool) => {
                 let inner = inner.clone();
                 let slot = slot.clone();
-                exec.spawn(Box::new(move || pump(&inner, &slot)));
+                pool.spawn(move || pump(&inner, &slot));
             }
             // Runtime shutting down: nothing left to run the pump.
             None => slot.scheduled.store(false, Ordering::SeqCst),
@@ -512,6 +537,19 @@ mod tests {
         let expect: Vec<u64> = (1..=sessions).map(|i| i * blocks).collect();
         assert_eq!(bases, expect);
         assert_eq!(kept.reserve(0), (sessions + 1) * blocks);
+    }
+
+    #[test]
+    fn pi_workers_is_a_positive_integer_or_a_panic() {
+        assert_eq!(workers_from_env(Some("4")), 4);
+        assert_eq!(workers_from_env(Some(" 3\n")), 3);
+        assert!(workers_from_env(None) >= 1);
+        for bad in ["0", "", "four", "-1", "2.5"] {
+            let err = std::panic::catch_unwind(|| workers_from_env(Some(bad)))
+                .expect_err("a malformed PI_WORKERS must panic");
+            let msg = err.downcast_ref::<String>().expect("panic message");
+            assert!(msg.contains(&format!("{bad:?}")), "{bad:?}: {msg}");
+        }
     }
 
     /// A client mid-session when the runtime is dropped is hung up on, in

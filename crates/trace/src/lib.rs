@@ -17,8 +17,9 @@
 //! 3. **Export** — [`TraceReport`] snapshots export as machine-readable
 //!    JSON ([`TraceReport::to_json`]).
 //!
-//! It also holds the one data-parallel helper ([`par`]), because a split
-//! must carry the request's collection scope across the threads it uses.
+//! It also holds the one data-parallel helper and the one thread pool
+//! ([`par`]), because a split must carry the request's collection scope
+//! across the threads it uses.
 //!
 //! # Overhead contract
 //!
@@ -71,6 +72,10 @@
 //! `CostReport` phase timings are derived from these spans
 //! (`span_total_ms("offline.he")` etc.), replacing the hand-threaded
 //! `Instant` deltas the drivers used to carry — one source of truth.
+
+// `deny` rather than `forbid`: the split (`par::share`) carries the one
+// scoped `#[allow(unsafe_code)]`; `par`'s module doc states its contract.
+#![deny(unsafe_code)]
 
 mod counter;
 mod hist;

@@ -8,8 +8,9 @@
 //! scopes are a view, not a redirect.
 //!
 //! A split ([`crate::par::map_ranges`]) carries the scope across threads:
-//! each helper part records into a scope of its own ([`run_part`]) and the
-//! caller folds what it recorded into its scope ([`merge_part`]).
+//! each part a pool worker runs records into a scope of its own
+//! ([`run_part`]) and the caller folds what it recorded into its scope
+//! ([`merge_part`]).
 
 use crate::span::SpanStat;
 use crate::{mode, Counter, TraceMode, TraceReport};
@@ -24,7 +25,7 @@ pub(crate) struct LocalBuf {
 }
 
 impl LocalBuf {
-    fn new() -> Self {
+    pub(crate) fn new() -> Self {
         LocalBuf {
             counters: [0; Counter::COUNT],
             spans: HashMap::new(),
@@ -37,14 +38,9 @@ thread_local! {
     static BUF: RefCell<LocalBuf> = RefCell::new(LocalBuf::new());
 }
 
-/// Whether a scope is collecting on this thread.
-pub(crate) fn active() -> bool {
-    ACTIVE.get()
-}
-
 /// Runs one helper part of a split under a scope of its own on this
-/// thread (a scoped thread of the split, which holds none) and returns
-/// its result with everything the scope recorded.
+/// thread (a pool worker, which holds none between tasks) and returns its
+/// result with everything the scope recorded.
 pub(crate) fn run_part<T>(f: impl FnOnce() -> T) -> (T, LocalBuf) {
     let scope = begin_local();
     let out = f();
@@ -139,9 +135,14 @@ impl Drop for LocalScope {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::{counter, force_mode, span, test_lock};
+
+    /// Whether a scope is collecting on this thread.
+    pub(crate) fn active() -> bool {
+        ACTIVE.get()
+    }
 
     #[test]
     fn scope_isolates_threads() {

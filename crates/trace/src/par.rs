@@ -1,45 +1,70 @@
-//! The one intra-request data-parallel helper: a scoped-thread map over
-//! contiguous index ranges.
+//! The one intra-request data-parallel helper, a map over contiguous index
+//! ranges, and the one pool of threads the stack keeps.
 //!
 //! [`map_ranges`] cuts `0..n` into contiguous ranges, runs the first on the
-//! calling thread and each other on a scoped thread of its own, and
-//! returns the results in range order, so concatenating them ([`concat()`])
-//! gives exactly what one pass over `0..n` gives: a split changes where the
-//! work runs, never a bit of its result. Callers keep everything
-//! order-dependent on the calling thread: every RNG draw, and every read of
-//! a stream whose position depends on what came before (a seed expansion
-//! by rejection), happens before the split.
+//! calling thread and the others on the caller or a [`Pool`]'s workers,
+//! and returns the results in range order, so concatenating them
+//! ([`concat()`]) gives exactly what one pass over `0..n` gives: a split
+//! changes where the work runs, never a bit of its result. Callers keep
+//! everything order-dependent on the calling thread: every RNG draw, and
+//! every read of a stream whose position depends on what came before (a
+//! seed expansion by rejection), happens before the split.
+//!
+//! # The pool
+//!
+//! A [`Pool`] is a fixed set of threads on one FIFO queue; the serving
+//! runtime's session pumps are its tasks. A split on a pool's worker queues
+//! into that pool, and one anywhere else into a process-wide pool as wide
+//! as the host. It queues a task per part `1..` at the back, behind every
+//! task already waiting, runs part 0, then claims and runs inline every
+//! part no worker has claimed, and blocks only on parts a worker runs. So
+//! a split spreads over an idle pool and runs inline on a busy one, and no
+//! waiting session is passed over for a split: request-level parallelism
+//! comes first. Nothing waits on a part nobody started, so a nested split,
+//! or one on a pool whose only worker is the caller, cannot deadlock. The
+//! caller runs no other task while it waits: a session pump would record
+//! into the caller's trace scope, or wait on its own session's body lock.
+//!
+//! **Unsafe code.** pi-trace is `deny(unsafe_code)`, with one exception:
+//! a worker runs a part through the caller's borrowed closure, whose
+//! lifetime the split erases to queue it. Its contract: the caller neither
+//! returns nor unwinds until every part has finished or been claimed back,
+//! so no worker calls the closure once its borrow has ended.
 //!
 //! # The request's scope crosses the split
 //!
-//! A request's trace scope ([`crate::begin_local`]) is thread-local. When
-//! the caller holds an active one, each helper part runs under a scope of
-//! its own, and once every part has joined the caller folds the parts'
-//! counters and spans into its scope, in range order. Every helper part
-//! also opens its spans under the caller's current span path, in the
-//! global aggregate too. So a kernel counts on the thread that does the
-//! work, and a request's report holds every count a split made for it: a
-//! per-request counter equals the global counter's delta at every width.
-//! A part that panics records nothing; its panic is re-raised on the
-//! caller.
+//! A request's trace scope ([`crate::begin_local`]) is thread-local. A part
+//! a worker runs records under a scope of its own and opens its spans under
+//! the caller's current span path, in the global aggregate too; once every
+//! part has finished, the caller folds what they recorded into its scope
+//! if it holds an active one. A part the caller runs records straight into
+//! it. So a kernel counts on the thread that does the work, and a request's
+//! report holds every count a split made for it: a per-request counter
+//! equals the global counter's delta at every width. A part that panics on
+//! a worker records nothing; the first panic in range order is re-raised
+//! on the caller with its own payload. A worker leaves no span stack, scope
+//! or pinned width behind for its next task.
 //!
 //! # Width and grains
 //!
 //! The width is the host's available parallelism ([`threads`]; a process
 //! pinned to one core gets 1 and every split runs inline). Each kernel
-//! runs inline below a minimum size it measured, where a thread costs more
-//! than the part it would take. Nothing about either is configurable;
+//! runs inline below a minimum size it measured, where a hand-off costs
+//! more than the part it would take. Nothing about either is configurable;
 //! [`with_threads`] pins the width on one thread for differential tests
 //! and same-run A/Bs. The kernels that split, with each grain and what a
-//! two-way split measured at it on a 2-vCPU host (AES-NI):
+//! two-way split measured at it on a 2-vCPU host (AES-NI), handing parts
+//! to the pool (≈ 11 µs a hand-off, against ≈ 45 µs for the scoped spawn
+//! and join it replaced). Each range is two runs in spells where the
+//! second vCPU was there; where it was not, every split reads ≈ 1.0×.
 //!
 //! | kernel | unit | grain | measured |
 //! |--------|------|-------|----------|
-//! | `pi_gc::garble::garble_many`, `evaluate_many` | instance | 256 (`pi_gc::garble::GRAIN`) | garble 1.84×, evaluate 1.51× at 256 |
-//! | `pi_ot::ext` extend, transfer, decode | OT | 16 384 (`pi_ot::ext::GRAIN`) | 1.0×, 1.3×, 1.5× at 16 384 |
-//! | `pi_ot::base` transfer, choose, receive | transfer | 32 (`pi_ot::base::GRAIN`) | 1.5×, 1.6×, 1.2× at 32; 1.8×, 1.8×, 1.6× at the protocol's 128 (the sender's products on the IFMA lanes) |
-//! | `pi_he` key generation (`KeySet`, `galois_keys_frame`) | key | 2 (`pi_he::keys::GRAIN`) | 1.25× at 2; 1.6× at a 10-key plan |
-//! | `pi_he` key admission (`galois_keys_from_bytes_reusing`) | key | 2 (`pi_he::keys::GRAIN`) | 1.4× at 2; 2.0× at a 10-key plan |
+//! | `pi_gc::garble::garble_many`, `evaluate_many` | instance | 256 (`pi_gc::garble::GRAIN`) | garble 1.6–1.9×, evaluate 1.2–1.8× at 256; 1.7–1.9×, 1.7–1.8× at `relu_heavy`'s 8 192 |
+//! | `pi_ot::ext` extend, transfer, decode | OT | 16 384 (`pi_ot::ext::GRAIN`) | 1.2×, 1.6–1.8×, 1.7–2.0× at 16 384; 1.2–1.5×, 1.5–1.7×, 1.6–1.7× at 163 840 |
+//! | `pi_ot::base` transfer, choose, receive | transfer | 32 (`pi_ot::base::GRAIN`) | 1.6×, 1.5–1.7×, 1.0–1.1× at 32; 1.6×, 1.1×, 1.4× at the protocol's 128 (one run; the sender's products on the IFMA lanes) |
+//! | `pi_he` key generation (`KeySet`, `galois_keys_frame`) | key | 2 (`pi_he::keys::GRAIN`) | 1.4–1.6× at 2; 1.7× at `tiny_resnet`'s 6-key plan (one run) |
+//! | `pi_he` key admission (`galois_keys_from_bytes_reusing`) | key | 2 (`pi_he::keys::GRAIN`) | 1.6–1.8× at 2; 1.8× at a 6-key plan (one run) |
 //! | `pi_core` LPHE matvecs | phase | none: `lphe_threads` wide | |
 //!
 //! Key generation stops short of 2× because its draws stay on the calling
@@ -47,21 +72,33 @@
 //! table for `r·G`.
 
 use crate::{local, span};
-use std::cell::Cell;
+use parking_lot::Mutex;
+use std::cell::{Cell, RefCell};
 use std::ops::Range;
-use std::sync::{Mutex, OnceLock};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, OnceLock};
+use std::thread::{JoinHandle, Thread};
 
 thread_local! {
     /// A width [`with_threads`] pinned on this thread; 0 = none.
     static PINNED: Cell<usize> = const { Cell::new(0) };
+    /// The pool this thread is a worker of, if any.
+    static HOME: RefCell<Option<Arc<Shared>>> = const { RefCell::new(None) };
+}
+
+/// The host's available parallelism, resolved once per process.
+fn host() -> usize {
+    static HOST: OnceLock<usize> = OnceLock::new();
+    *HOST.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// Threads a split on this thread uses: the host's available parallelism,
-/// resolved once per process, unless [`with_threads`] pinned another width.
+/// unless [`with_threads`] pinned another width.
 pub fn threads() -> usize {
-    static HOST: OnceLock<usize> = OnceLock::new();
     match PINNED.get() {
-        0 => *HOST.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get())),
+        0 => host(),
         pinned => pinned,
     }
 }
@@ -96,13 +133,104 @@ pub fn width(n: usize, grain: usize) -> usize {
     }
 }
 
+type Task = Box<dyn FnOnce() + Send>;
+
+/// A fixed set of threads (`pi-pool-0…`) on one FIFO queue. No task waits
+/// on another, so a pool is correct at any width, one included (a split
+/// waits only on parts that run). A panic loses its task, not its worker.
+/// Dropping the handle, never on one of its own workers, runs what is
+/// queued, then joins the workers.
+pub struct Pool {
+    shared: Arc<Shared>,
+    handles: Vec<JoinHandle<()>>,
+}
+
+/// The queue (a `None` stops one worker) and the workers started.
+struct Shared {
+    tx: Sender<Option<Task>>,
+    rx: Mutex<Receiver<Option<Task>>>,
+    started: AtomicUsize,
+}
+
+impl Pool {
+    /// Starts `width` worker threads.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `width` is 0.
+    pub fn new(width: usize) -> Self {
+        assert!(width > 0, "a pool needs at least one thread");
+        let (tx, rx) = channel();
+        let (rx, started) = (Mutex::new(rx), AtomicUsize::new(0));
+        let shared = Arc::new(Shared { tx, rx, started });
+        let spawn = |k| {
+            let (shared, name) = (shared.clone(), format!("pi-pool-{k}"));
+            let worker = std::thread::Builder::new().name(name);
+            worker
+                .spawn(move || shared.work())
+                .expect("spawn a pool worker")
+        };
+        let handles = (0..width).map(spawn).collect();
+        Self { shared, handles }
+    }
+
+    /// Queues `task` behind everything already queued.
+    pub fn spawn(&self, task: impl FnOnce() + Send + 'static) {
+        self.shared.push(Box::new(task));
+    }
+
+    /// Worker threads started so far: the width once all are up, however
+    /// many tasks and splits ran.
+    pub fn threads_started(&self) -> usize {
+        self.shared.started.load(SeqCst)
+    }
+}
+
+impl Drop for Pool {
+    fn drop(&mut self) {
+        for _ in &self.handles {
+            let _ = self.shared.tx.send(None);
+        }
+        // A worker catches every task's panic, so a join cannot fail.
+        self.handles.drain(..).for_each(|h| _ = h.join());
+    }
+}
+
+impl Shared {
+    fn push(&self, task: Task) {
+        // `self` holds the receiver, so the send cannot fail.
+        let _ = self.tx.send(Some(task));
+    }
+
+    fn work(self: Arc<Self>) {
+        self.started.fetch_add(1, SeqCst);
+        HOME.set(Some(self.clone()));
+        loop {
+            // Its own statement: the guard must be gone before the task
+            // runs, or one worker runs at a time.
+            let next = self.rx.lock().recv();
+            let Ok(Some(task)) = next else { return };
+            // A task's panic message is already printed; the worker goes on.
+            let _ = catch_unwind(AssertUnwindSafe(task));
+        }
+    }
+}
+
+/// The pool a split queues into off every pool's workers: as wide as the
+/// host, started by the first such split, its workers idle on the queue
+/// until the process exits.
+fn process_pool() -> &'static Pool {
+    static POOL: OnceLock<Pool> = OnceLock::new();
+    POOL.get_or_init(|| Pool::new(host()))
+}
+
 /// Cuts `0..n` into `parts` contiguous ranges of near-equal length (at
 /// most `n` of them, and always at least one, `0..0` when `n` is 0), maps
-/// each through `f` — the first on the calling thread, the others on
-/// scoped threads — and returns the results in range order.
+/// each through `f` — the first on the calling thread, each other on the
+/// caller or a pool worker — and returns the results in range order.
 ///
 /// A panic in any part is re-raised on the calling thread with its own
-/// payload once every part has finished.
+/// payload once every started part has finished.
 pub fn map_ranges<T: Send>(n: usize, parts: usize, f: impl Fn(Range<usize>) -> T + Sync) -> Vec<T> {
     map_parts(n, parts, |_, range| f(range))
 }
@@ -122,10 +250,9 @@ pub fn map_runs<T: Send, U: Send>(
     let runs: Vec<Mutex<Vec<T>>> = (0..parts)
         .map(|i| Mutex::new(items.by_ref().take(cut(n, parts, i).len()).collect()))
         .collect();
+    // Taken once, by part `i`: the lock is never held across `f`.
     map_parts(n, parts, |i, range| {
-        // Taken once, by part `i`: the lock is never held across `f`.
-        let run = std::mem::take(&mut *runs[i].lock().expect("a run's lock is never poisoned"));
-        f(range, run)
+        f(range, std::mem::take(&mut *runs[i].lock()))
     })
 }
 
@@ -134,6 +261,9 @@ pub fn map_runs<T: Send, U: Send>(
 fn cut(n: usize, parts: usize, i: usize) -> Range<usize> {
     i * n / parts..(i + 1) * n / parts
 }
+
+/// A part's result with what it recorded on a worker (nothing inline).
+type PartOut<T> = Mutex<Option<std::thread::Result<(T, local::LocalBuf)>>>;
 
 /// The one split: [`map_ranges`] with each part's index.
 fn map_parts<T: Send>(
@@ -145,42 +275,118 @@ fn map_parts<T: Send>(
     if parts == 1 {
         return vec![f(0, 0..n)];
     }
-    let (f, scoped) = (&f, local::active());
     let stack = if crate::mode() == crate::TraceMode::Full {
         span::stack()
     } else {
         Vec::new()
     };
-    let out = std::thread::scope(|scope| {
-        let rest: Vec<_> = (1..parts)
-            .map(|i| {
-                let stack = stack.clone();
-                scope.spawn(move || {
-                    span::set_stack(stack);
-                    if scoped {
-                        let (out, part) = local::run_part(|| f(i, cut(n, parts, i)));
-                        (out, Some(part))
-                    } else {
-                        (f(i, cut(n, parts, i)), None)
-                    }
-                })
-            })
-            .collect();
-        let mut out = Vec::with_capacity(parts);
-        out.push((f(0, cut(n, parts, 0)), None));
-        for part in rest {
-            out.push(part.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
-        }
+    let outs: Vec<PartOut<T>> = (0..parts).map(|_| Mutex::new(None)).collect();
+    let part = |i| f(i, cut(n, parts, i));
+    let on_worker = |i: usize| {
+        span::set_stack(stack.clone());
+        let out = catch_unwind(AssertUnwindSafe(|| local::run_part(|| part(i))));
+        span::set_stack(Vec::new());
+        *outs[i].lock() = Some(out);
+    };
+    let inline = |i: usize| {
+        let out = catch_unwind(AssertUnwindSafe(|| (part(i), local::LocalBuf::new())));
+        *outs[i].lock() = Some(out);
+    };
+    let home = HOME.with_borrow(Option::clone);
+    share(
+        home.as_deref().unwrap_or(&process_pool().shared),
+        parts,
+        &on_worker,
+        inline,
+    );
+    let outs = outs
+        .into_iter()
+        .map(|out| out.into_inner().expect("every part ran"));
+    let outs: Vec<_> = outs
+        .collect::<Result<_, _>>()
+        .unwrap_or_else(|e| resume_unwind(e));
+    let outs = outs.into_iter().map(|(out, recorded)| {
+        local::merge_part(recorded);
         out
     });
-    (out.into_iter())
-        .map(|(out, part)| {
-            if let Some(part) = part {
-                local::merge_part(part);
+    outs.collect()
+}
+
+/// Runs parts `0..parts` once each and returns when all have finished:
+/// part 0, and every part no worker of `pool` claimed first, through
+/// `inline` on the calling thread, each other through `on_worker` on the
+/// worker that claimed it. A task per part `1..` is queued; each claims
+/// the next unclaimed part, and so does the caller once part 0 is done.
+fn share(pool: &Shared, parts: usize, on_worker: &(dyn Fn(usize) + Sync), inline: impl Fn(usize)) {
+    let (next, left) = (AtomicUsize::new(1), AtomicUsize::new(parts - 1));
+    let caller = std::thread::current();
+    let claims = Arc::new(Claims {
+        parts,
+        next,
+        left,
+        caller,
+    });
+    // SAFETY: pi-trace's one `unsafe`, a lifetime erasure. A task calls
+    // `on_worker` only for a part it claimed, and `_wait`'s drop — which
+    // every way out of this frame runs, unwinding included — claims every
+    // part still unclaimed and returns only once every part a worker
+    // claimed has finished. So no call outlives the borrow; a task popped
+    // later claims nothing and only drops its `Arc`.
+    #[allow(unsafe_code)]
+    let on_worker = unsafe {
+        std::mem::transmute::<&(dyn Fn(usize) + Sync), &'static (dyn Fn(usize) + Sync)>(on_worker)
+    };
+    let _wait = Wait(&claims);
+    for _ in 1..parts {
+        let claims = claims.clone();
+        pool.push(Box::new(move || {
+            if let Some(i) = claims.claim() {
+                on_worker(i);
+                if claims.left.fetch_sub(1, SeqCst) == 1 {
+                    claims.caller.unpark();
+                }
             }
-            out
-        })
-        .collect()
+        }));
+    }
+    inline(0);
+    while let Some(i) = claims.claim() {
+        claims.left.fetch_sub(1, SeqCst);
+        inline(i);
+    }
+}
+
+/// Which of a split's parts `1..` are claimed, and how many are left.
+struct Claims {
+    parts: usize,
+    next: AtomicUsize,
+    /// Parts neither claimed by the caller nor finished on a worker.
+    left: AtomicUsize,
+    /// Woken by the worker that finishes the last part.
+    caller: Thread,
+}
+
+impl Claims {
+    fn claim(&self) -> Option<usize> {
+        let i = self.next.fetch_add(1, SeqCst);
+        (i < self.parts).then_some(i)
+    }
+}
+
+/// Claims every part still unclaimed (only on unwind), then waits until
+/// no worker runs one.
+struct Wait<'a>(&'a Claims);
+
+impl Drop for Wait<'_> {
+    fn drop(&mut self) {
+        let claims = self.0;
+        let unclaimed = claims
+            .parts
+            .saturating_sub(claims.next.swap(claims.parts, SeqCst));
+        claims.left.fetch_sub(unclaimed, SeqCst);
+        while claims.left.load(SeqCst) > 0 {
+            std::thread::park();
+        }
+    }
 }
 
 /// Concatenates per-range results in order, moving the first part's
@@ -199,6 +405,63 @@ pub fn concat<T>(parts: Vec<Vec<T>>) -> Vec<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc::{channel, Sender};
+    use std::sync::Barrier;
+    use std::time::Duration;
+
+    /// A pool the test never drops: a test whose task hangs then fails at
+    /// `on`'s deadline instead of joining a stuck worker forever.
+    fn pool(width: usize) -> &'static Pool {
+        Box::leak(Box::new(Pool::new(width)))
+    }
+
+    /// Runs `f` on a worker of `pool` and waits for its result under a
+    /// deadline: a hang fails the test instead of stalling the suite.
+    fn on<T: Send + 'static>(pool: &Pool, f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = channel();
+        pool.spawn(move || _ = tx.send(f()));
+        rx.recv_timeout(Duration::from_secs(60))
+            .expect("the task finished within a minute")
+    }
+
+    /// Runs `f` on a thread of no pool under `on`'s deadline.
+    fn off_pools<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = channel();
+        std::thread::spawn(move || _ = tx.send(f()));
+        rx.recv_timeout(Duration::from_secs(60))
+            .expect("the thread finished within a minute")
+    }
+
+    /// Whether this thread is a worker of `pool`.
+    fn works_for(pool: &Shared) -> bool {
+        HOME.with_borrow(|home| home.as_deref().is_some_and(|h| std::ptr::eq(h, pool)))
+    }
+
+    /// Holds every worker of `pool` at once (`width` tasks on a barrier
+    /// with the caller) and returns what `check` read on each: every
+    /// worker is up, and `check` sees the state a task finds. Two of these
+    /// on one pool at once could deadlock, so a test holds `test_lock`
+    /// around those on the process-wide pool.
+    fn on_every_worker<T: Send + 'static>(pool: &Shared, width: usize, check: fn() -> T) -> Vec<T> {
+        let (barrier, (tx, rx)) = (Arc::new(Barrier::new(width + 1)), channel());
+        for _ in 0..width {
+            let (barrier, tx): (_, Sender<T>) = (barrier.clone(), tx.clone());
+            pool.push(Box::new(move || {
+                _ = tx.send(check());
+                barrier.wait();
+            }));
+        }
+        barrier.wait();
+        (0..width)
+            .map(|_| rx.recv().expect("a worker checked in"))
+            .collect()
+    }
+
+    /// What a worker holds between tasks: its span stack, whether a local
+    /// scope is active, and its pinned width.
+    fn leftover() -> (Vec<&'static str>, bool, usize) {
+        (span::stack(), local::tests::active(), PINNED.get())
+    }
 
     #[test]
     fn ranges_cover_in_order_at_every_width() {
@@ -229,11 +492,93 @@ mod tests {
     }
 
     #[test]
-    fn first_range_runs_on_the_calling_thread() {
-        let me = std::thread::current().id();
-        let ids = map_ranges(4, 2, |_| std::thread::current().id());
-        assert_eq!(ids[0], me);
-        assert_ne!(ids[1], me);
+    fn first_range_runs_on_the_caller_and_every_other_on_the_caller_or_its_pool() {
+        // Off every pool, a split uses the process-wide one; on a worker,
+        // its own.
+        let pool = pool(2);
+        let global = &process_pool().shared;
+        let split = |pool: &Shared| {
+            let me = std::thread::current().id();
+            let got = map_ranges(64, 4, |_| (std::thread::current().id(), works_for(pool)));
+            assert_eq!(got[0].0, me);
+            assert!(
+                got.iter().all(|&(id, worker)| id == me || worker),
+                "{got:?}"
+            );
+        };
+        split(global);
+        let shared = pool.shared.clone();
+        on(pool, move || split(&shared));
+    }
+
+    #[test]
+    fn a_pool_starts_its_width_of_threads_however_many_splits_run() {
+        let pool = pool(2);
+        on(pool, || {
+            for _ in 0..1_000 {
+                assert_eq!(concat(map_ranges(8, 3, Vec::from_iter)).len(), 8);
+            }
+        });
+        on_every_worker(&pool.shared, 2, || ());
+        assert_eq!(pool.threads_started(), 2);
+        let _l = crate::test_lock::hold();
+        with_threads(3, || {
+            for _ in 0..1_000 {
+                assert_eq!(concat(map_ranges(8, 3, Vec::from_iter)).len(), 8);
+            }
+        });
+        let global = process_pool();
+        on_every_worker(&global.shared, host(), || ());
+        assert_eq!(global.threads_started(), host());
+    }
+
+    #[test]
+    fn a_nested_split_inside_a_part_completes() {
+        let nested = || {
+            let sums = map_ranges(6, 3, |r| map_ranges(r.len(), 2, |r| r.len()).iter().sum());
+            assert_eq!(sums.iter().sum::<usize>(), 6);
+        };
+        for width in [1, 2] {
+            on(pool(width), nested);
+        }
+        off_pools(move || with_threads(3, nested));
+    }
+
+    #[test]
+    fn a_split_on_the_only_worker_of_a_pool_runs_inline() {
+        let pool = pool(1);
+        let got = on(pool, || {
+            let me = std::thread::current().id();
+            map_ranges(100, 4, |r| (r, std::thread::current().id() == me))
+        });
+        assert!(got.iter().all(|(_, inline)| *inline));
+        let ranges: Vec<usize> = concat(got.into_iter().map(|(r, _)| Vec::from_iter(r)).collect());
+        assert_eq!(ranges, (0..100).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_part_that_panics_on_a_worker_panics_the_caller_and_keeps_the_worker() {
+        let pool = pool(2);
+        let err = on(pool, || {
+            // Part 0 holds its caller until the other worker runs part 1.
+            let both = Barrier::new(2);
+            catch_unwind(AssertUnwindSafe(|| {
+                map_ranges(4, 2, |r| {
+                    both.wait();
+                    if r.start > 0 {
+                        panic!("part {}", r.start);
+                    }
+                })
+            }))
+            .expect_err("the second part panicked")
+        });
+        assert_eq!(
+            err.downcast_ref::<String>().map(String::as_str),
+            Some("part 2")
+        );
+        on_every_worker(&pool.shared, 2, || ());
+        assert_eq!(pool.threads_started(), 2);
+        assert_eq!(on(pool, || map_ranges(4, 2, |r| r.len())), [2, 2]);
     }
 
     #[test]
@@ -253,12 +598,10 @@ mod tests {
         assert_eq!(threads(), host);
     }
 
-    #[test]
-    fn helper_parts_report_into_the_callers_scope_under_its_span() {
-        use crate::{counter, force_mode, span, test_lock, Counter, TraceMode};
-        let _l = test_lock::hold();
-        force_mode(Some(TraceMode::Full));
-        crate::reset();
+    /// Splits 6 items 1, 2 and 3 ways under a local scope and a span, each
+    /// part nesting a split of its own, and checks the request's report.
+    fn splits_report_into_the_callers_scope() {
+        use crate::{counter, span, Counter};
         for parts in 1..=3 {
             let local = crate::begin_local();
             {
@@ -281,13 +624,45 @@ mod tests {
                 "a part's span lost its path"
             );
         }
-        // Every part recorded globally too, under the same path.
-        assert_eq!(crate::global_counter(Counter::OtBase), 18);
-        let global = crate::global_report();
-        assert_eq!(global.span_stat("outer/inner").unwrap().count, 1 + 2 + 3);
-        // Without a scope on the caller, nothing is collected locally.
-        map_ranges(4, 2, |r| counter::add(Counter::OtBase, r.len() as u64));
-        assert_eq!(crate::global_counter(Counter::OtBase), 22);
+    }
+
+    #[test]
+    fn helper_parts_report_into_the_callers_scope_under_its_span() {
+        use crate::{counter, force_mode, test_lock, Counter, TraceMode};
+        let _l = test_lock::hold();
+        force_mode(Some(TraceMode::Full));
+        // Off every pool (the process-wide pool's workers take parts), then
+        // on the busy only worker of a pool (every part reclaimed inline).
+        let busy = pool(1);
+        let runs: [&dyn Fn(); 2] = [&|| off_pools(splits_report_into_the_callers_scope), &|| {
+            on(busy, splits_report_into_the_callers_scope)
+        }];
+        for run in runs {
+            crate::reset();
+            run();
+            // Every part recorded globally too, under the same path.
+            assert_eq!(crate::global_counter(Counter::OtBase), 18);
+            let global = crate::global_report();
+            assert_eq!(global.span_stat("outer/inner").unwrap().count, 1 + 2 + 3);
+            // Without a scope on the caller, nothing is collected locally.
+            map_ranges(4, 2, |r| counter::add(Counter::OtBase, r.len() as u64));
+            assert_eq!(crate::global_counter(Counter::OtBase), 22);
+        }
+        // A part a worker surely runs (part 0 waits for it to start), under
+        // a scope, a span and a pinned width on both sides.
+        let both = Barrier::new(2);
+        with_threads(2, || {
+            let _scope = crate::begin_local();
+            let _outer = span("outer");
+            map_ranges(2, 2, |_| with_threads(3, || both.wait()));
+        });
+        // No worker keeps a task's or a part's span stack, scope or width.
+        let clean = (Vec::new(), false, 0);
+        for (pool, width) in [(&process_pool().shared, host()), (&busy.shared, 1)] {
+            assert!(on_every_worker(pool, width, leftover)
+                .iter()
+                .all(|l| *l == clean));
+        }
         force_mode(None);
         crate::reset();
     }
