@@ -315,15 +315,6 @@ impl ClientOtState {
         Self { half, next }
     }
 
-    /// The protocol kind whose sessions run on this state: the one in
-    /// which the server plays this half's extension role.
-    pub(crate) fn kind(&self) -> ProtocolKind {
-        match self.half {
-            OtHalf::Sender(_) => ProtocolKind::ServerGarbler,
-            OtHalf::Receiver(_) => ProtocolKind::ClientGarbler,
-        }
-    }
-
     /// Bytes the state occupies — the quantity the session table's byte
     /// budget meters.
     pub(crate) fn resident_byte_len(&self) -> usize {

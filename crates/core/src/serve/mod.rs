@@ -17,32 +17,24 @@
 //!   model's [`ServerPrecomp`] (its encoded diagonals, and in HE mode the
 //!   encoder and the key plan) and keeps it with the model for the
 //!   runtime's lifetime; every session of the model reads it.
-//! * **Two session tables** — byte-budgeted LRUs (`ByteLru`, `table.rs`),
-//!   one for every client's uploaded rotation keys ([`ClientHeKeys`],
-//!   keyed by client and key plan — a set is only ever used for a model it
-//!   was admitted for, and models with one plan share it), one for every
-//!   client pair's post-base-OT IKNP state (`ClientOtState`, keyed by
-//!   client and protocol kind, i.e. by which extension role the server
-//!   plays). Eviction drops only the table's
-//!   reference (in-flight sessions keep their `Arc`); an evicted client
-//!   simply re-uploads the keys [`crate::ServiceClient`] retains, or runs
-//!   base OT again, on its next request, driven by the
-//!   [`KeyStatus`](crate::msg::Msg::KeyStatus) handshake. A key upload makes its room *before* it is decoded
-//!   (`ByteLru::make_room`, once its headers are the model's plan),
-//!   and is decoded into the victim's memory when no session holds that
-//!   any more: a full key table turns over in place, so the memory a
-//!   churning runtime holds is its budget's, not a function of which
-//!   worker's allocator arena each set happened to be decoded in.
-//! * **Base OT once per client pair** — `connect` looks the pair's IKNP
-//!   state up, reserves the session's range of PRG blocks in it (an atomic
-//!   cursor: concurrent sessions of one client get disjoint ranges, and an
-//!   aborted session burns its range, nothing rewinds) and announces the
-//!   base in `KeyStatus`; the session then skips the three base-OT
-//!   messages. On a miss the session runs them, starts at block 0, and its
-//!   state enters the table the moment base OT finishes. A client that
-//!   lost its half while the server still holds the other is refused
-//!   (`BadRequest` on the client) until the entry is evicted — as with HE
-//!   keys.
+//! * **One session table under one budget** — every client's uploaded
+//!   rotation keys and every client pair's post-base-OT IKNP state, in one
+//!   byte-budgeted LRU (`table.rs`) that a session reaches through its
+//!   client's handle. Eviction drops only the table's reference; an
+//!   evicted client re-uploads the keys [`crate::ServiceClient`] retains,
+//!   or runs base OT again, on its next request, driven by the
+//!   [`KeyStatus`](crate::msg::Msg::KeyStatus) handshake. A key upload
+//!   makes its room before it is decoded (`ByteLru::make_room`) and is
+//!   decoded into an evicted set no session holds: a full table turns over
+//!   in place, so a churning runtime holds its budget's memory, not a
+//!   function of which worker's allocator arena each set was decoded in.
+//! * **Base OT once per client pair** — the session body looks the pair's
+//!   IKNP state up in its first poll and reserves its range of PRG blocks
+//!   there (an atomic cursor: concurrent sessions of one client get
+//!   disjoint ranges, and an aborted session burns its range, nothing
+//!   rewinds). A client that lost its half while the server still holds
+//!   the other is refused (`BadRequest` on the client) until the entry is
+//!   evicted — as with HE keys.
 //! * **One run queue** — session pumps are tasks on the runtime's
 //!   [`pi_trace::par::Pool`], `workers` threads on one FIFO, and so are
 //!   the helper parts of a session's own split work
@@ -66,10 +58,11 @@
 //! Concurrency discipline per session slot: the *inbox* lock is the only
 //! one an uplink takes (always short); the *body* lock serializes the polls
 //! and is only contended when a pump is already running — which the
-//! `scheduled` flag prevents. The session future holds the runtime weakly
-//! and shares only its inbox, never its slot. A session's trace covers all
-//! of its work; the runtime's [`ServeRuntime::aggregate_trace`] is the
-//! merge of every finished session's.
+//! `scheduled` flag prevents. The session future holds the session table,
+//! never the runtime, and shares only its inbox, never its slot. A
+//! session's trace covers all of its work; the runtime's
+//! [`ServeRuntime::aggregate_trace`] is the merge of every finished
+//! session's.
 
 pub mod session;
 
@@ -78,9 +71,7 @@ mod table;
 pub use table::TableStats;
 
 use crate::channel::{service_pair, Channel, ChannelError, ChannelTx, ClientEvent, Peer};
-use crate::common::{
-    ClientHeKeys, ClientOtState, PartyOutcome, ProtocolConfig, ProtocolKind, ServerPrecomp,
-};
+use crate::common::{PartyOutcome, ProtocolConfig, ServerPrecomp};
 use crate::error::ProtocolError;
 use pi_nn::PiModel;
 use pi_trace::par::Pool;
@@ -92,17 +83,17 @@ use std::future::Future;
 use std::pin::Pin;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 use std::task::{Context, Poll, Waker};
-use table::ByteLru;
+use table::{CacheKey, ClientCache, SessionTable};
 
 /// Serving-runtime configuration.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
     /// Worker threads (0 = `PI_WORKERS` env or the machine's parallelism).
     pub workers: usize,
-    /// Byte budget of each of the two session tables (client keys;
-    /// client-pair OT state), enforced across the whole table.
+    /// Byte budget of the session table, enforced across every client's
+    /// keys and OT state together.
     pub table_budget_bytes: u64,
 }
 
@@ -152,8 +143,7 @@ struct Inner {
     models: parking_lot::Mutex<Vec<Arc<ModelEntry>>>,
     slots: parking_lot::Mutex<HashMap<u64, Arc<Slot>>>,
     next_sid: AtomicU64,
-    keys_table: ByteLru<(u64, Vec<usize>), ClientHeKeys>,
-    ot_table: ByteLru<(u64, ProtocolKind), ClientOtState>,
+    cache: Arc<SessionTable>,
     agg_trace: parking_lot::Mutex<pi_trace::TraceReport>,
     // Behind an Option so `Drop` can take and join the pool on the runtime
     // thread — if the pool died with the last `Arc<Inner>` inside one of
@@ -212,8 +202,7 @@ impl ServeRuntime {
             models: parking_lot::Mutex::new(Vec::new()),
             slots: parking_lot::Mutex::new(HashMap::new()),
             next_sid: AtomicU64::new(0),
-            keys_table: ByteLru::new(cfg.table_budget_bytes),
-            ot_table: ByteLru::new(cfg.table_budget_bytes),
+            cache: Arc::new(SessionTable::new(cfg.table_budget_bytes)),
             agg_trace: parking_lot::Mutex::new(pi_trace::TraceReport::default()),
             pool: parking_lot::Mutex::new(Some(Pool::new(workers))),
             workers,
@@ -237,11 +226,11 @@ impl ServeRuntime {
     }
 
     /// Opens a session for `client_id` against `model_id`, seeding the
-    /// server's session RNG with `server_seed`. If the session table still
+    /// server's session RNG with `server_seed`. The session looks the
+    /// client up in the session table in its first poll: if the table still
     /// holds the rotation keys the client uploaded for this model's key
-    /// plan, the session skips the key upload; if it still holds the pair's
-    /// IKNP state, the session's range of it is reserved here and the
-    /// session skips base OT.
+    /// plan, it skips the key upload; if it still holds the pair's IKNP
+    /// state, it reserves its range there and skips base OT.
     ///
     /// # Panics
     ///
@@ -265,19 +254,11 @@ impl ServeRuntime {
             }
             Ok(())
         }));
-        let cached = (entry.pre.key_plan())
-            .and_then(|plan| inner.keys_table.get(&(client_id, plan.to_vec())));
-        let cached_ot = inner.ot_table.get(&(client_id, entry.cfg.kind));
-        let session = ServerSession::new(
-            &entry.model,
-            &entry.cfg,
-            StdRng::seed_from_u64(server_seed),
-            cached,
-            cached_ot,
-        );
+        let rng = StdRng::seed_from_u64(server_seed);
+        let session = ServerSession::new(&entry.model, &entry.cfg, rng);
+        let cache = ClientCache(inner.cache.clone(), client_id);
         let inbox = Inbox::default();
-        let runtime = Arc::downgrade(inner);
-        let session = serve(session, entry, tx, inbox.clone(), runtime, client_id);
+        let session = serve(session, entry, tx, inbox.clone(), cache);
         let (result_tx, result_rx) = channel();
         let slot = Arc::new(Slot {
             sid,
@@ -302,26 +283,26 @@ impl ServeRuntime {
         self.inner.workers
     }
 
-    /// Counters of the client-key session table.
+    /// Counters of the client key sets in the session table.
     pub fn key_table_stats(&self) -> TableStats {
-        self.inner.keys_table.stats()
+        self.inner.cache.stats(CacheKey::KEYS)
     }
 
     /// Bytes of client key material currently resident in the session
     /// table.
     pub fn key_table_bytes(&self) -> u64 {
-        self.inner.keys_table.used_bytes()
+        self.inner.cache.used_bytes(CacheKey::KEYS)
     }
 
-    /// Counters of the client-pair OT-state session table.
+    /// Counters of the client-pair OT states in the session table.
     pub fn ot_table_stats(&self) -> TableStats {
-        self.inner.ot_table.stats()
+        self.inner.cache.stats(CacheKey::OT)
     }
 
     /// Bytes of client-pair OT state currently resident in the session
     /// table.
     pub fn ot_table_bytes(&self) -> u64 {
-        self.inner.ot_table.used_bytes()
+        self.inner.cache.used_bytes(CacheKey::OT)
     }
 
     /// Snapshot of the runtime-wide trace: the merge of every finished
@@ -366,17 +347,14 @@ fn workers_from_env(value: Option<&str>) -> usize {
 }
 
 /// One session as the runtime runs it: the session body on the slot's
-/// inbox, with the keys and the IKNP state it yields cached in the
-/// runtime's tables under `client_id`. Holds the runtime weakly: a strong
-/// reference, kept in the runtime's own slot, would keep the downlink alive
-/// after the runtime is dropped.
+/// inbox, with its client's handle on the session table — never the
+/// runtime, which its slot would then keep, and the downlink with it.
 async fn serve(
     session: ServerSession,
     entry: Arc<ModelEntry>,
     tx: ChannelTx,
     inbox: Inbox,
-    runtime: Weak<Inner>,
-    client_id: u64,
+    cache: ClientCache,
 ) -> Result<PartyOutcome, ProtocolError> {
     let recv = || {
         let event = inbox.lock().pop_front()?;
@@ -385,32 +363,10 @@ async fn serve(
             ClientEvent::Gone => Err(ProtocolError::Channel(ChannelError::Disconnected)),
         })
     };
-    // The eviction a key upload's insert would do, done before the decode:
-    // a victim no session still holds is what the new set is built in.
-    let retired_keys = |bytes: usize| {
-        let evicted = runtime.upgrade()?.keys_table.make_room(bytes as u64);
-        evicted.into_iter().find_map(Arc::into_inner)
-    };
-    let got_keys = |keys: Arc<ClientHeKeys>| {
-        if let (Some(inner), Some(plan)) = (runtime.upgrade(), entry.pre.key_plan()) {
-            let bytes = keys.resident_byte_len() as u64;
-            let key = (client_id, plan.to_vec());
-            inner.keys_table.insert(key, keys, bytes);
-        }
-    };
-    let got_ot = |ot: Arc<ClientOtState>| {
-        if let Some(inner) = runtime.upgrade() {
-            let bytes = ot.resident_byte_len() as u64;
-            let key = (client_id, entry.cfg.kind);
-            inner.ot_table.insert(key, ot, bytes);
-        }
-    };
     let ctx = SessionCtx {
         model: &entry.model,
         pre: &entry.pre,
-        retired_keys: &retired_keys,
-        got_keys: &got_keys,
-        got_ot: &got_ot,
+        cache: Some(&cache),
     };
     let peer = Peer {
         sink: &tx,
@@ -475,6 +431,7 @@ fn pump(inner: &Arc<Inner>, slot: &Arc<Slot>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::{ClientOtState, ProtocolKind};
     use crate::msg::Msg;
     use pi_nn::{zoo, FixedConfig, Network, QuantNetwork};
     use pi_ot::ext::{OtExtSender, SenderSetup, KAPPA};
@@ -510,8 +467,7 @@ mod tests {
         let seeds = vec![0; KAPPA];
         let ext = Arc::new(OtExtSender::new(SenderSetup { s: 0, seeds }));
         let kept = Arc::new(ClientOtState::sender(ext, blocks));
-        let bytes = kept.resident_byte_len() as u64;
-        rt.inner.ot_table.insert((9, kind), kept.clone(), bytes);
+        ClientCache(rt.inner.cache.clone(), 9).insert_ot(kind, kept.clone());
 
         let (threads, per_thread) = (4, 8);
         let barrier = Barrier::new(threads);

@@ -38,11 +38,11 @@
 //! client opens the session with its setup — then the masks or shares,
 //! then per-phase garbling.
 //!
-//! **Base OT runs once per client pair.** A session created with the
-//! pair's cached `ClientOtState` reserves its range of the IKNP streams
-//! there and goes from the linear responses straight to garbling; one
-//! created without runs the three base-OT messages, starts at block 0 and
-//! hands the state up (`SessionCtx::got_ot`) the moment it exists. From
+//! **Base OT runs once per client pair.** A session that finds the pair's
+//! IKNP state in the runtime's session table (`SessionCtx::cache`) reserves
+//! its range of the streams there and goes from the linear responses
+//! straight to garbling; one that does not runs the three base-OT messages,
+//! starts at block 0 and caches the state the moment it exists. From
 //! there on the two are the same code: a fresh pair is the cached path at
 //! base 0. Client-Garbler's base OT follows the linear responses.
 //! Server-Garbler's straddles the linear pass: the server answers the
@@ -61,6 +61,7 @@ use crate::msg::Msg;
 use crate::role::{
     decode_outputs, encode, BaseReceiver, BaseSender, Garbler, LabelRequest, OtStream, PhaseTables,
 };
+use crate::serve::table::ClientCache;
 use pi_gc::Label;
 use pi_he::linalg::{self, BsgsDiagonals};
 use pi_he::{Ciphertext, Plaintext};
@@ -80,27 +81,10 @@ pub(crate) struct SessionCtx<'a> {
     /// diagonals and, in HE mode, the encoder and key plan the HE pass
     /// reads.
     pub pre: &'a ServerPrecomp,
-    /// A key set nobody uses any more, for an admitted upload of the given
-    /// resident size to be decoded into ([`ClientHeKeys::admit`]): what the
-    /// runtime's key table evicts to make that room, nothing for a lone
-    /// session.
-    pub retired_keys: &'a (dyn Fn(usize) -> Option<ClientHeKeys> + Sync),
-    /// Takes the HE keys the client just uploaded, the moment they are
-    /// admitted — the runtime caches them in its session table, so even a
-    /// session that later fails leaves them cached.
-    pub got_keys: &'a (dyn Fn(Arc<ClientHeKeys>) + Sync),
-    /// Takes the server's half of the pair's IKNP state the moment base OT
-    /// finishes, likewise.
-    pub got_ot: &'a (dyn Fn(Arc<ClientOtState>) + Sync),
-}
-
-/// The offline linear pass, by what it starts from.
-enum Linear {
-    /// Under HE, with the client's rotation keys as the session table
-    /// holds them, or `None`: awaiting their upload.
-    He(Option<Arc<ClientHeKeys>>),
-    /// On cleartext `r_cat`s.
-    Clear,
+    /// The client's handle on the runtime's session table, `None` for a
+    /// lone session: what the session finds there it skips, and what it
+    /// admits or builds goes in the moment it exists.
+    pub cache: Option<&'a ClientCache>,
 }
 
 /// The IKNP stream the server's role takes up: the garbler's extension
@@ -135,47 +119,19 @@ pub(crate) struct ServerSession {
     /// Threads the offline matvecs split across (`lphe_threads`).
     lphe_threads: usize,
     rng: StdRng,
-    linear: Linear,
-    /// The pair's cached IKNP stream from this session's reserved block;
-    /// `None` runs base OT.
-    ot: Option<OtStart>,
+    /// Whether the offline linear pass runs under HE.
+    under_he: bool,
 }
 
 impl ServerSession {
     /// Creates a session for one inference of `model` under `cfg`.
-    /// `cached_keys` is the client's rotation keys **as admitted for this
-    /// model's key plan**, if the server's session table still holds them
-    /// (the session then skips the upload); `cached_ot` likewise the pair's
-    /// IKNP state (the session reserves its stream range there, now, and
-    /// skips base OT) — state of the other protocol kind is not this
-    /// session's and is ignored.
-    pub(crate) fn new(
-        model: &PiModel,
-        cfg: &ProtocolConfig,
-        rng: StdRng,
-        cached_keys: Option<Arc<ClientHeKeys>>,
-        cached_ot: Option<Arc<ClientOtState>>,
-    ) -> Self {
-        let meta = ModelMeta::of(model);
-        let linear = match cfg.he() {
-            Some(_) => Linear::He(cached_keys),
-            None => Linear::Clear,
-        };
-        let cached = cached_ot.filter(|ot| ot.kind() == cfg.kind);
-        let ot = cached.and_then(|ot| {
-            let base = ot.reserve(meta.ot_blocks(cfg.kind));
-            match cfg.kind {
-                ProtocolKind::ServerGarbler => ot.sender_at(base).map(OtStart::Sender),
-                ProtocolKind::ClientGarbler => ot.receiver_at(base).map(OtStart::Receiver),
-            }
-        });
+    pub(crate) fn new(model: &PiModel, cfg: &ProtocolConfig, rng: StdRng) -> Self {
         Self {
             kind: cfg.kind,
-            meta,
+            meta: ModelMeta::of(model),
             lphe_threads: cfg.lphe_threads,
             rng,
-            linear,
-            ot,
+            under_he: cfg.he().is_some(),
         }
     }
 
@@ -203,13 +159,21 @@ impl ServerSession {
             meta,
             lphe_threads,
             mut rng,
-            linear,
-            ot,
+            under_he,
         } = self;
         // Every session opens with what the server holds of this client:
         // whether its HE keys must be uploaded, and whether (and from which
         // block) the session runs on cached IKNP state instead of base OT.
-        let need_keys = matches!(linear, Linear::He(None));
+        let cache = ctx.cache;
+        let cached_keys = (cache.zip(ctx.pre.key_plan())).and_then(|(c, plan)| c.keys(plan));
+        let ot = cache.and_then(|c| c.ot(kind)).and_then(|ot| {
+            let base = ot.reserve(meta.ot_blocks(kind));
+            match kind {
+                ProtocolKind::ServerGarbler => ot.sender_at(base).map(OtStart::Sender),
+                ProtocolKind::ClientGarbler => ot.receiver_at(base).map(OtStart::Receiver),
+            }
+        });
+        let need_keys = under_he && cached_keys.is_none();
         let (ot_cached, ot_base) = match &ot {
             Some(OtStart::Sender(ot)) => (Msg::OT_CACHED, ot.block()),
             Some(OtStart::Receiver(ot)) => (Msg::OT_CACHED, ot.block()),
@@ -236,82 +200,80 @@ impl ServerSession {
         // ---------------- Offline linear pass ----------------
         // The whole upload first, then every phase's answer at once, in
         // phase order; `s_vecs` are the server's shares.
-        let s_vecs = match linear {
-            Linear::He(cached) => {
-                let keys = match cached {
-                    Some(keys) => keys,
-                    // Keys arrive as a serialized seed-expanded frame; one
-                    // that fails to parse, or holds anything but the model's
-                    // key plan, is the client's fault and aborts only this
-                    // session.
-                    None => {
-                        let frame = recv!(peer, HeKeys);
-                        let (he, _) = ctx.pre.he()?;
-                        let keys = {
-                            let _phase = pi_trace::span!("offline.he");
-                            let _span = pi_trace::span!("he.keys_admit");
-                            let params = he.encoder.params();
-                            let admitted =
-                                ClientHeKeys::admit(&frame, params, &he.plan, ctx.retired_keys)?;
-                            Arc::new(admitted)
-                        };
-                        (ctx.got_keys)(keys.clone());
-                        keys
+        let s_vecs = if under_he {
+            let keys = match cached_keys {
+                Some(keys) => keys,
+                // Keys arrive as a serialized seed-expanded frame; one
+                // that fails to parse, or holds anything but the model's
+                // key plan, is the client's fault and aborts only this
+                // session.
+                None => {
+                    let frame = recv!(peer, HeKeys);
+                    let (he, _) = ctx.pre.he()?;
+                    let keys = {
+                        let _phase = pi_trace::span!("offline.he");
+                        let _span = pi_trace::span!("he.keys_admit");
+                        let params = he.encoder.params();
+                        let room = |bytes| cache.and_then(|c| c.room_for_keys(bytes));
+                        Arc::new(ClientHeKeys::admit(&frame, params, &he.plan, room)?)
+                    };
+                    if let Some(c) = cache {
+                        c.insert_keys(&he.plan, keys.clone());
                     }
-                };
-                let mut cts = Vec::with_capacity(meta.phases.len());
-                for _ in &meta.phases {
-                    let frame = recv!(peer, HeCts);
-                    let params = ctx.pre.he()?.0.encoder.params();
-                    let ct = pi_he::ciphertext_from_bytes(&frame, params)?;
-                    if ct.c0.ctx().q() != params.q() {
-                        return Err(ProtocolError::BadRequest(
-                            "offline upload not at the full ciphertext modulus",
-                        ));
-                    }
-                    cts.push(ct);
+                    keys
                 }
-                // Each product's replica blocks go out under a fresh mask
-                // that the client's fold turns into `W·r − s`.
-                let (he, diagonals) = ctx.pre.he()?;
-                let params = he.encoder.params();
-                let _span = pi_trace::span!("offline.he");
-                let (masks, s_vecs): (Vec<Plaintext>, _) = (meta.phases.iter())
-                    .map(|ph| linalg::replica_mask(&he.encoder, ph.padded_dim, ph.rows, &mut rng))
-                    .unzip();
-                let prods = matvecs(&cts, &keys, diagonals, lphe_threads);
-                for (prod, mask) in prods.iter().zip(&masks) {
-                    // Every server→client response is modulus-down-switched
-                    // before serialization: fewer packed bits per
-                    // coefficient AND more absolute noise headroom at the
-                    // GC handoff.
-                    let resp = prod.add_plain(mask, params).mod_switch_down(params);
-                    peer.sink
-                        .send(Msg::HeCts(pi_he::ciphertext_to_bytes(&resp)))?;
+            };
+            let mut cts = Vec::with_capacity(meta.phases.len());
+            for _ in &meta.phases {
+                let frame = recv!(peer, HeCts);
+                let params = ctx.pre.he()?.0.encoder.params();
+                let ct = pi_he::ciphertext_from_bytes(&frame, params)?;
+                if ct.c0.ctx().q() != params.q() {
+                    return Err(ProtocolError::BadRequest(
+                        "offline upload not at the full ciphertext modulus",
+                    ));
                 }
-                s_vecs
+                cts.push(ct);
             }
-            Linear::Clear => {
-                let mut r_cats = Vec::with_capacity(meta.phases.len());
-                for ph in &meta.phases {
-                    let r_cat = recv!(peer, VecU64);
-                    if r_cat.len() != ph.cols || !reduced(&r_cat, p) {
-                        return Err(ProtocolError::BadRequest("offline input vector"));
-                    }
-                    r_cats.push(r_cat);
-                }
-                // The shares are drawn where an HE session draws its masks
-                // (and takes each `s_i` from its mask).
-                let rows = meta.phases.iter().map(|ph| ph.rows);
-                let s_vecs = random_field_vecs(rows, p, &mut rng);
-                let _span = pi_trace::span!("offline.he");
-                for ((r_cat, ph), s_i) in r_cats.iter().zip(&ctx.model.phases).zip(&s_vecs) {
-                    let wr = ph.apply_linear(r_cat, p);
-                    let share = wr.iter().zip(s_i).map(|(&a, &s)| p.sub(a, s)).collect();
-                    peer.sink.send(Msg::VecU64(share))?;
-                }
-                s_vecs
+            // Each product's replica blocks go out under a fresh mask
+            // that the client's fold turns into `W·r − s`.
+            let (he, diagonals) = ctx.pre.he()?;
+            let params = he.encoder.params();
+            let _span = pi_trace::span!("offline.he");
+            let (masks, s_vecs): (Vec<Plaintext>, _) = (meta.phases.iter())
+                .map(|ph| linalg::replica_mask(&he.encoder, ph.padded_dim, ph.rows, &mut rng))
+                .unzip();
+            let prods = matvecs(&cts, &keys, diagonals, lphe_threads);
+            for (prod, mask) in prods.iter().zip(&masks) {
+                // Every server→client response is modulus-down-switched
+                // before serialization: fewer packed bits per
+                // coefficient AND more absolute noise headroom at the
+                // GC handoff.
+                let resp = prod.add_plain(mask, params).mod_switch_down(params);
+                peer.sink
+                    .send(Msg::HeCts(pi_he::ciphertext_to_bytes(&resp)))?;
             }
+            s_vecs
+        } else {
+            let mut r_cats = Vec::with_capacity(meta.phases.len());
+            for ph in &meta.phases {
+                let r_cat = recv!(peer, VecU64);
+                if r_cat.len() != ph.cols || !reduced(&r_cat, p) {
+                    return Err(ProtocolError::BadRequest("offline input vector"));
+                }
+                r_cats.push(r_cat);
+            }
+            // The shares are drawn where an HE session draws its masks
+            // (and takes each `s_i` from its mask).
+            let rows = meta.phases.iter().map(|ph| ph.rows);
+            let s_vecs = random_field_vecs(rows, p, &mut rng);
+            let _span = pi_trace::span!("offline.he");
+            for ((r_cat, ph), s_i) in r_cats.iter().zip(&ctx.model.phases).zip(&s_vecs) {
+                let wr = ph.apply_linear(r_cat, p);
+                let share = wr.iter().zip(s_i).map(|(&a, &s)| p.sub(a, s)).collect();
+                peer.sink.send(Msg::VecU64(share))?;
+            }
+            s_vecs
         };
 
         // ---------------- Offline GC stage ----------------
@@ -328,7 +290,9 @@ impl ServerSession {
                     let _span = pi_trace::span!("offline.ot");
                     receiver.finish(&transfer)?
                 };
-                (ctx.got_ot)(Arc::new(ClientOtState::sender(ext.clone(), used)));
+                if let Some(c) = cache {
+                    c.insert_ot(kind, Arc::new(ClientOtState::sender(ext.clone(), used)));
+                }
                 OtStart::Sender(OtStream::at(ext, 0))
             }
             // Client-Garbler: the server opens base OT (the evaluator's
@@ -348,7 +312,9 @@ impl ServerSession {
                     peer.sink.send(Msg::OtBaseTransfer(transfer))?;
                     ext
                 };
-                (ctx.got_ot)(Arc::new(ClientOtState::receiver(ext.clone(), used)));
+                if let Some(c) = cache {
+                    c.insert_ot(kind, Arc::new(ClientOtState::receiver(ext.clone(), used)));
+                }
                 OtStart::Receiver(OtStream::at(ext, 0))
             }
         };
@@ -512,11 +478,9 @@ pub fn drive_sync(
     let ctx = SessionCtx {
         model,
         pre,
-        retired_keys: &|_| None,
-        got_keys: &|_| {},
-        got_ot: &|_| {},
+        cache: None,
     };
-    let session = ServerSession::new(model, cfg, rng, None, None);
+    let session = ServerSession::new(model, cfg, rng);
     let mut out = block_on(session.run(ctx, peer))?;
     drop(root_span);
     out.trace = trace_scope.finish();

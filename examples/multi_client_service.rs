@@ -172,7 +172,9 @@ fn main() {
     // cores).
     println!("\nconcurrent serving runtime (tiny-cnn, client-garbler HE, 8 clients):");
     let meta = ModelMeta::of(&model);
-    let rt = ServeRuntime::new(ServeConfig::default());
+    let serve_cfg = ServeConfig::default();
+    let budget = serve_cfg.table_budget_bytes;
+    let rt = ServeRuntime::new(serve_cfg);
     let model_id = rt.register_model(model.clone(), cfg.clone());
     let clients = 8u64;
     let inputs: Vec<Vec<u64>> = (0..clients)
@@ -213,13 +215,18 @@ fn main() {
     });
     let conc_ms = t_conc.elapsed().as_secs_f64() * 1e3;
 
+    // Both kinds of client state share the table's one budget.
     let stats = rt.key_table_stats();
+    let (key_bytes, ot_bytes) = (rt.key_table_bytes(), rt.ot_table_bytes());
+    assert!(key_bytes + ot_bytes <= budget, "session table over budget");
     println!(
-        "  session table: {} key uploads cached, {} hits, {} evictions ({:.1} MB resident)",
+        "  session table: {} key uploads cached, {} hits, {} evictions; {:.1} MB keys + {:.1} KB OT state resident of one {} MiB budget",
         stats.inserts,
         stats.hits,
         stats.evictions,
-        rt.key_table_bytes() as f64 / 1e6
+        key_bytes as f64 / 1e6,
+        ot_bytes as f64 / 1e3,
+        budget >> 20
     );
     println!(
         "  sequential {seq_ms:.0} ms vs concurrent {conc_ms:.0} ms on {} worker(s)",
@@ -261,7 +268,7 @@ fn main() {
     assert_eq!((base_ot_first, base_ot_second), (128, 0));
     let ot = rt.ot_table_stats();
     println!(
-        "  returning client: first request {first_ms:.0} ms ({base_ot_first} base OTs), second {second_ms:.0} ms ({base_ot_second}); OT table: {} cached, {} hits ({:.1} KB resident)",
+        "  returning client: first request {first_ms:.0} ms ({base_ot_first} base OTs), second {second_ms:.0} ms ({base_ot_second}); OT states: {} cached, {} hits ({:.1} KB resident)",
         ot.inserts,
         ot.hits,
         rt.ot_table_bytes() as f64 / 1e3

@@ -287,8 +287,9 @@ fn key_table_eviction_forces_reupload_and_stays_correct() {
         assert!(first.trace.span_stat("he.keys_generate").is_some());
         assert!(again.trace.span_stat("he.keys_generate").is_none());
     }
-    // The OT table is a table of its own under the same budget: client 1's
-    // state evicted client 0's, so base OT ran in all three sessions.
+    // The OT states share the one budget with the keys: each request's
+    // room for its keys evicted the previous request's state, so base OT
+    // ran in all three sessions.
     let ot = rt.ot_table_stats();
     assert_eq!((ot.inserts, ot.hits), (3, 0), "ot stats: {ot:?}");
     assert!(ot.evictions >= 1, "ot stats: {ot:?}");
@@ -329,6 +330,40 @@ fn a_full_key_table_turns_over_in_place_and_stays_correct() {
     }
 }
 
+/// One budget covers both kinds: with room for exactly two key sets and a
+/// new client every request, the pairs' OT states are metered under the
+/// same budget as the keys, so the two kinds together never exceed it and
+/// every output is still the plaintext model's.
+#[test]
+fn one_budget_covers_keys_and_ot_state() {
+    let he = BfvParams::small_test();
+    let model = build_model(&he, 11);
+    let cfg = ProtocolConfig::client_garbler(he.clone(), 1);
+    let meta = ModelMeta::of(&model);
+    let budget = 2 * pi_he::GaloisKeys::resident_byte_len_of(&he, meta.key_plan(&he).len()) as u64;
+    let rt = ServeRuntime::new(ServeConfig {
+        workers: 2,
+        table_budget_bytes: budget,
+    });
+    let model_id = rt.register_model(model.clone(), cfg.clone());
+    for c in 0..5u64 {
+        let conn = rt.connect(c, model_id, c);
+        let input = random_input(&model, 210 + c);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(230 + c);
+        let (out, _) = ServiceClient::new()
+            .run(&meta, &input, &cfg, &conn.chan, &mut rng)
+            .expect("client run");
+        assert_eq!(out, model.forward(&input), "client {c}");
+        conn.handle.wait().expect("server outcome");
+        let (keys, ot) = (rt.key_table_bytes(), rt.ot_table_bytes());
+        assert!(ot > 0, "after client {c}: no OT state resident");
+        assert!(
+            keys + ot <= budget,
+            "after client {c}: {keys} B of keys + {ot} B of OT state > {budget} B"
+        );
+    }
+}
+
 #[test]
 fn key_table_hit_skips_the_upload() {
     let he = BfvParams::small_test();
@@ -356,10 +391,10 @@ fn key_table_hit_skips_the_upload() {
     let stats = rt.key_table_stats();
     assert!(stats.hits >= 1, "stats: {stats:?}");
     assert_eq!(stats.inserts, 1);
-    // The OT state is not an entry of the key table: one insert, one hit
-    // and 128 seed pairs (32 B each, plus the state's 48 B inline) resident
-    // in a table of its own — seeds, not group elements, so the entry's
-    // size does not depend on the base-OT group.
+    // The OT state is an entry of its own kind, counted apart from the
+    // keys: one insert, one hit and 128 seed pairs (32 B each, plus the
+    // state's 48 B inline) resident — seeds, not group elements, so the
+    // entry's size does not depend on the base-OT group.
     let ot = rt.ot_table_stats();
     assert_eq!((ot.inserts, ot.hits, ot.misses), (1, 1, 1), "ot: {ot:?}");
     assert_eq!(rt.ot_table_bytes(), 4_144);
