@@ -232,6 +232,15 @@ impl ServiceClient {
             }
             other => return Err(unexpected("KeyStatus", &other)),
         };
+        // A server that claims to cache keys this client does not hold for
+        // the plan is refused before anything is sent.
+        if let (false, Some(he)) = (upload, cfg.he()) {
+            if !self.retained.contains_key(&meta.key_plan(he)) {
+                return Err(ProtocolError::BadRequest(
+                    "server caches keys this client does not hold",
+                ));
+            }
+        }
         assert_eq!(input.len(), meta.input_len, "input length mismatch");
         let p = meta.p;
         let k = meta.relu_width;
@@ -425,12 +434,12 @@ impl ServiceClient {
     /// key plan or generates (and retains) a secret key and exactly that
     /// plan's rotation keys — the replicated schedule's rotations for
     /// every linear-layer dimension the model metadata announces — written
-    /// straight into their upload frame; accounts the key material, and
-    /// uploads the frame when `upload`: a session whose server still
-    /// caches the keys skips the upload (a `tiny_cnn` plan at n = 4096 is
-    /// two keys, ≈0.2 MB on the wire), and one that claims
-    /// to cache keys this client does not hold for the plan is refused
-    /// before anything is sent.
+    /// straight into their upload frame; uploads the frame, and accounts
+    /// it, when `upload`: a session whose server still caches the keys
+    /// skips the upload (a `tiny_cnn` plan at n = 4096 is two keys, ≈0.2 MB
+    /// on the wire). [`ServiceClient::session`] has already refused a
+    /// claim of cached keys this client does not hold, so keys are only
+    /// generated for an upload.
     fn he_context<'a, R: Rng + ?Sized>(
         &mut self,
         meta: &ModelMeta,
@@ -447,11 +456,6 @@ impl ServiceClient {
         );
         let keys = match self.retained.entry(meta.key_plan(params)) {
             Entry::Occupied(kept) => kept.get().clone(),
-            Entry::Vacant(_) if !upload => {
-                return Err(ProtocolError::BadRequest(
-                    "server caches keys this client does not hold",
-                ));
-            }
             Entry::Vacant(slot) => {
                 let _span = pi_trace::span!("he.keys_generate");
                 let secret = SecretKey::generate(params, rng);
@@ -459,10 +463,10 @@ impl ServiceClient {
                 slot.insert(Arc::new(ClientKeys { secret, frame })).clone()
             }
         };
-        // Accounting reports the serialized frame length — the bytes that
-        // actually cross the wire — not the in-memory footprint.
-        out.galois_key_bytes = keys.frame.len() as u64;
         if upload {
+            // Accounting reports the serialized frame length — the bytes
+            // that actually cross the wire — not the in-memory footprint.
+            out.galois_key_bytes = keys.frame.len() as u64;
             sink.send(Msg::HeKeys(keys.frame.clone()))?;
         }
         let encoder = BatchEncoder::new(params);

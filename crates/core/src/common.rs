@@ -432,15 +432,17 @@ pub struct PartyOutcome {
     /// Total bytes this party sent.
     pub total_sent: u64,
     /// This party's trace: the phase span tree rooted at `client` /
-    /// `server` plus every substrate counter its thread touched. The
-    /// [`crate::CostReport`] timing fields are derived from these spans.
+    /// `server` plus every substrate counter its thread touched: the only
+    /// record of this party's phase times ([`crate::merge_cost_report`]
+    /// merges the two parties' into [`crate::CostReport::trace`]).
     pub trace: pi_trace::TraceReport,
     /// Bytes this party must store between offline and online.
     pub storage_bytes: u64,
     /// Garbled-circuit bytes this party transmitted or received.
     pub gc_bytes: u64,
-    /// Galois key material generated/uploaded: the model's key plan
-    /// (client side, HE mode only; zero otherwise).
+    /// Galois key material this request uploaded: the model's key plan
+    /// (client side, HE mode only; zero otherwise, and zero when the
+    /// server still cached the keys).
     pub galois_key_bytes: u64,
     /// Extended OTs this party took part in.
     pub ot_count: u64,

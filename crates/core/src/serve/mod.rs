@@ -6,7 +6,7 @@
 //! provides that runtime:
 //!
 //! * **Suspendable sessions** — each connection owns the future of a
-//!   `ServerSession::run` ([`session`]), the server role of both protocol
+//!   `session::run` ([`session`]), the server role of both protocol
 //!   kinds as one `async` body whose receives read the session's inbox: it
 //!   suspends when the inbox is empty and gives its worker back. A
 //!   misbehaving or vanished client — wrong order, wrong shape, unreduced
@@ -77,7 +77,7 @@ use pi_nn::PiModel;
 use pi_trace::par::Pool;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use session::{ServerSession, SessionCtx};
+use session::SessionCtx;
 use std::collections::{HashMap, VecDeque};
 use std::future::Future;
 use std::pin::Pin;
@@ -255,10 +255,9 @@ impl ServeRuntime {
             Ok(())
         }));
         let rng = StdRng::seed_from_u64(server_seed);
-        let session = ServerSession::new(&entry.model, &entry.cfg, rng);
         let cache = ClientCache(inner.cache.clone(), client_id);
         let inbox = Inbox::default();
-        let session = serve(session, entry, tx, inbox.clone(), cache);
+        let session = serve(entry, rng, tx, inbox.clone(), cache);
         let (result_tx, result_rx) = channel();
         let slot = Arc::new(Slot {
             sid,
@@ -350,8 +349,8 @@ fn workers_from_env(value: Option<&str>) -> usize {
 /// inbox, with its client's handle on the session table — never the
 /// runtime, which its slot would then keep, and the downlink with it.
 async fn serve(
-    session: ServerSession,
     entry: Arc<ModelEntry>,
+    rng: StdRng,
     tx: ChannelTx,
     inbox: Inbox,
     cache: ClientCache,
@@ -365,6 +364,7 @@ async fn serve(
     };
     let ctx = SessionCtx {
         model: &entry.model,
+        cfg: &entry.cfg,
         pre: &entry.pre,
         cache: Some(&cache),
     };
@@ -372,7 +372,7 @@ async fn serve(
         sink: &tx,
         recv: &recv,
     };
-    session.run(ctx, peer).await
+    session::run(ctx, rng, peer).await
 }
 
 /// Schedules a pump for `slot` unless one is already scheduled or running.

@@ -2,7 +2,7 @@
 //!
 //! A single-inference deployment can afford a blocking loop per session; a
 //! shared server cannot — a worker thread must be able to advance whichever
-//! session has work and park the rest. `ServerSession::run` is therefore
+//! session has work and park the rest. The session body, `run`, is therefore
 //! the entire server role of **both** protocol kinds — garbler under
 //! Server-Garbler, evaluator under Client-Garbler, with the role steps the
 //! client body runs in the mirrored role (`role.rs`) — written top to
@@ -77,6 +77,8 @@ use std::sync::Arc;
 pub(crate) struct SessionCtx<'a> {
     /// The served model (weights included).
     pub model: &'a PiModel,
+    /// The protocol the session runs.
+    pub cfg: &'a ProtocolConfig,
     /// Shared per-model offline-linear precomputation: the encoded
     /// diagonals and, in HE mode, the encoder and key plan the HE pass
     /// reads.
@@ -111,345 +113,317 @@ enum Role {
     Evaluator(OtStream<OtExtReceiver>, Vec<EvalPhase>),
 }
 
-/// The server role of one inference session. See the module docs for the
-/// contract.
-pub(crate) struct ServerSession {
-    kind: ProtocolKind,
-    meta: ModelMeta,
-    /// Threads the offline matvecs split across (`lphe_threads`).
-    lphe_threads: usize,
-    rng: StdRng,
-    /// Whether the offline linear pass runs under HE.
-    under_he: bool,
-}
-
-impl ServerSession {
-    /// Creates a session for one inference of `model` under `cfg`.
-    pub(crate) fn new(model: &PiModel, cfg: &ProtocolConfig, rng: StdRng) -> Self {
-        Self {
-            kind: cfg.kind,
-            meta: ModelMeta::of(model),
-            lphe_threads: cfg.lphe_threads,
-            rng,
-            under_he: cfg.he().is_some(),
+/// The server role of one inference session, run to completion on the
+/// session RNG `rng` (see the module docs for the contract): every
+/// `.await` is a receive. Masked activations `acts` are indexed like the
+/// model's: `acts[0]` the input, `acts[i + 1]` the output of phase `i` —
+/// and since every phase but the last ends in a garbled ReLU, phase `i` is
+/// also ReLU phase `i`.
+///
+/// # Errors
+///
+/// [`ProtocolError::UnexpectedMsg`] when a message is not the one awaited;
+/// [`ProtocolError::BadRequest`] on malformed contents (a key upload that
+/// is not the model's key plan among them) and on an HE upload to a
+/// session whose precomputation has no HE context; [`ProtocolError::Wire`]
+/// on an HE frame that fails to parse; [`ProtocolError::Channel`] when the
+/// client vanished.
+pub(crate) async fn run(
+    ctx: SessionCtx<'_>,
+    mut rng: StdRng,
+    peer: Peer<'_>,
+) -> Result<PartyOutcome, ProtocolError> {
+    let kind = ctx.cfg.kind;
+    let meta = ModelMeta::of(ctx.model);
+    let under_he = ctx.cfg.he().is_some();
+    // Every session opens with what the server holds of this client:
+    // whether its HE keys must be uploaded, and whether (and from which
+    // block) the session runs on cached IKNP state instead of base OT.
+    let cache = ctx.cache;
+    let cached_keys = (cache.zip(ctx.pre.key_plan())).and_then(|(c, plan)| c.keys(plan));
+    let ot = cache.and_then(|c| c.ot(kind)).and_then(|ot| {
+        let base = ot.reserve(meta.ot_blocks(kind));
+        match kind {
+            ProtocolKind::ServerGarbler => ot.sender_at(base).map(OtStart::Sender),
+            ProtocolKind::ClientGarbler => ot.receiver_at(base).map(OtStart::Receiver),
         }
-    }
+    });
+    let need_keys = under_he && cached_keys.is_none();
+    let (ot_cached, ot_base) = match &ot {
+        Some(OtStart::Sender(ot)) => (Msg::OT_CACHED, ot.block()),
+        Some(OtStart::Receiver(ot)) => (Msg::OT_CACHED, ot.block()),
+        None => (0, 0),
+    };
+    let flags = if need_keys { Msg::NEED_KEYS } else { 0 } | ot_cached;
+    peer.sink.send(Msg::KeyStatus { flags, ot_base })?;
+    let (p, k) = (meta.p, meta.relu_width);
+    let mut out = PartyOutcome::default();
 
-    /// Runs the session to completion: every `.await` is a receive.
-    /// Masked activations `acts` are indexed like the model's: `acts[0]`
-    /// the input, `acts[i + 1]` the output of phase `i` — and since every
-    /// phase but the last ends in a garbled ReLU, phase `i` is also ReLU
-    /// phase `i`.
-    ///
-    /// # Errors
-    ///
-    /// [`ProtocolError::UnexpectedMsg`] when a message is not the one
-    /// awaited; [`ProtocolError::BadRequest`] on malformed contents (a key
-    /// upload that is not the model's key plan among them) and on an HE
-    /// upload to a session whose precomputation has no HE context;
-    /// [`ProtocolError::Wire`] on an HE frame that fails to parse;
-    /// [`ProtocolError::Channel`] when the client vanished.
-    pub(crate) async fn run(
-        self,
-        ctx: SessionCtx<'_>,
-        peer: Peer<'_>,
-    ) -> Result<PartyOutcome, ProtocolError> {
-        let Self {
-            kind,
-            meta,
-            lphe_threads,
-            mut rng,
-            under_he,
-        } = self;
-        // Every session opens with what the server holds of this client:
-        // whether its HE keys must be uploaded, and whether (and from which
-        // block) the session runs on cached IKNP state instead of base OT.
-        let cache = ctx.cache;
-        let cached_keys = (cache.zip(ctx.pre.key_plan())).and_then(|(c, plan)| c.keys(plan));
-        let ot = cache.and_then(|c| c.ot(kind)).and_then(|ot| {
-            let base = ot.reserve(meta.ot_blocks(kind));
-            match kind {
-                ProtocolKind::ServerGarbler => ot.sender_at(base).map(OtStart::Sender),
-                ProtocolKind::ClientGarbler => ot.receiver_at(base).map(OtStart::Receiver),
+    // Without cached OT state, a Server-Garbler client opens the
+    // session with its base-OT setup, answered at once.
+    let opened = match (kind, &ot) {
+        (ProtocolKind::ServerGarbler, None) => {
+            let setup = recv!(peer, OtBaseSetup);
+            let _span = pi_trace::span!("offline.ot");
+            let (receiver, choice) = BaseReceiver::start(&setup, &mut rng)?;
+            peer.sink.send(Msg::OtBaseChoice(choice))?;
+            Some(receiver)
+        }
+        _ => None,
+    };
+
+    // ---------------- Offline linear pass ----------------
+    // The whole upload first, then every phase's answer at once, in
+    // phase order; `s_vecs` are the server's shares.
+    let s_vecs = if under_he {
+        let keys = match cached_keys {
+            Some(keys) => keys,
+            // Keys arrive as a serialized seed-expanded frame; one
+            // that fails to parse, or holds anything but the model's
+            // key plan, is the client's fault and aborts only this
+            // session.
+            None => {
+                let frame = recv!(peer, HeKeys);
+                let (he, _) = ctx.pre.he()?;
+                let keys = {
+                    let _phase = pi_trace::span!("offline.he");
+                    let _span = pi_trace::span!("he.keys_admit");
+                    let params = he.encoder.params();
+                    let room = |bytes| cache.and_then(|c| c.room_for_keys(bytes));
+                    Arc::new(ClientHeKeys::admit(&frame, params, &he.plan, room)?)
+                };
+                if let Some(c) = cache {
+                    c.insert_keys(&he.plan, keys.clone());
+                }
+                keys
             }
-        });
-        let need_keys = under_he && cached_keys.is_none();
-        let (ot_cached, ot_base) = match &ot {
-            Some(OtStart::Sender(ot)) => (Msg::OT_CACHED, ot.block()),
-            Some(OtStart::Receiver(ot)) => (Msg::OT_CACHED, ot.block()),
-            None => (0, 0),
         };
-        let flags = if need_keys { Msg::NEED_KEYS } else { 0 } | ot_cached;
-        peer.sink.send(Msg::KeyStatus { flags, ot_base })?;
-        let (p, k) = (meta.p, meta.relu_width);
-        let mut out = PartyOutcome::default();
+        let mut cts = Vec::with_capacity(meta.phases.len());
+        for _ in &meta.phases {
+            let frame = recv!(peer, HeCts);
+            let params = ctx.pre.he()?.0.encoder.params();
+            let ct = pi_he::ciphertext_from_bytes(&frame, params)?;
+            if ct.c0.ctx().q() != params.q() {
+                return Err(ProtocolError::BadRequest(
+                    "offline upload not at the full ciphertext modulus",
+                ));
+            }
+            cts.push(ct);
+        }
+        // Each product's replica blocks go out under a fresh mask
+        // that the client's fold turns into `W·r − s`.
+        let (he, diagonals) = ctx.pre.he()?;
+        let params = he.encoder.params();
+        let _span = pi_trace::span!("offline.he");
+        let (masks, s_vecs): (Vec<Plaintext>, _) = (meta.phases.iter())
+            .map(|ph| linalg::replica_mask(&he.encoder, ph.padded_dim, ph.rows, &mut rng))
+            .unzip();
+        let prods = matvecs(&cts, &keys, diagonals, ctx.cfg.lphe_threads);
+        for (prod, mask) in prods.iter().zip(&masks) {
+            // Every server→client response is modulus-down-switched
+            // before serialization: fewer packed bits per
+            // coefficient AND more absolute noise headroom at the
+            // GC handoff.
+            let resp = prod.add_plain(mask, params).mod_switch_down(params);
+            peer.sink
+                .send(Msg::HeCts(pi_he::ciphertext_to_bytes(&resp)))?;
+        }
+        s_vecs
+    } else {
+        let mut r_cats = Vec::with_capacity(meta.phases.len());
+        for ph in &meta.phases {
+            let r_cat = recv!(peer, VecU64);
+            if r_cat.len() != ph.cols || !reduced(&r_cat, p) {
+                return Err(ProtocolError::BadRequest("offline input vector"));
+            }
+            r_cats.push(r_cat);
+        }
+        // The shares are drawn where an HE session draws its masks
+        // (and takes each `s_i` from its mask).
+        let rows = meta.phases.iter().map(|ph| ph.rows);
+        let s_vecs = random_field_vecs(rows, p, &mut rng);
+        let _span = pi_trace::span!("offline.he");
+        for ((r_cat, ph), s_i) in r_cats.iter().zip(&ctx.model.phases).zip(&s_vecs) {
+            let wr = ph.apply_linear(r_cat, p);
+            let share = wr.iter().zip(s_i).map(|(&a, &s)| p.sub(a, s)).collect();
+            peer.sink.send(Msg::VecU64(share))?;
+        }
+        s_vecs
+    };
 
-        // Without cached OT state, a Server-Garbler client opens the
-        // session with its base-OT setup, answered at once.
-        let opened = match (kind, &ot) {
-            (ProtocolKind::ServerGarbler, None) => {
-                let setup = recv!(peer, OtBaseSetup);
+    // ---------------- Offline GC stage ----------------
+    // The role's IKNP stream: the pair's cached one, or a fresh one by
+    // base OT that starts at block 0.
+    let used = meta.ot_blocks(kind);
+    let ot = match (ot, opened) {
+        (Some(ot), _) => ot,
+        // Server-Garbler: the client's transfer, computed while the
+        // linear pass ran.
+        (None, Some(receiver)) => {
+            let transfer = recv!(peer, OtBaseTransfer);
+            let ext = {
                 let _span = pi_trace::span!("offline.ot");
-                let (receiver, choice) = BaseReceiver::start(&setup, &mut rng)?;
-                peer.sink.send(Msg::OtBaseChoice(choice))?;
-                Some(receiver)
-            }
-            _ => None,
-        };
-
-        // ---------------- Offline linear pass ----------------
-        // The whole upload first, then every phase's answer at once, in
-        // phase order; `s_vecs` are the server's shares.
-        let s_vecs = if under_he {
-            let keys = match cached_keys {
-                Some(keys) => keys,
-                // Keys arrive as a serialized seed-expanded frame; one
-                // that fails to parse, or holds anything but the model's
-                // key plan, is the client's fault and aborts only this
-                // session.
-                None => {
-                    let frame = recv!(peer, HeKeys);
-                    let (he, _) = ctx.pre.he()?;
-                    let keys = {
-                        let _phase = pi_trace::span!("offline.he");
-                        let _span = pi_trace::span!("he.keys_admit");
-                        let params = he.encoder.params();
-                        let room = |bytes| cache.and_then(|c| c.room_for_keys(bytes));
-                        Arc::new(ClientHeKeys::admit(&frame, params, &he.plan, room)?)
-                    };
-                    if let Some(c) = cache {
-                        c.insert_keys(&he.plan, keys.clone());
-                    }
-                    keys
-                }
+                receiver.finish(&transfer)?
             };
-            let mut cts = Vec::with_capacity(meta.phases.len());
-            for _ in &meta.phases {
-                let frame = recv!(peer, HeCts);
-                let params = ctx.pre.he()?.0.encoder.params();
-                let ct = pi_he::ciphertext_from_bytes(&frame, params)?;
-                if ct.c0.ctx().q() != params.q() {
-                    return Err(ProtocolError::BadRequest(
-                        "offline upload not at the full ciphertext modulus",
-                    ));
-                }
-                cts.push(ct);
+            if let Some(c) = cache {
+                c.insert_ot(kind, Arc::new(ClientOtState::sender(ext.clone(), used)));
             }
-            // Each product's replica blocks go out under a fresh mask
-            // that the client's fold turns into `W·r − s`.
-            let (he, diagonals) = ctx.pre.he()?;
-            let params = he.encoder.params();
-            let _span = pi_trace::span!("offline.he");
-            let (masks, s_vecs): (Vec<Plaintext>, _) = (meta.phases.iter())
-                .map(|ph| linalg::replica_mask(&he.encoder, ph.padded_dim, ph.rows, &mut rng))
-                .unzip();
-            let prods = matvecs(&cts, &keys, diagonals, lphe_threads);
-            for (prod, mask) in prods.iter().zip(&masks) {
-                // Every server→client response is modulus-down-switched
-                // before serialization: fewer packed bits per
-                // coefficient AND more absolute noise headroom at the
-                // GC handoff.
-                let resp = prod.add_plain(mask, params).mod_switch_down(params);
-                peer.sink
-                    .send(Msg::HeCts(pi_he::ciphertext_to_bytes(&resp)))?;
-            }
-            s_vecs
-        } else {
-            let mut r_cats = Vec::with_capacity(meta.phases.len());
-            for ph in &meta.phases {
-                let r_cat = recv!(peer, VecU64);
-                if r_cat.len() != ph.cols || !reduced(&r_cat, p) {
-                    return Err(ProtocolError::BadRequest("offline input vector"));
-                }
-                r_cats.push(r_cat);
-            }
-            // The shares are drawn where an HE session draws its masks
-            // (and takes each `s_i` from its mask).
-            let rows = meta.phases.iter().map(|ph| ph.rows);
-            let s_vecs = random_field_vecs(rows, p, &mut rng);
-            let _span = pi_trace::span!("offline.he");
-            for ((r_cat, ph), s_i) in r_cats.iter().zip(&ctx.model.phases).zip(&s_vecs) {
-                let wr = ph.apply_linear(r_cat, p);
-                let share = wr.iter().zip(s_i).map(|(&a, &s)| p.sub(a, s)).collect();
-                peer.sink.send(Msg::VecU64(share))?;
-            }
-            s_vecs
-        };
-
-        // ---------------- Offline GC stage ----------------
-        // The role's IKNP stream: the pair's cached one, or a fresh one by
-        // base OT that starts at block 0.
-        let used = meta.ot_blocks(kind);
-        let ot = match (ot, opened) {
-            (Some(ot), _) => ot,
-            // Server-Garbler: the client's transfer, computed while the
-            // linear pass ran.
-            (None, Some(receiver)) => {
-                let transfer = recv!(peer, OtBaseTransfer);
-                let ext = {
-                    let _span = pi_trace::span!("offline.ot");
-                    receiver.finish(&transfer)?
-                };
-                if let Some(c) = cache {
-                    c.insert_ot(kind, Arc::new(ClientOtState::sender(ext.clone(), used)));
-                }
-                OtStart::Sender(OtStream::at(ext, 0))
-            }
-            // Client-Garbler: the server opens base OT (the evaluator's
-            // draws there, seed pairs and sender secret, follow the
-            // linear-share draws).
-            (None, None) => {
-                let sender = {
-                    let _span = pi_trace::span!("offline.ot");
-                    let (sender, setup) = BaseSender::start(&mut rng);
-                    peer.sink.send(Msg::OtBaseSetup(setup))?;
-                    sender
-                };
-                let choice = recv!(peer, OtBaseChoice);
-                let ext = {
-                    let _span = pi_trace::span!("offline.ot");
-                    let (ext, transfer) = sender.finish(&choice, &mut rng)?;
-                    peer.sink.send(Msg::OtBaseTransfer(transfer))?;
-                    ext
-                };
-                if let Some(c) = cache {
-                    c.insert_ot(kind, Arc::new(ClientOtState::receiver(ext.clone(), used)));
-                }
-                OtStart::Receiver(OtStream::at(ext, 0))
-            }
-        };
-        let mut role = match ot {
-            // Garble each ReLU phase and ship its tables; the client answers
-            // with its OT extension for its inputs, wire positions [k, 3k).
-            OtStart::Sender(ot) => {
-                let mut garbler = Garbler::new(ot);
-                for (idx, relu) in meta.relu_phases.iter().enumerate() {
-                    let tables = garbler.garble(&meta, relu, &mut rng, &mut out);
-                    peer.sink.send(Msg::GcTables(tables))?;
-                    let extend = recv!(peer, OtExtend);
-                    let _span = pi_trace::span!("offline.ot");
-                    let transfer = garbler.serve_labels(idx, k..3 * k, &extend, &mut out)?;
-                    peer.sink.send(Msg::OtTransfer(transfer))?;
-                }
-                Role::Garbler(garbler)
-            }
-            // Store each phase the client garbled.
-            OtStart::Receiver(ot) => {
-                let mut phases = Vec::with_capacity(meta.relu_phases.len());
-                for relu in &meta.relu_phases {
-                    let tables = recv!(peer, GcTables);
-                    let tables = PhaseTables::receive(&meta, relu, tables, &mut out)?;
-                    let decode = recv!(peer, GcDecode);
-                    if decode.len() != tables.len() || decode.iter().any(|d| d.len() != k) {
-                        return Err(ProtocolError::BadRequest("decode vector shape"));
-                    }
-                    let labels = recv!(peer, GcLabels);
-                    if labels.len() != tables.len() * 2 * k {
-                        return Err(ProtocolError::BadRequest("client label count"));
-                    }
-                    let phase = EvalPhase {
-                        tables,
-                        decode,
-                        labels,
-                    };
-                    phases.push(phase);
-                }
-                Role::Evaluator(ot, phases)
-            }
-        };
-
-        // Storage and offline communication at the offline/online boundary.
-        let k64 = k as u64;
-        let shares = s_vecs.iter().map(|s| s.len() as u64 * 8).sum::<u64>();
-        out.storage_bytes = shares
-            + match &role {
-                // Own input encodings (k labels + delta per element) and
-                // output decode bits.
-                Role::Garbler(g) => {
-                    let instances = g.phases.iter().map(Vec::len).sum::<usize>();
-                    instances as u64 * ((k64 + 1) * 16 + k64.div_ceil(8))
-                }
-                // Garbled circuits + the client's labels + decode bits: the
-                // paper's storage burden after the swap.
-                Role::Evaluator(_, phases) => {
-                    let extras = |ph: &EvalPhase| {
-                        let decode = ph.decode.iter().map(|d| d.len().div_ceil(8) as u64);
-                        ph.labels.len() as u64 * 16 + decode.sum::<u64>()
-                    };
-                    out.gc_bytes + phases.iter().map(extras).sum::<u64>()
-                }
-            };
-        out.offline_sent = peer.sink.bytes_sent();
-
-        // ---------------- Online ----------------
-        let masked = recv!(peer, VecU64);
-        if masked.len() != meta.input_len || !reduced(&masked, p) {
-            return Err(ProtocolError::BadRequest("masked input"));
+            OtStart::Sender(OtStream::at(ext, 0))
         }
-        let mut acts = vec![masked];
-        for (i, (ph, s_i)) in ctx.model.phases.iter().zip(&s_vecs).enumerate() {
-            // Server share: W (x - r) + s (+ b inside apply).
-            let y_s = {
-                let _span = pi_trace::span!("online.ss");
-                let x_cat: Vec<u64> = (ph.inputs.iter())
-                    .flat_map(|&a| acts[a].iter().copied())
-                    .collect();
-                let mut y_s = ph.apply(&x_cat, p);
-                for (v, &s) in y_s.iter_mut().zip(s_i) {
-                    *v = p.add(*v, s);
-                }
-                y_s
+        // Client-Garbler: the server opens base OT (the evaluator's
+        // draws there, seed pairs and sender secret, follow the
+        // linear-share draws).
+        (None, None) => {
+            let sender = {
+                let _span = pi_trace::span!("offline.ot");
+                let (sender, setup) = BaseSender::start(&mut rng);
+                peer.sink.send(Msg::OtBaseSetup(setup))?;
+                sender
             };
-            if ph.relu_shift.is_none() {
-                peer.sink.send(Msg::VecU64(y_s))?;
-                break;
+            let choice = recv!(peer, OtBaseChoice);
+            let ext = {
+                let _span = pi_trace::span!("offline.ot");
+                let (ext, transfer) = sender.finish(&choice, &mut rng)?;
+                peer.sink.send(Msg::OtBaseTransfer(transfer))?;
+                ext
+            };
+            if let Some(c) = cache {
+                c.insert_ot(kind, Arc::new(ClientOtState::receiver(ext.clone(), used)));
             }
-            let next = match &mut role {
-                // Send labels for the server's share (wire positions 0..k);
-                // the client evaluates and returns the output labels.
-                Role::Garbler(garbler) => {
-                    let mut labels = Vec::with_capacity(y_s.len() * k);
-                    {
-                        let _span = pi_trace::span!("online.eval");
-                        for (&v, g) in y_s.iter().zip(&garbler.phases[i]) {
-                            labels.extend(encode(g, 0, v, k));
-                        }
-                    }
-                    peer.sink.send(Msg::GcLabels(labels))?;
-                    let theirs = recv!(peer, GcLabels);
-                    let _span = pi_trace::span!("online.eval");
-                    let decode = garbler.phases[i]
-                        .iter()
-                        .map(|g| &g.garbled.output_decode[..]);
-                    decode_outputs(decode, &theirs, &meta)?
-                }
-                // Fetch labels for the share bits via online OT, then
-                // evaluate.
-                Role::Evaluator(ot, phases) => {
-                    let request = {
-                        let _span = pi_trace::span!("online.ot");
-                        let (request, extend) = LabelRequest::new(ot, y_s, k, &mut out);
-                        peer.sink.send(Msg::OtExtend(extend))?;
-                        request
-                    };
-                    let transfer = recv!(peer, OtTransfer);
-                    let mine = {
-                        let _span = pi_trace::span!("online.ot");
-                        request.open(ot.ext(), &transfer)?
-                    };
-                    let _span = pi_trace::span!("online.eval");
-                    let phase = &phases[i];
-                    // share_a (client) | share_b (server, via OT) | r (client)
-                    let out_labels = (phase.tables).evaluate(&phase.labels, &mine, false);
-                    let decode = phase.decode.iter().map(Vec::as_slice);
-                    decode_outputs(decode, &out_labels, &meta)?
-                }
-            };
-            acts.push(next);
+            OtStart::Receiver(OtStream::at(ext, 0))
         }
-        out.total_sent = peer.sink.bytes_sent();
-        Ok(out)
+    };
+    let mut role = match ot {
+        // Garble each ReLU phase and ship its tables; the client answers
+        // with its OT extension for its inputs, wire positions [k, 3k).
+        OtStart::Sender(ot) => {
+            let mut garbler = Garbler::new(ot);
+            for (idx, relu) in meta.relu_phases.iter().enumerate() {
+                let tables = garbler.garble(&meta, relu, &mut rng, &mut out);
+                peer.sink.send(Msg::GcTables(tables))?;
+                let extend = recv!(peer, OtExtend);
+                let _span = pi_trace::span!("offline.ot");
+                let transfer = garbler.serve_labels(idx, k..3 * k, &extend, &mut out)?;
+                peer.sink.send(Msg::OtTransfer(transfer))?;
+            }
+            Role::Garbler(garbler)
+        }
+        // Store each phase the client garbled.
+        OtStart::Receiver(ot) => {
+            let mut phases = Vec::with_capacity(meta.relu_phases.len());
+            for relu in &meta.relu_phases {
+                let tables = recv!(peer, GcTables);
+                let tables = PhaseTables::receive(&meta, relu, tables, &mut out)?;
+                let decode = recv!(peer, GcDecode);
+                if decode.len() != tables.len() || decode.iter().any(|d| d.len() != k) {
+                    return Err(ProtocolError::BadRequest("decode vector shape"));
+                }
+                let labels = recv!(peer, GcLabels);
+                if labels.len() != tables.len() * 2 * k {
+                    return Err(ProtocolError::BadRequest("client label count"));
+                }
+                let phase = EvalPhase {
+                    tables,
+                    decode,
+                    labels,
+                };
+                phases.push(phase);
+            }
+            Role::Evaluator(ot, phases)
+        }
+    };
+
+    // Storage and offline communication at the offline/online boundary.
+    let k64 = k as u64;
+    let shares = s_vecs.iter().map(|s| s.len() as u64 * 8).sum::<u64>();
+    out.storage_bytes = shares
+        + match &role {
+            // Own input encodings (k labels + delta per element) and
+            // output decode bits.
+            Role::Garbler(g) => {
+                let instances = g.phases.iter().map(Vec::len).sum::<usize>();
+                instances as u64 * ((k64 + 1) * 16 + k64.div_ceil(8))
+            }
+            // Garbled circuits + the client's labels + decode bits: the
+            // paper's storage burden after the swap.
+            Role::Evaluator(_, phases) => {
+                let extras = |ph: &EvalPhase| {
+                    let decode = ph.decode.iter().map(|d| d.len().div_ceil(8) as u64);
+                    ph.labels.len() as u64 * 16 + decode.sum::<u64>()
+                };
+                out.gc_bytes + phases.iter().map(extras).sum::<u64>()
+            }
+        };
+    out.offline_sent = peer.sink.bytes_sent();
+
+    // ---------------- Online ----------------
+    let masked = recv!(peer, VecU64);
+    if masked.len() != meta.input_len || !reduced(&masked, p) {
+        return Err(ProtocolError::BadRequest("masked input"));
     }
+    let mut acts = vec![masked];
+    for (i, (ph, s_i)) in ctx.model.phases.iter().zip(&s_vecs).enumerate() {
+        // Server share: W (x - r) + s (+ b inside apply).
+        let y_s = {
+            let _span = pi_trace::span!("online.ss");
+            let x_cat: Vec<u64> = (ph.inputs.iter())
+                .flat_map(|&a| acts[a].iter().copied())
+                .collect();
+            let mut y_s = ph.apply(&x_cat, p);
+            for (v, &s) in y_s.iter_mut().zip(s_i) {
+                *v = p.add(*v, s);
+            }
+            y_s
+        };
+        if ph.relu_shift.is_none() {
+            peer.sink.send(Msg::VecU64(y_s))?;
+            break;
+        }
+        let next = match &mut role {
+            // Send labels for the server's share (wire positions 0..k);
+            // the client evaluates and returns the output labels.
+            Role::Garbler(garbler) => {
+                let mut labels = Vec::with_capacity(y_s.len() * k);
+                {
+                    let _span = pi_trace::span!("online.eval");
+                    for (&v, g) in y_s.iter().zip(&garbler.phases[i]) {
+                        labels.extend(encode(g, 0, v, k));
+                    }
+                }
+                peer.sink.send(Msg::GcLabels(labels))?;
+                let theirs = recv!(peer, GcLabels);
+                let _span = pi_trace::span!("online.eval");
+                let decode = garbler.phases[i]
+                    .iter()
+                    .map(|g| &g.garbled.output_decode[..]);
+                decode_outputs(decode, &theirs, &meta)?
+            }
+            // Fetch labels for the share bits via online OT, then
+            // evaluate.
+            Role::Evaluator(ot, phases) => {
+                let request = {
+                    let _span = pi_trace::span!("online.ot");
+                    let (request, extend) = LabelRequest::new(ot, y_s, k, &mut out);
+                    peer.sink.send(Msg::OtExtend(extend))?;
+                    request
+                };
+                let transfer = recv!(peer, OtTransfer);
+                let mine = {
+                    let _span = pi_trace::span!("online.ot");
+                    request.open(ot.ext(), &transfer)?
+                };
+                let _span = pi_trace::span!("online.eval");
+                let phase = &phases[i];
+                // share_a (client) | share_b (server, via OT) | r (client)
+                let out_labels = (phase.tables).evaluate(&phase.labels, &mine, false);
+                let decode = phase.decode.iter().map(Vec::as_slice);
+                decode_outputs(decode, &out_labels, &meta)?
+            }
+        };
+        acts.push(next);
+    }
+    out.total_sent = peer.sink.bytes_sent();
+    Ok(out)
 }
 
 /// Runs a server session to completion over a blocking [`Channel`] —
@@ -477,11 +451,11 @@ pub fn drive_sync(
     };
     let ctx = SessionCtx {
         model,
+        cfg,
         pre,
         cache: None,
     };
-    let session = ServerSession::new(model, cfg, rng);
-    let mut out = block_on(session.run(ctx, peer))?;
+    let mut out = block_on(run(ctx, rng, peer))?;
     drop(root_span);
     out.trace = trace_scope.finish();
     Ok(out)

@@ -43,8 +43,8 @@
 //!
 //! 1. [`force_mode`] (programmatic override, used by tests) — strongest;
 //! 2. the `PI_TRACE` environment variable: `off`, `counters`, or `full`;
-//! 3. default: `full` (timings in `CostReport` stay populated out of the
-//!    box; set `PI_TRACE=counters` for the strict low-overhead profile).
+//! 3. default: `full` (every phase span is timed out of the box; set
+//!    `PI_TRACE=counters` for the strict low-overhead profile).
 //!
 //! Unknown `PI_TRACE` values panic loudly rather than silently tracing at
 //! the wrong level.
@@ -69,9 +69,11 @@
 //! | `he.keys_generate`| client: fresh secret key + rotation-key upload frame (inside `offline.he`) |
 //! | `he.keys_admit`   | server: plan check + decode of an uploaded frame (inside `offline.he`) |
 //!
-//! `CostReport` phase timings are derived from these spans
-//! (`span_total_ms("offline.he")` etc.), replacing the hand-threaded
-//! `Instant` deltas the drivers used to carry — one source of truth.
+//! These spans are the only record of a phase's time: a caller reads
+//! `span_total_ms("offline.he")` on a request's merged trace (what
+//! `pi_core::CostReport::trace` holds), the perf ledger reads each party's
+//! tree by path, and `pi_sim::calib::from_trace` divides the same totals by
+//! the counters. Nothing keeps a second copy.
 
 // `deny` rather than `forbid`: the split (`par::share`) carries the one
 // scoped `#[allow(unsafe_code)]`; `par`'s module doc states its contract.

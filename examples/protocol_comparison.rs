@@ -49,18 +49,6 @@ fn main() {
     let row = |name: &str, a: f64, b: f64, unit: &str| {
         println!("{name:<28} {a:>12.1} {b:>12.1}  {unit}");
     };
-    // Span-derived timings are Option: `n/a` = not measured (PI_TRACE
-    // below `full`), never a fake zero.
-    let opt = |x: Option<f64>, scale: f64| {
-        x.map_or_else(|| "n/a".to_string(), |v| format!("{:.1}", v / scale))
-    };
-    let opt_row = |name: &str, a: Option<f64>, b: Option<f64>, scale: f64, unit: &str| {
-        println!(
-            "{name:<28} {:>12} {:>12}  {unit}",
-            opt(a, scale),
-            opt(b, scale)
-        );
-    };
     println!("{:<28} {:>12} {:>12}", "", "Server-Garb.", "Client-Garb.");
     row(
         "client storage",
@@ -92,50 +80,27 @@ fn main() {
         cg.online.total_bytes() as f64 / 1e3,
         "KB",
     );
-    opt_row(
-        "offline garbling",
-        sg.offline.garble_ms,
-        cg.offline.garble_ms,
-        1.0,
-        "ms",
-    );
-    opt_row(
-        "online GC evaluation",
-        sg.online.eval_ms,
-        cg.online.eval_ms,
-        1.0,
-        "ms",
-    );
-    opt_row("online OT", sg.online.ot_ms, cg.online.ot_ms, 1.0, "ms");
-    opt_row(
-        "garbling throughput",
-        sg.garble_gates_per_sec(),
-        cg.garble_gates_per_sec(),
-        1e6,
-        "M gates/s",
-    );
-    opt_row(
-        "GC eval throughput",
-        sg.eval_gates_per_sec(),
-        cg.eval_gates_per_sec(),
-        1e6,
-        "M gates/s",
-    );
-    opt_row(
-        "OT throughput",
-        sg.ot_per_sec(),
-        cg.ot_per_sec(),
-        1e3,
-        "k OTs/s",
-    );
+    // Phase times are the trace's span totals: `n/a` = not measured
+    // (PI_TRACE below `full`), never a fake zero.
+    let ms = |r: &CostReport, span: &str| {
+        let total = r.trace.span_total_ms(span);
+        total.map_or_else(|| "n/a".to_string(), |v| format!("{v:.1}"))
+    };
+    for (name, span) in [
+        ("offline garbling", "offline.garble"),
+        ("online GC evaluation", "online.eval"),
+        ("online OT", "online.ot"),
+    ] {
+        println!("{name:<28} {:>12} {:>12}  ms", ms(&sg, span), ms(&cg, span));
+    }
 
     // ---- Simulator calibration: the paper's constants vs this run ----
-    // `from_trace` derives the same per-unit rates the simulator is
-    // calibrated with from the measured Client-Garbler trace. The scales
-    // differ (DELPHI's 41-bit field on server silicon vs our small test
-    // field), so the columns are not expected to agree — the point is that
-    // pi-sim can now be driven by measured numbers instead of only the
-    // paper's (`ProtocolCosts::apply_calibration`).
+    // `from_trace` derives the simulator's per-unit rates from the
+    // measured Client-Garbler trace: the one place a rate is derived from
+    // it. The scales differ (DELPHI's 41-bit field on server silicon vs our
+    // small test field), so the columns are not expected to agree.
+    // `ProtocolCosts::apply_calibration` takes the garble and eval rates
+    // of such a calibration; no figure program applies one yet.
     let paper = pi_sim::calib::Calibration::paper();
     let measured = pi_sim::calib::from_trace(&cg.trace);
     println!();

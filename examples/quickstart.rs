@@ -63,21 +63,25 @@ fn main() {
     }
 
     println!("\ncosts:");
-    // Timings are span-derived Options: "n/a" = tracing below PI_TRACE=full.
-    let ms = |x: Option<f64>| x.map_or_else(|| "n/a".to_string(), |v| format!("{v:.0} ms"));
+    // Phase times are the trace's span totals: "n/a" = tracing below
+    // PI_TRACE=full.
+    let ms = |span: &str| {
+        let total = report.trace.span_total_ms(span);
+        total.map_or_else(|| "n/a".to_string(), |v| format!("{v:.0} ms"))
+    };
     println!(
         "  offline: {} B up, {} B down, HE {}, garble {}, OT {}",
         report.offline.upload_bytes,
         report.offline.download_bytes,
-        ms(report.offline.he_ms),
-        ms(report.offline.garble_ms),
-        ms(report.offline.ot_ms)
+        ms("offline.he"),
+        ms("offline.garble"),
+        ms("offline.ot")
     );
     println!(
         "  online:  {} B up, {} B down, eval {}",
         report.online.upload_bytes,
         report.online.download_bytes,
-        ms(report.online.eval_ms)
+        ms("online.eval")
     );
     println!(
         "  storage: client {} B, server {} B ({} ReLUs, {:.1} KB of GC per ReLU)",

@@ -82,7 +82,7 @@ fn he_protocols_match_reference_and_f64() {
                 "{kind:?}: dequantized {deq} too far from f64 {f}"
             );
         }
-        let he_ms = report.offline.he_ms.expect("full tracing measures HE");
+        let he_ms = (report.trace.span_total_ms("offline.he")).expect("full tracing measures HE");
         assert!(he_ms > 0.0, "HE must actually run");
         assert!(report.gc_bytes > 0);
         // The merged trace carries both parties' span trees and the

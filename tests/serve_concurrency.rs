@@ -388,6 +388,12 @@ fn key_table_hit_skips_the_upload() {
     let first = run(1, &mut client);
     assert!(client.has_keys());
     let second = run(2, &mut client);
+    // Only the request that uploaded the key frame accounts it: the
+    // frame of `pinned_transcript`'s `HeKeys`, less the message's 8-byte
+    // length prefix.
+    let frame = 208_982 - 8;
+    let keys = (first.galois_key_bytes, second.galois_key_bytes);
+    assert_eq!(keys, (frame, 0));
     let stats = rt.key_table_stats();
     assert!(stats.hits >= 1, "stats: {stats:?}");
     assert_eq!(stats.inserts, 1);
@@ -1917,6 +1923,54 @@ fn malformed_key_status_is_a_bad_request_before_the_client_sends() {
         assert_eq!(r.ran, Ok(expect), "{kind:?}: return visit");
         assert_eq!(r.status, (Msg::OT_CACHED, 2 * meta.ot_blocks(kind)));
         neighbour_completes(&rt, (model_id, 3), &model, party, &format!("{kind:?}"));
+    }
+}
+
+fn drop_need_keys(m: &mut Msg, _: u64) {
+    if let Msg::KeyStatus { flags, .. } = m {
+        *flags &= !Msg::NEED_KEYS;
+    }
+}
+
+/// A `KeyStatus` that claims the server caches HE keys a fresh client does
+/// not hold is a `BadRequest` before the client sends anything, under both
+/// garbler kinds: no Server-Garbler base-OT setup goes out ahead of the
+/// refusal, and the session left behind ends when the client hangs up.
+#[test]
+fn a_claim_of_cached_keys_is_refused_before_the_client_sends() {
+    let he = BfvParams::small_test();
+    let model = build_model(&he, 11);
+    let meta = ModelMeta::of(&model);
+    for kind in [ProtocolKind::ServerGarbler, ProtocolKind::ClientGarbler] {
+        let cfg = match kind {
+            ProtocolKind::ServerGarbler => ProtocolConfig::server_garbler(he.clone()),
+            ProtocolKind::ClientGarbler => ProtocolConfig::client_garbler(he.clone(), 1),
+        };
+        let rt = ServeRuntime::new(serve_cfg(1));
+        let model_id = rt.register_model(model.clone(), cfg.clone());
+        let what = format!("{kind:?}, cached-keys claim, fresh client");
+        let (_, tamper) = case("", "KeyStatus", 0, drop_need_keys);
+        let (r, _) = relayed_request(
+            &rt,
+            (model_id, 0),
+            ServiceClient::new(),
+            (&meta, &cfg),
+            random_input(&model, 820),
+            Some((Dir::Down, tamper)),
+            &what,
+        );
+        assert_eq!(r.status.0 & Msg::NEED_KEYS, Msg::NEED_KEYS, "{what}");
+        assert!(
+            matches!(r.ran, Err(ProtocolError::BadRequest(_))),
+            "{what}: {:?}",
+            r.ran
+        );
+        assert_eq!(r.up, Transcript::new(), "{what}: the client sent something");
+        assert!(
+            matches!(r.served, Err(ProtocolError::Channel(_))),
+            "{what}: {:?}",
+            r.served
+        );
     }
 }
 

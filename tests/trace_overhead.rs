@@ -25,6 +25,7 @@ use pi_core::{
 use pi_he::linalg::{self, BsgsDiagonals, PlainMatrix};
 use pi_he::{BatchEncoder, BfvParams, Ciphertext, KeySet};
 use pi_nn::{zoo, FixedConfig, Network, PiModel, QuantNetwork};
+use pi_sim::calib::from_trace;
 use pi_trace::{par, TraceMode};
 use rand::{Rng, SeedableRng};
 use std::sync::{Mutex, MutexGuard, OnceLock};
@@ -137,12 +138,14 @@ fn off_and_full_modes_are_bit_identical() {
     assert!(rep_full.trace.counter("gc.relu").unwrap_or(0) > 0);
 }
 
-/// `CostReport`'s gate rates read the gate counts the GC kernels put in the
-/// trace: under full tracing, a Client-Garbler `tiny_cnn` report's garble
-/// rate is `gc.and_garbled` over `offline.garble_ms`; below full nothing is
-/// timed and there is no rate.
+/// The garble rate is derived from a report's trace in one place,
+/// `calib::from_trace`: under full tracing, a Client-Garbler `tiny_cnn`
+/// report's garble time per ReLU is the `offline.garble` span total over
+/// `gc.relu`; below full the gate counts are there but nothing is timed,
+/// so there is no rate. The GC kernels count one `gc.and_garbled` per
+/// garbled AND gate.
 #[test]
-fn gate_rates_are_the_trace_counters_over_the_phase_spans() {
+fn the_garble_rate_is_the_phase_span_over_the_relu_counter() {
     use pi_trace::Counter;
     let _l = mode_lock();
     let fx = FixedConfig {
@@ -167,8 +170,7 @@ fn gate_rates_are_the_trace_counters_over_the_phase_spans() {
         .trace
         .counter(Counter::GcAndGarbled.name())
         .is_some());
-    assert_eq!(counted.garble_gates_per_sec(), None);
-    assert_eq!(counted.eval_gates_per_sec(), None);
+    assert_eq!(from_trace(&counted.trace).garble_s_per_relu, None);
     let garbled = full.trace.counter(Counter::GcAndGarbled.name());
     let and_gates: u64 = (model.phases.iter())
         .filter_map(|ph| ph.relu_shift.map(|shift| (ph.rows, shift)))
@@ -180,12 +182,14 @@ fn gate_rates_are_the_trace_counters_over_the_phase_spans() {
         })
         .sum();
     assert_eq!(garbled, Some(and_gates), "one count per garbled AND");
-    let ms = full
-        .offline
-        .garble_ms
-        .expect("garbling is timed under full");
-    let rate = full.garble_gates_per_sec().expect("a measured rate");
-    assert_eq!(rate, and_gates as f64 / (ms / 1e3));
+    let ms = (full.trace.span_total_ms("offline.garble")).expect("garbling is timed under full");
+    let relus = full
+        .trace
+        .counter(Counter::GcRelu.name())
+        .expect("ReLUs counted");
+    assert_eq!(relus, full.relu_count);
+    let rate = from_trace(&full.trace).garble_s_per_relu;
+    assert_eq!(rate, Some(ms / 1e3 / relus as f64));
 }
 
 /// One inference with both parties in process, one thread each as
