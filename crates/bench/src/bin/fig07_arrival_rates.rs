@@ -4,6 +4,7 @@
 
 use pi_bench::{header, paper_costs, sim_runs};
 use pi_nn::zoo::{Architecture, Dataset};
+use pi_sim::calib::CalibSource;
 use pi_sim::cost::Garbler;
 use pi_sim::engine::{simulate, OfflineScheduling, SystemConfig, Workload};
 use pi_sim::link::Link;
@@ -18,7 +19,7 @@ fn main() {
         Dataset::TinyImageNet,
         Garbler::Server,
     );
-    println!("calibration: {}", c.source.label());
+    println!("calibration: {}", CalibSource::Paper.label());
     let sys = SystemConfig {
         scheduling: OfflineScheduling::Sequential,
         link: Link::even(1e9),

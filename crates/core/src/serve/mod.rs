@@ -35,20 +35,21 @@
 //!   rewinds). A client that lost its half while the server still holds
 //!   the other is refused (`BadRequest` on the client) until the entry is
 //!   evicted — as with HE keys.
-//! * **One run queue** — session pumps are tasks on the runtime's
-//!   [`pi_trace::par::Pool`], `workers` threads on one FIFO, and so are
-//!   the helper parts of a session's own split work
-//!   ([`pi_trace::par::map_ranges`]: `lphe_threads`-way matvecs, base OT,
-//!   key generation and admission, large ReLU phases). Those workers are
-//!   the only threads the runtime owns: a split spreads over the workers
-//!   no other session holds, and runs inline when every one is busy.
+//! * **One run queue** — session pumps are tasks of the process's one
+//!   pool ([`pi_trace::par::spawn`]: as many threads as the host has, on
+//!   one FIFO), and so are the helper parts of every split, a session's
+//!   own included ([`pi_trace::par::map_ranges`]: `lphe_threads`-way
+//!   matvecs, base OT, key generation and admission, large ReLU phases).
+//!   The runtime starts no thread: a split spreads over the workers no
+//!   other session holds, and runs inline when every one is busy.
 //! * **Uplinks that file their own events** — a client's send (or the drop
 //!   of its endpoint) pushes the event onto its session's inbox and
 //!   schedules the session's pump, on the client's thread. It never touches
 //!   a session body, so slow session compute cannot stall message intake,
 //!   and it holds the runtime weakly, so a dropped runtime hangs up on
-//!   every live client. Since every push schedules a pump, a suspended
-//!   session needs no waker: the pump polls it again.
+//!   every live client once its last queued or running pump returns.
+//!   Since every push schedules a pump, a suspended session needs no
+//!   waker: the pump polls it again.
 //! * **Every session's work in its own polls** — the offline HE matvecs
 //!   included: a session computes its products in the poll that receives
 //!   its last ciphertext, exactly as under [`session::drive_sync`], so
@@ -74,7 +75,6 @@ use crate::channel::{service_pair, Channel, ChannelError, ChannelTx, ClientEvent
 use crate::common::{PartyOutcome, ProtocolConfig, ServerPrecomp};
 use crate::error::ProtocolError;
 use pi_nn::PiModel;
-use pi_trace::par::Pool;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use session::SessionCtx;
@@ -90,8 +90,6 @@ use table::{CacheKey, ClientCache, SessionTable};
 /// Serving-runtime configuration.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
-    /// Worker threads (0 = `PI_WORKERS` env or the machine's parallelism).
-    pub workers: usize,
     /// Byte budget of the session table, enforced across every client's
     /// keys and OT state together.
     pub table_budget_bytes: u64,
@@ -100,7 +98,6 @@ pub struct ServeConfig {
 impl Default for ServeConfig {
     fn default() -> Self {
         Self {
-            workers: 0,
             table_budget_bytes: 256 << 20,
         }
     }
@@ -145,17 +142,12 @@ struct Inner {
     next_sid: AtomicU64,
     cache: Arc<SessionTable>,
     agg_trace: parking_lot::Mutex<pi_trace::TraceReport>,
-    // Behind an Option so `Drop` can take and join the pool on the runtime
-    // thread — if the pool died with the last `Arc<Inner>` inside one of
-    // its own tasks, it would join itself.
-    pool: parking_lot::Mutex<Option<Pool>>,
-    workers: usize,
 }
 
 /// The concurrent serving runtime. See the module docs for the moving
 /// parts; the lifecycle is `new` → `register_model` → any number of
-/// concurrent `connect`s → drop (joins the workers and hangs up on every
-/// session still live).
+/// concurrent `connect`s → drop (every session still live is hung up on
+/// once the last of the runtime's queued or running pumps returns).
 pub struct ServeRuntime {
     inner: Arc<Inner>,
 }
@@ -190,22 +182,15 @@ impl SessionHandle {
 }
 
 impl ServeRuntime {
-    /// Starts the runtime: spawns the worker pool.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg.workers` is 0 and `PI_WORKERS` is set to anything
-    /// but a positive integer.
+    /// Starts the runtime. It starts no thread: its sessions' pumps are
+    /// tasks of `pi_trace::par`'s pool.
     pub fn new(cfg: ServeConfig) -> Self {
-        let workers = resolve_workers(cfg.workers);
         let inner = Arc::new(Inner {
             models: parking_lot::Mutex::new(Vec::new()),
             slots: parking_lot::Mutex::new(HashMap::new()),
             next_sid: AtomicU64::new(0),
             cache: Arc::new(SessionTable::new(cfg.table_budget_bytes)),
             agg_trace: parking_lot::Mutex::new(pi_trace::TraceReport::default()),
-            pool: parking_lot::Mutex::new(Some(Pool::new(workers))),
-            workers,
         });
         Self { inner }
     }
@@ -277,9 +262,10 @@ impl ServeRuntime {
         }
     }
 
-    /// Number of worker threads.
+    /// Threads that run the sessions: the width of `pi_trace::par`'s pool,
+    /// the host's available parallelism.
     pub fn workers(&self) -> usize {
-        self.inner.workers
+        pi_trace::par::workers()
     }
 
     /// Counters of the client key sets in the session table.
@@ -308,40 +294,6 @@ impl ServeRuntime {
     /// session's server trace.
     pub fn aggregate_trace(&self) -> pi_trace::TraceReport {
         self.inner.agg_trace.lock().clone()
-    }
-}
-
-impl Drop for ServeRuntime {
-    fn drop(&mut self) {
-        // Take the pool out from under the shared state, then join it with
-        // no lock held (see the field comment on `Inner::pool`).
-        let pool = self.inner.pool.lock().take();
-        drop(pool);
-    }
-}
-
-/// Resolves the worker count: an explicit non-zero request wins, then the
-/// `PI_WORKERS` environment variable, then the machine's parallelism.
-///
-/// # Panics
-///
-/// Panics if `PI_WORKERS` is set to anything but a positive integer.
-fn resolve_workers(requested: usize) -> usize {
-    if requested > 0 {
-        return requested;
-    }
-    workers_from_env(std::env::var("PI_WORKERS").ok().as_deref())
-}
-
-/// [`resolve_workers`] below an explicit request, on the value of
-/// `PI_WORKERS` (`None` when unset).
-fn workers_from_env(value: Option<&str>) -> usize {
-    let Some(v) = value else {
-        return std::thread::available_parallelism().map_or(1, |n| n.get());
-    };
-    match v.trim().parse::<usize>() {
-        Ok(n) if n > 0 => n,
-        _ => panic!("PI_WORKERS must be a positive integer, got {v:?}"),
     }
 }
 
@@ -380,16 +332,8 @@ async fn serve(
 /// is ever stranded.
 fn schedule(inner: &Arc<Inner>, slot: &Arc<Slot>) {
     if !slot.scheduled.swap(true, Ordering::SeqCst) {
-        let pool = inner.pool.lock();
-        match pool.as_ref() {
-            Some(pool) => {
-                let inner = inner.clone();
-                let slot = slot.clone();
-                pool.spawn(move || pump(&inner, &slot));
-            }
-            // Runtime shutting down: nothing left to run the pump.
-            None => slot.scheduled.store(false, Ordering::SeqCst),
-        }
+        let (inner, slot) = (inner.clone(), slot.clone());
+        pi_trace::par::spawn(move || pump(&inner, &slot));
     }
 }
 
@@ -457,10 +401,7 @@ mod tests {
         let blocks = crate::ModelMeta::of(&model).ot_blocks(kind);
         assert!(blocks > 1);
 
-        let rt = ServeRuntime::new(ServeConfig {
-            workers: 2,
-            ..Default::default()
-        });
+        let rt = ServeRuntime::new(ServeConfig::default());
         let model_id = rt.register_model(model, ProtocolConfig::clear(kind));
         // The pair has been here before: its state sits in the table with
         // the first session's range used.
@@ -495,28 +436,12 @@ mod tests {
         assert_eq!(kept.reserve(0), (sessions + 1) * blocks);
     }
 
-    #[test]
-    fn pi_workers_is_a_positive_integer_or_a_panic() {
-        assert_eq!(workers_from_env(Some("4")), 4);
-        assert_eq!(workers_from_env(Some(" 3\n")), 3);
-        assert!(workers_from_env(None) >= 1);
-        for bad in ["0", "", "four", "-1", "2.5"] {
-            let err = std::panic::catch_unwind(|| workers_from_env(Some(bad)))
-                .expect_err("a malformed PI_WORKERS must panic");
-            let msg = err.downcast_ref::<String>().expect("panic message");
-            assert!(msg.contains(&format!("{bad:?}")), "{bad:?}: {msg}");
-        }
-    }
-
     /// A client mid-session when the runtime is dropped is hung up on, in
     /// both directions, and its handle resolves: nothing the client holds
     /// keeps the runtime's half of the session alive.
     #[test]
     fn dropping_the_runtime_hangs_up_on_a_live_session() {
-        let rt = ServeRuntime::new(ServeConfig {
-            workers: 2,
-            ..Default::default()
-        });
+        let rt = ServeRuntime::new(ServeConfig::default());
         let cfg = ProtocolConfig::clear(ProtocolKind::ServerGarbler);
         let model_id = rt.register_model(tiny_model(), cfg);
         let ClientConn { chan, handle } = rt.connect(0, model_id, 0);

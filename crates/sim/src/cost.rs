@@ -11,7 +11,7 @@
 //! once-per-session key upload (50 MB). Nothing here models this stack's
 //! own key set: what it sends is measured, in `pi_core::CostReport`.
 
-use crate::calib::{self, CalibSource, Calibration};
+use crate::calib;
 use crate::devices::DeviceProfile;
 use crate::link::Link;
 use pi_nn::spec::{LinearKind, NetworkStats};
@@ -86,11 +86,6 @@ pub struct ProtocolCosts {
     pub client_energy_j: f64,
     /// Server cores available for HE.
     pub server_cores: usize,
-    /// Where the GC compute rates came from: the paper's published
-    /// constants (the default) or a measured `pi-trace` run applied via
-    /// [`ProtocolCosts::apply_calibration`]. Figure binaries print this so
-    /// every table says which numbers drove it.
-    pub source: CalibSource,
 }
 
 impl ProtocolCosts {
@@ -202,27 +197,6 @@ impl ProtocolCosts {
             server_storage_bytes: server_store,
             client_energy_j,
             server_cores: server.cores,
-            source: CalibSource::Paper,
-        }
-    }
-
-    /// Re-derives the GC compute times from a measured [`Calibration`]
-    /// (see [`calib::from_trace`]), keeping the paper constant for any rate
-    /// the calibration does not provide (`None` never silently zeroes a
-    /// phase). Marks the profile [`CalibSource::Measured`] only if at
-    /// least one rate was actually applied.
-    pub fn apply_calibration(&mut self, c: &Calibration) {
-        let mut applied = false;
-        if let Some(g) = c.garble_s_per_relu {
-            self.garble_s = g * self.relus;
-            applied = true;
-        }
-        if let Some(e) = c.eval_s_per_relu {
-            self.eval_s = e * self.relus;
-            applied = true;
-        }
-        if applied {
-            self.source = c.source;
         }
     }
 
@@ -389,30 +363,6 @@ mod tests {
         let cg = r18_tiny(Garbler::Client);
         let ratio = cg.client_energy_j / sg.client_energy_j;
         assert!((1.7..2.0).contains(&ratio), "energy ratio = {ratio}");
-    }
-
-    #[test]
-    fn apply_calibration_overrides_only_measured_rates() {
-        let mut c = r18_tiny(Garbler::Server);
-        assert_eq!(c.source, CalibSource::Paper);
-        let paper_garble = c.garble_s;
-        let paper_eval = c.eval_s;
-        // An empty measured calibration changes nothing — including the tag.
-        c.apply_calibration(&Calibration {
-            source: CalibSource::Measured,
-            ..Calibration::default()
-        });
-        assert_eq!(c.source, CalibSource::Paper);
-        assert_eq!(c.garble_s, paper_garble);
-        // A garble-only measurement overrides garbling, keeps paper eval.
-        c.apply_calibration(&Calibration {
-            source: CalibSource::Measured,
-            garble_s_per_relu: Some(1e-6),
-            ..Calibration::default()
-        });
-        assert_eq!(c.source, CalibSource::Measured);
-        assert!((c.garble_s - 1e-6 * c.relus).abs() < 1e-9);
-        assert_eq!(c.eval_s, paper_eval);
     }
 
     #[test]

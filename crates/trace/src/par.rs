@@ -2,8 +2,8 @@
 //! ranges, and the one pool of threads the stack keeps.
 //!
 //! [`map_ranges`] cuts `0..n` into contiguous ranges, runs the first on the
-//! calling thread and the others on the caller or a [`Pool`]'s workers,
-//! and returns the results in range order, so concatenating them
+//! calling thread and the others on the caller or the pool's workers, and
+//! returns the results in range order, so concatenating them
 //! ([`concat()`]) gives exactly what one pass over `0..n` gives: a split
 //! changes where the work runs, never a bit of its result. Callers keep
 //! everything order-dependent on the calling thread: every RNG draw, and
@@ -12,18 +12,20 @@
 //!
 //! # The pool
 //!
-//! A [`Pool`] is a fixed set of threads on one FIFO queue; the serving
-//! runtime's session pumps are its tasks. A split on a pool's worker queues
-//! into that pool, and one anywhere else into a process-wide pool as wide
-//! as the host. It queues a task per part `1..` at the back, behind every
-//! task already waiting, runs part 0, then claims and runs inline every
-//! part no worker has claimed, and blocks only on parts a worker runs. So
-//! a split spreads over an idle pool and runs inline on a busy one, and no
-//! waiting session is passed over for a split: request-level parallelism
-//! comes first. Nothing waits on a part nobody started, so a nested split,
-//! or one on a pool whose only worker is the caller, cannot deadlock. The
-//! caller runs no other task while it waits: a session pump would record
-//! into the caller's trace scope, or wait on its own session's body lock.
+//! The process keeps one pool: [`workers`] threads (`pi-pool-0…`) on one
+//! FIFO queue, started by the first split or [`spawn`] and idle on the
+//! queue until the process exits. Its tasks are the serving runtime's
+//! session pumps ([`spawn`]) and the helper parts of every split, on a
+//! pump or anywhere else. A split queues a task per part `1..` at the
+//! back, behind every task already waiting, runs part 0, then claims and
+//! runs inline every part no worker has claimed, and blocks only on parts
+//! a worker runs. So a split spreads over an idle pool and runs inline on
+//! a busy one, and no waiting session is passed over for a split:
+//! request-level parallelism comes first. Nothing waits on a part nobody
+//! started, so a nested split, or one whose caller is the only worker,
+//! cannot deadlock. The caller runs no other task while it waits: a
+//! session pump would record into the caller's trace scope, or wait on its
+//! own session's body lock.
 //!
 //! **Unsafe code.** pi-trace is `deny(unsafe_code)`, with one exception:
 //! a worker runs a part through the caller's borrowed closure, whose
@@ -47,10 +49,10 @@
 //!
 //! # Width and grains
 //!
-//! The width is the host's available parallelism ([`threads`]; a process
-//! pinned to one core gets 1 and every split runs inline). Each kernel
-//! runs inline below a minimum size it measured, where a hand-off costs
-//! more than the part it would take. Nothing about either is configurable;
+//! The width is the pool's, the host's available parallelism
+//! ([`threads`]; a process pinned to one core gets 1 and every split runs
+//! inline). Each kernel runs inline below a minimum size it measured,
+//! where a hand-off costs more than the part it would take. Nothing about either is configurable;
 //! [`with_threads`] pins the width on one thread for differential tests
 //! and same-run A/Bs. The kernels that split, with each grain and what a
 //! two-way split measured at it on a 2-vCPU host (AES-NI), handing parts
@@ -73,32 +75,31 @@
 
 use crate::{local, span};
 use parking_lot::Mutex;
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, OnceLock};
-use std::thread::{JoinHandle, Thread};
+use std::thread::Thread;
 
 thread_local! {
     /// A width [`with_threads`] pinned on this thread; 0 = none.
     static PINNED: Cell<usize> = const { Cell::new(0) };
-    /// The pool this thread is a worker of, if any.
-    static HOME: RefCell<Option<Arc<Shared>>> = const { RefCell::new(None) };
 }
 
-/// The host's available parallelism, resolved once per process.
-fn host() -> usize {
+/// The pool's width: the host's available parallelism, resolved once per
+/// process.
+pub fn workers() -> usize {
     static HOST: OnceLock<usize> = OnceLock::new();
     *HOST.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
-/// Threads a split on this thread uses: the host's available parallelism,
-/// unless [`with_threads`] pinned another width.
+/// Threads a split on this thread uses: the pool's width, unless
+/// [`with_threads`] pinned another.
 pub fn threads() -> usize {
     match PINNED.get() {
-        0 => host(),
+        0 => workers(),
         pinned => pinned,
     }
 }
@@ -135,93 +136,55 @@ pub fn width(n: usize, grain: usize) -> usize {
 
 type Task = Box<dyn FnOnce() + Send>;
 
-/// A fixed set of threads (`pi-pool-0…`) on one FIFO queue. No task waits
-/// on another, so a pool is correct at any width, one included (a split
-/// waits only on parts that run). A panic loses its task, not its worker.
-/// Dropping the handle, never on one of its own workers, runs what is
-/// queued, then joins the workers.
-pub struct Pool {
-    shared: Arc<Shared>,
-    handles: Vec<JoinHandle<()>>,
+/// The pool's one FIFO queue.
+struct Queue {
+    tx: Sender<Task>,
+    rx: Mutex<Receiver<Task>>,
 }
 
-/// The queue (a `None` stops one worker) and the workers started.
-struct Shared {
-    tx: Sender<Option<Task>>,
-    rx: Mutex<Receiver<Option<Task>>>,
-    started: AtomicUsize,
-}
-
-impl Pool {
-    /// Starts `width` worker threads.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width` is 0.
-    pub fn new(width: usize) -> Self {
-        assert!(width > 0, "a pool needs at least one thread");
-        let (tx, rx) = channel();
-        let (rx, started) = (Mutex::new(rx), AtomicUsize::new(0));
-        let shared = Arc::new(Shared { tx, rx, started });
-        let spawn = |k| {
-            let (shared, name) = (shared.clone(), format!("pi-pool-{k}"));
-            let worker = std::thread::Builder::new().name(name);
-            worker
-                .spawn(move || shared.work())
-                .expect("spawn a pool worker")
-        };
-        let handles = (0..width).map(spawn).collect();
-        Self { shared, handles }
-    }
-
-    /// Queues `task` behind everything already queued.
-    pub fn spawn(&self, task: impl FnOnce() + Send + 'static) {
-        self.shared.push(Box::new(task));
-    }
-
-    /// Worker threads started so far: the width once all are up, however
-    /// many tasks and splits ran.
-    pub fn threads_started(&self) -> usize {
-        self.shared.started.load(SeqCst)
-    }
-}
-
-impl Drop for Pool {
-    fn drop(&mut self) {
-        for _ in &self.handles {
-            let _ = self.shared.tx.send(None);
-        }
-        // A worker catches every task's panic, so a join cannot fail.
-        self.handles.drain(..).for_each(|h| _ = h.join());
-    }
-}
-
-impl Shared {
+impl Queue {
     fn push(&self, task: Task) {
-        // `self` holds the receiver, so the send cannot fail.
-        let _ = self.tx.send(Some(task));
+        // The queue holds its receiver, so the send cannot fail.
+        let _ = self.tx.send(task);
     }
 
-    fn work(self: Arc<Self>) {
-        self.started.fetch_add(1, SeqCst);
-        HOME.set(Some(self.clone()));
+    fn work(&self) {
         loop {
             // Its own statement: the guard must be gone before the task
             // runs, or one worker runs at a time.
-            let next = self.rx.lock().recv();
-            let Ok(Some(task)) = next else { return };
+            let task = self.rx.lock().recv().expect("the queue holds its sender");
             // A task's panic message is already printed; the worker goes on.
             let _ = catch_unwind(AssertUnwindSafe(task));
         }
     }
 }
 
-/// The pool a split queues into off every pool's workers: as wide as the
-/// host, started by the first such split, its workers idle on the queue
-/// until the process exits.
-fn process_pool() -> &'static Pool {
-    static POOL: OnceLock<Pool> = OnceLock::new();
-    POOL.get_or_init(|| Pool::new(host()))
+/// The pool's queue, on the heap, with its [`workers`] threads started by
+/// the first call.
+fn pool() -> &'static Queue {
+    static POOL: OnceLock<&'static Queue> = OnceLock::new();
+    POOL.get_or_init(|| {
+        let (tx, rx) = channel();
+        let queue: &'static Queue = Box::leak(Box::new(Queue {
+            tx,
+            rx: Mutex::new(rx),
+        }));
+        for k in 0..workers() {
+            let worker = std::thread::Builder::new().name(format!("pi-pool-{k}"));
+            worker
+                .spawn(move || queue.work())
+                .expect("spawn a pool worker");
+        }
+        queue
+    })
+}
+
+/// Queues `task` on the pool, behind everything already queued. No task
+/// may wait on another (a split waits only on parts that run), so the
+/// pool is correct at any width, one included. A panic loses its task,
+/// not its worker.
+pub fn spawn(task: impl FnOnce() + Send + 'static) {
+    pool().push(Box::new(task));
 }
 
 /// Cuts `0..n` into `parts` contiguous ranges of near-equal length (at
@@ -292,13 +255,7 @@ fn map_parts<T: Send>(
         let out = catch_unwind(AssertUnwindSafe(|| (part(i), local::LocalBuf::new())));
         *outs[i].lock() = Some(out);
     };
-    let home = HOME.with_borrow(Option::clone);
-    share(
-        home.as_deref().unwrap_or(&process_pool().shared),
-        parts,
-        &on_worker,
-        inline,
-    );
+    share(parts, &on_worker, inline);
     let outs = outs
         .into_iter()
         .map(|out| out.into_inner().expect("every part ran"));
@@ -313,11 +270,11 @@ fn map_parts<T: Send>(
 }
 
 /// Runs parts `0..parts` once each and returns when all have finished:
-/// part 0, and every part no worker of `pool` claimed first, through
+/// part 0, and every part no pool worker claimed first, through
 /// `inline` on the calling thread, each other through `on_worker` on the
 /// worker that claimed it. A task per part `1..` is queued; each claims
 /// the next unclaimed part, and so does the caller once part 0 is done.
-fn share(pool: &Shared, parts: usize, on_worker: &(dyn Fn(usize) + Sync), inline: impl Fn(usize)) {
+fn share(parts: usize, on_worker: &(dyn Fn(usize) + Sync), inline: impl Fn(usize)) {
     let (next, left) = (AtomicUsize::new(1), AtomicUsize::new(parts - 1));
     let caller = std::thread::current();
     let claims = Arc::new(Claims {
@@ -339,14 +296,14 @@ fn share(pool: &Shared, parts: usize, on_worker: &(dyn Fn(usize) + Sync), inline
     let _wait = Wait(&claims);
     for _ in 1..parts {
         let claims = claims.clone();
-        pool.push(Box::new(move || {
+        spawn(move || {
             if let Some(i) = claims.claim() {
                 on_worker(i);
                 if claims.left.fetch_sub(1, SeqCst) == 1 {
                     claims.caller.unpark();
                 }
             }
-        }));
+        });
     }
     inline(0);
     while let Some(i) = claims.claim() {
@@ -405,56 +362,72 @@ pub fn concat<T>(parts: Vec<Vec<T>>) -> Vec<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::mpsc::{channel, Sender};
     use std::sync::Barrier;
     use std::time::Duration;
 
-    /// A pool the test never drops: a test whose task hangs then fails at
-    /// `on`'s deadline instead of joining a stuck worker forever.
-    fn pool(width: usize) -> &'static Pool {
-        Box::leak(Box::new(Pool::new(width)))
-    }
-
-    /// Runs `f` on a worker of `pool` and waits for its result under a
-    /// deadline: a hang fails the test instead of stalling the suite.
-    fn on<T: Send + 'static>(pool: &Pool, f: impl FnOnce() -> T + Send + 'static) -> T {
-        let (tx, rx) = channel();
-        pool.spawn(move || _ = tx.send(f()));
+    /// Waits for what `rx` gets under a deadline: a hang fails the test
+    /// instead of stalling the suite.
+    fn within_a_minute<T>(rx: &Receiver<T>) -> T {
         rx.recv_timeout(Duration::from_secs(60))
             .expect("the task finished within a minute")
     }
 
-    /// Runs `f` on a thread of no pool under `on`'s deadline.
-    fn off_pools<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+    /// Runs `f` as a pool task and waits for its result.
+    fn on_pool<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = channel();
+        spawn(move || _ = tx.send(f()));
+        within_a_minute(&rx)
+    }
+
+    /// Runs `f` on a thread of its own, off the pool.
+    fn off_pool<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
         let (tx, rx) = channel();
         std::thread::spawn(move || _ = tx.send(f()));
-        rx.recv_timeout(Duration::from_secs(60))
-            .expect("the thread finished within a minute")
+        within_a_minute(&rx)
     }
 
-    /// Whether this thread is a worker of `pool`.
-    fn works_for(pool: &Shared) -> bool {
-        HOME.with_borrow(|home| home.as_deref().is_some_and(|h| std::ptr::eq(h, pool)))
+    /// Whether this thread is one of the pool's workers.
+    fn on_a_worker() -> bool {
+        let me = std::thread::current();
+        me.name().is_some_and(|name| name.starts_with("pi-pool-"))
     }
 
-    /// Holds every worker of `pool` at once (`width` tasks on a barrier
-    /// with the caller) and returns what `check` read on each: every
-    /// worker is up, and `check` sees the state a task finds. Two of these
-    /// on one pool at once could deadlock, so a test holds `test_lock`
-    /// around those on the process-wide pool.
-    fn on_every_worker<T: Send + 'static>(pool: &Shared, width: usize, check: fn() -> T) -> Vec<T> {
-        let (barrier, (tx, rx)) = (Arc::new(Barrier::new(width + 1)), channel());
-        for _ in 0..width {
+    /// Holds every worker at once (a task each on a barrier with the
+    /// caller) and returns what `check` read on each: every worker is up,
+    /// and `check` sees the state a task finds. A test that holds workers
+    /// holds `test_lock`: two at once, or one beside a task that waits
+    /// for another worker, could deadlock.
+    fn on_every_worker<T: Send + 'static>(check: fn() -> T) -> Vec<T> {
+        let (barrier, (tx, rx)) = (Arc::new(Barrier::new(workers() + 1)), channel());
+        for _ in 0..workers() {
             let (barrier, tx): (_, Sender<T>) = (barrier.clone(), tx.clone());
-            pool.push(Box::new(move || {
+            spawn(move || {
                 _ = tx.send(check());
                 barrier.wait();
-            }));
+            });
         }
         barrier.wait();
-        (0..width)
-            .map(|_| rx.recv().expect("a worker checked in"))
-            .collect()
+        (0..workers()).map(|_| within_a_minute(&rx)).collect()
+    }
+
+    /// Runs `f` on one worker while every other waits on a barrier, and
+    /// re-raises its panic on the caller: `f` has the pool to itself, as
+    /// on a pool of one. Holds workers like [`on_every_worker`].
+    fn alone_on_the_pool<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        let barrier = || Arc::new(Barrier::new(workers()));
+        let (all_in, done) = (barrier(), barrier());
+        let (f, (tx, rx)) = (Arc::new(Mutex::new(Some(f))), channel());
+        for _ in 0..workers() {
+            let (all_in, done, f, tx) = (all_in.clone(), done.clone(), f.clone(), tx.clone());
+            spawn(move || {
+                if all_in.wait().is_leader() {
+                    let f = f.lock().take().expect("one leader");
+                    _ = tx.send(catch_unwind(AssertUnwindSafe(f)));
+                }
+                done.wait();
+            });
+        }
+        within_a_minute(&rx).unwrap_or_else(|e| resume_unwind(e))
     }
 
     /// What a worker holds between tasks: its span stack, whether a local
@@ -493,61 +466,62 @@ mod tests {
 
     #[test]
     fn first_range_runs_on_the_caller_and_every_other_on_the_caller_or_its_pool() {
-        // Off every pool, a split uses the process-wide one; on a worker,
-        // its own.
-        let pool = pool(2);
-        let global = &process_pool().shared;
-        let split = |pool: &Shared| {
+        // Off the pool and on one of its workers alike.
+        let split = || {
             let me = std::thread::current().id();
-            let got = map_ranges(64, 4, |_| (std::thread::current().id(), works_for(pool)));
-            assert_eq!(got[0].0, me);
-            assert!(
-                got.iter().all(|&(id, worker)| id == me || worker),
-                "{got:?}"
-            );
+            let got = map_ranges(64, 4, |_| (std::thread::current().id(), on_a_worker()));
+            got[0].0 == me && got.iter().all(|&(id, worker)| id == me || worker)
         };
-        split(global);
-        let shared = pool.shared.clone();
-        on(pool, move || split(&shared));
+        assert!(split());
+        assert!(on_pool(split));
     }
 
+    /// Linux only: counts the process's threads named as pool workers.
     #[test]
+    #[cfg(target_os = "linux")]
     fn a_pool_starts_its_width_of_threads_however_many_splits_run() {
-        let pool = pool(2);
-        on(pool, || {
+        let pool_threads = || {
+            let tasks = std::fs::read_dir("/proc/self/task").expect("the process's threads");
+            let comm = |t: std::fs::DirEntry| std::fs::read_to_string(t.path().join("comm"));
+            let names = tasks.filter_map(|t| comm(t.ok()?).ok());
+            names.filter(|name| name.starts_with("pi-pool-")).count()
+        };
+        let splits = || {
             for _ in 0..1_000 {
                 assert_eq!(concat(map_ranges(8, 3, Vec::from_iter)).len(), 8);
             }
-        });
-        on_every_worker(&pool.shared, 2, || ());
-        assert_eq!(pool.threads_started(), 2);
+        };
+        on_pool(splits);
+        with_threads(3, splits);
+        let (tx, rx) = channel();
+        for k in 0..100 {
+            let tx = tx.clone();
+            spawn(move || _ = tx.send(k));
+        }
+        assert_eq!((0..100).map(|_| within_a_minute(&rx)).sum::<usize>(), 4_950);
         let _l = crate::test_lock::hold();
-        with_threads(3, || {
-            for _ in 0..1_000 {
-                assert_eq!(concat(map_ranges(8, 3, Vec::from_iter)).len(), 8);
-            }
-        });
-        let global = process_pool();
-        on_every_worker(&global.shared, host(), || ());
-        assert_eq!(global.threads_started(), host());
+        on_every_worker(|| ());
+        assert_eq!(pool_threads(), workers());
     }
 
     #[test]
     fn a_nested_split_inside_a_part_completes() {
         let nested = || {
             let sums = map_ranges(6, 3, |r| map_ranges(r.len(), 2, |r| r.len()).iter().sum());
-            assert_eq!(sums.iter().sum::<usize>(), 6);
+            sums.iter().sum::<usize>()
         };
-        for width in [1, 2] {
-            on(pool(width), nested);
-        }
-        off_pools(move || with_threads(3, nested));
+        assert_eq!(on_pool(nested), 6);
+        assert_eq!(off_pool(move || with_threads(3, nested)), 6);
+        let _l = crate::test_lock::hold();
+        assert_eq!(alone_on_the_pool(move || with_threads(3, nested)), 6);
     }
 
+    /// A split made while every other worker is held has no worker to
+    /// hand a part to: its caller runs them all.
     #[test]
     fn a_split_on_the_only_worker_of_a_pool_runs_inline() {
-        let pool = pool(1);
-        let got = on(pool, || {
+        let _l = crate::test_lock::hold();
+        let got = alone_on_the_pool(|| {
             let me = std::thread::current().id();
             map_ranges(100, 4, |r| (r, std::thread::current().id() == me))
         });
@@ -558,9 +532,9 @@ mod tests {
 
     #[test]
     fn a_part_that_panics_on_a_worker_panics_the_caller_and_keeps_the_worker() {
-        let pool = pool(2);
-        let err = on(pool, || {
-            // Part 0 holds its caller until the other worker runs part 1.
+        let _l = crate::test_lock::hold();
+        let err = off_pool(|| {
+            // Part 0 holds its caller until a worker runs part 1.
             let both = Barrier::new(2);
             catch_unwind(AssertUnwindSafe(|| {
                 map_ranges(4, 2, |r| {
@@ -576,9 +550,9 @@ mod tests {
             err.downcast_ref::<String>().map(String::as_str),
             Some("part 2")
         );
-        on_every_worker(&pool.shared, 2, || ());
-        assert_eq!(pool.threads_started(), 2);
-        assert_eq!(on(pool, || map_ranges(4, 2, |r| r.len())), [2, 2]);
+        // Every worker takes a task again.
+        assert_eq!(on_every_worker(|| ()).len(), workers());
+        assert_eq!(on_pool(|| map_ranges(4, 2, |r| r.len())), [2, 2]);
     }
 
     #[test]
@@ -631,11 +605,10 @@ mod tests {
         use crate::{counter, force_mode, test_lock, Counter, TraceMode};
         let _l = test_lock::hold();
         force_mode(Some(TraceMode::Full));
-        // Off every pool (the process-wide pool's workers take parts), then
-        // on the busy only worker of a pool (every part reclaimed inline).
-        let busy = pool(1);
-        let runs: [&dyn Fn(); 2] = [&|| off_pools(splits_report_into_the_callers_scope), &|| {
-            on(busy, splits_report_into_the_callers_scope)
+        // Off the pool (its workers take parts), then on a worker with the
+        // pool to itself (every part reclaimed inline).
+        let runs: [&dyn Fn(); 2] = [&|| off_pool(splits_report_into_the_callers_scope), &|| {
+            alone_on_the_pool(splits_report_into_the_callers_scope)
         }];
         for run in runs {
             crate::reset();
@@ -658,11 +631,7 @@ mod tests {
         });
         // No worker keeps a task's or a part's span stack, scope or width.
         let clean = (Vec::new(), false, 0);
-        for (pool, width) in [(&process_pool().shared, host()), (&busy.shared, 1)] {
-            assert!(on_every_worker(pool, width, leftover)
-                .iter()
-                .all(|l| *l == clean));
-        }
+        assert!(on_every_worker(leftover).iter().all(|l| *l == clean));
         force_mode(None);
         crate::reset();
     }

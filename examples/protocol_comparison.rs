@@ -99,8 +99,8 @@ fn main() {
     // measured Client-Garbler trace: the one place a rate is derived from
     // it. The scales differ (DELPHI's 41-bit field on server silicon vs our
     // small test field), so the columns are not expected to agree.
-    // `ProtocolCosts::apply_calibration` takes the garble and eval rates
-    // of such a calibration; no figure program applies one yet.
+    // No cost model reads such a calibration yet: `pi_sim::cost` runs on
+    // the paper's constants.
     let paper = pi_sim::calib::Calibration::paper();
     let measured = pi_sim::calib::from_trace(&cg.trace);
     println!();

@@ -46,13 +46,6 @@ fn random_input(model: &PiModel, seed: u64) -> Vec<u64> {
         .collect()
 }
 
-fn serve_cfg(workers: usize) -> ServeConfig {
-    ServeConfig {
-        workers,
-        ..Default::default()
-    }
-}
-
 /// Runs `n` concurrent clients against one registered model and checks
 /// every output against the fixed-point reference — the same ground truth
 /// the sequential drivers are tested against, so concurrent == sequential
@@ -85,7 +78,7 @@ fn concurrent_clients_match_reference_clear_both_kinds() {
     let he = BfvParams::small_test();
     let model = build_model(&he, 11);
     for kind in [ProtocolKind::ServerGarbler, ProtocolKind::ClientGarbler] {
-        let rt = ServeRuntime::new(serve_cfg(4));
+        let rt = ServeRuntime::new(ServeConfig::default());
         run_concurrent_clients(&rt, &model, &ProtocolConfig::clear(kind), 4);
     }
 }
@@ -97,18 +90,14 @@ fn concurrent_clients_match_reference_clear_both_kinds() {
 fn concurrent_clients_match_reference_he_client_garbler() {
     let he = BfvParams::small_test();
     let model = build_model(&he, 11);
-    // One worker too: every pump then takes its turn on one thread, and a
-    // task that waited on one queued behind it would hang.
-    for workers in [1, 4] {
-        for lphe_threads in [1, 2] {
-            let rt = ServeRuntime::new(serve_cfg(workers));
-            let cfg = ProtocolConfig::client_garbler(he.clone(), lphe_threads);
-            run_concurrent_clients(&rt, &model, &cfg, 3);
-            // Three distinct clients uploaded keys, and every session ran
-            // its own matvecs.
-            let what = format!("{workers} workers, lphe_threads {lphe_threads}");
-            assert_eq!(rt.key_table_stats().inserts, 3, "{what}");
-        }
+    for lphe_threads in [1, 2] {
+        let rt = ServeRuntime::new(ServeConfig::default());
+        let cfg = ProtocolConfig::client_garbler(he.clone(), lphe_threads);
+        run_concurrent_clients(&rt, &model, &cfg, 3);
+        // Three distinct clients uploaded keys, and every session ran its
+        // own matvecs.
+        let what = format!("lphe_threads {lphe_threads}");
+        assert_eq!(rt.key_table_stats().inserts, 3, "{what}");
     }
 }
 
@@ -116,14 +105,44 @@ fn concurrent_clients_match_reference_he_client_garbler() {
 fn concurrent_clients_match_reference_he_server_garbler() {
     let he = BfvParams::small_test();
     let model = build_model(&he, 11);
-    let rt = ServeRuntime::new(serve_cfg(2));
+    let rt = ServeRuntime::new(ServeConfig::default());
     run_concurrent_clients(&rt, &model, &ProtocolConfig::server_garbler(he), 2);
+}
+
+/// Every runtime's pumps and every split are tasks of `pi_trace::par`'s
+/// one pool: with three runtimes alive, each having served a request, and
+/// a client-side split run, the process has at most `rt.workers()` pool
+/// threads (`pi-pool-…`, counted in `/proc/self/task`).
+#[test]
+#[cfg(target_os = "linux")]
+fn three_live_runtimes_share_the_pool_threads() {
+    let he = BfvParams::small_test();
+    let model = build_model(&he, 11);
+    let cfg = ProtocolConfig::clear(ProtocolKind::ServerGarbler);
+    let runtimes: Vec<_> = (0..3)
+        .map(|_| {
+            let rt = ServeRuntime::new(ServeConfig::default());
+            run_concurrent_clients(&rt, &model, &cfg, 1);
+            rt
+        })
+        .collect();
+    let split = pi_trace::par::with_threads(2, || pi_trace::par::map_ranges(4, 2, |r| r.len()));
+    assert_eq!(split, [2, 2]);
+    let tasks = std::fs::read_dir("/proc/self/task").expect("the process's threads");
+    let comm = |t: std::fs::DirEntry| std::fs::read_to_string(t.path().join("comm"));
+    let names = tasks.filter_map(|t| comm(t.ok()?).ok());
+    let pool_threads = names.filter(|name| name.starts_with("pi-pool-")).count();
+    let workers = runtimes[0].workers();
+    assert!(
+        pool_threads <= workers,
+        "{pool_threads} pool threads for {workers} workers"
+    );
 }
 
 /// Four client bodies on the test thread: each `ServiceClient::session`
 /// awaits its own runtime connection through `Channel::try_recv`, so it
 /// suspends while its next message is not there, and one loop polls all
-/// four in turn against a one-worker runtime until every one resolves —
+/// four in turn against one runtime until every one resolves —
 /// bit-exact, both garbler kinds, HE and clear.
 #[test]
 fn four_client_bodies_share_one_thread() {
@@ -134,7 +153,7 @@ fn four_client_bodies_share_one_thread() {
         for he in [Some(&he), None] {
             let what = format!("{kind:?}, he={}", he.is_some());
             let cfg = protocol_cfg(kind, he);
-            let rt = ServeRuntime::new(serve_cfg(1));
+            let rt = ServeRuntime::new(ServeConfig::default());
             let model_id = rt.register_model(model.clone(), cfg.clone());
             let conns: Vec<_> = (0..4).map(|c| rt.connect(c, model_id, 4_000 + c)).collect();
             let inputs: Vec<_> = (0..4).map(|c| random_input(&model, 90 + c)).collect();
@@ -190,7 +209,7 @@ fn dropped_client_aborts_one_session_not_the_server() {
     let he = BfvParams::small_test();
     let model = build_model(&he, 11);
     let cfg = ProtocolConfig::clear(ProtocolKind::ServerGarbler);
-    let rt = ServeRuntime::new(serve_cfg(2));
+    let rt = ServeRuntime::new(ServeConfig::default());
     let model_id = rt.register_model(model.clone(), cfg.clone());
     let meta = ModelMeta::of(&model);
 
@@ -230,7 +249,7 @@ fn misbehaving_client_gets_a_typed_error_not_a_panic() {
     let he = BfvParams::small_test();
     let model = build_model(&he, 11);
     let cfg = ProtocolConfig::clear(ProtocolKind::ServerGarbler);
-    let rt = ServeRuntime::new(serve_cfg(1));
+    let rt = ServeRuntime::new(ServeConfig::default());
     let model_id = rt.register_model(model.clone(), cfg);
 
     let conn = rt.connect(0, model_id, 1);
@@ -254,7 +273,6 @@ fn key_table_eviction_forces_reupload_and_stays_correct() {
     let cfg = ProtocolConfig::client_garbler(he, 1);
     // A 1-byte budget: each key insert evicts the previous client's keys.
     let rt = ServeRuntime::new(ServeConfig {
-        workers: 2,
         table_budget_bytes: 1,
     });
     let model_id = rt.register_model(model.clone(), cfg.clone());
@@ -308,7 +326,6 @@ fn a_full_key_table_turns_over_in_place_and_stays_correct() {
     let meta = ModelMeta::of(&model);
     let set = pi_he::GaloisKeys::resident_byte_len_of(&he, meta.key_plan(&he).len()) as u64;
     let rt = ServeRuntime::new(ServeConfig {
-        workers: 2,
         table_budget_bytes: 2 * set + set / 2,
     });
     let model_id = rt.register_model(model.clone(), cfg.clone());
@@ -342,7 +359,6 @@ fn one_budget_covers_keys_and_ot_state() {
     let meta = ModelMeta::of(&model);
     let budget = 2 * pi_he::GaloisKeys::resident_byte_len_of(&he, meta.key_plan(&he).len()) as u64;
     let rt = ServeRuntime::new(ServeConfig {
-        workers: 2,
         table_budget_bytes: budget,
     });
     let model_id = rt.register_model(model.clone(), cfg.clone());
@@ -369,7 +385,7 @@ fn key_table_hit_skips_the_upload() {
     let he = BfvParams::small_test();
     let model = build_model(&he, 11);
     let cfg = ProtocolConfig::client_garbler(he, 1);
-    let rt = ServeRuntime::new(serve_cfg(2));
+    let rt = ServeRuntime::new(ServeConfig::default());
     let model_id = rt.register_model(model.clone(), cfg.clone());
     let meta = ModelMeta::of(&model);
 
@@ -959,7 +975,7 @@ fn drop_column(m: &mut Msg, _: u64) {
     }
 }
 
-/// Nothing a client sends panics a worker: on a **one-worker** runtime, for
+/// Nothing a client sends panics a worker: on one runtime, for
 /// both protocol kinds, an honest client's traffic is corrupted at each
 /// state whose substrate call asserts a shape or a range. The session must
 /// resolve to `BadRequest` — a panicked worker would resolve neither it nor
@@ -1008,7 +1024,7 @@ fn malformed_client_messages_are_bad_requests_and_the_worker_survives() {
         (ProtocolKind::ClientGarbler, &cg_cases[..]),
     ] {
         let cfg = ProtocolConfig::clear(kind);
-        let rt = ServeRuntime::new(serve_cfg(1));
+        let rt = ServeRuntime::new(ServeConfig::default());
         let model_id = rt.register_model(model.clone(), cfg.clone());
         let party = (&meta, &cfg);
         for (c, &(what, tamper)) in both.iter().chain(own).enumerate() {
@@ -1020,7 +1036,7 @@ fn malformed_client_messages_are_bad_requests_and_the_worker_survives() {
                 "{what}: {served:?}"
             );
         }
-        // Same runtime, same single worker, after every abort.
+        // Same runtime, same workers, after every abort.
         let neighbour = (model_id, (both.len() + own.len()) as u64);
         neighbour_completes(&rt, neighbour, &model, party, &format!("{kind:?}"));
     }
@@ -1043,9 +1059,9 @@ fn even_galois_element(m: &mut Msg, _: u64) {
 }
 
 /// The key upload is parsed on the worker: a `HeKeys` whose Galois frame
-/// names an even element must come back as the reader's typed error — on a
-/// one-worker runtime a panic in the parse would leave this session and
-/// every later one unresolved — and a well-behaved client on the same
+/// names an even element must come back as the reader's typed error — a
+/// panic in the parse would leave this session unresolved and cost its
+/// worker a task — and a well-behaved client on the same
 /// runtime must then complete bit-exact under its own fresh keys.
 #[test]
 fn unusable_uploaded_galois_keys_are_a_wire_error_and_the_worker_survives() {
@@ -1053,7 +1069,7 @@ fn unusable_uploaded_galois_keys_are_a_wire_error_and_the_worker_survives() {
     let model = build_model(&he, 11);
     let meta = ModelMeta::of(&model);
     let cfg = ProtocolConfig::client_garbler(he, 1);
-    let rt = ServeRuntime::new(serve_cfg(1));
+    let rt = ServeRuntime::new(ServeConfig::default());
     let model_id = rt.register_model(model.clone(), cfg.clone());
     let (what, tamper) = case("even Galois element", "HeKeys", 0, even_galois_element);
 
@@ -1139,9 +1155,9 @@ fn off_plan_key_uploads() -> [(&'static str, Tamper); 5] {
 }
 
 /// The server admits a key upload only if it **is** the model's key plan:
-/// on a one-worker runtime each off-plan upload ends its own session in
+/// on one runtime each off-plan upload ends its own session in
 /// `BadRequest` and is not cached, while a neighbour running at the same
-/// time on the same worker — its pumps queued behind the refused
+/// time on the same pool — its pumps queued beside the refused
 /// session's — completes bit-exact. A worker that panicked on a missing key
 /// would resolve neither.
 #[test]
@@ -1151,7 +1167,7 @@ fn off_plan_key_uploads_are_bad_requests_and_the_neighbour_completes() {
     let meta = ModelMeta::of(&model);
     let cfg = ProtocolConfig::client_garbler(he, 1);
     let party = (&meta, &cfg);
-    let rt = ServeRuntime::new(serve_cfg(1));
+    let rt = ServeRuntime::new(ServeConfig::default());
     let model_id = rt.register_model(model.clone(), cfg.clone());
     for (c, (what, tamper)) in off_plan_key_uploads().into_iter().enumerate() {
         let (bad, good) = (2 * c as u64, 2 * c as u64 + 1);
@@ -1442,7 +1458,7 @@ fn wrong_kind_server_messages_are_unexpected_to_the_client() {
             hung_up(&served, &what);
         }
         let what = format!("{kind:?}, KeyStatus as VecU64");
-        let rt = ServeRuntime::new(serve_cfg(1));
+        let rt = ServeRuntime::new(ServeConfig::default());
         let model_id = rt.register_model((*model).clone(), cfg.clone());
         let tamper = Some((Dir::Down, case("", "KeyStatus", 0, vec_u64).1));
         let input = random_input(&model, 900);
@@ -1466,7 +1482,7 @@ fn truncate_frame(m: &mut Msg, _: u64) {
 
 /// A `HeCts` frame a byte short is the frame reader's typed error to
 /// whichever party receives it, upload or response, both garbler kinds,
-/// under `drive_sync` and on a one-worker runtime; the party that sent it
+/// under `drive_sync` and on the serving runtime; the party that sent it
 /// sees the hang-up, and a neighbour on the same runtime then completes
 /// bit-exact.
 #[test]
@@ -1479,7 +1495,7 @@ fn a_truncated_ciphertext_frame_is_a_wire_error_to_either_party() {
         ProtocolConfig::server_garbler(he.clone()),
         ProtocolConfig::client_garbler(he.clone(), 1),
     ] {
-        let rt = ServeRuntime::new(serve_cfg(1));
+        let rt = ServeRuntime::new(ServeConfig::default());
         let model_id = rt.register_model((*model).clone(), cfg.clone());
         for (c, dir) in [Dir::Up, Dir::Down].into_iter().enumerate() {
             let what = match dir {
@@ -1547,7 +1563,7 @@ fn mixed_order_peer_points_change_nothing() {
         };
         let cfg = ProtocolConfig::clear(kind);
         let what = format!("{kind:?}, mixed-order {up}");
-        let rt = ServeRuntime::new(serve_cfg(1));
+        let rt = ServeRuntime::new(ServeConfig::default());
         let ids = (rt.register_model((*model).clone(), cfg.clone()), 0);
         let input = random_input(&model, 600);
         let tamper = Some((Dir::Up, passing(up)));
@@ -1571,12 +1587,81 @@ fn mixed_order_peer_points_change_nothing() {
     }
 }
 
+/// One client whose uplink a relay holds after its first linear message,
+/// so its session is suspended mid-upload until [`Suspended::release`].
+struct Suspended {
+    release: std::sync::mpsc::Sender<()>,
+    handle: pi_core::serve::SessionHandle,
+    run: std::thread::JoinHandle<Result<Vec<u64>, ProtocolError>>,
+    relays: [std::thread::JoinHandle<()>; 2],
+    expect: Vec<u64>,
+}
+
+/// Connects `client_id` to `model_id` on `rt` behind a holding relay and
+/// returns once the relay holds the client's first linear message.
+fn suspend_mid_upload(
+    rt: &ServeRuntime,
+    (model_id, client_id): (usize, u64),
+    model: &PiModel,
+    (meta, cfg): (&ModelMeta, &ProtocolConfig),
+) -> Suspended {
+    let conn = rt.connect(client_id, model_id, 10 + client_id);
+    let session = Arc::new(conn.chan);
+    let (chan, to_client) = local_pair();
+    let to_client = Arc::new(to_client);
+    let (held_tx, held_rx) = std::sync::mpsc::channel();
+    let (release, release_rx) = std::sync::mpsc::channel::<()>();
+    let up = std::thread::spawn({
+        let (session, from_client) = (session.clone(), to_client.clone());
+        move || {
+            let mut hold = Some((held_tx, release_rx));
+            while let Ok(m) = from_client.recv() {
+                let linear = matches!(m, Msg::HeKeys(_) | Msg::HeCts(_) | Msg::VecU64(_));
+                if session.send(m).is_err() {
+                    break;
+                }
+                if let Some((held, release)) = hold.take_if(|_| linear) {
+                    let _ = held.send(());
+                    let _ = release.recv();
+                }
+            }
+        }
+    });
+    let down = std::thread::spawn(move || {
+        while let Ok(m) = session.recv() {
+            if to_client.send(m).is_err() {
+                break;
+            }
+        }
+    });
+    let input = random_input(model, 70 + client_id);
+    let expect = model.forward(&input);
+    let run = {
+        let (meta, cfg) = (meta.clone(), cfg.clone());
+        std::thread::spawn(move || {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(71 + client_id);
+            let ran = ServiceClient::new().run(&meta, &input, &cfg, &chan, &mut rng);
+            ran.map(|(out, _)| out)
+        })
+    };
+    held_rx
+        .recv_timeout(std::time::Duration::from_secs(60))
+        .unwrap_or_else(|_| panic!("client {client_id} sent no linear message"));
+    Suspended {
+        release,
+        handle: conn.handle,
+        run,
+        relays: [up, down],
+        expect,
+    }
+}
+
 /// A session waiting for its client's next message gives its worker back.
-/// On a one-worker runtime, under both garbler kinds, a relay holds client
-/// A's uplink after its first linear message, so A's session is suspended
-/// mid-upload; client B runs a whole inference on the same worker
-/// meanwhile, bit-exact, and once the relay lets go A completes bit-exact
-/// too. A receive that blocked the worker would leave B without one.
+/// Under both garbler kinds, one session per pool worker is suspended
+/// mid-upload behind a holding relay; a further client then runs a whole
+/// inference meanwhile, bit-exact, and once the relays let go every held
+/// client completes bit-exact too. A receive that blocked its worker
+/// would leave the further client without one, at any width.
 #[test]
 fn a_suspended_session_gives_its_only_worker_back() {
     let he = BfvParams::small_test();
@@ -1585,64 +1670,33 @@ fn a_suspended_session_gives_its_only_worker_back() {
     for kind in [ProtocolKind::ServerGarbler, ProtocolKind::ClientGarbler] {
         let what = format!("{kind:?}");
         let cfg = protocol_cfg(kind, Some(&he));
-        let rt = ServeRuntime::new(serve_cfg(1));
+        let rt = ServeRuntime::new(ServeConfig::default());
         let model_id = rt.register_model(model.clone(), cfg.clone());
-        let a = rt.connect(0, model_id, 10);
-        let session = Arc::new(a.chan);
-        let (a_chan, to_a) = local_pair();
-        let to_a = Arc::new(to_a);
-        let (held_tx, held_rx) = std::sync::mpsc::channel();
-        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
-        let up = std::thread::spawn({
-            let (session, from_a) = (session.clone(), to_a.clone());
-            move || {
-                let mut hold = Some((held_tx, release_rx));
-                while let Ok(m) = from_a.recv() {
-                    let linear = matches!(m, Msg::HeKeys(_) | Msg::HeCts(_) | Msg::VecU64(_));
-                    if session.send(m).is_err() {
-                        break;
-                    }
-                    if let Some((held, release)) = hold.take_if(|_| linear) {
-                        let _ = held.send(());
-                        let _ = release.recv();
-                    }
-                }
-            }
-        });
-        let down = std::thread::spawn(move || {
-            while let Ok(m) = session.recv() {
-                if to_a.send(m).is_err() {
-                    break;
-                }
-            }
-        });
-        let input = random_input(&model, 70);
-        let expect = model.forward(&input);
-        let a_run = {
-            let (meta, cfg) = (meta.clone(), cfg.clone());
-            std::thread::spawn(move || {
-                let mut rng = rand::rngs::StdRng::seed_from_u64(71);
-                let ran = ServiceClient::new().run(&meta, &input, &cfg, &a_chan, &mut rng);
-                ran.map(|(out, _)| out)
-            })
-        };
-        held_rx
-            .recv_timeout(std::time::Duration::from_secs(60))
-            .unwrap_or_else(|_| panic!("{what}: A sent no linear message"));
-        // A is released whatever became of B: a worker stuck in A's
-        // session fails the test instead of hanging the runtime's drop.
-        let b = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            neighbour_completes(&rt, (model_id, 1), &model, (&meta, &cfg), &what)
+        let held = rt.workers() as u64;
+        let suspended: Vec<_> = (0..held)
+            .map(|c| suspend_mid_upload(&rt, (model_id, c), &model, (&meta, &cfg)))
+            .collect();
+        // Every held client is released whatever became of the further
+        // one: a worker stuck in a held session fails the test instead of
+        // hanging the relays.
+        let further = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            neighbour_completes(&rt, (model_id, held), &model, (&meta, &cfg), &what)
         }));
-        release_tx.send(()).expect("relay waiting");
-        if let Err(panic) = b {
+        for s in &suspended {
+            s.release.send(()).expect("relay waiting");
+        }
+        if let Err(panic) = further {
             std::panic::resume_unwind(panic);
         }
-        let served = within_a_minute(&what, move || a.handle.wait());
-        assert!(served.is_ok(), "{what}: A's session {served:?}");
-        assert_eq!(a_run.join().expect("client A"), Ok(expect), "{what}: A");
-        up.join().expect("up relay");
-        down.join().expect("down relay");
+        for (c, s) in suspended.into_iter().enumerate() {
+            let served = within_a_minute(&what, move || s.handle.wait());
+            assert!(served.is_ok(), "{what}: client {c}'s session {served:?}");
+            let ran = s.run.join().expect("held client");
+            assert_eq!(ran, Ok(s.expect), "{what}: client {c}");
+            for relay in s.relays {
+                relay.join().expect("relay");
+            }
+        }
     }
 }
 
@@ -1674,7 +1728,7 @@ fn returning_client_runs_no_base_ot() {
         for he in [Some(&he), None] {
             let what = format!("{kind:?}, he={}", he.is_some());
             let cfg = protocol_cfg(kind, he);
-            let rt = ServeRuntime::new(serve_cfg(2));
+            let rt = ServeRuntime::new(ServeConfig::default());
             let ids = (rt.register_model(model.clone(), cfg.clone()), 7);
             let mut client = ServiceClient::new();
             let mut requests = Vec::new();
@@ -1736,7 +1790,6 @@ fn ot_table_eviction_reruns_base_ot_and_stays_correct() {
     for kind in [ProtocolKind::ClientGarbler, ProtocolKind::ServerGarbler] {
         let cfg = ProtocolConfig::clear(kind);
         let rt = ServeRuntime::new(ServeConfig {
-            workers: 2,
             table_budget_bytes: 1,
         });
         let model_id = rt.register_model(model.clone(), cfg.clone());
@@ -1781,7 +1834,7 @@ fn sessions_of_one_client_get_disjoint_block_ranges() {
     for (kind, abort) in aborts {
         let what = format!("{kind:?}");
         let cfg = ProtocolConfig::clear(kind);
-        let rt = ServeRuntime::new(serve_cfg(2));
+        let rt = ServeRuntime::new(ServeConfig::default());
         let ids = (rt.register_model(model.clone(), cfg.clone()), 3);
         let blocks = meta.ot_blocks(kind);
         assert!(blocks > 0);
@@ -1841,7 +1894,7 @@ fn rewind_base(m: &mut Msg, _: u64) {
 /// `BadRequest` before the client has sent a single message. The session
 /// they leave behind ends when the client hangs up, the refused returning
 /// client is served on its next honest request, and a neighbour on the same
-/// one-worker runtime completes. The cached claim and the unknown bits are
+/// runtime completes. The cached claim and the unknown bits are
 /// refused on a dedicated pair too, whose `drive_sync` server then sees the
 /// client hang up.
 #[test]
@@ -1852,7 +1905,7 @@ fn malformed_key_status_is_a_bad_request_before_the_client_sends() {
     for kind in [ProtocolKind::ServerGarbler, ProtocolKind::ClientGarbler] {
         let cfg = ProtocolConfig::clear(kind);
         let party = (&meta, &cfg);
-        let rt = ServeRuntime::new(serve_cfg(1));
+        let rt = ServeRuntime::new(ServeConfig::default());
         let model_id = rt.register_model((*model).clone(), cfg.clone());
         // Client 0 has been here before; the others are new.
         let input = random_input(&model, 800);
@@ -1946,7 +1999,7 @@ fn a_claim_of_cached_keys_is_refused_before_the_client_sends() {
             ProtocolKind::ServerGarbler => ProtocolConfig::server_garbler(he.clone()),
             ProtocolKind::ClientGarbler => ProtocolConfig::client_garbler(he.clone(), 1),
         };
-        let rt = ServeRuntime::new(serve_cfg(1));
+        let rt = ServeRuntime::new(ServeConfig::default());
         let model_id = rt.register_model(model.clone(), cfg.clone());
         let what = format!("{kind:?}, cached-keys claim, fresh client");
         let (_, tamper) = case("", "KeyStatus", 0, drop_need_keys);
@@ -2010,7 +2063,7 @@ fn a_base_ot_setup_out_of_its_place_is_unexpected() {
                 };
                 assert_eq!(got, Some((expected, "OtBaseSetup")), "{what}: {served:?}");
             };
-        let rt = ServeRuntime::new(serve_cfg(1));
+        let rt = ServeRuntime::new(ServeConfig::default());
         let model_id = rt.register_model((*model).clone(), cfg.clone());
         let cases = [
             ("a second setup", first),
@@ -2074,7 +2127,7 @@ fn key_status_flags_what_the_server_caches() {
             ProtocolKind::ClientGarbler => ProtocolKind::ServerGarbler,
             ProtocolKind::ServerGarbler => ProtocolKind::ClientGarbler,
         };
-        let rt = ServeRuntime::new(serve_cfg(2));
+        let rt = ServeRuntime::new(ServeConfig::default());
         let cfgs = [
             protocol_cfg(kind, Some(&he)),
             protocol_cfg(other, Some(&he)),
@@ -2144,7 +2197,7 @@ fn one_client_alternating_between_two_models_is_served_both_ways() {
     assert_ne!(metas[0].key_plan(&he), metas[1].key_plan(&he));
     for kind in [ProtocolKind::ClientGarbler, ProtocolKind::ServerGarbler] {
         let cfg = protocol_cfg(kind, Some(&he));
-        let rt = ServeRuntime::new(serve_cfg(2));
+        let rt = ServeRuntime::new(ServeConfig::default());
         let ids = [0, 1].map(|m| rt.register_model(models[m].clone(), cfg.clone()));
         let mut client = ServiceClient::new();
         for (visit, m) in [0, 1, 0, 1].into_iter().enumerate() {

@@ -341,7 +341,7 @@ fn a_fresh_clients_cold_path_reports_every_count_at_every_width() {
 /// A serving-runtime session computes its own HE matvecs, inside its own
 /// pump, so their work lands in the request's report — also the matvecs
 /// LPHE runs on helper threads. For one Client-Garbler `tiny_cnn` request
-/// on a one-worker runtime, with `lphe_threads` 1 and 2 and the client's
+/// on the serving runtime, with `lphe_threads` 1 and 2 and the client's
 /// splits at widths 1, 2 and 3 (the session's run at the host's width),
 /// the server's `he.rotation` count is the sum of `matvec_op_count` over
 /// the model's phases, and exactly what the process-global counter moved
@@ -363,10 +363,7 @@ fn a_served_request_reports_its_own_matvec_rotations() {
         .map(|ph| linalg::matvec_op_count(he.n(), ph.padded_dim).rotations() as u64)
         .sum();
     assert!(expect > 0);
-    let rt = ServeRuntime::new(ServeConfig {
-        workers: 1,
-        ..Default::default()
-    });
+    let rt = ServeRuntime::new(ServeConfig::default());
 
     pi_trace::force_mode(Some(TraceMode::Counters));
     let mut client_id = 0;
