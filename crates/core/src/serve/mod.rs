@@ -24,7 +24,7 @@
 //!   evicted client re-uploads the keys [`crate::ServiceClient`] retains,
 //!   or runs base OT again, on its next request, driven by the
 //!   [`KeyStatus`](crate::msg::Msg::KeyStatus) handshake. A key upload
-//!   makes its room before it is decoded (`ByteLru::make_room`) and is
+//!   makes its room before it is decoded (`SessionTable::make_room`) and is
 //!   decoded into an evicted set no session holds: a full table turns over
 //!   in place, so a churning runtime holds its budget's memory, not a
 //!   function of which worker's allocator arena each set was decoded in.
@@ -318,7 +318,7 @@ async fn serve(
         model: &entry.model,
         cfg: &entry.cfg,
         pre: &entry.pre,
-        cache: Some(&cache),
+        cache: &cache,
     };
     let peer = Peer {
         sink: &tx,

@@ -8,15 +8,15 @@
 //! client body runs in the mirrored role (`role.rs`) — written top to
 //! bottom like the client's ([`crate::ServiceClient::session`]), and every
 //! receive is an `.await` on its [`Peer`], as the client's is. The body
-//! opens every session with [`Msg::KeyStatus`] — what the server holds of
-//! this client, nothing for a lone session — so both drivers put one
+//! opens every session with [`Msg::KeyStatus`] — what its session table
+//! (`SessionCtx::cache`) holds of this client — so both drivers put one
 //! transcript on the wire:
 //!
 //! * [`drive_sync`] receives by blocking on its channel, so the session
-//!   never suspends and one poll runs it whole;
+//!   never suspends and one poll runs it whole; it gets a fresh table;
 //! * the serving runtime receives from the session's inbox, so the session
 //!   suspends whenever that is empty, and the runtime polls it again once
-//!   the client's next message arrives.
+//!   the client's next message arrives; its sessions share its one table.
 //!
 //! A session does all of its own work, the offline HE matvecs included:
 //! the message that completes the client's ciphertext upload runs every
@@ -39,7 +39,7 @@
 //! then per-phase garbling.
 //!
 //! **Base OT runs once per client pair.** A session that finds the pair's
-//! IKNP state in the runtime's session table (`SessionCtx::cache`) reserves
+//! IKNP state in its session table (`SessionCtx::cache`) reserves
 //! its range of the streams there and goes from the linear responses
 //! straight to garbling; one that does not runs the three base-OT messages,
 //! starts at block 0 and caches the state the moment it exists. From
@@ -61,7 +61,7 @@ use crate::msg::Msg;
 use crate::role::{
     decode_outputs, encode, BaseReceiver, BaseSender, Garbler, LabelRequest, OtStream, PhaseTables,
 };
-use crate::serve::table::ClientCache;
+use crate::serve::table::{ClientCache, SessionTable};
 use pi_gc::Label;
 use pi_he::linalg::{self, BsgsDiagonals};
 use pi_he::{Ciphertext, Plaintext};
@@ -83,10 +83,10 @@ pub(crate) struct SessionCtx<'a> {
     /// diagonals and, in HE mode, the encoder and key plan the HE pass
     /// reads.
     pub pre: &'a ServerPrecomp,
-    /// The client's handle on the runtime's session table, `None` for a
-    /// lone session: what the session finds there it skips, and what it
+    /// The client's handle on its session table (the runtime's, or a lone
+    /// session's own): what the session finds there it skips, and what it
     /// admits or builds goes in the moment it exists.
-    pub cache: Option<&'a ClientCache>,
+    pub cache: &'a ClientCache,
 }
 
 /// The IKNP stream the server's role takes up: the garbler's extension
@@ -140,8 +140,8 @@ pub(crate) async fn run(
     // whether its HE keys must be uploaded, and whether (and from which
     // block) the session runs on cached IKNP state instead of base OT.
     let cache = ctx.cache;
-    let cached_keys = (cache.zip(ctx.pre.key_plan())).and_then(|(c, plan)| c.keys(plan));
-    let ot = cache.and_then(|c| c.ot(kind)).and_then(|ot| {
+    let cached_keys = ctx.pre.key_plan().and_then(|plan| cache.keys(plan));
+    let ot = cache.ot(kind).and_then(|ot| {
         let base = ot.reserve(meta.ot_blocks(kind));
         match kind {
             ProtocolKind::ServerGarbler => ot.sender_at(base).map(OtStart::Sender),
@@ -189,12 +189,10 @@ pub(crate) async fn run(
                     let _phase = pi_trace::span!("offline.he");
                     let _span = pi_trace::span!("he.keys_admit");
                     let params = he.encoder.params();
-                    let room = |bytes| cache.and_then(|c| c.room_for_keys(bytes));
+                    let room = |bytes| cache.room_for_keys(bytes);
                     Arc::new(ClientHeKeys::admit(&frame, params, &he.plan, room)?)
                 };
-                if let Some(c) = cache {
-                    c.insert_keys(&he.plan, keys.clone());
-                }
+                cache.insert_keys(&he.plan, keys.clone());
                 keys
             }
         };
@@ -265,9 +263,7 @@ pub(crate) async fn run(
                 let _span = pi_trace::span!("offline.ot");
                 receiver.finish(&transfer)?
             };
-            if let Some(c) = cache {
-                c.insert_ot(kind, Arc::new(ClientOtState::sender(ext.clone(), used)));
-            }
+            cache.insert_ot(kind, Arc::new(ClientOtState::sender(ext.clone(), used)));
             OtStart::Sender(OtStream::at(ext, 0))
         }
         // Client-Garbler: the server opens base OT (the evaluator's
@@ -287,9 +283,7 @@ pub(crate) async fn run(
                 peer.sink.send(Msg::OtBaseTransfer(transfer))?;
                 ext
             };
-            if let Some(c) = cache {
-                c.insert_ot(kind, Arc::new(ClientOtState::receiver(ext.clone(), used)));
-            }
+            cache.insert_ot(kind, Arc::new(ClientOtState::receiver(ext.clone(), used)));
             OtStart::Receiver(OtStream::at(ext, 0))
         }
     };
@@ -449,11 +443,15 @@ pub fn drive_sync(
         sink: chan.tx(),
         recv: &recv,
     };
+    // The lone session's own table, gone when it returns. It keeps nothing
+    // for later, so its budget is zero: each insert evicts the one before,
+    // and the key set goes as the OT state goes in, after the HE pass.
+    let cache = ClientCache(Arc::new(SessionTable::new(0)), 0);
     let ctx = SessionCtx {
         model,
         cfg,
         pre,
-        cache: None,
+        cache: &cache,
     };
     let mut out = block_on(run(ctx, rng, peer))?;
     drop(root_span);

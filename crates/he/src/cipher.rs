@@ -110,11 +110,6 @@ impl Ciphertext {
         }
     }
 
-    /// Serialized size in bytes (for communication accounting).
-    pub fn byte_len(&self) -> usize {
-        2 * self.c0.ctx().n() * 8
-    }
-
     /// Switches both components to the smaller response modulus
     /// `q' =` [`BfvParams::down_q`], coefficient-wise `c' = round(q'·c/q)`.
     ///

@@ -1780,6 +1780,68 @@ fn returning_client_runs_no_base_ot() {
     }
 }
 
+/// One `ServiceClient`'s two HE requests, each against a `drive_sync`
+/// server of its own, both kinds: a lone session's table is its own and
+/// starts empty, so both times the server holds nothing of the client —
+/// `NEED_KEYS` set, `OT_CACHED` clear — and the client uploads its keys
+/// again and gets a bit-exact output. A table shared between lone sessions
+/// would claim the second request's keys and OT state cached.
+#[test]
+fn each_drive_sync_session_gets_a_fresh_table() {
+    let he = BfvParams::small_test();
+    let model = build_model(&he, 11);
+    let meta = ModelMeta::of(&model);
+    for kind in [ProtocolKind::ClientGarbler, ProtocolKind::ServerGarbler] {
+        let cfg = protocol_cfg(kind, Some(&he));
+        let pre = pi_core::ServerPrecomp::new(&model, &cfg);
+        let mut client = ServiceClient::new();
+        for seed in [61, 62] {
+            let what = format!("{kind:?}, request {seed}");
+            let input = random_input(&model, seed);
+            let (c_chan, c_peer) = local_pair();
+            let (s_peer, s_chan) = local_pair();
+            let (out, flags, up) = std::thread::scope(|scope| {
+                let up = scope.spawn(|| relay(&c_peer, &s_peer));
+                let down = scope.spawn(|| {
+                    let status = s_peer.recv().expect("KeyStatus");
+                    let Msg::KeyStatus { flags, .. } = status else {
+                        panic!("expected KeyStatus, got {}", status.kind());
+                    };
+                    c_peer.send(status).expect("forward KeyStatus");
+                    relay(&s_peer, &c_peer);
+                    flags
+                });
+                // The party threads own their channel ends: dropping them
+                // on completion is what unblocks the relays.
+                let server = scope.spawn({
+                    let (model, pre, cfg) = (&model, &pre, &cfg);
+                    move || {
+                        let rng = rand::rngs::StdRng::seed_from_u64(seed);
+                        drive_sync(model, pre, cfg, &s_chan, rng).expect("server run")
+                    }
+                });
+                let client = scope.spawn({
+                    let (client, meta, input, cfg) = (&mut client, &meta, &input, &cfg);
+                    move || {
+                        let mut rng = rand::rngs::StdRng::seed_from_u64(5 + seed);
+                        let ran = client.run(meta, input, cfg, &c_chan, &mut rng);
+                        ran.expect("client run").0
+                    }
+                });
+                server.join().expect("server thread");
+                let out = client.join().expect("client thread");
+                let up = up.join().expect("up relay");
+                (out, down.join().expect("down relay"), up)
+            });
+            assert_eq!(flags, Msg::NEED_KEYS, "{what}: KeyStatus flags");
+            let uploads = up.iter().filter(|m| m.0 == "HeKeys").count();
+            assert_eq!(uploads, 1, "{what}: key uploads");
+            assert_eq!(out, model.forward(&input), "{what}: output");
+        }
+        assert!(client.has_keys(), "{kind:?}");
+    }
+}
+
 /// A 1-byte table budget: every client's state evicts the other's, so base
 /// OT runs again in every session and every output stays bit-exact.
 #[test]
@@ -2037,8 +2099,8 @@ fn base_ot_setup(m: &mut Msg, _: u64) {
 /// message and at no other point: a setup where the first linear message
 /// belongs (a second one), one after the first linear message, and one to
 /// a session running on cached OT state are each `UnexpectedMsg` — under
-/// the runtime and under `drive_sync` (which caches nothing, so the third
-/// has no `drive_sync` form), in both linear modes — and a neighbour
+/// the runtime and under `drive_sync` (whose session's own table starts
+/// empty, so the third has no `drive_sync` form), in both linear modes — and a neighbour
 /// completes bit-exact after them.
 #[test]
 fn a_base_ot_setup_out_of_its_place_is_unexpected() {
