@@ -9,6 +9,9 @@
 //! a hardware path — a silent fallback to software AES fails the grep
 //! loudly, mirroring the `csv,simd_backend` guard.
 //!
+//! `gc_hash/hash_many_32` and `gc_hash/encrypt_blocks_32` time the
+//! fixed-key hash and the bare AES it wraps on one 32-block batch.
+//!
 //! Then one phase of the ledger's `relu_heavy` workload: 8192 instances,
 //! the scale where a kernel's layout (not its AES) shows. Each kernel is
 //! timed on one thread against split across the host's cores, alternating
@@ -20,7 +23,7 @@ use pi_gc::aes::{self, AesBackend};
 use pi_gc::circuit::{from_bits, to_bits};
 use pi_gc::garble::{evaluate, evaluate_many, garble, garble_many};
 use pi_gc::relu::{relu_trunc_circuit, relu_trunc_reference};
-use pi_gc::Circuit;
+use pi_gc::{Aes128, Circuit, GcHash};
 use pi_trace::par;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -28,6 +31,7 @@ use std::hint::black_box;
 fn main() {
     let auto = aes::auto_backend();
     println!("csv,aes_backend,{}", auto.name());
+    hash_vs_aes();
 
     let p = 1032193u64; // 20-bit NTT prime (the protocol field)
     let (circuit, layout) = relu_trunc_circuit(p, 5);
@@ -72,6 +76,28 @@ fn main() {
         circuit.and_count(),
         circuit.garbled_size_bytes()
     );
+}
+
+/// The garbling hash against the AES it wraps, one 32-block batch each
+/// (an AND gate's garbling hashes for 8 instances) under the detected
+/// backend: `csv,gc_hash/hash_many_32` beside
+/// `csv,gc_hash/encrypt_blocks_32` shows what the hash costs over raw AES.
+fn hash_vs_aes() {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(32);
+    let xs: [u128; 32] = std::array::from_fn(|_| rng.gen());
+    let tweaks: [u64; 32] = std::array::from_fn(|_| rng.gen());
+    let hash = GcHash::new();
+    let mut out = [0; 32];
+    kernel("gc_hash/hash_many_32", 20, || {
+        hash.hash_many(black_box(&xs), &tweaks, &mut out);
+        out[31]
+    });
+    let aes = Aes128::new(rng.gen::<u128>().to_le_bytes());
+    let mut blocks = xs;
+    kernel("gc_hash/encrypt_blocks_32", 20, || {
+        aes.encrypt_blocks(black_box(&mut blocks));
+        blocks[31]
+    });
 }
 
 /// One `relu_heavy` phase: 8192 truncating ReLUs garbled and evaluated

@@ -11,7 +11,8 @@
 //! `csv,matvec_check,d<dim>,ok` and
 //! `csv,matvec_rotations,d<dim>,bsgs,<rotations>,naive,<rotations>` lines
 //! so CI fails loudly if the replicated path diverges from the naive chain
-//! or its rotation budget moves.
+//! or its rotation budget moves. It ends with the cleartext linear pass
+//! at `relu_heavy`'s shape (`csv,linear/apply_8192x64`).
 
 use pi_bench::kernel;
 use pi_field::simd::{self, SimdBackend};
@@ -21,6 +22,7 @@ use pi_he::linalg::{
     matvec_op_count, matvec_op_count_naive, matvec_precomputed, PlainMatrix,
 };
 use pi_he::{BatchEncoder, BfvParams, KeySet};
+use pi_nn::PiPhase;
 use pi_poly::ntt::{NttTables, ShoupVec};
 use rand::{Rng, SeedableRng};
 
@@ -184,8 +186,32 @@ fn bench_matvec_simd_vs_scalar() {
     }
 }
 
+/// The cleartext linear pass (`PiPhase::apply_linear`, what the server
+/// runs on `relu_heavy` instead of HE) at the ledger's `mlp8192` shape:
+/// its first phase, 8192 rows of 64 inputs at the protocol field.
+fn bench_linear_apply() {
+    let p = BfvParams::default_pi().t();
+    let (rows, cols) = (8192, 64);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(8192);
+    let mut field =
+        |n: usize| -> Vec<u64> { (0..n).map(|_| rng.gen_range(0..p.value())).collect() };
+    let phase = PiPhase {
+        inputs: vec![0],
+        matrix: field(rows * cols),
+        rows,
+        cols,
+        bias: field(rows),
+        relu_shift: Some(5),
+    };
+    let x = field(cols);
+    kernel(&format!("linear/apply_{rows}x{cols}"), 20, || {
+        phase.apply_linear(&x, p)
+    });
+}
+
 fn main() {
     bench_tail_breakdown();
     bench_matvec();
     bench_matvec_simd_vs_scalar();
+    bench_linear_apply();
 }

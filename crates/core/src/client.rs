@@ -35,7 +35,7 @@ use crate::common::{
 };
 use crate::error::ProtocolError;
 use crate::msg::Msg;
-use crate::role::{encode, BaseReceiver, BaseSender, Garbler, LabelRequest, OtStream, PhaseTables};
+use crate::role::{BaseReceiver, BaseSender, Garbler, LabelRequest, OtStream, PhaseTables};
 use pi_gc::Label;
 use pi_he::{linalg, BatchEncoder, BfvParams, NoiseStage, SecretKey};
 use pi_ot::ext::{OtExtReceiver, OtExtSender};
@@ -325,8 +325,8 @@ impl ServiceClient {
                     let (share, r_next) = (&c_shares[relu.phase], &r_acts[relu.phase + 1]);
                     let mut labels = Vec::with_capacity(relu.rows * 2 * k);
                     for (j, g) in phase.iter().enumerate() {
-                        labels.extend(encode(g, 0, share[j], k));
-                        labels.extend(encode(g, 2 * k, r_next[j], k));
+                        g.encoding.encode_into(0, share[j], k, &mut labels);
+                        g.encoding.encode_into(2 * k, r_next[j], k, &mut labels);
                     }
                     peer.sink.send(Msg::GcLabels(labels))?;
                 }

@@ -15,7 +15,6 @@
 
 use crate::common::{ModelMeta, PartyOutcome, ReluPhase};
 use crate::error::ProtocolError;
-use pi_gc::circuit::to_bits;
 use pi_gc::garble::{evaluate_many_with, garble_many, Garbling};
 use pi_gc::relu::relu_trunc_circuit;
 use pi_gc::{Circuit, Label};
@@ -136,12 +135,6 @@ impl BaseReceiver {
     }
 }
 
-/// The labels encoding `value`'s `k` bits on wires `offset..offset + k` of
-/// one garbled instance.
-pub(crate) fn encode(g: &Garbling, offset: usize, value: u64, k: usize) -> Vec<Label> {
-    g.encoding.encode_bits(offset, &to_bits(value, k))
-}
-
 /// The garbler's material: the extension sender its label OTs answer
 /// through, and every ReLU phase garbled so far (with its tables shipped
 /// and emptied).
@@ -203,13 +196,15 @@ impl Garbler {
         {
             return Err(ProtocolError::BadRequest("OT extension shape"));
         }
-        let mut pairs = Vec::with_capacity(n);
-        for g in phase {
-            pairs.extend(wires.clone().map(|w| g.encoding.label_pair(w)));
-        }
         out.ot_count += n as u64;
         let at = self.ot.advance(n);
-        Ok(self.ot.ext.transfer_at(at, extend, &pairs))
+        // Transfer `j` is wire `j mod |wires|` of instance `j / |wires|`,
+        // read from the stored encoding where the transfer masks it.
+        let pair = |j: usize| {
+            let (i, w) = (j / wires.len(), j % wires.len());
+            phase[i].encoding.label_pair(wires.start + w)
+        };
+        Ok(self.ot.ext.transfer_at(at, extend, pair))
     }
 }
 
@@ -312,7 +307,7 @@ impl PhaseTables {
         };
         // Batched evaluation: 8 instances per AES call through the
         // fixed-key hash, split across cores for a large phase.
-        evaluate_many_with(&self.circuit, &self.tables, input).concat()
+        evaluate_many_with(&self.circuit, &self.tables, input)
     }
 }
 

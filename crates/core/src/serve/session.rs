@@ -59,7 +59,7 @@ use crate::common::{
 use crate::error::ProtocolError;
 use crate::msg::Msg;
 use crate::role::{
-    decode_outputs, encode, BaseReceiver, BaseSender, Garbler, LabelRequest, OtStream, PhaseTables,
+    decode_outputs, BaseReceiver, BaseSender, Garbler, LabelRequest, OtStream, PhaseTables,
 };
 use crate::serve::table::{ClientCache, SessionTable};
 use pi_gc::Label;
@@ -381,7 +381,7 @@ pub(crate) async fn run(
                 {
                     let _span = pi_trace::span!("online.eval");
                     for (&v, g) in y_s.iter().zip(&garbler.phases[i]) {
-                        labels.extend(encode(g, 0, v, k));
+                        g.encoding.encode_into(0, v, k, &mut labels);
                     }
                 }
                 peer.sink.send(Msg::GcLabels(labels))?;

@@ -50,12 +50,17 @@
 //! # Batched hashing
 //!
 //! [`GcHash::hash_many`] hashes any number of independent `(x, tweak)`
-//! lanes through one dispatched [`Aes128::encrypt_blocks`] call — the
-//! batched garbler hashes all 4×8 blocks of an AND gate's 8 instances at
-//! once, the evaluator its 2×8. `hash4`/`hash2` (the single-instance
-//! gate) and [`GcHash::kdf8`] (the OT extension's masks) are fixed-width
-//! forms of it. Bitslice runs full groups of 8 and defers the tail to
-//! soft. Every width equals the scalar [`GcHash::hash`] lane-for-lane.
+//! lanes as one dispatched AES batch — the batched garbler hashes all 4×8
+//! blocks of an AND gate's 8 instances at once, the evaluator its 2×8.
+//! `hash4`/`hash2` (the single-instance gate) and [`GcHash::kdf8`] (the OT
+//! extension's masks) are fixed-width forms of it. On AES-NI the whole
+//! hash runs in the kernel (`ni::hash_blocks`): the doubling, the tweak
+//! and the feed-forward stay in registers around the rounds, one AES
+//! block per hash as before. Soft and Bitslice wrap one
+//! [`Aes128::encrypt_blocks`] call in scalar loops that form the inputs
+//! and feed them forward; Bitslice runs full groups of 8 and defers the
+//! tail to soft. Every width equals the scalar [`GcHash::hash`]
+//! lane-for-lane.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -428,9 +433,11 @@ impl GcHash {
         self.hash(x, index.wrapping_mul(0x9e37_79b9_7f4a_7c15))
     }
 
-    /// A batch of independent hashes through **one** dispatched
-    /// [`Aes128::encrypt_blocks`] call: `out[i] = self.hash(xs[i],
-    /// tweaks[i])` for every `i`, at any width, on every backend.
+    /// A batch of independent hashes as **one** dispatched AES batch:
+    /// `out[i] = self.hash(xs[i], tweaks[i])` for every `i`, at any width,
+    /// on every backend. AES-NI computes the whole hash in its kernel;
+    /// the other backends wrap [`Aes128::encrypt_blocks`] in the doubling
+    /// and the feed-forward.
     ///
     /// # Panics
     ///
@@ -438,6 +445,10 @@ impl GcHash {
     #[inline]
     pub fn hash_many(&self, xs: &[u128], tweaks: &[u64], out: &mut [u128]) {
         assert!(xs.len() == out.len() && tweaks.len() == out.len());
+        #[cfg(target_arch = "x86_64")]
+        if backend() == AesBackend::Ni {
+            return ni::hash_blocks(&self.aes.round_keys, xs, tweaks, out);
+        }
         let input = |x: u128, t: u64| gf_double(x) ^ t as u128;
         for ((o, &x), &t) in out.iter_mut().zip(xs).zip(tweaks) {
             *o = input(x, t);
@@ -636,6 +647,58 @@ mod tests {
                 let kd = h.kdf8(xs, tw);
                 for i in 0..8 {
                     assert_eq!(kd[i], h.kdf(xs[i], tw[i]));
+                }
+            });
+        }
+    }
+
+    /// The batched hash against the scalar one where the doubling carries:
+    /// bit 127 set (the `0x87` reduction), bit 63 set (the carry between
+    /// the 64-bit halves), both, 0 and all ones, with tweaks 0 and
+    /// `u64::MAX`, on every backend at every width from 1 to 33, each input
+    /// in every lane of every group the width splits into.
+    #[test]
+    fn batched_hash_matches_scalar_where_the_doubling_carries() {
+        let h = GcHash::new();
+        let top = 1u128 << 127;
+        let mid = 1u128 << 63;
+        let specials = [
+            top,
+            mid,
+            top | mid,
+            0,
+            u128::MAX,
+            top | 0x5a5a,
+            mid | (mid >> 1),
+        ];
+        for be in available_backends() {
+            with_backend(be, || {
+                for n in 1..=33usize {
+                    for shift in 0..specials.len() {
+                        let xs: Vec<u128> = (0..n)
+                            .map(|i| specials[(i + shift) % specials.len()])
+                            .collect();
+                        for tweaks in [
+                            vec![0; n],
+                            vec![u64::MAX; n],
+                            (0..n)
+                                .map(|i| if i % 2 == 0 { 0 } else { u64::MAX })
+                                .collect(),
+                        ] {
+                            let mut out = vec![0; n];
+                            h.hash_many(&xs, &tweaks, &mut out);
+                            for i in 0..n {
+                                assert_eq!(
+                                    out[i],
+                                    h.hash(xs[i], tweaks[i]),
+                                    "backend {}, width {n}, lane {i}, x {:#x}, tweak {:#x}",
+                                    be.name(),
+                                    xs[i],
+                                    tweaks[i]
+                                );
+                            }
+                        }
+                    }
                 }
             });
         }

@@ -16,11 +16,18 @@
 //!   single contiguous load, and a free gate is one 8-lane XOR.
 //! * **One AES call per gate.** An AND gate hashes every block it needs for
 //!   the whole chunk — 4×8 when garbling, 2×8 when evaluating — in one
-//!   [`GcHash::hash_many`] call, which the AES backend runs as one batch.
+//!   [`GcHash::hash_many`] call, which the AES backend runs as one batch;
+//!   on AES-NI the hash's doubling, tweak and feed-forward run inside that
+//!   batch, in registers.
 //! * **Tables written once.** Each instance's tables are pushed straight
 //!   into its own `Vec`, sized up front. The protocol's garbler then moves
 //!   them out of its [`Garbling`]s to send them rather than cloning them,
 //!   and keeps only the input encodings and output decode bits.
+//! * **Outputs written once.** [`evaluate_many_with`] writes every
+//!   instance's output labels into one instance-major `Vec`: the first
+//!   part of a split reserves it whole and the later parts are appended
+//!   ([`par::concat`]). [`evaluate_many`] cuts it into per-instance
+//!   vectors for callers that want them.
 //! * **Split across cores.** A call of at least [`GRAIN`] instances is cut
 //!   by [`par::map_ranges`] into [`par::threads`] contiguous runs of whole
 //!   chunks, one per core; a smaller one runs on the calling thread. Every
@@ -61,6 +68,15 @@ impl InputEncoding {
             .enumerate()
             .map(|(i, &b)| self.encode_bit(offset + i, b))
             .collect()
+    }
+
+    /// Appends the labels of `value`'s `width` little-endian bits on inputs
+    /// `offset..offset + width` to `out`: [`Self::encode_bits`] of
+    /// [`to_bits`](crate::circuit::to_bits)`(value, width)`, with neither
+    /// vector built.
+    pub fn encode_into(&self, offset: usize, value: u64, width: usize, out: &mut Vec<Label>) {
+        let bit = |b: usize| (value >> b) & 1 == 1;
+        out.extend((0..width).map(|b| self.encode_bit(offset + b, bit(b))));
     }
 
     /// Returns the `(zero, one)` label pair for input `i` — what the OT
@@ -399,13 +415,20 @@ pub fn evaluate_many(
     for inp in inputs {
         assert_eq!(inp.len(), circuit.num_inputs, "input label count mismatch");
     }
-    evaluate_many_with(circuit, tables, |i| inputs[i].iter().copied())
+    let outs = circuit.outputs.len();
+    let flat = evaluate_many_with(circuit, tables, |i| inputs[i].iter().copied());
+    (0..tables.len())
+        .map(|i| flat[i * outs..][..outs].to_vec())
+        .collect()
 }
 
 /// [`evaluate_many`] with instance `i`'s input labels read from `input(i)`
 /// as the kernel loads them, so a caller that assembles them from several
 /// buffers builds no per-instance vector (and assembles in parallel, on
-/// whichever thread evaluates the instance).
+/// whichever thread evaluates the instance). The output labels come back
+/// in one instance-major vector: instance `i`'s outputs, in the circuit's
+/// output order, are `circuit.outputs.len()` labels from
+/// `i · circuit.outputs.len()` on.
 ///
 /// # Panics
 ///
@@ -415,7 +438,7 @@ pub fn evaluate_many_with<I, F>(
     circuit: &Circuit,
     tables: &[Vec<(Label, Label)>],
     input: F,
-) -> Vec<Vec<Label>>
+) -> Vec<Label>
 where
     I: IntoIterator<Item = Label>,
     F: Fn(usize) -> I + Sync,
@@ -437,18 +460,26 @@ where
     par::concat(parts)
 }
 
-/// [`evaluate_many_with`]'s kernel over the instances in `range`.
+/// [`evaluate_many_with`]'s kernel over the instances in `range`: their
+/// output labels, instance-major. The first part's buffer becomes the
+/// whole output once the later parts are appended, so it reserves room
+/// for every instance's.
 fn evaluate_chunks<I: IntoIterator<Item = Label>>(
     circuit: &Circuit,
     tables: &[Vec<(Label, Label)>],
     range: Range<usize>,
     input: &impl Fn(usize) -> I,
-) -> Vec<Vec<Label>> {
+) -> Vec<Label> {
     // Evaluation hashes 2 AES blocks per AND.
     let blocks = 2 * range.len() * circuit.and_count();
     pi_trace::add(pi_trace::Counter::AesBlocks, blocks as u64);
     let hash = GcHash::new();
-    let mut out = Vec::with_capacity(range.len());
+    let instances = if range.start == 0 {
+        tables.len()
+    } else {
+        range.len()
+    };
+    let mut out = Vec::with_capacity(instances * circuit.outputs.len());
     let mut lanes = vec![[0; LANES]; circuit.num_wires];
     let (mut x, mut tweak, mut h) = ([0; 2 * LANES], [0; 2 * LANES], [0; 2 * LANES]);
     for (chunk, tabs) in tables[range.clone()].chunks(LANES).enumerate() {
@@ -481,7 +512,8 @@ fn evaluate_chunks<I: IntoIterator<Item = Label>>(
                 }
             }
         }
-        out.extend((0..w).map(|t| circuit.outputs.iter().map(|&o| lanes[o][t]).collect()));
+        let lanes = &lanes;
+        out.extend((0..w).flat_map(|t| circuit.outputs.iter().map(move |&o| lanes[o][t])));
     }
     out
 }

@@ -39,15 +39,32 @@ pub struct PiPhase {
 impl PiPhase {
     /// The phase's linear part `W·x` on concatenated (reduced) inputs.
     ///
+    /// Each row sums its products in a `u128` and reduces once per run of
+    /// terms that cannot overflow it: a product of reduced values is below
+    /// `(p − 1)²`, so a run of `(2^128 − p) / (p − 1)²` terms plus the
+    /// reduced sum before it fits. That is the whole row for any `p` below
+    /// 2^40, and 16 terms just under 2^62. The result is the per-term
+    /// [`Modulus::mul_add`] fold's, bit for bit.
+    ///
     /// # Panics
     ///
     /// Panics if `x.len() != cols`.
     pub fn apply_linear(&self, x: &[u64], p: Modulus) -> Vec<u64> {
         assert_eq!(x.len(), self.cols, "phase input length mismatch");
+        debug_assert!(x.iter().chain(&self.matrix).all(|&v| v < p.value()));
+        if self.cols == 0 {
+            return vec![0; self.rows];
+        }
+        let max = u128::from(p.value() - 1);
+        let run = ((u128::MAX - max) / (max * max)).min(usize::MAX as u128) as usize;
         let row = |w: &[u64]| {
-            w.iter()
-                .zip(x)
-                .fold(0, |acc, (&w, &x)| p.mul_add(w, x, acc))
+            w.chunks(run).zip(x.chunks(run)).fold(0, |acc, (w, x)| {
+                let dot = w
+                    .iter()
+                    .zip(x)
+                    .map(|(&w, &x)| u128::from(w) * u128::from(x));
+                p.reduce_u128(dot.fold(u128::from(acc), |s, t| s + t))
+            })
         };
         self.matrix.chunks_exact(self.cols).map(row).collect()
     }
@@ -415,5 +432,55 @@ mod tests {
         let (_, model) = lower(&spec, 14);
         assert_eq!(model.phases[3].inputs, [3, 2, 1]);
         check_model_matches_fixed(&spec, 14);
+    }
+
+    /// `apply_linear` reduces once per run of terms; the per-term
+    /// `mul_add` fold it replaced is the oracle: at the protocol field, at
+    /// a 62-bit prime over several overflow runs of `p − 1` entries (16
+    /// terms a run there), and with no columns at all.
+    #[test]
+    fn lazy_rows_match_the_per_term_fold() {
+        let fold = |ph: &PiPhase, x: &[u64], p: Modulus| -> Vec<u64> {
+            (0..ph.rows)
+                .map(|r| {
+                    let w = &ph.matrix[r * ph.cols..][..ph.cols];
+                    w.iter()
+                        .zip(x)
+                        .fold(0, |acc, (&w, &x)| p.mul_add(w, x, acc))
+                })
+                .collect()
+        };
+        let phase = |rows: usize, cols: usize, matrix: Vec<u64>| PiPhase {
+            inputs: vec![0],
+            matrix,
+            rows,
+            cols,
+            bias: vec![0; rows],
+            relu_shift: None,
+        };
+        let mut rng = rand::rngs::StdRng::seed_from_u64(51);
+        let protocol = Modulus::new(pi_field::find_ntt_prime(20, 4096));
+        let wide = Modulus::new((1 << 62) - 57);
+        assert!(pi_field::is_prime(wide.value()) && wide.bits() == 62);
+        let (rows, cols) = (9, 3 * 16 + 5);
+        let random = |p: Modulus, n: usize, rng: &mut rand::rngs::StdRng| -> Vec<u64> {
+            (0..n).map(|_| rng.gen_range(0..p.value())).collect()
+        };
+        let full = |p: Modulus, n: usize| vec![p.value() - 1; n];
+        let cases = [
+            (
+                protocol,
+                random(protocol, rows * 64, &mut rng),
+                random(protocol, 64, &mut rng),
+            ),
+            (wide, full(wide, rows * cols), full(wide, cols)),
+            (wide, random(wide, rows * cols, &mut rng), full(wide, cols)),
+        ];
+        for (p, matrix, x) in cases {
+            let ph = phase(rows, x.len(), matrix);
+            assert_eq!(ph.apply_linear(&x, p), fold(&ph, &x, p), "p = {p}");
+        }
+        let empty = phase(rows, 0, Vec::new());
+        assert_eq!(empty.apply_linear(&[], wide), vec![0; rows]);
     }
 }

@@ -25,10 +25,15 @@
 //! `reference::prg_bits` stream. Column-major work (extension) is
 //! word-wide XOR; the row-major view (`t_j`/`q_j`) comes from the blocked
 //! `crate::bitmat::transpose128`; transfer masks are derived 8 rows per
-//! batched [`GcHash::kdf8`] call. The seed bool-matrix implementation is
-//! retained, bit for bit, in [`reference`](mod@reference) as the differential oracle —
-//! and `PI_AES=soft` additionally pins the packed path's AES to the scalar
-//! software oracle.
+//! batched [`GcHash::kdf8`] call, a fixed-key hash the AES-NI backend
+//! computes whole in its kernel (doubling, tweak and feed-forward in
+//! registers). The sender reads its message pairs through a closure over
+//! the row index ([`OtExtSender::transfer_at`]), in the part of the split
+//! that masks the row, so a garbler serves its stored encodings' label
+//! pairs without first copying them into a vector. The seed bool-matrix
+//! implementation is retained, bit for bit, in [`reference`](mod@reference)
+//! as the differential oracle — and `PI_AES=soft` additionally pins the
+//! packed path's AES to the scalar software oracle.
 //!
 //! # Split across cores
 //!
@@ -247,26 +252,39 @@ impl OtExtSender {
         std::mem::size_of::<Self>() + std::mem::size_of_val(&self.setup.seeds[..])
     }
 
-    /// [`Self::transfer_at`] block 0: the only extension of a setup, or its
-    /// first.
+    /// [`Self::transfer_at`] block 0 over a slice of pairs: the only
+    /// extension of a setup, or its first.
     ///
     /// # Panics
     ///
     /// Panics if the message's transfer count differs from `pairs.len()`.
     pub fn transfer(&self, msg: &ExtendMsg, pairs: &[(u128, u128)]) -> TransferMsg {
-        self.transfer_at(0, msg, pairs)
+        assert_eq!(
+            msg.num_transfers,
+            pairs.len(),
+            "extension rows must match pair count"
+        );
+        self.transfer_at(0, msg, |j| pairs[j])
     }
 
-    /// Produces masked pairs for `pairs.len()` transfers given the
+    /// Produces masked pairs for the `msg.num_transfers` transfers of the
     /// receiver's extension message, which it built at stream position
     /// `block` (see the module docs: no block twice under one setup).
+    /// Transfer `j` sends `pair(j)`, read by whichever part of the split
+    /// masks row `j`, so a caller that holds its pairs in another shape
+    /// builds no vector of them.
     ///
     /// # Panics
     ///
-    /// Panics if the message's transfer count differs from `pairs.len()`.
-    pub fn transfer_at(&self, block: u64, msg: &ExtendMsg, pairs: &[(u128, u128)]) -> TransferMsg {
-        let m = pairs.len();
-        assert_eq!(msg.num_transfers, m, "extension rows must match pair count");
+    /// Panics if the message does not have [`KAPPA`] columns of
+    /// `⌈num_transfers / 128⌉` words.
+    pub fn transfer_at(
+        &self,
+        block: u64,
+        msg: &ExtendMsg,
+        pair: impl Fn(usize) -> (u128, u128) + Sync,
+    ) -> TransferMsg {
+        let m = msg.num_transfers;
         assert_eq!(msg.u_columns.len(), KAPPA, "need {KAPPA} u columns");
         let (s, words) = (self.setup.s, m.div_ceil(128));
         for (i, u) in msg.u_columns.iter().enumerate() {
@@ -300,8 +318,8 @@ impl OtExtSender {
                 let q = |j: usize| q_rows[j - rows.start];
                 let k0 = kdf_rows(&h, rows.clone(), q);
                 let k1 = kdf_rows(&h, rows.clone(), |j| q(j) ^ s);
-                let masked = pairs[rows].iter().zip(k0).zip(k1);
-                out.extend(masked.map(|((&(m0, m1), k0), k1)| (m0 ^ k0, m1 ^ k1)));
+                let masked = rows.map(&pair).zip(k0).zip(k1);
+                out.extend(masked.map(|(((m0, m1), k0), k1)| (m0 ^ k0, m1 ^ k1)));
             }
             out
         });
@@ -619,7 +637,7 @@ mod tests {
                 assert_eq!(u_fast, u_ref, "extend msg m={m} block={block}");
                 assert_eq!(t_fast, t_ref, "t rows m={m} block={block}");
 
-                let y_fast = sender.transfer_at(block, &u_fast, &pairs);
+                let y_fast = sender.transfer_at(block, &u_fast, |j| pairs[j]);
                 let y_ref = reference::transfer(&s_setup, block, &u_ref, &pairs);
                 assert_eq!(y_fast.pairs, y_ref.pairs, "transfer m={m} block={block}");
 

@@ -333,7 +333,7 @@ fn packed_iknp_matches_bool_reference_under_every_backend() {
             assert_eq!(u_fast, u_ref, "extend {ctx}");
             assert_eq!(t_fast, t_ref, "t rows {ctx}");
             let y_fast = with_backend(be, || {
-                par::with_threads(t, || sender.transfer_at(block, &u_fast, &pairs))
+                par::with_threads(t, || sender.transfer_at(block, &u_fast, |j| pairs[j]))
             });
             assert_eq!(y_fast.pairs, y_ref.pairs, "transfer {ctx}");
             let got = with_backend(be, || {
